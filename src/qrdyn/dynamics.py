@@ -180,7 +180,7 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
     reason = "budget"
     surrogate_from = None
     for k in range(1, k_max + 1):
-        nxt = np.asarray(map_handle.fn(tuple(x)), dtype=float)
+        nxt = np.asarray(map_handle.fn(tuple(x.tolist())), dtype=float)
         if not np.all(np.isfinite(nxt)):
             reason = "nonfinite"
             break
@@ -260,7 +260,7 @@ def classify_escape(f: MapHandle, x, n_max: int,
     if p[2] < 0:
         return EscapeClass("quasi_fatou", n=0)
     for n in range(1, n_max + 1):
-        nxt = np.asarray(f.fn(tuple(p)), dtype=float)
+        nxt = np.asarray(f.fn(tuple(p.tolist())), dtype=float)
         if not np.all(np.isfinite(nxt)):
             return EscapeClass("radial")
         if nxt[2] < 0:
@@ -373,10 +373,8 @@ def max_modulus_estimate(map_handle: MapHandle, r: float, samples: int = 2000,
         pts = r * np.column_stack([np.cos(th), np.sin(th)])
     else:
         pts = r * sphere_directions(samples, seed)
-    for p in pts:
-        v = map_handle.fn(tuple(p))
-        m = math.hypot(*v) if len(v) == 2 else math.sqrt(
-            v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    for p in pts.tolist():
+        m = math.hypot(*map_handle.fn(tuple(p)))
         if math.isnan(m):
             continue
         if m > best:
@@ -405,7 +403,7 @@ def orbit_magnitudes_bigexp(f: MapHandle, x, count: int, translate: float):
     p = np.asarray(x, dtype=float)
     out = [BigExp.from_float(norm_safe(p))]
     for _ in range(count):
-        nxt = np.asarray(f.fn(tuple(p)), dtype=float)
+        nxt = np.asarray(f.fn(tuple(p.tolist())), dtype=float)
         if np.all(np.isfinite(nxt)) and math.isfinite(norm_safe(nxt)):
             out.append(BigExp.from_float(norm_safe(nxt)))
             p = nxt

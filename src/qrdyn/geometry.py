@@ -32,6 +32,17 @@ class CertificationFailure(GeometryError):
 TAU_GEOM = 1e-12
 # Certification fails below this angle (radians).
 THETA_MIN = 1e-3
+# Largest temporary of the batched kernels, in float64 elements: the size of
+# the 400 x 400 x 3 pair-difference array of the certification sweep.
+BATCH_ELEMENTS = 400 * 400 * 3
+
+
+def _row_chunks(rows, width):
+    """Slices of ``rows`` point rows such that a (chunk, width) temporary
+    stays within BATCH_ELEMENTS."""
+    step = max(1, BATCH_ELEMENTS // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 @dataclass(frozen=True)
@@ -377,9 +388,9 @@ def _locate3(shape, x):
             return Location("boundary", fi)
         return Location("interior" if d_out < 0 else "exterior")
     # distance to surface
-    d, fi = _surface_distance(shape, x)
-    if d <= shape.tol:
-        return Location("boundary", fi)
+    d, fi = _surface_distance(shape, x[None, :])
+    if d[0] <= shape.tol:
+        return Location("boundary", int(fi[0]))
     return Location("interior" if _inside_parity(shape, x) else "exterior")
 
 
@@ -391,39 +402,49 @@ def _box_facet_of(shape, x):
 
 
 def _surface_distance(shape, x):
+    """Distance from each row of x (shape (N, 3)) to the triangulated
+    surface, and the facet of the nearest triangle: arrays of length N."""
     a = shape._tri_a
     e1 = shape._tri_e1
     e2 = shape._tri_e2
-    d = x[None, :] - a
-    # project onto each triangle plane, clamp into the triangle (approximate
-    # clamp via barycentric clip; good enough for tolerance tests)
     n = np.cross(e1, e2)
     nn = np.einsum("ij,ij->i", n, n)
-    h = np.einsum("ij,ij->i", d, n) / np.sqrt(np.maximum(nn, 1e-300))
-    # barycentric coordinates of the in-plane projection
     dot11 = np.einsum("ij,ij->i", e1, e1)
     dot12 = np.einsum("ij,ij->i", e1, e2)
     dot22 = np.einsum("ij,ij->i", e2, e2)
-    dot1p = np.einsum("ij,ij->i", e1, d)
-    dot2p = np.einsum("ij,ij->i", e2, d)
     den = dot11 * dot22 - dot12 * dot12
-    u = (dot22 * dot1p - dot12 * dot2p) / den
-    v = (dot11 * dot2p - dot12 * dot1p) / den
-    inside = (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1 + 1e-12)
-    dist = np.where(inside, np.abs(h), np.inf)
-    # edge distances for the rest
     verts = shape.vertices
     tris = shape.triangles
-    for k in range(3):
-        p0 = verts[tris[:, k]]
-        p1 = verts[tris[:, (k + 1) % 3]]
-        seg = p1 - p0
-        t = np.einsum("ij,ij->i", x[None, :] - p0, seg) / np.einsum("ij,ij->i", seg, seg)
-        t = np.clip(t, 0.0, 1.0)
-        proj = p0 + t[:, None] * seg
-        dist = np.minimum(dist, np.linalg.norm(x[None, :] - proj, axis=1))
-    ti = int(np.argmin(dist))
-    return float(dist[ti]), int(shape.tri_facet[ti])
+    out = np.empty(len(x))
+    facet = np.empty(len(x), dtype=int)
+    for rows in _row_chunks(len(x), 3 * len(tris)):
+        xr = x[rows, None, :]
+        d = xr - a
+        # project onto each triangle plane, clamp into the triangle
+        # (approximate clamp via barycentric clip; good enough for tolerance
+        # tests)
+        h = np.einsum("...j,...j->...", d, n) / np.sqrt(np.maximum(nn, 1e-300))
+        # barycentric coordinates of the in-plane projection
+        dot1p = np.einsum("...j,...j->...", e1, d)
+        dot2p = np.einsum("...j,...j->...", e2, d)
+        u = (dot22 * dot1p - dot12 * dot2p) / den
+        v = (dot11 * dot2p - dot12 * dot1p) / den
+        inside = (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1 + 1e-12)
+        dist = np.where(inside, np.abs(h), np.inf)
+        # edge distances for the rest
+        for k in range(3):
+            p0 = verts[tris[:, k]]
+            p1 = verts[tris[:, (k + 1) % 3]]
+            seg = p1 - p0
+            t = (np.einsum("...j,...j->...", xr - p0, seg)
+                 / np.einsum("ij,ij->i", seg, seg))
+            t = np.clip(t, 0.0, 1.0)
+            proj = p0 + t[..., None] * seg
+            dist = np.minimum(dist, np.linalg.norm(xr - proj, axis=-1))
+        ti = np.argmin(dist, axis=1)
+        out[rows] = dist[np.arange(len(ti)), ti]
+        facet[rows] = shape.tri_facet[ti]
+    return out, facet
 
 
 def _inside_parity(shape, x, _dirs=((1.0, 0.0, 0.0), (0.37, 0.61, 0.70), (0.2, -0.9, 0.38))):
@@ -441,19 +462,22 @@ def _inside_parity(shape, x, _dirs=((1.0, 0.0, 0.0), (0.37, 0.61, 0.70), (0.2, -
 
 
 def _ray_tris(shape, origin, direction):
-    """Moller-Trumbore over all triangles. Returns (t, u, v, valid)."""
+    """Moller-Trumbore over all triangles, for one direction (3,) or a stack
+    of directions (N, 3) from a common origin.  Returns (t, u, v, valid),
+    each of shape (T,) or (N, T)."""
     e1 = shape._tri_e1
     e2 = shape._tri_e2
     a = shape._tri_a
-    p = np.cross(direction[None, :], e2)
-    det = np.einsum("ij,ij->i", e1, p)
+    direction = direction[..., None, :]
+    p = np.cross(direction, e2)
+    det = np.einsum("...j,...j->...", e1, p)
     eps = 1e-14 * max(1.0, shape.diameter)
     valid = np.abs(det) > eps
     inv = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
     s = origin[None, :] - a
-    u = np.einsum("ij,ij->i", s, p) * inv
+    u = np.einsum("...j,...j->...", s, p) * inv
     q = np.cross(s, e1)
-    v = np.einsum("j,ij->i", direction, q) * inv
+    v = np.einsum("...j,...j->...", direction, q) * inv
     t = np.einsum("ij,ij->i", e2, q) * inv
     bt = 1e-9
     valid &= (u >= -bt) & (v >= -bt) & (u + v <= 1 + bt)
@@ -555,14 +579,14 @@ def _psi3(shape, a, x, r, dist):
 # ---------------------------------------------------------------------------
 # star-centre certification
 
-def _line_angle(u, d):
-    """Acute angle between the lines spanned by u and d."""
-    nu = np.linalg.norm(u)
-    nd = np.linalg.norm(d)
-    if nu == 0.0 or nd == 0.0:
-        return math.pi / 2
-    c = abs(float(np.dot(u, d))) / (nu * nd)
-    return math.acos(min(1.0, c))
+def _line_angles(u, d):
+    """Acute angles between the lines spanned by the rows of u and d
+    (pi/2 where either row is zero); u and d broadcast against each other."""
+    den = (np.sqrt(np.einsum("...j,...j->...", u, u))
+           * np.sqrt(np.einsum("...j,...j->...", d, d)))
+    nonzero = den > 0.0
+    c = np.abs(np.einsum("...j,...j->...", u, d)) / np.where(nonzero, den, 1.0)
+    return np.where(nonzero, np.arccos(np.minimum(1.0, c)), math.pi / 2)
 
 
 def _line_plane_angle(u, n):
@@ -576,14 +600,14 @@ def _line_plane_angle(u, n):
 def _sector_min_angle(u, g1, g2):
     """Minimum line angle between u and directions in the planar sector
     spanned by g1, g2 (non-negative combinations)."""
+    best = float(_line_angles(u, np.array([g1, g2])).min())
     n = np.cross(g1, g2)
     nn = np.linalg.norm(n)
     if nn < 1e-14:
-        return min(_line_angle(u, g1), _line_angle(u, g2))
+        return best
     n = n / nn
     # candidate: projection of u onto the plane, if it falls inside the sector
     w = u - np.dot(u, n) * n
-    best = min(_line_angle(u, g1), _line_angle(u, g2))
     if np.linalg.norm(w) > 1e-14:
         for wc in (w, -w):
             inside = (np.dot(np.cross(g1, wc), n) >= -1e-12 and
@@ -616,31 +640,31 @@ def _boundary_samples(shape, count, rng):
 
 
 def _visible_from(shape, a, w):
-    """True if the open segment from a to w stays inside the shape."""
-    r = w - a
-    dist = np.linalg.norm(r)
-    if dist <= shape.tol:
-        return True
-    if shape.dim == 2:
-        v = shape.vertices
-        n = len(v)
-        rel = 1e-9
-        for i in range(n):
-            p0 = v[i]
-            e = v[(i + 1) % n] - p0
-            den = r[0] * e[1] - r[1] * e[0]
-            if abs(den) < 1e-300:
-                continue
-            dx, dy = p0[0] - a[0], p0[1] - a[1]
-            t = (dx * e[1] - dy * e[0]) / den
-            s = (dx * r[1] - dy * r[0]) / den
-            if 1e-9 < s < 1 - 1e-9 and shape.tol / dist < t < 1 - 1e-7:
-                return False
-        return True
-    d = r / dist
-    t, u, v, valid = _ray_tris(shape, a, d)
-    hit = valid & (t > shape.tol) & (t < dist * (1 - 1e-7))
-    return not np.any(hit)
+    """For each row of w: True if the open segment from a to it stays inside
+    the shape (one segment test per edge in 2D, Moller-Trumbore in 3D)."""
+    visible = np.empty(len(w), dtype=bool)
+    width = shape.facet_count if shape.dim == 2 else 3 * len(shape.triangles)
+    for rows in _row_chunks(len(w), width):
+        r = w[rows] - a
+        dist = np.sqrt(np.einsum("ij,ij->i", r, r))
+        near = dist <= shape.tol
+        dist = np.where(near, 1.0, dist)[:, None]
+        if shape.dim == 2:
+            p0 = shape.vertices
+            e = shape._edge_dir
+            den = r[:, None, 0] * e[:, 1] - r[:, None, 1] * e[:, 0]
+            crossing = np.abs(den) >= 1e-300
+            den = np.where(crossing, den, 1.0)
+            dx, dy = p0[:, 0] - a[0], p0[:, 1] - a[1]
+            t = (dx * e[:, 1] - dy * e[:, 0]) / den
+            s = (dx * r[:, None, 1] - dy * r[:, None, 0]) / den
+            blocked = (crossing & (1e-9 < s) & (s < 1 - 1e-9)
+                       & (shape.tol / dist < t) & (t < 1 - 1e-7))
+        else:
+            t, _, _, valid = _ray_tris(shape, a, r / dist)
+            blocked = valid & (t > shape.tol) & (t < dist * (1 - 1e-7))
+        visible[rows] = near | ~blocked.any(axis=1)
+    return visible
 
 
 def _unit(v):
@@ -725,9 +749,14 @@ def certify_star_centre(shape: StarShape, a, resolution: int = 96) -> Certificat
 
     Exact evaluation at every vertex (against incident facet planes and all
     planar sectors spanned by incident edge directions) is combined with a
-    randomized sweep over close boundary point pairs.  Returns a certificate
-    carrying half the observed minimum angle and the tested chord radius, or
-    raises CertificationFailure.
+    randomized sweep over close boundary point pairs and a visibility audit
+    of the vertices and of about 200 of the sampled boundary points.
+    Returns a certificate carrying half the observed minimum angle and the
+    tested chord radius, or raises CertificationFailure.
+
+    The sweep and the audit are array kernels over all samples at once; they
+    chunk their batches so that no temporary holds more than BATCH_ELEMENTS
+    floats (the 400 x 400 x 3 pair-difference array of the pair sweep).
     """
     a = _as_array(a, shape.dim)
     loc = locate(shape, a)
@@ -737,6 +766,25 @@ def certify_star_centre(shape: StarShape, a, resolution: int = 96) -> Certificat
         raise GeometryError("candidate centre lies outside the shape")
     resolution = max(8, int(resolution))
 
+    theta_obs = _vertex_angle(shape, a)
+    rng = np.random.default_rng(20250810)
+    count = resolution * max(4, shape.facet_count)
+    pts = _boundary_samples(shape, count, rng)
+    eps = min(0.5 * shape.min_feature, 0.25 * shape.diameter)
+    theta_obs = min(theta_obs, _chord_sweep_angle(shape, a, pts, eps, rng))
+    _visibility_audit(shape, a, pts[:: max(1, count // 200)])
+
+    theta = theta_obs / 2
+    if theta < THETA_MIN:
+        raise CertificationFailure(f"observed angle too small: {theta_obs:.2e}")
+    theta = min(theta, math.pi / 4 - 1e-9)
+    return Certificate(theta=theta, eps=float(eps), resolution=resolution)
+
+
+def _vertex_angle(shape, a):
+    """Exact part of the certification: the minimum angle between the centre
+    ray and the chord directions at every vertex; raises on a tangential
+    chord direction."""
     theta_obs = math.pi / 2
 
     # exact part at vertices: the chord-direction limit set at a vertex q is
@@ -752,7 +800,8 @@ def certify_star_centre(shape: StarShape, a, resolution: int = 96) -> Certificat
                 raise CertificationFailure("centre coincides with a vertex")
             e1 = v[i - 1] - q
             e2 = v[(i + 1) % n] - q
-            theta_obs = min(theta_obs, _line_angle(u, e1), _line_angle(u, e2))
+            theta_obs = min(theta_obs,
+                            float(_line_angles(u, np.array([e1, e2])).min()))
             for first, second in ((e1, -e2), (e2, -e1)):
                 if _sector2_contains(first, second, u) or \
                         _sector2_contains(first, second, -u):
@@ -788,77 +837,88 @@ def certify_star_centre(shape: StarShape, a, resolution: int = 96) -> Certificat
             if theta_obs / 2 < THETA_MIN:
                 raise CertificationFailure(
                     f"vertex angle too small at {q}: {theta_obs:.2e}")
+    return theta_obs
 
-    # sampled close pairs
-    rng = np.random.default_rng(20250810)
-    count = resolution * max(4, shape.facet_count)
-    pts = _boundary_samples(shape, count, rng)
-    eps = min(0.5 * shape.min_feature, 0.25 * shape.diameter)
-    # bias half of the second points to be near the first points
-    for w in pts[: count // 2]:
-        local = w + (rng.random((8, shape.dim)) - 0.5) * eps
-        for cand in local:
-            h = _nearest_boundary_point(shape, cand)
-            d = h - w
-            dn = np.linalg.norm(d)
-            if 1e-12 * shape.diameter < dn < eps:
-                theta_obs = min(theta_obs, _line_angle(w - a, d))
+
+def _chord_sweep_angle(shape, a, pts, eps, rng):
+    """Sampled part of the certification: the minimum angle between the
+    centre ray at w and the chords from w shorter than eps, over close pairs
+    (eight random candidates near each point of the first half of ``pts``,
+    projected onto the boundary) and over the pairs of the first 400 points
+    (at most 20000 of them)."""
+    theta_obs = math.pi / 2
+    count = len(pts)
+    # one draw of (count // 2, 8, dim) offsets, taken in row chunks
+    for rows in _row_chunks(count // 2, 8 * shape.dim):
+        first = pts[rows]
+        offsets = rng.random((len(first), 8, shape.dim)) - 0.5
+        local = (first[:, None, :] + offsets * eps).reshape(-1, shape.dim)
+        w = np.repeat(first, 8, axis=0)
+        d = _nearest_boundary_points(shape, local) - w
+        dn = np.linalg.norm(d, axis=1)
+        close = (1e-12 * shape.diameter < dn) & (dn < eps)
+        if np.any(close):
+            theta_obs = min(theta_obs,
+                            float(_line_angles(w[close] - a, d[close]).min()))
     # random pair sweep
     diffs = pts[None, : min(count, 400)] - pts[: min(count, 400), None]
     dn = np.linalg.norm(diffs, axis=2)
     ii, jj = np.nonzero((dn > 1e-12 * shape.diameter) & (dn < eps))
-    for i, j in zip(ii[:20000], jj[:20000]):
-        theta_obs = min(theta_obs, _line_angle(pts[i] - a, diffs[i, j]))
-
-    # visibility audit
-    for w in shape.vertices:
-        if not _visible_from(shape, a, w):
-            raise CertificationFailure(f"vertex {w} is not visible from {a}")
-    for w in pts[:: max(1, count // 200)]:
-        if not _visible_from(shape, a, w):
-            raise CertificationFailure(f"boundary point {w} is not visible from {a}")
-
-    theta = theta_obs / 2
-    if theta < THETA_MIN:
-        raise CertificationFailure(f"observed angle too small: {theta_obs:.2e}")
-    theta = min(theta, math.pi / 4 - 1e-9)
-    return Certificate(theta=theta, eps=float(eps), resolution=resolution)
+    ii, jj = ii[:20000], jj[:20000]
+    if len(ii):
+        theta_obs = min(theta_obs,
+                        float(_line_angles(pts[ii] - a, diffs[ii, jj]).min()))
+    return theta_obs
 
 
-def _nearest_boundary_point(shape, p):
+def _visibility_audit(shape, a, samples):
+    """Raise CertificationFailure naming the first vertex, then the first
+    boundary sample, that the centre does not see."""
+    probes = np.concatenate([shape.vertices, samples])
+    visible = _visible_from(shape, a, probes)
+    if not np.all(visible):
+        k = int(np.argmin(visible))
+        what = "vertex" if k < len(shape.vertices) else "boundary point"
+        raise CertificationFailure(f"{what} {probes[k]} is not visible from {a}")
+
+
+def _nearest_boundary_points(shape, p):
+    """Closest boundary point to each row of p: over the polygon edges in 2D,
+    over the triangles in 3D (clamped barycentric projection)."""
+    out = np.empty_like(p)
     if shape.dim == 2:
         v = shape.vertices
-        n = len(v)
-        best = (math.inf, None)
-        for i in range(n):
-            ab = v[(i + 1) % n] - v[i]
-            t = float(np.dot(p - v[i], ab) / np.dot(ab, ab))
-            t = min(1.0, max(0.0, t))
-            q = v[i] + t * ab
-            d = float(np.linalg.norm(p - q))
-            if d < best[0]:
-                best = (d, q)
-        return best[1]
-    # 3D: closest point over triangles (vectorized plane projection + edges)
+        ab = shape._edge_dir
+        abab = np.einsum("ij,ij->i", ab, ab)
+        for rows in _row_chunks(len(p), 2 * len(v)):
+            pr = p[rows, None, :]
+            t = np.clip(np.einsum("...j,...j->...", pr - v, ab) / abab, 0.0, 1.0)
+            q = v + t[..., None] * ab
+            k = np.argmin(np.linalg.norm(pr - q, axis=-1), axis=1)
+            out[rows] = q[np.arange(len(k)), k]
+        return out
     a = shape._tri_a
     e1 = shape._tri_e1
     e2 = shape._tri_e2
-    d = p[None, :] - a
     dot11 = np.einsum("ij,ij->i", e1, e1)
     dot12 = np.einsum("ij,ij->i", e1, e2)
     dot22 = np.einsum("ij,ij->i", e2, e2)
-    dot1p = np.einsum("ij,ij->i", e1, d)
-    dot2p = np.einsum("ij,ij->i", e2, d)
     den = dot11 * dot22 - dot12 ** 2
-    u = np.clip((dot22 * dot1p - dot12 * dot2p) / den, 0, 1)
-    v = np.clip((dot11 * dot2p - dot12 * dot1p) / den, 0, 1)
-    s = u + v
-    scale = np.where(s > 1, 1.0 / np.maximum(s, 1e-300), 1.0)
-    u *= scale
-    v *= scale
-    q = a + u[:, None] * e1 + v[:, None] * e2
-    dist = np.linalg.norm(q - p[None, :], axis=1)
-    return q[int(np.argmin(dist))]
+    for rows in _row_chunks(len(p), 3 * len(a)):
+        pr = p[rows, None, :]
+        d = pr - a
+        dot1p = np.einsum("...j,...j->...", e1, d)
+        dot2p = np.einsum("...j,...j->...", e2, d)
+        u = np.clip((dot22 * dot1p - dot12 * dot2p) / den, 0, 1)
+        v = np.clip((dot11 * dot2p - dot12 * dot1p) / den, 0, 1)
+        s = u + v
+        scale = np.where(s > 1, 1.0 / np.maximum(s, 1e-300), 1.0)
+        u *= scale
+        v *= scale
+        q = a + u[..., None] * e1 + v[..., None] * e2
+        k = np.argmin(np.linalg.norm(q - pr, axis=-1), axis=1)
+        out[rows] = q[np.arange(len(k)), k]
+    return out
 
 
 def attach_certificate(shape: StarShape, resolution: int = 96) -> StarShape:

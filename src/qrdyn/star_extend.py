@@ -20,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import (GeometryError, StarShape, locate, psi,
-                       pick_star_centre_2d, attach_certificate)
+                       pick_star_centre_2d, attach_certificate,
+                       _boundary_samples, _surface_distance)
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter.
 TAU_SEAM = 1e-9
@@ -56,6 +57,8 @@ class Frame:
                    np.asarray(p2, dtype=float) - p0)
 
     def to2d(self, p):
+        """Plane coordinates of p = (x, y, z); the coordinates may be
+        scalars or equal-length arrays."""
         dx = p[0] - self._ox
         dy = p[1] - self._oy
         dz = p[2] - self._oz
@@ -83,6 +86,43 @@ def frame_for_polygon(vertices3):
         raise GeometryError("degenerate polygon for frame")
     e2 = np.cross(best, e1)
     return Frame(p0, e1, e2)
+
+
+class PlanarLoop:
+    """A planar polygon in R^3, with its plane normal and in-plane frame
+    computed once for containment tests."""
+
+    def __init__(self, loop3):
+        self.loop = [tuple(map(float, p)) for p in loop3]
+        v0 = np.asarray(self.loop[0])
+        n = np.cross(np.asarray(self.loop[1]) - v0, np.asarray(self.loop[-1]) - v0)
+        self._origin = v0
+        self._normal = n / np.linalg.norm(n)
+        self._frame = frame_for_polygon(self.loop)
+        self._pts2 = [self._frame.to2d(w) for w in self.loop]
+
+    def contains(self, pts, tol):
+        """Mask of the rows of pts (shape (N, 3)) within tol of the plane
+        and inside the polygon or within tol of an edge."""
+        pts = np.asarray(pts, dtype=float)
+        on_plane = np.abs((pts - self._origin) @ self._normal) <= tol
+        u, v = self._frame.to2d(pts.T)
+        on_edge = np.zeros(len(pts), dtype=bool)
+        inside = np.zeros(len(pts), dtype=bool)
+        # even-odd with boundary tolerance
+        m = len(self._pts2)
+        for i in range(m):
+            x0, y0 = self._pts2[i]
+            x1, y1 = self._pts2[(i + 1) % m]
+            ex, ey = x1 - x0, y1 - y0
+            ln = math.hypot(ex, ey)
+            d = np.abs((u - x0) * ey - (v - y0) * ex) / ln
+            t = ((u - x0) * ex + (v - y0) * ey) / (ln * ln)
+            on_edge |= (d <= tol) & (-tol <= t) & (t <= 1 + tol)
+            if y0 != y1:
+                xi = x0 + (v - y0) * (x1 - x0) / (y1 - y0)
+                inside ^= ((y0 > v) != (y1 > v)) & (xi > u)
+        return on_plane & (on_edge | inside)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +258,7 @@ class FacetPiece:
     """One entry of a boundary dispatch table."""
 
     kind = "abstract"
+    region: PlanarLoop           # the piece's planar domain patch
 
     def eval3(self, p):          # p, result: (x, y, z) float tuples
         raise NotImplementedError
@@ -225,12 +266,13 @@ class FacetPiece:
     def invert3(self, q):
         raise NotImplementedError
 
-    def contains_domain_point(self, p, tol):
-        raise NotImplementedError
+    def contains_domain_points(self, pts, tol):
+        """Mask of the rows of pts (shape (N, 3)) in the domain patch."""
+        return self.region.contains(pts, tol)
 
     def domain_boundary_loops(self):
         """Ordered 3D vertex loops bounding the piece's domain patch."""
-        raise NotImplementedError
+        return [self.region.loop]
 
     def trace(self, p):
         """Signature of the smooth sub-region of the piece containing p."""
@@ -241,19 +283,13 @@ class IdentityPiece(FacetPiece):
     kind = "identity"
 
     def __init__(self, loop3):
-        self._loop = [tuple(map(float, p)) for p in loop3]
+        self.region = PlanarLoop(loop3)
 
     def eval3(self, p):
         return p
 
     def invert3(self, q):
         return q
-
-    def contains_domain_point(self, p, tol):
-        return _point_in_planar_loop(self._loop, p, tol)
-
-    def domain_boundary_loops(self):
-        return [self._loop]
 
 
 class Radial2DPiece(FacetPiece):
@@ -269,8 +305,7 @@ class Radial2DPiece(FacetPiece):
         img2 = [self.img_frame.to2d(tuple(map(float, p))) for p in image_loop3]
         self.map2d = build_radial_map_2d(dom2, img2, resolution,
                                          domain_centre2, image_centre2)
-        self._loop3 = [tuple(map(float, p)) for p in domain_loop3]
-        self._img_loop3 = [tuple(map(float, p)) for p in image_loop3]
+        self.region = PlanarLoop(domain_loop3)
 
     def eval3(self, p):
         u, v = self.dom_frame.to2d(p)
@@ -281,12 +316,6 @@ class Radial2DPiece(FacetPiece):
         w1, w2 = self.img_frame.to2d(q)
         u, v = self.map2d.invert(w1, w2)
         return self.dom_frame.to3d(u, v)
-
-    def contains_domain_point(self, p, tol):
-        return _point_in_planar_loop(self._loop3, p, tol)
-
-    def domain_boundary_loops(self):
-        return [self._loop3]
 
     def trace(self, p):
         u, v = self.dom_frame.to2d(p)
@@ -309,6 +338,7 @@ class AffineTrianglePiece(FacetPiece):
     def __init__(self, dom_tri, img_tri):
         self.dom = np.asarray(dom_tri, dtype=float)
         self.img = np.asarray(img_tri, dtype=float)
+        self.region = PlanarLoop(self.dom)
 
     def _bary(self, tri, p):
         e1 = tri[1] - tri[0]
@@ -329,19 +359,6 @@ class AffineTrianglePiece(FacetPiece):
         p = self.dom[0] + u * (self.dom[1] - self.dom[0]) + v * (self.dom[2] - self.dom[0])
         return (float(p[0]), float(p[1]), float(p[2]))
 
-    def contains_domain_point(self, p, tol):
-        u, v = self._bary(self.dom, p)
-        s = -tol
-        return u >= s and v >= s and u + v <= 1 + tol
-
-    def contains_image_point(self, q, tol):
-        u, v = self._bary(self.img, q)
-        s = -tol
-        return u >= s and v >= s and u + v <= 1 + tol
-
-    def domain_boundary_loops(self):
-        return [[tuple(map(float, p)) for p in self.dom]]
-
 
 class FormulaPiece(FacetPiece):
     """A named closed-form facet map with piecewise-affine structure.
@@ -355,7 +372,7 @@ class FormulaPiece(FacetPiece):
     def __init__(self, fn, triangles, loop3):
         self.fn = fn
         self.triangles = triangles
-        self._loop = [tuple(map(float, p)) for p in loop3]
+        self.region = PlanarLoop(loop3)
 
     def eval3(self, p):
         return self.fn(p)
@@ -371,12 +388,6 @@ class FormulaPiece(FacetPiece):
                 best = tri
         return best.invert3(q)
 
-    def contains_domain_point(self, p, tol):
-        return _point_in_planar_loop(self._loop, p, tol)
-
-    def domain_boundary_loops(self):
-        return [self._loop]
-
     def trace(self, p):
         best = 0
         best_def = math.inf
@@ -387,41 +398,6 @@ class FormulaPiece(FacetPiece):
                 best_def = deficiency
                 best = k
         return best
-
-
-def _point_in_planar_loop(loop, p, tol):
-    # distance to the plane, then 2D containment
-    v0 = np.asarray(loop[0])
-    v1 = np.asarray(loop[1])
-    v2 = np.asarray(loop[-1])
-    n = np.cross(v1 - v0, v2 - v0)
-    n = n / np.linalg.norm(n)
-    q = np.asarray(p, dtype=float)
-    if abs(float((q - v0) @ n)) > tol:
-        return False
-    f = frame_for_polygon(loop)
-    u, v = f.to2d(tuple(map(float, p)))
-    pts = [f.to2d(w) for w in loop]
-    # winding-free even-odd with boundary tolerance
-    m = len(pts)
-    for i in range(m):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % m]
-        ex, ey = x1 - x0, y1 - y0
-        ln = math.hypot(ex, ey)
-        d = abs((u - x0) * ey - (v - y0) * ex) / ln
-        t = ((u - x0) * ex + (v - y0) * ey) / (ln * ln)
-        if d <= tol and -tol <= t <= 1 + tol:
-            return True
-    inside = False
-    for i in range(m):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % m]
-        if (y0 > v) != (y1 > v):
-            xi = x0 + (v - y0) * (x1 - x0) / (y1 - y0)
-            if xi > u:
-                inside = not inside
-    return inside
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +558,6 @@ class RadialMap:
         return piece.eval3(tuple(map(float, p)))
 
     def sample_domain_boundary(self, count, rng):
-        from .geometry import _boundary_samples
         return _boundary_samples(self.domain, count, rng)
 
     def validate_boundary_map(self, samples=2000, seed=0) -> ValidationReport:
@@ -592,33 +567,30 @@ class RadialMap:
         tol_boundary = max(self.codomain.tol * 1e3, 1e-12 * scale)
         tol_seam = TAU_SEAM * max(1.0, scale)
 
-        worst_b = 0.0
-        images = np.empty_like(pts)
-        for i, p in enumerate(pts):
-            q = np.asarray(self.boundary_eval(p))
-            images[i] = q
-            from .geometry import _surface_distance
-            d, _ = _surface_distance(self.codomain, q)
-            worst_b = max(worst_b, d)
+        images = np.array([self.boundary_eval(p) for p in pts], dtype=float)
+        dist, _ = _surface_distance(self.codomain, images)
+        worst_b = float(dist.max(initial=0.0))
 
-        # seam agreement: evaluate every piece that claims a sampled edge point
-        worst_seam = 0.0
+        # seam agreement: six points on every edge of every piece, each
+        # evaluated by every piece that claims it
+        seam_pts = []
         for piece in self.all_pieces:
             for loop in piece.domain_boundary_loops():
                 m = len(loop)
                 for i in range(m):
                     p0 = np.asarray(loop[i])
                     p1 = np.asarray(loop[(i + 1) % m])
-                    for s in rng.random(6):
-                        p = p0 + s * (p1 - p0)
-                        vals = []
-                        tolc = self.domain.tol * 1e3
-                        for other in self.all_pieces:
-                            if other.contains_domain_point(tuple(p), tolc):
-                                vals.append(np.asarray(other.eval3(tuple(p))))
-                        for v in vals[1:]:
-                            worst_seam = max(worst_seam,
-                                             float(np.linalg.norm(v - vals[0])))
+                    seam_pts.append(p0 + rng.random(6)[:, None] * (p1 - p0))
+        seam_pts = np.concatenate(seam_pts)
+        tolc = self.domain.tol * 1e3
+        claims = np.array([other.contains_domain_points(seam_pts, tolc)
+                           for other in self.all_pieces])
+        worst_seam = 0.0
+        for p, owners in zip(seam_pts.tolist(), claims.T):
+            vals = [np.asarray(self.all_pieces[k].eval3(tuple(p)))
+                    for k in np.flatnonzero(owners)]
+            for v in vals[1:]:
+                worst_seam = max(worst_seam, float(np.linalg.norm(v - vals[0])))
 
         # empirical injectivity
         sep = 1e-3 * self.domain.diameter

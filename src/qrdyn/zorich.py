@@ -12,11 +12,14 @@ derivative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 INF = math.inf
+# math.exp overflows above this
+_EXP_ARG_MAX = math.log(sys.float_info.max)
 
 
 def h_pyramid(x1, x2):
@@ -60,7 +63,7 @@ def zorich_scalar(x1, x2, x3):
     u1, f1 = _fold1(x1)
     u2, f2 = _fold1(x2)
     sigma = -1.0 if (f1 + f2) % 2 else 1.0
-    scale = math.exp(x3) if x3 < 710.0 else INF
+    scale = math.exp(x3) if x3 <= _EXP_ARG_MAX else INF
     zh = sigma * (1.0 - max(abs(u1), abs(u2)))
     return (_scaled(scale, u1), _scaled(scale, u2), _scaled(scale, zh))
 
@@ -307,7 +310,7 @@ def expansion_min_ratio(L, pairs=10000, seed=0, beams=((0, 0), (1, 0), (1, 1)),
             d = math.dist(x, y)
             if d < 1e-12:
                 continue
-            fx = F_scalar(*x)
-            fy = F_scalar(*y)
+            fx = F_scalar(*x.tolist())
+            fy = F_scalar(*y.tolist())
             ratio_min = min(ratio_min, math.dist(fx, fy) / d)
     return ratio_min

@@ -8,7 +8,8 @@ from qrdyn.dynamics import (BigExp, EscapeClass, MapHandle, SurrogateSpec,
                             ball_growth_check, classify_escape,
                             escape_rate_series, fast_escape_test, iterate,
                             log_domain_series, max_modulus_estimate,
-                            norm_safe, orbit_csv, rates_csv, tower_step)
+                            norm_safe, orbit_csv, orbit_magnitudes_bigexp,
+                            rates_csv, tower_step)
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +266,39 @@ class TestConsistency:
     def test_norm_safe_handles_huge_components(self):
         assert norm_safe((3e200, 4e200, 0.0)) == pytest.approx(5e200, rel=1e-12)
         assert math.isinf(norm_safe((float("inf"), 0.0, 0.0)))
+
+
+class TestOverflowBands:
+    def test_max_modulus_past_the_squared_sum_overflow(self, fhandle, build):
+        # |f(x)|^2 overflows for r > ~355 although |f(x)| itself is finite
+        est = max_modulus_estimate(fhandle, 360.0)
+        assert math.isfinite(est)
+        assert est >= 360.0 + math.exp(360.0) - build.L_prime
+
+    def test_fast_escape_with_large_first_modulus(self, fhandle, build):
+        # M(5.75) lies in (355, 500], where the tower is sampled directly
+        res = fast_escape_test(fhandle, (0.0, 0.0, build.constants.L + 1), R=5.75)
+        assert res.kind in ("fast", "not_observed")
+
+    def test_F_step_from_the_exp_overflow_band_is_radial(self, fhandle):
+        # math.exp overflows for x3 in (log(DBL_MAX), 710)
+        assert classify_escape(fhandle, (0.5, 0.25, 709.9), 5).kind == "radial"
+
+
+class TestFloatInputs:
+    def test_map_sees_python_floats(self, fmap, build):
+        seen = set()
+
+        def fn(p):
+            seen.update(type(c) for c in p)
+            return fmap.eval3(*p)
+
+        handle = MapHandle("recording", fn, dim=3, tracks_h0=True,
+                           translate=fmap.L_prime)
+        start = np.array([0.3, 0.2, 1.5])
+        iterate(handle, start, 3)
+        classify_escape(handle, start, 3)
+        max_modulus_estimate(handle, 5.0)
+        orbit_magnitudes_bigexp(handle, np.array([0.0, 0.0, build.constants.L + 1]),
+                                4, fmap.L_prime)
+        assert seen == {float}

@@ -23,8 +23,8 @@ class ScalePiece(FacetPiece):
     def invert3(self, q):
         return (q[0] / self.k, q[1] / self.k, q[2] / self.k)
 
-    def contains_domain_point(self, p, tol):
-        return True
+    def contains_domain_points(self, pts, tol):
+        return np.ones(len(pts), dtype=bool)
 
     def domain_boundary_loops(self):
         return [self._loop]

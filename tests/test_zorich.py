@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -235,3 +236,29 @@ class TestExpansion:
         r = expansion_min_ratio(constants.L, pairs=1500, seed=8,
                                 beams=((1, 0), (0, 1), (1, 1)))
         assert r >= 32.0
+
+
+class TestExpOverflowBand:
+    # math.exp overflows above log(DBL_MAX) = 709.78..., below the former
+    # guard at 710
+    def test_F_is_nonfinite_in_the_band(self):
+        for x3 in (709.79, 709.9, 709.999):
+            v = F_scalar(0.5, 0.25, x3)
+            assert not all(math.isfinite(c) for c in v)
+
+    def test_F_is_finite_at_the_limit(self):
+        v = F_scalar(0.5, 0.25, math.log(sys.float_info.max))
+        assert all(math.isfinite(c) for c in v)
+
+
+def test_expansion_ratio_feeds_python_floats(monkeypatch):
+    seen = set()
+    plain = zorich.F_scalar
+
+    def recording(*x):
+        seen.update(type(c) for c in x)
+        return plain(*x)
+
+    monkeypatch.setattr(zorich, "F_scalar", recording)
+    expansion_min_ratio(5.0, pairs=50)
+    assert seen == {float}
