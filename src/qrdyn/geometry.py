@@ -212,12 +212,6 @@ class StarShape:
             centre = 0.5 * (lo + hi)
         return cls(3, verts, centre, facet_polys=faces, box=(lo, hi))
 
-    def with_centre(self, centre):
-        s = StarShape(self.dim, self.vertices, centre,
-                      facet_polys=getattr(self, "facet_polys", None),
-                      box=self.box)
-        return s
-
 
 # ---------------------------------------------------------------------------
 # basic polygon helpers
@@ -589,32 +583,30 @@ def _line_angles(u, d):
     return np.where(nonzero, np.arccos(np.minimum(1.0, c)), math.pi / 2)
 
 
-def _line_plane_angle(u, n):
-    """Angle between the line spanned by u and the plane with unit normal n
-    (equals the minimum line-line angle over directions in the plane)."""
-    nu = np.linalg.norm(u)
-    s = abs(float(np.dot(u, n))) / nu
-    return math.asin(min(1.0, s))
+def _line_plane_angles(u, n):
+    """Angles between the line spanned by u and the planes with unit normals
+    n (rows); each equals the minimum line-line angle over directions in
+    that plane."""
+    s = np.abs(n @ u) / np.linalg.norm(u)
+    return np.arcsin(np.minimum(1.0, s))
 
 
-def _sector_min_angle(u, g1, g2):
-    """Minimum line angle between u and directions in the planar sector
-    spanned by g1, g2 (non-negative combinations)."""
-    best = float(_line_angles(u, np.array([g1, g2])).min())
+def _sector_min_angles(u, g1, g2):
+    """Minimum line angle between u and the directions of each planar sector
+    spanned by the rows g1[k], g2[k] (non-negative combinations)."""
+    best = np.minimum(_line_angles(u, g1), _line_angles(u, g2))
     n = np.cross(g1, g2)
-    nn = np.linalg.norm(n)
-    if nn < 1e-14:
-        return best
-    n = n / nn
-    # candidate: projection of u onto the plane, if it falls inside the sector
-    w = u - np.dot(u, n) * n
-    if np.linalg.norm(w) > 1e-14:
-        for wc in (w, -w):
-            inside = (np.dot(np.cross(g1, wc), n) >= -1e-12 and
-                      np.dot(np.cross(wc, g2), n) >= -1e-12)
-            if inside:
-                best = min(best, _line_plane_angle(u, n))
-    return best
+    nn = np.sqrt(np.einsum("ij,ij->i", n, n))
+    flat = nn < 1e-14
+    n = n / np.where(flat, 1.0, nn)[:, None]
+    # the projection w of u onto the sector's plane, or -w, inside the sector
+    w = u - (n @ u)[:, None] * n
+    s1 = np.einsum("ij,ij->i", np.cross(g1, w), n)
+    s2 = np.einsum("ij,ij->i", np.cross(w, g2), n)
+    inside = (((s1 >= -1e-12) & (s2 >= -1e-12))
+              | ((s1 <= 1e-12) & (s2 <= 1e-12)))
+    take = ~flat & (np.sqrt(np.einsum("ij,ij->i", w, w)) > 1e-14) & inside
+    return np.where(take, np.minimum(best, _line_plane_angles(u, n)), best)
 
 
 def _boundary_samples(shape, count, rng):
@@ -712,7 +704,7 @@ def _facet_vertex_cones(shape):
                 phi = start + width * j / pieces
                 d = math.cos(phi) * e1ref + math.sin(phi) * e2ref
                 gens.append(d)
-            cones.setdefault(poly[k], []).append((fi, gens))
+            cones.setdefault(poly[k], []).append((fi, np.array(gens)))
     return cones
 
 
@@ -727,21 +719,20 @@ def _sector2_contains(g1, g2, u, tol=1e-9):
     return a >= -tol * scale and b >= -tol * scale
 
 
-def _cone_contains(gens, u, tol=1e-9):
-    """True if u lies in the convex cone spanned by gens (R^3)."""
-    g = [np.asarray(x, dtype=float) for x in gens]
+# the four generator triples of a four-generator cone
+_CONE_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def _cones_contain_line(cones, u, tol=1e-9):
+    """True if u or -u lies in one of the convex cones in R^3 spanned by four
+    generators each (``cones`` has shape (K, 4, 3)).  Every generator triple
+    with |det| >= 1e-12 is solved for the unit vector along u in one stacked
+    call; the coefficients of -u are exactly the negated ones."""
+    m = np.swapaxes(cones[:, _CONE_TRIPLES, :], -1, -2).reshape(-1, 3, 3)
+    m = m[np.abs(np.linalg.det(m)) >= 1e-12]
     un = _unit(np.asarray(u, dtype=float))
-    k = len(g)
-    for i in range(k):
-        for j in range(i + 1, k):
-            for l in range(j + 1, k):
-                m = np.column_stack([g[i], g[j], g[l]])
-                if abs(np.linalg.det(m)) < 1e-12:
-                    continue
-                lam = np.linalg.solve(m, un)
-                if np.all(lam >= -tol):
-                    return True
-    return False
+    lam = np.linalg.solve(m, np.broadcast_to(un[:, None], (len(m), 3, 1)))[..., 0]
+    return bool(np.any(np.all(lam >= -tol, axis=1) | np.all(lam <= tol, axis=1)))
 
 
 def certify_star_centre(shape: StarShape, a, resolution: int = 96) -> Certificate:
@@ -754,6 +745,11 @@ def certify_star_centre(shape: StarShape, a, resolution: int = 96) -> Certificat
     Returns a certificate carrying half the observed minimum angle and the
     tested chord radius, or raises CertificationFailure.
 
+    The vertex part is stacked per vertex of a polyhedron: the tangency test
+    solves all generator triples of all pairs of facet sub-sectors in one
+    batched call, and the sector angles over all generator pairs of
+    different facets come from one formula.  A tangential direction is
+    reported before a too-small angle, at the first failing vertex.
     The sweep and the audit are array kernels over all samples at once; they
     chunk their batches so that no temporary holds more than BATCH_ELEMENTS
     floats (the 400 x 400 x 3 pair-difference array of the pair sweep).
@@ -808,32 +804,30 @@ def _vertex_angle(shape, a):
                     raise CertificationFailure(
                         f"tangential chord direction at vertex {q}")
     else:
-        cones = _facet_vertex_cones(shape)
-        for vi, facet_cones in cones.items():
+        for vi, facet_cones in _facet_vertex_cones(shape).items():
             q = shape.vertices[vi]
             u = q - a
             if np.linalg.norm(u) <= shape.tol:
                 raise CertificationFailure("centre coincides with a vertex")
-            for fi, _ in facet_cones:
-                theta_obs = min(theta_obs,
-                                _line_plane_angle(u, shape._facet_normal[fi]))
-            for fa, gens_a in facet_cones:
-                for fb, gens_b in facet_cones:
-                    if fa == fb:
-                        continue
-                    # the facet cones may be reflex; membership must be tested
-                    # per convex sub-sector (consecutive generator pairs)
-                    for i in range(len(gens_a) - 1):
-                        for j in range(len(gens_b) - 1):
-                            cone = [gens_b[j], gens_b[j + 1],
-                                    -gens_a[i], -gens_a[i + 1]]
-                            if _cone_contains(cone, u) or _cone_contains(cone, -u):
-                                raise CertificationFailure(
-                                    f"tangential chord direction at vertex {q}")
-                    for gb in gens_b:
-                        for ga in gens_a:
-                            theta_obs = min(theta_obs,
-                                            _sector_min_angle(u, gb, -ga))
+            # generators of all incident facets, each labelled by its facet
+            gens = np.concatenate([g for _, g in facet_cones])
+            owner = np.repeat(np.arange(len(facet_cones)),
+                              [len(g) for _, g in facet_cones])
+            # the facet cones may be reflex; membership is tested per convex
+            # sub-sector (consecutive generators of one facet), over all
+            # pairs of sub-sectors of different facets
+            sub = np.flatnonzero(owner[:-1] == owner[1:])
+            jb, ia = np.nonzero(owner[sub][:, None] != owner[sub][None, :])
+            cones = np.stack([gens[sub[jb]], gens[sub[jb] + 1],
+                              -gens[sub[ia]], -gens[sub[ia] + 1]], axis=1)
+            if _cones_contain_line(cones, u):
+                raise CertificationFailure(
+                    f"tangential chord direction at vertex {q}")
+            normals = shape._facet_normal[[fi for fi, _ in facet_cones]]
+            ib, ia = np.nonzero(owner[:, None] != owner[None, :])
+            theta_obs = min(theta_obs,
+                            float(_line_plane_angles(u, normals).min()),
+                            float(_sector_min_angles(u, gens[ib], -gens[ia]).min()))
             if theta_obs / 2 < THETA_MIN:
                 raise CertificationFailure(
                     f"vertex angle too small at {q}: {theta_obs:.2e}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import zorich
 from .geometry import (CertificationFailure, GeometryError, StarShape,
-                       attach_certificate, certify_star_centre, locate)
+                       attach_certificate)
 from .star_extend import (AffineTrianglePiece, DiagonalSelect, FormulaPiece,
                           IdentityPiece, QuadrantSelect, Radial2DPiece,
                           RadialMap, TrivialSelect, ValidationReport)
@@ -114,11 +114,6 @@ class CellChart:
     lo: np.ndarray
     hi: np.ndarray
     map: RadialMap
-
-    def contains(self, x, y, z, tol=0.0):
-        return (self.lo[0] - tol <= x <= self.hi[0] + tol and
-                self.lo[1] - tol <= y <= self.hi[1] + tol and
-                self.lo[2] - tol <= z <= self.hi[2] + tol)
 
 
 def _radial_piece(vt, names, resolution):
@@ -366,7 +361,6 @@ class GlobalMap:
         self.constants = constants
         self._aprime = self.by_id["A'"]
         self._cells = [self.by_id[f"A''{i}"] for i in (1, 2, 3, 4)]
-        vmax = 0.0
         blob = []
         for c in self.charts:
             blob.append(c.map.codomain.vertices)
@@ -416,40 +410,6 @@ class GlobalMap:
 
     def __call__(self, p):
         return self.eval(p)
-
-    def eval_with_trace(self, x, y, z):
-        """Value plus a smooth-piece signature (equal signatures guarantee the
-        points lie in a common smooth region of the map)."""
-        if z < 0.0:
-            out = (x, y, z)
-            sig = ("id",)
-        elif z > self.L:
-            out = zorich.F_scalar(x, y, z)
-            fr = zorich.fold_square(x, y)
-            side = abs(fr.u[0]) >= abs(fr.u[1])
-            sig = ("F", fr.flags, side, fr.u[0] >= 0, fr.u[1] >= 0)
-        else:
-            n1 = math.floor(x / 4.0)
-            n2 = math.floor(y / 4.0)
-            tx = x - 4.0 * n1
-            ty = y - 4.0 * n2
-            r1 = tx > 2.0
-            r2 = ty > 2.0
-            if r1:
-                tx = 4.0 - tx
-            if r2:
-                ty = 4.0 - ty
-            chart = self._pick_cell(tx, ty, z)
-            (gx, gy, gz), sub = chart.map.eval((tx, ty, z), with_trace=True)
-            if r1:
-                gx = 4.0 - gx
-            if r2:
-                gy = 4.0 - gy
-            out = (gx + 4.0 * n1, gy + 4.0 * n2, gz)
-            sig = ("chart", chart.cell_id, n1, n2, r1, r2) + sub
-        if self.mode == "f":
-            out = (out[0], out[1], out[2] - self.L_prime)
-        return out, sig
 
 
 def assemble_g(charts, L, constants=None) -> GlobalMap:
@@ -620,16 +580,6 @@ def audit_dilatation(gm: GlobalMap, samples=2000, seed=0, h=1e-6) -> DilatationR
     stability = float(np.max(half) / np.max(ks)) if len(half) else 1.0
     return DilatationReport(k_sup=float(np.max(ks)), k_median=float(np.median(ks)),
                             samples=len(ks), stability=stability)
-
-
-def audit(gm: GlobalMap, kind: str, samples=10000, seed=0):
-    if kind == "seams":
-        return audit_seams(gm, samples=samples, seed=seed)
-    if kind == "orientation":
-        return audit_orientation(gm, samples_per_chart=samples, seed=seed)
-    if kind == "dilatation":
-        return audit_dilatation(gm, samples=samples, seed=seed)
-    raise ValueError(f"unknown audit kind: {kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import (GeometryError, StarShape, locate, psi,
                        pick_star_centre_2d, attach_certificate,
-                       _boundary_samples, _surface_distance)
+                       _boundary_samples, _row_chunks, _surface_distance)
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter.
 TAU_SEAM = 1e-9
@@ -453,6 +453,12 @@ class DiagonalSelect:
 # ---------------------------------------------------------------------------
 # the 3D radial map
 
+def _pair_distances(p, rows):
+    """Distances from the rows ``rows`` of p to every row of p."""
+    d = p[None, :, :] - p[rows, None, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+
+
 @dataclass
 class ValidationReport:
     passed: bool
@@ -541,9 +547,6 @@ class RadialMap:
                 self._ay + frac * (uy - self._ay),
                 self._az + frac * (uz - self._az))
 
-    def eval_array(self, p):
-        return np.asarray(self.eval(p), dtype=float)
-
     # -- diagnostics -------------------------------------------------------
 
     def boundary_eval(self, p):
@@ -592,12 +595,14 @@ class RadialMap:
             for v in vals[1:]:
                 worst_seam = max(worst_seam, float(np.linalg.norm(v - vals[0])))
 
-        # empirical injectivity
+        # empirical injectivity, over row blocks of the pair arrays
         sep = 1e-3 * self.domain.diameter
         viol = 0
-        d_dom = np.linalg.norm(pts[None, :, :] - pts[:, None, :], axis=2)
-        d_img = np.linalg.norm(images[None, :, :] - images[:, None, :], axis=2)
-        viol = int(np.count_nonzero((d_dom > sep) & (d_img < sep / 10))) // 2
+        for rows in _row_chunks(len(pts), 3 * len(pts)):
+            d_dom = _pair_distances(pts, rows)
+            d_img = _pair_distances(images, rows)
+            viol += int(np.count_nonzero((d_dom > sep) & (d_img < sep / 10)))
+        viol //= 2
 
         passed = (worst_b <= tol_boundary and worst_seam <= tol_seam
                   and viol == 0)

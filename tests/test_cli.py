@@ -1,0 +1,58 @@
+import importlib
+import json
+import runpy
+import sys
+import tomllib
+from pathlib import Path
+
+import pytest
+
+from qrdyn import cli
+from qrdyn.global_map import constants_report_text
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_build_json_report(capsys, build):
+    assert cli.entrypoint(["build", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    c = build.constants
+    # the CLI builds with the same parameters as the shared fixture
+    assert report["c0"] == c.c0
+    assert report["L"] == c.L
+    assert report["L_prime"] == build.L_prime
+    assert report["K_F"] == c.K_F
+    for key in ("exp_margin", "jac_margin", "norm_margin"):
+        assert report[key] == getattr(c, key)
+    assert report["validations"] == {cid: True for cid in
+                                     ("A'", "A''1", "A''2", "A''3", "A''4")}
+
+
+def test_build_text_report(capsys, monkeypatch, build):
+    monkeypatch.setattr(cli, "build_maps", lambda: build)
+    assert cli.entrypoint(["build"]) == 0
+    assert capsys.readouterr().out == constants_report_text(build)
+
+
+def test_module_entry_point(capsys, monkeypatch, build):
+    monkeypatch.setattr(cli, "build_maps", lambda: build)
+    monkeypatch.setattr(sys, "argv", ["qrdyn", "build", "--json"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("qrdyn", run_name="__main__")
+    assert done.value.code == 0
+    assert json.loads(capsys.readouterr().out)["L"] == build.constants.L
+
+
+def test_missing_subcommand_is_a_usage_error():
+    with pytest.raises(SystemExit) as done:
+        cli.entrypoint([])
+    assert done.value.code == 2
+
+
+def test_console_scripts_resolve():
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        fn = getattr(importlib.import_module(module), attr)
+        assert callable(fn), f"console script {name} -> {target}"

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qrdyn import geometry
 from qrdyn.geometry import (CertificationFailure, GeometryError, StarShape,
-                            _boundary_samples, _chord_sweep_angle,
+                            THETA_MIN, _boundary_samples, _chord_sweep_angle,
+                            _facet_vertex_cones, _line_angles, _unit,
                             _vertex_angle, _visible_from, attach_certificate,
                             certify_star_centre, local_lipschitz_constants,
                             locate, psi, pick_star_centre_2d, polygon_kernel)
@@ -393,3 +394,95 @@ class TestBatchedCertification:
         monkeypatch.setattr(geometry, "BATCH_ELEMENTS", 50)
         for shape, cert in zip(shapes, whole):
             assert certify_star_centre(shape, shape.centre, resolution=24) == cert
+
+
+# ---------------------------------------------------------------------------
+# the exact vertex part of the certification, one facet pair, one sub-sector
+# pair and one generator triple at a time: the oracle of the stacked kernel
+
+def _line_plane_angle_oracle(u, n):
+    s = abs(float(np.dot(u, n))) / np.linalg.norm(u)
+    return math.asin(min(1.0, s))
+
+
+def _sector_min_angle_oracle(u, g1, g2):
+    best = float(_line_angles(u, np.array([g1, g2])).min())
+    n = np.cross(g1, g2)
+    nn = np.linalg.norm(n)
+    if nn < 1e-14:
+        return best
+    n = n / nn
+    w = u - np.dot(u, n) * n
+    if np.linalg.norm(w) > 1e-14:
+        for wc in (w, -w):
+            if (np.dot(np.cross(g1, wc), n) >= -1e-12
+                    and np.dot(np.cross(wc, g2), n) >= -1e-12):
+                best = min(best, _line_plane_angle_oracle(u, n))
+    return best
+
+
+def _cone_contains_oracle(gens, u, tol=1e-9):
+    un = _unit(np.asarray(u, dtype=float))
+    k = len(gens)
+    for i in range(k):
+        for j in range(i + 1, k):
+            for l in range(j + 1, k):
+                m = np.column_stack([gens[i], gens[j], gens[l]])
+                if abs(np.linalg.det(m)) < 1e-12:
+                    continue
+                if np.all(np.linalg.solve(m, un) >= -tol):
+                    return True
+    return False
+
+
+def _vertex_angle_oracle(shape, a):
+    theta_obs = math.pi / 2
+    for vi, facet_cones in _facet_vertex_cones(shape).items():
+        q = shape.vertices[vi]
+        u = q - a
+        for fi, _ in facet_cones:
+            theta_obs = min(theta_obs,
+                            _line_plane_angle_oracle(u, shape._facet_normal[fi]))
+        for fa, gens_a in facet_cones:
+            for fb, gens_b in facet_cones:
+                if fa == fb:
+                    continue
+                for i in range(len(gens_a) - 1):
+                    for j in range(len(gens_b) - 1):
+                        cone = [gens_b[j], gens_b[j + 1],
+                                -gens_a[i], -gens_a[i + 1]]
+                        if (_cone_contains_oracle(cone, u)
+                                or _cone_contains_oracle(cone, -u)):
+                            raise CertificationFailure(
+                                f"tangential chord direction at vertex {q}")
+                for gb in gens_b:
+                    for ga in gens_a:
+                        theta_obs = min(theta_obs,
+                                        _sector_min_angle_oracle(u, gb, -ga))
+        if theta_obs / 2 < THETA_MIN:
+            raise CertificationFailure(
+                f"vertex angle too small at {q}: {theta_obs:.2e}")
+    return theta_obs
+
+
+class TestStackedVertexKernel:
+    @pytest.mark.parametrize("which", ["cube", "l_prism", "aprime", "asecond"])
+    def test_theta_matches_per_pair_oracle(self, which, request):
+        if which == "cube":
+            shape = cube()
+        elif which == "l_prism":
+            shape = l_prism((0.5, 0.5, 0.5))
+        else:
+            cell = "A'" if which == "aprime" else "A''2"
+            shape = request.getfixturevalue("build").g.by_id[cell].map.codomain
+        oracle = _vertex_angle_oracle(shape, shape.centre)
+        assert _vertex_angle(shape, shape.centre) == pytest.approx(oracle,
+                                                                   rel=1e-12)
+
+    def test_tangential_vertex_matches_oracle(self):
+        shape = l_prism((2.5, 0.5, 0.5))
+        with pytest.raises(CertificationFailure, match="tangential") as want:
+            _vertex_angle_oracle(shape, shape.centre)
+        with pytest.raises(CertificationFailure, match="tangential") as got:
+            _vertex_angle(shape, shape.centre)
+        assert str(got.value) == str(want.value)

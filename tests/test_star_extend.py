@@ -1,10 +1,12 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrdyn import geometry
 from qrdyn.geometry import StarShape, attach_certificate, locate
 from qrdyn.star_extend import (FacetPiece, IdentityPiece, Radial2DPiece,
                                RadialMap, TrivialSelect, build_radial_map_2d)
@@ -28,6 +30,14 @@ class ScalePiece(FacetPiece):
 
     def domain_boundary_loops(self):
         return [self._loop]
+
+
+class CollapsePiece(IdentityPiece):
+    """Sends the whole facet to one point: a boundary map that is far from
+    injective."""
+
+    def eval3(self, p):
+        return (0.0, 0.0, 1.0)
 
 
 def cube_shape(side=1.0, centre=(0, 0, 0)):
@@ -159,6 +169,45 @@ class TestValidation:
         rep = m.validate_boundary_map(samples=400, seed=0)
         assert not rep.passed
         assert rep.worst_seam_dev > 1e-3
+
+
+class TestInjectivityCount:
+    @staticmethod
+    def collapsed_chart():
+        loops = face_loops(1.0)
+        pieces = {f: IdentityPiece(loop) for f, loop in loops.items()}
+        pieces[5] = CollapsePiece(loops[5])
+        return RadialMap.from_pieces(cube_shape(), cube_shape(), pieces, pieces)
+
+    def test_count_matches_the_unchunked_pair_arrays(self):
+        m = self.collapsed_chart()
+        rep = m.validate_boundary_map(samples=400, seed=0)
+        pts = m.sample_domain_boundary(400, np.random.default_rng(0))
+        images = np.array([m.boundary_eval(p) for p in pts])
+        sep = 1e-3 * m.domain.diameter
+        d_dom = np.linalg.norm(pts[None, :, :] - pts[:, None, :], axis=2)
+        d_img = np.linalg.norm(images[None, :, :] - images[:, None, :], axis=2)
+        expected = int(np.count_nonzero((d_dom > sep) & (d_img < sep / 10))) // 2
+        assert rep.injectivity_violations == expected > 0
+        assert not rep.passed
+
+    def test_small_batches_give_the_same_report(self, monkeypatch):
+        m = self.collapsed_chart()
+        whole = m.validate_boundary_map(samples=400, seed=0)
+        monkeypatch.setattr(geometry, "BATCH_ELEMENTS", 50)
+        assert m.validate_boundary_map(samples=400, seed=0) == whole
+
+    def test_peak_memory_of_the_build_validation(self, build):
+        chart = build.g.by_id["A'"].map
+        tracemalloc.start()
+        try:
+            chart.validate_boundary_map(samples=600, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the unchunked count held three 600 x 600 x 3 float arrays at once
+        # (26 MB in all); the chunked one must stay below half of that
+        assert peak <= 1.5 * 600 * 600 * 3 * 8
 
 
 class TestRadial2D:

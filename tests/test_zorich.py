@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qrdyn import zorich
 from qrdyn.zorich import (ConstantsReport, F_eval, F_jacobian, F_scalar,
-                          derive_beam_constants, expansion_min_ratio,
+                          _sigma_extremes_det, derive_beam_constants,
+                          expansion_min_ratio,
                           fold_square, h_pyramid, region_matrix,
                           verify_beam_inequalities, zorich_eval)
 
@@ -213,6 +214,63 @@ class TestConstants:
     def test_low_resolution_rejected(self):
         with pytest.raises(ValueError):
             derive_beam_constants(resolution=32)
+
+
+class TestSigmaKernel:
+    """The closed-form singular-value and determinant kernel of the beam
+    audit against LAPACK (np.linalg.svd and np.linalg.det)."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def oracle(m):
+        sv = np.linalg.svd(m, compute_uv=False)
+        return sv[..., 0], sv[..., -1], np.linalg.det(m)
+
+    @pytest.mark.parametrize("beam", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    @pytest.mark.parametrize("above_L", [0.0, 5.0])
+    def test_audit_grid(self, constants, beam, above_L):
+        # the grid of verify_beam_inequalities at resolution 16
+        s = (np.arange(16) + 0.5) / 16 * 2.0 - 1.0
+        u1, u2 = np.meshgrid(s + 2 * beam[0], s + 2 * beam[1], indexing="ij")
+        n = zorich.region_matrices_at(u1.ravel(), u2.ravel())
+        df = np.eye(3) + math.exp(constants.L + above_L) * n
+        for got, want in zip(_sigma_extremes_det(df), self.oracle(df)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_random_matrices_within_the_documented_bound(self):
+        m = np.random.default_rng(11).standard_normal((2000, 3, 3))
+        s_max, s_min, det = _sigma_extremes_det(m)
+        o_max, o_min, o_det = self.oracle(m)
+        kappa2 = (o_max / o_min) ** 2
+        sq = np.linalg.svd(m, compute_uv=False) ** 2
+        g_top = (sq[:, 0] - sq[:, 1]) / sq[:, 0]
+        g = (sq[:, 1] - sq[:, 2]) / sq[:, 0]
+        # eight times the documented eps (1 + 1/g_top) and
+        # eps kappa^2 (1 + 1/g) bounds
+        tol = 8 * self.EPS
+        assert np.all(np.abs(s_max / o_max - 1) <= tol * (1 + 1 / g_top))
+        assert np.all(np.abs(s_min / o_min - 1) <= tol * kappa2 * (1 + 1 / g))
+        assert np.all(np.abs(det / o_det - 1) <= tol * kappa2)
+
+    @pytest.mark.parametrize("m", [3.0 * np.eye(3), np.diag([2.0, 2.0, 1.0]),
+                                   np.diag([1.0, 2.0, 2.0]),
+                                   -np.diag([2.0, 1.0, 1.0])],
+                             ids=["3I", "2-2-1", "1-2-2", "neg-2-1-1"])
+    def test_repeated_singular_values(self, m):
+        got = _sigma_extremes_det(m[None])
+        o_max, o_min, o_det = self.oracle(m)
+        bound = 8 * self.EPS * (o_max / o_min) ** 2
+        assert abs(got[0][0] / o_max - 1) <= bound
+        assert abs(got[1][0] / o_min - 1) <= bound
+        assert abs(got[2][0] / o_det - 1) <= bound
+
+    def test_singular_matrix(self):
+        m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+        s_max, s_min, det = _sigma_extremes_det(m[None])
+        assert det[0] == 0.0
+        assert s_max[0] == pytest.approx(np.linalg.svd(m)[1][0], rel=1e-14)
+        assert 0.0 <= s_min[0] <= 1e-7 * s_max[0]
 
 
 class TestExpansion:
