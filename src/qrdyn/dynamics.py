@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -22,23 +23,28 @@ LOG_SWITCH = 1e150        # surrogate continuation starts beyond this
 
 _EXP_MAX = 700.0          # exp(head) stays finite below this
 _HEAD_MIN = 6.6           # > log(_EXP_MAX); keeps (depth, head) lexicographic
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class BigExp:
     """A non-negative magnitude exp^depth(head) with canonical head range.
 
     Canonical form: depth == 0 with 0 <= head < _EXP_MAX, or depth >= 1 with
-    _HEAD_MIN <= head < _EXP_MAX.  Comparison is lexicographic on
-    (depth, head), which the canonical ranges make order-faithful.
+    _HEAD_MIN <= head < _EXP_MAX.  Magnitudes a float can hold also keep that
+    float in `value` (exactly, when built from depth 0), since head = log(v)
+    maps neighbouring large floats to one head.  Comparison is on `value`
+    when both sides have one and otherwise lexicographic on (depth, head),
+    which the canonical ranges make order-faithful.
     """
 
-    __slots__ = ("depth", "head")
+    __slots__ = ("depth", "head", "value")
 
     def __init__(self, depth, head):
         depth = int(depth)
         head = float(head)
         if head < 0:
             raise ValueError("BigExp represents non-negative magnitudes")
+        exact = head if depth == 0 else None
         while head >= _EXP_MAX:
             head = math.log(head)
             depth += 1
@@ -47,6 +53,14 @@ class BigExp:
             depth -= 1
         self.depth = depth
         self.head = head
+        if exact is not None:
+            self.value = exact
+        elif depth == 0:
+            self.value = head
+        elif depth == 1 and head < _LOG_FLOAT_MAX:
+            self.value = math.exp(head)
+        else:
+            self.value = math.inf
 
     @classmethod
     def from_float(cls, v):
@@ -65,7 +79,9 @@ class BigExp:
         return math.inf
 
     def _key(self):
-        return (self.depth, self.head)
+        if self.value < math.inf:
+            return (0, self.value)
+        return (1, self.depth, self.head)
 
     def __lt__(self, other):
         return self._key() < other._key()
