@@ -4,7 +4,11 @@
 
 ``build`` derives the constants, builds and validates the five-chart atlas
 with the default parameters of ``build_maps``, and prints the constants
-report: ``key = value`` lines, or one JSON object with ``--json``.
+report: ``key = value`` lines, or one JSON object with ``--json``.  Besides
+the constants and their margins, the report gives the number of affine cells
+of the slab atlas (``cells``), the least determinant of their linear parts
+(``min_cell_det``, which the build requires to be positive) and each chart's
+boundary-map validation verdict.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from .global_map import build_maps, constants_report_text
 
 
 def build_report(build):
-    """The constants, their margins and each chart's validation verdict."""
+    """The constants, their margins, the affine cell count and least cell
+    determinant, and each chart's validation verdict."""
     c = build.constants
     return {
         "c0": c.c0,
@@ -27,6 +32,8 @@ def build_report(build):
         "exp_margin": c.exp_margin,
         "jac_margin": c.jac_margin,
         "norm_margin": c.norm_margin,
+        "cells": build.cells,
+        "min_cell_det": build.min_cell_det,
         "validations": {cid: rep.passed for cid, rep in build.validations.items()},
     }
 

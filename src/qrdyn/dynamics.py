@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -154,23 +154,24 @@ class OrbitRecord:
 
 def norm_safe(p):
     """Euclidean norm without intermediate overflow (valid to ~1.7e308)."""
-    v = np.asarray(p, dtype=float)
-    s = float(np.max(np.abs(v)))
-    if s == 0.0 or not math.isfinite(s):
-        return s
-    w = v / s
-    return s * math.sqrt(float(w @ w))
+    return math.hypot(*map(float, p))
 
 
 def _log_norm(p):
-    v = np.asarray(p, dtype=float)
-    s = float(np.max(np.abs(v)))
-    if s == 0.0:
+    """log|p| for a tuple of floats, also where |p| overflows a float."""
+    m = math.hypot(*p)
+    if m == 0.0:
         return -math.inf
-    if not math.isfinite(s):
+    if m < math.inf:
+        return math.log(m)
+    if not all(map(math.isfinite, p)):
         return math.inf
-    w = v / s
-    return math.log(s) + 0.5 * math.log(float(w @ w))
+    s = max(map(abs, p))
+    return math.log(s) + math.log(math.hypot(*(c / s for c in p)))
+
+
+def _as_floats(p):
+    return tuple(map(float, p))
 
 
 def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CAP,
@@ -180,53 +181,52 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
     Terminates on the iteration budget, on (optional) entry into the lower
     half-space, on exceeding the radius cap, or on a non-finite value; if the
     map declares a surrogate whose regime matched the last representable
-    point, the log magnitudes continue to k_max without points.
+    point, the log magnitudes continue to k_max without points.  The orbit
+    is carried as tuples of Python floats; the record's points are arrays.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    x = np.asarray(x0, dtype=float)
-    pts = [x.copy()]
+    x = _as_floats(x0)
+    pts = [x]
     rho = [_log_norm(x)]
     h0_step = None
-    if map_handle.tracks_h0 and x[2] < 0:
+    tracks_h0 = map_handle.tracks_h0
+    if tracks_h0 and x[2] < 0:
         h0_step = 0
         if stop_on_h0:
-            return OrbitRecord(x0=x.copy(), points=pts, rho=rho,
+            return OrbitRecord(x0=np.array(x), points=[np.array(x)], rho=rho,
                                reason="entered_h0", h0_step=0)
     reason = "budget"
     surrogate_from = None
+    fn, sur, isfinite = map_handle.fn, map_handle.surrogate, math.isfinite
     for k in range(1, k_max + 1):
-        nxt = np.asarray(map_handle.fn(tuple(x.tolist())), dtype=float)
-        if not np.all(np.isfinite(nxt)):
+        x = _as_floats(fn(x))
+        if not all(map(isfinite, x)):
             reason = "nonfinite"
             break
-        m = norm_safe(nxt)
+        m = math.hypot(*x)
         if m > radius_cap:
             reason = "radius_cap"
             break
-        pts.append(nxt.copy())
-        rho.append(_log_norm(nxt))
-        if map_handle.tracks_h0 and h0_step is None and nxt[2] < 0:
+        pts.append(x)
+        rho.append(_log_norm(x))
+        if tracks_h0 and h0_step is None and x[2] < 0:
             h0_step = k
             if stop_on_h0:
                 reason = "entered_h0"
-                x = nxt
                 break
-        sur = map_handle.surrogate
-        if sur is not None and m > LOG_SWITCH and sur.regime(nxt):
+        if sur is not None and m > LOG_SWITCH and sur.regime(x):
             surrogate_from = k
             r = rho[-1]
             for _ in range(k + 1, k_max + 1):
                 r = _surrogate_rho_step(sur, r)
                 rho.append(r)
             reason = "budget"
-            x = nxt
             break
-        x = nxt
     if h0_step is not None and reason == "budget" and stop_on_h0:
         reason = "entered_h0"
-    return OrbitRecord(x0=np.asarray(x0, dtype=float), points=pts, rho=rho,
-                       reason=reason, h0_step=h0_step,
+    return OrbitRecord(x0=np.asarray(x0, dtype=float), points=list(np.array(pts)),
+                       rho=rho, reason=reason, h0_step=h0_step,
                        surrogate_from=surrogate_from)
 
 
@@ -268,22 +268,24 @@ class EscapeClass:
 def classify_escape(f: MapHandle, x, n_max: int,
                     radius_cap: float = RADIUS_CAP) -> EscapeClass:
     """Half-space entry proxy: the least n with third coordinate < 0; radial
-    escape once the magnitude passes the cap without entering; undecided
-    otherwise."""
+    escape once the magnitude passes the cap without entering (or on a
+    non-finite value); undecided otherwise.  The orbit is carried as three
+    Python floats."""
     if not f.tracks_h0:
         raise ValueError("escape classification needs the shifted map")
-    p = np.asarray(x, dtype=float)
-    if p[2] < 0:
+    x1, x2, x3 = map(float, x)
+    if x3 < 0:
         return EscapeClass("quasi_fatou", n=0)
+    fn, isfinite, hypot = f.fn, math.isfinite, math.hypot
     for n in range(1, n_max + 1):
-        nxt = np.asarray(f.fn(tuple(p.tolist())), dtype=float)
-        if not np.all(np.isfinite(nxt)):
+        y1, y2, y3 = fn((x1, x2, x3))
+        x1, x2, x3 = float(y1), float(y2), float(y3)
+        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
             return EscapeClass("radial")
-        if nxt[2] < 0:
+        if x3 < 0:
             return EscapeClass("quasi_fatou", n=n)
-        if norm_safe(nxt) > radius_cap:
+        if hypot(x1, x2, x3) > radius_cap:
             return EscapeClass("radial")
-        p = nxt
     return EscapeClass("undecided", budget=n_max)
 
 
@@ -416,12 +418,13 @@ def _vertical_line_invariant(p, tol=1e-9):
 def orbit_magnitudes_bigexp(f: MapHandle, x, count: int, translate: float):
     """|f^k(x)| for k = 0..count as BigExp, continuing past float overflow
     along invariant vertical lines."""
-    p = np.asarray(x, dtype=float)
-    out = [BigExp.from_float(norm_safe(p))]
+    p = _as_floats(x)
+    out = [BigExp.from_float(math.hypot(*p))]
     for _ in range(count):
-        nxt = np.asarray(f.fn(tuple(p.tolist())), dtype=float)
-        if np.all(np.isfinite(nxt)) and math.isfinite(norm_safe(nxt)):
-            out.append(BigExp.from_float(norm_safe(nxt)))
+        nxt = _as_floats(f.fn(p))
+        m = math.hypot(*nxt)
+        if math.isfinite(m):      # every coordinate finite, and the norm too
+            out.append(BigExp.from_float(m))
             p = nxt
             continue
         # overflow: continue only on an invariant vertical line

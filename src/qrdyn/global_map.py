@@ -7,22 +7,31 @@ face polyhedron below level 1, and four cuboids onto star-shaped solids
 between levels 1 and L).  Reflections in {x1 = 2}, {x2 = 2} and period-4
 translations extend the atlas to the whole slab.  f is g followed by a
 downward translation large enough that the whole slab maps below zero.
+
+Every boundary piece is affine on triangles, so each chart is exactly
+affine on the cones from its domain centre over those triangles: 37 cells
+for A' and 26 for each A'' chart.  Each ``CellChart`` compiles its radial
+map into that ``AffineCellTable``, and ``GlobalMap`` evaluates the slab from
+it; the radial maps remain the construction, the inverse and the oracle of
+the audits.  ``build_maps`` requires every cell's linear part to have a
+positive determinant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
 from . import zorich
 from .geometry import (CertificationFailure, GeometryError, StarShape,
                        attach_certificate)
-from .star_extend import (AffineTrianglePiece, DiagonalSelect, FormulaPiece,
-                          IdentityPiece, QuadrantSelect, Radial2DPiece,
-                          RadialMap, TrivialSelect, ValidationReport)
+from .star_extend import (AffineCellTable, AffineTrianglePiece, DiagonalSelect,
+                          FormulaPiece, IdentityPiece, QuadrantSelect,
+                          Radial2DPiece, RadialMap, TrivialSelect,
+                          ValidationReport)
 
 
 # --- fixed interpolation data: point names, coordinates and images ---------
@@ -108,12 +117,17 @@ def build_vertex_table(L: float) -> VertexTable:
 
 @dataclass
 class CellChart:
-    """One atlas cell: an axis-aligned cuboid mapped by a radial extension."""
+    """One atlas cell: an axis-aligned cuboid mapped by a radial extension,
+    with the extension's affine cells compiled for evaluation."""
 
     cell_id: str
     lo: np.ndarray
     hi: np.ndarray
     map: RadialMap
+    table: AffineCellTable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.table = AffineCellTable(self.map)
 
 
 def _radial_piece(vt, names, resolution):
@@ -344,8 +358,12 @@ class GlobalMap:
 
     Dispatch: identity below {x3 = 0}; F above {x3 = L}; in the slab, reduce
     (x1, x2) mod 4 into [0,4)^2, reflect into the base block [0,2]^2 while
-    recording the isometry, evaluate the owning cell chart (ties resolved by
-    the fixed priority A', A''1..A''4), then undo the isometry.
+    recording the isometry, pick the owning cell chart (ties resolved by the
+    fixed priority A', A''1..A''4), evaluate its affine cell table, then undo
+    the isometry.  The table finds the exit facet of the ray from the chart's
+    domain centre, the boundary piece by the facet's selector, the cell by
+    its angle about the piece's shared vertex, and applies that cell's affine
+    map; the chart's ``RadialMap.eval`` gives the same values to rounding.
     """
 
     def __init__(self, charts, L, L_prime=None, mode="g", constants=None):
@@ -392,8 +410,7 @@ class GlobalMap:
             tx = 4.0 - tx
         if r2:
             ty = 4.0 - ty
-        chart = self._pick_cell(tx, ty, z)
-        gx, gy, gz = chart.map.eval((tx, ty, z))
+        gx, gy, gz = self._pick_cell(tx, ty, z).table.eval(tx, ty, z)
         if r1:
             gx = 4.0 - gx
         if r2:
@@ -419,7 +436,8 @@ def assemble_g(charts, L, constants=None) -> GlobalMap:
 def derive_translation_constant(g: GlobalMap, samples=100000, seed=0,
                                 tol=1e-9) -> float:
     """L' = 1 + (largest third coordinate over all chart image vertices),
-    sample-verified so that the whole slab maps at least one unit below it."""
+    sample-verified so that the whole slab maps at least one unit below it.
+    The samples go through ``eval3``, so through the affine cell tables."""
     if g.mode != "g":
         raise ValueError("derive the translation constant from the unshifted map")
     vmax = g.max_image_height
@@ -592,7 +610,30 @@ class BuildResult:
     g: GlobalMap
     f: GlobalMap
     L_prime: float
+    cells: int
+    min_cell_det: float
     validations: Dict[str, ValidationReport] = field(default_factory=dict)
+
+
+def certify_cell_orientation(charts):
+    """(number of affine cells, least determinant of their linear parts).
+
+    Each chart is affine on each cell, so a positive determinant on every
+    cell makes every chart orientation preserving.  Raises ConstructionError
+    naming the first chart with a determinant that is not positive, and its
+    cell of least determinant."""
+    count = 0
+    least = math.inf
+    for chart in charts:
+        dets = chart.table.determinants()
+        k = int(np.argmin(dets))
+        if not dets[k] > 0.0:
+            raise ConstructionError(
+                f"chart {chart.cell_id}, {chart.table.labels[k]}: "
+                f"linear part has determinant {dets[k]:.6g}")
+        count += len(dets)
+        least = min(least, float(dets[k]))
+    return count, least
 
 
 def build_maps(resolution=128, chart_resolution=48, lprime_samples=20000,
@@ -604,6 +645,7 @@ def build_maps(resolution=128, chart_resolution=48, lprime_samples=20000,
     aprime = build_aprime_chart(vt, chart_resolution)
     cells = build_asecond_charts(vt, L, aprime, chart_resolution)
     charts = [aprime] + cells
+    n_cells, min_cell_det = certify_cell_orientation(charts)
     g = assemble_g(charts, L, constants)
     L_prime = derive_translation_constant(g, samples=lprime_samples, seed=seed)
     f = GlobalMap(charts, L, L_prime, mode="f", constants=constants)
@@ -617,7 +659,8 @@ def build_maps(resolution=128, chart_resolution=48, lprime_samples=20000,
                 raise ConstructionError(
                     f"boundary map validation failed for {c.cell_id}: {rep}")
     return BuildResult(constants=constants, vertex_table=vt, g=g, f=f,
-                       L_prime=L_prime, validations=validations)
+                       L_prime=L_prime, cells=n_cells,
+                       min_cell_det=min_cell_det, validations=validations)
 
 
 def constants_report_text(build: BuildResult) -> str:
@@ -633,6 +676,8 @@ def constants_report_text(build: BuildResult) -> str:
         f"jac_margin = {c.jac_margin:.12g}",
         f"norm_margin = {c.norm_margin:.12g}",
         f"grid_resolution = {c.resolution}",
+        f"cells = {build.cells}",
+        f"min_cell_det = {build.min_cell_det:.12g}",
     ]
     for chart in build.g.charts:
         dom = chart.map.domain

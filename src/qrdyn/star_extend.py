@@ -9,13 +9,18 @@ to the inverse boundary map yields the inverse extension.
 The boundary map itself is a dispatch table over domain facets; each piece
 is an affine segment/triangle correspondence, a nested 2D radial extension
 living on a planar face, a direct closed-form map, or the identity.
+
+Every piece is affine on a few triangles of its patch, so the radial
+extension is affine on the cone from the domain centre over each of them.
+``AffineCellTable`` compiles a box-domain map into those cells; it evaluates
+the same map with one facet test, one sector test and one affine product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,25 +167,36 @@ def _psi_polygon_scalar(verts, ax, ay, ux, uy):
 
 
 def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
-    """Exit facet of the ray a->p from an axis-aligned box; (facet, t)."""
+    """Exit facet of the ray a->p from an axis-aligned box; (facet, t).
+
+    Facet 2k is the face x_k = lo[k], facet 2k+1 the face x_k = hi[k].  An
+    exit time within a relative 1e-12 of an earlier axis's does not displace
+    it, so edges and corners go to the lowest axis.  t is at least 1."""
     best_t = math.inf
     best_f = -1
-    for axis, (ac, pc, lo_c, hi_c) in enumerate(
-            ((ax, x, lo[0], hi[0]), (ay, y, lo[1], hi[1]), (az, z, lo[2], hi[2]))):
-        d = pc - ac
-        if d > 1e-300:
-            t = (hi_c - ac) / d
-            f = 2 * axis + 1
-        elif d < -1e-300:
-            t = (lo_c - ac) / d
-            f = 2 * axis
-        else:
-            continue
+    d = x - ax
+    if d > 1e-300:
+        best_t, best_f = (hi[0] - ax) / d, 1
+    elif d < -1e-300:
+        best_t, best_f = (lo[0] - ax) / d, 0
+    d = y - ay
+    if d > 1e-300:
+        t = (hi[1] - ay) / d
         if t < best_t * (1 - 1e-12):
-            best_t = t
-            best_f = f
-        elif t <= best_t * (1 + 1e-12) and f < best_f:
-            best_f = f
+            best_t, best_f = t, 3
+    elif d < -1e-300:
+        t = (lo[1] - ay) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 2
+    d = z - az
+    if d > 1e-300:
+        t = (hi[2] - az) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 5
+    elif d < -1e-300:
+        t = (lo[2] - az) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 4
     if best_t < 1.0:
         best_t = 1.0
     return best_f, best_t
@@ -278,6 +294,11 @@ class FacetPiece:
         """Signature of the smooth sub-region of the piece containing p."""
         return 0
 
+    def affine_cells(self):
+        """(domain triangle, image triangle) pairs of 3D points: the piece is
+        affine on each domain triangle, and together they cover its patch."""
+        raise NotImplementedError
+
 
 class IdentityPiece(FacetPiece):
     kind = "identity"
@@ -290,6 +311,10 @@ class IdentityPiece(FacetPiece):
 
     def invert3(self, q):
         return q
+
+    def affine_cells(self):
+        tri = tuple(self.region.loop[:3])
+        return [(tri, tri)]
 
 
 class Radial2DPiece(FacetPiece):
@@ -306,6 +331,7 @@ class Radial2DPiece(FacetPiece):
         self.map2d = build_radial_map_2d(dom2, img2, resolution,
                                          domain_centre2, image_centre2)
         self.region = PlanarLoop(domain_loop3)
+        self.image_loop = [tuple(map(float, p)) for p in image_loop3]
 
     def eval3(self, p):
         u, v = self.dom_frame.to2d(p)
@@ -326,6 +352,15 @@ class Radial2DPiece(FacetPiece):
             return -1
         edge, _, _ = _psi_polygon_scalar(m._dverts, ax, ay, u, v)
         return edge
+
+    def affine_cells(self):
+        """The cones of the 2D extension from the face centre over each edge."""
+        c = self.dom_frame.to3d(*self.map2d._a)
+        c_img = self.img_frame.to3d(*self.map2d._b)
+        dom, img = self.region.loop, self.image_loop
+        n = len(dom)
+        return [((c, dom[i], dom[(i + 1) % n]), (c_img, img[i], img[(i + 1) % n]))
+                for i in range(n)]
 
 
 class AffineTrianglePiece(FacetPiece):
@@ -358,6 +393,10 @@ class AffineTrianglePiece(FacetPiece):
         u, v = self._bary(self.img, q)
         p = self.dom[0] + u * (self.dom[1] - self.dom[0]) + v * (self.dom[2] - self.dom[0])
         return (float(p[0]), float(p[1]), float(p[2]))
+
+    def affine_cells(self):
+        return [(tuple(map(tuple, self.dom.tolist())),
+                 tuple(map(tuple, self.img.tolist())))]
 
 
 class FormulaPiece(FacetPiece):
@@ -398,6 +437,9 @@ class FormulaPiece(FacetPiece):
                 best_def = deficiency
                 best = k
         return best
+
+    def affine_cells(self):
+        return [cell for tri in self.triangles for cell in tri.affine_cells()]
 
 
 # ---------------------------------------------------------------------------
@@ -644,3 +686,114 @@ class RadialMap:
             l_min = min(l_min, r)
             l_max = max(l_max, r)
         return l_min, l_max
+
+
+# ---------------------------------------------------------------------------
+# the exact piecewise-affine form of a radial map on a box
+
+def _cell_linear_part(a, b, dom, img):
+    """The 3x3 matrix A of the affine map p -> b + A (p - a) that sends each
+    domain triangle vertex dom[i] to img[i]."""
+    d = np.asarray(dom, dtype=float) - np.asarray(a, dtype=float)
+    w = np.asarray(img, dtype=float) - np.asarray(b, dtype=float)
+    return np.linalg.solve(d, w).T          # rows: A d_i = w_i
+
+
+def _sector_entry(cells, rows, iu, iv):
+    """Locate the cells of one piece by the angle, in the face coordinates
+    (iu, iv), about the centroid c of the vertices all cells share: the Radial2D
+    face centre, or the midpoint of a split square's diagonal.  Returns
+    (iu, iv, cu, cv, bounds, sectors): a point h of the patch lies in the cell
+    whose row is sectors[bisect_right(bounds, atan2(h_v - cv, h_u - cu))]; the
+    first and the last sector are the one that wraps through the angle pi."""
+    if len(cells) == 1:
+        return (iu, iv, 0.0, 0.0, [], [rows[0]])
+    shared = set(cells[0][0]).intersection(*(dom for dom, _ in cells[1:]))
+    if not shared:
+        raise GeometryError("the cells of a piece share no vertex")
+    cu = sum(p[iu] for p in shared) / len(shared)
+    cv = sum(p[iv] for p in shared) / len(shared)
+    rim = {p for dom, _ in cells for p in dom if (p[iu], p[iv]) != (cu, cv)}
+    bounds = sorted({math.atan2(p[iv] - cv, p[iu] - cu) for p in rim})
+    reach = 1e-6 * min(math.hypot(p[iu] - cu, p[iv] - cv) for p in rim)
+    mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
+    mids.append(0.5 * (bounds[-1] + bounds[0]) + math.pi)
+    tris = [np.array([[p[iu], p[iv], 1.0] for p in dom]).T for dom, _ in cells]
+    picks = []
+    for th in mids:
+        q = np.array([cu + reach * math.cos(th), cv + reach * math.sin(th), 1.0])
+        depth = [float(np.linalg.solve(tri, q).min()) for tri in tris]
+        k = int(np.argmax(depth))
+        if depth[k] <= 0.0:
+            raise GeometryError(f"no cell of the piece covers the sector at angle {th}")
+        picks.append(rows[k])
+    return (iu, iv, cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]])
+
+
+class AffineCellTable:
+    """A radial map on a box domain as its exact affine cells.
+
+    Each cell is the cone from the domain centre a over one triangle on which
+    the boundary piece is affine (``FacetPiece.affine_cells``); on it the map
+    is p -> b + A (p - a), fixed by a -> b and the triangle's three vertex
+    images.  Evaluation takes the exit facet of the ray from a (as
+    ``RadialMap.eval`` does), the facet's selector for the piece, a sector
+    test about the piece's shared vertex for the cell, and one affine
+    product.  The centre ball of radius ``domain.tol`` maps to b, as in
+    ``RadialMap.eval``.
+    """
+
+    def __init__(self, rmap: RadialMap):
+        if rmap._lo is None:
+            raise GeometryError("a cell table needs a box domain")
+        self._a = (rmap._ax, rmap._ay, rmap._az)
+        self._b = (rmap._bx, rmap._by, rmap._bz)
+        self._lo, self._hi = rmap._lo, rmap._hi
+        self._ctol2 = rmap._ctol * rmap._ctol
+        self.labels = []
+        linear = []
+        self._facets = []
+        for facet in range(6):
+            sel = rmap.selectors_by_facet.get(facet)
+            if sel is None:
+                raise GeometryError(f"no boundary piece for facet {facet}")
+            iu, iv = [i for i in range(3) if i != facet // 2]
+            entries = []
+            for k, piece in enumerate(sel.pieces):
+                cells = piece.affine_cells()
+                rows = []
+                for j, (dom, img) in enumerate(cells):
+                    m = _cell_linear_part(self._a, self._b, dom, img)
+                    linear.append(m)
+                    rows.append(tuple(m.ravel().tolist()))
+                    self.labels.append(f"facet {facet} piece {k} cell {j}")
+                entries.append(_sector_entry(cells, rows, iu, iv))
+            self._facets.append((sel, entries))
+        self.linear = np.array(linear)
+
+    def __len__(self):
+        return len(self.labels)
+
+    def determinants(self):
+        """det of each cell's linear part, in ``labels`` order."""
+        return np.linalg.det(self.linear)
+
+    def eval(self, x, y, z):
+        ax, ay, az = self._a
+        bx, by, bz = self._b
+        dx = x - ax
+        dy = y - ay
+        dz = z - az
+        if dx * dx + dy * dy + dz * dz <= self._ctol2:
+            return (bx, by, bz)
+        facet, t = _ray_box_scalar(ax, ay, az, self._lo, self._hi, x, y, z)
+        h = (ax + t * dx, ay + t * dy, az + t * dz)
+        sel, entries = self._facets[facet]
+        iu, iv, cu, cv, bounds, sectors = entries[sel.select(h)[1]]
+        if bounds:
+            m = sectors[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))]
+        else:
+            m = sectors[0]
+        return (bx + m[0] * dx + m[1] * dy + m[2] * dz,
+                by + m[3] * dx + m[4] * dy + m[5] * dz,
+                bz + m[6] * dx + m[7] * dy + m[8] * dz)

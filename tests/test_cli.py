@@ -26,6 +26,8 @@ def test_build_json_report(capsys, build):
         assert report[key] == getattr(c, key)
     assert report["validations"] == {cid: True for cid in
                                      ("A'", "A''1", "A''2", "A''3", "A''4")}
+    assert report["cells"] == build.cells == 141
+    assert report["min_cell_det"] == build.min_cell_det > 0.0
 
 
 def test_build_text_report(capsys, monkeypatch, build):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrdyn.dynamics import (BigExp, EscapeClass, MapHandle, SurrogateSpec,
+from qrdyn.dynamics import (LOG_SWITCH, RADIUS_CAP, BigExp, EscapeClass,
+                            MapHandle, SurrogateSpec, _radial_square_rho_step,
                             ball_growth_check, classify_escape,
                             escape_rate_series, fast_escape_test, iterate,
                             log_domain_series, max_modulus_estimate,
@@ -302,3 +303,140 @@ class TestFloatInputs:
         orbit_magnitudes_bigexp(handle, np.array([0.0, 0.0, build.constants.L + 1]),
                                 4, fmap.L_prime)
         assert seen == {float}
+
+
+# ---------------------------------------------------------------------------
+# the float-only orbit loops against the numpy loops they replaced
+
+def _norm_numpy(p):
+    v = np.asarray(p, dtype=float)
+    s = float(np.max(np.abs(v)))
+    if s == 0.0 or not math.isfinite(s):
+        return s
+    w = v / s
+    return s * math.sqrt(float(w @ w))
+
+
+def _log_norm_numpy(p):
+    v = np.asarray(p, dtype=float)
+    s = float(np.max(np.abs(v)))
+    if s == 0.0:
+        return -math.inf
+    if not math.isfinite(s):
+        return math.inf
+    w = v / s
+    return math.log(s) + 0.5 * math.log(float(w @ w))
+
+
+def _classify_numpy(f, x, n_max, radius_cap=RADIUS_CAP):
+    p = np.asarray(x, dtype=float)
+    if p[2] < 0:
+        return EscapeClass("quasi_fatou", n=0)
+    for n in range(1, n_max + 1):
+        nxt = np.asarray(f.fn(tuple(p.tolist())), dtype=float)
+        if not np.all(np.isfinite(nxt)):
+            return EscapeClass("radial")
+        if nxt[2] < 0:
+            return EscapeClass("quasi_fatou", n=n)
+        if _norm_numpy(nxt) > radius_cap:
+            return EscapeClass("radial")
+        p = nxt
+    return EscapeClass("undecided", budget=n_max)
+
+
+def _iterate_numpy(map_handle, x0, k_max, radius_cap=RADIUS_CAP, stop_on_h0=False):
+    """(points, rho, reason, h0_step, surrogate_from) of the numpy loop."""
+    x = np.asarray(x0, dtype=float)
+    pts = [x.copy()]
+    rho = [_log_norm_numpy(x)]
+    h0_step = None
+    if map_handle.tracks_h0 and x[2] < 0:
+        h0_step = 0
+        if stop_on_h0:
+            return pts, rho, "entered_h0", 0, None
+    reason = "budget"
+    surrogate_from = None
+    for k in range(1, k_max + 1):
+        nxt = np.asarray(map_handle.fn(tuple(x.tolist())), dtype=float)
+        if not np.all(np.isfinite(nxt)):
+            reason = "nonfinite"
+            break
+        m = _norm_numpy(nxt)
+        if m > radius_cap:
+            reason = "radius_cap"
+            break
+        pts.append(nxt.copy())
+        rho.append(_log_norm_numpy(nxt))
+        if map_handle.tracks_h0 and h0_step is None and nxt[2] < 0:
+            h0_step = k
+            if stop_on_h0:
+                reason = "entered_h0"
+                break
+        sur = map_handle.surrogate
+        if sur is not None and m > LOG_SWITCH and sur.regime(nxt):
+            surrogate_from = k
+            r = rho[-1]
+            for _ in range(k + 1, k_max + 1):
+                r = _radial_square_rho_step(r, sur.translate, sur.decay_term)
+                rho.append(r)
+            break
+        x = nxt
+    if h0_step is not None and reason == "budget" and stop_on_h0:
+        reason = "entered_h0"
+    return pts, rho, reason, h0_step, surrogate_from
+
+
+def _stub(value, dim=3):
+    return MapHandle("stub", lambda p: value, dim=dim, tracks_h0=True)
+
+
+STUB_VALUES = [
+    (math.inf, 0.0, 1.0), (0.0, -math.inf, 1.0), (math.nan, 0.0, 1.0),
+    (0.0, 0.0, math.nan), (math.nan, 0.0, -1.0), (2e300, 0.0, 1.0),
+    (2e300, 0.0, -1.0), (1e299, 1e299, 1e299), (1e308, 1e308, 1.0),
+    (1.0, 2.0, 3.0), (1.0, 2.0, -3.0),
+]
+
+
+class TestFloatLoops:
+    def test_classify_matches_numpy_loop_on_portrait_grid(self, fhandle, build):
+        L = build.constants.L
+        for x1 in np.linspace(-8.0, 8.0, 100).tolist():
+            for x3 in np.linspace(-1.0, L + 3.0, 50).tolist():
+                x = (x1, 0.37, x3)
+                assert classify_escape(fhandle, x, 60) == _classify_numpy(fhandle, x, 60), x
+
+    @pytest.mark.parametrize("value", STUB_VALUES)
+    def test_classify_matches_numpy_loop_on_stubs(self, value):
+        for wrap in (tuple, list, np.array):
+            handle = _stub(wrap(value))
+            for x in ((0.0, 0.0, 1.0), np.array([1.0, 2.0, 3.0])):
+                assert classify_escape(handle, x, 5) == _classify_numpy(handle, x, 5)
+
+    def _same_orbit(self, handle, x0, k_max, **kw):
+        rec = iterate(handle, x0, k_max, **kw)
+        pts, rho, reason, h0_step, surrogate_from = _iterate_numpy(handle, x0, k_max, **kw)
+        assert (rec.reason, rec.h0_step, rec.surrogate_from) == (reason, h0_step, surrogate_from)
+        assert all(isinstance(p, np.ndarray) for p in rec.points)
+        assert len(rec.points) == len(pts)
+        for got, want in zip(rec.points, pts):
+            assert np.array_equal(got, want)
+        # log(hypot) against log(s) + log(|v/s|)/2: a few ulps of log|x|
+        assert len(rec.rho) == len(rho)
+        for got, want in zip(rec.rho, rho):
+            assert got == want or abs(got - want) <= 8 * 2.0 ** -52 * max(1.0, abs(want))
+
+    def test_iterate_matches_numpy_loop(self, fhandle, build):
+        from qrdyn.example_maps import example_one, example_two, x0_for_example_two
+        L = build.constants.L
+        rng = np.random.default_rng(22)
+        for x in rng.uniform([-8, -8, -1], [8, 8, L + 3], (60, 3)).tolist():
+            self._same_orbit(fhandle, x, 8)
+            self._same_orbit(fhandle, x, 8, stop_on_h0=True)
+        self._same_orbit(fhandle, (0.0, 0.0, L + 1.0), 6)
+        self._same_orbit(example_one(), (math.e, 0.0), 30)
+        two = example_two(build.f)
+        self._same_orbit(two, tuple(x0_for_example_two(build.f)), 30)
+        for value in STUB_VALUES:
+            self._same_orbit(_stub(value), (0.0, 0.0, 1.0), 4)
+            self._same_orbit(_stub(value), (0.0, 0.0, -1.0), 4, stop_on_h0=True)
