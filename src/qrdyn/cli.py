@@ -2,13 +2,14 @@
 
     qrdyn build [--json]
 
-``build`` derives the constants, builds and validates the five-chart atlas
-with the default parameters of ``build_maps``, and prints the constants
-report: ``key = value`` lines, or one JSON object with ``--json``.  Besides
-the constants and their margins, the report gives the number of affine cells
-of the slab atlas (``cells``), the least determinant of their linear parts
-(``min_cell_det``, which the build requires to be positive) and each chart's
-boundary-map validation verdict.
+``build`` derives the constants, builds the five-chart atlas, certifies it
+exactly on its affine cells with the default parameters of ``build_maps``,
+and prints the constants report: ``key = value`` lines, or one JSON object
+with ``--json``.  Besides the constants and their margins, the report gives
+the number of affine cells of the slab atlas (``cells``), the least
+determinant of their linear parts (``min_cell_det``, which the build
+requires to be positive), the largest dilatation of a cell (``K_slab``) and
+each chart's verdict from the exact boundary-map validation.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .global_map import build_maps, constants_report_text
 
 
 def build_report(build):
-    """The constants, their margins, the affine cell count and least cell
-    determinant, and each chart's validation verdict."""
+    """The constants, their margins, the affine cell count, the least cell
+    determinant, the largest cell dilatation and each chart's validation
+    verdict."""
     c = build.constants
     return {
         "c0": c.c0,
@@ -34,6 +36,7 @@ def build_report(build):
         "norm_margin": c.norm_margin,
         "cells": build.cells,
         "min_cell_det": build.min_cell_det,
+        "K_slab": build.K_slab,
         "validations": {cid: rep.passed for cid, rep in build.validations.items()},
     }
 

@@ -6,6 +6,10 @@ squaring with a bounded additive translation, or the vertical tower
 t -> t + e^t - c) continue in log magnitudes past the overflow threshold.
 Doubly-exponential comparisons (orbit versus iterated maximum modulus) are
 carried out in a normalized iterated-exponential representation.
+
+An orbit that takes an F step past the precision horizon (``PrecisionLost``
+from ``zorich.F_scalar``) stops there with the outcome ``precision_lost``
+instead of a label that rounding noise decided.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
+
+from .zorich import PrecisionLost, fold_square
 
 RADIUS_CAP = 1e300        # orbit terminates beyond this magnitude
 LOG_SWITCH = 1e150        # surrogate continuation starts beyond this
@@ -144,6 +150,7 @@ class OrbitRecord:
     points: List[np.ndarray]          # while directly representable
     rho: List[float]                  # log|x_k|, continued by the surrogate
     reason: str                       # budget | entered_h0 | radius_cap | nonfinite
+                                      # | precision_lost
     h0_step: Optional[int] = None
     surrogate_from: Optional[int] = None
 
@@ -179,7 +186,8 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
     """Iterate the map, recording points and log magnitudes.
 
     Terminates on the iteration budget, on (optional) entry into the lower
-    half-space, on exceeding the radius cap, or on a non-finite value; if the
+    half-space, on exceeding the radius cap, on a non-finite value, or on an
+    F step past the precision horizon (reason "precision_lost"); if the
     map declares a surrogate whose regime matched the last representable
     point, the log magnitudes continue to k_max without points.  The orbit
     is carried as tuples of Python floats; the record's points are arrays.
@@ -200,7 +208,11 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
     surrogate_from = None
     fn, sur, isfinite = map_handle.fn, map_handle.surrogate, math.isfinite
     for k in range(1, k_max + 1):
-        x = _as_floats(fn(x))
+        try:
+            x = _as_floats(fn(x))
+        except PrecisionLost:
+            reason = "precision_lost"
+            break
         if not all(map(isfinite, x)):
             reason = "nonfinite"
             break
@@ -254,7 +266,7 @@ def _radial_square_rho_step(r, translate, decay_term=False):
 
 @dataclass(frozen=True)
 class EscapeClass:
-    kind: str                 # "quasi_fatou" | "radial" | "undecided"
+    kind: str                 # "quasi_fatou" | "radial" | "undecided" | "precision_lost"
     n: Optional[int] = None   # first entry step for the half-space proxy
     budget: Optional[int] = None
 
@@ -269,8 +281,9 @@ def classify_escape(f: MapHandle, x, n_max: int,
                     radius_cap: float = RADIUS_CAP) -> EscapeClass:
     """Half-space entry proxy: the least n with third coordinate < 0; radial
     escape once the magnitude passes the cap without entering (or on a
-    non-finite value); undecided otherwise.  The orbit is carried as three
-    Python floats."""
+    non-finite value); precision_lost at an F step past the precision
+    horizon; undecided otherwise.  The orbit is carried as three Python
+    floats."""
     if not f.tracks_h0:
         raise ValueError("escape classification needs the shifted map")
     x1, x2, x3 = map(float, x)
@@ -278,7 +291,10 @@ def classify_escape(f: MapHandle, x, n_max: int,
         return EscapeClass("quasi_fatou", n=0)
     fn, isfinite, hypot = f.fn, math.isfinite, math.hypot
     for n in range(1, n_max + 1):
-        y1, y2, y3 = fn((x1, x2, x3))
+        try:
+            y1, y2, y3 = fn((x1, x2, x3))
+        except PrecisionLost:
+            return EscapeClass("precision_lost")
         x1, x2, x3 = float(y1), float(y2), float(y3)
         if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
             return EscapeClass("radial")
@@ -297,7 +313,8 @@ def log_plus(v):
 
 
 def escape_rate_series(map_handle: MapHandle, x, k_max: int, p: int = 1):
-    """a_k = log+ log |map^{kp}(x)| / k, from direct or surrogate magnitudes."""
+    """a_k = log+ log |map^{kp}(x)| / k, from direct or surrogate magnitudes;
+    the series stops where the orbit does (at the precision horizon, say)."""
     if p < 1:
         raise ValueError("period must be positive")
     rec = iterate(map_handle, x, k_max * p)
@@ -410,18 +427,21 @@ def _vertical_line_invariant(p, tol=1e-9):
     """True if the orbit of p stays on the vertical line through p with the
     upward exponential branch (both horizontal coordinates folding to the
     base-square centre with positive parity)."""
-    from .zorich import fold_square
     fr = fold_square(p[0], p[1])
     return (abs(fr.u[0]) <= tol and abs(fr.u[1]) <= tol and fr.sigma == 1)
 
 
 def orbit_magnitudes_bigexp(f: MapHandle, x, count: int, translate: float):
     """|f^k(x)| for k = 0..count as BigExp, continuing past float overflow
-    along invariant vertical lines."""
+    along invariant vertical lines; the list stops at an F step past the
+    precision horizon."""
     p = _as_floats(x)
     out = [BigExp.from_float(math.hypot(*p))]
     for _ in range(count):
-        nxt = _as_floats(f.fn(p))
+        try:
+            nxt = _as_floats(f.fn(p))
+        except PrecisionLost:
+            break
         m = math.hypot(*nxt)
         if math.isfinite(m):      # every coordinate finite, and the norm too
             out.append(BigExp.from_float(m))

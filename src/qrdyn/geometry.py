@@ -4,9 +4,14 @@ Shapes are simple polygons (2D) or watertight triangulated polyhedra (3D)
 that are star-shaped with respect to a designated centre.  The module
 provides membership classification, the ray-to-boundary projection psi
 (send x to the boundary point hit by the ray from the centre through x),
-numerical certification that a centre is non-tangential (rays meet the
-boundary at angles bounded away from zero), and the local Lipschitz
-constants of psi that follow from such a certificate.
+an exact certificate that a centre is a non-tangential star centre (rays
+meet the boundary once, at angles bounded away from zero), and the local
+Lipschitz constants of psi that follow from such a certificate.
+
+Polyhedral surfaces are oriented outward at construction, so the star test
+is one exact sign per boundary simplex: the signed area of (a, v_i, v_i+1)
+in 2D, the signed volume of (a, triangle) in 3D, decided in
+``fractions.Fraction``.
 
 All shapes are immutable after construction; every operation is pure.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -32,8 +38,8 @@ class CertificationFailure(GeometryError):
 TAU_GEOM = 1e-12
 # Certification fails below this angle (radians).
 THETA_MIN = 1e-3
-# Largest temporary of the batched kernels, in float64 elements: the size of
-# the 400 x 400 x 3 pair-difference array of the certification sweep.
+# Largest temporary of the batched surface-distance kernel, in float64
+# elements.
 BATCH_ELEMENTS = 400 * 400 * 3
 
 
@@ -48,11 +54,12 @@ def _row_chunks(rows, width):
 @dataclass(frozen=True)
 class Certificate:
     """Non-tangentiality certificate: every short boundary chord at w makes
-    an acute angle > theta with the ray centre->w, for chords shorter than eps."""
+    an acute angle > theta with the ray centre->w, for chords shorter than
+    eps.  Both come from finitely many exact or closed-form terms over the
+    vertices, edges and facets of the shape (``certify_star_centre``)."""
 
     theta: float
     eps: float
-    resolution: int
 
     def __post_init__(self):
         if not (0.0 < self.theta < math.pi / 4):
@@ -72,14 +79,6 @@ class BoundaryHit:
 class Location:
     kind: str          # "interior" | "boundary" | "exterior"
     facet: Optional[int] = None
-
-    @property
-    def interior(self):
-        return self.kind == "interior"
-
-    @property
-    def exterior(self):
-        return self.kind == "exterior"
 
 
 def _as_array(x, dim):
@@ -139,7 +138,6 @@ class StarShape:
         lengths = np.hypot(e[:, 0], e[:, 1])
         if np.any(lengths <= self.tol):
             raise GeometryError("degenerate polygon edge")
-        self._edge_dir = e
         self._edge_len = lengths
         if _polygon_self_intersects(v):
             raise GeometryError("polygon boundary is self-intersecting")
@@ -160,18 +158,10 @@ class StarShape:
             for tri in _triangulate_planar(self.vertices, poly):
                 tris.append(tri)
                 tri_facet.append(fi)
-        self.triangles = np.asarray(tris, dtype=int)
+        self.triangles = _orient_outward(self.vertices, tris)
         self.tri_facet = np.asarray(tri_facet, dtype=int)
-        _check_watertight(self.triangles)
-        # facet planes (unit normal, offset)
-        normals = []
-        offsets = []
-        for poly in self.facet_polys:
-            n = _polygon_normal(self.vertices[poly])
-            normals.append(n)
-            offsets.append(float(np.dot(n, self.vertices[poly[0]])))
-        self._facet_normal = np.asarray(normals)
-        self._facet_offset = np.asarray(offsets)
+        self._facet_normal = np.array([_polygon_normal(self.vertices[poly])
+                                       for poly in self.facet_polys])
         # triangle data for vectorized ray casting
         t = self.triangles
         self._tri_a = self.vertices[t[:, 0]]
@@ -312,18 +302,47 @@ def _segments_cross(a0, a1, b0, b1):
         d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
 
 
+def _edges(t):
+    return ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
+
+
 def _check_watertight(triangles):
-    counts = {}
-    for tri in triangles:
-        a, b, c = (int(tri[0]), int(tri[1]), int(tri[2]))
-        if a == b or b == c or a == c:
-            raise GeometryError(f"degenerate triangle {tri}")
-        for e in ((a, b), (b, c), (c, a)):
-            key = (min(e), max(e))
-            counts[key] = counts.get(key, 0) + 1
-    bad = {e: c for e, c in counts.items() if c != 2}
-    if bad:
-        raise GeometryError(f"surface not watertight; odd edges: {bad}")
+    """Each directed edge occurs once and its reverse once: the surface is
+    closed and consistently oriented."""
+    for t in triangles:
+        if len(set(t)) < 3:
+            raise GeometryError(f"degenerate triangle {t}")
+    directed = [e for t in triangles for e in _edges(t)]
+    if len(set(directed)) < len(directed) or \
+            set(directed) != {(v, u) for u, v in directed}:
+        raise GeometryError("surface is not closed or not orientable")
+
+
+def _orient_outward(vertices, tris):
+    """The triangles turned to one orientation with outward normals (a
+    positive enclosed volume), flipping by swapping the last two vertices;
+    raises if the surface is not closed or not orientable."""
+    tris = [list(map(int, t)) for t in tris]
+    by_edge = {}
+    for k, t in enumerate(tris):
+        for e in _edges(t):
+            by_edge.setdefault(frozenset(e), []).append(k)
+    todo = set(range(len(tris)))
+    while todo:
+        stack = [todo.pop()]
+        while stack:
+            for u, v in _edges(tris[stack.pop()]):
+                for k in by_edge[frozenset((u, v))]:
+                    if k in todo:
+                        todo.discard(k)
+                        if (u, v) in _edges(tris[k]):    # must run v -> u
+                            tris[k][1:] = tris[k][:0:-1]
+                        stack.append(k)
+    _check_watertight(tris)
+    p = vertices[tris]
+    if np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2])) < 0.0:
+        tris = [[a, c, b] for a, b, c in tris]
+    return np.asarray(tris, dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -494,63 +513,86 @@ def psi(shape: StarShape, x) -> BoundaryHit:
     if loc.kind == "exterior":
         raise GeometryError("psi called on an exterior point")
     if shape.dim == 2:
-        return _psi2(shape, a, x, r, dist)
+        v = shape.vertices
+        i, s, t = _psi_polygon_scalar(v.tolist(), *a.tolist(), *x.tolist())
+        return BoundaryHit(point=v[i] + s * (v[(i + 1) % len(v)] - v[i]),
+                           facet=i, t=t)
     if shape.box is not None:
-        return _psi_box(shape, a, x, r, dist)
+        lo, hi = shape.box
+        facet, t = _ray_box_scalar(*a.tolist(), lo.tolist(), hi.tolist(),
+                                   *x.tolist())
+        return BoundaryHit(point=np.clip(a + t * r, lo, hi), facet=facet, t=t)
     return _psi3(shape, a, x, r, dist)
 
 
-def _psi2(shape, a, x, r, dist):
-    v = shape.vertices
-    n = len(v)
+def _psi_polygon_scalar(verts, ax, ay, ux, uy):
+    """Ray (ax,ay)->(ux,uy) against polygon edges; returns (edge, s, t); ties
+    within 1e-9 go to the lowest edge.
+
+    verts is a list of (x, y) floats in loop order.  t is the ray parameter
+    (>= 1 for points in the closed region), s the position along the edge.
+    """
+    rx = ux - ax
+    ry = uy - ay
+    n = len(verts)
     best_t = math.inf
     best = None
-    rel = 1e-9
     for i in range(n):
-        p0 = v[i]
-        e = v[(i + 1) % n] - p0
-        den = r[0] * e[1] - r[1] * e[0]
-        if abs(den) < 1e-300:
+        px, py = verts[i]
+        qx, qy = verts[(i + 1) % n]
+        ex = qx - px
+        ey = qy - py
+        den = rx * ey - ry * ex
+        if den == 0.0:
             continue
-        dx = p0[0] - a[0]
-        dy = p0[1] - a[1]
-        t = (dx * e[1] - dy * e[0]) / den
-        s = (dx * r[1] - dy * r[0]) / den
-        if -rel <= s <= 1 + rel and t >= 1 - rel:
-            if t < best_t - rel:
-                best_t = t
-                best = (i, min(max(s, 0.0), 1.0))
+        dx = px - ax
+        dy = py - ay
+        t = (dx * ey - dy * ex) / den
+        s = (dx * ry - dy * rx) / den
+        if -1e-9 <= s <= 1 + 1e-9 and t >= 1 - 1e-9 and t < best_t - 1e-9:
+            best_t = t
+            best = (i, s)
     if best is None:
         raise GeometryError("ray found no boundary crossing (shape not star?)")
     i, s = best
-    point = v[i] + s * (v[(i + 1) % n] - v[i])
-    return BoundaryHit(point=point, facet=i, t=best_t)
+    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+    return i, s, best_t
 
 
-def _psi_box(shape, a, x, r, dist):
-    lo, hi = shape.box
+def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
+    """Exit facet of the ray a->p from an axis-aligned box; (facet, t).
+
+    Facet 2k is the face x_k = lo[k], facet 2k+1 the face x_k = hi[k].  An
+    exit time within a relative 1e-12 of an earlier axis's does not displace
+    it, so edges and corners go to the lowest axis.  t is at least 1."""
     best_t = math.inf
     best_f = -1
-    for axis in range(3):
-        d = r[axis]
-        if d > 1e-300:
-            t = (hi[axis] - a[axis]) / d
-            f = 2 * axis + 1
-        elif d < -1e-300:
-            t = (lo[axis] - a[axis]) / d
-            f = 2 * axis
-        else:
-            continue
-        if t < best_t - 1e-15:
-            best_t = t
-            best_f = f
-        elif abs(t - best_t) <= 1e-12 * max(1.0, abs(best_t)) and f < best_f:
-            best_f = f
-    if best_t < 1 - 1e-9:
-        best_t = 1.0  # x is on the boundary within tolerance
-    point = a + best_t * r
-    point = np.minimum(np.maximum(point, lo), hi)
-    return BoundaryHit(point=point, facet=best_f, t=float(best_t))
+    d = x - ax
+    if d > 1e-300:
+        best_t, best_f = (hi[0] - ax) / d, 1
+    elif d < -1e-300:
+        best_t, best_f = (lo[0] - ax) / d, 0
+    d = y - ay
+    if d > 1e-300:
+        t = (hi[1] - ay) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 3
+    elif d < -1e-300:
+        t = (lo[1] - ay) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 2
+    d = z - az
+    if d > 1e-300:
+        t = (hi[2] - az) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 5
+    elif d < -1e-300:
+        t = (lo[2] - az) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 4
+    if best_t < 1.0:
+        best_t = 1.0
+    return best_f, best_t
 
 
 def _psi3(shape, a, x, r, dist):
@@ -609,56 +651,6 @@ def _sector_min_angles(u, g1, g2):
     return np.where(take, np.minimum(best, _line_plane_angles(u, n)), best)
 
 
-def _boundary_samples(shape, count, rng):
-    """Sample points on the boundary, roughly uniform by length/area."""
-    if shape.dim == 2:
-        v = shape.vertices
-        n = len(v)
-        w = shape._edge_len / shape._edge_len.sum()
-        idx = rng.choice(n, size=count, p=w)
-        s = rng.random(count)
-        pts = v[idx] + s[:, None] * shape._edge_dir[idx]
-        return pts
-    areas = 0.5 * np.linalg.norm(np.cross(shape._tri_e1, shape._tri_e2), axis=1)
-    w = areas / areas.sum()
-    idx = rng.choice(len(areas), size=count, p=w)
-    r1 = np.sqrt(rng.random(count))
-    r2 = rng.random(count)
-    u = 1 - r1
-    v = r1 * (1 - r2)
-    pts = (shape._tri_a[idx] + u[:, None] * shape._tri_e1[idx]
-           + v[:, None] * shape._tri_e2[idx])
-    return pts
-
-
-def _visible_from(shape, a, w):
-    """For each row of w: True if the open segment from a to it stays inside
-    the shape (one segment test per edge in 2D, Moller-Trumbore in 3D)."""
-    visible = np.empty(len(w), dtype=bool)
-    width = shape.facet_count if shape.dim == 2 else 3 * len(shape.triangles)
-    for rows in _row_chunks(len(w), width):
-        r = w[rows] - a
-        dist = np.sqrt(np.einsum("ij,ij->i", r, r))
-        near = dist <= shape.tol
-        dist = np.where(near, 1.0, dist)[:, None]
-        if shape.dim == 2:
-            p0 = shape.vertices
-            e = shape._edge_dir
-            den = r[:, None, 0] * e[:, 1] - r[:, None, 1] * e[:, 0]
-            crossing = np.abs(den) >= 1e-300
-            den = np.where(crossing, den, 1.0)
-            dx, dy = p0[:, 0] - a[0], p0[:, 1] - a[1]
-            t = (dx * e[:, 1] - dy * e[:, 0]) / den
-            s = (dx * r[:, None, 1] - dy * r[:, None, 0]) / den
-            blocked = (crossing & (1e-9 < s) & (s < 1 - 1e-9)
-                       & (shape.tol / dist < t) & (t < 1 - 1e-7))
-        else:
-            t, _, _, valid = _ray_tris(shape, a, r / dist)
-            blocked = valid & (t > shape.tol) & (t < dist * (1 - 1e-7))
-        visible[rows] = near | ~blocked.any(axis=1)
-    return visible
-
-
 def _unit(v):
     n = np.linalg.norm(v)
     if n == 0:
@@ -708,17 +700,6 @@ def _facet_vertex_cones(shape):
     return cones
 
 
-def _sector2_contains(g1, g2, u, tol=1e-9):
-    """True if u is a nonnegative combination of g1, g2 in the plane."""
-    det = g1[0] * g2[1] - g1[1] * g2[0]
-    if abs(det) < 1e-15:
-        return False
-    a = (u[0] * g2[1] - u[1] * g2[0]) / det
-    b = (g1[0] * u[1] - g1[1] * u[0]) / det
-    scale = max(abs(a), abs(b), 1.0)
-    return a >= -tol * scale and b >= -tol * scale
-
-
 # the four generator triples of a four-generator cone
 _CONE_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
@@ -735,24 +716,25 @@ def _cones_contain_line(cones, u, tol=1e-9):
     return bool(np.any(np.all(lam >= -tol, axis=1) | np.all(lam <= tol, axis=1)))
 
 
-def certify_star_centre(shape: StarShape, a, resolution: int = 96) -> Certificate:
+def certify_star_centre(shape: StarShape, a) -> Certificate:
     """Certify that ``a`` is a non-tangential star centre of the shape.
 
-    Exact evaluation at every vertex (against incident facet planes and all
-    planar sectors spanned by incident edge directions) is combined with a
-    randomized sweep over close boundary point pairs and a visibility audit
-    of the vertices and of about 200 of the sampled boundary points.
-    Returns a certificate carrying half the observed minimum angle and the
-    tested chord radius, or raises CertificationFailure.
-
-    The vertex part is stacked per vertex of a polyhedron: the tangency test
-    solves all generator triples of all pairs of facet sub-sectors in one
-    batched call, and the sector angles over all generator pairs of
-    different facets come from one formula.  A tangential direction is
-    reported before a too-small angle, at the first failing vertex.
-    The sweep and the audit are array kernels over all samples at once; they
-    chunk their batches so that no temporary holds more than BATCH_ELEMENTS
-    floats (the 400 x 400 x 3 pair-difference array of the pair sweep).
+    Star test (``_star_test``, exact): every boundary simplex with apex a is
+    positively oriented; a closed, outward-oriented boundary then winds once
+    about a, so every ray from a meets it exactly once.  theta_obs is the
+    least of the vertex term (``_vertex_angle``, exact) and the plane term
+    (``_plane_angle``): a chord inside a facet makes at least the angle
+    asin(h / |w - a|) with the ray at w, h the distance from a to the facet
+    plane, least at the triangle's (2D: edge's) vertex farthest from a.  The
+    edge term adds nothing: along an edge the ray direction moves affinely,
+    chords across the edge point into the wedge of the two incident
+    half-planes, and with a strictly inside both facet planes no ray enters
+    that wedge, so the least angle to it is a plane term.  A polygon's
+    vertex is such an edge of its normal section, so in 2D the vertex term
+    is the plane term of its two edges and no vertex is tangential.
+    Returns half of theta_obs and eps = min(min_feature / 2, diameter / 4),
+    or raises CertificationFailure: at the first simplex failing the star
+    test, then at the first tangential vertex, then below 2 THETA_MIN.
     """
     a = _as_array(a, shape.dim)
     loc = locate(shape, a)
@@ -760,164 +742,102 @@ def certify_star_centre(shape: StarShape, a, resolution: int = 96) -> Certificat
         raise GeometryError("candidate centre lies on the boundary")
     if loc.kind == "exterior":
         raise GeometryError("candidate centre lies outside the shape")
-    resolution = max(8, int(resolution))
-
-    theta_obs = _vertex_angle(shape, a)
-    rng = np.random.default_rng(20250810)
-    count = resolution * max(4, shape.facet_count)
-    pts = _boundary_samples(shape, count, rng)
+    _star_test(shape, a)
+    theta_obs = _plane_angle(shape, a)
+    if shape.dim == 3:
+        theta_obs = min(_vertex_angle(shape, a), theta_obs)
     eps = min(0.5 * shape.min_feature, 0.25 * shape.diameter)
-    theta_obs = min(theta_obs, _chord_sweep_angle(shape, a, pts, eps, rng))
-    _visibility_audit(shape, a, pts[:: max(1, count // 200)])
-
     theta = theta_obs / 2
     if theta < THETA_MIN:
         raise CertificationFailure(f"observed angle too small: {theta_obs:.2e}")
     theta = min(theta, math.pi / 4 - 1e-9)
-    return Certificate(theta=theta, eps=float(eps), resolution=resolution)
+    return Certificate(theta=theta, eps=float(eps))
+
+
+def _det3(u, v, w):
+    return (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def _star_test(shape, a):
+    """Raise CertificationFailure naming the first edge (2D) or triangle (3D)
+    whose simplex with apex a is not positively oriented: in 2D relative to
+    the polygon's own orientation, in 3D to the outward one.  Every sign is
+    decided in Fraction on the float coordinates."""
+    o = [Fraction(c) for c in a.tolist()]
+    v = [[Fraction(c) - oc for c, oc in zip(p, o)] for p in shape.vertices.tolist()]
+    if shape.dim == 2:
+        simplices = [[i, (i + 1) % len(v)] for i in range(len(v))]
+        signs = [v[i][0] * v[j][1] - v[j][0] * v[i][1] for i, j in simplices]
+        if sum(signs) < 0:
+            signs = [-x for x in signs]
+        what = "edge"
+    else:
+        simplices = shape.triangles.tolist()
+        signs = [_det3(v[i], v[j], v[k]) for i, j, k in simplices]
+        what = "triangle"
+    for k, (sign, idx) in enumerate(zip(signs, simplices)):
+        if sign <= 0:
+            raise CertificationFailure(
+                f"star test fails at {what} {k} {shape.vertices[idx].tolist()}: "
+                f"it does not face the centre {a.tolist()}")
+
+
+def _plane_angle(shape, a):
+    """Least angle between the centre ray at a boundary point w and the
+    facet (2D: edge) through w: asin(h / max |v - a|) over the vertices v
+    of each triangle (2D: edge), h the distance from a to its plane."""
+    if shape.dim == 2:
+        p0 = shape.vertices - a
+        p1 = np.roll(shape.vertices, -1, axis=0) - a
+        h = np.abs(p0[:, 0] * p1[:, 1] - p0[:, 1] * p1[:, 0]) / shape._edge_len
+        far = np.maximum(np.hypot(*p0.T), np.hypot(*p1.T))
+    else:
+        n = shape._facet_normal[shape.tri_facet]
+        h = np.abs(np.einsum("ij,ij->i", n, shape._tri_a - a))
+        far = np.linalg.norm(shape.vertices[shape.triangles] - a, axis=2).max(axis=1)
+    return float(np.arcsin(np.minimum(1.0, h / far)).min())
 
 
 def _vertex_angle(shape, a):
-    """Exact part of the certification: the minimum angle between the centre
+    """The vertex term of a polyhedron: the minimum angle between the centre
     ray and the chord directions at every vertex; raises on a tangential
-    chord direction."""
+    chord direction.  The chord-direction limit set at a vertex q is the
+    union over ordered pairs of incident facets (F, F') of the cones
+    cone(F' at q) - cone(F at q); same-facet chords span the facet plane."""
     theta_obs = math.pi / 2
-
-    # exact part at vertices: the chord-direction limit set at a vertex q is
-    # the union over ordered pairs of incident facets (F, F') of the cones
-    # cone(F' at q) - cone(F at q); same-facet chords span the facet plane
-    if shape.dim == 2:
-        v = shape.vertices
-        n = len(v)
-        for i in range(n):
-            q = v[i]
-            u = q - a
-            if np.linalg.norm(u) <= shape.tol:
-                raise CertificationFailure("centre coincides with a vertex")
-            e1 = v[i - 1] - q
-            e2 = v[(i + 1) % n] - q
-            theta_obs = min(theta_obs,
-                            float(_line_angles(u, np.array([e1, e2])).min()))
-            for first, second in ((e1, -e2), (e2, -e1)):
-                if _sector2_contains(first, second, u) or \
-                        _sector2_contains(first, second, -u):
-                    raise CertificationFailure(
-                        f"tangential chord direction at vertex {q}")
-    else:
-        for vi, facet_cones in _facet_vertex_cones(shape).items():
-            q = shape.vertices[vi]
-            u = q - a
-            if np.linalg.norm(u) <= shape.tol:
-                raise CertificationFailure("centre coincides with a vertex")
-            # generators of all incident facets, each labelled by its facet
-            gens = np.concatenate([g for _, g in facet_cones])
-            owner = np.repeat(np.arange(len(facet_cones)),
-                              [len(g) for _, g in facet_cones])
-            # the facet cones may be reflex; membership is tested per convex
-            # sub-sector (consecutive generators of one facet), over all
-            # pairs of sub-sectors of different facets
-            sub = np.flatnonzero(owner[:-1] == owner[1:])
-            jb, ia = np.nonzero(owner[sub][:, None] != owner[sub][None, :])
-            cones = np.stack([gens[sub[jb]], gens[sub[jb] + 1],
-                              -gens[sub[ia]], -gens[sub[ia] + 1]], axis=1)
-            if _cones_contain_line(cones, u):
-                raise CertificationFailure(
-                    f"tangential chord direction at vertex {q}")
-            normals = shape._facet_normal[[fi for fi, _ in facet_cones]]
-            ib, ia = np.nonzero(owner[:, None] != owner[None, :])
-            theta_obs = min(theta_obs,
-                            float(_line_plane_angles(u, normals).min()),
-                            float(_sector_min_angles(u, gens[ib], -gens[ia]).min()))
-            if theta_obs / 2 < THETA_MIN:
-                raise CertificationFailure(
-                    f"vertex angle too small at {q}: {theta_obs:.2e}")
-    return theta_obs
-
-
-def _chord_sweep_angle(shape, a, pts, eps, rng):
-    """Sampled part of the certification: the minimum angle between the
-    centre ray at w and the chords from w shorter than eps, over close pairs
-    (eight random candidates near each point of the first half of ``pts``,
-    projected onto the boundary) and over the pairs of the first 400 points
-    (at most 20000 of them)."""
-    theta_obs = math.pi / 2
-    count = len(pts)
-    # one draw of (count // 2, 8, dim) offsets, taken in row chunks
-    for rows in _row_chunks(count // 2, 8 * shape.dim):
-        first = pts[rows]
-        offsets = rng.random((len(first), 8, shape.dim)) - 0.5
-        local = (first[:, None, :] + offsets * eps).reshape(-1, shape.dim)
-        w = np.repeat(first, 8, axis=0)
-        d = _nearest_boundary_points(shape, local) - w
-        dn = np.linalg.norm(d, axis=1)
-        close = (1e-12 * shape.diameter < dn) & (dn < eps)
-        if np.any(close):
-            theta_obs = min(theta_obs,
-                            float(_line_angles(w[close] - a, d[close]).min()))
-    # random pair sweep
-    diffs = pts[None, : min(count, 400)] - pts[: min(count, 400), None]
-    dn = np.linalg.norm(diffs, axis=2)
-    ii, jj = np.nonzero((dn > 1e-12 * shape.diameter) & (dn < eps))
-    ii, jj = ii[:20000], jj[:20000]
-    if len(ii):
+    for vi, facet_cones in _facet_vertex_cones(shape).items():
+        q = shape.vertices[vi]
+        u = q - a
+        if np.linalg.norm(u) <= shape.tol:
+            raise CertificationFailure("centre coincides with a vertex")
+        # generators of all incident facets, each labelled by its facet
+        gens = np.concatenate([g for _, g in facet_cones])
+        owner = np.repeat(np.arange(len(facet_cones)),
+                          [len(g) for _, g in facet_cones])
+        # the facet cones may be reflex; membership is tested per convex
+        # sub-sector (consecutive generators of one facet), over all pairs
+        # of sub-sectors of different facets
+        sub = np.flatnonzero(owner[:-1] == owner[1:])
+        jb, ia = np.nonzero(owner[sub][:, None] != owner[sub][None, :])
+        cones = np.stack([gens[sub[jb]], gens[sub[jb] + 1],
+                          -gens[sub[ia]], -gens[sub[ia] + 1]], axis=1)
+        if _cones_contain_line(cones, u):
+            raise CertificationFailure(f"tangential chord direction at vertex {q}")
+        normals = shape._facet_normal[[fi for fi, _ in facet_cones]]
+        ib, ia = np.nonzero(owner[:, None] != owner[None, :])
         theta_obs = min(theta_obs,
-                        float(_line_angles(pts[ii] - a, diffs[ii, jj]).min()))
+                        float(_line_plane_angles(u, normals).min()),
+                        float(_sector_min_angles(u, gens[ib], -gens[ia]).min()))
+        if theta_obs / 2 < THETA_MIN:
+            raise CertificationFailure(
+                f"vertex angle too small at {q}: {theta_obs:.2e}")
     return theta_obs
 
 
-def _visibility_audit(shape, a, samples):
-    """Raise CertificationFailure naming the first vertex, then the first
-    boundary sample, that the centre does not see."""
-    probes = np.concatenate([shape.vertices, samples])
-    visible = _visible_from(shape, a, probes)
-    if not np.all(visible):
-        k = int(np.argmin(visible))
-        what = "vertex" if k < len(shape.vertices) else "boundary point"
-        raise CertificationFailure(f"{what} {probes[k]} is not visible from {a}")
-
-
-def _nearest_boundary_points(shape, p):
-    """Closest boundary point to each row of p: over the polygon edges in 2D,
-    over the triangles in 3D (clamped barycentric projection)."""
-    out = np.empty_like(p)
-    if shape.dim == 2:
-        v = shape.vertices
-        ab = shape._edge_dir
-        abab = np.einsum("ij,ij->i", ab, ab)
-        for rows in _row_chunks(len(p), 2 * len(v)):
-            pr = p[rows, None, :]
-            t = np.clip(np.einsum("...j,...j->...", pr - v, ab) / abab, 0.0, 1.0)
-            q = v + t[..., None] * ab
-            k = np.argmin(np.linalg.norm(pr - q, axis=-1), axis=1)
-            out[rows] = q[np.arange(len(k)), k]
-        return out
-    a = shape._tri_a
-    e1 = shape._tri_e1
-    e2 = shape._tri_e2
-    dot11 = np.einsum("ij,ij->i", e1, e1)
-    dot12 = np.einsum("ij,ij->i", e1, e2)
-    dot22 = np.einsum("ij,ij->i", e2, e2)
-    den = dot11 * dot22 - dot12 ** 2
-    for rows in _row_chunks(len(p), 3 * len(a)):
-        pr = p[rows, None, :]
-        d = pr - a
-        dot1p = np.einsum("...j,...j->...", e1, d)
-        dot2p = np.einsum("...j,...j->...", e2, d)
-        u = np.clip((dot22 * dot1p - dot12 * dot2p) / den, 0, 1)
-        v = np.clip((dot11 * dot2p - dot12 * dot1p) / den, 0, 1)
-        s = u + v
-        scale = np.where(s > 1, 1.0 / np.maximum(s, 1e-300), 1.0)
-        u *= scale
-        v *= scale
-        q = a + u[..., None] * e1 + v[..., None] * e2
-        k = np.argmin(np.linalg.norm(q - pr, axis=-1), axis=1)
-        out[rows] = q[np.arange(len(k)), k]
-    return out
-
-
-def attach_certificate(shape: StarShape, resolution: int = 96) -> StarShape:
+def attach_certificate(shape: StarShape) -> StarShape:
     """Certify the shape's own centre and attach the certificate in place."""
-    cert = certify_star_centre(shape, shape.centre, resolution)
+    cert = certify_star_centre(shape, shape.centre)
     shape.certificate = cert
     return shape
 

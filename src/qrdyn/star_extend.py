@@ -14,6 +14,8 @@ Every piece is affine on a few triangles of its patch, so the radial
 extension is affine on the cone from the domain centre over each of them.
 ``AffineCellTable`` compiles a box-domain map into those cells; it evaluates
 the same map with one facet test, one sector test and one affine product.
+The same cells make the boundary map's certificate finite:
+``RadialMap.validate_boundary_map`` checks it exactly on the cell vertices.
 """
 
 from __future__ import annotations
@@ -21,49 +23,37 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (GeometryError, StarShape, locate, psi,
+from .geometry import (GeometryError, StarShape, psi,
                        pick_star_centre_2d, attach_certificate,
-                       _boundary_samples, _row_chunks, _surface_distance)
+                       _det3, _psi_polygon_scalar, _ray_box_scalar)
 
-# Seam agreement tolerance for unit-scale charts; scaled by chart diameter.
+# Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
+# also the relative tolerance of the facet area sums.
 TAU_SEAM = 1e-9
-# Relative round-trip tolerance for the inverse.
-TAU_INV = 1e-8
 
 
 class Frame:
     """Orthonormal coordinates on a plane embedded in R^3."""
 
-    __slots__ = ("origin", "e1", "e2", "normal",
-                 "_ox", "_oy", "_oz", "_e1x", "_e1y", "_e1z",
+    __slots__ = ("_ox", "_oy", "_oz", "_e1x", "_e1y", "_e1z",
                  "_e2x", "_e2y", "_e2z")
 
     def __init__(self, origin, e1, e2):
-        self.origin = np.asarray(origin, dtype=float)
         e1 = np.asarray(e1, dtype=float)
         e2 = np.asarray(e2, dtype=float)
         e1 = e1 / np.linalg.norm(e1)
         e2 = e2 - np.dot(e2, e1) * e1
         e2 = e2 / np.linalg.norm(e2)
-        self.e1 = e1
-        self.e2 = e2
-        self.normal = np.cross(e1, e2)
-        self._ox, self._oy, self._oz = map(float, self.origin)
+        self._ox, self._oy, self._oz = map(float, np.asarray(origin, dtype=float))
         self._e1x, self._e1y, self._e1z = map(float, e1)
         self._e2x, self._e2y, self._e2z = map(float, e2)
 
-    @classmethod
-    def through(cls, p0, p1, p2):
-        p0 = np.asarray(p0, dtype=float)
-        return cls(p0, np.asarray(p1, dtype=float) - p0,
-                   np.asarray(p2, dtype=float) - p0)
-
     def to2d(self, p):
-        """Plane coordinates of p = (x, y, z); the coordinates may be
-        scalars or equal-length arrays."""
+        """Plane coordinates of p = (x, y, z)."""
         dx = p[0] - self._ox
         dy = p[1] - self._oy
         dz = p[2] - self._oz
@@ -93,115 +83,6 @@ def frame_for_polygon(vertices3):
     return Frame(p0, e1, e2)
 
 
-class PlanarLoop:
-    """A planar polygon in R^3, with its plane normal and in-plane frame
-    computed once for containment tests."""
-
-    def __init__(self, loop3):
-        self.loop = [tuple(map(float, p)) for p in loop3]
-        v0 = np.asarray(self.loop[0])
-        n = np.cross(np.asarray(self.loop[1]) - v0, np.asarray(self.loop[-1]) - v0)
-        self._origin = v0
-        self._normal = n / np.linalg.norm(n)
-        self._frame = frame_for_polygon(self.loop)
-        self._pts2 = [self._frame.to2d(w) for w in self.loop]
-
-    def contains(self, pts, tol):
-        """Mask of the rows of pts (shape (N, 3)) within tol of the plane
-        and inside the polygon or within tol of an edge."""
-        pts = np.asarray(pts, dtype=float)
-        on_plane = np.abs((pts - self._origin) @ self._normal) <= tol
-        u, v = self._frame.to2d(pts.T)
-        on_edge = np.zeros(len(pts), dtype=bool)
-        inside = np.zeros(len(pts), dtype=bool)
-        # even-odd with boundary tolerance
-        m = len(self._pts2)
-        for i in range(m):
-            x0, y0 = self._pts2[i]
-            x1, y1 = self._pts2[(i + 1) % m]
-            ex, ey = x1 - x0, y1 - y0
-            ln = math.hypot(ex, ey)
-            d = np.abs((u - x0) * ey - (v - y0) * ex) / ln
-            t = ((u - x0) * ex + (v - y0) * ey) / (ln * ln)
-            on_edge |= (d <= tol) & (-tol <= t) & (t <= 1 + tol)
-            if y0 != y1:
-                xi = x0 + (v - y0) * (x1 - x0) / (y1 - y0)
-                inside ^= ((y0 > v) != (y1 > v)) & (xi > u)
-        return on_plane & (on_edge | inside)
-
-
-# ---------------------------------------------------------------------------
-# scalar helpers for the evaluation hot path
-
-def _psi_polygon_scalar(verts, ax, ay, ux, uy):
-    """Ray (ax,ay)->(ux,uy) against polygon edges; returns (edge, s, t).
-
-    verts is a list of (x, y) floats in loop order.  t is the ray parameter
-    (>= 1 for points in the closed region), s the position along the edge.
-    """
-    rx = ux - ax
-    ry = uy - ay
-    n = len(verts)
-    best_t = math.inf
-    best = None
-    for i in range(n):
-        px, py = verts[i]
-        qx, qy = verts[(i + 1) % n]
-        ex = qx - px
-        ey = qy - py
-        den = rx * ey - ry * ex
-        if den == 0.0:
-            continue
-        dx = px - ax
-        dy = py - ay
-        t = (dx * ey - dy * ex) / den
-        s = (dx * ry - dy * rx) / den
-        if -1e-9 <= s <= 1 + 1e-9 and t >= 1 - 1e-9 and t < best_t - 1e-9:
-            best_t = t
-            best = (i, s)
-    if best is None:
-        raise GeometryError("2D radial ray found no boundary crossing")
-    i, s = best
-    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-    return i, s, best_t
-
-
-def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
-    """Exit facet of the ray a->p from an axis-aligned box; (facet, t).
-
-    Facet 2k is the face x_k = lo[k], facet 2k+1 the face x_k = hi[k].  An
-    exit time within a relative 1e-12 of an earlier axis's does not displace
-    it, so edges and corners go to the lowest axis.  t is at least 1."""
-    best_t = math.inf
-    best_f = -1
-    d = x - ax
-    if d > 1e-300:
-        best_t, best_f = (hi[0] - ax) / d, 1
-    elif d < -1e-300:
-        best_t, best_f = (lo[0] - ax) / d, 0
-    d = y - ay
-    if d > 1e-300:
-        t = (hi[1] - ay) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 3
-    elif d < -1e-300:
-        t = (lo[1] - ay) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 2
-    d = z - az
-    if d > 1e-300:
-        t = (hi[2] - az) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 5
-    elif d < -1e-300:
-        t = (lo[2] - az) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 4
-    if best_t < 1.0:
-        best_t = 1.0
-    return best_f, best_t
-
-
 # ---------------------------------------------------------------------------
 # 2D radial maps and facet pieces
 
@@ -224,39 +105,33 @@ class RadialMap2D:
         self._tol = domain.tol
 
     def eval(self, u, v):
-        ax, ay = self._a
-        bx, by = self._b
-        du = u - ax
-        dv = v - ay
-        if du * du + dv * dv <= self._tol * self._tol:
-            return bx, by
-        i, s, t = _psi_polygon_scalar(self._dverts, ax, ay, u, v)
-        n = len(self._iverts)
-        px, py = self._iverts[i]
-        qx, qy = self._iverts[(i + 1) % n]
-        wx = px + s * (qx - px)
-        wy = py + s * (qy - py)
-        frac = 1.0 / t
-        return bx + frac * (wx - bx), by + frac * (wy - by)
+        return _radial_2d(self._dverts, self._iverts, self._a, self._b,
+                          self._tol, u, v)
 
     def invert(self, w1, w2):
-        ax, ay = self._a
-        bx, by = self._b
-        dw1 = w1 - bx
-        dw2 = w2 - by
-        if dw1 * dw1 + dw2 * dw2 <= self.codomain.tol * self.codomain.tol:
-            return ax, ay
-        j, s, t = _psi_polygon_scalar(self._iverts, bx, by, w1, w2)
-        n = len(self._dverts)
-        px, py = self._dverts[j]
-        qx, qy = self._dverts[(j + 1) % n]
-        xb = px + s * (qx - px)
-        yb = py + s * (qy - py)
-        frac = 1.0 / t
-        return ax + frac * (xb - ax), ay + frac * (yb - ay)
+        return _radial_2d(self._iverts, self._dverts, self._b, self._a,
+                          self.codomain.tol, w1, w2)
 
 
-def build_radial_map_2d(domain_vertices, image_vertices, resolution=64,
+def _radial_2d(src, dst, a, b, tol, u, v):
+    """The radial extension from the polygon src about a to dst about b,
+    at (u, v); the disc of radius tol about a maps to b."""
+    ax, ay = a
+    bx, by = b
+    du = u - ax
+    dv = v - ay
+    if du * du + dv * dv <= tol * tol:
+        return bx, by
+    i, s, t = _psi_polygon_scalar(src, ax, ay, u, v)
+    px, py = dst[i]
+    qx, qy = dst[(i + 1) % len(dst)]
+    wx = px + s * (qx - px)
+    wy = py + s * (qy - py)
+    frac = 1.0 / t
+    return bx + frac * (wx - bx), by + frac * (wy - by)
+
+
+def build_radial_map_2d(domain_vertices, image_vertices,
                         domain_centre=None, image_centre=None):
     """RadialMap2D between two polygons given in corresponding vertex order.
     Centres default to the area centroid, falling back to the visibility
@@ -265,8 +140,8 @@ def build_radial_map_2d(domain_vertices, image_vertices, resolution=64,
     ic = pick_star_centre_2d(image_vertices) if image_centre is None else image_centre
     dom = StarShape.polygon(domain_vertices, dc)
     cod = StarShape.polygon(image_vertices, ic)
-    attach_certificate(dom, resolution)
-    attach_certificate(cod, resolution)
+    attach_certificate(dom)
+    attach_certificate(cod)
     return RadialMap2D(dom, cod)
 
 
@@ -274,7 +149,6 @@ class FacetPiece:
     """One entry of a boundary dispatch table."""
 
     kind = "abstract"
-    region: PlanarLoop           # the piece's planar domain patch
 
     def eval3(self, p):          # p, result: (x, y, z) float tuples
         raise NotImplementedError
@@ -282,29 +156,23 @@ class FacetPiece:
     def invert3(self, q):
         raise NotImplementedError
 
-    def contains_domain_points(self, pts, tol):
-        """Mask of the rows of pts (shape (N, 3)) in the domain patch."""
-        return self.region.contains(pts, tol)
-
-    def domain_boundary_loops(self):
-        """Ordered 3D vertex loops bounding the piece's domain patch."""
-        return [self.region.loop]
-
-    def trace(self, p):
-        """Signature of the smooth sub-region of the piece containing p."""
-        return 0
-
     def affine_cells(self):
-        """(domain triangle, image triangle) pairs of 3D points: the piece is
-        affine on each domain triangle, and together they cover its patch."""
+        """(domain polygon, image polygon) pairs of 3D points, in
+        corresponding order: the piece is affine on each domain polygon (a
+        triangle, or the whole patch of a piece that is affine on it), and
+        together they cover its patch."""
         raise NotImplementedError
+
+
+def _loop(points):
+    return [tuple(map(float, p)) for p in points]
 
 
 class IdentityPiece(FacetPiece):
     kind = "identity"
 
     def __init__(self, loop3):
-        self.region = PlanarLoop(loop3)
+        self.loop = _loop(loop3)
 
     def eval3(self, p):
         return p
@@ -313,8 +181,7 @@ class IdentityPiece(FacetPiece):
         return q
 
     def affine_cells(self):
-        tri = tuple(self.region.loop[:3])
-        return [(tri, tri)]
+        return [(self.loop, self.loop)]
 
 
 class Radial2DPiece(FacetPiece):
@@ -322,16 +189,15 @@ class Radial2DPiece(FacetPiece):
 
     kind = "radial2d"
 
-    def __init__(self, domain_loop3, image_loop3, resolution=64,
+    def __init__(self, domain_loop3, image_loop3,
                  domain_centre2=None, image_centre2=None):
         self.dom_frame = frame_for_polygon(domain_loop3)
         self.img_frame = frame_for_polygon(image_loop3)
-        dom2 = [self.dom_frame.to2d(tuple(map(float, p))) for p in domain_loop3]
-        img2 = [self.img_frame.to2d(tuple(map(float, p))) for p in image_loop3]
-        self.map2d = build_radial_map_2d(dom2, img2, resolution,
-                                         domain_centre2, image_centre2)
-        self.region = PlanarLoop(domain_loop3)
-        self.image_loop = [tuple(map(float, p)) for p in image_loop3]
+        self.domain_loop = _loop(domain_loop3)
+        self.image_loop = _loop(image_loop3)
+        dom2 = [self.dom_frame.to2d(p) for p in self.domain_loop]
+        img2 = [self.img_frame.to2d(p) for p in self.image_loop]
+        self.map2d = build_radial_map_2d(dom2, img2, domain_centre2, image_centre2)
 
     def eval3(self, p):
         u, v = self.dom_frame.to2d(p)
@@ -343,21 +209,11 @@ class Radial2DPiece(FacetPiece):
         u, v = self.map2d.invert(w1, w2)
         return self.dom_frame.to3d(u, v)
 
-    def trace(self, p):
-        u, v = self.dom_frame.to2d(p)
-        m = self.map2d
-        ax, ay = m._a
-        du, dv = u - ax, v - ay
-        if du * du + dv * dv <= m._tol * m._tol:
-            return -1
-        edge, _, _ = _psi_polygon_scalar(m._dverts, ax, ay, u, v)
-        return edge
-
     def affine_cells(self):
         """The cones of the 2D extension from the face centre over each edge."""
         c = self.dom_frame.to3d(*self.map2d._a)
         c_img = self.img_frame.to3d(*self.map2d._b)
-        dom, img = self.region.loop, self.image_loop
+        dom, img = self.domain_loop, self.image_loop
         n = len(dom)
         return [((c, dom[i], dom[(i + 1) % n]), (c_img, img[i], img[(i + 1) % n]))
                 for i in range(n)]
@@ -373,7 +229,6 @@ class AffineTrianglePiece(FacetPiece):
     def __init__(self, dom_tri, img_tri):
         self.dom = np.asarray(dom_tri, dtype=float)
         self.img = np.asarray(img_tri, dtype=float)
-        self.region = PlanarLoop(self.dom)
 
     def _bary(self, tri, p):
         e1 = tri[1] - tri[0]
@@ -384,15 +239,16 @@ class AffineTrianglePiece(FacetPiece):
         u, v = np.linalg.solve(m, rhs)
         return u, v
 
-    def eval3(self, p):
-        u, v = self._bary(self.dom, p)
-        q = self.img[0] + u * (self.img[1] - self.img[0]) + v * (self.img[2] - self.img[0])
+    def _transport(self, src, dst, p):
+        u, v = self._bary(src, p)
+        q = dst[0] + u * (dst[1] - dst[0]) + v * (dst[2] - dst[0])
         return (float(q[0]), float(q[1]), float(q[2]))
 
+    def eval3(self, p):
+        return self._transport(self.dom, self.img, p)
+
     def invert3(self, q):
-        u, v = self._bary(self.img, q)
-        p = self.dom[0] + u * (self.dom[1] - self.dom[0]) + v * (self.dom[2] - self.dom[0])
-        return (float(p[0]), float(p[1]), float(p[2]))
+        return self._transport(self.img, self.dom, q)
 
     def affine_cells(self):
         return [(tuple(map(tuple, self.dom.tolist())),
@@ -402,19 +258,18 @@ class AffineTrianglePiece(FacetPiece):
 class FormulaPiece(FacetPiece):
     """A named closed-form facet map with piecewise-affine structure.
 
-    ``fn`` evaluates the formula; ``triangles`` is a list of
+    ``fn(x, y, z)`` evaluates the formula; ``triangles`` is a list of
     AffineTrianglePiece giving the exact affine restriction to each smooth
-    region, used for inversion and containment."""
+    region, used for inversion and as the piece's cells."""
 
     kind = "formula"
 
-    def __init__(self, fn, triangles, loop3):
+    def __init__(self, fn, triangles):
         self.fn = fn
         self.triangles = triangles
-        self.region = PlanarLoop(loop3)
 
     def eval3(self, p):
-        return self.fn(p)
+        return self.fn(*p)
 
     def invert3(self, q):
         best = None
@@ -426,17 +281,6 @@ class FormulaPiece(FacetPiece):
                 best_def = deficiency
                 best = tri
         return best.invert3(q)
-
-    def trace(self, p):
-        best = 0
-        best_def = math.inf
-        for k, tri in enumerate(self.triangles):
-            u, v = tri._bary(tri.dom, p)
-            deficiency = max(-u, -v, u + v - 1, 0.0)
-            if deficiency < best_def:
-                best_def = deficiency
-                best = k
-        return best
 
     def affine_cells(self):
         return [cell for tri in self.triangles for cell in tri.affine_cells()]
@@ -495,12 +339,6 @@ class DiagonalSelect:
 # ---------------------------------------------------------------------------
 # the 3D radial map
 
-def _pair_distances(p, rows):
-    """Distances from the rows ``rows`` of p to every row of p."""
-    d = p[None, :, :] - p[rows, None, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-
-
 @dataclass
 class ValidationReport:
     passed: bool
@@ -542,14 +380,13 @@ class RadialMap:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, p, with_trace=False):
+    def eval(self, p):
         x, y, z = float(p[0]), float(p[1]), float(p[2])
         dx = x - self._ax
         dy = y - self._ay
         dz = z - self._az
         if dx * dx + dy * dy + dz * dz <= self._ctol * self._ctol:
-            out = (self._bx, self._by, self._bz)
-            return (out, ("centre",)) if with_trace else out
+            return (self._bx, self._by, self._bz)
         if self._lo is not None:
             facet, t = _ray_box_scalar(self._ax, self._ay, self._az,
                                        self._lo, self._hi, x, y, z)
@@ -563,15 +400,12 @@ class RadialMap:
         sel = self.selectors_by_facet.get(facet)
         if sel is None:
             raise GeometryError(f"no boundary piece for facet {facet}")
-        piece, sub = sel.select((hx, hy, hz))
+        piece, _ = sel.select((hx, hy, hz))
         wx, wy, wz = piece.eval3((hx, hy, hz))
         frac = 1.0 / t
-        out = (self._bx + frac * (wx - self._bx),
-               self._by + frac * (wy - self._by),
-               self._bz + frac * (wz - self._bz))
-        if with_trace:
-            return out, ("facet", facet, sub, piece.trace((hx, hy, hz)))
-        return out
+        return (self._bx + frac * (wx - self._bx),
+                self._by + frac * (wy - self._by),
+                self._bz + frac * (wz - self._bz))
 
     def inverse(self, q):
         x, y, z = float(q[0]), float(q[1]), float(q[2])
@@ -591,111 +425,119 @@ class RadialMap:
 
     # -- diagnostics -------------------------------------------------------
 
-    def boundary_eval(self, p):
-        """Value of the boundary map at a boundary point of the domain."""
-        if self._lo is not None:
-            facet, _ = _ray_box_scalar(self._ax, self._ay, self._az,
-                                       self._lo, self._hi,
-                                       float(p[0]), float(p[1]), float(p[2]))
-        else:
-            facet = psi(self.domain, np.asarray(p, dtype=float)).facet
-        piece, _ = self.selectors_by_facet[facet].select(tuple(map(float, p)))
-        return piece.eval3(tuple(map(float, p)))
+    def validate_boundary_map(self) -> ValidationReport:
+        """Exact check of the boundary map on the pieces' affine cells.
 
-    def sample_domain_boundary(self, count, rng):
-        return _boundary_samples(self.domain, count, rng)
-
-    def validate_boundary_map(self, samples=2000, seed=0) -> ValidationReport:
-        rng = np.random.default_rng(seed)
-        pts = self.sample_domain_boundary(samples, rng)
+        For every cell (dom, img) of every piece: the images of dom's
+        vertices by ``piece.eval3`` agree with img, and each cell vertex is
+        mapped alike by every cell that contains it, so images agree along
+        shared edges (``worst_seam_dev``); the images lie in the plane of a
+        codomain facet the piece serves (``worst_boundary_dev``); the image
+        of each cell, ordered positively in its domain facet, is positive
+        in that codomain facet (signs in Fraction); and the cells' areas sum
+        to each domain facet's area, their images' to each codomain facet's.
+        Such a boundary map has degree one on each facet, so it is injective
+        there; with a positive determinant on every cell of the radial
+        extension the chart is a homeomorphism onto its codomain.
+        ``injectivity_violations`` counts the image triangles that are not
+        positive or that lie in a facet whose tiling fails.
+        """
         scale = self.codomain.diameter
         tol_boundary = max(self.codomain.tol * 1e3, 1e-12 * scale)
         tol_seam = TAU_SEAM * max(1.0, scale)
-
-        images = np.array([self.boundary_eval(p) for p in pts], dtype=float)
-        dist, _ = _surface_distance(self.codomain, images)
-        worst_b = float(dist.max(initial=0.0))
-
-        # seam agreement: six points on every edge of every piece, each
-        # evaluated by every piece that claims it
-        seam_pts = []
+        dom_n, dom_d, dom_area = _facet_planes(self.domain)
+        cod_n, cod_d, cod_area = _facet_planes(self.codomain)
+        serves = {}
+        for f, piece in self.piece_by_codomain_facet.items():
+            serves.setdefault(id(piece), []).append(f)
+        worst_b = worst_seam = 0.0
+        tris = []       # (dom triangle, image triangle, domain facet, codomain facet)
         for piece in self.all_pieces:
-            for loop in piece.domain_boundary_loops():
-                m = len(loop)
-                for i in range(m):
-                    p0 = np.asarray(loop[i])
-                    p1 = np.asarray(loop[(i + 1) % m])
-                    seam_pts.append(p0 + rng.random(6)[:, None] * (p1 - p0))
-        seam_pts = np.concatenate(seam_pts)
-        tolc = self.domain.tol * 1e3
-        claims = np.array([other.contains_domain_points(seam_pts, tolc)
-                           for other in self.all_pieces])
-        worst_seam = 0.0
-        for p, owners in zip(seam_pts.tolist(), claims.T):
-            vals = [np.asarray(self.all_pieces[k].eval3(tuple(p)))
-                    for k in np.flatnonzero(owners)]
-            for v in vals[1:]:
-                worst_seam = max(worst_seam, float(np.linalg.norm(v - vals[0])))
+            facets = serves.get(id(piece))
+            if not facets:
+                raise GeometryError(f"piece {piece.kind} serves no codomain facet")
+            for dom, img in piece.affine_cells():
+                dom = np.asarray(dom, dtype=float)
+                got = np.array([piece.eval3(p) for p in map(tuple, dom.tolist())])
+                worst_seam = max(worst_seam,
+                                 float(np.linalg.norm(got - np.asarray(img), axis=1).max()))
+                fd = int(np.argmin(np.abs(dom @ dom_n.T - dom_d).max(axis=0)))
+                devs = [float(np.abs(got @ cod_n[f] - cod_d[f]).max()) for f in facets]
+                k = int(np.argmin(devs))
+                worst_b = max(worst_b, devs[k])
+                tris += [(dom[[0, i, i + 1]], got[[0, i, i + 1]], fd, facets[k])
+                         for i in range(1, len(dom) - 1)]
+        worst_seam = max(worst_seam, _cover_deviation(tris, self.domain.tol * 1e3))
 
-        # empirical injectivity, over row blocks of the pair arrays
-        sep = 1e-3 * self.domain.diameter
-        viol = 0
-        for rows in _row_chunks(len(pts), 3 * len(pts)):
-            d_dom = _pair_distances(pts, rows)
-            d_img = _pair_distances(images, rows)
-            viol += int(np.count_nonzero((d_dom > sep) & (d_img < sep / 10)))
-        viol //= 2
+        sd, ad, si, ai = np.array([_oriented_area(dom_n[fd], dom) + _oriented_area(cod_n[fc], img)
+                                   for dom, img, fd, fc in tris]).T
+        fd, fc = np.array([t[2:] for t in tris]).T
+        bad = sd * si <= 0
+        empty = 0         # facets that no triangle covers
+        for idx, area, signed in ((fd, dom_area, sd * ad), (fc, cod_area, sd * ai)):
+            off = np.abs(np.bincount(idx, signed, len(area)) - area) > TAU_SEAM * area
+            bad |= off[idx]
+            empty += np.count_nonzero(off & (np.bincount(idx, minlength=len(area)) == 0))
+        viol = int(bad.sum() + empty)
 
         passed = (worst_b <= tol_boundary and worst_seam <= tol_seam
                   and viol == 0)
         return ValidationReport(passed=passed, worst_boundary_dev=worst_b,
                                 worst_seam_dev=worst_seam,
-                                injectivity_violations=viol,
+                                injectivity_violations=int(viol),
                                 detail=f"tol_boundary={tol_boundary:.3e} "
                                        f"tol_seam={tol_seam:.3e}")
 
-    def sample_interior(self, count, rng):
-        if self.domain.box is not None:
-            lo, hi = self.domain.box
-            return lo + rng.random((count, 3)) * (hi - lo)
-        out = []
-        lo = self.domain.vertices.min(axis=0)
-        hi = self.domain.vertices.max(axis=0)
-        while len(out) < count:
-            cand = lo + rng.random((count, 3)) * (hi - lo)
-            for c in cand:
-                if locate(self.domain, c).kind == "interior":
-                    out.append(c)
-                    if len(out) == count:
-                        break
-        return np.asarray(out)
 
-    def empirical_bilipschitz(self, pairs=2000, seed=0):
-        rng = np.random.default_rng(seed)
-        xs = self.sample_interior(pairs, rng)
-        ys = self.sample_interior(pairs, rng)
-        l_min = math.inf
-        l_max = 0.0
-        for x, y in zip(xs, ys):
-            d = float(np.linalg.norm(x - y))
-            if d < 1e-9 * self.domain.diameter:
-                continue
-            fx = self.eval(tuple(x))
-            fy = self.eval(tuple(y))
-            r = math.dist(fx, fy) / d
-            l_min = min(l_min, r)
-            l_max = max(l_max, r)
-        return l_min, l_max
+def _facet_planes(shape):
+    """Outward unit normal, plane offset and area of each facet of a 3D
+    shape, from its outward-oriented triangles."""
+    p = shape.vertices[shape.triangles]
+    n = np.zeros((shape.facet_count, 3))
+    np.add.at(n, shape.tri_facet, np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
+    twice_area = np.linalg.norm(n, axis=1)
+    n /= twice_area[:, None]
+    first = shape.vertices[[poly[0] for poly in shape.facet_polys]]
+    return n, np.einsum("ij,ij->i", n, first), twice_area / 2
+
+
+def _oriented_area(normal, tri):
+    """(sign, signed area) of a 3D triangle seen along a unit normal, from
+    normal . ((p1 - p0) x (p2 - p0)) in Fraction."""
+    n, p0, p1, p2 = [[Fraction(c) for c in p] for p in [normal.tolist()] + tri.tolist()]
+    s = _det3(n, [b - a for a, b in zip(p0, p1)], [b - a for a, b in zip(p0, p2)])
+    return (s > 0) - (s < 0), float(s) / 2
+
+
+def _cover_deviation(tris, tol):
+    """Largest distance, over the (dom, img) triangles and every triangle
+    vertex within tol of a domain triangle, between the triangle's affine
+    interpolation at the vertex and the vertex's image in its own triangle."""
+    pts = np.concatenate([dom for dom, *_ in tris])
+    images = np.concatenate([img for _, img, *_ in tris])
+    worst = 0.0
+    for dom, img, *_ in tris:
+        e1, e2 = dom[1] - dom[0], dom[2] - dom[0]
+        n = np.cross(e1, e2)
+        d = pts - dom[0]
+        gram = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
+        u, v = np.linalg.solve(gram, np.stack([d @ e1, d @ e2]))
+        inside = ((np.abs(d @ n) <= tol * np.linalg.norm(n))
+                  & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9))
+        want = img[0] + np.outer(u, img[1] - img[0]) + np.outer(v, img[2] - img[0])
+        dev = np.linalg.norm(want[inside] - images[inside], axis=1)
+        worst = max(worst, float(dev.max(initial=0.0)))
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # the exact piecewise-affine form of a radial map on a box
 
 def _cell_linear_part(a, b, dom, img):
-    """The 3x3 matrix A of the affine map p -> b + A (p - a) that sends each
-    domain triangle vertex dom[i] to img[i]."""
-    d = np.asarray(dom, dtype=float) - np.asarray(a, dtype=float)
-    w = np.asarray(img, dtype=float) - np.asarray(b, dtype=float)
+    """The 3x3 matrix A of the affine map p -> b + A (p - a) that sends the
+    first three domain polygon vertices dom[i] to img[i]."""
+    d = np.asarray(dom[:3], dtype=float) - np.asarray(a, dtype=float)
+    w = np.asarray(img[:3], dtype=float) - np.asarray(b, dtype=float)
     return np.linalg.solve(d, w).T          # rows: A d_i = w_i
 
 
@@ -733,10 +575,10 @@ def _sector_entry(cells, rows, iu, iv):
 class AffineCellTable:
     """A radial map on a box domain as its exact affine cells.
 
-    Each cell is the cone from the domain centre a over one triangle on which
-    the boundary piece is affine (``FacetPiece.affine_cells``); on it the map
-    is p -> b + A (p - a), fixed by a -> b and the triangle's three vertex
-    images.  Evaluation takes the exit facet of the ray from a (as
+    Each cell is the cone from the domain centre a over one polygon on which
+    the boundary piece is affine (``FacetPiece.affine_cells``: a triangle,
+    or a whole face); on it the map is p -> b + A (p - a), fixed by a -> b
+    and the images of three of the polygon's vertices.  Evaluation takes the exit facet of the ray from a (as
     ``RadialMap.eval`` does), the facet's selector for the piece, a sector
     test about the piece's shared vertex for the cell, and one affine
     product.  The centre ball of radius ``domain.tol`` maps to b, as in
@@ -751,6 +593,8 @@ class AffineCellTable:
         self._lo, self._hi = rmap._lo, rmap._hi
         self._ctol2 = rmap._ctol * rmap._ctol
         self.labels = []
+        self.facet_of = []        # the box facet of each cell's polygon
+        self.polygons = []        # each cell's domain polygon, (k, 3)
         linear = []
         self._facets = []
         for facet in range(6):
@@ -767,6 +611,8 @@ class AffineCellTable:
                     linear.append(m)
                     rows.append(tuple(m.ravel().tolist()))
                     self.labels.append(f"facet {facet} piece {k} cell {j}")
+                    self.facet_of.append(facet)
+                    self.polygons.append(np.asarray(dom, dtype=float))
                 entries.append(_sector_entry(cells, rows, iu, iv))
             self._facets.append((sel, entries))
         self.linear = np.array(linear)
@@ -777,6 +623,18 @@ class AffineCellTable:
     def determinants(self):
         """det of each cell's linear part, in ``labels`` order."""
         return np.linalg.det(self.linear)
+
+    def vertex_images(self, facet=None):
+        """(points, images): the polygon vertices of every cell on the box
+        facet ``facet`` (of every cell if None), each with its image under
+        that cell's own affine map."""
+        b = np.asarray(self._b)
+        pts, images = [], []
+        for f, dom, m in zip(self.facet_of, self.polygons, self.linear):
+            if facet is None or f == facet:
+                pts.append(dom)
+                images.append(b + (dom - self._a) @ m.T)
+        return np.concatenate(pts), np.concatenate(images)
 
     def eval(self, x, y, z):
         ax, ay, az = self._a

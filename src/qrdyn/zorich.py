@@ -7,6 +7,11 @@ period 4 in the first two coordinates.  Above a derived level L the shifted
 map F = Id + Z is uniformly expanding on every unit square beam; this module
 derives L, the expansion constant and the dilatation bound from the analytic
 derivative.
+
+An F step from a point with |x1| or |x2| beyond HORIZON raises
+PrecisionLost: there a float's spacing is at least 0.25, so the fold modulo
+the period 4, and with it the sign of the third coordinate, is rounding
+noise.
 """
 
 from __future__ import annotations
@@ -20,6 +25,12 @@ import numpy as np
 INF = math.inf
 # math.exp overflows above this
 _EXP_ARG_MAX = math.log(sys.float_info.max)
+# F steps need |x1|, |x2| at most this: above it the float spacing is >= 0.25
+HORIZON = 2.0 ** 50
+
+
+class PrecisionLost(ArithmeticError):
+    """An F step from a point whose |x1| or |x2| exceeds HORIZON."""
 
 
 def h_pyramid(x1, x2):
@@ -73,6 +84,9 @@ def zorich_eval(x):
 
 
 def F_scalar(x1, x2, x3):
+    if abs(x1) > HORIZON or abs(x2) > HORIZON:
+        raise PrecisionLost(f"F step from ({x1!r}, {x2!r}, {x3!r}) is past the "
+                            f"precision horizon |x1|, |x2| <= 2**50")
     z1, z2, z3 = zorich_scalar(x1, x2, x3)
     return (x1 + z1, x2 + z2, x3 + z3)
 

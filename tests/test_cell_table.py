@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qrdyn.geometry import GeometryError
-from qrdyn.global_map import ConstructionError, certify_cell_orientation
+from qrdyn.global_map import (ConstructionError, cell_dilatations,
+                              certify_cell_orientation)
 from qrdyn.star_extend import AffineCellTable, RadialMap
 
 
@@ -59,6 +60,25 @@ class TestCells:
     def test_min_cell_det(self, build):
         dets = np.concatenate([c.table.determinants() for c in build.g.charts])
         assert build.min_cell_det == float(dets.min()) > 0.0
+
+    def test_dilatation_and_det_against_svd(self, build):
+        m = np.concatenate([c.table.linear for c in build.g.charts])
+        sv = np.linalg.svd(m, compute_uv=False)
+        det = np.linalg.det(m)
+        k = np.maximum(sv[:, 0] ** 3 / det, det / sv[:, -1] ** 3)
+        got = cell_dilatations(build.g.charts)
+        assert len(got) == 141
+        assert np.allclose(got, k, rtol=1e-9, atol=0)
+        assert np.allclose(np.concatenate([c.table.determinants() for c in build.g.charts]),
+                           det, rtol=1e-9, atol=0)
+        assert build.K_slab == float(got.max())
+
+    def test_vertex_images_are_the_radial_images(self, build):
+        for chart in build.g.charts:
+            pts, images = chart.table.vertex_images()
+            want = np.array([chart.map.eval(p) for p in pts.tolist()])
+            assert np.allclose(images, want, rtol=0,
+                               atol=1e-12 * chart.map.codomain.diameter)
 
     def test_table_matches_radial_map(self, build):
         rng = np.random.default_rng(20)

@@ -11,6 +11,7 @@ from qrdyn.dynamics import (LOG_SWITCH, RADIUS_CAP, BigExp, EscapeClass,
                             log_domain_series, max_modulus_estimate,
                             norm_safe, orbit_csv, orbit_magnitudes_bigexp,
                             rates_csv, tower_step)
+from qrdyn.zorich import HORIZON, PrecisionLost, F_scalar
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +287,44 @@ class TestOverflowBands:
         assert classify_escape(fhandle, (0.5, 0.25, 709.9), 5).kind == "radial"
 
 
+class TestPrecisionHorizon:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 2.0 ** 60), st.booleans(), st.booleans())
+    def test_F_step_on_both_sides_of_the_horizon(self, fhandle, build, x, neg, second):
+        x = -x if neg else x
+        start = (0.5, x, build.constants.L + 1.0) if second else \
+            (x, 0.5, build.constants.L + 1.0)
+        c = classify_escape(fhandle, start, 5)
+        rec = iterate(fhandle, start, 5)
+        if abs(x) > HORIZON:
+            with pytest.raises(PrecisionLost):
+                F_scalar(*start)
+            assert c == EscapeClass("precision_lost")
+            assert c.label == "precision_lost"
+            assert rec.reason == "precision_lost" and len(rec.points) == 1
+            assert len(orbit_magnitudes_bigexp(fhandle, start, 5, build.L_prime)) == 1
+        else:
+            F_scalar(*start)
+            assert rec.points[1][2] == fhandle.fn(start)[2]
+            assert c.kind != "precision_lost" or rec.reason == "precision_lost"
+
+    def test_threshold_is_inclusive(self, fhandle, build):
+        L = build.constants.L
+        assert classify_escape(fhandle, (HORIZON, 0.5, L + 1.0), 1).kind != "precision_lost"
+        assert classify_escape(fhandle, (math.nextafter(HORIZON, math.inf), 0.5, L + 1.0),
+                               1).kind == "precision_lost"
+
+    def test_rate_series_stops_at_the_horizon(self, fhandle, build):
+        ks, aks, rec = escape_rate_series(fhandle, (2.0 ** 51, 0.5, build.constants.L + 1), 10)
+        assert ks == [] and rec.reason == "precision_lost"
+
+    def test_identity_steps_past_the_horizon_go_on(self, fhandle):
+        # only F steps lose the fold parity; identity steps stay exact
+        rec = iterate(fhandle, (1e20, -3e18, -1.0), 5)
+        assert rec.reason == "budget"
+        assert classify_escape(fhandle, (1e20, 0.0, -1.0), 5).kind == "quasi_fatou"
+
+
 class TestFloatInputs:
     def test_map_sees_python_floats(self, fmap, build):
         seen = set()
@@ -333,7 +372,10 @@ def _classify_numpy(f, x, n_max, radius_cap=RADIUS_CAP):
     if p[2] < 0:
         return EscapeClass("quasi_fatou", n=0)
     for n in range(1, n_max + 1):
-        nxt = np.asarray(f.fn(tuple(p.tolist())), dtype=float)
+        try:
+            nxt = np.asarray(f.fn(tuple(p.tolist())), dtype=float)
+        except PrecisionLost:
+            return EscapeClass("precision_lost")
         if not np.all(np.isfinite(nxt)):
             return EscapeClass("radial")
         if nxt[2] < 0:
@@ -357,7 +399,11 @@ def _iterate_numpy(map_handle, x0, k_max, radius_cap=RADIUS_CAP, stop_on_h0=Fals
     reason = "budget"
     surrogate_from = None
     for k in range(1, k_max + 1):
-        nxt = np.asarray(map_handle.fn(tuple(x.tolist())), dtype=float)
+        try:
+            nxt = np.asarray(map_handle.fn(tuple(x.tolist())), dtype=float)
+        except PrecisionLost:
+            reason = "precision_lost"
+            break
         if not np.all(np.isfinite(nxt)):
             reason = "nonfinite"
             break

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from qrdyn import geometry
 from qrdyn.geometry import (CertificationFailure, GeometryError, StarShape,
-                            THETA_MIN, _boundary_samples, _chord_sweep_angle,
-                            _facet_vertex_cones, _line_angles, _unit,
-                            _vertex_angle, _visible_from, attach_certificate,
-                            certify_star_centre, local_lipschitz_constants,
-                            locate, psi, pick_star_centre_2d, polygon_kernel)
+                            THETA_MIN, _facet_vertex_cones, _line_angles,
+                            _plane_angle, _unit, _vertex_angle,
+                            attach_certificate, certify_star_centre,
+                            local_lipschitz_constants, locate, psi,
+                            pick_star_centre_2d, polygon_kernel)
 
 
 def cube(a=(0.0, 0.0, 0.0)):
@@ -64,6 +64,40 @@ class TestLocate:
         assert locate(sq, (0.2, -0.3)).kind == "interior"
         assert locate(sq, (1.0, 0.5)).kind == "boundary"
         assert locate(sq, (1.5, 0.0)).kind == "exterior"
+
+
+# the 6-vertex triangulation of the real projective plane: closed, each edge
+# in two triangles, and not orientable
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+       (1, 3, 2), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 4)]
+
+
+def _outward_volumes(shape):
+    t = shape.vertices[shape.triangles] - shape.centre
+    return np.linalg.det(t)
+
+
+class TestOrientation:
+    def test_mixed_facet_loops_are_oriented_outward(self):
+        # the cube with every other facet loop reversed
+        lo_hi = StarShape.cuboid([-1, -1, -1], [1, 1, 1])
+        polys = [p[::-1] if i % 2 else p for i, p in enumerate(lo_hi.facet_polys)]
+        shape = StarShape.polyhedron(lo_hi.vertices, polys, (0.2, -0.1, 0.3))
+        assert np.all(_outward_volumes(shape) > 0)
+        edges = [e for t in shape.triangles.tolist() for e in zip(t, t[1:] + t[:1])]
+        assert sorted(edges) == sorted((b, a) for a, b in edges)
+
+    def test_chart_codomains_face_their_centres(self, build):
+        for chart in build.g.charts:
+            assert np.all(_outward_volumes(chart.map.codomain) > 0), chart.cell_id
+
+    def test_open_or_non_orientable_surface_rejected(self):
+        cube_ = StarShape.cuboid([-1, -1, -1], [1, 1, 1])
+        with pytest.raises(GeometryError, match="not closed or not orientable"):
+            StarShape.polyhedron(cube_.vertices, cube_.facet_polys[:-1], (0, 0, 0))
+        rng = np.random.default_rng(0)
+        with pytest.raises(GeometryError, match="not closed or not orientable"):
+            geometry._orient_outward(rng.random((6, 3)), RP2)
 
 
 class TestPsi:
@@ -133,24 +167,17 @@ class TestCertification:
     CUBE_MIN_ANGLE = math.atan(1.0 / math.sqrt(2.0))
 
     def test_cube_certificate_value(self):
-        cert = certify_star_centre(cube(), (0, 0, 0), resolution=64)
-        assert cert.theta == pytest.approx(self.CUBE_MIN_ANGLE / 2, rel=0.02)
-        assert cert.theta >= 0.3
+        cert = certify_star_centre(cube(), (0, 0, 0))
+        assert cert.theta == pytest.approx(self.CUBE_MIN_ANGLE / 2, rel=1e-12)
 
     def test_off_centre_gives_smaller_angle(self):
-        c0 = certify_star_centre(cube(), (0, 0, 0), resolution=48)
-        c1 = certify_star_centre(cube(), (0.99, 0, 0), resolution=48)
+        c0 = certify_star_centre(cube(), (0, 0, 0))
+        c1 = certify_star_centre(cube(), (0.99, 0, 0))
         assert c1.theta < c0.theta
 
     def test_exterior_centre_rejected(self):
         with pytest.raises(GeometryError):
             certify_star_centre(cube(), (3, 0, 0))
-
-    def test_resolution_doubling_stability(self):
-        for shape in (cube(), StarShape.polygon(PENTAGON, pick_star_centre_2d(PENTAGON))):
-            c1 = certify_star_centre(shape, shape.centre, resolution=48)
-            c2 = certify_star_centre(shape, shape.centre, resolution=96)
-            assert abs(c2.theta - c1.theta) <= 0.05 * c1.theta
 
     def test_nonconvex_pentagon_needs_kernel_centre(self):
         # the area centroid of this pentagon does not see the whole boundary;
@@ -159,7 +186,7 @@ class TestCertification:
         assert kern, "kernel should be nonempty"
         centre = pick_star_centre_2d(PENTAGON)
         shape = StarShape.polygon(PENTAGON, centre)
-        cert = certify_star_centre(shape, centre, resolution=48)
+        cert = certify_star_centre(shape, centre)
         assert cert.theta > 0.01
         # kernel of this pentagon sits high: x3 >= 3 + 0.25*(x2 - 2)
         assert centre[1] >= 3.0
@@ -170,7 +197,7 @@ class TestLipschitz:
         shape = cube()
         shape.certificate = None
         from qrdyn.geometry import Certificate
-        shape.certificate = Certificate(theta=0.6, eps=1.0, resolution=1)
+        shape.certificate = Certificate(theta=0.6, eps=1.0)
         eta, T = local_lipschitz_constants(shape)
         s = math.sin(0.3)
         assert T == pytest.approx(2.0 / s * math.sqrt(3.0), rel=1e-12)
@@ -185,7 +212,7 @@ class TestLipschitz:
         PENTAGON, pick_star_centre_2d(PENTAGON))])
     def test_psi_local_lipschitz_bound(self, make):
         shape = make()
-        attach_certificate(shape, resolution=48)
+        attach_certificate(shape)
         eta, T = local_lipschitz_constants(shape)
         a = shape.centre
         rng = np.random.default_rng(7)
@@ -220,72 +247,41 @@ class TestLipschitz:
 
 
 # ---------------------------------------------------------------------------
-# plain per-point oracles for the batched certification kernels
+# brute-force oracles for the exact certificate
 
-def _nearest_oracle(shape, p):
-    """Closest boundary point by a loop over the edges (2D) or the triangles
-    (3D, with the same clamped barycentric projection as the kernel)."""
-    best_d, best_q = math.inf, None
+def _boundary_grid(shape, k):
+    """The points of a grid of step 1/k on every edge (2D) or, in barycentric
+    coordinates, on every surface triangle (3D)."""
+    v = shape.vertices
     if shape.dim == 2:
-        v = shape.vertices
-        n = len(v)
-        for i in range(n):
-            ab = v[(i + 1) % n] - v[i]
-            t = min(1.0, max(0.0, float(np.dot(p - v[i], ab) / np.dot(ab, ab))))
-            q = v[i] + t * ab
-            d = float(np.linalg.norm(p - q))
-            if d < best_d:
-                best_d, best_q = d, q
-        return best_q
-    for a0, e1, e2 in zip(shape._tri_a, shape._tri_e1, shape._tri_e2):
-        d = p - a0
-        d11, d12, d22 = e1 @ e1, e1 @ e2, e2 @ e2
-        den = d11 * d22 - d12 * d12
-        u = min(1.0, max(0.0, (d22 * (e1 @ d) - d12 * (e2 @ d)) / den))
-        v = min(1.0, max(0.0, (d11 * (e2 @ d) - d12 * (e1 @ d)) / den))
-        if u + v > 1.0:
-            u, v = u / (u + v), v / (u + v)
-        q = a0 + u * e1 + v * e2
-        dist = float(np.linalg.norm(q - p))
-        if dist < best_d:
-            best_d, best_q = dist, q
-    return best_q
+        s = np.linspace(0.0, 1.0, k + 1)[:, None]
+        return np.concatenate([v[i] + s * (np.roll(v, -1, axis=0)[i] - v[i])
+                               for i in range(len(v))])
+    ij = np.array([(i, j) for i in range(k + 1) for j in range(k + 1 - i)]) / k
+    tri = v[shape.triangles]
+    return np.concatenate([t[0] + ij[:, :1] * (t[1] - t[0]) + ij[:, 1:] * (t[2] - t[0])
+                           for t in tri])
 
 
-def _angle_oracle(u, d):
-    nu, nd = np.linalg.norm(u), np.linalg.norm(d)
-    if nu == 0.0 or nd == 0.0:
-        return math.pi / 2
-    return math.acos(min(1.0, abs(float(np.dot(u, d))) / (nu * nd)))
-
-
-def _sweep_oracle(shape, a, resolution):
-    """The sampled chord sweep, one candidate and one pair at a time."""
-    rng = np.random.default_rng(20250810)
-    count = resolution * max(4, shape.facet_count)
-    pts = _boundary_samples(shape, count, rng)
+def _chord_oracle(shape, a, k):
+    """Least angle between the centre ray at w and the chord w -> w', over
+    all pairs of grid points (``_boundary_grid``) closer than the
+    certificate's eps."""
+    pts = _boundary_grid(shape, k)
     eps = min(0.5 * shape.min_feature, 0.25 * shape.diameter)
-    lo = 1e-12 * shape.diameter
-    theta = math.pi / 2
-    for w in pts[: count // 2]:
-        for cand in w + (rng.random((8, shape.dim)) - 0.5) * eps:
-            d = _nearest_oracle(shape, cand) - w
-            if lo < np.linalg.norm(d) < eps:
-                theta = min(theta, _angle_oracle(w - a, d))
-    m = min(count, 400)
-    pairs = 0
-    for i in range(m):
-        for j in range(m):
-            d = pts[j] - pts[i]
-            if pairs < 20000 and lo < np.linalg.norm(d) < eps:
-                theta = min(theta, _angle_oracle(pts[i] - a, d))
-                pairs += 1
-    return theta
+    best = math.pi / 2
+    for w in pts:
+        d = pts - w
+        dn = np.linalg.norm(d, axis=1)
+        close = (dn > 1e-12 * shape.diameter) & (dn < eps)
+        if np.any(close):
+            best = min(best, float(_line_angles(w - a, d[close]).min()))
+    return best
 
 
 def _visible_oracle(shape, a, w):
     """The visibility test of one segment a -> w, edge by edge (2D) or
-    triangle by triangle (3D), with the kernel's tolerances."""
+    triangle by triangle (3D)."""
     r = w - a
     dist = float(np.linalg.norm(r))
     if dist <= shape.tol:
@@ -319,6 +315,20 @@ def _visible_oracle(shape, a, w):
     return True
 
 
+def _first_backward_simplex(shape, a):
+    """Index of the first edge (2D) or triangle (3D) whose simplex with apex
+    a has a non-positive orientation, in floats."""
+    v = shape.vertices - a
+    if shape.dim == 2:
+        w = np.roll(v, -1, axis=0)
+        vol = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
+        vol = vol * np.sign(vol.sum())
+    else:
+        t = v[shape.triangles]
+        vol = np.linalg.det(t)
+    return int(np.flatnonzero(vol <= 0)[0])
+
+
 # a U-shaped polygon and an L-shaped prism; centres in one arm do not see
 # the other arm
 U_SHAPE = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]
@@ -335,65 +345,64 @@ def l_prism(centre):
 
 class TestBatchedCertification:
     @pytest.mark.parametrize("which", ["pentagon", "cube", "aprime"])
-    def test_sweep_matches_per_pair_oracle(self, which, request):
+    def test_theta_below_brute_force_chord_minimum(self, which, request):
         if which == "pentagon":
             shape = StarShape.polygon(PENTAGON, pick_star_centre_2d(PENTAGON))
         elif which == "cube":
             shape = cube()
         else:
             shape = request.getfixturevalue("build").g.by_id["A'"].map.codomain
-        a, res = shape.centre, 24
-        oracle = _sweep_oracle(shape, a, res)
-        rng = np.random.default_rng(20250810)
-        count = res * max(4, shape.facet_count)
-        pts = _boundary_samples(shape, count, rng)
-        eps = min(0.5 * shape.min_feature, 0.25 * shape.diameter)
-        swept = _chord_sweep_angle(shape, a, pts, eps, rng)
-        assert swept == pytest.approx(oracle, rel=1e-12)
-        cert = certify_star_centre(shape, a, resolution=res)
-        expected = min(min(_vertex_angle(shape, a), oracle) / 2,
-                       math.pi / 4 - 1e-9)
-        assert cert.theta == pytest.approx(expected, rel=1e-12)
+        a = shape.centre
+        cert = certify_star_centre(shape, a)
+        theta_obs = _plane_angle(shape, a)
+        if shape.dim == 3:
+            theta_obs = min(theta_obs, _vertex_angle(shape, a))
+        assert cert.theta == min(theta_obs / 2, math.pi / 4 - 1e-9)
+        brute = _chord_oracle(shape, a, 24 if shape.dim == 2 else 6)
+        assert theta_obs <= brute * (1 + 1e-12)
+
+    @pytest.mark.parametrize("make, visible", [
+        (lambda: StarShape.polygon(U_SHAPE, (0.5, 2.0)), None),
+        (lambda: l_prism((2.5, 0.5, 0.5)), lambda: l_prism((0.5, 0.5, 0.5)))],
+        ids=["u_polygon", "l_prism"])
+    def test_visibility_kernel_matches_oracle(self, make, visible):
+        # the star test passes exactly where the centre sees every grid point
+        # of the boundary
+        for shape in (make(), visible and visible()):
+            if shape is None:
+                continue
+            a = shape.centre
+            probes = _boundary_grid(shape, 8)
+            seen = all(_visible_oracle(shape, a, w) for w in probes)
+            try:
+                certify_star_centre(shape, a)
+                passed = True
+            except CertificationFailure as err:
+                assert "star test" in str(err)
+                passed = False
+            assert passed == seen
 
     @pytest.mark.parametrize("make", [
         lambda: StarShape.polygon(U_SHAPE, (0.5, 2.0)),
         lambda: l_prism((2.5, 0.5, 0.5))], ids=["u_polygon", "l_prism"])
-    def test_visibility_kernel_matches_oracle(self, make):
+    def test_hidden_centre_fails_visibility_audit(self, make):
+        # the star test is the exact visibility audit: it rejects these
+        # centres before the vertex term, naming the first simplex that does
+        # not face the centre
         shape = make()
-        a = shape.centre
-        probes = np.concatenate([shape.vertices, _boundary_samples(
-            shape, 300, np.random.default_rng(1))])
-        expected = [_visible_oracle(shape, a, w) for w in probes]
-        assert list(_visible_from(shape, a, probes)) == expected
-        assert not all(expected) and any(expected)
-
-    @pytest.mark.parametrize("make", [
-        lambda: StarShape.polygon(U_SHAPE, (0.5, 2.0)),
-        lambda: l_prism((2.5, 0.5, 0.5))], ids=["u_polygon", "l_prism"])
-    def test_hidden_centre_fails_visibility_audit(self, make, monkeypatch):
-        # the exact vertex part rejects these centres first; without it the
-        # audit must still reject them, naming the first hidden probe
-        shape = make()
-        a = shape.centre
-        with pytest.raises(CertificationFailure, match="tangential"):
-            certify_star_centre(shape, a, resolution=24)
-        monkeypatch.setattr(geometry, "_vertex_angle",
-                            lambda shape, a: math.pi / 2)
-        count = 24 * max(4, shape.facet_count)
-        pts = _boundary_samples(shape, count, np.random.default_rng(20250810))
-        probes = np.concatenate([shape.vertices, pts[:: max(1, count // 200)]])
-        first = next(w for w in probes if not _visible_oracle(shape, a, w))
+        k = _first_backward_simplex(shape, shape.centre)
+        what = "edge" if shape.dim == 2 else "triangle"
         with pytest.raises(CertificationFailure,
-                           match=re.escape(f"{first} is not visible")):
-            certify_star_centre(shape, a, resolution=24)
+                           match=re.escape(f"star test fails at {what} {k} ")):
+            certify_star_centre(shape, shape.centre)
 
     def test_small_batches_give_the_same_certificate(self, monkeypatch):
         shapes = [cube(), StarShape.polygon(PENTAGON, pick_star_centre_2d(PENTAGON)),
                   l_prism((0.5, 0.5, 0.5))]
-        whole = [certify_star_centre(s, s.centre, resolution=24) for s in shapes]
+        whole = [certify_star_centre(s, s.centre) for s in shapes]
         monkeypatch.setattr(geometry, "BATCH_ELEMENTS", 50)
         for shape, cert in zip(shapes, whole):
-            assert certify_star_centre(shape, shape.centre, resolution=24) == cert
+            assert certify_star_centre(shape, shape.centre) == cert
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import math
+import types
 
 import numpy as np
 import pytest
@@ -180,8 +182,27 @@ class TestShiftedMap:
             assert fmap.eval(x)[2] <= -1.0 + 1e-9
 
     def test_rederive_translation_constant(self, gmap, build):
-        lp = derive_translation_constant(gmap, samples=2000, seed=3)
+        lp = derive_translation_constant(gmap)
         assert lp == build.L_prime
+
+    def test_raised_vertex_image_rejected(self, gmap):
+        # scale one cell of A' so that one of its vertex images rises above
+        # the highest image vertex of the chart
+        chart = copy.copy(gmap.by_id["A'"])
+        table = copy.copy(chart.table)
+        table.linear = table.linear.copy()
+        k = int(np.argmax(table.vertex_images()[1][:, 2]))
+        cell = next(j for j, dom in enumerate(table.polygons)
+                    if k < sum(len(p) for p in table.polygons[:j + 1]))
+        table.linear[cell] *= 1.5
+        chart.table = table
+        top = float(chart.map.codomain.vertices[:, 2].max())
+        raised = types.SimpleNamespace(mode="g", charts=[chart], max_image_height=top)
+        assert derive_translation_constant(
+            types.SimpleNamespace(mode="g", charts=[gmap.by_id["A'"]],
+                                  max_image_height=top)) == top + 1.0
+        with pytest.raises(ConstructionError, match="A'"):
+            derive_translation_constant(raised)
 
 
 class TestInverse:
@@ -209,20 +230,59 @@ class TestInverse:
         assert worst <= 1e-8
 
 
+SEAM_KEYS = {"identity/slab x3=0", "slab/F x3=L", "A'/A'' x3=1", "cells x1=1",
+             "cells x2=1", "reflection x1=2", "reflection x2=2",
+             "translation x1=0", "translation x2=0"}
+
+
 class TestAudits:
     def test_seams(self, gmap):
-        rep = audit_seams(gmap, samples=800, seed=0)
+        rep = audit_seams(gmap)
         assert rep.passed, rep.per_interface
+        assert set(rep.per_interface) == SEAM_KEYS
+        assert rep.worst_scaled <= 1e-12
 
     def test_orientation(self, gmap):
-        rep = audit_orientation(gmap, samples_per_chart=300, seed=0)
+        rep = audit_orientation(gmap)
         assert rep.passed
         assert rep.min_det > 0
+        dets = {c.cell_id: np.linalg.det(c.table.linear).min() for c in gmap.charts}
+        assert rep.per_chart == pytest.approx(dets, rel=1e-12)
+        assert rep.min_det == pytest.approx(0.0648648649, rel=1e-9)
+        assert rep.samples == 141
 
     def test_dilatation_report(self, gmap):
-        rep = audit_dilatation(gmap, samples=300, seed=0)
+        rep = audit_dilatation(gmap)
         assert math.isfinite(rep.k_sup)
         assert rep.k_sup >= rep.k_median >= 1.0
+        assert rep.k_sup == pytest.approx(1.72e6, rel=1e-2)
+        assert rep.samples == 141
+
+    def test_audits_accept_the_benchmark_arguments(self, gmap):
+        # the benchmark passes sample counts and seeds; the exact audits
+        # ignore them
+        assert audit_seams(gmap, samples=200, seed=5) == audit_seams(gmap)
+        assert (audit_orientation(gmap, samples_per_chart=75, seed=5)
+                == audit_orientation(gmap))
+        assert audit_dilatation(gmap, samples=100, seed=5) == audit_dilatation(gmap)
+
+    def test_perturbed_cell_breaks_a_seam(self, gmap):
+        # lift the vertex images of one A''1 cell on the face x1 = 1
+        charts = {c.cell_id: c for c in gmap.charts}
+        chart = copy.copy(charts["A''1"])
+        table = copy.copy(chart.table)
+        cell = table.facet_of.index(1)
+        table.polygons = list(table.polygons)
+        table.linear = table.linear.copy()
+        table.linear[cell] = table.linear[cell] * 1.01
+        chart.table = table
+        charts["A''1"] = chart
+        broken = copy.copy(gmap)
+        broken.charts = list(charts.values())
+        broken._cells = [charts[f"A''{i}"] for i in (1, 2, 3, 4)]
+        rep = audit_seams(broken)
+        assert not rep.passed
+        assert rep.per_interface["cells x1=1"] > 1e-3
 
     def test_boundary_map_validations(self, build):
         for cid, rep in build.validations.items():
