@@ -462,20 +462,29 @@ def orbit_magnitudes_bigexp(f: MapHandle, x, count: int, translate: float):
     return out
 
 
+# mhat_tower samples M(r) up to this radius and bounds it by e^r beyond
+_DIRECT_LIMIT = 500.0
+
+
 def mhat_tower(map_handle: MapHandle, R: float, count: int, samples: int = 2000,
-               seed: int = 0, direct_limit: float = 500.0):
+               seed: int = 0, direct_limit: float = _DIRECT_LIMIT):
     """Iterates of the sampled maximum modulus as BigExp values.
 
     Beyond the radius range where sampling is meaningful the step uses the
     conservative lower bound M(r) >= e^r (valid on the vertical axis once
     r exceeds the downward translation), keeping the fast-escape test
     one-sided."""
+    return _mhat_steps(lambda r: max_modulus_estimate(map_handle, r, samples, seed),
+                       R, count, direct_limit)
+
+
+def _mhat_steps(estimate, R, count, direct_limit):
+    """``mhat_tower`` with the estimate of M(r) given as estimate(r)."""
     m = BigExp.from_float(R)
     out = [m]
     for _ in range(count):
         if m.depth == 0 and m.head <= direct_limit:
-            est = max_modulus_estimate(map_handle, m.head, samples, seed)
-            m = BigExp.from_float(max(est, m.head))
+            m = BigExp.from_float(max(estimate(m.head), m.head))
         else:
             m = m.exp()
         out.append(m)
@@ -485,12 +494,16 @@ def mhat_tower(map_handle: MapHandle, R: float, count: int, samples: int = 2000,
 def fast_escape_test(f: MapHandle, x, R: float, ell_max: int = 4,
                      k_max: int = 12, samples: int = 2000,
                      seed: int = 0) -> FastEscapeResult:
-    """Least ell with |f^{k+ell}(x)| >= Mhat^k(R) for all k <= k_max."""
+    """Least ell with |f^{k+ell}(x)| >= Mhat^k(R) for all k <= k_max.
+    M(R) is estimated once, for the precondition and the tower's first
+    step."""
     mhat_R = max_modulus_estimate(f, R, samples, seed)
     if mhat_R <= R:
         raise ValueError("R fails the growth precondition M(R) > R")
     orbit = orbit_magnitudes_bigexp(f, x, k_max + ell_max, f.translate)
-    tower = mhat_tower(f, R, k_max, samples, seed)
+    tower = _mhat_steps(
+        lambda r: mhat_R if r == R else max_modulus_estimate(f, r, samples, seed),
+        R, k_max, _DIRECT_LIMIT)
     for ell in range(ell_max + 1):
         if k_max + ell >= len(orbit):
             break

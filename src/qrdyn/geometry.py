@@ -3,7 +3,8 @@
 Shapes are simple polygons (2D) or watertight triangulated polyhedra (3D)
 that are star-shaped with respect to a designated centre.  The module
 provides membership classification, the ray-to-boundary projection psi
-(send x to the boundary point hit by the ray from the centre through x),
+(send x to the boundary point hit by the ray from the centre through x;
+on a polyhedron, a scan of cone frames precomputed per surface triangle),
 an exact certificate that a centre is a non-tangential star centre (rays
 meet the boundary once, at angles bounded away from zero), and the local
 Lipschitz constants of psi that follow from such a certificate.
@@ -85,7 +86,7 @@ def _as_array(x, dim):
     a = np.asarray(x, dtype=float)
     if a.shape != (dim,):
         raise GeometryError(f"expected a {dim}-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a.tolist())):
         raise GeometryError("non-finite coordinates are not admitted")
     return a
 
@@ -167,6 +168,8 @@ class StarShape:
         self._tri_a = self.vertices[t[:, 0]]
         self._tri_e1 = self.vertices[t[:, 1]] - self._tri_a
         self._tri_e2 = self.vertices[t[:, 2]] - self._tri_a
+        self._cones, self._star = _cone_frames(self.vertices[t] - self.centre,
+                                               self.tri_facet)
         edge_lens = [np.linalg.norm(self.vertices[p[i]] - self.vertices[p[i - 1]])
                      for p in self.facet_polys for i in range(len(p))]
         self.min_feature = float(min(edge_lens))
@@ -500,29 +503,88 @@ def _ray_tris(shape, origin, direction):
 def psi(shape: StarShape, x) -> BoundaryHit:
     """Boundary point hit by the ray from the star centre through x.
 
-    Defined on closure(shape) minus the centre; boundary points map to
-    themselves.  Ties on shared facet boundaries go to the lowest facet id.
+    Defined on closure(shape) minus the centre: the nearest crossing at or
+    beyond x, so boundary points map to themselves with t = 1.  Ties on
+    shared facet boundaries go to the lowest facet id.  The centre and
+    exterior points raise GeometryError.  On a polyhedron that is not a box
+    the crossing comes from the cone frames of its surface triangles about
+    the centre (``_psi_cones``), in Python floats.  The slab charts'
+    ``AffineCellTable`` evaluates and inverts them; its inverse takes the
+    codomain facet from psi.
     """
     x = _as_array(x, shape.dim)
+    if shape.dim == 3 and shape.box is None:
+        return _psi_cones(shape, x)
     a = shape.centre
     r = x - a
-    dist = float(np.linalg.norm(r))
-    if dist <= shape.tol:
+    if float(np.linalg.norm(r)) <= shape.tol:
         raise GeometryError("psi is undefined at the star centre")
-    loc = locate(shape, x)
-    if loc.kind == "exterior":
+    if locate(shape, x).kind == "exterior":
         raise GeometryError("psi called on an exterior point")
     if shape.dim == 2:
         v = shape.vertices
         i, s, t = _psi_polygon_scalar(v.tolist(), *a.tolist(), *x.tolist())
         return BoundaryHit(point=v[i] + s * (v[(i + 1) % len(v)] - v[i]),
                            facet=i, t=t)
-    if shape.box is not None:
-        lo, hi = shape.box
-        facet, t = _ray_box_scalar(*a.tolist(), lo.tolist(), hi.tolist(),
-                                   *x.tolist())
-        return BoundaryHit(point=np.clip(a + t * r, lo, hi), facet=facet, t=t)
-    return _psi3(shape, a, x, r, dist)
+    lo, hi = shape.box
+    facet, t = _ray_box_scalar(*a.tolist(), lo.tolist(), hi.tolist(),
+                               *x.tolist())
+    return BoundaryHit(point=np.clip(a + t * r, lo, hi), facet=facet, t=t)
+
+
+def _cone_frames(rel, tri_facet):
+    """([(frame, facet)], star): for each surface triangle whose vertices
+    rel[i] (relative to the centre) span a cone, the rows of the inverse of
+    the matrix with columns rel[i] as a 9-tuple of floats, so that
+    lambda = frame (x - centre) writes x - centre in the cone's generators;
+    and whether every such matrix has a positive determinant, as for a
+    centre that passes the star test."""
+    m = np.swapaxes(rel, 1, 2)
+    det = np.linalg.det(m)
+    size = np.prod(np.linalg.norm(rel, axis=2), axis=1)
+    keep = np.abs(det) > 1e-12 * size
+    frames = np.linalg.inv(m[keep]).reshape(-1, 9).tolist()
+    return ([(tuple(f), int(k)) for f, k in zip(frames, tri_facet[keep])],
+            bool(np.all(det > 0.0)))
+
+
+def _psi_cones(shape, x):
+    """psi on a polyhedron from the cone frames of its surface triangles.
+
+    With lambda = frame (x - c) >= 0 (barycentric slack 1e-9, as a fraction
+    of sum(lambda)) the ray from c through x crosses the triangle at
+    c + (x - c) / sum(lambda).  Of the crossings at or beyond x (within
+    4 tol) the nearest wins; the triangles come in facet order, so a later
+    crossing displaces it only if nearer by more than a relative 1e-12 plus
+    tol, and ties go to the lowest facet.  A crossing within 4 tol of x
+    gives t = 1.  On a shape star-shaped about c there is one crossing, and
+    none at or beyond x means x is exterior; on other shapes ``locate``
+    decides that."""
+    cx, cy, cz = shape.centre.tolist()
+    px, py, pz = x.tolist()
+    rx, ry, rz = px - cx, py - cy, pz - cz
+    d = math.sqrt(rx * rx + ry * ry + rz * rz)
+    tol = shape.tol
+    if d <= tol:
+        raise GeometryError("psi is undefined at the star centre")
+    if not shape._star and locate(shape, x).kind == "exterior":
+        raise GeometryError("psi called on an exterior point")
+    s_max = d / (d - 4 * tol) if d > 4 * tol else math.inf
+    best_t, facet = math.inf, -1
+    for (m0, m1, m2, m3, m4, m5, m6, m7, m8), k in shape._cones:
+        l0 = m0 * rx + m1 * ry + m2 * rz
+        l1 = m3 * rx + m4 * ry + m5 * rz
+        l2 = m6 * rx + m7 * ry + m8 * rz
+        s = l0 + l1 + l2
+        slack = -1e-9 * s
+        if 0.0 < s <= s_max and l0 >= slack and l1 >= slack and l2 >= slack \
+                and 1.0 / s < best_t * (1 - 1e-12) - tol / d:
+            best_t, facet = 1.0 / s, k
+    if facet < 0:
+        raise GeometryError("psi called on an exterior point")
+    t = best_t if (best_t - 1.0) * d > 4 * tol else 1.0
+    return BoundaryHit(point=np.array([cx + t * rx, cy + t * ry, cz + t * rz]),
+                       facet=facet, t=t)
 
 
 def _psi_polygon_scalar(verts, ax, ay, ux, uy):
@@ -593,23 +655,6 @@ def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
     if best_t < 1.0:
         best_t = 1.0
     return best_f, best_t
-
-
-def _psi3(shape, a, x, r, dist):
-    d = r / dist
-    t, u, v, valid = _ray_tris(shape, a, d)
-    t_x = dist
-    rel = 1e-9 * max(1.0, t_x)
-    ok = valid & (t >= t_x - max(rel, shape.tol * 4))
-    if not np.any(ok):
-        raise GeometryError("ray found no boundary crossing (shape not star?)")
-    ts = np.where(ok, t, np.inf)
-    tmin = float(ts.min())
-    cand = np.nonzero(ts <= tmin * (1 + 1e-12) + shape.tol)[0]
-    ti = int(cand[np.argmin(shape.tri_facet[cand])])
-    point = a + t[ti] * d
-    return BoundaryHit(point=point, facet=int(shape.tri_facet[ti]),
-                       t=float(t[ti] / t_x))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ downward translation large enough that the whole slab maps below zero.
 
 Every boundary piece is affine on triangles, so each chart is exactly
 affine on the cones from its domain centre over those triangles: 37 cells
-for A' and 26 for each A'' chart.  Each ``CellChart`` compiles its radial
-map into that ``AffineCellTable``, and ``GlobalMap`` evaluates the slab from
-it; the radial maps remain the construction and the inverse.  Every
+for A' and 26 for each A'' chart.  Each chart's ``RadialMap`` compiles its
+pieces into that ``AffineCellTable``, which evaluates and inverts the chart;
+``GlobalMap`` evaluates the slab from it, and the radial extension remains
+only the construction of the cells.  Every
 certificate is a finite check on the cells: ``build_maps`` requires a
 positive determinant on every cell and validates each chart's boundary map
 on the cell vertices, L' bounds the image heights of the cell vertices, and
@@ -32,7 +33,7 @@ from . import zorich
 from .geometry import (CertificationFailure, GeometryError, StarShape,
                        attach_certificate)
 from .zorich import _sigma_extremes_det
-from .star_extend import (AffineCellTable, AffineTrianglePiece, DiagonalSelect,
+from .star_extend import (AffineCellTable, DiagonalSelect,
                           FormulaPiece, IdentityPiece, QuadrantSelect,
                           Radial2DPiece, RadialMap, TrivialSelect,
                           ValidationReport)
@@ -121,8 +122,8 @@ def build_vertex_table(L: float) -> VertexTable:
 
 @dataclass
 class CellChart:
-    """One atlas cell: an axis-aligned cuboid mapped by a radial extension,
-    with the extension's affine cells compiled for evaluation."""
+    """One atlas cell: an axis-aligned cuboid mapped by a radial extension;
+    ``table`` is the extension's own cell table."""
 
     cell_id: str
     lo: np.ndarray
@@ -131,7 +132,7 @@ class CellChart:
     table: AffineCellTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.table = AffineCellTable(self.map)
+        self.table = self.map.table
 
 
 def _radial_piece(vt, names):
@@ -139,13 +140,10 @@ def _radial_piece(vt, names):
 
 
 def _formula_top_piece(vt, tri_a, tri_b):
-    """Level-L end face: the closed form of F, with its two affine triangle
-    restrictions recorded for inversion."""
-    tri_pieces = [
-        AffineTrianglePiece(vt.loop_coords(t), vt.loop_images(t))
-        for t in (tri_a, tri_b)
-    ]
-    return FormulaPiece(zorich.F_scalar, tri_pieces)
+    """Level-L end face: the closed form of F, with the two triangles on
+    which it is affine as its cells."""
+    return FormulaPiece(zorich.F_scalar, [(vt.loop_coords(t), vt.loop_images(t))
+                                          for t in (tri_a, tri_b)])
 
 
 def build_aprime_chart(vt: VertexTable) -> CellChart:
@@ -358,7 +356,7 @@ class GlobalMap:
     the isometry.  The table finds the exit facet of the ray from the chart's
     domain centre, the boundary piece by the facet's selector, the cell by
     its angle about the piece's shared vertex, and applies that cell's affine
-    map; the chart's ``RadialMap.eval`` gives the same values to rounding.
+    map, as the chart's ``RadialMap.eval`` does.
     """
 
     def __init__(self, charts, L, L_prime=None, mode="g", constants=None):

@@ -3,19 +3,21 @@
 A boundary homeomorphism between two star shapes extends to the closed
 regions by transporting radial fractions: a point at fraction s of the way
 from the domain centre to the boundary maps to the point at fraction s from
-the codomain centre to the image boundary point.  The same formula applied
-to the inverse boundary map yields the inverse extension.
+the codomain centre to the image boundary point.
 
 The boundary map itself is a dispatch table over domain facets; each piece
-is an affine segment/triangle correspondence, a nested 2D radial extension
-living on a planar face, a direct closed-form map, or the identity.
+is a nested 2D radial extension living on a planar face, a closed-form map
+with the triangles on which it is affine, or the identity.
 
 Every piece is affine on a few triangles of its patch, so the radial
-extension is affine on the cone from the domain centre over each of them.
-``AffineCellTable`` compiles a box-domain map into those cells; it evaluates
-the same map with one facet test, one sector test and one affine product.
-The same cells make the boundary map's certificate finite:
-``RadialMap.validate_boundary_map`` checks it exactly on the cell vertices.
+extension of a box is affine on the cone from the domain centre over each
+of them.  ``RadialMap`` is built from the pieces and compiles them into its
+``AffineCellTable``, which both evaluates and inverts the map: forward by
+one facet test, one sector test and one affine product, backward by the
+codomain facet from ``psi``, a cone test among that facet's image cells and
+one inverse affine product.  The same cells make the boundary map's
+certificate finite: ``RadialMap.validate_boundary_map`` checks it exactly on
+the cell vertices.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ def frame_for_polygon(vertices3):
 class RadialMap2D:
     """Radial extension of the affine edge correspondence between two simple
     polygons with certified star centres.  Vertex i of the domain corresponds
-    to vertex i of the codomain; edge maps are linear in arclength."""
+    to vertex i of the codomain; edge maps are linear in arclength.  Only
+    the boundary-map check evaluates it; the 3D chart's cell table carries
+    its cones."""
 
     def __init__(self, domain: StarShape, codomain: StarShape):
         if domain.dim != 2 or codomain.dim != 2:
@@ -107,10 +111,6 @@ class RadialMap2D:
     def eval(self, u, v):
         return _radial_2d(self._dverts, self._iverts, self._a, self._b,
                           self._tol, u, v)
-
-    def invert(self, w1, w2):
-        return _radial_2d(self._iverts, self._dverts, self._b, self._a,
-                          self.codomain.tol, w1, w2)
 
 
 def _radial_2d(src, dst, a, b, tol, u, v):
@@ -153,9 +153,6 @@ class FacetPiece:
     def eval3(self, p):          # p, result: (x, y, z) float tuples
         raise NotImplementedError
 
-    def invert3(self, q):
-        raise NotImplementedError
-
     def affine_cells(self):
         """(domain polygon, image polygon) pairs of 3D points, in
         corresponding order: the piece is affine on each domain polygon (a
@@ -176,9 +173,6 @@ class IdentityPiece(FacetPiece):
 
     def eval3(self, p):
         return p
-
-    def invert3(self, q):
-        return q
 
     def affine_cells(self):
         return [(self.loop, self.loop)]
@@ -204,11 +198,6 @@ class Radial2DPiece(FacetPiece):
         w1, w2 = self.map2d.eval(u, v)
         return self.img_frame.to3d(w1, w2)
 
-    def invert3(self, q):
-        w1, w2 = self.img_frame.to2d(q)
-        u, v = self.map2d.invert(w1, w2)
-        return self.dom_frame.to3d(u, v)
-
     def affine_cells(self):
         """The cones of the 2D extension from the face centre over each edge."""
         c = self.dom_frame.to3d(*self.map2d._a)
@@ -219,71 +208,24 @@ class Radial2DPiece(FacetPiece):
                 for i in range(n)]
 
 
-class AffineTrianglePiece(FacetPiece):
-    """Affine correspondence between a domain triangle and an image triangle
-    (used to invert closed-form facet maps; evaluation is exact barycentric
-    transport)."""
-
-    kind = "affine-triangle"
-
-    def __init__(self, dom_tri, img_tri):
-        self.dom = np.asarray(dom_tri, dtype=float)
-        self.img = np.asarray(img_tri, dtype=float)
-
-    def _bary(self, tri, p):
-        e1 = tri[1] - tri[0]
-        e2 = tri[2] - tri[0]
-        d = np.asarray(p, dtype=float) - tri[0]
-        m = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
-        rhs = np.array([e1 @ d, e2 @ d])
-        u, v = np.linalg.solve(m, rhs)
-        return u, v
-
-    def _transport(self, src, dst, p):
-        u, v = self._bary(src, p)
-        q = dst[0] + u * (dst[1] - dst[0]) + v * (dst[2] - dst[0])
-        return (float(q[0]), float(q[1]), float(q[2]))
-
-    def eval3(self, p):
-        return self._transport(self.dom, self.img, p)
-
-    def invert3(self, q):
-        return self._transport(self.img, self.dom, q)
-
-    def affine_cells(self):
-        return [(tuple(map(tuple, self.dom.tolist())),
-                 tuple(map(tuple, self.img.tolist())))]
-
-
 class FormulaPiece(FacetPiece):
     """A named closed-form facet map with piecewise-affine structure.
 
-    ``fn(x, y, z)`` evaluates the formula; ``triangles`` is a list of
-    AffineTrianglePiece giving the exact affine restriction to each smooth
-    region, used for inversion and as the piece's cells."""
+    ``fn(x, y, z)`` evaluates the formula; ``cells`` lists the (domain
+    triangle, image triangle) pairs on which it is affine, the piece's
+    cells."""
 
     kind = "formula"
 
-    def __init__(self, fn, triangles):
+    def __init__(self, fn, cells):
         self.fn = fn
-        self.triangles = triangles
+        self.cells = [(_loop(dom), _loop(img)) for dom, img in cells]
 
     def eval3(self, p):
         return self.fn(*p)
 
-    def invert3(self, q):
-        best = None
-        best_def = math.inf
-        for tri in self.triangles:
-            u, v = tri._bary(tri.img, q)
-            deficiency = max(-u, -v, u + v - 1, 0.0)
-            if deficiency < best_def:
-                best_def = deficiency
-                best = tri
-        return best.invert3(q)
-
     def affine_cells(self):
-        return [cell for tri in self.triangles for cell in tri.affine_cells()]
+        return self.cells
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +291,9 @@ class ValidationReport:
 
 
 class RadialMap:
-    """Radial extension of a facet-dispatched boundary map between two star
-    polyhedra.  Evaluation follows the radial formula; the inverse uses the
-    same formula with the codomain's ray projection and per-piece inverses."""
+    """Radial extension of a facet-dispatched boundary map from a box onto a
+    star polyhedron.  The pieces define the map; its ``AffineCellTable``,
+    built here, evaluates and inverts it."""
 
     def __init__(self, domain: StarShape, codomain: StarShape,
                  selectors_by_facet, piece_by_codomain_facet):
@@ -359,18 +301,12 @@ class RadialMap:
         self.codomain = codomain
         self.selectors_by_facet = dict(selectors_by_facet)
         self.piece_by_codomain_facet = dict(piece_by_codomain_facet)
-        a = domain.centre
-        b = codomain.centre
-        self._ax, self._ay, self._az = map(float, a)
-        self._bx, self._by, self._bz = map(float, b)
-        self._lo = tuple(map(float, domain.box[0])) if domain.box is not None else None
-        self._hi = tuple(map(float, domain.box[1])) if domain.box is not None else None
-        self._ctol = domain.tol
         self.all_pieces = []
         for sel in self.selectors_by_facet.values():
             for p in sel.pieces:
                 if p not in self.all_pieces:
                     self.all_pieces.append(p)
+        self.table = AffineCellTable(self)
 
     @classmethod
     def from_pieces(cls, domain, codomain, piece_by_domain_facet,
@@ -378,50 +314,11 @@ class RadialMap:
         sels = {f: TrivialSelect(p) for f, p in piece_by_domain_facet.items()}
         return cls(domain, codomain, sels, piece_by_codomain_facet)
 
-    # -- evaluation --------------------------------------------------------
-
     def eval(self, p):
-        x, y, z = float(p[0]), float(p[1]), float(p[2])
-        dx = x - self._ax
-        dy = y - self._ay
-        dz = z - self._az
-        if dx * dx + dy * dy + dz * dz <= self._ctol * self._ctol:
-            return (self._bx, self._by, self._bz)
-        if self._lo is not None:
-            facet, t = _ray_box_scalar(self._ax, self._ay, self._az,
-                                       self._lo, self._hi, x, y, z)
-            hx = self._ax + t * dx
-            hy = self._ay + t * dy
-            hz = self._az + t * dz
-        else:
-            hit = psi(self.domain, np.array([x, y, z]))
-            facet, t = hit.facet, hit.t
-            hx, hy, hz = map(float, hit.point)
-        sel = self.selectors_by_facet.get(facet)
-        if sel is None:
-            raise GeometryError(f"no boundary piece for facet {facet}")
-        piece, _ = sel.select((hx, hy, hz))
-        wx, wy, wz = piece.eval3((hx, hy, hz))
-        frac = 1.0 / t
-        return (self._bx + frac * (wx - self._bx),
-                self._by + frac * (wy - self._by),
-                self._bz + frac * (wz - self._bz))
+        return self.table.eval(float(p[0]), float(p[1]), float(p[2]))
 
     def inverse(self, q):
-        x, y, z = float(q[0]), float(q[1]), float(q[2])
-        dx = x - self._bx
-        dy = y - self._by
-        dz = z - self._bz
-        if dx * dx + dy * dy + dz * dz <= (self.codomain.tol) ** 2:
-            return (self._ax, self._ay, self._az)
-        hit = psi(self.codomain, np.array([x, y, z]))
-        piece = self.piece_by_codomain_facet[hit.facet]
-        hp = (float(hit.point[0]), float(hit.point[1]), float(hit.point[2]))
-        ux, uy, uz = piece.invert3(hp)
-        frac = 1.0 / hit.t
-        return (self._ax + frac * (ux - self._ax),
-                self._ay + frac * (uy - self._ay),
-                self._az + frac * (uz - self._az))
+        return self.table.inverse(float(q[0]), float(q[1]), float(q[2]))
 
     # -- diagnostics -------------------------------------------------------
 
@@ -578,25 +475,34 @@ class AffineCellTable:
     Each cell is the cone from the domain centre a over one polygon on which
     the boundary piece is affine (``FacetPiece.affine_cells``: a triangle,
     or a whole face); on it the map is p -> b + A (p - a), fixed by a -> b
-    and the images of three of the polygon's vertices.  Evaluation takes the exit facet of the ray from a (as
-    ``RadialMap.eval`` does), the facet's selector for the piece, a sector
-    test about the piece's shared vertex for the cell, and one affine
-    product.  The centre ball of radius ``domain.tol`` maps to b, as in
-    ``RadialMap.eval``.
+    and the images of three of the polygon's vertices.  Evaluation takes the
+    exit facet of the ray from a, the facet's selector for the piece, a
+    sector test about the piece's shared vertex for the cell, and one affine
+    product; the centre ball of radius ``domain.tol`` maps to b.
+
+    The image cells are the cones from b over the image polygons, and they
+    tile the codomain.  The inverse takes the codomain facet hit by the ray
+    from b (``psi``), the image cell of the piece serving that facet whose
+    cone contains q - b (barycentric frames of the polygon's fan triangles),
+    and returns a + A^-1 (q - b); the centre ball of radius ``codomain.tol``
+    maps to a, and exterior points raise GeometryError.
     """
 
     def __init__(self, rmap: RadialMap):
-        if rmap._lo is None:
+        domain = rmap.domain
+        if domain.box is None:
             raise GeometryError("a cell table needs a box domain")
-        self._a = (rmap._ax, rmap._ay, rmap._az)
-        self._b = (rmap._bx, rmap._by, rmap._bz)
-        self._lo, self._hi = rmap._lo, rmap._hi
-        self._ctol2 = rmap._ctol * rmap._ctol
+        self._a = tuple(map(float, domain.centre))
+        self._b = tuple(map(float, rmap.codomain.centre))
+        self._lo, self._hi = (tuple(map(float, v)) for v in domain.box)
+        self._ctol2 = domain.tol * domain.tol
+        self._codomain = rmap.codomain
         self.labels = []
         self.facet_of = []        # the box facet of each cell's polygon
         self.polygons = []        # each cell's domain polygon, (k, 3)
         linear = []
         self._facets = []
+        cells_of = {}             # id(piece) -> its cells' indices
         for facet in range(6):
             sel = rmap.selectors_by_facet.get(facet)
             if sel is None:
@@ -608,6 +514,7 @@ class AffineCellTable:
                 rows = []
                 for j, (dom, img) in enumerate(cells):
                     m = _cell_linear_part(self._a, self._b, dom, img)
+                    cells_of.setdefault(id(piece), []).append(len(linear))
                     linear.append(m)
                     rows.append(tuple(m.ravel().tolist()))
                     self.labels.append(f"facet {facet} piece {k} cell {j}")
@@ -616,6 +523,19 @@ class AffineCellTable:
                 entries.append(_sector_entry(cells, rows, iu, iv))
             self._facets.append((sel, entries))
         self.linear = np.array(linear)
+        singular = np.flatnonzero(~(self.determinants() != 0.0))
+        if singular.size:
+            raise GeometryError(f"{self.labels[singular[0]]}: singular linear part")
+        inverse = np.linalg.inv(self.linear).reshape(-1, 9).tolist()
+        image_cells = []
+        for dom, m, inv in zip(self.polygons, self.linear, inverse):
+            img = (dom - self._a) @ m.T          # image polygon relative to b
+            fan = np.stack([img[[0, i, i + 1]].T for i in range(1, len(img) - 1)])
+            frames = np.linalg.inv(fan).reshape(-1, 9).tolist()
+            image_cells.append(([tuple(f) for f in frames], tuple(inv)))
+        self._ctol2_image = rmap.codomain.tol ** 2
+        self._image_cells = {f: [image_cells[i] for i in cells_of[id(piece)]]
+                             for f, piece in rmap.piece_by_codomain_facet.items()}
 
     def __len__(self):
         return len(self.labels)
@@ -655,3 +575,38 @@ class AffineCellTable:
         return (bx + m[0] * dx + m[1] * dy + m[2] * dz,
                 by + m[3] * dx + m[4] * dy + m[5] * dz,
                 bz + m[6] * dx + m[7] * dy + m[8] * dz)
+
+    def inverse(self, x, y, z):
+        ax, ay, az = self._a
+        bx, by, bz = self._b
+        dx = x - bx
+        dy = y - by
+        dz = z - bz
+        if dx * dx + dy * dy + dz * dz <= self._ctol2_image:
+            return (ax, ay, az)
+        cells = self._image_cells[psi(self._codomain, (x, y, z)).facet]
+        m = _cone_cell(cells, dx, dy, dz)
+        return (ax + m[0] * dx + m[1] * dy + m[2] * dz,
+                ay + m[3] * dx + m[4] * dy + m[5] * dz,
+                az + m[6] * dx + m[7] * dy + m[8] * dz)
+
+
+def _cone_cell(cells, dx, dy, dz):
+    """The inverse linear part of the first of the (frames, inverse) image
+    cells whose cone contains d, with barycentric slack 1e-9 in one of its
+    fan triangles; failing that, of the cell that d misses least."""
+    best, depth = None, -math.inf
+    for frames, inv in cells:
+        for f0, f1, f2, f3, f4, f5, f6, f7, f8 in frames:
+            l0 = f0 * dx + f1 * dy + f2 * dz
+            l1 = f3 * dx + f4 * dy + f5 * dz
+            l2 = f6 * dx + f7 * dy + f8 * dz
+            s = l0 + l1 + l2
+            if s <= 0.0:
+                continue
+            low = min(l0, l1, l2) / s
+            if low >= -1e-9:
+                return inv
+            if low > depth:
+                best, depth = inv, low
+    return best

@@ -101,26 +101,11 @@ def F_eval(x):
 def region_matrix(x1, x2):
     """N with DZ(x) = e^{x3} N, constant on each smooth region, plus a flag
     marking points on a crease or fold seam (value is then one-sided)."""
-    u1, f1 = _fold1(x1)
-    u2, f2 = _fold1(x2)
-    sigma = -1.0 if (f1 + f2) % 2 else 1.0
-    d1 = -1.0 if f1 else 1.0
-    d2 = -1.0 if f2 else 1.0
+    u1, _ = _fold1(x1)
+    u2, _ = _fold1(x2)
     onesided = (abs(abs(u1) - abs(u2)) < 1e-12 or abs(abs(u1) - 1) < 1e-12
                 or abs(abs(u2) - 1) < 1e-12 or abs(u1) < 1e-12 or abs(u2) < 1e-12)
-    s1 = 1.0 if u1 >= 0 else -1.0
-    s2 = 1.0 if u2 >= 0 else -1.0
-    m = max(abs(u1), abs(u2))
-    n = np.array([
-        [d1, 0.0, u1],
-        [0.0, d2, u2],
-        [0.0, 0.0, sigma * (1.0 - m)],
-    ])
-    if abs(u1) >= abs(u2):
-        n[2, 0] = -sigma * s1 * d1
-    else:
-        n[2, 1] = -sigma * s2 * d2
-    return n, onesided
+    return region_matrices_at(x1, x2), onesided
 
 
 def F_jacobian(x):
@@ -131,7 +116,9 @@ def F_jacobian(x):
 
 
 def _fold_vec(x):
-    t = x - 4.0 * np.round(x / 4.0)
+    """``_fold1`` on arrays, bitwise: + 0.0 turns the quotient -0.0 into
+    0.0, as Python's round does, so that x = -0.0 folds to -0.0."""
+    t = x - 4.0 * (np.round(x / 4.0) + 0.0)
     flag = np.abs(t) > 1.0
     u = np.where(flag, np.sign(t) * (2.0 - np.abs(t)), t)
     return u, flag

@@ -1,0 +1,109 @@
+"""Reference implementations that the package replaced by its cell tables
+and cone frames, kept here as the oracles of the tests.
+
+- ``radial_eval`` and ``radial_inverse``: a chart's radial extension and its
+  inverse by the radial formula, through the boundary pieces;
+- ``invert_piece`` and ``radial2d_invert``: the inverses of the boundary
+  pieces and of a 2D radial map;
+- ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
+  triangles, after ``locate`` has rejected exterior points.
+"""
+
+import numpy as np
+
+from qrdyn.geometry import (BoundaryHit, GeometryError, _as_array, _ray_box_scalar,
+                            _ray_tris, locate)
+from qrdyn.star_extend import _radial_2d
+
+
+def psi_ray_oracle(shape, x):
+    """psi on a 3D shape that is not a box: the nearest ray crossing at or
+    beyond x, ties to the lowest facet."""
+    x = _as_array(x, 3)
+    a = shape.centre
+    r = x - a
+    dist = float(np.linalg.norm(r))
+    if dist <= shape.tol:
+        raise GeometryError("psi is undefined at the star centre")
+    if locate(shape, x).kind == "exterior":
+        raise GeometryError("psi called on an exterior point")
+    d = r / dist
+    t, u, v, valid = _ray_tris(shape, a, d)
+    rel = 1e-9 * max(1.0, dist)
+    ok = valid & (t >= dist - max(rel, shape.tol * 4))
+    if not np.any(ok):
+        raise GeometryError("ray found no boundary crossing (shape not star?)")
+    ts = np.where(ok, t, np.inf)
+    tmin = float(ts.min())
+    cand = np.nonzero(ts <= tmin * (1 + 1e-12) + shape.tol)[0]
+    ti = int(cand[np.argmin(shape.tri_facet[cand])])
+    return BoundaryHit(point=a + t[ti] * d, facet=int(shape.tri_facet[ti]),
+                       t=float(t[ti] / dist))
+
+
+def radial2d_invert(m, w1, w2):
+    """The inverse of a RadialMap2D: the radial extension of the inverse
+    edge correspondence."""
+    return _radial_2d(m._iverts, m._dverts, m._b, m._a, m.codomain.tol, w1, w2)
+
+
+def _transport(src, dst, p):
+    """The affine map of the triangle src onto dst, at a point p of its
+    plane, by barycentric coordinates; with the least barycentric
+    coordinate of p (negative outside src)."""
+    src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
+    e1, e2 = src[1] - src[0], src[2] - src[0]
+    d = np.asarray(p, dtype=float) - src[0]
+    gram = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
+    u, v = np.linalg.solve(gram, np.array([e1 @ d, e2 @ d]))
+    q = dst[0] + u * (dst[1] - dst[0]) + v * (dst[2] - dst[0])
+    return tuple(map(float, q)), min(u, v, 1 - u - v)
+
+
+def invert_piece(piece, q):
+    """The inverse of a boundary piece at a point q of its image."""
+    if piece.kind == "identity":
+        return q
+    if piece.kind == "radial2d":
+        u, v = radial2d_invert(piece.map2d, *piece.img_frame.to2d(q))
+        return piece.dom_frame.to3d(u, v)
+    if piece.kind == "formula":
+        # the affine inverse on the image triangle that q misses least
+        return max((_transport(img, dom, q) for dom, img in piece.cells),
+                   key=lambda hit: min(hit[1], 0.0))[0]
+    raise TypeError(f"no inverse for a {piece.kind} piece")
+
+
+def radial_eval(rmap, p):
+    """A chart's radial extension at p: b + (w - b) / t, with w the boundary
+    map at the exit point a + t (p - a) of the ray from a through p."""
+    ax, ay, az = map(float, rmap.domain.centre)
+    bx, by, bz = map(float, rmap.codomain.centre)
+    x, y, z = float(p[0]), float(p[1]), float(p[2])
+    dx, dy, dz = x - ax, y - ay, z - az
+    if dx * dx + dy * dy + dz * dz <= rmap.domain.tol ** 2:
+        return (bx, by, bz)
+    lo, hi = (tuple(map(float, v)) for v in rmap.domain.box)
+    facet, t = _ray_box_scalar(ax, ay, az, lo, hi, x, y, z)
+    h = (ax + t * dx, ay + t * dy, az + t * dz)
+    piece, _ = rmap.selectors_by_facet[facet].select(h)
+    wx, wy, wz = piece.eval3(h)
+    frac = 1.0 / t
+    return (bx + frac * (wx - bx), by + frac * (wy - by), bz + frac * (wz - bz))
+
+
+def radial_inverse(rmap, q):
+    """A chart's inverse by the same formula: the codomain's ray projection,
+    the inverse of the piece serving the hit facet, and the radial
+    fraction."""
+    ax, ay, az = map(float, rmap.domain.centre)
+    bx, by, bz = map(float, rmap.codomain.centre)
+    x, y, z = float(q[0]), float(q[1]), float(q[2])
+    dx, dy, dz = x - bx, y - by, z - bz
+    if dx * dx + dy * dy + dz * dz <= rmap.codomain.tol ** 2:
+        return (ax, ay, az)
+    hit = psi_ray_oracle(rmap.codomain, (x, y, z))
+    piece = rmap.piece_by_codomain_facet[hit.facet]
+    ux, uy, uz = invert_piece(piece, tuple(map(float, hit.point)))
+    frac = 1.0 / hit.t
+    return (ax + frac * (ux - ax), ay + frac * (uy - ay), az + frac * (uz - az))

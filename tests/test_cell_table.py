@@ -1,4 +1,5 @@
-"""The slab atlas as a table of affine cells, against the radial maps."""
+"""The slab atlas as a table of affine cells, against the radial maps
+(the radial formulas of ``oracles``)."""
 
 import math
 import types
@@ -6,29 +7,31 @@ import types
 import numpy as np
 import pytest
 
+from oracles import radial_eval, radial_inverse
 from qrdyn.geometry import GeometryError
 from qrdyn.global_map import (ConstructionError, cell_dilatations,
                               certify_cell_orientation)
-from qrdyn.star_extend import AffineCellTable, RadialMap
+from qrdyn.star_extend import RadialMap
 
 
-def _box_points(chart, rng):
+def _box_points(chart, rng, interior=2000, face=200, diagonal=41, edge=8):
     """Seeded interior points plus the cell and chart boundaries: the planes
     x1 = 1, x2 = 1, x3 = 1, the box faces and their diagonals, the box
-    corners, the cone faces of every cell, and the exact domain centre."""
+    corners, the edges and cone faces of every cell, and the exact domain
+    centre; the counts are per set."""
     lo, hi = chart.lo, chart.hi
-    pts = [lo + rng.random((2000, 3)) * (hi - lo)]
+    pts = [lo + rng.random((interior, 3)) * (hi - lo)]
     for axis in range(3):
         if lo[axis] <= 1.0 <= hi[axis]:
-            p = lo + rng.random((200, 3)) * (hi - lo)
+            p = lo + rng.random((face, 3)) * (hi - lo)
             p[:, axis] = 1.0
             pts.append(p)
         for end in (lo[axis], hi[axis]):
-            p = lo + rng.random((200, 3)) * (hi - lo)
+            p = lo + rng.random((face, 3)) * (hi - lo)
             p[:, axis] = end
             pts.append(p)
             u, v = [i for i in range(3) if i != axis]
-            s = np.linspace(0.0, 1.0, 41)
+            s = np.linspace(0.0, 1.0, diagonal)
             for flip in (False, True):
                 d = np.empty((len(s), 3))
                 d[:, axis] = end
@@ -43,10 +46,10 @@ def _box_points(chart, rng):
             for dom, _ in piece.affine_cells():
                 tri = np.asarray(dom, dtype=float)
                 for i in range(3):
-                    s = rng.random((8, 1))
-                    edge = tri[i] + s * (tri[(i + 1) % 3] - tri[i])
-                    pts.append(edge)
-                    pts.append(a + rng.random((8, 1)) * (edge - a))
+                    s = rng.random((edge, 1))
+                    on_edge = tri[i] + s * (tri[(i + 1) % 3] - tri[i])
+                    pts.append(on_edge)
+                    pts.append(a + rng.random((edge, 1)) * (on_edge - a))
     pts.append(a[None, :])
     return np.vstack(pts)
 
@@ -76,7 +79,7 @@ class TestCells:
     def test_vertex_images_are_the_radial_images(self, build):
         for chart in build.g.charts:
             pts, images = chart.table.vertex_images()
-            want = np.array([chart.map.eval(p) for p in pts.tolist()])
+            want = np.array([radial_eval(chart.map, p) for p in pts.tolist()])
             assert np.allclose(images, want, rtol=0,
                                atol=1e-12 * chart.map.codomain.diameter)
 
@@ -87,7 +90,7 @@ class TestCells:
             worst = 0.0
             for p in _box_points(chart, rng).tolist():
                 got = chart.table.eval(*p)
-                want = chart.map.eval(p)
+                want = radial_eval(chart.map, p)
                 worst = max(worst, math.dist(got, want))
             assert worst <= tol, (chart.cell_id, worst)
 
@@ -98,12 +101,77 @@ class TestCells:
             assert got == tuple(map(float, chart.map.codomain.centre))
 
     def test_table_needs_a_box_domain(self, build):
+        # a RadialMap builds its table, so a polyhedral domain is refused
         rmap = build.g.charts[0].map
-        no_box = RadialMap(rmap.domain, rmap.codomain, rmap.selectors_by_facet,
-                           rmap.piece_by_codomain_facet)
-        no_box._lo = None
-        with pytest.raises(GeometryError):
-            AffineCellTable(no_box)
+        with pytest.raises(GeometryError, match="needs a box domain"):
+            RadialMap(rmap.codomain, rmap.codomain, rmap.selectors_by_facet,
+                      rmap.piece_by_codomain_facet)
+
+    def test_eval_and_inverse_are_the_table(self, build):
+        for chart in build.g.charts:
+            a = chart.lo + 0.3 * (chart.hi - chart.lo)
+            q = chart.table.eval(*a.tolist())
+            assert chart.map.eval(a) == q
+            assert chart.map.inverse(q) == chart.table.inverse(*q)
+
+
+def _near_centre(chart, rng, count=50):
+    """Points about the domain centre at distances from 2 tol to 1e-6 of the
+    diameter, with the exact centre."""
+    dom = chart.map.domain
+    d = rng.normal(size=(count, 3))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    r = dom.tol * np.logspace(0.3, 6, count)[:, None]
+    return np.vstack([dom.centre + r * d, dom.centre[None, :]])
+
+
+class TestInverse:
+    """The table's inverse against the radial inverse (``oracles``), on the
+    images of seeded points, the cell faces and edges, the box faces and
+    points near the centre ball, within 1e-12 x the domain diameter."""
+
+    def test_matches_the_radial_inverse(self, build):
+        rng = np.random.default_rng(22)
+        for chart in build.g.charts:
+            tol = 1e-12 * chart.map.domain.diameter
+            pts = np.vstack([_box_points(chart, rng, 300, 20, 9, 1),
+                             _near_centre(chart, rng)])
+            worst = 0.0
+            for p in pts.tolist():
+                q = chart.table.eval(*p)
+                worst = max(worst, math.dist(chart.table.inverse(*q),
+                                             radial_inverse(chart.map, q)))
+            assert worst <= tol, (chart.cell_id, worst)
+
+    def test_round_trip(self, build):
+        # exact up to rounding, except that the codomain's centre ball
+        # (radius codomain.tol) maps to the domain centre
+        rng = np.random.default_rng(23)
+        for chart in build.g.charts:
+            a, b = chart.map.domain.centre, chart.map.codomain.centre
+            tol = 1e-12 * chart.map.domain.diameter
+            worst = 0.0
+            for p in np.vstack([_box_points(chart, rng),
+                                _near_centre(chart, rng)]).tolist():
+                q = chart.map.eval(p)
+                want = a if math.dist(q, b) <= chart.map.codomain.tol else p
+                worst = max(worst, math.dist(chart.map.inverse(q), want))
+            assert worst <= tol, (chart.cell_id, worst)
+
+    def test_centre_ball_and_exterior(self, build):
+        for chart in build.g.charts:
+            cod = chart.map.codomain
+            b = cod.centre
+            a = tuple(map(float, chart.map.domain.centre))
+            assert chart.table.inverse(*b.tolist()) == a
+            assert chart.table.inverse(*(b + 0.5 * cod.tol).tolist()) == a
+            far = b + 2.0 * (cod.vertices[0] - b)
+            with pytest.raises(GeometryError, match="exterior"):
+                chart.table.inverse(*far.tolist())
+
+    def test_table_is_built_once(self, build):
+        for chart in build.g.charts:
+            assert chart.table is chart.map.table
 
 
 def _radial_slab(gm, x, y, z):
@@ -118,7 +186,7 @@ def _radial_slab(gm, x, y, z):
         tx = 4.0 - tx
     if r2:
         ty = 4.0 - ty
-    gx, gy, gz = gm._pick_cell(tx, ty, z).map.eval((tx, ty, z))
+    gx, gy, gz = radial_eval(gm._pick_cell(tx, ty, z).map, (tx, ty, z))
     if r1:
         gx = 4.0 - gx
     if r2:

@@ -9,8 +9,9 @@ from qrdyn.dynamics import (LOG_SWITCH, RADIUS_CAP, BigExp, EscapeClass,
                             ball_growth_check, classify_escape,
                             escape_rate_series, fast_escape_test, iterate,
                             log_domain_series, max_modulus_estimate,
-                            norm_safe, orbit_csv, orbit_magnitudes_bigexp,
-                            rates_csv, tower_step)
+                            mhat_tower, norm_safe, orbit_csv,
+                            orbit_magnitudes_bigexp, rates_csv,
+                            sphere_directions, tower_step)
 from qrdyn.zorich import HORIZON, PrecisionLost, F_scalar
 
 
@@ -195,6 +196,34 @@ class TestFastEscape:
                            dim=3)
         with pytest.raises(ValueError):
             fast_escape_test(handle, (0, 0, -1.0), R=10.0)
+
+    @pytest.mark.parametrize("k, estimates", [(60.0, 1), (10.0, 2)])
+    def test_max_modulus_of_R_is_estimated_once(self, k, estimates):
+        # x -> k x has M(10) = 10 k: above 500 the tower needs no further
+        # estimate, and M(100) = 1000 ends it after one more
+        calls = []
+
+        def scale(p):
+            calls.append(p)
+            return (k * p[0], k * p[1], k * p[2])
+
+        fast_escape_test(MapHandle("scale", scale), (0.0, 0.0, 1.0), R=10.0)
+        orbit_steps = 12 + 4
+        assert len(calls) == estimates * len(sphere_directions(2000, 0)) + orbit_steps
+
+    def test_results_match_two_estimates_of_M_R(self, fhandle, build):
+        # the tower with M(R) reused equals mhat_tower, which estimates it
+        # again, and so does the verdict
+        L = build.constants.L
+        for x, R in [((0.0, 0.0, L + 1), 10.0), ((2.0, 2.0, L + 2), 10.0),
+                     ((0.3, -0.4, L + 0.5), 25.0), ((0.0, 0.0, -1.0), 10.0)]:
+            tower = mhat_tower(fhandle, R, 12)
+            orbit = orbit_magnitudes_bigexp(fhandle, x, 16, fhandle.translate)
+            want = next((ell for ell in range(5) if 12 + ell < len(orbit) and all(
+                orbit[k + ell] >= tower[k] for k in range(1, 13))), None)
+            res = fast_escape_test(fhandle, x, R)
+            assert (res.kind, res.ell) == (("fast", want) if want is not None
+                                           else ("not_observed", None))
 
 
 class TestBallGrowth:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import psi_ray_oracle
 from qrdyn import geometry
 from qrdyn.geometry import (CertificationFailure, GeometryError, StarShape,
                             THETA_MIN, _facet_vertex_cones, _line_angles,
@@ -495,3 +496,91 @@ class TestStackedVertexKernel:
         with pytest.raises(CertificationFailure, match="tangential") as got:
             _vertex_angle(shape, shape.centre)
         assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# psi on polyhedra: the cone frames against the ray-triangle oracle
+
+def poly_cube(centre=(0.1, -0.2, 0.15)):
+    """The cube [-1, 1]^3 as a polyhedron, so that psi takes the cone path."""
+    box = cube()
+    return StarShape.polyhedron(box.vertices, box.facet_polys, centre)
+
+
+def _facets_at(shape):
+    """{frozenset of vertex ids of a facet edge or a vertex: incident facets}."""
+    at = {}
+    for fi, poly in enumerate(shape.facet_polys):
+        for i in range(len(poly)):
+            for key in (frozenset((poly[i], poly[i - 1])), frozenset((poly[i],))):
+                at.setdefault(key, set()).add(fi)
+    return at
+
+
+class TestPsiCones:
+    SHAPES = ["aprime", "asecond1", "asecond2", "asecond3", "asecond4",
+              "cube", "l_prism", "l_prism_hidden"]
+
+    @staticmethod
+    def shape(which, request):
+        if which == "cube":
+            return poly_cube()
+        if which.startswith("l_prism"):
+            return l_prism((2.5, 0.5, 0.5) if which.endswith("hidden") else (0.5, 0.5, 0.5))
+        cell = "A'" if which == "aprime" else f"A''{which[-1]}"
+        return request.getfixturevalue("build").g.by_id[cell].map.codomain
+
+    @pytest.mark.parametrize("which", SHAPES)
+    def test_matches_the_ray_oracle(self, which, request):
+        shape = self.shape(which, request)
+        rng = np.random.default_rng(31)
+        lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
+        tol = 1e-12 * shape.diameter
+        checked = 0
+        for x in (lo + rng.random((400, 3)) * (hi - lo)).tolist():
+            try:
+                want = psi_ray_oracle(shape, x)
+            except GeometryError:
+                with pytest.raises(GeometryError):
+                    psi(shape, x)
+                continue
+            got = psi(shape, x)
+            assert got.facet == want.facet
+            assert np.linalg.norm(got.point - want.point) <= tol
+            assert got.t == pytest.approx(max(want.t, 1.0), rel=1e-12)
+            # the hit is a boundary point: it maps to itself with t = 1
+            again = psi(shape, got.point)
+            assert again.t == 1.0 and again.facet == got.facet
+            assert np.linalg.norm(again.point - got.point) <= tol
+            checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("which", SHAPES[:-1])
+    def test_edge_and_vertex_ties_go_to_the_lowest_facet(self, which, request):
+        shape = self.shape(which, request)
+        c, v = shape.centre, shape.vertices
+        for ids, facets in _facets_at(shape).items():
+            ends = v[sorted(ids)]
+            w = ends.mean(axis=0)
+            for f in (0.4, 1.0):
+                x = c + f * (w - c)
+                got, want = psi(shape, x), psi_ray_oracle(shape, x)
+                assert got.facet == want.facet == min(facets), (ids, f)
+                assert np.linalg.norm(got.point - w) <= 1e-12 * shape.diameter
+
+    @pytest.mark.parametrize("which", SHAPES)
+    def test_centre_and_exterior_rejected(self, which, request):
+        shape = self.shape(which, request)
+        c = shape.centre
+        with pytest.raises(GeometryError, match="centre"):
+            psi(shape, c)
+        with pytest.raises(GeometryError, match="centre"):
+            psi(shape, c + 0.5 * shape.tol)
+        for w in shape.vertices:
+            x = c + 1.5 * (w - c)
+            with pytest.raises(GeometryError, match="exterior"):
+                psi_ray_oracle(shape, x)
+            with pytest.raises(GeometryError, match="exterior"):
+                psi(shape, x)
+        with pytest.raises(GeometryError, match="non-finite"):
+            psi(shape, (math.nan, 0.0, 0.0))

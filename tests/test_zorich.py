@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from qrdyn import zorich
 from qrdyn.zorich import (ConstantsReport, F_eval, F_jacobian, F_scalar,
-                          _sigma_extremes_det, derive_beam_constants,
+                          _fold1, _fold_vec, _sigma_extremes_det,
+                          derive_beam_constants,
                           expansion_min_ratio,
                           fold_square, h_pyramid, region_matrix,
                           verify_beam_inequalities, zorich_eval)
@@ -127,6 +128,36 @@ class TestF:
             lhs = F_eval(r2)
             rhs = np.array([fx[0], 4 - fx[1], fx[2]])
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+class TestFolds:
+    # the scalar fold serves F_scalar, the array fold the region matrices;
+    # they must agree bit for bit, signed zeros included
+    EDGES = ([1.0, -1.0, 3.0, -3.0, -0.0, 0.0]
+             + [4.0 * k + d for k in range(-3, 4) for d in (-1.0, 1.0, 2.0)]
+             + [4.0 * k + d for k in (1e3, -1e3, 2.0 ** 40) for d in (-1.0, 1.0, 2.0)])
+
+    def test_scalar_and_array_folds_agree_bitwise(self):
+        rng = np.random.default_rng(41)
+        xs = np.concatenate([rng.uniform(-50.0, 50.0, 5000),
+                             rng.uniform(-1e9, 1e9, 1000), self.EDGES])
+        u, flag = _fold_vec(xs)
+        for x, uv, fv in zip(xs.tolist(), u.tolist(), flag.tolist()):
+            us, fs = _fold1(x)
+            assert (_bits(us), fs) == (_bits(uv), int(fv)), x
+
+    def test_region_matrix_is_the_array_formula(self):
+        rng = np.random.default_rng(42)
+        pts = [(x, y) for x in self.EDGES for y in self.EDGES[:9]]
+        pts += rng.uniform(-9.0, 9.0, (500, 2)).tolist()
+        rows = zorich.region_matrices_at([p[0] for p in pts], [p[1] for p in pts])
+        for (x1, x2), want in zip(pts, rows):
+            n, _ = region_matrix(x1, x2)
+            assert n.shape == (3, 3) and n.tobytes() == want.tobytes()
 
 
 class TestJacobian:
