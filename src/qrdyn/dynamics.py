@@ -10,14 +10,20 @@ carried out in a normalized iterated-exponential representation.
 An orbit that takes an F step past the precision horizon (``PrecisionLost``
 from ``zorich.F_scalar``) stops there with the outcome ``precision_lost``
 instead of a label that rounding noise decided.
+
+The fast-escape test keeps the iterated maximum modulus it builds for a
+radius on the ``MapHandle`` it was built for, keyed by the handle's ``fn``,
+and reuses it on later calls; so ``fn`` must be a fixed, deterministic map
+(assigning a new ``fn`` starts a new tower).
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -139,6 +145,9 @@ class MapHandle:
     tracks_h0: bool = False      # third-coordinate sign is the escape proxy
     surrogate: Optional[SurrogateSpec] = None
     translate: float = 0.0       # downward shift, for tower continuations
+    # fast_escape_test's towers: (fn, dim, R, k_max, samples) -> [Mhat^k(R)]
+    _towers: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __call__(self, p):
         return self.fn(p)
@@ -382,33 +391,45 @@ def _fibonacci_sphere(n):
     return np.column_stack([r * np.cos(th), r * np.sin(th), z])
 
 
-def sphere_directions(samples, seed=0, lattice_extent=8):
+# sphere_directions adds the directions (i, j, 1) for |i|, |j| up to this
+_LATTICE_EXTENT = 8
+
+
+def sphere_directions(samples):
     """Quasi-uniform directions plus the poles and the vertical lattice
     directions on which the exponential part of the map is extremal."""
     dirs = [_fibonacci_sphere(samples)]
     dirs.append(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
     lat = []
-    for i in range(-lattice_extent, lattice_extent + 1):
-        for j in range(-lattice_extent, lattice_extent + 1):
+    for i in range(-_LATTICE_EXTENT, _LATTICE_EXTENT + 1):
+        for j in range(-_LATTICE_EXTENT, _LATTICE_EXTENT + 1):
             lat.append((float(i), float(j)))
     dirs.append(np.array([[i, j, 1.0] for (i, j) in lat]))
     out = np.vstack(dirs)
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
-def max_modulus_estimate(map_handle: MapHandle, r: float, samples: int = 2000,
-                         seed: int = 0) -> float:
+@functools.lru_cache(maxsize=None)
+def _unit_directions(dim, samples):
+    """The read-only unit directions that ``max_modulus_estimate`` scales by
+    r: ``samples`` equally spaced angles in 2D, ``sphere_directions`` in
+    3D."""
+    if dim == 2:
+        th = np.linspace(0, 2 * math.pi, samples, endpoint=False)
+        out = np.column_stack([np.cos(th), np.sin(th)])
+    else:
+        out = sphere_directions(samples)
+    out.setflags(write=False)
+    return out
+
+
+def max_modulus_estimate(map_handle: MapHandle, r: float, samples: int = 2000) -> float:
     """Sampled lower bound for max_{|x|=r} |map(x)|, biased with the known
     extremal directions."""
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     best = 0.0
-    if map_handle.dim == 2:
-        th = np.linspace(0, 2 * math.pi, samples, endpoint=False)
-        pts = r * np.column_stack([np.cos(th), np.sin(th)])
-    else:
-        pts = r * sphere_directions(samples, seed)
-    for p in pts.tolist():
+    for p in (r * _unit_directions(map_handle.dim, samples)).tolist():
         m = math.hypot(*map_handle.fn(tuple(p)))
         if math.isnan(m):
             continue
@@ -466,24 +487,23 @@ def orbit_magnitudes_bigexp(f: MapHandle, x, count: int, translate: float):
 _DIRECT_LIMIT = 500.0
 
 
-def mhat_tower(map_handle: MapHandle, R: float, count: int, samples: int = 2000,
-               seed: int = 0, direct_limit: float = _DIRECT_LIMIT):
+def mhat_tower(map_handle: MapHandle, R: float, count: int, samples: int = 2000):
     """Iterates of the sampled maximum modulus as BigExp values.
 
     Beyond the radius range where sampling is meaningful the step uses the
     conservative lower bound M(r) >= e^r (valid on the vertical axis once
     r exceeds the downward translation), keeping the fast-escape test
     one-sided."""
-    return _mhat_steps(lambda r: max_modulus_estimate(map_handle, r, samples, seed),
-                       R, count, direct_limit)
+    return _mhat_steps(lambda r: max_modulus_estimate(map_handle, r, samples),
+                       R, count)
 
 
-def _mhat_steps(estimate, R, count, direct_limit):
+def _mhat_steps(estimate, R, count):
     """``mhat_tower`` with the estimate of M(r) given as estimate(r)."""
     m = BigExp.from_float(R)
     out = [m]
     for _ in range(count):
-        if m.depth == 0 and m.head <= direct_limit:
+        if m.depth == 0 and m.head <= _DIRECT_LIMIT:
             m = BigExp.from_float(max(estimate(m.head), m.head))
         else:
             m = m.exp()
@@ -492,18 +512,25 @@ def _mhat_steps(estimate, R, count, direct_limit):
 
 
 def fast_escape_test(f: MapHandle, x, R: float, ell_max: int = 4,
-                     k_max: int = 12, samples: int = 2000,
-                     seed: int = 0) -> FastEscapeResult:
+                     k_max: int = 12, samples: int = 2000) -> FastEscapeResult:
     """Least ell with |f^{k+ell}(x)| >= Mhat^k(R) for all k <= k_max.
-    M(R) is estimated once, for the precondition and the tower's first
-    step."""
-    mhat_R = max_modulus_estimate(f, R, samples, seed)
-    if mhat_R <= R:
-        raise ValueError("R fails the growth precondition M(R) > R")
+
+    The tower Mhat^k(R) depends on the map and R, not on x: it is built on
+    the first call for (f.fn, R, k_max, samples) and kept on the handle, so
+    a later call with the same radius only iterates the orbit of x.  This
+    needs ``f.fn`` to be a fixed, deterministic map.  M(R) is estimated
+    once, for the precondition M(R) > R and the tower's first step; a
+    failed precondition raises on every call and stores nothing."""
+    key = (f.fn, f.dim, R, k_max, samples)
+    tower = f._towers.get(key)
+    if tower is None:
+        mhat_R = max_modulus_estimate(f, R, samples)
+        if mhat_R <= R:
+            raise ValueError("R fails the growth precondition M(R) > R")
+        tower = f._towers[key] = _mhat_steps(
+            lambda r: mhat_R if r == R else max_modulus_estimate(f, r, samples),
+            R, k_max)
     orbit = orbit_magnitudes_bigexp(f, x, k_max + ell_max, f.translate)
-    tower = _mhat_steps(
-        lambda r: mhat_R if r == R else max_modulus_estimate(f, r, samples, seed),
-        R, k_max, _DIRECT_LIMIT)
     for ell in range(ell_max + 1):
         if k_max + ell >= len(orbit):
             break

@@ -484,8 +484,10 @@ class AffineCellTable:
     tile the codomain.  The inverse takes the codomain facet hit by the ray
     from b (``psi``), the image cell of the piece serving that facet whose
     cone contains q - b (barycentric frames of the polygon's fan triangles),
-    and returns a + A^-1 (q - b); the centre ball of radius ``codomain.tol``
-    maps to a, and exterior points raise GeometryError.
+    and returns a + A^-1 (q - b).  Inside the centre ball of radius
+    ``codomain.tol``, where the ray from b has no reliable facet, the cell
+    is the one among all image cells whose cone contains q - b (the cones
+    tile space); b itself maps to a.  Exterior points raise GeometryError.
     """
 
     def __init__(self, rmap: RadialMap):
@@ -534,6 +536,7 @@ class AffineCellTable:
             frames = np.linalg.inv(fan).reshape(-1, 9).tolist()
             image_cells.append(([tuple(f) for f in frames], tuple(inv)))
         self._ctol2_image = rmap.codomain.tol ** 2
+        self._all_image_cells = image_cells
         self._image_cells = {f: [image_cells[i] for i in cells_of[id(piece)]]
                              for f, piece in rmap.piece_by_codomain_facet.items()}
 
@@ -582,9 +585,13 @@ class AffineCellTable:
         dx = x - bx
         dy = y - by
         dz = z - bz
-        if dx * dx + dy * dy + dz * dz <= self._ctol2_image:
+        r2 = dx * dx + dy * dy + dz * dz
+        if r2 == 0.0:
             return (ax, ay, az)
-        cells = self._image_cells[psi(self._codomain, (x, y, z)).facet]
+        if r2 <= self._ctol2_image:
+            cells = self._all_image_cells
+        else:
+            cells = self._image_cells[psi(self._codomain, (x, y, z)).facet]
         m = _cone_cell(cells, dx, dy, dz)
         return (ax + m[0] * dx + m[1] * dy + m[2] * dz,
                 ay + m[3] * dx + m[4] * dy + m[5] * dz,

@@ -64,19 +64,39 @@ def fold_square(x1, x2) -> FoldResult:
                       flags=(f1, f2))
 
 
-def _scaled(scale, v):
-    if math.isinf(scale):
-        return math.copysign(INF, v) if v != 0.0 else 0.0
-    return scale * v
+def _times_inf(v):
+    """v times an infinite scale, with 0 * inf taken as 0."""
+    return math.copysign(INF, v) if v != 0.0 else 0.0
 
 
 def zorich_scalar(x1, x2, x3):
-    u1, f1 = _fold1(x1)
-    u2, f2 = _fold1(x2)
-    sigma = -1.0 if (f1 + f2) % 2 else 1.0
-    scale = math.exp(x3) if x3 <= _EXP_ARG_MAX else INF
-    zh = sigma * (1.0 - max(abs(u1), abs(u2)))
-    return (_scaled(scale, u1), _scaled(scale, u2), _scaled(scale, zh))
+    """Z at (x1, x2, x3): the folds of x1 and x2 into [-1, 1] and their
+    parity (the ``fold_square`` formula, written out), the pyramid height
+    1 - max(|u1|, |u2|) with that parity's sign, all scaled by e^{x3}."""
+    u1 = x1 - 4.0 * round(x1 / 4.0)
+    u2 = x2 - 4.0 * round(x2 / 4.0)
+    odd = False
+    if u1 > 1.0:
+        u1 = 2.0 - u1
+        odd = True
+    elif u1 < -1.0:
+        u1 = -(2.0 + u1)
+        odd = True
+    if u2 > 1.0:
+        u2 = 2.0 - u2
+        odd = not odd
+    elif u2 < -1.0:
+        u2 = -(2.0 + u2)
+        odd = not odd
+    a1 = abs(u1)
+    a2 = abs(u2)
+    zh = 1.0 - (a2 if a2 > a1 else a1)
+    if odd:
+        zh = -zh
+    if x3 <= _EXP_ARG_MAX:
+        scale = math.exp(x3)
+        return (scale * u1, scale * u2, scale * zh)
+    return (_times_inf(u1), _times_inf(u2), _times_inf(zh))
 
 
 def zorich_eval(x):
@@ -351,11 +371,11 @@ def expansion_min_ratio(L, pairs=10000, seed=0, beams=((0, 0), (1, 0), (1, 1)),
             dv = np.abs(ys[:k, 1] - cy)
             ys[:k, 0] = cx + np.minimum(du, dv)
             ys[:k, 1] = cy + np.maximum(du, dv)
-        for x, y in zip(xs, ys):
+        for x, y in zip(xs.tolist(), ys.tolist()):
             d = math.dist(x, y)
             if d < 1e-12:
                 continue
-            fx = F_scalar(*x.tolist())
-            fy = F_scalar(*y.tolist())
+            fx = F_scalar(*x)
+            fy = F_scalar(*y)
             ratio_min = min(ratio_min, math.dist(fx, fy) / d)
     return ratio_min

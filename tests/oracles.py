@@ -6,14 +6,20 @@ and cone frames, kept here as the oracles of the tests.
 - ``invert_piece`` and ``radial2d_invert``: the inverses of the boundary
   pieces and of a 2D radial map;
 - ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
-  triangles, after ``locate`` has rejected exterior points.
+  triangles, after ``locate`` has rejected exterior points;
+- ``zorich_composed``: Z composed from the scalar fold ``_fold1``, the parity
+  of its flags and a scaling per coordinate, which ``zorich_scalar`` writes
+  out.
 """
+
+import math
 
 import numpy as np
 
 from qrdyn.geometry import (BoundaryHit, GeometryError, _as_array, _ray_box_scalar,
                             _ray_tris, locate)
 from qrdyn.star_extend import _radial_2d
+from qrdyn.zorich import _EXP_ARG_MAX, _fold1
 
 
 def psi_ray_oracle(shape, x):
@@ -107,3 +113,21 @@ def radial_inverse(rmap, q):
     ux, uy, uz = invert_piece(piece, tuple(map(float, hit.point)))
     frac = 1.0 / hit.t
     return (ax + frac * (ux - ax), ay + frac * (uy - ay), az + frac * (uz - az))
+
+
+def _scaled(scale, v):
+    if math.isinf(scale):
+        return math.copysign(math.inf, v) if v != 0.0 else 0.0
+    return scale * v
+
+
+def zorich_composed(x1, x2, x3):
+    """Z at (x1, x2, x3): fold each horizontal coordinate, sign the pyramid
+    height by the parity of the two reflections, scale by e^{x3} (by inf
+    above log(DBL_MAX), with 0 * inf taken as 0)."""
+    u1, f1 = _fold1(x1)
+    u2, f2 = _fold1(x2)
+    sigma = -1.0 if (f1 + f2) % 2 else 1.0
+    scale = math.exp(x3) if x3 <= _EXP_ARG_MAX else math.inf
+    zh = sigma * (1.0 - max(abs(u1), abs(u2)))
+    return (_scaled(scale, u1), _scaled(scale, u2), _scaled(scale, zh))

@@ -131,32 +131,65 @@ class TestInverse:
     points near the centre ball, within 1e-12 x the domain diameter."""
 
     def test_matches_the_radial_inverse(self, build):
+        # the radial formula has no ray inside the codomain's centre ball
+        # (radius codomain.tol) and sends it to the domain centre; the round
+        # trip below covers the table's inverse there
         rng = np.random.default_rng(22)
         for chart in build.g.charts:
+            b, ctol = chart.map.codomain.centre, chart.map.codomain.tol
             tol = 1e-12 * chart.map.domain.diameter
             pts = np.vstack([_box_points(chart, rng, 300, 20, 9, 1),
                              _near_centre(chart, rng)])
             worst = 0.0
             for p in pts.tolist():
                 q = chart.table.eval(*p)
+                if math.dist(q, b) <= ctol:
+                    continue
                 worst = max(worst, math.dist(chart.table.inverse(*q),
                                              radial_inverse(chart.map, q)))
             assert worst <= tol, (chart.cell_id, worst)
 
     def test_round_trip(self, build):
-        # exact up to rounding, except that the codomain's centre ball
-        # (radius codomain.tol) maps to the domain centre
+        # exact up to rounding everywhere, the codomain's centre ball
+        # included; no test point but the exact centre lies in the domain's
+        # centre ball, which maps to b
         rng = np.random.default_rng(23)
         for chart in build.g.charts:
-            a, b = chart.map.domain.centre, chart.map.codomain.centre
             tol = 1e-12 * chart.map.domain.diameter
             worst = 0.0
             for p in np.vstack([_box_points(chart, rng),
                                 _near_centre(chart, rng)]).tolist():
-                q = chart.map.eval(p)
-                want = a if math.dist(q, b) <= chart.map.codomain.tol else p
-                worst = max(worst, math.dist(chart.map.inverse(q), want))
+                worst = max(worst, math.dist(chart.map.inverse(chart.map.eval(p)), p))
             assert worst <= tol, (chart.cell_id, worst)
+
+    def test_centre_ball_inverts_by_its_cells(self, build):
+        # the codomain's centre ball (radius codomain.tol) has a preimage
+        # reaching far beyond domain.tol from a along the cells that shrink
+        # most: its points invert by their cells, not to a
+        rng = np.random.default_rng(24)
+        inside = 0
+        for chart in build.g.charts:
+            dom, cod = chart.map.domain, chart.map.codomain
+            a, b = dom.centre, cod.centre
+            d = rng.normal(size=(400, 3))
+            d /= np.linalg.norm(d, axis=1)[:, None]
+            for u, s in zip(d.tolist(), rng.uniform(0.05, 1.0, 400).tolist()):
+                # g is positively homogeneous about a on each cell cone: the
+                # image of a + r u is b + r A u, outside the domain's ball
+                gain = np.linalg.norm(np.subtract(chart.table.eval(*(a + u)), b))
+                r = s * cod.tol / gain
+                if r <= 1.01 * dom.tol:
+                    continue
+                p = (a + r * np.asarray(u)).tolist()
+                q = chart.table.eval(*p)
+                assert math.dist(q, b) <= cod.tol
+                inside += 1
+                back = chart.table.inverse(*q)
+                assert math.dist(back, p) <= 1e-12 * dom.diameter, (chart.cell_id, p)
+            for q in (b + cod.tol * rng.random((50, 1)) * d[:50]).tolist():
+                back = chart.table.inverse(*q)
+                assert math.dist(chart.table.eval(*back), q) <= 1e-12 * cod.diameter
+        assert inside >= 20, inside
 
     def test_centre_ball_and_exterior(self, build):
         for chart in build.g.charts:
@@ -164,7 +197,7 @@ class TestInverse:
             b = cod.centre
             a = tuple(map(float, chart.map.domain.centre))
             assert chart.table.inverse(*b.tolist()) == a
-            assert chart.table.inverse(*(b + 0.5 * cod.tol).tolist()) == a
+            assert chart.table.inverse(*(b + 0.5 * cod.tol).tolist()) != a
             far = b + 2.0 * (cod.vertices[0] - b)
             with pytest.raises(GeometryError, match="exterior"):
                 chart.table.inverse(*far.tolist())

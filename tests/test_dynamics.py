@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from qrdyn.dynamics import (LOG_SWITCH, RADIUS_CAP, BigExp, EscapeClass,
                             MapHandle, SurrogateSpec, _radial_square_rho_step,
+                            _unit_directions,
                             ball_growth_check, classify_escape,
-                            escape_rate_series, fast_escape_test, iterate,
+                            FastEscapeResult, escape_rate_series,
+                            fast_escape_test, iterate,
                             log_domain_series, max_modulus_estimate,
                             mhat_tower, norm_safe, orbit_csv,
                             orbit_magnitudes_bigexp, rates_csv,
@@ -209,7 +211,7 @@ class TestFastEscape:
 
         fast_escape_test(MapHandle("scale", scale), (0.0, 0.0, 1.0), R=10.0)
         orbit_steps = 12 + 4
-        assert len(calls) == estimates * len(sphere_directions(2000, 0)) + orbit_steps
+        assert len(calls) == estimates * len(sphere_directions(2000)) + orbit_steps
 
     def test_results_match_two_estimates_of_M_R(self, fhandle, build):
         # the tower with M(R) reused equals mhat_tower, which estimates it
@@ -224,6 +226,90 @@ class TestFastEscape:
             res = fast_escape_test(fhandle, x, R)
             assert (res.kind, res.ell) == (("fast", want) if want is not None
                                            else ("not_observed", None))
+
+
+class _Counting:
+    """x -> k x, counting its calls."""
+
+    def __init__(self, k):
+        self.k = k
+        self.calls = 0
+
+    def __call__(self, p):
+        self.calls += 1
+        return tuple(self.k * c for c in p)
+
+
+class TestStoredTower:
+    DIRECTIONS = len(sphere_directions(2000))
+    ORBIT = 12 + 4
+
+    def test_repeated_radius_iterates_only_the_orbit(self):
+        # x -> 60 x: M(10) = 600 > 500, so the tower needs one estimate
+        fn = _Counting(60.0)
+        h = MapHandle("scale", fn)
+        first = fast_escape_test(h, (0.0, 0.0, 1.0), R=10.0)
+        assert fn.calls == self.DIRECTIONS + self.ORBIT
+        fn.calls = 0
+        second = fast_escape_test(h, (0.0, 1.0, 0.5), R=10.0)
+        assert fn.calls == self.ORBIT
+        assert first == second == FastEscapeResult("not_observed")
+
+    def test_new_radius_samples_or_map_estimate_again(self):
+        fn = _Counting(60.0)
+        h = MapHandle("scale", fn)
+        fast_escape_test(h, (0.0, 0.0, 1.0), R=10.0)
+        for kwargs in ({"R": 12.0}, {"R": 10.0, "samples": 1500}):
+            fn.calls = 0
+            fast_escape_test(h, (0.0, 0.0, 1.0), **kwargs)
+            assert fn.calls == len(sphere_directions(kwargs.get("samples", 2000))) + self.ORBIT
+        h.fn = other = _Counting(60.0)
+        fast_escape_test(h, (0.0, 0.0, 1.0), R=10.0)
+        assert other.calls == self.DIRECTIONS + self.ORBIT
+
+    def test_failed_precondition_raises_on_each_call(self):
+        fn = _Counting(0.5)
+        h = MapHandle("half", fn)
+        for _ in range(3):
+            fn.calls = 0
+            with pytest.raises(ValueError, match="precondition"):
+                fast_escape_test(h, (0.0, 0.0, -1.0), R=10.0)
+            assert fn.calls == self.DIRECTIONS
+        assert h._towers == {}
+
+    def test_stored_towers_give_a_fresh_handle_s_results(self, fmap, build):
+        # the benchmark's fast-escape cases: starts on invariant vertical
+        # lines above the fixed point log L', a start below the slab and one
+        # that falls under the fixed point
+        L, lp = build.constants.L, build.L_prime
+        t_star = math.log(lp)
+        rng = np.random.default_rng(31)
+        cases = []
+        for R in [5.5, 10.0, 20.0, 5.75] * 2:
+            a, b = (int(v) for v in rng.integers(-2, 3, 2))
+            s = 2.0 * int(rng.integers(2))
+            cases.append(((4.0 * a + s, 4.0 * b + s, t_star + 0.3 + 2.7 * float(rng.random())), R))
+        cases += [((3.1, -6.2, -4.0), 10.0), ((0.0, 0.0, L + 0.06), 20.0)]
+        kept = MapHandle("f", lambda p: fmap.eval3(p[0], p[1], p[2]), dim=3,
+                         tracks_h0=True, translate=lp)
+        kinds = set()
+        for x, R in cases:
+            fresh = MapHandle("f", lambda p: fmap.eval3(p[0], p[1], p[2]), dim=3,
+                              tracks_h0=True, translate=lp)
+            want = fast_escape_test(fresh, x, R)
+            assert fast_escape_test(kept, x, R) == want, (x, R)
+            assert fast_escape_test(kept, x, R) == want, (x, R)
+            kinds.add(want.kind)
+        assert kinds == {"fast", "not_observed"}
+        assert len(kept._towers) == 4
+
+    def test_directions_are_built_once_and_read_only(self):
+        dirs = _unit_directions(3, 2000)
+        assert dirs is _unit_directions(3, 2000)
+        assert not dirs.flags.writeable
+        assert dirs.tobytes() == sphere_directions(2000).tobytes()
+        h = MapHandle("id", lambda p: p)
+        assert max_modulus_estimate(h, 3.0) == pytest.approx(3.0, rel=1e-15)
 
 
 class TestBallGrowth:

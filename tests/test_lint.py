@@ -1,5 +1,6 @@
-"""Lint gates: every name a module of the package imports is used in it, and
-every private module-level helper is read by some module of the package."""
+"""Lint gates: every name a module of the package imports is used in it,
+every private module-level helper is read by some module of the package, and
+every parameter of a module-level function is read by its body."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,59 @@ def test_detects_an_orphaned_helper():
 def test_no_orphaned_private_helpers():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_helpers(sources) == []
+
+
+def unused_parameters(source):
+    """(line, function, parameter) of each parameter of a module-level
+    function that the function's body (nested functions and lambdas
+    included) never reads."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, node.name, p) for p in params if p not in read]
+    return out
+
+
+# parameters that perfbench passes and the code ignores; they go with a
+# change of the benchmark's calls
+IGNORED_PARAMETERS = {
+    ("global_map.py", "audit_seams", "samples"),
+    ("global_map.py", "audit_seams", "seed"),
+    ("global_map.py", "audit_orientation", "samples_per_chart"),
+    ("global_map.py", "audit_orientation", "seed"),
+    ("global_map.py", "audit_dilatation", "samples"),
+    ("global_map.py", "audit_dilatation", "seed"),
+    ("global_map.py", "build_maps", "chart_resolution"),
+    ("global_map.py", "build_maps", "lprime_samples"),
+    ("global_map.py", "build_maps", "seed"),
+}
+
+
+def test_detects_an_unused_parameter():
+    # sphere_directions once took a seed that it never read
+    src = ("def sphere_directions(samples, seed=0, lattice_extent=8):\n"
+           "    dirs = [_fibonacci_sphere(samples)]\n"
+           "    for i in range(-lattice_extent, lattice_extent + 1):\n"
+           "        dirs.append(i)\n"
+           "    return dirs\n\n"
+           "def outer(a, *rest, b, **kw):\n"
+           "    return lambda: (a, kw)\n\n"
+           "class C:\n"
+           "    def method(self, unused):\n"
+           "        return self\n")
+    assert unused_parameters(src) == [(1, "sphere_directions", "seed"),
+                                      (7, "outer", "b"), (7, "outer", "rest")]
+
+
+def test_no_unused_parameters():
+    found = {(p.name, fn, arg) for p in sorted(PACKAGE.glob("*.py"))
+             for _, fn, arg in unused_parameters(p.read_text())}
+    assert found - IGNORED_PARAMETERS == set()
+    # the allow-list names only parameters that are still there and unused
+    assert IGNORED_PARAMETERS <= found

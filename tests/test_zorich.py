@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import zorich_composed
 from qrdyn import zorich
-from qrdyn.zorich import (ConstantsReport, F_eval, F_jacobian, F_scalar,
+from qrdyn.zorich import (HORIZON, ConstantsReport, F_eval, F_jacobian, F_scalar,
                           _fold1, _fold_vec, _sigma_extremes_det,
                           derive_beam_constants,
                           expansion_min_ratio,
                           fold_square, h_pyramid, region_matrix,
-                          verify_beam_inequalities, zorich_eval)
+                          verify_beam_inequalities, zorich_eval, zorich_scalar)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,53 @@ class TestFolds:
         for (x1, x2), want in zip(pts, rows):
             n, _ = region_matrix(x1, x2)
             assert n.shape == (3, 3) and n.tobytes() == want.tobytes()
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestFlatZStep:
+    # zorich_scalar writes out the folds, the parity and the scaling of
+    # oracles.zorich_composed and must agree with it bit for bit
+    LOG_MAX = math.log(sys.float_info.max)
+    XS = (TestFolds.EDGES
+          + [4.0 * k + d for k in (-5, 5, 2.0 ** 48) for d in (-1.0, 1.0, 2.0)]
+          + [2.0 ** 50, -2.0 ** 50, 2.0 ** 50 - 1.0, -2.0 ** 50 + 2.0])
+    X3S = [-800.0, -1.0, -0.0, 0.0, 0.5, 5.0, 100.0, LOG_MAX,
+           math.nextafter(LOG_MAX, 0.0), math.nextafter(LOG_MAX, math.inf),
+           709.9, 710.0, 1e308, math.inf, -math.inf, math.nan]
+
+    def _points(self):
+        rng = np.random.default_rng(43)
+        pts = [(x1, x2, x3) for x1 in self.XS for x2 in self.XS[::3] for x3 in self.X3S[::4]]
+        pts += [(x1, x2, x3) for x1 in self.XS[::5] for x2 in self.XS[::7] for x3 in self.X3S]
+        pts += np.column_stack([rng.uniform(-50.0, 50.0, 20000),
+                                rng.uniform(-50.0, 50.0, 20000),
+                                rng.uniform(-50.0, 715.0, 20000)]).tolist()
+        pts += np.column_stack([rng.uniform(-1e9, 1e9, 2000), rng.uniform(-1e9, 1e9, 2000),
+                                rng.uniform(-5.0, 10.0, 2000)]).tolist()
+        return pts
+
+    def test_matches_the_composed_step_bitwise(self):
+        for p in self._points():
+            assert _hex(zorich_scalar(*p)) == _hex(zorich_composed(*p)), p
+
+    def test_F_is_the_composed_step_bitwise(self):
+        for p in self._points():
+            if max(abs(p[0]), abs(p[1])) > HORIZON:
+                continue
+            want = tuple(x + z for x, z in zip(p, zorich_composed(*p)))
+            assert _hex(F_scalar(*p)) == _hex(want), p
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_folds_raise_alike(self, bad):
+        for p in [(bad, 0.5, 1.0), (0.5, bad, 1.0), (bad, math.nan, 1.0),
+                  (math.inf, bad, 1.0)]:
+            with pytest.raises(Exception) as want:
+                zorich_composed(*p)
+            with pytest.raises(want.type):
+                zorich_scalar(*p)
 
 
 class TestJacobian:
@@ -351,3 +399,24 @@ def test_expansion_ratio_feeds_python_floats(monkeypatch):
     monkeypatch.setattr(zorich, "F_scalar", recording)
     expansion_min_ratio(5.0, pairs=50)
     assert seen == {float}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_expansion_ratio_is_the_composed_minimum(monkeypatch, seed):
+    # the audit's minimum, recomputed from the pairs it evaluated with the
+    # composed Z step, agrees bit for bit
+    calls = []
+    plain = zorich.F_scalar
+
+    def recording(*x):
+        calls.append(x)
+        return plain(*x)
+
+    monkeypatch.setattr(zorich, "F_scalar", recording)
+    got = expansion_min_ratio(5.0, pairs=200, seed=seed)
+    want = math.inf
+    for x, y in zip(calls[::2], calls[1::2]):
+        fx = [c + z for c, z in zip(x, zorich_composed(*x))]
+        fy = [c + z for c, z in zip(y, zorich_composed(*y))]
+        want = min(want, math.dist(fx, fy) / math.dist(x, y))
+    assert len(calls) > 0 and got.hex() == want.hex()
