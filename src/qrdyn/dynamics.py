@@ -129,7 +129,6 @@ class SurrogateSpec:
 
     kind: str
     translate: float = 0.0
-    decay_term: bool = False
 
     def regime(self, point) -> bool:
         if self.kind == "radial-square":
@@ -254,15 +253,11 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
 def _surrogate_rho_step(sur: SurrogateSpec, r: float) -> float:
     if sur.kind != "radial-square":
         raise ValueError("rho continuation only applies to radial squaring")
-    return _radial_square_rho_step(r, sur.translate, sur.decay_term)
+    return _radial_square_rho_step(r, sur.translate)
 
 
-def _radial_square_rho_step(r, translate, decay_term=False):
+def _radial_square_rho_step(r, c):
     """log of (e^r)^2 + c, computed without overflow."""
-    c = translate
-    if decay_term:
-        e2r = math.exp(2 * r) if 2 * r < 700 else math.inf
-        c = c + (math.exp(-e2r) if e2r < 700 else 0.0)
     if c == 0.0:
         return 2 * r
     if 2 * r > 709.0:
@@ -339,7 +334,7 @@ def escape_rate_series(map_handle: MapHandle, x, k_max: int, p: int = 1):
 
 
 def log_domain_series(map_kind: str, start: float, k_max: int,
-                      translate: float = 0.0, decay_term: bool = False):
+                      translate: float = 0.0):
     """Closed-form log-domain orbits.
 
     "radial-square": returns [rho_0..rho_k] with rho the log magnitude and
@@ -354,7 +349,7 @@ def log_domain_series(map_kind: str, start: float, k_max: int,
                 "magnitude too small for the squaring surrogate; iterate directly")
         out = [float(start)]
         for _ in range(k_max):
-            out.append(_radial_square_rho_step(out[-1], translate, decay_term))
+            out.append(_radial_square_rho_step(out[-1], translate))
         return out
     if map_kind == "axis-tower":
         t = BigExp.from_float(start)
@@ -546,23 +541,20 @@ def fast_escape_test(f: MapHandle, x, R: float, ell_max: int = 4,
 def ball_growth_check(gm, xi, delta: float, samples: int = 500) -> float:
     """min over sphere samples of |f(x) - f(xi)| / delta; the beam regime
     makes this at least 32."""
-    xi = np.asarray(xi, dtype=float)
+    x1, x2, x3 = map(float, xi)
     L = gm.L
-    n1 = round(xi[0] / 2.0)
-    n2 = round(xi[1] / 2.0)
-    if abs(xi[0] - 2 * n1) + delta >= 1 or abs(xi[1] - 2 * n2) + delta >= 1:
+    if (abs(x1 - 2 * round(x1 / 2.0)) + delta >= 1
+            or abs(x2 - 2 * round(x2 / 2.0)) + delta >= 1):
         raise ValueError("ball leaves the fundamental half-beam")
-    if xi[2] - delta <= L:
+    if x3 - delta <= L:
         raise ValueError("ball must sit above the expansion level")
-    fxi = np.asarray(gm.eval3(xi[0], xi[1], xi[2]))
+    fxi = gm.eval3(x1, x2, x3)
     if fxi[2] <= L:
         raise ValueError("image point must sit above the expansion level")
-    dirs = _fibonacci_sphere(samples)
     worst = math.inf
-    for d in dirs:
-        p = xi + delta * d
-        fp = np.asarray(gm.eval3(p[0], p[1], p[2]))
-        worst = min(worst, float(np.linalg.norm(fp - fxi)) / delta)
+    for d1, d2, d3 in _fibonacci_sphere(samples).tolist():
+        fp = gm.eval3(x1 + delta * d1, x2 + delta * d2, x3 + delta * d3)
+        worst = min(worst, math.dist(fp, fxi) / delta)
     return worst
 
 

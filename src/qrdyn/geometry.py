@@ -1,13 +1,16 @@
 """Star-shaped polytope geometry.
 
-Shapes are simple polygons (2D) or watertight triangulated polyhedra (3D)
-that are star-shaped with respect to a designated centre.  The module
-provides membership classification, the ray-to-boundary projection psi
-(send x to the boundary point hit by the ray from the centre through x;
-on a polyhedron, a scan of cone frames precomputed per surface triangle),
-an exact certificate that a centre is a non-tangential star centre (rays
-meet the boundary once, at angles bounded away from zero), and the local
-Lipschitz constants of psi that follow from such a certificate.
+Shapes are simple polygons (2D) or closed, connected triangulated polyhedra
+(3D), each star-shaped about its centre: construction certifies the centre
+(``certify_star_centre``) and fails with ``CertificationFailure`` if it is
+not a non-tangential star centre (rays from it meet the boundary once, at
+angles bounded away from zero).  Every shape carries that certificate.  The
+module provides membership classification and the ray-to-boundary
+projection psi, both read off the one crossing of the ray from the centre
+through x (``_crossing``: on a polygon a scan of its edges, on a polyhedron
+a scan of cone frames precomputed per surface triangle; a box has its own
+closed form), and the local Lipschitz constants of psi that follow from the
+certificate.
 
 Polyhedral surfaces are oriented outward at construction, so the star test
 is one exact sign per boundary simplex: the signed area of (a, v_i, v_i+1)
@@ -39,17 +42,6 @@ class CertificationFailure(GeometryError):
 TAU_GEOM = 1e-12
 # Certification fails below this angle (radians).
 THETA_MIN = 1e-3
-# Largest temporary of the batched surface-distance kernel, in float64
-# elements.
-BATCH_ELEMENTS = 400 * 400 * 3
-
-
-def _row_chunks(rows, width):
-    """Slices of ``rows`` point rows such that a (chunk, width) temporary
-    stays within BATCH_ELEMENTS."""
-    step = max(1, BATCH_ELEMENTS // max(1, width))
-    for start in range(0, rows, step):
-        yield slice(start, min(start + step, rows))
 
 
 @dataclass(frozen=True)
@@ -92,13 +84,19 @@ def _as_array(x, dim):
 
 
 class StarShape:
-    """A polygon (dim 2) or triangulated polyhedron (dim 3) with star centre.
+    """A polygon (dim 2) or triangulated polyhedron (dim 3) with a certified
+    star centre.
 
     2D: ``vertices`` is the boundary loop in order; facet i is the edge from
     vertex i to vertex i+1.
     3D: ``vertices`` is a vertex pool, ``facet_polys`` lists each planar facet
     as an ordered index loop, and ``triangles`` triangulates the surface with
     ``tri_facet`` recording which facet each triangle came from.
+
+    Construction ends with ``certify_star_centre(self, centre)`` and keeps
+    its result as ``certificate``, so a shape whose centre is not a
+    non-tangential star centre is never built: it raises
+    ``CertificationFailure``.
     """
 
     def __init__(self, dim, vertices, centre, facet_polys=None, box=None):
@@ -107,7 +105,6 @@ class StarShape:
         if not np.all(np.isfinite(self.vertices)):
             raise GeometryError("non-finite vertex coordinates")
         self.centre = _as_array(centre, self.dim)
-        self.certificate: Optional[Certificate] = None
         self.box = box  # (lo, hi) arrays for axis-aligned cuboids, else None
 
         mins = self.vertices.min(axis=0)
@@ -123,9 +120,7 @@ class StarShape:
             self._init_polyhedron(facet_polys)
         else:
             raise GeometryError("only dimensions 2 and 3 are supported")
-
-        if locate(self, self.centre).kind != "interior":
-            raise GeometryError("star centre must be strictly interior")
+        self.certificate = certify_star_centre(self, self.centre)
 
     # -- construction ------------------------------------------------------
 
@@ -140,6 +135,7 @@ class StarShape:
         if np.any(lengths <= self.tol):
             raise GeometryError("degenerate polygon edge")
         self._edge_len = lengths
+        self._loop = v.tolist()
         if _polygon_self_intersects(v):
             raise GeometryError("polygon boundary is self-intersecting")
         self.min_feature = float(lengths.min())
@@ -163,13 +159,8 @@ class StarShape:
         self.tri_facet = np.asarray(tri_facet, dtype=int)
         self._facet_normal = np.array([_polygon_normal(self.vertices[poly])
                                        for poly in self.facet_polys])
-        # triangle data for vectorized ray casting
-        t = self.triangles
-        self._tri_a = self.vertices[t[:, 0]]
-        self._tri_e1 = self.vertices[t[:, 1]] - self._tri_a
-        self._tri_e2 = self.vertices[t[:, 2]] - self._tri_a
-        self._cones, self._star = _cone_frames(self.vertices[t] - self.centre,
-                                               self.tri_facet)
+        self._cones = _cone_frames(self.vertices[self.triangles] - self.centre,
+                                   self.tri_facet)
         edge_lens = [np.linalg.norm(self.vertices[p[i]] - self.vertices[p[i - 1]])
                      for p in self.facet_polys for i in range(len(p))]
         self.min_feature = float(min(edge_lens))
@@ -281,6 +272,21 @@ def _point_in_tri2(p, a, b, c):
     return not (has_neg and has_pos)
 
 
+def _point_in_polygon(v, p):
+    # even-odd ray casting with a horizontal ray
+    n = len(v)
+    inside = False
+    x, y = p
+    for i in range(n):
+        x0, y0 = v[i]
+        x1, y1 = v[(i + 1) % n]
+        if (y0 > y) != (y1 > y):
+            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            if xi > x:
+                inside = not inside
+    return inside
+
+
 def _polygon_self_intersects(v):
     n = len(v)
     for i in range(n):
@@ -324,23 +330,25 @@ def _check_watertight(triangles):
 def _orient_outward(vertices, tris):
     """The triangles turned to one orientation with outward normals (a
     positive enclosed volume), flipping by swapping the last two vertices;
-    raises if the surface is not closed or not orientable."""
+    raises if the surface is not connected (the star test's winding
+    argument needs one component), not closed or not orientable."""
     tris = [list(map(int, t)) for t in tris]
     by_edge = {}
     for k, t in enumerate(tris):
         for e in _edges(t):
             by_edge.setdefault(frozenset(e), []).append(k)
-    todo = set(range(len(tris)))
-    while todo:
-        stack = [todo.pop()]
-        while stack:
-            for u, v in _edges(tris[stack.pop()]):
-                for k in by_edge[frozenset((u, v))]:
-                    if k in todo:
-                        todo.discard(k)
-                        if (u, v) in _edges(tris[k]):    # must run v -> u
-                            tris[k][1:] = tris[k][:0:-1]
-                        stack.append(k)
+    todo = set(range(1, len(tris)))
+    stack = [0]
+    while stack:
+        for u, v in _edges(tris[stack.pop()]):
+            for k in by_edge[frozenset((u, v))]:
+                if k in todo:
+                    todo.discard(k)
+                    if (u, v) in _edges(tris[k]):    # must run v -> u
+                        tris[k][1:] = tris[k][:0:-1]
+                    stack.append(k)
+    if todo:
+        raise GeometryError("surface is not connected")
     _check_watertight(tris)
     p = vertices[tris]
     if np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2])) < 0.0:
@@ -352,250 +360,130 @@ def _orient_outward(vertices, tris):
 # classification and the ray projection psi
 
 def locate(shape: StarShape, x) -> Location:
-    """Classify x as interior / boundary(facet) / exterior of the shape."""
+    """Classify x as interior / boundary(facet) / exterior of the shape.
+
+    A box decides by its closed form, boundary within tol of a face.  Other
+    shapes read the class off the crossing of the ray from the centre c
+    through x that psi uses (``_crossing``): boundary where it lies within
+    4 tol of x, interior where it lies beyond x or x lies within tol of c,
+    and exterior otherwise."""
     x = _as_array(x, shape.dim)
-    if shape.dim == 2:
-        return _locate2(shape, x)
-    return _locate3(shape, x)
-
-
-def _locate2(shape, x):
-    v = shape.vertices
-    n = len(v)
-    best = (math.inf, -1)
-    for i in range(n):
-        d = _point_segment_dist2(x, v[i], v[(i + 1) % n])
-        if d < best[0]:
-            best = (d, i)
-    if best[0] <= shape.tol:
-        return Location("boundary", best[1])
-    inside = _point_in_polygon(v, x)
-    return Location("interior" if inside else "exterior")
-
-
-def _point_segment_dist2(p, a, b):
-    ab = b - a
-    t = float(np.dot(p - a, ab) / np.dot(ab, ab))
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def _point_in_polygon(v, p):
-    # even-odd ray casting with a horizontal ray
-    n = len(v)
-    inside = False
-    x, y = p
-    for i in range(n):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % n]
-        if (y0 > y) != (y1 > y):
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if xi > x:
-                inside = not inside
-    return inside
-
-
-def _locate3(shape, x):
     if shape.box is not None:
         lo, hi = shape.box
         d_out = max(np.max(lo - x), np.max(x - hi))
         if abs(d_out) <= shape.tol:
-            fi = _box_facet_of(shape, x)
-            return Location("boundary", fi)
+            gaps = np.stack([x - lo, hi - x], axis=1).ravel()
+            return Location("boundary", int(np.argmin(gaps)))
         return Location("interior" if d_out < 0 else "exterior")
-    # distance to surface
-    d, fi = _surface_distance(shape, x[None, :])
-    if d[0] <= shape.tol:
-        return Location("boundary", int(fi[0]))
-    return Location("interior" if _inside_parity(shape, x) else "exterior")
-
-
-def _box_facet_of(shape, x):
-    lo, hi = shape.box
-    gaps = [x[0] - lo[0], hi[0] - x[0], x[1] - lo[1], hi[1] - x[1],
-            x[2] - lo[2], hi[2] - x[2]]
-    return int(np.argmin(gaps))
-
-
-def _surface_distance(shape, x):
-    """Distance from each row of x (shape (N, 3)) to the triangulated
-    surface, and the facet of the nearest triangle: arrays of length N."""
-    a = shape._tri_a
-    e1 = shape._tri_e1
-    e2 = shape._tri_e2
-    n = np.cross(e1, e2)
-    nn = np.einsum("ij,ij->i", n, n)
-    dot11 = np.einsum("ij,ij->i", e1, e1)
-    dot12 = np.einsum("ij,ij->i", e1, e2)
-    dot22 = np.einsum("ij,ij->i", e2, e2)
-    den = dot11 * dot22 - dot12 * dot12
-    verts = shape.vertices
-    tris = shape.triangles
-    out = np.empty(len(x))
-    facet = np.empty(len(x), dtype=int)
-    for rows in _row_chunks(len(x), 3 * len(tris)):
-        xr = x[rows, None, :]
-        d = xr - a
-        # project onto each triangle plane, clamp into the triangle
-        # (approximate clamp via barycentric clip; good enough for tolerance
-        # tests)
-        h = np.einsum("...j,...j->...", d, n) / np.sqrt(np.maximum(nn, 1e-300))
-        # barycentric coordinates of the in-plane projection
-        dot1p = np.einsum("...j,...j->...", e1, d)
-        dot2p = np.einsum("...j,...j->...", e2, d)
-        u = (dot22 * dot1p - dot12 * dot2p) / den
-        v = (dot11 * dot2p - dot12 * dot1p) / den
-        inside = (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1 + 1e-12)
-        dist = np.where(inside, np.abs(h), np.inf)
-        # edge distances for the rest
-        for k in range(3):
-            p0 = verts[tris[:, k]]
-            p1 = verts[tris[:, (k + 1) % 3]]
-            seg = p1 - p0
-            t = (np.einsum("...j,...j->...", xr - p0, seg)
-                 / np.einsum("ij,ij->i", seg, seg))
-            t = np.clip(t, 0.0, 1.0)
-            proj = p0 + t[..., None] * seg
-            dist = np.minimum(dist, np.linalg.norm(xr - proj, axis=-1))
-        ti = np.argmin(dist, axis=1)
-        out[rows] = dist[np.arange(len(ti)), ti]
-        facet[rows] = shape.tri_facet[ti]
-    return out, facet
-
-
-def _inside_parity(shape, x, _dirs=((1.0, 0.0, 0.0), (0.37, 0.61, 0.70), (0.2, -0.9, 0.38))):
-    for dvec in _dirs:
-        d = np.asarray(dvec) / np.linalg.norm(dvec)
-        t, u, v, valid = _ray_tris(shape, x, d)
-        hit = valid & (t > shape.tol)
-        # reject grazing hits near triangle borders: retry with another direction
-        grazing = hit & ((u < 1e-9) | (v < 1e-9) | (u + v > 1 - 1e-9))
-        if np.any(grazing):
-            continue
-        return int(np.count_nonzero(hit)) % 2 == 1
-    # fall back to the last direction, accepting grazing hits
-    return int(np.count_nonzero(hit)) % 2 == 1
-
-
-def _ray_tris(shape, origin, direction):
-    """Moller-Trumbore over all triangles, for one direction (3,) or a stack
-    of directions (N, 3) from a common origin.  Returns (t, u, v, valid),
-    each of shape (T,) or (N, T)."""
-    e1 = shape._tri_e1
-    e2 = shape._tri_e2
-    a = shape._tri_a
-    direction = direction[..., None, :]
-    p = np.cross(direction, e2)
-    det = np.einsum("...j,...j->...", e1, p)
-    eps = 1e-14 * max(1.0, shape.diameter)
-    valid = np.abs(det) > eps
-    inv = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
-    s = origin[None, :] - a
-    u = np.einsum("...j,...j->...", s, p) * inv
-    q = np.cross(s, e1)
-    v = np.einsum("...j,...j->...", direction, q) * inv
-    t = np.einsum("ij,ij->i", e2, q) * inv
-    bt = 1e-9
-    valid &= (u >= -bt) & (v >= -bt) & (u + v <= 1 + bt)
-    return t, u, v, valid
+    c, r, d = _centre_ray(shape, x)
+    if d <= shape.tol:
+        return Location("interior")
+    hit = _crossing(shape, c, r, d)
+    if hit is None:
+        return Location("exterior")
+    return Location("boundary", hit[1]) if hit[0] == 1.0 else Location("interior")
 
 
 def psi(shape: StarShape, x) -> BoundaryHit:
     """Boundary point hit by the ray from the star centre through x.
 
-    Defined on closure(shape) minus the centre: the nearest crossing at or
-    beyond x, so boundary points map to themselves with t = 1.  Ties on
-    shared facet boundaries go to the lowest facet id.  The centre and
-    exterior points raise GeometryError.  On a polyhedron that is not a box
-    the crossing comes from the cone frames of its surface triangles about
-    the centre (``_psi_cones``), in Python floats.  The slab charts'
-    ``AffineCellTable`` evaluates and inverts them; its inverse takes the
-    codomain facet from psi.
+    Defined on closure(shape) minus the centre: the crossing at or beyond
+    x, so boundary points (as ``locate`` classifies them) map to
+    themselves with t = 1.  Ties on shared facet boundaries go to the lowest
+    facet id.  The centre and exterior points raise GeometryError, exactly
+    where ``locate`` says "exterior".  A box takes its exit facet in closed
+    form; other shapes take the crossing from ``_crossing``, in Python
+    floats.  The slab charts' ``AffineCellTable`` evaluates and inverts
+    them; its inverse takes the codomain facet from psi.
     """
     x = _as_array(x, shape.dim)
-    if shape.dim == 3 and shape.box is None:
-        return _psi_cones(shape, x)
-    a = shape.centre
-    r = x - a
-    if float(np.linalg.norm(r)) <= shape.tol:
+    c, r, d = _centre_ray(shape, x)
+    if d <= shape.tol:
         raise GeometryError("psi is undefined at the star centre")
-    if locate(shape, x).kind == "exterior":
+    if shape.box is not None:
+        if locate(shape, x).kind == "exterior":
+            raise GeometryError("psi called on an exterior point")
+        lo, hi = shape.box
+        facet, t = _ray_box_scalar(*c, lo.tolist(), hi.tolist(), *x.tolist())
+        return BoundaryHit(point=np.clip(shape.centre + t * (x - shape.centre), lo, hi),
+                           facet=facet, t=t)
+    hit = _crossing(shape, c, r, d)
+    if hit is None:
         raise GeometryError("psi called on an exterior point")
-    if shape.dim == 2:
-        v = shape.vertices
-        i, s, t = _psi_polygon_scalar(v.tolist(), *a.tolist(), *x.tolist())
-        return BoundaryHit(point=v[i] + s * (v[(i + 1) % len(v)] - v[i]),
-                           facet=i, t=t)
-    lo, hi = shape.box
-    facet, t = _ray_box_scalar(*a.tolist(), lo.tolist(), hi.tolist(),
-                               *x.tolist())
-    return BoundaryHit(point=np.clip(a + t * r, lo, hi), facet=facet, t=t)
+    t, facet = hit
+    return BoundaryHit(point=np.array([u + t * v for u, v in zip(c, r)]),
+                       facet=facet, t=t)
+
+
+def _centre_ray(shape, x):
+    """(c, r, |r|) in Python floats: the centre c and r = x - c."""
+    c = shape.centre.tolist()
+    r = [u - v for u, v in zip(x.tolist(), c)]
+    return c, r, math.hypot(*r)
 
 
 def _cone_frames(rel, tri_facet):
-    """([(frame, facet)], star): for each surface triangle whose vertices
-    rel[i] (relative to the centre) span a cone, the rows of the inverse of
-    the matrix with columns rel[i] as a 9-tuple of floats, so that
-    lambda = frame (x - centre) writes x - centre in the cone's generators;
-    and whether every such matrix has a positive determinant, as for a
-    centre that passes the star test."""
+    """[(frame, facet)]: for each surface triangle whose vertices rel[i]
+    (relative to the centre) span a cone, the rows of the inverse of the
+    matrix with columns rel[i] as a 9-tuple of floats, so that
+    lambda = frame (x - centre) writes x - centre in the cone's
+    generators."""
     m = np.swapaxes(rel, 1, 2)
     det = np.linalg.det(m)
     size = np.prod(np.linalg.norm(rel, axis=2), axis=1)
     keep = np.abs(det) > 1e-12 * size
     frames = np.linalg.inv(m[keep]).reshape(-1, 9).tolist()
-    return ([(tuple(f), int(k)) for f, k in zip(frames, tri_facet[keep])],
-            bool(np.all(det > 0.0)))
+    return [(tuple(f), int(k)) for f, k in zip(frames, tri_facet[keep])]
 
 
-def _psi_cones(shape, x):
-    """psi on a polyhedron from the cone frames of its surface triangles.
+def _crossing(shape, c, r, d):
+    """(t, facet) of the boundary crossing c + t r of the ray from the centre
+    c along r = x - c, |r| = d > tol, or None where x is exterior.
 
-    With lambda = frame (x - c) >= 0 (barycentric slack 1e-9, as a fraction
-    of sum(lambda)) the ray from c through x crosses the triangle at
-    c + (x - c) / sum(lambda).  Of the crossings at or beyond x (within
-    4 tol) the nearest wins; the triangles come in facet order, so a later
-    crossing displaces it only if nearer by more than a relative 1e-12 plus
-    tol, and ties go to the lowest facet.  A crossing within 4 tol of x
-    gives t = 1.  On a shape star-shaped about c there is one crossing, and
-    none at or beyond x means x is exterior; on other shapes ``locate``
-    decides that."""
-    cx, cy, cz = shape.centre.tolist()
-    px, py, pz = x.tolist()
-    rx, ry, rz = px - cx, py - cy, pz - cz
-    d = math.sqrt(rx * rx + ry * ry + rz * rz)
+    A polygon scans its edges (``_psi_polygon_scalar``).  A polyhedron scans
+    the cone frames of its surface triangles: with lambda = frame r >= 0
+    (barycentric slack 1e-9, as a fraction of sum(lambda)) the ray crosses
+    the triangle at t = 1 / sum(lambda).  Of the crossings at or beyond x
+    (within 4 tol) the nearest wins; the triangles come in facet order, so
+    a later crossing displaces it only if nearer by more than a relative
+    1e-12 plus tol, and ties go to the lowest facet.  The shape is star
+    about c, so the ray crosses the boundary once: t is 1 where the crossing
+    lies within 4 tol of x, larger where x is interior, and the crossing is
+    missing or nearer than that where x is exterior."""
     tol = shape.tol
-    if d <= tol:
-        raise GeometryError("psi is undefined at the star centre")
-    if not shape._star and locate(shape, x).kind == "exterior":
-        raise GeometryError("psi called on an exterior point")
-    s_max = d / (d - 4 * tol) if d > 4 * tol else math.inf
-    best_t, facet = math.inf, -1
-    for (m0, m1, m2, m3, m4, m5, m6, m7, m8), k in shape._cones:
-        l0 = m0 * rx + m1 * ry + m2 * rz
-        l1 = m3 * rx + m4 * ry + m5 * rz
-        l2 = m6 * rx + m7 * ry + m8 * rz
-        s = l0 + l1 + l2
-        slack = -1e-9 * s
-        if 0.0 < s <= s_max and l0 >= slack and l1 >= slack and l2 >= slack \
-                and 1.0 / s < best_t * (1 - 1e-12) - tol / d:
-            best_t, facet = 1.0 / s, k
-    if facet < 0:
-        raise GeometryError("psi called on an exterior point")
-    t = best_t if (best_t - 1.0) * d > 4 * tol else 1.0
-    return BoundaryHit(point=np.array([cx + t * rx, cy + t * ry, cz + t * rz]),
-                       facet=facet, t=t)
+    if shape.dim == 2:
+        hit = _psi_polygon_scalar(shape._loop, c[0], c[1], r[0], r[1])
+        if hit is None:
+            return None
+        facet, _, t = hit
+    else:
+        rx, ry, rz = r
+        s_max = d / (d - 4 * tol) if d > 4 * tol else math.inf
+        t, facet = math.inf, -1
+        for (m0, m1, m2, m3, m4, m5, m6, m7, m8), k in shape._cones:
+            l0 = m0 * rx + m1 * ry + m2 * rz
+            l1 = m3 * rx + m4 * ry + m5 * rz
+            l2 = m6 * rx + m7 * ry + m8 * rz
+            s = l0 + l1 + l2
+            slack = -1e-9 * s
+            if 0.0 < s <= s_max and l0 >= slack and l1 >= slack and l2 >= slack \
+                    and 1.0 / s < t * (1 - 1e-12) - tol / d:
+                t, facet = 1.0 / s, k
+        if facet < 0:
+            return None
+    if abs(t - 1.0) * d <= 4 * tol:
+        return 1.0, facet
+    return (t, facet) if t > 1.0 else None
 
 
-def _psi_polygon_scalar(verts, ax, ay, ux, uy):
-    """Ray (ax,ay)->(ux,uy) against polygon edges; returns (edge, s, t); ties
+def _psi_polygon_scalar(verts, ax, ay, rx, ry):
+    """The ray from (ax, ay) along (rx, ry) against the polygon's edges:
+    (edge, s, t) of its first crossing with t >= 1 - 1e-9, or None; ties
     within 1e-9 go to the lowest edge.
 
     verts is a list of (x, y) floats in loop order.  t is the ray parameter
     (>= 1 for points in the closed region), s the position along the edge.
     """
-    rx = ux - ax
-    ry = uy - ay
     n = len(verts)
     best_t = math.inf
     best = None
@@ -615,7 +503,7 @@ def _psi_polygon_scalar(verts, ax, ay, ux, uy):
             best_t = t
             best = (i, s)
     if best is None:
-        raise GeometryError("ray found no boundary crossing (shape not star?)")
+        return None
     i, s = best
     s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
     return i, s, best_t
@@ -764,9 +652,13 @@ def _cones_contain_line(cones, u, tol=1e-9):
 def certify_star_centre(shape: StarShape, a) -> Certificate:
     """Certify that ``a`` is a non-tangential star centre of the shape.
 
-    Star test (``_star_test``, exact): every boundary simplex with apex a is
-    positively oriented; a closed, outward-oriented boundary then winds once
-    about a, so every ray from a meets it exactly once.  theta_obs is the
+    ``StarShape`` runs it on its own centre at construction; it also takes
+    any other point a of a built shape.  Star test (``_star_test``, exact):
+    every boundary simplex with apex a is positively oriented.  A simple
+    polygon, or a closed, connected, outward-oriented surface, then winds
+    once about a, so a is interior and every ray from a meets the boundary
+    exactly once; an exterior a (winding zero) or a boundary a (a simplex
+    of zero volume) fails it.  theta_obs is the
     least of the vertex term (``_vertex_angle``, exact) and the plane term
     (``_plane_angle``): a chord inside a facet makes at least the angle
     asin(h / |w - a|) with the ray at w, h the distance from a to the facet
@@ -782,11 +674,6 @@ def certify_star_centre(shape: StarShape, a) -> Certificate:
     test, then at the first tangential vertex, then below 2 THETA_MIN.
     """
     a = _as_array(a, shape.dim)
-    loc = locate(shape, a)
-    if loc.kind == "boundary":
-        raise GeometryError("candidate centre lies on the boundary")
-    if loc.kind == "exterior":
-        raise GeometryError("candidate centre lies outside the shape")
     _star_test(shape, a)
     theta_obs = _plane_angle(shape, a)
     if shape.dim == 3:
@@ -838,9 +725,9 @@ def _plane_angle(shape, a):
         h = np.abs(p0[:, 0] * p1[:, 1] - p0[:, 1] * p1[:, 0]) / shape._edge_len
         far = np.maximum(np.hypot(*p0.T), np.hypot(*p1.T))
     else:
-        n = shape._facet_normal[shape.tri_facet]
-        h = np.abs(np.einsum("ij,ij->i", n, shape._tri_a - a))
-        far = np.linalg.norm(shape.vertices[shape.triangles] - a, axis=2).max(axis=1)
+        p = shape.vertices[shape.triangles] - a
+        h = np.abs(np.einsum("ij,ij->i", shape._facet_normal[shape.tri_facet], p[:, 0]))
+        far = np.linalg.norm(p, axis=2).max(axis=1)
     return float(np.arcsin(np.minimum(1.0, h / far)).min())
 
 
@@ -880,19 +767,10 @@ def _vertex_angle(shape, a):
     return theta_obs
 
 
-def attach_certificate(shape: StarShape) -> StarShape:
-    """Certify the shape's own centre and attach the certificate in place."""
-    cert = certify_star_centre(shape, shape.centre)
-    shape.certificate = cert
-    return shape
-
-
 def local_lipschitz_constants(shape: StarShape):
     """(eta, T) such that psi is T/|xi - a|-Lipschitz on balls
     B(xi, eta*|xi - a|), from the shape's certificate."""
     cert = shape.certificate
-    if cert is None:
-        raise GeometryError("shape has no certificate")
     a = shape.centre
     max_r = float(np.max(np.linalg.norm(shape.vertices - a[None, :], axis=1)))
     s = math.sin(cert.theta / 2)

@@ -30,8 +30,7 @@ from typing import Dict
 import numpy as np
 
 from . import zorich
-from .geometry import (CertificationFailure, GeometryError, StarShape,
-                       attach_certificate)
+from .geometry import GeometryError, StarShape
 from .zorich import _sigma_extremes_det
 from .star_extend import (AffineCellTable, DiagonalSelect,
                           FormulaPiece, IdentityPiece, QuadrantSelect,
@@ -161,7 +160,6 @@ def build_aprime_chart(vt: VertexTable) -> CellChart:
     }
 
     domain = StarShape.cuboid([0, 0, 0], [2, 2, 1], centre=(1, 1, 0.5))
-    attach_certificate(domain)
 
     names = ["P0", "Q0", "R0", "S0", "P1", "Q1", "R1", "S1",
              "T1", "U1", "V1", "W1", "X1"]
@@ -180,7 +178,6 @@ def build_aprime_chart(vt: VertexTable) -> CellChart:
     ]
     codomain = StarShape.polyhedron(
         verts, [[pool[n] for n in f] for f in facets], centre=(5.0, 1.0, 2.0))
-    attach_certificate(codomain)
 
     pieces_by_facet = {
         0: TrivialSelect(side_x0),
@@ -237,23 +234,19 @@ _CELL_DEFS = {
     },
 }
 
-# shared interior faces: quad loop, triangle split (both triangles), and the
-# normal of the face plane used for the diagonal side test
+# shared interior faces: triangle split (both triangles), the diagonal, and
+# the normal of the face plane used for the diagonal side test
 _INT_FACE_DEFS = {
-    "x1_lo": (["W1", "X1", "XL", "WL"], ("W1", "X1", "WL"), ("X1", "XL", "WL"),
-              ("X1", "WL"), (1.0, 0.0, 0.0)),
-    "y1_lo": (["T1", "X1", "XL", "TL"], ("T1", "X1", "TL"), ("TL", "X1", "XL"),
-              ("X1", "TL"), (0.0, 1.0, 0.0)),
-    "x1_hi": (["X1", "U1", "UL", "XL"], ("X1", "U1", "UL"), ("X1", "UL", "XL"),
-              ("X1", "UL"), (1.0, 0.0, 0.0)),
-    "y1_hi": (["X1", "V1", "VL", "XL"], ("X1", "V1", "VL"), ("X1", "VL", "XL"),
-              ("X1", "VL"), (0.0, 1.0, 0.0)),
+    "x1_lo": (("W1", "X1", "WL"), ("X1", "XL", "WL"), ("X1", "WL"), (1.0, 0.0, 0.0)),
+    "y1_lo": (("T1", "X1", "TL"), ("TL", "X1", "XL"), ("X1", "TL"), (0.0, 1.0, 0.0)),
+    "x1_hi": (("X1", "U1", "UL"), ("X1", "UL", "XL"), ("X1", "UL"), (1.0, 0.0, 0.0)),
+    "y1_hi": (("X1", "V1", "VL"), ("X1", "VL", "XL"), ("X1", "VL"), (0.0, 1.0, 0.0)),
 }
 
 
 def _build_interior_faces(vt):
     faces = {}
-    for key, (quad, tri_a, tri_b, diag, normal) in _INT_FACE_DEFS.items():
+    for key, (tri_a, tri_b, diag, normal) in _INT_FACE_DEFS.items():
         pa = _radial_piece(vt, list(tri_a))
         pb = _radial_piece(vt, list(tri_b))
         sel = DiagonalSelect(vt.coord(diag[0]), vt.coord(diag[1]), normal)
@@ -269,17 +262,19 @@ def _build_interior_faces(vt):
     return faces
 
 
-def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart,
-                         max_centre_tries=20):
+def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
     """The four charts of the upper slab cells onto their star-shaped
-    image solids."""
+    image solids.  Each image solid is built about the centre
+    apex + 0.10 (centroid - apex), one tenth of the way from the image of
+    the cell's outer corner at level L to the mean of its vertices; building
+    it certifies that centre, and a failure raises ConstructionError naming
+    the chart."""
     int_faces = _build_interior_faces(vt)
     charts = []
     for cell_id, spec in _CELL_DEFS.items():
         lo = np.array([spec["lo"][0], spec["lo"][1], 1.0])
         hi = np.array([spec["hi"][0], spec["hi"][1], L])
         domain = StarShape.cuboid(lo, hi)
-        attach_certificate(domain)
 
         bottom_piece = aprime.top_pieces[spec["bottom_sq"]]
         tri_a, tri_b = spec["top"]
@@ -320,22 +315,12 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart,
         facet_idx = [[pool[n] for n in loop] for loop in facet_loops]
 
         apex = vt.image(spec["apex"])
-        centroid = verts.mean(axis=0)
-        codomain = None
-        last_err = None
-        for k in range(max_centre_tries):
-            lam = 0.10 + 0.045 * k
-            cand = apex + lam * (centroid - apex)
-            try:
-                shape = StarShape.polyhedron(verts, facet_idx, centre=cand)
-                attach_certificate(shape)
-                codomain = shape
-                break
-            except (GeometryError, CertificationFailure) as err:
-                last_err = err
-        if codomain is None:
+        centre = apex + 0.10 * (verts.mean(axis=0) - apex)
+        try:
+            codomain = StarShape.polyhedron(verts, facet_idx, centre=centre)
+        except GeometryError as err:
             raise ConstructionError(
-                f"no certifiable star centre for image of {cell_id}: {last_err}")
+                f"no certifiable star centre for image of {cell_id}: {err}") from err
 
         by_codomain = {i: p for i, p in enumerate(facet_pieces)}
         rmap = RadialMap(domain, codomain, pieces_by_facet, by_codomain)

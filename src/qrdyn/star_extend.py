@@ -29,8 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (GeometryError, StarShape, psi,
-                       pick_star_centre_2d, attach_certificate,
+from .geometry import (GeometryError, StarShape, psi, pick_star_centre_2d,
                        _det3, _psi_polygon_scalar, _ray_box_scalar)
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
@@ -122,7 +121,10 @@ def _radial_2d(src, dst, a, b, tol, u, v):
     dv = v - ay
     if du * du + dv * dv <= tol * tol:
         return bx, by
-    i, s, t = _psi_polygon_scalar(src, ax, ay, u, v)
+    hit = _psi_polygon_scalar(src, ax, ay, du, dv)
+    if hit is None:
+        raise GeometryError("point outside the domain polygon")
+    i, s, t = hit
     px, py = dst[i]
     qx, qy = dst[(i + 1) % len(dst)]
     wx = px + s * (qx - px)
@@ -135,14 +137,13 @@ def build_radial_map_2d(domain_vertices, image_vertices,
                         domain_centre=None, image_centre=None):
     """RadialMap2D between two polygons given in corresponding vertex order.
     Centres default to the area centroid, falling back to the visibility
-    kernel centroid; both are certified."""
+    kernel centroid (``pick_star_centre_2d``); building each polygon
+    certifies its centre, and raises ``CertificationFailure`` if it is not a
+    non-tangential star centre."""
     dc = pick_star_centre_2d(domain_vertices) if domain_centre is None else domain_centre
     ic = pick_star_centre_2d(image_vertices) if image_centre is None else image_centre
-    dom = StarShape.polygon(domain_vertices, dc)
-    cod = StarShape.polygon(image_vertices, ic)
-    attach_certificate(dom)
-    attach_certificate(cod)
-    return RadialMap2D(dom, cod)
+    return RadialMap2D(StarShape.polygon(domain_vertices, dc),
+                       StarShape.polygon(image_vertices, ic))
 
 
 class FacetPiece:

@@ -6,7 +6,7 @@ and cone frames, kept here as the oracles of the tests.
 - ``invert_piece`` and ``radial2d_invert``: the inverses of the boundary
   pieces and of a 2D radial map;
 - ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
-  triangles, after ``locate`` has rejected exterior points;
+  triangles (``_ray_tris``), exterior where no crossing lies at or beyond x;
 - ``zorich_composed``: Z composed from the scalar fold ``_fold1``, the parity
   of its flags and a scaling per coordinate, which ``zorich_scalar`` writes
   out.
@@ -16,29 +16,48 @@ import math
 
 import numpy as np
 
-from qrdyn.geometry import (BoundaryHit, GeometryError, _as_array, _ray_box_scalar,
-                            _ray_tris, locate)
+from qrdyn.geometry import BoundaryHit, GeometryError, _as_array, _ray_box_scalar
 from qrdyn.star_extend import _radial_2d
 from qrdyn.zorich import _EXP_ARG_MAX, _fold1
 
 
+def _ray_tris(shape, origin, direction):
+    """Moller-Trumbore over all surface triangles of a 3D shape, for one
+    direction (3,) or a stack of directions (N, 3) from a common origin.
+    Returns (t, u, v, valid), each of shape (T,) or (N, T)."""
+    p0, p1, p2 = np.moveaxis(shape.vertices[shape.triangles], 1, 0)
+    e1, e2 = p1 - p0, p2 - p0
+    direction = direction[..., None, :]
+    p = np.cross(direction, e2)
+    det = np.einsum("...j,...j->...", e1, p)
+    eps = 1e-14 * max(1.0, shape.diameter)
+    valid = np.abs(det) > eps
+    inv = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
+    s = origin[None, :] - p0
+    u = np.einsum("...j,...j->...", s, p) * inv
+    q = np.cross(s, e1)
+    v = np.einsum("...j,...j->...", direction, q) * inv
+    t = np.einsum("ij,ij->i", e2, q) * inv
+    bt = 1e-9
+    valid &= (u >= -bt) & (v >= -bt) & (u + v <= 1 + bt)
+    return t, u, v, valid
+
+
 def psi_ray_oracle(shape, x):
     """psi on a 3D shape that is not a box: the nearest ray crossing at or
-    beyond x, ties to the lowest facet."""
+    beyond x (within 4 tol), ties to the lowest facet; exterior where there
+    is none."""
     x = _as_array(x, 3)
     a = shape.centre
     r = x - a
     dist = float(np.linalg.norm(r))
     if dist <= shape.tol:
         raise GeometryError("psi is undefined at the star centre")
-    if locate(shape, x).kind == "exterior":
-        raise GeometryError("psi called on an exterior point")
     d = r / dist
     t, u, v, valid = _ray_tris(shape, a, d)
-    rel = 1e-9 * max(1.0, dist)
-    ok = valid & (t >= dist - max(rel, shape.tol * 4))
+    ok = valid & (t >= dist - shape.tol * 4)
     if not np.any(ok):
-        raise GeometryError("ray found no boundary crossing (shape not star?)")
+        raise GeometryError("psi called on an exterior point")
     ts = np.where(ok, t, np.inf)
     tmin = float(ts.min())
     cand = np.nonzero(ts <= tmin * (1 + 1e-12) + shape.tol)[0]

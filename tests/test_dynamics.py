@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrdyn.dynamics import (LOG_SWITCH, RADIUS_CAP, BigExp, EscapeClass,
                             MapHandle, SurrogateSpec, _radial_square_rho_step,
-                            _unit_directions,
+                            _fibonacci_sphere, _unit_directions,
                             ball_growth_check, classify_escape,
                             FastEscapeResult, escape_rate_series,
                             fast_escape_test, iterate,
@@ -312,7 +312,34 @@ class TestStoredTower:
         assert max_modulus_estimate(h, 3.0) == pytest.approx(3.0, rel=1e-15)
 
 
+def _ball_growth_numpy(gm, xi, delta, samples):
+    """The sample loop of ``ball_growth_check`` on numpy rows and
+    ``np.linalg.norm``, the oracle of its loop on Python floats."""
+    xi = np.asarray(xi, dtype=float)
+    fxi = np.asarray(gm.eval3(xi[0], xi[1], xi[2]))
+    worst = math.inf
+    for d in _fibonacci_sphere(samples):
+        p = xi + delta * d
+        fp = np.asarray(gm.eval3(p[0], p[1], p[2]))
+        worst = min(worst, float(np.linalg.norm(fp - fxi)) / delta)
+    return worst
+
+
 class TestBallGrowth:
+    def test_matches_the_numpy_loop(self, fmap, build):
+        rng = np.random.default_rng(17)
+        L = build.constants.L
+        for _ in range(5):
+            # an even number of fold reflections keeps the image above L
+            n1, n2 = rng.integers(-3, 4, size=2).tolist()
+            n2 += (n1 + n2) % 2
+            xi = (2 * n1 + rng.uniform(-0.5, 0.5), 2 * n2 + rng.uniform(-0.5, 0.5),
+                  L + 0.5 + 3 * rng.random())
+            delta = 10 ** rng.uniform(-3, -1)
+            want = _ball_growth_numpy(fmap, xi, delta, 300)
+            got = ball_growth_check(fmap, xi, delta, samples=300)
+            assert abs(got - want) <= 1e-15 * want, (xi, delta, got, want)
+
     def test_beam_ball_expansion(self, fmap, build):
         L = build.constants.L
         ratio = ball_growth_check(fmap, (0.2, 0.1, L + 2), 0.1, samples=400)
@@ -538,7 +565,7 @@ def _iterate_numpy(map_handle, x0, k_max, radius_cap=RADIUS_CAP, stop_on_h0=Fals
             surrogate_from = k
             r = rho[-1]
             for _ in range(k + 1, k_max + 1):
-                r = _radial_square_rho_step(r, sur.translate, sur.decay_term)
+                r = _radial_square_rho_step(r, sur.translate)
                 rho.append(r)
             break
         x = nxt

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import psi_ray_oracle
 from qrdyn import geometry
-from qrdyn.geometry import (CertificationFailure, GeometryError, StarShape,
-                            THETA_MIN, _facet_vertex_cones, _line_angles,
-                            _plane_angle, _unit, _vertex_angle,
-                            attach_certificate, certify_star_centre,
-                            local_lipschitz_constants, locate, psi,
-                            pick_star_centre_2d, polygon_kernel)
+from qrdyn.geometry import (Certificate, CertificationFailure, GeometryError,
+                            StarShape, THETA_MIN, _facet_vertex_cones,
+                            _line_angles, _plane_angle, _unit, _vertex_angle,
+                            certify_star_centre, local_lipschitz_constants,
+                            locate, psi, pick_star_centre_2d, polygon_kernel)
 
 
 def cube(a=(0.0, 0.0, 0.0)):
@@ -23,8 +22,11 @@ def unit_square(a=(0.0, 0.0)):
     return StarShape.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)], a)
 
 
-# image pentagon of the side face {x1 = 0}, in (x2, x3) coordinates
+# image pentagon of the side face {x1 = 0}, in (x2, x3) coordinates; its
+# visibility kernel lies above the line through (2, 3.5) and (4, 4), so
+# (1, 3.5) is a star centre and (1, 2) is not
 PENTAGON = [(0.0, 0.0), (0.0, 4.0), (4.0, 4.0), (2.0, 3.5), (2.0, 0.0)]
+PENTAGON_CENTRE = (1.0, 3.5)
 
 
 def ray_segment_oracle(vertices, a, x):
@@ -92,6 +94,17 @@ class TestOrientation:
         for chart in build.g.charts:
             assert np.all(_outward_volumes(chart.map.codomain) > 0), chart.cell_id
 
+    @pytest.mark.parametrize("centre", [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0)])
+    def test_disconnected_surface_rejected(self, centre):
+        # two nested cubes: each closed and orientable, together two
+        # components, about a point inside both or between them
+        outer = StarShape.cuboid([-2, -2, -2], [2, 2, 2])
+        inner = StarShape.cuboid([-1, -1, -1], [1, 1, 1])
+        verts = np.vstack([outer.vertices, inner.vertices])
+        polys = outer.facet_polys + [[i + 8 for i in p] for p in inner.facet_polys]
+        with pytest.raises(GeometryError, match="surface is not connected"):
+            StarShape.polyhedron(verts, polys, centre)
+
     def test_open_or_non_orientable_surface_rejected(self):
         cube_ = StarShape.cuboid([-1, -1, -1], [1, 1, 1])
         with pytest.raises(GeometryError, match="not closed or not orientable"):
@@ -113,9 +126,9 @@ class TestPsi:
         assert hit.t == pytest.approx(10.0 / 3.0, abs=1e-12)
 
     def test_pentagon_matches_brute_force_oracle(self):
-        a = (1.0, 2.0)
+        a = PENTAGON_CENTRE
         shape = StarShape.polygon(PENTAGON, a)
-        x = (1.0, 3.0)
+        x = (1.0, 3.75)
         t_or, edge_or, pt_or = ray_segment_oracle(PENTAGON, a, x)
         hit = psi(shape, x)
         assert hit.facet == edge_or == 1
@@ -124,7 +137,7 @@ class TestPsi:
         assert hit.t == pytest.approx(t_or, rel=1e-12)
 
     def test_pentagon_random_rays_match_oracle(self):
-        a = np.array([1.0, 2.0])
+        a = np.array(PENTAGON_CENTRE)
         shape = StarShape.polygon(PENTAGON, a)
         rng = np.random.default_rng(3)
         checked = 0
@@ -180,6 +193,30 @@ class TestCertification:
         with pytest.raises(GeometryError):
             certify_star_centre(cube(), (3, 0, 0))
 
+    def test_boundary_centre_rejected(self):
+        # (a, the face triangle through a) has volume zero
+        with pytest.raises(CertificationFailure, match="star test"):
+            certify_star_centre(cube(), (1, 0.2, 0.3))
+        with pytest.raises(CertificationFailure, match="star test"):
+            StarShape.polygon(PENTAGON, (0.0, 1.0))
+
+    def test_every_shape_carries_its_centre_certificate(self, build):
+        # the build's 5 boxes, 5 codomain polyhedra and the 48 face polygons
+        # of its 24 nested 2D radial maps, then three shapes of the tests
+        shapes = {}
+        for chart in build.g.charts:
+            for shape in (chart.map.domain, chart.map.codomain):
+                shapes[id(shape)] = shape
+            for piece in chart.map.all_pieces:
+                if piece.kind == "radial2d":
+                    for shape in (piece.map2d.domain, piece.map2d.codomain):
+                        shapes[id(shape)] = shape
+        assert len(shapes) == 58
+        shapes = [*shapes.values(), cube(), unit_square((0.3, -0.2)),
+                  StarShape.polygon(PENTAGON, PENTAGON_CENTRE)]
+        for shape in shapes:
+            assert shape.certificate == certify_star_centre(shape, shape.centre)
+
     def test_nonconvex_pentagon_needs_kernel_centre(self):
         # the area centroid of this pentagon does not see the whole boundary;
         # the kernel fallback produces a certifiable centre
@@ -196,8 +233,6 @@ class TestCertification:
 class TestLipschitz:
     def test_constant_formulas(self):
         shape = cube()
-        shape.certificate = None
-        from qrdyn.geometry import Certificate
         shape.certificate = Certificate(theta=0.6, eps=1.0)
         eta, T = local_lipschitz_constants(shape)
         s = math.sin(0.3)
@@ -205,15 +240,10 @@ class TestLipschitz:
         assert eta == pytest.approx(min(0.5, s / 4, 1.0 * s / (4 * math.sqrt(3))), rel=1e-12)
         assert eta <= 0.5
 
-    def test_missing_certificate_raises(self):
-        with pytest.raises(GeometryError):
-            local_lipschitz_constants(cube())
-
     @pytest.mark.parametrize("make", [cube, lambda: StarShape.polygon(
         PENTAGON, pick_star_centre_2d(PENTAGON))])
     def test_psi_local_lipschitz_bound(self, make):
         shape = make()
-        attach_certificate(shape)
         eta, T = local_lipschitz_constants(shape)
         a = shape.centre
         rng = np.random.default_rng(7)
@@ -302,7 +332,8 @@ def _visible_oracle(shape, a, w):
                 return False
         return True
     d = r / dist
-    for a0, e1, e2 in zip(shape._tri_a, shape._tri_e1, shape._tri_e2):
+    p0, p1, p2 = np.moveaxis(shape.vertices[shape.triangles], 1, 0)
+    for a0, e1, e2 in zip(p0, p1 - p0, p2 - p0):
         p = np.cross(d, e2)
         det = e1 @ p
         if abs(det) <= 1e-14 * max(1.0, shape.diameter):
@@ -316,24 +347,27 @@ def _visible_oracle(shape, a, w):
     return True
 
 
-def _first_backward_simplex(shape, a):
-    """Index of the first edge (2D) or triangle (3D) whose simplex with apex
-    a has a non-positive orientation, in floats."""
-    v = shape.vertices - a
-    if shape.dim == 2:
+def _first_backward_simplex(vertices, a, triangles=None):
+    """Index of the first edge of a polygon (no ``triangles``) or triangle
+    of an outward-oriented surface whose simplex with apex a has a
+    non-positive orientation, in floats."""
+    v = np.asarray(vertices, dtype=float) - a
+    if triangles is None:
         w = np.roll(v, -1, axis=0)
         vol = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
         vol = vol * np.sign(vol.sum())
     else:
-        t = v[shape.triangles]
-        vol = np.linalg.det(t)
+        vol = np.linalg.det(v[triangles])
     return int(np.flatnonzero(vol <= 0)[0])
 
 
-# a U-shaped polygon and an L-shaped prism; centres in one arm do not see
-# the other arm
+# a U-shaped polygon, which has no star centre, and an L-shaped prism, star
+# about a point of its corner block; points in one arm do not see the other
+# arm
 U_SHAPE = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]
 L_BASE = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)]
+L_CENTRE = (0.5, 0.5, 0.5)
+L_HIDDEN = (2.5, 0.5, 0.5)
 
 
 def l_prism(centre):
@@ -362,17 +396,14 @@ class TestBatchedCertification:
         brute = _chord_oracle(shape, a, 24 if shape.dim == 2 else 6)
         assert theta_obs <= brute * (1 + 1e-12)
 
-    @pytest.mark.parametrize("make, visible", [
-        (lambda: StarShape.polygon(U_SHAPE, (0.5, 2.0)), None),
-        (lambda: l_prism((2.5, 0.5, 0.5)), lambda: l_prism((0.5, 0.5, 0.5)))],
-        ids=["u_polygon", "l_prism"])
-    def test_visibility_kernel_matches_oracle(self, make, visible):
-        # the star test passes exactly where the centre sees every grid point
+    @pytest.mark.parametrize("make, hidden", [
+        (lambda: StarShape.polygon(PENTAGON, PENTAGON_CENTRE), (1.0, 2.0)),
+        (lambda: l_prism(L_CENTRE), L_HIDDEN)], ids=["pentagon", "l_prism"])
+    def test_visibility_kernel_matches_oracle(self, make, hidden):
+        # the star test passes exactly where the point sees every grid point
         # of the boundary
-        for shape in (make(), visible and visible()):
-            if shape is None:
-                continue
-            a = shape.centre
+        shape = make()
+        for a in (shape.centre, np.asarray(hidden)):
             probes = _boundary_grid(shape, 8)
             seen = all(_visible_oracle(shape, a, w) for w in probes)
             try:
@@ -381,29 +412,24 @@ class TestBatchedCertification:
             except CertificationFailure as err:
                 assert "star test" in str(err)
                 passed = False
-            assert passed == seen
+            assert passed == seen == (a is shape.centre)
 
-    @pytest.mark.parametrize("make", [
-        lambda: StarShape.polygon(U_SHAPE, (0.5, 2.0)),
-        lambda: l_prism((2.5, 0.5, 0.5))], ids=["u_polygon", "l_prism"])
-    def test_hidden_centre_fails_visibility_audit(self, make):
-        # the star test is the exact visibility audit: it rejects these
-        # centres before the vertex term, naming the first simplex that does
-        # not face the centre
-        shape = make()
-        k = _first_backward_simplex(shape, shape.centre)
-        what = "edge" if shape.dim == 2 else "triangle"
+    @pytest.mark.parametrize("which", ["u_polygon", "l_prism"])
+    def test_hidden_centre_fails_visibility_audit(self, which):
+        # the star test is the exact visibility audit: construction rejects
+        # these centres before the vertex term, naming the first simplex that
+        # does not face the centre
+        if which == "u_polygon":
+            what, k = "edge", _first_backward_simplex(U_SHAPE, (0.5, 2.0))
+            make = lambda: StarShape.polygon(U_SHAPE, (0.5, 2.0))
+        else:
+            star = l_prism(L_CENTRE)
+            what = "triangle"
+            k = _first_backward_simplex(star.vertices, L_HIDDEN, star.triangles)
+            make = lambda: l_prism(L_HIDDEN)
         with pytest.raises(CertificationFailure,
                            match=re.escape(f"star test fails at {what} {k} ")):
-            certify_star_centre(shape, shape.centre)
-
-    def test_small_batches_give_the_same_certificate(self, monkeypatch):
-        shapes = [cube(), StarShape.polygon(PENTAGON, pick_star_centre_2d(PENTAGON)),
-                  l_prism((0.5, 0.5, 0.5))]
-        whole = [certify_star_centre(s, s.centre) for s in shapes]
-        monkeypatch.setattr(geometry, "BATCH_ELEMENTS", 50)
-        for shape, cert in zip(shapes, whole):
-            assert certify_star_centre(shape, shape.centre) == cert
+            make()
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +507,7 @@ class TestStackedVertexKernel:
         if which == "cube":
             shape = cube()
         elif which == "l_prism":
-            shape = l_prism((0.5, 0.5, 0.5))
+            shape = l_prism(L_CENTRE)
         else:
             cell = "A'" if which == "aprime" else "A''2"
             shape = request.getfixturevalue("build").g.by_id[cell].map.codomain
@@ -490,11 +516,11 @@ class TestStackedVertexKernel:
                                                                    rel=1e-12)
 
     def test_tangential_vertex_matches_oracle(self):
-        shape = l_prism((2.5, 0.5, 0.5))
+        shape = l_prism(L_CENTRE)
         with pytest.raises(CertificationFailure, match="tangential") as want:
-            _vertex_angle_oracle(shape, shape.centre)
+            _vertex_angle_oracle(shape, np.asarray(L_HIDDEN))
         with pytest.raises(CertificationFailure, match="tangential") as got:
-            _vertex_angle(shape, shape.centre)
+            _vertex_angle(shape, np.asarray(L_HIDDEN))
         assert str(got.value) == str(want.value)
 
 
@@ -517,22 +543,27 @@ def _facets_at(shape):
     return at
 
 
+def named_shape(which, request):
+    """A chart codomain of the build, the polyhedral cube, the L-prism or the
+    pentagon, each about a star centre."""
+    if which == "cube":
+        return poly_cube()
+    if which == "l_prism":
+        return l_prism(L_CENTRE)
+    if which == "pentagon":
+        return StarShape.polygon(PENTAGON, PENTAGON_CENTRE)
+    cell = "A'" if which == "aprime" else f"A''{which[-1]}"
+    return request.getfixturevalue("build").g.by_id[cell].map.codomain
+
+
+POLYHEDRA = ["aprime", "asecond1", "asecond2", "asecond3", "asecond4", "cube",
+             "l_prism"]
+
+
 class TestPsiCones:
-    SHAPES = ["aprime", "asecond1", "asecond2", "asecond3", "asecond4",
-              "cube", "l_prism", "l_prism_hidden"]
-
-    @staticmethod
-    def shape(which, request):
-        if which == "cube":
-            return poly_cube()
-        if which.startswith("l_prism"):
-            return l_prism((2.5, 0.5, 0.5) if which.endswith("hidden") else (0.5, 0.5, 0.5))
-        cell = "A'" if which == "aprime" else f"A''{which[-1]}"
-        return request.getfixturevalue("build").g.by_id[cell].map.codomain
-
-    @pytest.mark.parametrize("which", SHAPES)
+    @pytest.mark.parametrize("which", POLYHEDRA)
     def test_matches_the_ray_oracle(self, which, request):
-        shape = self.shape(which, request)
+        shape = named_shape(which, request)
         rng = np.random.default_rng(31)
         lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
         tol = 1e-12 * shape.diameter
@@ -555,9 +586,9 @@ class TestPsiCones:
             checked += 1
         assert checked >= 50
 
-    @pytest.mark.parametrize("which", SHAPES[:-1])
+    @pytest.mark.parametrize("which", POLYHEDRA)
     def test_edge_and_vertex_ties_go_to_the_lowest_facet(self, which, request):
-        shape = self.shape(which, request)
+        shape = named_shape(which, request)
         c, v = shape.centre, shape.vertices
         for ids, facets in _facets_at(shape).items():
             ends = v[sorted(ids)]
@@ -568,9 +599,9 @@ class TestPsiCones:
                 assert got.facet == want.facet == min(facets), (ids, f)
                 assert np.linalg.norm(got.point - w) <= 1e-12 * shape.diameter
 
-    @pytest.mark.parametrize("which", SHAPES)
+    @pytest.mark.parametrize("which", POLYHEDRA)
     def test_centre_and_exterior_rejected(self, which, request):
-        shape = self.shape(which, request)
+        shape = named_shape(which, request)
         c = shape.centre
         with pytest.raises(GeometryError, match="centre"):
             psi(shape, c)
@@ -584,3 +615,55 @@ class TestPsiCones:
                 psi(shape, x)
         with pytest.raises(GeometryError, match="non-finite"):
             psi(shape, (math.nan, 0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# locate and psi read one crossing of the centre ray
+
+def _probe_points(shape, rng):
+    """Seeded points of a box 20 % larger than the shape's, the boundary
+    points psi sends them to, the vertices, and points 2 and 6 tol inside
+    and outside along the centre ray through each vertex."""
+    lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
+    pad = 0.2 * (hi - lo)
+    pts = list(lo - pad + rng.random((300, shape.dim)) * (hi - lo + 2 * pad))
+    for x in pts[:100]:
+        if np.linalg.norm(x - shape.centre) > shape.tol:
+            try:
+                pts.append(psi(shape, x).point)
+            except GeometryError:
+                pass
+    c = shape.centre
+    for w in shape.vertices:
+        d = np.linalg.norm(w - c)
+        pts += [c + (1 + k * shape.tol / d) * (w - c) for k in (-6, -2, 0, 2, 6)]
+    return pts
+
+
+class TestLocateFromTheCrossing:
+    @pytest.mark.parametrize("which", POLYHEDRA + ["pentagon"])
+    def test_locate_agrees_with_psi(self, which, request):
+        # exterior exactly where psi raises, boundary exactly where psi
+        # gives t = 1, on the facet psi hits
+        shape = named_shape(which, request)
+        kinds = {"interior": 0, "boundary": 0, "exterior": 0}
+        for x in _probe_points(shape, np.random.default_rng(41)):
+            loc = locate(shape, x)
+            kinds[loc.kind] += 1
+            try:
+                hit = psi(shape, x)
+            except GeometryError as err:
+                assert loc.kind == "exterior", (x, err)
+                continue
+            assert loc.kind != "exterior", x
+            assert (loc.kind == "boundary") == (hit.t == 1.0), (x, hit.t)
+            if loc.kind == "boundary":
+                assert loc.facet == hit.facet
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_centre_ball_is_interior(self):
+        shape = named_shape("l_prism", None)
+        for x in (shape.centre, shape.centre + 0.5 * shape.tol):
+            assert locate(shape, x).kind == "interior"
+            with pytest.raises(GeometryError, match="centre"):
+                psi(shape, x)

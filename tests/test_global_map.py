@@ -5,9 +5,11 @@ import types
 import numpy as np
 import pytest
 
+from qrdyn.geometry import StarShape
 from qrdyn.global_map import (ConstructionError, audit_dilatation,
                               audit_orientation, audit_seams,
-                              build_vertex_table, constants_report_text,
+                              build_asecond_charts, build_vertex_table,
+                              constants_report_text,
                               derive_translation_constant, _IMAGES,
                               _TOP_QUAD_PLANES)
 
@@ -59,6 +61,17 @@ class TestVertexTable:
         monkeypatch.setattr("qrdyn.global_map._IMAGES", bad)
         with pytest.raises(ConstructionError):
             build_vertex_table(4.4)
+
+    def test_uncertifiable_codomain_centre_names_the_chart(self, build, monkeypatch):
+        # a centre on the image solid's boundary (one of its vertices)
+        # fails the star test when the solid is built
+        real = StarShape.polyhedron
+        monkeypatch.setattr(StarShape, "polyhedron",
+                            lambda verts, facets, centre: real(verts, facets, verts[0]))
+        with pytest.raises(ConstructionError,
+                           match="star centre for image of A''1: star test fails"):
+            build_asecond_charts(build.vertex_table, build.constants.L,
+                                 build.g.by_id["A'"])
 
 
 class TestChartValues:

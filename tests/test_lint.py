@@ -1,6 +1,7 @@
 """Lint gates: every name a module of the package imports is used in it,
-every private module-level helper is read by some module of the package, and
-every parameter of a module-level function is read by its body."""
+every private module-level helper is read by some module of the package,
+every parameter of a module-level function is read by its body, and every
+for-loop target is read by the loop's body."""
 
 import ast
 from pathlib import Path
@@ -152,3 +153,37 @@ def test_no_unused_parameters():
     assert found - IGNORED_PARAMETERS == set()
     # the allow-list names only parameters that are still there and unused
     assert IGNORED_PARAMETERS <= found
+
+
+def unused_loop_targets(source):
+    """(line, name) of each name bound by the target of a for loop that the
+    loop's body (nested functions and lambdas included) never reads; names
+    with a leading underscore mark a target as deliberately unused."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.For, ast.AsyncFor)):
+            continue
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(node.lineno, n.id) for n in ast.walk(node.target)
+                if isinstance(n, ast.Name) and n.id not in read
+                and not n.id.startswith("_")]
+    return sorted(out)
+
+
+def test_detects_an_unused_loop_target():
+    # _build_interior_faces once unpacked a quad loop that it never read
+    src = ("def faces(defs):\n"
+           "    for key, (quad, tri, diag) in defs.items():\n"
+           "        yield key, tri, [lambda: diag for _ in range(2)]\n"
+           "    for i, _name in enumerate(defs):\n"
+           "        pass\n"
+           "for row in rows:\n"
+           "    for col in row:\n"
+           "        print(row)\n")
+    assert unused_loop_targets(src) == [(2, "quad"), (4, "i"), (7, "col")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_loop_targets(path):
+    assert unused_loop_targets(path.read_text()) == []

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import radial2d_invert
-from qrdyn import geometry
-from qrdyn.geometry import StarShape, attach_certificate
+from qrdyn.geometry import StarShape
 from qrdyn.star_extend import (FacetPiece, IdentityPiece, Radial2DPiece,
                                RadialMap, build_radial_map_2d)
 
@@ -50,9 +49,7 @@ class FoldPiece(IdentityPiece):
 
 
 def cube_shape(side=1.0, centre=(0, 0, 0)):
-    s = StarShape.cuboid([-side] * 3, [side] * 3, centre=centre)
-    attach_certificate(s)
-    return s
+    return StarShape.cuboid([-side] * 3, [side] * 3, centre=centre)
 
 
 def face_loops(side):
@@ -238,12 +235,6 @@ class TestInjectivityCount:
         rep = self.collapsed_chart().validate_boundary_map()
         assert rep.injectivity_violations == 2
         assert not rep.passed
-
-    def test_small_batches_give_the_same_report(self, monkeypatch):
-        m = self.collapsed_chart()
-        whole = m.validate_boundary_map()
-        monkeypatch.setattr(geometry, "BATCH_ELEMENTS", 50)
-        assert m.validate_boundary_map() == whole
 
     def test_peak_memory_of_the_build_validation(self, build):
         chart = build.g.by_id["A'"].map
