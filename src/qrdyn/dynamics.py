@@ -270,6 +270,11 @@ def _radial_square_rho_step(r, c):
 
 @dataclass(frozen=True)
 class EscapeClass:
+    """The outcome of ``classify_escape``.  Frozen, so ``classify_escape``
+    returns one shared instance per outcome (``H0@n`` for each n, radial,
+    precision_lost, undecided for each budget) rather than a new one per
+    start; compare outcomes with ``==`` or by ``label``."""
+
     kind: str                 # "quasi_fatou" | "radial" | "undecided" | "precision_lost"
     n: Optional[int] = None   # first entry step for the half-space proxy
     budget: Optional[int] = None
@@ -281,32 +286,48 @@ class EscapeClass:
         return self.kind
 
 
+_RADIAL = EscapeClass("radial")
+_PRECISION_LOST = EscapeClass("precision_lost")
+
+# one cached instance per entry step and per budget, so these caches hold
+# no more entries than the largest budget classify_escape was given
+
+@functools.lru_cache(maxsize=None)
+def _entered(n):
+    return EscapeClass("quasi_fatou", n=n)
+
+
+@functools.lru_cache(maxsize=None)
+def _undecided(budget):
+    return EscapeClass("undecided", budget=budget)
+
+
 def classify_escape(f: MapHandle, x, n_max: int,
                     radius_cap: float = RADIUS_CAP) -> EscapeClass:
     """Half-space entry proxy: the least n with third coordinate < 0; radial
     escape once the magnitude passes the cap without entering (or on a
     non-finite value); precision_lost at an F step past the precision
     horizon; undecided otherwise.  The orbit is carried as three Python
-    floats."""
+    floats.  Equal outcomes are one shared, immutable ``EscapeClass``."""
     if not f.tracks_h0:
         raise ValueError("escape classification needs the shifted map")
     x1, x2, x3 = map(float, x)
     if x3 < 0:
-        return EscapeClass("quasi_fatou", n=0)
+        return _entered(0)
     fn, isfinite, hypot = f.fn, math.isfinite, math.hypot
     for n in range(1, n_max + 1):
         try:
             y1, y2, y3 = fn((x1, x2, x3))
         except PrecisionLost:
-            return EscapeClass("precision_lost")
+            return _PRECISION_LOST
         x1, x2, x3 = float(y1), float(y2), float(y3)
         if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-            return EscapeClass("radial")
+            return _RADIAL
         if x3 < 0:
-            return EscapeClass("quasi_fatou", n=n)
+            return _entered(n)
         if hypot(x1, x2, x3) > radius_cap:
-            return EscapeClass("radial")
-    return EscapeClass("undecided", budget=n_max)
+            return _RADIAL
+    return _undecided(n_max)
 
 
 # ---------------------------------------------------------------------------

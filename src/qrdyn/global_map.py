@@ -331,17 +331,32 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
 # ---------------------------------------------------------------------------
 # the assembled global map
 
+def _cell_index(tx, ty, z):
+    """The chart that owns (tx, ty, z) of the base block, as an index into
+    [A', A''1, A''2, A''3, A''4]: A' up to level 1 and above it the A''
+    cell of the quadrant, ties going to the lower index."""
+    if z <= 1.0:
+        return 0
+    return (2 if tx > 1.0 else 1) + (2 if ty > 1.0 else 0)
+
+
 class GlobalMap:
     """g (mode "g") or f = g - (0, 0, L') (mode "f") on all of R^3.
 
     Dispatch: identity below {x3 = 0}; F above {x3 = L}; in the slab, reduce
     (x1, x2) mod 4 into [0,4)^2, reflect into the base block [0,2]^2 while
-    recording the isometry, pick the owning cell chart (ties resolved by the
-    fixed priority A', A''1..A''4), evaluate its affine cell table, then undo
-    the isometry.  The table finds the exit facet of the ray from the chart's
-    domain centre, the boundary piece by the facet's selector, the cell by
-    its angle about the piece's shared vertex, and applies that cell's affine
-    map, as the chart's ``RadialMap.eval`` does.
+    recording the isometry, pick the owning cell chart (``_cell_index``),
+    evaluate its affine cell table, then undo the isometry.  The table finds
+    the exit facet of the ray from the chart's domain centre, the boundary
+    piece by the facet's selector, the cell by its angle about the piece's
+    shared vertex, and applies that cell's affine map, as the chart's
+    ``RadialMap.eval`` does.  The charts' ``table.eval`` methods are bound
+    once, at construction, and called directly.
+
+    Each regime subtracts the shift from the third coordinate of its own
+    result: L' in mode "f", 0.0 in mode "g" (x - 0.0 is x bitwise, -0.0
+    included).  The shift is fixed at construction; assigning ``L_prime``
+    later, as ``build_maps`` does on g, does not shift the map.
     """
 
     def __init__(self, charts, L, L_prime=None, mode="g", constants=None):
@@ -355,8 +370,11 @@ class GlobalMap:
         self.L_prime = float(L_prime) if L_prime is not None else None
         self.mode = mode
         self.constants = constants
+        self._shift = self.L_prime if mode == "f" else 0.0
         self._aprime = self.by_id["A'"]
         self._cells = [self.by_id[f"A''{i}"] for i in (1, 2, 3, 4)]
+        self._slab_charts = [self._aprime] + self._cells
+        self._slab_evals = [c.table.eval for c in self._slab_charts]
         allv = np.vstack([c.map.codomain.vertices for c in self.charts])
         self.image_diameter = float(np.linalg.norm(allv.max(axis=0) - allv.min(axis=0)))
         self.max_image_height = float(allv[:, 2].max())
@@ -365,16 +383,10 @@ class GlobalMap:
 
     def eval3(self, x, y, z):
         if z < 0.0:
-            out = (x, y, z)
-        elif z > self.L:
-            out = zorich.F_scalar(x, y, z)
-        else:
-            out = self._slab_eval(x, y, z)
-        if self.mode == "f":
-            return (out[0], out[1], out[2] - self.L_prime)
-        return out
-
-    def _slab_eval(self, x, y, z):
+            return (x, y, z - self._shift)
+        if z > self.L:
+            x, y, z = zorich.F_scalar(x, y, z)
+            return (x, y, z - self._shift)
         n1 = math.floor(x / 4.0)
         n2 = math.floor(y / 4.0)
         tx = x - 4.0 * n1
@@ -385,17 +397,15 @@ class GlobalMap:
             tx = 4.0 - tx
         if r2:
             ty = 4.0 - ty
-        gx, gy, gz = self._pick_cell(tx, ty, z).table.eval(tx, ty, z)
+        gx, gy, gz = self._slab_evals[_cell_index(tx, ty, z)](tx, ty, z)
         if r1:
             gx = 4.0 - gx
         if r2:
             gy = 4.0 - gy
-        return (gx + 4.0 * n1, gy + 4.0 * n2, gz)
+        return (gx + 4.0 * n1, gy + 4.0 * n2, gz - self._shift)
 
     def _pick_cell(self, tx, ty, z):
-        if z <= 1.0:
-            return self._aprime
-        return self._cells[(1 if tx > 1.0 else 0) + (2 if ty > 1.0 else 0)]
+        return self._slab_charts[_cell_index(tx, ty, z)]
 
     def eval(self, p):
         return np.asarray(self.eval3(float(p[0]), float(p[1]), float(p[2])))

@@ -30,7 +30,18 @@ HORIZON = 2.0 ** 50
 
 
 class PrecisionLost(ArithmeticError):
-    """An F step from a point whose |x1| or |x2| exceeds HORIZON."""
+    """An F step from a point whose |x1| or |x2| exceeds HORIZON, raised as
+    ``PrecisionLost(x1, x2, x3)``; the message is built only when read."""
+
+    @property
+    def point(self):
+        """The point (x1, x2, x3) of the F step."""
+        return self.args
+
+    def __str__(self):
+        x1, x2, x3 = self.args
+        return (f"F step from ({x1!r}, {x2!r}, {x3!r}) is past the "
+                f"precision horizon |x1|, |x2| <= 2**50")
 
 
 def h_pyramid(x1, x2):
@@ -105,8 +116,7 @@ def zorich_eval(x):
 
 def F_scalar(x1, x2, x3):
     if abs(x1) > HORIZON or abs(x2) > HORIZON:
-        raise PrecisionLost(f"F step from ({x1!r}, {x2!r}, {x3!r}) is past the "
-                            f"precision horizon |x1|, |x2| <= 2**50")
+        raise PrecisionLost(x1, x2, x3)
     z1, z2, z3 = zorich_scalar(x1, x2, x3)
     return (x1 + z1, x2 + z2, x3 + z3)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,6 +586,57 @@ STUB_VALUES = [
     (2e300, 0.0, -1.0), (1e299, 1e299, 1e299), (1e308, 1e308, 1.0),
     (1.0, 2.0, 3.0), (1.0, 2.0, -3.0),
 ]
+
+
+@pytest.fixture(scope="module")
+def horizon_starts(build):
+    """The portrait benchmark's fixed starts whose reference orbits pass the
+    precision horizon."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+        return workloads.Portrait(workloads.Context(build), 1).horizon_starts
+
+
+class TestSharedOutcomes:
+    def test_equal_outcomes_are_one_object(self, fhandle, build):
+        L = build.constants.L
+        pairs = [((0, 0, -1.0), (3.5, -2.0, -0.25)),               # H0@0
+                 ((0.3, 1.2, 2.0), (-5.1, 0.4, 0.5)),              # H0@1
+                 ((0, 0, L + 1), (2.0, 2.0, L + 2)),               # radial
+                 ((2.0 ** 51, 0.5, L + 1), (0.5, -2.0 ** 52, L + 2))]  # precision_lost
+        for a, b in pairs:
+            ca, cb = classify_escape(fhandle, a, 50), classify_escape(fhandle, b, 50)
+            assert ca == cb and ca is cb, (a, b, ca, cb)
+        frozen = MapHandle("shift", lambda p: p, dim=3, tracks_h0=True)
+        seven = classify_escape(frozen, (0, 0, 1.0), 7)
+        assert seven is classify_escape(frozen, (1, 2, 3.0), 7)
+        assert seven is not classify_escape(frozen, (0, 0, 1.0), 8)
+
+    def test_outcomes_are_frozen(self, fhandle, build):
+        for x in ((0, 0, -1.0), (0, 0, build.constants.L + 1), (2.0 ** 51, 0.5, 9.0)):
+            c = classify_escape(fhandle, x, 50)
+            for name, value in (("kind", "radial"), ("n", 3), ("budget", 1)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(c, name, value)
+            assert c == classify_escape(fhandle, x, 50)
+
+    def test_matches_numpy_loop_on_the_horizon_starts(self, fhandle, horizon_starts):
+        assert len(horizon_starts) == 35
+        kinds = set()
+        for x in horizon_starts:
+            c = classify_escape(fhandle, x, 60)
+            assert c == _classify_numpy(fhandle, x, 60), x
+            kinds.add(c.kind)
+        assert "precision_lost" in kinds
+
+    @pytest.mark.parametrize("n_max", [3, 11])
+    def test_matches_numpy_loop_when_the_budget_runs_out(self, n_max):
+        handle = MapHandle("creep", lambda p: (p[0] + 1.0, p[1], p[2] + 0.5),
+                           dim=3, tracks_h0=True)
+        c = classify_escape(handle, (0.0, 0.0, 1.0), n_max)
+        assert c == _classify_numpy(handle, (0.0, 0.0, 1.0), n_max)
+        assert c.label == "undecided" and c.budget == n_max
 
 
 class TestFloatLoops:

@@ -1,17 +1,19 @@
 import copy
 import math
+import struct
 import types
 
 import numpy as np
 import pytest
 
 from qrdyn.geometry import StarShape
-from qrdyn.global_map import (ConstructionError, audit_dilatation,
+from qrdyn.global_map import (ConstructionError, assemble_g, audit_dilatation,
                               audit_orientation, audit_seams,
                               build_asecond_charts, build_vertex_table,
                               constants_report_text,
                               derive_translation_constant, _IMAGES,
                               _TOP_QUAD_PLANES)
+from qrdyn.zorich import HORIZON, PrecisionLost
 
 TABLE = {
     "P0": ((0, 0, 0), (0, 0, 0)),
@@ -168,6 +170,11 @@ class TestRegions:
             assert build.g.eval(x)[2] <= cap + 1e-9
 
 
+def _bits(v):
+    """The IEEE bytes of a float triple: equal only if bitwise equal."""
+    return struct.pack("<3d", *v)
+
+
 class TestShiftedMap:
     def test_translation_constant_value(self, build):
         L = build.constants.L
@@ -193,6 +200,41 @@ class TestShiftedMap:
         for _ in range(500):
             x = rng.random(3) * np.array([8, 8, fmap.L]) - np.array([4, 4, 0])
             assert fmap.eval(x)[2] <= -1.0 + 1e-9
+
+    def _dispatch_points(self, L):
+        rng = np.random.default_rng(23)
+        pts = np.concatenate([
+            rng.uniform([-9, -9, -3], [9, 9, 0], (300, 3)),
+            rng.uniform([-9, -9, 0], [9, 9, L], (600, 3)),
+            rng.uniform([-9, -9, L], [9, 9, L + 6], (300, 3))]).tolist()
+        # the level planes, -0.0, and x1, x2 on the reflection lines
+        # (x = 2 mod 4) and on the period-4 lines (x = 0 mod 4)
+        lines = (-6.0, -4.0, -2.0, -0.0, 0.0, 0.7, 2.0, 4.0, 6.0, 8.0)
+        planes = (-math.inf, -1.0, -0.0, 0.0, 0.5, 1.0, 2.5, L, L + 0.5, math.inf)
+        return pts + [(x, y, z) for x in lines for y in lines for z in planes]
+
+    def test_f_is_g_shifted_bitwise(self, fmap, gmap):
+        lp = fmap.L_prime
+        for p in self._dispatch_points(gmap.L):
+            g0, g1, g2 = gmap.eval3(*p)
+            assert _bits(fmap.eval3(*p)) == _bits((g0, g1, g2 - lp)), p
+        past = math.nextafter(HORIZON, math.inf)
+        for p in ((past, 0.5, gmap.L + 1.0), (0.5, -past, gmap.L + 1.0)):
+            for m in (fmap, gmap):
+                with pytest.raises(PrecisionLost):
+                    m.eval3(*p)
+
+    def test_g_is_not_shifted_by_a_later_L_prime(self, build, gmap):
+        # build_maps assigns g.L_prime after assembling g
+        g = assemble_g(gmap.charts, gmap.L)
+        pts = self._dispatch_points(gmap.L)
+        before = [g.eval3(*p) for p in pts]
+        g.L_prime = build.L_prime
+        for p, want in zip(pts, before):
+            assert _bits(g.eval3(*p)) == _bits(want), p
+            assert _bits(gmap.eval3(*p)) == _bits(want), p
+        ident = (-0.0, 0.5, -1.0)
+        assert _bits(g.eval3(*ident)) == _bits(ident)
 
     def test_rederive_translation_constant(self, gmap, build):
         lp = derive_translation_constant(gmap)

@@ -1,7 +1,8 @@
-"""Smoke test of the benchmark harness: one short traced and one short
-untraced run of ``perfbench/run.py``.  The traced run patches the package's
-layer functions by name (``perfbench/traced.py``), so it fails when one of
-them is renamed or stops being called where the harness expects it."""
+"""Smoke test of the benchmark harness: short traced and untraced runs of
+``perfbench/run.py``.  The traced runs patch the package's layer functions
+by name (``perfbench/traced.py``), so they fail when one of them is renamed
+or stops being called where the harness expects it: the portrait run counts
+the map calls made under ``classify_escape`` through ``GlobalMap.eval3``."""
 
 import json
 import math
@@ -15,9 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def run_bench(trace):
+def run_bench(trace, workload="growth_certify"):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "growth_certify",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0.2", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -32,3 +33,10 @@ def test_growth_certify_reports_every_metric(trace, section):
     for name in (m["name"] for m in BENCHMARK[section]):
         assert name in metrics, name
         assert math.isfinite(metrics[name]["value"]), (name, metrics[name])
+
+
+def test_traced_portrait_sees_the_map_calls():
+    metrics = run_bench(1, "portrait")
+    for name in (m["name"] for m in BENCHMARK["per_layer"]):
+        assert math.isfinite(metrics[name]["value"]), (name, metrics[name])
+    assert metrics["dynamics.classify_escape_map_calls"]["value"] > 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import zorich_composed
 from qrdyn import zorich
 from qrdyn.zorich import (HORIZON, ConstantsReport, F_eval, F_jacobian, F_scalar,
-                          _fold1, _fold_vec, _sigma_extremes_det,
+                          PrecisionLost, _fold1, _fold_vec, _sigma_extremes_det,
                           derive_beam_constants,
                           expansion_min_ratio,
                           fold_square, h_pyramid, region_matrix,
@@ -386,6 +386,21 @@ class TestExpOverflowBand:
     def test_F_is_finite_at_the_limit(self):
         v = F_scalar(0.5, 0.25, math.log(sys.float_info.max))
         assert all(math.isfinite(c) for c in v)
+
+
+class TestPrecisionLost:
+    @pytest.mark.parametrize("point", [(2.0 ** 51, 0.5, 7.25),
+                                       (-0.0, -math.nextafter(HORIZON, math.inf), 1e3),
+                                       (math.inf, 0.1, math.nan)])
+    def test_carries_the_point_and_the_message(self, point):
+        with pytest.raises(PrecisionLost) as info:
+            F_scalar(*point)
+        err = info.value
+        assert err.point == point
+        assert all(a is b for a, b in zip(err.point, point))
+        x1, x2, x3 = point
+        assert str(err) == (f"F step from ({x1!r}, {x2!r}, {x3!r}) is past the "
+                            f"precision horizon |x1|, |x2| <= 2**50")
 
 
 def test_expansion_ratio_feeds_python_floats(monkeypatch):
