@@ -4,12 +4,16 @@
 
 ``build`` derives the constants, builds the five-chart atlas, certifies it
 exactly on its affine cells with the default parameters of ``build_maps``,
-and prints the constants report: ``key = value`` lines, or one JSON object
-with ``--json``.  Besides the constants and their margins, the report gives
-the number of affine cells of the slab atlas (``cells``), the least
-determinant of their linear parts (``min_cell_det``, which the build
-requires to be positive), the largest dilatation of a cell (``K_slab``) and
-each chart's verdict from the exact boundary-map validation.
+and prints the constants report (``global_map.build_report``): ``key =
+value`` lines, or one JSON object with ``--json``.  The beam constants are
+certified bounds from a finite rational computation: c0 a lower bound of
+the least singular value of the normalised derivative of Z, L a dyadic level
+with e^L * c0 > 33, and K_F, ``jac_margin`` and ``norm_margin`` bounds that
+hold at every point above L.  Besides them, the report gives L', the number
+of affine cells of the slab atlas (``cells``), the least determinant of
+their linear parts (``min_cell_det``, which the build requires to be
+positive), the largest dilatation of a cell (``K_slab``) and each chart's
+verdict from the exact boundary-map validation.
 """
 
 from __future__ import annotations
@@ -18,27 +22,7 @@ import argparse
 import json
 import sys
 
-from .global_map import build_maps, constants_report_text
-
-
-def build_report(build):
-    """The constants, their margins, the affine cell count, the least cell
-    determinant, the largest cell dilatation and each chart's validation
-    verdict."""
-    c = build.constants
-    return {
-        "c0": c.c0,
-        "L": c.L,
-        "L_prime": build.L_prime,
-        "K_F": c.K_F,
-        "exp_margin": c.exp_margin,
-        "jac_margin": c.jac_margin,
-        "norm_margin": c.norm_margin,
-        "cells": build.cells,
-        "min_cell_det": build.min_cell_det,
-        "K_slab": build.K_slab,
-        "validations": {cid: rep.passed for cid, rep in build.validations.items()},
-    }
+from .global_map import build_maps, build_report, constants_report_text
 
 
 def _parser():

@@ -1,9 +1,10 @@
 """Orbit iteration, escape classification and growth-rate instrumentation.
 
 Orbits are iterated directly in floating point while representable; maps
-whose tail behaviour admits a closed-form log-domain surrogate (radial
-squaring with a bounded additive translation, or the vertical tower
-t -> t + e^t - c) continue in log magnitudes past the overflow threshold.
+whose tail admits the closed-form log-domain surrogate of radial squaring
+with a bounded additive translation continue in log magnitudes past the
+overflow threshold, and ``log_domain_series`` follows the vertical tower
+t -> t + e^t - c in iterated-exponential form.
 Doubly-exponential comparisons (orbit versus iterated maximum modulus) are
 carried out in a normalized iterated-exponential representation.
 
@@ -84,11 +85,7 @@ class BigExp:
         return BigExp(self.depth + 1, self.head)
 
     def to_float(self):
-        if self.depth == 0:
-            return self.head
-        if self.depth == 1 and self.head < 709.0:
-            return math.exp(self.head)
-        return math.inf
+        return self.value
 
     def _key(self):
         if self.value < math.inf:
@@ -121,19 +118,20 @@ class BigExp:
 class SurrogateSpec:
     """Closed-form log-domain continuation for the tail of an orbit.
 
-    kind "radial-square": |x_{k+1}| = |x_k|^2 + c with 0 <= c <= translate
-    (direction-independent bound); exact for orbits on the invariant axis.
-    kind "axis-tower": x3 follows t -> t + e^t - translate on an invariant
-    vertical line.
+    The one kind, "radial-square": |x_{k+1}| = |x_k|^2 + c with
+    0 <= c <= translate (direction-independent bound); exact for orbits on
+    the invariant axis.  Any other kind raises ValueError.
     """
 
     kind: str
     translate: float = 0.0
 
+    def __post_init__(self):
+        if self.kind != "radial-square":
+            raise ValueError(f"unknown surrogate kind: {self.kind!r}")
+
     def regime(self, point) -> bool:
-        if self.kind == "radial-square":
-            return len(point) == 2 or point[2] < 0
-        return True
+        return len(point) == 2 or point[2] < 0
 
 
 @dataclass
@@ -239,21 +237,13 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
             surrogate_from = k
             r = rho[-1]
             for _ in range(k + 1, k_max + 1):
-                r = _surrogate_rho_step(sur, r)
+                r = _radial_square_rho_step(r, sur.translate)
                 rho.append(r)
             reason = "budget"
             break
-    if h0_step is not None and reason == "budget" and stop_on_h0:
-        reason = "entered_h0"
     return OrbitRecord(x0=np.asarray(x0, dtype=float), points=list(np.array(pts)),
                        rho=rho, reason=reason, h0_step=h0_step,
                        surrogate_from=surrogate_from)
-
-
-def _surrogate_rho_step(sur: SurrogateSpec, r: float) -> float:
-    if sur.kind != "radial-square":
-        raise ValueError("rho continuation only applies to radial squaring")
-    return _radial_square_rho_step(r, sur.translate)
 
 
 def _radial_square_rho_step(r, c):

@@ -590,15 +590,16 @@ def certify_cell_orientation(charts):
     return count, least
 
 
-def build_maps(resolution=128, chart_resolution=48, lprime_samples=20000,
+def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
                seed=0, validate=True) -> BuildResult:
     """Derive constants, build the atlas, assemble g and f.
 
-    ``resolution`` is the grid of the beam constants.  ``chart_resolution``,
-    ``lprime_samples`` and ``seed`` do nothing: they set the sampled checks
-    that the exact checks on the cells replaced, and are kept so that
-    existing callers keep working."""
-    constants = zorich.derive_beam_constants(resolution)
+    c0, L, K_F and the beam margins are bounds that
+    ``zorich.derive_beam_constants`` certifies in rational arithmetic.
+    ``resolution``, ``chart_resolution``, ``lprime_samples`` and ``seed`` do
+    nothing: they set the sampled checks that exact certificates replaced,
+    and are kept so that existing callers keep working."""
+    constants = zorich.derive_beam_constants()
     L = constants.L
     vt = build_vertex_table(L)
     aprime = build_aprime_chart(vt)
@@ -624,23 +625,31 @@ def build_maps(resolution=128, chart_resolution=48, lprime_samples=20000,
                        validations=validations)
 
 
-def constants_report_text(build: BuildResult) -> str:
-    """Plain key = value dump of derived constants and certificates."""
+def build_report(build: BuildResult) -> dict:
+    """The constants, their margins, L', the affine cell count, the least
+    cell determinant, the largest cell dilatation and each chart's
+    validation verdict; ``qrdyn build --json`` prints it."""
     c = build.constants
-    lines = [
-        f"c0 = {c.c0:.12g}",
-        f"L = {c.L:.12g}",
-        f"L_prime = {build.L_prime:.12g}",
-        f"K_F = {c.K_F:.12g}",
-        f"expansion_floor = {math.exp(c.L) * c.c0:.12g}",
-        f"exp_margin = {c.exp_margin:.12g}",
-        f"jac_margin = {c.jac_margin:.12g}",
-        f"norm_margin = {c.norm_margin:.12g}",
-        f"grid_resolution = {c.resolution}",
-        f"cells = {build.cells}",
-        f"min_cell_det = {build.min_cell_det:.12g}",
-        f"K_slab = {build.K_slab:.12g}",
-    ]
+    return {
+        "c0": c.c0,
+        "L": c.L,
+        "L_prime": build.L_prime,
+        "K_F": c.K_F,
+        "exp_margin": c.exp_margin,
+        "jac_margin": c.jac_margin,
+        "norm_margin": c.norm_margin,
+        "cells": build.cells,
+        "min_cell_det": build.min_cell_det,
+        "K_slab": build.K_slab,
+        "validations": {cid: rep.passed for cid, rep in build.validations.items()},
+    }
+
+
+def constants_report_text(build: BuildResult) -> str:
+    """Plain key = value dump: the scalar entries of ``build_report`` in its
+    order, then each chart's centre certificates."""
+    lines = [f"{key} = {value:.12g}" for key, value in build_report(build).items()
+             if not isinstance(value, dict)]
     for chart in build.g.charts:
         dom = chart.map.domain
         cod = chart.map.codomain

@@ -4,9 +4,12 @@ Z maps the square cylinder [-1,1]^2 x R onto the upper half-space by scaling
 the graph of a square pyramid by e^{x3}; reflections in the cylinder faces
 (with the image reflected in {x3 = 0}) extend it to all of R^3, periodic with
 period 4 in the first two coordinates.  Above a derived level L the shifted
-map F = Id + Z is uniformly expanding on every unit square beam; this module
-derives L, the expansion constant and the dilatation bound from the analytic
-derivative.
+map F = Id + Z is uniformly expanding on every unit square beam.  This module
+certifies L, the expansion constant c0 and the dilatation bound K_F from the
+analytic derivative by a finite computation in rational arithmetic
+(``derive_beam_constants``): a sign test of a cubic for c0, a Taylor lower
+bound of e^L, and Weyl's inequality with a cubic expansion of the
+determinant for K_F and the margins.
 
 An F step from a point with |x1| or |x2| beyond HORIZON raises
 PrecisionLost: there a float's spacing is at least 0.25, so the fold modulo
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -131,11 +135,19 @@ def F_eval(x):
 def region_matrix(x1, x2):
     """N with DZ(x) = e^{x3} N, constant on each smooth region, plus a flag
     marking points on a crease or fold seam (value is then one-sided)."""
-    u1, _ = _fold1(x1)
-    u2, _ = _fold1(x2)
-    onesided = (abs(abs(u1) - abs(u2)) < 1e-12 or abs(abs(u1) - 1) < 1e-12
-                or abs(abs(u2) - 1) < 1e-12 or abs(u1) < 1e-12 or abs(u2) < 1e-12)
-    return region_matrices_at(x1, x2), onesided
+    u1, f1 = _fold1(x1)
+    u2, f2 = _fold1(x2)
+    a1, a2 = abs(u1), abs(u2)
+    onesided = (abs(a1 - a2) < 1e-12 or abs(a1 - 1) < 1e-12
+                or abs(a2 - 1) < 1e-12 or a1 < 1e-12 or a2 < 1e-12)
+    d1 = -1.0 if f1 else 1.0
+    d2 = -1.0 if f2 else 1.0
+    sigma = -1.0 if f1 != f2 else 1.0
+    if a1 >= a2:
+        row = (-sigma * (1.0 if u1 >= 0 else -1.0) * d1, 0.0, sigma * (1.0 - a1))
+    else:
+        row = (0.0, -sigma * (1.0 if u2 >= 0 else -1.0) * d2, sigma * (1.0 - a2))
+    return np.array([(d1, 0.0, u1), (0.0, d2, u2), row]), onesided
 
 
 def F_jacobian(x):
@@ -145,103 +157,73 @@ def F_jacobian(x):
     return np.eye(3) + math.exp(x3) * n, onesided
 
 
-def _fold_vec(x):
-    """``_fold1`` on arrays, bitwise: + 0.0 turns the quotient -0.0 into
-    0.0, as Python's round does, so that x = -0.0 folds to -0.0."""
-    t = x - 4.0 * (np.round(x / 4.0) + 0.0)
-    flag = np.abs(t) > 1.0
-    u = np.where(flag, np.sign(t) * (2.0 - np.abs(t)), t)
-    return u, flag
-
-
-def region_matrices(u1, u2, d1, d2, sigma):
-    """Stacked N matrices for arrays of folded coordinates."""
-    n = np.zeros(u1.shape + (3, 3))
-    n[..., 0, 0] = d1
-    n[..., 1, 1] = d2
-    n[..., 0, 2] = u1
-    n[..., 1, 2] = u2
-    m = np.maximum(np.abs(u1), np.abs(u2))
-    n[..., 2, 2] = sigma * (1.0 - m)
-    first = np.abs(u1) >= np.abs(u2)
-    s1 = np.where(u1 >= 0, 1.0, -1.0)
-    s2 = np.where(u2 >= 0, 1.0, -1.0)
-    n[..., 2, 0] = np.where(first, -sigma * s1 * d1, 0.0)
-    n[..., 2, 1] = np.where(first, 0.0, -sigma * s2 * d2)
-    return n
-
-
-def region_matrices_at(x1, x2):
-    u1, f1 = _fold_vec(np.asarray(x1, dtype=float))
-    u2, f2 = _fold_vec(np.asarray(x2, dtype=float))
-    sigma = np.where((f1.astype(int) + f2.astype(int)) % 2 == 1, -1.0, 1.0)
-    d1 = np.where(f1, -1.0, 1.0)
-    d2 = np.where(f2, -1.0, 1.0)
-    return region_matrices(u1, u2, d1, d2, sigma)
-
-
 # ---------------------------------------------------------------------------
 # derived constants
+#
+# With a = |u1| >= b = |u2|, the region matrix is N = D1 N_c(a, b) D2, where
+#     N_c(a, b) = [[1, 0, a], [0, 1, b], [-1, 0, 1 - a]],  0 <= b <= a <= 1,
+# D1 = diag(s1, s2, sigma) and D2 = diag(d1 s1, d2 s2, 1) are sign diagonals
+# (s_i the sign of u_i, d_i = -1 on a reflected coordinate, sigma = d1 d2);
+# on b > a the first two coordinates swap, by a permutation P on both sides.
+# So I + e^{x3} N = e^{x3} D1 P (t D + N_c) P D2 with t = e^{-x3} and the
+# sign diagonal D = P D1 D2 P, and K(DF) = K(t D + N_c): the canonical
+# triangle and t in [0, e^{-L}] cover every beam point above L.
+
+# a short rational just below c0 = 2 cos(3 pi / 7) = 0.44504186791...
+C0_LOWER = Fraction(4450418, 10 ** 7)
+# >= sqrt(5) >= |N_c|_F, since |N_c|_F^2 = 3 + a^2 + b^2 + (1 - a)^2 <= 5
+_SQRT5_UPPER = Fraction(2237, 1000)
+
+
+def corner_chi(m):
+    """p(m) = m^3 - 5 m^2 + 6 m - 1, the characteristic polynomial
+    det(m I - N_c^T N_c) at the fold corner a = b = 1.
+
+    On the triangle, det(m I - N_c^T N_c) = p(m) + (m^2 - 2m)(1 - b^2)
+    - 2a(1 - a) m(1 - m), which is at most p(m) for 0 <= m <= 1."""
+    return m ** 3 - 5 * m ** 2 + 6 * m - 1
+
+
+def certifies_sigma_floor(c):
+    """Whether the rational c is certified to satisfy c <= sigma_min(N) on
+    every region.  The roots of ``corner_chi`` are 4 cos^2(k pi / 7),
+    k = 1, 2, 3 (0.198, 1.555, 3.247), so p(c^2) < 0 with 0 < c^2 < 1 puts
+    c^2 below the least root: p < 0 on [0, c^2], hence so is det(m I -
+    N_c^T N_c) on the whole triangle, and its least root sigma_min(N)^2
+    exceeds c^2."""
+    m = Fraction(c) ** 2
+    return 0 < m < 1 and corner_chi(m) < 0
+
+
+def exp_lower(x):
+    """A rational lower bound of e^x for a rational x >= 0: the Taylor
+    partial sum of 30 terms, all of them non-negative."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("exp_lower needs x >= 0")
+    return sum(x ** k / math.factorial(k) for k in range(30))
+
+
+def _rounded(q, side):
+    """The float nearest the rational q on its ``side`` (-1 below, 1 above)."""
+    x = float(q)
+    return x if (Fraction(x) - q) * side >= 0 else math.nextafter(x, side * math.inf)
+
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Derived constants for the beam regime of F.
-
-    c0 is the infimum over the base square of the smallest singular value of
-    the x3-normalized derivative of Z; L is a level with e^L * c0 > 33 so
-    that the shifted map expands 32-fold above it; K_F bounds the dilatation
-    of F on sampled beams above L."""
+    """Certified constants of the beam regime of F, each a bound at every
+    point above L: c0 <= sigma_min(N) over the base square; L a dyadic level
+    with e^L * c0 > 33, so that F expands 32-fold above it; K_F >= the
+    dilatation of F above L.  Each float is rounded to the safe side of the
+    rational bound that ``derive_beam_constants`` certifies."""
 
     c0: float
     L: float
     K_F: float
-    resolution: int
-    exp_margin: float          # e^L * c0 - 33
-    jac_margin: float          # min J_F / (e^{3 x3}/2) on the audit grid
-    norm_margin: float         # max |DF| / (7 e^{x3}) on the audit grid
-    sigma_max: float           # sup |N| over the base square
-
-
-def _grid_sigmas(resolution):
-    """Singular-value extremes of N over one full period of the fold."""
-    # offset grid avoids creases and fold seams
-    s = (np.arange(resolution) + 0.5) / resolution * 4.0 - 2.0
-    g1, g2 = np.meshgrid(s, s, indexing="ij")
-    pts1 = [g1.ravel()]
-    pts2 = [g2.ravel()]
-    # refine near the creases |u1| = |u2| and the seams
-    t = np.linspace(-1 + 1e-6, 1 - 1e-6, resolution * 4)
-    for off in (1e-7, -1e-7):
-        pts1.append(t)
-        pts2.append(t + off)          # main crease
-        pts1.append(t)
-        pts2.append(-t + off)         # anti-crease
-        pts1.append(np.full_like(t, 1.0 + off))
-        pts2.append(t)                # seam |u1| = 1
-        pts1.append(t)
-        pts2.append(np.full_like(t, 1.0 + off))
-    x1 = np.concatenate(pts1)
-    x2 = np.concatenate(pts2)
-    n = region_matrices_at(x1, x2)
-    sv = np.linalg.svd(n, compute_uv=False)
-    smin = sv[:, -1]
-    c0 = float(smin.min())
-    sigma_max = float(sv[:, 0].max())
-    # zoom on the minimizer so the sampled minimum converges to the infimum
-    k = int(np.argmin(smin))
-    cx, cy = float(x1[k]), float(x2[k])
-    radius = 8.0 / resolution
-    for _ in range(6):
-        t = np.linspace(-radius, radius, 33)
-        g1, g2 = np.meshgrid(cx + t, cy + t, indexing="ij")
-        nloc = region_matrices_at(g1.ravel(), g2.ravel())
-        sloc = np.linalg.svd(nloc, compute_uv=False)[:, -1]
-        j = int(np.argmin(sloc))
-        if sloc[j] < c0:
-            c0 = float(sloc[j])
-            cx, cy = float(g1.ravel()[j]), float(g2.ravel()[j])
-        radius /= 8.0
-    return c0, sigma_max
+    exp_margin: float          # lower bound of e^L * c0 - 33
+    jac_margin: float          # lower bound of J_F / (e^{3 x3}/2) above L
+    norm_margin: float         # upper bound of |DF| / (7 e^{x3}) above L
 
 
 def _sigma_extremes_det(m):
@@ -292,68 +274,41 @@ def _sigma_extremes_det(m):
     return np.sqrt(lam_max), np.sqrt(np.maximum(lam_min, 0.0)), det
 
 
-def verify_beam_inequalities(L, resolution=64, beams=((0, 0), (1, 0), (0, 1), (1, 1)),
-                             span=5.0):
-    """Grid audit over beam sections x3 in [L, L+span]: the Jacobian and
-    norm bounds of the beam regime, and the dilatation sup.
+def derive_beam_constants() -> ConstantsReport:
+    """Derive (c0, L, K_F) and the beam margins as finite certificates in
+    rational arithmetic.
 
-    On each of the ``resolution`` levels, DF = I + e^{x3} N is formed at all
-    resolution^2 grid points of a beam and its determinant and extreme
-    singular values come from one closed-form kernel over the stack
-    (``_sigma_extremes_det``).  sigma_max is accurate to a few eps relative,
-    sigma_min and det to about eps * kappa^2 relative, where kappa =
-    sigma_max / sigma_min of DF is at most 4.1 on the grid above the derived
-    L (and the relative gaps between squared singular values are at least
-    0.22 there); so the margins and K_F agree with an SVD-based audit to
-    about 1e-14.
-    This evaluates the sampled audit faster; it does not bound DF between
-    grid points.
-
-    Returns (ok, jac_margin, norm_margin, K_F)."""
-    res = max(16, int(resolution))
-    s = (np.arange(res) + 0.5) / res * 2.0 - 1.0
-    x3 = L + (np.arange(res) + 0.5) / res * span
-    jac_margin = math.inf
-    norm_margin = 0.0
-    k_f = 1.0
-    for (bn, bm) in beams:
-        u1g, u2g = np.meshgrid(s + 2 * bn, s + 2 * bm, indexing="ij")
-        n = region_matrices_at(u1g.ravel(), u2g.ravel())
-        for t in x3:
-            e = math.exp(t)
-            df = np.eye(3)[None, :, :] + e * n
-            s_max, s_min, det = _sigma_extremes_det(df)
-            jac_floor = 0.5 * math.exp(3 * t)
-            norm_cap = 7.0 * e
-            jac_margin = min(jac_margin, float((det / jac_floor).min()))
-            norm_margin = max(norm_margin, float((s_max / norm_cap).max()))
-            ko = s_max ** 3 / det
-            ki = det / s_min ** 3
-            k_f = max(k_f, float(np.maximum(ko, ki).max()))
-    ok = jac_margin >= 1.0 and norm_margin <= 1.0
-    return ok, jac_margin, norm_margin, k_f
-
-
-def derive_beam_constants(resolution: int = 128) -> ConstantsReport:
-    """Derive (c0, L, K_F) and audit the beam inequalities above L."""
-    if resolution < 64:
-        raise ValueError("resolution must be at least 64 per axis")
-    c0, sigma_max = _grid_sigmas(resolution)
-    if c0 <= 0:
-        raise ArithmeticError("degenerate derivative: c0 = 0")
-    L = max(1.0, math.log(33.0 / c0)) + 0.1
-    for _ in range(6):
-        ok, jac_margin, norm_margin, k_f = verify_beam_inequalities(
-            L, resolution=min(resolution, 64))
-        if ok and math.exp(L) * c0 > 33.0:
-            break
-        L += 0.5
-    else:
-        raise ArithmeticError("beam inequalities failed to certify")
-    return ConstantsReport(c0=c0, L=L, K_F=k_f, resolution=resolution,
-                           exp_margin=math.exp(L) * c0 - 33.0,
-                           jac_margin=jac_margin, norm_margin=norm_margin,
-                           sigma_max=sigma_max)
+    c0 is ``C0_LOWER``, certified by ``certifies_sigma_floor``.  L is the
+    least multiple of 1/32 not below log(33 / c0) + 0.1, and t0 = 1 /
+    ``exp_lower``(L) >= e^{-L} bounds t = e^{-x3} for every x3 >= L.  On
+    t D + N_c (see above), Weyl's inequality gives sigma_max <= s5 + t0 with
+    s5 >= |N_c|_F and sigma_min >= c0 - t0.  The determinant expands as
+    det N_c + t sum_i D_ii M_i + t^2 sum_i N_ii D_jj D_kk + t^3 det D, with
+    {i, j, k} = {1, 2, 3}, det N_c = 1, and the 2 x 2 principal minors M_i
+    (row and column i deleted: 1 - a, 1, 1) and the diagonal entries N_ii
+    (1, 1, 1 - a) of N_c in [0, 1]; so det lies in
+    [2 - (1 + t0)^3, (1 + t0)^3].  K = max(sigma_max^3 / det,
+    det / sigma_min^3) then gives K_F, and J_F = e^{3 x3} det and
+    |DF| = e^{x3} sigma_max give the margins.  Raises ArithmeticError if a
+    certificate fails."""
+    c = C0_LOWER
+    L = Fraction(math.ceil(32 * (math.log(33 / c) + 0.1)), 32)
+    e_lower = exp_lower(L)
+    t0 = 1 / e_lower
+    s_max = _SQRT5_UPPER + t0
+    s_min = c - t0
+    det_lo, det_hi = 2 - (1 + t0) ** 3, (1 + t0) ** 3
+    exp_margin = e_lower * c - 33
+    jac_margin = 2 * det_lo
+    norm_margin = s_max / 7
+    if not (certifies_sigma_floor(c) and exp_margin > 0 and s_min > 0
+            and jac_margin >= 1 and norm_margin <= 1):
+        raise ArithmeticError("beam constants failed to certify")
+    k_f = max(s_max ** 3 / det_lo, det_hi / s_min ** 3)
+    return ConstantsReport(c0=_rounded(c, -1), L=float(L), K_F=_rounded(k_f, 1),
+                           exp_margin=_rounded(exp_margin, -1),
+                           jac_margin=_rounded(jac_margin, -1),
+                           norm_margin=_rounded(norm_margin, 1))
 
 
 def expansion_min_ratio(L, pairs=10000, seed=0, beams=((0, 0), (1, 0), (1, 1)),

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qrdyn import cli
-from qrdyn.global_map import constants_report_text
+from qrdyn.global_map import build_report, constants_report_text
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -35,6 +35,17 @@ def test_build_text_report(capsys, monkeypatch, build):
     monkeypatch.setattr(cli, "build_maps", lambda: build)
     assert cli.entrypoint(["build"]) == 0
     assert capsys.readouterr().out == constants_report_text(build)
+
+
+def test_text_report_has_every_scalar_json_key(build):
+    report = build_report(build)
+    lines = constants_report_text(build).splitlines()
+    scalars = [key for key, value in report.items() if not isinstance(value, dict)]
+    # the scalar keys lead the text, in the JSON order, with their values
+    assert [line.partition(" = ")[0] for line in lines[:len(scalars)]] == scalars
+    for key, line in zip(scalars, lines):
+        assert float(line.partition(" = ")[2]) == pytest.approx(report[key], rel=1e-11)
+    assert not any(line.startswith("grid_resolution") for line in lines)
 
 
 def test_module_entry_point(capsys, monkeypatch, build):

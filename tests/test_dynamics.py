@@ -36,8 +36,11 @@ class TestBigExp:
         assert b.head == pytest.approx(math.log(1e200))
 
     def test_exp_matches_floats(self):
-        b = BigExp.from_float(3.0).exp()
-        assert b.to_float() == pytest.approx(math.exp(3.0), rel=1e-12)
+        # exp(709.5) = 1.355e308 is below the largest float
+        for v in (3.0, 709.5):
+            b = BigExp.from_float(v).exp()
+            assert b.to_float() == b.value == pytest.approx(math.exp(v), rel=1e-12)
+            assert BigExp(1, v).to_float() == b.to_float()
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, 1e250), st.floats(0.0, 1e250))
@@ -155,6 +158,12 @@ class TestRateSeries:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             log_domain_series("nope", 1.0, 5)
+
+    @pytest.mark.parametrize("kind", ["axis-tower", "nope"])
+    def test_surrogate_spec_takes_only_radial_square(self, kind):
+        # iterate continues only the squaring surrogate
+        with pytest.raises(ValueError):
+            SurrogateSpec(kind)
 
 
 class TestMaxModulus:

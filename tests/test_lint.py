@@ -125,6 +125,7 @@ IGNORED_PARAMETERS = {
     ("global_map.py", "audit_orientation", "seed"),
     ("global_map.py", "audit_dilatation", "samples"),
     ("global_map.py", "audit_dilatation", "seed"),
+    ("global_map.py", "build_maps", "resolution"),
     ("global_map.py", "build_maps", "chart_resolution"),
     ("global_map.py", "build_maps", "lprime_samples"),
     ("global_map.py", "build_maps", "seed"),

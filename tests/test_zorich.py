@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,17 +8,30 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import zorich_composed
 from qrdyn import zorich
-from qrdyn.zorich import (HORIZON, ConstantsReport, F_eval, F_jacobian, F_scalar,
-                          PrecisionLost, _fold1, _fold_vec, _sigma_extremes_det,
-                          derive_beam_constants,
-                          expansion_min_ratio,
+from qrdyn.zorich import (C0_LOWER, HORIZON, ConstantsReport, F_eval, F_jacobian,
+                          F_scalar, PrecisionLost, _fold1, _sigma_extremes_det,
+                          certifies_sigma_floor, corner_chi, derive_beam_constants,
+                          exp_lower, expansion_min_ratio,
                           fold_square, h_pyramid, region_matrix,
-                          verify_beam_inequalities, zorich_eval, zorich_scalar)
+                          zorich_eval, zorich_scalar)
 
 
 @pytest.fixture(scope="module")
 def constants():
-    return derive_beam_constants(resolution=128)
+    return derive_beam_constants()
+
+
+def _dilatation(m):
+    """K = max(sigma_max^3 / det, det / sigma_min^3) of each matrix of a
+    stack, by LAPACK."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    det = np.linalg.det(m)
+    return np.maximum(sv[..., 0] ** 3 / det, det / sv[..., -1] ** 3)
+
+
+def _canonical(a, b):
+    """N_c(a, b) of the canonical triangle 0 <= b <= a <= 1."""
+    return np.array([[1.0, 0.0, a], [0.0, 1.0, b], [-1.0, 0.0, 1.0 - a]])
 
 
 class TestPyramid:
@@ -136,29 +150,32 @@ def _bits(v):
 
 
 class TestFolds:
-    # the scalar fold serves F_scalar, the array fold the region matrices;
-    # they must agree bit for bit, signed zeros included
+    # fold edge cases: period-4 translates of the seams, signed zeros, and
+    # large arguments
     EDGES = ([1.0, -1.0, 3.0, -3.0, -0.0, 0.0]
              + [4.0 * k + d for k in range(-3, 4) for d in (-1.0, 1.0, 2.0)]
              + [4.0 * k + d for k in (1e3, -1e3, 2.0 ** 40) for d in (-1.0, 1.0, 2.0)])
 
-    def test_scalar_and_array_folds_agree_bitwise(self):
-        rng = np.random.default_rng(41)
-        xs = np.concatenate([rng.uniform(-50.0, 50.0, 5000),
-                             rng.uniform(-1e9, 1e9, 1000), self.EDGES])
-        u, flag = _fold_vec(xs)
-        for x, uv, fv in zip(xs.tolist(), u.tolist(), flag.tolist()):
-            us, fs = _fold1(x)
-            assert (_bits(us), fs) == (_bits(uv), int(fv)), x
-
-    def test_region_matrix_is_the_array_formula(self):
-        rng = np.random.default_rng(42)
+    def test_region_matrix_reduces_to_the_triangle(self):
+        # N(x) = D1 P N_c(|u1|, |u2|) P D2 with sign diagonals
+        # D1 = diag(s1, s2, sigma), D2 = diag(d1 s1, d2 s2, 1) and P the swap
+        # of the first two coordinates where |u2| > |u1|, over the full period
+        rng = np.random.default_rng(44)
         pts = [(x, y) for x in self.EDGES for y in self.EDGES[:9]]
-        pts += rng.uniform(-9.0, 9.0, (500, 2)).tolist()
-        rows = zorich.region_matrices_at([p[0] for p in pts], [p[1] for p in pts])
-        for (x1, x2), want in zip(pts, rows):
+        pts += rng.uniform(-2.0, 2.0, (4000, 2)).tolist()
+        pts += rng.uniform(-1e6, 1e6, (500, 2)).tolist()
+        swap = np.eye(3)[[1, 0, 2]]
+        for x1, x2 in pts:
+            (u1, f1), (u2, f2) = _fold1(x1), _fold1(x2)
+            s1, s2 = (1.0 if u >= 0 else -1.0 for u in (u1, u2))
+            d1, d2 = (-1.0 if f else 1.0 for f in (f1, f2))
+            first = abs(u1) >= abs(u2)
+            p = np.eye(3) if first else swap
+            nc = _canonical(*sorted((abs(u1), abs(u2)), reverse=True))
+            want = (np.diag([s1, s2, d1 * d2]) @ p @ nc @ p
+                    @ np.diag([d1 * s1, d2 * s2, 1.0]))
             n, _ = region_matrix(x1, x2)
-            assert n.shape == (3, 3) and n.tobytes() == want.tobytes()
+            assert np.max(np.abs(n - want)) <= 1e-15, (x1, x2)
 
 
 def _hex(values):
@@ -250,14 +267,18 @@ class TestConstants:
     def test_c0_positive_and_L_finite(self, constants):
         assert constants.c0 > 0
         assert math.isfinite(constants.L)
-        assert constants.L > 1
+        assert constants.L == 141 / 32
 
     def test_expansion_floor(self, constants):
         assert math.exp(constants.L) * constants.c0 > 33.0
+        # the certificate, in rational arithmetic
+        e_lower = exp_lower(Fraction(constants.L))
+        assert e_lower * C0_LOWER > 33
+        assert Fraction(constants.exp_margin) <= e_lower * C0_LOWER - 33
 
     def test_c0_bounded_by_spot_values(self, constants):
         # independent spot checks: c0 cannot exceed the smallest singular
-        # value at literal region matrices (up to the sampling resolution)
+        # value at literal region matrices
         spots = [
             np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 0.0]]),
             np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [-1.0, 0.0, 0.5]]),
@@ -265,39 +286,88 @@ class TestConstants:
         ]
         for m in spots:
             smin = np.linalg.svd(m, compute_uv=False)[-1]
-            assert constants.c0 <= smin + 1e-6
-        # frozen value of the infimum, located independently by optimizing
-        # the smallest singular value over each region's matrix family
-        assert constants.c0 == pytest.approx(0.4450418679126288, abs=5e-6)
+            assert constants.c0 <= smin
+        # the infimum 2 cos(3 pi / 7), reached at the fold corners
+        c0 = 2.0 * math.cos(3.0 * math.pi / 7.0)
+        assert constants.c0 <= C0_LOWER <= c0 < C0_LOWER + Fraction(1, 10 ** 7)
 
-    def test_resolution_stability(self, constants):
-        other = derive_beam_constants(resolution=64)
-        assert abs(other.L - constants.L) <= 0.1
+    def test_sigma_floor_certificate(self):
+        m = C0_LOWER ** 2
+        assert corner_chi(m) < 0
+        assert certifies_sigma_floor(C0_LOWER)
+        # p is the characteristic polynomial of N^T N at the corner a = b = 1
+        nc = _canonical(1.0, 1.0)
+        assert np.poly(nc.T @ nc) == pytest.approx([1.0, -5.0, 6.0, -1.0], abs=1e-14)
+
+    def test_certificate_rejects_c_above_the_infimum(self, monkeypatch):
+        assert not certifies_sigma_floor(Fraction("0.4450419"))
+        assert not certifies_sigma_floor(Fraction(1))
+        monkeypatch.setattr(zorich, "C0_LOWER", Fraction("0.4450419"))
+        with pytest.raises(ArithmeticError):
+            derive_beam_constants()
+
+    def test_chi_identity_on_the_triangle(self):
+        sp = pytest.importorskip("sympy")
+        a, b, m, t = sp.symbols("a b m t")
+        d = sp.symbols("d0:3")
+        nc = sp.Matrix([[1, 0, a], [0, 1, b], [-1, 0, 1 - a]])
+        p = corner_chi(m)
+        chi = (m * sp.eye(3) - nc.T * nc).det()
+        # chi - p is a sum of two terms, each <= 0 for 0 <= b <= a <= 1 and
+        # 0 <= m <= 1
+        assert sp.expand(chi - p - ((m ** 2 - 2 * m) * (1 - b ** 2)
+                                    - 2 * a * (1 - a) * m * (1 - m))) == 0
+        # p is the minimal polynomial of c0^2 = 4 cos^2(3 pi / 7), its least root
+        assert sp.expand(sp.minimal_polynomial(4 * sp.cos(3 * sp.pi / 7) ** 2, m) - p) == 0
+        assert 4 * math.cos(3 * math.pi / 7) ** 2 == pytest.approx(
+            min(np.roots([1, -5, 6, -1]).real), abs=1e-14)
+        # the determinant and the Frobenius norm behind K_F and the margins
+        det = (nc + t * sp.diag(*d)).det()
+        want = (1 + t * (d[0] * (1 - a) + d[1] + d[2])
+                + t ** 2 * (d[1] * d[2] + d[0] * d[2] + d[0] * d[1] * (1 - a))
+                + t ** 3 * d[0] * d[1] * d[2])
+        assert sp.expand(det - want) == 0
+        assert sp.expand(sum(x ** 2 for x in nc) - (3 + a ** 2 + b ** 2 + (1 - a) ** 2)) == 0
+        assert zorich._SQRT5_UPPER ** 2 >= 5
+
+    def test_K_F_covers_the_corner_supremum(self, constants):
+        # the supremum 11.899 is at x3 = L, at the fold corners
+        assert 11.8993 <= constants.K_F <= 12.79
+        j, _ = F_jacobian((-1.0005, -1.0, constants.L))
+        assert _dilatation(j) <= constants.K_F
 
     def test_beam_inequalities_on_grid(self, constants):
-        ok, jac_margin, norm_margin, k_f = verify_beam_inequalities(
-            constants.L, resolution=32)
-        assert ok
-        assert jac_margin >= 1.0
-        assert norm_margin <= 1.0
-        assert k_f >= 1.0
+        # a seeded SVD sweep of DF = I + e^{x3} N over the full period and
+        # x3 in [L, L + 50], with the fold corners |u1| = |u2| = 1
+        rng = np.random.default_rng(16)
+        corners = [(x, y) for x in (-3.0, -1.0, 1.0, 3.0) for y in (-1.0, 1.0)]
+        corners += [(x + dx, y + dy) for x, y in corners for dx in (-1e-9, 1e-9)
+                    for dy in (-1e-9, 1e-9)]
+        pts = corners + rng.uniform(-2.0, 2.0, (400, 2)).tolist()
+        n = np.array([region_matrix(x1, x2)[0] for x1, x2 in pts])
+        levels = np.concatenate([[constants.L, constants.L + 1e-3],
+                                 constants.L + rng.uniform(0.0, 50.0, 40)])
+        for x3 in levels.tolist():
+            df = np.eye(3) + math.exp(x3) * n
+            sv = np.linalg.svd(df, compute_uv=False)
+            assert _dilatation(df).max() <= constants.K_F
+            assert (np.linalg.det(df) / (0.5 * math.exp(3 * x3))).min() >= constants.jac_margin
+            assert (sv[:, 0] / (7.0 * math.exp(x3))).max() <= constants.norm_margin
+        assert constants.jac_margin >= 1.0
+        assert constants.norm_margin <= 1.0
 
     def test_sigma_floor_above_L(self, constants):
         # e^{x3} * sigma_min(N) > 33 at x3 = L + 1 on a grid
         s = np.linspace(-0.99, 0.99, 41)
-        g1, g2 = np.meshgrid(s, s)
-        n = zorich.region_matrices_at(g1.ravel(), g2.ravel())
+        n = np.array([region_matrix(x1, x2)[0] for x1 in s for x2 in s])
         smin = np.linalg.svd(n, compute_uv=False)[:, -1].min()
         assert math.exp(constants.L + 1) * smin > 33.0
 
-    def test_low_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            derive_beam_constants(resolution=32)
-
 
 class TestSigmaKernel:
-    """The closed-form singular-value and determinant kernel of the beam
-    audit against LAPACK (np.linalg.svd and np.linalg.det)."""
+    """The closed-form singular-value and determinant kernel of
+    ``global_map.cell_dilatations`` against LAPACK (np.linalg.svd and
+    np.linalg.det)."""
 
     EPS = np.finfo(float).eps
 
@@ -309,10 +379,10 @@ class TestSigmaKernel:
     @pytest.mark.parametrize("beam", [(0, 0), (1, 0), (0, 1), (1, 1)])
     @pytest.mark.parametrize("above_L", [0.0, 5.0])
     def test_audit_grid(self, constants, beam, above_L):
-        # the grid of verify_beam_inequalities at resolution 16
+        # a 16 x 16 grid on one beam
         s = (np.arange(16) + 0.5) / 16 * 2.0 - 1.0
-        u1, u2 = np.meshgrid(s + 2 * beam[0], s + 2 * beam[1], indexing="ij")
-        n = zorich.region_matrices_at(u1.ravel(), u2.ravel())
+        n = np.array([region_matrix(x1 + 2 * beam[0], x2 + 2 * beam[1])[0]
+                      for x1 in s for x2 in s])
         df = np.eye(3) + math.exp(constants.L + above_L) * n
         for got, want in zip(_sigma_extremes_det(df), self.oracle(df)):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
