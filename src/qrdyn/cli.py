@@ -1,6 +1,7 @@
 """Command line interface of qrdyn.
 
     qrdyn build [--json]
+    qrdyn --version
 
 ``build`` derives the constants, builds the five-chart atlas, certifies it
 exactly on its affine cells with the default parameters of ``build_maps``,
@@ -13,7 +14,9 @@ hold at every point above L.  Besides them, the report gives L', the number
 of affine cells of the slab atlas (``cells``), the least determinant of
 their linear parts (``min_cell_det``, which the build requires to be
 positive), the largest dilatation of a cell (``K_slab``) and each chart's
-verdict from the exact boundary-map validation.
+verdict from the exact boundary-map validation.  The JSON object also
+gives ``phase_s``: the wall seconds of each build phase, keyed by module and
+function.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .global_map import build_maps, build_report, constants_report_text
 
 
 def _parser():
     p = argparse.ArgumentParser(prog="qrdyn", description=__doc__.splitlines()[0])
+    p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
     b = sub.add_parser("build", help="build the maps and print the constants")
     b.add_argument("--json", action="store_true",

@@ -14,8 +14,13 @@ certificate.
 
 Polyhedral surfaces are oriented outward at construction, so the star test
 is one exact sign per boundary simplex: the signed area of (a, v_i, v_i+1)
-in 2D, the signed volume of (a, triangle) in 3D, decided in
-``fractions.Fraction``.
+in 2D, the signed volume of (a, triangle) in 3D.  ``_det3_signs`` decides
+each such sign in floats where Shewchuk's orient3d error bound certifies
+it, and only the determinants inside that bound (zero ones among them) in
+``fractions.Fraction``; the boundary-map validation of ``star_extend``
+takes its orientations from it too.  The vertex term of the certificate
+runs all vertices of a shape through each of its kernels in one stacked
+call.
 
 All shapes are immutable after construction; every operation is pure.
 """
@@ -270,21 +275,6 @@ def _point_in_tri2(p, a, b, c):
     has_neg = (d1 < 0) or (d2 < 0) or (d3 < 0)
     has_pos = (d1 > 0) or (d2 > 0) or (d3 > 0)
     return not (has_neg and has_pos)
-
-
-def _point_in_polygon(v, p):
-    # even-odd ray casting with a horizontal ray
-    n = len(v)
-    inside = False
-    x, y = p
-    for i in range(n):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % n]
-        if (y0 > y) != (y1 > y):
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if xi > x:
-                inside = not inside
-    return inside
 
 
 def _polygon_self_intersects(v):
@@ -558,24 +548,31 @@ def _line_angles(u, d):
     return np.where(nonzero, np.arccos(np.minimum(1.0, c)), math.pi / 2)
 
 
+def _dots(x, y):
+    """Row-wise dot products of two stacks of 3-vectors, each as numpy's dot
+    of one pair of vectors computes it."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
 def _line_plane_angles(u, n):
-    """Angles between the line spanned by u and the planes with unit normals
-    n (rows); each equals the minimum line-line angle over directions in
-    that plane."""
-    s = np.abs(n @ u) / np.linalg.norm(u)
+    """Angles between the lines spanned by the rows of u and the planes with
+    unit normals the rows of n; each equals the minimum line-line angle over
+    directions in that plane."""
+    s = np.abs(_dots(n, u)) / np.sqrt(_dots(u, u))
     return np.arcsin(np.minimum(1.0, s))
 
 
 def _sector_min_angles(u, g1, g2):
-    """Minimum line angle between u and the directions of each planar sector
-    spanned by the rows g1[k], g2[k] (non-negative combinations)."""
+    """Minimum line angle between the row u[k] and the directions of the
+    planar sector spanned by the rows g1[k], g2[k] (non-negative
+    combinations)."""
     best = np.minimum(_line_angles(u, g1), _line_angles(u, g2))
     n = np.cross(g1, g2)
     nn = np.sqrt(np.einsum("ij,ij->i", n, n))
     flat = nn < 1e-14
     n = n / np.where(flat, 1.0, nn)[:, None]
     # the projection w of u onto the sector's plane, or -w, inside the sector
-    w = u - (n @ u)[:, None] * n
+    w = u - _dots(n, u)[:, None] * n
     s1 = np.einsum("ij,ij->i", np.cross(g1, w), n)
     s2 = np.einsum("ij,ij->i", np.cross(w, g2), n)
     inside = (((s1 >= -1e-12) & (s2 >= -1e-12))
@@ -584,53 +581,39 @@ def _sector_min_angles(u, g1, g2):
     return np.where(take, np.minimum(best, _line_plane_angles(u, n)), best)
 
 
-def _unit(v):
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise GeometryError("zero direction")
-    return v / n
-
-
 def _facet_vertex_cones(shape):
-    """For each vertex of a 3D shape: the incident facets and, per facet,
-    generators of the convex decomposition of the facet's direction cone at
-    that vertex (directions d with q + eps*d inside the facet polygon)."""
-    verts = shape.vertices
-    cones = {}        # vertex index -> list of (facet id, [generators])
-    for fi, poly in enumerate(shape.facet_polys):
-        m = len(poly)
-        n0 = shape._facet_normal[fi]
-        origin = verts[poly[0]]
-        e1ref = _unit(verts[poly[1]] - origin)
-        e2ref = np.cross(n0, e1ref)
-        pts2 = [((verts[i] - origin) @ e1ref, (verts[i] - origin) @ e2ref)
-                for i in poly]
-        for k in range(m):
-            q = verts[poly[k]]
-            eprev = verts[poly[k - 1]] - q
-            enext = verts[poly[(k + 1) % m]] - q
-            phi1 = math.atan2((eprev @ e2ref), (eprev @ e1ref))
-            phi2 = math.atan2((enext @ e2ref), (enext @ e1ref))
-            width_ccw = (phi2 - phi1) % (2 * math.pi)
-            q2 = (float((q - origin) @ e1ref), float((q - origin) @ e2ref))
-            eps = 1e-5 * min(np.linalg.norm(eprev), np.linalg.norm(enext))
-            # choose the arc (from phi1 ccw to phi2, or the complement)
-            # whose midpoint direction points into the polygon
-            def _inside_at(phi):
-                p = (q2[0] + eps * math.cos(phi), q2[1] + eps * math.sin(phi))
-                return _point_in_polygon(np.asarray(pts2), np.asarray(p))
-            if _inside_at(phi1 + width_ccw / 2):
-                start, width = phi1, width_ccw
-            else:
-                start, width = phi2, (2 * math.pi - width_ccw) % (2 * math.pi)
-            pieces = max(1, int(math.ceil(width / 1.5)))
-            gens = []
-            for j in range(pieces + 1):
-                phi = start + width * j / pieces
-                d = math.cos(phi) * e1ref + math.sin(phi) * e2ref
-                gens.append(d)
-            cones.setdefault(poly[k], []).append((fi, np.array(gens)))
-    return cones
+    """Generators of the direction cone of every facet of a 3D shape at each
+    of its corners (directions d with q + eps*d inside the facet polygon at
+    the corner q), split into convex sectors.
+
+    Returns (corner_vertex, corner_facet, gens, gen_corner): the corners in
+    facet order, each facet's in loop order, and the generators of all
+    corners in that order, each with the index of its corner.  A facet loop
+    runs counter-clockwise about its Newell normal n (``_facet_normal``), so
+    in the facet frame (e1, n x e1), e1 along its first edge, the cone at a
+    corner runs counter-clockwise from the edge to the next vertex to the
+    edge to the previous one; its arc is cut into ceil(width / 1.5) equal
+    sectors."""
+    v = shape.vertices
+    corner_facet, back, corner_vertex, ahead = np.array(
+        [(f, p[k - 1], p[k], p[(k + 1) % len(p)])
+         for f, p in enumerate(shape.facet_polys) for k in range(len(p))]).T
+    e1 = v[[p[1] for p in shape.facet_polys]] - v[[p[0] for p in shape.facet_polys]]
+    e1 = (e1 / np.sqrt(_dots(e1, e1))[:, None])[corner_facet]
+    e2 = np.cross(shape._facet_normal[corner_facet], e1)
+
+    def angle(to):
+        d = v[to] - v[corner_vertex]
+        return np.array(list(map(math.atan2, _dots(d, e2).tolist(), _dots(d, e1).tolist())))
+
+    start, back = angle(ahead), angle(back)
+    width = (2 * math.pi - (start - back) % (2 * math.pi)) % (2 * math.pi)
+    pieces = np.maximum(1, np.ceil(width / 1.5)).astype(int).tolist()
+    gen_corner = np.array([c for c, n in enumerate(pieces) for _ in range(n + 1)])
+    phi = np.array([s + w * j / n for s, w, n in zip(start.tolist(), width.tolist(), pieces)
+                    for j in range(n + 1)])
+    gens = np.cos(phi)[:, None] * e1[gen_corner] + np.sin(phi)[:, None] * e2[gen_corner]
+    return corner_vertex, corner_facet, gens, gen_corner
 
 
 # the four generator triples of a four-generator cone
@@ -638,15 +621,17 @@ _CONE_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 def _cones_contain_line(cones, u, tol=1e-9):
-    """True if u or -u lies in one of the convex cones in R^3 spanned by four
-    generators each (``cones`` has shape (K, 4, 3)).  Every generator triple
-    with |det| >= 1e-12 is solved for the unit vector along u in one stacked
-    call; the coefficients of -u are exactly the negated ones."""
+    """Per cone: True if u[k] or -u[k] lies in the convex cone in R^3 spanned
+    by the four generators cones[k] (``cones`` has shape (K, 4, 3)).  Every
+    generator triple with |det| >= 1e-12 is solved for the unit vector along
+    u[k] in one stacked call; the coefficients of -u[k] are exactly the
+    negated ones."""
     m = np.swapaxes(cones[:, _CONE_TRIPLES, :], -1, -2).reshape(-1, 3, 3)
-    m = m[np.abs(np.linalg.det(m)) >= 1e-12]
-    un = _unit(np.asarray(u, dtype=float))
-    lam = np.linalg.solve(m, np.broadcast_to(un[:, None], (len(m), 3, 1)))[..., 0]
-    return bool(np.any(np.all(lam >= -tol, axis=1) | np.all(lam <= tol, axis=1)))
+    un = u / np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+    keep = np.abs(np.linalg.det(m)) >= 1e-12
+    lam = np.linalg.solve(m[keep], np.repeat(un, 4, axis=0)[keep][..., None])[..., 0]
+    hit = np.all(lam >= -tol, axis=1) | np.all(lam <= tol, axis=1)
+    return np.bincount(np.flatnonzero(keep)[hit] // 4, minlength=len(cones)) > 0
 
 
 def certify_star_centre(shape: StarShape, a) -> Certificate:
@@ -691,28 +676,83 @@ def _det3(u, v, w):
             + u[2] * (v[0] * w[1] - v[1] * w[0]))
 
 
+# Shewchuk's orient3d filter (DCG 18 (1997)), eps = 2^-53: a determinant of
+# three float differences, evaluated in the order of ``_det3_signs``, has the
+# sign of the exact one where it exceeds this multiple of its permanent
+_ORIENT3D_BOUND = (7.0 + 56.0 * 2.0 ** -53) * 2.0 ** -53
+# differences in this range keep every product of three normal and finite,
+# which the bound assumes
+_SAFE_RANGE = (2.0 ** -340, 2.0 ** 340)
+
+
+def _det3_signs(p, q):
+    """(signs, values) of det(p[k] - q[k]) over a stack of 3x3 float
+    matrices (p and q broadcast to shape (N, 3, 3); the rows of p[k] - q[k]
+    are the determinant's rows).  A row's float determinant decides its sign
+    where it exceeds Shewchuk's bound (7 + 56 eps) eps times the permanent
+    and every nonzero difference lies in ``_SAFE_RANGE``; the other rows,
+    zero determinants among them, are evaluated exactly in Fraction on the
+    float coordinates.  Every sign is exact; the values are the float
+    determinants, within the bound of the exact ones where the filter
+    decides."""
+    p, q = np.broadcast_arrays(p, q)
+    with np.errstate(over="ignore", invalid="ignore"):   # such rows are unsafe
+        d = p - q
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = d.transpose(1, 2, 0)
+        bxcy, cxby = bx * cy, cx * by
+        cxay, axcy = cx * ay, ax * cy
+        axby, bxay = ax * by, bx * ay
+        det = az * (bxcy - cxby) + bz * (cxay - axcy) + cz * (axby - bxay)
+        permanent = ((abs(bxcy) + abs(cxby)) * abs(az) + (abs(cxay) + abs(axcy)) * abs(bz)
+                     + (abs(axby) + abs(bxay)) * abs(cz))
+    size = abs(d).reshape(-1, 9)
+    lo, hi = _SAFE_RANGE
+    safe = (np.where(size == 0.0, lo, size).min(axis=1) >= lo) & (size.max(axis=1) <= hi)
+    sure = safe & (np.abs(det) > _ORIENT3D_BOUND * permanent)
+    signs = np.where(sure, np.sign(det), 0.0).astype(int)
+    for k in np.flatnonzero(~sure):
+        exact = _det3(*[[Fraction(x) - Fraction(y) for x, y in zip(pr, qr)]
+                        for pr, qr in zip(p[k].tolist(), q[k].tolist())])
+        signs[k] = (exact > 0) - (exact < 0)
+    return signs, det
+
+
 def _star_test(shape, a):
     """Raise CertificationFailure naming the first edge (2D) or triangle (3D)
     whose simplex with apex a is not positively oriented: in 2D relative to
-    the polygon's own orientation, in 3D to the outward one.  Every sign is
-    decided in Fraction on the float coordinates."""
-    o = [Fraction(c) for c in a.tolist()]
-    v = [[Fraction(c) - oc for c, oc in zip(p, o)] for p in shape.vertices.tolist()]
+    the polygon's own orientation, in 3D to the outward one.
+
+    The signs come from ``_det3_signs`` (2D as the determinant with the
+    third row e3): a float filter decides each sign it can certify, and the
+    rest are decided in Fraction on the float coordinates.  The polygon's
+    orientation is the sign of the exact sum of its simplices' areas: where
+    the signs all agree they give it, else that sum is taken in Fraction."""
     if shape.dim == 2:
-        simplices = [[i, (i + 1) % len(v)] for i in range(len(v))]
-        signs = [v[i][0] * v[j][1] - v[j][0] * v[i][1] for i, j in simplices]
-        if sum(signs) < 0:
-            signs = [-x for x in signs]
+        v = shape.vertices.tolist()
+        simplices = np.array([[i, (i + 1) % len(v)] for i in range(len(v))])
+        p = np.zeros((len(v), 3, 3))
+        p[:, :2, :2] = shape.vertices[simplices]
+        p[:, 2, 2] = 1.0
+        q = np.zeros((3, 3))
+        q[:2, :2] = a
+        signs = _det3_signs(p, q)[0]
+        if signs.min() == signs.max() != 0:
+            orientation = signs[0]
+        else:       # twice the area, exactly
+            orientation = sum(Fraction(x0) * Fraction(y1) - Fraction(x1) * Fraction(y0)
+                              for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]))
+        signs = signs if orientation >= 0 else -signs
         what = "edge"
     else:
-        simplices = shape.triangles.tolist()
-        signs = [_det3(v[i], v[j], v[k]) for i, j, k in simplices]
+        simplices = shape.triangles
+        signs = _det3_signs(shape.vertices[simplices], a)[0]
         what = "triangle"
-    for k, (sign, idx) in enumerate(zip(signs, simplices)):
-        if sign <= 0:
-            raise CertificationFailure(
-                f"star test fails at {what} {k} {shape.vertices[idx].tolist()}: "
-                f"it does not face the centre {a.tolist()}")
+    bad = np.flatnonzero(signs <= 0)
+    if bad.size:
+        k = int(bad[0])
+        raise CertificationFailure(
+            f"star test fails at {what} {k} {shape.vertices[simplices[k]].tolist()}: "
+            f"it does not face the centre {a.tolist()}")
 
 
 def _plane_angle(shape, a):
@@ -736,35 +776,50 @@ def _vertex_angle(shape, a):
     ray and the chord directions at every vertex; raises on a tangential
     chord direction.  The chord-direction limit set at a vertex q is the
     union over ordered pairs of incident facets (F, F') of the cones
-    cone(F' at q) - cone(F at q); same-facet chords span the facet plane."""
-    theta_obs = math.pi / 2
-    for vi, facet_cones in _facet_vertex_cones(shape).items():
-        q = shape.vertices[vi]
-        u = q - a
-        if np.linalg.norm(u) <= shape.tol:
+    cone(F' at q) - cone(F at q); same-facet chords span the facet plane.
+
+    All vertices go through each kernel in one stacked call, each row with
+    its own u = q - a.  The vertices come in the order of their first
+    corner; the failure raised is that of the first vertex that fails, for
+    the first reason that applies: u within tol of zero, a tangential chord
+    direction, or the least angle so far below 2 THETA_MIN."""
+    corner_vertex, corner_facet, gens, gen_corner = _facet_vertex_cones(shape)
+    u = shape.vertices - a
+    near = np.sqrt(_dots(u, u)) <= shape.tol
+    u[near] = 1.0       # a placeholder: those vertices fail before any angle
+    vertex = corner_vertex[gen_corner]
+    # the facet cones may be reflex; membership is tested per convex
+    # sub-sector (consecutive generators of one corner), over the pairs of
+    # sub-sectors of different corners at one vertex.  The limit set is
+    # symmetric (cone(F) - cone(F') = -(cone(F') - cone(F))) and a line test
+    # or a line angle does not see the sign, so each unordered pair of
+    # corners is taken once
+    sub = np.flatnonzero(gen_corner[:-1] == gen_corner[1:])
+    jb, ia = np.nonzero((vertex[sub][:, None] == vertex[sub][None, :])
+                        & (gen_corner[sub][:, None] < gen_corner[sub][None, :]))
+    cones = np.stack([gens[sub[jb]], gens[sub[jb] + 1],
+                      -gens[sub[ia]], -gens[sub[ia] + 1]], axis=1)
+    at = vertex[sub[jb]]
+    tangential = np.bincount(at[_cones_contain_line(cones, u[at])], minlength=len(u)) > 0
+    ib, ia = np.nonzero((vertex[:, None] == vertex[None, :])
+                        & (gen_corner[:, None] < gen_corner[None, :]))
+    least = np.full(len(u), math.pi / 2)
+    np.minimum.at(least, corner_vertex,
+                  _line_plane_angles(u[corner_vertex], shape._facet_normal[corner_facet]))
+    np.minimum.at(least, vertex[ib], _sector_min_angles(u[vertex[ib]], gens[ib], -gens[ia]))
+    # the vertices in the order of their first corner
+    order = corner_vertex[np.sort(np.unique(corner_vertex, return_index=True)[1])]
+    so_far = np.minimum.accumulate(least[order])
+    fails = np.flatnonzero(near[order] | tangential[order] | (so_far / 2 < THETA_MIN))
+    if fails.size:
+        k = fails[0]
+        q = shape.vertices[order[k]]
+        if near[order[k]]:
             raise CertificationFailure("centre coincides with a vertex")
-        # generators of all incident facets, each labelled by its facet
-        gens = np.concatenate([g for _, g in facet_cones])
-        owner = np.repeat(np.arange(len(facet_cones)),
-                          [len(g) for _, g in facet_cones])
-        # the facet cones may be reflex; membership is tested per convex
-        # sub-sector (consecutive generators of one facet), over all pairs
-        # of sub-sectors of different facets
-        sub = np.flatnonzero(owner[:-1] == owner[1:])
-        jb, ia = np.nonzero(owner[sub][:, None] != owner[sub][None, :])
-        cones = np.stack([gens[sub[jb]], gens[sub[jb] + 1],
-                          -gens[sub[ia]], -gens[sub[ia] + 1]], axis=1)
-        if _cones_contain_line(cones, u):
+        if tangential[order[k]]:
             raise CertificationFailure(f"tangential chord direction at vertex {q}")
-        normals = shape._facet_normal[[fi for fi, _ in facet_cones]]
-        ib, ia = np.nonzero(owner[:, None] != owner[None, :])
-        theta_obs = min(theta_obs,
-                        float(_line_plane_angles(u, normals).min()),
-                        float(_sector_min_angles(u, gens[ib], -gens[ia]).min()))
-        if theta_obs / 2 < THETA_MIN:
-            raise CertificationFailure(
-                f"vertex angle too small at {q}: {theta_obs:.2e}")
-    return theta_obs
+        raise CertificationFailure(f"vertex angle too small at {q}: {so_far[k]:.2e}")
+    return float(so_far[-1])
 
 
 def local_lipschitz_constants(shape: StarShape):

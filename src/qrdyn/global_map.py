@@ -24,6 +24,7 @@ parts and check the seams at the vertices of the cells on each face.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import zorich
 from .geometry import GeometryError, StarShape
-from .zorich import _sigma_extremes_det
 from .star_extend import (AffineCellTable, DiagonalSelect,
                           FormulaPiece, IdentityPiece, QuadrantSelect,
                           Radial2DPiece, RadialMap, TrivialSelect,
@@ -528,10 +528,58 @@ def audit_orientation(gm: GlobalMap, samples_per_chart=None, seed=None) -> Orien
                              passed=min_det > 0.0)
 
 
+def _sigma_extremes_det(m):
+    """Largest and smallest singular value and the determinant of each 3x3
+    matrix of the stack ``m`` (shape (..., 3, 3)), in closed form.
+
+    det is the cofactor expansion along the first row.  sigma_max^2 and
+    sigma_min^2 are the extreme eigenvalues of the Gram matrix m^T m, taken
+    from the trigonometric solution of its characteristic cubic (O. K. Smith,
+    CACM 4 (1961) 168).  The Gram matrix carries an absolute rounding error
+    of a few eps * sigma_max^2, which bounds the error of its eigenvalues
+    except where the arccos is ill-conditioned, next to a double eigenvalue.
+    With kappa = sigma_max / sigma_min and the relative gaps
+    g_top = (sigma_max^2 - sigma_mid^2) / sigma_max^2 and
+    g = (sigma_mid^2 - sigma_min^2) / sigma_max^2, sigma_max is accurate to
+    about eps * (1 + 1/g_top) relative, sigma_min to about
+    eps * kappa^2 * (1 + 1/g) relative, and the cofactor det to about
+    eps * kappa^2 relative.  For separated singular values that is about
+    eps * kappa^2 on sigma_min; diagonal matrices with repeated entries
+    (3 I, diag(2, 2, 1)) come out exact, but a pair of singular values equal
+    only up to rounding can lose half its digits (sqrt(eps)).
+    Returns (sigma_max, sigma_min, det), each of shape m.shape[:-2]."""
+    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    det = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
+           + m02 * (m10 * m21 - m11 * m20))
+    # Gram matrix G = m^T m (symmetric)
+    g00 = m00 * m00 + m10 * m10 + m20 * m20
+    g11 = m01 * m01 + m11 * m11 + m21 * m21
+    g22 = m02 * m02 + m12 * m12 + m22 * m22
+    g01 = m00 * m01 + m10 * m11 + m20 * m21
+    g02 = m00 * m02 + m10 * m12 + m20 * m22
+    g12 = m01 * m02 + m11 * m12 + m21 * m22
+    q = (g00 + g11 + g22) / 3.0
+    d0, d1, d2 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
+                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+    # B = (G - q I) / p has eigenvalues 2 cos(phi + 2 pi k / 3), 3 phi = acos(det B / 2)
+    inv = np.where(p > 0.0, 1.0 / np.where(p > 0.0, p, 1.0), 0.0)
+    b0, b1, b2 = d0 * inv, d1 * inv, d2 * inv
+    b01, b02, b12 = g01 * inv, g02 * inv, g12 * inv
+    half_det = 0.5 * (b0 * (b1 * b2 - b12 * b12) - b01 * (b01 * b2 - b12 * b02)
+                      + b02 * (b01 * b12 - b1 * b02))
+    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+    lam_max = q + 2.0 * p * np.cos(phi)
+    lam_min = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    return np.sqrt(lam_max), np.sqrt(np.maximum(lam_min, 0.0)), det
+
+
 def cell_dilatations(charts):
     """K = max(sigma_max^3 / det, det / sigma_min^3) of the linear part m of
     every cell of the charts (inf where det <= 0), from the sigma_max of
-    ``zorich._sigma_extremes_det`` for m and for its cofactor matrix, whose
+    ``_sigma_extremes_det`` for m and for its cofactor matrix, whose
     singular values are det / sigma_i: det / sigma_min^3 is then
     sigma_max(cof m)^3 / det^2, without the eps * kappa^2 error of the
     closed-form sigma_min (kappa reaches 3000 on the cells)."""
@@ -567,6 +615,7 @@ class BuildResult:
     min_cell_det: float
     K_slab: float
     validations: Dict[str, ValidationReport] = field(default_factory=dict)
+    phase_s: Dict[str, float] = field(default_factory=dict)
 
 
 def certify_cell_orientation(charts):
@@ -598,22 +647,36 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     ``zorich.derive_beam_constants`` certifies in rational arithmetic.
     ``resolution``, ``chart_resolution``, ``lprime_samples`` and ``seed`` do
     nothing: they set the sampled checks that exact certificates replaced,
-    and are kept so that existing callers keep working."""
-    constants = zorich.derive_beam_constants()
+    and are kept so that existing callers keep working.
+
+    ``phase_s`` holds the wall seconds of the five build phases, named by
+    module and function (the boundary-map validation summed over the
+    charts).  Each phase is called through its module or class attribute
+    when the build runs, so a wrapper set on that attribute sees it."""
+    phase_s = {}
+
+    def timed(name, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        phase_s[name] = phase_s.get(name, 0.0) + time.perf_counter() - start
+        return out
+
+    constants = timed("zorich.derive_beam_constants", zorich.derive_beam_constants)
     L = constants.L
     vt = build_vertex_table(L)
-    aprime = build_aprime_chart(vt)
-    cells = build_asecond_charts(vt, L, aprime)
+    aprime = timed("global_map.build_aprime_chart", build_aprime_chart, vt)
+    cells = timed("global_map.build_asecond_charts", build_asecond_charts, vt, L, aprime)
     charts = [aprime] + cells
     n_cells, min_cell_det = certify_cell_orientation(charts)
     g = assemble_g(charts, L, constants)
-    L_prime = derive_translation_constant(g)
+    L_prime = timed("global_map.derive_translation_constant",
+                    derive_translation_constant, g)
     f = GlobalMap(charts, L, L_prime, mode="f", constants=constants)
     g.L_prime = L_prime
     validations = {}
     if validate:
         for c in charts:
-            rep = c.map.validate_boundary_map()
+            rep = timed("star_extend.validate_boundary_map", c.map.validate_boundary_map)
             validations[c.cell_id] = rep
             if not rep.passed:
                 raise ConstructionError(
@@ -622,13 +685,14 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
                        L_prime=L_prime, cells=n_cells,
                        min_cell_det=min_cell_det,
                        K_slab=float(cell_dilatations(charts).max()),
-                       validations=validations)
+                       validations=validations, phase_s=phase_s)
 
 
 def build_report(build: BuildResult) -> dict:
     """The constants, their margins, L', the affine cell count, the least
-    cell determinant, the largest cell dilatation and each chart's
-    validation verdict; ``qrdyn build --json`` prints it."""
+    cell determinant, the largest cell dilatation, each chart's validation
+    verdict and the wall seconds of each build phase (``phase_s``);
+    ``qrdyn build --json`` prints it."""
     c = build.constants
     return {
         "c0": c.c0,
@@ -642,6 +706,7 @@ def build_report(build: BuildResult) -> dict:
         "min_cell_det": build.min_cell_det,
         "K_slab": build.K_slab,
         "validations": {cid: rep.passed for cid, rep in build.validations.items()},
+        "phase_s": dict(build.phase_s),
     }
 
 

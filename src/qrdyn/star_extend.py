@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .geometry import (GeometryError, StarShape, psi, pick_star_centre_2d,
-                       _det3, _psi_polygon_scalar, _ray_box_scalar)
+                       _det3_signs, _psi_polygon_scalar, _ray_box_scalar)
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
 # also the relative tolerance of the facet area sums.
@@ -332,8 +331,13 @@ class RadialMap:
         shared edges (``worst_seam_dev``); the images lie in the plane of a
         codomain facet the piece serves (``worst_boundary_dev``); the image
         of each cell, ordered positively in its domain facet, is positive
-        in that codomain facet (signs in Fraction); and the cells' areas sum
-        to each domain facet's area, their images' to each codomain facet's.
+        in that codomain facet; and the cells' areas sum to each domain
+        facet's area, their images' to each codomain facet's.  The signs are
+        exact: ``_oriented_areas`` takes them for all triangles of the chart
+        from ``geometry._det3_signs``, whose float filter decides every sign
+        outside Shewchuk's error bound and leaves the rest, zero areas among
+        them, to Fraction.  The seam check over the triangles is one batched
+        solve (``_cover_deviation``).
         Such a boundary map has degree one on each facet, so it is injective
         there; with a positive determinant on every cell of the radial
         extension the chart is a homeomorphism onto its codomain.
@@ -348,28 +352,40 @@ class RadialMap:
         serves = {}
         for f, piece in self.piece_by_codomain_facet.items():
             serves.setdefault(id(piece), []).append(f)
-        worst_b = worst_seam = 0.0
-        tris = []       # (dom triangle, image triangle, domain facet, codomain facet)
+        cells = []      # (domain polygon, its images, image polygon, facets served)
         for piece in self.all_pieces:
             facets = serves.get(id(piece))
             if not facets:
                 raise GeometryError(f"piece {piece.kind} serves no codomain facet")
             for dom, img in piece.affine_cells():
-                dom = np.asarray(dom, dtype=float)
-                got = np.array([piece.eval3(p) for p in map(tuple, dom.tolist())])
-                worst_seam = max(worst_seam,
-                                 float(np.linalg.norm(got - np.asarray(img), axis=1).max()))
-                fd = int(np.argmin(np.abs(dom @ dom_n.T - dom_d).max(axis=0)))
-                devs = [float(np.abs(got @ cod_n[f] - cod_d[f]).max()) for f in facets]
-                k = int(np.argmin(devs))
-                worst_b = max(worst_b, devs[k])
-                tris += [(dom[[0, i, i + 1]], got[[0, i, i + 1]], fd, facets[k])
-                         for i in range(1, len(dom) - 1)]
-        worst_seam = max(worst_seam, _cover_deviation(tris, self.domain.tol * 1e3))
+                dom = np.asarray(dom, dtype=float).tolist()
+                cells.append((dom, [piece.eval3(p) for p in map(tuple, dom)], img, facets))
+        # every cell vertex in one stack, cell after cell
+        size = np.array([len(cell[0]) for cell in cells])
+        start = np.cumsum(size) - size
+        dom, got, img = (np.array([p for cell in cells for p in cell[j]], dtype=float)
+                         for j in range(3))
+        worst_seam = float(np.linalg.norm(got - img, axis=1).max())
+        # the domain facet that holds each cell, and of the codomain facets
+        # its piece serves the one nearest to its images (the first on ties)
+        cell_fd = np.argmin(np.maximum.reduceat(np.abs(dom @ dom_n.T - dom_d), start), axis=1)
+        off_plane = np.abs(np.matmul(got[:, None, None, :], cod_n[None, :, :, None])[..., 0, 0]
+                           - cod_d)
+        devs = np.maximum.reduceat(off_plane, start)
+        cell_fc = [facets[int(np.argmin(devs[c, facets]))]
+                   for c, (*_, facets) in enumerate(cells)]
+        worst_b = float(devs[np.arange(len(cells)), cell_fc].max())
+        # each cell polygon as a fan of triangles (0, i, i + 1) of its vertices
+        cell = np.repeat(np.arange(len(cells)), size - 2)
+        corners = np.array([(s, s + i, s + i + 1) for s, n in zip(start.tolist(), size.tolist())
+                            for i in range(1, n - 1)])
+        dom, img = dom[corners], got[corners]
+        fd, fc = cell_fd[cell], np.asarray(cell_fc)[cell]
+        worst_seam = max(worst_seam, _cover_deviation(dom, img, self.domain.tol * 1e3))
 
-        sd, ad, si, ai = np.array([_oriented_area(dom_n[fd], dom) + _oriented_area(cod_n[fc], img)
-                                   for dom, img, fd, fc in tris]).T
-        fd, fc = np.array([t[2:] for t in tris]).T
+        signs, areas = _oriented_areas(np.concatenate([dom_n[fd], cod_n[fc]]),
+                                       np.concatenate([dom, img]))
+        (sd, si), (ad, ai) = np.split(signs, 2), np.split(areas, 2)
         bad = sd * si <= 0
         empty = 0         # facets that no triangle covers
         for idx, area, signed in ((fd, dom_area, sd * ad), (fc, cod_area, sd * ai)):
@@ -399,33 +415,36 @@ def _facet_planes(shape):
     return n, np.einsum("ij,ij->i", n, first), twice_area / 2
 
 
-def _oriented_area(normal, tri):
-    """(sign, signed area) of a 3D triangle seen along a unit normal, from
-    normal . ((p1 - p0) x (p2 - p0)) in Fraction."""
-    n, p0, p1, p2 = [[Fraction(c) for c in p] for p in [normal.tolist()] + tri.tolist()]
-    s = _det3(n, [b - a for a, b in zip(p0, p1)], [b - a for a, b in zip(p0, p2)])
-    return (s > 0) - (s < 0), float(s) / 2
+def _oriented_areas(normals, tris):
+    """(signs, signed areas) of a stack of 3D triangles (N, 3, 3), each seen
+    along its unit normal normals[k]: half of normal . ((p1 - p0) x
+    (p2 - p0)), the determinant with rows normal, p1 - p0 and p2 - p0,
+    whose sign ``_det3_signs`` decides exactly."""
+    signs, dets = _det3_signs(
+        np.stack([normals, tris[:, 1], tris[:, 2]], axis=1),
+        np.stack([np.zeros_like(normals), tris[:, 0], tris[:, 0]], axis=1))
+    return signs, dets / 2
 
 
-def _cover_deviation(tris, tol):
-    """Largest distance, over the (dom, img) triangles and every triangle
-    vertex within tol of a domain triangle, between the triangle's affine
-    interpolation at the vertex and the vertex's image in its own triangle."""
-    pts = np.concatenate([dom for dom, *_ in tris])
-    images = np.concatenate([img for _, img, *_ in tris])
-    worst = 0.0
-    for dom, img, *_ in tris:
-        e1, e2 = dom[1] - dom[0], dom[2] - dom[0]
-        n = np.cross(e1, e2)
-        d = pts - dom[0]
-        gram = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
-        u, v = np.linalg.solve(gram, np.stack([d @ e1, d @ e2]))
-        inside = ((np.abs(d @ n) <= tol * np.linalg.norm(n))
-                  & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9))
-        want = img[0] + np.outer(u, img[1] - img[0]) + np.outer(v, img[2] - img[0])
-        dev = np.linalg.norm(want[inside] - images[inside], axis=1)
-        worst = max(worst, float(dev.max(initial=0.0)))
-    return worst
+def _cover_deviation(dom, img, tol):
+    """Largest distance, over the triangles dom[k] with images img[k]
+    (stacks (T, 3, 3)) and every triangle vertex within tol of dom[k],
+    between the triangle's affine interpolation at the vertex and the
+    vertex's image in its own triangle; one batched solve for all
+    triangles."""
+    pts, images = dom.reshape(-1, 3), img.reshape(-1, 3)
+    e = dom[:, 1:] - dom[:, :1]                    # (T, 2, 3): both edges from p0
+    n = np.cross(e[:, 0], e[:, 1])
+    d = pts[None] - dom[:, :1]                     # (T, M, 3)
+    u, v = np.moveaxis(np.linalg.solve(e @ np.swapaxes(e, 1, 2), e @ np.swapaxes(d, 1, 2)),
+                       1, 0)
+    tri, at = np.nonzero((np.abs(d @ n[:, :, None])[..., 0]
+                          <= tol * np.linalg.norm(n, axis=1)[:, None])
+                         & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9))
+    f = img[tri, 1:] - img[tri, :1]
+    want = (img[tri, 0] + u[tri, at][:, None] * f[:, 0]
+            + v[tri, at][:, None] * f[:, 1])
+    return float(np.linalg.norm(want - images[at], axis=1).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -226,54 +226,6 @@ class ConstantsReport:
     norm_margin: float         # upper bound of |DF| / (7 e^{x3}) above L
 
 
-def _sigma_extremes_det(m):
-    """Largest and smallest singular value and the determinant of each 3x3
-    matrix of the stack ``m`` (shape (..., 3, 3)), in closed form.
-
-    det is the cofactor expansion along the first row.  sigma_max^2 and
-    sigma_min^2 are the extreme eigenvalues of the Gram matrix m^T m, taken
-    from the trigonometric solution of its characteristic cubic (O. K. Smith,
-    CACM 4 (1961) 168).  The Gram matrix carries an absolute rounding error
-    of a few eps * sigma_max^2, which bounds the error of its eigenvalues
-    except where the arccos is ill-conditioned, next to a double eigenvalue.
-    With kappa = sigma_max / sigma_min and the relative gaps
-    g_top = (sigma_max^2 - sigma_mid^2) / sigma_max^2 and
-    g = (sigma_mid^2 - sigma_min^2) / sigma_max^2, sigma_max is accurate to
-    about eps * (1 + 1/g_top) relative, sigma_min to about
-    eps * kappa^2 * (1 + 1/g) relative, and the cofactor det to about
-    eps * kappa^2 relative.  For separated singular values that is about
-    eps * kappa^2 on sigma_min; diagonal matrices with repeated entries
-    (3 I, diag(2, 2, 1)) come out exact, but a pair of singular values equal
-    only up to rounding can lose half its digits (sqrt(eps)).
-    Returns (sigma_max, sigma_min, det), each of shape m.shape[:-2]."""
-    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    det = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
-           + m02 * (m10 * m21 - m11 * m20))
-    # Gram matrix G = m^T m (symmetric)
-    g00 = m00 * m00 + m10 * m10 + m20 * m20
-    g11 = m01 * m01 + m11 * m11 + m21 * m21
-    g22 = m02 * m02 + m12 * m12 + m22 * m22
-    g01 = m00 * m01 + m10 * m11 + m20 * m21
-    g02 = m00 * m02 + m10 * m12 + m20 * m22
-    g12 = m01 * m02 + m11 * m12 + m21 * m22
-    q = (g00 + g11 + g22) / 3.0
-    d0, d1, d2 = g00 - q, g11 - q, g22 - q
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
-                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
-    # B = (G - q I) / p has eigenvalues 2 cos(phi + 2 pi k / 3), 3 phi = acos(det B / 2)
-    inv = np.where(p > 0.0, 1.0 / np.where(p > 0.0, p, 1.0), 0.0)
-    b0, b1, b2 = d0 * inv, d1 * inv, d2 * inv
-    b01, b02, b12 = g01 * inv, g02 * inv, g12 * inv
-    half_det = 0.5 * (b0 * (b1 * b2 - b12 * b12) - b01 * (b01 * b2 - b12 * b02)
-                      + b02 * (b01 * b12 - b1 * b02))
-    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-    lam_max = q + 2.0 * p * np.cos(phi)
-    lam_min = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-    return np.sqrt(lam_max), np.sqrt(np.maximum(lam_min, 0.0)), det
-
-
 def derive_beam_constants() -> ConstantsReport:
     """Derive (c0, L, K_F) and the beam margins as finite certificates in
     rational arithmetic.

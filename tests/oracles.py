@@ -7,12 +7,21 @@ and cone frames, kept here as the oracles of the tests.
   pieces and of a 2D radial map;
 - ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
   triangles (``_ray_tris``), exterior where no crossing lies at or beyond x;
+- ``facet_vertex_cones_probe``: the generators of each facet's direction
+  cone at each of its corners, with the arc chosen by probing a point just
+  off the corner with an even-odd ray cast (``point_in_polygon``), as
+  ``geometry`` built them before it read the arc off the loop's
+  orientation;
+- ``cover_deviation_per_triangle`` and ``oriented_area_fraction``: the
+  seam deviation and the oriented areas of a chart's boundary triangles,
+  one triangle at a time, the latter in Fraction;
 - ``zorich_composed``: Z composed from the scalar fold ``_fold1``, the parity
   of its flags and a scaling per coordinate, which ``zorich_scalar`` writes
   out.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,6 +73,99 @@ def psi_ray_oracle(shape, x):
     ti = int(cand[np.argmin(shape.tri_facet[cand])])
     return BoundaryHit(point=a + t[ti] * d, facet=int(shape.tri_facet[ti]),
                        t=float(t[ti] / dist))
+
+
+def point_in_polygon(v, p):
+    """Even-odd ray casting with a horizontal ray."""
+    n = len(v)
+    inside = False
+    x, y = p
+    for i in range(n):
+        x0, y0 = v[i]
+        x1, y1 = v[(i + 1) % n]
+        if (y0 > y) != (y1 > y):
+            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            if xi > x:
+                inside = not inside
+    return inside
+
+
+def unit(v):
+    n = np.linalg.norm(v)
+    if n == 0:
+        raise GeometryError("zero direction")
+    return v / n
+
+
+def facet_vertex_cones_probe(shape):
+    """For each vertex of a 3D shape: the incident facets and, per facet,
+    generators of the convex decomposition of the facet's direction cone at
+    that vertex (directions d with q + eps*d inside the facet polygon), as
+    {vertex: [(facet, generators (k, 3))]} in the order of first appearance.
+    The arc of the cone (from the edge to the previous vertex
+    counter-clockwise to the edge to the next one, or its complement) is the
+    one whose midpoint direction points into the polygon."""
+    verts = shape.vertices
+    cones = {}
+    for fi, poly in enumerate(shape.facet_polys):
+        m = len(poly)
+        n0 = shape._facet_normal[fi]
+        origin = verts[poly[0]]
+        e1ref = unit(verts[poly[1]] - origin)
+        e2ref = np.cross(n0, e1ref)
+        pts2 = np.asarray([((verts[i] - origin) @ e1ref, (verts[i] - origin) @ e2ref)
+                           for i in poly])
+        for k in range(m):
+            q = verts[poly[k]]
+            eprev = verts[poly[k - 1]] - q
+            enext = verts[poly[(k + 1) % m]] - q
+            phi1 = math.atan2((eprev @ e2ref), (eprev @ e1ref))
+            phi2 = math.atan2((enext @ e2ref), (enext @ e1ref))
+            width_ccw = (phi2 - phi1) % (2 * math.pi)
+            q2 = (float((q - origin) @ e1ref), float((q - origin) @ e2ref))
+            eps = 1e-5 * min(np.linalg.norm(eprev), np.linalg.norm(enext))
+            mid = phi1 + width_ccw / 2
+            if point_in_polygon(pts2, (q2[0] + eps * math.cos(mid),
+                                       q2[1] + eps * math.sin(mid))):
+                start, width = phi1, width_ccw
+            else:
+                start, width = phi2, (2 * math.pi - width_ccw) % (2 * math.pi)
+            pieces = max(1, int(math.ceil(width / 1.5)))
+            gens = [math.cos(start + width * j / pieces) * e1ref
+                    + math.sin(start + width * j / pieces) * e2ref
+                    for j in range(pieces + 1)]
+            cones.setdefault(poly[k], []).append((fi, np.array(gens)))
+    return cones
+
+
+def cover_deviation_per_triangle(dom, img, tol):
+    """``star_extend._cover_deviation`` one triangle at a time."""
+    pts, images = dom.reshape(-1, 3), img.reshape(-1, 3)
+    worst = 0.0
+    for tri, tri_img in zip(dom, img):
+        e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+        n = np.cross(e1, e2)
+        d = pts - tri[0]
+        gram = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
+        u, v = np.linalg.solve(gram, np.stack([d @ e1, d @ e2]))
+        inside = ((np.abs(d @ n) <= tol * np.linalg.norm(n))
+                  & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9))
+        want = (tri_img[0] + np.outer(u, tri_img[1] - tri_img[0])
+                + np.outer(v, tri_img[2] - tri_img[0]))
+        dev = np.linalg.norm(want[inside] - images[inside], axis=1)
+        worst = max(worst, float(dev.max(initial=0.0)))
+    return worst
+
+
+def oriented_area_fraction(normal, tri):
+    """(sign, signed area) of a 3D triangle seen along a unit normal, from
+    normal . ((p1 - p0) x (p2 - p0)) in Fraction."""
+    n, p0, p1, p2 = [[Fraction(c) for c in p] for p in [list(normal)] + tri.tolist()]
+    e1 = [b - a for a, b in zip(p0, p1)]
+    e2 = [b - a for a, b in zip(p0, p2)]
+    s = (n[0] * (e1[1] * e2[2] - e1[2] * e2[1]) - n[1] * (e1[0] * e2[2] - e1[2] * e2[0])
+         + n[2] * (e1[0] * e2[1] - e1[1] * e2[0]))
+    return (s > 0) - (s < 0), float(s) / 2
 
 
 def radial2d_invert(m, w1, w2):

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import qrdyn
 from qrdyn import cli
 from qrdyn.global_map import build_report, constants_report_text
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_build_json_report(capsys, build):
@@ -70,3 +72,33 @@ def test_console_scripts_resolve():
         module, _, attr = target.partition(":")
         fn = getattr(importlib.import_module(module), attr)
         assert callable(fn), f"console script {name} -> {target}"
+
+
+def test_version_is_single_sourced(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.entrypoint(["--version"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == f"qrdyn {qrdyn.__version__}\n"
+    # the package metadata reads the version from the package
+    project = tomllib.loads(PYPROJECT.read_text())
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "qrdyn.__version__"}
+
+
+# the build phases, named as the spans of the benchmark's traced run
+PHASES = {"zorich.derive_beam_constants", "global_map.build_aprime_chart",
+          "global_map.build_asecond_charts", "global_map.derive_translation_constant",
+          "star_extend.validate_boundary_map"}
+
+
+def test_build_report_times_each_phase(build):
+    phase_s = build_report(build)["phase_s"]
+    assert set(phase_s) == PHASES
+    per_layer = {m["name"] for m in
+                 json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert {f"{name}_s" for name in PHASES} <= per_layer
+    assert all(isinstance(s, float) and s > 0.0 for s in phase_s.values())
+    # the text report leaves the dict out
+    assert "phase_s" not in constants_report_text(build)

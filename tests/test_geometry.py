@@ -1,15 +1,17 @@
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import psi_ray_oracle
+from oracles import facet_vertex_cones_probe, psi_ray_oracle, unit
 from qrdyn import geometry
 from qrdyn.geometry import (Certificate, CertificationFailure, GeometryError,
-                            StarShape, THETA_MIN, _facet_vertex_cones,
-                            _line_angles, _plane_angle, _unit, _vertex_angle,
+                            StarShape, THETA_MIN, _det3_signs, _facet_vertex_cones,
+                            _line_angles, _plane_angle, _vertex_angle,
                             certify_star_centre, local_lipschitz_constants,
                             locate, psi, pick_star_centre_2d, polygon_kernel)
 
@@ -458,7 +460,7 @@ def _sector_min_angle_oracle(u, g1, g2):
 
 
 def _cone_contains_oracle(gens, u, tol=1e-9):
-    un = _unit(np.asarray(u, dtype=float))
+    un = unit(np.asarray(u, dtype=float))
     k = len(gens)
     for i in range(k):
         for j in range(i + 1, k):
@@ -473,7 +475,7 @@ def _cone_contains_oracle(gens, u, tol=1e-9):
 
 def _vertex_angle_oracle(shape, a):
     theta_obs = math.pi / 2
-    for vi, facet_cones in _facet_vertex_cones(shape).items():
+    for vi, facet_cones in facet_vertex_cones_probe(shape).items():
         q = shape.vertices[vi]
         u = q - a
         for fi, _ in facet_cones:
@@ -522,6 +524,112 @@ class TestStackedVertexKernel:
         with pytest.raises(CertificationFailure, match="tangential") as got:
             _vertex_angle(shape, np.asarray(L_HIDDEN))
         assert str(got.value) == str(want.value)
+
+
+class TestFacetVertexCones:
+    def test_orientation_arcs_match_the_probed_arcs(self, build):
+        # each facet loop runs counter-clockwise about its Newell normal, so
+        # the arc read off the orientation is the one a probe point finds
+        # inside the polygon, generator for generator, on the build's 10
+        # polyhedra (each chart's box and codomain), a cube and the L-prism
+        shapes = [shape for chart in build.g.charts
+                  for shape in (chart.map.domain, chart.map.codomain)]
+        shapes += [cube(), l_prism(L_CENTRE)]
+        for shape in shapes:
+            corner_vertex, corner_facet, gens, gen_corner = _facet_vertex_cones(shape)
+            got = {}
+            for c, (v, f) in enumerate(zip(corner_vertex.tolist(), corner_facet.tolist())):
+                got.setdefault(v, []).append((f, gens[gen_corner == c]))
+            want = facet_vertex_cones_probe(shape)
+            assert list(got) == list(want)
+            for v, cones in want.items():
+                assert [f for f, _ in got[v]] == [f for f, _ in cones]
+                for (_, g), (_, w) in zip(got[v], cones):
+                    np.testing.assert_array_equal(g, w)
+
+    def test_reflex_corner_is_cut_into_convex_sectors(self):
+        # the L-prism's inner corner (1, 1) has an interior angle of 3 pi / 2
+        # in both caps: ceil((3 pi / 2) / 1.5) = 4 sectors, five generators
+        shape = l_prism(L_CENTRE)
+        corner_vertex, corner_facet, _, gen_corner = _facet_vertex_cones(shape)
+        inner = [c for c, v in enumerate(corner_vertex.tolist())
+                 if np.array_equal(shape.vertices[v][:2], [1.0, 1.0])
+                 and corner_facet[c] < 2]
+        assert len(inner) == 2
+        assert all(np.count_nonzero(gen_corner == c) == 5 for c in inner)
+
+
+# ---------------------------------------------------------------------------
+# the filtered exact sign of a 3x3 determinant
+
+def _exact_det(p, q):
+    """det(p - q) in Fraction, by the Leibniz formula."""
+    d = [[Fraction(x) - Fraction(y) for x, y in zip(pr, qr)]
+         for pr, qr in zip(np.asarray(p).tolist(), np.asarray(q).tolist())]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(3)):
+        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= d[row][col]
+        total += term
+    return total
+
+
+def _assert_exact_signs(p, q):
+    p, q = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+    signs = _det3_signs(p, q)[0]
+    for k in range(len(p)):
+        exact = _exact_det(p[k], q[k])
+        assert signs[k] == (exact > 0) - (exact < 0), (p[k], q[k])
+
+
+_COORD = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                   allow_infinity=False)
+_WIDE = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e200,
+                  max_value=1e200)
+_SMALL_INT = st.integers(-6, 6)
+
+
+class TestDet3Signs:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(_COORD, min_size=18, max_size=18),
+           st.lists(_WIDE, min_size=18, max_size=18))
+    def test_random_rows(self, moderate, wide):
+        # two (p, q) pairs: coordinates up to 1e6, and up to 1e200, where
+        # differences and products leave the filter's safe range
+        rows = np.array([moderate, wide]).reshape(2, 2, 3, 3)
+        _assert_exact_signs(rows[:, 0], rows[:, 1])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.lists(_SMALL_INT, min_size=3, max_size=3), min_size=3, max_size=3),
+           st.lists(_SMALL_INT, min_size=6, max_size=6),
+           st.integers(-60, 60), st.integers(0, 8), st.sampled_from([-1, 1]))
+    def test_coplanar_lattice_points_and_one_ulp_off(self, vecs, steps, k, which, side):
+        # exactly coplanar points scaled by 2^k have a zero determinant; one
+        # coordinate moved by one ulp gives a tiny one of either sign, far
+        # inside the float error of the determinant
+        p0, a, b = (np.array(v, dtype=float) * 2.0 ** k for v in vecs)
+        pts = np.array([p0 + s * a + t * b for s, t in zip(steps[::2], steps[1::2])])
+        nudged = pts.copy()
+        r, c = divmod(which, 3)
+        nudged[r, c] = np.nextafter(nudged[r, c], side * math.inf)
+        _assert_exact_signs(np.array([pts, nudged]), p0)
+        signs, _ = _det3_signs(pts[None], p0)
+        assert signs[0] == 0
+
+    def test_decided_rows_need_no_fraction(self, monkeypatch):
+        # a well-conditioned stack is decided by the float filter alone
+        made = []
+        monkeypatch.setattr(geometry, "Fraction",
+                            lambda *args: made.append(args) or Fraction(*args))
+        rng = np.random.default_rng(3)
+        signs, values = _det3_signs(rng.standard_normal((50, 3, 3)), np.zeros(3))
+        assert made == []
+        assert np.array_equal(signs, np.sign(values))
+        # a zero determinant falls back to the exact evaluation
+        assert _det3_signs(np.ones((1, 3, 3)), np.zeros(3))[0][0] == 0
+        assert made
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@ import copy
 import math
 import struct
 import types
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qrdyn import geometry
 from qrdyn.geometry import StarShape
 from qrdyn.global_map import (ConstructionError, assemble_g, audit_dilatation,
                               audit_orientation, audit_seams,
-                              build_asecond_charts, build_vertex_table,
+                              build_asecond_charts, build_maps, build_vertex_table,
                               constants_report_text,
                               derive_translation_constant, _IMAGES,
                               _TOP_QUAD_PLANES)
@@ -368,3 +371,19 @@ class TestDispatchTies:
             cell = g._pick_cell(x, y, 1.5)
             b = cell.map.eval((x, y, 1.0))
             assert np.allclose(a, b, atol=1e-11)
+
+
+class TestBuildWork:
+    def test_every_certificate_sign_is_decided_in_floats(self):
+        # the star tests and the boundary-map orientations of a whole build
+        # make no Fraction: the float filter of geometry._det3_signs decides
+        # every sign, so code that bypasses it fails here instead of showing
+        # up only as a slower build
+        with mock.patch("qrdyn.geometry.Fraction", wraps=Fraction) as geo, \
+                mock.patch("qrdyn.star_extend.Fraction", wraps=Fraction,
+                           create=True) as ext:
+            build_maps()
+            assert (geo.call_count, ext.call_count) == (0, 0)
+            # the count is live: a zero determinant is evaluated exactly
+            assert geometry._det3_signs(np.ones((1, 3, 3)), np.zeros(3))[0][0] == 0
+            assert geo.call_count > 0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import radial2d_invert
+from oracles import cover_deviation_per_triangle, oriented_area_fraction, radial2d_invert
+from qrdyn import star_extend
 from qrdyn.geometry import StarShape
 from qrdyn.star_extend import (FacetPiece, IdentityPiece, Radial2DPiece,
                                RadialMap, build_radial_map_2d)
@@ -247,6 +248,50 @@ class TestInjectivityCount:
         # the sampled count held three 600 x 600 x 3 float arrays at once
         # (26 MB in all); the exact check must stay below half of that
         assert peak <= 1.5 * 600 * 600 * 3 * 8
+
+
+class TestBatchedValidation:
+    @staticmethod
+    def triangles_of(rmap, monkeypatch):
+        """The (dom, img, tol) stacks that the validation of rmap passes to
+        ``_cover_deviation``, and its report."""
+        seen = []
+        real = star_extend._cover_deviation
+
+        def spy(dom, img, tol):
+            seen.append((dom, img, tol))
+            return real(dom, img, tol)
+
+        monkeypatch.setattr(star_extend, "_cover_deviation", spy)
+        rep = rmap.validate_boundary_map()
+        return seen[0], rep
+
+    @pytest.mark.parametrize("cid", ["A'", "A''1", "A''2", "A''3", "A''4"])
+    def test_matches_the_per_triangle_checks(self, cid, build, monkeypatch):
+        rmap = build.g.by_id[cid].map
+        (dom, img, tol), rep = self.triangles_of(rmap, monkeypatch)
+        got = star_extend._cover_deviation(dom, img, tol)
+        assert got == pytest.approx(cover_deviation_per_triangle(dom, img, tol),
+                                    rel=1e-9, abs=1e-15)
+        assert got <= rep.worst_seam_dev
+        # the oriented areas of the domain triangles, each along the normal
+        # of the box face that holds it, against Fraction
+        normals = np.zeros_like(dom[:, 0])
+        axis = np.argmin(np.ptp(dom, axis=1), axis=1)
+        normals[np.arange(len(dom)), axis] = 1.0
+        signs, areas = star_extend._oriented_areas(normals, dom)
+        for k in range(len(dom)):
+            sign, area = oriented_area_fraction(normals[k], dom[k])
+            assert signs[k] == sign
+            assert areas[k] == pytest.approx(area, rel=1e-14)
+
+    def test_a_moved_image_shows_in_both(self, monkeypatch):
+        m = chart_with_face(lambda loop: Radial2DPiece(
+            loop, moved_corner(loop, (0.1, 0.0, 0.0))))
+        (dom, img, tol), _ = self.triangles_of(m, monkeypatch)
+        got = star_extend._cover_deviation(dom, img, tol)
+        assert got > 1e-3
+        assert got == pytest.approx(cover_deviation_per_triangle(dom, img, tol), rel=1e-12)
 
 
 class TestRadial2D:

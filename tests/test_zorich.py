@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import zorich_composed
 from qrdyn import zorich
+from qrdyn.global_map import _sigma_extremes_det
 from qrdyn.zorich import (C0_LOWER, HORIZON, ConstantsReport, F_eval, F_jacobian,
-                          F_scalar, PrecisionLost, _fold1, _sigma_extremes_det,
-                          certifies_sigma_floor, corner_chi, derive_beam_constants,
-                          exp_lower, expansion_min_ratio,
-                          fold_square, h_pyramid, region_matrix,
-                          zorich_eval, zorich_scalar)
+                          F_scalar, PrecisionLost, _fold1, certifies_sigma_floor,
+                          corner_chi, derive_beam_constants, exp_lower,
+                          expansion_min_ratio, fold_square, h_pyramid,
+                          region_matrix, zorich_eval, zorich_scalar)
 
 
 @pytest.fixture(scope="module")
@@ -366,8 +366,9 @@ class TestConstants:
 
 class TestSigmaKernel:
     """The closed-form singular-value and determinant kernel of
-    ``global_map.cell_dilatations`` against LAPACK (np.linalg.svd and
-    np.linalg.det)."""
+    ``global_map.cell_dilatations`` (``global_map._sigma_extremes_det``)
+    against LAPACK (np.linalg.svd and np.linalg.det), on the Jacobians of F
+    among other matrices."""
 
     EPS = np.finfo(float).eps
 
