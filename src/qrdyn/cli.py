@@ -14,9 +14,11 @@ hold at every point above L.  Besides them, the report gives L', the number
 of affine cells of the slab atlas (``cells``), the least determinant of
 their linear parts (``min_cell_det``, which the build requires to be
 positive), the largest dilatation of a cell (``K_slab``) and each chart's
-verdict from the exact boundary-map validation.  The JSON object also
-gives ``phase_s``: the wall seconds of each build phase, keyed by module and
-function.
+verdict from the exact boundary-map validation, and each chart's
+star-centre certificates: for its domain and its codomain the centre, theta,
+eps and the Lipschitz constants (eta, T) of the ray projection that follow
+from them.  The JSON object also gives ``phase_s``: the wall seconds of each
+build phase, keyed by module and function.
 """
 
 from __future__ import annotations

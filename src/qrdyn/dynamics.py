@@ -197,10 +197,13 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
     map declares a surrogate whose regime matched the last representable
     point, the log magnitudes continue to k_max without points.  The orbit
     is carried as tuples of Python floats; the record's points are arrays.
+    A start with an infinite or NaN coordinate raises ValueError.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     x = _as_floats(x0)
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"iterate needs a finite start, got {x}")
     pts = [x]
     rho = [_log_norm(x)]
     h0_step = None
@@ -296,15 +299,19 @@ def classify_escape(f: MapHandle, x, n_max: int,
                     radius_cap: float = RADIUS_CAP) -> EscapeClass:
     """Half-space entry proxy: the least n with third coordinate < 0; radial
     escape once the magnitude passes the cap without entering (or on a
-    non-finite value); precision_lost at an F step past the precision
+    non-finite iterate); precision_lost at an F step past the precision
     horizon; undecided otherwise.  The orbit is carried as three Python
-    floats.  Equal outcomes are one shared, immutable ``EscapeClass``."""
+    floats.  Equal outcomes are one shared, immutable ``EscapeClass``.  A
+    start with an infinite or NaN coordinate raises ValueError: it has no
+    orbit to classify."""
     if not f.tracks_h0:
         raise ValueError("escape classification needs the shifted map")
     x1, x2, x3 = map(float, x)
+    fn, isfinite, hypot = f.fn, math.isfinite, math.hypot
+    if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
+        raise ValueError(f"classify_escape needs a finite start, got {(x1, x2, x3)}")
     if x3 < 0:
         return _entered(0)
-    fn, isfinite, hypot = f.fn, math.isfinite, math.hypot
     for n in range(1, n_max + 1):
         try:
             y1, y2, y3 = fn((x1, x2, x3))
@@ -417,28 +424,34 @@ def sphere_directions(samples):
 
 @functools.lru_cache(maxsize=None)
 def _unit_directions(dim, samples):
-    """The read-only unit directions that ``max_modulus_estimate`` scales by
-    r: ``samples`` equally spaced angles in 2D, ``sphere_directions`` in
-    3D."""
+    """The unit directions that ``max_modulus_estimate`` scales by r, as a
+    tuple of float tuples: ``samples`` equally spaced angles in 2D,
+    ``sphere_directions`` in 3D."""
     if dim == 2:
         th = np.linspace(0, 2 * math.pi, samples, endpoint=False)
         out = np.column_stack([np.cos(th), np.sin(th)])
     else:
         out = sphere_directions(samples)
-    out.setflags(write=False)
-    return out
+    return tuple(map(tuple, out.tolist()))
 
 
 def max_modulus_estimate(map_handle: MapHandle, r: float, samples: int = 2000) -> float:
     """Sampled lower bound for max_{|x|=r} |map(x)|, biased with the known
-    extremal directions."""
+    extremal directions.  The points r d are scaled in Python floats, which
+    is IEEE-equal to scaling the direction array; a NaN norm never counts,
+    since it is not greater than the best so far."""
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
+    r = float(r)
+    fn, hypot = map_handle.fn, math.hypot
+    dirs = _unit_directions(map_handle.dim, samples)
+    if map_handle.dim == 3:
+        points = ((r * a, r * b, r * c) for a, b, c in dirs)
+    else:
+        points = (tuple(r * c for c in d) for d in dirs)
     best = 0.0
-    for p in (r * _unit_directions(map_handle.dim, samples)).tolist():
-        m = math.hypot(*map_handle.fn(tuple(p)))
-        if math.isnan(m):
-            continue
+    for p in points:
+        m = hypot(*fn(p))
         if m > best:
             best = m
     return best

@@ -18,9 +18,11 @@ in 2D, the signed volume of (a, triangle) in 3D.  ``_det3_signs`` decides
 each such sign in floats where Shewchuk's orient3d error bound certifies
 it, and only the determinants inside that bound (zero ones among them) in
 ``fractions.Fraction``; the boundary-map validation of ``star_extend``
-takes its orientations from it too.  The vertex term of the certificate
+takes its orientations from it too, and the 2D test (``_area_signs``) is
+the same filter on Python floats.  The vertex term of the certificate
 runs all vertices of a shape through each of its kernels in one stacked
-call.
+call, and a polyhedron takes the normals, plane coordinates and edge
+lengths of all its facets from one stacked pass (``_facet_coordinates``).
 
 All shapes are immutable after construction; every operation is pure.
 """
@@ -130,18 +132,17 @@ class StarShape:
     # -- construction ------------------------------------------------------
 
     def _init_polygon(self):
-        v = self.vertices
-        n = len(v)
+        n = len(self.vertices)
         if n < 3:
             raise GeometryError("polygon needs at least 3 vertices")
         self.facet_count = n
-        e = np.roll(v, -1, axis=0) - v
-        lengths = np.hypot(e[:, 0], e[:, 1])
+        self._loop = self.vertices.tolist()
+        lengths = np.hypot(*zip(*[(x1 - x0, y1 - y0)
+                                  for (x0, y0), (x1, y1) in _loop_edges(self._loop)]))
         if np.any(lengths <= self.tol):
             raise GeometryError("degenerate polygon edge")
         self._edge_len = lengths
-        self._loop = v.tolist()
-        if _polygon_self_intersects(v):
+        if _polygon_self_intersects(self._loop):
             raise GeometryError("polygon boundary is self-intersecting")
         self.min_feature = float(lengths.min())
 
@@ -150,25 +151,21 @@ class StarShape:
             raise GeometryError("3D shape requires facet polygons")
         self.facet_polys = [list(map(int, p)) for p in facet_polys]
         self.facet_count = len(self.facet_polys)
+        if any(len(poly) < 3 for poly in self.facet_polys):
+            raise GeometryError("facet with fewer than 3 vertices")
+        self._facet_normal, plane, edge_lens = _facet_coordinates(
+            self.vertices, self.facet_polys, self.tol * 10)
         tris = []
         tri_facet = []
-        for fi, poly in enumerate(self.facet_polys):
-            if len(poly) < 3:
-                raise GeometryError("facet with fewer than 3 vertices")
-            if not _facet_is_planar(self.vertices[poly], self.tol * 10):
-                raise GeometryError(f"facet {fi} is not planar")
-            for tri in _triangulate_planar(self.vertices, poly):
+        for fi, (poly, pts2) in enumerate(zip(self.facet_polys, plane)):
+            for tri in _triangulate_planar(poly, pts2):
                 tris.append(tri)
                 tri_facet.append(fi)
         self.triangles = _orient_outward(self.vertices, tris)
         self.tri_facet = np.asarray(tri_facet, dtype=int)
-        self._facet_normal = np.array([_polygon_normal(self.vertices[poly])
-                                       for poly in self.facet_polys])
         self._cones = _cone_frames(self.vertices[self.triangles] - self.centre,
                                    self.tri_facet)
-        edge_lens = [np.linalg.norm(self.vertices[p[i]] - self.vertices[p[i - 1]])
-                     for p in self.facet_polys for i in range(len(p))]
-        self.min_feature = float(min(edge_lens))
+        self.min_feature = float(edge_lens.min())
 
     # -- factories ---------------------------------------------------------
 
@@ -205,50 +202,56 @@ class StarShape:
 # ---------------------------------------------------------------------------
 # basic polygon helpers
 
-def _polygon_normal(pts):
-    """Unit normal of a planar 3D polygon (Newell's method)."""
-    n = np.zeros(3)
-    m = len(pts)
-    for i in range(m):
-        p, q = pts[i], pts[(i + 1) % m]
-        n[0] += (p[1] - q[1]) * (p[2] + q[2])
-        n[1] += (p[2] - q[2]) * (p[0] + q[0])
-        n[2] += (p[0] - q[0]) * (p[1] + q[1])
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
+def _facet_coordinates(vertices, polys, tol):
+    """(normals, plane, edge_lens) of the facets ``polys`` (vertex index
+    loops) of a polyhedron, all facets in one stacked pass: each facet's
+    unit Newell normal n, its vertices' coordinates in the frame (e1,
+    n x e1) at its first vertex, e1 along its first edge, as lists of float
+    pairs, and the length of every facet edge.  Every dot product and norm
+    is numpy's (``_dots``).  Raises GeometryError if a facet has a zero
+    normal, or if one with more than three vertices leaves its plane by
+    more than max(tol, 1e-9 max |x|) over its vertices x."""
+    newell = []
+    rows = vertices.tolist()
+    for poly in polys:
+        n0 = n1 = n2 = 0.0
+        for p, q in _loop_edges([rows[i] for i in poly]):
+            n0 += (p[1] - q[1]) * (p[2] + q[2])
+            n1 += (p[2] - q[2]) * (p[0] + q[0])
+            n2 += (p[0] - q[0]) * (p[1] + q[1])
+        newell.append((n0, n1, n2))
+    newell = np.array(newell)
+    norm = np.sqrt(_dots(newell, newell))
+    if not norm.all():
         raise GeometryError("degenerate facet (zero normal)")
-    return n / norm
+    normals = newell / norm[:, None]
+    sizes = np.array([len(poly) for poly in polys])
+    starts = np.cumsum(sizes) - sizes
+    at = np.repeat(np.arange(len(polys)), sizes)
+    pts = vertices[np.concatenate(polys)]
+    origin = vertices[[poly[0] for poly in polys]]
+    e1 = vertices[[poly[1] for poly in polys]] - origin
+    e1 = e1 / np.sqrt(_dots(e1, e1))[:, None]
+    rel = pts - origin[at]
+    u, v, off = (_dots(rel, e[at]) for e in (e1, np.cross(normals, e1), normals))
+    scale = np.maximum.reduceat(np.abs(pts).max(axis=1), starts)
+    flat = np.maximum.reduceat(np.abs(off), starts) <= np.maximum(tol, 1e-9 * scale)
+    warped = np.flatnonzero(~flat & (sizes > 3))
+    if warped.size:
+        raise GeometryError(f"facet {warped[0]} is not planar")
+    uv = np.column_stack([u, v]).tolist()
+    plane = [uv[k:k + n] for k, n in zip(starts.tolist(), sizes.tolist())]
+    prev = vertices[[poly[i - 1] for poly in polys for i in range(len(poly))]]
+    return normals, plane, np.sqrt(_dots(pts - prev, pts - prev))
 
 
-def _facet_is_planar(pts, tol):
-    if len(pts) == 3:
-        return True
-    n = _polygon_normal(pts)
-    d = (pts - pts[0]) @ n
-    return float(np.max(np.abs(d))) <= max(tol, 1e-9 * np.abs(pts).max())
-
-
-def _triangulate_planar(vertices, poly):
-    """Ear-clip a planar facet given as a vertex-index loop."""
-    n0 = _polygon_normal(vertices[poly])
-    origin = vertices[poly[0]]
-    # build an in-plane frame
-    e1 = vertices[poly[1]] - origin
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n0, e1)
-    pts2 = [( (vertices[i] - origin) @ e1, (vertices[i] - origin) @ e2 ) for i in poly]
+def _triangulate_planar(poly, pts2):
+    """Ear-clip a planar facet given as a vertex-index loop and its
+    vertices' coordinates pts2 in the facet plane."""
     idx = list(range(len(poly)))
-    area2 = sum(pts2[i][0] * pts2[(i + 1) % len(pts2)][1]
-                - pts2[(i + 1) % len(pts2)][0] * pts2[i][1]
-                for i in range(len(pts2)))
-    ccw = area2 > 0
+    ccw = sum(p[0] * q[1] - q[0] * p[1] for p, q in _loop_edges(pts2)) > 0
     tris = []
-    guard = 0
     while len(idx) > 3:
-        guard += 1
-        if guard > 10000:
-            raise GeometryError("ear clipping failed (non-simple facet?)")
-        clipped = False
         for k in range(len(idx)):
             i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % len(idx)]
             a, b, c = pts2[i0], pts2[i1], pts2[i2]
@@ -260,9 +263,8 @@ def _triangulate_planar(vertices, poly):
                 continue
             tris.append((poly[i0], poly[i1], poly[i2]))
             idx.pop(k)
-            clipped = True
             break
-        if not clipped:
+        else:
             raise GeometryError("ear clipping failed (non-simple facet?)")
     tris.append((poly[idx[0]], poly[idx[1]], poly[idx[2]]))
     return tris
@@ -277,7 +279,14 @@ def _point_in_tri2(p, a, b, c):
     return not (has_neg and has_pos)
 
 
+def _loop_edges(loop):
+    """The (start, end) vertex pairs of the edges of a vertex loop."""
+    return zip(loop, loop[1:] + loop[:1])
+
+
 def _polygon_self_intersects(v):
+    """True if two non-adjacent edges of the vertex loop v (a list of float
+    pairs) cross."""
     n = len(v)
     for i in range(n):
         a0, a1 = v[i], v[(i + 1) % n]
@@ -717,42 +726,57 @@ def _det3_signs(p, q):
     return signs, det
 
 
+def _area_signs(loop, ax, ay):
+    """The exact signs of the areas of the triangles (a, v_i, v_i+1) over
+    the edges of a vertex loop, by the filter of ``_det3_signs``: the
+    determinant with the third row e3 evaluates there, in its order, to
+    l - r with permanent |l| + |r| (l = u_x v_y, r = v_x u_y, u = v_i - a,
+    v = v_i+1 - a), so the same bound decides its sign in floats; the rest
+    are taken in Fraction."""
+    lo, hi = _SAFE_RANGE
+    signs = []
+    for (x0, y0), (x1, y1) in _loop_edges(loop):
+        d = (x0 - ax, y0 - ay, x1 - ax, y1 - ay)
+        left, right = d[0] * d[3], d[2] * d[1]
+        det = left - right
+        if not (abs(det) > _ORIENT3D_BOUND * (abs(left) + abs(right))
+                and all(lo <= abs(c) <= hi for c in d if c)):
+            det = ((Fraction(x0) - Fraction(ax)) * (Fraction(y1) - Fraction(ay))
+                   - (Fraction(x1) - Fraction(ax)) * (Fraction(y0) - Fraction(ay)))
+        signs.append((det > 0) - (det < 0))
+    return signs
+
+
 def _star_test(shape, a):
     """Raise CertificationFailure naming the first edge (2D) or triangle (3D)
     whose simplex with apex a is not positively oriented: in 2D relative to
     the polygon's own orientation, in 3D to the outward one.
 
-    The signs come from ``_det3_signs`` (2D as the determinant with the
-    third row e3): a float filter decides each sign it can certify, and the
-    rest are decided in Fraction on the float coordinates.  The polygon's
-    orientation is the sign of the exact sum of its simplices' areas: where
-    the signs all agree they give it, else that sum is taken in Fraction."""
+    The signs are exact: ``_det3_signs`` (3D) and ``_area_signs`` (2D)
+    decide each sign that a float filter certifies and take the rest in
+    Fraction on the float coordinates.  The polygon's orientation is the
+    sign of the exact sum of its simplices' areas: where the signs all
+    agree they give it, else that sum is taken in Fraction."""
     if shape.dim == 2:
-        v = shape.vertices.tolist()
-        simplices = np.array([[i, (i + 1) % len(v)] for i in range(len(v))])
-        p = np.zeros((len(v), 3, 3))
-        p[:, :2, :2] = shape.vertices[simplices]
-        p[:, 2, 2] = 1.0
-        q = np.zeros((3, 3))
-        q[:2, :2] = a
-        signs = _det3_signs(p, q)[0]
-        if signs.min() == signs.max() != 0:
-            orientation = signs[0]
+        v = shape._loop
+        simplices = [[i, (i + 1) % len(v)] for i in range(len(v))]
+        signs = _area_signs(v, *a.tolist())
+        if min(signs) == max(signs) != 0:
+            flip = signs[0] < 0
         else:       # twice the area, exactly
-            orientation = sum(Fraction(x0) * Fraction(y1) - Fraction(x1) * Fraction(y0)
-                              for (x0, y0), (x1, y1) in zip(v, v[1:] + v[:1]))
-        signs = signs if orientation >= 0 else -signs
+            flip = sum(Fraction(x0) * Fraction(y1) - Fraction(x1) * Fraction(y0)
+                       for (x0, y0), (x1, y1) in _loop_edges(v)) < 0
+        signs = [-s for s in signs] if flip else signs
         what = "edge"
     else:
         simplices = shape.triangles
-        signs = _det3_signs(shape.vertices[simplices], a)[0]
+        signs = _det3_signs(shape.vertices[simplices], a)[0].tolist()
         what = "triangle"
-    bad = np.flatnonzero(signs <= 0)
-    if bad.size:
-        k = int(bad[0])
-        raise CertificationFailure(
-            f"star test fails at {what} {k} {shape.vertices[simplices[k]].tolist()}: "
-            f"it does not face the centre {a.tolist()}")
+    for k, sign in enumerate(signs):
+        if sign <= 0:
+            raise CertificationFailure(
+                f"star test fails at {what} {k} {shape.vertices[simplices[k]].tolist()}: "
+                f"it does not face the centre {a.tolist()}")
 
 
 def _plane_angle(shape, a):
@@ -761,9 +785,10 @@ def _plane_angle(shape, a):
     of each triangle (2D: edge), h the distance from a to its plane."""
     if shape.dim == 2:
         p0 = shape.vertices - a
-        p1 = np.roll(shape.vertices, -1, axis=0) - a
+        p1 = np.concatenate((p0[1:], p0[:1]))
         h = np.abs(p0[:, 0] * p1[:, 1] - p0[:, 1] * p1[:, 0]) / shape._edge_len
-        far = np.maximum(np.hypot(*p0.T), np.hypot(*p1.T))
+        r = np.hypot(p0[:, 0], p0[:, 1])
+        far = np.maximum(r, np.concatenate((r[1:], r[:1])))
     else:
         p = shape.vertices[shape.triangles] - a
         h = np.abs(np.einsum("ij,ij->i", shape._facet_normal[shape.tri_facet], p[:, 0]))
@@ -832,85 +857,3 @@ def local_lipschitz_constants(shape: StarShape):
     eta = min(0.5, s / 4, cert.eps * s / (4 * max_r))
     T = 2.0 / s * max_r
     return eta, T
-
-
-# ---------------------------------------------------------------------------
-# 2D kernel (set of points that see the whole polygon)
-
-def polygon_kernel(vertices):
-    """Visibility kernel of a simple polygon, as a (possibly empty) convex
-    polygon; computed by clipping a bounding box with every edge half-plane."""
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
-    area2 = sum(v[i, 0] * v[(i + 1) % n, 1] - v[(i + 1) % n, 0] * v[i, 1]
-                for i in range(n))
-    sign = 1.0 if area2 > 0 else -1.0
-    lo = v.min(axis=0) - 1.0
-    hi = v.max(axis=0) + 1.0
-    poly = [np.array([lo[0], lo[1]]), np.array([hi[0], lo[1]]),
-            np.array([hi[0], hi[1]]), np.array([lo[0], hi[1]])]
-    for i in range(n):
-        p0 = v[i]
-        d = v[(i + 1) % n] - p0
-        # interior is to the left of each edge for CCW orientation
-        nx, ny = -sign * d[1], sign * d[0]
-        poly = _clip_halfplane(poly, p0, (nx, ny))
-        if not poly:
-            return []
-    return poly
-
-
-def _clip_halfplane(poly, p0, normal):
-    nx, ny = normal
-    out = []
-    m = len(poly)
-    for i in range(m):
-        cur, nxt = poly[i], poly[(i + 1) % m]
-        c_in = (cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny >= 0
-        n_in = (nxt[0] - p0[0]) * nx + (nxt[1] - p0[1]) * ny >= 0
-        if c_in:
-            out.append(cur)
-        if c_in != n_in:
-            d = nxt - cur
-            den = d[0] * nx + d[1] * ny
-            t = -((cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny) / den
-            out.append(cur + t * d)
-    return out
-
-
-def polygon_centroid(vertices):
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
-    a = 0.0
-    cx = cy = 0.0
-    for i in range(n):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % n]
-        w = x0 * y1 - x1 * y0
-        a += w
-        cx += (x0 + x1) * w
-        cy += (y0 + y1) * w
-    if abs(a) < 1e-300:
-        return v.mean(axis=0)
-    return np.array([cx, cy]) / (3 * a)
-
-
-def pick_star_centre_2d(vertices):
-    """Area centroid if it lies in the visibility kernel, else the kernel
-    centroid.  Raises if the kernel is empty (polygon is not star-shaped)."""
-    kern = polygon_kernel(vertices)
-    if not kern:
-        raise CertificationFailure("polygon has an empty visibility kernel")
-    c = polygon_centroid(vertices)
-    kv = np.asarray(kern)
-    # c in kernel?  kernel is convex: test against its edges
-    m = len(kv)
-    inside = True
-    for i in range(m):
-        d = kv[(i + 1) % m] - kv[i]
-        if (c[0] - kv[i][0]) * d[1] - (c[1] - kv[i][1]) * d[0] > 1e-12:
-            inside = False
-            break
-    if inside:
-        return c
-    return polygon_centroid(kv)

@@ -31,7 +31,7 @@ from typing import Dict
 import numpy as np
 
 from . import zorich
-from .geometry import GeometryError, StarShape
+from .geometry import GeometryError, StarShape, local_lipschitz_constants
 from .star_extend import (AffineCellTable, DiagonalSelect,
                           FormulaPiece, IdentityPiece, QuadrantSelect,
                           Radial2DPiece, RadialMap, TrivialSelect,
@@ -688,11 +688,21 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
                        validations=validations, phase_s=phase_s)
 
 
+def _certificate_entry(shape):
+    eta, T = local_lipschitz_constants(shape)
+    return {"centre": shape.centre.tolist(), "theta": shape.certificate.theta,
+            "eps": shape.certificate.eps, "eta": eta, "T": T}
+
+
 def build_report(build: BuildResult) -> dict:
     """The constants, their margins, L', the affine cell count, the least
     cell determinant, the largest cell dilatation, each chart's validation
-    verdict and the wall seconds of each build phase (``phase_s``);
-    ``qrdyn build --json`` prints it."""
+    verdict, the wall seconds of each build phase (``phase_s``) and the
+    star-centre certificates (``certificates``): per chart, for its domain
+    and its codomain, the centre, the certificate's theta and eps, and the
+    constants (eta, T) of ``geometry.local_lipschitz_constants`` (psi is
+    T/|xi - a|-Lipschitz on the balls B(xi, eta |xi - a|)).  ``qrdyn build
+    --json`` prints it."""
     c = build.constants
     return {
         "c0": c.c0,
@@ -707,23 +717,23 @@ def build_report(build: BuildResult) -> dict:
         "K_slab": build.K_slab,
         "validations": {cid: rep.passed for cid, rep in build.validations.items()},
         "phase_s": dict(build.phase_s),
+        "certificates": {chart.cell_id: {"domain": _certificate_entry(chart.map.domain),
+                                         "codomain": _certificate_entry(chart.map.codomain)}
+                         for chart in build.g.charts},
     }
 
 
 def constants_report_text(build: BuildResult) -> str:
     """Plain key = value dump: the scalar entries of ``build_report`` in its
-    order, then each chart's centre certificates."""
-    lines = [f"{key} = {value:.12g}" for key, value in build_report(build).items()
+    order, then each chart's centre certificates from its
+    ``certificates``, as ``chart.<id>.<domain|codomain>_<entry>`` lines."""
+    report = build_report(build)
+    lines = [f"{key} = {value:.12g}" for key, value in report.items()
              if not isinstance(value, dict)]
-    for chart in build.g.charts:
-        dom = chart.map.domain
-        cod = chart.map.codomain
-        cid = chart.cell_id
-        lines.append(f"chart.{cid}.domain_centre = {tuple(dom.centre)}")
-        lines.append(f"chart.{cid}.domain_theta = {dom.certificate.theta:.6g}")
-        lines.append(f"chart.{cid}.domain_eps = {dom.certificate.eps:.6g}")
-        lines.append(f"chart.{cid}.codomain_centre = "
-                     f"({cod.centre[0]:.6g}, {cod.centre[1]:.6g}, {cod.centre[2]:.6g})")
-        lines.append(f"chart.{cid}.codomain_theta = {cod.certificate.theta:.6g}")
-        lines.append(f"chart.{cid}.codomain_eps = {cod.certificate.eps:.6g}")
+    for cid, sides in report["certificates"].items():
+        for side, entry in sides.items():
+            for key, value in entry.items():
+                text = ("(" + ", ".join(f"{v:.6g}" for v in value) + ")"
+                        if key == "centre" else f"{value:.6g}")
+                lines.append(f"chart.{cid}.{side}_{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -28,29 +28,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GeometryError, StarShape, psi, pick_star_centre_2d,
-                       _det3_signs, _psi_polygon_scalar, _ray_box_scalar)
+from .geometry import (CertificationFailure, GeometryError, StarShape, psi,
+                       _det3_signs, _dots, _psi_polygon_scalar, _ray_box_scalar)
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
 # also the relative tolerance of the facet area sums.
 TAU_SEAM = 1e-9
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _norm(v):
+    """|v| of a float triple as ``np.linalg.norm`` computes it: the square
+    root of numpy's dot, whose rounding the Python sum does not repeat."""
+    return math.sqrt(np.dot(v, v))
+
+
 class Frame:
-    """Orthonormal coordinates on a plane embedded in R^3."""
+    """Orthonormal coordinates on a plane embedded in R^3: origin, e1 along
+    the given e1 and e2 the given e2 made orthonormal to it (Gram-Schmidt),
+    in Python floats with numpy's dot for every dot product and norm."""
 
     __slots__ = ("_ox", "_oy", "_oz", "_e1x", "_e1y", "_e1z",
                  "_e2x", "_e2y", "_e2z")
 
     def __init__(self, origin, e1, e2):
-        e1 = np.asarray(e1, dtype=float)
-        e2 = np.asarray(e2, dtype=float)
-        e1 = e1 / np.linalg.norm(e1)
-        e2 = e2 - np.dot(e2, e1) * e1
-        e2 = e2 / np.linalg.norm(e2)
-        self._ox, self._oy, self._oz = map(float, np.asarray(origin, dtype=float))
-        self._e1x, self._e1y, self._e1z = map(float, e1)
-        self._e2x, self._e2y, self._e2z = map(float, e2)
+        n1 = _norm(e1)
+        e1 = [float(c) / n1 for c in e1]
+        d = float(np.dot(e2, e1))
+        e2 = [float(c) - d * u for c, u in zip(e2, e1)]
+        n2 = _norm(e2)
+        self._ox, self._oy, self._oz = map(float, origin)
+        self._e1x, self._e1y, self._e1z = e1
+        self._e2x, self._e2y, self._e2z = (c / n2 for c in e2)
 
     def to2d(self, p):
         """Plane coordinates of p = (x, y, z)."""
@@ -67,20 +79,103 @@ class Frame:
 
 
 def frame_for_polygon(vertices3):
-    """A frame spanning the plane of a planar 3D polygon."""
-    v = np.asarray(vertices3, dtype=float)
-    p0 = v[0]
-    e1 = v[1] - p0
-    best = None
-    for q in v[2:]:
-        w = q - p0
-        n = np.cross(e1, w)
-        if best is None or np.linalg.norm(n) > np.linalg.norm(best):
-            best = n
-    if best is None or np.linalg.norm(best) < 1e-14:
+    """A frame spanning the plane of a planar 3D polygon (float triples):
+    origin the first vertex, e1 along the first edge, and e2 in the plane
+    of e1 and the normal e1 x (q - p0) of largest norm over the later
+    vertices q (the first on ties).  The crosses are taken in floats and
+    the candidates' norms in one numpy call; raises GeometryError if every
+    candidate normal is shorter than 1e-14."""
+    p0, *rest = [tuple(map(float, p)) for p in vertices3]
+    if len(rest) < 2:
         raise GeometryError("degenerate polygon for frame")
-    e2 = np.cross(best, e1)
-    return Frame(p0, e1, e2)
+    e1 = tuple(q - o for q, o in zip(rest[0], p0))
+    normals = [_cross(e1, tuple(c - o for c, o in zip(q, p0))) for q in rest[1:]]
+    normals_array = np.array(normals)
+    norms = np.sqrt(_dots(normals_array, normals_array)).tolist()
+    k = norms.index(max(norms))
+    if not norms[k] >= 1e-14:
+        raise GeometryError("degenerate polygon for frame")
+    return Frame(p0, e1, _cross(normals[k], e1))
+
+
+# ---------------------------------------------------------------------------
+# 2D star centres: the visibility kernel (the points that see the whole
+# polygon) and area centroids
+
+def polygon_kernel(vertices):
+    """Visibility kernel of a simple polygon given by its (x, y) vertices,
+    as the (possibly empty) list of the (x, y) float vertices of a convex
+    polygon: a box around the polygon clipped by every edge's inner
+    half-plane, in Python floats."""
+    v = [tuple(map(float, p)) for p in vertices]
+    n = len(v)
+    area2 = sum(v[i][0] * v[(i + 1) % n][1] - v[(i + 1) % n][0] * v[i][1]
+                for i in range(n))
+    sign = 1.0 if area2 > 0 else -1.0
+    xs, ys = zip(*v)
+    lo, hi = (min(xs) - 1.0, min(ys) - 1.0), (max(xs) + 1.0, max(ys) + 1.0)
+    poly = [lo, (hi[0], lo[1]), hi, (lo[0], hi[1])]
+    for i in range(n):
+        p0 = v[i]
+        dx, dy = v[(i + 1) % n][0] - p0[0], v[(i + 1) % n][1] - p0[1]
+        # interior is to the left of each edge for CCW orientation
+        poly = _clip_halfplane(poly, p0, (-sign * dy, sign * dx))
+        if not poly:
+            return []
+    return poly
+
+
+def _clip_halfplane(poly, p0, normal):
+    nx, ny = normal
+    out = []
+    m = len(poly)
+    for i in range(m):
+        cur, nxt = poly[i], poly[(i + 1) % m]
+        c_in = (cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny >= 0
+        n_in = (nxt[0] - p0[0]) * nx + (nxt[1] - p0[1]) * ny >= 0
+        if c_in:
+            out.append(cur)
+        if c_in != n_in:
+            dx, dy = nxt[0] - cur[0], nxt[1] - cur[1]
+            t = -((cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny) / (dx * nx + dy * ny)
+            out.append((cur[0] + t * dx, cur[1] + t * dy))
+    return out
+
+
+def polygon_centroid(vertices):
+    """Area centroid (x, y) of a polygon, in Python floats; the vertex mean
+    for a polygon of zero area."""
+    v = [tuple(map(float, p)) for p in vertices]
+    n = len(v)
+    a = 0.0
+    cx = cy = 0.0
+    for i in range(n):
+        x0, y0 = v[i]
+        x1, y1 = v[(i + 1) % n]
+        w = x0 * y1 - x1 * y0
+        a += w
+        cx += (x0 + x1) * w
+        cy += (y0 + y1) * w
+    if abs(a) < 1e-300:
+        return tuple(np.mean(v, axis=0).tolist())
+    return cx / (3 * a), cy / (3 * a)
+
+
+def pick_star_centre_2d(vertices):
+    """Area centroid if it lies in the visibility kernel, else the kernel
+    centroid, as an (x, y) float pair.  Raises if the kernel is empty
+    (polygon is not star-shaped)."""
+    kern = polygon_kernel(vertices)
+    if not kern:
+        raise CertificationFailure("polygon has an empty visibility kernel")
+    c = polygon_centroid(vertices)
+    # c in kernel?  kernel is convex: test against its edges
+    m = len(kern)
+    for i in range(m):
+        (x0, y0), (x1, y1) = kern[i], kern[(i + 1) % m]
+        if (c[0] - x0) * (y1 - y0) - (c[1] - y0) * (x1 - x0) > 1e-12:
+            return polygon_centroid(kern)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +195,10 @@ class RadialMap2D:
             raise GeometryError("vertex correspondence requires equal counts")
         self.domain = domain
         self.codomain = codomain
-        self._dverts = [tuple(map(float, p)) for p in domain.vertices]
-        self._iverts = [tuple(map(float, p)) for p in codomain.vertices]
-        self._a = (float(domain.centre[0]), float(domain.centre[1]))
-        self._b = (float(codomain.centre[0]), float(codomain.centre[1]))
+        self._dverts = list(map(tuple, domain._loop))
+        self._iverts = list(map(tuple, codomain._loop))
+        self._a = tuple(domain.centre.tolist())
+        self._b = tuple(codomain.centre.tolist())
         self._tol = domain.tol
 
     def eval(self, u, v):
@@ -185,10 +280,10 @@ class Radial2DPiece(FacetPiece):
 
     def __init__(self, domain_loop3, image_loop3,
                  domain_centre2=None, image_centre2=None):
-        self.dom_frame = frame_for_polygon(domain_loop3)
-        self.img_frame = frame_for_polygon(image_loop3)
         self.domain_loop = _loop(domain_loop3)
         self.image_loop = _loop(image_loop3)
+        self.dom_frame = frame_for_polygon(self.domain_loop)
+        self.img_frame = frame_for_polygon(self.image_loop)
         dom2 = [self.dom_frame.to2d(p) for p in self.domain_loop]
         img2 = [self.img_frame.to2d(p) for p in self.image_loop]
         self.map2d = build_radial_map_2d(dom2, img2, domain_centre2, image_centre2)
@@ -260,11 +355,10 @@ class DiagonalSelect:
     along a diagonal."""
 
     def __init__(self, p0, p1, face_normal, pieces=None):
-        p0 = np.asarray(p0, dtype=float)
-        d = np.asarray(p1, dtype=float) - p0
-        n = np.cross(d, np.asarray(face_normal, dtype=float))
-        self._p0 = tuple(p0)
-        self._n = tuple(n / np.linalg.norm(n))
+        self._p0 = tuple(map(float, p0))
+        n = _cross([float(b) - a for a, b in zip(self._p0, p1)], tuple(map(float, face_normal)))
+        norm = _norm(n)
+        self._n = tuple(c / norm for c in n)
         self.pieces = list(pieces) if pieces is not None else [None, None]
 
     def side(self, hp):
@@ -450,23 +544,17 @@ def _cover_deviation(dom, img, tol):
 # ---------------------------------------------------------------------------
 # the exact piecewise-affine form of a radial map on a box
 
-def _cell_linear_part(a, b, dom, img):
-    """The 3x3 matrix A of the affine map p -> b + A (p - a) that sends the
-    first three domain polygon vertices dom[i] to img[i]."""
-    d = np.asarray(dom[:3], dtype=float) - np.asarray(a, dtype=float)
-    w = np.asarray(img[:3], dtype=float) - np.asarray(b, dtype=float)
-    return np.linalg.solve(d, w).T          # rows: A d_i = w_i
-
-
-def _sector_entry(cells, rows, iu, iv):
-    """Locate the cells of one piece by the angle, in the face coordinates
-    (iu, iv), about the centroid c of the vertices all cells share: the Radial2D
-    face centre, or the midpoint of a split square's diagonal.  Returns
-    (iu, iv, cu, cv, bounds, sectors): a point h of the patch lies in the cell
-    whose row is sectors[bisect_right(bounds, atan2(h_v - cv, h_u - cu))]; the
-    first and the last sector are the one that wraps through the angle pi."""
-    if len(cells) == 1:
-        return (iu, iv, 0.0, 0.0, [], [rows[0]])
+def _sector_layout(cells, iu, iv):
+    """The sector layout of a piece of several cells, by the angle, in the
+    face coordinates (iu, iv), about the centroid c of the vertices all
+    cells share: the Radial2D face centre, or the midpoint of a split
+    square's diagonal.  Returns (cu, cv, bounds, mids, probes, tris): the
+    sorted angles of the cells' other vertices about c, the midpoint angle
+    of each sector between them (the last one wraps through pi), one probe
+    (u, v, 1) just off c at each of those angles, and each cell's matrix
+    with columns (p_u, p_v, 1) over its vertices p.  ``AffineCellTable``
+    solves every probe against every cell in one stacked call and gives
+    each sector the cell that holds its probe deepest."""
     shared = set(cells[0][0]).intersection(*(dom for dom, _ in cells[1:]))
     if not shared:
         raise GeometryError("the cells of a piece share no vertex")
@@ -477,16 +565,67 @@ def _sector_entry(cells, rows, iu, iv):
     reach = 1e-6 * min(math.hypot(p[iu] - cu, p[iv] - cv) for p in rim)
     mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
     mids.append(0.5 * (bounds[-1] + bounds[0]) + math.pi)
-    tris = [np.array([[p[iu], p[iv], 1.0] for p in dom]).T for dom, _ in cells]
-    picks = []
-    for th in mids:
-        q = np.array([cu + reach * math.cos(th), cv + reach * math.sin(th), 1.0])
-        depth = [float(np.linalg.solve(tri, q).min()) for tri in tris]
-        k = int(np.argmax(depth))
-        if depth[k] <= 0.0:
-            raise GeometryError(f"no cell of the piece covers the sector at angle {th}")
-        picks.append(rows[k])
-    return (iu, iv, cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]])
+    probes = [(cu + reach * math.cos(th), cv + reach * math.sin(th), 1.0) for th in mids]
+    tris = [[[p[iu] for p in dom], [p[iv] for p in dom], [1.0] * len(dom)]
+            for dom, _ in cells]
+    return cu, cv, bounds, mids, probes, tris
+
+
+def _sector_entries(walk, rows):
+    """The sector entry (iu, iv, cu, cv, bounds, sectors) of each piece of
+    ``walk`` ((facet, iu, iv, cells, first cell) per piece, the cells'
+    rows from ``first`` on in ``rows``): a point h of the piece's patch
+    lies in the cell whose row is sectors[bisect_right(bounds, atan2(h_v -
+    cv, h_u - cu))], the first and the last sector being the one that wraps
+    through the angle pi; a piece of one cell has no bounds.  The probes of
+    all pieces are solved against their pieces' cells in one stacked call;
+    each sector takes the cell whose least barycentric coordinate at its
+    probe is largest (the first on ties) and raises GeometryError if that
+    is not positive."""
+    layouts = [_sector_layout(cells, iu, iv) if len(cells) > 1 else None
+               for _, iu, iv, cells, _ in walk]
+    mats, rhs = [], []          # every probe of a piece against each of its cells
+    for lay in layouts:
+        if lay:
+            *_, probes, tris = lay
+            for q in probes:
+                mats += tris
+                rhs += [q] * len(tris)
+    if mats:
+        depths = np.linalg.solve(np.array(mats), np.array(rhs)[..., None]).min(axis=(1, 2))
+    entries, at = [], 0
+    for (_, iu, iv, cells, first), lay in zip(walk, layouts):
+        if lay is None:
+            entries.append((iu, iv, 0.0, 0.0, [], [rows[first]]))
+            continue
+        cu, cv, bounds, mids, *_ = lay
+        depth = depths[at:at + len(mids) * len(cells)].reshape(len(mids), -1)
+        at += depth.size
+        picks = depth.argmax(axis=1).tolist()
+        for th, k, row in zip(mids, picks, depth.tolist()):
+            if row[k] <= 0.0:
+                raise GeometryError(f"no cell of the piece covers the sector at angle {th}")
+        picks = [rows[first + k] for k in picks]
+        entries.append((iu, iv, cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]]))
+    return entries
+
+
+def _fan_frames(polygons, linear, a):
+    """Per cell, the barycentric frames (9-tuples) of the fan triangles
+    (0, i, i + 1) of its image polygon (dom - a) A^T relative to b: the
+    image polygons of one size in one stacked product, and all frames in
+    one stacked inverse."""
+    fans, owner = [], []
+    for size in sorted(set(map(len, polygons))):
+        idx = [i for i, dom in enumerate(polygons) if len(dom) == size]
+        img = (np.array([polygons[i] for i in idx]) - a) @ np.swapaxes(linear[idx], 1, 2)
+        fan = [[0, i, i + 1] for i in range(1, size - 1)]
+        fans.append(np.swapaxes(img[:, fan], -1, -2).reshape(-1, 3, 3))
+        owner += [i for i in idx for _ in fan]
+    frames = [[] for _ in polygons]
+    for i, f in zip(owner, np.linalg.inv(np.concatenate(fans)).reshape(-1, 9).tolist()):
+        frames[i].append(tuple(f))
+    return frames
 
 
 class AffineCellTable:
@@ -508,6 +647,14 @@ class AffineCellTable:
     ``codomain.tol``, where the ray from b has no reliable facet, the cell
     is the one among all image cells whose cone contains q - b (the cones
     tile space); b itself maps to a.  Exterior points raise GeometryError.
+
+    Construction solves the small systems of all cells in stacks: the
+    linear parts from one solve on every cell's first three vertex
+    correspondences, the sector picks from one solve of every piece's
+    probes against its cells (``_sector_entries``), and the image cells'
+    fan frames from one inverse (``_fan_frames``).  A stacked solve or
+    inverse equals the per-matrix call bitwise, so the table is the one
+    that one call per cell or probe builds.
     """
 
     def __init__(self, rmap: RadialMap):
@@ -522,39 +669,37 @@ class AffineCellTable:
         self.labels = []
         self.facet_of = []        # the box facet of each cell's polygon
         self.polygons = []        # each cell's domain polygon, (k, 3)
-        linear = []
-        self._facets = []
+        images = []               # each cell's image polygon
+        walk = []                 # (facet, iu, iv, cells, first cell) per piece
         cells_of = {}             # id(piece) -> its cells' indices
         for facet in range(6):
             sel = rmap.selectors_by_facet.get(facet)
             if sel is None:
                 raise GeometryError(f"no boundary piece for facet {facet}")
             iu, iv = [i for i in range(3) if i != facet // 2]
-            entries = []
             for k, piece in enumerate(sel.pieces):
                 cells = piece.affine_cells()
-                rows = []
+                walk.append((facet, iu, iv, cells, len(self.labels)))
                 for j, (dom, img) in enumerate(cells):
-                    m = _cell_linear_part(self._a, self._b, dom, img)
-                    cells_of.setdefault(id(piece), []).append(len(linear))
-                    linear.append(m)
-                    rows.append(tuple(m.ravel().tolist()))
+                    cells_of.setdefault(id(piece), []).append(len(self.labels))
                     self.labels.append(f"facet {facet} piece {k} cell {j}")
                     self.facet_of.append(facet)
                     self.polygons.append(np.asarray(dom, dtype=float))
-                entries.append(_sector_entry(cells, rows, iu, iv))
-            self._facets.append((sel, entries))
-        self.linear = np.array(linear)
+                    images.append(img[:3])
+        # rows: A d_i = w_i over the first three vertices of each cell
+        d = np.array([dom[:3] for dom in self.polygons]) - self._a
+        w = np.array(images, dtype=float) - self._b
+        self.linear = np.ascontiguousarray(np.swapaxes(np.linalg.solve(d, w), 1, 2))
+        rows = [tuple(m) for m in self.linear.reshape(-1, 9).tolist()]
+        self._facets = [(rmap.selectors_by_facet[facet], []) for facet in range(6)]
+        for (facet, *_), entry in zip(walk, _sector_entries(walk, rows)):
+            self._facets[facet][1].append(entry)
         singular = np.flatnonzero(~(self.determinants() != 0.0))
         if singular.size:
             raise GeometryError(f"{self.labels[singular[0]]}: singular linear part")
         inverse = np.linalg.inv(self.linear).reshape(-1, 9).tolist()
-        image_cells = []
-        for dom, m, inv in zip(self.polygons, self.linear, inverse):
-            img = (dom - self._a) @ m.T          # image polygon relative to b
-            fan = np.stack([img[[0, i, i + 1]].T for i in range(1, len(img) - 1)])
-            frames = np.linalg.inv(fan).reshape(-1, 9).tolist()
-            image_cells.append(([tuple(f) for f in frames], tuple(inv)))
+        image_cells = list(zip(_fan_frames(self.polygons, self.linear, self._a),
+                               map(tuple, inverse)))
         self._ctol2_image = rmap.codomain.tol ** 2
         self._all_image_cells = image_cells
         self._image_cells = {f: [image_cells[i] for i in cells_of[id(piece)]]

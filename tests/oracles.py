@@ -17,7 +17,16 @@ and cone frames, kept here as the oracles of the tests.
   one triangle at a time, the latter in Fraction;
 - ``zorich_composed``: Z composed from the scalar fold ``_fold1``, the parity
   of its flags and a scaling per coordinate, which ``zorich_scalar`` writes
-  out.
+  out;
+- the build's small geometry one object at a time, on numpy rows, as the
+  package computed it before it stacked it per table or shape or moved it
+  to Python floats: ``cell_linear_part`` (one solve per cell),
+  ``sector_entry`` (one solve per sector probe and cell),
+  ``image_cell_frames`` (one inverse per cell), ``frame_rows`` (a face's
+  frame, crosses and norms per candidate vertex), ``polygon_kernel_rows``,
+  ``polygon_centroid_rows`` and ``pick_star_centre_2d_rows``,
+  ``polygon_normal_rows``, ``facet_is_planar_rows`` and
+  ``triangulate_planar_rows`` (one ``@`` per facet vertex).
 """
 
 import math
@@ -25,7 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from qrdyn.geometry import BoundaryHit, GeometryError, _as_array, _ray_box_scalar
+from qrdyn.geometry import (BoundaryHit, CertificationFailure, GeometryError, _as_array,
+                            _point_in_tri2, _ray_box_scalar)
 from qrdyn.star_extend import _radial_2d
 from qrdyn.zorich import _EXP_ARG_MAX, _fold1
 
@@ -252,3 +262,194 @@ def zorich_composed(x1, x2, x3):
     scale = math.exp(x3) if x3 <= _EXP_ARG_MAX else math.inf
     zh = sigma * (1.0 - max(abs(u1), abs(u2)))
     return (_scaled(scale, u1), _scaled(scale, u2), _scaled(scale, zh))
+
+
+def cell_linear_part(a, b, dom, img):
+    """The 3x3 matrix A of the affine map p -> b + A (p - a) that sends the
+    first three domain polygon vertices dom[i] to img[i]."""
+    d = np.asarray(dom[:3], dtype=float) - np.asarray(a, dtype=float)
+    w = np.asarray(img[:3], dtype=float) - np.asarray(b, dtype=float)
+    return np.linalg.solve(d, w).T          # rows: A d_i = w_i
+
+
+def sector_entry(cells, rows, iu, iv):
+    """The sector entry (iu, iv, cu, cv, bounds, sectors) of one piece of a
+    cell table, one solve per sector midpoint and cell."""
+    if len(cells) == 1:
+        return (iu, iv, 0.0, 0.0, [], [rows[0]])
+    shared = set(cells[0][0]).intersection(*(dom for dom, _ in cells[1:]))
+    if not shared:
+        raise GeometryError("the cells of a piece share no vertex")
+    cu = sum(p[iu] for p in shared) / len(shared)
+    cv = sum(p[iv] for p in shared) / len(shared)
+    rim = {p for dom, _ in cells for p in dom if (p[iu], p[iv]) != (cu, cv)}
+    bounds = sorted({math.atan2(p[iv] - cv, p[iu] - cu) for p in rim})
+    reach = 1e-6 * min(math.hypot(p[iu] - cu, p[iv] - cv) for p in rim)
+    mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
+    mids.append(0.5 * (bounds[-1] + bounds[0]) + math.pi)
+    tris = [np.array([[p[iu], p[iv], 1.0] for p in dom]).T for dom, _ in cells]
+    picks = []
+    for th in mids:
+        q = np.array([cu + reach * math.cos(th), cv + reach * math.sin(th), 1.0])
+        depth = [float(np.linalg.solve(tri, q).min()) for tri in tris]
+        k = int(np.argmax(depth))
+        if depth[k] <= 0.0:
+            raise GeometryError(f"no cell of the piece covers the sector at angle {th}")
+        picks.append(rows[k])
+    return (iu, iv, cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]])
+
+
+def image_cell_frames(a, dom, m):
+    """The barycentric frames (9-tuples) of the fan triangles (0, i, i + 1)
+    of the image polygon (dom - a) A^T of one cell, one inverse per cell."""
+    img = (dom - a) @ m.T
+    fan = np.stack([img[[0, i, i + 1]].T for i in range(1, len(img) - 1)])
+    return [tuple(f) for f in np.linalg.inv(fan).reshape(-1, 9).tolist()]
+
+
+def frame_rows(vertices3):
+    """(origin, e1, e2) of the frame of a planar 3D polygon on numpy rows:
+    e1 along the first edge, e2 from the largest cross e1 x (q - p0)."""
+    v = np.asarray(vertices3, dtype=float)
+    p0 = v[0]
+    e1 = v[1] - p0
+    best = None
+    for q in v[2:]:
+        n = np.cross(e1, q - p0)
+        if best is None or np.linalg.norm(n) > np.linalg.norm(best):
+            best = n
+    if best is None or np.linalg.norm(best) < 1e-14:
+        raise GeometryError("degenerate polygon for frame")
+    e2 = np.cross(best, e1)
+    e1 = e1 / np.linalg.norm(e1)
+    e2 = e2 - np.dot(e2, e1) * e1
+    return p0, e1, e2 / np.linalg.norm(e2)
+
+
+def _clip_halfplane_rows(poly, p0, normal):
+    nx, ny = normal
+    out = []
+    m = len(poly)
+    for i in range(m):
+        cur, nxt = poly[i], poly[(i + 1) % m]
+        c_in = (cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny >= 0
+        n_in = (nxt[0] - p0[0]) * nx + (nxt[1] - p0[1]) * ny >= 0
+        if c_in:
+            out.append(cur)
+        if c_in != n_in:
+            d = nxt - cur
+            den = d[0] * nx + d[1] * ny
+            t = -((cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny) / den
+            out.append(cur + t * d)
+    return out
+
+
+def polygon_kernel_rows(vertices):
+    """The visibility kernel of a simple polygon on numpy rows: a bounding
+    box clipped with every edge half-plane."""
+    v = np.asarray(vertices, dtype=float)
+    n = len(v)
+    area2 = sum(v[i, 0] * v[(i + 1) % n, 1] - v[(i + 1) % n, 0] * v[i, 1]
+                for i in range(n))
+    sign = 1.0 if area2 > 0 else -1.0
+    lo = v.min(axis=0) - 1.0
+    hi = v.max(axis=0) + 1.0
+    poly = [np.array([lo[0], lo[1]]), np.array([hi[0], lo[1]]),
+            np.array([hi[0], hi[1]]), np.array([lo[0], hi[1]])]
+    for i in range(n):
+        p0 = v[i]
+        d = v[(i + 1) % n] - p0
+        poly = _clip_halfplane_rows(poly, p0, (-sign * d[1], sign * d[0]))
+        if not poly:
+            return []
+    return poly
+
+
+def polygon_centroid_rows(vertices):
+    v = np.asarray(vertices, dtype=float)
+    n = len(v)
+    a = 0.0
+    cx = cy = 0.0
+    for i in range(n):
+        x0, y0 = v[i]
+        x1, y1 = v[(i + 1) % n]
+        w = x0 * y1 - x1 * y0
+        a += w
+        cx += (x0 + x1) * w
+        cy += (y0 + y1) * w
+    if abs(a) < 1e-300:
+        return v.mean(axis=0)
+    return np.array([cx, cy]) / (3 * a)
+
+
+def pick_star_centre_2d_rows(vertices):
+    """The area centroid if it lies in the visibility kernel, else the
+    kernel centroid, on numpy rows."""
+    kern = polygon_kernel_rows(vertices)
+    if not kern:
+        raise CertificationFailure("polygon has an empty visibility kernel")
+    c = polygon_centroid_rows(vertices)
+    kv = np.asarray(kern)
+    m = len(kv)
+    for i in range(m):
+        d = kv[(i + 1) % m] - kv[i]
+        if (c[0] - kv[i][0]) * d[1] - (c[1] - kv[i][1]) * d[0] > 1e-12:
+            return polygon_centroid_rows(kv)
+    return c
+
+
+def polygon_normal_rows(pts):
+    """Unit normal of a planar 3D polygon (Newell's method) on numpy rows."""
+    n = np.zeros(3)
+    m = len(pts)
+    for i in range(m):
+        p, q = pts[i], pts[(i + 1) % m]
+        n[0] += (p[1] - q[1]) * (p[2] + q[2])
+        n[1] += (p[2] - q[2]) * (p[0] + q[0])
+        n[2] += (p[0] - q[0]) * (p[1] + q[1])
+    norm = np.linalg.norm(n)
+    if norm == 0.0:
+        raise GeometryError("degenerate facet (zero normal)")
+    return n / norm
+
+
+def facet_is_planar_rows(pts, tol):
+    if len(pts) == 3:
+        return True
+    d = (pts - pts[0]) @ polygon_normal_rows(pts)
+    return float(np.max(np.abs(d))) <= max(tol, 1e-9 * np.abs(pts).max())
+
+
+def triangulate_planar_rows(vertices, poly):
+    """Ear-clip a planar facet given as a vertex-index loop, projecting each
+    vertex into the facet frame with its own ``@``.  Returns the triangles
+    and the projected vertices."""
+    n0 = polygon_normal_rows(vertices[poly])
+    origin = vertices[poly[0]]
+    e1 = vertices[poly[1]] - origin
+    e1 = e1 / np.linalg.norm(e1)
+    e2 = np.cross(n0, e1)
+    pts2 = [((vertices[i] - origin) @ e1, (vertices[i] - origin) @ e2) for i in poly]
+    idx = list(range(len(poly)))
+    area2 = sum(pts2[i][0] * pts2[(i + 1) % len(pts2)][1]
+                - pts2[(i + 1) % len(pts2)][0] * pts2[i][1]
+                for i in range(len(pts2)))
+    ccw = area2 > 0
+    tris = []
+    while len(idx) > 3:
+        for k in range(len(idx)):
+            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % len(idx)]
+            a, b, c = pts2[i0], pts2[i1], pts2[i2]
+            cross = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+            if (cross > 0) != ccw or abs(cross) < 1e-14:
+                continue
+            if any(_point_in_tri2(pts2[j], a, b, c) for j in idx
+                   if j not in (i0, i1, i2)):
+                continue
+            tris.append((poly[i0], poly[i1], poly[i2]))
+            idx.pop(k)
+            break
+        else:
+            raise GeometryError("ear clipping failed (non-simple facet?)")
+    tris.append((poly[idx[0]], poly[idx[1]], poly[idx[2]]))
+    return tris, pts2

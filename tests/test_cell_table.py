@@ -7,11 +7,15 @@ import types
 import numpy as np
 import pytest
 
-from oracles import radial_eval, radial_inverse
-from qrdyn.geometry import GeometryError
+from oracles import (cell_linear_part, facet_is_planar_rows, frame_rows,
+                     image_cell_frames, pick_star_centre_2d_rows, polygon_kernel_rows,
+                     polygon_normal_rows, radial_eval, radial_inverse, sector_entry,
+                     triangulate_planar_rows)
+from qrdyn.geometry import (GeometryError, StarShape, _area_signs, _det3_signs,
+                            _facet_coordinates, _triangulate_planar)
 from qrdyn.global_map import (ConstructionError, cell_dilatations,
                               certify_cell_orientation)
-from qrdyn.star_extend import RadialMap
+from qrdyn.star_extend import RadialMap, frame_for_polygon, pick_star_centre_2d, polygon_kernel
 
 
 def _box_points(chart, rng, interior=2000, face=200, diagonal=41, edge=8):
@@ -261,3 +265,148 @@ class TestCellOrientation:
     def test_non_positive_det_names_chart_and_cell(self, bad):
         with pytest.raises(ConstructionError, match=r"A''9, facet 0 piece 0 cell 1"):
             certify_cell_orientation([self._chart([1.0, bad, 3.0])])
+
+
+def _bits(x):
+    """A nested structure of floats as a string that tells apart every
+    float bit pattern (repr round-trips, and tells -0.0 from 0.0)."""
+    if isinstance(x, np.ndarray):
+        return _bits(x.tolist())
+    if isinstance(x, (list, tuple)):
+        return "(" + ",".join(map(_bits, x)) + ")"
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else repr(x)
+
+
+def _radial_faces(build):
+    """The build's distinct Radial2D pieces: 24 faces."""
+    faces = {}
+    for chart in build.g.charts:
+        for piece in chart.map.all_pieces:
+            if piece.kind == "radial2d":
+                faces[id(piece)] = piece
+    return list(faces.values())
+
+
+def _polyhedra(build):
+    return [s for c in build.g.charts for s in (c.map.domain, c.map.codomain)]
+
+
+class TestBuildMatchesOracles:
+    """The build's small geometry, stacked per table or shape or taken in
+    Python floats, against the one-object-at-a-time oracles, bitwise."""
+
+    def test_cell_tables(self, build):
+        for chart in build.g.charts:
+            table = chart.table
+            k = 0
+            for facet in range(6):
+                sel, entries = table._facets[facet]
+                iu, iv = [i for i in range(3) if i != facet // 2]
+                assert len(entries) == len(sel.pieces)
+                for piece, entry in zip(sel.pieces, entries):
+                    cells = piece.affine_cells()
+                    rows = []
+                    for dom, img in cells:
+                        m = np.ascontiguousarray(cell_linear_part(table._a, table._b, dom, img))
+                        assert table.linear[k].tobytes() == m.tobytes(), (chart.cell_id, k)
+                        frames, _ = table._all_image_cells[k]
+                        assert _bits(frames) == _bits(
+                            image_cell_frames(table._a, table.polygons[k], m))
+                        rows.append(tuple(m.ravel().tolist()))
+                        k += 1
+                    assert _bits(entry) == _bits(sector_entry(cells, rows, iu, iv))
+            assert k == len(table)
+
+    def test_radial_faces(self, build):
+        faces = _radial_faces(build)
+        assert len(faces) == 24
+        for piece in faces:
+            for loop, frame, shape in ((piece.domain_loop, piece.dom_frame, piece.map2d.domain),
+                                       (piece.image_loop, piece.img_frame,
+                                        piece.map2d.codomain)):
+                assert _bits(frame_rows(loop)) == _bits([
+                    (frame._ox, frame._oy, frame._oz), (frame._e1x, frame._e1y, frame._e1z),
+                    (frame._e2x, frame._e2y, frame._e2z)])
+                fresh = frame_for_polygon(loop)
+                assert all(getattr(fresh, k) == getattr(frame, k) for k in frame.__slots__)
+                flat = [frame.to2d(p) for p in loop]
+                assert _bits(polygon_kernel(flat)) == _bits(polygon_kernel_rows(flat))
+                assert _bits(pick_star_centre_2d(flat)) == _bits(pick_star_centre_2d_rows(flat))
+                assert _bits(shape.centre) == _bits(pick_star_centre_2d_rows(flat))
+
+    def test_random_planar_polygons(self):
+        # seeded planar polygons in general position: numpy's dot and norm
+        # round differently from a Python sum on about a third of them, so
+        # the frames, normals and plane coordinates stay on numpy's
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            # angle gaps below pi: star-shaped about the origin
+            th = (np.arange(n) + rng.uniform(0.0, 0.9, n)) * (2 * math.pi / n)
+            flat = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.5, 2.0, (n, 1))
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            loop = (np.column_stack([flat, np.zeros(n)]) @ q.T + rng.normal(size=3)).tolist()
+            frame = frame_for_polygon(loop)
+            assert _bits(frame_rows(loop)) == _bits([
+                (frame._ox, frame._oy, frame._oz), (frame._e1x, frame._e1y, frame._e1z),
+                (frame._e2x, frame._e2y, frame._e2z)])
+            flat2 = [frame.to2d(p) for p in loop]
+            assert _bits(polygon_kernel(flat2)) == _bits(polygon_kernel_rows(flat2))
+            assert _bits(pick_star_centre_2d(flat2)) == _bits(pick_star_centre_2d_rows(flat2))
+            v = np.array(loop)
+            normals, plane, edges = _facet_coordinates(v, [list(range(n))], 1e-11)
+            assert normals[0].tobytes() == polygon_normal_rows(v).tobytes()
+            tris, pts2 = triangulate_planar_rows(v, list(range(n)))
+            assert _bits(plane[0]) == _bits(pts2)
+            assert _triangulate_planar(list(range(n)), plane[0]) == tris
+
+    def test_polygon_signs_are_the_det3_signs(self, build):
+        # the 2D star test's float filter against the 3D one, on the 48 face
+        # polygons and on polygons whose signs need Fraction
+        rng = np.random.default_rng(3)
+        loops = [(s._loop, s.centre.tolist()) for piece in _radial_faces(build)
+                 for s in (piece.map2d.domain, piece.map2d.codomain)]
+        loops += [([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [0.5, 0.0]),
+                  ([[0.1, 0.1], [0.3, 0.3], [0.7, 0.1]], [0.5, 0.5]),
+                  ([[1e-300, 0.0], [0.0, 1e-300], [-1e-300, 0.0]], [0.0, 0.0])]
+        loops += [(rng.normal(size=(5, 2)).tolist(), rng.normal(size=2).tolist())
+                  for _ in range(20)]
+        for loop, a in loops:
+            n = len(loop)
+            p = np.zeros((n, 3, 3))
+            p[:, :2, :2] = np.array(loop)[[[i, (i + 1) % n] for i in range(n)]]
+            p[:, 2, 2] = 1.0
+            q = np.zeros((3, 3))
+            q[:2, :2] = a
+            assert _area_signs(loop, *a) == _det3_signs(p, q)[0].tolist(), (loop, a)
+
+    def test_polyhedra(self, build):
+        shapes = _polyhedra(build)
+        assert len(shapes) == 10
+        for shape in shapes:
+            v = shape.vertices
+            normals, plane, edges = _facet_coordinates(v, shape.facet_polys, shape.tol * 10)
+            assert normals.tobytes() == shape._facet_normal.tobytes()
+            want = [polygon_normal_rows(v[poly]) for poly in shape.facet_polys]
+            assert normals.tobytes() == np.array(want).tobytes()
+            for poly, pts2 in zip(shape.facet_polys, plane):
+                tris, want2 = triangulate_planar_rows(v, poly)
+                assert _bits(pts2) == _bits(want2)
+                assert _triangulate_planar(poly, pts2) == tris
+                assert facet_is_planar_rows(v[poly], shape.tol * 10)
+            lens = [np.linalg.norm(v[p[i]] - v[p[i - 1]])
+                    for p in shape.facet_polys for i in range(len(p))]
+            assert edges.tobytes() == np.array(lens).tobytes()
+            assert shape.min_feature == min(lens)
+
+    def test_warped_facet_is_named(self):
+        # the first facet that leaves its plane, as the per-facet test finds it
+        verts = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
+        verts[7] += (0.0, 0.0, 1e-3)
+        faces = [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1], [2, 3, 7, 6], [0, 2, 6, 4],
+                 [1, 5, 7, 3]]
+        tol = 10 * 1e-12 * float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
+        first = next(i for i, poly in enumerate(faces)
+                     if not facet_is_planar_rows(verts[poly], tol))
+        with pytest.raises(GeometryError, match=f"facet {first} is not planar"):
+            StarShape.polyhedron(verts, faces, (0.5, 0.5, 0.5))

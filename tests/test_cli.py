@@ -9,6 +9,7 @@ import pytest
 
 import qrdyn
 from qrdyn import cli
+from qrdyn.geometry import local_lipschitz_constants
 from qrdyn.global_map import build_report, constants_report_text
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -102,3 +103,23 @@ def test_build_report_times_each_phase(build):
     assert all(isinstance(s, float) and s > 0.0 for s in phase_s.values())
     # the text report leaves the dict out
     assert "phase_s" not in constants_report_text(build)
+
+
+def test_build_report_lists_the_centre_certificates(build):
+    report = build_report(build)
+    certificates = report["certificates"]
+    assert list(certificates) == ["A'", "A''1", "A''2", "A''3", "A''4"]
+    lines = set(constants_report_text(build).splitlines())
+    for chart in build.g.charts:
+        for side, shape in (("domain", chart.map.domain), ("codomain", chart.map.codomain)):
+            entry = certificates[chart.cell_id][side]
+            eta, T = local_lipschitz_constants(shape)
+            assert entry == {"centre": shape.centre.tolist(),
+                             "theta": shape.certificate.theta,
+                             "eps": shape.certificate.eps, "eta": eta, "T": T}
+            assert 0.0 < entry["eta"] <= 0.5 and entry["T"] > 0.0
+            # the text report prints the same entries
+            for key in ("theta", "eps", "eta", "T"):
+                assert f"chart.{chart.cell_id}.{side}_{key} = {entry[key]:.6g}" in lines
+    # the report is plain JSON
+    assert json.loads(json.dumps(report))["certificates"] == certificates

@@ -127,6 +127,19 @@ class TestClassify:
         c = classify_escape(handle, (0, 0, 1.0), 7)
         assert c == EscapeClass("undecided", budget=7)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_is_rejected(self, fhandle, axis, value):
+        # a slab start with an infinite x1 or x2 once reached math.floor,
+        # and (0, 0, nan) was labelled radial
+        start = [0.0, 0.0, 0.5]
+        start[axis] = value
+        for run in (lambda: classify_escape(fhandle, start, 60),
+                    lambda: iterate(fhandle, start, 5)):
+            with pytest.raises(ValueError, match="finite start") as err:
+                run()
+            assert repr(value) in str(err.value)
+
 
 class TestRateSeries:
     def test_translation_rate_tends_to_zero(self, fhandle):
@@ -188,6 +201,40 @@ class TestMaxModulus:
     def test_minimum_sample_count(self, fhandle):
         with pytest.raises(ValueError):
             max_modulus_estimate(fhandle, 10.0, samples=10)
+
+    def test_equals_the_numpy_direction_loop(self, fhandle):
+        # the float loop over cached direction tuples returns the value of
+        # the loop over r * (direction array), bitwise, past r = 355 too
+        for r in np.geomspace(5.0, 500.0, 10).tolist():
+            assert max_modulus_estimate(fhandle, r) == _max_modulus_numpy(fhandle, r, 2000), r
+        circle = MapHandle("square", lambda p: (p[0] * p[0] - p[1] * p[1], 2 * p[0] * p[1]),
+                           dim=2)
+        for r in (5.0, 50.0):
+            assert max_modulus_estimate(circle, r) == _max_modulus_numpy(circle, r, 2000)
+
+    def test_nan_norms_never_count(self):
+        odd = MapHandle("odd", lambda p: (math.nan,) * 3 if p[2] > 0 else p, dim=3)
+        est = max_modulus_estimate(odd, 2.0)
+        assert est == _max_modulus_numpy(odd, 2.0, 2000)
+        assert est == pytest.approx(2.0, rel=1e-15)
+
+
+def _max_modulus_numpy(handle, r, samples):
+    """``max_modulus_estimate`` as a loop over the rows of r times the
+    direction array, skipping NaN norms: the oracle of its float loop."""
+    if handle.dim == 2:
+        th = np.linspace(0, 2 * math.pi, samples, endpoint=False)
+        dirs = np.column_stack([np.cos(th), np.sin(th)])
+    else:
+        dirs = sphere_directions(samples)
+    best = 0.0
+    for p in (r * dirs).tolist():
+        m = math.hypot(*handle.fn(tuple(p)))
+        if math.isnan(m):
+            continue
+        if m > best:
+            best = m
+    return best
 
 
 class TestFastEscape:
@@ -317,8 +364,8 @@ class TestStoredTower:
     def test_directions_are_built_once_and_read_only(self):
         dirs = _unit_directions(3, 2000)
         assert dirs is _unit_directions(3, 2000)
-        assert not dirs.flags.writeable
-        assert dirs.tobytes() == sphere_directions(2000).tobytes()
+        assert isinstance(dirs, tuple) and all(type(d) is tuple for d in dirs)
+        assert np.array(dirs).tobytes() == sphere_directions(2000).tobytes()
         h = MapHandle("id", lambda p: p)
         assert max_modulus_estimate(h, 3.0) == pytest.approx(3.0, rel=1e-15)
 

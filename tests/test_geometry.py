@@ -13,7 +13,8 @@ from qrdyn.geometry import (Certificate, CertificationFailure, GeometryError,
                             StarShape, THETA_MIN, _det3_signs, _facet_vertex_cones,
                             _line_angles, _plane_angle, _vertex_angle,
                             certify_star_centre, local_lipschitz_constants,
-                            locate, psi, pick_star_centre_2d, polygon_kernel)
+                            locate, psi)
+from qrdyn.star_extend import pick_star_centre_2d, polygon_kernel
 
 
 def cube(a=(0.0, 0.0, 0.0)):

@@ -376,9 +376,9 @@ class TestDispatchTies:
 class TestBuildWork:
     def test_every_certificate_sign_is_decided_in_floats(self):
         # the star tests and the boundary-map orientations of a whole build
-        # make no Fraction: the float filter of geometry._det3_signs decides
-        # every sign, so code that bypasses it fails here instead of showing
-        # up only as a slower build
+        # make no Fraction: the float filters of geometry._det3_signs and
+        # geometry._area_signs decide every sign, so code that bypasses them
+        # fails here instead of showing up only as a slower build
         with mock.patch("qrdyn.geometry.Fraction", wraps=Fraction) as geo, \
                 mock.patch("qrdyn.star_extend.Fraction", wraps=Fraction,
                            create=True) as ext:
@@ -387,3 +387,18 @@ class TestBuildWork:
             # the count is live: a zero determinant is evaluated exactly
             assert geometry._det3_signs(np.ones((1, 3, 3)), np.zeros(3))[0][0] == 0
             assert geo.call_count > 0
+
+    def test_small_systems_are_solved_in_stacks(self):
+        # a build solves its 141 cells, 532 sector probes and 141 image-cell
+        # fans in stacks: per chart table one solve for the linear parts and
+        # one for the sector probes, one inverse for the linear parts and one
+        # for the fan frames; per polyhedron one solve (the cone test of the
+        # vertex term) and one inverse (the cone frames); per chart one solve
+        # in the boundary-map validation.  One call per cell or sector would
+        # take hundreds
+        with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve, \
+                mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv:
+            build = build_maps()
+        charts, polyhedra = len(build.g.charts), 2 * len(build.g.charts)
+        assert solve.call_count == 2 * charts + polyhedra + charts
+        assert inv.call_count == 2 * charts + polyhedra
