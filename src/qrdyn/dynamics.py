@@ -439,10 +439,13 @@ def max_modulus_estimate(map_handle: MapHandle, r: float, samples: int = 2000) -
     """Sampled lower bound for max_{|x|=r} |map(x)|, biased with the known
     extremal directions.  The points r d are scaled in Python floats, which
     is IEEE-equal to scaling the direction array; a NaN norm never counts,
-    since it is not greater than the best so far."""
+    since it is not greater than the best so far.  A non-finite r raises
+    ValueError."""
     if samples < 1000:
         raise ValueError("use at least 1000 samples")
     r = float(r)
+    if not math.isfinite(r):
+        raise ValueError(f"non-finite radius {r}")
     fn, hypot = map_handle.fn, math.hypot
     dirs = _unit_directions(map_handle.dim, samples)
     if map_handle.dim == 3:

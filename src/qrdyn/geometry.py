@@ -1,28 +1,26 @@
-"""Star-shaped polytope geometry.
+"""Star-shaped polyhedron geometry.
 
-Shapes are simple polygons (2D) or closed, connected triangulated polyhedra
-(3D), each star-shaped about its centre: construction certifies the centre
+Shapes are closed, connected triangulated polyhedra in R^3, each
+star-shaped about its centre: construction certifies the centre
 (``certify_star_centre``) and fails with ``CertificationFailure`` if it is
 not a non-tangential star centre (rays from it meet the boundary once, at
 angles bounded away from zero).  Every shape carries that certificate.  The
 module provides membership classification and the ray-to-boundary
 projection psi, both read off the one crossing of the ray from the centre
-through x (``_crossing``: on a polygon a scan of its edges, on a polyhedron
-a scan of cone frames precomputed per surface triangle; a box has its own
-closed form), and the local Lipschitz constants of psi that follow from the
-certificate.
+through x (``_crossing``: a scan of cone frames precomputed per surface
+triangle; a box has its own closed form), and the local Lipschitz
+constants of psi that follow from the certificate.
 
 Polyhedral surfaces are oriented outward at construction, so the star test
-is one exact sign per boundary simplex: the signed area of (a, v_i, v_i+1)
-in 2D, the signed volume of (a, triangle) in 3D.  ``_det3_signs`` decides
-each such sign in floats where Shewchuk's orient3d error bound certifies
-it, and only the determinants inside that bound (zero ones among them) in
-``fractions.Fraction``; the boundary-map validation of ``star_extend``
-takes its orientations from it too, and the 2D test (``_area_signs``) is
-the same filter on Python floats.  The vertex term of the certificate
-runs all vertices of a shape through each of its kernels in one stacked
-call, and a polyhedron takes the normals, plane coordinates and edge
-lengths of all its facets from one stacked pass (``_facet_coordinates``).
+is one exact sign per surface triangle: the signed volume of (a,
+triangle).  ``_det3_signs`` decides each such sign in floats where
+Shewchuk's orient3d error bound certifies it, and only the determinants
+inside that bound (zero ones among them) in ``fractions.Fraction``; the
+boundary-map validation of ``star_extend`` takes its orientations from it
+too.  The vertex term of the certificate runs all vertices of a shape
+through each of its kernels in one stacked call, and a polyhedron takes the
+normals, plane coordinates and edge lengths of all its facets from one
+stacked pass (``_facet_coordinates``).
 
 All shapes are immutable after construction; every operation is pure.
 """
@@ -81,23 +79,20 @@ class Location:
     facet: Optional[int] = None
 
 
-def _as_array(x, dim):
+def _as_array(x):
     a = np.asarray(x, dtype=float)
-    if a.shape != (dim,):
-        raise GeometryError(f"expected a {dim}-vector, got shape {a.shape}")
+    if a.shape != (3,):
+        raise GeometryError(f"expected a 3-vector, got shape {a.shape}")
     if not all(map(math.isfinite, a.tolist())):
         raise GeometryError("non-finite coordinates are not admitted")
     return a
 
 
 class StarShape:
-    """A polygon (dim 2) or triangulated polyhedron (dim 3) with a certified
-    star centre.
+    """A triangulated polyhedron with a certified star centre.
 
-    2D: ``vertices`` is the boundary loop in order; facet i is the edge from
-    vertex i to vertex i+1.
-    3D: ``vertices`` is a vertex pool, ``facet_polys`` lists each planar facet
-    as an ordered index loop, and ``triangles`` triangulates the surface with
+    ``vertices`` is a vertex pool, ``facet_polys`` lists each planar facet as
+    an ordered index loop, and ``triangles`` triangulates the surface with
     ``tri_facet`` recording which facet each triangle came from.
 
     Construction ends with ``certify_star_centre(self, centre)`` and keeps
@@ -106,12 +101,11 @@ class StarShape:
     ``CertificationFailure``.
     """
 
-    def __init__(self, dim, vertices, centre, facet_polys=None, box=None):
-        self.dim = int(dim)
+    def __init__(self, vertices, centre, facet_polys, box=None):
         self.vertices = np.asarray(vertices, dtype=float)
         if not np.all(np.isfinite(self.vertices)):
             raise GeometryError("non-finite vertex coordinates")
-        self.centre = _as_array(centre, self.dim)
+        self.centre = _as_array(centre)
         self.box = box  # (lo, hi) arrays for axis-aligned cuboids, else None
 
         mins = self.vertices.min(axis=0)
@@ -120,35 +114,12 @@ class StarShape:
         if self.diameter <= 0.0:
             raise GeometryError("degenerate shape (zero diameter)")
         self.tol = TAU_GEOM * self.diameter
-
-        if self.dim == 2:
-            self._init_polygon()
-        elif self.dim == 3:
-            self._init_polyhedron(facet_polys)
-        else:
-            raise GeometryError("only dimensions 2 and 3 are supported")
+        self._init_polyhedron(facet_polys)
         self.certificate = certify_star_centre(self, self.centre)
 
     # -- construction ------------------------------------------------------
 
-    def _init_polygon(self):
-        n = len(self.vertices)
-        if n < 3:
-            raise GeometryError("polygon needs at least 3 vertices")
-        self.facet_count = n
-        self._loop = self.vertices.tolist()
-        lengths = np.hypot(*zip(*[(x1 - x0, y1 - y0)
-                                  for (x0, y0), (x1, y1) in _loop_edges(self._loop)]))
-        if np.any(lengths <= self.tol):
-            raise GeometryError("degenerate polygon edge")
-        self._edge_len = lengths
-        if _polygon_self_intersects(self._loop):
-            raise GeometryError("polygon boundary is self-intersecting")
-        self.min_feature = float(lengths.min())
-
     def _init_polyhedron(self, facet_polys):
-        if facet_polys is None:
-            raise GeometryError("3D shape requires facet polygons")
         self.facet_polys = [list(map(int, p)) for p in facet_polys]
         self.facet_count = len(self.facet_polys)
         if any(len(poly) < 3 for poly in self.facet_polys):
@@ -170,12 +141,8 @@ class StarShape:
     # -- factories ---------------------------------------------------------
 
     @classmethod
-    def polygon(cls, vertices, centre):
-        return cls(2, vertices, centre)
-
-    @classmethod
     def polyhedron(cls, vertices, facet_polys, centre):
-        return cls(3, vertices, centre, facet_polys=facet_polys)
+        return cls(vertices, centre, facet_polys)
 
     @classmethod
     def cuboid(cls, lo, hi, centre=None):
@@ -196,7 +163,7 @@ class StarShape:
         ]
         if centre is None:
             centre = 0.5 * (lo + hi)
-        return cls(3, verts, centre, facet_polys=faces, box=(lo, hi))
+        return cls(verts, centre, faces, box=(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -284,32 +251,6 @@ def _loop_edges(loop):
     return zip(loop, loop[1:] + loop[:1])
 
 
-def _polygon_self_intersects(v):
-    """True if two non-adjacent edges of the vertex loop v (a list of float
-    pairs) cross."""
-    n = len(v)
-    for i in range(n):
-        a0, a1 = v[i], v[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            b0, b1 = v[j], v[(j + 1) % n]
-            if _segments_cross(a0, a1, b0, b1):
-                return True
-    return False
-
-
-def _segments_cross(a0, a1, b0, b1):
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (r[0] - p[0]) * (q[1] - p[1])
-    d1 = orient(a0, a1, b0)
-    d2 = orient(a0, a1, b1)
-    d3 = orient(b0, b1, a0)
-    d4 = orient(b0, b1, a1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and \
-        d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
-
-
 def _edges(t):
     return ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
 
@@ -366,7 +307,7 @@ def locate(shape: StarShape, x) -> Location:
     through x that psi uses (``_crossing``): boundary where it lies within
     4 tol of x, interior where it lies beyond x or x lies within tol of c,
     and exterior otherwise."""
-    x = _as_array(x, shape.dim)
+    x = _as_array(x)
     if shape.box is not None:
         lo, hi = shape.box
         d_out = max(np.max(lo - x), np.max(x - hi))
@@ -374,10 +315,10 @@ def locate(shape: StarShape, x) -> Location:
             gaps = np.stack([x - lo, hi - x], axis=1).ravel()
             return Location("boundary", int(np.argmin(gaps)))
         return Location("interior" if d_out < 0 else "exterior")
-    c, r, d = _centre_ray(shape, x)
+    _, r, d = _centre_ray(shape, x)
     if d <= shape.tol:
         return Location("interior")
-    hit = _crossing(shape, c, r, d)
+    hit = _crossing(shape, r, d)
     if hit is None:
         return Location("exterior")
     return Location("boundary", hit[1]) if hit[0] == 1.0 else Location("interior")
@@ -395,7 +336,7 @@ def psi(shape: StarShape, x) -> BoundaryHit:
     floats.  The slab charts' ``AffineCellTable`` evaluates and inverts
     them; its inverse takes the codomain facet from psi.
     """
-    x = _as_array(x, shape.dim)
+    x = _as_array(x)
     c, r, d = _centre_ray(shape, x)
     if d <= shape.tol:
         raise GeometryError("psi is undefined at the star centre")
@@ -406,7 +347,7 @@ def psi(shape: StarShape, x) -> BoundaryHit:
         facet, t = _ray_box_scalar(*c, lo.tolist(), hi.tolist(), *x.tolist())
         return BoundaryHit(point=np.clip(shape.centre + t * (x - shape.centre), lo, hi),
                            facet=facet, t=t)
-    hit = _crossing(shape, c, r, d)
+    hit = _crossing(shape, r, d)
     if hit is None:
         raise GeometryError("psi called on an exterior point")
     t, facet = hit
@@ -435,77 +376,38 @@ def _cone_frames(rel, tri_facet):
     return [(tuple(f), int(k)) for f, k in zip(frames, tri_facet[keep])]
 
 
-def _crossing(shape, c, r, d):
+def _crossing(shape, r, d):
     """(t, facet) of the boundary crossing c + t r of the ray from the centre
     c along r = x - c, |r| = d > tol, or None where x is exterior.
 
-    A polygon scans its edges (``_psi_polygon_scalar``).  A polyhedron scans
-    the cone frames of its surface triangles: with lambda = frame r >= 0
-    (barycentric slack 1e-9, as a fraction of sum(lambda)) the ray crosses
-    the triangle at t = 1 / sum(lambda).  Of the crossings at or beyond x
-    (within 4 tol) the nearest wins; the triangles come in facet order, so
-    a later crossing displaces it only if nearer by more than a relative
-    1e-12 plus tol, and ties go to the lowest facet.  The shape is star
+    It scans the cone frames of the shape's surface triangles: with
+    lambda = frame r >= 0 (barycentric slack 1e-9, as a fraction of
+    sum(lambda)) the ray crosses the triangle at t = 1 / sum(lambda).  Of
+    the crossings at or beyond x (within 4 tol) the nearest wins; the
+    triangles come in facet order, so a later crossing displaces it only if
+    nearer by more than a relative 1e-12 plus tol, and ties go to the lowest
+    facet.  The shape is star
     about c, so the ray crosses the boundary once: t is 1 where the crossing
     lies within 4 tol of x, larger where x is interior, and the crossing is
     missing or nearer than that where x is exterior."""
     tol = shape.tol
-    if shape.dim == 2:
-        hit = _psi_polygon_scalar(shape._loop, c[0], c[1], r[0], r[1])
-        if hit is None:
-            return None
-        facet, _, t = hit
-    else:
-        rx, ry, rz = r
-        s_max = d / (d - 4 * tol) if d > 4 * tol else math.inf
-        t, facet = math.inf, -1
-        for (m0, m1, m2, m3, m4, m5, m6, m7, m8), k in shape._cones:
-            l0 = m0 * rx + m1 * ry + m2 * rz
-            l1 = m3 * rx + m4 * ry + m5 * rz
-            l2 = m6 * rx + m7 * ry + m8 * rz
-            s = l0 + l1 + l2
-            slack = -1e-9 * s
-            if 0.0 < s <= s_max and l0 >= slack and l1 >= slack and l2 >= slack \
-                    and 1.0 / s < t * (1 - 1e-12) - tol / d:
-                t, facet = 1.0 / s, k
-        if facet < 0:
-            return None
+    rx, ry, rz = r
+    s_max = d / (d - 4 * tol) if d > 4 * tol else math.inf
+    t, facet = math.inf, -1
+    for (m0, m1, m2, m3, m4, m5, m6, m7, m8), k in shape._cones:
+        l0 = m0 * rx + m1 * ry + m2 * rz
+        l1 = m3 * rx + m4 * ry + m5 * rz
+        l2 = m6 * rx + m7 * ry + m8 * rz
+        s = l0 + l1 + l2
+        slack = -1e-9 * s
+        if 0.0 < s <= s_max and l0 >= slack and l1 >= slack and l2 >= slack \
+                and 1.0 / s < t * (1 - 1e-12) - tol / d:
+            t, facet = 1.0 / s, k
+    if facet < 0:
+        return None
     if abs(t - 1.0) * d <= 4 * tol:
         return 1.0, facet
     return (t, facet) if t > 1.0 else None
-
-
-def _psi_polygon_scalar(verts, ax, ay, rx, ry):
-    """The ray from (ax, ay) along (rx, ry) against the polygon's edges:
-    (edge, s, t) of its first crossing with t >= 1 - 1e-9, or None; ties
-    within 1e-9 go to the lowest edge.
-
-    verts is a list of (x, y) floats in loop order.  t is the ray parameter
-    (>= 1 for points in the closed region), s the position along the edge.
-    """
-    n = len(verts)
-    best_t = math.inf
-    best = None
-    for i in range(n):
-        px, py = verts[i]
-        qx, qy = verts[(i + 1) % n]
-        ex = qx - px
-        ey = qy - py
-        den = rx * ey - ry * ex
-        if den == 0.0:
-            continue
-        dx = px - ax
-        dy = py - ay
-        t = (dx * ey - dy * ex) / den
-        s = (dx * ry - dy * rx) / den
-        if -1e-9 <= s <= 1 + 1e-9 and t >= 1 - 1e-9 and t < best_t - 1e-9:
-            best_t = t
-            best = (i, s)
-    if best is None:
-        return None
-    i, s = best
-    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-    return i, s, best_t
 
 
 def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
@@ -648,30 +550,26 @@ def certify_star_centre(shape: StarShape, a) -> Certificate:
 
     ``StarShape`` runs it on its own centre at construction; it also takes
     any other point a of a built shape.  Star test (``_star_test``, exact):
-    every boundary simplex with apex a is positively oriented.  A simple
-    polygon, or a closed, connected, outward-oriented surface, then winds
-    once about a, so a is interior and every ray from a meets the boundary
-    exactly once; an exterior a (winding zero) or a boundary a (a simplex
-    of zero volume) fails it.  theta_obs is the
-    least of the vertex term (``_vertex_angle``, exact) and the plane term
-    (``_plane_angle``): a chord inside a facet makes at least the angle
-    asin(h / |w - a|) with the ray at w, h the distance from a to the facet
-    plane, least at the triangle's (2D: edge's) vertex farthest from a.  The
-    edge term adds nothing: along an edge the ray direction moves affinely,
-    chords across the edge point into the wedge of the two incident
-    half-planes, and with a strictly inside both facet planes no ray enters
-    that wedge, so the least angle to it is a plane term.  A polygon's
-    vertex is such an edge of its normal section, so in 2D the vertex term
-    is the plane term of its two edges and no vertex is tangential.
+    every surface triangle with apex a is positively oriented.  A closed,
+    connected, outward-oriented surface then winds once about a, so a is
+    interior and every ray from a meets the boundary exactly once; an
+    exterior a (winding zero) or a boundary a (a simplex of zero volume)
+    fails it.  theta_obs is the least of the vertex term (``_vertex_angle``,
+    exact) and the plane term (``_plane_angle``): a chord inside a facet
+    makes at least the angle asin(h / |w - a|) with the ray at w, h the
+    distance from a to the facet plane, least at the triangle's vertex
+    farthest from a.  The edge term adds nothing: along an edge the ray
+    direction moves affinely, chords across the edge point into the wedge
+    of the two incident half-planes, and with a strictly inside both facet
+    planes no ray enters that wedge, so the least angle to it is a plane
+    term.
     Returns half of theta_obs and eps = min(min_feature / 2, diameter / 4),
     or raises CertificationFailure: at the first simplex failing the star
     test, then at the first tangential vertex, then below 2 THETA_MIN.
     """
-    a = _as_array(a, shape.dim)
+    a = _as_array(a)
     _star_test(shape, a)
-    theta_obs = _plane_angle(shape, a)
-    if shape.dim == 3:
-        theta_obs = min(_vertex_angle(shape, a), theta_obs)
+    theta_obs = min(_vertex_angle(shape, a), _plane_angle(shape, a))
     eps = min(0.5 * shape.min_feature, 0.25 * shape.diameter)
     theta = theta_obs / 2
     if theta < THETA_MIN:
@@ -726,73 +624,28 @@ def _det3_signs(p, q):
     return signs, det
 
 
-def _area_signs(loop, ax, ay):
-    """The exact signs of the areas of the triangles (a, v_i, v_i+1) over
-    the edges of a vertex loop, by the filter of ``_det3_signs``: the
-    determinant with the third row e3 evaluates there, in its order, to
-    l - r with permanent |l| + |r| (l = u_x v_y, r = v_x u_y, u = v_i - a,
-    v = v_i+1 - a), so the same bound decides its sign in floats; the rest
-    are taken in Fraction."""
-    lo, hi = _SAFE_RANGE
-    signs = []
-    for (x0, y0), (x1, y1) in _loop_edges(loop):
-        d = (x0 - ax, y0 - ay, x1 - ax, y1 - ay)
-        left, right = d[0] * d[3], d[2] * d[1]
-        det = left - right
-        if not (abs(det) > _ORIENT3D_BOUND * (abs(left) + abs(right))
-                and all(lo <= abs(c) <= hi for c in d if c)):
-            det = ((Fraction(x0) - Fraction(ax)) * (Fraction(y1) - Fraction(ay))
-                   - (Fraction(x1) - Fraction(ax)) * (Fraction(y0) - Fraction(ay)))
-        signs.append((det > 0) - (det < 0))
-    return signs
-
-
 def _star_test(shape, a):
-    """Raise CertificationFailure naming the first edge (2D) or triangle (3D)
-    whose simplex with apex a is not positively oriented: in 2D relative to
-    the polygon's own orientation, in 3D to the outward one.
-
-    The signs are exact: ``_det3_signs`` (3D) and ``_area_signs`` (2D)
-    decide each sign that a float filter certifies and take the rest in
-    Fraction on the float coordinates.  The polygon's orientation is the
-    sign of the exact sum of its simplices' areas: where the signs all
-    agree they give it, else that sum is taken in Fraction."""
-    if shape.dim == 2:
-        v = shape._loop
-        simplices = [[i, (i + 1) % len(v)] for i in range(len(v))]
-        signs = _area_signs(v, *a.tolist())
-        if min(signs) == max(signs) != 0:
-            flip = signs[0] < 0
-        else:       # twice the area, exactly
-            flip = sum(Fraction(x0) * Fraction(y1) - Fraction(x1) * Fraction(y0)
-                       for (x0, y0), (x1, y1) in _loop_edges(v)) < 0
-        signs = [-s for s in signs] if flip else signs
-        what = "edge"
-    else:
-        simplices = shape.triangles
-        signs = _det3_signs(shape.vertices[simplices], a)[0].tolist()
-        what = "triangle"
+    """Raise CertificationFailure naming the first surface triangle whose
+    simplex with apex a is not positively oriented (relative to the outward
+    orientation).  The signs are exact: ``_det3_signs`` decides each sign
+    that a float filter certifies and takes the rest in Fraction on the
+    float coordinates."""
+    signs = _det3_signs(shape.vertices[shape.triangles], a)[0].tolist()
     for k, sign in enumerate(signs):
         if sign <= 0:
             raise CertificationFailure(
-                f"star test fails at {what} {k} {shape.vertices[simplices[k]].tolist()}: "
+                f"star test fails at triangle {k} "
+                f"{shape.vertices[shape.triangles[k]].tolist()}: "
                 f"it does not face the centre {a.tolist()}")
 
 
 def _plane_angle(shape, a):
     """Least angle between the centre ray at a boundary point w and the
-    facet (2D: edge) through w: asin(h / max |v - a|) over the vertices v
-    of each triangle (2D: edge), h the distance from a to its plane."""
-    if shape.dim == 2:
-        p0 = shape.vertices - a
-        p1 = np.concatenate((p0[1:], p0[:1]))
-        h = np.abs(p0[:, 0] * p1[:, 1] - p0[:, 1] * p1[:, 0]) / shape._edge_len
-        r = np.hypot(p0[:, 0], p0[:, 1])
-        far = np.maximum(r, np.concatenate((r[1:], r[:1])))
-    else:
-        p = shape.vertices[shape.triangles] - a
-        h = np.abs(np.einsum("ij,ij->i", shape._facet_normal[shape.tri_facet], p[:, 0]))
-        far = np.linalg.norm(p, axis=2).max(axis=1)
+    facet through w: asin(h / max |v - a|) over the vertices v of each
+    triangle, h the distance from a to its plane."""
+    p = shape.vertices[shape.triangles] - a
+    h = np.abs(np.einsum("ij,ij->i", shape._facet_normal[shape.tri_facet], p[:, 0]))
+    far = np.linalg.norm(p, axis=2).max(axis=1)
     return float(np.arcsin(np.minimum(1.0, h / far)).min())
 
 

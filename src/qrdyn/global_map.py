@@ -139,10 +139,9 @@ def _radial_piece(vt, names):
 
 
 def _formula_top_piece(vt, tri_a, tri_b):
-    """Level-L end face: the closed form of F, with the two triangles on
-    which it is affine as its cells."""
-    return FormulaPiece(zorich.F_scalar, [(vt.loop_coords(t), vt.loop_images(t))
-                                          for t in (tri_a, tri_b)])
+    """Level-L end face: the closed form of F, as the two triangles on which
+    it is affine and their images under F."""
+    return FormulaPiece([(vt.loop_coords(t), vt.loop_images(t)) for t in (tri_a, tri_b)])
 
 
 def build_aprime_chart(vt: VertexTable) -> CellChart:
@@ -357,6 +356,11 @@ class GlobalMap:
     result: L' in mode "f", 0.0 in mode "g" (x - 0.0 is x bitwise, -0.0
     included).  The shift is fixed at construction; assigning ``L_prime``
     later, as ``build_maps`` does on g, does not shift the map.
+
+    A point with a NaN coordinate, or with an infinite x1 or x2 in the slab,
+    raises ValueError naming it; above {x3 = L} an infinite x1 or x2 raises
+    ``zorich.PrecisionLost``, and below {x3 = 0} the identity passes every
+    point through unchecked.
     """
 
     def __init__(self, charts, L, L_prime=None, mode="g", constants=None):
@@ -387,8 +391,13 @@ class GlobalMap:
         if z > self.L:
             x, y, z = zorich.F_scalar(x, y, z)
             return (x, y, z - self._shift)
-        n1 = math.floor(x / 4.0)
-        n2 = math.floor(y / 4.0)
+        if z != z:
+            raise ValueError(f"non-finite point {(x, y, z)}")
+        try:
+            n1 = math.floor(x / 4.0)
+            n2 = math.floor(y / 4.0)
+        except (OverflowError, ValueError):
+            raise ValueError(f"non-finite point {(x, y, z)}") from None
         tx = x - 4.0 * n1
         ty = y - 4.0 * n2
         r1 = tx > 2.0
@@ -403,9 +412,6 @@ class GlobalMap:
         if r2:
             gy = 4.0 - gy
         return (gx + 4.0 * n1, gy + 4.0 * n2, gz - self._shift)
-
-    def _pick_cell(self, tx, ty, z):
-        return self._slab_charts[_cell_index(tx, ty, z)]
 
     def eval(self, p):
         return np.asarray(self.eval3(float(p[0]), float(p[1]), float(p[2])))

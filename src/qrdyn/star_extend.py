@@ -5,19 +5,20 @@ regions by transporting radial fractions: a point at fraction s of the way
 from the domain centre to the boundary maps to the point at fraction s from
 the codomain centre to the image boundary point.
 
-The boundary map itself is a dispatch table over domain facets; each piece
-is a nested 2D radial extension living on a planar face, a closed-form map
-with the triangles on which it is affine, or the identity.
+The boundary map itself is a dispatch table over domain facets, and each
+piece of it is given by its affine cells: the fan of a planar face about a
+face centre onto the fan of its image face (the radial extension of the
+face's edge correspondence), the triangles on which a closed-form map is
+affine, or the identity.
 
-Every piece is affine on a few triangles of its patch, so the radial
-extension of a box is affine on the cone from the domain centre over each
-of them.  ``RadialMap`` is built from the pieces and compiles them into its
-``AffineCellTable``, which both evaluates and inverts the map: forward by
-one facet test, one sector test and one affine product, backward by the
-codomain facet from ``psi``, a cone test among that facet's image cells and
-one inverse affine product.  The same cells make the boundary map's
-certificate finite: ``RadialMap.validate_boundary_map`` checks it exactly on
-the cell vertices.
+So the radial extension of a box is affine on the cone from the domain
+centre over each cell.  ``RadialMap`` is built from the pieces and compiles
+them into its ``AffineCellTable``, which both evaluates and inverts the map:
+forward by one facet test, one sector test and one affine product, backward
+by the codomain facet from ``psi``, a cone test among that facet's image
+cells and one inverse affine product.  The same cells make the boundary
+map's certificate finite: ``RadialMap.validate_boundary_map`` checks it
+exactly on the cell vertices.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (CertificationFailure, GeometryError, StarShape, psi,
-                       _det3_signs, _dots, _psi_polygon_scalar, _ray_box_scalar)
+                       _det3_signs, _dots, _ray_box_scalar)
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
 # also the relative tolerance of the facet area sums.
@@ -179,81 +180,18 @@ def pick_star_centre_2d(vertices):
 
 
 # ---------------------------------------------------------------------------
-# 2D radial maps and facet pieces
-
-class RadialMap2D:
-    """Radial extension of the affine edge correspondence between two simple
-    polygons with certified star centres.  Vertex i of the domain corresponds
-    to vertex i of the codomain; edge maps are linear in arclength.  Only
-    the boundary-map check evaluates it; the 3D chart's cell table carries
-    its cones."""
-
-    def __init__(self, domain: StarShape, codomain: StarShape):
-        if domain.dim != 2 or codomain.dim != 2:
-            raise GeometryError("RadialMap2D needs 2D shapes")
-        if len(domain.vertices) != len(codomain.vertices):
-            raise GeometryError("vertex correspondence requires equal counts")
-        self.domain = domain
-        self.codomain = codomain
-        self._dverts = list(map(tuple, domain._loop))
-        self._iverts = list(map(tuple, codomain._loop))
-        self._a = tuple(domain.centre.tolist())
-        self._b = tuple(codomain.centre.tolist())
-        self._tol = domain.tol
-
-    def eval(self, u, v):
-        return _radial_2d(self._dverts, self._iverts, self._a, self._b,
-                          self._tol, u, v)
-
-
-def _radial_2d(src, dst, a, b, tol, u, v):
-    """The radial extension from the polygon src about a to dst about b,
-    at (u, v); the disc of radius tol about a maps to b."""
-    ax, ay = a
-    bx, by = b
-    du = u - ax
-    dv = v - ay
-    if du * du + dv * dv <= tol * tol:
-        return bx, by
-    hit = _psi_polygon_scalar(src, ax, ay, du, dv)
-    if hit is None:
-        raise GeometryError("point outside the domain polygon")
-    i, s, t = hit
-    px, py = dst[i]
-    qx, qy = dst[(i + 1) % len(dst)]
-    wx = px + s * (qx - px)
-    wy = py + s * (qy - py)
-    frac = 1.0 / t
-    return bx + frac * (wx - bx), by + frac * (wy - by)
-
-
-def build_radial_map_2d(domain_vertices, image_vertices,
-                        domain_centre=None, image_centre=None):
-    """RadialMap2D between two polygons given in corresponding vertex order.
-    Centres default to the area centroid, falling back to the visibility
-    kernel centroid (``pick_star_centre_2d``); building each polygon
-    certifies its centre, and raises ``CertificationFailure`` if it is not a
-    non-tangential star centre."""
-    dc = pick_star_centre_2d(domain_vertices) if domain_centre is None else domain_centre
-    ic = pick_star_centre_2d(image_vertices) if image_centre is None else image_centre
-    return RadialMap2D(StarShape.polygon(domain_vertices, dc),
-                       StarShape.polygon(image_vertices, ic))
-
+# facet pieces: the boundary map as its affine cells
 
 class FacetPiece:
-    """One entry of a boundary dispatch table."""
+    """One entry of a boundary dispatch table, as its ``cells``: (domain
+    polygon, image polygon) pairs of 3D points in corresponding order.  The
+    piece is affine on each domain polygon (a triangle, or the whole patch
+    of a piece that is affine on it), and together they cover its patch."""
 
     kind = "abstract"
 
-    def eval3(self, p):          # p, result: (x, y, z) float tuples
-        raise NotImplementedError
-
     def affine_cells(self):
-        """(domain polygon, image polygon) pairs of 3D points, in
-        corresponding order: the piece is affine on each domain polygon (a
-        triangle, or the whole patch of a piece that is affine on it), and
-        together they cover its patch."""
-        raise NotImplementedError
+        return self.cells
 
 
 def _loop(points):
@@ -264,63 +202,44 @@ class IdentityPiece(FacetPiece):
     kind = "identity"
 
     def __init__(self, loop3):
-        self.loop = _loop(loop3)
-
-    def eval3(self, p):
-        return p
-
-    def affine_cells(self):
-        return [(self.loop, self.loop)]
+        loop = _loop(loop3)
+        self.cells = [(loop, loop)]
 
 
 class Radial2DPiece(FacetPiece):
-    """A nested 2D radial extension living on a planar face."""
+    """A planar face mapped onto a planar image face by the radial extension
+    of their edge correspondence (vertex i to vertex i, each edge affine):
+    the fan of triangles from a face centre over each edge, onto the fan
+    from the image face's centre.  Each centre is ``pick_star_centre_2d`` of
+    its face in the face's ``Frame`` (``frame_for_polygon``).  That the fans
+    tile both faces with a positive orientation is not checked here: the
+    chart's ``validate_boundary_map`` checks it exactly."""
 
     kind = "radial2d"
 
-    def __init__(self, domain_loop3, image_loop3,
-                 domain_centre2=None, image_centre2=None):
-        self.domain_loop = _loop(domain_loop3)
-        self.image_loop = _loop(image_loop3)
-        self.dom_frame = frame_for_polygon(self.domain_loop)
-        self.img_frame = frame_for_polygon(self.image_loop)
-        dom2 = [self.dom_frame.to2d(p) for p in self.domain_loop]
-        img2 = [self.img_frame.to2d(p) for p in self.image_loop]
-        self.map2d = build_radial_map_2d(dom2, img2, domain_centre2, image_centre2)
-
-    def eval3(self, p):
-        u, v = self.dom_frame.to2d(p)
-        w1, w2 = self.map2d.eval(u, v)
-        return self.img_frame.to3d(w1, w2)
-
-    def affine_cells(self):
-        """The cones of the 2D extension from the face centre over each edge."""
-        c = self.dom_frame.to3d(*self.map2d._a)
-        c_img = self.img_frame.to3d(*self.map2d._b)
-        dom, img = self.domain_loop, self.image_loop
+    def __init__(self, domain_loop3, image_loop3):
+        dom, img = _loop(domain_loop3), _loop(image_loop3)
+        if len(dom) != len(img):
+            raise GeometryError("vertex correspondence requires equal counts")
+        self.dom_frame = frame_for_polygon(dom)
+        self.img_frame = frame_for_polygon(img)
+        self.dom_centre = pick_star_centre_2d([self.dom_frame.to2d(p) for p in dom])
+        self.img_centre = pick_star_centre_2d([self.img_frame.to2d(p) for p in img])
+        c = self.dom_frame.to3d(*self.dom_centre)
+        c_img = self.img_frame.to3d(*self.img_centre)
         n = len(dom)
-        return [((c, dom[i], dom[(i + 1) % n]), (c_img, img[i], img[(i + 1) % n]))
-                for i in range(n)]
+        self.cells = [((c, dom[i], dom[(i + 1) % n]), (c_img, img[i], img[(i + 1) % n]))
+                      for i in range(n)]
 
 
 class FormulaPiece(FacetPiece):
-    """A named closed-form facet map with piecewise-affine structure.
-
-    ``fn(x, y, z)`` evaluates the formula; ``cells`` lists the (domain
-    triangle, image triangle) pairs on which it is affine, the piece's
-    cells."""
+    """A closed-form facet map with piecewise-affine structure, as the
+    (domain triangle, image triangle) pairs on which it is affine."""
 
     kind = "formula"
 
-    def __init__(self, fn, cells):
-        self.fn = fn
+    def __init__(self, cells):
         self.cells = [(_loop(dom), _loop(img)) for dom, img in cells]
-
-    def eval3(self, p):
-        return self.fn(*p)
-
-    def affine_cells(self):
-        return self.cells
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +257,14 @@ class TrivialSelect:
 
 
 class QuadrantSelect:
-    """Dispatch over four sub-squares of a facet by (x1, x2) quadrant."""
+    """Dispatch over the four sub-squares of a facet by its (x1, x2)
+    quadrant about (1, 1)."""
 
-    def __init__(self, pieces, split=(1.0, 1.0)):
+    def __init__(self, pieces):
         self.pieces = list(pieces)   # order: (lo,lo), (hi,lo), (lo,hi), (hi,hi)
-        self.split = split
 
     def select(self, hp):
-        k = (1 if hp[0] > self.split[0] else 0) + \
-            (2 if hp[1] > self.split[1] else 0)
+        k = (1 if hp[0] > 1.0 else 0) + (2 if hp[1] > 1.0 else 0)
         return self.pieces[k], k
 
 
@@ -419,16 +337,16 @@ class RadialMap:
     def validate_boundary_map(self) -> ValidationReport:
         """Exact check of the boundary map on the pieces' affine cells.
 
-        For every cell (dom, img) of every piece: the images of dom's
-        vertices by ``piece.eval3`` agree with img, and each cell vertex is
-        mapped alike by every cell that contains it, so images agree along
-        shared edges (``worst_seam_dev``); the images lie in the plane of a
+        For every cell (dom, img) of every piece: each cell vertex is mapped
+        alike by every cell that contains it, so images agree along shared
+        edges (``worst_seam_dev``); the images lie in the plane of a
         codomain facet the piece serves (``worst_boundary_dev``); the image
         of each cell, ordered positively in its domain facet, is positive
         in that codomain facet; and the cells' areas sum to each domain
-        facet's area, their images' to each codomain facet's.  The signs are
-        exact: ``_oriented_areas`` takes them for all triangles of the chart
-        from ``geometry._det3_signs``, whose float filter decides every sign
+        facet's area, their images' to each codomain facet's, so each face
+        fan is positively oriented and tiles its face.  The signs are exact:
+        ``_oriented_areas`` takes them for all triangles of the chart from
+        ``geometry._det3_signs``, whose float filter decides every sign
         outside Shewchuk's error bound and leaves the rest, zero areas among
         them, to Fraction.  The seam check over the triangles is one batched
         solve (``_cover_deviation``).
@@ -446,24 +364,21 @@ class RadialMap:
         serves = {}
         for f, piece in self.piece_by_codomain_facet.items():
             serves.setdefault(id(piece), []).append(f)
-        cells = []      # (domain polygon, its images, image polygon, facets served)
+        cells = []      # (domain polygon, image polygon, facets served)
         for piece in self.all_pieces:
             facets = serves.get(id(piece))
             if not facets:
                 raise GeometryError(f"piece {piece.kind} serves no codomain facet")
-            for dom, img in piece.affine_cells():
-                dom = np.asarray(dom, dtype=float).tolist()
-                cells.append((dom, [piece.eval3(p) for p in map(tuple, dom)], img, facets))
+            cells += [(dom, img, facets) for dom, img in piece.affine_cells()]
         # every cell vertex in one stack, cell after cell
         size = np.array([len(cell[0]) for cell in cells])
         start = np.cumsum(size) - size
-        dom, got, img = (np.array([p for cell in cells for p in cell[j]], dtype=float)
-                         for j in range(3))
-        worst_seam = float(np.linalg.norm(got - img, axis=1).max())
+        dom, img = (np.array([p for cell in cells for p in cell[j]], dtype=float)
+                    for j in range(2))
         # the domain facet that holds each cell, and of the codomain facets
         # its piece serves the one nearest to its images (the first on ties)
         cell_fd = np.argmin(np.maximum.reduceat(np.abs(dom @ dom_n.T - dom_d), start), axis=1)
-        off_plane = np.abs(np.matmul(got[:, None, None, :], cod_n[None, :, :, None])[..., 0, 0]
+        off_plane = np.abs(np.matmul(img[:, None, None, :], cod_n[None, :, :, None])[..., 0, 0]
                            - cod_d)
         devs = np.maximum.reduceat(off_plane, start)
         cell_fc = [facets[int(np.argmin(devs[c, facets]))]
@@ -473,9 +388,9 @@ class RadialMap:
         cell = np.repeat(np.arange(len(cells)), size - 2)
         corners = np.array([(s, s + i, s + i + 1) for s, n in zip(start.tolist(), size.tolist())
                             for i in range(1, n - 1)])
-        dom, img = dom[corners], got[corners]
+        dom, img = dom[corners], img[corners]
         fd, fc = cell_fd[cell], np.asarray(cell_fc)[cell]
-        worst_seam = max(worst_seam, _cover_deviation(dom, img, self.domain.tol * 1e3))
+        worst_seam = _cover_deviation(dom, img, self.domain.tol * 1e3)
 
         signs, areas = _oriented_areas(np.concatenate([dom_n[fd], cod_n[fc]]),
                                        np.concatenate([dom, img]))

@@ -14,7 +14,7 @@ determinant for K_F and the margins.
 An F step from a point with |x1| or |x2| beyond HORIZON raises
 PrecisionLost: there a float's spacing is at least 0.25, so the fold modulo
 the period 4, and with it the sign of the third coordinate, is rounding
-noise.
+noise.  One from a NaN x1 or x2 raises ValueError.
 """
 
 from __future__ import annotations
@@ -119,7 +119,11 @@ def zorich_eval(x):
 
 
 def F_scalar(x1, x2, x3):
-    if abs(x1) > HORIZON or abs(x2) > HORIZON:
+    """F at (x1, x2, x3); raises PrecisionLost where |x1| or |x2| exceeds
+    HORIZON (inf included), and ValueError where x1 or x2 is NaN."""
+    if not (abs(x1) <= HORIZON and abs(x2) <= HORIZON):
+        if x1 != x1 or x2 != x2:
+            raise ValueError(f"non-finite point {(x1, x2, x3)}")
         raise PrecisionLost(x1, x2, x3)
     z1, z2, z3 = zorich_scalar(x1, x2, x3)
     return (x1 + z1, x2 + z2, x3 + z3)

@@ -2,9 +2,10 @@
 and cone frames, kept here as the oracles of the tests.
 
 - ``radial_eval`` and ``radial_inverse``: a chart's radial extension and its
-  inverse by the radial formula, through the boundary pieces;
-- ``invert_piece`` and ``radial2d_invert``: the inverses of the boundary
-  pieces and of a 2D radial map;
+  inverse by the radial formula, through the boundary pieces, which
+  ``eval_piece`` and ``invert_piece`` evaluate by their formulas: the
+  identity, the 2D radial extension ``_radial_2d`` of a face in its frame
+  (its ray crossing by ``_psi_polygon_scalar``), and ``zorich.F_scalar``;
 - ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
   triangles (``_ray_tris``), exterior where no crossing lies at or beyond x;
 - ``facet_vertex_cones_probe``: the generators of each facet's direction
@@ -34,10 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from qrdyn.geometry import (BoundaryHit, CertificationFailure, GeometryError, _as_array,
-                            _point_in_tri2, _ray_box_scalar)
-from qrdyn.star_extend import _radial_2d
-from qrdyn.zorich import _EXP_ARG_MAX, _fold1
+from qrdyn.geometry import (TAU_GEOM, BoundaryHit, CertificationFailure, GeometryError,
+                            _as_array, _point_in_tri2, _ray_box_scalar)
+from qrdyn.zorich import _EXP_ARG_MAX, F_scalar, _fold1
 
 
 def _ray_tris(shape, origin, direction):
@@ -66,7 +66,7 @@ def psi_ray_oracle(shape, x):
     """psi on a 3D shape that is not a box: the nearest ray crossing at or
     beyond x (within 4 tol), ties to the lowest facet; exterior where there
     is none."""
-    x = _as_array(x, 3)
+    x = _as_array(x)
     a = shape.centre
     r = x - a
     dist = float(np.linalg.norm(r))
@@ -178,10 +178,60 @@ def oriented_area_fraction(normal, tri):
     return (s > 0) - (s < 0), float(s) / 2
 
 
-def radial2d_invert(m, w1, w2):
-    """The inverse of a RadialMap2D: the radial extension of the inverse
-    edge correspondence."""
-    return _radial_2d(m._iverts, m._dverts, m._b, m._a, m.codomain.tol, w1, w2)
+def _psi_polygon_scalar(verts, ax, ay, rx, ry):
+    """The ray from (ax, ay) along (rx, ry) against the edges of the polygon
+    verts ((x, y) floats in loop order): (edge, s, t) of its first crossing
+    with t >= 1 - 1e-9, ties within 1e-9 to the lowest edge, or None; t is
+    the ray parameter, s the position along the edge."""
+    best_t, best = math.inf, None
+    for i, (px, py) in enumerate(verts):
+        qx, qy = verts[(i + 1) % len(verts)]
+        ex, ey = qx - px, qy - py
+        den = rx * ey - ry * ex
+        if den == 0.0:
+            continue
+        dx, dy = px - ax, py - ay
+        t = (dx * ey - dy * ex) / den
+        s = (dx * ry - dy * rx) / den
+        if -1e-9 <= s <= 1 + 1e-9 and t >= 1 - 1e-9 and t < best_t - 1e-9:
+            best_t, best = t, (i, min(max(s, 0.0), 1.0))
+    return None if best is None else (*best, best_t)
+
+
+def _radial_2d(src, dst, a, b, u, v):
+    """The radial extension from the polygon src about a to dst about b, at
+    (u, v), vertex i to vertex i; the disc about a of radius TAU_GEOM times
+    src's diameter maps to b."""
+    (ax, ay), (bx, by) = a, b
+    du, dv = u - ax, v - ay
+    tol = TAU_GEOM * math.dist(np.min(src, axis=0), np.max(src, axis=0))
+    if du * du + dv * dv <= tol * tol:
+        return b
+    hit = _psi_polygon_scalar(src, ax, ay, du, dv)
+    if hit is None:
+        raise GeometryError("point outside the domain polygon")
+    i, s, t = hit
+    (px, py), (qx, qy) = dst[i], dst[(i + 1) % len(dst)]
+    return bx + (px + s * (qx - px) - bx) / t, by + (py + s * (qy - py) - by) / t
+
+
+def _faces_2d(piece):
+    """A Radial2D piece's domain and image faces in their frames."""
+    return ([piece.dom_frame.to2d(dom[1]) for dom, _ in piece.cells],
+            [piece.img_frame.to2d(img[1]) for _, img in piece.cells])
+
+
+def eval_piece(piece, h):
+    """A boundary piece at a point h of its patch, by its formula."""
+    if piece.kind == "identity":
+        return h
+    if piece.kind == "radial2d":
+        dom, img = _faces_2d(piece)
+        w = _radial_2d(dom, img, piece.dom_centre, piece.img_centre, *piece.dom_frame.to2d(h))
+        return piece.img_frame.to3d(*w)
+    if piece.kind == "formula":
+        return F_scalar(*h)
+    raise TypeError(f"no formula for a {piece.kind} piece")
 
 
 def _transport(src, dst, p):
@@ -202,8 +252,9 @@ def invert_piece(piece, q):
     if piece.kind == "identity":
         return q
     if piece.kind == "radial2d":
-        u, v = radial2d_invert(piece.map2d, *piece.img_frame.to2d(q))
-        return piece.dom_frame.to3d(u, v)
+        dom, img = _faces_2d(piece)
+        u = _radial_2d(img, dom, piece.img_centre, piece.dom_centre, *piece.img_frame.to2d(q))
+        return piece.dom_frame.to3d(*u)
     if piece.kind == "formula":
         # the affine inverse on the image triangle that q misses least
         return max((_transport(img, dom, q) for dom, img in piece.cells),
@@ -224,7 +275,7 @@ def radial_eval(rmap, p):
     facet, t = _ray_box_scalar(ax, ay, az, lo, hi, x, y, z)
     h = (ax + t * dx, ay + t * dy, az + t * dz)
     piece, _ = rmap.selectors_by_facet[facet].select(h)
-    wx, wy, wz = piece.eval3(h)
+    wx, wy, wz = eval_piece(piece, h)
     frac = 1.0 / t
     return (bx + frac * (wx - bx), by + frac * (wy - by), bz + frac * (wz - bz))
 

@@ -11,9 +11,8 @@ from oracles import (cell_linear_part, facet_is_planar_rows, frame_rows,
                      image_cell_frames, pick_star_centre_2d_rows, polygon_kernel_rows,
                      polygon_normal_rows, radial_eval, radial_inverse, sector_entry,
                      triangulate_planar_rows)
-from qrdyn.geometry import (GeometryError, StarShape, _area_signs, _det3_signs,
-                            _facet_coordinates, _triangulate_planar)
-from qrdyn.global_map import (ConstructionError, cell_dilatations,
+from qrdyn.geometry import GeometryError, StarShape, _facet_coordinates, _triangulate_planar
+from qrdyn.global_map import (ConstructionError, _cell_index, cell_dilatations,
                               certify_cell_orientation)
 from qrdyn.star_extend import RadialMap, frame_for_polygon, pick_star_centre_2d, polygon_kernel
 
@@ -223,7 +222,7 @@ def _radial_slab(gm, x, y, z):
         tx = 4.0 - tx
     if r2:
         ty = 4.0 - ty
-    gx, gy, gz = radial_eval(gm._pick_cell(tx, ty, z).map, (tx, ty, z))
+    gx, gy, gz = radial_eval(gm._slab_charts[_cell_index(tx, ty, z)].map, (tx, ty, z))
     if r1:
         gx = 4.0 - gx
     if r2:
@@ -321,9 +320,11 @@ class TestBuildMatchesOracles:
         faces = _radial_faces(build)
         assert len(faces) == 24
         for piece in faces:
-            for loop, frame, shape in ((piece.domain_loop, piece.dom_frame, piece.map2d.domain),
-                                       (piece.image_loop, piece.img_frame,
-                                        piece.map2d.codomain)):
+            for j, (frame, centre) in enumerate(((piece.dom_frame, piece.dom_centre),
+                                                 (piece.img_frame, piece.img_centre))):
+                loop = [cell[j][1] for cell in piece.cells]
+                # every fan triangle has the face centre as its first vertex
+                assert {cell[j][0] for cell in piece.cells} == {frame.to3d(*centre)}
                 assert _bits(frame_rows(loop)) == _bits([
                     (frame._ox, frame._oy, frame._oz), (frame._e1x, frame._e1y, frame._e1z),
                     (frame._e2x, frame._e2y, frame._e2z)])
@@ -332,7 +333,7 @@ class TestBuildMatchesOracles:
                 flat = [frame.to2d(p) for p in loop]
                 assert _bits(polygon_kernel(flat)) == _bits(polygon_kernel_rows(flat))
                 assert _bits(pick_star_centre_2d(flat)) == _bits(pick_star_centre_2d_rows(flat))
-                assert _bits(shape.centre) == _bits(pick_star_centre_2d_rows(flat))
+                assert _bits(centre) == _bits(pick_star_centre_2d_rows(flat))
 
     def test_random_planar_polygons(self):
         # seeded planar polygons in general position: numpy's dot and norm
@@ -359,26 +360,6 @@ class TestBuildMatchesOracles:
             tris, pts2 = triangulate_planar_rows(v, list(range(n)))
             assert _bits(plane[0]) == _bits(pts2)
             assert _triangulate_planar(list(range(n)), plane[0]) == tris
-
-    def test_polygon_signs_are_the_det3_signs(self, build):
-        # the 2D star test's float filter against the 3D one, on the 48 face
-        # polygons and on polygons whose signs need Fraction
-        rng = np.random.default_rng(3)
-        loops = [(s._loop, s.centre.tolist()) for piece in _radial_faces(build)
-                 for s in (piece.map2d.domain, piece.map2d.codomain)]
-        loops += [([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [0.5, 0.0]),
-                  ([[0.1, 0.1], [0.3, 0.3], [0.7, 0.1]], [0.5, 0.5]),
-                  ([[1e-300, 0.0], [0.0, 1e-300], [-1e-300, 0.0]], [0.0, 0.0])]
-        loops += [(rng.normal(size=(5, 2)).tolist(), rng.normal(size=2).tolist())
-                  for _ in range(20)]
-        for loop, a in loops:
-            n = len(loop)
-            p = np.zeros((n, 3, 3))
-            p[:, :2, :2] = np.array(loop)[[[i, (i + 1) % n] for i in range(n)]]
-            p[:, 2, 2] = 1.0
-            q = np.zeros((3, 3))
-            q[:2, :2] = a
-            assert _area_signs(loop, *a) == _det3_signs(p, q)[0].tolist(), (loop, a)
 
     def test_polyhedra(self, build):
         shapes = _polyhedra(build)

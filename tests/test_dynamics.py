@@ -202,6 +202,11 @@ class TestMaxModulus:
         with pytest.raises(ValueError):
             max_modulus_estimate(fhandle, 10.0, samples=10)
 
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_non_finite_radius_is_rejected(self, fhandle, r):
+        with pytest.raises(ValueError, match="non-finite radius"):
+            max_modulus_estimate(fhandle, r)
+
     def test_equals_the_numpy_direction_loop(self, fhandle):
         # the float loop over cached direction tuples returns the value of
         # the loop over r * (direction array), bitwise, past r = 355 too

@@ -21,10 +21,6 @@ def cube(a=(0.0, 0.0, 0.0)):
     return StarShape.cuboid([-1, -1, -1], [1, 1, 1], centre=a)
 
 
-def unit_square(a=(0.0, 0.0)):
-    return StarShape.polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)], a)
-
-
 # image pentagon of the side face {x1 = 0}, in (x2, x3) coordinates; its
 # visibility kernel lies above the line through (2, 3.5) and (4, 4), so
 # (1, 3.5) is a star centre and (1, 2) is not
@@ -32,25 +28,21 @@ PENTAGON = [(0.0, 0.0), (0.0, 4.0), (4.0, 4.0), (2.0, 3.5), (2.0, 0.0)]
 PENTAGON_CENTRE = (1.0, 3.5)
 
 
-def ray_segment_oracle(vertices, a, x):
-    """Independent 2D oracle: first boundary crossing of the ray a->x with
-    ray parameter >= 1, by brute force over all edges."""
-    a = np.asarray(a, float)
-    r = np.asarray(x, float) - a
-    best = (math.inf, None, None)
-    n = len(vertices)
-    for i in range(n):
-        p = np.asarray(vertices[i], float)
-        q = np.asarray(vertices[(i + 1) % n], float)
-        e = q - p
-        den = r[0] * e[1] - r[1] * e[0]
-        if abs(den) < 1e-15:
-            continue
-        t = ((p[0] - a[0]) * e[1] - (p[1] - a[1]) * e[0]) / den
-        s = ((p[0] - a[0]) * r[1] - (p[1] - a[1]) * r[0]) / den
-        if 0 - 1e-12 <= s <= 1 + 1e-12 and t >= 1 - 1e-12 and t < best[0]:
-            best = (t, i, p + s * e)
-    return best
+def prism(base, centre, height=1.0):
+    """The right prism of the given height over a polygon in the (x1, x2)
+    plane: facet 0 the bottom, facet 1 the top and facet 2 + i the side over
+    the edge from base vertex i to vertex i + 1."""
+    verts = [(x, y, z) for z in (0.0, height) for (x, y) in base]
+    m = len(base)
+    facets = [list(range(m - 1, -1, -1)), list(range(m, 2 * m))]
+    facets += [[i, (i + 1) % m, (i + 1) % m + m, i + m] for i in range(m)]
+    return StarShape.polyhedron(verts, facets, centre)
+
+
+def pentagon(centre2=PENTAGON_CENTRE):
+    """The prism of height 4 over the pentagon, about (centre2, 2); star
+    about it exactly where the pentagon is star about centre2."""
+    return prism(PENTAGON, (*centre2, 2.0), height=4.0)
 
 
 class TestLocate:
@@ -64,12 +56,6 @@ class TestLocate:
 
     def test_cube_outside_point_is_exterior(self):
         assert locate(cube(), (2, 0, 0)).kind == "exterior"
-
-    def test_polygon_classification(self):
-        sq = unit_square()
-        assert locate(sq, (0.2, -0.3)).kind == "interior"
-        assert locate(sq, (1.0, 0.5)).kind == "boundary"
-        assert locate(sq, (1.5, 0.0)).kind == "exterior"
 
 
 # the 6-vertex triangulation of the real projective plane: closed, each edge
@@ -123,36 +109,30 @@ class TestPsi:
         assert np.allclose(hit.point, (1, 0, 0), atol=1e-12)
         assert hit.t == pytest.approx(2.0, abs=1e-12)
 
-    def test_square_diagonal_ray_to_corner(self):
-        hit = psi(unit_square(), (0.3, 0.3))
-        assert np.allclose(hit.point, (1, 1), atol=1e-12)
-        assert hit.t == pytest.approx(10.0 / 3.0, abs=1e-12)
-
     def test_pentagon_matches_brute_force_oracle(self):
-        a = PENTAGON_CENTRE
-        shape = StarShape.polygon(PENTAGON, a)
-        x = (1.0, 3.75)
-        t_or, edge_or, pt_or = ray_segment_oracle(PENTAGON, a, x)
+        # the ray from the centre through x leaves by the side over edge 1
+        shape = pentagon()
+        x = (1.0, 3.75, 2.0)
+        want = psi_ray_oracle(shape, x)
         hit = psi(shape, x)
-        assert hit.facet == edge_or == 1
-        assert np.allclose(hit.point, pt_or, atol=1e-12)
-        assert np.allclose(hit.point, (1.0, 4.0), atol=1e-12)
-        assert hit.t == pytest.approx(t_or, rel=1e-12)
+        assert hit.facet == want.facet == 3
+        assert np.allclose(hit.point, want.point, atol=1e-12)
+        assert np.allclose(hit.point, (1.0, 4.0, 2.0), atol=1e-12)
+        assert hit.t == pytest.approx(want.t, rel=1e-12)
 
     def test_pentagon_random_rays_match_oracle(self):
-        a = np.array(PENTAGON_CENTRE)
-        shape = StarShape.polygon(PENTAGON, a)
+        shape = pentagon()
+        a = shape.centre
         rng = np.random.default_rng(3)
         checked = 0
         while checked < 200:
-            x = rng.random(2) * np.array([4.0, 4.0])
+            x = rng.random(3) * 4.0
             if locate(shape, x).kind != "interior":
                 continue
             if np.linalg.norm(x - a) < 1e-3:
                 continue
-            t_or, edge_or, pt_or = ray_segment_oracle(PENTAGON, a, x)
             hit = psi(shape, x)
-            assert np.allclose(hit.point, pt_or, atol=1e-9)
+            assert np.allclose(hit.point, psi_ray_oracle(shape, x).point, atol=1e-9)
             checked += 1
 
     def test_centre_and_exterior_raise(self):
@@ -201,33 +181,29 @@ class TestCertification:
         with pytest.raises(CertificationFailure, match="star test"):
             certify_star_centre(cube(), (1, 0.2, 0.3))
         with pytest.raises(CertificationFailure, match="star test"):
-            StarShape.polygon(PENTAGON, (0.0, 1.0))
+            pentagon((0.0, 1.0))
 
     def test_every_shape_carries_its_centre_certificate(self, build):
-        # the build's 5 boxes, 5 codomain polyhedra and the 48 face polygons
-        # of its 24 nested 2D radial maps, then three shapes of the tests
+        # the build's 5 boxes and 5 codomain polyhedra, then three shapes of
+        # the tests
         shapes = {}
         for chart in build.g.charts:
             for shape in (chart.map.domain, chart.map.codomain):
                 shapes[id(shape)] = shape
-            for piece in chart.map.all_pieces:
-                if piece.kind == "radial2d":
-                    for shape in (piece.map2d.domain, piece.map2d.codomain):
-                        shapes[id(shape)] = shape
-        assert len(shapes) == 58
-        shapes = [*shapes.values(), cube(), unit_square((0.3, -0.2)),
-                  StarShape.polygon(PENTAGON, PENTAGON_CENTRE)]
+        assert len(shapes) == 10
+        shapes = [*shapes.values(), cube((0.3, -0.2, 0.1)), pentagon(), l_prism(L_CENTRE)]
         for shape in shapes:
             assert shape.certificate == certify_star_centre(shape, shape.centre)
 
     def test_nonconvex_pentagon_needs_kernel_centre(self):
         # the area centroid of this pentagon does not see the whole boundary;
-        # the kernel fallback produces a certifiable centre
+        # the kernel fallback gives a centre about which the prism over the
+        # pentagon certifies
         kern = polygon_kernel(PENTAGON)
         assert kern, "kernel should be nonempty"
         centre = pick_star_centre_2d(PENTAGON)
-        shape = StarShape.polygon(PENTAGON, centre)
-        cert = certify_star_centre(shape, centre)
+        shape = pentagon(centre)
+        cert = certify_star_centre(shape, shape.centre)
         assert cert.theta > 0.01
         # kernel of this pentagon sits high: x3 >= 3 + 0.25*(x2 - 2)
         assert centre[1] >= 3.0
@@ -243,8 +219,7 @@ class TestLipschitz:
         assert eta == pytest.approx(min(0.5, s / 4, 1.0 * s / (4 * math.sqrt(3))), rel=1e-12)
         assert eta <= 0.5
 
-    @pytest.mark.parametrize("make", [cube, lambda: StarShape.polygon(
-        PENTAGON, pick_star_centre_2d(PENTAGON))])
+    @pytest.mark.parametrize("make", [cube, lambda: pentagon(pick_star_centre_2d(PENTAGON))])
     def test_psi_local_lipschitz_bound(self, make):
         shape = make()
         eta, T = local_lipschitz_constants(shape)
@@ -254,7 +229,7 @@ class TestLipschitz:
         hi = shape.vertices.max(axis=0)
         tested = 0
         while tested < 2000:
-            xi = lo + rng.random(shape.dim) * (hi - lo)
+            xi = lo + rng.random(3) * (hi - lo)
             if locate(shape, xi).kind != "interior":
                 continue
             rxi = np.linalg.norm(xi - a)
@@ -263,7 +238,7 @@ class TestLipschitz:
             pair = []
             for _ in range(2):
                 for _try in range(50):
-                    cand = xi + (rng.random(shape.dim) - 0.5) * 2 * eta * rxi
+                    cand = xi + (rng.random(3) - 0.5) * 2 * eta * rxi
                     if (np.linalg.norm(cand - xi) <= eta * rxi
                             and locate(shape, cand).kind != "exterior"
                             and np.linalg.norm(cand - a) > 1e-9):
@@ -284,13 +259,9 @@ class TestLipschitz:
 # brute-force oracles for the exact certificate
 
 def _boundary_grid(shape, k):
-    """The points of a grid of step 1/k on every edge (2D) or, in barycentric
-    coordinates, on every surface triangle (3D)."""
+    """The points of a grid of step 1/k, in barycentric coordinates, on
+    every surface triangle."""
     v = shape.vertices
-    if shape.dim == 2:
-        s = np.linspace(0.0, 1.0, k + 1)[:, None]
-        return np.concatenate([v[i] + s * (np.roll(v, -1, axis=0)[i] - v[i])
-                               for i in range(len(v))])
     ij = np.array([(i, j) for i in range(k + 1) for j in range(k + 1 - i)]) / k
     tri = v[shape.triangles]
     return np.concatenate([t[0] + ij[:, :1] * (t[1] - t[0]) + ij[:, 1:] * (t[2] - t[0])
@@ -314,25 +285,10 @@ def _chord_oracle(shape, a, k):
 
 
 def _visible_oracle(shape, a, w):
-    """The visibility test of one segment a -> w, edge by edge (2D) or
-    triangle by triangle (3D)."""
+    """The visibility test of one segment a -> w, triangle by triangle."""
     r = w - a
     dist = float(np.linalg.norm(r))
     if dist <= shape.tol:
-        return True
-    if shape.dim == 2:
-        v = shape.vertices
-        n = len(v)
-        for i in range(n):
-            e = v[(i + 1) % n] - v[i]
-            den = r[0] * e[1] - r[1] * e[0]
-            if abs(den) < 1e-300:
-                continue
-            dx, dy = v[i][0] - a[0], v[i][1] - a[1]
-            t = (dx * e[1] - dy * e[0]) / den
-            s = (dx * r[1] - dy * r[0]) / den
-            if 1e-9 < s < 1 - 1e-9 and shape.tol / dist < t < 1 - 1e-7:
-                return False
         return True
     d = r / dist
     p0, p1, p2 = np.moveaxis(shape.vertices[shape.triangles], 1, 0)
@@ -350,57 +306,42 @@ def _visible_oracle(shape, a, w):
     return True
 
 
-def _first_backward_simplex(vertices, a, triangles=None):
-    """Index of the first edge of a polygon (no ``triangles``) or triangle
-    of an outward-oriented surface whose simplex with apex a has a
-    non-positive orientation, in floats."""
+def _first_backward_simplex(vertices, a, triangles):
+    """Index of the first triangle of an outward-oriented surface whose
+    simplex with apex a has a non-positive orientation, in floats."""
     v = np.asarray(vertices, dtype=float) - a
-    if triangles is None:
-        w = np.roll(v, -1, axis=0)
-        vol = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        vol = vol * np.sign(vol.sum())
-    else:
-        vol = np.linalg.det(v[triangles])
-    return int(np.flatnonzero(vol <= 0)[0])
+    return int(np.flatnonzero(np.linalg.det(v[triangles]) <= 0)[0])
 
 
-# a U-shaped polygon, which has no star centre, and an L-shaped prism, star
-# about a point of its corner block; points in one arm do not see the other
-# arm
-U_SHAPE = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 1), (1, 1), (1, 3), (0, 3)]
+# an L-shaped prism, star about a point of its corner block; points in one
+# arm do not see the other arm
 L_BASE = [(0, 0), (3, 0), (3, 1), (1, 1), (1, 3), (0, 3)]
 L_CENTRE = (0.5, 0.5, 0.5)
 L_HIDDEN = (2.5, 0.5, 0.5)
 
 
 def l_prism(centre):
-    verts = [(x, y, z) for z in (0.0, 1.0) for (x, y) in L_BASE]
-    m = len(L_BASE)
-    facets = [list(range(m - 1, -1, -1)), list(range(m, 2 * m))]
-    facets += [[i, (i + 1) % m, (i + 1) % m + m, i + m] for i in range(m)]
-    return StarShape.polyhedron(verts, facets, centre)
+    return prism(L_BASE, centre)
 
 
 class TestBatchedCertification:
     @pytest.mark.parametrize("which", ["pentagon", "cube", "aprime"])
     def test_theta_below_brute_force_chord_minimum(self, which, request):
         if which == "pentagon":
-            shape = StarShape.polygon(PENTAGON, pick_star_centre_2d(PENTAGON))
+            shape = pentagon(pick_star_centre_2d(PENTAGON))
         elif which == "cube":
             shape = cube()
         else:
             shape = request.getfixturevalue("build").g.by_id["A'"].map.codomain
         a = shape.centre
         cert = certify_star_centre(shape, a)
-        theta_obs = _plane_angle(shape, a)
-        if shape.dim == 3:
-            theta_obs = min(theta_obs, _vertex_angle(shape, a))
+        theta_obs = min(_plane_angle(shape, a), _vertex_angle(shape, a))
         assert cert.theta == min(theta_obs / 2, math.pi / 4 - 1e-9)
-        brute = _chord_oracle(shape, a, 24 if shape.dim == 2 else 6)
+        brute = _chord_oracle(shape, a, 6)
         assert theta_obs <= brute * (1 + 1e-12)
 
     @pytest.mark.parametrize("make, hidden", [
-        (lambda: StarShape.polygon(PENTAGON, PENTAGON_CENTRE), (1.0, 2.0)),
+        (pentagon, (1.0, 2.0, 2.0)),
         (lambda: l_prism(L_CENTRE), L_HIDDEN)], ids=["pentagon", "l_prism"])
     def test_visibility_kernel_matches_oracle(self, make, hidden):
         # the star test passes exactly where the point sees every grid point
@@ -417,22 +358,17 @@ class TestBatchedCertification:
                 passed = False
             assert passed == seen == (a is shape.centre)
 
-    @pytest.mark.parametrize("which", ["u_polygon", "l_prism"])
+    @pytest.mark.parametrize("which", ["l_prism"])
     def test_hidden_centre_fails_visibility_audit(self, which):
         # the star test is the exact visibility audit: construction rejects
-        # these centres before the vertex term, naming the first simplex that
-        # does not face the centre
-        if which == "u_polygon":
-            what, k = "edge", _first_backward_simplex(U_SHAPE, (0.5, 2.0))
-            make = lambda: StarShape.polygon(U_SHAPE, (0.5, 2.0))
-        else:
-            star = l_prism(L_CENTRE)
-            what = "triangle"
-            k = _first_backward_simplex(star.vertices, L_HIDDEN, star.triangles)
-            make = lambda: l_prism(L_HIDDEN)
+        # the hidden centre before the vertex term, naming the first simplex
+        # that does not face it
+        make, centre, hidden = {"l_prism": (l_prism, L_CENTRE, L_HIDDEN)}[which]
+        star = make(centre)
+        k = _first_backward_simplex(star.vertices, hidden, star.triangles)
         with pytest.raises(CertificationFailure,
-                           match=re.escape(f"star test fails at {what} {k} ")):
-            make()
+                           match=re.escape(f"star test fails at triangle {k} ")):
+            make(hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +590,13 @@ def _facets_at(shape):
 
 def named_shape(which, request):
     """A chart codomain of the build, the polyhedral cube, the L-prism or the
-    pentagon, each about a star centre."""
+    pentagon prism, each about a star centre."""
     if which == "cube":
         return poly_cube()
     if which == "l_prism":
         return l_prism(L_CENTRE)
     if which == "pentagon":
-        return StarShape.polygon(PENTAGON, PENTAGON_CENTRE)
+        return pentagon()
     cell = "A'" if which == "aprime" else f"A''{which[-1]}"
     return request.getfixturevalue("build").g.by_id[cell].map.codomain
 
@@ -735,7 +671,7 @@ def _probe_points(shape, rng):
     and outside along the centre ray through each vertex."""
     lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
     pad = 0.2 * (hi - lo)
-    pts = list(lo - pad + rng.random((300, shape.dim)) * (hi - lo + 2 * pad))
+    pts = list(lo - pad + rng.random((300, 3)) * (hi - lo + 2 * pad))
     for x in pts[:100]:
         if np.linalg.norm(x - shape.centre) > shape.tol:
             try:

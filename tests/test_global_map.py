@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import struct
 import types
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 from qrdyn import geometry
 from qrdyn.geometry import StarShape
-from qrdyn.global_map import (ConstructionError, assemble_g, audit_dilatation,
+from qrdyn.global_map import (ConstructionError, _cell_index, assemble_g, audit_dilatation,
                               audit_orientation, audit_seams,
                               build_asecond_charts, build_maps, build_vertex_table,
                               constants_report_text,
@@ -354,6 +355,24 @@ class TestAudits:
             assert "=" in line
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("point", [(math.inf, 0.0, 0.5), (math.nan, 0.0, 10.0),
+                                       (0.0, 0.0, math.nan)],
+                             ids=["inf_in_the_slab", "nan_above_L", "nan_level"])
+    def test_raises_a_value_error_naming_the_point(self, fmap, gmap, point):
+        for m in (fmap, gmap):
+            with pytest.raises(ValueError, match=re.escape(f"non-finite point {point}")):
+                m.eval3(*point)
+
+    def test_infinite_F_step_loses_precision(self, fmap):
+        with pytest.raises(PrecisionLost):
+            fmap.eval3(-math.inf, 0.0, fmap.L + 1.0)
+
+    def test_identity_passes_non_finite_points_through(self, gmap):
+        for p in ((math.nan, 0.0, -1.0), (math.inf, -math.inf, -0.5), (0.0, 0.0, -math.inf)):
+            assert _bits(gmap.eval3(*p)) == _bits(p)
+
+
 class TestDispatchTies:
     def test_cell_seam_values_agree(self, build):
         g = build.g
@@ -368,7 +387,7 @@ class TestDispatchTies:
         for _ in range(200):
             x, y = rng.random() * 2, rng.random() * 2
             a = g.by_id["A'"].map.eval((x, y, 1.0))
-            cell = g._pick_cell(x, y, 1.5)
+            cell = g._slab_charts[_cell_index(x, y, 1.5)]
             b = cell.map.eval((x, y, 1.0))
             assert np.allclose(a, b, atol=1e-11)
 
@@ -376,9 +395,9 @@ class TestDispatchTies:
 class TestBuildWork:
     def test_every_certificate_sign_is_decided_in_floats(self):
         # the star tests and the boundary-map orientations of a whole build
-        # make no Fraction: the float filters of geometry._det3_signs and
-        # geometry._area_signs decide every sign, so code that bypasses them
-        # fails here instead of showing up only as a slower build
+        # make no Fraction: the float filter of geometry._det3_signs decides
+        # every sign, so code that bypasses it fails here instead of showing
+        # up only as a slower build
         with mock.patch("qrdyn.geometry.Fraction", wraps=Fraction) as geo, \
                 mock.patch("qrdyn.star_extend.Fraction", wraps=Fraction,
                            create=True) as ext:

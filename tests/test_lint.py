@@ -1,5 +1,6 @@
 """Lint gates: every name a module of the package imports is used in it,
-every private module-level helper is read by some module of the package,
+every private module-level helper and private method is read by some module
+of the package,
 every parameter of a module-level function is read by its body, every
 for-loop target is read by the loop's body, and every module stays below the
 token count at which CPython's parser doubles its token array."""
@@ -52,9 +53,14 @@ def test_no_unused_imports(path):
 
 def private_definitions(source):
     """(line, name) of each module-level private function, class or
-    constant (one leading underscore) that the module defines."""
+    constant, and of each private method of a module-level class (one
+    leading underscore), that the module defines."""
     out = []
     for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            out += [(m.lineno, m.name) for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and m.name.startswith("_") and not m.name.startswith("__")]
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -91,10 +97,14 @@ def orphaned_helpers(sources):
 
 
 def test_detects_an_orphaned_helper():
+    # GlobalMap._pick_cell once outlived its last caller in the package
     sources = {"a": "_K = 2\n\ndef _used():\n    return _K\n\ndef _dead():\n    pass\n\n"
                     "class _Old:\n    pass\n\nx = _used()\n",
-               "b": "from .a import _Other\n"}
-    assert orphaned_helpers(sources) == [("a", 6, "_dead"), ("a", 9, "_Old")]
+               "b": "from .a import _Other\n\nclass Map:\n    def __init__(self):\n"
+                    "        self._step()\n\n    def _step(self):\n        pass\n\n"
+                    "    def _pick_cell(self):\n        pass\n"}
+    assert orphaned_helpers(sources) == [("a", 6, "_dead"), ("a", 9, "_Old"),
+                                         ("b", 10, "_pick_cell")]
 
 
 def test_no_orphaned_private_helpers():

@@ -473,6 +473,14 @@ class TestPrecisionLost:
         assert str(err) == (f"F step from ({x1!r}, {x2!r}, {x3!r}) is past the "
                             f"precision horizon |x1|, |x2| <= 2**50")
 
+    @pytest.mark.parametrize("point", [(math.nan, 0.5, 1.0), (0.5, math.nan, 1.0),
+                                       (math.inf, math.nan, 1.0)])
+    def test_a_nan_step_is_a_value_error(self, point):
+        # NaN fails every comparison with HORIZON, so the horizon branch
+        # tells it from an infinite coordinate, which stays PrecisionLost
+        with pytest.raises(ValueError, match=r"non-finite point \("):
+            F_scalar(*point)
+
 
 def test_expansion_ratio_feeds_python_floats(monkeypatch):
     seen = set()
