@@ -19,6 +19,11 @@ and cone frames, kept here as the oracles of the tests.
 - ``zorich_composed``: Z composed from the scalar fold ``_fold1``, the parity
   of its flags and a scaling per coordinate, which ``zorich_scalar`` writes
   out;
+- ``fold1_rounded``: the scalar fold by x - 4 round(x / 4), which the
+  package replaced by the IEEE remainder;
+- ``expansion_min_ratio_rows``: the sampled expansion ratio pair by pair
+  with ``F_scalar`` and ``math.dist``, which ``zorich.expansion_min_ratio``
+  computes in one stacked pass;
 - the build's small geometry one object at a time, on numpy rows, as the
   package computed it before it stacked it per table or shape or moved it
   to Python floats: ``cell_linear_part`` (one solve per cell),
@@ -313,6 +318,51 @@ def zorich_composed(x1, x2, x3):
     scale = math.exp(x3) if x3 <= _EXP_ARG_MAX else math.inf
     zh = sigma * (1.0 - max(abs(u1), abs(u2)))
     return (_scaled(scale, u1), _scaled(scale, u2), _scaled(scale, zh))
+
+
+def fold1_rounded(x):
+    """The fold of x into [-1, 1] and its reflection flag, by the rounded
+    quotient: t = x - 4 round(x / 4)."""
+    t = x - 4.0 * round(x / 4.0)
+    if -1.0 <= t <= 1.0:
+        return t, 0
+    u = (2.0 - abs(t)) if t > 0 else -(2.0 - abs(t))
+    return u, 1
+
+
+def expansion_min_ratio_rows(L, pairs=10000, seed=0, beams=((0, 0), (1, 0), (1, 1)),
+                             x3_span=3.0, include_crease_pairs=True):
+    """``zorich.expansion_min_ratio`` one pair at a time: the same draws,
+    then F_scalar on each point and math.dist on each pair."""
+    rng = np.random.default_rng(seed)
+    ratio_min = math.inf
+    for (bn, bm) in beams:
+        lo = np.array([2 * bn - 1.0, 2 * bm - 1.0, 0.0])
+        span = np.array([2.0, 2.0, x3_span])
+        xs = lo + rng.random((pairs, 3)) * span
+        ys = lo + rng.random((pairs, 3)) * span
+        xs[:, 2] += L
+        ys[:, 2] += L
+        if include_crease_pairs:
+            # force a share of pairs to straddle the diagonal crease
+            k = pairs // 10
+            cx, cy = 2 * bn, 2 * bm
+            du = np.abs(xs[:k, 0] - cx)
+            dv = np.abs(xs[:k, 1] - cy)
+            xs[:k, 0] = cx + np.maximum(du, dv)
+            xs[:k, 1] = cy + np.minimum(du, dv)
+            du = np.abs(ys[:k, 0] - cx)
+            dv = np.abs(ys[:k, 1] - cy)
+            ys[:k, 0] = cx + np.minimum(du, dv)
+            ys[:k, 1] = cy + np.maximum(du, dv)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            d = math.dist(x, y)
+            if d < 1e-12:
+                continue
+            fx = F_scalar(*x)
+            fy = F_scalar(*y)
+            ratio_min = min(ratio_min, math.dist(fx, fy) / d)
+    return ratio_min
 
 
 def cell_linear_part(a, b, dom, img):

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qrdyn import geometry
+from qrdyn import geometry, zorich
 from qrdyn.geometry import StarShape
 from qrdyn.global_map import (ConstructionError, _cell_index, assemble_g, audit_dilatation,
                               audit_orientation, audit_seams,
@@ -227,6 +227,23 @@ class TestShiftedMap:
             for m in (fmap, gmap):
                 with pytest.raises(PrecisionLost):
                     m.eval3(*p)
+
+    def test_an_F_step_calls_F_scalar_once(self, fmap, monkeypatch):
+        # the traced benchmark run counts and times F steps by patching
+        # zorich.F_scalar, so eval3 above L calls it through the module
+        calls = []
+        plain = zorich.F_scalar
+
+        def counting(*p):
+            calls.append(p)
+            return plain(*p)
+
+        monkeypatch.setattr(zorich, "F_scalar", counting)
+        p = (0.5, -0.25, fmap.L + 1.0)
+        out = fmap.eval3(*p)
+        assert calls == [p]
+        f1, f2, f3 = plain(*p)
+        assert _bits(out) == _bits((f1, f2, f3 - fmap.L_prime))
 
     def test_g_is_not_shifted_by_a_later_L_prime(self, build, gmap):
         # build_maps assigns g.L_prime after assembling g

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import zorich_composed
+from oracles import expansion_min_ratio_rows, fold1_rounded, zorich_composed
 from qrdyn import zorich
 from qrdyn.global_map import _sigma_extremes_det
-from qrdyn.zorich import (C0_LOWER, HORIZON, ConstantsReport, F_eval, F_jacobian,
+from qrdyn.zorich import (C0_LOWER, HORIZON, ConstantsReport, F_array, F_eval, F_jacobian,
                           F_scalar, PrecisionLost, _fold1, certifies_sigma_floor,
                           corner_chi, derive_beam_constants, exp_lower,
                           expansion_min_ratio, fold_square, h_pyramid,
@@ -156,6 +157,23 @@ class TestFolds:
              + [4.0 * k + d for k in range(-3, 4) for d in (-1.0, 1.0, 2.0)]
              + [4.0 * k + d for k in (1e3, -1e3, 2.0 ** 40) for d in (-1.0, 1.0, 2.0)])
 
+    def test_remainder_fold_is_the_rounded_fold(self):
+        # the same value and flag as x - 4 round(x / 4); the bits differ
+        # only at the negative multiples of 4, where the remainder's zero
+        # takes the sign of x
+        rng = np.random.default_rng(45)
+        xs = (self.EDGES + [4.0 * k + d for k in range(-6, 7) for d in (0.0, 2.0)]
+              + [-(2.0 ** 50), 2.0 ** 50, -(2.0 ** 52), 2.0 ** 60, -4.5, 4.5, -6.0]
+              + rng.uniform(-50.0, 50.0, 5000).tolist()
+              + (2.0 * rng.integers(-10 ** 6, 10 ** 6, 500)).tolist())
+        for x in xs:
+            (u, f), (w, g) = _fold1(x), fold1_rounded(x)
+            assert u == w and f == g, x
+            if x < 0.0 and x % 4.0 == 0.0:
+                assert (_bits(u), _bits(w)) == (_bits(-0.0), _bits(0.0)), x
+            else:
+                assert _bits(u) == _bits(w), x
+
     def test_region_matrix_reduces_to_the_triangle(self):
         # N(x) = D1 P N_c(|u1|, |u2|) P D2 with sign diagonals
         # D1 = diag(s1, s2, sigma), D2 = diag(d1 s1, d2 s2, 1) and P the swap
@@ -223,6 +241,43 @@ class TestFlatZStep:
                 zorich_composed(*p)
             with pytest.raises(want.type):
                 zorich_scalar(*p)
+
+
+class TestFArray:
+    def test_rows_are_F_scalar_bitwise(self):
+        # the overflow band, signed zeros, NaN x3 and the horizon edges
+        pts = [p for p in TestFlatZStep()._points()
+               if max(abs(p[0]), abs(p[1])) <= HORIZON]
+        got = F_array(np.array(pts))
+        assert got.shape == (len(pts), 3) and got.dtype == np.float64
+        for p, row in zip(pts, got.tolist()):
+            assert _hex(row) == _hex(F_scalar(*p)), p
+
+    def test_negative_multiples_of_two_and_four(self):
+        rng = np.random.default_rng(46)
+        n = 4000
+        h = np.concatenate([2.0 * rng.integers(-10 ** 6, 1, (n, 2)),
+                            4.0 * rng.integers(-10 ** 6, 1, (n, 2)),
+                            [[-0.0, -0.0], [-0.0, 0.0], [-4.0, -0.0], [-2.0, -8.0]]])
+        pts = np.column_stack([h, rng.uniform(-5.0, 10.0, len(h))])
+        for p, row in zip(pts.tolist(), F_array(pts).tolist()):
+            assert _hex(row) == _hex(F_scalar(*p)), p
+
+    def test_empty_batch(self):
+        got = F_array(np.empty((0, 3)))
+        assert got.shape == (0, 3) and got.dtype == np.float64
+
+    def test_first_row_past_the_horizon_raises_precision_lost(self):
+        past = math.nextafter(HORIZON, math.inf)
+        rows = [(0.5, 0.25, 5.0), (1.0, -past, 6.5), (past, 0.0, 7.0), (math.nan, 0.0, 1.0)]
+        with pytest.raises(PrecisionLost) as info:
+            F_array(np.array(rows))
+        assert info.value.point == rows[1]
+
+    def test_a_nan_x1_is_a_value_error(self):
+        rows = [(0.5, 0.25, 5.0), (math.nan, 0.5, 1.0), (2.0 ** 51, 0.0, 7.0)]
+        with pytest.raises(ValueError, match=r"non-finite point \("):
+            F_array(np.array(rows))
 
 
 class TestJacobian:
@@ -482,35 +537,127 @@ class TestPrecisionLost:
             F_scalar(*point)
 
 
-def test_expansion_ratio_feeds_python_floats(monkeypatch):
-    seen = set()
-    plain = zorich.F_scalar
+def _record_F_array(monkeypatch):
+    """The arrays handed to zorich.F_array, in call order."""
+    calls = []
+    plain = zorich.F_array
 
-    def recording(*x):
-        seen.update(type(c) for c in x)
-        return plain(*x)
+    def recording(X):
+        calls.append(X)
+        return plain(X)
 
-    monkeypatch.setattr(zorich, "F_scalar", recording)
+    monkeypatch.setattr(zorich, "F_array", recording)
+    return calls
+
+
+def test_expansion_ratio_feeds_float_arrays(monkeypatch):
+    calls = _record_F_array(monkeypatch)
     expansion_min_ratio(5.0, pairs=50)
-    assert seen == {float}
+    assert len(calls) == 2
+    for X in calls:
+        assert type(X) is np.ndarray and X.dtype == np.float64 and X.shape == (150, 3)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_expansion_ratio_is_the_composed_minimum(monkeypatch, seed):
     # the audit's minimum, recomputed from the pairs it evaluated with the
     # composed Z step, agrees bit for bit
-    calls = []
-    plain = zorich.F_scalar
-
-    def recording(*x):
-        calls.append(x)
-        return plain(*x)
-
-    monkeypatch.setattr(zorich, "F_scalar", recording)
+    calls = _record_F_array(monkeypatch)
     got = expansion_min_ratio(5.0, pairs=200, seed=seed)
+    xs, ys = calls
     want = math.inf
-    for x, y in zip(calls[::2], calls[1::2]):
+    for x, y in zip(xs.tolist(), ys.tolist()):
         fx = [c + z for c, z in zip(x, zorich_composed(*x))]
         fy = [c + z for c, z in zip(y, zorich_composed(*y))]
         want = min(want, math.dist(fx, fy) / math.dist(x, y))
-    assert len(calls) > 0 and got.hex() == want.hex()
+    assert len(xs) == 600 and got.hex() == want.hex()
+
+
+BEAM_SETS = (((0, 0), (1, 0), (1, 1)), ((1, 0), (0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("beams", BEAM_SETS, ids=["default", "reflected"])
+@pytest.mark.parametrize("pairs", [50, 500, 2000])
+def test_expansion_ratio_is_the_pair_loop_bitwise(constants, pairs, beams):
+    for seed in range(20):
+        got = expansion_min_ratio(constants.L, pairs=pairs, seed=seed, beams=beams)
+        want = expansion_min_ratio_rows(constants.L, pairs=pairs, seed=seed, beams=beams)
+        assert got.hex() == want.hex(), seed
+
+
+def test_expansion_ratio_without_crease_pairs_and_without_pairs(constants):
+    for seed in range(20):
+        got = expansion_min_ratio(constants.L, pairs=300, seed=seed,
+                                  include_crease_pairs=False)
+        want = expansion_min_ratio_rows(constants.L, pairs=300, seed=seed,
+                                        include_crease_pairs=False)
+        assert got.hex() == want.hex(), seed
+    assert expansion_min_ratio(constants.L, pairs=0) == math.inf
+    assert expansion_min_ratio_rows(constants.L, pairs=0) == math.inf
+
+
+class _FixedDraws:
+    """A stand-in for numpy's Generator whose ``random`` hands out given
+    arrays in turn."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self, shape):
+        out = self.draws.pop(0)
+        assert out.shape == shape
+        return out.copy()
+
+
+def _beam00_points(r, L):
+    """The points that ``expansion_min_ratio`` makes of the draws r on the
+    beam (0, 0) without crease pairs."""
+    p = np.array([-1.0, -1.0, 0.0]) + r * np.array([2.0, 2.0, 3.0])
+    p[:, 2] += L
+    return p.tolist()
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_expansion_ratio_retakes_pairs_at_the_skip_distance(monkeypatch, constants, above):
+    # the skip distance put at the distance of the pair of least ratio, or
+    # one unit in the last place above it: math.dist alone decides whether
+    # that pair counts
+    rng = np.random.default_rng(47)
+    n = 300
+    rx, ry = rng.random((n, 3)), rng.random((n, 3))
+    xs, ys = _beam00_points(rx, constants.L), _beam00_points(ry, constants.L)
+    d = [math.dist(x, y) for x, y in zip(xs, ys)]
+    r = [math.dist(F_scalar(*x), F_scalar(*y)) / dj for x, y, dj in zip(xs, ys, d)]
+    j = int(np.argmin(r))
+    skip = math.nextafter(d[j], math.inf) if above else d[j]
+    want = min(rj for rj, dj in zip(r, d) if dj >= skip)
+    monkeypatch.setattr(zorich, "_MIN_PAIR_DIST", skip)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws([rx, ry]))
+    got = expansion_min_ratio(constants.L, beams=((0, 0),), pairs=n,
+                              include_crease_pairs=False)
+    assert got.hex() == want.hex() and (got == r[j]) != above
+
+
+def test_expansion_ratio_is_exact_under_numpy_norm_error(monkeypatch, constants):
+    # period translates of one pair, whose exact ratios lie a few units in
+    # the last place apart, with numpy's norms of the image differences (its
+    # second row-norm call, after the pairs' distances) made to read 1e-13
+    # (relative) high on the pairs of least exact ratio: numpy's least ratio
+    # is then another pair's, and the math.dist pass still finds the
+    # exact minimum
+    n = 1000
+    shift = np.zeros((n, 3))
+    shift[:, 0] = 2.0 * np.arange(n)          # 4 in x1, in units of the span
+    rx = np.array([0.65, 0.4, 1.1 / 3.0]) + shift
+    ry = np.array([0.775, 0.55, 1.4 / 3.0]) + shift
+    xs, ys = _beam00_points(rx, constants.L), _beam00_points(ry, constants.L)
+    exact = np.array([math.dist(F_scalar(*x), F_scalar(*y)) / math.dist(x, y)
+                      for x, y in zip(xs, ys)])
+    least = exact == exact.min()
+    assert 1 < np.count_nonzero(least) < n
+    norm = np.linalg.norm
+    bump = itertools.cycle([1.0, np.where(least, 1.0 + 1e-13, 1.0)])
+    monkeypatch.setattr(np.linalg, "norm", lambda v, axis: norm(v, axis=axis) * next(bump))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws([rx, ry]))
+    got = expansion_min_ratio(constants.L, pairs=n, beams=((0, 0),), include_crease_pairs=False)
+    assert got.hex() == exact.min().hex()
