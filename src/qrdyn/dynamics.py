@@ -193,7 +193,10 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
 
     Terminates on the iteration budget, on (optional) entry into the lower
     half-space, on exceeding the radius cap, on a non-finite value, or on an
-    F step past the precision horizon (reason "precision_lost"); if the
+    F step past the precision horizon (reason "precision_lost").  A
+    non-finite image with x3 < 0, such as (x1, x2, -inf), entered the
+    half-space: it sets ``h0_step`` before the orbit stops as "nonfinite",
+    with no point or log magnitude recorded for it.  If the
     map declares a surrogate whose regime matched the last representable
     point, the log magnitudes continue to k_max without points.  The orbit
     is carried as tuples of Python floats; the record's points are arrays.
@@ -223,6 +226,8 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
             reason = "precision_lost"
             break
         if not all(map(isfinite, x)):
+            if tracks_h0 and h0_step is None and x[2] < 0:
+                h0_step = k         # an image such as (x1, x2, -inf) entered H0
             reason = "nonfinite"
             break
         m = math.hypot(*x)
@@ -297,10 +302,11 @@ def _undecided(budget):
 
 def classify_escape(f: MapHandle, x, n_max: int,
                     radius_cap: float = RADIUS_CAP) -> EscapeClass:
-    """Half-space entry proxy: the least n with third coordinate < 0; radial
-    escape once the magnitude passes the cap without entering (or on a
-    non-finite iterate); precision_lost at an F step past the precision
-    horizon; undecided otherwise.  The orbit is carried as three Python
+    """Half-space entry proxy: the least n with third coordinate < 0, an
+    image with x3 = -inf (an F step whose height overflows after the shift)
+    among them; radial escape once the magnitude passes the cap without entering
+    (or on another non-finite iterate); precision_lost at an F step past the
+    precision horizon; undecided otherwise.  The orbit is carried as three Python
     floats.  Equal outcomes are one shared, immutable ``EscapeClass``.  A
     start with an infinite or NaN coordinate raises ValueError: it has no
     orbit to classify."""
@@ -318,10 +324,10 @@ def classify_escape(f: MapHandle, x, n_max: int,
         except PrecisionLost:
             return _PRECISION_LOST
         x1, x2, x3 = float(y1), float(y2), float(y3)
-        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-            return _RADIAL
         if x3 < 0:
             return _entered(n)
+        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
+            return _RADIAL
         if hypot(x1, x2, x3) > radius_cap:
             return _RADIAL
     return _undecided(n_max)
@@ -409,8 +415,14 @@ _LATTICE_EXTENT = 8
 
 
 def sphere_directions(samples):
-    """Quasi-uniform directions plus the poles and the vertical lattice
-    directions on which the exponential part of the map is extremal."""
+    """Quasi-uniform directions plus the poles and the lattice directions
+    (i, j, 1), |i|, |j| <= 8.  On f the lattice directions are extremal
+    only near r = 1: |Z| = sqrt(2) e^{x3} is largest where the fold gives
+    u = (+-1, +-1), at odd x1 and x2, and no direction here lies within
+    about 1/r of vertical but the pole.  So the maximum over r times these
+    directions falls short of M(r) by a factor up to sqrt(2) (1.35 at
+    r = 50, 1.41 at r = 500, against |f| at (1, 1, sqrt(r^2 - 2))), and
+    for r >= 120 it is exactly |f(0, 0, r)|, the pole."""
     dirs = [_fibonacci_sphere(samples)]
     dirs.append(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
     lat = []
@@ -436,8 +448,10 @@ def _unit_directions(dim, samples):
 
 
 def max_modulus_estimate(map_handle: MapHandle, r: float, samples: int = 2000) -> float:
-    """Sampled lower bound for max_{|x|=r} |map(x)|, biased with the known
-    extremal directions.  The points r d are scaled in Python floats, which
+    """Sampled lower bound for max_{|x|=r} |map(x)|, over r times the
+    ``sphere_directions`` (``samples`` angles in 2D).  On f it is low by a
+    factor up to sqrt(2), and exactly |f(0, 0, r)| for r >= 120 (see
+    ``sphere_directions``).  The points r d are scaled in Python floats, which
     is IEEE-equal to scaling the direction array; a NaN norm never counts,
     since it is not greater than the best so far.  A non-finite r raises
     ValueError."""
@@ -512,10 +526,12 @@ _DIRECT_LIMIT = 500.0
 def mhat_tower(map_handle: MapHandle, R: float, count: int, samples: int = 2000):
     """Iterates of the sampled maximum modulus as BigExp values.
 
-    Beyond the radius range where sampling is meaningful the step uses the
-    conservative lower bound M(r) >= e^r (valid on the vertical axis once
-    r exceeds the downward translation), keeping the fast-escape test
-    one-sided."""
+    Each step up to r = 500 takes ``max_modulus_estimate``, which on f is
+    low by a factor up to sqrt(2) (exactly |f(0, 0, r)| from r = 120 on),
+    so the tower is low by up to that factor per step.  Beyond that radius
+    the step uses the conservative lower bound M(r) >= e^r (valid on the
+    vertical axis once r exceeds the downward translation), keeping the
+    fast-escape test one-sided."""
     return _mhat_steps(lambda r: max_modulus_estimate(map_handle, r, samples),
                        R, count)
 

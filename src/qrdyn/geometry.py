@@ -17,10 +17,15 @@ triangle).  ``_det3_signs`` decides each such sign in floats where
 Shewchuk's orient3d error bound certifies it, and only the determinants
 inside that bound (zero ones among them) in ``fractions.Fraction``; the
 boundary-map validation of ``star_extend`` takes its orientations from it
-too.  The vertex term of the certificate runs all vertices of a shape
-through each of its kernels in one stacked call, and a polyhedron takes the
-normals, plane coordinates and edge lengths of all its facets from one
-stacked pass (``_facet_coordinates``).
+too.
+
+Construction and certification run in stacks over many shapes:
+``star_shapes`` builds a batch of shapes with one numpy pass per step (the
+normals, plane coordinates and edge lengths of all their facets, their cone
+frames and their facet planes), and ``certify_star_centres`` certifies a
+batch of (shape, centre) pairs with one star test, one plane term and one
+vertex term over all of them (the vertex term's kernels are in ``cones``).
+One shape, or one centre, is a batch of one.
 
 All shapes are immutable after construction; every operation is pure.
 """
@@ -33,6 +38,10 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+
+from .cones import (_cones_contain_line, _cross, _dots, _facet_vertex_cones,
+                    _line_plane_angles, _same_vertex_pairs, _sector_min_angles, _starts,
+                    _tile)
 
 
 class GeometryError(ValueError):
@@ -93,50 +102,19 @@ class StarShape:
 
     ``vertices`` is a vertex pool, ``facet_polys`` lists each planar facet as
     an ordered index loop, and ``triangles`` triangulates the surface with
-    ``tri_facet`` recording which facet each triangle came from.
+    ``tri_facet`` recording which facet each triangle came from;
+    ``facet_planes`` holds each facet's outward unit normal, plane offset
+    and area.
 
-    Construction ends with ``certify_star_centre(self, centre)`` and keeps
-    its result as ``certificate``, so a shape whose centre is not a
-    non-tangential star centre is never built: it raises
+    ``StarShape(vertices, centre, facet_polys, box)`` is ``star_shapes`` on
+    one shape: construction ends with ``certify_star_centres`` on its centre
+    and keeps the result as ``certificate``, so a shape whose centre is not
+    a non-tangential star centre is never built: it raises
     ``CertificationFailure``.
     """
 
     def __init__(self, vertices, centre, facet_polys, box=None):
-        self.vertices = np.asarray(vertices, dtype=float)
-        if not np.all(np.isfinite(self.vertices)):
-            raise GeometryError("non-finite vertex coordinates")
-        self.centre = _as_array(centre)
-        self.box = box  # (lo, hi) arrays for axis-aligned cuboids, else None
-
-        mins = self.vertices.min(axis=0)
-        maxs = self.vertices.max(axis=0)
-        self.diameter = float(np.linalg.norm(maxs - mins))
-        if self.diameter <= 0.0:
-            raise GeometryError("degenerate shape (zero diameter)")
-        self.tol = TAU_GEOM * self.diameter
-        self._init_polyhedron(facet_polys)
-        self.certificate = certify_star_centre(self, self.centre)
-
-    # -- construction ------------------------------------------------------
-
-    def _init_polyhedron(self, facet_polys):
-        self.facet_polys = [list(map(int, p)) for p in facet_polys]
-        self.facet_count = len(self.facet_polys)
-        if any(len(poly) < 3 for poly in self.facet_polys):
-            raise GeometryError("facet with fewer than 3 vertices")
-        self._facet_normal, plane, edge_lens = _facet_coordinates(
-            self.vertices, self.facet_polys, self.tol * 10)
-        tris = []
-        tri_facet = []
-        for fi, (poly, pts2) in enumerate(zip(self.facet_polys, plane)):
-            for tri in _triangulate_planar(poly, pts2):
-                tris.append(tri)
-                tri_facet.append(fi)
-        self.triangles = _orient_outward(self.vertices, tris)
-        self.tri_facet = np.asarray(tri_facet, dtype=int)
-        self._cones = _cone_frames(self.vertices[self.triangles] - self.centre,
-                                   self.tri_facet)
-        self.min_feature = float(edge_lens.min())
+        _build_shapes([self], [(vertices, centre, facet_polys, box)])
 
     # -- factories ---------------------------------------------------------
 
@@ -146,24 +124,134 @@ class StarShape:
 
     @classmethod
     def cuboid(cls, lo, hi, centre=None):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if np.any(hi <= lo):
-            raise GeometryError("cuboid needs lo < hi per axis")
-        xs, ys, zs = zip(lo, hi)
-        verts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
-        # index: bit2 = x (0 lo), bit1 = y, bit0 = z
-        faces = [
-            [0, 1, 3, 2],  # x = lo
-            [4, 6, 7, 5],  # x = hi
-            [0, 4, 5, 1],  # y = lo
-            [2, 3, 7, 6],  # y = hi
-            [0, 2, 6, 4],  # z = lo
-            [1, 5, 7, 3],  # z = hi
-        ]
-        if centre is None:
-            centre = 0.5 * (lo + hi)
-        return cls(verts, centre, faces, box=(lo, hi))
+        return cls(*cuboid_spec(lo, hi, centre))
+
+
+def cuboid_spec(lo, hi, centre=None):
+    """The ``StarShape`` arguments (vertices, centre, facet loops, box) of
+    the axis-aligned cuboid [lo, hi] about ``centre`` (its midpoint if
+    None); facet 2k is the face x_k = lo[k], facet 2k + 1 the face
+    x_k = hi[k]."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if np.any(hi <= lo):
+        raise GeometryError("cuboid needs lo < hi per axis")
+    xs, ys, zs = zip(lo, hi)
+    verts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
+    # index: bit2 = x (0 lo), bit1 = y, bit0 = z
+    faces = [
+        [0, 1, 3, 2],  # x = lo
+        [4, 6, 7, 5],  # x = hi
+        [0, 4, 5, 1],  # y = lo
+        [2, 3, 7, 6],  # y = hi
+        [0, 2, 6, 4],  # z = lo
+        [1, 5, 7, 3],  # z = hi
+    ]
+    if centre is None:
+        centre = 0.5 * (lo + hi)
+    return verts, centre, faces, (lo, hi)
+
+
+def star_shapes(specs):
+    """The shapes ``StarShape(*spec)`` of ``specs``, built in one stacked
+    pass: each numpy step of the construction (the facet coordinates, the
+    cone frames, the facet planes) runs once over the facets or triangles
+    of all shapes, their vertex and facet indices offset shape by shape,
+    and one ``certify_star_centres`` call certifies every centre.  The
+    shapes are bitwise those that one ``StarShape`` call per spec builds.
+
+    A batch raises what building its shapes one by one, in order, raises:
+    when the stacked pass fails, the shapes are built one at a time, and
+    the error of the first that fails is raised with its position in
+    ``specs`` as the attribute ``shape_index`` (None if none fails alone).
+    No uncertified shape is returned."""
+    shapes = [StarShape.__new__(StarShape) for _ in specs]
+    try:
+        _build_shapes(shapes, specs)
+    except GeometryError as err:
+        err.shape_index = None
+        for k, spec in enumerate(specs):
+            try:
+                StarShape(*spec)
+            except GeometryError as single:
+                single.shape_index = k
+                raise
+        raise
+    return shapes
+
+
+def _build_shapes(shapes, specs):
+    """Fill in the blank ``shapes`` from their ``specs`` (vertices, centre,
+    facet_polys, box) and certify them, each numpy step once over all of
+    them; raises the first error met, which for one shape is the error of
+    its construction: its arguments, then its facets (``_facet_coordinates``,
+    ``_triangulate_planar``, ``_orient_outward``), then its centre."""
+    for shape, (vertices, centre, facet_polys, box) in zip(shapes, specs):
+        shape.vertices = np.asarray(vertices, dtype=float)
+        if not np.all(np.isfinite(shape.vertices)):
+            raise GeometryError("non-finite vertex coordinates")
+        shape.centre = _as_array(centre)
+        shape.box = box  # (lo, hi) arrays for axis-aligned cuboids, else None
+        mins = shape.vertices.min(axis=0)
+        maxs = shape.vertices.max(axis=0)
+        shape.diameter = float(np.linalg.norm(maxs - mins))
+        if shape.diameter <= 0.0:
+            raise GeometryError("degenerate shape (zero diameter)")
+        shape.tol = TAU_GEOM * shape.diameter
+        shape.facet_polys = [list(map(int, p)) for p in facet_polys]
+        shape.facet_count = len(shape.facet_polys)
+        if any(len(poly) < 3 for poly in shape.facet_polys):
+            raise GeometryError("facet with fewer than 3 vertices")
+    nf = [shape.facet_count for shape in shapes]
+    voff = _starts([len(shape.vertices) for shape in shapes]).tolist()
+    foff = _starts(nf).tolist()
+    vertices = np.concatenate([shape.vertices for shape in shapes])
+    polys = [[i + off for i in poly] for shape, off in zip(shapes, voff)
+             for poly in shape.facet_polys]
+    normals, plane, edge_lens = _facet_coordinates(
+        vertices, polys, np.repeat([shape.tol * 10 for shape in shapes], nf))
+    least_edge = np.minimum.reduceat(
+        edge_lens, _starts([sum(map(len, shape.facet_polys)) for shape in shapes])).tolist()
+    for shape, f0, edge in zip(shapes, foff, least_edge):
+        shape._facet_normal = normals[f0:f0 + shape.facet_count]
+        tris = []
+        tri_facet = []
+        for fi, (poly, pts2) in enumerate(zip(shape.facet_polys,
+                                              plane[f0:f0 + shape.facet_count])):
+            for tri in _triangulate_planar(poly, pts2):
+                tris.append(tri)
+                tri_facet.append(fi)
+        shape.triangles = _orient_outward(shape.vertices, tris)
+        shape.tri_facet = np.asarray(tri_facet, dtype=int)
+        shape.min_feature = edge
+    nt = [len(shape.triangles) for shape in shapes]
+    points = vertices[np.concatenate([shape.triangles + off
+                                      for shape, off in zip(shapes, voff)])]
+    centres = np.repeat([shape.centre for shape in shapes], nt, axis=0)
+    cones = _cone_frames(points - centres[:, None, :],
+                         np.concatenate([shape.tri_facet for shape in shapes]), nt)
+    planes = _facet_planes(vertices, polys, points, np.concatenate(
+        [shape.tri_facet + off for shape, off in zip(shapes, foff)]))
+    for shape, cone, f0 in zip(shapes, cones, foff):
+        shape._cones = cone
+        shape.facet_planes = tuple(x[f0:f0 + shape.facet_count] for x in planes)
+    certificates = certify_star_centres(shapes, [shape.centre for shape in shapes])
+    for shape, certificate in zip(shapes, certificates):
+        shape.certificate = certificate
+
+
+def _facet_planes(vertices, polys, points, tri_facet):
+    """(normals, offsets, areas) of the facets ``polys`` (vertex index loops
+    into ``vertices``): each facet's outward unit normal, plane offset and
+    area, from the outward-oriented surface triangles ``points`` (T, 3, 3)
+    with the facet ``tri_facet`` of each."""
+    n = np.zeros((len(polys), 3))
+    np.add.at(n, tri_facet, np.cross(points[:, 1] - points[:, 0],
+                                     points[:, 2] - points[:, 0]))
+    twice_area = np.linalg.norm(n, axis=1)
+    n /= twice_area[:, None]
+    first = vertices[[poly[0] for poly in polys]]
+    return n, np.einsum("ij,ij->i", n, first), twice_area / 2
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +361,28 @@ def _orient_outward(vertices, tris):
     raises if the surface is not connected (the star test's winding
     argument needs one component), not closed or not orientable."""
     tris = [list(map(int, t)) for t in tris]
-    by_edge = {}
-    for k, t in enumerate(tris):
-        for e in _edges(t):
-            by_edge.setdefault(frozenset(e), []).append(k)
+    by_edge = {}        # each undirected edge, as (low, high), -> its triangles
+    for k, (a, b, c) in enumerate(tris):
+        for u, v in ((a, b), (b, c), (c, a)):
+            by_edge.setdefault((u, v) if u < v else (v, u), []).append(k)
     todo = set(range(1, len(tris)))
     stack = [0]
     while stack:
-        for u, v in _edges(tris[stack.pop()]):
-            for k in by_edge[frozenset((u, v))]:
+        a, b, c = tris[stack.pop()]
+        for u, v in ((a, b), (b, c), (c, a)):
+            for k in by_edge[(u, v) if u < v else (v, u)]:
                 if k in todo:
                     todo.discard(k)
-                    if (u, v) in _edges(tris[k]):    # must run v -> u
-                        tris[k][1:] = tris[k][:0:-1]
+                    t = tris[k]
+                    if (t[0], t[1]) == (u, v) or (t[1], t[2]) == (u, v) \
+                            or (t[2], t[0]) == (u, v):    # must run v -> u
+                        t[1], t[2] = t[2], t[1]
                     stack.append(k)
     if todo:
         raise GeometryError("surface is not connected")
     _check_watertight(tris)
     p = vertices[tris]
-    if np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2])) < 0.0:
+    if np.einsum("ij,ij->", p[:, 0], _cross(p[:, 1], p[:, 2])) < 0.0:
         tris = [[a, c, b] for a, b, c in tris]
     return np.asarray(tris, dtype=int)
 
@@ -362,9 +453,10 @@ def _centre_ray(shape, x):
     return c, r, math.hypot(*r)
 
 
-def _cone_frames(rel, tri_facet):
-    """[(frame, facet)]: for each surface triangle whose vertices rel[i]
-    (relative to the centre) span a cone, the rows of the inverse of the
+def _cone_frames(rel, tri_facet, counts):
+    """Per shape, of consecutive shapes with ``counts`` surface triangles
+    each: [(frame, facet)] for each triangle whose vertices rel[i] (relative
+    to its shape's centre) span a cone, the rows of the inverse of the
     matrix with columns rel[i] as a 9-tuple of floats, so that
     lambda = frame (x - centre) writes x - centre in the cone's
     generators."""
@@ -373,7 +465,10 @@ def _cone_frames(rel, tri_facet):
     size = np.prod(np.linalg.norm(rel, axis=2), axis=1)
     keep = np.abs(det) > 1e-12 * size
     frames = np.linalg.inv(m[keep]).reshape(-1, 9).tolist()
-    return [(tuple(f), int(k)) for f, k in zip(frames, tri_facet[keep])]
+    cones = list(zip(map(tuple, frames), tri_facet[keep].tolist()))
+    kept = np.bincount(np.repeat(np.arange(len(counts)), counts)[keep],
+                       minlength=len(counts))
+    return [cones[i:i + n] for i, n in zip(_starts(kept).tolist(), kept.tolist())]
 
 
 def _crossing(shape, r, d):
@@ -449,133 +544,214 @@ def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
 # ---------------------------------------------------------------------------
 # star-centre certification
 
-def _line_angles(u, d):
-    """Acute angles between the lines spanned by the rows of u and d
-    (pi/2 where either row is zero); u and d broadcast against each other."""
-    den = (np.sqrt(np.einsum("...j,...j->...", u, u))
-           * np.sqrt(np.einsum("...j,...j->...", d, d)))
-    nonzero = den > 0.0
-    c = np.abs(np.einsum("...j,...j->...", u, d)) / np.where(nonzero, den, 1.0)
-    return np.where(nonzero, np.arccos(np.minimum(1.0, c)), math.pi / 2)
-
-
-def _dots(x, y):
-    """Row-wise dot products of two stacks of 3-vectors, each as numpy's dot
-    of one pair of vectors computes it."""
-    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-
-def _line_plane_angles(u, n):
-    """Angles between the lines spanned by the rows of u and the planes with
-    unit normals the rows of n; each equals the minimum line-line angle over
-    directions in that plane."""
-    s = np.abs(_dots(n, u)) / np.sqrt(_dots(u, u))
-    return np.arcsin(np.minimum(1.0, s))
-
-
-def _sector_min_angles(u, g1, g2):
-    """Minimum line angle between the row u[k] and the directions of the
-    planar sector spanned by the rows g1[k], g2[k] (non-negative
-    combinations)."""
-    best = np.minimum(_line_angles(u, g1), _line_angles(u, g2))
-    n = np.cross(g1, g2)
-    nn = np.sqrt(np.einsum("ij,ij->i", n, n))
-    flat = nn < 1e-14
-    n = n / np.where(flat, 1.0, nn)[:, None]
-    # the projection w of u onto the sector's plane, or -w, inside the sector
-    w = u - _dots(n, u)[:, None] * n
-    s1 = np.einsum("ij,ij->i", np.cross(g1, w), n)
-    s2 = np.einsum("ij,ij->i", np.cross(w, g2), n)
-    inside = (((s1 >= -1e-12) & (s2 >= -1e-12))
-              | ((s1 <= 1e-12) & (s2 <= 1e-12)))
-    take = ~flat & (np.sqrt(np.einsum("ij,ij->i", w, w)) > 1e-14) & inside
-    return np.where(take, np.minimum(best, _line_plane_angles(u, n)), best)
-
-
-def _facet_vertex_cones(shape):
-    """Generators of the direction cone of every facet of a 3D shape at each
-    of its corners (directions d with q + eps*d inside the facet polygon at
-    the corner q), split into convex sectors.
-
-    Returns (corner_vertex, corner_facet, gens, gen_corner): the corners in
-    facet order, each facet's in loop order, and the generators of all
-    corners in that order, each with the index of its corner.  A facet loop
-    runs counter-clockwise about its Newell normal n (``_facet_normal``), so
-    in the facet frame (e1, n x e1), e1 along its first edge, the cone at a
-    corner runs counter-clockwise from the edge to the next vertex to the
-    edge to the previous one; its arc is cut into ceil(width / 1.5) equal
-    sectors."""
-    v = shape.vertices
-    corner_facet, back, corner_vertex, ahead = np.array(
-        [(f, p[k - 1], p[k], p[(k + 1) % len(p)])
-         for f, p in enumerate(shape.facet_polys) for k in range(len(p))]).T
-    e1 = v[[p[1] for p in shape.facet_polys]] - v[[p[0] for p in shape.facet_polys]]
-    e1 = (e1 / np.sqrt(_dots(e1, e1))[:, None])[corner_facet]
-    e2 = np.cross(shape._facet_normal[corner_facet], e1)
-
-    def angle(to):
-        d = v[to] - v[corner_vertex]
-        return np.array(list(map(math.atan2, _dots(d, e2).tolist(), _dots(d, e1).tolist())))
-
-    start, back = angle(ahead), angle(back)
-    width = (2 * math.pi - (start - back) % (2 * math.pi)) % (2 * math.pi)
-    pieces = np.maximum(1, np.ceil(width / 1.5)).astype(int).tolist()
-    gen_corner = np.array([c for c, n in enumerate(pieces) for _ in range(n + 1)])
-    phi = np.array([s + w * j / n for s, w, n in zip(start.tolist(), width.tolist(), pieces)
-                    for j in range(n + 1)])
-    gens = np.cos(phi)[:, None] * e1[gen_corner] + np.sin(phi)[:, None] * e2[gen_corner]
-    return corner_vertex, corner_facet, gens, gen_corner
-
-
-# the four generator triples of a four-generator cone
-_CONE_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-
-
-def _cones_contain_line(cones, u, tol=1e-9):
-    """Per cone: True if u[k] or -u[k] lies in the convex cone in R^3 spanned
-    by the four generators cones[k] (``cones`` has shape (K, 4, 3)).  Every
-    generator triple with |det| >= 1e-12 is solved for the unit vector along
-    u[k] in one stacked call; the coefficients of -u[k] are exactly the
-    negated ones."""
-    m = np.swapaxes(cones[:, _CONE_TRIPLES, :], -1, -2).reshape(-1, 3, 3)
-    un = u / np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
-    keep = np.abs(np.linalg.det(m)) >= 1e-12
-    lam = np.linalg.solve(m[keep], np.repeat(un, 4, axis=0)[keep][..., None])[..., 0]
-    hit = np.all(lam >= -tol, axis=1) | np.all(lam <= tol, axis=1)
-    return np.bincount(np.flatnonzero(keep)[hit] // 4, minlength=len(cones)) > 0
-
-
 def certify_star_centre(shape: StarShape, a) -> Certificate:
-    """Certify that ``a`` is a non-tangential star centre of the shape.
+    """Certify that ``a`` is a non-tangential star centre of the shape:
+    ``certify_star_centres`` on the one pair.
 
-    ``StarShape`` runs it on its own centre at construction; it also takes
-    any other point a of a built shape.  Star test (``_star_test``, exact):
-    every surface triangle with apex a is positively oriented.  A closed,
-    connected, outward-oriented surface then winds once about a, so a is
-    interior and every ray from a meets the boundary exactly once; an
+    ``StarShape`` certifies its own centre at construction; this also takes
+    any other point a of a built shape.  Star test (``_star_failures``,
+    exact): every surface triangle with apex a is positively oriented.  A
+    closed, connected, outward-oriented surface then winds once about a, so
+    a is interior and every ray from a meets the boundary exactly once; an
     exterior a (winding zero) or a boundary a (a simplex of zero volume)
-    fails it.  theta_obs is the least of the vertex term (``_vertex_angle``,
-    exact) and the plane term (``_plane_angle``): a chord inside a facet
-    makes at least the angle asin(h / |w - a|) with the ray at w, h the
-    distance from a to the facet plane, least at the triangle's vertex
-    farthest from a.  The edge term adds nothing: along an edge the ray
-    direction moves affinely, chords across the edge point into the wedge
-    of the two incident half-planes, and with a strictly inside both facet
-    planes no ray enters that wedge, so the least angle to it is a plane
-    term.
+    fails it.  theta_obs is the least of the vertex term
+    (``_vertex_angles``, exact) and the plane term (``_plane_angles``): a
+    chord inside a facet makes at least the angle asin(h / |w - a|) with the
+    ray at w, h the distance from a to the facet plane, least at the
+    triangle's vertex farthest from a.  The edge term adds nothing: along an
+    edge the ray direction moves affinely, chords across the edge point into
+    the wedge of the two incident half-planes, and with a strictly inside
+    both facet planes no ray enters that wedge, so the least angle to it is
+    a plane term.
     Returns half of theta_obs and eps = min(min_feature / 2, diameter / 4),
     or raises CertificationFailure: at the first simplex failing the star
     test, then at the first tangential vertex, then below 2 THETA_MIN.
     """
-    a = _as_array(a)
-    _star_test(shape, a)
-    theta_obs = min(_vertex_angle(shape, a), _plane_angle(shape, a))
-    eps = min(0.5 * shape.min_feature, 0.25 * shape.diameter)
-    theta = theta_obs / 2
-    if theta < THETA_MIN:
-        raise CertificationFailure(f"observed angle too small: {theta_obs:.2e}")
-    theta = min(theta, math.pi / 4 - 1e-9)
-    return Certificate(theta=theta, eps=float(eps))
+    return certify_star_centres([shape], [a])[0]
+
+
+def certify_star_centres(shapes, centres):
+    """The certificates of the pairs (shapes[k], centres[k]), as
+    ``certify_star_centre`` gives them one by one, from one stacked pass
+    over all pairs: one exact star test over the surface triangles of every
+    pair, then the plane term and the vertex term each over the rows of
+    every pair.  A shape's own rows (its corners' cones and the pairs of
+    them at each vertex) are formed once however many pairs it is in, so a
+    batch of candidate centres of one shape shares them.  Raises what
+    certifying the pairs one at a time, in order, raises: the failure of
+    the first pair that fails, for the first reason that applies to it."""
+    pairs = []
+    for shape, a in zip(shapes, centres):
+        try:
+            a = _as_array(a)
+        except GeometryError:
+            _certify_pairs(pairs)       # an earlier pair fails first
+            raise
+        pairs.append((shape, a))
+    return _certify_pairs(pairs)
+
+
+def _certify_pairs(pairs):
+    if not pairs:
+        return []
+    rows = _PairRows(pairs)
+    out = []
+    for (shape, _), star, vertex, plane in zip(pairs, _star_failures(rows),
+                                               _vertex_angles(rows), _plane_angles(rows)):
+        if star is not None:
+            raise star
+        if isinstance(vertex, CertificationFailure):
+            raise vertex
+        theta_obs = min(vertex, plane)
+        eps = min(0.5 * shape.min_feature, 0.25 * shape.diameter)
+        theta = theta_obs / 2
+        if theta < THETA_MIN:
+            raise CertificationFailure(f"observed angle too small: {theta_obs:.2e}")
+        theta = min(theta, math.pi / 4 - 1e-9)
+        out.append(Certificate(theta=theta, eps=float(eps)))
+    return out
+
+
+class _PairRows:
+    """The (shape, centre) pairs of a certification batch as stacked rows.
+
+    The distinct shapes are stacked once: ``vertices``, the facet loops
+    ``polys`` and ``normals``, vertex and facet indices offset shape by
+    shape.  ``cones._tile`` repeats a shape's rows for each pair it is in: the
+    surface triangles (``tri_points``, ``tri_normal``, ``tri_pair``) and the
+    vertices, whose offsets u = q - a from the pair's centre a (1.0 where
+    |u| <= tol, ``near``) are the pair-vertex rows of the vertex term;
+    ``tile`` repeats other rows of the shapes, such as their corners."""
+
+    def __init__(self, pairs):
+        shapes = [shape for shape, _ in pairs]
+        distinct = list({id(shape): shape for shape in shapes}.values())
+        slot = {id(shape): d for d, shape in enumerate(distinct)}
+        self.shapes = shapes
+        self.which = np.array([slot[id(shape)] for shape in shapes])
+        self.apex = np.array([a for _, a in pairs])
+        nv = np.array([len(shape.vertices) for shape in distinct])
+        voff = _starts(nv).tolist()
+        self.vertices = np.concatenate([shape.vertices for shape in distinct])
+        self.polys = [[i + off for i in poly] for shape, off in zip(distinct, voff)
+                      for poly in shape.facet_polys]
+        self.normals = np.concatenate([shape._facet_normal for shape in distinct])
+        nt = [len(shape.triangles) for shape in distinct]
+        self.tri_rows, self.tri_pair = _tile(nt, self.which)
+        self.tri_first = _starts(nt)
+        self.tri_starts = _starts(np.asarray(nt)[self.which])
+        tris = np.concatenate([shape.triangles + off for shape, off in zip(distinct, voff)])
+        self.tri_points = self.vertices[tris[self.tri_rows]]
+        self.tri_normal = np.concatenate(
+            [shape._facet_normal[shape.tri_facet] for shape in distinct])[self.tri_rows]
+        self.vert_rows, pair = _tile(nv, self.which)
+        u = self.vertices[self.vert_rows] - self.apex[pair]
+        self.near = np.sqrt(_dots(u, u)) <= np.array([shape.tol for shape in shapes])[pair]
+        u[self.near] = 1.0       # a placeholder: those vertices fail before any angle
+        self.u = u
+        self._shape_of = np.repeat(np.arange(len(distinct)), nv)
+        self._local = np.arange(len(self.vertices)) - np.repeat(voff, nv)
+        self._first_u = _starts(nv[self.which])
+
+    def tile(self, vertex):
+        """(rows, pair, at) for rows of the distinct stack, grouped by shape
+        in shape order, with the vertex (into ``vertices``) of each: the
+        rows repeated for each pair of their shape, the pair, and the row
+        of ``u`` at that vertex of that pair."""
+        counts = np.bincount(self._shape_of[vertex], minlength=self._shape_of[-1] + 1)
+        rows, pair = _tile(counts, self.which)
+        return rows, pair, self._first_u[pair] + self._local[vertex[rows]]
+
+
+def _star_failures(rows):
+    """Per pair, None or the CertificationFailure naming the first surface
+    triangle whose simplex with apex the centre is not positively oriented
+    (relative to the outward orientation).  The signs are exact:
+    ``_det3_signs`` decides each sign that a float filter certifies and
+    takes the rest in Fraction on the float coordinates."""
+    signs = _det3_signs(rows.tri_points, rows.apex[rows.tri_pair][:, None, :])[0]
+    out = [None] * len(rows.shapes)
+    for r in np.flatnonzero(signs <= 0).tolist():
+        k = int(rows.tri_pair[r])
+        if out[k] is None:
+            shape, a = rows.shapes[k], rows.apex[k]
+            t = int(rows.tri_rows[r] - rows.tri_first[rows.which[k]])
+            out[k] = CertificationFailure(
+                f"star test fails at triangle {t} "
+                f"{shape.vertices[shape.triangles[t]].tolist()}: "
+                f"it does not face the centre {a.tolist()}")
+    return out
+
+
+def _plane_angles(rows):
+    """Per pair, the least angle between the centre ray at a boundary point
+    w and the facet through w: asin(h / max |v - a|) over the vertices v of
+    each triangle, h the distance from a to its plane."""
+    p = rows.tri_points - rows.apex[rows.tri_pair][:, None, :]
+    h = np.abs(np.einsum("ij,ij->i", rows.tri_normal, p[:, 0]))
+    far = np.linalg.norm(p, axis=2).max(axis=1)
+    return np.minimum.reduceat(np.arcsin(np.minimum(1.0, h / far)), rows.tri_starts).tolist()
+
+
+def _vertex_angles(rows):
+    """Per pair, the vertex term: the minimum angle between the centre ray
+    and the chord directions at every vertex of the shape, or the
+    CertificationFailure of a tangential chord direction.  The
+    chord-direction limit set at a vertex q is the union over ordered pairs
+    of incident facets (F, F') of the cones cone(F' at q) - cone(F at q);
+    same-facet chords span the facet plane.
+
+    Every row of every pair goes through each kernel in one stacked call,
+    each with its own u = q - a.  The facet cones may be reflex; membership
+    is tested per convex sub-sector (consecutive generators of one corner),
+    over the pairs of sub-sectors of different corners at one vertex, which
+    ``_same_vertex_pairs`` forms within each vertex's own generators.  The
+    limit set is symmetric (cone(F) - cone(F') = -(cone(F') - cone(F))) and
+    a line test or a line angle does not see the sign, so each unordered
+    pair of corners is taken once.  A pair's vertices come in the order of
+    their first corner; its failure is that of the first vertex that fails,
+    for the first reason that applies: u within tol of zero, a tangential
+    chord direction, or the least angle so far below 2 THETA_MIN."""
+    corner_vertex, corner_facet, gens, gen_corner = _facet_vertex_cones(
+        rows.vertices, rows.polys, rows.normals)
+    vertex = corner_vertex[gen_corner]
+    u = rows.u
+    sub = np.flatnonzero(gen_corner[:-1] == gen_corner[1:])
+    jb, ia = _same_vertex_pairs(vertex[sub], gen_corner[sub])
+    r, _, at = rows.tile(vertex[sub[jb]])
+    jb, ia = sub[jb[r]], sub[ia[r]]
+    cones = np.stack([gens[jb], gens[jb + 1], -gens[ia], -gens[ia + 1]], axis=1)
+    tangential = np.bincount(at[_cones_contain_line(cones, u[at])], minlength=len(u)) > 0
+    least = np.full(len(u), math.pi / 2)
+    r, _, at = rows.tile(corner_vertex)
+    np.minimum.at(least, at, _line_plane_angles(u[at], rows.normals[corner_facet[r]]))
+    ib, ia = _same_vertex_pairs(vertex, gen_corner)
+    r, _, at = rows.tile(vertex[ib])
+    np.minimum.at(least, at, _sector_min_angles(u[at], gens[ib[r]], -gens[ia[r]]))
+    # the vertices in the order of their first corner, pair by pair
+    order = corner_vertex[np.sort(np.unique(corner_vertex, return_index=True)[1])]
+    _, pair, at = rows.tile(order)
+    out = np.minimum.reduceat(least[at], _starts(np.bincount(pair))).tolist()
+    # a pair with a vertex that may fail (NaN included) takes the running
+    # minimum over its vertices in order, which names the first that fails
+    suspect = rows.near[at] | tangential[at] | ~(least[at] / 2 >= THETA_MIN)
+    for k in sorted(set(pair[suspect].tolist())):
+        mine = at[pair == k]
+        so_far = np.minimum.accumulate(least[mine])
+        fails = np.flatnonzero(rows.near[mine] | tangential[mine] | (so_far / 2 < THETA_MIN))
+        if not fails.size:
+            out[k] = float(so_far[-1])
+            continue
+        first = mine[fails[0]]
+        q = rows.vertices[rows.vert_rows[first]]
+        if rows.near[first]:
+            out[k] = CertificationFailure("centre coincides with a vertex")
+        elif tangential[first]:
+            out[k] = CertificationFailure(f"tangential chord direction at vertex {q}")
+        else:
+            out[k] = CertificationFailure(
+                f"vertex angle too small at {q}: {so_far[fails[0]]:.2e}")
+    return out
 
 
 def _det3(u, v, w):
@@ -622,82 +798,6 @@ def _det3_signs(p, q):
                         for pr, qr in zip(p[k].tolist(), q[k].tolist())])
         signs[k] = (exact > 0) - (exact < 0)
     return signs, det
-
-
-def _star_test(shape, a):
-    """Raise CertificationFailure naming the first surface triangle whose
-    simplex with apex a is not positively oriented (relative to the outward
-    orientation).  The signs are exact: ``_det3_signs`` decides each sign
-    that a float filter certifies and takes the rest in Fraction on the
-    float coordinates."""
-    signs = _det3_signs(shape.vertices[shape.triangles], a)[0].tolist()
-    for k, sign in enumerate(signs):
-        if sign <= 0:
-            raise CertificationFailure(
-                f"star test fails at triangle {k} "
-                f"{shape.vertices[shape.triangles[k]].tolist()}: "
-                f"it does not face the centre {a.tolist()}")
-
-
-def _plane_angle(shape, a):
-    """Least angle between the centre ray at a boundary point w and the
-    facet through w: asin(h / max |v - a|) over the vertices v of each
-    triangle, h the distance from a to its plane."""
-    p = shape.vertices[shape.triangles] - a
-    h = np.abs(np.einsum("ij,ij->i", shape._facet_normal[shape.tri_facet], p[:, 0]))
-    far = np.linalg.norm(p, axis=2).max(axis=1)
-    return float(np.arcsin(np.minimum(1.0, h / far)).min())
-
-
-def _vertex_angle(shape, a):
-    """The vertex term of a polyhedron: the minimum angle between the centre
-    ray and the chord directions at every vertex; raises on a tangential
-    chord direction.  The chord-direction limit set at a vertex q is the
-    union over ordered pairs of incident facets (F, F') of the cones
-    cone(F' at q) - cone(F at q); same-facet chords span the facet plane.
-
-    All vertices go through each kernel in one stacked call, each row with
-    its own u = q - a.  The vertices come in the order of their first
-    corner; the failure raised is that of the first vertex that fails, for
-    the first reason that applies: u within tol of zero, a tangential chord
-    direction, or the least angle so far below 2 THETA_MIN."""
-    corner_vertex, corner_facet, gens, gen_corner = _facet_vertex_cones(shape)
-    u = shape.vertices - a
-    near = np.sqrt(_dots(u, u)) <= shape.tol
-    u[near] = 1.0       # a placeholder: those vertices fail before any angle
-    vertex = corner_vertex[gen_corner]
-    # the facet cones may be reflex; membership is tested per convex
-    # sub-sector (consecutive generators of one corner), over the pairs of
-    # sub-sectors of different corners at one vertex.  The limit set is
-    # symmetric (cone(F) - cone(F') = -(cone(F') - cone(F))) and a line test
-    # or a line angle does not see the sign, so each unordered pair of
-    # corners is taken once
-    sub = np.flatnonzero(gen_corner[:-1] == gen_corner[1:])
-    jb, ia = np.nonzero((vertex[sub][:, None] == vertex[sub][None, :])
-                        & (gen_corner[sub][:, None] < gen_corner[sub][None, :]))
-    cones = np.stack([gens[sub[jb]], gens[sub[jb] + 1],
-                      -gens[sub[ia]], -gens[sub[ia] + 1]], axis=1)
-    at = vertex[sub[jb]]
-    tangential = np.bincount(at[_cones_contain_line(cones, u[at])], minlength=len(u)) > 0
-    ib, ia = np.nonzero((vertex[:, None] == vertex[None, :])
-                        & (gen_corner[:, None] < gen_corner[None, :]))
-    least = np.full(len(u), math.pi / 2)
-    np.minimum.at(least, corner_vertex,
-                  _line_plane_angles(u[corner_vertex], shape._facet_normal[corner_facet]))
-    np.minimum.at(least, vertex[ib], _sector_min_angles(u[vertex[ib]], gens[ib], -gens[ia]))
-    # the vertices in the order of their first corner
-    order = corner_vertex[np.sort(np.unique(corner_vertex, return_index=True)[1])]
-    so_far = np.minimum.accumulate(least[order])
-    fails = np.flatnonzero(near[order] | tangential[order] | (so_far / 2 < THETA_MIN))
-    if fails.size:
-        k = fails[0]
-        q = shape.vertices[order[k]]
-        if near[order[k]]:
-            raise CertificationFailure("centre coincides with a vertex")
-        if tangential[order[k]]:
-            raise CertificationFailure(f"tangential chord direction at vertex {q}")
-        raise CertificationFailure(f"vertex angle too small at {q}: {so_far[k]:.2e}")
-    return float(so_far[-1])
 
 
 def local_lipschitz_constants(shape: StarShape):

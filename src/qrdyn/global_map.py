@@ -31,7 +31,8 @@ from typing import Dict
 import numpy as np
 
 from . import zorich
-from .geometry import GeometryError, StarShape, local_lipschitz_constants
+from .geometry import (GeometryError, cuboid_spec, local_lipschitz_constants,
+                       star_shapes)
 from .star_extend import (AffineCellTable, DiagonalSelect,
                           FormulaPiece, IdentityPiece, QuadrantSelect,
                           Radial2DPiece, RadialMap, TrivialSelect,
@@ -145,7 +146,9 @@ def _formula_top_piece(vt, tri_a, tri_b):
 
 
 def build_aprime_chart(vt: VertexTable) -> CellChart:
-    """The chart of [0,2]^2 x [0,1] onto the nine-face image polyhedron."""
+    """The chart of [0,2]^2 x [0,1] onto the nine-face image polyhedron;
+    the box and the polyhedron are built and certified in one
+    ``star_shapes`` batch."""
     bottom = IdentityPiece(vt.loop_coords(["P0", "Q0", "R0", "S0"]))
     side_x0 = _radial_piece(vt, ["P0", "P1", "T1", "Q1", "Q0"])
     side_x2 = _radial_piece(vt, ["S0", "S1", "V1", "R1", "R0"])
@@ -157,8 +160,6 @@ def build_aprime_chart(vt: VertexTable) -> CellChart:
         "T": _radial_piece(vt, ["T1", "X1", "U1", "Q1"]),
         "X": _radial_piece(vt, ["X1", "V1", "R1", "U1"]),
     }
-
-    domain = StarShape.cuboid([0, 0, 0], [2, 2, 1], centre=(1, 1, 0.5))
 
     names = ["P0", "Q0", "R0", "S0", "P1", "Q1", "R1", "S1",
              "T1", "U1", "V1", "W1", "X1"]
@@ -175,8 +176,9 @@ def build_aprime_chart(vt: VertexTable) -> CellChart:
         ["W1", "S1", "V1", "X1"],
         ["X1", "V1", "R1", "U1"],
     ]
-    codomain = StarShape.polyhedron(
-        verts, [[pool[n] for n in f] for f in facets], centre=(5.0, 1.0, 2.0))
+    domain, codomain = star_shapes([
+        cuboid_spec([0, 0, 0], [2, 2, 1], centre=(1, 1, 0.5)),
+        (verts, (5.0, 1.0, 2.0), [[pool[n] for n in f] for f in facets], None)])
 
     pieces_by_facet = {
         0: TrivialSelect(side_x0),
@@ -265,15 +267,16 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
     """The four charts of the upper slab cells onto their star-shaped
     image solids.  Each image solid is built about the centre
     apex + 0.10 (centroid - apex), one tenth of the way from the image of
-    the cell's outer corner at level L to the mean of its vertices; building
-    it certifies that centre, and a failure raises ConstructionError naming
-    the chart."""
+    the cell's outer corner at level L to the mean of its vertices.  The
+    eight shapes (each chart's box, then its image solid) are built and
+    certified in one ``star_shapes`` batch; a solid whose centre fails
+    raises ConstructionError naming the chart."""
     int_faces = _build_interior_faces(vt)
-    charts = []
+    specs = []         # (box, image solid) per chart
+    parts = []         # (cell_id, lo, hi, pieces by domain facet, by codomain facet)
     for cell_id, spec in _CELL_DEFS.items():
         lo = np.array([spec["lo"][0], spec["lo"][1], 1.0])
         hi = np.array([spec["hi"][0], spec["hi"][1], L])
-        domain = StarShape.cuboid(lo, hi)
 
         bottom_piece = aprime.top_pieces[spec["bottom_sq"]]
         tri_a, tri_b = spec["top"]
@@ -315,14 +318,19 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
 
         apex = vt.image(spec["apex"])
         centre = apex + 0.10 * (verts.mean(axis=0) - apex)
-        try:
-            codomain = StarShape.polyhedron(verts, facet_idx, centre=centre)
-        except GeometryError as err:
-            raise ConstructionError(
-                f"no certifiable star centre for image of {cell_id}: {err}") from err
-
-        by_codomain = {i: p for i, p in enumerate(facet_pieces)}
-        rmap = RadialMap(domain, codomain, pieces_by_facet, by_codomain)
+        specs += [cuboid_spec(lo, hi), (verts, centre, facet_idx, None)]
+        parts.append((cell_id, lo, hi, pieces_by_facet, dict(enumerate(facet_pieces))))
+    try:
+        shapes = star_shapes(specs)
+    except GeometryError as err:
+        if err.shape_index is None or err.shape_index % 2 == 0:
+            raise
+        raise ConstructionError(
+            f"no certifiable star centre for image of {parts[err.shape_index // 2][0]}: "
+            f"{err}") from err
+    charts = []
+    for k, (cell_id, lo, hi, pieces_by_facet, by_codomain) in enumerate(parts):
+        rmap = RadialMap(shapes[2 * k], shapes[2 * k + 1], pieces_by_facet, by_codomain)
         charts.append(CellChart(cell_id, lo, hi, rmap))
     return charts
 
@@ -654,6 +662,14 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     ``resolution``, ``chart_resolution``, ``lprime_samples`` and ``seed`` do
     nothing: they set the sampled checks that exact certificates replaced,
     and are kept so that existing callers keep working.
+
+    Each chart phase builds its star shapes in one ``geometry.star_shapes``
+    batch, certified by one stacked ``certify_star_centres`` call: the box
+    and image solid of A' in ``build_aprime_chart``, the four boxes and
+    four image solids of the A'' charts in ``build_asecond_charts``.  Each
+    chart's boundary map is then validated by its own
+    ``RadialMap.validate_boundary_map`` call, on the facet planes that its
+    shapes computed when they were built.
 
     ``phase_s`` holds the wall seconds of the five build phases, named by
     module and function (the boundary-map validation summed over the

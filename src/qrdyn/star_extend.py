@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cones import _dots, _starts
 from .geometry import (CertificationFailure, GeometryError, StarShape, psi,
-                       _det3_signs, _dots, _ray_box_scalar)
+                       _det3_signs, _ray_box_scalar)
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
 # also the relative tolerance of the facet area sums.
@@ -349,7 +350,9 @@ class RadialMap:
         ``geometry._det3_signs``, whose float filter decides every sign
         outside Shewchuk's error bound and leaves the rest, zero areas among
         them, to Fraction.  The seam check over the triangles is one batched
-        solve (``_cover_deviation``).
+        solve, each triangle against the cell vertices on its domain facet's
+        plane (``_cover_deviation``).  The facet planes, normals and areas
+        are those both shapes computed at construction (``facet_planes``).
         Such a boundary map has degree one on each facet, so it is injective
         there; with a positive determinant on every cell of the radial
         extension the chart is a homeomorphism onto its codomain.
@@ -359,38 +362,43 @@ class RadialMap:
         scale = self.codomain.diameter
         tol_boundary = max(self.codomain.tol * 1e3, 1e-12 * scale)
         tol_seam = TAU_SEAM * max(1.0, scale)
-        dom_n, dom_d, dom_area = _facet_planes(self.domain)
-        cod_n, cod_d, cod_area = _facet_planes(self.codomain)
-        serves = {}
+        dom_n, dom_d, dom_area = self.domain.facet_planes
+        cod_n, cod_d, cod_area = self.codomain.facet_planes
+        serves = {}     # id(piece) -> the codomain facets it serves
         for f, piece in self.piece_by_codomain_facet.items():
             serves.setdefault(id(piece), []).append(f)
-        cells = []      # (domain polygon, image polygon, facets served)
-        for piece in self.all_pieces:
+        served = np.zeros((len(self.all_pieces), len(cod_d)), dtype=bool)
+        cells = []      # (domain polygon, image polygon) of every piece
+        owner = []      # the piece of each cell
+        for k, piece in enumerate(self.all_pieces):
             facets = serves.get(id(piece))
             if not facets:
                 raise GeometryError(f"piece {piece.kind} serves no codomain facet")
-            cells += [(dom, img, facets) for dom, img in piece.affine_cells()]
+            served[k, facets] = True
+            piece_cells = piece.affine_cells()
+            cells += piece_cells
+            owner += [k] * len(piece_cells)
         # every cell vertex in one stack, cell after cell
-        size = np.array([len(cell[0]) for cell in cells])
+        size = np.array([len(dom) for dom, _ in cells])
         start = np.cumsum(size) - size
         dom, img = (np.array([p for cell in cells for p in cell[j]], dtype=float)
                     for j in range(2))
         # the domain facet that holds each cell, and of the codomain facets
-        # its piece serves the one nearest to its images (the first on ties)
+        # its piece serves the one nearest to its images (the lowest on ties)
         cell_fd = np.argmin(np.maximum.reduceat(np.abs(dom @ dom_n.T - dom_d), start), axis=1)
         off_plane = np.abs(np.matmul(img[:, None, None, :], cod_n[None, :, :, None])[..., 0, 0]
                            - cod_d)
         devs = np.maximum.reduceat(off_plane, start)
-        cell_fc = [facets[int(np.argmin(devs[c, facets]))]
-                   for c, (*_, facets) in enumerate(cells)]
+        cell_fc = np.argmin(np.where(served[owner], devs, np.inf), axis=1)
         worst_b = float(devs[np.arange(len(cells)), cell_fc].max())
         # each cell polygon as a fan of triangles (0, i, i + 1) of its vertices
         cell = np.repeat(np.arange(len(cells)), size - 2)
-        corners = np.array([(s, s + i, s + i + 1) for s, n in zip(start.tolist(), size.tolist())
-                            for i in range(1, n - 1)])
+        first = start[cell]
+        i = np.arange(len(cell)) - _starts(size - 2)[cell] + first
+        corners = np.stack([first, i + 1, i + 2], axis=1)
         dom, img = dom[corners], img[corners]
-        fd, fc = cell_fd[cell], np.asarray(cell_fc)[cell]
-        worst_seam = _cover_deviation(dom, img, self.domain.tol * 1e3)
+        fd, fc = cell_fd[cell], cell_fc[cell]
+        worst_seam = _cover_deviation(dom, img, self.domain.tol * 1e3, fd, dom_n, dom_d)
 
         signs, areas = _oriented_areas(np.concatenate([dom_n[fd], cod_n[fc]]),
                                        np.concatenate([dom, img]))
@@ -412,18 +420,6 @@ class RadialMap:
                                        f"tol_seam={tol_seam:.3e}")
 
 
-def _facet_planes(shape):
-    """Outward unit normal, plane offset and area of each facet of a 3D
-    shape, from its outward-oriented triangles."""
-    p = shape.vertices[shape.triangles]
-    n = np.zeros((shape.facet_count, 3))
-    np.add.at(n, shape.tri_facet, np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
-    twice_area = np.linalg.norm(n, axis=1)
-    n /= twice_area[:, None]
-    first = shape.vertices[[poly[0] for poly in shape.facet_polys]]
-    return n, np.einsum("ij,ij->i", n, first), twice_area / 2
-
-
 def _oriented_areas(normals, tris):
     """(signs, signed areas) of a stack of 3D triangles (N, 3, 3), each seen
     along its unit normal normals[k]: half of normal . ((p1 - p0) x
@@ -435,25 +431,39 @@ def _oriented_areas(normals, tris):
     return signs, dets / 2
 
 
-def _cover_deviation(dom, img, tol):
+def _cover_deviation(dom, img, tol, facet, normals, offsets):
     """Largest distance, over the triangles dom[k] with images img[k]
     (stacks (T, 3, 3)) and every triangle vertex within tol of dom[k],
     between the triangle's affine interpolation at the vertex and the
-    vertex's image in its own triangle; one batched solve for all
-    triangles."""
+    vertex's image in its own triangle.
+
+    A vertex within tol of dom[k] lies within tol of the plane of the
+    domain facet facet[k] (unit normals and offsets ``normals``,
+    ``offsets``), which holds dom[k]; so each triangle is solved only
+    against the vertices within 2 tol of its facet's plane, those on a box
+    edge against the triangles of both facets.  All triangles go in one
+    batched solve, each with its facet's vertices as right-hand sides
+    (padded to the longest such list with other vertices, masked out); a
+    stacked solve with several right-hand sides gives each the coordinates
+    that the solve against all vertices gives it
+    (``tests/oracles.cover_deviation_all_pairs``)."""
     pts, images = dom.reshape(-1, 3), img.reshape(-1, 3)
+    near = np.abs(pts @ normals.T - offsets) <= 2 * tol          # (M, facets)
+    count = near.sum(axis=0)
+    cand = np.argsort(~near, axis=0, kind="stable")[:count.max()].T[facet]
+    valid = (np.arange(count.max()) < count[:, None])[facet]     # (T, width)
     e = dom[:, 1:] - dom[:, :1]                    # (T, 2, 3): both edges from p0
     n = np.cross(e[:, 0], e[:, 1])
-    d = pts[None] - dom[:, :1]                     # (T, M, 3)
-    u, v = np.moveaxis(np.linalg.solve(e @ np.swapaxes(e, 1, 2), e @ np.swapaxes(d, 1, 2)),
-                       1, 0)
-    tri, at = np.nonzero((np.abs(d @ n[:, :, None])[..., 0]
-                          <= tol * np.linalg.norm(n, axis=1)[:, None])
-                         & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9))
+    d = pts[cand] - dom[:, :1]                     # (T, width, 3)
+    uv = np.linalg.solve(e @ np.swapaxes(e, 1, 2), e @ np.swapaxes(d, 1, 2))
+    u, v = uv[:, 0], uv[:, 1]
+    tri, col = np.nonzero(valid & (np.abs(d @ n[:, :, None])[..., 0]
+                                   <= tol * np.linalg.norm(n, axis=1)[:, None])
+                          & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9))
     f = img[tri, 1:] - img[tri, :1]
-    want = (img[tri, 0] + u[tri, at][:, None] * f[:, 0]
-            + v[tri, at][:, None] * f[:, 1])
-    return float(np.linalg.norm(want - images[at], axis=1).max(initial=0.0))
+    want = (img[tri, 0] + u[tri, col][:, None] * f[:, 0]
+            + v[tri, col][:, None] * f[:, 1])
+    return float(np.linalg.norm(want - images[cand[tri, col]], axis=1).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,14 @@ and cone frames, kept here as the oracles of the tests.
 - ``cover_deviation_per_triangle`` and ``oriented_area_fraction``: the
   seam deviation and the oriented areas of a chart's boundary triangles,
   one triangle at a time, the latter in Fraction;
+- ``cover_deviation_all_pairs``: the seam deviation with every triangle
+  solved against every triangle vertex in one batched solve, as
+  ``star_extend._cover_deviation`` took it before it kept to the vertices
+  on each triangle's facet plane;
+- ``cones_contain_line_lapack``: the line-in-cone test of the vertex term
+  with every generator triple's det and coefficients from LAPACK, which
+  ``cones._cones_contain_line`` takes in closed form away from the
+  thresholds;
 - ``zorich_composed``: Z composed from the scalar fold ``_fold1``, the parity
   of its flags and a scaling per coordinate, which ``zorich_scalar`` writes
   out;
@@ -40,6 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qrdyn.cones import _CONE_TRIPLES
 from qrdyn.geometry import (TAU_GEOM, BoundaryHit, CertificationFailure, GeometryError,
                             _as_array, _point_in_tri2, _ray_box_scalar)
 from qrdyn.zorich import _EXP_ARG_MAX, F_scalar, _fold1
@@ -170,6 +179,39 @@ def cover_deviation_per_triangle(dom, img, tol):
         dev = np.linalg.norm(want[inside] - images[inside], axis=1)
         worst = max(worst, float(dev.max(initial=0.0)))
     return worst
+
+
+def cover_deviation_all_pairs(dom, img, tol):
+    """The largest seam deviation of the triangles dom[k] with images
+    img[k]: every triangle solved against every triangle vertex in one
+    batched solve, and every vertex within tol of a triangle compared with
+    the triangle's affine interpolation at it."""
+    pts, images = dom.reshape(-1, 3), img.reshape(-1, 3)
+    e = dom[:, 1:] - dom[:, :1]                    # (T, 2, 3): both edges from p0
+    n = np.cross(e[:, 0], e[:, 1])
+    d = pts[None] - dom[:, :1]                     # (T, M, 3)
+    u, v = np.moveaxis(np.linalg.solve(e @ np.swapaxes(e, 1, 2), e @ np.swapaxes(d, 1, 2)),
+                       1, 0)
+    tri, at = np.nonzero((np.abs(d @ n[:, :, None])[..., 0]
+                          <= tol * np.linalg.norm(n, axis=1)[:, None])
+                         & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9))
+    f = img[tri, 1:] - img[tri, :1]
+    want = (img[tri, 0] + u[tri, at][:, None] * f[:, 0]
+            + v[tri, at][:, None] * f[:, 1])
+    return float(np.linalg.norm(want - images[at], axis=1).max(initial=0.0))
+
+
+def cones_contain_line_lapack(cones, u, tol=1e-9):
+    """Per cone of ``cones`` (K, 4, 3): True if u[k] or -u[k] lies in the
+    cone of its four generators, each generator triple with
+    |np.linalg.det| >= 1e-12 solved by ``np.linalg.solve`` for the unit
+    vector along u[k]."""
+    m = np.swapaxes(cones[:, _CONE_TRIPLES, :], -1, -2).reshape(-1, 3, 3)
+    un = u / np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
+    keep = np.abs(np.linalg.det(m)) >= 1e-12
+    lam = np.linalg.solve(m[keep], np.repeat(un, 4, axis=0)[keep][..., None])[..., 0]
+    hit = np.all(lam >= -tol, axis=1) | np.all(lam <= tol, axis=1)
+    return np.bincount(np.flatnonzero(keep)[hit] // 4, minlength=len(cones)) > 0
 
 
 def oriented_area_fraction(normal, tri):

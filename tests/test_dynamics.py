@@ -90,6 +90,15 @@ class TestIterate:
         assert rec.reason == "nonfinite"
         assert len(rec.points) == 1
 
+    @pytest.mark.parametrize("stop_on_h0", [False, True])
+    def test_an_image_at_minus_inf_entered_the_half_space(self, fhandle, fmap, stop_on_h0):
+        # the F step from x3 = 720 overflows to -inf after the shift: the
+        # orbit entered H0 at step 1, and stops there as non-finite
+        assert fmap.eval3(2.0, 0.0, 720.0) == (2.0, 0.0, -math.inf)
+        rec = iterate(fhandle, (2.0, 0.0, 720.0), 5, stop_on_h0=stop_on_h0)
+        assert (rec.reason, rec.h0_step) == ("nonfinite", 1)
+        assert len(rec.points) == len(rec.rho) == 1
+
     def test_budget_validation(self, fhandle):
         with pytest.raises(ValueError):
             iterate(fhandle, (0, 0, 0), 0)
@@ -104,6 +113,15 @@ class TestClassify:
         c = classify_escape(fhandle, (0.3, 1.2, 2.0), 10)
         assert c.kind == "quasi_fatou"
         assert c.n == 1
+
+    def test_an_image_at_minus_inf_is_an_entry(self, fhandle, build):
+        # an F step from x3 >= 709 whose height overflows lands at
+        # x3 = -inf: an entry into H0, not a radial escape
+        assert classify_escape(fhandle, (2.0, 0.0, 720.0), 10).label == "H0@1"
+        assert classify_escape(fhandle, (2.0, 0.0, 709.0), 10).label == "H0@1"
+        nan_below = MapHandle("stub", lambda p: (math.nan, 0.0, -math.inf), dim=3,
+                              tracks_h0=True)
+        assert classify_escape(nan_below, (0.0, 0.0, 1.0), 10).label == "H0@1"
 
     def test_axis_tower_escapes_radially(self, fhandle, build):
         c = classify_escape(fhandle, (0, 0, build.constants.L + 1), 50)
@@ -581,10 +599,10 @@ def _classify_numpy(f, x, n_max, radius_cap=RADIUS_CAP):
             nxt = np.asarray(f.fn(tuple(p.tolist())), dtype=float)
         except PrecisionLost:
             return EscapeClass("precision_lost")
-        if not np.all(np.isfinite(nxt)):
-            return EscapeClass("radial")
         if nxt[2] < 0:
             return EscapeClass("quasi_fatou", n=n)
+        if not np.all(np.isfinite(nxt)):
+            return EscapeClass("radial")
         if _norm_numpy(nxt) > radius_cap:
             return EscapeClass("radial")
         p = nxt
@@ -610,6 +628,8 @@ def _iterate_numpy(map_handle, x0, k_max, radius_cap=RADIUS_CAP, stop_on_h0=Fals
             reason = "precision_lost"
             break
         if not np.all(np.isfinite(nxt)):
+            if map_handle.tracks_h0 and h0_step is None and nxt[2] < 0:
+                h0_step = k
             reason = "nonfinite"
             break
         m = _norm_numpy(nxt)

@@ -1,20 +1,40 @@
 import itertools
 import math
 import re
+import struct
+from unittest import mock
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import facet_vertex_cones_probe, psi_ray_oracle, unit
+from oracles import cones_contain_line_lapack, facet_vertex_cones_probe, psi_ray_oracle, unit
 from qrdyn import geometry
+from qrdyn.cones import _cones_contain_line, _facet_vertex_cones, _line_angles
 from qrdyn.geometry import (Certificate, CertificationFailure, GeometryError,
-                            StarShape, THETA_MIN, _det3_signs, _facet_vertex_cones,
-                            _line_angles, _plane_angle, _vertex_angle,
+                            StarShape, THETA_MIN, _det3_signs, _PairRows,
+                            _plane_angles, _vertex_angles, certify_star_centres, star_shapes,
                             certify_star_centre, local_lipschitz_constants,
                             locate, psi)
 from qrdyn.star_extend import pick_star_centre_2d, polygon_kernel
+
+
+def vertex_angle(shape, a):
+    """The vertex term of the one pair (shape, a), raised where it fails."""
+    out = _vertex_angles(_PairRows([(shape, np.asarray(a, dtype=float))]))[0]
+    if isinstance(out, CertificationFailure):
+        raise out
+    return out
+
+
+def plane_angle(shape, a):
+    """The plane term of the one pair (shape, a)."""
+    return _plane_angles(_PairRows([(shape, np.asarray(a, dtype=float))]))[0]
+
+
+def facet_vertex_cones(shape):
+    return _facet_vertex_cones(shape.vertices, shape.facet_polys, shape._facet_normal)
 
 
 def cube(a=(0.0, 0.0, 0.0)):
@@ -335,7 +355,7 @@ class TestBatchedCertification:
             shape = request.getfixturevalue("build").g.by_id["A'"].map.codomain
         a = shape.centre
         cert = certify_star_centre(shape, a)
-        theta_obs = min(_plane_angle(shape, a), _vertex_angle(shape, a))
+        theta_obs = min(plane_angle(shape, a), vertex_angle(shape, a))
         assert cert.theta == min(theta_obs / 2, math.pi / 4 - 1e-9)
         brute = _chord_oracle(shape, a, 6)
         assert theta_obs <= brute * (1 + 1e-12)
@@ -451,7 +471,7 @@ class TestStackedVertexKernel:
             cell = "A'" if which == "aprime" else "A''2"
             shape = request.getfixturevalue("build").g.by_id[cell].map.codomain
         oracle = _vertex_angle_oracle(shape, shape.centre)
-        assert _vertex_angle(shape, shape.centre) == pytest.approx(oracle,
+        assert vertex_angle(shape, shape.centre) == pytest.approx(oracle,
                                                                    rel=1e-12)
 
     def test_tangential_vertex_matches_oracle(self):
@@ -459,8 +479,155 @@ class TestStackedVertexKernel:
         with pytest.raises(CertificationFailure, match="tangential") as want:
             _vertex_angle_oracle(shape, np.asarray(L_HIDDEN))
         with pytest.raises(CertificationFailure, match="tangential") as got:
-            _vertex_angle(shape, np.asarray(L_HIDDEN))
+            vertex_angle(shape, np.asarray(L_HIDDEN))
         assert str(got.value) == str(want.value)
+
+
+def spec_of(shape):
+    """The ``StarShape`` arguments that build the shape."""
+    return shape.vertices, shape.centre, shape.facet_polys, shape.box
+
+
+def shape_bits(shape):
+    """Everything a built shape keeps, its floats as IEEE bytes."""
+    cert = shape.certificate
+    return (shape.vertices.tobytes(), shape.centre.tobytes(), shape.facet_polys,
+            shape.triangles.tobytes(), shape.tri_facet.tobytes(),
+            shape._facet_normal.tobytes(), [x.tobytes() for x in shape.facet_planes],
+            [(np.array(frame).tobytes(), facet) for frame, facet in shape._cones],
+            struct.pack("<5d", shape.diameter, shape.tol, shape.min_feature,
+                        cert.theta, cert.eps))
+
+
+def warped_cube():
+    """A unit cube with one corner lifted off its three faces: building it
+    fails on its facets, before any certificate."""
+    verts = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
+    verts[7] += (0.0, 0.0, 1e-3)
+    return (verts, (0.5, 0.5, 0.5), [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1],
+                                    [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]], None)
+
+
+class TestStackedCertification:
+    def test_a_batch_is_the_shapes_built_one_by_one(self, build):
+        # the build's 10 shapes and the test shapes in one batch, against
+        # one StarShape per spec and against the shapes as built
+        shapes = [shape for chart in build.g.charts
+                  for shape in (chart.map.domain, chart.map.codomain)]
+        shapes += [cube((0.3, -0.2, 0.1)), pentagon(), pentagon(pick_star_centre_2d(PENTAGON)),
+                   l_prism(L_CENTRE), prism(PENTAGON, (1.0, 3.5, 0.5))]
+        specs = [spec_of(shape) for shape in shapes]
+        batch = star_shapes(specs)
+        for got, shape, spec in zip(batch, shapes, specs):
+            assert shape_bits(got) == shape_bits(StarShape(*spec)) == shape_bits(shape)
+
+    @pytest.mark.parametrize("which", ["aprime", "asecond4", "cube", "l_prism"])
+    def test_candidate_centres_of_one_shape(self, which, build):
+        shape = {"aprime": lambda: build.g.by_id["A'"].map.codomain,
+                 "asecond4": lambda: build.g.by_id["A''4"].map.codomain,
+                 "cube": cube, "l_prism": lambda: l_prism(L_CENTRE)}[which]()
+        rng = np.random.default_rng(3)
+        centres = shape.centre + 0.05 * shape.diameter * rng.uniform(-1, 1, (40, 3))
+        one_by_one = []
+        for a in centres:
+            try:
+                one_by_one.append((a, certify_star_centre(shape, a)))
+            except CertificationFailure:
+                pass
+        assert len(one_by_one) >= 10
+        batch = certify_star_centres([shape] * len(one_by_one), [a for a, _ in one_by_one])
+        assert [(c.theta, c.eps) for c in batch] == [(c.theta, c.eps) for _, c in one_by_one]
+
+    def test_the_first_failing_shape_raises_what_it_raises_alone(self):
+        good = spec_of(cube())
+        hidden = spec_of(l_prism(L_CENTRE))[:1] + (L_HIDDEN,) + spec_of(l_prism(L_CENTRE))[2:]
+        alone = {}
+        for name, spec in (("hidden", hidden), ("warped", warped_cube())):
+            with pytest.raises(GeometryError) as err:
+                StarShape(*spec)
+            alone[name] = err.value
+        # the stacked pass meets the warped facet before any certificate,
+        # but the hidden centre of the shape before it fails first
+        for specs, first, index in (([good, hidden, warped_cube()], "hidden", 1),
+                                    ([good, good, warped_cube(), hidden], "warped", 2)):
+            with pytest.raises(GeometryError) as err:
+                star_shapes(specs)
+            assert type(err.value) is type(alone[first])
+            assert str(err.value) == str(alone[first])
+            assert err.value.shape_index == index
+
+    def test_the_first_failing_centre_raises_what_it_raises_alone(self):
+        # centres that certify, fail the star test at different triangles,
+        # or are not finite, in every rotation of the batch
+        shape = l_prism(L_CENTRE)
+        centres = [L_CENTRE, (0.4, 0.6, 0.3), L_HIDDEN, (9.0, 0.0, 0.0), (math.nan, 0.0, 0.0)]
+        alone = []
+        for a in centres:
+            try:
+                certify_star_centre(shape, a)
+                alone.append(None)
+            except GeometryError as err:
+                alone.append(err)
+        assert [err is None for err in alone] == [True, True, False, False, False]
+        for k in range(len(centres)):
+            batch = centres[k:] + centres[:k]
+            first = next(err for err in alone[k:] + alone[:k] if err is not None)
+            with pytest.raises(GeometryError) as err:
+                certify_star_centres([shape] * len(batch), batch)
+            assert type(err.value) is type(first)
+            assert str(err.value) == str(first)
+
+
+class TestConeContainment:
+    @staticmethod
+    def build_rows(build):
+        shapes = [shape for chart in build.g.charts
+                  for shape in (chart.map.domain, chart.map.codomain)]
+        rows = _PairRows([(shape, shape.centre) for shape in shapes])
+        corner_vertex, _, gens, gen_corner = _facet_vertex_cones(
+            rows.vertices, rows.polys, rows.normals)
+        sub = np.flatnonzero(gen_corner[:-1] == gen_corner[1:])
+        jb, ia = np.meshgrid(sub, sub, indexing="ij")
+        same = corner_vertex[gen_corner[jb]] == corner_vertex[gen_corner[ia]]
+        jb, ia = jb[same], ia[same]
+        cones = np.stack([gens[jb], gens[jb + 1], -gens[ia], -gens[ia + 1]], axis=1)
+        return cones, rows.vertices[corner_vertex[gen_corner[jb]]]
+
+    def test_equals_the_lapack_test(self, build):
+        # the build's cone rows with rays from the centres and from points
+        # along their generators (hits), and random cones and rays
+        cones, at = self.build_rows(build)
+        rng = np.random.default_rng(5)
+        u = np.concatenate([at - rng.uniform(-1, 1, (len(at), 3)),
+                            cones[:, 0] + 0.5 * cones[:, 2] + 1e-3 * rng.normal(size=(len(at), 3))])
+        cones = np.concatenate([cones, cones])
+        g = rng.normal(size=(4000, 4, 3))
+        cones = np.concatenate([cones, g / np.linalg.norm(g, axis=2)[..., None]])
+        u = np.concatenate([u, rng.normal(size=(4000, 3))])
+        want = cones_contain_line_lapack(cones, u)
+        assert 0 < want.sum() < len(want)
+        assert np.array_equal(_cones_contain_line(cones, u), want)
+
+    def test_near_thresholds_lapack_decides(self):
+        # a triple of determinant 1e-12 (within the window about the keep
+        # threshold) and a ray with a coefficient of -1e-9 (at the
+        # tolerance) take LAPACK's det and solve; far from both, neither
+        ex, ey, ez = np.eye(3)
+        flat = ex + ey + 1e-12 * math.sqrt(2.0) * ez
+        cones = np.array([[ex, ey, flat / np.linalg.norm(flat), -ez],
+                          [ex, ey, ez, -ex - ey - ez]])
+        cones[1, 3] /= np.linalg.norm(cones[1, 3])
+        u = np.array([[0.3, 0.2, 0.5], [-1e-9, 1.0, 1.0]])
+        u[1] *= math.sqrt(float(u[1] @ u[1]))
+        with mock.patch("numpy.linalg.det", wraps=np.linalg.det) as det, \
+                mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve:
+            got = _cones_contain_line(cones, u)
+        assert det.call_count == 1 and solve.call_count == 1
+        assert np.array_equal(got, cones_contain_line_lapack(cones, u))
+        with mock.patch("numpy.linalg.det", wraps=np.linalg.det) as det, \
+                mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve:
+            _cones_contain_line(cones[1:], np.array([[0.3, 0.2, 0.5]]))
+        assert det.call_count == solve.call_count == 0
 
 
 class TestFacetVertexCones:
@@ -473,7 +640,7 @@ class TestFacetVertexCones:
                   for shape in (chart.map.domain, chart.map.codomain)]
         shapes += [cube(), l_prism(L_CENTRE)]
         for shape in shapes:
-            corner_vertex, corner_facet, gens, gen_corner = _facet_vertex_cones(shape)
+            corner_vertex, corner_facet, gens, gen_corner = facet_vertex_cones(shape)
             got = {}
             for c, (v, f) in enumerate(zip(corner_vertex.tolist(), corner_facet.tolist())):
                 got.setdefault(v, []).append((f, gens[gen_corner == c]))
@@ -488,7 +655,7 @@ class TestFacetVertexCones:
         # the L-prism's inner corner (1, 1) has an interior angle of 3 pi / 2
         # in both caps: ceil((3 pi / 2) / 1.5) = 4 sectors, five generators
         shape = l_prism(L_CENTRE)
-        corner_vertex, corner_facet, _, gen_corner = _facet_vertex_cones(shape)
+        corner_vertex, corner_facet, _, gen_corner = facet_vertex_cones(shape)
         inner = [c for c, v in enumerate(corner_vertex.tolist())
                  if np.array_equal(shape.vertices[v][:2], [1.0, 1.0])
                  and corner_facet[c] < 2]

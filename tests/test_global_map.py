@@ -9,8 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qrdyn import geometry, zorich
-from qrdyn.geometry import StarShape
+from qrdyn import geometry, global_map, zorich
 from qrdyn.global_map import (ConstructionError, _cell_index, assemble_g, audit_dilatation,
                               audit_orientation, audit_seams,
                               build_asecond_charts, build_maps, build_vertex_table,
@@ -70,10 +69,12 @@ class TestVertexTable:
 
     def test_uncertifiable_codomain_centre_names_the_chart(self, build, monkeypatch):
         # a centre on the image solid's boundary (one of its vertices)
-        # fails the star test when the solid is built
-        real = StarShape.polyhedron
-        monkeypatch.setattr(StarShape, "polyhedron",
-                            lambda verts, facets, centre: real(verts, facets, verts[0]))
+        # fails the star test when the batch of the chart boxes and image
+        # solids is built; the first solid to fail is that of A''1
+        real = global_map.star_shapes
+        monkeypatch.setattr(global_map, "star_shapes", lambda specs: real(
+            [(verts, verts[0] if box is None else centre, facets, box)
+             for verts, centre, facets, box in specs]))
         with pytest.raises(ConstructionError,
                            match="star centre for image of A''1: star test fails"):
             build_asecond_charts(build.vertex_table, build.constants.L,
@@ -428,13 +429,27 @@ class TestBuildWork:
         # a build solves its 141 cells, 532 sector probes and 141 image-cell
         # fans in stacks: per chart table one solve for the linear parts and
         # one for the sector probes, one inverse for the linear parts and one
-        # for the fan frames; per polyhedron one solve (the cone test of the
-        # vertex term) and one inverse (the cone frames); per chart one solve
-        # in the boundary-map validation.  One call per cell or sector would
-        # take hundreds
+        # for the fan frames; per chart phase one inverse (the cone frames of
+        # its shapes); per chart one solve in the boundary-map validation.
+        # The cone test of the vertex term is closed form and leaves to
+        # LAPACK only triples near its thresholds, of which a build has none.
+        # One call per cell or sector would take hundreds
         with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve, \
                 mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv:
             build = build_maps()
-        charts, polyhedra = len(build.g.charts), 2 * len(build.g.charts)
-        assert solve.call_count == 2 * charts + polyhedra + charts
-        assert inv.call_count == 2 * charts + polyhedra
+        charts, phases = len(build.g.charts), 2
+        assert solve.call_count == 2 * charts + charts
+        assert inv.call_count == 2 * charts + phases
+
+    def test_one_certification_pass_per_chart_phase(self):
+        # the stacked kernel certifies the 2 shapes of the A' phase and the
+        # 8 of the A'' phase in one call each; a call per shape would be 10
+        with mock.patch("qrdyn.geometry.certify_star_centres",
+                        wraps=geometry.certify_star_centres) as kernel:
+            build = build_maps()
+        assert 1 <= kernel.call_count <= 2
+        certified = [shape for call in kernel.call_args_list for shape in call.args[0]]
+        assert len(certified) == 10
+        assert {id(shape) for shape in certified} == {
+            id(shape) for chart in build.g.charts
+            for shape in (chart.map.domain, chart.map.codomain)}

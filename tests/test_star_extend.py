@@ -1,12 +1,14 @@
 import functools
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (_radial_2d, cover_deviation_per_triangle, oriented_area_fraction,
+from oracles import (_radial_2d, cover_deviation_all_pairs, cover_deviation_per_triangle,
+                     oriented_area_fraction,
                      point_in_polygon)
 from qrdyn import star_extend
 from qrdyn.geometry import GeometryError, StarShape
@@ -234,29 +236,47 @@ class TestInjectivityCount:
         assert peak <= 1.5 * 600 * 600 * 3 * 8
 
 
+CHARTS = ["A'", "A''1", "A''2", "A''3", "A''4"]
+
+
+def report_bits(rep):
+    """A ValidationReport with its floats as IEEE bytes: equal only if
+    bitwise equal."""
+    return (rep.passed, struct.pack("<2d", rep.worst_boundary_dev, rep.worst_seam_dev),
+            rep.injectivity_violations, rep.detail)
+
+
+def all_pairs_cover(dom, img, tol, *_):
+    return cover_deviation_all_pairs(dom, img, tol)
+
+
 class TestBatchedValidation:
     @staticmethod
     def triangles_of(rmap, monkeypatch):
-        """The (dom, img, tol) stacks that the validation of rmap passes to
-        ``_cover_deviation``, and its report."""
+        """The arguments that the validation of rmap passes to
+        ``_cover_deviation`` (the triangles, their images, the tolerance,
+        and each triangle's domain facet with the facets' planes), and its
+        report."""
         seen = []
         real = star_extend._cover_deviation
 
-        def spy(dom, img, tol):
-            seen.append((dom, img, tol))
-            return real(dom, img, tol)
+        def spy(*args):
+            seen.append(args)
+            return real(*args)
 
         monkeypatch.setattr(star_extend, "_cover_deviation", spy)
         rep = rmap.validate_boundary_map()
         return seen[0], rep
 
-    @pytest.mark.parametrize("cid", ["A'", "A''1", "A''2", "A''3", "A''4"])
+    @pytest.mark.parametrize("cid", CHARTS)
     def test_matches_the_per_triangle_checks(self, cid, build, monkeypatch):
         rmap = build.g.by_id[cid].map
-        (dom, img, tol), rep = self.triangles_of(rmap, monkeypatch)
-        got = star_extend._cover_deviation(dom, img, tol)
+        args, rep = self.triangles_of(rmap, monkeypatch)
+        dom, img, tol = args[:3]
+        got = star_extend._cover_deviation(*args)
         assert got == pytest.approx(cover_deviation_per_triangle(dom, img, tol),
                                     rel=1e-9, abs=1e-15)
+        assert got == cover_deviation_all_pairs(dom, img, tol)
         assert got <= rep.worst_seam_dev
         # the oriented areas of the domain triangles, each along the normal
         # of the box face that holds it, against Fraction
@@ -269,13 +289,42 @@ class TestBatchedValidation:
             assert signs[k] == sign
             assert areas[k] == pytest.approx(area, rel=1e-14)
 
+    @pytest.mark.parametrize("cid", CHARTS)
+    def test_reports_equal_the_all_pairs_oracle(self, cid, build, monkeypatch):
+        # the seam check against the vertices on each triangle's facet plane
+        # reports bit for bit what solving every triangle against every
+        # vertex reports, the seams along the box edges included
+        rmap = build.g.by_id[cid].map
+        rep = rmap.validate_boundary_map()
+        assert report_bits(rep) == report_bits(build.validations[cid])
+        monkeypatch.setattr(star_extend, "_cover_deviation", all_pairs_cover)
+        assert report_bits(rmap.validate_boundary_map()) == report_bits(rep)
+
+    @pytest.mark.parametrize("cid", CHARTS)
+    def test_a_tampered_piece_fails_its_chart(self, cid, build, monkeypatch):
+        # the first cell of a face fan sends the face centre a hundredth of
+        # the way along its image edge, away from the image that the other
+        # cells give it
+        rmap = build.g.by_id[cid].map
+        piece = next(p for p in rmap.all_pieces if isinstance(p, Radial2DPiece))
+        (dom, (c, p, q)), *rest = piece.cells
+        moved = tuple(a + 0.01 * (b - a) for a, b in zip(c, p))
+        monkeypatch.setattr(piece, "cells", [(dom, (moved, p, q))] + rest)
+        rep = rmap.validate_boundary_map()
+        assert not rep.passed
+        assert rep.worst_seam_dev == pytest.approx(math.dist(moved, c), rel=1e-9)
+        monkeypatch.setattr(star_extend, "_cover_deviation", all_pairs_cover)
+        assert report_bits(rmap.validate_boundary_map()) == report_bits(rep)
+
     def test_a_moved_image_shows_in_both(self, monkeypatch):
         m = chart_with_face(lambda loop: Radial2DPiece(
             loop, moved_corner(loop, (0.1, 0.0, 0.0))))
-        (dom, img, tol), _ = self.triangles_of(m, monkeypatch)
-        got = star_extend._cover_deviation(dom, img, tol)
+        args, _ = self.triangles_of(m, monkeypatch)
+        dom, img, tol = args[:3]
+        got = star_extend._cover_deviation(*args)
         assert got > 1e-3
         assert got == pytest.approx(cover_deviation_per_triangle(dom, img, tol), rel=1e-12)
+        assert got == cover_deviation_all_pairs(dom, img, tol)
 
 
 class TestRadial2D:
