@@ -33,10 +33,8 @@ import numpy as np
 from . import zorich
 from .geometry import (GeometryError, cuboid_spec, local_lipschitz_constants,
                        star_shapes)
-from .star_extend import (AffineCellTable, DiagonalSelect,
-                          FormulaPiece, IdentityPiece, QuadrantSelect,
-                          Radial2DPiece, RadialMap, TrivialSelect,
-                          ValidationReport)
+from .star_extend import (AffineCellTable, FormulaPiece, IdentityPiece,
+                          Radial2DPiece, RadialMap, ValidationReport)
 
 
 # --- fixed interpolation data: point names, coordinates and images ---------
@@ -180,14 +178,8 @@ def build_aprime_chart(vt: VertexTable) -> CellChart:
         cuboid_spec([0, 0, 0], [2, 2, 1], centre=(1, 1, 0.5)),
         (verts, (5.0, 1.0, 2.0), [[pool[n] for n in f] for f in facets], None)])
 
-    pieces_by_facet = {
-        0: TrivialSelect(side_x0),
-        1: TrivialSelect(side_x2),
-        2: TrivialSelect(side_y0),
-        3: TrivialSelect(side_y2),
-        4: TrivialSelect(bottom),
-        5: QuadrantSelect([top["P"], top["W"], top["T"], top["X"]]),
-    }
+    pieces_by_facet = {0: [side_x0], 1: [side_x2], 2: [side_y0], 3: [side_y2],
+                       4: [bottom], 5: [top["P"], top["W"], top["T"], top["X"]]}
     by_codomain = {0: bottom, 1: side_x0, 2: side_x2, 3: side_y0,
                    4: side_y2, 5: top["P"], 6: top["T"], 7: top["W"],
                    8: top["X"]}
@@ -235,32 +227,14 @@ _CELL_DEFS = {
     },
 }
 
-# shared interior faces: triangle split (both triangles), the diagonal, and
-# the normal of the face plane used for the diagonal side test
+# shared interior faces: the two triangles on either side of the diagonal,
+# in the order of the pieces on the face and of the image solids' facets
 _INT_FACE_DEFS = {
-    "x1_lo": (("W1", "X1", "WL"), ("X1", "XL", "WL"), ("X1", "WL"), (1.0, 0.0, 0.0)),
-    "y1_lo": (("T1", "X1", "TL"), ("TL", "X1", "XL"), ("X1", "TL"), (0.0, 1.0, 0.0)),
-    "x1_hi": (("X1", "U1", "UL"), ("X1", "UL", "XL"), ("X1", "UL"), (1.0, 0.0, 0.0)),
-    "y1_hi": (("X1", "V1", "VL"), ("X1", "VL", "XL"), ("X1", "VL"), (0.0, 1.0, 0.0)),
+    "x1_lo": (("W1", "X1", "WL"), ("X1", "XL", "WL")),
+    "y1_lo": (("TL", "X1", "XL"), ("T1", "X1", "TL")),
+    "x1_hi": (("X1", "UL", "XL"), ("X1", "U1", "UL")),
+    "y1_hi": (("X1", "V1", "VL"), ("X1", "VL", "XL")),
 }
-
-
-def _build_interior_faces(vt):
-    faces = {}
-    for key, (tri_a, tri_b, diag, normal) in _INT_FACE_DEFS.items():
-        pa = _radial_piece(vt, list(tri_a))
-        pb = _radial_piece(vt, list(tri_b))
-        sel = DiagonalSelect(vt.coord(diag[0]), vt.coord(diag[1]), normal)
-        # decide which side each triangle occupies using its off-diagonal vertex
-        others = [n for n in tri_a if n not in diag]
-        if sel.side(tuple(map(float, vt.coord(others[0])))) == 0:
-            sel.pieces = [pa, pb]
-            tri_order = (tri_a, tri_b)
-        else:
-            sel.pieces = [pb, pa]
-            tri_order = (tri_b, tri_a)
-        faces[key] = (sel, tri_order)
-    return faces
 
 
 def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
@@ -271,7 +245,8 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
     eight shapes (each chart's box, then its image solid) are built and
     certified in one ``star_shapes`` batch; a solid whose centre fails
     raises ConstructionError naming the chart."""
-    int_faces = _build_interior_faces(vt)
+    int_faces = {key: [_radial_piece(vt, tri) for tri in tris]
+                 for key, tris in _INT_FACE_DEFS.items()}
     specs = []         # (box, image solid) per chart
     parts = []         # (cell_id, lo, hi, pieces by domain facet, by codomain facet)
     for cell_id, spec in _CELL_DEFS.items():
@@ -282,17 +257,11 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
         tri_a, tri_b = spec["top"]
         top_piece = _formula_top_piece(vt, tri_a, tri_b)
 
-        pieces_by_facet = {4: TrivialSelect(bottom_piece),
-                           5: TrivialSelect(top_piece)}
-        ext_pieces = {}
+        pieces_by_facet = {4: [bottom_piece], 5: [top_piece]}
         for facet, names in spec["ext"].items():
-            ext_pieces[facet] = _radial_piece(vt, names)
-            pieces_by_facet[facet] = TrivialSelect(ext_pieces[facet])
-        int_sels = {}
+            pieces_by_facet[facet] = [_radial_piece(vt, names)]
         for facet, key in spec["int"].items():
-            sel, tri_order = int_faces[key]
-            pieces_by_facet[facet] = sel
-            int_sels[facet] = (sel, tri_order)
+            pieces_by_facet[facet] = int_faces[key]
 
         # codomain solid: bottom quad, two top triangles, two exterior quads,
         # four interior triangles
@@ -304,12 +273,10 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
         facet_pieces = [bottom_piece, top_piece, top_piece]
         for facet in sorted(spec["ext"]):
             facet_loops.append(spec["ext"][facet])
-            facet_pieces.append(ext_pieces[facet])
-        for facet in sorted(spec["int"]):
-            sel, tri_order = int_sels[facet]
-            for tri_names, piece in zip(tri_order, sel.pieces):
-                facet_loops.append(list(tri_names))
-                facet_pieces.append(piece)
+            facet_pieces += pieces_by_facet[facet]
+        for _, key in sorted(spec["int"].items()):
+            facet_loops += _INT_FACE_DEFS[key]
+            facet_pieces += int_faces[key]
 
         pool_names = sorted({n for loop in facet_loops for n in loop})
         pool = {n: i for i, n in enumerate(pool_names)}
@@ -355,10 +322,11 @@ class GlobalMap:
     recording the isometry, pick the owning cell chart (``_cell_index``),
     evaluate its affine cell table, then undo the isometry.  The table finds
     the exit facet of the ray from the chart's domain centre, the boundary
-    piece by the facet's selector, the cell by its angle about the piece's
-    shared vertex, and applies that cell's affine map, as the chart's
-    ``RadialMap.eval`` does.  The charts' ``table.eval`` methods are bound
-    once, at construction, and called directly.
+    piece by its angle about the vertices the facet's pieces share, the cell
+    by its angle about the vertices the piece's cells share, and applies
+    that cell's affine map, as the chart's ``RadialMap.eval`` does (which
+    also refuses points outside the box).  The charts' ``table.eval``
+    methods are bound once, at construction, and called directly.
 
     Each regime subtracts the shift from the third coordinate of its own
     result: L' in mode "f", 0.0 in mode "g" (x - 0.0 is x bitwise, -0.0

@@ -5,20 +5,23 @@ regions by transporting radial fractions: a point at fraction s of the way
 from the domain centre to the boundary maps to the point at fraction s from
 the codomain centre to the image boundary point.
 
-The boundary map itself is a dispatch table over domain facets, and each
+The boundary map itself is a list of pieces on each domain facet, and each
 piece of it is given by its affine cells: the fan of a planar face about a
 face centre onto the fan of its image face (the radial extension of the
 face's edge correspondence), the triangles on which a closed-form map is
-affine, or the identity.
+affine, or the identity.  The pieces of a facet share a vertex, as the
+cells of a piece do, so one sector layout about the shared vertices finds
+the piece of a facet and the cell of a piece alike.
 
 So the radial extension of a box is affine on the cone from the domain
 centre over each cell.  ``RadialMap`` is built from the pieces and compiles
 them into its ``AffineCellTable``, which both evaluates and inverts the map:
-forward by one facet test, one sector test and one affine product, backward
-by the codomain facet from ``psi``, a cone test among that facet's image
-cells and one inverse affine product.  The same cells make the boundary
-map's certificate finite: ``RadialMap.validate_boundary_map`` checks it
-exactly on the cell vertices.
+forward by one facet test, a sector test for the piece and one for the cell
+(each skipped where there is one entry) and one affine product, backward by
+the codomain facet from ``psi``, a cone test among that facet's image cells
+and one inverse affine product.  The same cells make the boundary map's
+certificate finite: ``RadialMap.validate_boundary_map`` checks it exactly
+on the cell vertices.
 """
 
 from __future__ import annotations
@@ -191,9 +194,6 @@ class FacetPiece:
 
     kind = "abstract"
 
-    def affine_cells(self):
-        return self.cells
-
 
 def _loop(points):
     return [tuple(map(float, p)) for p in points]
@@ -244,54 +244,6 @@ class FormulaPiece(FacetPiece):
 
 
 # ---------------------------------------------------------------------------
-# piece selectors (dispatch within one domain facet)
-
-class TrivialSelect:
-    """The facet carries a single piece."""
-
-    def __init__(self, piece):
-        self.pieces = [piece]
-        self._piece = piece
-
-    def select(self, hp):
-        return self._piece, 0
-
-
-class QuadrantSelect:
-    """Dispatch over the four sub-squares of a facet by its (x1, x2)
-    quadrant about (1, 1)."""
-
-    def __init__(self, pieces):
-        self.pieces = list(pieces)   # order: (lo,lo), (hi,lo), (lo,hi), (hi,hi)
-
-    def select(self, hp):
-        k = (1 if hp[0] > 1.0 else 0) + (2 if hp[1] > 1.0 else 0)
-        return self.pieces[k], k
-
-
-class DiagonalSelect:
-    """Dispatch between the two triangles of a quadrilateral facet split
-    along a diagonal."""
-
-    def __init__(self, p0, p1, face_normal, pieces=None):
-        self._p0 = tuple(map(float, p0))
-        n = _cross([float(b) - a for a, b in zip(self._p0, p1)], tuple(map(float, face_normal)))
-        norm = _norm(n)
-        self._n = tuple(c / norm for c in n)
-        self.pieces = list(pieces) if pieces is not None else [None, None]
-
-    def side(self, hp):
-        s = ((hp[0] - self._p0[0]) * self._n[0]
-             + (hp[1] - self._p0[1]) * self._n[1]
-             + (hp[2] - self._p0[2]) * self._n[2])
-        return 1 if s > 0 else 0
-
-    def select(self, hp):
-        k = self.side(hp)
-        return self.pieces[k], k
-
-
-# ---------------------------------------------------------------------------
 # the 3D radial map
 
 @dataclass
@@ -304,31 +256,34 @@ class ValidationReport:
 
 
 class RadialMap:
-    """Radial extension of a facet-dispatched boundary map from a box onto a
-    star polyhedron.  The pieces define the map; its ``AffineCellTable``,
-    built here, evaluates and inverts it."""
+    """Radial extension of a boundary map from a box onto a star polyhedron,
+    given by the pieces on each domain facet ({facet: [pieces]}) and the
+    piece serving each codomain facet.  The pieces define the map; its
+    ``AffineCellTable``, built here, evaluates and inverts it.  ``eval``
+    raises GeometryError for a point outside the domain box by more than
+    ``domain.tol``, ``inverse`` for a point outside the codomain."""
 
     def __init__(self, domain: StarShape, codomain: StarShape,
-                 selectors_by_facet, piece_by_codomain_facet):
+                 pieces_by_facet, piece_by_codomain_facet):
         self.domain = domain
         self.codomain = codomain
-        self.selectors_by_facet = dict(selectors_by_facet)
+        self.pieces_by_facet = {f: list(pieces) for f, pieces in pieces_by_facet.items()}
         self.piece_by_codomain_facet = dict(piece_by_codomain_facet)
         self.all_pieces = []
-        for sel in self.selectors_by_facet.values():
-            for p in sel.pieces:
+        for pieces in self.pieces_by_facet.values():
+            for p in pieces:
                 if p not in self.all_pieces:
                     self.all_pieces.append(p)
         self.table = AffineCellTable(self)
-
-    @classmethod
-    def from_pieces(cls, domain, codomain, piece_by_domain_facet,
-                    piece_by_codomain_facet):
-        sels = {f: TrivialSelect(p) for f, p in piece_by_domain_facet.items()}
-        return cls(domain, codomain, sels, piece_by_codomain_facet)
+        self._box = tuple([float(c) + s * domain.tol for c in v]
+                          for v, s in zip(domain.box, (-1, 1)))
 
     def eval(self, p):
-        return self.table.eval(float(p[0]), float(p[1]), float(p[2]))
+        x, y, z = float(p[0]), float(p[1]), float(p[2])
+        (lx, ly, lz), (hx, hy, hz) = self._box
+        if not (lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
+            raise GeometryError(f"{(x, y, z)} lies outside the domain box")
+        return self.table.eval(x, y, z)
 
     def inverse(self, q):
         return self.table.inverse(float(q[0]), float(q[1]), float(q[2]))
@@ -375,9 +330,8 @@ class RadialMap:
             if not facets:
                 raise GeometryError(f"piece {piece.kind} serves no codomain facet")
             served[k, facets] = True
-            piece_cells = piece.affine_cells()
-            cells += piece_cells
-            owner += [k] * len(piece_cells)
+            cells += piece.cells
+            owner += [k] * len(piece.cells)
         # every cell vertex in one stack, cell after cell
         size = np.array([len(dom) for dom, _ in cells])
         start = np.cumsum(size) - size
@@ -469,70 +423,79 @@ def _cover_deviation(dom, img, tol, facet, normals, offsets):
 # ---------------------------------------------------------------------------
 # the exact piecewise-affine form of a radial map on a box
 
-def _sector_layout(cells, iu, iv):
-    """The sector layout of a piece of several cells, by the angle, in the
-    face coordinates (iu, iv), about the centroid c of the vertices all
-    cells share: the Radial2D face centre, or the midpoint of a split
-    square's diagonal.  Returns (cu, cv, bounds, mids, probes, tris): the
-    sorted angles of the cells' other vertices about c, the midpoint angle
-    of each sector between them (the last one wraps through pi), one probe
-    (u, v, 1) just off c at each of those angles, and each cell's matrix
-    with columns (p_u, p_v, 1) over its vertices p.  ``AffineCellTable``
-    solves every probe against every cell in one stacked call and gives
-    each sector the cell that holds its probe deepest."""
-    shared = set(cells[0][0]).intersection(*(dom for dom, _ in cells[1:]))
+def _sector_layout(name, groups, iu, iv):
+    """The sector layout of a level ``name`` of several entries (the cells
+    of a piece, or the pieces of a facet), each a list of domain polygons,
+    by the angle in the face coordinates (iu, iv) about the centroid c of
+    the vertices all entries share: a Radial2D face centre, the midpoint of
+    a split square's diagonal, or the corner where a facet's pieces meet.
+    Returns (cu, cv, bounds, mids, probes, tris, starts): the sorted angles
+    of the other vertices about c, the midpoint angle of each sector
+    between them (the last one wraps through pi), a probe (u, v, 1) just
+    off c at each, the matrix with columns (p_u, p_v, 1) of each fan
+    triangle (0, i, i + 1) of each polygon, and each entry's first
+    triangle.  Raises GeometryError if the entries share no vertex."""
+    shared = set.intersection(*({p for dom in group for p in dom} for group in groups))
     if not shared:
-        raise GeometryError("the cells of a piece share no vertex")
+        raise GeometryError(f"the {name} share no vertex")
     cu = sum(p[iu] for p in shared) / len(shared)
     cv = sum(p[iv] for p in shared) / len(shared)
-    rim = {p for dom, _ in cells for p in dom if (p[iu], p[iv]) != (cu, cv)}
+    rim = {p for group in groups for dom in group for p in dom if (p[iu], p[iv]) != (cu, cv)}
     bounds = sorted({math.atan2(p[iv] - cv, p[iu] - cu) for p in rim})
     reach = 1e-6 * min(math.hypot(p[iu] - cu, p[iv] - cv) for p in rim)
     mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
     mids.append(0.5 * (bounds[-1] + bounds[0]) + math.pi)
     probes = [(cu + reach * math.cos(th), cv + reach * math.sin(th), 1.0) for th in mids]
-    tris = [[[p[iu] for p in dom], [p[iv] for p in dom], [1.0] * len(dom)]
-            for dom, _ in cells]
-    return cu, cv, bounds, mids, probes, tris
+    tris, starts = [], []
+    for group in groups:
+        starts.append(len(tris))
+        tris += [[[p[iu] for p in t], [p[iv] for p in t], [1.0] * 3]
+                 for dom in group for t in zip(dom[:1] * len(dom), dom[1:], dom[2:])]
+    return cu, cv, bounds, mids, probes, tris, starts
 
 
-def _sector_entries(walk, rows):
-    """The sector entry (iu, iv, cu, cv, bounds, sectors) of each piece of
-    ``walk`` ((facet, iu, iv, cells, first cell) per piece, the cells'
-    rows from ``first`` on in ``rows``): a point h of the piece's patch
-    lies in the cell whose row is sectors[bisect_right(bounds, atan2(h_v -
-    cv, h_u - cu))], the first and the last sector being the one that wraps
-    through the angle pi; a piece of one cell has no bounds.  The probes of
-    all pieces are solved against their pieces' cells in one stacked call;
-    each sector takes the cell whose least barycentric coordinate at its
-    probe is largest (the first on ties) and raises GeometryError if that
-    is not positive."""
-    layouts = [_sector_layout(cells, iu, iv) if len(cells) > 1 else None
-               for _, iu, iv, cells, _ in walk]
-    mats, rhs = [], []          # every probe of a piece against each of its cells
-    for lay in layouts:
+def _sector_entries(levels):
+    """The sector entry (cu, cv, bounds, picks) of each level of ``levels``
+    ((name, iu, iv, groups) per level, as ``_sector_layout`` takes them):
+    a point h of the level's patch lies in the entry with the index
+    picks[bisect_right(bounds, atan2(h_v - cv, h_u - cu))], the first and
+    the last sector being the one that wraps through the angle pi; a level
+    of one entry has no bounds.  Every probe is solved against its level's
+    triangles in one stacked call; a sector takes the entry with the
+    triangle that holds its probe deepest (the first on ties) and raises
+    GeometryError naming the level if no triangle holds it."""
+    layouts, mats, rhs = [], [], []
+    for name, iu, iv, groups in levels:
+        lay = _sector_layout(name, groups, iu, iv) if len(groups) > 1 else None
         if lay:
-            *_, probes, tris = lay
+            *_, probes, tris, _ = lay
             for q in probes:
                 mats += tris
                 rhs += [q] * len(tris)
+        layouts.append(lay)
     if mats:
         depths = np.linalg.solve(np.array(mats), np.array(rhs)[..., None]).min(axis=(1, 2))
     entries, at = [], 0
-    for (_, iu, iv, cells, first), lay in zip(walk, layouts):
+    for (name, *_), lay in zip(levels, layouts):
         if lay is None:
-            entries.append((iu, iv, 0.0, 0.0, [], [rows[first]]))
+            entries.append((0.0, 0.0, [], [0]))
             continue
-        cu, cv, bounds, mids, *_ = lay
-        depth = depths[at:at + len(mids) * len(cells)].reshape(len(mids), -1)
+        cu, cv, bounds, mids, _, tris, starts = lay
+        depth = depths[at:at + len(mids) * len(tris)].reshape(len(mids), -1)
         at += depth.size
+        depth = np.maximum.reduceat(depth, starts, axis=1)
         picks = depth.argmax(axis=1).tolist()
         for th, k, row in zip(mids, picks, depth.tolist()):
             if row[k] <= 0.0:
-                raise GeometryError(f"no cell of the piece covers the sector at angle {th}")
-        picks = [rows[first + k] for k in picks]
-        entries.append((iu, iv, cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]]))
+                raise GeometryError(f"none of the {name} covers the sector at angle {th}")
+        entries.append((cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]]))
     return entries
+
+
+def _pick(entry, values):
+    """A sector entry with its picks replaced by the values they index."""
+    cu, cv, bounds, picks = entry
+    return cu, cv, bounds, [values[k] for k in picks]
 
 
 def _fan_frames(polygons, linear, a):
@@ -557,12 +520,14 @@ class AffineCellTable:
     """A radial map on a box domain as its exact affine cells.
 
     Each cell is the cone from the domain centre a over one polygon on which
-    the boundary piece is affine (``FacetPiece.affine_cells``: a triangle,
-    or a whole face); on it the map is p -> b + A (p - a), fixed by a -> b
-    and the images of three of the polygon's vertices.  Evaluation takes the
-    exit facet of the ray from a, the facet's selector for the piece, a
-    sector test about the piece's shared vertex for the cell, and one affine
-    product; the centre ball of radius ``domain.tol`` maps to b.
+    the boundary piece is affine (``FacetPiece.cells``: a triangle, or a
+    whole face); on it the map is p -> b + A (p - a), fixed by a -> b and
+    the images of three of the polygon's vertices.  Evaluation takes the
+    exit facet of the ray from a, the piece by a sector test about the
+    vertices the facet's pieces share, the cell by one about the vertices
+    the piece's cells share (a level of one entry skips its test), and one
+    affine product; the centre ball of radius ``domain.tol`` maps to b.
+    Points outside the box are not checked (``RadialMap.eval`` is).
 
     The image cells are the cones from b over the image polygons, and they
     tile the codomain.  The inverse takes the codomain facet hit by the ray
@@ -575,11 +540,12 @@ class AffineCellTable:
 
     Construction solves the small systems of all cells in stacks: the
     linear parts from one solve on every cell's first three vertex
-    correspondences, the sector picks from one solve of every piece's
-    probes against its cells (``_sector_entries``), and the image cells'
-    fan frames from one inverse (``_fan_frames``).  A stacked solve or
-    inverse equals the per-matrix call bitwise, so the table is the one
-    that one call per cell or probe builds.
+    correspondences, the sector picks from one solve of every facet's
+    probes against its pieces' cells and every piece's probes against its
+    cells (``_sector_entries``), and the image cells' fan frames from one
+    inverse (``_fan_frames``).  A stacked solve or inverse equals the
+    per-matrix call bitwise, so the table is the one that one call per cell
+    or probe builds.
     """
 
     def __init__(self, rmap: RadialMap):
@@ -595,17 +561,22 @@ class AffineCellTable:
         self.facet_of = []        # the box facet of each cell's polygon
         self.polygons = []        # each cell's domain polygon, (k, 3)
         images = []               # each cell's image polygon
-        walk = []                 # (facet, iu, iv, cells, first cell) per piece
+        levels = []               # per facet its pieces, then per piece its cells
+        walk = []                 # per facet (iu, iv, the first cell of each piece)
         cells_of = {}             # id(piece) -> its cells' indices
         for facet in range(6):
-            sel = rmap.selectors_by_facet.get(facet)
-            if sel is None:
+            pieces = rmap.pieces_by_facet.get(facet)
+            if not pieces:
                 raise GeometryError(f"no boundary piece for facet {facet}")
             iu, iv = [i for i in range(3) if i != facet // 2]
-            for k, piece in enumerate(sel.pieces):
-                cells = piece.affine_cells()
-                walk.append((facet, iu, iv, cells, len(self.labels)))
-                for j, (dom, img) in enumerate(cells):
+            levels.append((f"pieces of facet {facet}", iu, iv,
+                           [[dom for dom, _ in piece.cells] for piece in pieces]))
+            walk.append((iu, iv, []))
+            for k, piece in enumerate(pieces):
+                levels.append((f"cells of facet {facet} piece {k}", iu, iv,
+                               [[dom] for dom, _ in piece.cells]))
+                walk[-1][2].append(len(self.labels))
+                for j, (dom, img) in enumerate(piece.cells):
                     cells_of.setdefault(id(piece), []).append(len(self.labels))
                     self.labels.append(f"facet {facet} piece {k} cell {j}")
                     self.facet_of.append(facet)
@@ -616,9 +587,13 @@ class AffineCellTable:
         w = np.array(images, dtype=float) - self._b
         self.linear = np.ascontiguousarray(np.swapaxes(np.linalg.solve(d, w), 1, 2))
         rows = [tuple(m) for m in self.linear.reshape(-1, 9).tolist()]
-        self._facets = [(rmap.selectors_by_facet[facet], []) for facet in range(6)]
-        for (facet, *_), entry in zip(walk, _sector_entries(walk, rows)):
-            self._facets[facet][1].append(entry)
+        # per facet (iu, iv, cu, cv, bounds, pieces), per piece (cu, cv, bounds, rows)
+        entries = iter(_sector_entries(levels))
+        self._facets = []
+        for iu, iv, firsts in walk:
+            by_sector = next(entries)
+            pieces = [_pick(next(entries), rows[first:]) for first in firsts]
+            self._facets.append((iu, iv) + _pick(by_sector, pieces))
         singular = np.flatnonzero(~(self.determinants() != 0.0))
         if singular.size:
             raise GeometryError(f"{self.labels[singular[0]]}: singular linear part")
@@ -659,12 +634,10 @@ class AffineCellTable:
             return (bx, by, bz)
         facet, t = _ray_box_scalar(ax, ay, az, self._lo, self._hi, x, y, z)
         h = (ax + t * dx, ay + t * dy, az + t * dz)
-        sel, entries = self._facets[facet]
-        iu, iv, cu, cv, bounds, sectors = entries[sel.select(h)[1]]
-        if bounds:
-            m = sectors[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))]
-        else:
-            m = sectors[0]
+        iu, iv, cu, cv, bounds, pieces = self._facets[facet]
+        cu, cv, bounds, cells = (pieces[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))]
+                                 if bounds else pieces[0])
+        m = cells[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))] if bounds else cells[0]
         return (bx + m[0] * dx + m[1] * dy + m[2] * dz,
                 by + m[3] * dx + m[4] * dy + m[5] * dz,
                 bz + m[6] * dx + m[7] * dy + m[8] * dz)

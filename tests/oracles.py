@@ -6,6 +6,9 @@ and cone frames, kept here as the oracles of the tests.
   ``eval_piece`` and ``invert_piece`` evaluate by their formulas: the
   identity, the 2D radial extension ``_radial_2d`` of a face in its frame
   (its ray crossing by ``_psi_polygon_scalar``), and ``zorich.F_scalar``;
+  ``radial_eval`` takes the piece of a facet of several pieces whose cells
+  hold the exit point deepest (``_transport``), where the table takes it
+  by a sector test;
 - ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
   triangles (``_ray_tris``), exterior where no crossing lies at or beyond x;
 - ``facet_vertex_cones_probe``: the generators of each facet's direction
@@ -35,7 +38,8 @@ and cone frames, kept here as the oracles of the tests.
 - the build's small geometry one object at a time, on numpy rows, as the
   package computed it before it stacked it per table or shape or moved it
   to Python floats: ``cell_linear_part`` (one solve per cell),
-  ``sector_entry`` (one solve per sector probe and cell),
+  ``sector_entry`` (the sector picks of a piece's cells or of a facet's
+  pieces, one solve per sector probe and triangle),
   ``image_cell_frames`` (one inverse per cell), ``frame_rows`` (a face's
   frame, crosses and norms per candidate vertex), ``polygon_kernel_rows``,
   ``polygon_centroid_rows`` and ``pick_star_centre_2d_rows``,
@@ -321,7 +325,10 @@ def radial_eval(rmap, p):
     lo, hi = (tuple(map(float, v)) for v in rmap.domain.box)
     facet, t = _ray_box_scalar(ax, ay, az, lo, hi, x, y, z)
     h = (ax + t * dx, ay + t * dy, az + t * dz)
-    piece, _ = rmap.selectors_by_facet[facet].select(h)
+    pieces = rmap.pieces_by_facet[facet]
+    # the first piece with the cell that holds h deepest
+    piece = pieces[0] if len(pieces) == 1 else max(
+        pieces, key=lambda p: max(_transport(dom, dom, h)[1] for dom, _ in p.cells))
     wx, wy, wz = eval_piece(piece, h)
     frac = 1.0 / t
     return (bx + frac * (wx - bx), by + frac * (wy - by), bz + frac * (wz - bz))
@@ -415,31 +422,37 @@ def cell_linear_part(a, b, dom, img):
     return np.linalg.solve(d, w).T          # rows: A d_i = w_i
 
 
-def sector_entry(cells, rows, iu, iv):
-    """The sector entry (iu, iv, cu, cv, bounds, sectors) of one piece of a
-    cell table, one solve per sector midpoint and cell."""
-    if len(cells) == 1:
-        return (iu, iv, 0.0, 0.0, [], [rows[0]])
-    shared = set(cells[0][0]).intersection(*(dom for dom, _ in cells[1:]))
+def sector_entry(groups, values, iu, iv):
+    """The sector entry (cu, cv, bounds, sectors) of one level of a cell
+    table: the cells of a piece, or the pieces of a facet, each given by
+    its list of domain polygons in ``groups`` and valued ``values``.  One
+    solve per sector midpoint and fan triangle; a sector takes the value of
+    the first entry with the triangle that holds its probe deepest."""
+    if len(groups) == 1:
+        return (0.0, 0.0, [], [values[0]])
+    shared = set.intersection(*({p for dom in group for p in dom} for group in groups))
     if not shared:
-        raise GeometryError("the cells of a piece share no vertex")
+        raise GeometryError("the entries share no vertex")
     cu = sum(p[iu] for p in shared) / len(shared)
     cv = sum(p[iv] for p in shared) / len(shared)
-    rim = {p for dom, _ in cells for p in dom if (p[iu], p[iv]) != (cu, cv)}
+    rim = {p for group in groups for dom in group for p in dom if (p[iu], p[iv]) != (cu, cv)}
     bounds = sorted({math.atan2(p[iv] - cv, p[iu] - cu) for p in rim})
     reach = 1e-6 * min(math.hypot(p[iu] - cu, p[iv] - cv) for p in rim)
     mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
     mids.append(0.5 * (bounds[-1] + bounds[0]) + math.pi)
-    tris = [np.array([[p[iu], p[iv], 1.0] for p in dom]).T for dom, _ in cells]
+    tris = [(g, np.array([[p[iu], p[iv], 1.0] for p in (dom[0], dom[i], dom[i + 1])]).T)
+            for g, group in enumerate(groups) for dom in group for i in range(1, len(dom) - 1)]
     picks = []
     for th in mids:
         q = np.array([cu + reach * math.cos(th), cv + reach * math.sin(th), 1.0])
-        depth = [float(np.linalg.solve(tri, q).min()) for tri in tris]
+        depth = [-math.inf] * len(groups)
+        for g, tri in tris:
+            depth[g] = max(depth[g], float(np.linalg.solve(tri, q).min()))
         k = int(np.argmax(depth))
         if depth[k] <= 0.0:
-            raise GeometryError(f"no cell of the piece covers the sector at angle {th}")
-        picks.append(rows[k])
-    return (iu, iv, cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]])
+            raise GeometryError(f"no entry covers the sector at angle {th}")
+        picks.append(values[k])
+    return (cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]])
 
 
 def image_cell_frames(a, dom, m):

@@ -44,9 +44,9 @@ def _box_points(chart, rng, interior=2000, face=200, diagonal=41, edge=8):
     pts.append(np.array([[x, y, z] for x in (lo[0], hi[0])
                          for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]))
     a = np.asarray(chart.map.domain.centre, dtype=float)
-    for sel in chart.map.selectors_by_facet.values():
-        for piece in sel.pieces:
-            for dom, _ in piece.affine_cells():
+    for pieces in chart.map.pieces_by_facet.values():
+        for piece in pieces:
+            for dom, _ in piece.cells:
                 tri = np.asarray(dom, dtype=float)
                 for i in range(3):
                     s = rng.random((edge, 1))
@@ -107,8 +107,34 @@ class TestCells:
         # a RadialMap builds its table, so a polyhedral domain is refused
         rmap = build.g.charts[0].map
         with pytest.raises(GeometryError, match="needs a box domain"):
-            RadialMap(rmap.codomain, rmap.codomain, rmap.selectors_by_facet,
+            RadialMap(rmap.codomain, rmap.codomain, rmap.pieces_by_facet,
                       rmap.piece_by_codomain_facet)
+
+    @pytest.mark.parametrize("p", [(5.0, 5.0, 5.0), (1.0, 1.0, 3.0), (-1.0, 1.0, 0.5),
+                                   (1.0, 1.0, -2.0), (math.nan, 1.0, 0.5)])
+    def test_eval_refuses_points_outside_the_box(self, build, p):
+        with pytest.raises(GeometryError, match="outside the domain box"):
+            build.g.by_id["A'"].map.eval(p)
+
+    def test_eval_takes_the_box_boundary(self, build):
+        # the box corners and the face centres evaluate, and so do points
+        # outside a face by half of domain.tol; twice domain.tol raises
+        for chart in build.g.charts:
+            rmap, lo, hi = chart.map, chart.lo, chart.hi
+            tol = rmap.domain.tol
+            pts = [np.array([x, y, z]) for x in (lo[0], hi[0])
+                   for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+            for axis in range(3):
+                for end, sign in ((lo, -1.0), (hi, 1.0)):
+                    p = (lo + hi) / 2
+                    for off in (0.0, 0.5 * tol):
+                        p[axis] = end[axis] + sign * off
+                        pts.append(p.copy())
+                    p[axis] = end[axis] + sign * 2.0 * tol
+                    with pytest.raises(GeometryError, match="outside the domain box"):
+                        rmap.eval(p)
+            for p in pts:
+                assert rmap.eval(p) == chart.table.eval(*p.tolist())
 
     def test_eval_and_inverse_are_the_table(self, build):
         for chart in build.g.charts:
@@ -295,17 +321,18 @@ class TestBuildMatchesOracles:
     Python floats, against the one-object-at-a-time oracles, bitwise."""
 
     def test_cell_tables(self, build):
+        # each facet's entry: its pieces by sector, each piece's entry its
+        # cells' rows by sector
         for chart in build.g.charts:
             table = chart.table
             k = 0
             for facet in range(6):
-                sel, entries = table._facets[facet]
+                pieces = chart.map.pieces_by_facet[facet]
                 iu, iv = [i for i in range(3) if i != facet // 2]
-                assert len(entries) == len(sel.pieces)
-                for piece, entry in zip(sel.pieces, entries):
-                    cells = piece.affine_cells()
+                entries = []
+                for piece in pieces:
                     rows = []
-                    for dom, img in cells:
+                    for dom, img in piece.cells:
                         m = np.ascontiguousarray(cell_linear_part(table._a, table._b, dom, img))
                         assert table.linear[k].tobytes() == m.tobytes(), (chart.cell_id, k)
                         frames, _ = table._all_image_cells[k]
@@ -313,8 +340,24 @@ class TestBuildMatchesOracles:
                             image_cell_frames(table._a, table.polygons[k], m))
                         rows.append(tuple(m.ravel().tolist()))
                         k += 1
-                    assert _bits(entry) == _bits(sector_entry(cells, rows, iu, iv))
+                    entries.append(sector_entry([[dom] for dom, _ in piece.cells], rows, iu, iv))
+                want = sector_entry([[dom for dom, _ in p.cells] for p in pieces], entries, iu, iv)
+                assert _bits(table._facets[facet]) == _bits((iu, iv) + want)
             assert k == len(table)
+
+    def test_every_piece_owns_a_sector(self, build):
+        # the A' top facet's four quadrant pieces about X1 and the two
+        # triangles of each interior A'' face about its diagonal's midpoint
+        split = {}
+        for chart in build.g.charts:
+            for facet, pieces in chart.map.pieces_by_facet.items():
+                if len(pieces) > 1:
+                    *_, by_sector = chart.table._facets[facet]
+                    assert len({id(entry) for entry in by_sector}) == len(pieces)
+                    split[chart.cell_id, facet] = len(pieces)
+        assert split == {("A'", 5): 4, ("A''1", 1): 2, ("A''1", 3): 2, ("A''2", 0): 2,
+                         ("A''2", 3): 2, ("A''3", 1): 2, ("A''3", 2): 2, ("A''4", 0): 2,
+                         ("A''4", 2): 2}
 
     def test_radial_faces(self, build):
         faces = _radial_faces(build)

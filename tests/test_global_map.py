@@ -81,6 +81,30 @@ class TestVertexTable:
                                  build.g.by_id["A'"])
 
 
+class TestImageSolids:
+    # the two triangles of each interior face, in the order of its pieces,
+    # are facets 5-8 of an A'' image solid
+    INTERIOR = {"A''1": ["W1 X1 WL", "X1 XL WL", "TL X1 XL", "T1 X1 TL"],
+                "A''2": ["W1 X1 WL", "X1 XL WL", "X1 V1 VL", "X1 VL XL"],
+                "A''3": ["X1 UL XL", "X1 U1 UL", "TL X1 XL", "T1 X1 TL"],
+                "A''4": ["X1 UL XL", "X1 U1 UL", "X1 V1 VL", "X1 VL XL"]}
+
+    def test_interior_faces_keep_their_facet_numbers(self, build):
+        vt = build.vertex_table
+        name_of = {tuple(img.tolist()): n for n, img in vt.images.items()}
+        for cid, tris in self.INTERIOR.items():
+            chart = build.g.by_id[cid]
+            cod = chart.map.codomain
+            got = [{name_of[tuple(cod.vertices[i].tolist())] for i in poly}
+                   for poly in cod.facet_polys[5:]]
+            assert got == [set(t.split()) for t in tris], cid
+            for facet in (0, 1, 2, 3):
+                pieces = chart.map.pieces_by_facet[facet]
+                if len(pieces) == 2:
+                    served = [chart.map.piece_by_codomain_facet[f] for f in range(5, 9)]
+                    assert pieces in (served[:2], served[2:])
+
+
 class TestChartValues:
     def test_table_vertices_are_interpolated(self, gmap):
         for name, (coord, image) in TABLE.items():

@@ -1,7 +1,8 @@
 """Lint gates: every name a module of the package imports is used in it,
 every private module-level helper and private method is read by some module
 of the package,
-every parameter of a module-level function is read by its body, every
+every parameter of a module-level function or of a method of a
+module-level class (but self and cls) is read by its body, every
 for-loop target is read by the loop's body, and every module stays below the
 token count at which CPython's parser doubles its token array."""
 
@@ -114,18 +115,26 @@ def test_no_orphaned_private_helpers():
 
 def unused_parameters(source):
     """(line, function, parameter) of each parameter of a module-level
-    function that the function's body (nested functions and lambdas
+    function, or of a method of a module-level class (named Class.method,
+    its self and cls left out), that the body (nested functions and lambdas
     included) never reads."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for node in ast.parse(source).body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, ast.ClassDef):
+            named = [(f"{node.name}.{m.name}", m, {"self", "cls"}) for m in node.body
+                     if isinstance(m, functions)]
+        elif isinstance(node, functions):
+            named = [(node.name, node, set())]
+        else:
             continue
-        args = node.args
-        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
-        read = {n.id for stmt in node.body for n in ast.walk(stmt)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        out += [(node.lineno, node.name, p) for p in params if p not in read]
+        for name, fn, exempt in named:
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [(fn.lineno, name, p) for p in params if p not in read | exempt]
     return out
 
 
@@ -156,9 +165,14 @@ def test_detects_an_unused_parameter():
            "    return lambda: (a, kw)\n\n"
            "class C:\n"
            "    def method(self, unused):\n"
-           "        return self\n")
+           "        return 1\n\n"
+           "    @classmethod\n"
+           "    def make(cls, k):\n"
+           "        return k\n")
+    # TrivialSelect.select once took a point that it never read
     assert unused_parameters(src) == [(1, "sphere_directions", "seed"),
-                                      (7, "outer", "b"), (7, "outer", "rest")]
+                                      (7, "outer", "b"), (7, "outer", "rest"),
+                                      (11, "C.method", "unused")]
 
 
 def test_no_unused_parameters():

@@ -12,8 +12,8 @@ from oracles import (_radial_2d, cover_deviation_all_pairs, cover_deviation_per_
                      point_in_polygon)
 from qrdyn import star_extend
 from qrdyn.geometry import GeometryError, StarShape
-from qrdyn.star_extend import (FacetPiece, IdentityPiece, Radial2DPiece, RadialMap,
-                               pick_star_centre_2d)
+from qrdyn.star_extend import (FacetPiece, FormulaPiece, IdentityPiece, Radial2DPiece,
+                               RadialMap, pick_star_centre_2d)
 
 
 class ScalePiece(FacetPiece):
@@ -59,20 +59,22 @@ def face_loops(side):
     }
 
 
+def one_piece_chart(dom, cod, pieces):
+    """The chart with the piece pieces[f] on domain facet f, serving
+    codomain facet f."""
+    return RadialMap(dom, cod, {f: [p] for f, p in pieces.items()}, pieces)
+
+
 @functools.lru_cache(maxsize=None)
 def identity_chart():
-    dom = cube_shape()
-    cod = cube_shape()
     pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
-    return RadialMap.from_pieces(dom, cod, pieces, pieces)
+    return one_piece_chart(cube_shape(), cube_shape(), pieces)
 
 
 @functools.lru_cache(maxsize=None)
 def scaling_chart(k=2.0):
-    dom = cube_shape(1.0)
-    cod = cube_shape(k)
     pieces = {f: ScalePiece(k, loop) for f, loop in face_loops(1.0).items()}
-    return RadialMap.from_pieces(dom, cod, pieces, pieces)
+    return one_piece_chart(cube_shape(1.0), cube_shape(k), pieces)
 
 
 def bilipschitz_ratios(m, pairs, seed):
@@ -167,7 +169,7 @@ def chart_with_face(piece_for_top):
     loops = face_loops(1.0)
     pieces = {f: IdentityPiece(loop) for f, loop in loops.items()}
     pieces[5] = piece_for_top(loops[5])
-    return RadialMap.from_pieces(cube_shape(), cube_shape(), pieces, pieces)
+    return one_piece_chart(cube_shape(), cube_shape(), pieces)
 
 
 def moved_corner(loop, offset):
@@ -234,6 +236,81 @@ class TestInjectivityCount:
         # the sampled count held three 600 x 600 x 3 float arrays at once
         # (26 MB in all); the exact check must stay below half of that
         assert peak <= 1.5 * 600 * 600 * 3 * 8
+
+
+def top_split(*groups):
+    """The identity chart of the cube with its top facet (5) carried by one
+    identity ``FormulaPiece`` per group of triangles."""
+    pieces = {f: [IdentityPiece(loop)] for f, loop in face_loops(1.0).items()}
+    pieces[5] = [FormulaPiece([(t, t) for t in tris]) for tris in groups]
+    return RadialMap(cube_shape(), cube_shape(), pieces, {f: p[0] for f, p in pieces.items()})
+
+
+# the top facet's corners, its centre and a point on its diagonal
+P0, P1, P2, P3 = face_loops(1.0)[5]
+C, M = (0.0, 0.0, 1.0), (0.5, 0.5, 1.0)
+
+
+class TestConstruction:
+    """The table's construction errors, and facets of several pieces."""
+
+    @pytest.mark.parametrize("top", [None, []], ids=["missing", "empty"])
+    def test_a_facet_without_pieces_is_refused(self, top):
+        pieces = {f: [IdentityPiece(loop)] for f, loop in face_loops(1.0).items()}
+        by_codomain = {f: p[0] for f, p in pieces.items()}
+        if top is None:
+            del pieces[5]
+        else:
+            pieces[5] = top
+        with pytest.raises(GeometryError, match="no boundary piece for facet 5"):
+            RadialMap(cube_shape(), cube_shape(), pieces, by_codomain)
+
+    def test_cells_that_share_no_vertex_are_refused(self):
+        with pytest.raises(GeometryError, match="the cells of facet 5 piece 0 share no vertex"):
+            top_split([(P0, P1, C), (P2, P3, M)])
+
+    def test_pieces_that_share_no_vertex_are_refused(self):
+        with pytest.raises(GeometryError, match="the pieces of facet 5 share no vertex"):
+            top_split([(P0, P1, C)], [(P2, P3, M)])
+
+    def test_a_sector_that_no_cell_covers_is_refused(self):
+        with pytest.raises(GeometryError,
+                           match="none of the cells of facet 5 piece 0 covers the sector"):
+            top_split([(C, P0, P1), (C, P2, P3)])
+
+    def test_a_sector_that_no_piece_covers_is_refused(self):
+        with pytest.raises(GeometryError,
+                           match="none of the pieces of facet 5 covers the sector"):
+            top_split([(C, P0, P1)], [(C, P2, P3)])
+
+    def test_a_piece_that_serves_no_codomain_facet_is_refused(self):
+        pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
+        by_codomain = {**pieces, 5: pieces[0]}
+        m = RadialMap(cube_shape(), cube_shape(), {f: [p] for f, p in pieces.items()},
+                      by_codomain)
+        with pytest.raises(GeometryError, match="piece identity serves no codomain facet"):
+            m.validate_boundary_map()
+
+    @pytest.mark.parametrize("split", ["halves", "quadrants"])
+    def test_a_facet_of_several_pieces(self, split):
+        # two fans of two triangles about the centre, or four identity
+        # squares meeting at it: every piece owns a sector, and the chart
+        # is the identity
+        if split == "halves":
+            m = top_split([(C, P0, P1), (C, P1, P2)], [(C, P2, P3), (C, P3, P0)])
+        else:
+            pieces = {f: [IdentityPiece(loop)] for f, loop in face_loops(1.0).items()}
+            pieces[5] = [IdentityPiece([(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)])
+                         for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
+            m = RadialMap(cube_shape(), cube_shape(), pieces,
+                          {f: p[0] for f, p in pieces.items()})
+        *_, by_sector = m.table._facets[5]
+        assert len({id(entry) for entry in by_sector}) == len(m.pieces_by_facet[5])
+        rng = np.random.default_rng(6)
+        pts = rng.random((500, 3)) * 2 - 1
+        pts[:100, 2] = 1.0
+        for p in pts.tolist():
+            assert math.dist(m.eval(p), p) <= 1e-12
 
 
 CHARTS = ["A'", "A''1", "A''2", "A''3", "A''4"]
