@@ -7,7 +7,7 @@ not a non-tangential star centre (rays from it meet the boundary once, at
 angles bounded away from zero).  Every shape carries that certificate.  The
 module provides membership classification and the ray-to-boundary
 projection psi, both read off the one crossing of the ray from the centre
-through x (``_crossing``: a scan of cone frames precomputed per surface
+through x (``cones._crossing``: a scan of cone frames precomputed per surface
 triangle; a box has its own closed form), and the local Lipschitz
 constants of psi that follow from the certificate.
 
@@ -25,13 +25,17 @@ normals, plane coordinates and edge lengths of all their facets, their cone
 frames and their facet planes), and ``certify_star_centres`` certifies a
 batch of (shape, centre) pairs with one star test, one plane term and one
 vertex term over all of them (the vertex term's kernels are in ``cones``).
-One shape, or one centre, is a batch of one.
+One shape, or one centre, is a batch of one.  An axis-aligned box
+(``StarShape.cuboid``) skips the polyhedron steps: its facets, triangles
+and normals are fixed by ``cuboid_spec``'s layout, and its certificate has
+a closed form (``_box_certificate``).
 
 All shapes are immutable after construction; every operation is pure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +43,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import (_cones_contain_line, _cross, _dots, _facet_vertex_cones,
-                    _line_plane_angles, _same_vertex_pairs, _sector_min_angles, _starts,
-                    _tile)
+from .cones import (_cone_frames, _cones_contain_line, _cross, _crossing, _dots,
+                    _facet_vertex_cones, _line_plane_angles, _ray_box_scalar,
+                    _same_vertex_pairs, _sector_min_angles, _starts, _tile)
 
 
 class GeometryError(ValueError):
@@ -110,11 +114,20 @@ class StarShape:
     one shape: construction ends with ``certify_star_centres`` on its centre
     and keeps the result as ``certificate``, so a shape whose centre is not
     a non-tangential star centre is never built: it raises
-    ``CertificationFailure``.
+    ``CertificationFailure``.  A spec with a box is ``cuboid_spec``'s, and
+    is built as a box; ``StarShape.polyhedron`` builds the same vertices and
+    facets as a general polyhedron.
     """
 
     def __init__(self, vertices, centre, facet_polys, box=None):
         _build_shapes([self], [(vertices, centre, facet_polys, box)])
+
+    @functools.cached_property
+    def _cones(self):
+        """The cone frames of a box (``_cone_frames``), taken on first use:
+        its own ``locate`` and ``psi`` take the closed form and never read
+        them.  A polyhedron's are set at construction."""
+        return _cone_frames(self.vertices[self.triangles] - self.centre, self.tri_facet, [12])[0]
 
     # -- factories ---------------------------------------------------------
 
@@ -124,7 +137,24 @@ class StarShape:
 
     @classmethod
     def cuboid(cls, lo, hi, centre=None):
+        """The box [lo, hi] about ``centre`` (its midpoint if None), built
+        from ``cuboid_spec`` without the polyhedron steps: its triangles
+        and facet normals are the constants of that layout, its least edge
+        is its shortest side, and its certificate is ``_box_certificate``'s
+        closed form.  Every other field is the one that
+        ``StarShape.polyhedron`` builds on the same vertices and facets."""
         return cls(*cuboid_spec(lo, hi, centre))
+
+
+# the facet loops of a box: index bit 2 is x (0 lo), bit 1 y, bit 0 z; facet
+# 2k is the face x_k = lo[k], facet 2k + 1 the face x_k = hi[k]
+_BOX_FACES = np.array([[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1],
+                       [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]])
+# what ear clipping and ``_orient_outward`` make of them on every box: two
+# outward triangles per facet, in facet order, and the facets' unit normals
+# (+ 0.0 turns the -0.0 of the products into the 0.0 those steps give)
+_BOX_TRIANGLES = _BOX_FACES[:, [3, 0, 1, 1, 2, 3]].reshape(12, 3)
+_BOX_NORMALS = np.kron(np.eye(3), [[-1.0], [1.0]]) + 0.0
 
 
 def cuboid_spec(lo, hi, centre=None):
@@ -138,18 +168,9 @@ def cuboid_spec(lo, hi, centre=None):
         raise GeometryError("cuboid needs lo < hi per axis")
     xs, ys, zs = zip(lo, hi)
     verts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
-    # index: bit2 = x (0 lo), bit1 = y, bit0 = z
-    faces = [
-        [0, 1, 3, 2],  # x = lo
-        [4, 6, 7, 5],  # x = hi
-        [0, 4, 5, 1],  # y = lo
-        [2, 3, 7, 6],  # y = hi
-        [0, 2, 6, 4],  # z = lo
-        [1, 5, 7, 3],  # z = hi
-    ]
     if centre is None:
         centre = 0.5 * (lo + hi)
-    return verts, centre, faces, (lo, hi)
+    return verts, centre, _BOX_FACES.tolist(), (lo, hi)
 
 
 def star_shapes(specs):
@@ -185,7 +206,8 @@ def _build_shapes(shapes, specs):
     facet_polys, box) and certify them, each numpy step once over all of
     them; raises the first error met, which for one shape is the error of
     its construction: its arguments, then its facets (``_facet_coordinates``,
-    ``_triangulate_planar``, ``_orient_outward``), then its centre."""
+    ``_triangulate_planar``, ``_orient_outward``), then its centre.  A box
+    takes its facets from the constants of ``cuboid_spec``'s layout."""
     for shape, (vertices, centre, facet_polys, box) in zip(shapes, specs):
         shape.vertices = np.asarray(vertices, dtype=float)
         if not np.all(np.isfinite(shape.vertices)):
@@ -202,6 +224,37 @@ def _build_shapes(shapes, specs):
         shape.facet_count = len(shape.facet_polys)
         if any(len(poly) < 3 for poly in shape.facet_polys):
             raise GeometryError("facet with fewer than 3 vertices")
+    for shape in shapes:
+        if shape.box is not None:
+            _box_facets(shape)
+    polyhedra = [shape for shape in shapes if shape.box is None]
+    if polyhedra:
+        _polyhedron_facets(polyhedra)
+    certificates = certify_star_centres(shapes, [shape.centre for shape in shapes])
+    for shape, certificate in zip(shapes, certificates):
+        shape.certificate = certificate
+
+
+def _box_facets(shape):
+    """A box's facet normals, triangles, least edge and facet planes, as the
+    polyhedron steps compute them on ``cuboid_spec``'s layout: each face
+    has the outward unit normal +-e_k, its two triangles' crosses are both
+    the product of its two sides, so its area is that product, and its
+    plane offset is numpy's dot of the normal with a vertex."""
+    side = shape.box[1] - shape.box[0]
+    shape._facet_normal = _BOX_NORMALS
+    shape.triangles = _BOX_TRIANGLES
+    shape.tri_facet = np.repeat(np.arange(6), 2)
+    shape.min_feature = float(side.min())
+    area = np.repeat([side[1] * side[2], side[0] * side[2], side[0] * side[1]], 2)
+    shape.facet_planes = (_BOX_NORMALS, np.einsum(
+        "ij,ij->i", _BOX_NORMALS, shape.vertices[_BOX_FACES[:, 0]]), area)
+
+
+def _polyhedron_facets(shapes):
+    """Each shape's Newell normals, surface triangles (ear clipped and
+    oriented outward, with the facet of each), least edge length, cone
+    frames and facet planes, each numpy step in one pass over all shapes."""
     nf = [shape.facet_count for shape in shapes]
     voff = _starts([len(shape.vertices) for shape in shapes]).tolist()
     foff = _starts(nf).tolist()
@@ -235,9 +288,6 @@ def _build_shapes(shapes, specs):
     for shape, cone, f0 in zip(shapes, cones, foff):
         shape._cones = cone
         shape.facet_planes = tuple(x[f0:f0 + shape.facet_count] for x in planes)
-    certificates = certify_star_centres(shapes, [shape.centre for shape in shapes])
-    for shape, certificate in zip(shapes, certificates):
-        shape.certificate = certificate
 
 
 def _facet_planes(vertices, polys, points, tri_facet):
@@ -246,7 +296,7 @@ def _facet_planes(vertices, polys, points, tri_facet):
     area, from the outward-oriented surface triangles ``points`` (T, 3, 3)
     with the facet ``tri_facet`` of each."""
     n = np.zeros((len(polys), 3))
-    np.add.at(n, tri_facet, np.cross(points[:, 1] - points[:, 0],
+    np.add.at(n, tri_facet, _cross(points[:, 1] - points[:, 0],
                                      points[:, 2] - points[:, 0]))
     twice_area = np.linalg.norm(n, axis=1)
     n /= twice_area[:, None]
@@ -288,7 +338,7 @@ def _facet_coordinates(vertices, polys, tol):
     e1 = vertices[[poly[1] for poly in polys]] - origin
     e1 = e1 / np.sqrt(_dots(e1, e1))[:, None]
     rel = pts - origin[at]
-    u, v, off = (_dots(rel, e[at]) for e in (e1, np.cross(normals, e1), normals))
+    u, v, off = (_dots(rel, e[at]) for e in (e1, _cross(normals, e1), normals))
     scale = np.maximum.reduceat(np.abs(pts).max(axis=1), starts)
     flat = np.maximum.reduceat(np.abs(off), starts) <= np.maximum(tol, 1e-9 * scale)
     warped = np.flatnonzero(~flat & (sizes > 3))
@@ -453,94 +503,6 @@ def _centre_ray(shape, x):
     return c, r, math.hypot(*r)
 
 
-def _cone_frames(rel, tri_facet, counts):
-    """Per shape, of consecutive shapes with ``counts`` surface triangles
-    each: [(frame, facet)] for each triangle whose vertices rel[i] (relative
-    to its shape's centre) span a cone, the rows of the inverse of the
-    matrix with columns rel[i] as a 9-tuple of floats, so that
-    lambda = frame (x - centre) writes x - centre in the cone's
-    generators."""
-    m = np.swapaxes(rel, 1, 2)
-    det = np.linalg.det(m)
-    size = np.prod(np.linalg.norm(rel, axis=2), axis=1)
-    keep = np.abs(det) > 1e-12 * size
-    frames = np.linalg.inv(m[keep]).reshape(-1, 9).tolist()
-    cones = list(zip(map(tuple, frames), tri_facet[keep].tolist()))
-    kept = np.bincount(np.repeat(np.arange(len(counts)), counts)[keep],
-                       minlength=len(counts))
-    return [cones[i:i + n] for i, n in zip(_starts(kept).tolist(), kept.tolist())]
-
-
-def _crossing(shape, r, d):
-    """(t, facet) of the boundary crossing c + t r of the ray from the centre
-    c along r = x - c, |r| = d > tol, or None where x is exterior.
-
-    It scans the cone frames of the shape's surface triangles: with
-    lambda = frame r >= 0 (barycentric slack 1e-9, as a fraction of
-    sum(lambda)) the ray crosses the triangle at t = 1 / sum(lambda).  Of
-    the crossings at or beyond x (within 4 tol) the nearest wins; the
-    triangles come in facet order, so a later crossing displaces it only if
-    nearer by more than a relative 1e-12 plus tol, and ties go to the lowest
-    facet.  The shape is star
-    about c, so the ray crosses the boundary once: t is 1 where the crossing
-    lies within 4 tol of x, larger where x is interior, and the crossing is
-    missing or nearer than that where x is exterior."""
-    tol = shape.tol
-    rx, ry, rz = r
-    s_max = d / (d - 4 * tol) if d > 4 * tol else math.inf
-    t, facet = math.inf, -1
-    for (m0, m1, m2, m3, m4, m5, m6, m7, m8), k in shape._cones:
-        l0 = m0 * rx + m1 * ry + m2 * rz
-        l1 = m3 * rx + m4 * ry + m5 * rz
-        l2 = m6 * rx + m7 * ry + m8 * rz
-        s = l0 + l1 + l2
-        slack = -1e-9 * s
-        if 0.0 < s <= s_max and l0 >= slack and l1 >= slack and l2 >= slack \
-                and 1.0 / s < t * (1 - 1e-12) - tol / d:
-            t, facet = 1.0 / s, k
-    if facet < 0:
-        return None
-    if abs(t - 1.0) * d <= 4 * tol:
-        return 1.0, facet
-    return (t, facet) if t > 1.0 else None
-
-
-def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
-    """Exit facet of the ray a->p from an axis-aligned box; (facet, t).
-
-    Facet 2k is the face x_k = lo[k], facet 2k+1 the face x_k = hi[k].  An
-    exit time within a relative 1e-12 of an earlier axis's does not displace
-    it, so edges and corners go to the lowest axis.  t is at least 1."""
-    best_t = math.inf
-    best_f = -1
-    d = x - ax
-    if d > 1e-300:
-        best_t, best_f = (hi[0] - ax) / d, 1
-    elif d < -1e-300:
-        best_t, best_f = (lo[0] - ax) / d, 0
-    d = y - ay
-    if d > 1e-300:
-        t = (hi[1] - ay) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 3
-    elif d < -1e-300:
-        t = (lo[1] - ay) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 2
-    d = z - az
-    if d > 1e-300:
-        t = (hi[2] - az) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 5
-    elif d < -1e-300:
-        t = (lo[2] - az) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 4
-    if best_t < 1.0:
-        best_t = 1.0
-    return best_f, best_t
-
-
 # ---------------------------------------------------------------------------
 # star-centre certification
 
@@ -592,8 +554,43 @@ def certify_star_centres(shapes, centres):
 
 
 def _certify_pairs(pairs):
-    if not pairs:
-        return []
+    boxed = [_box_certificate(shape, a) if shape.box is not None else None
+             for shape, a in pairs]
+    rest = [pair for pair, cert in zip(pairs, boxed) if cert is None]
+    general = iter(_general_certificates(rest) if rest else ())
+    return [cert or next(general) for cert in boxed]
+
+
+def _box_certificate(shape, a):
+    """The certificate of a box about an interior point a in closed form,
+    or None where the general certification decides: a not strictly
+    inside, or an angle within a relative 1e-9 of failing, so that a failing
+    box raises what the general certification raises.
+
+    At a corner q with u = q - a, the chord directions between two faces
+    x_k = c_k and x_j = c_j at q form {d : d_k points inward or is 0, d_j
+    points outward or is 0}, so the least line angle between u and them is
+    the least of asin(|u_k| / |u|) and asin(|u_j| / |u|), the angles of u
+    with the two face planes; the in-face chords give the same.  The vertex
+    term is therefore the plane term, and theta_obs is the least over the
+    faces of asin(h / R), h the distance from a to the face and R the
+    largest distance from a to one of its vertices: the plane term of the
+    general certification bit for bit (``tests/test_geometry.py``), which
+    reaches the vertex term's value by other roundings, a few ulps below."""
+    lo, hi = shape.box
+    if not (np.all(lo < a) and np.all(a < hi)):
+        return None
+    u = shape.vertices - a
+    far = np.linalg.norm(u, axis=1)[_BOX_FACES].max(axis=1)
+    h = np.abs(u[_BOX_FACES[:, 0], np.repeat(np.arange(3), 2)])
+    theta_obs = float(np.arcsin(np.minimum(1.0, h / far)).min())
+    if not theta_obs / 2 >= THETA_MIN * (1.0 + 1e-9):
+        return None
+    eps = min(0.5 * shape.min_feature, 0.25 * shape.diameter)
+    return Certificate(theta=min(theta_obs / 2, math.pi / 4 - 1e-9), eps=float(eps))
+
+
+def _general_certificates(pairs):
     rows = _PairRows(pairs)
     out = []
     for (shape, _), star, vertex, plane in zip(pairs, _star_failures(rows),

@@ -11,7 +11,8 @@ downward translation large enough that the whole slab maps below zero.
 Every boundary piece is affine on triangles, so each chart is exactly
 affine on the cones from its domain centre over those triangles: 37 cells
 for A' and 26 for each A'' chart.  Each chart's ``RadialMap`` compiles its
-pieces into that ``AffineCellTable``, which evaluates and inverts the chart;
+pieces into that ``AffineCellTable`` (the A'' charts' tables in one stacked
+pass, ``star_extend.radial_maps``), which evaluates and inverts the chart;
 ``GlobalMap`` evaluates the slab from it, and the radial extension remains
 only the construction of the cells.  Every
 certificate is a finite check on the cells: ``build_maps`` requires a
@@ -31,10 +32,10 @@ from typing import Dict
 import numpy as np
 
 from . import zorich
-from .geometry import (GeometryError, cuboid_spec, local_lipschitz_constants,
-                       star_shapes)
-from .star_extend import (AffineCellTable, FormulaPiece, IdentityPiece,
-                          Radial2DPiece, RadialMap, ValidationReport)
+from .cones import _cross
+from .geometry import GeometryError, StarShape, local_lipschitz_constants, star_shapes
+from .pieces import FormulaPiece, IdentityPiece, radial_pieces
+from .star_extend import AffineCellTable, RadialMap, ValidationReport, radial_maps
 
 
 # --- fixed interpolation data: point names, coordinates and images ---------
@@ -133,8 +134,9 @@ class CellChart:
         self.table = self.map.table
 
 
-def _radial_piece(vt, names):
-    return Radial2DPiece(vt.loop_coords(names), vt.loop_images(names))
+def _radial_pieces(vt, faces):
+    """The ``Radial2DPiece`` of each named face loop, in one batch."""
+    return radial_pieces([(vt.loop_coords(names), vt.loop_images(names)) for names in faces])
 
 
 def _formula_top_piece(vt, tri_a, tri_b):
@@ -144,20 +146,17 @@ def _formula_top_piece(vt, tri_a, tri_b):
 
 
 def build_aprime_chart(vt: VertexTable) -> CellChart:
-    """The chart of [0,2]^2 x [0,1] onto the nine-face image polyhedron;
-    the box and the polyhedron are built and certified in one
-    ``star_shapes`` batch."""
+    """The chart of [0,2]^2 x [0,1] onto the nine-face image polyhedron:
+    the box is a ``StarShape.cuboid``, the polyhedron is built and
+    certified by ``star_shapes``, and the eight face fans are one
+    ``radial_pieces`` batch."""
     bottom = IdentityPiece(vt.loop_coords(["P0", "Q0", "R0", "S0"]))
-    side_x0 = _radial_piece(vt, ["P0", "P1", "T1", "Q1", "Q0"])
-    side_x2 = _radial_piece(vt, ["S0", "S1", "V1", "R1", "R0"])
-    side_y0 = _radial_piece(vt, ["P0", "P1", "W1", "S1", "S0"])
-    side_y2 = _radial_piece(vt, ["Q0", "Q1", "U1", "R1", "R0"])
-    top = {
-        "P": _radial_piece(vt, ["P1", "W1", "X1", "T1"]),
-        "W": _radial_piece(vt, ["W1", "S1", "V1", "X1"]),
-        "T": _radial_piece(vt, ["T1", "X1", "U1", "Q1"]),
-        "X": _radial_piece(vt, ["X1", "V1", "R1", "U1"]),
-    }
+    side_x0, side_x2, side_y0, side_y2, *quads = _radial_pieces(vt, [
+        ["P0", "P1", "T1", "Q1", "Q0"], ["S0", "S1", "V1", "R1", "R0"],
+        ["P0", "P1", "W1", "S1", "S0"], ["Q0", "Q1", "U1", "R1", "R0"],
+        ["P1", "W1", "X1", "T1"], ["W1", "S1", "V1", "X1"],
+        ["T1", "X1", "U1", "Q1"], ["X1", "V1", "R1", "U1"]])
+    top = dict(zip("PWTX", quads))
 
     names = ["P0", "Q0", "R0", "S0", "P1", "Q1", "R1", "S1",
              "T1", "U1", "V1", "W1", "X1"]
@@ -174,9 +173,9 @@ def build_aprime_chart(vt: VertexTable) -> CellChart:
         ["W1", "S1", "V1", "X1"],
         ["X1", "V1", "R1", "U1"],
     ]
-    domain, codomain = star_shapes([
-        cuboid_spec([0, 0, 0], [2, 2, 1], centre=(1, 1, 0.5)),
-        (verts, (5.0, 1.0, 2.0), [[pool[n] for n in f] for f in facets], None)])
+    domain = StarShape.cuboid([0, 0, 0], [2, 2, 1], centre=(1, 1, 0.5))
+    codomain, = star_shapes([(verts, (5.0, 1.0, 2.0), [[pool[n] for n in f] for f in facets],
+                              None)])
 
     pieces_by_facet = {0: [side_x0], 1: [side_x2], 2: [side_y0], 3: [side_y2],
                        4: [bottom], 5: [top["P"], top["W"], top["T"], top["X"]]}
@@ -242,12 +241,17 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
     image solids.  Each image solid is built about the centre
     apex + 0.10 (centroid - apex), one tenth of the way from the image of
     the cell's outer corner at level L to the mean of its vertices.  The
-    eight shapes (each chart's box, then its image solid) are built and
-    certified in one ``star_shapes`` batch; a solid whose centre fails
-    raises ConstructionError naming the chart."""
-    int_faces = {key: [_radial_piece(vt, tri) for tri in tris]
-                 for key, tris in _INT_FACE_DEFS.items()}
-    specs = []         # (box, image solid) per chart
+    four image solids are built and certified in one ``star_shapes``
+    batch, and a solid whose centre fails raises ConstructionError naming
+    the chart (the solid at ``shape_index`` k is that of the k-th chart);
+    the boxes are ``StarShape.cuboid`` shapes, and the sixteen face fans
+    (two on each interior face, then the exterior faces chart by chart) are
+    one ``radial_pieces`` batch."""
+    faces = [tri for tris in _INT_FACE_DEFS.values() for tri in tris]
+    faces += [names for spec in _CELL_DEFS.values() for names in spec["ext"].values()]
+    made = iter(_radial_pieces(vt, faces))
+    int_faces = {key: [next(made) for _ in tris] for key, tris in _INT_FACE_DEFS.items()}
+    specs = []         # the image solid of each chart
     parts = []         # (cell_id, lo, hi, pieces by domain facet, by codomain facet)
     for cell_id, spec in _CELL_DEFS.items():
         lo = np.array([spec["lo"][0], spec["lo"][1], 1.0])
@@ -258,8 +262,8 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
         top_piece = _formula_top_piece(vt, tri_a, tri_b)
 
         pieces_by_facet = {4: [bottom_piece], 5: [top_piece]}
-        for facet, names in spec["ext"].items():
-            pieces_by_facet[facet] = [_radial_piece(vt, names)]
+        for facet in spec["ext"]:
+            pieces_by_facet[facet] = [next(made)]
         for facet, key in spec["int"].items():
             pieces_by_facet[facet] = int_faces[key]
 
@@ -285,21 +289,19 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
 
         apex = vt.image(spec["apex"])
         centre = apex + 0.10 * (verts.mean(axis=0) - apex)
-        specs += [cuboid_spec(lo, hi), (verts, centre, facet_idx, None)]
+        specs.append((verts, centre, facet_idx, None))
         parts.append((cell_id, lo, hi, pieces_by_facet, dict(enumerate(facet_pieces))))
     try:
-        shapes = star_shapes(specs)
+        solids = star_shapes(specs)
     except GeometryError as err:
-        if err.shape_index is None or err.shape_index % 2 == 0:
+        if err.shape_index is None:
             raise
         raise ConstructionError(
-            f"no certifiable star centre for image of {parts[err.shape_index // 2][0]}: "
+            f"no certifiable star centre for image of {parts[err.shape_index][0]}: "
             f"{err}") from err
-    charts = []
-    for k, (cell_id, lo, hi, pieces_by_facet, by_codomain) in enumerate(parts):
-        rmap = RadialMap(shapes[2 * k], shapes[2 * k + 1], pieces_by_facet, by_codomain)
-        charts.append(CellChart(cell_id, lo, hi, rmap))
-    return charts
+    maps = radial_maps([(StarShape.cuboid(lo, hi), solid, pieces_by_facet, by_codomain)
+                        for (_, lo, hi, pieces_by_facet, by_codomain), solid in zip(parts, solids)])
+    return [CellChart(cell_id, lo, hi, rmap) for (cell_id, lo, hi, *_), rmap in zip(parts, maps)]
 
 
 # ---------------------------------------------------------------------------
@@ -446,24 +448,25 @@ class DilatationReport:
     samples: int              # the number of cells
 
 
-def _face_dev(chart, facet, target, box=None):
+def _face_dev(images, chart, facet, target, box=None):
     """Largest distance between the image of a vertex of a cell on the box
     facet ``facet`` of the chart, under that cell's affine map, and
-    target(vertex, image), over the vertices in ``box`` (lo, hi) if given."""
-    pts, images = chart.table.vertex_images(facet)
+    target(vertex, image), over the vertices in ``box`` (lo, hi) if given;
+    ``images`` holds each chart's ``vertex_images`` of all its cells."""
+    pts, imgs = images[id(chart)]
+    keep = chart.table.point_facet == facet
     if box is not None:
-        keep = np.all((box[0] <= pts) & (pts <= box[1]), axis=1)
-        pts, images = pts[keep], images[keep]
+        keep &= np.all((box[0] <= pts) & (pts <= box[1]), axis=1)
     return max(math.dist(w, target(p, w))
-               for p, w in zip(pts.tolist(), images.tolist()))
+               for p, w in zip(pts[keep].tolist(), imgs[keep].tolist()))
 
 
-def _shared_face_dev(one, facet_one, two, facet_two):
+def _shared_face_dev(images, one, facet_one, two, facet_two):
     """Largest disagreement of two charts at the cell vertices on a face
     they share, each vertex evaluated by the other chart's table."""
-    return max(_face_dev(one, facet_one, lambda p, w: two.table.eval(*p),
+    return max(_face_dev(images, one, facet_one, lambda p, w: two.table.eval(*p),
                          (two.lo, two.hi)),
-               _face_dev(two, facet_two, lambda p, w: one.table.eval(*p),
+               _face_dev(images, two, facet_two, lambda p, w: one.table.eval(*p),
                          (one.lo, one.hi)))
 
 
@@ -476,22 +479,26 @@ def audit_seams(gm: GlobalMap, samples=None, seed=None, tol_scaled=1e-6) -> Seam
     triangles of the top faces), A' against A'' at x3 = 1, the A'' charts
     at x1 = 1 and x2 = 1, and the faces at x1, x2 in {0, 2}, whose images
     lie in the same planes, which makes g continuous across the reflections
-    and the period-4 translations.  ``samples`` and ``seed`` are unused."""
+    and the period-4 translations.  Each chart's vertex images are one
+    stacked product per chart (``vertex_images``), taken once per call from
+    its table as it is then.  ``samples`` and ``seed`` are unused."""
     aprime, cells = gm._aprime, gm._cells
+    charts = {id(c): c for c in (aprime, *cells, *gm.charts)}
+    images = {key: c.table.vertex_images() for key, c in charts.items()}
     per = {
-        "identity/slab x3=0": _face_dev(aprime, 4, lambda p, w: p),
-        "slab/F x3=L": max(_face_dev(c, 5, lambda p, w: zorich.F_scalar(*p))
+        "identity/slab x3=0": _face_dev(images, aprime, 4, lambda p, w: p),
+        "slab/F x3=L": max(_face_dev(images, c, 5, lambda p, w: zorich.F_scalar(*p))
                            for c in cells),
-        "A'/A'' x3=1": max(_shared_face_dev(aprime, 5, c, 4) for c in cells),
-        "cells x1=1": max(_shared_face_dev(cells[i], 1, cells[i + 1], 0)
+        "A'/A'' x3=1": max(_shared_face_dev(images, aprime, 5, c, 4) for c in cells),
+        "cells x1=1": max(_shared_face_dev(images, cells[i], 1, cells[i + 1], 0)
                           for i in (0, 2)),
-        "cells x2=1": max(_shared_face_dev(cells[i], 3, cells[i + 2], 2)
+        "cells x2=1": max(_shared_face_dev(images, cells[i], 3, cells[i + 2], 2)
                           for i in (0, 1)),
     }
     for axis, name in ((0, "x1"), (1, "x2")):
         for value, seam in ((2.0, "reflection"), (0.0, "translation")):
             per[f"{seam} {name}={value:g}"] = max(
-                _face_dev(c, 2 * axis + (value == 2.0),
+                _face_dev(images, c, 2 * axis + (value == 2.0),
                           lambda p, w: w[:axis] + [value] + w[axis + 1:])
                 for c in gm.charts if (c.lo[axis], c.hi[axis])[value == 2.0] == value)
     worst = max(per.values())
@@ -567,7 +574,7 @@ def cell_dilatations(charts):
     closed-form sigma_min (kappa reaches 3000 on the cells)."""
     m = np.concatenate([c.table.linear for c in charts])
     r0, r1, r2 = m[:, 0], m[:, 1], m[:, 2]
-    cof = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=1)
+    cof = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)], axis=1)
     s_max, _, det = _sigma_extremes_det(m)
     s_cof = _sigma_extremes_det(cof)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -631,13 +638,17 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     nothing: they set the sampled checks that exact certificates replaced,
     and are kept so that existing callers keep working.
 
-    Each chart phase builds its star shapes in one ``geometry.star_shapes``
-    batch, certified by one stacked ``certify_star_centres`` call: the box
-    and image solid of A' in ``build_aprime_chart``, the four boxes and
-    four image solids of the A'' charts in ``build_asecond_charts``.  Each
+    Each chart phase builds its image solids in one ``geometry.star_shapes``
+    batch, certified by one stacked ``certify_star_centres`` pass (the one
+    solid of A' in ``build_aprime_chart``, the four of the A'' charts in
+    ``build_asecond_charts``), and its boxes as ``StarShape.cuboid`` shapes,
+    whose facets and certificate are in closed form.  Its face fans are one
+    ``pieces.radial_pieces`` batch, and its charts' cell tables one stacked
+    pass (``star_extend.radial_maps`` for the four A'' charts).  Each
     chart's boundary map is then validated by its own
-    ``RadialMap.validate_boundary_map`` call, on the facet planes that its
-    shapes computed when they were built.
+    ``RadialMap.validate_boundary_map`` call, on the cells that its table
+    stacked and the facet planes that its shapes computed when they were
+    built.
 
     ``phase_s`` holds the wall seconds of the five build phases, named by
     module and function (the boundary-map validation summed over the

@@ -6,16 +6,17 @@ from the domain centre to the boundary maps to the point at fraction s from
 the codomain centre to the image boundary point.
 
 The boundary map itself is a list of pieces on each domain facet, and each
-piece of it is given by its affine cells: the fan of a planar face about a
-face centre onto the fan of its image face (the radial extension of the
-face's edge correspondence), the triangles on which a closed-form map is
-affine, or the identity.  The pieces of a facet share a vertex, as the
-cells of a piece do, so one sector layout about the shared vertices finds
-the piece of a facet and the cell of a piece alike.
+piece of it is given by its affine cells (``pieces``): the fan of a planar
+face about a face centre onto the fan of its image face (the radial
+extension of the face's edge correspondence), the triangles on which a
+closed-form map is affine, or the identity.  The pieces of a facet share a
+vertex, as the cells of a piece do, so one sector layout about the shared
+vertices finds the piece of a facet and the cell of a piece alike.
 
 So the radial extension of a box is affine on the cone from the domain
 centre over each cell.  ``RadialMap`` is built from the pieces and compiles
-them into its ``AffineCellTable``, which both evaluates and inverts the map:
+them into its ``AffineCellTable`` (``radial_maps`` builds the tables of
+several maps in one stacked pass), which both evaluates and inverts the map:
 forward by one facet test, a sector test for the piece and one for the cell
 (each skipped where there is one entry) and one affine product, backward by
 the codomain facet from ``psi``, a cone test among that facet's image cells
@@ -32,215 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import _dots, _starts
-from .geometry import (CertificationFailure, GeometryError, StarShape, psi,
-                       _det3_signs, _ray_box_scalar)
+from .cones import _cross, _ray_box_scalar, _starts
+from .geometry import GeometryError, StarShape, psi, _det3_signs
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
 # also the relative tolerance of the facet area sums.
 TAU_SEAM = 1e-9
-
-
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _norm(v):
-    """|v| of a float triple as ``np.linalg.norm`` computes it: the square
-    root of numpy's dot, whose rounding the Python sum does not repeat."""
-    return math.sqrt(np.dot(v, v))
-
-
-class Frame:
-    """Orthonormal coordinates on a plane embedded in R^3: origin, e1 along
-    the given e1 and e2 the given e2 made orthonormal to it (Gram-Schmidt),
-    in Python floats with numpy's dot for every dot product and norm."""
-
-    __slots__ = ("_ox", "_oy", "_oz", "_e1x", "_e1y", "_e1z",
-                 "_e2x", "_e2y", "_e2z")
-
-    def __init__(self, origin, e1, e2):
-        n1 = _norm(e1)
-        e1 = [float(c) / n1 for c in e1]
-        d = float(np.dot(e2, e1))
-        e2 = [float(c) - d * u for c, u in zip(e2, e1)]
-        n2 = _norm(e2)
-        self._ox, self._oy, self._oz = map(float, origin)
-        self._e1x, self._e1y, self._e1z = e1
-        self._e2x, self._e2y, self._e2z = (c / n2 for c in e2)
-
-    def to2d(self, p):
-        """Plane coordinates of p = (x, y, z)."""
-        dx = p[0] - self._ox
-        dy = p[1] - self._oy
-        dz = p[2] - self._oz
-        return (dx * self._e1x + dy * self._e1y + dz * self._e1z,
-                dx * self._e2x + dy * self._e2y + dz * self._e2z)
-
-    def to3d(self, u, v):
-        return (self._ox + u * self._e1x + v * self._e2x,
-                self._oy + u * self._e1y + v * self._e2y,
-                self._oz + u * self._e1z + v * self._e2z)
-
-
-def frame_for_polygon(vertices3):
-    """A frame spanning the plane of a planar 3D polygon (float triples):
-    origin the first vertex, e1 along the first edge, and e2 in the plane
-    of e1 and the normal e1 x (q - p0) of largest norm over the later
-    vertices q (the first on ties).  The crosses are taken in floats and
-    the candidates' norms in one numpy call; raises GeometryError if every
-    candidate normal is shorter than 1e-14."""
-    p0, *rest = [tuple(map(float, p)) for p in vertices3]
-    if len(rest) < 2:
-        raise GeometryError("degenerate polygon for frame")
-    e1 = tuple(q - o for q, o in zip(rest[0], p0))
-    normals = [_cross(e1, tuple(c - o for c, o in zip(q, p0))) for q in rest[1:]]
-    normals_array = np.array(normals)
-    norms = np.sqrt(_dots(normals_array, normals_array)).tolist()
-    k = norms.index(max(norms))
-    if not norms[k] >= 1e-14:
-        raise GeometryError("degenerate polygon for frame")
-    return Frame(p0, e1, _cross(normals[k], e1))
-
-
-# ---------------------------------------------------------------------------
-# 2D star centres: the visibility kernel (the points that see the whole
-# polygon) and area centroids
-
-def polygon_kernel(vertices):
-    """Visibility kernel of a simple polygon given by its (x, y) vertices,
-    as the (possibly empty) list of the (x, y) float vertices of a convex
-    polygon: a box around the polygon clipped by every edge's inner
-    half-plane, in Python floats."""
-    v = [tuple(map(float, p)) for p in vertices]
-    n = len(v)
-    area2 = sum(v[i][0] * v[(i + 1) % n][1] - v[(i + 1) % n][0] * v[i][1]
-                for i in range(n))
-    sign = 1.0 if area2 > 0 else -1.0
-    xs, ys = zip(*v)
-    lo, hi = (min(xs) - 1.0, min(ys) - 1.0), (max(xs) + 1.0, max(ys) + 1.0)
-    poly = [lo, (hi[0], lo[1]), hi, (lo[0], hi[1])]
-    for i in range(n):
-        p0 = v[i]
-        dx, dy = v[(i + 1) % n][0] - p0[0], v[(i + 1) % n][1] - p0[1]
-        # interior is to the left of each edge for CCW orientation
-        poly = _clip_halfplane(poly, p0, (-sign * dy, sign * dx))
-        if not poly:
-            return []
-    return poly
-
-
-def _clip_halfplane(poly, p0, normal):
-    nx, ny = normal
-    out = []
-    m = len(poly)
-    for i in range(m):
-        cur, nxt = poly[i], poly[(i + 1) % m]
-        c_in = (cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny >= 0
-        n_in = (nxt[0] - p0[0]) * nx + (nxt[1] - p0[1]) * ny >= 0
-        if c_in:
-            out.append(cur)
-        if c_in != n_in:
-            dx, dy = nxt[0] - cur[0], nxt[1] - cur[1]
-            t = -((cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny) / (dx * nx + dy * ny)
-            out.append((cur[0] + t * dx, cur[1] + t * dy))
-    return out
-
-
-def polygon_centroid(vertices):
-    """Area centroid (x, y) of a polygon, in Python floats; the vertex mean
-    for a polygon of zero area."""
-    v = [tuple(map(float, p)) for p in vertices]
-    n = len(v)
-    a = 0.0
-    cx = cy = 0.0
-    for i in range(n):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % n]
-        w = x0 * y1 - x1 * y0
-        a += w
-        cx += (x0 + x1) * w
-        cy += (y0 + y1) * w
-    if abs(a) < 1e-300:
-        return tuple(np.mean(v, axis=0).tolist())
-    return cx / (3 * a), cy / (3 * a)
-
-
-def pick_star_centre_2d(vertices):
-    """Area centroid if it lies in the visibility kernel, else the kernel
-    centroid, as an (x, y) float pair.  Raises if the kernel is empty
-    (polygon is not star-shaped)."""
-    kern = polygon_kernel(vertices)
-    if not kern:
-        raise CertificationFailure("polygon has an empty visibility kernel")
-    c = polygon_centroid(vertices)
-    # c in kernel?  kernel is convex: test against its edges
-    m = len(kern)
-    for i in range(m):
-        (x0, y0), (x1, y1) = kern[i], kern[(i + 1) % m]
-        if (c[0] - x0) * (y1 - y0) - (c[1] - y0) * (x1 - x0) > 1e-12:
-            return polygon_centroid(kern)
-    return c
-
-
-# ---------------------------------------------------------------------------
-# facet pieces: the boundary map as its affine cells
-
-class FacetPiece:
-    """One entry of a boundary dispatch table, as its ``cells``: (domain
-    polygon, image polygon) pairs of 3D points in corresponding order.  The
-    piece is affine on each domain polygon (a triangle, or the whole patch
-    of a piece that is affine on it), and together they cover its patch."""
-
-    kind = "abstract"
-
-
-def _loop(points):
-    return [tuple(map(float, p)) for p in points]
-
-
-class IdentityPiece(FacetPiece):
-    kind = "identity"
-
-    def __init__(self, loop3):
-        loop = _loop(loop3)
-        self.cells = [(loop, loop)]
-
-
-class Radial2DPiece(FacetPiece):
-    """A planar face mapped onto a planar image face by the radial extension
-    of their edge correspondence (vertex i to vertex i, each edge affine):
-    the fan of triangles from a face centre over each edge, onto the fan
-    from the image face's centre.  Each centre is ``pick_star_centre_2d`` of
-    its face in the face's ``Frame`` (``frame_for_polygon``).  That the fans
-    tile both faces with a positive orientation is not checked here: the
-    chart's ``validate_boundary_map`` checks it exactly."""
-
-    kind = "radial2d"
-
-    def __init__(self, domain_loop3, image_loop3):
-        dom, img = _loop(domain_loop3), _loop(image_loop3)
-        if len(dom) != len(img):
-            raise GeometryError("vertex correspondence requires equal counts")
-        self.dom_frame = frame_for_polygon(dom)
-        self.img_frame = frame_for_polygon(img)
-        self.dom_centre = pick_star_centre_2d([self.dom_frame.to2d(p) for p in dom])
-        self.img_centre = pick_star_centre_2d([self.img_frame.to2d(p) for p in img])
-        c = self.dom_frame.to3d(*self.dom_centre)
-        c_img = self.img_frame.to3d(*self.img_centre)
-        n = len(dom)
-        self.cells = [((c, dom[i], dom[(i + 1) % n]), (c_img, img[i], img[(i + 1) % n]))
-                      for i in range(n)]
-
-
-class FormulaPiece(FacetPiece):
-    """A closed-form facet map with piecewise-affine structure, as the
-    (domain triangle, image triangle) pairs on which it is affine."""
-
-    kind = "formula"
-
-    def __init__(self, cells):
-        self.cells = [(_loop(dom), _loop(img)) for dom, img in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +63,7 @@ class RadialMap:
 
     def __init__(self, domain: StarShape, codomain: StarShape,
                  pieces_by_facet, piece_by_codomain_facet):
-        self.domain = domain
-        self.codomain = codomain
-        self.pieces_by_facet = {f: list(pieces) for f, pieces in pieces_by_facet.items()}
-        self.piece_by_codomain_facet = dict(piece_by_codomain_facet)
-        self.all_pieces = []
-        for pieces in self.pieces_by_facet.values():
-            for p in pieces:
-                if p not in self.all_pieces:
-                    self.all_pieces.append(p)
-        self.table = AffineCellTable(self)
-        self._box = tuple([float(c) + s * domain.tol for c in v]
-                          for v, s in zip(domain.box, (-1, 1)))
+        _build_maps([self], [(domain, codomain, pieces_by_facet, piece_by_codomain_facet)])
 
     def eval(self, p):
         x, y, z = float(p[0]), float(p[1]), float(p[2])
@@ -291,7 +78,9 @@ class RadialMap:
     # -- diagnostics -------------------------------------------------------
 
     def validate_boundary_map(self) -> ValidationReport:
-        """Exact check of the boundary map on the pieces' affine cells.
+        """Exact check of the boundary map on the pieces' affine cells, as
+        the table stacked them at construction (``table.points``,
+        ``table.targets``, ``table.fans``).
 
         For every cell (dom, img) of every piece: each cell vertex is mapped
         alike by every cell that contains it, so images agree along shared
@@ -319,44 +108,37 @@ class RadialMap:
         tol_seam = TAU_SEAM * max(1.0, scale)
         dom_n, dom_d, dom_area = self.domain.facet_planes
         cod_n, cod_d, cod_area = self.codomain.facet_planes
-        serves = {}     # id(piece) -> the codomain facets it serves
-        for f, piece in self.piece_by_codomain_facet.items():
-            serves.setdefault(id(piece), []).append(f)
-        served = np.zeros((len(self.all_pieces), len(cod_d)), dtype=bool)
-        cells = []      # (domain polygon, image polygon) of every piece
-        owner = []      # the piece of each cell
-        for k, piece in enumerate(self.all_pieces):
-            facets = serves.get(id(piece))
-            if not facets:
+        serving = {id(piece) for piece in self.piece_by_codomain_facet.values()}
+        for piece in self.all_pieces:
+            if id(piece) not in serving:
                 raise GeometryError(f"piece {piece.kind} serves no codomain facet")
-            served[k, facets] = True
-            cells += piece.cells
-            owner += [k] * len(piece.cells)
-        # every cell vertex in one stack, cell after cell
-        size = np.array([len(dom) for dom, _ in cells])
-        start = np.cumsum(size) - size
-        dom, img = (np.array([p for cell in cells for p in cell[j]], dtype=float)
-                    for j in range(2))
+        table = self.table
+        slot = {id(piece): k for k, piece in enumerate(table.pieces)}
+        # a piece that serves a codomain facet but holds no domain facet
+        # takes the spare last row, which no cell reads
+        served = np.zeros((len(table.pieces) + 1, len(cod_d)), dtype=bool)
+        served[[slot.get(id(piece), -1) for piece in self.piece_by_codomain_facet.values()],
+               list(self.piece_by_codomain_facet)] = True
+        # every cell vertex and its image, cell after cell, as the table holds them
+        dom, img, start = table.points, table.targets, _starts(table.sizes)
         # the domain facet that holds each cell, and of the codomain facets
         # its piece serves the one nearest to its images (the lowest on ties)
         cell_fd = np.argmin(np.maximum.reduceat(np.abs(dom @ dom_n.T - dom_d), start), axis=1)
         off_plane = np.abs(np.matmul(img[:, None, None, :], cod_n[None, :, :, None])[..., 0, 0]
                            - cod_d)
         devs = np.maximum.reduceat(off_plane, start)
-        cell_fc = np.argmin(np.where(served[owner], devs, np.inf), axis=1)
-        worst_b = float(devs[np.arange(len(cells)), cell_fc].max())
-        # each cell polygon as a fan of triangles (0, i, i + 1) of its vertices
-        cell = np.repeat(np.arange(len(cells)), size - 2)
-        first = start[cell]
-        i = np.arange(len(cell)) - _starts(size - 2)[cell] + first
-        corners = np.stack([first, i + 1, i + 2], axis=1)
-        dom, img = dom[corners], img[corners]
-        fd, fc = cell_fd[cell], cell_fc[cell]
-        worst_seam = _cover_deviation(dom, img, self.domain.tol * 1e3, fd, dom_n, dom_d)
+        cell_fc = np.argmin(np.where(served[table.owner], devs, np.inf), axis=1)
+        worst_b = float(devs[np.arange(len(start)), cell_fc].max())
+        # each cell polygon as its fan of triangles (0, i, i + 1)
+        dom, img = dom[table.fans], img[table.fans]
+        fd, fc = cell_fd[table.fan_cell], cell_fc[table.fan_cell]
+        worst_seam = _cover_deviation(dom, img, self.domain.tol * 1e3, fd, dom_n, dom_d,
+                                      table.point_ids[table.fans])
 
         signs, areas = _oriented_areas(np.concatenate([dom_n[fd], cod_n[fc]]),
                                        np.concatenate([dom, img]))
-        (sd, si), (ad, ai) = np.split(signs, 2), np.split(areas, 2)
+        n = len(fd)
+        sd, si, ad, ai = signs[:n], signs[n:], areas[:n], areas[n:]
         bad = sd * si <= 0
         empty = 0         # facets that no triangle covers
         for idx, area, signed in ((fd, dom_area, sd * ad), (fc, cod_area, sd * ai)):
@@ -374,6 +156,40 @@ class RadialMap:
                                        f"tol_seam={tol_seam:.3e}")
 
 
+def radial_maps(specs):
+    """The maps ``RadialMap(*spec)`` of ``specs``, their cell tables built
+    in one stacked pass (``_build_tables``).  A batch raises what building
+    its maps one by one, in order, raises: when the stacked pass fails, the
+    maps are built one at a time and the first error is raised."""
+    maps = [RadialMap.__new__(RadialMap) for _ in specs]
+    try:
+        _build_maps(maps, specs)
+    except (GeometryError, np.linalg.LinAlgError):
+        for spec in specs:
+            RadialMap(*spec)
+        raise
+    return maps
+
+
+def _build_maps(maps, specs):
+    for rmap, (domain, codomain, pieces_by_facet, by_codomain) in zip(maps, specs):
+        rmap.domain = domain
+        rmap.codomain = codomain
+        rmap.pieces_by_facet = {f: list(pieces) for f, pieces in pieces_by_facet.items()}
+        rmap.piece_by_codomain_facet = dict(by_codomain)
+        rmap.all_pieces = []
+        for pieces in rmap.pieces_by_facet.values():
+            for p in pieces:
+                if p not in rmap.all_pieces:
+                    rmap.all_pieces.append(p)
+    tables = [AffineCellTable.__new__(AffineCellTable) for _ in maps]
+    _build_tables(tables, maps)
+    for rmap, table in zip(maps, tables):
+        rmap.table = table
+        rmap._box = tuple([float(c) + s * rmap.domain.tol for c in v]
+                          for v, s in zip(rmap.domain.box, (-1, 1)))
+
+
 def _oriented_areas(normals, tris):
     """(signs, signed areas) of a stack of 3D triangles (N, 3, 3), each seen
     along its unit normal normals[k]: half of normal . ((p1 - p0) x
@@ -385,9 +201,10 @@ def _oriented_areas(normals, tris):
     return signs, dets / 2
 
 
-def _cover_deviation(dom, img, tol, facet, normals, offsets):
+def _cover_deviation(dom, img, tol, facet, normals, offsets, ids):
     """Largest distance, over the triangles dom[k] with images img[k]
-    (stacks (T, 3, 3)) and every triangle vertex within tol of dom[k],
+    (stacks (T, 3, 3)), with ids[k] (T, 3) numbering their vertices' points
+    0, 1, ..., and every triangle vertex within tol of dom[k],
     between the triangle's affine interpolation at the vertex and the
     vertex's image in its own triangle.
 
@@ -400,15 +217,22 @@ def _cover_deviation(dom, img, tol, facet, normals, offsets):
     (padded to the longest such list with other vertices, masked out); a
     stacked solve with several right-hand sides gives each the coordinates
     that the solve against all vertices gives it
-    (``tests/oracles.cover_deviation_all_pairs``)."""
-    pts, images = dom.reshape(-1, 3), img.reshape(-1, 3)
-    near = np.abs(pts @ normals.T - offsets) <= 2 * tol          # (M, facets)
+    (``tests/oracles.cover_deviation_all_pairs``).  Each point is solved
+    once, however many triangles have it as a vertex: the triangle's
+    interpolation at it is then compared with the point's image in each of
+    those triangles."""
+    pts, images, ids = dom.reshape(-1, 3), img.reshape(-1, 3), ids.ravel()
+    order = np.argsort(ids, kind="stable")        # each point's vertices, in turn
+    counts = np.bincount(ids)
+    first = _starts(counts)
+    points = pts[order[first]]
+    near = np.abs(points @ normals.T - offsets) <= 2 * tol       # (points, facets)
     count = near.sum(axis=0)
     cand = np.argsort(~near, axis=0, kind="stable")[:count.max()].T[facet]
     valid = (np.arange(count.max()) < count[:, None])[facet]     # (T, width)
     e = dom[:, 1:] - dom[:, :1]                    # (T, 2, 3): both edges from p0
-    n = np.cross(e[:, 0], e[:, 1])
-    d = pts[cand] - dom[:, :1]                     # (T, width, 3)
+    n = _cross(e[:, 0], e[:, 1])
+    d = points[cand] - dom[:, :1]                  # (T, width, 3)
     uv = np.linalg.solve(e @ np.swapaxes(e, 1, 2), e @ np.swapaxes(d, 1, 2))
     u, v = uv[:, 0], uv[:, 1]
     tri, col = np.nonzero(valid & (np.abs(d @ n[:, :, None])[..., 0]
@@ -417,7 +241,13 @@ def _cover_deviation(dom, img, tol, facet, normals, offsets):
     f = img[tri, 1:] - img[tri, :1]
     want = (img[tri, 0] + u[tri, col][:, None] * f[:, 0]
             + v[tri, col][:, None] * f[:, 1])
-    return float(np.linalg.norm(want - images[cand[tri, col]], axis=1).max(initial=0.0))
+    # every vertex at each (triangle, point) pair
+    point = cand[tri, col]
+    times = counts[point]
+    pair = np.repeat(np.arange(len(point)), times)
+    vertex = order[first[point][pair] + np.arange(len(pair)) - _starts(times)[pair]]
+    want, images = want[pair], images[vertex]
+    return float(np.linalg.norm(want - images, axis=1).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -429,64 +259,62 @@ def _sector_layout(name, groups, iu, iv):
     by the angle in the face coordinates (iu, iv) about the centroid c of
     the vertices all entries share: a Radial2D face centre, the midpoint of
     a split square's diagonal, or the corner where a facet's pieces meet.
-    Returns (cu, cv, bounds, mids, probes, tris, starts): the sorted angles
-    of the other vertices about c, the midpoint angle of each sector
-    between them (the last one wraps through pi), a probe (u, v, 1) just
-    off c at each, the matrix with columns (p_u, p_v, 1) of each fan
-    triangle (0, i, i + 1) of each polygon, and each entry's first
-    triangle.  Raises GeometryError if the entries share no vertex."""
-    shared = set.intersection(*({p for dom in group for p in dom} for group in groups))
+    Returns (cu, cv, bounds, mids, probes): the sorted angles of the other
+    vertices about c, the midpoint angle of each sector between them (the
+    last one wraps through pi), and a probe (u, v, 1) just off c at each.
+    Raises GeometryError if the entries share no vertex."""
+    sets = [{p for dom in group for p in dom} for group in groups]
+    shared = set.intersection(*sets)
     if not shared:
         raise GeometryError(f"the {name} share no vertex")
     cu = sum(p[iu] for p in shared) / len(shared)
     cv = sum(p[iv] for p in shared) / len(shared)
-    rim = {p for group in groups for dom in group for p in dom if (p[iu], p[iv]) != (cu, cv)}
+    rim = {p for p in set().union(*sets) if (p[iu], p[iv]) != (cu, cv)}
     bounds = sorted({math.atan2(p[iv] - cv, p[iu] - cu) for p in rim})
     reach = 1e-6 * min(math.hypot(p[iu] - cu, p[iv] - cv) for p in rim)
     mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
     mids.append(0.5 * (bounds[-1] + bounds[0]) + math.pi)
     probes = [(cu + reach * math.cos(th), cv + reach * math.sin(th), 1.0) for th in mids]
-    tris, starts = [], []
-    for group in groups:
-        starts.append(len(tris))
-        tris += [[[p[iu] for p in t], [p[iv] for p in t], [1.0] * 3]
-                 for dom in group for t in zip(dom[:1] * len(dom), dom[1:], dom[2:])]
-    return cu, cv, bounds, mids, probes, tris, starts
+    return cu, cv, bounds, mids, probes
 
 
-def _sector_entries(levels):
+def _sector_entries(levels, mats):
     """The sector entry (cu, cv, bounds, picks) of each level of ``levels``
-    ((name, iu, iv, groups) per level, as ``_sector_layout`` takes them):
-    a point h of the level's patch lies in the entry with the index
+    ((name, iu, iv, groups, tris, firsts) per level: its entries' domain
+    polygons as ``_sector_layout`` takes them, the slice of ``mats`` that
+    holds the matrices with columns (p_u, p_v, 1) of their fan triangles,
+    and the first triangle of each entry in that slice): a point h of the
+    level's patch lies in the entry with the index
     picks[bisect_right(bounds, atan2(h_v - cv, h_u - cu))], the first and
     the last sector being the one that wraps through the angle pi; a level
-    of one entry has no bounds.  Every probe is solved against its level's
-    triangles in one stacked call; a sector takes the entry with the
-    triangle that holds its probe deepest (the first on ties) and raises
-    GeometryError naming the level if no triangle holds it."""
-    layouts, mats, rhs = [], [], []
-    for name, iu, iv, groups in levels:
-        lay = _sector_layout(name, groups, iu, iv) if len(groups) > 1 else None
-        if lay:
-            *_, probes, tris, _ = lay
-            for q in probes:
-                mats += tris
-                rhs += [q] * len(tris)
-        layouts.append(lay)
-    if mats:
-        depths = np.linalg.solve(np.array(mats), np.array(rhs)[..., None]).min(axis=(1, 2))
-    entries, at = [], 0
-    for (name, *_), lay in zip(levels, layouts):
+    of one entry has no bounds.  A sector takes the entry with the triangle
+    that holds its probe deepest (the first on ties), and GeometryError
+    names the first level with a sector that no triangle holds.
+
+    The levels of one shape (as many probes and triangles, the same first
+    triangles of their entries) share one broadcast solve, each level's
+    probes against its own triangles, each triangle stored once."""
+    layouts = [_sector_layout(name, groups, iu, iv) if len(groups) > 1 else None
+               for name, iu, iv, groups, *_ in levels]
+    alike = {}          # (probes, triangles, firsts) -> the levels of that shape
+    for k, ((*_, tris, firsts), lay) in enumerate(zip(levels, layouts)):
+        if lay is not None:
+            alike.setdefault((len(lay[4]), tris.stop - tris.start, tuple(firsts)), []).append(k)
+    picked = {}         # level -> (the pick of each sector, its depth)
+    for (_, _, firsts), ks in alike.items():
+        a = np.stack([mats[levels[k][4]] for k in ks])[:, None]
+        b = np.array([layouts[k][4] for k in ks])[:, :, None, :, None]
+        depth = np.maximum.reduceat(np.linalg.solve(a, b).min(axis=(3, 4)), firsts, axis=2)
+        picked.update(zip(ks, zip(depth.argmax(axis=2).tolist(), depth.max(axis=2).tolist())))
+    entries = []
+    for k, ((name, *_), lay) in enumerate(zip(levels, layouts)):
         if lay is None:
             entries.append((0.0, 0.0, [], [0]))
             continue
-        cu, cv, bounds, mids, _, tris, starts = lay
-        depth = depths[at:at + len(mids) * len(tris)].reshape(len(mids), -1)
-        at += depth.size
-        depth = np.maximum.reduceat(depth, starts, axis=1)
-        picks = depth.argmax(axis=1).tolist()
-        for th, k, row in zip(mids, picks, depth.tolist()):
-            if row[k] <= 0.0:
+        cu, cv, bounds, mids, _ = lay
+        picks, best = picked[k]
+        for th, depth in zip(mids, best):
+            if depth <= 0.0:
                 raise GeometryError(f"none of the {name} covers the sector at angle {th}")
         entries.append((cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]]))
     return entries
@@ -498,22 +326,8 @@ def _pick(entry, values):
     return cu, cv, bounds, [values[k] for k in picks]
 
 
-def _fan_frames(polygons, linear, a):
-    """Per cell, the barycentric frames (9-tuples) of the fan triangles
-    (0, i, i + 1) of its image polygon (dom - a) A^T relative to b: the
-    image polygons of one size in one stacked product, and all frames in
-    one stacked inverse."""
-    fans, owner = [], []
-    for size in sorted(set(map(len, polygons))):
-        idx = [i for i, dom in enumerate(polygons) if len(dom) == size]
-        img = (np.array([polygons[i] for i in idx]) - a) @ np.swapaxes(linear[idx], 1, 2)
-        fan = [[0, i, i + 1] for i in range(1, size - 1)]
-        fans.append(np.swapaxes(img[:, fan], -1, -2).reshape(-1, 3, 3))
-        owner += [i for i in idx for _ in fan]
-    frames = [[] for _ in polygons]
-    for i, f in zip(owner, np.linalg.inv(np.concatenate(fans)).reshape(-1, 9).tolist()):
-        frames[i].append(tuple(f))
-    return frames
+# the face coordinates (iu, iv) of the box facets x_k = lo[k], x_k = hi[k]
+_FACE_AXES = np.array([(1, 2), (0, 2), (0, 1)]).repeat(2, axis=0)
 
 
 class AffineCellTable:
@@ -538,72 +352,27 @@ class AffineCellTable:
     is the one among all image cells whose cone contains q - b (the cones
     tile space); b itself maps to a.  Exterior points raise GeometryError.
 
-    Construction solves the small systems of all cells in stacks: the
-    linear parts from one solve on every cell's first three vertex
-    correspondences, the sector picks from one solve of every facet's
-    probes against its pieces' cells and every piece's probes against its
-    cells (``_sector_entries``), and the image cells' fan frames from one
-    inverse (``_fan_frames``).  A stacked solve or inverse equals the
-    per-matrix call bitwise, so the table is the one that one call per cell
-    or probe builds.
+    Construction (``_build_tables``, over the tables of one or several
+    radial maps) stacks the cells once, in table order (facet by facet,
+    piece by piece): ``points`` and ``targets`` hold every cell polygon's
+    vertices and their images under the boundary piece, cell after cell
+    (``sizes`` per cell; ``point_facet`` the box facet of each vertex and
+    ``point_ids`` its point, the distinct points numbered 0, 1, ...),
+    ``owner`` the index into ``pieces`` of each cell's piece, and ``fans``
+    the rows of the fan triangles (0, i, i + 1) of every polygon, with
+    ``fan_cell`` the cell of each.  The linear parts, the sector picks, the
+    fan frames of the image cells, ``vertex_images`` and the boundary-map
+    validation all read these arrays.  The small systems of all tables of
+    a pass are solved in stacks: the linear parts in one solve on every
+    cell's first three vertex correspondences, the sector probes in one
+    broadcast solve per shape of sector level (``_sector_entries``), and
+    the fan frames in one inverse.  A stacked solve or inverse equals the
+    per-matrix call bitwise, so each table is the one that one call per
+    cell or probe builds.
     """
 
     def __init__(self, rmap: RadialMap):
-        domain = rmap.domain
-        if domain.box is None:
-            raise GeometryError("a cell table needs a box domain")
-        self._a = tuple(map(float, domain.centre))
-        self._b = tuple(map(float, rmap.codomain.centre))
-        self._lo, self._hi = (tuple(map(float, v)) for v in domain.box)
-        self._ctol2 = domain.tol * domain.tol
-        self._codomain = rmap.codomain
-        self.labels = []
-        self.facet_of = []        # the box facet of each cell's polygon
-        self.polygons = []        # each cell's domain polygon, (k, 3)
-        images = []               # each cell's image polygon
-        levels = []               # per facet its pieces, then per piece its cells
-        walk = []                 # per facet (iu, iv, the first cell of each piece)
-        cells_of = {}             # id(piece) -> its cells' indices
-        for facet in range(6):
-            pieces = rmap.pieces_by_facet.get(facet)
-            if not pieces:
-                raise GeometryError(f"no boundary piece for facet {facet}")
-            iu, iv = [i for i in range(3) if i != facet // 2]
-            levels.append((f"pieces of facet {facet}", iu, iv,
-                           [[dom for dom, _ in piece.cells] for piece in pieces]))
-            walk.append((iu, iv, []))
-            for k, piece in enumerate(pieces):
-                levels.append((f"cells of facet {facet} piece {k}", iu, iv,
-                               [[dom] for dom, _ in piece.cells]))
-                walk[-1][2].append(len(self.labels))
-                for j, (dom, img) in enumerate(piece.cells):
-                    cells_of.setdefault(id(piece), []).append(len(self.labels))
-                    self.labels.append(f"facet {facet} piece {k} cell {j}")
-                    self.facet_of.append(facet)
-                    self.polygons.append(np.asarray(dom, dtype=float))
-                    images.append(img[:3])
-        # rows: A d_i = w_i over the first three vertices of each cell
-        d = np.array([dom[:3] for dom in self.polygons]) - self._a
-        w = np.array(images, dtype=float) - self._b
-        self.linear = np.ascontiguousarray(np.swapaxes(np.linalg.solve(d, w), 1, 2))
-        rows = [tuple(m) for m in self.linear.reshape(-1, 9).tolist()]
-        # per facet (iu, iv, cu, cv, bounds, pieces), per piece (cu, cv, bounds, rows)
-        entries = iter(_sector_entries(levels))
-        self._facets = []
-        for iu, iv, firsts in walk:
-            by_sector = next(entries)
-            pieces = [_pick(next(entries), rows[first:]) for first in firsts]
-            self._facets.append((iu, iv) + _pick(by_sector, pieces))
-        singular = np.flatnonzero(~(self.determinants() != 0.0))
-        if singular.size:
-            raise GeometryError(f"{self.labels[singular[0]]}: singular linear part")
-        inverse = np.linalg.inv(self.linear).reshape(-1, 9).tolist()
-        image_cells = list(zip(_fan_frames(self.polygons, self.linear, self._a),
-                               map(tuple, inverse)))
-        self._ctol2_image = rmap.codomain.tol ** 2
-        self._all_image_cells = image_cells
-        self._image_cells = {f: [image_cells[i] for i in cells_of[id(piece)]]
-                             for f, piece in rmap.piece_by_codomain_facet.items()}
+        _build_tables([self], [rmap])
 
     def __len__(self):
         return len(self.labels)
@@ -615,14 +384,14 @@ class AffineCellTable:
     def vertex_images(self, facet=None):
         """(points, images): the polygon vertices of every cell on the box
         facet ``facet`` (of every cell if None), each with its image under
-        that cell's own affine map."""
-        b = np.asarray(self._b)
-        pts, images = [], []
-        for f, dom, m in zip(self.facet_of, self.polygons, self.linear):
-            if facet is None or f == facet:
-                pts.append(dom)
-                images.append(b + (dom - self._a) @ m.T)
-        return np.concatenate(pts), np.concatenate(images)
+        that cell's own affine map, from the linear parts as they are at the
+        call."""
+        images = np.asarray(self._b) + _mapped_points(self.points - self._a, self.sizes,
+                                                      self.linear)
+        if facet is None:
+            return self.points, images
+        keep = self.point_facet == facet
+        return self.points[keep], images[keep]
 
     def eval(self, x, y, z):
         ax, ay, az = self._a
@@ -659,6 +428,158 @@ class AffineCellTable:
         return (ax + m[0] * dx + m[1] * dy + m[2] * dz,
                 ay + m[3] * dx + m[4] * dy + m[5] * dz,
                 az + m[6] * dx + m[7] * dy + m[8] * dz)
+
+
+def _build_tables(tables, rmaps):
+    """Fill in the blank ``tables`` of the radial maps ``rmaps``, each numpy
+    step once over the cells of all of them: one solve for the linear parts,
+    the sector solves of ``_sector_entries`` over the levels of all tables,
+    one determinant and one inverse of the linear parts, and one inverse for
+    the fan frames.  Each table keeps its slice of the stacked arrays; a
+    stacked solve or inverse equals the per-matrix call bitwise, so every
+    table is the one that its own construction builds.  Raises the first
+    error met."""
+    doms, imgs, owner, facets, levels = [], [], [], [], []
+    walks = [_walk_table(table, rmap, doms, imgs, owner, facets, levels)
+             for table, rmap in zip(tables, rmaps)]
+    sizes = np.array([len(dom) for dom in doms])
+    starts = _starts(sizes)
+    cells = np.array([len(table.labels) for table in tables])
+    centres = [np.array([getattr(table, x) for table in tables]).repeat(cells, axis=0)
+               for x in ("_a", "_b")]
+    points = np.array([p for dom in doms for p in dom], dtype=float)
+    targets = np.array(imgs, dtype=float)
+    point_facet = np.repeat(facets, sizes)
+    # the fan triangles (0, i, i + 1) of every polygon, cell after cell
+    fan_cell = np.repeat(np.arange(len(doms)), sizes - 2)
+    i = np.arange(len(fan_cell)) - _starts(sizes - 2)[fan_cell]
+    fans = starts[fan_cell][:, None] + np.stack([0 * i, i + 1, i + 2], axis=1)
+    # rows: A d_i = w_i over the first three vertices of each cell
+    first3 = starts[:, None] + np.arange(3)
+    linear = np.ascontiguousarray(np.swapaxes(np.linalg.solve(
+        points[first3] - centres[0][:, None], targets[first3] - centres[1][:, None]), 1, 2))
+    rows = [tuple(m) for m in linear.reshape(-1, 9).tolist()]
+    # each fan triangle as the matrix with columns (p_u, p_v, 1) in its
+    # facet's coordinates, and each level's slice of them
+    uv = points[np.arange(len(points))[:, None], _FACE_AXES[point_facet]]
+    mats = np.ones((len(fan_cell), 3, 3))
+    mats[:, :2] = np.swapaxes(uv[fans], 1, 2)
+    at = np.append(_starts(sizes - 2), len(fan_cell)).tolist()
+    # a level of the same pieces on the same axes, in another table, is
+    # taken once
+    seen = {}
+    unique = [k for k, (*_, key) in enumerate(levels) if seen.setdefault(key, k) == k]
+    found = dict(zip(unique, _sector_entries([
+        (name, iu, iv, groups, slice(at[first[0]], at[first[-1] + len(groups[-1])]),
+         [at[c] - at[first[0]] for c in first]) if len(groups) > 1
+        else (name, iu, iv, groups, None, None)
+        for name, iu, iv, groups, first, _ in map(levels.__getitem__, unique)], mats)))
+    entries = iter([found[seen[key]] for *_, key in levels])
+    dets = np.linalg.det(linear)
+    c0 = 0
+    for table, walk, n in zip(tables, walks, cells.tolist()):
+        # per facet (iu, iv, cu, cv, bounds, pieces), per piece (cu, cv, bounds, rows)
+        table._facets = []
+        for iu, iv, firsts in walk:
+            by_sector = next(entries)
+            pieces = [_pick(next(entries), rows[first:]) for first in firsts]
+            table._facets.append((iu, iv) + _pick(by_sector, pieces))
+        singular = np.flatnonzero(~(dets[c0:c0 + n] != 0.0))
+        if singular.size:
+            raise GeometryError(f"{table.labels[singular[0]]}: singular linear part")
+        c0 += n
+    inverse = list(map(tuple, np.linalg.inv(linear).reshape(-1, 9).tolist()))
+    mapped = _mapped_points(points - np.repeat(centres[0], sizes, axis=0), sizes, linear)
+    frames = list(map(tuple, np.linalg.inv(np.swapaxes(mapped[fans], 1, 2))
+                      .reshape(-1, 9).tolist()))
+    image_cells = list(zip([frames[s:e] for s, e in zip(at, at[1:])], inverse))
+    c0, p0, t0 = 0, 0, 0
+    for table, rmap, n in zip(tables, rmaps, cells.tolist()):
+        c1 = c0 + n
+        p1, t1 = int(starts[c1 - 1] + sizes[c1 - 1]), at[c1]
+        table.sizes, table.owner = sizes[c0:c1], np.array(owner[c0:c1])
+        table.points, table.targets = points[p0:p1], targets[p0:p1]
+        table.point_facet, table.linear = point_facet[p0:p1], linear[c0:c1]
+        table.polygons = [table.points[s:s + k] for s, k in
+                          zip((starts[c0:c1] - p0).tolist(), table.sizes.tolist())]
+        table.fan_cell, table.fans = fan_cell[t0:t1] - c0, fans[t0:t1] - p0
+        number = {}       # each distinct point of the table, numbered
+        table.point_ids = np.array([number.setdefault(q, len(number))
+                                    for dom in doms[c0:c1] for q in dom])
+        table._ctol2_image = rmap.codomain.tol ** 2
+        table._all_image_cells = image_cells[c0:c1]
+        table._image_cells = {f: [table._all_image_cells[i] for i in table._cells_of[id(piece)]]
+                              for f, piece in rmap.piece_by_codomain_facet.items()}
+        c0, p0, t0 = c1, p1, t1
+
+
+def _walk_table(table, rmap, doms, imgs, owner, facets, levels):
+    """Set the table's centres, box and labels from its radial map, and
+    append its cells, cell after cell in table order (facet by facet, piece
+    by piece), to the stacks: each cell's domain polygon, its image points,
+    the index of its piece in ``table.pieces`` and its facet; and its sector
+    levels, per facet its pieces and then per piece its cells, with the
+    stacked index of the first cell of each entry and a key naming the
+    pieces and the face axes.  Returns per facet (iu, iv, the stacked first
+    cell of each piece)."""
+    domain = rmap.domain
+    if domain.box is None:
+        raise GeometryError("a cell table needs a box domain")
+    table._a = tuple(map(float, domain.centre))
+    table._b = tuple(map(float, rmap.codomain.centre))
+    table._lo, table._hi = (tuple(map(float, v)) for v in domain.box)
+    table._ctol2 = domain.tol * domain.tol
+    table._codomain = rmap.codomain
+    table.labels = []
+    table.facet_of = []       # the box facet of each cell's polygon
+    table.pieces = []         # the distinct pieces, in table order
+    table._cells_of = {}      # id(piece) -> its cells' indices
+    base = len(doms)
+    slot = {}                 # id(piece) -> its index in pieces
+    walk = []
+    for facet in range(6):
+        pieces = rmap.pieces_by_facet.get(facet)
+        if not pieces:
+            raise GeometryError(f"no boundary piece for facet {facet}")
+        iu, iv = _FACE_AXES[facet].tolist()
+        firsts = []
+        levels.append((f"pieces of facet {facet}", iu, iv,
+                       [[dom for dom, _ in piece.cells] for piece in pieces], firsts,
+                       (tuple(map(id, pieces)), iu, iv)))
+        for k, piece in enumerate(pieces):
+            first = base + len(table.labels)
+            firsts.append(first)
+            levels.append((f"cells of facet {facet} piece {k}", iu, iv,
+                           [[dom] for dom, _ in piece.cells],
+                           list(range(first, first + len(piece.cells))), (id(piece), iu, iv)))
+            if id(piece) not in slot:
+                slot[id(piece)] = len(table.pieces)
+                table.pieces.append(piece)
+            n = len(piece.cells)
+            table._cells_of.setdefault(id(piece), []).extend(
+                range(len(table.labels), len(table.labels) + n))
+            table.labels.extend(f"facet {facet} piece {k} cell {j}" for j in range(n))
+            table.facet_of.extend([facet] * n)
+            owner.extend([slot[id(piece)]] * n)
+            doms.extend(dom for dom, _ in piece.cells)
+            imgs.extend(q for _, img in piece.cells for q in img)
+        walk.append((iu, iv, firsts))
+    facets.extend(table.facet_of)
+    return walk
+
+
+def _mapped_points(d, sizes, linear):
+    """d A^T for the rows d of each cell polygon's vertices (relative to
+    the domain centre), A the cell's linear part: the cells of each polygon
+    size in one stacked product, which gives each cell's rows bitwise as
+    its own product does."""
+    out = np.empty_like(d)
+    starts = _starts(sizes)
+    for size in sorted(set(sizes.tolist())):
+        idx = np.flatnonzero(sizes == size)
+        rows = starts[idx][:, None] + np.arange(size)
+        out[rows] = d[rows] @ np.swapaxes(linear[idx], 1, 2)
+    return out
 
 
 def _cone_cell(cells, dx, dy, dz):

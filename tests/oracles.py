@@ -40,6 +40,7 @@ and cone frames, kept here as the oracles of the tests.
   to Python floats: ``cell_linear_part`` (one solve per cell),
   ``sector_entry`` (the sector picks of a piece's cells or of a facet's
   pieces, one solve per sector probe and triangle),
+  ``cell_vertex_images`` (one product per cell),
   ``image_cell_frames`` (one inverse per cell), ``frame_rows`` (a face's
   frame, crosses and norms per candidate vertex), ``polygon_kernel_rows``,
   ``polygon_centroid_rows`` and ``pick_star_centre_2d_rows``,
@@ -453,6 +454,12 @@ def sector_entry(groups, values, iu, iv):
             raise GeometryError(f"no entry covers the sector at angle {th}")
         picks.append(values[k])
     return (cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]])
+
+
+def cell_vertex_images(a, b, dom, m):
+    """The images b + (dom - a) A^T of one cell polygon's vertices under the
+    cell's affine map, one product per cell."""
+    return np.asarray(b) + (np.asarray(dom, dtype=float) - np.asarray(a)) @ m.T
 
 
 def image_cell_frames(a, dom, m):

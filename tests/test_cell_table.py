@@ -7,14 +7,15 @@ import types
 import numpy as np
 import pytest
 
-from oracles import (cell_linear_part, facet_is_planar_rows, frame_rows,
+from oracles import (cell_linear_part, cell_vertex_images, facet_is_planar_rows, frame_rows,
                      image_cell_frames, pick_star_centre_2d_rows, polygon_kernel_rows,
                      polygon_normal_rows, radial_eval, radial_inverse, sector_entry,
                      triangulate_planar_rows)
 from qrdyn.geometry import GeometryError, StarShape, _facet_coordinates, _triangulate_planar
 from qrdyn.global_map import (ConstructionError, _cell_index, cell_dilatations,
                               certify_cell_orientation)
-from qrdyn.star_extend import RadialMap, frame_for_polygon, pick_star_centre_2d, polygon_kernel
+from qrdyn.pieces import frame_for_polygon, pick_star_centre_2d, polygon_kernel
+from qrdyn.star_extend import RadialMap
 
 
 def _box_points(chart, rng, interior=2000, face=200, diagonal=41, edge=8):
@@ -344,6 +345,41 @@ class TestBuildMatchesOracles:
                 want = sector_entry([[dom for dom, _ in p.cells] for p in pieces], entries, iu, iv)
                 assert _bits(table._facets[facet]) == _bits((iu, iv) + want)
             assert k == len(table)
+
+    def test_tables_of_a_batch_are_built_alone(self, build):
+        # the four A'' tables come from one stacked pass (radial_maps); each
+        # chart's own RadialMap builds its table bit for bit
+        for chart in build.g.charts[1:]:
+            rmap = chart.map
+            table = chart.table
+            alone = RadialMap(rmap.domain, rmap.codomain, rmap.pieces_by_facet,
+                              rmap.piece_by_codomain_facet).table
+            for name in ("linear", "points", "targets", "sizes", "owner", "point_facet",
+                         "point_ids", "fans", "fan_cell"):
+                assert getattr(table, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert _bits((table._facets, table._all_image_cells, table.labels, table.facet_of)) \
+                == _bits((alone._facets, alone._all_image_cells, alone.labels, alone.facet_of))
+            assert _bits(table._image_cells) == _bits(alone._image_cells)
+
+    def test_build_constants(self, build):
+        # each cell's vertex images, L', the least cell determinant and the
+        # largest dilatation against their one-cell-at-a-time references
+        dets, ks = [], []
+        for chart in build.g.charts:
+            table = chart.table
+            pts, images = table.vertex_images()
+            want = [cell_vertex_images(table._a, table._b, dom, m)
+                    for dom, m in zip(table.polygons, table.linear)]
+            assert pts.tobytes() == np.concatenate(table.polygons).tobytes()
+            assert images.tobytes() == np.concatenate(want).tobytes()
+            assert float(images[:, 2].max()) <= build.L_prime - 1.0 + 1e-9
+            dets += [float(np.linalg.det(m)) for m in table.linear]
+            ks += [float(cell_dilatations([types.SimpleNamespace(
+                table=types.SimpleNamespace(linear=m[None]))])[0]) for m in table.linear]
+        heights = [float(chart.map.codomain.vertices[:, 2].max()) for chart in build.g.charts]
+        assert build.L_prime == max(heights) + 1.0
+        assert build.min_cell_det == min(dets)
+        assert build.K_slab == max(ks)
 
     def test_every_piece_owns_a_sector(self, build):
         # the A' top facet's four quadrant pieces about X1 and the two

@@ -15,9 +15,9 @@ from qrdyn.cones import _cones_contain_line, _facet_vertex_cones, _line_angles
 from qrdyn.geometry import (Certificate, CertificationFailure, GeometryError,
                             StarShape, THETA_MIN, _det3_signs, _PairRows,
                             _plane_angles, _vertex_angles, certify_star_centres, star_shapes,
-                            certify_star_centre, local_lipschitz_constants,
+                            certify_star_centre, cuboid_spec, local_lipschitz_constants,
                             locate, psi)
-from qrdyn.star_extend import pick_star_centre_2d, polygon_kernel
+from qrdyn.pieces import pick_star_centre_2d, polygon_kernel
 
 
 def vertex_angle(shape, a):
@@ -356,6 +356,11 @@ class TestBatchedCertification:
         a = shape.centre
         cert = certify_star_centre(shape, a)
         theta_obs = min(plane_angle(shape, a), vertex_angle(shape, a))
+        if shape.box is not None:
+            # a box's certificate is its plane term in closed form; the
+            # vertex term reaches the same angle a few ulps lower
+            assert theta_obs <= plane_angle(shape, a) <= theta_obs * (1 + 1e-14)
+            theta_obs = plane_angle(shape, a)
         assert cert.theta == min(theta_obs / 2, math.pi / 4 - 1e-9)
         brute = _chord_oracle(shape, a, 6)
         assert theta_obs <= brute * (1 + 1e-12)
@@ -576,6 +581,85 @@ class TestStackedCertification:
                 certify_star_centres([shape] * len(batch), batch)
             assert type(err.value) is type(first)
             assert str(err.value) == str(first)
+
+
+def box_bits(shape):
+    """``shape_bits`` without the certificate's theta (a box's cone frames,
+    which it never reads, taken on demand)."""
+    *fields, sizes = shape_bits(shape)
+    return fields, sizes[:-16] + sizes[-8:]
+
+
+def general_box(lo, hi, centre):
+    """The box [lo, hi] about ``centre`` built as a general polyhedron."""
+    vertices, _, facets, _ = cuboid_spec(lo, hi)
+    return StarShape.polyhedron(vertices, facets, centre)
+
+
+_BOX_CORNER = st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3)
+_BOX_SIDES = st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3)
+
+
+class TestClosedFormBox:
+    """``StarShape.cuboid`` against the same box built as a general
+    polyhedron: every field bitwise, the certificate's theta the general
+    plane term bitwise (the general vertex term reaches the same angle a
+    few ulps lower), and a failing centre the general path's error."""
+
+    @staticmethod
+    def assert_matches_general(lo, hi, centre):
+        box = StarShape.cuboid(lo, hi, centre)
+        general = general_box(lo, hi, centre)
+        assert [x.tobytes() for x in box.box] == [x.tobytes() for x in cuboid_spec(lo, hi)[3]]
+        assert general.box is None
+        assert box_bits(box) == box_bits(general)
+        plane = plane_angle(general, general.centre)
+        assert box.certificate.theta == min(plane / 2, math.pi / 4 - 1e-9)
+        assert box.certificate.eps == general.certificate.eps
+        assert general.certificate.theta <= box.certificate.theta
+        assert box.certificate.theta <= general.certificate.theta + 1e-12
+
+    def test_chart_boxes(self, build):
+        for chart in build.g.charts:
+            domain = chart.map.domain
+            self.assert_matches_general(*domain.box, domain.centre)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_BOX_CORNER, _BOX_SIDES,
+           st.lists(st.floats(0.02, 0.98), min_size=3, max_size=3))
+    def test_boxes_about_interior_centres(self, corner, sides, at):
+        # off-centre centres too: cube(a) builds [-1, 1]^3 about any a
+        lo = np.array(corner)
+        hi = lo + np.array(sides)
+        centre = lo + np.array(at) * (hi - lo)
+        try:
+            general_box(lo, hi, centre)
+        except CertificationFailure as err:
+            # a centre too near a face fails both ways, with one error
+            with pytest.raises(CertificationFailure) as got:
+                StarShape.cuboid(lo, hi, centre)
+            assert str(got.value) == str(err)
+            return
+        self.assert_matches_general(lo, hi, centre)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(_BOX_CORNER, _BOX_SIDES, st.integers(0, 2), st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
+           st.floats(0.1, 0.9))
+    def test_centres_on_or_outside_raise_what_the_general_path_raises(
+            self, corner, sides, axis, where, at):
+        # where along the axis: 0 and 1 are the two faces, -1 and 2 outside
+        lo = np.array(corner)
+        hi = lo + np.array(sides)
+        centre = lo + at * (hi - lo)
+        centre[axis] = lo[axis] + where * (hi[axis] - lo[axis])
+        if where == 1.0:
+            centre[axis] = hi[axis]
+        with pytest.raises(CertificationFailure) as want:
+            general_box(lo, hi, centre)
+        with pytest.raises(CertificationFailure) as got:
+            StarShape.cuboid(lo, hi, centre)
+        assert "star test" in str(got.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestConeContainment:

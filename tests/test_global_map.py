@@ -67,16 +67,21 @@ class TestVertexTable:
         with pytest.raises(ConstructionError):
             build_vertex_table(4.4)
 
-    def test_uncertifiable_codomain_centre_names_the_chart(self, build, monkeypatch):
-        # a centre on the image solid's boundary (one of its vertices)
-        # fails the star test when the batch of the chart boxes and image
-        # solids is built; the first solid to fail is that of A''1
+    @pytest.mark.parametrize("cid", ["A''1", "A''2", "A''3", "A''4"])
+    def test_uncertifiable_codomain_centre_names_the_chart(self, build, monkeypatch, cid):
+        # a centre on one image solid's boundary (one of its vertices)
+        # fails the star test when the batch of the four image solids is
+        # built: the solid at shape_index k is that of the k-th chart
         real = global_map.star_shapes
-        monkeypatch.setattr(global_map, "star_shapes", lambda specs: real(
-            [(verts, verts[0] if box is None else centre, facets, box)
-             for verts, centre, facets, box in specs]))
+        k = int(cid[-1]) - 1
+
+        def broken(specs):
+            verts, _, facets, box = specs[k]
+            return real(specs[:k] + [(verts, verts[0], facets, box)] + specs[k + 1:])
+
+        monkeypatch.setattr(global_map, "star_shapes", broken)
         with pytest.raises(ConstructionError,
-                           match="star centre for image of A''1: star test fails"):
+                           match=f"star centre for image of {cid}: star test fails"):
             build_asecond_charts(build.vertex_table, build.constants.L,
                                  build.g.by_id["A'"])
 
@@ -450,30 +455,37 @@ class TestBuildWork:
             assert geo.call_count > 0
 
     def test_small_systems_are_solved_in_stacks(self):
-        # a build solves its 141 cells, 532 sector probes and 141 image-cell
-        # fans in stacks: per chart table one solve for the linear parts and
-        # one for the sector probes, one inverse for the linear parts and one
-        # for the fan frames; per chart phase one inverse (the cone frames of
-        # its shapes); per chart one solve in the boundary-map validation.
-        # The cone test of the vertex term is closed form and leaves to
-        # LAPACK only triples near its thresholds, of which a build has none.
-        # One call per cell or sector would take hundreds
+        # the call-count guard of a build: per chart phase one solve for the
+        # linear parts of its tables' cells, one inverse of them and one
+        # for their fan frames, and one det of them; one broadcast solve
+        # per shape of sector level (3 in the A' table, 5 that the four A''
+        # tables share); one solve per chart in the boundary-map validation;
+        # per phase one det and one inverse for the cone frames of its image
+        # solids (a box never reads its cone frames, so a build forms none);
+        # and one det per chart in certify_cell_orientation.  The cone test
+        # of the vertex term is closed form and leaves to LAPACK only
+        # triples near its thresholds, of which a build has none.  A stack
+        # split into one call per chart, cell or sector shows here
         with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve, \
-                mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv:
+                mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv, \
+                mock.patch("numpy.linalg.det", wraps=np.linalg.det) as det:
             build = build_maps()
         charts, phases = len(build.g.charts), 2
-        assert solve.call_count == 2 * charts + charts
-        assert inv.call_count == 2 * charts + phases
+        assert solve.call_count == phases + 3 + 5 + charts
+        assert inv.call_count == 2 * phases + phases
+        assert det.call_count == phases + phases + charts
 
     def test_one_certification_pass_per_chart_phase(self):
-        # the stacked kernel certifies the 2 shapes of the A' phase and the
-        # 8 of the A'' phase in one call each; a call per shape would be 10
-        with mock.patch("qrdyn.geometry.certify_star_centres",
-                        wraps=geometry.certify_star_centres) as kernel:
+        # the stacked kernel certifies the image solid of the A' phase and
+        # the four of the A'' phase in one call each, and each box takes
+        # its closed form; a general call per shape would be 10
+        with mock.patch("qrdyn.geometry._general_certificates",
+                        wraps=geometry._general_certificates) as kernel, \
+                mock.patch("qrdyn.geometry._box_certificate",
+                           wraps=geometry._box_certificate) as box:
             build = build_maps()
-        assert 1 <= kernel.call_count <= 2
-        certified = [shape for call in kernel.call_args_list for shape in call.args[0]]
-        assert len(certified) == 10
-        assert {id(shape) for shape in certified} == {
-            id(shape) for chart in build.g.charts
-            for shape in (chart.map.domain, chart.map.codomain)}
+        assert [len(call.args[0]) for call in kernel.call_args_list] == [1, 4]
+        assert [shape for call in kernel.call_args_list for shape, _ in call.args[0]] == [
+            chart.map.codomain for chart in build.g.charts]
+        assert [call.args[0] for call in box.call_args_list] == [
+            chart.map.domain for chart in build.g.charts]

@@ -12,8 +12,10 @@ from oracles import (_radial_2d, cover_deviation_all_pairs, cover_deviation_per_
                      point_in_polygon)
 from qrdyn import star_extend
 from qrdyn.geometry import GeometryError, StarShape
-from qrdyn.star_extend import (FacetPiece, FormulaPiece, IdentityPiece, Radial2DPiece,
-                               RadialMap, pick_star_centre_2d)
+from qrdyn.geometry import CertificationFailure
+from qrdyn.pieces import (FacetPiece, FormulaPiece, IdentityPiece, Radial2DPiece,
+                          pick_star_centre_2d, radial_pieces)
+from qrdyn.star_extend import RadialMap, radial_maps
 
 
 class ScalePiece(FacetPiece):
@@ -381,12 +383,17 @@ class TestBatchedValidation:
     def test_a_tampered_piece_fails_its_chart(self, cid, build, monkeypatch):
         # the first cell of a face fan sends the face centre a hundredth of
         # the way along its image edge, away from the image that the other
-        # cells give it
-        rmap = build.g.by_id[cid].map
-        piece = next(p for p in rmap.all_pieces if isinstance(p, Radial2DPiece))
+        # cells give it.  The validation checks the cells that the chart's
+        # table took from its pieces, so the built chart still passes and
+        # the chart built again from the tampered piece fails
+        built = build.g.by_id[cid].map
+        piece = next(p for p in built.all_pieces if isinstance(p, Radial2DPiece))
         (dom, (c, p, q)), *rest = piece.cells
         moved = tuple(a + 0.01 * (b - a) for a, b in zip(c, p))
         monkeypatch.setattr(piece, "cells", [(dom, (moved, p, q))] + rest)
+        assert report_bits(built.validate_boundary_map()) == report_bits(build.validations[cid])
+        rmap = RadialMap(built.domain, built.codomain, built.pieces_by_facet,
+                         built.piece_by_codomain_facet)
         rep = rmap.validate_boundary_map()
         assert not rep.passed
         assert rep.worst_seam_dev == pytest.approx(math.dist(moved, c), rel=1e-9)
@@ -402,6 +409,98 @@ class TestBatchedValidation:
         assert got > 1e-3
         assert got == pytest.approx(cover_deviation_per_triangle(dom, img, tol), rel=1e-12)
         assert got == cover_deviation_all_pairs(dom, img, tol)
+
+
+def piece_bits(piece):
+    """A face fan's frames, centres and cells, its floats as IEEE bytes."""
+    frames = [getattr(f, k) for f in (piece.dom_frame, piece.img_frame) for k in f.__slots__]
+    return struct.pack(f"<{len(frames)}d", *frames), repr((piece.dom_centre, piece.img_centre,
+                                                            piece.cells))
+
+
+# a U whose prongs hide each other: its visibility kernel is empty
+U_LOOP = [(0.0, 0.0, 0.0), (3.0, 0.0, 0.0), (3.0, 3.0, 0.0), (2.0, 3.0, 0.0),
+          (2.0, 1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 3.0, 0.0), (0.0, 3.0, 0.0)]
+BAD_FACES = {"counts": (U_LOOP[:4], U_LOOP[:3]),
+             "degenerate": ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)],) * 2,
+             "kernel": (U_LOOP, U_LOOP)}
+
+
+def collapsed_chart_spec():
+    pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
+    pieces[5] = CollapsePiece(face_loops(1.0)[5])
+    return cube_shape(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces
+
+
+def chart_spec_without(facet):
+    pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
+    by_facet = {f: [p] for f, p in pieces.items() if f != facet}
+    return cube_shape(), cube_shape(), by_facet, pieces
+
+
+class TestBatches:
+    """``radial_pieces`` and ``radial_maps`` against one object at a time."""
+
+    def test_radial_pieces_are_the_pieces_built_one_by_one(self, build):
+        # the build's 24 face fans, and seeded quadrilaterals off their plane
+        faces = {}
+        for chart in build.g.charts:
+            for piece in chart.map.all_pieces:
+                if piece.kind == "radial2d":
+                    faces[id(piece)] = tuple([cell[j][1] for cell in piece.cells] for j in (0, 1))
+        loops = list(faces.values())
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            quad = np.array([(1, 0, 0), (0.2, 1, 0), (-1, 0.1, 0), (0.1, -1, 0)]) * rng.uniform(0.5, 2)
+            loops.append(((quad @ q.T).tolist(), (quad @ q.T * 2 + 1).tolist()))
+        batch = radial_pieces(loops)
+        for piece, (dom, img) in zip(batch, loops):
+            assert piece_bits(piece) == piece_bits(Radial2DPiece(dom, img))
+        for chart in build.g.charts:
+            for piece in chart.map.all_pieces:
+                if piece.kind == "radial2d":
+                    assert piece_bits(piece) == piece_bits(Radial2DPiece(*faces[id(piece)]))
+
+    def test_a_piece_batch_raises_what_its_first_failing_piece_raises(self):
+        good = (face_loops(1.0)[5], face_loops(2.0)[5])
+        alone = {}
+        for name, (dom, img) in BAD_FACES.items():
+            with pytest.raises(GeometryError) as err:
+                Radial2DPiece(dom, img)
+            alone[name] = err.value
+        assert isinstance(alone["kernel"], CertificationFailure)
+        names = list(BAD_FACES)
+        for k in range(len(names)):
+            order = names[k:] + names[:k]
+            with pytest.raises(GeometryError) as err:
+                radial_pieces([good] + [BAD_FACES[name] for name in order])
+            assert type(err.value) is type(alone[order[0]])
+            assert str(err.value) == str(alone[order[0]])
+
+    def test_radial_maps_are_the_maps_built_one_by_one(self, build):
+        # the A'' maps again, one batch against one map at a time
+        specs = [(c.map.domain, c.map.codomain, c.map.pieces_by_facet,
+                  c.map.piece_by_codomain_facet) for c in build.g.charts]
+        for rmap, spec in zip(radial_maps(specs), specs):
+            alone = RadialMap(*spec)
+            assert rmap.table.linear.tobytes() == alone.table.linear.tobytes()
+            assert repr((rmap.table._facets, rmap.table._all_image_cells, rmap._box)) \
+                == repr((alone.table._facets, alone.table._all_image_cells, alone._box))
+
+    def test_a_map_batch_raises_what_its_first_failing_map_raises(self):
+        # a singular cell fails after the sector tests, a missing facet
+        # before them: the batch raises the error of the first map that
+        # fails, whatever its stage
+        good = one_piece_chart(cube_shape(), cube_shape(), {
+            f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()})
+        good = (good.domain, good.codomain, good.pieces_by_facet, good.piece_by_codomain_facet)
+        for specs, want in (([good, collapsed_chart_spec(), chart_spec_without(2)],
+                             "singular linear part"),
+                            ([good, chart_spec_without(2), collapsed_chart_spec()],
+                             "no boundary piece for facet 2")):
+            with pytest.raises(GeometryError, match=want):
+                radial_maps(specs)
 
 
 class TestRadial2D:
