@@ -155,16 +155,14 @@ def example_two(f) -> MapHandle:
 
 def example_three(f) -> MapHandle:
     """The shifted global map post-composed with the ball patch; the patch
-    target is a fixed point while generic orbits still escape."""
+    target ``build_patch(f).b`` is a fixed point while generic orbits still
+    escape."""
     patch = build_patch(f)
     def fn(p):
         q = f.eval3(float(p[0]), float(p[1]), float(p[2]))
         return patch.eval(q)
-    h = MapHandle(name="example3", fn=fn, dim=3, tracks_h0=True,
-                  translate=f.L_prime)
-    h.patch = patch
-    h.fixed_point = patch.b
-    return h
+    return MapHandle(name="example3", fn=fn, dim=3, tracks_h0=True,
+                     translate=f.L_prime)
 
 
 def fatou_h_handle() -> MapHandle:

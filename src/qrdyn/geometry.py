@@ -7,9 +7,9 @@ not a non-tangential star centre (rays from it meet the boundary once, at
 angles bounded away from zero).  Every shape carries that certificate.  The
 module provides membership classification and the ray-to-boundary
 projection psi, both read off the one crossing of the ray from the centre
-through x (``cones._crossing``: a scan of cone frames precomputed per surface
-triangle; a box has its own closed form), and the local Lipschitz
-constants of psi that follow from the certificate.
+through x (``cones._crossing``: a scan of the cone frames of the surface
+triangles, precomputed per polyhedron and taken on first use by a box), and
+the local Lipschitz constants of psi that follow from the certificate.
 
 Polyhedral surfaces are oriented outward at construction, so the star test
 is one exact sign per surface triangle: the signed volume of (a,
@@ -44,8 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .cones import (_cone_frames, _cones_contain_line, _cross, _crossing, _dots,
-                    _facet_vertex_cones, _line_plane_angles, _ray_box_scalar,
-                    _same_vertex_pairs, _sector_min_angles, _starts, _tile)
+                    _facet_vertex_cones, _line_plane_angles, _same_vertex_pairs,
+                    _sector_min_angles, _starts, _tile)
 
 
 class GeometryError(ValueError):
@@ -124,9 +124,8 @@ class StarShape:
 
     @functools.cached_property
     def _cones(self):
-        """The cone frames of a box (``_cone_frames``), taken on first use:
-        its own ``locate`` and ``psi`` take the closed form and never read
-        them.  A polyhedron's are set at construction."""
+        """The cone frames of a box (``_cone_frames``), taken on first use
+        by ``locate`` or ``psi``.  A polyhedron's are set at construction."""
         return _cone_frames(self.vertices[self.triangles] - self.centre, self.tri_facet, [12])[0]
 
     # -- factories ---------------------------------------------------------
@@ -441,21 +440,12 @@ def _orient_outward(vertices, tris):
 # classification and the ray projection psi
 
 def locate(shape: StarShape, x) -> Location:
-    """Classify x as interior / boundary(facet) / exterior of the shape.
-
-    A box decides by its closed form, boundary within tol of a face.  Other
-    shapes read the class off the crossing of the ray from the centre c
-    through x that psi uses (``_crossing``): boundary where it lies within
-    4 tol of x, interior where it lies beyond x or x lies within tol of c,
-    and exterior otherwise."""
+    """Classify x as interior / boundary(facet) / exterior of the shape,
+    off the crossing of the ray from the centre c through x that psi uses
+    (``_crossing``): boundary where it lies within 4 tol of x, interior
+    where it lies beyond x or x lies within tol of c, and exterior
+    otherwise."""
     x = _as_array(x)
-    if shape.box is not None:
-        lo, hi = shape.box
-        d_out = max(np.max(lo - x), np.max(x - hi))
-        if abs(d_out) <= shape.tol:
-            gaps = np.stack([x - lo, hi - x], axis=1).ravel()
-            return Location("boundary", int(np.argmin(gaps)))
-        return Location("interior" if d_out < 0 else "exterior")
     _, r, d = _centre_ray(shape, x)
     if d <= shape.tol:
         return Location("interior")
@@ -472,22 +462,14 @@ def psi(shape: StarShape, x) -> BoundaryHit:
     x, so boundary points (as ``locate`` classifies them) map to
     themselves with t = 1.  Ties on shared facet boundaries go to the lowest
     facet id.  The centre and exterior points raise GeometryError, exactly
-    where ``locate`` says "exterior".  A box takes its exit facet in closed
-    form; other shapes take the crossing from ``_crossing``, in Python
-    floats.  The slab charts' ``AffineCellTable`` evaluates and inverts
-    them; its inverse takes the codomain facet from psi.
+    where ``locate`` says "exterior".  Every shape, a box too, takes the
+    crossing from ``_crossing``, in Python floats.  ``RadialMap.inverse``
+    takes the codomain facet of a slab chart from psi.
     """
     x = _as_array(x)
     c, r, d = _centre_ray(shape, x)
     if d <= shape.tol:
         raise GeometryError("psi is undefined at the star centre")
-    if shape.box is not None:
-        if locate(shape, x).kind == "exterior":
-            raise GeometryError("psi called on an exterior point")
-        lo, hi = shape.box
-        facet, t = _ray_box_scalar(*c, lo.tolist(), hi.tolist(), *x.tolist())
-        return BoundaryHit(point=np.clip(shape.centre + t * (x - shape.centre), lo, hi),
-                           facet=facet, t=t)
     hit = _crossing(shape, r, d)
     if hit is None:
         raise GeometryError("psi called on an exterior point")

@@ -10,16 +10,16 @@ downward translation large enough that the whole slab maps below zero.
 
 Every boundary piece is affine on triangles, so each chart is exactly
 affine on the cones from its domain centre over those triangles: 37 cells
-for A' and 26 for each A'' chart.  Each chart's ``RadialMap`` compiles its
-pieces into that ``AffineCellTable`` (the A'' charts' tables in one stacked
-pass, ``star_extend.radial_maps``), which evaluates and inverts the chart;
-``GlobalMap`` evaluates the slab from it, and the radial extension remains
-only the construction of the cells.  Every
-certificate is a finite check on the cells: ``build_maps`` requires a
-positive determinant on every cell and validates each chart's boundary map
-on the cell vertices, L' bounds the image heights of the cell vertices, and
-the audits read the orientation and the dilatation off the cells' linear
-parts and check the seams at the vertices of the cells on each face.
+for A' and 26 for each A'' chart.  Each chart's ``RadialMap`` is those
+cells, stacked from its pieces (the A'' charts in one stacked pass,
+``star_extend.radial_maps``), and evaluates and inverts the chart;
+``GlobalMap`` evaluates the slab by the charts' ``eval3``, and the radial
+extension remains only the construction of the cells.  Every certificate is
+a finite check on the cells: ``build_maps`` requires a positive determinant
+on every cell and validates each chart's boundary map on the cell vertices,
+L' bounds the image heights of the cell vertices, and the audits read the
+orientation and the dilatation off the cells' linear parts and check the
+seams at the vertices of the cells on each face.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import zorich
 from .cones import _cross
 from .geometry import GeometryError, StarShape, local_lipschitz_constants, star_shapes
 from .pieces import FormulaPiece, IdentityPiece, radial_pieces
-from .star_extend import AffineCellTable, RadialMap, ValidationReport, radial_maps
+from .star_extend import RadialMap, ValidationReport, radial_maps
 
 
 # --- fixed interpolation data: point names, coordinates and images ---------
@@ -121,17 +121,13 @@ def build_vertex_table(L: float) -> VertexTable:
 
 @dataclass
 class CellChart:
-    """One atlas cell: an axis-aligned cuboid mapped by a radial extension;
-    ``table`` is the extension's own cell table."""
+    """One atlas cell: the axis-aligned cuboid [lo, hi] and the radial
+    extension ``map`` of it, which holds the chart's affine cells."""
 
     cell_id: str
     lo: np.ndarray
     hi: np.ndarray
     map: RadialMap
-    table: AffineCellTable = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.table = self.map.table
 
 
 def _radial_pieces(vt, faces):
@@ -183,10 +179,7 @@ def build_aprime_chart(vt: VertexTable) -> CellChart:
                    4: side_y2, 5: top["P"], 6: top["T"], 7: top["W"],
                    8: top["X"]}
     rmap = RadialMap(domain, codomain, pieces_by_facet, by_codomain)
-    chart = CellChart("A'", np.array([0.0, 0.0, 0.0]),
-                      np.array([2.0, 2.0, 1.0]), rmap)
-    chart.top_pieces = top
-    return chart
+    return CellChart("A'", np.array([0.0, 0.0, 0.0]), np.array([2.0, 2.0, 1.0]), rmap)
 
 
 # level-1 square, level-L triangle split, exterior faces and interior faces
@@ -246,7 +239,10 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
     the chart (the solid at ``shape_index`` k is that of the k-th chart);
     the boxes are ``StarShape.cuboid`` shapes, and the sixteen face fans
     (two on each interior face, then the exterior faces chart by chart) are
-    one ``radial_pieces`` batch."""
+    one ``radial_pieces`` batch.  The bottom face of each chart takes the
+    piece of its quadrant on the top facet of A', whose pieces are in the
+    order P, W, T, X."""
+    top = dict(zip("PWTX", aprime.map.pieces_by_facet[5]))
     faces = [tri for tris in _INT_FACE_DEFS.values() for tri in tris]
     faces += [names for spec in _CELL_DEFS.values() for names in spec["ext"].values()]
     made = iter(_radial_pieces(vt, faces))
@@ -257,7 +253,7 @@ def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
         lo = np.array([spec["lo"][0], spec["lo"][1], 1.0])
         hi = np.array([spec["hi"][0], spec["hi"][1], L])
 
-        bottom_piece = aprime.top_pieces[spec["bottom_sq"]]
+        bottom_piece = top[spec["bottom_sq"]]
         tri_a, tri_b = spec["top"]
         top_piece = _formula_top_piece(vt, tri_a, tri_b)
 
@@ -322,12 +318,12 @@ class GlobalMap:
     Dispatch: identity below {x3 = 0}; F above {x3 = L}; in the slab, reduce
     (x1, x2) mod 4 into [0,4)^2, reflect into the base block [0,2]^2 while
     recording the isometry, pick the owning cell chart (``_cell_index``),
-    evaluate its affine cell table, then undo the isometry.  The table finds
-    the exit facet of the ray from the chart's domain centre, the boundary
-    piece by its angle about the vertices the facet's pieces share, the cell
-    by its angle about the vertices the piece's cells share, and applies
-    that cell's affine map, as the chart's ``RadialMap.eval`` does (which
-    also refuses points outside the box).  The charts' ``table.eval``
+    evaluate its affine cells, then undo the isometry.  The chart's
+    ``RadialMap.eval3`` finds the exit facet of the ray from the chart's
+    domain centre, the boundary piece by its angle about the vertices the
+    facet's pieces share, the cell by its angle about the vertices the
+    piece's cells share, and applies that cell's affine map, as its ``eval``
+    does after refusing points outside the box.  The charts' ``eval3``
     methods are bound once, at construction, and called directly.
 
     Each regime subtracts the shift from the third coordinate of its own
@@ -356,7 +352,7 @@ class GlobalMap:
         self._aprime = self.by_id["A'"]
         self._cells = [self.by_id[f"A''{i}"] for i in (1, 2, 3, 4)]
         self._slab_charts = [self._aprime] + self._cells
-        self._slab_evals = [c.table.eval for c in self._slab_charts]
+        self._slab_evals = [c.map.eval3 for c in self._slab_charts]
         allv = np.vstack([c.map.codomain.vertices for c in self.charts])
         self.image_diameter = float(np.linalg.norm(allv.max(axis=0) - allv.min(axis=0)))
         self.max_image_height = float(allv[:, 2].max())
@@ -402,7 +398,11 @@ def assemble_g(charts, L, constants=None) -> GlobalMap:
     return GlobalMap(charts, L, mode="g", constants=constants)
 
 
-def derive_translation_constant(g: GlobalMap, tol=1e-9) -> float:
+# how far a cell's affine map may lift a cell vertex above the image vertices
+_HEIGHT_TOL = 1e-9
+
+
+def derive_translation_constant(g: GlobalMap) -> float:
     """L' = 1 + (largest third coordinate over all chart image vertices).
 
     The slab map is affine on every cell, and the reflections and period-4
@@ -413,9 +413,9 @@ def derive_translation_constant(g: GlobalMap, tol=1e-9) -> float:
         raise ValueError("derive the translation constant from the unshifted map")
     vmax = g.max_image_height
     for chart in g.charts:
-        _, images = chart.table.vertex_images()
+        _, images = chart.map.vertex_images()
         worst = float(images[:, 2].max())
-        if worst > vmax + tol:
+        if worst > vmax + _HEIGHT_TOL:
             raise ConstructionError(
                 f"chart {chart.cell_id}: cell vertex image height {worst} "
                 f"exceeds the vertex bound {vmax}")
@@ -423,7 +423,11 @@ def derive_translation_constant(g: GlobalMap, tol=1e-9) -> float:
 
 
 # ---------------------------------------------------------------------------
-# audits: finite checks on the cell tables
+# audits: finite checks on the charts' cells
+
+# the largest seam disagreement that audit_seams passes, over max(1, image diameter)
+_SEAM_TOL_SCALED = 1e-6
+
 
 @dataclass
 class SeamReport:
@@ -454,7 +458,7 @@ def _face_dev(images, chart, facet, target, box=None):
     target(vertex, image), over the vertices in ``box`` (lo, hi) if given;
     ``images`` holds each chart's ``vertex_images`` of all its cells."""
     pts, imgs = images[id(chart)]
-    keep = chart.table.point_facet == facet
+    keep = chart.map.point_facet == facet
     if box is not None:
         keep &= np.all((box[0] <= pts) & (pts <= box[1]), axis=1)
     return max(math.dist(w, target(p, w))
@@ -463,14 +467,14 @@ def _face_dev(images, chart, facet, target, box=None):
 
 def _shared_face_dev(images, one, facet_one, two, facet_two):
     """Largest disagreement of two charts at the cell vertices on a face
-    they share, each vertex evaluated by the other chart's table."""
-    return max(_face_dev(images, one, facet_one, lambda p, w: two.table.eval(*p),
+    they share, each vertex evaluated by the other chart's ``eval3``."""
+    return max(_face_dev(images, one, facet_one, lambda p, w: two.map.eval3(*p),
                          (two.lo, two.hi)),
-               _face_dev(images, two, facet_two, lambda p, w: one.table.eval(*p),
+               _face_dev(images, two, facet_two, lambda p, w: one.map.eval3(*p),
                          (one.lo, one.hi)))
 
 
-def audit_seams(gm: GlobalMap, samples=None, seed=None, tol_scaled=1e-6) -> SeamReport:
+def audit_seams(gm: GlobalMap, samples=None, seed=None) -> SeamReport:
     """Continuity of g across every seam, at the cell vertices on it.
 
     Each chart is affine on each cell, and the two sides of a shared face
@@ -481,10 +485,10 @@ def audit_seams(gm: GlobalMap, samples=None, seed=None, tol_scaled=1e-6) -> Seam
     lie in the same planes, which makes g continuous across the reflections
     and the period-4 translations.  Each chart's vertex images are one
     stacked product per chart (``vertex_images``), taken once per call from
-    its table as it is then.  ``samples`` and ``seed`` are unused."""
+    its map as it is then.  ``samples`` and ``seed`` are unused."""
     aprime, cells = gm._aprime, gm._cells
     charts = {id(c): c for c in (aprime, *cells, *gm.charts)}
-    images = {key: c.table.vertex_images() for key, c in charts.items()}
+    images = {key: c.map.vertex_images() for key, c in charts.items()}
     per = {
         "identity/slab x3=0": _face_dev(images, aprime, 4, lambda p, w: p),
         "slab/F x3=L": max(_face_dev(images, c, 5, lambda p, w: zorich.F_scalar(*p))
@@ -504,16 +508,16 @@ def audit_seams(gm: GlobalMap, samples=None, seed=None, tol_scaled=1e-6) -> Seam
     worst = max(per.values())
     scale = max(1.0, gm.image_diameter)
     return SeamReport(worst_raw=worst, worst_scaled=worst / scale, per_interface=per,
-                      passed=worst / scale <= tol_scaled)
+                      passed=worst / scale <= _SEAM_TOL_SCALED)
 
 
 def audit_orientation(gm: GlobalMap, samples_per_chart=None, seed=None) -> OrientationReport:
     """The least determinant of the cells' linear parts, per chart.
     ``samples_per_chart`` and ``seed`` are unused."""
-    per = {c.cell_id: float(c.table.determinants().min()) for c in gm.charts}
+    per = {c.cell_id: float(c.map.determinants().min()) for c in gm.charts}
     min_det = min(per.values())
     return OrientationReport(min_det=min_det, per_chart=per,
-                             samples=sum(len(c.table) for c in gm.charts),
+                             samples=sum(len(c.map) for c in gm.charts),
                              passed=min_det > 0.0)
 
 
@@ -572,7 +576,7 @@ def cell_dilatations(charts):
     singular values are det / sigma_i: det / sigma_min^3 is then
     sigma_max(cof m)^3 / det^2, without the eps * kappa^2 error of the
     closed-form sigma_min (kappa reaches 3000 on the cells)."""
-    m = np.concatenate([c.table.linear for c in charts])
+    m = np.concatenate([c.map.linear for c in charts])
     r0, r1, r2 = m[:, 0], m[:, 1], m[:, 2]
     cof = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)], axis=1)
     s_max, _, det = _sigma_extremes_det(m)
@@ -617,11 +621,11 @@ def certify_cell_orientation(charts):
     count = 0
     least = math.inf
     for chart in charts:
-        dets = chart.table.determinants()
+        dets = chart.map.determinants()
         k = int(np.argmin(dets))
         if not dets[k] > 0.0:
             raise ConstructionError(
-                f"chart {chart.cell_id}, {chart.table.labels[k]}: "
+                f"chart {chart.cell_id}, {chart.map.labels[k]}: "
                 f"linear part has determinant {dets[k]:.6g}")
         count += len(dets)
         least = min(least, float(dets[k]))
@@ -643,10 +647,10 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     solid of A' in ``build_aprime_chart``, the four of the A'' charts in
     ``build_asecond_charts``), and its boxes as ``StarShape.cuboid`` shapes,
     whose facets and certificate are in closed form.  Its face fans are one
-    ``pieces.radial_pieces`` batch, and its charts' cell tables one stacked
-    pass (``star_extend.radial_maps`` for the four A'' charts).  Each
-    chart's boundary map is then validated by its own
-    ``RadialMap.validate_boundary_map`` call, on the cells that its table
+    ``pieces.radial_pieces`` batch, and its charts' ``RadialMap``s stack
+    their cells in one pass (``star_extend.radial_maps`` for the four A''
+    charts).  Each chart's boundary map is then validated by its own
+    ``RadialMap.validate_boundary_map`` call, on the cells that its map
     stacked and the facet planes that its shapes computed when they were
     built.
 

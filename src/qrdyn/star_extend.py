@@ -14,15 +14,14 @@ vertex, as the cells of a piece do, so one sector layout about the shared
 vertices finds the piece of a facet and the cell of a piece alike.
 
 So the radial extension of a box is affine on the cone from the domain
-centre over each cell.  ``RadialMap`` is built from the pieces and compiles
-them into its ``AffineCellTable`` (``radial_maps`` builds the tables of
-several maps in one stacked pass), which both evaluates and inverts the map:
-forward by one facet test, a sector test for the piece and one for the cell
-(each skipped where there is one entry) and one affine product, backward by
-the codomain facet from ``psi``, a cone test among that facet's image cells
-and one inverse affine product.  The same cells make the boundary map's
-certificate finite: ``RadialMap.validate_boundary_map`` checks it exactly
-on the cell vertices.
+centre over each cell, and a ``RadialMap`` is those cells, stacked from its
+pieces at construction (``radial_maps`` builds several maps in one stacked
+pass).  It both evaluates and inverts the map: forward by one facet test, a
+sector test for the piece and one for the cell (each skipped where there is
+one entry) and one affine product, backward by the codomain facet from
+``psi``, a cone test among that facet's image cells and one inverse affine
+product.  The same cells make the boundary map's certificate finite:
+``RadialMap.validate_boundary_map`` checks it exactly on the cell vertices.
 """
 
 from __future__ import annotations
@@ -56,31 +55,108 @@ class ValidationReport:
 class RadialMap:
     """Radial extension of a boundary map from a box onto a star polyhedron,
     given by the pieces on each domain facet ({facet: [pieces]}) and the
-    piece serving each codomain facet.  The pieces define the map; its
-    ``AffineCellTable``, built here, evaluates and inverts it.  ``eval``
-    raises GeometryError for a point outside the domain box by more than
-    ``domain.tol``, ``inverse`` for a point outside the codomain."""
+    piece serving each codomain facet, as its exact affine cells.
+
+    Each cell is the cone from the domain centre a over one polygon on which
+    the boundary piece is affine (``FacetPiece.cells``: a triangle, or a
+    whole face); on it the map is p -> b + A (p - a), fixed by a -> b and
+    the images of three of the polygon's vertices.  ``eval3`` takes the
+    exit facet of the ray from a, the piece by a sector test about the
+    vertices the facet's pieces share, the cell by one about the vertices
+    the piece's cells share (a level of one entry skips its test), and one
+    affine product; the centre ball of radius ``domain.tol`` maps to b.
+    ``eval`` does the same after it raises GeometryError for a point outside
+    the domain box by more than ``domain.tol``; ``eval3`` checks nothing.
+
+    The image cells are the cones from b over the image polygons, and they
+    tile the codomain.  ``inverse`` takes the codomain facet hit by the ray
+    from b (``psi``), the image cell of the piece serving that facet whose
+    cone contains q - b (barycentric frames of the polygon's fan triangles),
+    and returns a + A^-1 (q - b).  Inside the centre ball of radius
+    ``codomain.tol``, where the ray from b has no reliable facet, the cell
+    is the one among all image cells whose cone contains q - b (the cones
+    tile space); b itself maps to a.  Exterior points raise GeometryError.
+
+    Construction (``_build_maps``, over one or several maps) stacks the
+    cells once, in cell order (facet by facet, piece by piece): ``points``
+    and ``targets`` hold every cell polygon's vertices and their images
+    under the boundary piece, cell after cell (``sizes`` per cell;
+    ``point_facet`` the box facet of each vertex and ``point_ids`` its
+    point, the distinct points numbered 0, 1, ...), ``owner`` the index
+    into ``pieces`` (the distinct pieces, in cell order) of each cell's
+    piece, and ``fans`` the rows of the fan triangles (0, i, i + 1) of every
+    polygon, with ``fan_cell`` the cell of each.  The linear parts
+    (``linear``), the sector entries, the fan frames of the image cells,
+    ``vertex_images`` and the boundary-map validation all read these arrays.
+    """
 
     def __init__(self, domain: StarShape, codomain: StarShape,
                  pieces_by_facet, piece_by_codomain_facet):
         _build_maps([self], [(domain, codomain, pieces_by_facet, piece_by_codomain_facet)])
+
+    def __len__(self):
+        return len(self.labels)
 
     def eval(self, p):
         x, y, z = float(p[0]), float(p[1]), float(p[2])
         (lx, ly, lz), (hx, hy, hz) = self._box
         if not (lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
             raise GeometryError(f"{(x, y, z)} lies outside the domain box")
-        return self.table.eval(x, y, z)
+        return self.eval3(x, y, z)
+
+    def eval3(self, x, y, z):
+        ax, ay, az = self._a
+        bx, by, bz = self._b
+        dx = x - ax
+        dy = y - ay
+        dz = z - az
+        if dx * dx + dy * dy + dz * dz <= self._ctol2:
+            return (bx, by, bz)
+        facet, t = _ray_box_scalar(ax, ay, az, self._lo, self._hi, x, y, z)
+        h = (ax + t * dx, ay + t * dy, az + t * dz)
+        iu, iv, cu, cv, bounds, pieces = self._facets[facet]
+        cu, cv, bounds, cells = (pieces[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))]
+                                 if bounds else pieces[0])
+        m = cells[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))] if bounds else cells[0]
+        return (bx + m[0] * dx + m[1] * dy + m[2] * dz,
+                by + m[3] * dx + m[4] * dy + m[5] * dz,
+                bz + m[6] * dx + m[7] * dy + m[8] * dz)
 
     def inverse(self, q):
-        return self.table.inverse(float(q[0]), float(q[1]), float(q[2]))
+        x, y, z = float(q[0]), float(q[1]), float(q[2])
+        ax, ay, az = self._a
+        bx, by, bz = self._b
+        dx = x - bx
+        dy = y - by
+        dz = z - bz
+        r2 = dx * dx + dy * dy + dz * dz
+        if r2 == 0.0:
+            return (ax, ay, az)
+        if r2 <= self._ctol2_image:
+            cells = self._all_image_cells
+        else:
+            cells = self._image_cells[psi(self.codomain, (x, y, z)).facet]
+        m = _cone_cell(cells, dx, dy, dz)
+        return (ax + m[0] * dx + m[1] * dy + m[2] * dz,
+                ay + m[3] * dx + m[4] * dy + m[5] * dz,
+                az + m[6] * dx + m[7] * dy + m[8] * dz)
 
     # -- diagnostics -------------------------------------------------------
 
+    def determinants(self):
+        """det of each cell's linear part, in ``labels`` order."""
+        return np.linalg.det(self.linear)
+
+    def vertex_images(self):
+        """(points, images): the polygon vertices of every cell, each with
+        its image under that cell's own affine map, from the linear parts as
+        they are at the call."""
+        return self.points, np.asarray(self._b) + _mapped_points(
+            self.points - self._a, self.sizes, self.linear)
+
     def validate_boundary_map(self) -> ValidationReport:
         """Exact check of the boundary map on the pieces' affine cells, as
-        the table stacked them at construction (``table.points``,
-        ``table.targets``, ``table.fans``).
+        construction stacked them (``points``, ``targets``, ``fans``).
 
         For every cell (dom, img) of every piece: each cell vertex is mapped
         alike by every cell that contains it, so images agree along shared
@@ -109,31 +185,30 @@ class RadialMap:
         dom_n, dom_d, dom_area = self.domain.facet_planes
         cod_n, cod_d, cod_area = self.codomain.facet_planes
         serving = {id(piece) for piece in self.piece_by_codomain_facet.values()}
-        for piece in self.all_pieces:
+        for piece in self.pieces:
             if id(piece) not in serving:
                 raise GeometryError(f"piece {piece.kind} serves no codomain facet")
-        table = self.table
-        slot = {id(piece): k for k, piece in enumerate(table.pieces)}
+        slot = {id(piece): k for k, piece in enumerate(self.pieces)}
         # a piece that serves a codomain facet but holds no domain facet
         # takes the spare last row, which no cell reads
-        served = np.zeros((len(table.pieces) + 1, len(cod_d)), dtype=bool)
+        served = np.zeros((len(self.pieces) + 1, len(cod_d)), dtype=bool)
         served[[slot.get(id(piece), -1) for piece in self.piece_by_codomain_facet.values()],
                list(self.piece_by_codomain_facet)] = True
-        # every cell vertex and its image, cell after cell, as the table holds them
-        dom, img, start = table.points, table.targets, _starts(table.sizes)
+        # every cell vertex and its image, cell after cell
+        dom, img, start = self.points, self.targets, _starts(self.sizes)
         # the domain facet that holds each cell, and of the codomain facets
         # its piece serves the one nearest to its images (the lowest on ties)
         cell_fd = np.argmin(np.maximum.reduceat(np.abs(dom @ dom_n.T - dom_d), start), axis=1)
         off_plane = np.abs(np.matmul(img[:, None, None, :], cod_n[None, :, :, None])[..., 0, 0]
                            - cod_d)
         devs = np.maximum.reduceat(off_plane, start)
-        cell_fc = np.argmin(np.where(served[table.owner], devs, np.inf), axis=1)
+        cell_fc = np.argmin(np.where(served[self.owner], devs, np.inf), axis=1)
         worst_b = float(devs[np.arange(len(start)), cell_fc].max())
         # each cell polygon as its fan of triangles (0, i, i + 1)
-        dom, img = dom[table.fans], img[table.fans]
-        fd, fc = cell_fd[table.fan_cell], cell_fc[table.fan_cell]
+        dom, img = dom[self.fans], img[self.fans]
+        fd, fc = cell_fd[self.fan_cell], cell_fc[self.fan_cell]
         worst_seam = _cover_deviation(dom, img, self.domain.tol * 1e3, fd, dom_n, dom_d,
-                                      table.point_ids[table.fans])
+                                      self.point_ids[self.fans])
 
         signs, areas = _oriented_areas(np.concatenate([dom_n[fd], cod_n[fc]]),
                                        np.concatenate([dom, img]))
@@ -157,10 +232,10 @@ class RadialMap:
 
 
 def radial_maps(specs):
-    """The maps ``RadialMap(*spec)`` of ``specs``, their cell tables built
-    in one stacked pass (``_build_tables``).  A batch raises what building
-    its maps one by one, in order, raises: when the stacked pass fails, the
-    maps are built one at a time and the first error is raised."""
+    """The maps ``RadialMap(*spec)`` of ``specs``, built in one stacked pass
+    (``_build_maps``).  A batch raises what building its maps one by one,
+    in order, raises: when the stacked pass fails, the maps are built one at
+    a time and the first error is raised."""
     maps = [RadialMap.__new__(RadialMap) for _ in specs]
     try:
         _build_maps(maps, specs)
@@ -169,25 +244,6 @@ def radial_maps(specs):
             RadialMap(*spec)
         raise
     return maps
-
-
-def _build_maps(maps, specs):
-    for rmap, (domain, codomain, pieces_by_facet, by_codomain) in zip(maps, specs):
-        rmap.domain = domain
-        rmap.codomain = codomain
-        rmap.pieces_by_facet = {f: list(pieces) for f, pieces in pieces_by_facet.items()}
-        rmap.piece_by_codomain_facet = dict(by_codomain)
-        rmap.all_pieces = []
-        for pieces in rmap.pieces_by_facet.values():
-            for p in pieces:
-                if p not in rmap.all_pieces:
-                    rmap.all_pieces.append(p)
-    tables = [AffineCellTable.__new__(AffineCellTable) for _ in maps]
-    _build_tables(tables, maps)
-    for rmap, table in zip(maps, tables):
-        rmap.table = table
-        rmap._box = tuple([float(c) + s * rmap.domain.tol for c in v]
-                          for v, s in zip(rmap.domain.box, (-1, 1)))
 
 
 def _oriented_areas(normals, tris):
@@ -330,123 +386,78 @@ def _pick(entry, values):
 _FACE_AXES = np.array([(1, 2), (0, 2), (0, 1)]).repeat(2, axis=0)
 
 
-class AffineCellTable:
-    """A radial map on a box domain as its exact affine cells.
+def _build_maps(maps, specs):
+    """Fill in the blank ``maps`` from their ``specs`` (domain, codomain,
+    pieces by domain facet, piece by codomain facet), each numpy step once
+    over the cells of all of them.
 
-    Each cell is the cone from the domain centre a over one polygon on which
-    the boundary piece is affine (``FacetPiece.cells``: a triangle, or a
-    whole face); on it the map is p -> b + A (p - a), fixed by a -> b and
-    the images of three of the polygon's vertices.  Evaluation takes the
-    exit facet of the ray from a, the piece by a sector test about the
-    vertices the facet's pieces share, the cell by one about the vertices
-    the piece's cells share (a level of one entry skips its test), and one
-    affine product; the centre ball of radius ``domain.tol`` maps to b.
-    Points outside the box are not checked (``RadialMap.eval`` is).
-
-    The image cells are the cones from b over the image polygons, and they
-    tile the codomain.  The inverse takes the codomain facet hit by the ray
-    from b (``psi``), the image cell of the piece serving that facet whose
-    cone contains q - b (barycentric frames of the polygon's fan triangles),
-    and returns a + A^-1 (q - b).  Inside the centre ball of radius
-    ``codomain.tol``, where the ray from b has no reliable facet, the cell
-    is the one among all image cells whose cone contains q - b (the cones
-    tile space); b itself maps to a.  Exterior points raise GeometryError.
-
-    Construction (``_build_tables``, over the tables of one or several
-    radial maps) stacks the cells once, in table order (facet by facet,
-    piece by piece): ``points`` and ``targets`` hold every cell polygon's
-    vertices and their images under the boundary piece, cell after cell
-    (``sizes`` per cell; ``point_facet`` the box facet of each vertex and
-    ``point_ids`` its point, the distinct points numbered 0, 1, ...),
-    ``owner`` the index into ``pieces`` of each cell's piece, and ``fans``
-    the rows of the fan triangles (0, i, i + 1) of every polygon, with
-    ``fan_cell`` the cell of each.  The linear parts, the sector picks, the
-    fan frames of the image cells, ``vertex_images`` and the boundary-map
-    validation all read these arrays.  The small systems of all tables of
-    a pass are solved in stacks: the linear parts in one solve on every
-    cell's first three vertex correspondences, the sector probes in one
-    broadcast solve per shape of sector level (``_sector_entries``), and
-    the fan frames in one inverse.  A stacked solve or inverse equals the
-    per-matrix call bitwise, so each table is the one that one call per
-    cell or probe builds.
-    """
-
-    def __init__(self, rmap: RadialMap):
-        _build_tables([self], [rmap])
-
-    def __len__(self):
-        return len(self.labels)
-
-    def determinants(self):
-        """det of each cell's linear part, in ``labels`` order."""
-        return np.linalg.det(self.linear)
-
-    def vertex_images(self, facet=None):
-        """(points, images): the polygon vertices of every cell on the box
-        facet ``facet`` (of every cell if None), each with its image under
-        that cell's own affine map, from the linear parts as they are at the
-        call."""
-        images = np.asarray(self._b) + _mapped_points(self.points - self._a, self.sizes,
-                                                      self.linear)
-        if facet is None:
-            return self.points, images
-        keep = self.point_facet == facet
-        return self.points[keep], images[keep]
-
-    def eval(self, x, y, z):
-        ax, ay, az = self._a
-        bx, by, bz = self._b
-        dx = x - ax
-        dy = y - ay
-        dz = z - az
-        if dx * dx + dy * dy + dz * dz <= self._ctol2:
-            return (bx, by, bz)
-        facet, t = _ray_box_scalar(ax, ay, az, self._lo, self._hi, x, y, z)
-        h = (ax + t * dx, ay + t * dy, az + t * dz)
-        iu, iv, cu, cv, bounds, pieces = self._facets[facet]
-        cu, cv, bounds, cells = (pieces[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))]
-                                 if bounds else pieces[0])
-        m = cells[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))] if bounds else cells[0]
-        return (bx + m[0] * dx + m[1] * dy + m[2] * dz,
-                by + m[3] * dx + m[4] * dy + m[5] * dz,
-                bz + m[6] * dx + m[7] * dy + m[8] * dz)
-
-    def inverse(self, x, y, z):
-        ax, ay, az = self._a
-        bx, by, bz = self._b
-        dx = x - bx
-        dy = y - by
-        dz = z - bz
-        r2 = dx * dx + dy * dy + dz * dz
-        if r2 == 0.0:
-            return (ax, ay, az)
-        if r2 <= self._ctol2_image:
-            cells = self._all_image_cells
-        else:
-            cells = self._image_cells[psi(self._codomain, (x, y, z)).facet]
-        m = _cone_cell(cells, dx, dy, dz)
-        return (ax + m[0] * dx + m[1] * dy + m[2] * dz,
-                ay + m[3] * dx + m[4] * dy + m[5] * dz,
-                az + m[6] * dx + m[7] * dy + m[8] * dz)
-
-
-def _build_tables(tables, rmaps):
-    """Fill in the blank ``tables`` of the radial maps ``rmaps``, each numpy
-    step once over the cells of all of them: one solve for the linear parts,
-    the sector solves of ``_sector_entries`` over the levels of all tables,
-    one determinant and one inverse of the linear parts, and one inverse for
-    the fan frames.  Each table keeps its slice of the stacked arrays; a
-    stacked solve or inverse equals the per-matrix call bitwise, so every
-    table is the one that its own construction builds.  Raises the first
-    error met."""
-    doms, imgs, owner, facets, levels = [], [], [], [], []
-    walks = [_walk_table(table, rmap, doms, imgs, owner, facets, levels)
-             for table, rmap in zip(tables, rmaps)]
+    Each map's cells are walked in cell order onto the stacks: each cell's
+    domain polygon, its image points, the index of its piece in ``pieces``
+    and its facet; and its sector levels, per facet its pieces and then per
+    piece its cells, with the stacked index of the first cell of each entry
+    and a key naming the pieces and the face axes (a level that another map
+    of the pass holds too is solved once).  Then one solve gives the linear
+    parts on every cell's first three vertex correspondences, the sector
+    probes take one broadcast solve per shape of sector level
+    (``_sector_entries``), one determinant and one inverse go over the
+    linear parts, and one inverse gives the fan frames.  Each map keeps its
+    slice of the stacked arrays; a stacked solve or inverse equals the
+    per-matrix call bitwise, so every map is the one that its own
+    construction builds.  Raises the first error met."""
+    doms, imgs, owner, facets, levels, walks, cells_of = [], [], [], [], [], [], []
+    for rmap, (domain, codomain, pieces_by_facet, by_codomain) in zip(maps, specs):
+        if domain.box is None:
+            raise GeometryError("a radial map needs a box domain")
+        rmap.domain, rmap.codomain = domain, codomain
+        rmap.pieces_by_facet = {f: list(pieces) for f, pieces in pieces_by_facet.items()}
+        rmap.piece_by_codomain_facet = dict(by_codomain)
+        rmap._a = tuple(map(float, domain.centre))
+        rmap._b = tuple(map(float, codomain.centre))
+        rmap._lo, rmap._hi = (tuple(map(float, v)) for v in domain.box)
+        rmap._box = tuple([float(c) + s * domain.tol for c in v]
+                          for v, s in zip(domain.box, (-1, 1)))
+        rmap._ctol2 = domain.tol * domain.tol
+        rmap._ctol2_image = codomain.tol ** 2
+        rmap.labels = []
+        rmap.pieces = []          # the distinct pieces, in cell order
+        cells = {}                # id(piece) -> its cells' indices
+        slot = {}                 # id(piece) -> its index in pieces
+        base = len(doms)
+        walk = []                 # per facet (iu, iv, the stacked first cell of each piece)
+        for facet in range(6):
+            pieces = rmap.pieces_by_facet.get(facet)
+            if not pieces:
+                raise GeometryError(f"no boundary piece for facet {facet}")
+            iu, iv = _FACE_AXES[facet].tolist()
+            firsts = []
+            levels.append((f"pieces of facet {facet}", iu, iv,
+                           [[dom for dom, _ in piece.cells] for piece in pieces], firsts,
+                           (tuple(map(id, pieces)), iu, iv)))
+            for k, piece in enumerate(pieces):
+                first = base + len(rmap.labels)
+                firsts.append(first)
+                levels.append((f"cells of facet {facet} piece {k}", iu, iv,
+                               [[dom] for dom, _ in piece.cells],
+                               list(range(first, first + len(piece.cells))), (id(piece), iu, iv)))
+                if id(piece) not in slot:
+                    slot[id(piece)] = len(rmap.pieces)
+                    rmap.pieces.append(piece)
+                n = len(piece.cells)
+                cells.setdefault(id(piece), []).extend(
+                    range(len(rmap.labels), len(rmap.labels) + n))
+                rmap.labels.extend(f"facet {facet} piece {k} cell {j}" for j in range(n))
+                owner.extend([slot[id(piece)]] * n)
+                facets.extend([facet] * n)
+                doms.extend(dom for dom, _ in piece.cells)
+                imgs.extend(q for _, img in piece.cells for q in img)
+            walk.append((iu, iv, firsts))
+        walks.append(walk)
+        cells_of.append(cells)
     sizes = np.array([len(dom) for dom in doms])
     starts = _starts(sizes)
-    cells = np.array([len(table.labels) for table in tables])
-    centres = [np.array([getattr(table, x) for table in tables]).repeat(cells, axis=0)
-               for x in ("_a", "_b")]
+    counts = np.array([len(rmap.labels) for rmap in maps])
+    centres = [np.array(c).repeat(counts, axis=0)
+               for c in ([rmap._a for rmap in maps], [rmap._b for rmap in maps])]
     points = np.array([p for dom in doms for p in dom], dtype=float)
     targets = np.array(imgs, dtype=float)
     point_facet = np.repeat(facets, sizes)
@@ -465,7 +476,7 @@ def _build_tables(tables, rmaps):
     mats = np.ones((len(fan_cell), 3, 3))
     mats[:, :2] = np.swapaxes(uv[fans], 1, 2)
     at = np.append(_starts(sizes - 2), len(fan_cell)).tolist()
-    # a level of the same pieces on the same axes, in another table, is
+    # a level of the same pieces on the same axes, in another map, is
     # taken once
     seen = {}
     unique = [k for k, (*_, key) in enumerate(levels) if seen.setdefault(key, k) == k]
@@ -477,16 +488,16 @@ def _build_tables(tables, rmaps):
     entries = iter([found[seen[key]] for *_, key in levels])
     dets = np.linalg.det(linear)
     c0 = 0
-    for table, walk, n in zip(tables, walks, cells.tolist()):
+    for rmap, walk, n in zip(maps, walks, counts.tolist()):
         # per facet (iu, iv, cu, cv, bounds, pieces), per piece (cu, cv, bounds, rows)
-        table._facets = []
+        rmap._facets = []
         for iu, iv, firsts in walk:
             by_sector = next(entries)
             pieces = [_pick(next(entries), rows[first:]) for first in firsts]
-            table._facets.append((iu, iv) + _pick(by_sector, pieces))
+            rmap._facets.append((iu, iv) + _pick(by_sector, pieces))
         singular = np.flatnonzero(~(dets[c0:c0 + n] != 0.0))
         if singular.size:
-            raise GeometryError(f"{table.labels[singular[0]]}: singular linear part")
+            raise GeometryError(f"{rmap.labels[singular[0]]}: singular linear part")
         c0 += n
     inverse = list(map(tuple, np.linalg.inv(linear).reshape(-1, 9).tolist()))
     mapped = _mapped_points(points - np.repeat(centres[0], sizes, axis=0), sizes, linear)
@@ -494,78 +505,20 @@ def _build_tables(tables, rmaps):
                       .reshape(-1, 9).tolist()))
     image_cells = list(zip([frames[s:e] for s, e in zip(at, at[1:])], inverse))
     c0, p0, t0 = 0, 0, 0
-    for table, rmap, n in zip(tables, rmaps, cells.tolist()):
+    for rmap, cells, n in zip(maps, cells_of, counts.tolist()):
         c1 = c0 + n
         p1, t1 = int(starts[c1 - 1] + sizes[c1 - 1]), at[c1]
-        table.sizes, table.owner = sizes[c0:c1], np.array(owner[c0:c1])
-        table.points, table.targets = points[p0:p1], targets[p0:p1]
-        table.point_facet, table.linear = point_facet[p0:p1], linear[c0:c1]
-        table.polygons = [table.points[s:s + k] for s, k in
-                          zip((starts[c0:c1] - p0).tolist(), table.sizes.tolist())]
-        table.fan_cell, table.fans = fan_cell[t0:t1] - c0, fans[t0:t1] - p0
-        number = {}       # each distinct point of the table, numbered
-        table.point_ids = np.array([number.setdefault(q, len(number))
-                                    for dom in doms[c0:c1] for q in dom])
-        table._ctol2_image = rmap.codomain.tol ** 2
-        table._all_image_cells = image_cells[c0:c1]
-        table._image_cells = {f: [table._all_image_cells[i] for i in table._cells_of[id(piece)]]
-                              for f, piece in rmap.piece_by_codomain_facet.items()}
+        rmap.sizes, rmap.owner = sizes[c0:c1], np.array(owner[c0:c1])
+        rmap.points, rmap.targets = points[p0:p1], targets[p0:p1]
+        rmap.point_facet, rmap.linear = point_facet[p0:p1], linear[c0:c1]
+        rmap.fan_cell, rmap.fans = fan_cell[t0:t1] - c0, fans[t0:t1] - p0
+        number = {}       # each distinct point of the map, numbered
+        rmap.point_ids = np.array([number.setdefault(q, len(number))
+                                   for dom in doms[c0:c1] for q in dom])
+        rmap._all_image_cells = image_cells[c0:c1]
+        rmap._image_cells = {f: [rmap._all_image_cells[i] for i in cells[id(piece)]]
+                             for f, piece in rmap.piece_by_codomain_facet.items()}
         c0, p0, t0 = c1, p1, t1
-
-
-def _walk_table(table, rmap, doms, imgs, owner, facets, levels):
-    """Set the table's centres, box and labels from its radial map, and
-    append its cells, cell after cell in table order (facet by facet, piece
-    by piece), to the stacks: each cell's domain polygon, its image points,
-    the index of its piece in ``table.pieces`` and its facet; and its sector
-    levels, per facet its pieces and then per piece its cells, with the
-    stacked index of the first cell of each entry and a key naming the
-    pieces and the face axes.  Returns per facet (iu, iv, the stacked first
-    cell of each piece)."""
-    domain = rmap.domain
-    if domain.box is None:
-        raise GeometryError("a cell table needs a box domain")
-    table._a = tuple(map(float, domain.centre))
-    table._b = tuple(map(float, rmap.codomain.centre))
-    table._lo, table._hi = (tuple(map(float, v)) for v in domain.box)
-    table._ctol2 = domain.tol * domain.tol
-    table._codomain = rmap.codomain
-    table.labels = []
-    table.facet_of = []       # the box facet of each cell's polygon
-    table.pieces = []         # the distinct pieces, in table order
-    table._cells_of = {}      # id(piece) -> its cells' indices
-    base = len(doms)
-    slot = {}                 # id(piece) -> its index in pieces
-    walk = []
-    for facet in range(6):
-        pieces = rmap.pieces_by_facet.get(facet)
-        if not pieces:
-            raise GeometryError(f"no boundary piece for facet {facet}")
-        iu, iv = _FACE_AXES[facet].tolist()
-        firsts = []
-        levels.append((f"pieces of facet {facet}", iu, iv,
-                       [[dom for dom, _ in piece.cells] for piece in pieces], firsts,
-                       (tuple(map(id, pieces)), iu, iv)))
-        for k, piece in enumerate(pieces):
-            first = base + len(table.labels)
-            firsts.append(first)
-            levels.append((f"cells of facet {facet} piece {k}", iu, iv,
-                           [[dom] for dom, _ in piece.cells],
-                           list(range(first, first + len(piece.cells))), (id(piece), iu, iv)))
-            if id(piece) not in slot:
-                slot[id(piece)] = len(table.pieces)
-                table.pieces.append(piece)
-            n = len(piece.cells)
-            table._cells_of.setdefault(id(piece), []).extend(
-                range(len(table.labels), len(table.labels) + n))
-            table.labels.extend(f"facet {facet} piece {k} cell {j}" for j in range(n))
-            table.facet_of.extend([facet] * n)
-            owner.extend([slot[id(piece)]] * n)
-            doms.extend(dom for dom, _ in piece.cells)
-            imgs.extend(q for _, img in piece.cells for q in img)
-        walk.append((iu, iv, firsts))
-    facets.extend(table.facet_of)
-    return walk
 
 
 def _mapped_points(d, sizes, linear):

@@ -1,5 +1,6 @@
-"""Reference implementations that the package replaced by its cell tables
-and cone frames, kept here as the oracles of the tests.
+"""Reference implementations that the package replaced by the affine cells
+of its ``RadialMap``s and by cone frames, kept here as the oracles of the
+tests.
 
 - ``radial_eval`` and ``radial_inverse``: a chart's radial extension and its
   inverse by the radial formula, through the boundary pieces, which
@@ -7,8 +8,8 @@ and cone frames, kept here as the oracles of the tests.
   identity, the 2D radial extension ``_radial_2d`` of a face in its frame
   (its ray crossing by ``_psi_polygon_scalar``), and ``zorich.F_scalar``;
   ``radial_eval`` takes the piece of a facet of several pieces whose cells
-  hold the exit point deepest (``_transport``), where the table takes it
-  by a sector test;
+  hold the exit point deepest (``_transport``), where ``RadialMap.eval3``
+  takes it by a sector test;
 - ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
   triangles (``_ray_tris``), exterior where no crossing lies at or beyond x;
 - ``facet_vertex_cones_probe``: the generators of each facet's direction
@@ -36,7 +37,7 @@ and cone frames, kept here as the oracles of the tests.
   with ``F_scalar`` and ``math.dist``, which ``zorich.expansion_min_ratio``
   computes in one stacked pass;
 - the build's small geometry one object at a time, on numpy rows, as the
-  package computed it before it stacked it per table or shape or moved it
+  package computed it before it stacked it per chart or shape or moved it
   to Python floats: ``cell_linear_part`` (one solve per cell),
   ``sector_entry`` (the sector picks of a piece's cells or of a facet's
   pieces, one solve per sector probe and triangle),
@@ -53,9 +54,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from qrdyn.cones import _CONE_TRIPLES
+from qrdyn.cones import _CONE_TRIPLES, _ray_box_scalar
 from qrdyn.geometry import (TAU_GEOM, BoundaryHit, CertificationFailure, GeometryError,
-                            _as_array, _point_in_tri2, _ray_box_scalar)
+                            _as_array, _point_in_tri2)
 from qrdyn.zorich import _EXP_ARG_MAX, F_scalar, _fold1
 
 
@@ -424,11 +425,12 @@ def cell_linear_part(a, b, dom, img):
 
 
 def sector_entry(groups, values, iu, iv):
-    """The sector entry (cu, cv, bounds, sectors) of one level of a cell
-    table: the cells of a piece, or the pieces of a facet, each given by
-    its list of domain polygons in ``groups`` and valued ``values``.  One
-    solve per sector midpoint and fan triangle; a sector takes the value of
-    the first entry with the triangle that holds its probe deepest."""
+    """The sector entry (cu, cv, bounds, sectors) of one level of a
+    ``RadialMap``: the cells of a piece, or the pieces of a facet, each
+    given by its list of domain polygons in ``groups`` and valued
+    ``values``.  One solve per sector midpoint and fan triangle; a sector
+    takes the value of the first entry with the triangle that holds its
+    probe deepest."""
     if len(groups) == 1:
         return (0.0, 0.0, [], [values[0]])
     shared = set.intersection(*({p for dom in group for p in dom} for group in groups))

@@ -1,6 +1,7 @@
-"""The slab atlas as a table of affine cells, against the radial maps
-(the radial formulas of ``oracles``)."""
+"""The slab atlas as the affine cells of its charts' ``RadialMap``s,
+against the radial maps (the radial formulas of ``oracles``)."""
 
+import copy
 import math
 import types
 
@@ -60,29 +61,29 @@ def _box_points(chart, rng, interior=2000, face=200, diagonal=41, edge=8):
 
 class TestCells:
     def test_cell_counts(self, build):
-        counts = {c.cell_id: len(c.table) for c in build.g.charts}
+        counts = {c.cell_id: len(c.map) for c in build.g.charts}
         assert counts == {"A'": 37, "A''1": 26, "A''2": 26, "A''3": 26, "A''4": 26}
         assert build.cells == 141
 
     def test_min_cell_det(self, build):
-        dets = np.concatenate([c.table.determinants() for c in build.g.charts])
+        dets = np.concatenate([c.map.determinants() for c in build.g.charts])
         assert build.min_cell_det == float(dets.min()) > 0.0
 
     def test_dilatation_and_det_against_svd(self, build):
-        m = np.concatenate([c.table.linear for c in build.g.charts])
+        m = np.concatenate([c.map.linear for c in build.g.charts])
         sv = np.linalg.svd(m, compute_uv=False)
         det = np.linalg.det(m)
         k = np.maximum(sv[:, 0] ** 3 / det, det / sv[:, -1] ** 3)
         got = cell_dilatations(build.g.charts)
         assert len(got) == 141
         assert np.allclose(got, k, rtol=1e-9, atol=0)
-        assert np.allclose(np.concatenate([c.table.determinants() for c in build.g.charts]),
+        assert np.allclose(np.concatenate([c.map.determinants() for c in build.g.charts]),
                            det, rtol=1e-9, atol=0)
         assert build.K_slab == float(got.max())
 
     def test_vertex_images_are_the_radial_images(self, build):
         for chart in build.g.charts:
-            pts, images = chart.table.vertex_images()
+            pts, images = chart.map.vertex_images()
             want = np.array([radial_eval(chart.map, p) for p in pts.tolist()])
             assert np.allclose(images, want, rtol=0,
                                atol=1e-12 * chart.map.codomain.diameter)
@@ -93,7 +94,7 @@ class TestCells:
             tol = 1e-12 * chart.map.codomain.diameter
             worst = 0.0
             for p in _box_points(chart, rng).tolist():
-                got = chart.table.eval(*p)
+                got = chart.map.eval3(*p)
                 want = radial_eval(chart.map, p)
                 worst = max(worst, math.dist(got, want))
             assert worst <= tol, (chart.cell_id, worst)
@@ -101,11 +102,11 @@ class TestCells:
     def test_domain_centre_maps_to_codomain_centre(self, build):
         for chart in build.g.charts:
             a = chart.map.domain.centre
-            got = chart.table.eval(float(a[0]), float(a[1]), float(a[2]))
+            got = chart.map.eval3(float(a[0]), float(a[1]), float(a[2]))
             assert got == tuple(map(float, chart.map.codomain.centre))
 
     def test_table_needs_a_box_domain(self, build):
-        # a RadialMap builds its table, so a polyhedral domain is refused
+        # a RadialMap is the cells of a box, so a polyhedral domain is refused
         rmap = build.g.charts[0].map
         with pytest.raises(GeometryError, match="needs a box domain"):
             RadialMap(rmap.codomain, rmap.codomain, rmap.pieces_by_facet,
@@ -135,14 +136,22 @@ class TestCells:
                     with pytest.raises(GeometryError, match="outside the domain box"):
                         rmap.eval(p)
             for p in pts:
-                assert rmap.eval(p) == chart.table.eval(*p.tolist())
+                assert rmap.eval(p) == rmap.eval3(*p.tolist())
 
-    def test_eval_and_inverse_are_the_table(self, build):
+    def test_eval_is_eval3_inside_the_box(self, build):
+        # eval is eval3 bit for bit on seeded points of each chart box, and
+        # raises a unit outside each face of the box
+        rng = np.random.default_rng(25)
         for chart in build.g.charts:
-            a = chart.lo + 0.3 * (chart.hi - chart.lo)
-            q = chart.table.eval(*a.tolist())
-            assert chart.map.eval(a) == q
-            assert chart.map.inverse(q) == chart.table.inverse(*q)
+            rmap, lo, hi = chart.map, chart.lo, chart.hi
+            for p in (lo + rng.random((500, 3)) * (hi - lo)).tolist():
+                assert _bits(rmap.eval(p)) == _bits(rmap.eval3(*p)), (chart.cell_id, p)
+            for axis in range(3):
+                for end, sign in ((lo, -1.0), (hi, 1.0)):
+                    p = (lo + hi) / 2
+                    p[axis] = end[axis] + sign
+                    with pytest.raises(GeometryError, match="outside the domain box"):
+                        rmap.eval(p)
 
 
 def _near_centre(chart, rng, count=50):
@@ -156,14 +165,14 @@ def _near_centre(chart, rng, count=50):
 
 
 class TestInverse:
-    """The table's inverse against the radial inverse (``oracles``), on the
+    """The chart's inverse against the radial inverse (``oracles``), on the
     images of seeded points, the cell faces and edges, the box faces and
     points near the centre ball, within 1e-12 x the domain diameter."""
 
     def test_matches_the_radial_inverse(self, build):
         # the radial formula has no ray inside the codomain's centre ball
         # (radius codomain.tol) and sends it to the domain centre; the round
-        # trip below covers the table's inverse there
+        # trip below covers the chart's inverse there
         rng = np.random.default_rng(22)
         for chart in build.g.charts:
             b, ctol = chart.map.codomain.centre, chart.map.codomain.tol
@@ -172,10 +181,10 @@ class TestInverse:
                              _near_centre(chart, rng)])
             worst = 0.0
             for p in pts.tolist():
-                q = chart.table.eval(*p)
+                q = chart.map.eval3(*p)
                 if math.dist(q, b) <= ctol:
                     continue
-                worst = max(worst, math.dist(chart.table.inverse(*q),
+                worst = max(worst, math.dist(chart.map.inverse(q),
                                              radial_inverse(chart.map, q)))
             assert worst <= tol, (chart.cell_id, worst)
 
@@ -206,19 +215,19 @@ class TestInverse:
             for u, s in zip(d.tolist(), rng.uniform(0.05, 1.0, 400).tolist()):
                 # g is positively homogeneous about a on each cell cone: the
                 # image of a + r u is b + r A u, outside the domain's ball
-                gain = np.linalg.norm(np.subtract(chart.table.eval(*(a + u)), b))
+                gain = np.linalg.norm(np.subtract(chart.map.eval3(*(a + u)), b))
                 r = s * cod.tol / gain
                 if r <= 1.01 * dom.tol:
                     continue
                 p = (a + r * np.asarray(u)).tolist()
-                q = chart.table.eval(*p)
+                q = chart.map.eval3(*p)
                 assert math.dist(q, b) <= cod.tol
                 inside += 1
-                back = chart.table.inverse(*q)
+                back = chart.map.inverse(q)
                 assert math.dist(back, p) <= 1e-12 * dom.diameter, (chart.cell_id, p)
             for q in (b + cod.tol * rng.random((50, 1)) * d[:50]).tolist():
-                back = chart.table.inverse(*q)
-                assert math.dist(chart.table.eval(*back), q) <= 1e-12 * cod.diameter
+                back = chart.map.inverse(q)
+                assert math.dist(chart.map.eval3(*back), q) <= 1e-12 * cod.diameter
         assert inside >= 20, inside
 
     def test_centre_ball_and_exterior(self, build):
@@ -226,15 +235,11 @@ class TestInverse:
             cod = chart.map.codomain
             b = cod.centre
             a = tuple(map(float, chart.map.domain.centre))
-            assert chart.table.inverse(*b.tolist()) == a
-            assert chart.table.inverse(*(b + 0.5 * cod.tol).tolist()) != a
+            assert chart.map.inverse(b.tolist()) == a
+            assert chart.map.inverse((b + 0.5 * cod.tol).tolist()) != a
             far = b + 2.0 * (cod.vertices[0] - b)
             with pytest.raises(GeometryError, match="exterior"):
-                chart.table.inverse(*far.tolist())
-
-    def test_table_is_built_once(self, build):
-        for chart in build.g.charts:
-            assert chart.table is chart.map.table
+                chart.map.inverse(far.tolist())
 
 
 def _radial_slab(gm, x, y, z):
@@ -258,6 +263,15 @@ def _radial_slab(gm, x, y, z):
 
 
 class TestSlabDispatch:
+    def test_slab_evaluators_are_the_charts_eval3(self, gmap, fmap):
+        # g and f bind each slab chart's own eval3, in _cell_index order
+        for gm in (gmap, fmap):
+            assert len(gm._slab_evals) == 5
+            for ev, chart in zip(gm._slab_evals, gm._slab_charts):
+                assert ev.__self__ is chart.map
+                assert ev.__func__ is RadialMap.eval3
+        assert [c.cell_id for c in gmap._slab_charts] == ["A'", "A''1", "A''2", "A''3", "A''4"]
+
     def test_f_matches_the_radial_path(self, fmap, gmap):
         rng = np.random.default_rng(21)
         L = fmap.L
@@ -277,20 +291,22 @@ class TestSlabDispatch:
 
 
 class TestCellOrientation:
-    def _chart(self, dets):
-        table = types.SimpleNamespace(
-            determinants=lambda: np.asarray(dets, dtype=float),
-            labels=[f"facet 0 piece 0 cell {j}" for j in range(len(dets))])
-        return types.SimpleNamespace(cell_id="A''9", table=table)
+    def _chart(self, build, dets):
+        # a copy of the A' map whose cells have the linear parts
+        # diag(det, 1, 1)
+        rmap = copy.copy(build.g.by_id["A'"].map)
+        rmap.linear = np.array([np.diag([d, 1.0, 1.0]) for d in dets])
+        rmap.labels = [f"facet 0 piece 0 cell {j}" for j in range(len(dets))]
+        return types.SimpleNamespace(cell_id="A''9", map=rmap)
 
-    def test_counts_and_least_det(self):
-        assert certify_cell_orientation([self._chart([2.0, 0.5]),
-                                         self._chart([1.0])]) == (3, 0.5)
+    def test_counts_and_least_det(self, build):
+        assert certify_cell_orientation([self._chart(build, [2.0, 0.5]),
+                                         self._chart(build, [1.0])]) == (3, 0.5)
 
     @pytest.mark.parametrize("bad", [-0.25, 0.0, math.nan])
-    def test_non_positive_det_names_chart_and_cell(self, bad):
+    def test_non_positive_det_names_chart_and_cell(self, build, bad):
         with pytest.raises(ConstructionError, match=r"A''9, facet 0 piece 0 cell 1"):
-            certify_cell_orientation([self._chart([1.0, bad, 3.0])])
+            certify_cell_orientation([self._chart(build, [1.0, bad, 3.0])])
 
 
 def _bits(x):
@@ -303,11 +319,16 @@ def _bits(x):
     return repr(float(x)) if isinstance(x, (float, np.floating)) else repr(x)
 
 
+def _polygons(rmap):
+    """Each cell's domain polygon, as rows of the map's stacked ``points``."""
+    return np.split(rmap.points, np.cumsum(rmap.sizes)[:-1])
+
+
 def _radial_faces(build):
     """The build's distinct Radial2D pieces: 24 faces."""
     faces = {}
     for chart in build.g.charts:
-        for piece in chart.map.all_pieces:
+        for piece in chart.map.pieces:
             if piece.kind == "radial2d":
                 faces[id(piece)] = piece
     return list(faces.values())
@@ -318,14 +339,15 @@ def _polyhedra(build):
 
 
 class TestBuildMatchesOracles:
-    """The build's small geometry, stacked per table or shape or taken in
+    """The build's small geometry, stacked per chart or shape or taken in
     Python floats, against the one-object-at-a-time oracles, bitwise."""
 
     def test_cell_tables(self, build):
         # each facet's entry: its pieces by sector, each piece's entry its
         # cells' rows by sector
         for chart in build.g.charts:
-            table = chart.table
+            rmap = chart.map
+            polygons = _polygons(rmap)
             k = 0
             for facet in range(6):
                 pieces = chart.map.pieces_by_facet[facet]
@@ -334,48 +356,47 @@ class TestBuildMatchesOracles:
                 for piece in pieces:
                     rows = []
                     for dom, img in piece.cells:
-                        m = np.ascontiguousarray(cell_linear_part(table._a, table._b, dom, img))
-                        assert table.linear[k].tobytes() == m.tobytes(), (chart.cell_id, k)
-                        frames, _ = table._all_image_cells[k]
-                        assert _bits(frames) == _bits(
-                            image_cell_frames(table._a, table.polygons[k], m))
+                        m = np.ascontiguousarray(cell_linear_part(rmap._a, rmap._b, dom, img))
+                        assert rmap.linear[k].tobytes() == m.tobytes(), (chart.cell_id, k)
+                        frames, _ = rmap._all_image_cells[k]
+                        assert _bits(frames) == _bits(image_cell_frames(rmap._a, polygons[k], m))
                         rows.append(tuple(m.ravel().tolist()))
                         k += 1
                     entries.append(sector_entry([[dom] for dom, _ in piece.cells], rows, iu, iv))
                 want = sector_entry([[dom for dom, _ in p.cells] for p in pieces], entries, iu, iv)
-                assert _bits(table._facets[facet]) == _bits((iu, iv) + want)
-            assert k == len(table)
+                assert _bits(rmap._facets[facet]) == _bits((iu, iv) + want)
+            assert k == len(rmap)
 
     def test_tables_of_a_batch_are_built_alone(self, build):
-        # the four A'' tables come from one stacked pass (radial_maps); each
-        # chart's own RadialMap builds its table bit for bit
+        # the four A'' maps come from one stacked pass (radial_maps); each
+        # chart's map built alone has its cells bit for bit
         for chart in build.g.charts[1:]:
             rmap = chart.map
-            table = chart.table
             alone = RadialMap(rmap.domain, rmap.codomain, rmap.pieces_by_facet,
-                              rmap.piece_by_codomain_facet).table
+                              rmap.piece_by_codomain_facet)
             for name in ("linear", "points", "targets", "sizes", "owner", "point_facet",
                          "point_ids", "fans", "fan_cell"):
-                assert getattr(table, name).tobytes() == getattr(alone, name).tobytes(), name
-            assert _bits((table._facets, table._all_image_cells, table.labels, table.facet_of)) \
-                == _bits((alone._facets, alone._all_image_cells, alone.labels, alone.facet_of))
-            assert _bits(table._image_cells) == _bits(alone._image_cells)
+                assert getattr(rmap, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert _bits((rmap._facets, rmap._all_image_cells, rmap.labels)) \
+                == _bits((alone._facets, alone._all_image_cells, alone.labels))
+            assert _bits(rmap._image_cells) == _bits(alone._image_cells)
 
     def test_build_constants(self, build):
         # each cell's vertex images, L', the least cell determinant and the
         # largest dilatation against their one-cell-at-a-time references
         dets, ks = [], []
         for chart in build.g.charts:
-            table = chart.table
-            pts, images = table.vertex_images()
-            want = [cell_vertex_images(table._a, table._b, dom, m)
-                    for dom, m in zip(table.polygons, table.linear)]
-            assert pts.tobytes() == np.concatenate(table.polygons).tobytes()
+            rmap = chart.map
+            pts, images = rmap.vertex_images()
+            polygons = _polygons(rmap)
+            want = [cell_vertex_images(rmap._a, rmap._b, dom, m)
+                    for dom, m in zip(polygons, rmap.linear)]
+            assert pts.tobytes() == np.concatenate(polygons).tobytes()
             assert images.tobytes() == np.concatenate(want).tobytes()
             assert float(images[:, 2].max()) <= build.L_prime - 1.0 + 1e-9
-            dets += [float(np.linalg.det(m)) for m in table.linear]
+            dets += [float(np.linalg.det(m)) for m in rmap.linear]
             ks += [float(cell_dilatations([types.SimpleNamespace(
-                table=types.SimpleNamespace(linear=m[None]))])[0]) for m in table.linear]
+                map=types.SimpleNamespace(linear=m[None]))])[0]) for m in rmap.linear]
         heights = [float(chart.map.codomain.vertices[:, 2].max()) for chart in build.g.charts]
         assert build.L_prime == max(heights) + 1.0
         assert build.min_cell_det == min(dets)
@@ -388,7 +409,7 @@ class TestBuildMatchesOracles:
         for chart in build.g.charts:
             for facet, pieces in chart.map.pieces_by_facet.items():
                 if len(pieces) > 1:
-                    *_, by_sector = chart.table._facets[facet]
+                    *_, by_sector = chart.map._facets[facet]
                     assert len({id(entry) for entry in by_sector}) == len(pieces)
                     split[chart.cell_id, facet] = len(pieces)
         assert split == {("A'", 5): 4, ("A''1", 1): 2, ("A''1", 3): 2, ("A''2", 0): 2,

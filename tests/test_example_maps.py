@@ -164,17 +164,19 @@ class TestComposedExamples:
 
     def test_example_three_fixes_x0(self, fmap):
         h = example_three(fmap)
-        x0 = h.fixed_point
+        x0 = build_patch(fmap).b
         out = np.asarray(h.fn(tuple(x0)))
         assert np.linalg.norm(out - x0) <= 1e-9
 
     def test_example_three_orbit_of_x0_stays_fixed(self, fmap):
         h = example_three(fmap)
-        rec = iterate(h, h.fixed_point, 50)
-        assert np.linalg.norm(rec.points[-1] - h.fixed_point) <= 1e-8
+        x0 = build_patch(fmap).b
+        rec = iterate(h, x0, 50)
+        assert np.linalg.norm(rec.points[-1] - x0) <= 1e-8
 
     def test_example_three_control_point_escapes(self, fmap):
         h = example_three(fmap)
+        patch = build_patch(fmap)
         lp = fmap.L_prime
         ctrl = (1.5 * lp, 0.0, -0.05 * lp)
         cls = classify_escape(h, ctrl, 50)
@@ -183,7 +185,7 @@ class TestComposedExamples:
         # linear escape by translation; never meets the patched ball
         assert rec.points[-1][2] == pytest.approx(-0.05 * lp - 400 * lp, rel=1e-12)
         for p in rec.points:
-            assert np.linalg.norm(np.asarray(p) - h.patch.m) > h.patch.radius
+            assert np.linalg.norm(np.asarray(p) - patch.m) > patch.radius
 
     def test_fatou_handle_orbit_growth(self):
         h = fatou_h_handle()

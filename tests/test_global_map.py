@@ -295,13 +295,12 @@ class TestShiftedMap:
         # scale one cell of A' so that one of its vertex images rises above
         # the highest image vertex of the chart
         chart = copy.copy(gmap.by_id["A'"])
-        table = copy.copy(chart.table)
-        table.linear = table.linear.copy()
-        k = int(np.argmax(table.vertex_images()[1][:, 2]))
-        cell = next(j for j, dom in enumerate(table.polygons)
-                    if k < sum(len(p) for p in table.polygons[:j + 1]))
-        table.linear[cell] *= 1.5
-        chart.table = table
+        rmap = copy.copy(chart.map)
+        rmap.linear = rmap.linear.copy()
+        k = int(np.argmax(rmap.vertex_images()[1][:, 2]))
+        cell = int(np.searchsorted(np.cumsum(rmap.sizes), k, side="right"))
+        rmap.linear[cell] *= 1.5
+        chart.map = rmap
         top = float(chart.map.codomain.vertices[:, 2].max())
         raised = types.SimpleNamespace(mode="g", charts=[chart], max_image_height=top)
         assert derive_translation_constant(
@@ -352,7 +351,7 @@ class TestAudits:
         rep = audit_orientation(gmap)
         assert rep.passed
         assert rep.min_det > 0
-        dets = {c.cell_id: np.linalg.det(c.table.linear).min() for c in gmap.charts}
+        dets = {c.cell_id: np.linalg.det(c.map.linear).min() for c in gmap.charts}
         assert rep.per_chart == pytest.approx(dets, rel=1e-12)
         assert rep.min_det == pytest.approx(0.0648648649, rel=1e-9)
         assert rep.samples == 141
@@ -376,12 +375,11 @@ class TestAudits:
         # lift the vertex images of one A''1 cell on the face x1 = 1
         charts = {c.cell_id: c for c in gmap.charts}
         chart = copy.copy(charts["A''1"])
-        table = copy.copy(chart.table)
-        cell = table.facet_of.index(1)
-        table.polygons = list(table.polygons)
-        table.linear = table.linear.copy()
-        table.linear[cell] = table.linear[cell] * 1.01
-        chart.table = table
+        rmap = copy.copy(chart.map)
+        cell = next(j for j, label in enumerate(rmap.labels) if label.startswith("facet 1 "))
+        rmap.linear = rmap.linear.copy()
+        rmap.linear[cell] = rmap.linear[cell] * 1.01
+        chart.map = rmap
         charts["A''1"] = chart
         broken = copy.copy(gmap)
         broken.charts = list(charts.values())
@@ -456,10 +454,10 @@ class TestBuildWork:
 
     def test_small_systems_are_solved_in_stacks(self):
         # the call-count guard of a build: per chart phase one solve for the
-        # linear parts of its tables' cells, one inverse of them and one
+        # linear parts of its charts' cells, one inverse of them and one
         # for their fan frames, and one det of them; one broadcast solve
-        # per shape of sector level (3 in the A' table, 5 that the four A''
-        # tables share); one solve per chart in the boundary-map validation;
+        # per shape of sector level (3 in the A' map, 5 that the four A''
+        # maps share); one solve per chart in the boundary-map validation;
         # per phase one det and one inverse for the cone frames of its image
         # solids (a box never reads its cone frames, so a build forms none);
         # and one det per chart in certify_cell_orientation.  The cone test

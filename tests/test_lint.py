@@ -3,8 +3,10 @@ every private module-level helper and private method is read by some module
 of the package,
 every parameter of a module-level function or of a method of a
 module-level class (but self and cls) is read by its body, every
-for-loop target is read by the loop's body, and every module stays below the
-token count at which CPython's parser doubles its token array."""
+for-loop target is read by the loop's body, every attribute that the
+package assigns is read by the package or the benchmark, and every module
+stays below the token count at which CPython's parser doubles its token
+array."""
 
 import ast
 import io
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qrdyn"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source):
@@ -215,6 +218,54 @@ def test_detects_an_unused_loop_target():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_loop_targets(path):
     assert unused_loop_targets(path.read_text()) == []
+
+
+def attribute_uses(source):
+    """({name: first line} of the attributes that the source assigns, the
+    set of attribute names that it reads): an attribute read as such, an
+    augmented assignment's target, or the constant name of a ``getattr``
+    or ``hasattr`` call."""
+    assigned, read = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+            read.add(node.target.attr)
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Store):
+                assigned.setdefault(node.attr, node.lineno)
+            else:
+                read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+    return assigned, read
+
+
+def unread_attributes(sources, readers):
+    """(module, line, name) of each attribute that a module of ``sources``
+    (module name -> source) assigns and that no source of ``sources`` or
+    ``readers`` reads."""
+    uses = {module: attribute_uses(src) for module, src in sources.items()}
+    reads = set().union(*(read for _, read in uses.values()),
+                        *(attribute_uses(src)[1] for src in readers))
+    return sorted((module, line, name) for module, (assigned, _) in uses.items()
+                  for name, line in assigned.items() if name not in reads)
+
+
+def test_detects_an_unread_attribute():
+    # example_three once set h.patch and h.fixed_point, which nothing read
+    sources = {"a": "def make(h, t):\n    h.patch = 1\n    h.fixed_point = 2\n"
+                    "    h.count = 0\n    h.count += 1\n    t.polygons = []\n"
+                    "    t.sizes, t.owner = 1, 2\n    return t.sizes\n",
+               "b": "def use(t):\n    return getattr(t, 'owner')\n"}
+    assert unread_attributes(sources, ["def f(h):\n    return h.fixed_point\n"]) == [
+        ("a", 2, "patch"), ("a", 6, "polygons")]
+
+
+def test_no_unread_attributes():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unread_attributes(sources, readers) == []
 
 
 # CPython's parser keeps a module's tokens in an array that doubles when it

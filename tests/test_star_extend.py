@@ -254,7 +254,7 @@ C, M = (0.0, 0.0, 1.0), (0.5, 0.5, 1.0)
 
 
 class TestConstruction:
-    """The table's construction errors, and facets of several pieces."""
+    """The map's construction errors, and facets of several pieces."""
 
     @pytest.mark.parametrize("top", [None, []], ids=["missing", "empty"])
     def test_a_facet_without_pieces_is_refused(self, top):
@@ -306,7 +306,7 @@ class TestConstruction:
                          for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
             m = RadialMap(cube_shape(), cube_shape(), pieces,
                           {f: p[0] for f, p in pieces.items()})
-        *_, by_sector = m.table._facets[5]
+        *_, by_sector = m._facets[5]
         assert len({id(entry) for entry in by_sector}) == len(m.pieces_by_facet[5])
         rng = np.random.default_rng(6)
         pts = rng.random((500, 3)) * 2 - 1
@@ -384,10 +384,11 @@ class TestBatchedValidation:
         # the first cell of a face fan sends the face centre a hundredth of
         # the way along its image edge, away from the image that the other
         # cells give it.  The validation checks the cells that the chart's
-        # table took from its pieces, so the built chart still passes and
+        # map took from its pieces, so the built chart still passes and
         # the chart built again from the tampered piece fails
         built = build.g.by_id[cid].map
-        piece = next(p for p in built.all_pieces if isinstance(p, Radial2DPiece))
+        piece = next(p for pieces in built.pieces_by_facet.values() for p in pieces
+                     if isinstance(p, Radial2DPiece))
         (dom, (c, p, q)), *rest = piece.cells
         moved = tuple(a + 0.01 * (b - a) for a, b in zip(c, p))
         monkeypatch.setattr(piece, "cells", [(dom, (moved, p, q))] + rest)
@@ -445,7 +446,7 @@ class TestBatches:
         # the build's 24 face fans, and seeded quadrilaterals off their plane
         faces = {}
         for chart in build.g.charts:
-            for piece in chart.map.all_pieces:
+            for piece in chart.map.pieces:
                 if piece.kind == "radial2d":
                     faces[id(piece)] = tuple([cell[j][1] for cell in piece.cells] for j in (0, 1))
         loops = list(faces.values())
@@ -458,7 +459,7 @@ class TestBatches:
         for piece, (dom, img) in zip(batch, loops):
             assert piece_bits(piece) == piece_bits(Radial2DPiece(dom, img))
         for chart in build.g.charts:
-            for piece in chart.map.all_pieces:
+            for piece in chart.map.pieces:
                 if piece.kind == "radial2d":
                     assert piece_bits(piece) == piece_bits(Radial2DPiece(*faces[id(piece)]))
 
@@ -484,9 +485,9 @@ class TestBatches:
                   c.map.piece_by_codomain_facet) for c in build.g.charts]
         for rmap, spec in zip(radial_maps(specs), specs):
             alone = RadialMap(*spec)
-            assert rmap.table.linear.tobytes() == alone.table.linear.tobytes()
-            assert repr((rmap.table._facets, rmap.table._all_image_cells, rmap._box)) \
-                == repr((alone.table._facets, alone.table._all_image_cells, alone._box))
+            assert rmap.linear.tobytes() == alone.linear.tobytes()
+            assert repr((rmap._facets, rmap._all_image_cells, rmap._box)) \
+                == repr((alone._facets, alone._all_image_cells, alone._box))
 
     def test_a_map_batch_raises_what_its_first_failing_map_raises(self):
         # a singular cell fails after the sector tests, a missing facet
