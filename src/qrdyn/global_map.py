@@ -8,18 +8,19 @@ between levels 1 and L).  Reflections in {x1 = 2}, {x2 = 2} and period-4
 translations extend the atlas to the whole slab.  f is g followed by a
 downward translation large enough that the whole slab maps below zero.
 
+The atlas is data: ``_CHARTS`` gives each chart's box, image-solid centre,
+boundary faces per box facet and image-solid facets, by the names of the
+vertices of ``VertexTable``, and ``_build_charts`` builds any rows of it.
 Every boundary piece is affine on triangles, so each chart is exactly
 affine on the cones from its domain centre over those triangles: 37 cells
 for A' and 26 for each A'' chart.  Each chart's ``RadialMap`` is those
-cells, stacked from its pieces (the A'' charts in one stacked pass,
-``star_extend.radial_maps``), and evaluates and inverts the chart;
-``GlobalMap`` evaluates the slab by the charts' ``eval3``, and the radial
-extension remains only the construction of the cells.  Every certificate is
-a finite check on the cells: ``build_maps`` requires a positive determinant
-on every cell and validates each chart's boundary map on the cell vertices,
-L' bounds the image heights of the cell vertices, and the audits read the
-orientation and the dilatation off the cells' linear parts and check the
-seams at the vertices of the cells on each face.
+cells, and evaluates and inverts the chart; ``GlobalMap`` evaluates the
+slab by the charts' ``eval3``.  Every certificate is a finite check on the
+cells: ``build_maps`` requires a positive determinant on every cell and
+validates each chart's boundary map on the cell vertices, L' bounds the
+image heights of the cell vertices, and the audits read the orientation
+and the dilatation off the cells' linear parts and check the seams at the
+vertices of the cells on each face.
 """
 
 from __future__ import annotations
@@ -74,23 +75,14 @@ class ConstructionError(RuntimeError):
 
 @dataclass
 class VertexTable:
-    """Coordinates and images for every named interpolation vertex."""
+    """Coordinates (``coords``) and images (``images``) of the named
+    interpolation vertices: a letter of ``_BASE_XY`` and a level, 0, 1 or L
+    (``P0``, ``X1``, ``TL``).  The level-0 vertices have coordinates only
+    (the identity piece maps them to themselves)."""
 
     L: float
     coords: Dict[str, np.ndarray]
     images: Dict[str, np.ndarray]
-
-    def coord(self, name):
-        return self.coords[name]
-
-    def image(self, name):
-        return self.images[name]
-
-    def loop_coords(self, names):
-        return [self.coords[n] for n in names]
-
-    def loop_images(self, names):
-        return [self.images[n] for n in names]
 
 
 def build_vertex_table(L: float) -> VertexTable:
@@ -130,174 +122,113 @@ class CellChart:
     map: RadialMap
 
 
-def _radial_pieces(vt, faces):
-    """The ``Radial2DPiece`` of each named face loop, in one batch."""
-    return radial_pieces([(vt.loop_coords(names), vt.loop_images(names)) for names in faces])
-
-
-def _formula_top_piece(vt, tri_a, tri_b):
-    """Level-L end face: the closed form of F, as the two triangles on which
-    it is affine and their images under F."""
-    return FormulaPiece([(vt.loop_coords(t), vt.loop_images(t)) for t in (tri_a, tri_b)])
-
-
-def build_aprime_chart(vt: VertexTable) -> CellChart:
-    """The chart of [0,2]^2 x [0,1] onto the nine-face image polyhedron:
-    the box is a ``StarShape.cuboid``, the polyhedron is built and
-    certified by ``star_shapes``, and the eight face fans are one
-    ``radial_pieces`` batch."""
-    bottom = IdentityPiece(vt.loop_coords(["P0", "Q0", "R0", "S0"]))
-    side_x0, side_x2, side_y0, side_y2, *quads = _radial_pieces(vt, [
-        ["P0", "P1", "T1", "Q1", "Q0"], ["S0", "S1", "V1", "R1", "R0"],
-        ["P0", "P1", "W1", "S1", "S0"], ["Q0", "Q1", "U1", "R1", "R0"],
-        ["P1", "W1", "X1", "T1"], ["W1", "S1", "V1", "X1"],
-        ["T1", "X1", "U1", "Q1"], ["X1", "V1", "R1", "U1"]])
-    top = dict(zip("PWTX", quads))
-
-    names = ["P0", "Q0", "R0", "S0", "P1", "Q1", "R1", "S1",
-             "T1", "U1", "V1", "W1", "X1"]
-    pool = {n: i for i, n in enumerate(names)}
-    verts = np.array([vt.image(n) for n in names])
-    facets = [
-        ["P0", "Q0", "R0", "S0"],
-        ["P0", "P1", "T1", "Q1", "Q0"],
-        ["R0", "R1", "V1", "S1", "S0"],
-        ["S0", "S1", "W1", "P1", "P0"],
-        ["Q0", "Q1", "U1", "R1", "R0"],
-        ["P1", "W1", "X1", "T1"],
-        ["T1", "X1", "U1", "Q1"],
-        ["W1", "S1", "V1", "X1"],
-        ["X1", "V1", "R1", "U1"],
-    ]
-    domain = StarShape.cuboid([0, 0, 0], [2, 2, 1], centre=(1, 1, 0.5))
-    codomain, = star_shapes([(verts, (5.0, 1.0, 2.0), [[pool[n] for n in f] for f in facets],
-                              None)])
-
-    pieces_by_facet = {0: [side_x0], 1: [side_x2], 2: [side_y0], 3: [side_y2],
-                       4: [bottom], 5: [top["P"], top["W"], top["T"], top["X"]]}
-    by_codomain = {0: bottom, 1: side_x0, 2: side_x2, 3: side_y0,
-                   4: side_y2, 5: top["P"], 6: top["T"], 7: top["W"],
-                   8: top["X"]}
-    rmap = RadialMap(domain, codomain, pieces_by_facet, by_codomain)
-    return CellChart("A'", np.array([0.0, 0.0, 0.0]), np.array([2.0, 2.0, 1.0]), rmap)
-
-
-# level-1 square, level-L triangle split, exterior faces and interior faces
-# for the four upper cells; interior faces are shared
-_CELL_DEFS = {
-    "A''1": {
-        "lo": (0.0, 0.0), "hi": (1.0, 1.0),
-        "bottom_sq": "P",
-        "top": (("PL", "WL", "XL"), ("PL", "XL", "TL")),
-        "ext": {0: ["P1", "T1", "TL", "PL"], 2: ["P1", "W1", "WL", "PL"]},
-        "int": {1: "x1_lo", 3: "y1_lo"},
-        "apex": "PL",
-    },
-    "A''2": {
-        "lo": (1.0, 0.0), "hi": (2.0, 1.0),
-        "bottom_sq": "W",
-        "top": (("WL", "SL", "XL"), ("SL", "VL", "XL")),
-        "ext": {1: ["S1", "V1", "VL", "SL"], 2: ["W1", "S1", "SL", "WL"]},
-        "int": {0: "x1_lo", 3: "y1_hi"},
-        "apex": "SL",
-    },
-    "A''3": {
-        "lo": (0.0, 1.0), "hi": (1.0, 2.0),
-        "bottom_sq": "T",
-        "top": (("TL", "XL", "QL"), ("XL", "UL", "QL")),
-        "ext": {0: ["T1", "Q1", "QL", "TL"], 3: ["Q1", "U1", "UL", "QL"]},
-        "int": {1: "x1_hi", 2: "y1_lo"},
-        "apex": "QL",
-    },
-    "A''4": {
-        "lo": (1.0, 1.0), "hi": (2.0, 2.0),
-        "bottom_sq": "X",
-        "top": (("XL", "VL", "RL"), ("XL", "RL", "UL")),
-        "ext": {1: ["V1", "R1", "RL", "VL"], 3: ["U1", "R1", "RL", "UL"]},
-        "int": {0: "x1_hi", 2: "y1_hi"},
-        "apex": "RL",
-    },
-}
-
-# shared interior faces: the two triangles on either side of the diagonal,
-# in the order of the pieces on the face and of the image solids' facets
-_INT_FACE_DEFS = {
-    "x1_lo": (("W1", "X1", "WL"), ("X1", "XL", "WL")),
-    "y1_lo": (("TL", "X1", "XL"), ("T1", "X1", "TL")),
-    "x1_hi": (("X1", "UL", "XL"), ("X1", "U1", "UL")),
-    "y1_hi": (("X1", "V1", "VL"), ("X1", "VL", "XL")),
+# The five slab charts: each box [lo, hi] ("L" is the level L); its image
+# solid's centre, a point or the name of an apex vertex for apex + 0.10
+# (vertex mean - apex); the pieces on each box facet, by their face loops;
+# and the image solid's facets in facet order, each served by the piece that
+# holds that face.  A face at level 0 is the identity, a pair of triangles at
+# level L (" / " between them) is F, affine on each, and any other face is
+# the fan of a ``Radial2DPiece``; charts that list the same face share it.
+_CHARTS = {
+    "A'": {"box": ((0, 0, 0), (2, 2, 1)), "centre": (5.0, 1.0, 2.0),
+           "facets": {0: ["P0 P1 T1 Q1 Q0"], 1: ["S0 S1 V1 R1 R0"], 2: ["P0 P1 W1 S1 S0"],
+                      3: ["Q0 Q1 U1 R1 R0"], 4: ["P0 Q0 R0 S0"],
+                      5: ["P1 W1 X1 T1", "W1 S1 V1 X1", "T1 X1 U1 Q1", "X1 V1 R1 U1"]},
+           "codomain": ["P0 Q0 R0 S0", "P0 P1 T1 Q1 Q0", "S0 S1 V1 R1 R0", "P0 P1 W1 S1 S0",
+                        "Q0 Q1 U1 R1 R0", "P1 W1 X1 T1", "T1 X1 U1 Q1", "W1 S1 V1 X1",
+                        "X1 V1 R1 U1"]},
+    "A''1": {"box": ((0, 0, 1), (1, 1, "L")), "centre": "PL",
+             "facets": {0: ["P1 T1 TL PL"], 1: ["W1 X1 WL", "X1 XL WL"], 2: ["P1 W1 WL PL"],
+                        3: ["TL X1 XL", "T1 X1 TL"], 4: ["P1 W1 X1 T1"],
+                        5: ["PL WL XL / PL XL TL"]},
+             "codomain": ["P1 W1 X1 T1", "PL WL XL", "PL XL TL", "P1 T1 TL PL", "P1 W1 WL PL",
+                          "W1 X1 WL", "X1 XL WL", "TL X1 XL", "T1 X1 TL"]},
+    "A''2": {"box": ((1, 0, 1), (2, 1, "L")), "centre": "SL",
+             "facets": {0: ["W1 X1 WL", "X1 XL WL"], 1: ["S1 V1 VL SL"], 2: ["W1 S1 SL WL"],
+                        3: ["X1 V1 VL", "X1 VL XL"], 4: ["W1 S1 V1 X1"],
+                        5: ["WL SL XL / SL VL XL"]},
+             "codomain": ["W1 S1 V1 X1", "WL SL XL", "SL VL XL", "S1 V1 VL SL", "W1 S1 SL WL",
+                          "W1 X1 WL", "X1 XL WL", "X1 V1 VL", "X1 VL XL"]},
+    "A''3": {"box": ((0, 1, 1), (1, 2, "L")), "centre": "QL",
+             "facets": {0: ["T1 Q1 QL TL"], 1: ["X1 UL XL", "X1 U1 UL"],
+                        2: ["TL X1 XL", "T1 X1 TL"], 3: ["Q1 U1 UL QL"], 4: ["T1 X1 U1 Q1"],
+                        5: ["TL XL QL / XL UL QL"]},
+             "codomain": ["T1 X1 U1 Q1", "TL XL QL", "XL UL QL", "T1 Q1 QL TL", "Q1 U1 UL QL",
+                          "X1 UL XL", "X1 U1 UL", "TL X1 XL", "T1 X1 TL"]},
+    "A''4": {"box": ((1, 1, 1), (2, 2, "L")), "centre": "RL",
+             "facets": {0: ["X1 UL XL", "X1 U1 UL"], 1: ["V1 R1 RL VL"],
+                        2: ["X1 V1 VL", "X1 VL XL"], 3: ["U1 R1 RL UL"], 4: ["X1 V1 R1 U1"],
+                        5: ["XL VL RL / XL RL UL"]},
+             "codomain": ["X1 V1 R1 U1", "XL VL RL", "XL RL UL", "V1 R1 RL VL", "U1 R1 RL UL",
+                          "X1 UL XL", "X1 U1 UL", "X1 V1 VL", "X1 VL XL"]},
 }
 
 
-def build_asecond_charts(vt: VertexTable, L: float, aprime: CellChart):
-    """The four charts of the upper slab cells onto their star-shaped
-    image solids.  Each image solid is built about the centre
-    apex + 0.10 (centroid - apex), one tenth of the way from the image of
-    the cell's outer corner at level L to the mean of its vertices.  The
-    four image solids are built and certified in one ``star_shapes``
-    batch, and a solid whose centre fails raises ConstructionError naming
-    the chart (the solid at ``shape_index`` k is that of the k-th chart);
-    the boxes are ``StarShape.cuboid`` shapes, and the sixteen face fans
-    (two on each interior face, then the exterior faces chart by chart) are
-    one ``radial_pieces`` batch.  The bottom face of each chart takes the
-    piece of its quadrant on the top facet of A', whose pieces are in the
-    order P, W, T, X."""
-    top = dict(zip("PWTX", aprime.map.pieces_by_facet[5]))
-    faces = [tri for tris in _INT_FACE_DEFS.values() for tri in tris]
-    faces += [names for spec in _CELL_DEFS.values() for names in spec["ext"].values()]
-    made = iter(_radial_pieces(vt, faces))
-    int_faces = {key: [next(made) for _ in tris] for key, tris in _INT_FACE_DEFS.items()}
-    specs = []         # the image solid of each chart
-    parts = []         # (cell_id, lo, hi, pieces by domain facet, by codomain facet)
-    for cell_id, spec in _CELL_DEFS.items():
-        lo = np.array([spec["lo"][0], spec["lo"][1], 1.0])
-        hi = np.array([spec["hi"][0], spec["hi"][1], L])
+def _build_charts(vt, ids):
+    """The charts ``ids`` of ``_CHARTS``: one piece per distinct face (the
+    face fans in one ``radial_pieces`` batch), the image solids in one
+    ``star_shapes`` batch, ``StarShape.cuboid`` boxes and the cells in one
+    ``radial_maps`` pass.  An image solid whose centre fails its star
+    certificate raises ConstructionError naming its chart."""
+    specs = [_CHARTS[cid] for cid in ids]
+    faces = list(dict.fromkeys(face for spec in specs
+                               for on_facet in spec["facets"].values() for face in on_facet))
 
-        bottom_piece = top[spec["bottom_sq"]]
-        tri_a, tri_b = spec["top"]
-        top_piece = _formula_top_piece(vt, tri_a, tri_b)
+    def points(loop):      # the coordinates and the images of a loop's vertices
+        return [vt.coords[n] for n in loop.split()], [vt.images[n] for n in loop.split()]
 
-        pieces_by_facet = {4: [bottom_piece], 5: [top_piece]}
-        for facet in spec["ext"]:
-            pieces_by_facet[facet] = [next(made)]
-        for facet, key in spec["int"].items():
-            pieces_by_facet[facet] = int_faces[key]
-
-        # codomain solid: bottom quad, two top triangles, two exterior quads,
-        # four interior triangles
-        bottom_names = {"P": ["P1", "W1", "X1", "T1"],
-                        "W": ["W1", "S1", "V1", "X1"],
-                        "T": ["T1", "X1", "U1", "Q1"],
-                        "X": ["X1", "V1", "R1", "U1"]}[spec["bottom_sq"]]
-        facet_loops = [list(bottom_names), list(tri_a), list(tri_b)]
-        facet_pieces = [bottom_piece, top_piece, top_piece]
-        for facet in sorted(spec["ext"]):
-            facet_loops.append(spec["ext"][facet])
-            facet_pieces += pieces_by_facet[facet]
-        for _, key in sorted(spec["int"].items()):
-            facet_loops += _INT_FACE_DEFS[key]
-            facet_pieces += int_faces[key]
-
-        pool_names = sorted({n for loop in facet_loops for n in loop})
-        pool = {n: i for i, n in enumerate(pool_names)}
-        verts = np.array([vt.image(n) for n in pool_names])
-        facet_idx = [[pool[n] for n in loop] for loop in facet_loops]
-
-        apex = vt.image(spec["apex"])
-        centre = apex + 0.10 * (verts.mean(axis=0) - apex)
-        specs.append((verts, centre, facet_idx, None))
-        parts.append((cell_id, lo, hi, pieces_by_facet, dict(enumerate(facet_pieces))))
+    made, radial = {}, []
+    for face in faces:
+        levels = {n[1:] for n in face.replace(" / ", " ").split()}
+        if levels == {"0"}:
+            made[face] = IdentityPiece(points(face)[0])
+        elif levels == {"L"}:
+            made[face] = FormulaPiece([points(tri) for tri in face.split(" / ")])
+        else:
+            radial.append(face)
+    made.update(zip(radial, radial_pieces([points(face) for face in radial])))
+    serving = {part: made[face] for face in faces for part in face.split(" / ")}
+    boxes, solids = [], []
+    for spec in specs:
+        boxes.append([np.array([vt.L if c == "L" else float(c) for c in corner])
+                      for corner in spec["box"]])
+        names = sorted({n for face in spec["codomain"] for n in face.split()})
+        verts = np.array([vt.images[n] for n in names])
+        centre = spec["centre"]
+        if isinstance(centre, str):
+            apex = vt.images[centre]
+            centre = apex + 0.10 * (verts.mean(axis=0) - apex)
+        loops = [[names.index(n) for n in face.split()] for face in spec["codomain"]]
+        solids.append((verts, centre, loops, None))
     try:
-        solids = star_shapes(specs)
+        solids = star_shapes(solids)
     except GeometryError as err:
         if err.shape_index is None:
             raise
-        raise ConstructionError(
-            f"no certifiable star centre for image of {parts[err.shape_index][0]}: "
-            f"{err}") from err
-    maps = radial_maps([(StarShape.cuboid(lo, hi), solid, pieces_by_facet, by_codomain)
-                        for (_, lo, hi, pieces_by_facet, by_codomain), solid in zip(parts, solids)])
-    return [CellChart(cell_id, lo, hi, rmap) for (cell_id, lo, hi, *_), rmap in zip(parts, maps)]
+        raise ConstructionError(f"no certifiable star centre for image of "
+                                f"{ids[err.shape_index]}: {err}") from err
+    maps = radial_maps([
+        (StarShape.cuboid(lo, hi), solid,
+         {facet: [made[face] for face in on_facet] for facet, on_facet in spec["facets"].items()},
+         {k: serving[face] for k, face in enumerate(spec["codomain"])})
+        for spec, (lo, hi), solid in zip(specs, boxes, solids)])
+    return [CellChart(cid, lo, hi, rmap) for cid, (lo, hi), rmap in zip(ids, boxes, maps)]
+
+
+def build_aprime_chart(vt: VertexTable) -> CellChart:
+    """The chart of [0,2]^2 x [0,1] onto the nine-face image polyhedron
+    about (5, 1, 2): the identity on the bottom face and face fans on the
+    other eight (``_CHARTS["A'"]``, built by ``_build_charts``)."""
+    return _build_charts(vt, ["A'"])[0]
+
+
+def build_asecond_charts(vt: VertexTable):
+    """The charts A''1 to A''4 of the quadrants of [0,2]^2 x [1,L] onto
+    their star-shaped image solids, built together by ``_build_charts``:
+    each bottom face is the fan of a quadrant of the top facet of A' (a
+    piece of its own, bitwise equal to that of A'), each top face is F on
+    two triangles, and two charts that share a face share its two fans."""
+    return _build_charts(vt, ["A''1", "A''2", "A''3", "A''4"])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +268,7 @@ class GlobalMap:
     point through unchecked.
     """
 
-    def __init__(self, charts, L, L_prime=None, mode="g", constants=None):
+    def __init__(self, charts, L, L_prime=None, mode="g"):
         if mode not in ("g", "f"):
             raise ValueError("mode must be 'g' or 'f'")
         if mode == "f" and L_prime is None:
@@ -347,7 +278,6 @@ class GlobalMap:
         self.L = float(L)
         self.L_prime = float(L_prime) if L_prime is not None else None
         self.mode = mode
-        self.constants = constants
         self._shift = self.L_prime if mode == "f" else 0.0
         self._aprime = self.by_id["A'"]
         self._cells = [self.by_id[f"A''{i}"] for i in (1, 2, 3, 4)]
@@ -392,10 +322,6 @@ class GlobalMap:
 
     def __call__(self, p):
         return self.eval(p)
-
-
-def assemble_g(charts, L, constants=None) -> GlobalMap:
-    return GlobalMap(charts, L, mode="g", constants=constants)
 
 
 # how far a cell's affine map may lift a cell vertex above the image vertices
@@ -642,17 +568,15 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     nothing: they set the sampled checks that exact certificates replaced,
     and are kept so that existing callers keep working.
 
-    Each chart phase builds its image solids in one ``geometry.star_shapes``
-    batch, certified by one stacked ``certify_star_centres`` pass (the one
-    solid of A' in ``build_aprime_chart``, the four of the A'' charts in
-    ``build_asecond_charts``), and its boxes as ``StarShape.cuboid`` shapes,
-    whose facets and certificate are in closed form.  Its face fans are one
-    ``pieces.radial_pieces`` batch, and its charts' ``RadialMap``s stack
-    their cells in one pass (``star_extend.radial_maps`` for the four A''
-    charts).  Each chart's boundary map is then validated by its own
-    ``RadialMap.validate_boundary_map`` call, on the cells that its map
-    stacked and the facet planes that its shapes computed when they were
-    built.
+    The two chart phases, ``build_aprime_chart`` (A') and
+    ``build_asecond_charts`` (the four A'' charts), are each one
+    ``_build_charts`` call on rows of ``_CHARTS``: one batch of face fans,
+    one ``geometry.star_shapes`` batch of image solids (certified by one
+    stacked ``certify_star_centres`` pass), closed-form cuboid boxes and one
+    ``star_extend.radial_maps`` pass that stacks the cells.  Each chart's
+    boundary map is then validated by its own
+    ``RadialMap.validate_boundary_map`` call, on the cells and facet planes
+    computed when it was built.
 
     ``phase_s`` holds the wall seconds of the five build phases, named by
     module and function (the boundary-map validation summed over the
@@ -670,13 +594,13 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     L = constants.L
     vt = build_vertex_table(L)
     aprime = timed("global_map.build_aprime_chart", build_aprime_chart, vt)
-    cells = timed("global_map.build_asecond_charts", build_asecond_charts, vt, L, aprime)
+    cells = timed("global_map.build_asecond_charts", build_asecond_charts, vt)
     charts = [aprime] + cells
     n_cells, min_cell_det = certify_cell_orientation(charts)
-    g = assemble_g(charts, L, constants)
+    g = GlobalMap(charts, L)
     L_prime = timed("global_map.derive_translation_constant",
                     derive_translation_constant, g)
-    f = GlobalMap(charts, L, L_prime, mode="f", constants=constants)
+    f = GlobalMap(charts, L, L_prime, mode="f")
     g.L_prime = L_prime
     validations = {}
     if validate:

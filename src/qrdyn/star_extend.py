@@ -189,10 +189,8 @@ class RadialMap:
             if id(piece) not in serving:
                 raise GeometryError(f"piece {piece.kind} serves no codomain facet")
         slot = {id(piece): k for k, piece in enumerate(self.pieces)}
-        # a piece that serves a codomain facet but holds no domain facet
-        # takes the spare last row, which no cell reads
-        served = np.zeros((len(self.pieces) + 1, len(cod_d)), dtype=bool)
-        served[[slot.get(id(piece), -1) for piece in self.piece_by_codomain_facet.values()],
+        served = np.zeros((len(self.pieces), len(cod_d)), dtype=bool)
+        served[[slot[id(piece)] for piece in self.piece_by_codomain_facet.values()],
                list(self.piece_by_codomain_facet)] = True
         # every cell vertex and its image, cell after cell
         dom, img, start = self.points, self.targets, _starts(self.sizes)
@@ -403,7 +401,9 @@ def _build_maps(maps, specs):
     linear parts, and one inverse gives the fan frames.  Each map keeps its
     slice of the stacked arrays; a stacked solve or inverse equals the
     per-matrix call bitwise, so every map is the one that its own
-    construction builds.  Raises the first error met."""
+    construction builds.  Raises the first error met; a facet without
+    pieces, and a piece that serves a codomain facet but holds no domain
+    facet (no cells to invert there), are met before any stacking."""
     doms, imgs, owner, facets, levels, walks, cells_of = [], [], [], [], [], [], []
     for rmap, (domain, codomain, pieces_by_facet, by_codomain) in zip(maps, specs):
         if domain.box is None:
@@ -451,6 +451,10 @@ def _build_maps(maps, specs):
                 doms.extend(dom for dom, _ in piece.cells)
                 imgs.extend(q for _, img in piece.cells for q in img)
             walk.append((iu, iv, firsts))
+        for f, piece in rmap.piece_by_codomain_facet.items():
+            if id(piece) not in cells:
+                raise GeometryError(f"the {piece.kind} piece serving codomain facet {f} "
+                                    "holds no domain facet")
         walks.append(walk)
         cells_of.append(cells)
     sizes = np.array([len(dom) for dom in doms])

@@ -325,7 +325,9 @@ def _polygons(rmap):
 
 
 def _radial_faces(build):
-    """The build's distinct Radial2D pieces: 24 faces."""
+    """The build's distinct Radial2D pieces: 28 pieces on 24 faces, since
+    each A'' chart builds its own piece on its quadrant of the top facet
+    of A'."""
     faces = {}
     for chart in build.g.charts:
         for piece in chart.map.pieces:
@@ -418,7 +420,12 @@ class TestBuildMatchesOracles:
 
     def test_radial_faces(self, build):
         faces = _radial_faces(build)
-        assert len(faces) == 24
+        assert len({tuple(cell[0][1] for cell in piece.cells) for piece in faces}) == 24
+        aprime_top = build.g.by_id["A'"].map.pieces_by_facet[5]      # P, W, T, X
+        for k, top in enumerate(aprime_top):
+            bottom, = build.g.by_id[f"A''{k + 1}"].map.pieces_by_facet[4]
+            assert bottom is not top
+            assert _bits(bottom.cells) == _bits(top.cells)
         for piece in faces:
             for j, (frame, centre) in enumerate(((piece.dom_frame, piece.dom_centre),
                                                  (piece.img_frame, piece.img_centre))):

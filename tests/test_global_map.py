@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from qrdyn import geometry, global_map, zorich
-from qrdyn.global_map import (ConstructionError, _cell_index, assemble_g, audit_dilatation,
-                              audit_orientation, audit_seams,
-                              build_asecond_charts, build_maps, build_vertex_table,
+from qrdyn.global_map import (ConstructionError, GlobalMap, _CHARTS, _cell_index,
+                              audit_dilatation, audit_orientation, audit_seams,
+                              build_aprime_chart, build_asecond_charts, build_maps,
+                              build_vertex_table,
                               constants_report_text,
                               derive_translation_constant, _IMAGES,
                               _TOP_QUAD_PLANES)
@@ -39,8 +40,8 @@ class TestVertexTable:
     def test_prescribed_vertices_and_images(self, build):
         vt = build.vertex_table
         for name, (coord, image) in TABLE.items():
-            assert np.array_equal(vt.coord(name), np.array(coord))
-            assert np.array_equal(vt.image(name), np.array(image))
+            assert np.array_equal(vt.coords[name], np.array(coord))
+            assert np.array_equal(vt.images[name], np.array(image))
 
     def test_level_L_images_follow_the_closed_form(self, build):
         vt = build.vertex_table
@@ -52,13 +53,13 @@ class TestVertexTable:
             "RL": (2, 2, L + e), "UL": (1 + e, 2, L), "QL": (0, 2, L - e),
         }
         for name, img in expected.items():
-            assert np.allclose(vt.image(name), img, rtol=0, atol=1e-12)
+            assert np.allclose(vt.images[name], img, rtol=0, atol=1e-12)
 
     def test_image_quads_planar_in_stated_planes(self, build):
         vt = build.vertex_table
         for names, coeff, rhs in _TOP_QUAD_PLANES:
             for n in names:
-                assert abs(float(np.dot(coeff, vt.image(n))) - rhs) <= 1e-12
+                assert abs(float(np.dot(coeff, vt.images[n])) - rhs) <= 1e-12
 
     def test_tampered_image_rejected(self, monkeypatch):
         bad = dict(_IMAGES)
@@ -67,13 +68,15 @@ class TestVertexTable:
         with pytest.raises(ConstructionError):
             build_vertex_table(4.4)
 
-    @pytest.mark.parametrize("cid", ["A''1", "A''2", "A''3", "A''4"])
+    @pytest.mark.parametrize("cid", ["A'", "A''1", "A''2", "A''3", "A''4"])
     def test_uncertifiable_codomain_centre_names_the_chart(self, build, monkeypatch, cid):
         # a centre on one image solid's boundary (one of its vertices)
-        # fails the star test when the batch of the four image solids is
-        # built: the solid at shape_index k is that of the k-th chart
+        # fails the star test when the batch of the chart phase's image
+        # solids is built: the solid at shape_index k is that of the k-th
+        # chart of the phase (A' alone, or the four A'' charts)
         real = global_map.star_shapes
-        k = int(cid[-1]) - 1
+        k = 0 if cid == "A'" else int(cid[-1]) - 1
+        phase = build_aprime_chart if cid == "A'" else build_asecond_charts
 
         def broken(specs):
             verts, _, facets, box = specs[k]
@@ -82,8 +85,41 @@ class TestVertexTable:
         monkeypatch.setattr(global_map, "star_shapes", broken)
         with pytest.raises(ConstructionError,
                            match=f"star centre for image of {cid}: star test fails"):
-            build_asecond_charts(build.vertex_table, build.constants.L,
-                                 build.g.by_id["A'"])
+            phase(build.vertex_table)
+
+
+class TestChartTable:
+    def test_facet_faces_lie_in_their_box_facet(self, build):
+        # facet 2k is the face x_k = lo[k], facet 2k + 1 the face x_k = hi[k]
+        vt = build.vertex_table
+        for cid, spec in _CHARTS.items():
+            for facet, faces in spec["facets"].items():
+                level = spec["box"][facet % 2][facet // 2]
+                level = vt.L if level == "L" else level
+                for face in faces:
+                    for name in face.replace(" / ", " ").split():
+                        assert vt.coords[name][facet // 2] == level, (cid, facet, face)
+
+    def test_codomain_facets_are_faces_of_the_charts_pieces(self):
+        for cid, spec in _CHARTS.items():
+            parts = {part for faces in spec["facets"].values() for face in faces
+                     for part in face.split(" / ")}
+            assert set(spec["codomain"]) <= parts, cid
+            assert len(set(spec["codomain"])) == len(spec["codomain"]), cid
+
+    def test_charts_are_the_table(self, build):
+        # each chart's pieces are those its table names, in facet order, and
+        # each codomain facet is served by the piece that holds its face
+        for cid, spec in _CHARTS.items():
+            rmap = build.g.by_id[cid].map
+            assert sorted(rmap.pieces_by_facet) == list(range(6))
+            for facet, faces in spec["facets"].items():
+                assert len(rmap.pieces_by_facet[facet]) == len(faces), (cid, facet)
+            holder = {part: piece for facet, faces in spec["facets"].items()
+                      for face, piece in zip(faces, rmap.pieces_by_facet[facet])
+                      for part in face.split(" / ")}
+            assert rmap.piece_by_codomain_facet == {k: holder[face] for k, face
+                                                    in enumerate(spec["codomain"])}
 
 
 class TestImageSolids:
@@ -216,7 +252,7 @@ class TestShiftedMap:
 
     def test_vertex_maximum_attained_at_beam_corner_images(self, build):
         vt = build.vertex_table
-        tops = sorted(((float(vt.image(n)[2]), n) for n in
+        tops = sorted(((float(vt.images[n][2]), n) for n in
                        ("PL", "QL", "RL", "SL")), reverse=True)
         assert tops[0][1] in ("PL", "RL")
         assert tops[0][0] == build.L_prime - 1.0
@@ -277,7 +313,7 @@ class TestShiftedMap:
 
     def test_g_is_not_shifted_by_a_later_L_prime(self, build, gmap):
         # build_maps assigns g.L_prime after assembling g
-        g = assemble_g(gmap.charts, gmap.L)
+        g = GlobalMap(gmap.charts, gmap.L)
         pts = self._dispatch_points(gmap.L)
         before = [g.eval3(*p) for p in pts]
         g.L_prime = build.L_prime

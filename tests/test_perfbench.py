@@ -1,8 +1,9 @@
 """Smoke test of the benchmark harness: short traced and untraced runs of
 ``perfbench/run.py``.  The traced runs patch the package's layer functions
 by name (``perfbench/traced.py``), so they fail when one of them is renamed
-or stops being called where the harness expects it: the portrait run counts
-the map calls made under ``classify_escape`` through ``GlobalMap.eval3``."""
+or stops being called where the harness expects it: the traced build times
+every build phase, and the portrait run counts the map calls made under
+``classify_escape`` through ``GlobalMap.eval3``."""
 
 import json
 import math
@@ -14,6 +15,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+# the build phases that ``build_maps`` calls through their module or class
+# attributes, which the traced run patches
+BUILD_PHASES = ("zorich.derive_beam_constants_s", "global_map.build_aprime_chart_s",
+                "global_map.build_asecond_charts_s", "global_map.derive_translation_constant_s",
+                "star_extend.validate_boundary_map_s")
 
 
 def run_bench(trace, workload="growth_certify"):
@@ -33,6 +39,11 @@ def test_growth_certify_reports_every_metric(trace, section):
     for name in (m["name"] for m in BENCHMARK[section]):
         assert name in metrics, name
         assert math.isfinite(metrics[name]["value"]), (name, metrics[name])
+    if trace:
+        # a phase that the build stopped calling through its attribute keeps
+        # the span name that patching it registered, and reads 0.0
+        for name in BUILD_PHASES:
+            assert metrics[name]["value"] > 0.0, (name, metrics[name])
 
 
 def test_traced_portrait_sees_the_map_calls():

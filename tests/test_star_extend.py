@@ -443,7 +443,7 @@ class TestBatches:
     """``radial_pieces`` and ``radial_maps`` against one object at a time."""
 
     def test_radial_pieces_are_the_pieces_built_one_by_one(self, build):
-        # the build's 24 face fans, and seeded quadrilaterals off their plane
+        # the build's face fans, and seeded quadrilaterals off their plane
         faces = {}
         for chart in build.g.charts:
             for piece in chart.map.pieces:
@@ -488,6 +488,20 @@ class TestBatches:
             assert rmap.linear.tobytes() == alone.linear.tobytes()
             assert repr((rmap._facets, rmap._all_image_cells, rmap._box)) \
                 == repr((alone._facets, alone._all_image_cells, alone._box))
+
+    def test_a_serving_piece_without_a_domain_facet_is_named(self):
+        # codomain facet 5 is served by a piece that holds no domain facet:
+        # both entry points name it before stacking any cell
+        pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
+        spare = IdentityPiece(face_loops(1.0)[5])
+        spec = (cube_shape(), cube_shape(), {f: [p] for f, p in pieces.items()},
+                {**pieces, 5: spare})
+        good = (cube_shape(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces)
+        want = "the identity piece serving codomain facet 5 holds no domain facet"
+        with pytest.raises(GeometryError, match=want):
+            RadialMap(*spec)
+        with pytest.raises(GeometryError, match=want):
+            radial_maps([good, spec])
 
     def test_a_map_batch_raises_what_its_first_failing_map_raises(self):
         # a singular cell fails after the sector tests, a missing facet
