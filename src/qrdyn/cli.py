@@ -15,10 +15,12 @@ of affine cells of the slab atlas (``cells``), the least determinant of
 their linear parts (``min_cell_det``, which the build requires to be
 positive), the largest dilatation of a cell (``K_slab``) and each chart's
 verdict from the exact boundary-map validation, and each chart's
-star-centre certificates: for its domain and its codomain the centre, theta,
-eps and the Lipschitz constants (eta, T) of the ray projection that follow
-from them.  The JSON object also gives ``phase_s``: the wall seconds of each
-build phase, keyed by module and function.
+Lipschitz constants (``lipschitz``): on its box, max sigma_max over its
+cells, and of its inverse, max 1 / sigma_min, with the method that took
+them.  Every image solid passed the exact star test when it was built: the
+ray from its centre crosses its boundary once, which the ray projection
+psi relies on.  The JSON object also gives ``phase_s``: the wall seconds of
+each build phase, keyed by module and function.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import zorich
 from .cones import _cross
-from .geometry import GeometryError, StarShape, local_lipschitz_constants, star_shapes
+from .geometry import GeometryError, cuboid_spec, star_shapes
 from .pieces import FormulaPiece, IdentityPiece, radial_pieces
 from .star_extend import RadialMap, ValidationReport, radial_maps
 
@@ -166,10 +166,11 @@ _CHARTS = {
 
 def _build_charts(vt, ids):
     """The charts ``ids`` of ``_CHARTS``: one piece per distinct face (the
-    face fans in one ``radial_pieces`` batch), the image solids in one
-    ``star_shapes`` batch, ``StarShape.cuboid`` boxes and the cells in one
-    ``radial_maps`` pass.  An image solid whose centre fails its star
-    certificate raises ConstructionError naming its chart."""
+    face fans in one ``radial_pieces`` batch), the image solids and the
+    boxes in one ``star_shapes`` batch (one star test of all their
+    centres) and the cells in one ``radial_maps`` pass.  An image solid
+    whose centre fails the star test raises ConstructionError naming its
+    chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
                                for on_facet in spec["facets"].values() for face in on_facet))
@@ -200,18 +201,19 @@ def _build_charts(vt, ids):
             centre = apex + 0.10 * (verts.mean(axis=0) - apex)
         loops = [[names.index(n) for n in face.split()] for face in spec["codomain"]]
         solids.append((verts, centre, loops, None))
+    domains = [cuboid_spec(lo, hi) for lo, hi in boxes]
     try:
-        solids = star_shapes(solids)
+        shapes = star_shapes(solids + domains)
     except GeometryError as err:
-        if err.shape_index is None:
+        if err.shape_index is None or err.shape_index >= len(ids):
             raise
         raise ConstructionError(f"no certifiable star centre for image of "
                                 f"{ids[err.shape_index]}: {err}") from err
     maps = radial_maps([
-        (StarShape.cuboid(lo, hi), solid,
+        (domain, solid,
          {facet: [made[face] for face in on_facet] for facet, on_facet in spec["facets"].items()},
          {k: serving[face] for k, face in enumerate(spec["codomain"])})
-        for spec, (lo, hi), solid in zip(specs, boxes, solids)])
+        for spec, solid, domain in zip(specs, shapes, shapes[len(ids):])])
     return [CellChart(cid, lo, hi, rmap) for cid, (lo, hi), rmap in zip(ids, boxes, maps)]
 
 
@@ -495,18 +497,23 @@ def _sigma_extremes_det(m):
     return np.sqrt(lam_max), np.sqrt(np.maximum(lam_min, 0.0)), det
 
 
-def cell_dilatations(charts):
-    """K = max(sigma_max^3 / det, det / sigma_min^3) of the linear part m of
-    every cell of the charts (inf where det <= 0), from the sigma_max of
-    ``_sigma_extremes_det`` for m and for its cofactor matrix, whose
-    singular values are det / sigma_i: det / sigma_min^3 is then
-    sigma_max(cof m)^3 / det^2, without the eps * kappa^2 error of the
-    closed-form sigma_min (kappa reaches 3000 on the cells)."""
-    m = np.concatenate([c.map.linear for c in charts])
+def _cell_sigmas(m):
+    """(sigma_max, sigma_max of the cofactor matrix, det) of each linear
+    part m, from ``_sigma_extremes_det``.  The singular values of cof m are
+    det / sigma_i, so sigma_max(cof m) / det is 1 / sigma_min, without the
+    eps * kappa^2 error of the closed-form sigma_min (kappa reaches 3000 on
+    the cells)."""
     r0, r1, r2 = m[:, 0], m[:, 1], m[:, 2]
     cof = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)], axis=1)
     s_max, _, det = _sigma_extremes_det(m)
-    s_cof = _sigma_extremes_det(cof)[0]
+    return s_max, _sigma_extremes_det(cof)[0], det
+
+
+def cell_dilatations(charts):
+    """K = max(sigma_max^3 / det, det / sigma_min^3) of the linear part of
+    every cell of the charts (inf where det <= 0), from ``_cell_sigmas``:
+    det / sigma_min^3 is sigma_max(cof m)^3 / det^2."""
+    s_max, s_cof, det = _cell_sigmas(np.concatenate([c.map.linear for c in charts]))
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.maximum(s_max ** 3 / det, s_cof ** 3 / det ** 2)
     return np.where(det > 0.0, k, math.inf)
@@ -571,10 +578,12 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     The two chart phases, ``build_aprime_chart`` (A') and
     ``build_asecond_charts`` (the four A'' charts), are each one
     ``_build_charts`` call on rows of ``_CHARTS``: one batch of face fans,
-    one ``geometry.star_shapes`` batch of image solids (certified by one
-    stacked ``certify_star_centres`` pass), closed-form cuboid boxes and one
-    ``star_extend.radial_maps`` pass that stacks the cells.  Each chart's
-    boundary map is then validated by its own
+    one ``geometry.star_shapes`` batch of the image solids and the boxes
+    and one ``star_extend.radial_maps`` pass that stacks the cells.  The
+    batch runs one exact star test (``geometry.certify_star_centres``) on
+    all its centres, which proves that the ray from each centre crosses
+    its shape's boundary once, as the radial extension and ``psi`` need.
+    Each chart's boundary map is then validated by its own
     ``RadialMap.validate_boundary_map`` call, on the cells and facet planes
     computed when it was built.
 
@@ -617,21 +626,26 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
                        validations=validations, phase_s=phase_s)
 
 
-def _certificate_entry(shape):
-    eta, T = local_lipschitz_constants(shape)
-    return {"centre": shape.centre.tolist(), "theta": shape.certificate.theta,
-            "eps": shape.certificate.eps, "eta": eta, "T": T}
+def chart_lipschitz(chart):
+    """The Lipschitz constants of a chart, from the linear parts A of its
+    cells (``_cell_sigmas``): ``box``, max sigma_max(A), the Lipschitz
+    constant of the chart on its box (convex, and the chart is continuous
+    and affine on each cell), and ``inverse``, max sigma_max(cof A) / det A
+    = max 1 / sigma_min(A), the local Lipschitz constant of its inverse;
+    ``method`` names how they were taken."""
+    s_max, s_cof, det = _cell_sigmas(chart.map.linear)
+    return {"method": "cells-closed-form", "box": float(s_max.max()),
+            "inverse": float((s_cof / det).max())}
 
 
 def build_report(build: BuildResult) -> dict:
     """The constants, their margins, L', the affine cell count, the least
     cell determinant, the largest cell dilatation, each chart's validation
-    verdict, the wall seconds of each build phase (``phase_s``) and the
-    star-centre certificates (``certificates``): per chart, for its domain
-    and its codomain, the centre, the certificate's theta and eps, and the
-    constants (eta, T) of ``geometry.local_lipschitz_constants`` (psi is
-    T/|xi - a|-Lipschitz on the balls B(xi, eta |xi - a|)).  ``qrdyn build
-    --json`` prints it."""
+    verdict, the wall seconds of each build phase (``phase_s``) and each
+    chart's Lipschitz constants (``lipschitz``, from ``chart_lipschitz``).
+    Every chart's image solid passed the star test when it was built, so
+    the ray from its centre crosses its boundary once and ``psi`` is
+    defined on it.  ``qrdyn build --json`` prints it."""
     c = build.constants
     return {
         "c0": c.c0,
@@ -646,23 +660,19 @@ def build_report(build: BuildResult) -> dict:
         "K_slab": build.K_slab,
         "validations": {cid: rep.passed for cid, rep in build.validations.items()},
         "phase_s": dict(build.phase_s),
-        "certificates": {chart.cell_id: {"domain": _certificate_entry(chart.map.domain),
-                                         "codomain": _certificate_entry(chart.map.codomain)}
-                         for chart in build.g.charts},
+        "lipschitz": {chart.cell_id: chart_lipschitz(chart) for chart in build.g.charts},
     }
 
 
 def constants_report_text(build: BuildResult) -> str:
     """Plain key = value dump: the scalar entries of ``build_report`` in its
-    order, then each chart's centre certificates from its
-    ``certificates``, as ``chart.<id>.<domain|codomain>_<entry>`` lines."""
+    order, then each chart's Lipschitz constants from its ``lipschitz``, as
+    ``chart.<id>.lipschitz_<entry>`` lines."""
     report = build_report(build)
     lines = [f"{key} = {value:.12g}" for key, value in report.items()
              if not isinstance(value, dict)]
-    for cid, sides in report["certificates"].items():
-        for side, entry in sides.items():
-            for key, value in entry.items():
-                text = ("(" + ", ".join(f"{v:.6g}" for v in value) + ")"
-                        if key == "centre" else f"{value:.6g}")
-                lines.append(f"chart.{cid}.{side}_{key} = {text}")
+    for cid, entry in report["lipschitz"].items():
+        for key, value in entry.items():
+            text = value if isinstance(value, str) else f"{value:.6g}"
+            lines.append(f"chart.{cid}.lipschitz_{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -12,11 +12,7 @@ tests.
   takes it by a sector test;
 - ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
   triangles (``_ray_tris``), exterior where no crossing lies at or beyond x;
-- ``facet_vertex_cones_probe``: the generators of each facet's direction
-  cone at each of its corners, with the arc chosen by probing a point just
-  off the corner with an even-odd ray cast (``point_in_polygon``), as
-  ``geometry`` built them before it read the arc off the loop's
-  orientation;
+- ``point_in_polygon``: even-odd ray casting in a plane;
 - ``cover_deviation_per_triangle`` and ``oriented_area_fraction``: the
   seam deviation and the oriented areas of a chart's boundary triangles,
   one triangle at a time, the latter in Fraction;
@@ -24,10 +20,6 @@ tests.
   solved against every triangle vertex in one batched solve, as
   ``star_extend._cover_deviation`` took it before it kept to the vertices
   on each triangle's facet plane;
-- ``cones_contain_line_lapack``: the line-in-cone test of the vertex term
-  with every generator triple's det and coefficients from LAPACK, which
-  ``cones._cones_contain_line`` takes in closed form away from the
-  thresholds;
 - ``zorich_composed``: Z composed from the scalar fold ``_fold1``, the parity
   of its flags and a scaling per coordinate, which ``zorich_scalar`` writes
   out;
@@ -54,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qrdyn.cones import _CONE_TRIPLES, _ray_box_scalar
+from qrdyn.cones import _ray_box_scalar
 from qrdyn.geometry import (TAU_GEOM, BoundaryHit, CertificationFailure, GeometryError,
                             _as_array, _point_in_tri2)
 from qrdyn.zorich import _EXP_ARG_MAX, F_scalar, _fold1
@@ -120,54 +112,6 @@ def point_in_polygon(v, p):
     return inside
 
 
-def unit(v):
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise GeometryError("zero direction")
-    return v / n
-
-
-def facet_vertex_cones_probe(shape):
-    """For each vertex of a 3D shape: the incident facets and, per facet,
-    generators of the convex decomposition of the facet's direction cone at
-    that vertex (directions d with q + eps*d inside the facet polygon), as
-    {vertex: [(facet, generators (k, 3))]} in the order of first appearance.
-    The arc of the cone (from the edge to the previous vertex
-    counter-clockwise to the edge to the next one, or its complement) is the
-    one whose midpoint direction points into the polygon."""
-    verts = shape.vertices
-    cones = {}
-    for fi, poly in enumerate(shape.facet_polys):
-        m = len(poly)
-        n0 = shape._facet_normal[fi]
-        origin = verts[poly[0]]
-        e1ref = unit(verts[poly[1]] - origin)
-        e2ref = np.cross(n0, e1ref)
-        pts2 = np.asarray([((verts[i] - origin) @ e1ref, (verts[i] - origin) @ e2ref)
-                           for i in poly])
-        for k in range(m):
-            q = verts[poly[k]]
-            eprev = verts[poly[k - 1]] - q
-            enext = verts[poly[(k + 1) % m]] - q
-            phi1 = math.atan2((eprev @ e2ref), (eprev @ e1ref))
-            phi2 = math.atan2((enext @ e2ref), (enext @ e1ref))
-            width_ccw = (phi2 - phi1) % (2 * math.pi)
-            q2 = (float((q - origin) @ e1ref), float((q - origin) @ e2ref))
-            eps = 1e-5 * min(np.linalg.norm(eprev), np.linalg.norm(enext))
-            mid = phi1 + width_ccw / 2
-            if point_in_polygon(pts2, (q2[0] + eps * math.cos(mid),
-                                       q2[1] + eps * math.sin(mid))):
-                start, width = phi1, width_ccw
-            else:
-                start, width = phi2, (2 * math.pi - width_ccw) % (2 * math.pi)
-            pieces = max(1, int(math.ceil(width / 1.5)))
-            gens = [math.cos(start + width * j / pieces) * e1ref
-                    + math.sin(start + width * j / pieces) * e2ref
-                    for j in range(pieces + 1)]
-            cones.setdefault(poly[k], []).append((fi, np.array(gens)))
-    return cones
-
-
 def cover_deviation_per_triangle(dom, img, tol):
     """``star_extend._cover_deviation`` one triangle at a time."""
     pts, images = dom.reshape(-1, 3), img.reshape(-1, 3)
@@ -205,19 +149,6 @@ def cover_deviation_all_pairs(dom, img, tol):
     want = (img[tri, 0] + u[tri, at][:, None] * f[:, 0]
             + v[tri, at][:, None] * f[:, 1])
     return float(np.linalg.norm(want - images[at], axis=1).max(initial=0.0))
-
-
-def cones_contain_line_lapack(cones, u, tol=1e-9):
-    """Per cone of ``cones`` (K, 4, 3): True if u[k] or -u[k] lies in the
-    cone of its four generators, each generator triple with
-    |np.linalg.det| >= 1e-12 solved by ``np.linalg.solve`` for the unit
-    vector along u[k]."""
-    m = np.swapaxes(cones[:, _CONE_TRIPLES, :], -1, -2).reshape(-1, 3, 3)
-    un = u / np.sqrt(np.einsum("ij,ij->i", u, u))[:, None]
-    keep = np.abs(np.linalg.det(m)) >= 1e-12
-    lam = np.linalg.solve(m[keep], np.repeat(un, 4, axis=0)[keep][..., None])[..., 0]
-    hit = np.all(lam >= -tol, axis=1) | np.all(lam <= tol, axis=1)
-    return np.bincount(np.flatnonzero(keep)[hit] // 4, minlength=len(cones)) > 0
 
 
 def oriented_area_fraction(normal, tri):

@@ -10,8 +10,7 @@ import pytest
 
 from oracles import (cell_linear_part, cell_vertex_images, facet_is_planar_rows, frame_rows,
                      image_cell_frames, pick_star_centre_2d_rows, polygon_kernel_rows,
-                     polygon_normal_rows, radial_eval, radial_inverse, sector_entry,
-                     triangulate_planar_rows)
+                     radial_eval, radial_inverse, sector_entry, triangulate_planar_rows)
 from qrdyn.geometry import GeometryError, StarShape, _facet_coordinates, _triangulate_planar
 from qrdyn.global_map import (ConstructionError, _cell_index, cell_dilatations,
                               certify_cell_orientation)
@@ -462,8 +461,7 @@ class TestBuildMatchesOracles:
             assert _bits(polygon_kernel(flat2)) == _bits(polygon_kernel_rows(flat2))
             assert _bits(pick_star_centre_2d(flat2)) == _bits(pick_star_centre_2d_rows(flat2))
             v = np.array(loop)
-            normals, plane, edges = _facet_coordinates(v, [list(range(n))], 1e-11)
-            assert normals[0].tobytes() == polygon_normal_rows(v).tobytes()
+            plane = _facet_coordinates(v, [list(range(n))], 1e-11)
             tris, pts2 = triangulate_planar_rows(v, list(range(n)))
             assert _bits(plane[0]) == _bits(pts2)
             assert _triangulate_planar(list(range(n)), plane[0]) == tris
@@ -473,19 +471,12 @@ class TestBuildMatchesOracles:
         assert len(shapes) == 10
         for shape in shapes:
             v = shape.vertices
-            normals, plane, edges = _facet_coordinates(v, shape.facet_polys, shape.tol * 10)
-            assert normals.tobytes() == shape._facet_normal.tobytes()
-            want = [polygon_normal_rows(v[poly]) for poly in shape.facet_polys]
-            assert normals.tobytes() == np.array(want).tobytes()
+            plane = _facet_coordinates(v, shape.facet_polys, shape.tol * 10)
             for poly, pts2 in zip(shape.facet_polys, plane):
                 tris, want2 = triangulate_planar_rows(v, poly)
                 assert _bits(pts2) == _bits(want2)
                 assert _triangulate_planar(poly, pts2) == tris
                 assert facet_is_planar_rows(v[poly], shape.tol * 10)
-            lens = [np.linalg.norm(v[p[i]] - v[p[i - 1]])
-                    for p in shape.facet_polys for i in range(len(p))]
-            assert edges.tobytes() == np.array(lens).tobytes()
-            assert shape.min_feature == min(lens)
 
     def test_warped_facet_is_named(self):
         # the first facet that leaves its plane, as the per-facet test finds it

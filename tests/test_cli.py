@@ -5,11 +5,11 @@ import sys
 import tomllib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qrdyn
 from qrdyn import cli
-from qrdyn.geometry import local_lipschitz_constants
 from qrdyn.global_map import build_report, constants_report_text
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,21 +105,21 @@ def test_build_report_times_each_phase(build):
     assert "phase_s" not in constants_report_text(build)
 
 
-def test_build_report_lists_the_centre_certificates(build):
+def test_build_report_lists_the_chart_lipschitz_constants(build):
     report = build_report(build)
-    certificates = report["certificates"]
-    assert list(certificates) == ["A'", "A''1", "A''2", "A''3", "A''4"]
+    lipschitz = report["lipschitz"]
+    assert list(lipschitz) == ["A'", "A''1", "A''2", "A''3", "A''4"]
     lines = set(constants_report_text(build).splitlines())
     for chart in build.g.charts:
-        for side, shape in (("domain", chart.map.domain), ("codomain", chart.map.codomain)):
-            entry = certificates[chart.cell_id][side]
-            eta, T = local_lipschitz_constants(shape)
-            assert entry == {"centre": shape.centre.tolist(),
-                             "theta": shape.certificate.theta,
-                             "eps": shape.certificate.eps, "eta": eta, "T": T}
-            assert 0.0 < entry["eta"] <= 0.5 and entry["T"] > 0.0
-            # the text report prints the same entries
-            for key in ("theta", "eps", "eta", "T"):
-                assert f"chart.{chart.cell_id}.{side}_{key} = {entry[key]:.6g}" in lines
+        entry = lipschitz[chart.cell_id]
+        # the oracle: numpy's SVD of every cell's linear part
+        sigma = np.linalg.svd(chart.map.linear, compute_uv=False)
+        assert entry["method"] == "cells-closed-form"
+        assert entry["box"] == pytest.approx(sigma[:, 0].max(), rel=1e-12)
+        assert entry["inverse"] == pytest.approx((1.0 / sigma[:, -1]).max(), rel=1e-12)
+        # the text report prints the same entries
+        for key, value in entry.items():
+            text = value if key == "method" else f"{value:.6g}"
+            assert f"chart.{chart.cell_id}.lipschitz_{key} = {text}" in lines
     # the report is plain JSON
-    assert json.loads(json.dumps(report))["certificates"] == certificates
+    assert json.loads(json.dumps(report))["lipschitz"] == lipschitz

@@ -13,7 +13,7 @@ from qrdyn import geometry, global_map, zorich
 from qrdyn.global_map import (ConstructionError, GlobalMap, _CHARTS, _cell_index,
                               audit_dilatation, audit_orientation, audit_seams,
                               build_aprime_chart, build_asecond_charts, build_maps,
-                              build_vertex_table,
+                              build_vertex_table, chart_lipschitz,
                               constants_report_text,
                               derive_translation_constant, _IMAGES,
                               _TOP_QUAD_PLANES)
@@ -431,9 +431,31 @@ class TestAudits:
     def test_constants_report_text(self, build):
         text = constants_report_text(build)
         assert "c0 =" in text and "L_prime =" in text
-        assert "chart.A'.codomain_theta" in text
+        for line in ("chart.A'.lipschitz_method = cells-closed-form",
+                     "chart.A'.lipschitz_box = 10.1775", "chart.A'.lipschitz_inverse = 91.3467",
+                     "chart.A''4.lipschitz_box = 172.129",
+                     "chart.A''4.lipschitz_inverse = 27.1001"):
+            assert line in text.splitlines()
         for line in text.strip().splitlines():
             assert "=" in line
+
+
+class TestChartLipschitz:
+    @pytest.mark.parametrize("cid", ["A'", "A''1", "A''2", "A''3", "A''4"])
+    def test_box_constant_bounds_sampled_pairs(self, build, cid):
+        # the chart is continuous and affine on each cell of its convex box,
+        # so the largest sigma_max of a cell bounds it on every pair; far
+        # pairs and near ones come within 15 % of the bound on every chart
+        chart = build.g.by_id[cid]
+        lip = chart_lipschitz(chart)["box"]
+        lo, hi = chart.map.domain.box
+        rng = np.random.default_rng(21)
+        x = lo + rng.random((400, 3)) * (hi - lo)
+        y = lo + rng.random((400, 3)) * (hi - lo)
+        y[200:] = np.clip(x[200:] + 1e-3 * rng.normal(size=(200, 3)), lo, hi)
+        ratios = [math.dist(chart.map.eval(p), chart.map.eval(q)) / math.dist(p, q)
+                  for p, q in zip(x, y)]
+        assert 0.85 * lip <= max(ratios) <= lip * (1 + 1e-9)
 
 
 class TestNonFiniteInput:
@@ -496,10 +518,8 @@ class TestBuildWork:
         # maps share); one solve per chart in the boundary-map validation;
         # per phase one det and one inverse for the cone frames of its image
         # solids (a box never reads its cone frames, so a build forms none);
-        # and one det per chart in certify_cell_orientation.  The cone test
-        # of the vertex term is closed form and leaves to LAPACK only
-        # triples near its thresholds, of which a build has none.  A stack
-        # split into one call per chart, cell or sector shows here
+        # and one det per chart in certify_cell_orientation.  A stack split
+        # into one call per chart, cell or sector shows here
         with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve, \
                 mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv, \
                 mock.patch("numpy.linalg.det", wraps=np.linalg.det) as det:
@@ -510,16 +530,15 @@ class TestBuildWork:
         assert det.call_count == phases + phases + charts
 
     def test_one_certification_pass_per_chart_phase(self):
-        # the stacked kernel certifies the image solid of the A' phase and
-        # the four of the A'' phase in one call each, and each box takes
-        # its closed form; a general call per shape would be 10
-        with mock.patch("qrdyn.geometry._general_certificates",
-                        wraps=geometry._general_certificates) as kernel, \
-                mock.patch("qrdyn.geometry._box_certificate",
-                           wraps=geometry._box_certificate) as box:
+        # one stacked star test per chart phase takes the image solids and
+        # then the boxes of its charts, each about its own centre; a call
+        # per shape would be 10
+        with mock.patch("qrdyn.geometry._star_test", wraps=geometry._star_test) as star:
             build = build_maps()
-        assert [len(call.args[0]) for call in kernel.call_args_list] == [1, 4]
-        assert [shape for call in kernel.call_args_list for shape, _ in call.args[0]] == [
-            chart.map.codomain for chart in build.g.charts]
-        assert [call.args[0] for call in box.call_args_list] == [
-            chart.map.domain for chart in build.g.charts]
+        phases = [build.g.charts[:1], build.g.charts[1:]]
+        assert [[shape for shape, _ in call.args[0]] for call in star.call_args_list] == [
+            [chart.map.codomain for chart in charts] + [chart.map.domain for chart in charts]
+            for charts in phases]
+        for call in star.call_args_list:
+            for shape, a in call.args[0]:
+                assert a.tobytes() == shape.centre.tobytes()

@@ -1,6 +1,7 @@
 """Lint gates: every name a module of the package imports is used in it,
 every private module-level helper and private method is read by some module
-of the package,
+of the package, every function of the test oracles is reached from a test
+module,
 every parameter of a module-level function or of a method of a
 module-level class (but self and cls) is read by its body, every
 for-loop target is read by the loop's body, every attribute that the
@@ -17,6 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qrdyn"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source):
@@ -79,10 +81,10 @@ def private_definitions(source):
 
 
 def referenced_names(source):
-    """Every name that the source reads, as a name, an attribute or an
-    imported name."""
+    """Every name that the source (a module's text or a parsed node) reads,
+    as a name, an attribute or an imported name."""
     refs = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             refs.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -114,6 +116,40 @@ def test_detects_an_orphaned_helper():
 def test_no_orphaned_private_helpers():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_helpers(sources) == []
+
+
+def unreached_oracles(oracles, tests):
+    """(line, name) of each top-level function of the ``oracles`` source
+    that no source of ``tests`` reads, neither directly nor through the
+    oracles that a test reads."""
+    functions = {node.name: node for node in ast.parse(oracles).body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    todo = list(set().union(*map(referenced_names, tests)) & functions.keys())
+    reached = set(todo)
+    while todo:
+        new = referenced_names(functions[todo.pop()]) & functions.keys() - reached
+        reached |= new
+        todo += new
+    return sorted((node.lineno, name) for name, node in functions.items()
+                  if name not in reached)
+
+
+def test_detects_an_unreached_oracle():
+    # facet_vertex_cones_probe outlived the vertex term that it checked,
+    # and took unit along with it
+    oracles = ("def unit(v):\n    return v\n\n"
+               "def facet_vertex_cones_probe(shape):\n    return unit(shape)\n\n"
+               "def _ray_tris(shape):\n    return shape\n\n"
+               "def psi_ray_oracle(shape):\n    return _ray_tris(shape)\n")
+    tests = ["from oracles import psi_ray_oracle\n\ndef test_psi():\n"
+             "    assert psi_ray_oracle(1)\n"]
+    assert unreached_oracles(oracles, tests) == [(1, "unit"),
+                                                 (4, "facet_vertex_cones_probe")]
+
+
+def test_every_oracle_is_reached():
+    tests = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
+    assert unreached_oracles((TESTS / "oracles.py").read_text(), tests) == []
 
 
 def unused_parameters(source):
