@@ -3,8 +3,9 @@
 Orbits are iterated directly in floating point while representable; maps
 whose tail admits the closed-form log-domain surrogate of radial squaring
 with a bounded additive translation continue in log magnitudes past the
-overflow threshold, and ``log_domain_series`` follows the vertical tower
-t -> t + e^t - c in iterated-exponential form.
+overflow threshold, and the magnitudes of an orbit on an invariant
+vertical line follow the tower t -> t + e^t - c in iterated-exponential
+form (``tower_step``).
 Doubly-exponential comparisons (orbit versus iterated maximum modulus) are
 carried out in a normalized iterated-exponential representation.
 
@@ -84,9 +85,6 @@ class BigExp:
     def exp(self):
         return BigExp(self.depth + 1, self.head)
 
-    def to_float(self):
-        return self.value
-
     def _key(self):
         if self.value < math.inf:
             return (0, self.value)
@@ -163,11 +161,6 @@ class OrbitRecord:
     @property
     def steps(self):
         return len(self.rho) - 1
-
-
-def norm_safe(p):
-    """Euclidean norm without intermediate overflow (valid to ~1.7e308)."""
-    return math.hypot(*map(float, p))
 
 
 def _log_norm(p):
@@ -357,34 +350,6 @@ def escape_rate_series(map_handle: MapHandle, x, k_max: int, p: int = 1):
     return ks, aks, rec
 
 
-def log_domain_series(map_kind: str, start: float, k_max: int,
-                      translate: float = 0.0):
-    """Closed-form log-domain orbits.
-
-    "radial-square": returns [rho_0..rho_k] with rho the log magnitude and
-    rho' = 2 rho + log1p(c e^{-2 rho}); requires the squaring to dominate the
-    translation at the start.
-    "axis-tower": returns [t_0..t_k] as BigExp values of the third coordinate
-    under t -> t + e^t - translate.
-    """
-    if map_kind == "radial-square":
-        if 2 * start <= math.log(max(translate, 1.0)):
-            raise ValueError(
-                "magnitude too small for the squaring surrogate; iterate directly")
-        out = [float(start)]
-        for _ in range(k_max):
-            out.append(_radial_square_rho_step(out[-1], translate))
-        return out
-    if map_kind == "axis-tower":
-        t = BigExp.from_float(start)
-        out = [t]
-        for _ in range(k_max):
-            t = tower_step(t, translate)
-            out.append(t)
-        return out
-    raise ValueError(f"unknown surrogate kind: {map_kind}")
-
-
 def tower_step(t: BigExp, translate: float) -> BigExp:
     """One step of t -> t + e^t - translate in the iterated-exp representation."""
     if t.depth == 0:
@@ -519,25 +484,20 @@ def orbit_magnitudes_bigexp(f: MapHandle, x, count: int, translate: float):
     return out
 
 
-# mhat_tower samples M(r) up to this radius and bounds it by e^r beyond
+# _mhat_steps estimates M(r) up to this radius and bounds it by e^r beyond
 _DIRECT_LIMIT = 500.0
 
 
-def mhat_tower(map_handle: MapHandle, R: float, count: int, samples: int = 2000):
-    """Iterates of the sampled maximum modulus as BigExp values.
-
-    Each step up to r = 500 takes ``max_modulus_estimate``, which on f is
-    low by a factor up to sqrt(2) (exactly |f(0, 0, r)| from r = 120 on),
-    so the tower is low by up to that factor per step.  Beyond that radius
-    the step uses the conservative lower bound M(r) >= e^r (valid on the
-    vertical axis once r exceeds the downward translation), keeping the
-    fast-escape test one-sided."""
-    return _mhat_steps(lambda r: max_modulus_estimate(map_handle, r, samples),
-                       R, count)
-
-
 def _mhat_steps(estimate, R, count):
-    """``mhat_tower`` with the estimate of M(r) given as estimate(r)."""
+    """Iterates Mhat^k(R), k = 0..count, of the maximum modulus as BigExp
+    values, with the estimate of M(r) given as estimate(r).
+
+    Each step up to r = 500 takes the estimate, which on f is low by a
+    factor up to sqrt(2) for ``max_modulus_estimate`` (exactly |f(0, 0, r)|
+    from r = 120 on), so the tower is low by up to that factor per step.
+    Beyond that radius the step uses the conservative lower bound
+    M(r) >= e^r (valid on the vertical axis once r exceeds the downward
+    translation), keeping the fast-escape test one-sided."""
     m = BigExp.from_float(R)
     out = [m]
     for _ in range(count):
@@ -576,29 +536,6 @@ def fast_escape_test(f: MapHandle, x, R: float, ell_max: int = 4,
         if ok:
             return FastEscapeResult("fast", ell)
     return FastEscapeResult("not_observed")
-
-
-# ---------------------------------------------------------------------------
-# expansion of images of small balls in the beam regime
-
-def ball_growth_check(gm, xi, delta: float, samples: int = 500) -> float:
-    """min over sphere samples of |f(x) - f(xi)| / delta; the beam regime
-    makes this at least 32."""
-    x1, x2, x3 = map(float, xi)
-    L = gm.L
-    if (abs(x1 - 2 * round(x1 / 2.0)) + delta >= 1
-            or abs(x2 - 2 * round(x2 / 2.0)) + delta >= 1):
-        raise ValueError("ball leaves the fundamental half-beam")
-    if x3 - delta <= L:
-        raise ValueError("ball must sit above the expansion level")
-    fxi = gm.eval3(x1, x2, x3)
-    if fxi[2] <= L:
-        raise ValueError("image point must sit above the expansion level")
-    worst = math.inf
-    for d1, d2, d3 in _fibonacci_sphere(samples).tolist():
-        fp = gm.eval3(x1 + delta * d1, x2 + delta * d2, x3 + delta * d3)
-        worst = min(worst, math.dist(fp, fxi) / delta)
-    return worst
 
 
 # ---------------------------------------------------------------------------

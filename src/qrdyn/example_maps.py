@@ -5,7 +5,6 @@ bounded orbit inside an otherwise escaping domain."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,43 +24,6 @@ def radial_square_eval(p):
     """|x| x in any dimension; fixes the origin."""
     v = np.asarray(p, dtype=float)
     return tuple(float(np.linalg.norm(v)) * v)
-
-
-@dataclass(frozen=True)
-class DilatationOracle:
-    k_i: float
-    k_o: float
-    max_deviation: float
-
-
-def radial_power_dilatation_oracle(dim: int, samples: int = 1000,
-                                   seed: int = 0) -> DilatationOracle:
-    """Pointwise inner dilatation of |x| x from its analytic singular values
-    (radial 2|x|, tangential |x|), cross-checked against finite-difference
-    Jacobians at sample points."""
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
-    k_i = 2.0                      # J / l^d = 2 |x|^d / |x|^d
-    k_o = 2.0 ** (dim - 1)         # |D|^d / J = (2|x|)^d / (2 |x|^d)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(dim)
-        r = np.linalg.norm(x)
-        if r < 1e-3:
-            continue
-        h = 1e-6 * max(1.0, r)
-        j = np.zeros((dim, dim))
-        for k in range(dim):
-            dp = np.zeros(dim)
-            dp[k] = h
-            j[:, k] = (np.asarray(radial_square_eval(x + dp))
-                       - np.asarray(radial_square_eval(x - dp))) / (2 * h)
-        sv = np.linalg.svd(j, compute_uv=False)
-        det = abs(np.linalg.det(j))
-        worst = max(worst, abs(det / sv[-1] ** dim - k_i),
-                    abs(sv[0] ** dim / det - k_o))
-    return DilatationOracle(k_i=k_i, k_o=k_o, max_deviation=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +125,6 @@ def example_three(f) -> MapHandle:
         return patch.eval(q)
     return MapHandle(name="example3", fn=fn, dim=3, tracks_h0=True,
                      translate=f.L_prime)
-
-
-def fatou_h_handle() -> MapHandle:
-    return MapHandle(name="fatou-h", fn=fatou_h_eval, dim=2)
 
 
 def x0_for_example_two(f):

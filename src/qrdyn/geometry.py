@@ -5,10 +5,10 @@ star-shaped about its centre: construction runs the star test on the
 centre (``certify_star_centres``) and fails with ``CertificationFailure``
 where a surface triangle does not face it.  The test proves that every ray
 from the centre crosses the boundary exactly once.  The module provides
-membership classification and the ray-to-boundary projection psi, both
-read off that one crossing of the ray from the centre through x
-(``cones._crossing``: a scan of the cone frames of the surface triangles,
-precomputed per polyhedron and taken on first use by a box).
+the ray-to-boundary projection psi, read off that one crossing of the ray
+from the centre through x (``cones._crossing``: a scan of the cone frames
+of the surface triangles, precomputed per polyhedron and taken on first
+use by a box).
 
 Polyhedral surfaces are oriented outward at construction, so the star test
 is one exact sign per surface triangle: the signed volume of (a,
@@ -23,9 +23,9 @@ Construction and the star test run in stacks over many shapes:
 plane coordinates of all their facets, their cone frames and their facet
 planes), and ``certify_star_centres`` tests a batch of (shape, centre)
 pairs with one ``_det3_signs`` call over all their surface triangles.  One
-shape, or one centre, is a batch of one.  An axis-aligned box
-(``StarShape.cuboid``) skips the polyhedron steps: its facets, triangles
-and normals are fixed by ``cuboid_spec``'s layout.
+shape, or one centre, is a batch of one.  An axis-aligned box (a
+``cuboid_spec``) skips the polyhedron steps: its facets, triangles and
+normals are fixed by that layout.
 
 All shapes are immutable after construction; every operation is pure.
 """
@@ -36,7 +36,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -63,12 +62,6 @@ class BoundaryHit:
     t: float
 
 
-@dataclass(frozen=True)
-class Location:
-    kind: str          # "interior" | "boundary" | "exterior"
-    facet: Optional[int] = None
-
-
 def _as_array(x):
     a = np.asarray(x, dtype=float)
     if a.shape != (3,):
@@ -92,9 +85,11 @@ class StarShape:
     (``certify_star_centres``), so a shape with a surface triangle that does
     not face its centre is never built: it raises ``CertificationFailure``.
     Every ray from the centre of a built shape crosses its boundary exactly
-    once, which ``psi`` and ``locate`` rely on.  A spec with a box is
-    ``cuboid_spec``'s, and is built as a box; ``StarShape.polyhedron``
-    builds the same vertices and facets as a general polyhedron.
+    once, which ``psi`` relies on.  A spec with a box is ``cuboid_spec``'s,
+    and is built as a box: its triangles and facet normals are the
+    constants of that layout, and every other field is the one that the
+    same vertices and facets without the box build as a general
+    polyhedron.
     """
 
     def __init__(self, vertices, centre, facet_polys, box=None):
@@ -103,25 +98,8 @@ class StarShape:
     @functools.cached_property
     def _cones(self):
         """The cone frames of a box (``_cone_frames``), taken on first use
-        by ``locate`` or ``psi``.  A polyhedron's are set at construction."""
+        by ``psi``.  A polyhedron's are set at construction."""
         return _cone_frames(self.vertices[self.triangles] - self.centre, self.tri_facet, [12])[0]
-
-    # -- factories ---------------------------------------------------------
-
-    @classmethod
-    def polyhedron(cls, vertices, facet_polys, centre):
-        return cls(vertices, centre, facet_polys)
-
-    @classmethod
-    def cuboid(cls, lo, hi, centre=None):
-        """The box [lo, hi] about ``centre`` (its midpoint if None), built
-        from ``cuboid_spec`` without the polyhedron steps: its triangles
-        and facet normals are the constants of that layout.  Its centre
-        takes the star test of every shape, on its 12 triangles, and every
-        other field is the one that ``StarShape.polyhedron`` builds on the
-        same vertices and facets."""
-        return cls(*cuboid_spec(lo, hi, centre))
-
 
 # the facet loops of a box: index bit 2 is x (0 lo), bit 1 y, bit 0 z; facet
 # 2k is the face x_k = lo[k], facet 2k + 1 the face x_k = hi[k]
@@ -406,34 +384,18 @@ def _orient_outward(vertices, tris):
 
 
 # ---------------------------------------------------------------------------
-# classification and the ray projection psi
-
-def locate(shape: StarShape, x) -> Location:
-    """Classify x as interior / boundary(facet) / exterior of the shape,
-    off the crossing of the ray from the centre c through x that psi uses
-    (``_crossing``): boundary where it lies within 4 tol of x, interior
-    where it lies beyond x or x lies within tol of c, and exterior
-    otherwise."""
-    x = _as_array(x)
-    _, r, d = _centre_ray(shape, x)
-    if d <= shape.tol:
-        return Location("interior")
-    hit = _crossing(shape, r, d)
-    if hit is None:
-        return Location("exterior")
-    return Location("boundary", hit[1]) if hit[0] == 1.0 else Location("interior")
-
+# the ray projection psi
 
 def psi(shape: StarShape, x) -> BoundaryHit:
     """Boundary point hit by the ray from the star centre through x.
 
     Defined on closure(shape) minus the centre: the crossing at or beyond
-    x, so boundary points (as ``locate`` classifies them) map to
-    themselves with t = 1.  Ties on shared facet boundaries go to the lowest
-    facet id.  The centre and exterior points raise GeometryError, exactly
-    where ``locate`` says "exterior".  Every shape, a box too, takes the
-    crossing from ``_crossing``, in Python floats.  ``RadialMap.inverse``
-    takes the codomain facet of a slab chart from psi.
+    x, so boundary points map to themselves with t = 1.  Ties on shared
+    facet boundaries go to the lowest facet id.  The centre (x within tol
+    of it) and exterior points (no crossing at or beyond x) raise
+    GeometryError.  Every shape, a box too, takes the crossing from
+    ``_crossing``, in Python floats.  ``RadialMap.inverse`` takes the
+    codomain facet of a slab chart from psi.
     """
     x = _as_array(x)
     c, r, d = _centre_ray(shape, x)
@@ -464,8 +426,8 @@ def certify_star_centres(shapes, centres):
     passes where every sign is positive: its closed, connected,
     outward-oriented surface then winds once about the centre, so the
     centre is interior and every ray from it crosses the boundary exactly
-    once, which ``psi`` and ``locate`` rely on.  An exterior centre (winding
-    zero) or one on the boundary (a simplex of zero volume) fails.
+    once, which ``psi`` relies on.  An exterior centre (winding zero) or
+    one on the boundary (a simplex of zero volume) fails.
 
     Returns None, or raises what testing the pairs one at a time, in order,
     raises: the GeometryError of a non-finite centre, or the

@@ -33,7 +33,6 @@ from typing import Dict
 import numpy as np
 
 from . import zorich
-from .cones import _cross
 from .geometry import GeometryError, cuboid_spec, star_shapes
 from .pieces import FormulaPiece, IdentityPiece, radial_pieces
 from .star_extend import RadialMap, ValidationReport, radial_maps
@@ -439,83 +438,45 @@ def audit_seams(gm: GlobalMap, samples=None, seed=None) -> SeamReport:
                       passed=worst / scale <= _SEAM_TOL_SCALED)
 
 
+def _cell_spectra(charts):
+    """(det, sigma_max, sigma_min) of the linear part of every cell of the
+    charts, in chart order, from one stack: ``np.linalg.det`` and the
+    extreme singular values of ``np.linalg.svd(..., compute_uv=False)``."""
+    m = np.concatenate([c.map.linear for c in charts])
+    s = np.linalg.svd(m, compute_uv=False)
+    return np.linalg.det(m), s[:, 0], s[:, -1]
+
+
+def _least_dets(charts):
+    """(chart, k, det) for each chart: its cell k of least determinant (the
+    first NaN counts as least), from one ``np.linalg.det`` of all cells.
+    It takes no singular values: LAPACK's SVD raises on a non-finite cell,
+    which this check must name."""
+    det = np.linalg.det(np.concatenate([c.map.linear for c in charts]))
+    ends = np.cumsum([len(c.map.linear) for c in charts])[:-1]
+    for chart, dets in zip(charts, np.split(det, ends)):
+        k = int(np.argmin(dets))
+        yield chart, k, dets[k]
+
+
 def audit_orientation(gm: GlobalMap, samples_per_chart=None, seed=None) -> OrientationReport:
     """The least determinant of the cells' linear parts, per chart.
     ``samples_per_chart`` and ``seed`` are unused."""
-    per = {c.cell_id: float(c.map.determinants().min()) for c in gm.charts}
+    per = {c.cell_id: float(det) for c, _, det in _least_dets(gm.charts)}
     min_det = min(per.values())
     return OrientationReport(min_det=min_det, per_chart=per,
                              samples=sum(len(c.map) for c in gm.charts),
                              passed=min_det > 0.0)
 
 
-def _sigma_extremes_det(m):
-    """Largest and smallest singular value and the determinant of each 3x3
-    matrix of the stack ``m`` (shape (..., 3, 3)), in closed form.
-
-    det is the cofactor expansion along the first row.  sigma_max^2 and
-    sigma_min^2 are the extreme eigenvalues of the Gram matrix m^T m, taken
-    from the trigonometric solution of its characteristic cubic (O. K. Smith,
-    CACM 4 (1961) 168).  The Gram matrix carries an absolute rounding error
-    of a few eps * sigma_max^2, which bounds the error of its eigenvalues
-    except where the arccos is ill-conditioned, next to a double eigenvalue.
-    With kappa = sigma_max / sigma_min and the relative gaps
-    g_top = (sigma_max^2 - sigma_mid^2) / sigma_max^2 and
-    g = (sigma_mid^2 - sigma_min^2) / sigma_max^2, sigma_max is accurate to
-    about eps * (1 + 1/g_top) relative, sigma_min to about
-    eps * kappa^2 * (1 + 1/g) relative, and the cofactor det to about
-    eps * kappa^2 relative.  For separated singular values that is about
-    eps * kappa^2 on sigma_min; diagonal matrices with repeated entries
-    (3 I, diag(2, 2, 1)) come out exact, but a pair of singular values equal
-    only up to rounding can lose half its digits (sqrt(eps)).
-    Returns (sigma_max, sigma_min, det), each of shape m.shape[:-2]."""
-    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
-    m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
-    det = (m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20)
-           + m02 * (m10 * m21 - m11 * m20))
-    # Gram matrix G = m^T m (symmetric)
-    g00 = m00 * m00 + m10 * m10 + m20 * m20
-    g11 = m01 * m01 + m11 * m11 + m21 * m21
-    g22 = m02 * m02 + m12 * m12 + m22 * m22
-    g01 = m00 * m01 + m10 * m11 + m20 * m21
-    g02 = m00 * m02 + m10 * m12 + m20 * m22
-    g12 = m01 * m02 + m11 * m12 + m21 * m22
-    q = (g00 + g11 + g22) / 3.0
-    d0, d1, d2 = g00 - q, g11 - q, g22 - q
-    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
-                 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
-    # B = (G - q I) / p has eigenvalues 2 cos(phi + 2 pi k / 3), 3 phi = acos(det B / 2)
-    inv = np.where(p > 0.0, 1.0 / np.where(p > 0.0, p, 1.0), 0.0)
-    b0, b1, b2 = d0 * inv, d1 * inv, d2 * inv
-    b01, b02, b12 = g01 * inv, g02 * inv, g12 * inv
-    half_det = 0.5 * (b0 * (b1 * b2 - b12 * b12) - b01 * (b01 * b2 - b12 * b02)
-                      + b02 * (b01 * b12 - b1 * b02))
-    phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
-    lam_max = q + 2.0 * p * np.cos(phi)
-    lam_min = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
-    return np.sqrt(lam_max), np.sqrt(np.maximum(lam_min, 0.0)), det
-
-
-def _cell_sigmas(m):
-    """(sigma_max, sigma_max of the cofactor matrix, det) of each linear
-    part m, from ``_sigma_extremes_det``.  The singular values of cof m are
-    det / sigma_i, so sigma_max(cof m) / det is 1 / sigma_min, without the
-    eps * kappa^2 error of the closed-form sigma_min (kappa reaches 3000 on
-    the cells)."""
-    r0, r1, r2 = m[:, 0], m[:, 1], m[:, 2]
-    cof = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)], axis=1)
-    s_max, _, det = _sigma_extremes_det(m)
-    return s_max, _sigma_extremes_det(cof)[0], det
-
-
 def cell_dilatations(charts):
     """K = max(sigma_max^3 / det, det / sigma_min^3) of the linear part of
-    every cell of the charts (inf where det <= 0), from ``_cell_sigmas``:
-    det / sigma_min^3 is sigma_max(cof m)^3 / det^2."""
-    s_max, s_cof, det = _cell_sigmas(np.concatenate([c.map.linear for c in charts]))
+    every cell of the charts (inf where det <= 0), from ``_cell_spectra``;
+    a non-finite linear part raises LinAlgError (a build rejects one first,
+    in ``certify_cell_orientation``)."""
+    det, s_max, s_min = _cell_spectra(charts)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.maximum(s_max ** 3 / det, s_cof ** 3 / det ** 2)
+        k = np.maximum(s_max ** 3 / det, det / s_min ** 3)
     return np.where(det > 0.0, k, math.inf)
 
 
@@ -551,18 +512,14 @@ def certify_cell_orientation(charts):
     cell makes every chart orientation preserving.  Raises ConstructionError
     naming the first chart with a determinant that is not positive, and its
     cell of least determinant."""
-    count = 0
     least = math.inf
-    for chart in charts:
-        dets = chart.map.determinants()
-        k = int(np.argmin(dets))
-        if not dets[k] > 0.0:
+    for chart, k, det in _least_dets(charts):
+        if not det > 0.0:
             raise ConstructionError(
                 f"chart {chart.cell_id}, {chart.map.labels[k]}: "
-                f"linear part has determinant {dets[k]:.6g}")
-        count += len(dets)
-        least = min(least, float(dets[k]))
-    return count, least
+                f"linear part has determinant {det:.6g}")
+        least = min(least, float(det))
+    return sum(len(c.map.linear) for c in charts), least
 
 
 def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
@@ -628,14 +585,14 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
 
 def chart_lipschitz(chart):
     """The Lipschitz constants of a chart, from the linear parts A of its
-    cells (``_cell_sigmas``): ``box``, max sigma_max(A), the Lipschitz
+    cells (``_cell_spectra``): ``box``, max sigma_max(A), the Lipschitz
     constant of the chart on its box (convex, and the chart is continuous
-    and affine on each cell), and ``inverse``, max sigma_max(cof A) / det A
-    = max 1 / sigma_min(A), the local Lipschitz constant of its inverse;
-    ``method`` names how they were taken."""
-    s_max, s_cof, det = _cell_sigmas(chart.map.linear)
-    return {"method": "cells-closed-form", "box": float(s_max.max()),
-            "inverse": float((s_cof / det).max())}
+    and affine on each cell), and ``inverse``, max 1 / sigma_min(A), the
+    local Lipschitz constant of its inverse; ``method`` names how they were
+    taken."""
+    _, s_max, s_min = _cell_spectra([chart])
+    return {"method": "cells-svd", "box": float(s_max.max()),
+            "inverse": float((1.0 / s_min).max())}
 
 
 def build_report(build: BuildResult) -> dict:

@@ -8,7 +8,7 @@ face about a face centre onto the fan of its image face
 correspondence), the triangles on which a closed-form map is affine
 (``FormulaPiece``), or the identity (``IdentityPiece``).  A face centre is
 the area centroid of the face where it sees the whole face, else the
-centroid of the face's visibility kernel (``pick_star_centre_2d``), taken
+centroid of the face's visibility kernel (``_star_centres``), taken
 in the face's plane coordinates (``Frame``).  ``radial_pieces`` builds a
 batch of face fans with one numpy pass for the frames, plane coordinates
 and centre margins of all their faces.
@@ -35,14 +35,6 @@ class Frame:
         self._e1x, self._e1y, self._e1z = e1
         self._e2x, self._e2y, self._e2z = e2
 
-    def to2d(self, p):
-        """Plane coordinates of p = (x, y, z)."""
-        dx = p[0] - self._ox
-        dy = p[1] - self._oy
-        dz = p[2] - self._oz
-        return (dx * self._e1x + dy * self._e1y + dz * self._e1z,
-                dx * self._e2x + dy * self._e2y + dz * self._e2z)
-
     def to3d(self, u, v):
         return (self._ox + u * self._e1x + v * self._e2x,
                 self._oy + u * self._e1y + v * self._e2y,
@@ -52,14 +44,15 @@ class Frame:
 def _frames(polygons):
     """(frames, flat): the frame of each planar 3D polygon of ``polygons``
     (lists of float triples) and its vertices' coordinates in that frame
-    (``Frame.to2d``), or None for both where the polygon is degenerate, all
-    polygons in one stacked pass.  The frame's origin is the first vertex,
-    e1 the unit first edge, and e2 the normal e1 x (q - p0) of largest norm
-    over the later vertices q (the first on ties) crossed with e1 and made
-    orthonormal to e1 (Gram-Schmidt).  Every dot product and norm is
-    numpy's (``_dots``), every other step the float arithmetic of one
-    polygon at a time.  A polygon is degenerate if it has fewer than three
-    vertices or every candidate normal is shorter than 1e-14."""
+    (the dot products of q - p0 with e1 and e2), or None for both where
+    the polygon is degenerate, all polygons in one stacked pass.  The
+    frame's origin p0 is the first vertex, e1 the unit first edge, and e2
+    the normal e1 x (q - p0) of largest norm over the later vertices q (the
+    first on ties) crossed with e1 and made orthonormal to e1
+    (Gram-Schmidt).  Every dot product and norm is numpy's (``_dots``),
+    every other step the float arithmetic of one polygon at a time.  A
+    polygon is degenerate if it has fewer than three vertices or every
+    candidate normal is shorter than 1e-14."""
     frames, flat = [None] * len(polygons), [None] * len(polygons)
     which = [k for k, poly in enumerate(polygons) if len(poly) >= 3]
     if not which:
@@ -93,15 +86,6 @@ def _frames(polygons):
             frames[k] = Frame(o, d1, d2)
             flat[k] = list(zip(u[s:s + m], v[s:s + m]))
     return frames, flat
-
-
-def frame_for_polygon(vertices3):
-    """The frame of a planar 3D polygon (float triples), as ``_frames``
-    takes it; raises GeometryError if the polygon is degenerate."""
-    frame = _frames([[tuple(map(float, p)) for p in vertices3]])[0][0]
-    if frame is None:
-        raise GeometryError("degenerate polygon for frame")
-    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +151,11 @@ def polygon_centroid(vertices):
     return cx / (3 * a), cy / (3 * a)
 
 
-def pick_star_centre_2d(vertices):
-    """Area centroid if it lies in the visibility kernel, else the kernel
-    centroid, as an (x, y) float pair.  Raises if the kernel is empty
-    (polygon is not star-shaped).  ``_star_centres`` on one polygon."""
-    return _star_centres([[tuple(map(float, p)) for p in vertices]])[0]
-
-
 def _star_centres(polygons):
-    """``pick_star_centre_2d`` of each polygon (a list of (x, y) float
-    pairs).  A centroid on the inner side of every edge (the side that
+    """The star centre of each polygon (a list of (x, y) float pairs): its
+    area centroid if that lies in the visibility kernel, else the kernel
+    centroid; raises if the kernel is empty (the polygon is not
+    star-shaped).  A centroid on the inner side of every edge (the side that
     ``polygon_kernel`` keeps), by more than 1e-9 (1 + R)^2 in the edge's
     cross product, R the largest coordinate of the centroid and the
     polygon, lies in the kernel with a margin far above the rounding of the
@@ -243,7 +222,7 @@ class Radial2DPiece(FacetPiece):
     """A planar face mapped onto a planar image face by the radial extension
     of their edge correspondence (vertex i to vertex i, each edge affine):
     the fan of triangles from a face centre over each edge, onto the fan
-    from the image face's centre.  Each centre is ``pick_star_centre_2d`` of
+    from the image face's centre.  Each centre is ``_star_centres`` of
     its face in the face's frame (``_frames``).  That the fans tile both
     faces with a positive orientation is not checked here: the chart's
     ``validate_boundary_map`` checks it exactly."""

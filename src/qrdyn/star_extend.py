@@ -143,10 +143,6 @@ class RadialMap:
 
     # -- diagnostics -------------------------------------------------------
 
-    def determinants(self):
-        """det of each cell's linear part, in ``labels`` order."""
-        return np.linalg.det(self.linear)
-
     def vertex_images(self):
         """(points, images): the polygon vertices of every cell, each with
         its image under that cell's own affine map, from the linear parts as

@@ -15,10 +15,10 @@ The fold modulo the period 4 is the IEEE remainder ``math.remainder(x,
 4.0)``: the quotient x/4 is exact, so the remainder takes the round-half-even
 quotient that ``x - 4 * round(x / 4)`` takes, and both differences are exact.
 The two agree bit for bit except at the negative multiples of 4, where
-the remainder is -0.0 and the rounded form +0.0.  Every scalar fold here (``_fold1``, and the
-step that ``zorich_scalar`` and ``F_scalar`` share) is the remainder, which
-builds no Python int as ``round`` does.  ``F_array`` is F on the rows of an
-(N, 3) array, bitwise equal to ``F_scalar`` row by row.
+the remainder is -0.0 and the rounded form +0.0.  Every scalar fold here
+(``_fold1``, and the step ``_z_step`` of ``F_scalar``) is the remainder,
+which builds no Python int as ``round`` does.  ``F_array`` is F on the
+rows of an (N, 3) array, bitwise equal to ``F_scalar`` row by row.
 
 An F step from a point with |x1| or |x2| beyond HORIZON raises
 PrecisionLost: there a float's spacing is at least 0.25, so the fold modulo
@@ -56,13 +56,6 @@ class PrecisionLost(ArithmeticError):
         x1, x2, x3 = self.args
         return (f"F step from ({x1!r}, {x2!r}, {x3!r}) is past the "
                 f"precision horizon |x1|, |x2| <= 2**50")
-
-
-def h_pyramid(x1, x2):
-    """Point on the upper faces of the unit square pyramid over (x1, x2)."""
-    if not (-1.0 <= x1 <= 1.0 and -1.0 <= x2 <= 1.0):
-        raise ValueError("h is defined on the closed unit square")
-    return (x1, x2, 1.0 - max(abs(x1), abs(x2)))
 
 
 @dataclass(frozen=True)
@@ -135,18 +128,6 @@ def _z_step(x1, x2, x3):
     return (_times_inf(u1), _times_inf(u2), _times_inf(zh))
 
 
-def zorich_scalar(x1, x2, x3):
-    """Z at (x1, x2, x3); an infinite x1 or x2 raises OverflowError and a
-    NaN one ValueError, x1 checked first, as ``fold_square`` raises them."""
-    if not (abs(x1) < INF and abs(x2) < INF):
-        raise _unfoldable(x1 if not abs(x1) < INF else x2)
-    return _z_step(x1, x2, x3)
-
-
-def zorich_eval(x):
-    return np.asarray(zorich_scalar(float(x[0]), float(x[1]), float(x[2])))
-
-
 def _off_horizon(x1, x2, x3):
     """The error of an F step from a point whose |x1| or |x2| is not at most
     HORIZON: ValueError if x1 or x2 is NaN, else PrecisionLost."""
@@ -201,10 +182,6 @@ def F_array(X):
         z[big] = np.where(vb != 0.0, np.copysign(INF, vb), 0.0)
     with np.errstate(invalid="ignore"):     # inf - inf is NaN, as in F_scalar
         return X + z
-
-
-def F_eval(x):
-    return np.asarray(F_scalar(float(x[0]), float(x[1]), float(x[2])))
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,26 @@ tests.
   frame, crosses and norms per candidate vertex), ``polygon_kernel_rows``,
   ``polygon_centroid_rows`` and ``pick_star_centre_2d_rows``,
   ``polygon_normal_rows``, ``facet_is_planar_rows`` and
-  ``triangulate_planar_rows`` (one ``@`` per facet vertex).
+  ``triangulate_planar_rows`` (one ``@`` per facet vertex);
+- ``frame_to2d``: plane coordinates in a ``pieces.Frame``, which the
+  package takes only in the stacked ``pieces._frames``;
+- ``h_pyramid``: the upper faces of the unit square pyramid, whose height
+  ``zorich._z_step`` scales;
+- ``ball_growth_check``: the expansion ratio of the image of a small
+  sphere above L, which the beam regime bounds below by 32;
+- ``radial_power_dilatation_oracle``: the dilatations of |x| x from their
+  closed form, checked against finite differences.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
 from qrdyn.cones import _ray_box_scalar
+from qrdyn.dynamics import _fibonacci_sphere
+from qrdyn.example_maps import radial_square_eval
 from qrdyn.geometry import (TAU_GEOM, BoundaryHit, CertificationFailure, GeometryError,
                             _as_array, _point_in_tri2)
 from qrdyn.zorich import _EXP_ARG_MAX, F_scalar, _fold1
@@ -199,10 +210,17 @@ def _radial_2d(src, dst, a, b, u, v):
     return bx + (px + s * (qx - px) - bx) / t, by + (py + s * (qy - py) - by) / t
 
 
+def frame_to2d(frame, p):
+    """Plane coordinates of p = (x, y, z) in a ``pieces.Frame``."""
+    dx, dy, dz = p[0] - frame._ox, p[1] - frame._oy, p[2] - frame._oz
+    return (dx * frame._e1x + dy * frame._e1y + dz * frame._e1z,
+            dx * frame._e2x + dy * frame._e2y + dz * frame._e2z)
+
+
 def _faces_2d(piece):
     """A Radial2D piece's domain and image faces in their frames."""
-    return ([piece.dom_frame.to2d(dom[1]) for dom, _ in piece.cells],
-            [piece.img_frame.to2d(img[1]) for _, img in piece.cells])
+    return ([frame_to2d(piece.dom_frame, dom[1]) for dom, _ in piece.cells],
+            [frame_to2d(piece.img_frame, img[1]) for _, img in piece.cells])
 
 
 def eval_piece(piece, h):
@@ -211,7 +229,7 @@ def eval_piece(piece, h):
         return h
     if piece.kind == "radial2d":
         dom, img = _faces_2d(piece)
-        w = _radial_2d(dom, img, piece.dom_centre, piece.img_centre, *piece.dom_frame.to2d(h))
+        w = _radial_2d(dom, img, piece.dom_centre, piece.img_centre, *frame_to2d(piece.dom_frame, h))
         return piece.img_frame.to3d(*w)
     if piece.kind == "formula":
         return F_scalar(*h)
@@ -237,7 +255,7 @@ def invert_piece(piece, q):
         return q
     if piece.kind == "radial2d":
         dom, img = _faces_2d(piece)
-        u = _radial_2d(img, dom, piece.img_centre, piece.dom_centre, *piece.img_frame.to2d(q))
+        u = _radial_2d(img, dom, piece.img_centre, piece.dom_centre, *frame_to2d(piece.img_frame, q))
         return piece.dom_frame.to3d(*u)
     if piece.kind == "formula":
         # the affine inverse on the image triangle that q misses least
@@ -288,6 +306,13 @@ def _scaled(scale, v):
     if math.isinf(scale):
         return math.copysign(math.inf, v) if v != 0.0 else 0.0
     return scale * v
+
+
+def h_pyramid(x1, x2):
+    """Point on the upper faces of the unit square pyramid over (x1, x2)."""
+    if not (-1.0 <= x1 <= 1.0 and -1.0 <= x2 <= 1.0):
+        raise ValueError("h is defined on the closed unit square")
+    return (x1, x2, 1.0 - max(abs(x1), abs(x2)))
 
 
 def zorich_composed(x1, x2, x3):
@@ -549,3 +574,55 @@ def triangulate_planar_rows(vertices, poly):
             raise GeometryError("ear clipping failed (non-simple facet?)")
     tris.append((poly[idx[0]], poly[idx[1]], poly[idx[2]]))
     return tris, pts2
+
+
+def ball_growth_check(gm, xi, delta, samples=500):
+    """min over sphere samples of |f(x) - f(xi)| / delta; the beam regime
+    makes this at least 32."""
+    x1, x2, x3 = map(float, xi)
+    L = gm.L
+    if (abs(x1 - 2 * round(x1 / 2.0)) + delta >= 1
+            or abs(x2 - 2 * round(x2 / 2.0)) + delta >= 1):
+        raise ValueError("ball leaves the fundamental half-beam")
+    if x3 - delta <= L:
+        raise ValueError("ball must sit above the expansion level")
+    fxi = gm.eval3(x1, x2, x3)
+    if fxi[2] <= L:
+        raise ValueError("image point must sit above the expansion level")
+    worst = math.inf
+    for d1, d2, d3 in _fibonacci_sphere(samples).tolist():
+        fp = gm.eval3(x1 + delta * d1, x2 + delta * d2, x3 + delta * d3)
+        worst = min(worst, math.dist(fp, fxi) / delta)
+    return worst
+
+
+DilatationOracle = namedtuple("DilatationOracle", "k_i k_o max_deviation")
+
+
+def radial_power_dilatation_oracle(dim, samples=1000, seed=0):
+    """Pointwise dilatations of |x| x from its analytic singular values
+    (radial 2|x|, tangential |x|), cross-checked against finite-difference
+    Jacobians at sample points."""
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
+    k_i = 2.0                      # J / l^d = 2 |x|^d / |x|^d
+    k_o = 2.0 ** (dim - 1)         # |D|^d / J = (2|x|)^d / (2 |x|^d)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x = rng.standard_normal(dim)
+        r = np.linalg.norm(x)
+        if r < 1e-3:
+            continue
+        h = 1e-6 * max(1.0, r)
+        j = np.zeros((dim, dim))
+        for k in range(dim):
+            dp = np.zeros(dim)
+            dp[k] = h
+            j[:, k] = (np.asarray(radial_square_eval(x + dp))
+                       - np.asarray(radial_square_eval(x - dp))) / (2 * h)
+        sv = np.linalg.svd(j, compute_uv=False)
+        det = abs(np.linalg.det(j))
+        worst = max(worst, abs(det / sv[-1] ** dim - k_i),
+                    abs(sv[0] ** dim / det - k_o))
+    return DilatationOracle(k_i=k_i, k_o=k_o, max_deviation=worst)

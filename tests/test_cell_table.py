@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from oracles import (cell_linear_part, cell_vertex_images, facet_is_planar_rows, frame_rows,
-                     image_cell_frames, pick_star_centre_2d_rows, polygon_kernel_rows,
-                     radial_eval, radial_inverse, sector_entry, triangulate_planar_rows)
+                     frame_to2d, image_cell_frames, pick_star_centre_2d_rows,
+                     polygon_kernel_rows, radial_eval, radial_inverse, sector_entry,
+                     triangulate_planar_rows)
 from qrdyn.geometry import GeometryError, StarShape, _facet_coordinates, _triangulate_planar
 from qrdyn.global_map import (ConstructionError, _cell_index, cell_dilatations,
                               certify_cell_orientation)
-from qrdyn.pieces import frame_for_polygon, pick_star_centre_2d, polygon_kernel
+from qrdyn.pieces import _frames, _star_centres, polygon_kernel
 from qrdyn.star_extend import RadialMap
 
 
@@ -65,7 +66,7 @@ class TestCells:
         assert build.cells == 141
 
     def test_min_cell_det(self, build):
-        dets = np.concatenate([c.map.determinants() for c in build.g.charts])
+        dets = np.concatenate([np.linalg.det(c.map.linear) for c in build.g.charts])
         assert build.min_cell_det == float(dets.min()) > 0.0
 
     def test_dilatation_and_det_against_svd(self, build):
@@ -76,7 +77,7 @@ class TestCells:
         got = cell_dilatations(build.g.charts)
         assert len(got) == 141
         assert np.allclose(got, k, rtol=1e-9, atol=0)
-        assert np.allclose(np.concatenate([c.map.determinants() for c in build.g.charts]),
+        assert np.allclose(np.concatenate([np.linalg.det(c.map.linear) for c in build.g.charts]),
                            det, rtol=1e-9, atol=0)
         assert build.K_slab == float(got.max())
 
@@ -434,11 +435,11 @@ class TestBuildMatchesOracles:
                 assert _bits(frame_rows(loop)) == _bits([
                     (frame._ox, frame._oy, frame._oz), (frame._e1x, frame._e1y, frame._e1z),
                     (frame._e2x, frame._e2y, frame._e2z)])
-                fresh = frame_for_polygon(loop)
+                fresh = _frames([loop])[0][0]
                 assert all(getattr(fresh, k) == getattr(frame, k) for k in frame.__slots__)
-                flat = [frame.to2d(p) for p in loop]
+                flat = [frame_to2d(frame, p) for p in loop]
                 assert _bits(polygon_kernel(flat)) == _bits(polygon_kernel_rows(flat))
-                assert _bits(pick_star_centre_2d(flat)) == _bits(pick_star_centre_2d_rows(flat))
+                assert _bits(_star_centres([flat])[0]) == _bits(pick_star_centre_2d_rows(flat))
                 assert _bits(centre) == _bits(pick_star_centre_2d_rows(flat))
 
     def test_random_planar_polygons(self):
@@ -453,13 +454,13 @@ class TestBuildMatchesOracles:
             flat = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.5, 2.0, (n, 1))
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             loop = (np.column_stack([flat, np.zeros(n)]) @ q.T + rng.normal(size=3)).tolist()
-            frame = frame_for_polygon(loop)
+            frame = _frames([loop])[0][0]
             assert _bits(frame_rows(loop)) == _bits([
                 (frame._ox, frame._oy, frame._oz), (frame._e1x, frame._e1y, frame._e1z),
                 (frame._e2x, frame._e2y, frame._e2z)])
-            flat2 = [frame.to2d(p) for p in loop]
+            flat2 = [frame_to2d(frame, p) for p in loop]
             assert _bits(polygon_kernel(flat2)) == _bits(polygon_kernel_rows(flat2))
-            assert _bits(pick_star_centre_2d(flat2)) == _bits(pick_star_centre_2d_rows(flat2))
+            assert _bits(_star_centres([flat2])[0]) == _bits(pick_star_centre_2d_rows(flat2))
             v = np.array(loop)
             plane = _facet_coordinates(v, [list(range(n))], 1e-11)
             tris, pts2 = triangulate_planar_rows(v, list(range(n)))
@@ -488,4 +489,4 @@ class TestBuildMatchesOracles:
         first = next(i for i, poly in enumerate(faces)
                      if not facet_is_planar_rows(verts[poly], tol))
         with pytest.raises(GeometryError, match=f"facet {first} is not planar"):
-            StarShape.polyhedron(verts, faces, (0.5, 0.5, 0.5))
+            StarShape(verts, (0.5, 0.5, 0.5), faces)

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrdyn.dynamics import classify_escape, escape_rate_series, iterate
-from qrdyn.example_maps import (DilatationOracle, PatchMap, build_patch,
-                                example_one, example_three, example_two,
-                                fatou_h_eval, fatou_h_handle,
-                                radial_power_dilatation_oracle,
-                                radial_square_eval, x0_for_example_two)
+from oracles import radial_power_dilatation_oracle
+from qrdyn.dynamics import MapHandle, classify_escape, escape_rate_series, iterate
+from qrdyn.example_maps import (PatchMap, build_patch, example_one, example_three,
+                                example_two, fatou_h_eval, radial_square_eval,
+                                x0_for_example_two)
 
 LOG2 = math.log(2.0)
 
@@ -188,7 +187,7 @@ class TestComposedExamples:
             assert np.linalg.norm(np.asarray(p) - patch.m) > patch.radius
 
     def test_fatou_handle_orbit_growth(self):
-        h = fatou_h_handle()
+        h = MapHandle("fatou-h", fatou_h_eval, dim=2)
         rec = iterate(h, (5.0, 0.0), 1000)
         # unit drift: |x_k| ~ k + 5
         for k in (10, 100, 1000):

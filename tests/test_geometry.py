@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import psi_ray_oracle
 from qrdyn import geometry
 from qrdyn.geometry import (CertificationFailure, GeometryError, StarShape, _det3_signs,
-                            certify_star_centres, cuboid_spec, locate, psi, star_shapes)
-from qrdyn.pieces import pick_star_centre_2d, polygon_kernel
+                            certify_star_centres, cuboid_spec, psi, star_shapes)
+from qrdyn.pieces import _star_centres, polygon_kernel
 
 
 def star_test(shape, a):
@@ -21,7 +21,7 @@ def star_test(shape, a):
 
 
 def cube(a=(0.0, 0.0, 0.0)):
-    return StarShape.cuboid([-1, -1, -1], [1, 1, 1], centre=a)
+    return StarShape(*cuboid_spec([-1, -1, -1], [1, 1, 1], a))
 
 
 # image pentagon of the side face {x1 = 0}, in (x2, x3) coordinates; its
@@ -39,26 +39,13 @@ def prism(base, centre, height=1.0):
     m = len(base)
     facets = [list(range(m - 1, -1, -1)), list(range(m, 2 * m))]
     facets += [[i, (i + 1) % m, (i + 1) % m + m, i + m] for i in range(m)]
-    return StarShape.polyhedron(verts, facets, centre)
+    return StarShape(verts, centre, facets)
 
 
 def pentagon(centre2=PENTAGON_CENTRE):
     """The prism of height 4 over the pentagon, about (centre2, 2); star
     about it exactly where the pentagon is star about centre2."""
     return prism(PENTAGON, (*centre2, 2.0), height=4.0)
-
-
-class TestLocate:
-    def test_cube_centre_is_interior(self):
-        assert locate(cube(), (0, 0, 0)).kind == "interior"
-
-    def test_cube_face_point_is_boundary(self):
-        loc = locate(cube(), (1, 0, 0))
-        assert loc.kind == "boundary"
-        assert loc.facet == 1  # +x face
-
-    def test_cube_outside_point_is_exterior(self):
-        assert locate(cube(), (2, 0, 0)).kind == "exterior"
 
 
 # the 6-vertex triangulation of the real projective plane: closed, each edge
@@ -75,9 +62,9 @@ def _outward_volumes(shape):
 class TestOrientation:
     def test_mixed_facet_loops_are_oriented_outward(self):
         # the cube with every other facet loop reversed
-        lo_hi = StarShape.cuboid([-1, -1, -1], [1, 1, 1])
+        lo_hi = StarShape(*cuboid_spec([-1, -1, -1], [1, 1, 1]))
         polys = [p[::-1] if i % 2 else p for i, p in enumerate(lo_hi.facet_polys)]
-        shape = StarShape.polyhedron(lo_hi.vertices, polys, (0.2, -0.1, 0.3))
+        shape = StarShape(lo_hi.vertices, (0.2, -0.1, 0.3), polys)
         assert np.all(_outward_volumes(shape) > 0)
         edges = [e for t in shape.triangles.tolist() for e in zip(t, t[1:] + t[:1])]
         assert sorted(edges) == sorted((b, a) for a, b in edges)
@@ -90,17 +77,17 @@ class TestOrientation:
     def test_disconnected_surface_rejected(self, centre):
         # two nested cubes: each closed and orientable, together two
         # components, about a point inside both or between them
-        outer = StarShape.cuboid([-2, -2, -2], [2, 2, 2])
-        inner = StarShape.cuboid([-1, -1, -1], [1, 1, 1])
+        outer = StarShape(*cuboid_spec([-2, -2, -2], [2, 2, 2]))
+        inner = StarShape(*cuboid_spec([-1, -1, -1], [1, 1, 1]))
         verts = np.vstack([outer.vertices, inner.vertices])
         polys = outer.facet_polys + [[i + 8 for i in p] for p in inner.facet_polys]
         with pytest.raises(GeometryError, match="surface is not connected"):
-            StarShape.polyhedron(verts, polys, centre)
+            StarShape(verts, centre, polys)
 
     def test_open_or_non_orientable_surface_rejected(self):
-        cube_ = StarShape.cuboid([-1, -1, -1], [1, 1, 1])
+        cube_ = StarShape(*cuboid_spec([-1, -1, -1], [1, 1, 1]))
         with pytest.raises(GeometryError, match="not closed or not orientable"):
-            StarShape.polyhedron(cube_.vertices, cube_.facet_polys[:-1], (0, 0, 0))
+            StarShape(cube_.vertices, (0, 0, 0), cube_.facet_polys[:-1])
         rng = np.random.default_rng(0)
         with pytest.raises(GeometryError, match="not closed or not orientable"):
             geometry._orient_outward(rng.random((6, 3)), RP2)
@@ -130,12 +117,14 @@ class TestPsi:
         checked = 0
         while checked < 200:
             x = rng.random(3) * 4.0
-            if locate(shape, x).kind != "interior":
-                continue
             if np.linalg.norm(x - a) < 1e-3:
                 continue
+            try:
+                want = psi_ray_oracle(shape, x)
+            except GeometryError:     # exterior
+                continue
             hit = psi(shape, x)
-            assert np.allclose(hit.point, psi_ray_oracle(shape, x).point, atol=1e-9)
+            assert np.allclose(hit.point, want.point, atol=1e-9)
             checked += 1
 
     def test_centre_and_exterior_raise(self):
@@ -188,7 +177,7 @@ class TestCertification:
         # pentagon passes the star test
         kern = polygon_kernel(PENTAGON)
         assert kern, "kernel should be nonempty"
-        centre = pick_star_centre_2d(PENTAGON)
+        centre = _star_centres([PENTAGON])[0]
         shape = pentagon(centre)
         assert star_test(shape, shape.centre) is None
         with pytest.raises(CertificationFailure, match="star test"):
@@ -311,8 +300,8 @@ class TestStackedCertification:
         # one StarShape per spec and against the shapes as built
         shapes = [shape for chart in build.g.charts
                   for shape in (chart.map.domain, chart.map.codomain)]
-        shapes += [cube((0.3, -0.2, 0.1)), pentagon(), pentagon(pick_star_centre_2d(PENTAGON)),
-                   l_prism(L_CENTRE), prism(PENTAGON, (1.0, 3.5, 0.5))]
+        shapes += [cube((0.3, -0.2, 0.1)), pentagon(),
+                   pentagon(_star_centres([PENTAGON])[0]), l_prism(L_CENTRE), prism(PENTAGON, (1.0, 3.5, 0.5))]
         specs = [spec_of(shape) for shape in shapes]
         batch = star_shapes(specs)
         for got, shape, spec in zip(batch, shapes, specs):
@@ -383,7 +372,7 @@ class TestStackedCertification:
 def general_box(lo, hi, centre):
     """The box [lo, hi] about ``centre`` built as a general polyhedron."""
     vertices, _, facets, _ = cuboid_spec(lo, hi)
-    return StarShape.polyhedron(vertices, facets, centre)
+    return StarShape(vertices, centre, facets)
 
 
 _BOX_CORNER = st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3)
@@ -391,13 +380,13 @@ _BOX_SIDES = st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3)
 
 
 class TestClosedFormBox:
-    """``StarShape.cuboid`` against the same box built as a general
-    polyhedron: every field bitwise, and a centre that is not strictly
-    inside fails the star test with the general path's error."""
+    """A box (``cuboid_spec``, box included) against the same box built as
+    a general polyhedron: every field bitwise, and a centre that is not
+    strictly inside fails the star test with the general path's error."""
 
     @staticmethod
     def assert_matches_general(lo, hi, centre):
-        box = StarShape.cuboid(lo, hi, centre)
+        box = StarShape(*cuboid_spec(lo, hi, centre))
         general = general_box(lo, hi, centre)
         assert [x.tobytes() for x in box.box] == [x.tobytes() for x in cuboid_spec(lo, hi)[3]]
         assert general.box is None
@@ -433,7 +422,7 @@ class TestClosedFormBox:
         with pytest.raises(CertificationFailure) as want:
             general_box(lo, hi, centre)
         with pytest.raises(CertificationFailure) as got:
-            StarShape.cuboid(lo, hi, centre)
+            StarShape(*cuboid_spec(lo, hi, centre))
         assert "star test" in str(got.value)
         assert str(got.value) == str(want.value)
 
@@ -517,7 +506,7 @@ class TestDet3Signs:
 def poly_cube(centre=(0.1, -0.2, 0.15)):
     """The cube [-1, 1]^3 as a polyhedron, so that psi takes the cone path."""
     box = cube()
-    return StarShape.polyhedron(box.vertices, box.facet_polys, centre)
+    return StarShape(box.vertices, centre, box.facet_polys)
 
 
 def _facets_at(shape):
@@ -602,55 +591,3 @@ class TestPsiCones:
                 psi(shape, x)
         with pytest.raises(GeometryError, match="non-finite"):
             psi(shape, (math.nan, 0.0, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# locate and psi read one crossing of the centre ray
-
-def _probe_points(shape, rng):
-    """Seeded points of a box 20 % larger than the shape's, the boundary
-    points psi sends them to, the vertices, and points 2 and 6 tol inside
-    and outside along the centre ray through each vertex."""
-    lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
-    pad = 0.2 * (hi - lo)
-    pts = list(lo - pad + rng.random((300, 3)) * (hi - lo + 2 * pad))
-    for x in pts[:100]:
-        if np.linalg.norm(x - shape.centre) > shape.tol:
-            try:
-                pts.append(psi(shape, x).point)
-            except GeometryError:
-                pass
-    c = shape.centre
-    for w in shape.vertices:
-        d = np.linalg.norm(w - c)
-        pts += [c + (1 + k * shape.tol / d) * (w - c) for k in (-6, -2, 0, 2, 6)]
-    return pts
-
-
-class TestLocateFromTheCrossing:
-    @pytest.mark.parametrize("which", POLYHEDRA + ["pentagon"])
-    def test_locate_agrees_with_psi(self, which, request):
-        # exterior exactly where psi raises, boundary exactly where psi
-        # gives t = 1, on the facet psi hits
-        shape = named_shape(which, request)
-        kinds = {"interior": 0, "boundary": 0, "exterior": 0}
-        for x in _probe_points(shape, np.random.default_rng(41)):
-            loc = locate(shape, x)
-            kinds[loc.kind] += 1
-            try:
-                hit = psi(shape, x)
-            except GeometryError as err:
-                assert loc.kind == "exterior", (x, err)
-                continue
-            assert loc.kind != "exterior", x
-            assert (loc.kind == "boundary") == (hit.t == 1.0), (x, hit.t)
-            if loc.kind == "boundary":
-                assert loc.facet == hit.facet
-        assert min(kinds.values()) >= 20, kinds
-
-    def test_centre_ball_is_interior(self):
-        shape = named_shape("l_prism", None)
-        for x in (shape.centre, shape.centre + 0.5 * shape.tol):
-            assert locate(shape, x).kind == "interior"
-            with pytest.raises(GeometryError, match="centre"):
-                psi(shape, x)

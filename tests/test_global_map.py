@@ -162,12 +162,12 @@ class TestChartValues:
         assert np.allclose(gmap.eval((0, 0.5, 1.0)), (0, 2, 4), atol=1e-12)
 
     def test_level_L_face_is_the_formula(self, gmap):
-        from qrdyn.zorich import F_eval
+        from qrdyn.zorich import F_scalar
         rng = np.random.default_rng(1)
         L = gmap.L
         for _ in range(300):
             p = np.array([rng.random() * 4, rng.random() * 4, L])
-            assert np.allclose(gmap.eval(p), F_eval(p), atol=1e-9)
+            assert np.allclose(gmap.eval(p), F_scalar(*p), atol=1e-9)
 
     def test_affine_image_of_top_interior_edge(self, gmap):
         # on the segment {x2 = 1, x3 = L, 0 <= x1 <= 1} the closed form is
@@ -201,12 +201,12 @@ class TestRegions:
             assert np.array_equal(gmap.eval(p), p)
 
     def test_F_above_level(self, gmap):
-        from qrdyn.zorich import F_eval
+        from qrdyn.zorich import F_scalar
         rng = np.random.default_rng(4)
         for _ in range(200):
             p = rng.standard_normal(3) * 3
             p[2] = gmap.L + abs(p[2]) + 1e-9
-            assert np.allclose(gmap.eval(p), F_eval(p), atol=0, rtol=1e-15)
+            assert np.allclose(gmap.eval(p), F_scalar(*p), atol=0, rtol=1e-15)
 
     def test_periodicity_on_slab(self, gmap):
         rng = np.random.default_rng(5)
@@ -431,7 +431,7 @@ class TestAudits:
     def test_constants_report_text(self, build):
         text = constants_report_text(build)
         assert "c0 =" in text and "L_prime =" in text
-        for line in ("chart.A'.lipschitz_method = cells-closed-form",
+        for line in ("chart.A'.lipschitz_method = cells-svd",
                      "chart.A'.lipschitz_box = 10.1775", "chart.A'.lipschitz_inverse = 91.3467",
                      "chart.A''4.lipschitz_box = 172.129",
                      "chart.A''4.lipschitz_inverse = 27.1001"):
@@ -518,8 +518,9 @@ class TestBuildWork:
         # maps share); one solve per chart in the boundary-map validation;
         # per phase one det and one inverse for the cone frames of its image
         # solids (a box never reads its cone frames, so a build forms none);
-        # and one det per chart in certify_cell_orientation.  A stack split
-        # into one call per chart, cell or sector shows here
+        # and one det of all cells in each of certify_cell_orientation and
+        # cell_dilatations (K_slab).  A stack split into one call per chart,
+        # cell or sector shows here
         with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve, \
                 mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv, \
                 mock.patch("numpy.linalg.det", wraps=np.linalg.det) as det:
@@ -527,7 +528,7 @@ class TestBuildWork:
         charts, phases = len(build.g.charts), 2
         assert solve.call_count == phases + 3 + 5 + charts
         assert inv.call_count == 2 * phases + phases
-        assert det.call_count == phases + phases + charts
+        assert det.call_count == phases + phases + 2
 
     def test_one_certification_pass_per_chart_phase(self):
         # one stacked star test per chart phase takes the image solids and

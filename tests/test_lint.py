@@ -1,7 +1,9 @@
 """Lint gates: every name a module of the package imports is used in it,
 every private module-level helper and private method is read by some module
-of the package, every function of the test oracles is reached from a test
-module,
+of the package, every public function, class and method of a public class
+is read by some module of the package or of the benchmark (but a short
+allow-list, each entry with its reason), every function of the test oracles
+is reached from a test module,
 every parameter of a module-level function or of a method of a
 module-level class (but self and cls) is read by its body, every
 for-loop target is read by the loop's body, every attribute that the
@@ -116,6 +118,77 @@ def test_detects_an_orphaned_helper():
 def test_no_orphaned_private_helpers():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert orphaned_helpers(sources) == []
+
+
+def public_definitions(source):
+    """(line, name) of each public module-level function or class, and of
+    each public method of a public module-level class (named
+    Class.method), that the module defines."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(m.lineno, f"{node.name}.{m.name}") for m in node.body
+                    if isinstance(m, functions) and not m.name.startswith("_")]
+    return out
+
+
+def public_name_violations(sources, readers, allowed):
+    """(unreached, stale): (module, line, name) of each public definition
+    of a module of ``sources`` (module name -> source) whose name, a
+    method's without its class, no source of ``sources`` or ``readers``
+    reads and that ``allowed`` ({(module, name): reason}) does not list;
+    and each (module, name) of ``allowed`` that is no such definition,
+    because a caller now reads it or it is gone."""
+    refs = set().union(*map(referenced_names, [*sources.values(), *readers]))
+    found = [(module, line, name) for module, src in sources.items()
+             for line, name in public_definitions(src)
+             if name.rpartition(".")[2] not in refs]
+    unreached = sorted(f for f in found if (f[0], f[2]) not in allowed)
+    stale = sorted(set(allowed) - {(module, name) for module, _, name in found})
+    return unreached, stale
+
+
+# public names that nothing in the package or the benchmark reads yet, each
+# with the caller that is planned for it
+UNREACHED_PUBLIC = {
+    ("dynamics.py", "orbit_csv"): "the per-step CSV that a `qrdyn orbit` command will print",
+    ("dynamics.py", "rates_csv"): "the rate-series CSV that a `qrdyn rates` command will print",
+    ("example_maps.py", "example_three"):
+        "the patched map with a fixed point, for `qrdyn orbit` and `qrdyn rates`",
+    ("zorich.py", "F_jacobian"):
+        "the per-step Jacobian above L of a dilatation series of the iterates",
+}
+
+
+def test_detects_an_unreached_public_name():
+    # StarShape.polyhedron and pieces.frame_for_polygon once wrapped code
+    # that the package called directly, and only tests called them
+    sources = {"a": "def used():\n    pass\n\ndef frame_for_polygon():\n    pass\n\n"
+                    "def bench_only():\n    pass\n\ndef later():\n    pass\n\n"
+                    "def _private():\n    pass\n\nclass StarShape:\n"
+                    "    def area(self):\n        pass\n\n"
+                    "    def polyhedron(cls):\n        pass\n\n"
+                    "class _Hidden:\n    def method(self):\n        pass\n",
+               "b": "from .a import StarShape, used\n\nRESULT = used(), StarShape().area()\n"}
+    readers = ["from qrdyn.a import bench_only\n\nbench_only()\n"]
+    assert public_name_violations(sources, readers, {("a", "later"): "a caller is planned"}) == (
+        [("a", 4, "frame_for_polygon"), ("a", 20, "StarShape.polyhedron")], [])
+
+
+def test_every_public_name_is_reached():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert all(UNREACHED_PUBLIC.values())
+    assert public_name_violations(sources, readers, UNREACHED_PUBLIC) == ([], [])
+    # an entry whose name a caller reads, or that is gone, is stale
+    stale = {("global_map.py", "build_maps"): "read by the CLI",
+             ("zorich.py", "F_eval"): "deleted", **UNREACHED_PUBLIC}
+    assert public_name_violations(sources, readers, stale) == (
+        [], [("global_map.py", "build_maps"), ("zorich.py", "F_eval")])
 
 
 def unreached_oracles(oracles, tests):

@@ -11,10 +11,10 @@ from oracles import (_radial_2d, cover_deviation_all_pairs, cover_deviation_per_
                      oriented_area_fraction,
                      point_in_polygon)
 from qrdyn import star_extend
-from qrdyn.geometry import GeometryError, StarShape
+from qrdyn.geometry import GeometryError, StarShape, cuboid_spec
 from qrdyn.geometry import CertificationFailure
 from qrdyn.pieces import (FacetPiece, FormulaPiece, IdentityPiece, Radial2DPiece,
-                          pick_star_centre_2d, radial_pieces)
+                          _star_centres, radial_pieces)
 from qrdyn.star_extend import RadialMap, radial_maps
 
 
@@ -46,7 +46,7 @@ class FoldPiece(FacetPiece):
 
 
 def cube_shape(side=1.0, centre=(0, 0, 0)):
-    return StarShape.cuboid([-side] * 3, [side] * 3, centre=centre)
+    return StarShape(*cuboid_spec([-side] * 3, [side] * 3, centre))
 
 
 def face_loops(side):
@@ -533,7 +533,7 @@ class TestRadial2D:
     def test_round_trip_on_nonconvex_image(self):
         sq = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.875), (0.5, 0.0)]
         img = [(0.0, 0.0), (0.0, 4.0), (4.0, 4.0), (2.0, 3.5), (2.0, 0.0)]
-        a, b = pick_star_centre_2d(sq), pick_star_centre_2d(img)
+        a, b = _star_centres([sq, img])
         rng = np.random.default_rng(5)
         worst = 0.0
         n = 0

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import expansion_min_ratio_rows, fold1_rounded, zorich_composed
+from oracles import expansion_min_ratio_rows, fold1_rounded, h_pyramid, zorich_composed
 from qrdyn import zorich
-from qrdyn.global_map import _sigma_extremes_det
-from qrdyn.zorich import (C0_LOWER, HORIZON, ConstantsReport, F_array, F_eval, F_jacobian,
-                          F_scalar, PrecisionLost, _fold1, certifies_sigma_floor,
+from qrdyn.zorich import (C0_LOWER, HORIZON, ConstantsReport, F_array, F_jacobian,
+                          F_scalar, PrecisionLost, _fold1, _z_step, certifies_sigma_floor,
                           corner_chi, derive_beam_constants, exp_lower,
-                          expansion_min_ratio, fold_square, h_pyramid,
-                          region_matrix, zorich_eval, zorich_scalar)
+                          expansion_min_ratio, fold_square, region_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -80,54 +78,63 @@ class TestFold:
 class TestZorichEval:
     def test_apex_ray(self):
         for t in (-1.0, 0.0, 2.5):
-            assert np.allclose(zorich_eval((0, 0, t)), (0, 0, math.exp(t)))
+            assert np.allclose(_z_step(0, 0, t), (0, 0, math.exp(t)))
 
     def test_base_corner(self):
-        assert np.allclose(zorich_eval((1, 1, 0)), (1, 1, 0))
+        assert np.allclose(_z_step(1, 1, 0), (1, 1, 0))
 
     def test_reflected_fold_point(self):
         # x1 = 2 folds to u1 = 0 with one reflection
-        assert np.allclose(zorich_eval((2, 0, 0)), (0, 0, -1))
+        assert np.allclose(_z_step(2, 0, 0), (0, 0, -1))
 
     def test_seam_continuity_two_sided(self):
         d = 1e-12
         for x3 in (0.0, 1.0, 3.0):
             for seam in (1.0, 2.0, 3.0, -1.0):
-                a = zorich_eval((seam - d, 0.3, x3))
-                b = zorich_eval((seam + d, 0.3, x3))
+                a = np.array(_z_step(seam - d, 0.3, x3))
+                b = np.array(_z_step(seam + d, 0.3, x3))
                 assert np.linalg.norm(a - b) <= 1e-9 * max(1.0, math.exp(x3))
         # crease |x1| = |x2|
-        a = zorich_eval((0.5 - d, 0.5, 1.0))
-        b = zorich_eval((0.5 + d, 0.5, 1.0))
+        a = np.array(_z_step(0.5 - d, 0.5, 1.0))
+        b = np.array(_z_step(0.5 + d, 0.5, 1.0))
         assert np.linalg.norm(a - b) <= 1e-9 * math.e
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-20, 20), st.floats(-20, 20), st.floats(-5, 5))
     def test_magnitude_envelope_and_nonvanishing(self, x, y, z):
-        v = zorich_eval((x, y, z))
+        v = np.array(_z_step(x, y, z))
         m = np.linalg.norm(v)
         e = math.exp(z)
         assert e / math.sqrt(2) - 1e-12 <= m <= math.sqrt(2) * e + 1e-12
         assert m > 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-20, 20), st.floats(-20, 20), st.floats(-5, 5))
+    def test_is_the_scaled_folded_pyramid(self, x, y, z):
+        # e^{x3} (u, sigma h(u)) with u the fold of (x1, x2), bit for bit
+        fr = fold_square(x, y)
+        u1, u2, height = h_pyramid(*fr.u)
+        want = (u1, u2, fr.sigma * height)
+        assert _z_step(x, y, z) == tuple(math.exp(z) * c for c in want)
+
 
 class TestF:
     def test_axis_value(self):
         L = 4.0
-        assert np.allclose(F_eval((0, 0, L)), (0, 0, L + math.exp(L)))
+        assert np.allclose(F_scalar(0, 0, L), (0, 0, L + math.exp(L)))
 
     def test_corner_value(self):
         L = 4.0
         e = math.exp(L)
-        assert np.allclose(F_eval((1, 1, L)), (1 + e, 1 + e, L))
+        assert np.allclose(F_scalar(1, 1, L), (1 + e, 1 + e, L))
 
     def test_periodicity_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
             x = rng.random(3) * np.array([8, 8, 6]) - np.array([4, 4, 3])
             for c in ((4.0, 0.0, 0.0), (0.0, 4.0, 0.0)):
-                lhs = F_eval(x + np.array(c))
-                rhs = F_eval(x) + np.array(c)
+                lhs = np.array(F_scalar(*(x + np.array(c))))
+                rhs = np.array(F_scalar(*x)) + np.array(c)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(
                     1.0, np.max(np.abs(rhs)))
 
@@ -136,12 +143,12 @@ class TestF:
         for _ in range(1000):
             x = rng.random(3) * np.array([8, 8, 6]) - np.array([4, 4, 3])
             r1 = np.array([4 - x[0], x[1], x[2]])
-            lhs = F_eval(r1)
-            fx = F_eval(x)
+            lhs = np.array(F_scalar(*r1))
+            fx = np.array(F_scalar(*x))
             rhs = np.array([4 - fx[0], fx[1], fx[2]])
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
             r2 = np.array([x[0], 4 - x[1], x[2]])
-            lhs = F_eval(r2)
+            lhs = np.array(F_scalar(*r2))
             rhs = np.array([fx[0], 4 - fx[1], fx[2]])
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
@@ -201,7 +208,7 @@ def _hex(values):
 
 
 class TestFlatZStep:
-    # zorich_scalar writes out the folds, the parity and the scaling of
+    # _z_step writes out the folds, the parity and the scaling of
     # oracles.zorich_composed and must agree with it bit for bit
     LOG_MAX = math.log(sys.float_info.max)
     XS = (TestFolds.EDGES
@@ -224,7 +231,7 @@ class TestFlatZStep:
 
     def test_matches_the_composed_step_bitwise(self):
         for p in self._points():
-            assert _hex(zorich_scalar(*p)) == _hex(zorich_composed(*p)), p
+            assert _hex(_z_step(*p)) == _hex(zorich_composed(*p)), p
 
     def test_F_is_the_composed_step_bitwise(self):
         for p in self._points():
@@ -235,12 +242,12 @@ class TestFlatZStep:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_folds_raise_alike(self, bad):
-        for p in [(bad, 0.5, 1.0), (0.5, bad, 1.0), (bad, math.nan, 1.0),
-                  (math.inf, bad, 1.0)]:
+        # the remainder fold raises what the rounded fold raises, x1 first
+        for p in [(bad, 0.5), (0.5, bad), (bad, math.nan), (math.inf, bad)]:
             with pytest.raises(Exception) as want:
-                zorich_composed(*p)
+                [fold1_rounded(x) for x in p]
             with pytest.raises(want.type):
-                zorich_scalar(*p)
+                fold_square(*p)
 
 
 class TestFArray:
@@ -312,7 +319,7 @@ class TestJacobian:
             for k in range(3):
                 dp = np.zeros(3)
                 dp[k] = h
-                fd[:, k] = (F_eval(x + dp) - F_eval(x - dp)) / (2 * h)
+                fd[:, k] = np.subtract(F_scalar(*(x + dp)), F_scalar(*(x - dp))) / (2 * h)
             rel = np.linalg.norm(fd - j) / np.linalg.norm(j)
             assert rel <= 1e-4
             checked += 1
@@ -417,65 +424,6 @@ class TestConstants:
         n = np.array([region_matrix(x1, x2)[0] for x1 in s for x2 in s])
         smin = np.linalg.svd(n, compute_uv=False)[:, -1].min()
         assert math.exp(constants.L + 1) * smin > 33.0
-
-
-class TestSigmaKernel:
-    """The closed-form singular-value and determinant kernel of
-    ``global_map.cell_dilatations`` (``global_map._sigma_extremes_det``)
-    against LAPACK (np.linalg.svd and np.linalg.det), on the Jacobians of F
-    among other matrices."""
-
-    EPS = np.finfo(float).eps
-
-    @staticmethod
-    def oracle(m):
-        sv = np.linalg.svd(m, compute_uv=False)
-        return sv[..., 0], sv[..., -1], np.linalg.det(m)
-
-    @pytest.mark.parametrize("beam", [(0, 0), (1, 0), (0, 1), (1, 1)])
-    @pytest.mark.parametrize("above_L", [0.0, 5.0])
-    def test_audit_grid(self, constants, beam, above_L):
-        # a 16 x 16 grid on one beam
-        s = (np.arange(16) + 0.5) / 16 * 2.0 - 1.0
-        n = np.array([region_matrix(x1 + 2 * beam[0], x2 + 2 * beam[1])[0]
-                      for x1 in s for x2 in s])
-        df = np.eye(3) + math.exp(constants.L + above_L) * n
-        for got, want in zip(_sigma_extremes_det(df), self.oracle(df)):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-
-    def test_random_matrices_within_the_documented_bound(self):
-        m = np.random.default_rng(11).standard_normal((2000, 3, 3))
-        s_max, s_min, det = _sigma_extremes_det(m)
-        o_max, o_min, o_det = self.oracle(m)
-        kappa2 = (o_max / o_min) ** 2
-        sq = np.linalg.svd(m, compute_uv=False) ** 2
-        g_top = (sq[:, 0] - sq[:, 1]) / sq[:, 0]
-        g = (sq[:, 1] - sq[:, 2]) / sq[:, 0]
-        # eight times the documented eps (1 + 1/g_top) and
-        # eps kappa^2 (1 + 1/g) bounds
-        tol = 8 * self.EPS
-        assert np.all(np.abs(s_max / o_max - 1) <= tol * (1 + 1 / g_top))
-        assert np.all(np.abs(s_min / o_min - 1) <= tol * kappa2 * (1 + 1 / g))
-        assert np.all(np.abs(det / o_det - 1) <= tol * kappa2)
-
-    @pytest.mark.parametrize("m", [3.0 * np.eye(3), np.diag([2.0, 2.0, 1.0]),
-                                   np.diag([1.0, 2.0, 2.0]),
-                                   -np.diag([2.0, 1.0, 1.0])],
-                             ids=["3I", "2-2-1", "1-2-2", "neg-2-1-1"])
-    def test_repeated_singular_values(self, m):
-        got = _sigma_extremes_det(m[None])
-        o_max, o_min, o_det = self.oracle(m)
-        bound = 8 * self.EPS * (o_max / o_min) ** 2
-        assert abs(got[0][0] / o_max - 1) <= bound
-        assert abs(got[1][0] / o_min - 1) <= bound
-        assert abs(got[2][0] / o_det - 1) <= bound
-
-    def test_singular_matrix(self):
-        m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
-        s_max, s_min, det = _sigma_extremes_det(m[None])
-        assert det[0] == 0.0
-        assert s_max[0] == pytest.approx(np.linalg.svd(m)[1][0], rel=1e-14)
-        assert 0.0 <= s_min[0] <= 1e-7 * s_max[0]
 
 
 class TestExpansion:
