@@ -33,6 +33,7 @@ from typing import Dict
 import numpy as np
 
 from . import zorich
+from .cones import _cross
 from .geometry import GeometryError, cuboid_spec, star_shapes
 from .pieces import FormulaPiece, IdentityPiece, radial_pieces
 from .star_extend import RadialMap, ValidationReport, radial_maps
@@ -438,20 +439,68 @@ def audit_seams(gm: GlobalMap, samples=None, seed=None) -> SeamReport:
                       passed=worst / scale <= _SEAM_TOL_SCALED)
 
 
-def _cell_spectra(charts):
-    """(det, sigma_max, sigma_min) of the linear part of every cell of the
-    charts, in chart order, from one stack: ``np.linalg.det`` and the
-    extreme singular values of ``np.linalg.svd(..., compute_uv=False)``."""
-    m = np.concatenate([c.map.linear for c in charts])
-    s = np.linalg.svd(m, compute_uv=False)
-    return np.linalg.det(m), s[:, 0], s[:, -1]
+def _cell_spectra(m):
+    """(det, sigma_max, sigma_min) of each 3x3 matrix of the stack ``m``
+    (shape (n, 3, 3)): det from one ``np.linalg.det``, the singular values
+    in closed form, with no LAPACK call.
+
+    sigma_max(A)^2 is the largest eigenvalue of the Gram matrix A^T A, from
+    the trigonometric solution of its characteristic cubic (O. K. Smith,
+    CACM 4 (1961) 168).  sigma_min(A) is |det A| / sigma_max(cof A), since
+    the singular values of the cofactor matrix are |det A| / sigma_i(A);
+    this avoids the eps * kappa^2 error of the least eigenvalue of A^T A
+    (kappa = sigma_max / sigma_min reaches 3000 on the cells).  The Gram
+    matrix carries an absolute rounding error of a few eps * sigma_max^2,
+    which bounds the error of its largest eigenvalue except next to a
+    double one, where the arccos is ill-conditioned.  With the relative
+    gaps g_top = 1 - sigma_mid^2 / sigma_max^2 and
+    g_bot = 1 - sigma_min^2 / sigma_mid^2 (the top gap of cof A),
+    sigma_max is accurate to about eps * (1 + 1/g_top) relative and
+    sigma_min to about eps * (kappa + 1/g_bot), kappa from the rounding of
+    det and of the cofactors.  sigma_max of a diagonal matrix with repeated
+    entries (3 I, diag(2, 2, 1)) comes out exact, and so does its sigma_min
+    where det does (numpy's det is sign * exp(log |det|): 27 for 3 I, but
+    8 - 2 ulp for 2 I); a pair of singular values equal only up to rounding
+    can lose half its digits (sqrt(eps)).  A matrix of rank below 3 whose
+    det is 0 has sigma_min 0; a non-finite matrix gives NaN, and nothing
+    raises."""
+    n = len(m)
+    r0, r1, r2 = m[:, 0], m[:, 1], m[:, 2]
+    a = np.concatenate([m, np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)],
+                                    axis=1)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        det = np.linalg.det(m)
+        a00, a01, a02 = a[:, 0, 0], a[:, 0, 1], a[:, 0, 2]
+        a10, a11, a12 = a[:, 1, 0], a[:, 1, 1], a[:, 1, 2]
+        a20, a21, a22 = a[:, 2, 0], a[:, 2, 1], a[:, 2, 2]
+        # the Gram matrix G = a^T a (symmetric)
+        g00 = a00 * a00 + a10 * a10 + a20 * a20
+        g11 = a01 * a01 + a11 * a11 + a21 * a21
+        g22 = a02 * a02 + a12 * a12 + a22 * a22
+        g01 = a00 * a01 + a10 * a11 + a20 * a21
+        g02 = a00 * a02 + a10 * a12 + a20 * a22
+        g12 = a01 * a02 + a11 * a12 + a21 * a22
+        q = (g00 + g11 + g22) / 3.0
+        d0, d1, d2 = g00 - q, g11 - q, g22 - q
+        p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
+                     + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6.0)
+        # B = (G - q I) / p has eigenvalues 2 cos(phi + 2 pi k / 3), where
+        # 3 phi = acos(det B / 2); the largest is 2 cos(phi)
+        inv = np.where(p > 0.0, 1.0 / p, 0.0)
+        b0, b1, b2 = d0 * inv, d1 * inv, d2 * inv
+        b01, b02, b12 = g01 * inv, g02 * inv, g12 * inv
+        half_det = 0.5 * (b0 * (b1 * b2 - b12 * b12) - b01 * (b01 * b2 - b12 * b02)
+                          + b02 * (b01 * b12 - b1 * b02))
+        phi = np.arccos(np.clip(half_det, -1.0, 1.0)) / 3.0
+        s = np.sqrt(q + 2.0 * p * np.cos(phi))
+        s_max, s_cof = s[:n], s[n:]
+        return det, s_max, np.where(s_cof == 0.0, 0.0, np.abs(det) / s_cof)
 
 
 def _least_dets(charts):
     """(chart, k, det) for each chart: its cell k of least determinant (the
     first NaN counts as least), from one ``np.linalg.det`` of all cells.
-    It takes no singular values: LAPACK's SVD raises on a non-finite cell,
-    which this check must name."""
+    It takes no singular values, which no orientation claim needs."""
     det = np.linalg.det(np.concatenate([c.map.linear for c in charts]))
     ends = np.cumsum([len(c.map.linear) for c in charts])[:-1]
     for chart, dets in zip(charts, np.split(det, ends)):
@@ -471,10 +520,10 @@ def audit_orientation(gm: GlobalMap, samples_per_chart=None, seed=None) -> Orien
 
 def cell_dilatations(charts):
     """K = max(sigma_max^3 / det, det / sigma_min^3) of the linear part of
-    every cell of the charts (inf where det <= 0), from ``_cell_spectra``;
-    a non-finite linear part raises LinAlgError (a build rejects one first,
-    in ``certify_cell_orientation``)."""
-    det, s_max, s_min = _cell_spectra(charts)
+    every cell of the charts (inf where det <= 0, so also for a singular or
+    non-finite linear part, which a build rejects first, in
+    ``certify_cell_orientation``), from ``_cell_spectra``."""
+    det, s_max, s_min = _cell_spectra(np.concatenate([c.map.linear for c in charts]))
     with np.errstate(divide="ignore", invalid="ignore"):
         k = np.maximum(s_max ** 3 / det, det / s_min ** 3)
     return np.where(det > 0.0, k, math.inf)
@@ -590,8 +639,8 @@ def chart_lipschitz(chart):
     and affine on each cell), and ``inverse``, max 1 / sigma_min(A), the
     local Lipschitz constant of its inverse; ``method`` names how they were
     taken."""
-    _, s_max, s_min = _cell_spectra([chart])
-    return {"method": "cells-svd", "box": float(s_max.max()),
+    _, s_max, s_min = _cell_spectra(chart.map.linear)
+    return {"method": "cells-closed-form", "box": float(s_max.max()),
             "inverse": float((1.0 / s_min).max())}
 
 

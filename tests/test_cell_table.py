@@ -5,6 +5,7 @@ import copy
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,8 +14,8 @@ from oracles import (cell_linear_part, cell_vertex_images, facet_is_planar_rows,
                      polygon_kernel_rows, radial_eval, radial_inverse, sector_entry,
                      triangulate_planar_rows)
 from qrdyn.geometry import GeometryError, StarShape, _facet_coordinates, _triangulate_planar
-from qrdyn.global_map import (ConstructionError, _cell_index, cell_dilatations,
-                              certify_cell_orientation)
+from qrdyn.global_map import (ConstructionError, _cell_index, _cell_spectra,
+                              cell_dilatations, certify_cell_orientation, chart_lipschitz)
 from qrdyn.pieces import _frames, _star_centres, polygon_kernel
 from qrdyn.star_extend import RadialMap
 
@@ -70,16 +71,33 @@ class TestCells:
         assert build.min_cell_det == float(dets.min()) > 0.0
 
     def test_dilatation_and_det_against_svd(self, build):
-        m = np.concatenate([c.map.linear for c in build.g.charts])
-        sv = np.linalg.svd(m, compute_uv=False)
-        det = np.linalg.det(m)
-        k = np.maximum(sv[:, 0] ** 3 / det, det / sv[:, -1] ** 3)
-        got = cell_dilatations(build.g.charts)
+        # two references per cell, neither of which the package calls:
+        # LAPACK's SVD and det, and a 40-digit SVD and det of the same float
+        # matrices (mpmath)
+        charts = build.g.charts
+        m = np.concatenate([c.map.linear for c in charts])
+        with mpmath.workdps(40):
+            exact = [(mpmath.svd_r(a, compute_uv=False), mpmath.det(a))
+                     for a in map(mpmath.matrix, m.tolist())]
+            mp_sv = np.array([sorted(map(float, sv), reverse=True) for sv, _ in exact])
+            mp_det = np.array([float(det) for _, det in exact])
+        det, s_max, s_min = _cell_spectra(m)
+        got = cell_dilatations(charts)
         assert len(got) == 141
-        assert np.allclose(got, k, rtol=1e-9, atol=0)
-        assert np.allclose(np.concatenate([np.linalg.det(c.map.linear) for c in build.g.charts]),
-                           det, rtol=1e-9, atol=0)
         assert build.K_slab == float(got.max())
+        lips = [chart_lipschitz(chart) for chart in charts]
+        ends = np.cumsum([len(c.map.linear) for c in charts])[:-1]
+        rel = dict(rtol=1e-12, atol=0.0)
+        for sv, want_det in ((np.linalg.svd(m, compute_uv=False), np.linalg.det(m)),
+                             (mp_sv, mp_det)):
+            np.testing.assert_allclose(det, want_det, **rel)
+            np.testing.assert_allclose(s_max, sv[:, 0], **rel)
+            np.testing.assert_allclose(s_min, sv[:, -1], **rel)
+            k = np.maximum(sv[:, 0] ** 3 / want_det, want_det / sv[:, -1] ** 3)
+            np.testing.assert_allclose(got, k, **rel)
+            for lip, part in zip(lips, np.split(sv, ends)):
+                assert lip["box"] == pytest.approx(part[:, 0].max(), rel=1e-12)
+                assert lip["inverse"] == pytest.approx((1.0 / part[:, -1]).max(), rel=1e-12)
 
     def test_vertex_images_are_the_radial_images(self, build):
         for chart in build.g.charts:
@@ -152,6 +170,51 @@ class TestCells:
                     p[axis] = end[axis] + sign
                     with pytest.raises(GeometryError, match="outside the domain box"):
                         rmap.eval(p)
+
+
+class TestCellSpectra:
+    """The closed-form kernel of ``cell_dilatations`` and ``chart_lipschitz``
+    (``global_map._cell_spectra``): its exact, singular and non-finite
+    cases, and the error bound of its docstring against LAPACK."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("m, want", [(3.0 * np.eye(3), (27.0, 3.0, 3.0)),
+                                         (np.diag([2.0, 2.0, 1.0]), (4.0, 2.0, 1.0))],
+                             ids=["3I", "2-2-1"])
+    def test_repeated_singular_values_are_exact(self, m, want):
+        assert tuple(float(x[0]) for x in _cell_spectra(m[None])) == want
+
+    def test_singular_matrix(self):
+        m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+        det, s_max, s_min = _cell_spectra(m[None])
+        assert (det[0], s_min[0]) == (0.0, 0.0)
+        assert s_max[0] == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-14)
+        assert cell_dilatations([types.SimpleNamespace(
+            map=types.SimpleNamespace(linear=m[None]))])[0] == math.inf
+
+    def test_random_matrices_within_the_documented_bound(self):
+        m = np.random.default_rng(11).standard_normal((2000, 3, 3))
+        det, s_max, s_min = _cell_spectra(m)
+        sv = np.linalg.svd(m, compute_uv=False)
+        sq = sv ** 2
+        g_top = 1.0 - sq[:, 1] / sq[:, 0]
+        g_bot = 1.0 - sq[:, 2] / sq[:, 1]
+        # eight times the documented eps (1 + 1/g_top) and
+        # eps (kappa + 1/g_bot) bounds
+        tol = 8 * self.EPS
+        assert np.all(np.abs(s_max / sv[:, 0] - 1) <= tol * (1 + 1 / g_top))
+        assert np.all(np.abs(s_min / sv[:, -1] - 1)
+                      <= tol * (sv[:, 0] / sv[:, -1] + 1 / g_bot))
+        assert det.tobytes() == np.linalg.det(m).tobytes()
+
+    def test_nan_cell_has_infinite_dilatation(self):
+        bad = np.eye(3)
+        bad[1, 2] = math.nan
+        charts = [types.SimpleNamespace(map=types.SimpleNamespace(
+            linear=np.array([3.0 * np.eye(3), bad])))]
+        assert cell_dilatations(charts).tolist() == [1.0, math.inf]
+        assert all(math.isnan(x[1]) for x in _cell_spectra(charts[0].map.linear))
 
 
 def _near_centre(chart, rng, count=50):

@@ -114,7 +114,7 @@ def test_build_report_lists_the_chart_lipschitz_constants(build):
         entry = lipschitz[chart.cell_id]
         # the oracle: numpy's SVD of every cell's linear part
         sigma = np.linalg.svd(chart.map.linear, compute_uv=False)
-        assert entry["method"] == "cells-svd"
+        assert entry["method"] == "cells-closed-form"
         assert entry["box"] == pytest.approx(sigma[:, 0].max(), rel=1e-12)
         assert entry["inverse"] == pytest.approx((1.0 / sigma[:, -1]).max(), rel=1e-12)
         # the text report prints the same entries

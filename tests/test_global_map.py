@@ -13,7 +13,7 @@ from qrdyn import geometry, global_map, zorich
 from qrdyn.global_map import (ConstructionError, GlobalMap, _CHARTS, _cell_index,
                               audit_dilatation, audit_orientation, audit_seams,
                               build_aprime_chart, build_asecond_charts, build_maps,
-                              build_vertex_table, chart_lipschitz,
+                              build_report, build_vertex_table, chart_lipschitz,
                               constants_report_text,
                               derive_translation_constant, _IMAGES,
                               _TOP_QUAD_PLANES)
@@ -431,7 +431,7 @@ class TestAudits:
     def test_constants_report_text(self, build):
         text = constants_report_text(build)
         assert "c0 =" in text and "L_prime =" in text
-        for line in ("chart.A'.lipschitz_method = cells-svd",
+        for line in ("chart.A'.lipschitz_method = cells-closed-form",
                      "chart.A'.lipschitz_box = 10.1775", "chart.A'.lipschitz_inverse = 91.3467",
                      "chart.A''4.lipschitz_box = 172.129",
                      "chart.A''4.lipschitz_inverse = 27.1001"):
@@ -520,15 +520,23 @@ class TestBuildWork:
         # solids (a box never reads its cone frames, so a build forms none);
         # and one det of all cells in each of certify_cell_orientation and
         # cell_dilatations (K_slab).  A stack split into one call per chart,
-        # cell or sector shows here
+        # cell or sector shows here.  No SVD: the cell spectra are taken in
+        # closed form, and the first LAPACK SVD of a process pages in about
+        # a megabyte of code
         with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve, \
                 mock.patch("numpy.linalg.inv", wraps=np.linalg.inv) as inv, \
-                mock.patch("numpy.linalg.det", wraps=np.linalg.det) as det:
+                mock.patch("numpy.linalg.det", wraps=np.linalg.det) as det, \
+                mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
             build = build_maps()
+            counts = (solve.call_count, inv.call_count, det.call_count)
+            audit_dilatation(build.g)
+            audit_orientation(build.g)
+            build_report(build)
         charts, phases = len(build.g.charts), 2
-        assert solve.call_count == phases + 3 + 5 + charts
-        assert inv.call_count == 2 * phases + phases
-        assert det.call_count == phases + phases + 2
+        assert counts[0] == phases + 3 + 5 + charts
+        assert counts[1] == 2 * phases + phases
+        assert counts[2] == phases + phases + 2
+        assert svd.call_count == 0
 
     def test_one_certification_pass_per_chart_phase(self):
         # one stacked star test per chart phase takes the image solids and
