@@ -497,13 +497,20 @@ def _cell_spectra(m):
         return det, s_max, np.where(s_cof == 0.0, 0.0, np.abs(det) / s_cof)
 
 
+def _per_chart(charts, *stacks):
+    """Each chart of ``charts`` with its own slice of each stack, a stack
+    holding one value per cell of all the charts' cells in order."""
+    ends = np.cumsum([len(c.map.linear) for c in charts])[:-1]
+    return zip(charts, *(np.split(stack, ends) for stack in stacks))
+
+
 def _least_dets(charts):
     """(chart, k, det) for each chart: its cell k of least determinant (the
     first NaN counts as least), from one ``np.linalg.det`` of all cells.
     It takes no singular values, which no orientation claim needs."""
-    det = np.linalg.det(np.concatenate([c.map.linear for c in charts]))
-    ends = np.cumsum([len(c.map.linear) for c in charts])[:-1]
-    for chart, dets in zip(charts, np.split(det, ends)):
+    with np.errstate(invalid="ignore"):
+        det = np.linalg.det(np.concatenate([c.map.linear for c in charts]))
+    for chart, dets in _per_chart(charts, det):
         k = int(np.argmin(dets))
         yield chart, k, dets[k]
 
@@ -529,12 +536,25 @@ def cell_dilatations(charts):
     return np.where(det > 0.0, k, math.inf)
 
 
+def _median(values):
+    """``np.median`` of a 1-D float array, bitwise (but for the sign of a
+    zero median), without numpy's selection kernel, whose first call pages
+    in about 0.5 MB of code that nothing else in a run uses: the middle
+    value of the sorted values, or the mean (a + b) / 2 of the two middle
+    ones, which is how ``np.median`` averages them; NaN if any value is."""
+    v = values.tolist()
+    if any(map(math.isnan, v)):
+        return math.nan
+    v.sort()
+    mid = len(v) // 2
+    return v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2
+
+
 def audit_dilatation(gm: GlobalMap, samples=None, seed=None) -> DilatationReport:
     """Sup and median of the dilatation over the cells of the slab atlas,
     on each of which g is affine.  ``samples`` and ``seed`` are unused."""
     ks = cell_dilatations(gm.charts)
-    return DilatationReport(k_sup=float(ks.max()), k_median=float(np.median(ks)),
-                            samples=len(ks))
+    return DilatationReport(k_sup=float(ks.max()), k_median=_median(ks), samples=len(ks))
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +652,18 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
                        validations=validations, phase_s=phase_s)
 
 
-def chart_lipschitz(chart):
-    """The Lipschitz constants of a chart, from the linear parts A of its
-    cells (``_cell_spectra``): ``box``, max sigma_max(A), the Lipschitz
+def chart_lipschitz(charts):
+    """{chart id: its Lipschitz constants} for the charts, from the linear
+    parts A of each chart's cells: ``box``, max sigma_max(A), the Lipschitz
     constant of the chart on its box (convex, and the chart is continuous
     and affine on each cell), and ``inverse``, max 1 / sigma_min(A), the
     local Lipschitz constant of its inverse; ``method`` names how they were
-    taken."""
-    _, s_max, s_min = _cell_spectra(chart.map.linear)
-    return {"method": "cells-closed-form", "box": float(s_max.max()),
-            "inverse": float((1.0 / s_min).max())}
+    taken.  One ``_cell_spectra`` of all the charts' cells, split per chart,
+    gives each chart the values that a pass over its own cells gives."""
+    _, s_max, s_min = _cell_spectra(np.concatenate([c.map.linear for c in charts]))
+    return {chart.cell_id: {"method": "cells-closed-form", "box": float(top.max()),
+                            "inverse": float((1.0 / least).max())}
+            for chart, top, least in _per_chart(charts, s_max, s_min)}
 
 
 def build_report(build: BuildResult) -> dict:
@@ -666,7 +688,7 @@ def build_report(build: BuildResult) -> dict:
         "K_slab": build.K_slab,
         "validations": {cid: rep.passed for cid, rep in build.validations.items()},
         "phase_s": dict(build.phase_s),
-        "lipschitz": {chart.cell_id: chart_lipschitz(chart) for chart in build.g.charts},
+        "lipschitz": chart_lipschitz(build.g.charts),
     }
 
 

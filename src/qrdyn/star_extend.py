@@ -264,7 +264,7 @@ def _cover_deviation(dom, img, tol, facet, normals, offsets, ids):
     against the vertices within 2 tol of its facet's plane, those on a box
     edge against the triangles of both facets.  All triangles go in one
     batched solve, each with its facet's vertices as right-hand sides
-    (padded to the longest such list with other vertices, masked out); a
+    (padded to the longest such list with point 0, masked out); a
     stacked solve with several right-hand sides gives each the coordinates
     that the solve against all vertices gives it
     (``tests/oracles.cover_deviation_all_pairs``).  Each point is solved
@@ -272,13 +272,20 @@ def _cover_deviation(dom, img, tol, facet, normals, offsets, ids):
     interpolation at it is then compared with the point's image in each of
     those triangles."""
     pts, images, ids = dom.reshape(-1, 3), img.reshape(-1, 3), ids.ravel()
-    order = np.argsort(ids, kind="stable")        # each point's vertices, in turn
+    # each point's vertices, in turn, by Python's stable sort: numpy's sort
+    # code (a 128 kB first touch) runs nowhere else in a build
+    key = ids.tolist()
+    order = np.array(sorted(range(len(key)), key=key.__getitem__))
     counts = np.bincount(ids)
     first = _starts(counts)
     points = pts[order[first]]
     near = np.abs(points @ normals.T - offsets) <= 2 * tol       # (points, facets)
     count = near.sum(axis=0)
-    cand = np.argsort(~near, axis=0, kind="stable")[:count.max()].T[facet]
+    # each facet's near points in ascending order, padded with point 0
+    by_facet, near_point = np.nonzero(near.T)
+    table = np.zeros((len(count), count.max()), dtype=near_point.dtype)
+    table[by_facet, np.arange(len(near_point)) - _starts(count)[by_facet]] = near_point
+    cand = table[facet]
     valid = (np.arange(count.max()) < count[:, None])[facet]     # (T, width)
     e = dom[:, 1:] - dom[:, :1]                    # (T, 2, 3): both edges from p0
     n = _cross(e[:, 0], e[:, 1])

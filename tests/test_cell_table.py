@@ -85,7 +85,7 @@ class TestCells:
         got = cell_dilatations(charts)
         assert len(got) == 141
         assert build.K_slab == float(got.max())
-        lips = [chart_lipschitz(chart) for chart in charts]
+        lips = chart_lipschitz(charts).values()
         ends = np.cumsum([len(c.map.linear) for c in charts])[:-1]
         rel = dict(rtol=1e-12, atol=0.0)
         for sv, want_det in ((np.linalg.svd(m, compute_uv=False), np.linalg.det(m)),
@@ -207,6 +207,26 @@ class TestCellSpectra:
         assert np.all(np.abs(s_min / sv[:, -1] - 1)
                       <= tol * (sv[:, 0] / sv[:, -1] + 1 / g_bot))
         assert det.tobytes() == np.linalg.det(m).tobytes()
+
+    def test_a_stack_gives_each_matrix_its_own_spectra(self, build):
+        # chart_lipschitz takes one pass over all cells and splits it per
+        # chart: a slice of a pass is bitwise the pass over the slice, for
+        # the charts' cells and for slices of every length from 1 to 40 of
+        # a seeded stack
+        m = np.random.default_rng(12).standard_normal((400, 3, 3))
+        whole = _cell_spectra(m)
+        for n in range(1, 41):
+            start = 7 * n
+            part = _cell_spectra(m[start:start + n])
+            assert [x.tobytes() for x in part] == [x[start:start + n].tobytes()
+                                                   for x in whole]
+        charts = build.g.charts
+        lips = chart_lipschitz(charts)
+        for chart in charts:
+            _, s_max, s_min = _cell_spectra(chart.map.linear)
+            assert lips[chart.cell_id] == {"method": "cells-closed-form",
+                                           "box": float(s_max.max()),
+                                           "inverse": float((1.0 / s_min).max())}
 
     def test_nan_cell_has_infinite_dilatation(self):
         bad = np.eye(3)
@@ -366,6 +386,7 @@ class TestCellOrientation:
         assert certify_cell_orientation([self._chart(build, [2.0, 0.5]),
                                          self._chart(build, [1.0])]) == (3, 0.5)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [-0.25, 0.0, math.nan])
     def test_non_positive_det_names_chart_and_cell(self, build, bad):
         with pytest.raises(ConstructionError, match=r"A''9, facet 0 piece 0 cell 1"):

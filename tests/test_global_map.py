@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import re
@@ -399,6 +400,14 @@ class TestAudits:
         assert rep.k_sup == pytest.approx(1.72e6, rel=1e-2)
         assert rep.samples == 141
 
+    def test_dilatation_median_is_numpys(self, gmap):
+        # the median of the 141 cell dilatations, bitwise as np.median takes
+        # it and as the audit reported it when it called np.median
+        rep = audit_dilatation(gmap)
+        ks = global_map.cell_dilatations(gmap.charts)
+        assert rep.k_median.hex() == float(np.median(ks)).hex()
+        assert rep.k_median.hex() == "0x1.5a13ceb4f350fp+8"
+
     def test_audits_accept_the_benchmark_arguments(self, gmap):
         # the benchmark passes sample counts and seeds; the exact audits
         # ignore them
@@ -440,6 +449,37 @@ class TestAudits:
             assert "=" in line
 
 
+def _numpy_median(x):
+    """np.median of x as a hex string, its overflow and inf - inf quiet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.median(x)).hex()
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 141, 142])
+    def test_bitwise_numpys_median(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            x = rng.normal(size=n) * rng.choice([1.0, 1e300])
+            assert global_map._median(x).hex() == _numpy_median(x)
+            # repeated values, and two middle values whose sum overflows
+            x = rng.choice([0.0, 1.0, 1.7e308], size=n)
+            assert global_map._median(x).hex() == _numpy_median(x)
+
+    @pytest.mark.parametrize("x", [[math.inf, 1.0, 2.0], [1.0, math.inf, -math.inf],
+                                   [math.inf, -math.inf], [math.inf, 2.0, math.inf, 1.0],
+                                   [-math.inf, 5.0]])
+    def test_infinities(self, x):
+        x = np.array(x)
+        assert global_map._median(x).hex() == _numpy_median(x)
+
+    @pytest.mark.parametrize("n", [1, 4, 141])
+    def test_a_nan_gives_nan(self, n):
+        x = np.arange(n, dtype=float)
+        x[n // 2] = math.nan
+        assert global_map._median(x).hex() == _numpy_median(x) == "nan"
+
+
 class TestChartLipschitz:
     @pytest.mark.parametrize("cid", ["A'", "A''1", "A''2", "A''3", "A''4"])
     def test_box_constant_bounds_sampled_pairs(self, build, cid):
@@ -447,7 +487,7 @@ class TestChartLipschitz:
         # so the largest sigma_max of a cell bounds it on every pair; far
         # pairs and near ones come within 15 % of the bound on every chart
         chart = build.g.by_id[cid]
-        lip = chart_lipschitz(chart)["box"]
+        lip = chart_lipschitz(build.g.charts)[cid]["box"]
         lo, hi = chart.map.domain.box
         rng = np.random.default_rng(21)
         x = lo + rng.random((400, 3)) * (hi - lo)
@@ -537,6 +577,25 @@ class TestBuildWork:
         assert counts[1] == 2 * phases + phases
         assert counts[2] == phases + phases + 2
         assert svd.call_count == 0
+
+    def test_no_selection_or_sort_kernel(self):
+        # the first call of a numpy kernel pages its native code into the
+        # process: the selection code behind median, partition, percentile
+        # and quantile about 0.5 MB, the sort code of a boolean mask
+        # 0.06 MB and that of integer keys 0.13 MB; the build, the four
+        # audits and the report call none of them
+        names = ("median", "partition", "percentile", "quantile", "sort", "argsort")
+        with contextlib.ExitStack() as stack:
+            kernels = [stack.enter_context(mock.patch(f"numpy.{name}",
+                                                      wraps=getattr(np, name)))
+                       for name in names]
+            build = build_maps()
+            audit_seams(build.g)
+            audit_orientation(build.g)
+            audit_dilatation(build.g)
+            zorich.expansion_min_ratio(build.constants.L, pairs=200)
+            build_report(build)
+        assert dict(zip(names, (k.call_count for k in kernels))) == dict.fromkeys(names, 0)
 
     def test_one_certification_pass_per_chart_phase(self):
         # one stacked star test per chart phase takes the image solids and

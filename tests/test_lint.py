@@ -7,9 +7,9 @@ is reached from a test module,
 every parameter of a module-level function or of a method of a
 module-level class (but self and cls) is read by its body, every
 for-loop target is read by the loop's body, every attribute that the
-package assigns is read by the package or the benchmark, and every module
+package assigns is read by the package or the benchmark, every module
 stays below the token count at which CPython's parser doubles its token
-array."""
+array, and no module calls numpy's selection or sort functions."""
 
 import ast
 import io
@@ -404,3 +404,42 @@ def test_module_stays_below_the_token_step(path):
     count = token_count(path.read_text())
     assert count < TOKEN_LIMIT, (
         f"{path.name} has {count} tokens, at or above {TOKEN_LIMIT}; split it")
+
+
+# numpy functions whose first call pages in native code that nothing else
+# in a build or an audit runs: the selection code of median, partition,
+# percentile and quantile (about 0.5 MB), and the sort code behind sort,
+# argsort and unique (0.06 MB for a boolean mask, 0.13 MB for integer keys)
+SELECTION_AND_SORT = {"median", "nanmedian", "partition", "argpartition", "percentile",
+                      "quantile", "sort", "argsort", "unique"}
+
+
+def selection_and_sort_uses(source):
+    """(line, name) of each use of a function of ``SELECTION_AND_SORT``: an
+    attribute of ``np`` or ``numpy``, or a name imported from numpy."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in SELECTION_AND_SORT
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            out += [(node.lineno, a.name) for a in node.names if a.name in SELECTION_AND_SORT]
+    return sorted(out)
+
+
+def test_detects_a_selection_or_sort_call():
+    # audit_dilatation once took np.median of the cell dilatations, and
+    # _cover_deviation ranked a boolean mask with np.argsort; Python's own
+    # sorts are allowed
+    src = ("import numpy as np\nfrom numpy import quantile, argsort\n\n"
+           "def audit(ks, near, v):\n"
+           "    v.sort()\n"
+           "    order = np.argsort(~near, kind='stable')\n"
+           "    return np.median(ks), numpy.unique(ks), sorted(v), order\n")
+    assert selection_and_sort_uses(src) == [(2, "argsort"), (2, "quantile"), (6, "argsort"),
+                                            (7, "median"), (7, "unique")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_selection_or_sort_call(path):
+    assert selection_and_sort_uses(path.read_text()) == []
