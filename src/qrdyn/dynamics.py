@@ -114,19 +114,12 @@ class BigExp:
 
 @dataclass
 class SurrogateSpec:
-    """Closed-form log-domain continuation for the tail of an orbit.
-
-    The one kind, "radial-square": |x_{k+1}| = |x_k|^2 + c with
-    0 <= c <= translate (direction-independent bound); exact for orbits on
-    the invariant axis.  Any other kind raises ValueError.
+    """Closed-form log-domain continuation for the tail of an orbit, the
+    radial square: |x_{k+1}| = |x_k|^2 + c with 0 <= c <= translate
+    (direction-independent bound); exact for orbits on the invariant axis.
     """
 
-    kind: str
     translate: float = 0.0
-
-    def __post_init__(self):
-        if self.kind != "radial-square":
-            raise ValueError(f"unknown surrogate kind: {self.kind!r}")
 
     def regime(self, point) -> bool:
         return len(point) == 2 or point[2] < 0
@@ -180,12 +173,11 @@ def _as_floats(p):
     return tuple(map(float, p))
 
 
-def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CAP,
-            stop_on_h0: bool = False) -> OrbitRecord:
+def iterate(map_handle: MapHandle, x0, k_max: int, stop_on_h0: bool = False) -> OrbitRecord:
     """Iterate the map, recording points and log magnitudes.
 
     Terminates on the iteration budget, on (optional) entry into the lower
-    half-space, on exceeding the radius cap, on a non-finite value, or on an
+    half-space, on exceeding ``RADIUS_CAP``, on a non-finite value, or on an
     F step past the precision horizon (reason "precision_lost").  A
     non-finite image with x3 < 0, such as (x1, x2, -inf), entered the
     half-space: it sets ``h0_step`` before the orbit stops as "nonfinite",
@@ -211,7 +203,7 @@ def iterate(map_handle: MapHandle, x0, k_max: int, radius_cap: float = RADIUS_CA
                                reason="entered_h0", h0_step=0)
     reason = "budget"
     surrogate_from = None
-    fn, sur, isfinite = map_handle.fn, map_handle.surrogate, math.isfinite
+    fn, sur, isfinite, radius_cap = map_handle.fn, map_handle.surrogate, math.isfinite, RADIUS_CAP
     for k in range(1, k_max + 1):
         try:
             x = _as_floats(fn(x))
@@ -293,20 +285,19 @@ def _undecided(budget):
     return EscapeClass("undecided", budget=budget)
 
 
-def classify_escape(f: MapHandle, x, n_max: int,
-                    radius_cap: float = RADIUS_CAP) -> EscapeClass:
+def classify_escape(f: MapHandle, x, n_max: int) -> EscapeClass:
     """Half-space entry proxy: the least n with third coordinate < 0, an
     image with x3 = -inf (an F step whose height overflows after the shift)
-    among them; radial escape once the magnitude passes the cap without entering
-    (or on another non-finite iterate); precision_lost at an F step past the
-    precision horizon; undecided otherwise.  The orbit is carried as three Python
-    floats.  Equal outcomes are one shared, immutable ``EscapeClass``.  A
-    start with an infinite or NaN coordinate raises ValueError: it has no
-    orbit to classify."""
+    among them; radial escape once the magnitude passes ``RADIUS_CAP``
+    without entering (or on another non-finite iterate); precision_lost at an
+    F step past the precision horizon; undecided otherwise.  The orbit is
+    carried as three Python floats.  Equal outcomes are one shared,
+    immutable ``EscapeClass``.  A start with an infinite or NaN coordinate
+    raises ValueError: it has no orbit to classify."""
     if not f.tracks_h0:
         raise ValueError("escape classification needs the shifted map")
     x1, x2, x3 = map(float, x)
-    fn, isfinite, hypot = f.fn, math.isfinite, math.hypot
+    fn, isfinite, hypot, radius_cap = f.fn, math.isfinite, math.hypot, RADIUS_CAP
     if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
         raise ValueError(f"classify_escape needs a finite start, got {(x1, x2, x3)}")
     if x3 < 0:
@@ -333,20 +324,12 @@ def log_plus(v):
     return math.log(v) if v > 1.0 else 0.0
 
 
-def escape_rate_series(map_handle: MapHandle, x, k_max: int, p: int = 1):
-    """a_k = log+ log |map^{kp}(x)| / k, from direct or surrogate magnitudes;
+def escape_rate_series(map_handle: MapHandle, x, k_max: int):
+    """a_k = log+ log |map^k(x)| / k, from direct or surrogate magnitudes;
     the series stops where the orbit does (at the precision horizon, say)."""
-    if p < 1:
-        raise ValueError("period must be positive")
-    rec = iterate(map_handle, x, k_max * p)
-    ks, aks = [], []
-    for k in range(1, k_max + 1):
-        idx = k * p
-        if idx >= len(rec.rho):
-            break
-        r = rec.rho[idx]
-        ks.append(k)
-        aks.append(log_plus(r) / k if math.isfinite(r) else math.inf)
+    rec = iterate(map_handle, x, k_max)
+    ks = list(range(1, len(rec.rho)))
+    aks = [log_plus(r) / k if math.isfinite(r) else math.inf for k, r in zip(ks, rec.rho[1:])]
     return ks, aks, rec
 
 
@@ -541,8 +524,7 @@ def fast_escape_test(f: MapHandle, x, R: float, ell_max: int = 4,
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def orbit_csv(record: OrbitRecord, escape: Optional[EscapeClass] = None,
-              period: int = 1) -> str:
+def orbit_csv(record: OrbitRecord, escape: Optional[EscapeClass] = None) -> str:
     """One row per step: k, coordinates (while representable) or the log
     magnitude, the rate a_k, and the classification label."""
     buf = io.StringIO()
@@ -555,8 +537,8 @@ def orbit_csv(record: OrbitRecord, escape: Optional[EscapeClass] = None,
             coords = [f"{float(c)!r}" for c in record.points[k]]
         else:
             coords = [""] * dim
-        if k >= 1 and k % period == 0 and math.isfinite(r):
-            a = f"{log_plus(r) / (k // period)!r}"
+        if k >= 1 and math.isfinite(r):
+            a = f"{log_plus(r) / k!r}"
         else:
             a = ""
         rho_s = f"{r!r}" if math.isfinite(r) else ""

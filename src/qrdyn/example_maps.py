@@ -96,7 +96,7 @@ def example_one() -> MapHandle:
         name="example1",
         fn=lambda p: fatou_h_eval(radial_square_eval(p)),
         dim=2,
-        surrogate=SurrogateSpec("radial-square", translate=2.0),
+        surrogate=SurrogateSpec(translate=2.0),
     )
 
 
@@ -110,7 +110,7 @@ def example_two(f) -> MapHandle:
         fn=fn,
         dim=3,
         tracks_h0=True,
-        surrogate=SurrogateSpec("radial-square", translate=f.L_prime),
+        surrogate=SurrogateSpec(translate=f.L_prime),
         translate=f.L_prime,
     )
 

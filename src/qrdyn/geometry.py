@@ -7,8 +7,7 @@ where a surface triangle does not face it.  The test proves that every ray
 from the centre crosses the boundary exactly once.  The module provides
 the ray-to-boundary projection psi, read off that one crossing of the ray
 from the centre through x (``cones._crossing``: a scan of the cone frames
-of the surface triangles, precomputed per polyhedron and taken on first
-use by a box).
+of the surface triangles, precomputed per polyhedron).
 
 Polyhedral surfaces are oriented outward at construction, so the star test
 is one exact sign per surface triangle: the signed volume of (a,
@@ -23,16 +22,15 @@ Construction and the star test run in stacks over many shapes:
 plane coordinates of all their facets, their cone frames and their facet
 planes), and ``certify_star_centres`` tests a batch of (shape, centre)
 pairs with one ``_det3_signs`` call over all their surface triangles.  One
-shape, or one centre, is a batch of one.  An axis-aligned box (a
-``cuboid_spec``) skips the polyhedron steps: its facets, triangles and
-normals are fixed by that layout.
+shape, or one centre, is a batch of one.  The axis-aligned boxes that the
+radial maps start from are not built here: each is convex about its
+midpoint and needs neither the star test nor psi (``star_extend.Box``).
 
 All shapes are immutable after construction; every operation is pure.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,54 +76,19 @@ class StarShape:
     an ordered index loop, and ``triangles`` triangulates the surface with
     ``tri_facet`` recording which facet each triangle came from;
     ``facet_planes`` holds each facet's outward unit normal, plane offset
-    and area.
+    and area, and ``_cones`` the cone frames of the surface triangles about
+    the centre (``_cone_frames``), which ``psi`` scans.
 
-    ``StarShape(vertices, centre, facet_polys, box)`` is ``star_shapes`` on
-    one shape: construction ends with the star test of its centre
+    ``StarShape(vertices, centre, facet_polys)`` is ``star_shapes`` on one
+    shape: construction ends with the star test of its centre
     (``certify_star_centres``), so a shape with a surface triangle that does
     not face its centre is never built: it raises ``CertificationFailure``.
     Every ray from the centre of a built shape crosses its boundary exactly
-    once, which ``psi`` relies on.  A spec with a box is ``cuboid_spec``'s,
-    and is built as a box: its triangles and facet normals are the
-    constants of that layout, and every other field is the one that the
-    same vertices and facets without the box build as a general
-    polyhedron.
+    once, which ``psi`` relies on.
     """
 
-    def __init__(self, vertices, centre, facet_polys, box=None):
-        _build_shapes([self], [(vertices, centre, facet_polys, box)])
-
-    @functools.cached_property
-    def _cones(self):
-        """The cone frames of a box (``_cone_frames``), taken on first use
-        by ``psi``.  A polyhedron's are set at construction."""
-        return _cone_frames(self.vertices[self.triangles] - self.centre, self.tri_facet, [12])[0]
-
-# the facet loops of a box: index bit 2 is x (0 lo), bit 1 y, bit 0 z; facet
-# 2k is the face x_k = lo[k], facet 2k + 1 the face x_k = hi[k]
-_BOX_FACES = np.array([[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1],
-                       [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]])
-# what ear clipping and ``_orient_outward`` make of them on every box: two
-# outward triangles per facet, in facet order, and the facets' unit normals
-# (+ 0.0 turns the -0.0 of the products into the 0.0 those steps give)
-_BOX_TRIANGLES = _BOX_FACES[:, [3, 0, 1, 1, 2, 3]].reshape(12, 3)
-_BOX_NORMALS = np.kron(np.eye(3), [[-1.0], [1.0]]) + 0.0
-
-
-def cuboid_spec(lo, hi, centre=None):
-    """The ``StarShape`` arguments (vertices, centre, facet loops, box) of
-    the axis-aligned cuboid [lo, hi] about ``centre`` (its midpoint if
-    None); facet 2k is the face x_k = lo[k], facet 2k + 1 the face
-    x_k = hi[k]."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(hi <= lo):
-        raise GeometryError("cuboid needs lo < hi per axis")
-    xs, ys, zs = zip(lo, hi)
-    verts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
-    if centre is None:
-        centre = 0.5 * (lo + hi)
-    return verts, centre, _BOX_FACES.tolist(), (lo, hi)
+    def __init__(self, vertices, centre, facet_polys):
+        _build_shapes([self], [(vertices, centre, facet_polys)])
 
 
 def star_shapes(specs):
@@ -158,18 +121,16 @@ def star_shapes(specs):
 
 def _build_shapes(shapes, specs):
     """Fill in the blank ``shapes`` from their ``specs`` (vertices, centre,
-    facet_polys, box) and star-test their centres, each numpy step once
-    over all of them; raises the first error met, which for one shape is
-    the error of its construction: its arguments, then its facets
+    facet_polys) and star-test their centres, each numpy step once over all
+    of them; raises the first error met, which for one shape is the error
+    of its construction: its arguments, then its facets
     (``_facet_coordinates``, ``_triangulate_planar``, ``_orient_outward``),
-    then its centre.  A box takes its facets from the constants of
-    ``cuboid_spec``'s layout."""
-    for shape, (vertices, centre, facet_polys, box) in zip(shapes, specs):
+    then its centre."""
+    for shape, (vertices, centre, facet_polys) in zip(shapes, specs):
         shape.vertices = np.asarray(vertices, dtype=float)
         if not np.all(np.isfinite(shape.vertices)):
             raise GeometryError("non-finite vertex coordinates")
         shape.centre = _as_array(centre)
-        shape.box = box  # (lo, hi) arrays for axis-aligned cuboids, else None
         mins = shape.vertices.min(axis=0)
         maxs = shape.vertices.max(axis=0)
         shape.diameter = float(np.linalg.norm(maxs - mins))
@@ -180,27 +141,9 @@ def _build_shapes(shapes, specs):
         shape.facet_count = len(shape.facet_polys)
         if any(len(poly) < 3 for poly in shape.facet_polys):
             raise GeometryError("facet with fewer than 3 vertices")
-    for shape in shapes:
-        if shape.box is not None:
-            _box_facets(shape)
-    polyhedra = [shape for shape in shapes if shape.box is None]
-    if polyhedra:
-        _polyhedron_facets(polyhedra)
+    if shapes:
+        _polyhedron_facets(shapes)
     certify_star_centres(shapes, [shape.centre for shape in shapes])
-
-
-def _box_facets(shape):
-    """A box's triangles and facet planes, as the polyhedron steps compute
-    them on ``cuboid_spec``'s layout: each face has the outward unit normal
-    +-e_k, its two triangles' crosses are both the product of its two
-    sides, so its area is that product, and its plane offset is numpy's dot
-    of the normal with a vertex."""
-    side = shape.box[1] - shape.box[0]
-    shape.triangles = _BOX_TRIANGLES
-    shape.tri_facet = np.repeat(np.arange(6), 2)
-    area = np.repeat([side[1] * side[2], side[0] * side[2], side[0] * side[1]], 2)
-    shape.facet_planes = (_BOX_NORMALS, np.einsum(
-        "ij,ij->i", _BOX_NORMALS, shape.vertices[_BOX_FACES[:, 0]]), area)
 
 
 def _polyhedron_facets(shapes):
@@ -249,7 +192,7 @@ def _facet_planes(vertices, polys, points, tri_facet):
     twice_area = np.linalg.norm(n, axis=1)
     n /= twice_area[:, None]
     first = vertices[[poly[0] for poly in polys]]
-    return n, np.einsum("ij,ij->i", n, first), twice_area / 2
+    return n, _dots(n, first), twice_area / 2
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +321,7 @@ def _orient_outward(vertices, tris):
         raise GeometryError("surface is not connected")
     _check_watertight(tris)
     p = vertices[tris]
-    if np.einsum("ij,ij->", p[:, 0], _cross(p[:, 1], p[:, 2])) < 0.0:
+    if _dots(p[:, 0], _cross(p[:, 1], p[:, 2])).sum() < 0.0:
         tris = [[a, c, b] for a, b, c in tris]
     return np.asarray(tris, dtype=int)
 
@@ -393,9 +336,9 @@ def psi(shape: StarShape, x) -> BoundaryHit:
     x, so boundary points map to themselves with t = 1.  Ties on shared
     facet boundaries go to the lowest facet id.  The centre (x within tol
     of it) and exterior points (no crossing at or beyond x) raise
-    GeometryError.  Every shape, a box too, takes the crossing from
-    ``_crossing``, in Python floats.  ``RadialMap.inverse`` takes the
-    codomain facet of a slab chart from psi.
+    GeometryError.  The crossing comes from ``_crossing``, in Python
+    floats.  ``RadialMap.inverse`` takes the codomain facet of a slab chart
+    from psi.
     """
     x = _as_array(x)
     c, r, d = _centre_ray(shape, x)

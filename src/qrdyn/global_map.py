@@ -34,9 +34,9 @@ import numpy as np
 
 from . import zorich
 from .cones import _cross
-from .geometry import GeometryError, cuboid_spec, star_shapes
+from .geometry import GeometryError, star_shapes
 from .pieces import FormulaPiece, IdentityPiece, radial_pieces
-from .star_extend import RadialMap, ValidationReport, radial_maps
+from .star_extend import Box, RadialMap, ValidationReport, radial_maps
 
 
 # --- fixed interpolation data: point names, coordinates and images ---------
@@ -166,11 +166,11 @@ _CHARTS = {
 
 def _build_charts(vt, ids):
     """The charts ``ids`` of ``_CHARTS``: one piece per distinct face (the
-    face fans in one ``radial_pieces`` batch), the image solids and the
-    boxes in one ``star_shapes`` batch (one star test of all their
-    centres) and the cells in one ``radial_maps`` pass.  An image solid
-    whose centre fails the star test raises ConstructionError naming its
-    chart."""
+    face fans in one ``radial_pieces`` batch), the image solids in one
+    ``star_shapes`` batch (one star test of all their centres), each box a
+    ``Box`` domain, and the cells in one ``radial_maps`` pass.  An image
+    solid whose centre fails the star test raises ConstructionError naming
+    its chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
                                for on_facet in spec["facets"].values() for face in on_facet))
@@ -200,20 +200,19 @@ def _build_charts(vt, ids):
             apex = vt.images[centre]
             centre = apex + 0.10 * (verts.mean(axis=0) - apex)
         loops = [[names.index(n) for n in face.split()] for face in spec["codomain"]]
-        solids.append((verts, centre, loops, None))
-    domains = [cuboid_spec(lo, hi) for lo, hi in boxes]
+        solids.append((verts, centre, loops))
     try:
-        shapes = star_shapes(solids + domains)
+        shapes = star_shapes(solids)
     except GeometryError as err:
-        if err.shape_index is None or err.shape_index >= len(ids):
+        if err.shape_index is None:
             raise
         raise ConstructionError(f"no certifiable star centre for image of "
                                 f"{ids[err.shape_index]}: {err}") from err
     maps = radial_maps([
-        (domain, solid,
+        (Box(lo, hi), solid,
          {facet: [made[face] for face in on_facet] for facet, on_facet in spec["facets"].items()},
          {k: serving[face] for k, face in enumerate(spec["codomain"])})
-        for spec, solid, domain in zip(specs, shapes, shapes[len(ids):])])
+        for spec, solid, (lo, hi) in zip(specs, shapes, boxes)])
     return [CellChart(cid, lo, hi, rmap) for cid, (lo, hi), rmap in zip(ids, boxes, maps)]
 
 
@@ -604,11 +603,13 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     The two chart phases, ``build_aprime_chart`` (A') and
     ``build_asecond_charts`` (the four A'' charts), are each one
     ``_build_charts`` call on rows of ``_CHARTS``: one batch of face fans,
-    one ``geometry.star_shapes`` batch of the image solids and the boxes
-    and one ``star_extend.radial_maps`` pass that stacks the cells.  The
-    batch runs one exact star test (``geometry.certify_star_centres``) on
-    all its centres, which proves that the ray from each centre crosses
-    its shape's boundary once, as the radial extension and ``psi`` need.
+    one ``geometry.star_shapes`` batch of the image solids and one
+    ``star_extend.radial_maps`` pass that stacks the cells, each chart's
+    domain a ``star_extend.Box``.  The batch runs one exact star test
+    (``geometry.certify_star_centres``) on the centres of all its solids,
+    which proves that the ray from each centre crosses its solid's boundary
+    once, as the radial extension and ``psi`` need; a box is convex about
+    its midpoint and needs no test.
     Each chart's boundary map is then validated by its own
     ``RadialMap.validate_boundary_map`` call, on the cells and facet planes
     computed when it was built.

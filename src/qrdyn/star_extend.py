@@ -1,9 +1,11 @@
-"""Radial extension of boundary maps between star shapes.
+"""Radial extension of boundary maps from boxes onto star polyhedra.
 
-A boundary homeomorphism between two star shapes extends to the closed
-regions by transporting radial fractions: a point at fraction s of the way
-from the domain centre to the boundary maps to the point at fraction s from
-the codomain centre to the image boundary point.
+A boundary homeomorphism from an axis-aligned box onto a star-shaped
+polyhedron extends to the closed regions by transporting radial fractions:
+a point at fraction s of the way from the box's midpoint to its boundary
+maps to the point at fraction s from the polyhedron's centre to the image
+boundary point.  The box (``Box``) is convex about its midpoint, so only
+the polyhedron (``geometry.StarShape``) needs the star test and psi.
 
 The boundary map itself is a list of pieces on each domain facet, and each
 piece of it is given by its affine cells (``pieces``): the fan of a planar
@@ -33,11 +35,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import _cross, _ray_box_scalar, _starts
-from .geometry import GeometryError, StarShape, psi, _det3_signs
+from .geometry import TAU_GEOM, GeometryError, StarShape, psi, _as_array, _det3_signs
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
 # also the relative tolerance of the facet area sums.
 TAU_SEAM = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the domain box
+
+class Box:
+    """The axis-aligned cuboid [lo, hi], the domain of a ``RadialMap``: it
+    is convex about its midpoint ``centre``, so it needs no star test.  Its
+    ``diameter``, ``tol`` and ``facet_planes`` (normals, offsets, areas) are
+    those of a ``StarShape``, in closed form: facet 2k is the face
+    x_k = lo[k] (normal -e_k, offset -lo[k]) and facet 2k + 1 the face
+    x_k = hi[k] (normal e_k, offset hi[k]), each with the product of its
+    two sides as area.  Raises GeometryError unless lo and hi are finite
+    3-vectors with lo < hi on every axis."""
+
+    # -e_k and e_k; + 0.0 turns the -0.0 of the products into 0.0
+    _NORMALS = np.kron(np.eye(3), [[-1.0], [1.0]]) + 0.0
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = _as_array(lo), _as_array(hi)
+        if not np.all(self.lo < self.hi):
+            raise GeometryError(f"a box needs lo < hi per axis, got {self.lo} and {self.hi}")
+        side = self.hi - self.lo
+        self.centre = 0.5 * (self.lo + self.hi)
+        self.diameter = float(np.linalg.norm(side))
+        self.tol = TAU_GEOM * self.diameter
+        area = np.repeat([side[1] * side[2], side[0] * side[2], side[0] * side[1]], 2)
+        self.facet_planes = (self._NORMALS, np.column_stack([-self.lo, self.hi]).ravel(), area)
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +83,10 @@ class ValidationReport:
 
 
 class RadialMap:
-    """Radial extension of a boundary map from a box onto a star polyhedron,
-    given by the pieces on each domain facet ({facet: [pieces]}) and the
-    piece serving each codomain facet, as its exact affine cells.
+    """Radial extension of a boundary map from a ``Box`` onto a
+    ``StarShape``, given by the pieces on each box facet ({facet:
+    [pieces]}) and the piece serving each codomain facet, as its exact
+    affine cells; any other domain raises GeometryError.
 
     Each cell is the cone from the domain centre a over one polygon on which
     the boundary piece is affine (``FacetPiece.cells``: a triangle, or a
@@ -90,7 +121,7 @@ class RadialMap:
     ``vertex_images`` and the boundary-map validation all read these arrays.
     """
 
-    def __init__(self, domain: StarShape, codomain: StarShape,
+    def __init__(self, domain: Box, codomain: StarShape,
                  pieces_by_facet, piece_by_codomain_facet):
         _build_maps([self], [(domain, codomain, pieces_by_facet, piece_by_codomain_facet)])
 
@@ -409,16 +440,16 @@ def _build_maps(maps, specs):
     facet (no cells to invert there), are met before any stacking."""
     doms, imgs, owner, facets, levels, walks, cells_of = [], [], [], [], [], [], []
     for rmap, (domain, codomain, pieces_by_facet, by_codomain) in zip(maps, specs):
-        if domain.box is None:
+        if not isinstance(domain, Box):
             raise GeometryError("a radial map needs a box domain")
         rmap.domain, rmap.codomain = domain, codomain
         rmap.pieces_by_facet = {f: list(pieces) for f, pieces in pieces_by_facet.items()}
         rmap.piece_by_codomain_facet = dict(by_codomain)
         rmap._a = tuple(map(float, domain.centre))
         rmap._b = tuple(map(float, codomain.centre))
-        rmap._lo, rmap._hi = (tuple(map(float, v)) for v in domain.box)
+        rmap._lo, rmap._hi = (tuple(map(float, v)) for v in (domain.lo, domain.hi))
         rmap._box = tuple([float(c) + s * domain.tol for c in v]
-                          for v, s in zip(domain.box, (-1, 1)))
+                          for v, s in zip((domain.lo, domain.hi), (-1, 1)))
         rmap._ctol2 = domain.tol * domain.tol
         rmap._ctol2_image = codomain.tol ** 2
         rmap.labels = []

@@ -46,7 +46,10 @@ tests.
 - ``ball_growth_check``: the expansion ratio of the image of a small
   sphere above L, which the beam regime bounds below by 32;
 - ``radial_power_dilatation_oracle``: the dilatations of |x| x from their
-  closed form, checked against finite differences.
+  closed form, checked against finite differences;
+- ``cuboid_spec``: the ``StarShape`` arguments of an axis-aligned cuboid
+  built as a polyhedron, whose facet planes a ``star_extend.Box`` gives in
+  closed form.
 """
 
 import math
@@ -273,7 +276,7 @@ def radial_eval(rmap, p):
     dx, dy, dz = x - ax, y - ay, z - az
     if dx * dx + dy * dy + dz * dz <= rmap.domain.tol ** 2:
         return (bx, by, bz)
-    lo, hi = (tuple(map(float, v)) for v in rmap.domain.box)
+    lo, hi = (tuple(map(float, v)) for v in (rmap.domain.lo, rmap.domain.hi))
     facet, t = _ray_box_scalar(ax, ay, az, lo, hi, x, y, z)
     h = (ax + t * dx, ay + t * dy, az + t * dz)
     pieces = rmap.pieces_by_facet[facet]
@@ -626,3 +629,17 @@ def radial_power_dilatation_oracle(dim, samples=1000, seed=0):
         worst = max(worst, abs(det / sv[-1] ** dim - k_i),
                     abs(sv[0] ** dim / det - k_o))
     return DilatationOracle(k_i=k_i, k_o=k_o, max_deviation=worst)
+
+
+def cuboid_spec(lo, hi, centre=None):
+    """The ``StarShape`` arguments (vertices, centre, facet loops) of the
+    axis-aligned cuboid [lo, hi] as a polyhedron about ``centre`` (its
+    midpoint if None).  Vertex index bit 2 is x (0 at lo), bit 1 y and bit
+    0 z; facet 2k is the face x_k = lo[k] and facet 2k + 1 the face
+    x_k = hi[k], as on a ``star_extend.Box``."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    xs, ys, zs = zip(lo, hi)
+    verts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
+    faces = [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1], [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]]
+    return verts, 0.5 * (lo + hi) if centre is None else centre, faces

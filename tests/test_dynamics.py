@@ -183,12 +183,6 @@ class TestRateSeries:
             sur = _radial_square_rho_step(sur, lp)
             assert a == pytest.approx(sur, rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["axis-tower", "nope"])
-    def test_surrogate_spec_takes_only_radial_square(self, kind):
-        # iterate continues only the squaring surrogate
-        with pytest.raises(ValueError):
-            SurrogateSpec(kind)
-
 
 class TestMaxModulus:
     def test_axis_lower_bound(self, fhandle, build):
@@ -469,7 +463,7 @@ class TestConsistency:
             "axis-square",
             lambda p: (0.0, 0.0, -(math.hypot(p[0], math.hypot(p[1], p[2])) ** 2 + lp)),
             dim=3, tracks_h0=True,
-            surrogate=SurrogateSpec("radial-square", translate=lp))
+            surrogate=SurrogateSpec(translate=lp))
         rec = iterate(handle, (0.0, 0.0, -5.0), 12)
         assert rec.surrogate_from is not None
         direct = [math.log(5.0)]
@@ -583,7 +577,7 @@ def _log_norm_numpy(p):
     return math.log(s) + 0.5 * math.log(float(w @ w))
 
 
-def _classify_numpy(f, x, n_max, radius_cap=RADIUS_CAP):
+def _classify_numpy(f, x, n_max):
     p = np.asarray(x, dtype=float)
     if p[2] < 0:
         return EscapeClass("quasi_fatou", n=0)
@@ -596,13 +590,13 @@ def _classify_numpy(f, x, n_max, radius_cap=RADIUS_CAP):
             return EscapeClass("quasi_fatou", n=n)
         if not np.all(np.isfinite(nxt)):
             return EscapeClass("radial")
-        if _norm_numpy(nxt) > radius_cap:
+        if _norm_numpy(nxt) > RADIUS_CAP:
             return EscapeClass("radial")
         p = nxt
     return EscapeClass("undecided", budget=n_max)
 
 
-def _iterate_numpy(map_handle, x0, k_max, radius_cap=RADIUS_CAP, stop_on_h0=False):
+def _iterate_numpy(map_handle, x0, k_max, stop_on_h0=False):
     """(points, rho, reason, h0_step, surrogate_from) of the numpy loop."""
     x = np.asarray(x0, dtype=float)
     pts = [x.copy()]
@@ -626,7 +620,7 @@ def _iterate_numpy(map_handle, x0, k_max, radius_cap=RADIUS_CAP, stop_on_h0=Fals
             reason = "nonfinite"
             break
         m = _norm_numpy(nxt)
-        if m > radius_cap:
+        if m > RADIUS_CAP:
             reason = "radius_cap"
             break
         pts.append(nxt.copy())

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import psi_ray_oracle
+from oracles import cuboid_spec, psi_ray_oracle
 from qrdyn import geometry
 from qrdyn.geometry import (CertificationFailure, GeometryError, StarShape, _det3_signs,
-                            certify_star_centres, cuboid_spec, psi, star_shapes)
+                            certify_star_centres, psi, star_shapes)
 from qrdyn.pieces import _star_centres, polygon_kernel
+from qrdyn.star_extend import Box
 
 
 def star_test(shape, a):
@@ -272,12 +273,11 @@ class TestBatchedCertification:
 
 def spec_of(shape):
     """The ``StarShape`` arguments that build the shape."""
-    return shape.vertices, shape.centre, shape.facet_polys, shape.box
+    return shape.vertices, shape.centre, shape.facet_polys
 
 
 def shape_bits(shape):
-    """Everything a built shape keeps, its floats as IEEE bytes (a box's
-    cone frames, which it never reads, taken on demand)."""
+    """Everything a built shape keeps, its floats as IEEE bytes."""
     return (shape.vertices.tobytes(), shape.centre.tobytes(), shape.facet_polys,
             shape.triangles.tobytes(), shape.tri_facet.tobytes(),
             [x.tobytes() for x in shape.facet_planes],
@@ -291,15 +291,14 @@ def warped_cube():
     verts = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
     verts[7] += (0.0, 0.0, 1e-3)
     return (verts, (0.5, 0.5, 0.5), [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1],
-                                    [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]], None)
+                                    [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]])
 
 
 class TestStackedCertification:
     def test_a_batch_is_the_shapes_built_one_by_one(self, build):
-        # the build's 10 shapes and the test shapes in one batch, against
-        # one StarShape per spec and against the shapes as built
-        shapes = [shape for chart in build.g.charts
-                  for shape in (chart.map.domain, chart.map.codomain)]
+        # the build's 5 image solids and the test shapes in one batch,
+        # against one StarShape per spec and against the shapes as built
+        shapes = [chart.map.codomain for chart in build.g.charts]
         shapes += [cube((0.3, -0.2, 0.1)), pentagon(),
                    pentagon(_star_centres([PENTAGON])[0]), l_prism(L_CENTRE), prism(PENTAGON, (1.0, 3.5, 0.5))]
         specs = [spec_of(shape) for shape in shapes]
@@ -369,62 +368,97 @@ class TestStackedCertification:
             assert str(err.value) == str(first)
 
 
-def general_box(lo, hi, centre):
-    """The box [lo, hi] about ``centre`` built as a general polyhedron."""
-    vertices, _, facets, _ = cuboid_spec(lo, hi)
-    return StarShape(vertices, centre, facets)
-
-
 _BOX_CORNER = st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3)
 _BOX_SIDES = st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3)
 
 
-class TestClosedFormBox:
-    """A box (``cuboid_spec``, box included) against the same box built as
-    a general polyhedron: every field bitwise, and a centre that is not
-    strictly inside fails the star test with the general path's error."""
+class TestBox:
+    """A ``Box`` against the same cuboid built as a polyhedron
+    (``oracles.cuboid_spec``): its centre, diameter, tolerance, facet
+    normals and areas bitwise, and its facet offsets equal (a zero may
+    differ in sign); corners that span no box, or are not finite, raise."""
 
     @staticmethod
-    def assert_matches_general(lo, hi, centre):
-        box = StarShape(*cuboid_spec(lo, hi, centre))
-        general = general_box(lo, hi, centre)
-        assert [x.tobytes() for x in box.box] == [x.tobytes() for x in cuboid_spec(lo, hi)[3]]
-        assert general.box is None
-        assert shape_bits(box) == shape_bits(general)
+    def assert_matches_polyhedron(lo, hi):
+        box = Box(lo, hi)
+        cuboid = StarShape(*cuboid_spec(lo, hi))
+        assert (box.centre.tobytes(), struct.pack("<2d", box.diameter, box.tol)) \
+            == (cuboid.centre.tobytes(), struct.pack("<2d", cuboid.diameter, cuboid.tol))
+        (n, d, area), (want_n, want_d, want_area) = box.facet_planes, cuboid.facet_planes
+        assert (n.tobytes(), area.tobytes()) == (want_n.tobytes(), want_area.tobytes())
+        assert np.array_equal(d, want_d)
 
     def test_chart_boxes(self, build):
         for chart in build.g.charts:
             domain = chart.map.domain
-            self.assert_matches_general(*domain.box, domain.centre)
+            assert isinstance(domain, Box)
+            assert (domain.lo.tobytes(), domain.hi.tobytes()) == (chart.lo.tobytes(),
+                                                                  chart.hi.tobytes())
+            self.assert_matches_polyhedron(domain.lo, domain.hi)
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(_BOX_CORNER, _BOX_SIDES,
-           st.lists(st.floats(0.02, 0.98), min_size=3, max_size=3))
-    def test_boxes_about_interior_centres(self, corner, sides, at):
-        # off-centre centres too: cube(a) builds [-1, 1]^3 about any a
+    @given(_BOX_CORNER, _BOX_SIDES)
+    def test_boxes_match_the_polyhedral_cuboid(self, corner, sides):
         lo = np.array(corner)
-        hi = lo + np.array(sides)
-        centre = lo + np.array(at) * (hi - lo)
-        self.assert_matches_general(lo, hi, centre)
+        self.assert_matches_polyhedron(lo, lo + np.array(sides))
 
-    @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(_BOX_CORNER, _BOX_SIDES, st.integers(0, 2), st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
-           st.floats(0.1, 0.9))
-    def test_centres_on_or_outside_raise_what_the_general_path_raises(
-            self, corner, sides, axis, where, at):
-        # where along the axis: 0 and 1 are the two faces, -1 and 2 outside
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(_BOX_CORNER, _BOX_SIDES, st.integers(0, 2), st.sampled_from([0.0, -1.0]))
+    def test_no_box_unless_lo_is_below_hi_on_every_axis(self, corner, sides, axis, where):
+        # where: hi on the axis at lo (0) or a side below it (-1)
         lo = np.array(corner)
         hi = lo + np.array(sides)
-        centre = lo + at * (hi - lo)
-        centre[axis] = lo[axis] + where * (hi[axis] - lo[axis])
-        if where == 1.0:
-            centre[axis] = hi[axis]
-        with pytest.raises(CertificationFailure) as want:
-            general_box(lo, hi, centre)
-        with pytest.raises(CertificationFailure) as got:
-            StarShape(*cuboid_spec(lo, hi, centre))
-        assert "star test" in str(got.value)
-        assert str(got.value) == str(want.value)
+        hi[axis] = lo[axis] + where * sides[axis]
+        with pytest.raises(GeometryError, match="lo < hi"):
+            Box(lo, hi)
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_corners_raise(self, end, bad):
+        corners = {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}
+        corners[end][1] = bad
+        with pytest.raises(GeometryError, match="non-finite"):
+            Box(**corners)
+
+
+def _seeded_polyhedra(count, seed):
+    """``count`` prisms over star polygons of 3 to 8 vertices, each turned
+    by a random rotation, scaled and moved up to 100 away from the origin,
+    about the image of its own star centre."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        k = int(rng.integers(3, 9))
+        th = (np.arange(k) + rng.uniform(-0.2, 0.2, k)) * 2 * math.pi / k
+        r = rng.uniform(0.5, 2.0, k)
+        h = rng.uniform(0.5, 3.0)
+        base = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        verts = np.array([(x, y, z) for z in (0.0, h) for x, y in base.tolist()])
+        facets = [list(range(k - 1, -1, -1)), list(range(k, 2 * k))]
+        facets += [[i, (i + 1) % k, (i + 1) % k + k, i + k] for i in range(k)]
+        turn = np.linalg.qr(rng.standard_normal((3, 3)))[0] * rng.uniform(0.1, 10.0)
+        shift = rng.uniform(-100.0, 100.0, 3)
+        specs.append((verts @ turn.T + shift, np.array([0.0, 0.0, h / 2]) @ turn.T + shift,
+                      facets))
+    return star_shapes(specs)
+
+
+def test_facet_offsets_are_the_dots_within_the_bound_of_einsum():
+    # each facet's plane offset is its normal's dot with its first vertex,
+    # by numpy's row dot (``cones._dots``); einsum sums the same three
+    # products in its own order.  Either lies within gamma_3 = 3u / (1 - 3u)
+    # (u = eps / 2) of the exact dot times sum |n_i v_i|, whatever the order
+    # of its sums, so the two differ by less than 2 gamma_3 < 4 eps of it
+    shapes = _seeded_polyhedra(200, seed=61)
+    normals = np.concatenate([shape.facet_planes[0] for shape in shapes])
+    offsets = np.concatenate([shape.facet_planes[1] for shape in shapes])
+    first = np.concatenate([shape.vertices[[poly[0] for poly in shape.facet_polys]]
+                            for shape in shapes])
+    einsum = np.einsum("ij,ij->i", normals, first)
+    bound = 4 * np.finfo(float).eps * np.abs(normals * first).sum(axis=1)
+    assert len(offsets) > 1000
+    assert np.all(np.abs(offsets - einsum) <= bound)
+    assert np.any(offsets != einsum)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +538,8 @@ class TestDet3Signs:
 # psi on polyhedra: the cone frames against the ray-triangle oracle
 
 def poly_cube(centre=(0.1, -0.2, 0.15)):
-    """The cube [-1, 1]^3 as a polyhedron, so that psi takes the cone path."""
-    box = cube()
-    return StarShape(box.vertices, centre, box.facet_polys)
+    """The cube [-1, 1]^3 about a centre off its midpoint."""
+    return cube(centre)
 
 
 def _facets_at(shape):

@@ -80,8 +80,8 @@ class TestVertexTable:
         phase = build_aprime_chart if cid == "A'" else build_asecond_charts
 
         def broken(specs):
-            verts, _, facets, box = specs[k]
-            return real(specs[:k] + [(verts, verts[0], facets, box)] + specs[k + 1:])
+            verts, _, facets = specs[k]
+            return real(specs[:k] + [(verts, verts[0], facets)] + specs[k + 1:])
 
         monkeypatch.setattr(global_map, "star_shapes", broken)
         with pytest.raises(ConstructionError,
@@ -488,7 +488,7 @@ class TestChartLipschitz:
         # pairs and near ones come within 15 % of the bound on every chart
         chart = build.g.by_id[cid]
         lip = chart_lipschitz(build.g.charts)[cid]["box"]
-        lo, hi = chart.map.domain.box
+        lo, hi = chart.map.domain.lo, chart.map.domain.hi
         rng = np.random.default_rng(21)
         x = lo + rng.random((400, 3)) * (hi - lo)
         y = lo + rng.random((400, 3)) * (hi - lo)
@@ -557,7 +557,7 @@ class TestBuildWork:
         # per shape of sector level (3 in the A' map, 5 that the four A''
         # maps share); one solve per chart in the boundary-map validation;
         # per phase one det and one inverse for the cone frames of its image
-        # solids (a box never reads its cone frames, so a build forms none);
+        # solids (a box has none);
         # and one det of all cells in each of certify_cell_orientation and
         # cell_dilatations (K_slab).  A stack split into one call per chart,
         # cell or sector shows here.  No SVD: the cell spectra are taken in
@@ -582,9 +582,9 @@ class TestBuildWork:
         # the first call of a numpy kernel pages its native code into the
         # process: the selection code behind median, partition, percentile
         # and quantile about 0.5 MB, the sort code of a boolean mask
-        # 0.06 MB and that of integer keys 0.13 MB; the build, the four
-        # audits and the report call none of them
-        names = ("median", "partition", "percentile", "quantile", "sort", "argsort")
+        # 0.06 MB and that of integer keys 0.13 MB, and einsum's about
+        # 0.1 MB; the build, the four audits and the report call none of them
+        names = ("median", "partition", "percentile", "quantile", "sort", "argsort", "einsum")
         with contextlib.ExitStack() as stack:
             kernels = [stack.enter_context(mock.patch(f"numpy.{name}",
                                                       wraps=getattr(np, name)))
@@ -598,15 +598,14 @@ class TestBuildWork:
         assert dict(zip(names, (k.call_count for k in kernels))) == dict.fromkeys(names, 0)
 
     def test_one_certification_pass_per_chart_phase(self):
-        # one stacked star test per chart phase takes the image solids and
-        # then the boxes of its charts, each about its own centre; a call
-        # per shape would be 10
+        # one stacked star test per chart phase takes the image solids of
+        # its charts, each about its own centre, and no box: a box is convex
+        # about its midpoint; a call per solid would be 5
         with mock.patch("qrdyn.geometry._star_test", wraps=geometry._star_test) as star:
             build = build_maps()
         phases = [build.g.charts[:1], build.g.charts[1:]]
         assert [[shape for shape, _ in call.args[0]] for call in star.call_args_list] == [
-            [chart.map.codomain for chart in charts] + [chart.map.domain for chart in charts]
-            for charts in phases]
+            [chart.map.codomain for chart in charts] for charts in phases]
         for call in star.call_args_list:
             for shape, a in call.args[0]:
                 assert a.tobytes() == shape.centre.tobytes()

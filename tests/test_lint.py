@@ -408,10 +408,12 @@ def test_module_stays_below_the_token_step(path):
 
 # numpy functions whose first call pages in native code that nothing else
 # in a build or an audit runs: the selection code of median, partition,
-# percentile and quantile (about 0.5 MB), and the sort code behind sort,
-# argsort and unique (0.06 MB for a boolean mask, 0.13 MB for integer keys)
+# percentile and quantile (about 0.5 MB), the sort code behind sort,
+# argsort and unique (0.06 MB for a boolean mask, 0.13 MB for integer keys),
+# and einsum (about 0.1 MB), whose sums of products the row dot
+# ``cones._dots`` gives in the order that every other step uses
 SELECTION_AND_SORT = {"median", "nanmedian", "partition", "argpartition", "percentile",
-                      "quantile", "sort", "argsort", "unique"}
+                      "quantile", "sort", "argsort", "unique", "einsum"}
 
 
 def selection_and_sort_uses(source):
@@ -428,16 +430,18 @@ def selection_and_sort_uses(source):
 
 
 def test_detects_a_selection_or_sort_call():
-    # audit_dilatation once took np.median of the cell dilatations, and
-    # _cover_deviation ranked a boolean mask with np.argsort; Python's own
-    # sorts are allowed
-    src = ("import numpy as np\nfrom numpy import quantile, argsort\n\n"
-           "def audit(ks, near, v):\n"
+    # audit_dilatation once took np.median of the cell dilatations,
+    # _cover_deviation ranked a boolean mask with np.argsort, and the facet
+    # offsets were einsum's; Python's own sorts are allowed
+    src = ("import numpy as np\nfrom numpy import quantile, argsort, einsum\n\n"
+           "def audit(ks, near, v, n):\n"
            "    v.sort()\n"
            "    order = np.argsort(~near, kind='stable')\n"
-           "    return np.median(ks), numpy.unique(ks), sorted(v), order\n")
-    assert selection_and_sort_uses(src) == [(2, "argsort"), (2, "quantile"), (6, "argsort"),
-                                            (7, "median"), (7, "unique")]
+           "    offsets = np.einsum('ij,ij->i', n, v)\n"
+           "    return np.median(ks), numpy.unique(ks), sorted(v), order, offsets\n")
+    assert selection_and_sort_uses(src) == [(2, "argsort"), (2, "einsum"), (2, "quantile"),
+                                            (6, "argsort"), (7, "einsum"), (8, "median"),
+                                            (8, "unique")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

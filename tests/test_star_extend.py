@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (_radial_2d, cover_deviation_all_pairs, cover_deviation_per_triangle,
-                     oriented_area_fraction,
+                     cuboid_spec, oriented_area_fraction,
                      point_in_polygon)
 from qrdyn import star_extend
-from qrdyn.geometry import GeometryError, StarShape, cuboid_spec
+from qrdyn.geometry import GeometryError, StarShape
 from qrdyn.geometry import CertificationFailure
 from qrdyn.pieces import (FacetPiece, FormulaPiece, IdentityPiece, Radial2DPiece,
                           _star_centres, radial_pieces)
-from qrdyn.star_extend import RadialMap, radial_maps
+from qrdyn.star_extend import Box, RadialMap, radial_maps
 
 
 class ScalePiece(FacetPiece):
@@ -45,8 +45,13 @@ class FoldPiece(FacetPiece):
                       for p, q in zip(loop, loop[1:] + loop[:1])]
 
 
-def cube_shape(side=1.0, centre=(0, 0, 0)):
-    return StarShape(*cuboid_spec([-side] * 3, [side] * 3, centre))
+def cube_box(side=1.0):
+    return Box([-side] * 3, [side] * 3)
+
+
+def cube_shape(side=1.0):
+    """The cube [-side, side]^3 as a polyhedron, star about the origin."""
+    return StarShape(*cuboid_spec([-side] * 3, [side] * 3))
 
 
 def face_loops(side):
@@ -70,20 +75,20 @@ def one_piece_chart(dom, cod, pieces):
 @functools.lru_cache(maxsize=None)
 def identity_chart():
     pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
-    return one_piece_chart(cube_shape(), cube_shape(), pieces)
+    return one_piece_chart(cube_box(), cube_shape(), pieces)
 
 
 @functools.lru_cache(maxsize=None)
 def scaling_chart(k=2.0):
     pieces = {f: ScalePiece(k, loop) for f, loop in face_loops(1.0).items()}
-    return one_piece_chart(cube_shape(1.0), cube_shape(k), pieces)
+    return one_piece_chart(cube_box(1.0), cube_shape(k), pieces)
 
 
 def bilipschitz_ratios(m, pairs, seed):
     """Least and largest |m(x) - m(y)| / |x - y| over seeded pairs of points
     of the chart's box domain."""
     rng = np.random.default_rng(seed)
-    lo, hi = m.domain.box
+    lo, hi = m.domain.lo, m.domain.hi
     xs = lo + rng.random((pairs, 3)) * (hi - lo)
     ys = lo + rng.random((pairs, 3)) * (hi - lo)
     ratios = [math.dist(m.eval(tuple(x)), m.eval(tuple(y))) / math.dist(x, y)
@@ -125,7 +130,7 @@ class TestRadialEval:
         if r < 1e-6:
             return
         from qrdyn.geometry import psi
-        hit = psi(m.domain, p)
+        hit = psi(cube_shape(), p)
         img_b = 2.0 * hit.point          # the boundary map of the chart
         out = np.asarray(m.eval(tuple(p)))
         lhs = np.linalg.norm(out) / np.linalg.norm(img_b)
@@ -171,7 +176,7 @@ def chart_with_face(piece_for_top):
     loops = face_loops(1.0)
     pieces = {f: IdentityPiece(loop) for f, loop in loops.items()}
     pieces[5] = piece_for_top(loops[5])
-    return one_piece_chart(cube_shape(), cube_shape(), pieces)
+    return one_piece_chart(cube_box(), cube_shape(), pieces)
 
 
 def moved_corner(loop, offset):
@@ -245,7 +250,7 @@ def top_split(*groups):
     identity ``FormulaPiece`` per group of triangles."""
     pieces = {f: [IdentityPiece(loop)] for f, loop in face_loops(1.0).items()}
     pieces[5] = [FormulaPiece([(t, t) for t in tris]) for tris in groups]
-    return RadialMap(cube_shape(), cube_shape(), pieces, {f: p[0] for f, p in pieces.items()})
+    return RadialMap(cube_box(), cube_shape(), pieces, {f: p[0] for f, p in pieces.items()})
 
 
 # the top facet's corners, its centre and a point on its diagonal
@@ -265,7 +270,7 @@ class TestConstruction:
         else:
             pieces[5] = top
         with pytest.raises(GeometryError, match="no boundary piece for facet 5"):
-            RadialMap(cube_shape(), cube_shape(), pieces, by_codomain)
+            RadialMap(cube_box(), cube_shape(), pieces, by_codomain)
 
     def test_cells_that_share_no_vertex_are_refused(self):
         with pytest.raises(GeometryError, match="the cells of facet 5 piece 0 share no vertex"):
@@ -288,7 +293,7 @@ class TestConstruction:
     def test_a_piece_that_serves_no_codomain_facet_is_refused(self):
         pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
         by_codomain = {**pieces, 5: pieces[0]}
-        m = RadialMap(cube_shape(), cube_shape(), {f: [p] for f, p in pieces.items()},
+        m = RadialMap(cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()},
                       by_codomain)
         with pytest.raises(GeometryError, match="piece identity serves no codomain facet"):
             m.validate_boundary_map()
@@ -304,7 +309,7 @@ class TestConstruction:
             pieces = {f: [IdentityPiece(loop)] for f, loop in face_loops(1.0).items()}
             pieces[5] = [IdentityPiece([(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)])
                          for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
-            m = RadialMap(cube_shape(), cube_shape(), pieces,
+            m = RadialMap(cube_box(), cube_shape(), pieces,
                           {f: p[0] for f, p in pieces.items()})
         *_, by_sector = m._facets[5]
         assert len({id(entry) for entry in by_sector}) == len(m.pieces_by_facet[5])
@@ -430,13 +435,13 @@ BAD_FACES = {"counts": (U_LOOP[:4], U_LOOP[:3]),
 def collapsed_chart_spec():
     pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
     pieces[5] = CollapsePiece(face_loops(1.0)[5])
-    return cube_shape(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces
+    return cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces
 
 
 def chart_spec_without(facet):
     pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
     by_facet = {f: [p] for f, p in pieces.items() if f != facet}
-    return cube_shape(), cube_shape(), by_facet, pieces
+    return cube_box(), cube_shape(), by_facet, pieces
 
 
 class TestBatches:
@@ -494,9 +499,9 @@ class TestBatches:
         # both entry points name it before stacking any cell
         pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
         spare = IdentityPiece(face_loops(1.0)[5])
-        spec = (cube_shape(), cube_shape(), {f: [p] for f, p in pieces.items()},
+        spec = (cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()},
                 {**pieces, 5: spare})
-        good = (cube_shape(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces)
+        good = (cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces)
         want = "the identity piece serving codomain facet 5 holds no domain facet"
         with pytest.raises(GeometryError, match=want):
             RadialMap(*spec)
@@ -507,7 +512,7 @@ class TestBatches:
         # a singular cell fails after the sector tests, a missing facet
         # before them: the batch raises the error of the first map that
         # fails, whatever its stage
-        good = one_piece_chart(cube_shape(), cube_shape(), {
+        good = one_piece_chart(cube_box(), cube_shape(), {
             f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()})
         good = (good.domain, good.codomain, good.pieces_by_facet, good.piece_by_codomain_facet)
         for specs, want in (([good, collapsed_chart_spec(), chart_spec_without(2)],
