@@ -1,8 +1,9 @@
 """Stacked kernels of the cones of star shapes: the cone frames of their
-surface triangles, the ray crossing read off them (``_cone_frames``,
-``_crossing``) and a ray's exit from a box (``_ray_box_scalar``), with the
-small row-wise helpers that the stacked construction of star shapes shares
-(``_dots``, ``_cross``, ``_starts``).
+surface triangles and the ray crossing read off them (``_cone_frames``,
+``_crossing``), with the small row-wise helpers that the stacked
+construction of star shapes shares (``_dots``, ``_cross``, ``_starts``).
+A ray's exit from a box has no kernel here: ``star_extend.RadialMap.eval3``
+writes it out in its own frame.
 
 The star test of ``geometry`` proves that the ray from a shape's centre
 crosses its boundary exactly once; ``_crossing`` finds that crossing.
@@ -85,39 +86,3 @@ def _crossing(shape, r, d):
     if abs(t - 1.0) * d <= 4 * tol:
         return 1.0, facet
     return (t, facet) if t > 1.0 else None
-
-
-def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
-    """Exit facet of the ray a->p from an axis-aligned box; (facet, t).
-
-    Facet 2k is the face x_k = lo[k], facet 2k+1 the face x_k = hi[k].  An
-    exit time within a relative 1e-12 of an earlier axis's does not displace
-    it, so edges and corners go to the lowest axis.  t is at least 1."""
-    best_t = math.inf
-    best_f = -1
-    d = x - ax
-    if d > 1e-300:
-        best_t, best_f = (hi[0] - ax) / d, 1
-    elif d < -1e-300:
-        best_t, best_f = (lo[0] - ax) / d, 0
-    d = y - ay
-    if d > 1e-300:
-        t = (hi[1] - ay) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 3
-    elif d < -1e-300:
-        t = (lo[1] - ay) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 2
-    d = z - az
-    if d > 1e-300:
-        t = (hi[2] - az) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 5
-    elif d < -1e-300:
-        t = (lo[2] - az) / d
-        if t < best_t * (1 - 1e-12):
-            best_t, best_f = t, 4
-    if best_t < 1.0:
-        best_t = 1.0
-    return best_f, best_t

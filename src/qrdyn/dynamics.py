@@ -297,12 +297,14 @@ def classify_escape(f: MapHandle, x, n_max: int) -> EscapeClass:
     if not f.tracks_h0:
         raise ValueError("escape classification needs the shifted map")
     x1, x2, x3 = map(float, x)
-    fn, isfinite, hypot, radius_cap = f.fn, math.isfinite, math.hypot, RADIUS_CAP
-    if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
         raise ValueError(f"classify_escape needs a finite start, got {(x1, x2, x3)}")
     if x3 < 0:
         return _entered(0)
-    for n in range(1, n_max + 1):
+    fn, hypot, radius_cap = f.fn, math.hypot, RADIUS_CAP
+    n = 0
+    while n < n_max:          # most orbits stop at n = 1: no range to build
+        n += 1
         try:
             y1, y2, y3 = fn((x1, x2, x3))
         except PrecisionLost:
@@ -310,9 +312,8 @@ def classify_escape(f: MapHandle, x, n_max: int) -> EscapeClass:
         x1, x2, x3 = float(y1), float(y2), float(y3)
         if x3 < 0:
             return _entered(n)
-        if not (isfinite(x1) and isfinite(x2) and isfinite(x3)):
-            return _RADIAL
-        if hypot(x1, x2, x3) > radius_cap:
+        # the norm is inf at an infinite coordinate and NaN at a NaN one
+        if not hypot(x1, x2, x3) <= radius_cap:
             return _RADIAL
     return _undecided(n_max)
 
@@ -409,14 +410,15 @@ def max_modulus_estimate(map_handle: MapHandle, r: float, samples: int = 2000) -
     if not math.isfinite(r):
         raise ValueError(f"non-finite radius {r}")
     fn, hypot = map_handle.fn, math.hypot
-    dirs = _unit_directions(map_handle.dim, samples)
-    if map_handle.dim == 3:
-        points = ((r * a, r * b, r * c) for a, b, c in dirs)
-    else:
-        points = (tuple(r * c for c in d) for d in dirs)
     best = 0.0
-    for p in points:
-        m = hypot(*fn(p))
+    if map_handle.dim == 2:
+        for a, b in _unit_directions(2, samples):
+            m = hypot(*fn((r * a, r * b)))
+            if m > best:
+                best = m
+        return best
+    for a, b, c in _unit_directions(map_handle.dim, samples):
+        m = hypot(*fn((r * a, r * b, r * c)))
         if m > best:
             best = m
     return best

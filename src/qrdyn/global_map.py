@@ -34,7 +34,7 @@ import numpy as np
 
 from . import zorich
 from .cones import _cross
-from .geometry import GeometryError, star_shapes
+from .geometry import GeometryError, _det3_signs, star_shapes
 from .pieces import FormulaPiece, IdentityPiece, radial_pieces
 from .star_extend import Box, RadialMap, ValidationReport, radial_maps
 
@@ -164,13 +164,14 @@ _CHARTS = {
 }
 
 
-def _build_charts(vt, ids):
+def _build_charts(vt, ids, shared=None):
     """The charts ``ids`` of ``_CHARTS``: one piece per distinct face (the
     face fans in one ``radial_pieces`` batch), the image solids in one
     ``star_shapes`` batch (one star test of all their centres), each box a
-    ``Box`` domain, and the cells in one ``radial_maps`` pass.  An image
-    solid whose centre fails the star test raises ConstructionError naming
-    its chart."""
+    ``Box`` domain, and the cells in one ``radial_maps`` pass; a face of
+    ``shared`` ({face: piece} of an earlier phase) keeps that piece.  An
+    image solid whose centre fails the star test raises ConstructionError
+    naming its chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
                                for on_facet in spec["facets"].values() for face in on_facet))
@@ -178,8 +179,10 @@ def _build_charts(vt, ids):
     def points(loop):      # the coordinates and the images of a loop's vertices
         return [vt.coords[n] for n in loop.split()], [vt.images[n] for n in loop.split()]
 
-    made, radial = {}, []
+    made, radial = dict(shared or {}), []
     for face in faces:
+        if face in made:
+            continue
         levels = {n[1:] for n in face.replace(" / ", " ").split()}
         if levels == {"0"}:
             made[face] = IdentityPiece(points(face)[0])
@@ -223,40 +226,35 @@ def build_aprime_chart(vt: VertexTable) -> CellChart:
     return _build_charts(vt, ["A'"])[0]
 
 
-def build_asecond_charts(vt: VertexTable):
+def build_asecond_charts(vt: VertexTable, aprime: CellChart):
     """The charts A''1 to A''4 of the quadrants of [0,2]^2 x [1,L] onto
     their star-shaped image solids, built together by ``_build_charts``:
-    each bottom face is the fan of a quadrant of the top facet of A' (a
-    piece of its own, bitwise equal to that of A'), each top face is F on
-    two triangles, and two charts that share a face share its two fans."""
-    return _build_charts(vt, ["A''1", "A''2", "A''3", "A''4"])
+    each bottom face is the fan of a quadrant of the top facet of A', the
+    piece of ``aprime`` (the A' chart of ``vt``), each top face is F on two
+    triangles, and two charts that share a face share its two fans."""
+    top = dict(zip(_CHARTS["A'"]["facets"][5], aprime.map.pieces_by_facet[5]))
+    return _build_charts(vt, ["A''1", "A''2", "A''3", "A''4"], top)
 
 
 # ---------------------------------------------------------------------------
 # the assembled global map
-
-def _cell_index(tx, ty, z):
-    """The chart that owns (tx, ty, z) of the base block, as an index into
-    [A', A''1, A''2, A''3, A''4]: A' up to level 1 and above it the A''
-    cell of the quadrant, ties going to the lower index."""
-    if z <= 1.0:
-        return 0
-    return (2 if tx > 1.0 else 1) + (2 if ty > 1.0 else 0)
-
 
 class GlobalMap:
     """g (mode "g") or f = g - (0, 0, L') (mode "f") on all of R^3.
 
     Dispatch: identity below {x3 = 0}; F above {x3 = L}; in the slab, reduce
     (x1, x2) mod 4 into [0,4)^2, reflect into the base block [0,2]^2 while
-    recording the isometry, pick the owning cell chart (``_cell_index``),
+    recording the isometry, pick the owning cell chart (A' up to level 1,
+    above it the A'' chart of the quadrant, ties going to the lower index),
     evaluate its affine cells, then undo the isometry.  The chart's
     ``RadialMap.eval3`` finds the exit facet of the ray from the chart's
     domain centre, the boundary piece by its angle about the vertices the
     facet's pieces share, the cell by its angle about the vertices the
     piece's cells share, and applies that cell's affine map, as its ``eval``
     does after refusing points outside the box.  The charts' ``eval3``
-    methods are bound once, at construction, and called directly.
+    methods are bound once, at construction, and called from
+    ``_slab_evals``, so that the slab, like F (``zorich.F_scalar``), takes
+    one Python frame besides ``eval3``'s own.
 
     Each regime subtracts the shift from the third coordinate of its own
     result: L' in mode "f", 0.0 in mode "g" (x - 0.0 is x bitwise, -0.0
@@ -299,24 +297,25 @@ class GlobalMap:
         if z != z:
             raise ValueError(f"non-finite point {(x, y, z)}")
         try:
-            n1 = math.floor(x / 4.0)
-            n2 = math.floor(y / 4.0)
+            o1 = 4.0 * math.floor(x / 4.0)
+            o2 = 4.0 * math.floor(y / 4.0)
         except (OverflowError, ValueError):
             raise ValueError(f"non-finite point {(x, y, z)}") from None
-        tx = x - 4.0 * n1
-        ty = y - 4.0 * n2
+        tx = x - o1
+        ty = y - o2
         r1 = tx > 2.0
         r2 = ty > 2.0
         if r1:
             tx = 4.0 - tx
         if r2:
             ty = 4.0 - ty
-        gx, gy, gz = self._slab_evals[_cell_index(tx, ty, z)](tx, ty, z)
+        k = 0 if z <= 1.0 else (2 if tx > 1.0 else 1) + (2 if ty > 1.0 else 0)
+        gx, gy, gz = self._slab_evals[k](tx, ty, z)
         if r1:
             gx = 4.0 - gx
         if r2:
             gy = 4.0 - gy
-        return (gx + 4.0 * n1, gy + 4.0 * n2, gz - self._shift)
+        return (gx + o1, gy + o2, gz - self._shift)
 
     def eval(self, p):
         return np.asarray(self.eval3(float(p[0]), float(p[1]), float(p[2])))
@@ -577,17 +576,24 @@ def certify_cell_orientation(charts):
     """(number of affine cells, least determinant of their linear parts).
 
     Each chart is affine on each cell, so a positive determinant on every
-    cell makes every chart orientation preserving.  Raises ConstructionError
-    naming the first chart with a determinant that is not positive, and its
-    cell of least determinant."""
+    cell makes every chart orientation preserving.  The signs are exact
+    (``geometry._det3_signs``, a non-finite cell taken as zero), not those
+    of numpy's det; the least determinant is numpy's.  Raises
+    ConstructionError naming the first chart with a cell of determinant
+    that is not positive, and the first such cell."""
+    linear = np.concatenate([c.map.linear for c in charts])
+    finite = np.isfinite(linear).all(axis=(1, 2))[:, None, None]
+    signs = _det3_signs(np.where(finite, linear, 0.0), 0.0)[0]
     least = math.inf
-    for chart, k, det in _least_dets(charts):
-        if not det > 0.0:
+    for (chart, _, det), (_, chart_signs) in zip(_least_dets(charts),
+                                                 _per_chart(charts, signs)):
+        bad = np.flatnonzero(chart_signs <= 0)
+        if bad.size:
             raise ConstructionError(
-                f"chart {chart.cell_id}, {chart.map.labels[k]}: "
-                f"linear part has determinant {det:.6g}")
+                f"chart {chart.cell_id}, {chart.map.labels[bad[0]]}: linear part "
+                f"{chart.map.linear[bad[0]].tolist()} has a determinant that is not positive")
         least = min(least, float(det))
-    return sum(len(c.map.linear) for c in charts), least
+    return len(linear), least
 
 
 def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
@@ -630,7 +636,7 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     L = constants.L
     vt = build_vertex_table(L)
     aprime = timed("global_map.build_aprime_chart", build_aprime_chart, vt)
-    cells = timed("global_map.build_asecond_charts", build_asecond_charts, vt)
+    cells = timed("global_map.build_asecond_charts", build_asecond_charts, vt, aprime)
     charts = [aprime] + cells
     n_cells, min_cell_det = certify_cell_orientation(charts)
     g = GlobalMap(charts, L)

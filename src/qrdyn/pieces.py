@@ -201,9 +201,12 @@ class FacetPiece:
     """One entry of a boundary dispatch table, as its ``cells``: (domain
     polygon, image polygon) pairs of 3D points in corresponding order.  The
     piece is affine on each domain polygon (a triangle, or the whole patch
-    of a piece that is affine on it), and together they cover its patch."""
+    of a piece that is affine on it), and together they cover its patch.
+    ``sectors`` maps face axes (iu, iv) to the sector entry of the cells,
+    set by the first radial map built on the piece (and never mutated)."""
 
     kind = "abstract"
+    sectors = {}
 
 
 def _loop(points):

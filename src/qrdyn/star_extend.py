@@ -31,10 +31,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import atan2, inf
 
 import numpy as np
 
-from .cones import _cross, _ray_box_scalar, _starts
+from .cones import _cross, _starts
 from .geometry import TAU_GEOM, GeometryError, StarShape, psi, _as_array, _det3_signs
 
 # Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
@@ -92,10 +93,13 @@ class RadialMap:
     the boundary piece is affine (``FacetPiece.cells``: a triangle, or a
     whole face); on it the map is p -> b + A (p - a), fixed by a -> b and
     the images of three of the polygon's vertices.  ``eval3`` takes the
-    exit facet of the ray from a, the piece by a sector test about the
-    vertices the facet's pieces share, the cell by one about the vertices
-    the piece's cells share (a level of one entry skips its test), and one
-    affine product; the centre ball of radius ``domain.tol`` maps to b.
+    exit facet of the ray from a (ties within a relative 1e-12 to the
+    lowest axis), the piece by a sector test about the vertices the facet's
+    pieces share, the cell by one about the vertices the piece's cells
+    share (a level of one entry skips its test), and one affine product;
+    the centre ball of radius ``domain.tol`` maps to b.  It runs in one
+    frame on the tuple ``_consts`` (a, b, lo, hi, the ball's squared
+    radius, and the facet table, a facet of one piece holding its entry).
     ``eval`` does the same after it raises GeometryError for a point outside
     the domain box by more than ``domain.tol``; ``eval3`` checks nothing.
 
@@ -136,19 +140,34 @@ class RadialMap:
         return self.eval3(x, y, z)
 
     def eval3(self, x, y, z):
-        ax, ay, az = self._a
-        bx, by, bz = self._b
+        ax, ay, az, bx, by, bz, lx, ly, lz, hx, hy, hz, ctol2, facets = self._consts
         dx = x - ax
         dy = y - ay
         dz = z - az
-        if dx * dx + dy * dy + dz * dz <= self._ctol2:
+        if dx * dx + dy * dy + dz * dz <= ctol2:
             return (bx, by, bz)
-        facet, t = _ray_box_scalar(ax, ay, az, self._lo, self._hi, x, y, z)
+        # the ray's exit facet (2k at lo[k], 2k + 1 at hi[k]) and time t >= 1
+        t, facet = inf, -1
+        if dx > 1e-300:
+            t, facet = (hx - ax) / dx, 1
+        elif dx < -1e-300:
+            t, facet = (lx - ax) / dx, 0
+        if dy > 1e-300 and (s := (hy - ay) / dy) < t * (1 - 1e-12):
+            t, facet = s, 3
+        elif dy < -1e-300 and (s := (ly - ay) / dy) < t * (1 - 1e-12):
+            t, facet = s, 2
+        if dz > 1e-300 and (s := (hz - az) / dz) < t * (1 - 1e-12):
+            t, facet = s, 5
+        elif dz < -1e-300 and (s := (lz - az) / dz) < t * (1 - 1e-12):
+            t, facet = s, 4
+        if t < 1.0:
+            t = 1.0
         h = (ax + t * dx, ay + t * dy, az + t * dz)
-        iu, iv, cu, cv, bounds, pieces = self._facets[facet]
-        cu, cv, bounds, cells = (pieces[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))]
-                                 if bounds else pieces[0])
-        m = cells[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))] if bounds else cells[0]
+        iu, iv, split, cu, cv, bounds, cells = facets[facet]
+        hu, hv = h[iu], h[iv]
+        if split:
+            cu, cv, bounds, cells = cells[bisect_right(bounds, atan2(hv - cv, hu - cu))]
+        m = cells[bisect_right(bounds, atan2(hv - cv, hu - cu))] if bounds else cells[0]
         return (bx + m[0] * dx + m[1] * dy + m[2] * dz,
                 by + m[3] * dx + m[4] * dy + m[5] * dz,
                 bz + m[6] * dx + m[7] * dy + m[8] * dz)
@@ -427,8 +446,9 @@ def _build_maps(maps, specs):
     domain polygon, its image points, the index of its piece in ``pieces``
     and its facet; and its sector levels, per facet its pieces and then per
     piece its cells, with the stacked index of the first cell of each entry
-    and a key naming the pieces and the face axes (a level that another map
-    of the pass holds too is solved once).  Then one solve gives the linear
+    and a key naming the pieces and the face axes (a level held by another
+    map of the pass, or a piece's cells solved in an earlier pass and kept
+    in ``FacetPiece.sectors``, is solved once).  Then one solve gives the linear
     parts on every cell's first three vertex correspondences, the sector
     probes take one broadcast solve per shape of sector level
     (``_sector_entries``), one determinant and one inverse go over the
@@ -447,10 +467,8 @@ def _build_maps(maps, specs):
         rmap.piece_by_codomain_facet = dict(by_codomain)
         rmap._a = tuple(map(float, domain.centre))
         rmap._b = tuple(map(float, codomain.centre))
-        rmap._lo, rmap._hi = (tuple(map(float, v)) for v in (domain.lo, domain.hi))
         rmap._box = tuple([float(c) + s * domain.tol for c in v]
                           for v, s in zip((domain.lo, domain.hi), (-1, 1)))
-        rmap._ctol2 = domain.tol * domain.tol
         rmap._ctol2_image = codomain.tol ** 2
         rmap.labels = []
         rmap.pieces = []          # the distinct pieces, in cell order
@@ -466,13 +484,14 @@ def _build_maps(maps, specs):
             firsts = []
             levels.append((f"pieces of facet {facet}", iu, iv,
                            [[dom for dom, _ in piece.cells] for piece in pieces], firsts,
-                           (tuple(map(id, pieces)), iu, iv)))
+                           (tuple(map(id, pieces)), iu, iv), None))
             for k, piece in enumerate(pieces):
                 first = base + len(rmap.labels)
                 firsts.append(first)
                 levels.append((f"cells of facet {facet} piece {k}", iu, iv,
                                [[dom] for dom, _ in piece.cells],
-                               list(range(first, first + len(piece.cells))), (id(piece), iu, iv)))
+                               list(range(first, first + len(piece.cells))), (id(piece), iu, iv),
+                               piece))
                 if id(piece) not in slot:
                     slot[id(piece)] = len(rmap.pieces)
                     rmap.pieces.append(piece)
@@ -514,25 +533,36 @@ def _build_maps(maps, specs):
     mats = np.ones((len(fan_cell), 3, 3))
     mats[:, :2] = np.swapaxes(uv[fans], 1, 2)
     at = np.append(_starts(sizes - 2), len(fan_cell)).tolist()
-    # a level of the same pieces on the same axes, in another map, is
-    # taken once
+    # a level of the same pieces on the same axes, in another map, is taken
+    # once, and that of a piece's cells which an earlier pass solved is kept
     seen = {}
-    unique = [k for k, (*_, key) in enumerate(levels) if seen.setdefault(key, k) == k]
-    found = dict(zip(unique, _sector_entries([
+    unique = [k for k, (*_, key, _) in enumerate(levels) if seen.setdefault(key, k) == k]
+    found = {k: levels[k][6].sectors[levels[k][1:3]] for k in unique
+             if levels[k][6] is not None and levels[k][1:3] in levels[k][6].sectors}
+    todo = [k for k in unique if k not in found]
+    found.update(zip(todo, _sector_entries([
         (name, iu, iv, groups, slice(at[first[0]], at[first[-1] + len(groups[-1])]),
          [at[c] - at[first[0]] for c in first]) if len(groups) > 1
         else (name, iu, iv, groups, None, None)
-        for name, iu, iv, groups, first, _ in map(levels.__getitem__, unique)], mats)))
-    entries = iter([found[seen[key]] for *_, key in levels])
+        for name, iu, iv, groups, first, *_ in map(levels.__getitem__, todo)], mats)))
+    for k in todo:
+        if (piece := levels[k][6]) is not None:
+            piece.sectors = {**piece.sectors, levels[k][1:3]: found[k]}
+    entries = iter([found[seen[key]] for *_, key, _ in levels])
     dets = np.linalg.det(linear)
     c0 = 0
     for rmap, walk, n in zip(maps, walks, counts.tolist()):
-        # per facet (iu, iv, cu, cv, bounds, pieces), per piece (cu, cv, bounds, rows)
-        rmap._facets = []
+        # per facet (iu, iv, False) + its one piece's (cu, cv, bounds, rows),
+        # or (iu, iv, True, cu, cv, bounds, pieces) of such piece entries
+        table = []
         for iu, iv, firsts in walk:
             by_sector = next(entries)
             pieces = [_pick(next(entries), rows[first:]) for first in firsts]
-            rmap._facets.append((iu, iv) + _pick(by_sector, pieces))
+            table.append((iu, iv, False) + pieces[0] if len(pieces) == 1
+                         else (iu, iv, True) + _pick(by_sector, pieces))
+        tol = rmap.domain.tol
+        rmap._consts = (rmap._a + rmap._b + tuple(map(float, rmap.domain.lo))
+                        + tuple(map(float, rmap.domain.hi)) + (tol * tol, table))
         singular = np.flatnonzero(~(dets[c0:c0 + n] != 0.0))
         if singular.size:
             raise GeometryError(f"{rmap.labels[singular[0]]}: singular linear part")

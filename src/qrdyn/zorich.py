@@ -16,9 +16,10 @@ The fold modulo the period 4 is the IEEE remainder ``math.remainder(x,
 quotient that ``x - 4 * round(x / 4)`` takes, and both differences are exact.
 The two agree bit for bit except at the negative multiples of 4, where
 the remainder is -0.0 and the rounded form +0.0.  Every scalar fold here
-(``_fold1``, and the step ``_z_step`` of ``F_scalar``) is the remainder,
-which builds no Python int as ``round`` does.  ``F_array`` is F on the
-rows of an (N, 3) array, bitwise equal to ``F_scalar`` row by row.
+(``_fold1``, and the fold that ``F_scalar`` writes out) is the remainder,
+which builds no Python int as ``round`` does.  Z is written out in
+``F_scalar``, in one frame, and in ``F_array``, F on the rows of an (N, 3)
+array, bitwise equal to ``F_scalar`` row by row.
 
 An F step from a point with |x1| or |x2| beyond HORIZON raises
 PrecisionLost: there a float's spacing is at least 0.25, so the fold modulo
@@ -97,11 +98,24 @@ def _times_inf(v):
     return math.copysign(INF, v) if v != 0.0 else 0.0
 
 
-def _z_step(x1, x2, x3):
-    """Z at (x1, x2, x3) with x1 and x2 finite: the remainder folds of x1
-    and x2 into [-1, 1] and their parity (the ``fold_square`` formula,
-    written out), the pyramid height 1 - max(|u1|, |u2|) with that parity's
-    sign, all scaled by e^{x3}."""
+def _off_horizon(x1, x2, x3):
+    """The error of an F step from a point whose |x1| or |x2| is not at most
+    HORIZON: ValueError if x1 or x2 is NaN, else PrecisionLost."""
+    if x1 != x1 or x2 != x2:
+        return ValueError(f"non-finite point {(x1, x2, x3)}")
+    return PrecisionLost(x1, x2, x3)
+
+
+def F_scalar(x1, x2, x3):
+    """F = Id + Z at (x1, x2, x3); raises PrecisionLost where |x1| or |x2|
+    exceeds HORIZON (inf included), and ValueError where x1 or x2 is NaN.
+    Z is the remainder folds u of x1, x2 and the pyramid height 1 - |u|_inf
+    signed by their parity (``fold_square``), scaled by e^{x3}.  F is
+    bitwise what the rounded fold x - 4 round(x / 4) gives: the remainder
+    fold differs from it only in the sign of a zero u at x < 0, where
+    x + (+-0.0) is x."""
+    if not (abs(x1) <= HORIZON and abs(x2) <= HORIZON):
+        raise _off_horizon(x1, x2, x3)
     u1 = remainder(x1, 4.0)
     u2 = remainder(x2, 4.0)
     odd = False
@@ -124,28 +138,8 @@ def _z_step(x1, x2, x3):
         zh = -zh
     if x3 <= _EXP_ARG_MAX:
         scale = exp(x3)
-        return (scale * u1, scale * u2, scale * zh)
-    return (_times_inf(u1), _times_inf(u2), _times_inf(zh))
-
-
-def _off_horizon(x1, x2, x3):
-    """The error of an F step from a point whose |x1| or |x2| is not at most
-    HORIZON: ValueError if x1 or x2 is NaN, else PrecisionLost."""
-    if x1 != x1 or x2 != x2:
-        return ValueError(f"non-finite point {(x1, x2, x3)}")
-    return PrecisionLost(x1, x2, x3)
-
-
-def F_scalar(x1, x2, x3):
-    """F at (x1, x2, x3); raises PrecisionLost where |x1| or |x2| exceeds
-    HORIZON (inf included), and ValueError where x1 or x2 is NaN.  F is
-    bitwise what the rounded fold x - 4 round(x / 4) gives: the remainder
-    fold differs from it only in the sign of a zero u at x < 0, where
-    x + (+-0.0) is x."""
-    if not (abs(x1) <= HORIZON and abs(x2) <= HORIZON):
-        raise _off_horizon(x1, x2, x3)
-    z1, z2, z3 = _z_step(x1, x2, x3)
-    return (x1 + z1, x2 + z2, x3 + z3)
+        return (x1 + scale * u1, x2 + scale * u2, x3 + scale * zh)
+    return (x1 + _times_inf(u1), x2 + _times_inf(u2), x3 + _times_inf(zh))
 
 
 def F_array(X):

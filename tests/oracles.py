@@ -21,8 +21,14 @@ tests.
   ``star_extend._cover_deviation`` took it before it kept to the vertices
   on each triangle's facet plane;
 - ``zorich_composed``: Z composed from the scalar fold ``_fold1``, the parity
-  of its flags and a scaling per coordinate, which ``zorich_scalar`` writes
-  out;
+  of its flags and a scaling per coordinate, which ``zorich.F_scalar`` and
+  ``zorich.F_array`` write out;
+- ``layered_eval3``: g or f as the layers that ``GlobalMap.eval3`` once
+  called one frame each: the dispatch, the chart rule ``_cell_index``, the
+  chart's locate with the ray's exit from its box (``_ray_box_scalar``)
+  and the nested sector tables of ``facet_tables``, and F as x plus the
+  composed Z step (``composed_F``); ``GlobalMap.eval3``,
+  ``RadialMap.eval3`` and ``zorich.F_scalar`` now do all of it inline;
 - ``fold1_rounded``: the scalar fold by x - 4 round(x / 4), which the
   package replaced by the IEEE remainder;
 - ``expansion_min_ratio_rows``: the sampled expansion ratio pair by pair
@@ -42,7 +48,7 @@ tests.
 - ``frame_to2d``: plane coordinates in a ``pieces.Frame``, which the
   package takes only in the stacked ``pieces._frames``;
 - ``h_pyramid``: the upper faces of the unit square pyramid, whose height
-  ``zorich._z_step`` scales;
+  ``zorich.F_scalar`` scales;
 - ``ball_growth_check``: the expansion ratio of the image of a small
   sphere above L, which the beam regime bounds below by 32;
 - ``radial_power_dilatation_oracle``: the dilatations of |x| x from their
@@ -53,17 +59,17 @@ tests.
 """
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
-from qrdyn.cones import _ray_box_scalar
 from qrdyn.dynamics import _fibonacci_sphere
 from qrdyn.example_maps import radial_square_eval
 from qrdyn.geometry import (TAU_GEOM, BoundaryHit, CertificationFailure, GeometryError,
                             _as_array, _point_in_tri2)
-from qrdyn.zorich import _EXP_ARG_MAX, F_scalar, _fold1
+from qrdyn.zorich import _EXP_ARG_MAX, HORIZON, F_scalar, _fold1, _off_horizon
 
 
 def _ray_tris(shape, origin, direction):
@@ -265,6 +271,140 @@ def invert_piece(piece, q):
         return max((_transport(img, dom, q) for dom, img in piece.cells),
                    key=lambda hit: min(hit[1], 0.0))[0]
     raise TypeError(f"no inverse for a {piece.kind} piece")
+
+
+def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
+    """Exit facet of the ray a->p from an axis-aligned box; (facet, t).
+
+    Facet 2k is the face x_k = lo[k], facet 2k+1 the face x_k = hi[k].  An
+    exit time within a relative 1e-12 of an earlier axis's does not displace
+    it, so edges and corners go to the lowest axis.  t is at least 1."""
+    best_t = math.inf
+    best_f = -1
+    d = x - ax
+    if d > 1e-300:
+        best_t, best_f = (hi[0] - ax) / d, 1
+    elif d < -1e-300:
+        best_t, best_f = (lo[0] - ax) / d, 0
+    d = y - ay
+    if d > 1e-300:
+        t = (hi[1] - ay) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 3
+    elif d < -1e-300:
+        t = (lo[1] - ay) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 2
+    d = z - az
+    if d > 1e-300:
+        t = (hi[2] - az) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 5
+    elif d < -1e-300:
+        t = (lo[2] - az) / d
+        if t < best_t * (1 - 1e-12):
+            best_t, best_f = t, 4
+    if best_t < 1.0:
+        best_t = 1.0
+    return best_f, best_t
+
+
+def _cell_index(tx, ty, z):
+    """The chart that owns (tx, ty, z) of the base block, as an index into
+    [A', A''1, A''2, A''3, A''4]: A' up to level 1 and above it the A''
+    cell of the quadrant, ties going to the lower index."""
+    if z <= 1.0:
+        return 0
+    return (2 if tx > 1.0 else 1) + (2 if ty > 1.0 else 0)
+
+
+def facet_tables(rmap):
+    """A chart's locate tables in their nested form: per facet (iu, iv, cu,
+    cv, bounds, pieces) with the sector entry of its pieces, a facet of one
+    piece included, and per piece (cu, cv, bounds, rows) with the sector
+    entry of its cells, each cell's row its linear part as a 9-tuple.  The
+    entries are ``sector_entry``'s, the rows ``cell_linear_part``'s."""
+    tables = []
+    for facet in range(6):
+        iu, iv = [i for i in range(3) if i != facet // 2]
+        pieces = rmap.pieces_by_facet[facet]
+        entries = [sector_entry([[dom] for dom, _ in piece.cells],
+                                [tuple(cell_linear_part(rmap._a, rmap._b, dom, img)
+                                       .ravel().tolist()) for dom, img in piece.cells], iu, iv)
+                   for piece in pieces]
+        tables.append((iu, iv) + sector_entry([[dom for dom, _ in p.cells] for p in pieces],
+                                              entries, iu, iv))
+    return tables
+
+
+def chart_eval3(rmap, table, x, y, z):
+    """A chart at (x, y, z) as the layered locate: the centre ball, the exit
+    facet by ``_ray_box_scalar``, the piece of a facet by its sector entry
+    (a facet of one piece by its one entry) and the cell of the piece by
+    its own, in ``table``, the chart's ``facet_tables``, and the cell's
+    affine map."""
+    ax, ay, az = rmap._a
+    bx, by, bz = rmap._b
+    dx, dy, dz = x - ax, y - ay, z - az
+    tol = rmap.domain.tol
+    if dx * dx + dy * dy + dz * dz <= tol * tol:
+        return (bx, by, bz)
+    lo, hi = (tuple(map(float, v)) for v in (rmap.domain.lo, rmap.domain.hi))
+    facet, t = _ray_box_scalar(ax, ay, az, lo, hi, x, y, z)
+    h = (ax + t * dx, ay + t * dy, az + t * dz)
+    iu, iv, cu, cv, bounds, pieces = table[facet]
+    cu, cv, bounds, cells = (pieces[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))]
+                             if bounds else pieces[0])
+    m = cells[bisect_right(bounds, math.atan2(h[iv] - cv, h[iu] - cu))] if bounds else cells[0]
+    return (bx + m[0] * dx + m[1] * dy + m[2] * dz,
+            by + m[3] * dx + m[4] * dy + m[5] * dz,
+            bz + m[6] * dx + m[7] * dy + m[8] * dz)
+
+
+def composed_F(x1, x2, x3):
+    """F = Id + Z with Z the composed step ``zorich_composed``, after the
+    horizon test of ``zorich.F_scalar``."""
+    if not (abs(x1) <= HORIZON and abs(x2) <= HORIZON):
+        raise _off_horizon(x1, x2, x3)
+    z1, z2, z3 = zorich_composed(x1, x2, x3)
+    return (x1 + z1, x2 + z2, x3 + z3)
+
+
+def layered_eval3(gm, tables, x, y, z):
+    """g or f (the ``GlobalMap`` gm) at (x, y, z), one layer per call: the
+    identity below 0, ``composed_F`` above L, and in the slab the fold
+    modulo 4 and the reflection into the base block, ``_cell_index``,
+    ``chart_eval3`` on the chart's table of ``tables`` (the
+    ``facet_tables`` of gm's slab charts, in their order) and the isometry
+    undone; each regime subtracts the shift (L' for f, 0.0 for g)."""
+    shift = gm.L_prime if gm.mode == "f" else 0.0
+    if z < 0.0:
+        return (x, y, z - shift)
+    if z > gm.L:
+        x, y, z = composed_F(x, y, z)
+        return (x, y, z - shift)
+    if z != z:
+        raise ValueError(f"non-finite point {(x, y, z)}")
+    try:
+        n1 = math.floor(x / 4.0)
+        n2 = math.floor(y / 4.0)
+    except (OverflowError, ValueError):
+        raise ValueError(f"non-finite point {(x, y, z)}") from None
+    tx = x - 4.0 * n1
+    ty = y - 4.0 * n2
+    r1 = tx > 2.0
+    r2 = ty > 2.0
+    if r1:
+        tx = 4.0 - tx
+    if r2:
+        ty = 4.0 - ty
+    k = _cell_index(tx, ty, z)
+    gx, gy, gz = chart_eval3(gm._slab_charts[k].map, tables[k], tx, ty, z)
+    if r1:
+        gx = 4.0 - gx
+    if r2:
+        gy = 4.0 - gy
+    return (gx + 4.0 * n1, gy + 4.0 * n2, gz - shift)
 
 
 def radial_eval(rmap, p):

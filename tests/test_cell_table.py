@@ -4,17 +4,19 @@ against the radial maps (the radial formulas of ``oracles``)."""
 import copy
 import math
 import types
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from oracles import (cell_linear_part, cell_vertex_images, facet_is_planar_rows, frame_rows,
-                     frame_to2d, image_cell_frames, pick_star_centre_2d_rows,
+from oracles import (_cell_index, cell_linear_part, cell_vertex_images, facet_is_planar_rows,
+                     frame_rows, frame_to2d, image_cell_frames, pick_star_centre_2d_rows,
                      polygon_kernel_rows, radial_eval, radial_inverse, sector_entry,
                      triangulate_planar_rows)
-from qrdyn.geometry import GeometryError, StarShape, _facet_coordinates, _triangulate_planar
-from qrdyn.global_map import (ConstructionError, _cell_index, _cell_spectra,
+from qrdyn.geometry import (GeometryError, StarShape, _det3_signs, _facet_coordinates,
+                            _triangulate_planar)
+from qrdyn.global_map import (ConstructionError, _cell_spectra,
                               cell_dilatations, certify_cell_orientation, chart_lipschitz)
 from qrdyn.pieces import _frames, _star_centres, polygon_kernel
 from qrdyn.star_extend import RadialMap
@@ -392,6 +394,31 @@ class TestCellOrientation:
         with pytest.raises(ConstructionError, match=r"A''9, facet 0 piece 0 cell 1"):
             certify_cell_orientation([self._chart(build, [1.0, bad, 3.0])])
 
+    def test_signs_are_exact(self, build):
+        # the sign of every cell's determinant, as the build certifies it,
+        # is the sign of the exact determinant of its float entries
+        linear = np.concatenate([c.map.linear for c in build.g.charts])
+        assert len(linear) == 141
+        signs = _det3_signs(linear, 0.0)[0].tolist()
+        exact = [_fraction_det(m) for m in linear]
+        assert signs == [(d > 0) - (d < 0) for d in exact] == [1] * 141
+        assert certify_cell_orientation(build.g.charts) == (141, build.min_cell_det)
+
+    def test_rank_deficient_cell_names_its_chart(self, build):
+        # row 3 is row 1 + row 2, but numpy's det of it is +1.3e-15: the
+        # exact sign rejects the cell all the same
+        chart = self._chart(build, [1.0, 1.0])
+        chart.map.linear[1] = [[-1.0, -2.0, 0.0], [6.0, 6.0, 2.0], [5.0, 4.0, 2.0]]
+        assert _fraction_det(chart.map.linear[1]) == 0
+        with pytest.raises(ConstructionError, match=r"A''9, facet 0 piece 0 cell 1"):
+            certify_cell_orientation([chart])
+
+
+def _fraction_det(m):
+    """The exact determinant of a 3x3 float matrix, in Fraction."""
+    (a, b, c), (d, e, f), (g, h, i) = [[Fraction(x) for x in row] for row in m.tolist()]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
 
 def _bits(x):
     """A nested structure of floats as a string that tells apart every
@@ -409,8 +436,8 @@ def _polygons(rmap):
 
 
 def _radial_faces(build):
-    """The build's distinct Radial2D pieces: 28 pieces on 24 faces, since
-    each A'' chart builds its own piece on its quadrant of the top facet
+    """The build's distinct Radial2D pieces: 24 pieces on 24 faces, since
+    each A'' chart takes the piece of A' on its quadrant of the top facet
     of A'."""
     faces = {}
     for chart in build.g.charts:
@@ -430,9 +457,15 @@ class TestBuildMatchesOracles:
 
     def test_cell_tables(self, build):
         # each facet's entry: its pieces by sector, each piece's entry its
-        # cells' rows by sector
+        # cells' rows by sector; a facet of one piece holds that piece's
+        # entry, flagged False, after the centres, the box and the centre
+        # ball's squared radius
         for chart in build.g.charts:
             rmap = chart.map
+            box = rmap.domain
+            assert _bits(rmap._consts[:-1]) == _bits(
+                rmap._a + rmap._b + tuple(box.lo.tolist()) + tuple(box.hi.tolist())
+                + (box.tol * box.tol,))
             polygons = _polygons(rmap)
             k = 0
             for facet in range(6):
@@ -450,7 +483,8 @@ class TestBuildMatchesOracles:
                         k += 1
                     entries.append(sector_entry([[dom] for dom, _ in piece.cells], rows, iu, iv))
                 want = sector_entry([[dom for dom, _ in p.cells] for p in pieces], entries, iu, iv)
-                assert _bits(rmap._facets[facet]) == _bits((iu, iv) + want)
+                want = ((False,) + entries[0]) if len(pieces) == 1 else (True,) + want
+                assert _bits(rmap._consts[-1][facet]) == _bits((iu, iv) + want)
             assert k == len(rmap)
 
     def test_tables_of_a_batch_are_built_alone(self, build):
@@ -463,8 +497,8 @@ class TestBuildMatchesOracles:
             for name in ("linear", "points", "targets", "sizes", "owner", "point_facet",
                          "point_ids", "fans", "fan_cell"):
                 assert getattr(rmap, name).tobytes() == getattr(alone, name).tobytes(), name
-            assert _bits((rmap._facets, rmap._all_image_cells, rmap.labels)) \
-                == _bits((alone._facets, alone._all_image_cells, alone.labels))
+            assert _bits((rmap._consts, rmap._all_image_cells, rmap.labels)) \
+                == _bits((alone._consts, alone._all_image_cells, alone.labels))
             assert _bits(rmap._image_cells) == _bits(alone._image_cells)
 
     def test_build_constants(self, build):
@@ -495,7 +529,7 @@ class TestBuildMatchesOracles:
         for chart in build.g.charts:
             for facet, pieces in chart.map.pieces_by_facet.items():
                 if len(pieces) > 1:
-                    *_, by_sector = chart.map._facets[facet]
+                    *_, by_sector = chart.map._consts[-1][facet]
                     assert len({id(entry) for entry in by_sector}) == len(pieces)
                     split[chart.cell_id, facet] = len(pieces)
         assert split == {("A'", 5): 4, ("A''1", 1): 2, ("A''1", 3): 2, ("A''2", 0): 2,
@@ -508,8 +542,7 @@ class TestBuildMatchesOracles:
         aprime_top = build.g.by_id["A'"].map.pieces_by_facet[5]      # P, W, T, X
         for k, top in enumerate(aprime_top):
             bottom, = build.g.by_id[f"A''{k + 1}"].map.pieces_by_facet[4]
-            assert bottom is not top
-            assert _bits(bottom.cells) == _bits(top.cells)
+            assert bottom is top
         for piece in faces:
             for j, (frame, centre) in enumerate(((piece.dom_frame, piece.dom_centre),
                                                  (piece.img_frame, piece.img_centre))):

@@ -10,8 +10,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from oracles import _cell_index
 from qrdyn import geometry, global_map, zorich
-from qrdyn.global_map import (ConstructionError, GlobalMap, _CHARTS, _cell_index,
+from qrdyn.global_map import (ConstructionError, GlobalMap, _CHARTS,
                               audit_dilatation, audit_orientation, audit_seams,
                               build_aprime_chart, build_asecond_charts, build_maps,
                               build_report, build_vertex_table, chart_lipschitz,
@@ -77,7 +78,8 @@ class TestVertexTable:
         # chart of the phase (A' alone, or the four A'' charts)
         real = global_map.star_shapes
         k = 0 if cid == "A'" else int(cid[-1]) - 1
-        phase = build_aprime_chart if cid == "A'" else build_asecond_charts
+        phase = build_aprime_chart if cid == "A'" else (
+            lambda vt: build_asecond_charts(vt, build.g.by_id["A'"]))
 
         def broken(specs):
             verts, _, facets = specs[k]

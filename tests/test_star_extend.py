@@ -311,7 +311,7 @@ class TestConstruction:
                          for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
             m = RadialMap(cube_box(), cube_shape(), pieces,
                           {f: p[0] for f, p in pieces.items()})
-        *_, by_sector = m._facets[5]
+        *_, by_sector = m._consts[-1][5]
         assert len({id(entry) for entry in by_sector}) == len(m.pieces_by_facet[5])
         rng = np.random.default_rng(6)
         pts = rng.random((500, 3)) * 2 - 1
@@ -491,8 +491,8 @@ class TestBatches:
         for rmap, spec in zip(radial_maps(specs), specs):
             alone = RadialMap(*spec)
             assert rmap.linear.tobytes() == alone.linear.tobytes()
-            assert repr((rmap._facets, rmap._all_image_cells, rmap._box)) \
-                == repr((alone._facets, alone._all_image_cells, alone._box))
+            assert repr((rmap._consts, rmap._all_image_cells, rmap._box)) \
+                == repr((alone._consts, alone._all_image_cells, alone._box))
 
     def test_a_serving_piece_without_a_domain_facet_is_named(self):
         # codomain facet 5 is served by a piece that holds no domain facet:

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import expansion_min_ratio_rows, fold1_rounded, h_pyramid, zorich_composed
+from oracles import (composed_F, expansion_min_ratio_rows, fold1_rounded, h_pyramid,
+                     zorich_composed)
 from qrdyn import zorich
 from qrdyn.zorich import (C0_LOWER, HORIZON, ConstantsReport, F_array, F_jacobian,
-                          F_scalar, PrecisionLost, _fold1, _z_step, certifies_sigma_floor,
+                          F_scalar, PrecisionLost, _fold1, certifies_sigma_floor,
                           corner_chi, derive_beam_constants, exp_lower,
                           expansion_min_ratio, fold_square, region_matrix)
 
@@ -76,33 +77,35 @@ class TestFold:
 
 
 class TestZorichEval:
+    # Z has no function of its own: these read it off F = Id + Z, or off
+    # the composed step of the oracles, which F_scalar matches bit for bit
     def test_apex_ray(self):
         for t in (-1.0, 0.0, 2.5):
-            assert np.allclose(_z_step(0, 0, t), (0, 0, math.exp(t)))
+            assert np.allclose(F_scalar(0, 0, t), (0, 0, t + math.exp(t)))
 
     def test_base_corner(self):
-        assert np.allclose(_z_step(1, 1, 0), (1, 1, 0))
+        assert np.allclose(F_scalar(1, 1, 0), (2, 2, 0))
 
     def test_reflected_fold_point(self):
         # x1 = 2 folds to u1 = 0 with one reflection
-        assert np.allclose(_z_step(2, 0, 0), (0, 0, -1))
+        assert np.allclose(F_scalar(2, 0, 0), (2, 0, -1))
 
     def test_seam_continuity_two_sided(self):
         d = 1e-12
         for x3 in (0.0, 1.0, 3.0):
             for seam in (1.0, 2.0, 3.0, -1.0):
-                a = np.array(_z_step(seam - d, 0.3, x3))
-                b = np.array(_z_step(seam + d, 0.3, x3))
+                a = np.array(zorich_composed(seam - d, 0.3, x3))
+                b = np.array(zorich_composed(seam + d, 0.3, x3))
                 assert np.linalg.norm(a - b) <= 1e-9 * max(1.0, math.exp(x3))
         # crease |x1| = |x2|
-        a = np.array(_z_step(0.5 - d, 0.5, 1.0))
-        b = np.array(_z_step(0.5 + d, 0.5, 1.0))
+        a = np.array(zorich_composed(0.5 - d, 0.5, 1.0))
+        b = np.array(zorich_composed(0.5 + d, 0.5, 1.0))
         assert np.linalg.norm(a - b) <= 1e-9 * math.e
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-20, 20), st.floats(-20, 20), st.floats(-5, 5))
     def test_magnitude_envelope_and_nonvanishing(self, x, y, z):
-        v = np.array(_z_step(x, y, z))
+        v = np.array(zorich_composed(x, y, z))
         m = np.linalg.norm(v)
         e = math.exp(z)
         assert e / math.sqrt(2) - 1e-12 <= m <= math.sqrt(2) * e + 1e-12
@@ -111,11 +114,13 @@ class TestZorichEval:
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-20, 20), st.floats(-20, 20), st.floats(-5, 5))
     def test_is_the_scaled_folded_pyramid(self, x, y, z):
-        # e^{x3} (u, sigma h(u)) with u the fold of (x1, x2), bit for bit
+        # F = x + e^{x3} (u, sigma h(u)) with u the fold of (x1, x2), bit
+        # for bit
         fr = fold_square(x, y)
         u1, u2, height = h_pyramid(*fr.u)
         want = (u1, u2, fr.sigma * height)
-        assert _z_step(x, y, z) == tuple(math.exp(z) * c for c in want)
+        assert F_scalar(x, y, z) == tuple(c + math.exp(z) * w
+                                          for c, w in zip((x, y, z), want))
 
 
 class TestF:
@@ -208,8 +213,8 @@ def _hex(values):
 
 
 class TestFlatZStep:
-    # _z_step writes out the folds, the parity and the scaling of
-    # oracles.zorich_composed and must agree with it bit for bit
+    # F_scalar writes out the folds, the parity and the scaling of
+    # oracles.zorich_composed and must agree with x plus it bit for bit
     LOG_MAX = math.log(sys.float_info.max)
     XS = (TestFolds.EDGES
           + [4.0 * k + d for k in (-5, 5, 2.0 ** 48) for d in (-1.0, 1.0, 2.0)]
@@ -230,8 +235,17 @@ class TestFlatZStep:
         return pts
 
     def test_matches_the_composed_step_bitwise(self):
-        for p in self._points():
-            assert _hex(_z_step(*p)) == _hex(zorich_composed(*p)), p
+        # past the horizon too: both raise PrecisionLost there, ValueError
+        # at a NaN x1 or x2
+        def outcome(fn, p):
+            try:
+                return _hex(fn(*p))
+            except (ValueError, PrecisionLost) as err:
+                return type(err)
+
+        for p in self._points() + [(x1, x2, 1.0) for x1 in (math.inf, math.nan, 0.5)
+                                   for x2 in (-math.inf, math.nan, 0.5)]:
+            assert outcome(F_scalar, p) == outcome(composed_F, p), p
 
     def test_F_is_the_composed_step_bitwise(self):
         for p in self._points():
