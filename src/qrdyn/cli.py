@@ -17,9 +17,9 @@ positive), the largest dilatation of a cell (``K_slab``) and each chart's
 verdict from the exact boundary-map validation, and each chart's
 Lipschitz constants (``lipschitz``): on its box, max sigma_max over its
 cells, and of its inverse, max 1 / sigma_min, with the method that took
-them.  Every image solid passed the exact star test when it was built: the
-ray from its centre crosses its boundary once, which the ray projection
-psi relies on.  The JSON object also gives ``phase_s``: the wall seconds of
+them.  Every chart passed its exact cone signs when it was built: the ray
+from its image solid's centre crosses the solid's boundary once, which the
+ray projection psi relies on.  The JSON object also gives ``phase_s``: the wall seconds of
 each build phase, keyed by module and function.
 """
 

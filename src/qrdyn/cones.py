@@ -5,8 +5,8 @@ construction of star shapes shares (``_dots``, ``_cross``, ``_starts``).
 A ray's exit from a box has no kernel here: ``star_extend.RadialMap.eval3``
 writes it out in its own frame.
 
-The star test of ``geometry`` proves that the ray from a shape's centre
-crosses its boundary exactly once; ``_crossing`` finds that crossing.
+Where the ray from a shape's centre crosses its boundary once (a chart's
+codomain, by the chart's cone signs), ``_crossing`` finds that crossing.
 """
 
 from __future__ import annotations

@@ -1,30 +1,21 @@
 """Star-shaped polyhedron geometry.
 
-Shapes are closed, connected triangulated polyhedra in R^3, each
-star-shaped about its centre: construction runs the star test on the
-centre (``certify_star_centres``) and fails with ``CertificationFailure``
-where a surface triangle does not face it.  The test proves that every ray
-from the centre crosses the boundary exactly once.  The module provides
-the ray-to-boundary projection psi, read off that one crossing of the ray
-from the centre through x (``cones._crossing``: a scan of the cone frames
-of the surface triangles, precomputed per polyhedron).
+Shapes are closed, connected triangulated polyhedra in R^3, each with a
+centre; construction orients the surface triangles outward and does not
+test the centre.  The module provides the ray-to-boundary projection psi,
+read off the crossing of the ray from the centre through x
+(``cones._crossing``, a scan of the cone frames of the surface triangles,
+precomputed per polyhedron).  That the ray crosses once is certified per
+chart by the exact cone signs of its cells (``star_extend``), whose
+orientations, like those of the boundary-map validation, come from
+``_det3_signs``: exact, in floats where Shewchuk's orient3d error bound
+decides a sign and in ``fractions.Fraction`` inside that bound.
 
-Polyhedral surfaces are oriented outward at construction, so the star test
-is one exact sign per surface triangle: the signed volume of (a,
-triangle).  ``_det3_signs`` decides each such sign in floats where
-Shewchuk's orient3d error bound certifies it, and only the determinants
-inside that bound (zero ones among them) in ``fractions.Fraction``; the
-boundary-map validation of ``star_extend`` takes its orientations from it
-too.
-
-Construction and the star test run in stacks over many shapes:
 ``star_shapes`` builds a batch of shapes with one numpy pass per step (the
 plane coordinates of all their facets, their cone frames and their facet
-planes), and ``certify_star_centres`` tests a batch of (shape, centre)
-pairs with one ``_det3_signs`` call over all their surface triangles.  One
-shape, or one centre, is a batch of one.  The axis-aligned boxes that the
-radial maps start from are not built here: each is convex about its
-midpoint and needs neither the star test nor psi (``star_extend.Box``).
+planes); one shape is a batch of one.  The axis-aligned boxes of the radial
+maps are not built here: each is convex about its midpoint and needs no
+psi (``star_extend.Box``).
 
 All shapes are immutable after construction; every operation is pure.
 """
@@ -45,8 +36,8 @@ class GeometryError(ValueError):
 
 
 class CertificationFailure(GeometryError):
-    """A centre failed the star test: a surface triangle does not face it,
-    so the rays from it need not cross the boundary exactly once."""
+    """A polygon has an empty visibility kernel, so no face centre sees its
+    whole boundary (``pieces._kernel_centre``)."""
 
 
 # Relative tolerance for boundary classification, scaled by shape diameter.
@@ -70,7 +61,7 @@ def _as_array(x):
 
 
 class StarShape:
-    """A triangulated polyhedron, star-shaped about its centre.
+    """A triangulated polyhedron about a centre.
 
     ``vertices`` is a vertex pool, ``facet_polys`` lists each planar facet as
     an ordered index loop, and ``triangles`` triangulates the surface with
@@ -80,11 +71,9 @@ class StarShape:
     the centre (``_cone_frames``), which ``psi`` scans.
 
     ``StarShape(vertices, centre, facet_polys)`` is ``star_shapes`` on one
-    shape: construction ends with the star test of its centre
-    (``certify_star_centres``), so a shape with a surface triangle that does
-    not face its centre is never built: it raises ``CertificationFailure``.
-    Every ray from the centre of a built shape crosses its boundary exactly
-    once, which ``psi`` relies on.
+    shape.  Construction checks the arguments and the surface, not the
+    centre: any finite centre builds.  The shape is star about it where a
+    chart with this codomain passes its cone signs (``star_extend``).
     """
 
     def __init__(self, vertices, centre, facet_polys):
@@ -95,37 +84,21 @@ def star_shapes(specs):
     """The shapes ``StarShape(*spec)`` of ``specs``, built in one stacked
     pass: each numpy step of the construction (the facet coordinates, the
     cone frames, the facet planes) runs once over the facets or triangles
-    of all shapes, their vertex and facet indices offset shape by shape,
-    and one ``certify_star_centres`` call tests every centre.  The
-    shapes are bitwise those that one ``StarShape`` call per spec builds.
-
-    A batch raises what building its shapes one by one, in order, raises:
-    when the stacked pass fails, the shapes are built one at a time, and
-    the error of the first that fails is raised with its position in
-    ``specs`` as the attribute ``shape_index`` (None if none fails alone).
-    No shape that fails the star test is returned."""
+    of all shapes, their vertex and facet indices offset shape by shape.
+    The shapes are bitwise those that one ``StarShape`` call per spec
+    builds.  A batch raises the first error that its pass meets: the
+    arguments of every shape, then the facets of all, numbered through the
+    batch (``_facet_coordinates``), then each shape's surface
+    (``_triangulate_planar``, ``_orient_outward``); for one shape that is
+    the error of its construction."""
     shapes = [StarShape.__new__(StarShape) for _ in specs]
-    try:
-        _build_shapes(shapes, specs)
-    except GeometryError as err:
-        err.shape_index = None
-        for k, spec in enumerate(specs):
-            try:
-                StarShape(*spec)
-            except GeometryError as single:
-                single.shape_index = k
-                raise
-        raise
+    _build_shapes(shapes, specs)
     return shapes
 
 
 def _build_shapes(shapes, specs):
     """Fill in the blank ``shapes`` from their ``specs`` (vertices, centre,
-    facet_polys) and star-test their centres, each numpy step once over all
-    of them; raises the first error met, which for one shape is the error
-    of its construction: its arguments, then its facets
-    (``_facet_coordinates``, ``_triangulate_planar``, ``_orient_outward``),
-    then its centre."""
+    facet_polys), as ``star_shapes`` describes."""
     for shape, (vertices, centre, facet_polys) in zip(shapes, specs):
         shape.vertices = np.asarray(vertices, dtype=float)
         if not np.all(np.isfinite(shape.vertices)):
@@ -143,7 +116,6 @@ def _build_shapes(shapes, specs):
             raise GeometryError("facet with fewer than 3 vertices")
     if shapes:
         _polyhedron_facets(shapes)
-    certify_star_centres(shapes, [shape.centre for shape in shapes])
 
 
 def _polyhedron_facets(shapes):
@@ -297,8 +269,8 @@ def _check_watertight(triangles):
 def _orient_outward(vertices, tris):
     """The triangles turned to one orientation with outward normals (a
     positive enclosed volume), flipping by swapping the last two vertices;
-    raises if the surface is not connected (the star test's winding
-    argument needs one component), not closed or not orientable."""
+    raises if the surface is not connected (the one crossing of each ray
+    from the centre needs one component), not closed or not orientable."""
     tris = [list(map(int, t)) for t in tris]
     by_edge = {}        # each undirected edge, as (low, high), -> its triangles
     for k, (a, b, c) in enumerate(tris):
@@ -338,7 +310,10 @@ def psi(shape: StarShape, x) -> BoundaryHit:
     of it) and exterior points (no crossing at or beyond x) raise
     GeometryError.  The crossing comes from ``_crossing``, in Python
     floats.  ``RadialMap.inverse`` takes the codomain facet of a slab chart
-    from psi.
+    from psi.  It needs every ray from the centre to cross the boundary
+    once: for a chart's codomain, the chart's exact cone signs and its
+    degree-one boundary map (``RadialMap.validate_boundary_map``) make the
+    chart a homeomorphism of its convex box onto the solid.
     """
     x = _as_array(x)
     c, r, d = _centre_ray(shape, x)
@@ -360,53 +335,7 @@ def _centre_ray(shape, x):
 
 
 # ---------------------------------------------------------------------------
-# the star test
-
-def certify_star_centres(shapes, centres):
-    """The star test of the pairs (shapes[k], centres[k]), in one stacked
-    pass: one exact sign per surface triangle of every pair, that of the
-    simplex (centre, triangle), from one ``_det3_signs`` call.  A pair
-    passes where every sign is positive: its closed, connected,
-    outward-oriented surface then winds once about the centre, so the
-    centre is interior and every ray from it crosses the boundary exactly
-    once, which ``psi`` relies on.  An exterior centre (winding zero) or
-    one on the boundary (a simplex of zero volume) fails.
-
-    Returns None, or raises what testing the pairs one at a time, in order,
-    raises: the GeometryError of a non-finite centre, or the
-    CertificationFailure naming the first triangle of the first failing
-    pair that does not face its centre."""
-    pairs = []
-    for shape, a in zip(shapes, centres):
-        try:
-            a = _as_array(a)
-        except GeometryError:
-            _star_test(pairs)       # an earlier pair fails first
-            raise
-        pairs.append((shape, a))
-    _star_test(pairs)
-
-
-def _star_test(pairs):
-    """``certify_star_centres`` on (shape, centre array) pairs; the rows
-    run pair by pair, each pair's in triangle order, so the first
-    non-positive sign is the first failure."""
-    if not pairs:
-        return
-    counts = [len(shape.triangles) for shape, _ in pairs]
-    apex = np.repeat([a for _, a in pairs], counts, axis=0)
-    points = np.concatenate([shape.vertices[shape.triangles] for shape, _ in pairs])
-    bad = np.flatnonzero(_det3_signs(points, apex[:, None, :])[0] <= 0)
-    if bad.size:
-        row = int(bad[0])
-        k = int(np.searchsorted(np.cumsum(counts), row, side="right"))
-        shape, a = pairs[k]
-        t = row - sum(counts[:k])
-        raise CertificationFailure(
-            f"star test fails at triangle {t} "
-            f"{shape.vertices[shape.triangles[t]].tolist()}: "
-            f"it does not face the centre {a.tolist()}")
-
+# exact determinant signs
 
 def _det3(u, v, w):
     return (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])

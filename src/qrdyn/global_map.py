@@ -16,9 +16,10 @@ affine on the cones from its domain centre over those triangles: 37 cells
 for A' and 26 for each A'' chart.  Each chart's ``RadialMap`` is those
 cells, and evaluates and inverts the chart; ``GlobalMap`` evaluates the
 slab by the charts' ``eval3``.  Every certificate is a finite check on the
-cells: ``build_maps`` requires a positive determinant on every cell and
-validates each chart's boundary map on the cell vertices, L' bounds the
-image heights of the cell vertices, and the audits read the orientation
+cells: each chart's cone signs certify its image solid's centre,
+``build_maps`` requires a positive determinant on every cell and validates
+each chart's boundary map on the cell vertices, L' bounds the image
+heights of the cell vertices, and the audits read the orientation
 and the dilatation off the cells' linear parts and check the seams at the
 vertices of the cells on each face.
 """
@@ -167,11 +168,11 @@ _CHARTS = {
 def _build_charts(vt, ids, shared=None):
     """The charts ``ids`` of ``_CHARTS``: one piece per distinct face (the
     face fans in one ``radial_pieces`` batch), the image solids in one
-    ``star_shapes`` batch (one star test of all their centres), each box a
-    ``Box`` domain, and the cells in one ``radial_maps`` pass; a face of
-    ``shared`` ({face: piece} of an earlier phase) keeps that piece.  An
-    image solid whose centre fails the star test raises ConstructionError
-    naming its chart."""
+    ``star_shapes`` batch, each box a ``Box`` domain, and the cells in one
+    ``radial_maps`` pass, which certifies every centre by its cone signs; a
+    face of ``shared`` ({face: piece} of an earlier phase) keeps that piece.
+    A map that fails (a centre that fails its cone signs, say) raises
+    ConstructionError naming its chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
                                for on_facet in spec["facets"].values() for face in on_facet))
@@ -205,17 +206,16 @@ def _build_charts(vt, ids, shared=None):
         loops = [[names.index(n) for n in face.split()] for face in spec["codomain"]]
         solids.append((verts, centre, loops))
     try:
-        shapes = star_shapes(solids)
-    except GeometryError as err:
-        if err.shape_index is None:
+        maps = radial_maps([
+            (Box(lo, hi), solid,
+             {facet: [made[face] for face in on_facet]
+              for facet, on_facet in spec["facets"].items()},
+             {k: serving[face] for k, face in enumerate(spec["codomain"])})
+            for spec, solid, (lo, hi) in zip(specs, star_shapes(solids), boxes)])
+    except (GeometryError, np.linalg.LinAlgError) as err:
+        if not hasattr(err, "map_index"):
             raise
-        raise ConstructionError(f"no certifiable star centre for image of "
-                                f"{ids[err.shape_index]}: {err}") from err
-    maps = radial_maps([
-        (Box(lo, hi), solid,
-         {facet: [made[face] for face in on_facet] for facet, on_facet in spec["facets"].items()},
-         {k: serving[face] for k, face in enumerate(spec["codomain"])})
-        for spec, solid, (lo, hi) in zip(specs, shapes, boxes)])
+        raise ConstructionError(f"chart {ids[err.map_index]}: {err}") from err
     return [CellChart(cid, lo, hi, rmap) for cid, (lo, hi), rmap in zip(ids, boxes, maps)]
 
 
@@ -611,11 +611,12 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     ``_build_charts`` call on rows of ``_CHARTS``: one batch of face fans,
     one ``geometry.star_shapes`` batch of the image solids and one
     ``star_extend.radial_maps`` pass that stacks the cells, each chart's
-    domain a ``star_extend.Box``.  The batch runs one exact star test
-    (``geometry.certify_star_centres``) on the centres of all its solids,
-    which proves that the ray from each centre crosses its solid's boundary
-    once, as the radial extension and ``psi`` need; a box is convex about
-    its midpoint and needs no test.
+    domain a ``star_extend.Box``.  Before any solve, the pass takes the
+    exact cone signs of all its cells' fan triangles: each image cone about
+    its solid's centre must have the orientation of its domain cone.  With
+    the degree-one boundary map that the validation checks, this proves
+    that the ray from each centre crosses its solid's boundary once, as the
+    radial extension and ``psi`` need.
     Each chart's boundary map is then validated by its own
     ``RadialMap.validate_boundary_map`` call, on the cells and facet planes
     computed when it was built.
@@ -678,9 +679,9 @@ def build_report(build: BuildResult) -> dict:
     cell determinant, the largest cell dilatation, each chart's validation
     verdict, the wall seconds of each build phase (``phase_s``) and each
     chart's Lipschitz constants (``lipschitz``, from ``chart_lipschitz``).
-    Every chart's image solid passed the star test when it was built, so
-    the ray from its centre crosses its boundary once and ``psi`` is
-    defined on it.  ``qrdyn build --json`` prints it."""
+    Every chart passed its cone signs when it was built, so the ray from
+    its image solid's centre crosses the solid's boundary once and ``psi``
+    is defined on it.  ``qrdyn build --json`` prints it."""
     c = build.constants
     return {
         "c0": c.c0,

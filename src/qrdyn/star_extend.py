@@ -5,7 +5,9 @@ polyhedron extends to the closed regions by transporting radial fractions:
 a point at fraction s of the way from the box's midpoint to its boundary
 maps to the point at fraction s from the polyhedron's centre to the image
 boundary point.  The box (``Box``) is convex about its midpoint, so only
-the polyhedron (``geometry.StarShape``) needs the star test and psi.
+the polyhedron (``geometry.StarShape``) needs psi.  Its centre is certified
+by one exact sign per fan triangle of every cell: the image cone about it
+has the orientation of the domain cone (``_cone_sign_failures``).
 
 The boundary map itself is a list of pieces on each domain facet, and each
 piece of it is given by its affine cells (``pieces``): the fan of a planar
@@ -48,7 +50,7 @@ TAU_SEAM = 1e-9
 
 class Box:
     """The axis-aligned cuboid [lo, hi], the domain of a ``RadialMap``: it
-    is convex about its midpoint ``centre``, so it needs no star test.  Its
+    is convex about its midpoint ``centre``, so it needs no psi.  Its
     ``diameter``, ``tol`` and ``facet_planes`` (normals, offsets, areas) are
     those of a ``StarShape``, in closed form: facet 2k is the face
     x_k = lo[k] (normal -e_k, offset -lo[k]) and facet 2k + 1 the face
@@ -278,16 +280,35 @@ class RadialMap:
 def radial_maps(specs):
     """The maps ``RadialMap(*spec)`` of ``specs``, built in one stacked pass
     (``_build_maps``).  A batch raises what building its maps one by one,
-    in order, raises: when the stacked pass fails, the maps are built one at
-    a time and the first error is raised."""
+    in order, raises, with that map's position in ``specs`` as the attribute
+    ``map_index``.  The stacked pass walks every map before its cone signs,
+    sector tables (a LinAlgError among their errors) and linear parts, so a
+    later map may fail first there: when it fails, the maps are rebuilt one
+    at a time."""
     maps = [RadialMap.__new__(RadialMap) for _ in specs]
     try:
         _build_maps(maps, specs)
     except (GeometryError, np.linalg.LinAlgError):
-        for spec in specs:
-            RadialMap(*spec)
+        for k, spec in enumerate(specs):
+            try:
+                RadialMap(*spec)
+            except (GeometryError, np.linalg.LinAlgError) as single:
+                single.map_index = k
+                raise
         raise
     return maps
+
+
+def _cone_sign_failures(points, targets, fans, a, b):
+    """The rows of ``fans`` (fan triangles, as rows of ``points`` and of
+    ``targets``) that fail the chart certificate, in order: those whose
+    image cone, the triangle targets[fan] about b[k], has not the exact
+    orientation of the domain cone, points[fan] about a[k], or whose domain
+    cone is flat.  Every sign comes from one ``geometry._det3_signs`` call."""
+    n = len(fans)
+    signs = _det3_signs(np.concatenate([points[fans], targets[fans]]),
+                        np.concatenate([a, b])[:, None, :])[0]
+    return np.flatnonzero((signs[n:] != signs[:n]) | (signs[:n] == 0))
 
 
 def _oriented_areas(normals, tris):
@@ -448,8 +469,11 @@ def _build_maps(maps, specs):
     piece its cells, with the stacked index of the first cell of each entry
     and a key naming the pieces and the face axes (a level held by another
     map of the pass, or a piece's cells solved in an earlier pass and kept
-    in ``FacetPiece.sectors``, is solved once).  Then one solve gives the linear
-    parts on every cell's first three vertex correspondences, the sector
+    in ``FacetPiece.sectors``, is solved once).  Before any solve, the cone
+    signs of all fan triangles (``_cone_sign_failures``) certify the
+    codomain centres; the first that fails raises GeometryError naming its
+    cell.  Then one solve gives the linear parts on every cell's first three
+    vertex correspondences, the sector
     probes take one broadcast solve per shape of sector level
     (``_sector_entries``), one determinant and one inverse go over the
     linear parts, and one inverse gives the fan frames.  Each map keeps its
@@ -522,6 +546,12 @@ def _build_maps(maps, specs):
     fan_cell = np.repeat(np.arange(len(doms)), sizes - 2)
     i = np.arange(len(fan_cell)) - _starts(sizes - 2)[fan_cell]
     fans = starts[fan_cell][:, None] + np.stack([0 * i, i + 1, i + 2], axis=1)
+    bad = _cone_sign_failures(points, targets, fans, *(c[fan_cell] for c in centres))
+    if bad.size:
+        cell, t = fan_cell[bad[0]], i[bad[0]]
+        raise GeometryError(f"{[n for rmap in maps for n in rmap.labels][cell]}: the image cone"
+                            f" of fan triangle {t} about the codomain centre "
+                            f"{centres[1][cell].tolist()} is not oriented as its domain cone")
     # rows: A d_i = w_i over the first three vertices of each cell
     first3 = starts[:, None] + np.arange(3)
     linear = np.ascontiguousarray(np.swapaxes(np.linalg.solve(

@@ -12,6 +12,11 @@ tests.
   takes it by a sector test;
 - ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
   triangles (``_ray_tris``), exterior where no crossing lies at or beyond x;
+- ``star_test``: the exact star test of a polyhedron about a centre, one
+  sign per surface triangle, which construction ran on every image solid
+  before a chart's cone signs (``star_extend._cone_sign_failures``)
+  certified its centre; the reference that the cone signs are held
+  against;
 - ``point_in_polygon``: even-odd ray casting in a plane;
 - ``cover_deviation_per_triangle`` and ``oriented_area_fraction``: the
   seam deviation and the oriented areas of a chart's boundary triangles,
@@ -68,7 +73,7 @@ import numpy as np
 from qrdyn.dynamics import _fibonacci_sphere
 from qrdyn.example_maps import radial_square_eval
 from qrdyn.geometry import (TAU_GEOM, BoundaryHit, CertificationFailure, GeometryError,
-                            _as_array, _point_in_tri2)
+                            _as_array, _det3_signs, _point_in_tri2)
 from qrdyn.zorich import _EXP_ARG_MAX, HORIZON, F_scalar, _fold1, _off_horizon
 
 
@@ -115,6 +120,22 @@ def psi_ray_oracle(shape, x):
     ti = int(cand[np.argmin(shape.tri_facet[cand])])
     return BoundaryHit(point=a + t[ti] * d, facet=int(shape.tri_facet[ti]),
                        t=float(t[ti] / dist))
+
+
+def star_test(shape, centres):
+    """The star test of the polyhedron ``shape`` about each of ``centres``:
+    None where every outward-oriented surface triangle T faces the centre c
+    (the exact sign of det(T - c) is positive), else the index of the first
+    triangle that does not, from one ``geometry._det3_signs`` call over all
+    centres.  A pass proves that the closed, connected surface winds once
+    about c, so that every ray from c crosses it once; an exterior centre
+    (winding zero) or one on the boundary (a zero volume) fails."""
+    centres = np.asarray(centres, dtype=float).reshape(-1, 3)
+    tris = shape.vertices[shape.triangles]
+    signs = _det3_signs(np.tile(tris, (len(centres), 1, 1)),
+                        np.repeat(centres, len(tris), axis=0)[:, None])[0]
+    return [int(np.argmax(row <= 0)) if (row <= 0).any() else None
+            for row in signs.reshape(len(centres), -1)]
 
 
 def point_in_polygon(v, p):

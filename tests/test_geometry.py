@@ -1,6 +1,5 @@
 import itertools
 import math
-import re
 import struct
 from fractions import Fraction
 
@@ -8,17 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cuboid_spec, psi_ray_oracle
+from oracles import cuboid_spec, psi_ray_oracle, star_test as star_tests
 from qrdyn import geometry
-from qrdyn.geometry import (CertificationFailure, GeometryError, StarShape, _det3_signs,
-                            certify_star_centres, psi, star_shapes)
+from qrdyn.geometry import GeometryError, StarShape, _det3_signs, psi, star_shapes
 from qrdyn.pieces import _star_centres, polygon_kernel
-from qrdyn.star_extend import Box
+from qrdyn.star_extend import Box, radial_maps
 
 
 def star_test(shape, a):
-    """The star test of the one pair (shape, a)."""
-    return certify_star_centres([shape], [a])
+    """The oracle star test of the one pair (shape, a): None where it
+    passes, else the first surface triangle that does not face a."""
+    return star_tests(shape, [a])[0]
 
 
 def cube(a=(0.0, 0.0, 0.0)):
@@ -151,21 +150,23 @@ class TestPsi:
 
 
 class TestCertification:
+    """The oracle star test, which construction no longer runs: a shape
+    builds about any finite centre."""
+
     def test_exterior_centre_rejected(self):
-        with pytest.raises(CertificationFailure, match="star test"):
-            star_test(cube(), (3, 0, 0))
+        assert star_test(cube(), (3, 0, 0)) is not None
 
     def test_boundary_centre_rejected(self):
         # (a, the face triangle through a) has volume zero
-        with pytest.raises(CertificationFailure, match="star test"):
-            star_test(cube(), (1, 0.2, 0.3))
-        with pytest.raises(CertificationFailure, match="star test"):
-            pentagon((0.0, 1.0))
+        assert star_test(cube(), (1, 0.2, 0.3)) is not None
+        shape = pentagon((0.0, 1.0))
+        assert star_test(shape, shape.centre) is not None
 
     def test_centre_near_a_face_passes(self):
         # the star test asks for no angle margin: a centre 1e-6 from a face
         # passes, and psi about it agrees with the ray oracle
         shape = cube((1.0 - 1e-6, 0.3, -0.2))
+        assert star_test(shape, shape.centre) is None
         rng = np.random.default_rng(4)
         for x in rng.uniform(-0.9, 0.9, (50, 3)):
             hit, want = psi(shape, x), psi_ray_oracle(shape, x)
@@ -181,8 +182,8 @@ class TestCertification:
         centre = _star_centres([PENTAGON])[0]
         shape = pentagon(centre)
         assert star_test(shape, shape.centre) is None
-        with pytest.raises(CertificationFailure, match="star test"):
-            pentagon((1.0, 2.0))
+        hidden = pentagon((1.0, 2.0))
+        assert star_test(hidden, hidden.centre) is not None
         # kernel of this pentagon sits high: x3 >= 3 + 0.25*(x2 - 2)
         assert centre[1] >= 3.0
 
@@ -251,24 +252,19 @@ class TestBatchedCertification:
         for a in (shape.centre, np.asarray(hidden)):
             probes = _boundary_grid(shape, 8)
             seen = all(_visible_oracle(shape, a, w) for w in probes)
-            try:
-                star_test(shape, a)
-                passed = True
-            except CertificationFailure as err:
-                assert "star test" in str(err)
-                passed = False
-            assert passed == seen == (a is shape.centre)
+            assert (star_test(shape, a) is None) == seen == (a is shape.centre)
 
     @pytest.mark.parametrize("which", ["l_prism"])
     def test_hidden_centre_fails_visibility_audit(self, which):
-        # the star test is the exact visibility audit: construction rejects
-        # the hidden centre, naming the first simplex that does not face it
+        # the star test is the exact visibility audit: it rejects the hidden
+        # centre, naming the first simplex that does not face it; the shape
+        # builds about it all the same
         make, centre, hidden = {"l_prism": (l_prism, L_CENTRE, L_HIDDEN)}[which]
         star = make(centre)
         k = _first_backward_simplex(star.vertices, hidden, star.triangles)
-        with pytest.raises(CertificationFailure,
-                           match=re.escape(f"star test fails at triangle {k} ")):
-            make(hidden)
+        shape = make(hidden)
+        assert shape.triangles.tobytes() == star.triangles.tobytes()
+        assert star_test(shape, hidden) == k
 
 
 def spec_of(shape):
@@ -283,15 +279,6 @@ def shape_bits(shape):
             [x.tobytes() for x in shape.facet_planes],
             [(np.array(frame).tobytes(), facet) for frame, facet in shape._cones],
             struct.pack("<2d", shape.diameter, shape.tol))
-
-
-def warped_cube():
-    """A unit cube with one corner lifted off its three faces: building it
-    fails on its facets, before any star test."""
-    verts = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
-    verts[7] += (0.0, 0.0, 1e-3)
-    return (verts, (0.5, 0.5, 0.5), [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1],
-                                    [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]])
 
 
 class TestStackedCertification:
@@ -311,61 +298,46 @@ class TestStackedCertification:
         shape = {"aprime": lambda: build.g.by_id["A'"].map.codomain,
                  "asecond4": lambda: build.g.by_id["A''4"].map.codomain,
                  "cube": cube, "l_prism": lambda: l_prism(L_CENTRE)}[which]()
-        # each centre passes alone where every simplex it spans with a surface
-        # triangle is positive in floats (no det of these lies near zero),
-        # and the batch of those that pass passes
+        # the star test of a batch of centres gives each what it gives
+        # alone: a pass where every simplex it spans with a surface
+        # triangle is positive in floats (no det of these lies near zero)
         rng = np.random.default_rng(3)
         centres = shape.centre + 0.05 * shape.diameter * rng.uniform(-1, 1, (40, 3))
-        passing = []
-        for a in centres:
-            try:
-                star_test(shape, a)
-                passing.append(a)
-            except CertificationFailure:
-                assert np.linalg.det(shape.vertices[shape.triangles] - a).min() < 0
-        assert len(passing) >= 10
-        for a in passing:
-            assert np.linalg.det(shape.vertices[shape.triangles] - a).min() > 0
-        assert certify_star_centres([shape] * len(passing), passing) is None
+        verdicts = star_tests(shape, centres)
+        for a, first in zip(centres, verdicts):
+            assert first == star_test(shape, a)
+            dets = np.linalg.det(shape.vertices[shape.triangles] - a)
+            assert (first is None) == (dets.min() > 0)
+        assert verdicts.count(None) >= 10
 
-    def test_the_first_failing_shape_raises_what_it_raises_alone(self):
-        good = spec_of(cube())
-        hidden = spec_of(l_prism(L_CENTRE))[:1] + (L_HIDDEN,) + spec_of(l_prism(L_CENTRE))[2:]
-        alone = {}
-        for name, spec in (("hidden", hidden), ("warped", warped_cube())):
-            with pytest.raises(GeometryError) as err:
-                StarShape(*spec)
-            alone[name] = err.value
-        # the stacked pass meets the warped facet before any star test,
-        # but the hidden centre of the shape before it fails first
-        for specs, first, index in (([good, hidden, warped_cube()], "hidden", 1),
-                                    ([good, good, warped_cube(), hidden], "warped", 2)):
-            with pytest.raises(GeometryError) as err:
-                star_shapes(specs)
-            assert type(err.value) is type(alone[first])
-            assert str(err.value) == str(alone[first])
-            assert err.value.shape_index == index
-
-    def test_the_first_failing_centre_raises_what_it_raises_alone(self):
-        # centres that pass, fail the star test at different triangles,
-        # or are not finite, in every rotation of the batch
-        shape = l_prism(L_CENTRE)
-        centres = [L_CENTRE, (0.4, 0.6, 0.3), L_HIDDEN, (9.0, 0.0, 0.0), (math.nan, 0.0, 0.0)]
+    def test_the_first_failing_centre_raises_what_it_raises_alone(self, build):
+        # the A' chart about codomain centres that pass its cone signs, or
+        # fail them at different cells, in every rotation of one batch:
+        # the batch raises the error of the first map that fails alone,
+        # with that map's position
+        chart = build.g.by_id["A'"].map
+        solid = chart.codomain
+        centres = [(5.0, 1.0, 2.0), (4.5, 1.5, 2.0), (3.0, -2.0, 1.5), (2.0, -2.0, 0.0),
+                   (9.0, 0.0, 0.0)]
+        specs = [(chart.domain, StarShape(solid.vertices, c, solid.facet_polys),
+                  chart.pieces_by_facet, chart.piece_by_codomain_facet) for c in centres]
         alone = []
-        for a in centres:
+        for spec in specs:
             try:
-                star_test(shape, a)
+                radial_maps([spec])
                 alone.append(None)
             except GeometryError as err:
-                alone.append(err)
+                assert err.map_index == 0
+                alone.append(str(err))
         assert [err is None for err in alone] == [True, True, False, False, False]
-        for k in range(len(centres)):
-            batch = centres[k:] + centres[:k]
-            first = next(err for err in alone[k:] + alone[:k] if err is not None)
-            with pytest.raises(GeometryError) as err:
-                certify_star_centres([shape] * len(batch), batch)
-            assert type(err.value) is type(first)
-            assert str(err.value) == str(first)
+        assert len(set(alone[2:])) == 3
+        for k in range(len(specs)):
+            batch = specs[k:] + specs[:k]
+            index, first = next((i, err) for i, err in enumerate(alone[k:] + alone[:k])
+                                if err is not None)
+            with pytest.raises(GeometryError, match="not oriented as its domain cone") as err:
+                radial_maps(batch)
+            assert (str(err.value), err.value.map_index) == (first, index)
 
 
 _BOX_CORNER = st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3)

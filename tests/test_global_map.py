@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import functools
+import itertools
 import math
 import re
 import struct
@@ -10,8 +12,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import _cell_index
-from qrdyn import geometry, global_map, zorich
+from oracles import _cell_index, star_test
+from qrdyn import geometry, global_map, star_extend, zorich
 from qrdyn.global_map import (ConstructionError, GlobalMap, _CHARTS,
                               audit_dilatation, audit_orientation, audit_seams,
                               build_aprime_chart, build_asecond_charts, build_maps,
@@ -73,9 +75,8 @@ class TestVertexTable:
     @pytest.mark.parametrize("cid", ["A'", "A''1", "A''2", "A''3", "A''4"])
     def test_uncertifiable_codomain_centre_names_the_chart(self, build, monkeypatch, cid):
         # a centre on one image solid's boundary (one of its vertices)
-        # fails the star test when the batch of the chart phase's image
-        # solids is built: the solid at shape_index k is that of the k-th
-        # chart of the phase (A' alone, or the four A'' charts)
+        # fails the cone signs of that chart, the k-th map of the chart
+        # phase's one radial_maps pass (A' alone, or the four A'' charts)
         real = global_map.star_shapes
         k = 0 if cid == "A'" else int(cid[-1]) - 1
         phase = build_aprime_chart if cid == "A'" else (
@@ -87,8 +88,96 @@ class TestVertexTable:
 
         monkeypatch.setattr(global_map, "star_shapes", broken)
         with pytest.raises(ConstructionError,
-                           match=f"star centre for image of {cid}: star test fails"):
+                           match=f"^chart {cid}: facet .* not oriented as its domain cone$"):
             phase(build.vertex_table)
+
+
+def aprime_grid():
+    """The A' codomain centres of the 0.5 grid over [2, 8] x [-2, 4] x [0, 5]
+    (1859 of them)."""
+    axes = [np.arange(lo, hi + 0.25, 0.5) for lo, hi in ((2, 8), (-2, 4), (0, 5))]
+    return np.array(list(itertools.product(*axes)))
+
+
+def asecond_centres(count=300):
+    """The first ``count`` seeded A'' codomain centres, uniform over
+    [-1, 12]^2 x [0, 100] (``default_rng(1)``), then (5, 1, 2)."""
+    rng = np.random.default_rng(1)
+    return np.vstack([rng.uniform([-1, -1, 0], [12, 12, 100], (count, 3)), [(5.0, 1.0, 2.0)]])
+
+
+def cone_sign_passes(rmap, centres):
+    """Where the built chart ``rmap``, with its codomain centre moved to each
+    of ``centres``, passes its cone signs, in one stacked pass."""
+    fans = np.tile(rmap.fans, (len(centres), 1))
+    bad = star_extend._cone_sign_failures(rmap.points, rmap.targets, fans,
+                                          np.tile(rmap._a, (len(fans), 1)),
+                                          np.repeat(centres, len(rmap.fans), axis=0))
+    passes = np.ones(len(centres), dtype=bool)
+    passes[bad // len(rmap.fans)] = False
+    return passes
+
+
+# the A' centres at which _build_maps raised numpy's LinAlgError (from the
+# inverse of the image fan frames) before the cone signs came first
+LINALG_CENTRES = [(3.0, -2.0, 1.5), (4.0, -2.0, 3.5), (4.5, -2.0, 1.0), (4.5, -1.0, 2.5),
+                  (7.5, 3.5, 1.5)]
+
+
+# each chart's grid of codomain centres, and how many of them pass
+GRIDS = {"A'": (aprime_grid, 13), "A''1": (asecond_centres, 191),
+         "A''4": (asecond_centres, 135)}
+
+
+@pytest.fixture(scope="module")
+def grid_passes(build):
+    """Where each chart of ``GRIDS`` passes its cone signs about the
+    centres of its grid."""
+    return {cid: cone_sign_passes(build.g.by_id[cid].map, grid())
+            for cid, (grid, _) in GRIDS.items()}
+
+
+class TestCentreGrid:
+    """The cone signs against the oracle star test, on the built charts with
+    the codomain centre b moved over a grid, and full builds of the chart
+    phases about grid centres."""
+
+    @pytest.mark.parametrize("cid", list(GRIDS))
+    def test_cone_signs_pass_where_the_star_test_passes(self, cid, build, grid_passes):
+        grid, passing = GRIDS[cid]
+        star = star_test(build.g.by_id[cid].map.codomain, grid())
+        assert np.array_equal(grid_passes[cid], [first is None for first in star])
+        assert grid_passes[cid].sum() == passing
+
+    @pytest.mark.parametrize("cid", list(GRIDS))
+    def test_every_centre_builds_or_names_its_chart(self, cid, build, grid_passes, monkeypatch):
+        # a strided part of the A' grid with its five former LinAlgError
+        # centres, a centre on a facet plane and every passing centre; a
+        # prefix of the A'' centres with (5, 1, 2).  A centre that fails
+        # raises ConstructionError naming its chart, never a bare
+        # GeometryError or LinAlgError, and one that builds gives positive
+        # cell determinants
+        rmap = build.g.by_id[cid].map
+        if cid == "A'":
+            grid = aprime_grid()
+            centres = np.unique(np.vstack([grid[::23], LINALG_CENTRES, [(2.0, -2.0, 0.0)],
+                                           grid[grid_passes[cid]]]), axis=0)
+            phase = lambda vt: [build_aprime_chart(vt)]
+        else:
+            centres = asecond_centres(23)
+            phase = functools.partial(build_asecond_charts, aprime=build.g.by_id["A'"])
+        built = 0
+        for c in centres.tolist():
+            monkeypatch.setitem(_CHARTS[cid], "centre", tuple(c))
+            try:
+                charts = phase(build.vertex_table)
+            except ConstructionError as err:
+                assert re.match(f"chart {cid}: facet .* not oriented as its domain cone$",
+                                str(err)), err
+                continue
+            global_map.certify_cell_orientation(charts)
+            built += 1
+        assert built == cone_sign_passes(rmap, centres).sum() > 0
 
 
 class TestChartTable:
@@ -539,7 +628,7 @@ class TestDispatchTies:
 
 class TestBuildWork:
     def test_every_certificate_sign_is_decided_in_floats(self):
-        # the star tests and the boundary-map orientations of a whole build
+        # the cone signs and the boundary-map orientations of a whole build
         # make no Fraction: the float filter of geometry._det3_signs decides
         # every sign, so code that bypasses it fails here instead of showing
         # up only as a slower build
@@ -600,14 +689,28 @@ class TestBuildWork:
         assert dict(zip(names, (k.call_count for k in kernels))) == dict.fromkeys(names, 0)
 
     def test_one_certification_pass_per_chart_phase(self):
-        # one stacked star test per chart phase takes the image solids of
-        # its charts, each about its own centre, and no box: a box is convex
-        # about its midpoint; a call per solid would be 5
-        with mock.patch("qrdyn.geometry._star_test", wraps=geometry._star_test) as star:
+        # one stacked cone-sign pass per chart phase takes the fan triangles
+        # of all its charts' cells, each about its chart's two centres; a
+        # call per chart would be 5.  No star test: no exact sign is taken
+        # in geometry itself, and the signs that star_extend takes are the
+        # two cone passes and one per boundary-map validation
+        signs = geometry._det3_signs
+        with mock.patch("qrdyn.star_extend._cone_sign_failures",
+                        wraps=star_extend._cone_sign_failures) as cones, \
+                mock.patch("qrdyn.geometry._det3_signs", wraps=signs) as geo, \
+                mock.patch("qrdyn.star_extend._det3_signs", wraps=signs) as ext:
             build = build_maps()
+        assert (geo.call_count, ext.call_count) == (0, 2 + len(build.g.charts))
         phases = [build.g.charts[:1], build.g.charts[1:]]
-        assert [[shape for shape, _ in call.args[0]] for call in star.call_args_list] == [
-            [chart.map.codomain for chart in charts] for charts in phases]
-        for call in star.call_args_list:
-            for shape, a in call.args[0]:
-                assert a.tobytes() == shape.centre.tobytes()
+        assert cones.call_count == len(phases)
+        for call, charts in zip(cones.call_args_list, phases):
+            points, targets, fans, a, b = call.args
+            assert len(fans) == sum(len(chart.map.fans) for chart in charts)
+            assert len(points) == len(targets) == sum(len(chart.map.points) for chart in charts)
+            counts = [len(chart.map.fans) for chart in charts]
+            for rows, chart in zip(np.split(np.arange(len(fans)), np.cumsum(counts)[:-1]),
+                                   charts):
+                assert np.array_equal(a[rows], np.tile(chart.map.domain.centre, (len(rows), 1)))
+                assert np.array_equal(b[rows], np.tile(chart.map.codomain.centre,
+                                                       (len(rows), 1)))
+        assert sum(len(chart.map.fans) for chart in build.g.charts) == 142

@@ -179,6 +179,17 @@ def chart_with_face(piece_for_top):
     return one_piece_chart(cube_box(), cube_shape(), pieces)
 
 
+def refused_then_validated(piece_for_top, monkeypatch):
+    """The chart ``chart_with_face(piece_for_top)``, which its cone signs
+    refuse, built with them switched off, so that the boundary-map
+    validation, an independent check, can be read on it."""
+    with pytest.raises(GeometryError, match="not oriented as its domain cone"):
+        chart_with_face(piece_for_top)
+    monkeypatch.setattr(star_extend, "_cone_sign_failures",
+                        lambda *args: np.array([], dtype=int))
+    return chart_with_face(piece_for_top).validate_boundary_map()
+
+
 def moved_corner(loop, offset):
     img = [np.asarray(p, float) for p in loop]
     img[2] = img[2] + np.asarray(offset)
@@ -203,10 +214,9 @@ class TestValidation:
         assert not rep.passed
         assert rep.worst_seam_dev > 1e-3
 
-    def test_reversed_image_loop_is_not_positive(self):
+    def test_reversed_image_loop_is_not_positive(self, monkeypatch):
         # the face's image is the facet itself, run the other way round
-        m = chart_with_face(lambda loop: Radial2DPiece(loop, loop[::-1]))
-        rep = m.validate_boundary_map()
+        rep = refused_then_validated(lambda loop: Radial2DPiece(loop, loop[::-1]), monkeypatch)
         assert not rep.passed
         assert rep.injectivity_violations >= 4
 
@@ -218,8 +228,8 @@ class TestValidation:
         assert rep.worst_boundary_dev == pytest.approx(0.1, rel=1e-9)
 
 
-    def test_folded_face_fails_the_sign_test(self):
-        rep = chart_with_face(FoldPiece).validate_boundary_map()
+    def test_folded_face_fails_the_sign_test(self, monkeypatch):
+        rep = refused_then_validated(FoldPiece, monkeypatch)
         assert rep.injectivity_violations == 1
         assert rep.worst_seam_dev == rep.worst_boundary_dev == 0.0
         assert not rep.passed
@@ -228,8 +238,9 @@ class TestValidation:
 class TestInjectivityCount:
     def test_collapsed_face_is_refused(self):
         # the top face's one cell sends its three first vertices to one
-        # point: the cone over it has a singular linear part
-        with pytest.raises(GeometryError, match="singular linear part"):
+        # point: the image cone over its first fan triangle is flat
+        with pytest.raises(GeometryError, match="facet 5 piece 0 cell 0: the image cone of "
+                                                "fan triangle 0 .* not oriented"):
             chart_with_face(CollapsePiece)
 
     def test_peak_memory_of_the_build_validation(self, build):
@@ -509,18 +520,21 @@ class TestBatches:
             radial_maps([good, spec])
 
     def test_a_map_batch_raises_what_its_first_failing_map_raises(self):
-        # a singular cell fails after the sector tests, a missing facet
-        # before them: the batch raises the error of the first map that
-        # fails, whatever its stage
+        # a flat image cone fails in the stacked part, a missing facet
+        # before it: the batch raises the error of the first map that
+        # fails, whatever its stage, with that map's position
         good = one_piece_chart(cube_box(), cube_shape(), {
             f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()})
         good = (good.domain, good.codomain, good.pieces_by_facet, good.piece_by_codomain_facet)
-        for specs, want in (([good, collapsed_chart_spec(), chart_spec_without(2)],
-                             "singular linear part"),
-                            ([good, chart_spec_without(2), collapsed_chart_spec()],
-                             "no boundary piece for facet 2")):
-            with pytest.raises(GeometryError, match=want):
+        for specs, want, index in (([good, collapsed_chart_spec(), chart_spec_without(2)],
+                                    "not oriented as its domain cone", 1),
+                                   ([good, chart_spec_without(2), collapsed_chart_spec()],
+                                    "no boundary piece for facet 2", 1),
+                                   ([good, good, collapsed_chart_spec()],
+                                    "not oriented as its domain cone", 2)):
+            with pytest.raises(GeometryError, match=want) as err:
                 radial_maps(specs)
+            assert err.value.map_index == index
 
 
 class TestRadial2D:
