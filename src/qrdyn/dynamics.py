@@ -13,10 +13,12 @@ An orbit that takes an F step past the precision horizon (``PrecisionLost``
 from ``zorich.F_scalar``) stops there with the outcome ``precision_lost``
 instead of a label that rounding noise decided.
 
-The fast-escape test keeps the iterated maximum modulus it builds for a
-radius on the ``MapHandle`` it was built for, keyed by the handle's ``fn``,
-and reuses it on later calls; so ``fn`` must be a fixed, deterministic map
-(assigning a new ``fn`` starts a new tower).
+The growth samplers are fixed: the escape-rate bound and fast escape
+(Rippon-Stallard, Proc. LMS 2012; Bergweiler-Drasin-Fletcher, Anal. Math.
+Phys. 2014) each need one lower bound of M(r) (``sphere_directions``) and
+one finite tower (``fast_escape_test``: depth 12, shifts up to 4).  That
+tower is kept on the ``MapHandle`` it was built for, keyed by ``fn`` and
+the radius; so ``fn`` must be a fixed, deterministic map.
 """
 
 from __future__ import annotations
@@ -133,12 +135,9 @@ class MapHandle:
     tracks_h0: bool = False      # third-coordinate sign is the escape proxy
     surrogate: Optional[SurrogateSpec] = None
     translate: float = 0.0       # downward shift, for tower continuations
-    # fast_escape_test's towers: (fn, dim, R, k_max, samples) -> [Mhat^k(R)]
+    # fast_escape_test's towers: (fn, dim, R) -> [Mhat^k(R)]
     _towers: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-
-    def __call__(self, p):
-        return self.fn(p)
 
 
 @dataclass
@@ -146,14 +145,9 @@ class OrbitRecord:
     x0: np.ndarray
     points: List[np.ndarray]          # while directly representable
     rho: List[float]                  # log|x_k|, continued by the surrogate
-    reason: str                       # budget | entered_h0 | radius_cap | nonfinite
-                                      # | precision_lost
+    reason: str                       # budget | radius_cap | nonfinite | precision_lost
     h0_step: Optional[int] = None
     surrogate_from: Optional[int] = None
-
-    @property
-    def steps(self):
-        return len(self.rho) - 1
 
 
 def _log_norm(p):
@@ -173,14 +167,15 @@ def _as_floats(p):
     return tuple(map(float, p))
 
 
-def iterate(map_handle: MapHandle, x0, k_max: int, stop_on_h0: bool = False) -> OrbitRecord:
+def iterate(map_handle: MapHandle, x0, k_max: int) -> OrbitRecord:
     """Iterate the map, recording points and log magnitudes.
 
-    Terminates on the iteration budget, on (optional) entry into the lower
-    half-space, on exceeding ``RADIUS_CAP``, on a non-finite value, or on an
-    F step past the precision horizon (reason "precision_lost").  A
-    non-finite image with x3 < 0, such as (x1, x2, -inf), entered the
-    half-space: it sets ``h0_step`` before the orbit stops as "nonfinite",
+    Terminates on the iteration budget, on exceeding ``RADIUS_CAP``, on a
+    non-finite value, or on an F step past the precision horizon (reason
+    "precision_lost"), not at the entry into the lower half-space, which
+    ``h0_step`` records (``classify_escape`` stops there).  A non-finite
+    image with x3 < 0, such as (x1, x2, -inf), entered the half-space: it
+    sets ``h0_step`` before the orbit stops as "nonfinite",
     with no point or log magnitude recorded for it.  If the
     map declares a surrogate whose regime matched the last representable
     point, the log magnitudes continue to k_max without points.  The orbit
@@ -198,9 +193,6 @@ def iterate(map_handle: MapHandle, x0, k_max: int, stop_on_h0: bool = False) -> 
     tracks_h0 = map_handle.tracks_h0
     if tracks_h0 and x[2] < 0:
         h0_step = 0
-        if stop_on_h0:
-            return OrbitRecord(x0=np.array(x), points=[np.array(x)], rho=rho,
-                               reason="entered_h0", h0_step=0)
     reason = "budget"
     surrogate_from = None
     fn, sur, isfinite, radius_cap = map_handle.fn, map_handle.surrogate, math.isfinite, RADIUS_CAP
@@ -223,9 +215,6 @@ def iterate(map_handle: MapHandle, x0, k_max: int, stop_on_h0: bool = False) -> 
         rho.append(_log_norm(x))
         if tracks_h0 and h0_step is None and x[2] < 0:
             h0_step = k
-            if stop_on_h0:
-                reason = "entered_h0"
-                break
         if sur is not None and m > LOG_SWITCH and sur.regime(x):
             surrogate_from = k
             r = rho[-1]
@@ -241,9 +230,7 @@ def iterate(map_handle: MapHandle, x0, k_max: int, stop_on_h0: bool = False) -> 
 
 def _radial_square_rho_step(r, c):
     """log of (e^r)^2 + c, computed without overflow."""
-    if c == 0.0:
-        return 2 * r
-    if 2 * r > 709.0:
+    if c == 0.0 or 2 * r > 709.0:
         return 2 * r
     return 2 * r + math.log1p(c * math.exp(-2 * r))
 
@@ -359,65 +346,63 @@ def _fibonacci_sphere(n):
     return np.column_stack([r * np.cos(th), r * np.sin(th), z])
 
 
-# sphere_directions adds the directions (i, j, 1) for |i|, |j| up to this
+# sphere_directions takes this many Fibonacci directions (and angles in 2D)
+# and the directions (i, j, 1) for |i|, |j| up to _LATTICE_EXTENT
+_SAMPLES = 2000
 _LATTICE_EXTENT = 8
 
 
-def sphere_directions(samples):
-    """Quasi-uniform directions plus the poles and the lattice directions
-    (i, j, 1), |i|, |j| <= 8.  On f the lattice directions are extremal
-    only near r = 1: |Z| = sqrt(2) e^{x3} is largest where the fold gives
-    u = (+-1, +-1), at odd x1 and x2, and no direction here lies within
-    about 1/r of vertical but the pole.  So the maximum over r times these
-    directions falls short of M(r) by a factor up to sqrt(2) (1.35 at
-    r = 50, 1.41 at r = 500, against |f| at (1, 1, sqrt(r^2 - 2))), and
-    for r >= 120 it is exactly |f(0, 0, r)|, the pole."""
-    dirs = [_fibonacci_sphere(samples)]
-    dirs.append(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-    lat = []
-    for i in range(-_LATTICE_EXTENT, _LATTICE_EXTENT + 1):
-        for j in range(-_LATTICE_EXTENT, _LATTICE_EXTENT + 1):
-            lat.append((float(i), float(j)))
-    dirs.append(np.array([[i, j, 1.0] for (i, j) in lat]))
-    out = np.vstack(dirs)
+def sphere_directions():
+    """2000 Fibonacci directions plus the poles and the lattice directions
+    (i, j, 1), |i|, |j| <= 8: 2291 fixed unit rows.  On f the lattice
+    directions are extremal only near r = 1: |Z| = sqrt(2) e^{x3} is
+    largest where the fold gives u = (+-1, +-1), at odd x1 and x2, and no
+    direction here lies within about 1/r of vertical but the pole (nor
+    would a count of Fibonacci directions below about r^2).  So the
+    maximum over r times these directions falls short of M(r) by a factor
+    up to sqrt(2) (1.35 at r = 50, 1.41 at r = 500, against |f| at
+    (1, 1, sqrt(r^2 - 2))), and for r >= 120 it is exactly |f(0, 0, r)|,
+    the pole."""
+    ext = range(-_LATTICE_EXTENT, _LATTICE_EXTENT + 1)
+    out = np.vstack([_fibonacci_sphere(_SAMPLES), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                     np.array([[i, j, 1.0] for i in ext for j in ext])])
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_directions(dim, samples):
+def _unit_directions(dim):
     """The unit directions that ``max_modulus_estimate`` scales by r, as a
-    tuple of float tuples: ``samples`` equally spaced angles in 2D,
+    tuple of float tuples: 2000 equally spaced angles in 2D,
     ``sphere_directions`` in 3D."""
     if dim == 2:
-        th = np.linspace(0, 2 * math.pi, samples, endpoint=False)
+        th = np.linspace(0, 2 * math.pi, _SAMPLES, endpoint=False)
         out = np.column_stack([np.cos(th), np.sin(th)])
     else:
-        out = sphere_directions(samples)
+        out = sphere_directions()
     return tuple(map(tuple, out.tolist()))
 
 
-def max_modulus_estimate(map_handle: MapHandle, r: float, samples: int = 2000) -> float:
+def max_modulus_estimate(map_handle: MapHandle, r: float) -> float:
     """Sampled lower bound for max_{|x|=r} |map(x)|, over r times the
-    ``sphere_directions`` (``samples`` angles in 2D).  On f it is low by a
-    factor up to sqrt(2), and exactly |f(0, 0, r)| for r >= 120 (see
-    ``sphere_directions``).  The points r d are scaled in Python floats, which
-    is IEEE-equal to scaling the direction array; a NaN norm never counts,
-    since it is not greater than the best so far.  A non-finite r raises
-    ValueError."""
-    if samples < 1000:
-        raise ValueError("use at least 1000 samples")
+    fixed ``sphere_directions`` (2000 equally spaced angles in 2D).  On f it
+    is low by a factor up to sqrt(2), and exactly |f(0, 0, r)| for r >= 120,
+    which no practical direction count would change (see
+    ``sphere_directions``).  The points r d are scaled in Python floats,
+    which is IEEE-equal to scaling the direction array; a NaN norm never
+    counts, since it is not greater than the best so far.  A non-finite r
+    raises ValueError."""
     r = float(r)
     if not math.isfinite(r):
         raise ValueError(f"non-finite radius {r}")
     fn, hypot = map_handle.fn, math.hypot
     best = 0.0
     if map_handle.dim == 2:
-        for a, b in _unit_directions(2, samples):
+        for a, b in _unit_directions(2):
             m = hypot(*fn((r * a, r * b)))
             if m > best:
                 best = m
         return best
-    for a, b, c in _unit_directions(map_handle.dim, samples):
+    for a, b, c in _unit_directions(map_handle.dim):
         m = hypot(*fn((r * a, r * b, r * c)))
         if m > best:
             best = m
@@ -430,12 +415,12 @@ class FastEscapeResult:
     ell: Optional[int] = None
 
 
-def _vertical_line_invariant(p, tol=1e-9):
+def _vertical_line_invariant(p):
     """True if the orbit of p stays on the vertical line through p with the
-    upward exponential branch (both horizontal coordinates folding to the
-    base-square centre with positive parity)."""
+    upward exponential branch (both horizontal coordinates folding to
+    within 1e-9 of the base-square centre, with positive parity)."""
     fr = fold_square(p[0], p[1])
-    return (abs(fr.u[0]) <= tol and abs(fr.u[1]) <= tol and fr.sigma == 1)
+    return (abs(fr.u[0]) <= 1e-9 and abs(fr.u[1]) <= 1e-9 and fr.sigma == 1)
 
 
 def orbit_magnitudes_bigexp(f: MapHandle, x, count: int, translate: float):
@@ -494,30 +479,36 @@ def _mhat_steps(estimate, R, count):
     return out
 
 
-def fast_escape_test(f: MapHandle, x, R: float, ell_max: int = 4,
-                     k_max: int = 12, samples: int = 2000) -> FastEscapeResult:
-    """Least ell with |f^{k+ell}(x)| >= Mhat^k(R) for all k <= k_max.
+_TOWER_DEPTH = 12
+_ELL_MAX = 4
 
+
+def fast_escape_test(f: MapHandle, x, R: float) -> FastEscapeResult:
+    """Least ell <= 4 with |f^{k+ell}(x)| >= Mhat^k(R) for all k <= 12.
+
+    The depth and the shift are fixed: they make a finite prefix of the
+    definition of fast escape, and on f the tower leaves the floats within
+    three steps, so 12 steps compare about ten iterated exponentials.
     The tower Mhat^k(R) depends on the map and R, not on x: it is built on
-    the first call for (f.fn, R, k_max, samples) and kept on the handle, so
-    a later call with the same radius only iterates the orbit of x.  This
-    needs ``f.fn`` to be a fixed, deterministic map.  M(R) is estimated
-    once, for the precondition M(R) > R and the tower's first step; a
-    failed precondition raises on every call and stores nothing."""
-    key = (f.fn, f.dim, R, k_max, samples)
+    the first call for (f.fn, R) and kept on the handle, so a later call
+    with the same radius only iterates the orbit of x.  This needs ``f.fn``
+    to be a fixed, deterministic map.  M(R) is estimated once, for the
+    precondition M(R) > R and the tower's first step; a failed
+    precondition raises on every call and stores nothing."""
+    key = (f.fn, f.dim, R)
     tower = f._towers.get(key)
     if tower is None:
-        mhat_R = max_modulus_estimate(f, R, samples)
+        mhat_R = max_modulus_estimate(f, R)
         if mhat_R <= R:
             raise ValueError("R fails the growth precondition M(R) > R")
         tower = f._towers[key] = _mhat_steps(
-            lambda r: mhat_R if r == R else max_modulus_estimate(f, r, samples),
-            R, k_max)
-    orbit = orbit_magnitudes_bigexp(f, x, k_max + ell_max, f.translate)
-    for ell in range(ell_max + 1):
-        if k_max + ell >= len(orbit):
+            lambda r: mhat_R if r == R else max_modulus_estimate(f, r),
+            R, _TOWER_DEPTH)
+    orbit = orbit_magnitudes_bigexp(f, x, _TOWER_DEPTH + _ELL_MAX, f.translate)
+    for ell in range(_ELL_MAX + 1):
+        if _TOWER_DEPTH + ell >= len(orbit):
             break
-        ok = all(orbit[k + ell] >= tower[k] for k in range(1, k_max + 1))
+        ok = all(orbit[k + ell] >= tower[k] for k in range(1, _TOWER_DEPTH + 1))
         if ok:
             return FastEscapeResult("fast", ell)
     return FastEscapeResult("not_observed")

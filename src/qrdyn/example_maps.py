@@ -12,18 +12,21 @@ from .dynamics import MapHandle, SurrogateSpec
 
 
 def fatou_h_eval(p):
-    """z + e^{-z} + 1 on real pairs (x1, x2) = (Re z, Im z)."""
+    """z + e^{-z} + 1 on real pairs (x1, x2) = (Re z, Im z); where e^{-x1}
+    overflows, each part is its term's signed infinity, or x2 if sin x2 = 0."""
     x1, x2 = float(p[0]), float(p[1])
     e = math.exp(-x1) if -x1 < 709.0 else math.inf
     if math.isinf(e):
-        return (math.inf, -math.inf if math.sin(x2) > 0 else math.inf)
+        s = math.sin(x2)
+        return (math.copysign(math.inf, math.cos(x2)),
+                x2 if s == 0.0 else math.copysign(math.inf, -s))
     return (x1 + e * math.cos(x2) + 1.0, x2 - e * math.sin(x2))
 
 
 def radial_square_eval(p):
-    """|x| x in any dimension; fixes the origin."""
+    """|x| x in any dimension, as Python floats; fixes the origin."""
     v = np.asarray(p, dtype=float)
-    return tuple(float(np.linalg.norm(v)) * v)
+    return tuple((float(np.linalg.norm(v)) * v).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +59,17 @@ class PatchMap:
         return self.a + t * d, t
 
     def eval(self, p):
+        """The image of p, as a tuple of Python floats."""
         p = np.asarray(p, dtype=float)
         if np.linalg.norm(p - self.m) >= self.radius:
-            return tuple(p)
+            return tuple(p.tolist())
         d = np.linalg.norm(p - self.a)
         if d <= self._tol:
-            return tuple(self.b)
+            return tuple(self.b.tolist())
         exit_pt, t = self.sphere_exit(p)
         frac = 1.0 / t
         out = self.b + frac * (exit_pt - self.b)
-        return tuple(float(c) for c in out)
+        return tuple(out.tolist())
 
     def __call__(self, p):
         return self.eval(p)

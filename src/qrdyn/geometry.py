@@ -9,7 +9,7 @@ precomputed per polyhedron).  That the ray crosses once is certified per
 chart by the exact cone signs of its cells (``star_extend``), whose
 orientations, like those of the boundary-map validation, come from
 ``_det3_signs``: exact, in floats where Shewchuk's orient3d error bound
-decides a sign and in ``fractions.Fraction`` inside that bound.
+decides a sign and in Python integers inside that bound.
 
 ``star_shapes`` builds a batch of shapes with one numpy pass per step (the
 plane coordinates of all their facets, their cone frames and their facet
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -357,9 +356,10 @@ def _det3_signs(p, q):
     are the determinant's rows).  A row's float determinant decides its sign
     where it exceeds Shewchuk's bound (7 + 56 eps) eps times the permanent
     and every nonzero difference lies in ``_SAFE_RANGE``; the other rows,
-    zero determinants among them, are evaluated exactly in Fraction on the
-    float coordinates.  Every sign is exact; the values are the float
-    determinants, within the bound of the exact ones where the filter
+    zero determinants among them, are evaluated exactly in Python integers:
+    a row's 18 coordinates (each an integer over a power of two) scaled to
+    their largest denominator.  Every sign is exact; the values are the
+    float determinants, within the bound of the exact ones where the filter
     decides."""
     p, q = np.broadcast_arrays(p, q)
     with np.errstate(over="ignore", invalid="ignore"):   # such rows are unsafe
@@ -376,8 +376,10 @@ def _det3_signs(p, q):
     safe = (np.where(size == 0.0, lo, size).min(axis=1) >= lo) & (size.max(axis=1) <= hi)
     sure = safe & (np.abs(det) > _ORIENT3D_BOUND * permanent)
     signs = np.where(sure, np.sign(det), 0.0).astype(int)
-    for k in np.flatnonzero(~sure):
-        exact = _det3(*[[Fraction(x) - Fraction(y) for x, y in zip(pr, qr)]
-                        for pr, qr in zip(p[k].tolist(), q[k].tolist())])
+    for k in np.flatnonzero(~sure).tolist():
+        ratios = [x.as_integer_ratio() for x in p[k].ravel().tolist() + q[k].ravel().tolist()]
+        den = max(d for _, d in ratios)
+        m = [n * (den // d) for n, d in ratios]
+        exact = _det3(*([a - b for a, b in zip(m[i:i + 3], m[i + 9:i + 12])] for i in (0, 3, 6)))
         signs[k] = (exact > 0) - (exact < 0)
     return signs, det

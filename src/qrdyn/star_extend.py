@@ -217,7 +217,7 @@ class RadialMap:
         ``_oriented_areas`` takes them for all triangles of the chart from
         ``geometry._det3_signs``, whose float filter decides every sign
         outside Shewchuk's error bound and leaves the rest, zero areas among
-        them, to Fraction.  The seam check over the triangles is one batched
+        them, to exact integer arithmetic.  The seam check over the triangles is one batched
         solve, each triangle against the cell vertices on its domain facet's
         plane (``_cover_deviation``).  The facet planes, normals and areas
         are those both shapes computed at construction (``facet_planes``).

@@ -319,11 +319,20 @@ _MIN_PAIR_DIST = 1e-12
 _RATIO_RTOL = 1e-12
 
 
-def expansion_min_ratio(L, pairs=10000, seed=0, beams=((0, 0), (1, 0), (1, 1)),
-                        x3_span=3.0, include_crease_pairs=True):
+# expansion_min_ratio's beams (n, m), in draw order: every parity of the
+# two folds up to the swap of x1 and x2
+_BEAMS = ((0, 0), (1, 0), (1, 1))
+
+
+def expansion_min_ratio(L, pairs=10000, seed=0):
     """Minimum sampled expansion ratio |F(x)-F(y)| / |x-y| over point pairs
     inside single fundamental half-beams above L, skipping pairs closer than
     1e-12.
+
+    The sample is fixed but for its size and seed: ``pairs`` pairs in each
+    beam [2n - 1, 2n + 1] x [2m - 1, 2m + 1] x [L, L + 3] of ``_BEAMS``
+    (the least singular value of DF grows with x3), a tenth of them
+    straddling the diagonal where the pyramid's face changes.
 
     One stacked pass: the pairs of every beam are drawn from ``rng`` in
     beam order, each side is mapped by one ``F_array`` call, and numpy
@@ -336,29 +345,22 @@ def expansion_min_ratio(L, pairs=10000, seed=0, beams=((0, 0), (1, 0), (1, 1)),
     ratio, so the minimum is bitwise that of the pair by pair loop over all
     of them."""
     rng = np.random.default_rng(seed)
-    xs = np.empty((len(beams) * pairs, 3))
+    xs = np.empty((len(_BEAMS) * pairs, 3))
     ys = np.empty_like(xs)
-    for i, (bn, bm) in enumerate(beams):
+    span = np.array([2.0, 2.0, 3.0])
+    for i, (bn, bm) in enumerate(_BEAMS):
         bx = xs[i * pairs:(i + 1) * pairs]
         by = ys[i * pairs:(i + 1) * pairs]
         lo = np.array([2 * bn - 1.0, 2 * bm - 1.0, 0.0])
-        span = np.array([2.0, 2.0, x3_span])
         bx[:] = lo + rng.random((pairs, 3)) * span
         by[:] = lo + rng.random((pairs, 3)) * span
         bx[:, 2] += L
         by[:, 2] += L
-        if include_crease_pairs:
-            # force a share of pairs to straddle the diagonal crease
-            k = pairs // 10
-            cx, cy = 2 * bn, 2 * bm
-            du = np.abs(bx[:k, 0] - cx)
-            dv = np.abs(bx[:k, 1] - cy)
-            bx[:k, 0] = cx + np.maximum(du, dv)
-            bx[:k, 1] = cy + np.minimum(du, dv)
-            du = np.abs(by[:k, 0] - cx)
-            dv = np.abs(by[:k, 1] - cy)
-            by[:k, 0] = cx + np.minimum(du, dv)
-            by[:k, 1] = cy + np.maximum(du, dv)
+        # force a share of pairs to straddle the diagonal crease
+        k, cx, cy = pairs // 10, 2 * bn, 2 * bm
+        for side, first, second in ((bx, np.maximum, np.minimum), (by, np.minimum, np.maximum)):
+            du, dv = np.abs(side[:k, 0] - cx), np.abs(side[:k, 1] - cy)
+            side[:k, 0], side[:k, 1] = cx + first(du, dv), cy + second(du, dv)
     fx, fy = F_array(xs), F_array(ys)
     d = np.linalg.norm(xs - ys, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

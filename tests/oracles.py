@@ -501,31 +501,30 @@ def fold1_rounded(x):
     return u, 1
 
 
-def expansion_min_ratio_rows(L, pairs=10000, seed=0, beams=((0, 0), (1, 0), (1, 1)),
-                             x3_span=3.0, include_crease_pairs=True):
+def expansion_min_ratio_rows(L, pairs=10000, seed=0, beams=((0, 0), (1, 0), (1, 1))):
     """``zorich.expansion_min_ratio`` one pair at a time: the same draws,
-    then F_scalar on each point and math.dist on each pair."""
+    then F_scalar on each point and math.dist on each pair.  ``beams``
+    replaces the package's fixed beams, to sample F on others."""
     rng = np.random.default_rng(seed)
     ratio_min = math.inf
     for (bn, bm) in beams:
         lo = np.array([2 * bn - 1.0, 2 * bm - 1.0, 0.0])
-        span = np.array([2.0, 2.0, x3_span])
+        span = np.array([2.0, 2.0, 3.0])
         xs = lo + rng.random((pairs, 3)) * span
         ys = lo + rng.random((pairs, 3)) * span
         xs[:, 2] += L
         ys[:, 2] += L
-        if include_crease_pairs:
-            # force a share of pairs to straddle the diagonal crease
-            k = pairs // 10
-            cx, cy = 2 * bn, 2 * bm
-            du = np.abs(xs[:k, 0] - cx)
-            dv = np.abs(xs[:k, 1] - cy)
-            xs[:k, 0] = cx + np.maximum(du, dv)
-            xs[:k, 1] = cy + np.minimum(du, dv)
-            du = np.abs(ys[:k, 0] - cx)
-            dv = np.abs(ys[:k, 1] - cy)
-            ys[:k, 0] = cx + np.minimum(du, dv)
-            ys[:k, 1] = cy + np.maximum(du, dv)
+        # force a share of pairs to straddle the diagonal crease
+        k = pairs // 10
+        cx, cy = 2 * bn, 2 * bm
+        du = np.abs(xs[:k, 0] - cx)
+        dv = np.abs(xs[:k, 1] - cy)
+        xs[:k, 0] = cx + np.maximum(du, dv)
+        xs[:k, 1] = cy + np.minimum(du, dv)
+        du = np.abs(ys[:k, 0] - cx)
+        dv = np.abs(ys[:k, 1] - cy)
+        ys[:k, 0] = cx + np.minimum(du, dv)
+        ys[:k, 1] = cy + np.maximum(du, dv)
         for x, y in zip(xs.tolist(), ys.tolist()):
             d = math.dist(x, y)
             if d < 1e-12:

@@ -89,12 +89,11 @@ class TestIterate:
         assert rec.reason == "nonfinite"
         assert len(rec.points) == 1
 
-    @pytest.mark.parametrize("stop_on_h0", [False, True])
-    def test_an_image_at_minus_inf_entered_the_half_space(self, fhandle, fmap, stop_on_h0):
+    def test_an_image_at_minus_inf_entered_the_half_space(self, fhandle, fmap):
         # the F step from x3 = 720 overflows to -inf after the shift: the
         # orbit entered H0 at step 1, and stops there as non-finite
         assert fmap.eval3(2.0, 0.0, 720.0) == (2.0, 0.0, -math.inf)
-        rec = iterate(fhandle, (2.0, 0.0, 720.0), 5, stop_on_h0=stop_on_h0)
+        rec = iterate(fhandle, (2.0, 0.0, 720.0), 5)
         assert (rec.reason, rec.h0_step) == ("nonfinite", 1)
         assert len(rec.points) == len(rec.rho) == 1
 
@@ -188,11 +187,11 @@ class TestMaxModulus:
     def test_axis_lower_bound(self, fhandle, build):
         L, lp = build.constants.L, build.L_prime
         r = L + 2
-        est = max_modulus_estimate(fhandle, r, samples=2000)
+        est = max_modulus_estimate(fhandle, r)
         assert est >= r + math.exp(r) - lp
 
     def test_transcendental_growth_of_the_log_ratio(self, fhandle):
-        vals = [math.log(max_modulus_estimate(fhandle, r, samples=2000)) / math.log(r)
+        vals = [math.log(max_modulus_estimate(fhandle, r)) / math.log(r)
                 for r in (10.0, 20.0, 40.0)]
         assert vals[0] < vals[1] < vals[2]
 
@@ -200,12 +199,17 @@ class TestMaxModulus:
         lp = build.L_prime
         handle = MapHandle("shift", lambda p: (p[0], p[1], p[2] - lp), dim=3)
         for r in (5.0, 50.0):
-            est = max_modulus_estimate(handle, r, samples=1500)
+            est = max_modulus_estimate(handle, r)
             assert est <= r + lp + 1e-9
 
-    def test_minimum_sample_count(self, fhandle):
-        with pytest.raises(ValueError):
-            max_modulus_estimate(fhandle, 10.0, samples=10)
+    def test_samples_a_fixed_direction_set(self):
+        # 2000 Fibonacci directions, the 2 poles and the 17 x 17 lattice
+        # directions (i, j, 1) in 3D, (0, 0, 1) among them twice; 2000
+        # angles in 2D
+        for dim, count in ((3, 2000 + 2 + 17 * 17), (2, 2000)):
+            seen = []
+            max_modulus_estimate(MapHandle("id", lambda p: seen.append(p) or p, dim=dim), 7.0)
+            assert len(seen) == count and len(set(seen)) == count - (dim == 3), dim
 
     @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
     def test_non_finite_radius_is_rejected(self, fhandle, r):
@@ -231,12 +235,17 @@ class TestMaxModulus:
 
 def _max_modulus_numpy(handle, r, samples):
     """``max_modulus_estimate`` as a loop over the rows of r times the
-    direction array, skipping NaN norms: the oracle of its float loop."""
+    direction array (``samples`` angles, or as many Fibonacci directions
+    with the poles and the lattice directions (i, j, 1), |i|, |j| <= 8),
+    skipping NaN norms: the oracle of its float loop."""
     if handle.dim == 2:
         th = np.linspace(0, 2 * math.pi, samples, endpoint=False)
         dirs = np.column_stack([np.cos(th), np.sin(th)])
     else:
-        dirs = sphere_directions(samples)
+        lattice = [[i, j, 1.0] for i in range(-8, 9) for j in range(-8, 9)]
+        dirs = np.vstack([_fibonacci_sphere(samples), [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                          np.array(lattice, dtype=float)])
+        dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     best = 0.0
     for p in (r * dirs).tolist():
         m = math.hypot(*handle.fn(tuple(p)))
@@ -279,7 +288,7 @@ class TestFastEscape:
 
         fast_escape_test(MapHandle("scale", scale), (0.0, 0.0, 1.0), R=10.0)
         orbit_steps = 12 + 4
-        assert len(calls) == estimates * len(sphere_directions(2000)) + orbit_steps
+        assert len(calls) == estimates * len(sphere_directions()) + orbit_steps
 
     def test_results_match_two_estimates_of_M_R(self, fhandle, build):
         # the tower with M(R) reused equals the one that estimates it
@@ -309,7 +318,7 @@ class _Counting:
 
 
 class TestStoredTower:
-    DIRECTIONS = len(sphere_directions(2000))
+    DIRECTIONS = len(sphere_directions())
     ORBIT = 12 + 4
 
     def test_repeated_radius_iterates_only_the_orbit(self):
@@ -323,17 +332,18 @@ class TestStoredTower:
         assert fn.calls == self.ORBIT
         assert first == second == FastEscapeResult("not_observed")
 
-    def test_new_radius_samples_or_map_estimate_again(self):
+    def test_new_radius_or_map_estimates_again(self):
+        # the towers are keyed by the map and the radius alone
         fn = _Counting(60.0)
         h = MapHandle("scale", fn)
         fast_escape_test(h, (0.0, 0.0, 1.0), R=10.0)
-        for kwargs in ({"R": 12.0}, {"R": 10.0, "samples": 1500}):
-            fn.calls = 0
-            fast_escape_test(h, (0.0, 0.0, 1.0), **kwargs)
-            assert fn.calls == len(sphere_directions(kwargs.get("samples", 2000))) + self.ORBIT
+        fn.calls = 0
+        fast_escape_test(h, (0.0, 0.0, 1.0), R=12.0)
+        assert fn.calls == self.DIRECTIONS + self.ORBIT
         h.fn = other = _Counting(60.0)
         fast_escape_test(h, (0.0, 0.0, 1.0), R=10.0)
         assert other.calls == self.DIRECTIONS + self.ORBIT
+        assert set(h._towers) == {(fn, 3, 10.0), (fn, 3, 12.0), (other, 3, 10.0)}
 
     def test_failed_precondition_raises_on_each_call(self):
         fn = _Counting(0.5)
@@ -372,10 +382,10 @@ class TestStoredTower:
         assert len(kept._towers) == 4
 
     def test_directions_are_built_once_and_read_only(self):
-        dirs = _unit_directions(3, 2000)
-        assert dirs is _unit_directions(3, 2000)
+        dirs = _unit_directions(3)
+        assert dirs is _unit_directions(3)
         assert isinstance(dirs, tuple) and all(type(d) is tuple for d in dirs)
-        assert np.array(dirs).tobytes() == sphere_directions(2000).tobytes()
+        assert np.array(dirs).tobytes() == sphere_directions().tobytes()
         h = MapHandle("id", lambda p: p)
         assert max_modulus_estimate(h, 3.0) == pytest.approx(3.0, rel=1e-15)
 
@@ -596,7 +606,7 @@ def _classify_numpy(f, x, n_max):
     return EscapeClass("undecided", budget=n_max)
 
 
-def _iterate_numpy(map_handle, x0, k_max, stop_on_h0=False):
+def _iterate_numpy(map_handle, x0, k_max):
     """(points, rho, reason, h0_step, surrogate_from) of the numpy loop."""
     x = np.asarray(x0, dtype=float)
     pts = [x.copy()]
@@ -604,8 +614,6 @@ def _iterate_numpy(map_handle, x0, k_max, stop_on_h0=False):
     h0_step = None
     if map_handle.tracks_h0 and x[2] < 0:
         h0_step = 0
-        if stop_on_h0:
-            return pts, rho, "entered_h0", 0, None
     reason = "budget"
     surrogate_from = None
     for k in range(1, k_max + 1):
@@ -627,9 +635,6 @@ def _iterate_numpy(map_handle, x0, k_max, stop_on_h0=False):
         rho.append(_log_norm_numpy(nxt))
         if map_handle.tracks_h0 and h0_step is None and nxt[2] < 0:
             h0_step = k
-            if stop_on_h0:
-                reason = "entered_h0"
-                break
         sur = map_handle.surrogate
         if sur is not None and m > LOG_SWITCH and sur.regime(nxt):
             surrogate_from = k
@@ -639,8 +644,6 @@ def _iterate_numpy(map_handle, x0, k_max, stop_on_h0=False):
                 rho.append(r)
             break
         x = nxt
-    if h0_step is not None and reason == "budget" and stop_on_h0:
-        reason = "entered_h0"
     return pts, rho, reason, h0_step, surrogate_from
 
 
@@ -722,9 +725,9 @@ class TestFloatLoops:
             for x in ((0.0, 0.0, 1.0), np.array([1.0, 2.0, 3.0])):
                 assert classify_escape(handle, x, 5) == _classify_numpy(handle, x, 5)
 
-    def _same_orbit(self, handle, x0, k_max, **kw):
-        rec = iterate(handle, x0, k_max, **kw)
-        pts, rho, reason, h0_step, surrogate_from = _iterate_numpy(handle, x0, k_max, **kw)
+    def _same_orbit(self, handle, x0, k_max):
+        rec = iterate(handle, x0, k_max)
+        pts, rho, reason, h0_step, surrogate_from = _iterate_numpy(handle, x0, k_max)
         assert (rec.reason, rec.h0_step, rec.surrogate_from) == (reason, h0_step, surrogate_from)
         assert all(isinstance(p, np.ndarray) for p in rec.points)
         assert len(rec.points) == len(pts)
@@ -741,11 +744,10 @@ class TestFloatLoops:
         rng = np.random.default_rng(22)
         for x in rng.uniform([-8, -8, -1], [8, 8, L + 3], (60, 3)).tolist():
             self._same_orbit(fhandle, x, 8)
-            self._same_orbit(fhandle, x, 8, stop_on_h0=True)
         self._same_orbit(fhandle, (0.0, 0.0, L + 1.0), 6)
         self._same_orbit(example_one(), (math.e, 0.0), 30)
         two = example_two(build.f)
         self._same_orbit(two, tuple(x0_for_example_two(build.f)), 30)
         for value in STUB_VALUES:
             self._same_orbit(_stub(value), (0.0, 0.0, 1.0), 4)
-            self._same_orbit(_stub(value), (0.0, 0.0, -1.0), 4, stop_on_h0=True)
+            self._same_orbit(_stub(value), (0.0, 0.0, -1.0), 4)

@@ -32,6 +32,20 @@ class TestFatouH:
             dev = math.hypot(x1 - t - 1.0, x2)
             assert dev <= math.exp(-5.0) * (1 + 1e-12)
 
+    def test_overflow_branch_takes_the_signs_of_its_terms(self):
+        # e^{800} overflows: the real part is the infinity of the sign of
+        # cos x2, the imaginary part that of -sin x2, or x2 where sin x2 = 0
+        assert fatou_h_eval((-800.0, 3.0)) == (-math.inf, -math.inf)
+        assert fatou_h_eval((-800.0, 0.0)) == (math.inf, 0.0)
+        assert fatou_h_eval((-800.0, -3.0)) == (-math.inf, math.inf)
+        assert fatou_h_eval((-800.0, -1.0)) == (math.inf, math.inf)
+        # and agrees in sign with the finite values just below the guard
+        for x2 in np.linspace(-10.0, 10.0, 41).tolist():
+            near, far = fatou_h_eval((-708.5, x2)), fatou_h_eval((-800.0, x2))
+            assert [math.copysign(1.0, c) for c in near] == \
+                [math.copysign(1.0, c) for c in far], x2
+            assert (far[1] == x2) == (math.sin(x2) == 0.0), x2
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-3, 30), st.floats(-10, 10))
     def test_conjugation_symmetry(self, x, y):
@@ -47,6 +61,13 @@ class TestRadialSquare:
 
     def test_fixes_origin(self):
         assert radial_square_eval((0.0, 0.0)) == (0.0, 0.0)
+
+    def test_python_floats_of_the_numpy_product(self):
+        rng = np.random.default_rng(4)
+        for v in rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-3, 4, (50, 1)):
+            out = radial_square_eval(v)
+            assert all(type(c) is float for c in out)
+            assert np.array_equal(out, float(np.linalg.norm(v)) * v)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-40, 40), st.floats(-40, 40), st.floats(-40, 40))
@@ -113,6 +134,18 @@ class TestPatch:
     def test_moves_source_to_target(self, fmap):
         patch = build_patch(fmap)
         assert np.allclose(patch.eval(patch.a), patch.b)
+
+    def test_images_are_python_floats(self, fmap):
+        # outside the ball, at the source and inside it
+        patch = build_patch(fmap)
+        inside = patch.m + 0.3 * patch.radius * np.array([0.6, 0.0, 0.8])
+        exit_pt, t = patch.sphere_exit(inside)
+        for p, want in ((patch.m + 2 * patch.radius, patch.m + 2 * patch.radius),
+                        (patch.a, patch.b),
+                        (inside, patch.b + (1.0 / t) * (exit_pt - patch.b))):
+            out = patch.eval(p)
+            assert all(type(c) is float for c in out)
+            assert np.array_equal(out, want)
 
     def test_boundary_agrees_with_identity(self, fmap):
         patch = build_patch(fmap)

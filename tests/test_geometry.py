@@ -493,10 +493,11 @@ class TestDet3Signs:
         assert signs[0] == 0
 
     def test_decided_rows_need_no_fraction(self, monkeypatch):
-        # a well-conditioned stack is decided by the float filter alone
+        # a well-conditioned stack is decided by the float filter alone, and
+        # never reaches the exact determinant
         made = []
-        monkeypatch.setattr(geometry, "Fraction",
-                            lambda *args: made.append(args) or Fraction(*args))
+        exact = geometry._det3
+        monkeypatch.setattr(geometry, "_det3", lambda *rows: made.append(rows) or exact(*rows))
         rng = np.random.default_rng(3)
         signs, values = _det3_signs(rng.standard_normal((50, 3, 3)), np.zeros(3))
         assert made == []
@@ -504,6 +505,34 @@ class TestDet3Signs:
         # a zero determinant falls back to the exact evaluation
         assert _det3_signs(np.ones((1, 3, 3)), np.zeros(3))[0][0] == 0
         assert made
+
+    def test_exact_rows_match_the_fraction_oracle(self, monkeypatch):
+        # rows the float filter leaves to the integer evaluation: zero
+        # determinants, one coordinate one ulp off them, and differences or
+        # products outside _SAFE_RANGE (tiny, subnormal, huge, overflowing)
+        base = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+        eye = np.eye(3)
+        rows = [(base, 0.0), (base * 2.0 ** -60, base[0] * 2.0 ** -60),
+                (base * 2.0 ** 70, -base[2] * 2.0 ** 70)]
+        for sign in (1, -1):
+            for r, c in ((2, 2), (0, 1), (1, 0)):
+                nudged = base.copy()
+                nudged[r, c] = np.nextafter(nudged[r, c], sign * math.inf)
+                rows.append((nudged, 0.0))
+            rows += [(sign * eye * 2.0 ** -400, 0.0), (sign * eye * 2.0 ** 400, 0.0),
+                     (eye[::sign] * 5e-324 + base * 2.0 ** -1070, 0.0),
+                     (np.diag([1e308, sign * 1e308, 1.0]), np.diag([-1e308, -sign * 1e308, 0.0])),
+                     (np.array([[2.0 ** 300, 1.0, 0.0], [1.0, 2.0 ** -300, 0.0],
+                                [0.0, 0.0, sign * 1.0]]), 0.0)]
+        p = np.array([r for r, _ in rows])
+        q = np.array([np.broadcast_to(c, (3, 3)) for _, c in rows])
+        made = []
+        exact = geometry._det3
+        monkeypatch.setattr(geometry, "_det3", lambda *r: made.append(r) or exact(*r))
+        with np.errstate(over="ignore"):
+            _assert_exact_signs(p, q)
+        assert len(made) == len(rows)
+        assert {(_exact_det(a, b) > 0) - (_exact_det(a, b) < 0) for a, b in zip(p, q)} == {-1, 0, 1}
 
 
 # ---------------------------------------------------------------------------

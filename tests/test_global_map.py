@@ -629,10 +629,10 @@ class TestDispatchTies:
 class TestBuildWork:
     def test_every_certificate_sign_is_decided_in_floats(self):
         # the cone signs and the boundary-map orientations of a whole build
-        # make no Fraction: the float filter of geometry._det3_signs decides
-        # every sign, so code that bypasses it fails here instead of showing
-        # up only as a slower build
-        with mock.patch("qrdyn.geometry.Fraction", wraps=Fraction) as geo, \
+        # take no exact determinant and make no Fraction: the float filter
+        # of geometry._det3_signs decides every sign, so code that bypasses
+        # it fails here instead of showing up only as a slower build
+        with mock.patch("qrdyn.geometry._det3", wraps=geometry._det3) as geo, \
                 mock.patch("qrdyn.star_extend.Fraction", wraps=Fraction,
                            create=True) as ext:
             build_maps()

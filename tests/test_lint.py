@@ -5,7 +5,9 @@ is read by some module of the package or of the benchmark (but a short
 allow-list, each entry with its reason), every function of the test oracles
 is reached from a test module,
 every parameter of a module-level function or of a method of a
-module-level class (but self and cls) is read by its body, every
+module-level class (but self and cls) is read by its body, every option
+of a module-level function is set by some caller in the package or the
+benchmark, every
 for-loop target is read by the loop's body, every attribute that the
 package assigns is read by the package or the benchmark, every module
 stays below the token count at which CPython's parser doubles its token
@@ -13,6 +15,7 @@ array, and no module calls numpy's selection or sort functions."""
 
 import ast
 import io
+import re
 import tokenize
 from pathlib import Path
 
@@ -293,6 +296,146 @@ def test_no_unused_parameters():
     assert found - IGNORED_PARAMETERS == set()
     # the allow-list names only parameters that are still there and unused
     assert IGNORED_PARAMETERS <= found
+
+
+def _signature(fn):
+    """(positional parameter names, keyword-only names, defaulted names)."""
+    a = fn.args
+    pos = [x.arg for x in a.posonlyargs + a.args]
+    kw = [x.arg for x in a.kwonlyargs]
+    defaulted = pos[len(pos) - len(a.defaults):]
+    defaulted += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return pos, kw, defaulted
+
+
+def _passed_arguments(tree):
+    """(callee, slot, caller, name) of each argument of each call in the
+    parsed module.  The callee is the called name or attribute; the slot is
+    the argument's position or keyword, or ("*", position) for a ``*`` and
+    "**" for a ``**`` argument, which pass every parameter from their place
+    on.  Where the argument is a parameter of the module-level function
+    whose body makes the call, passed on as it is, caller and name are that
+    function and parameter; else both are None."""
+    out = []
+
+    def forward(caller, params, arg):
+        if isinstance(arg, ast.Name) and arg.id in params:
+            return caller, arg.id
+        return None, None
+
+    def visit(node, caller, params):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = getattr(func, "id", None) or getattr(func, "attr", None)
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    out.append((callee, ("*", i), None, None))
+                    break
+                out.append((callee, i, *forward(caller, params, arg)))
+            for kw in node.keywords:
+                out.append((callee, kw.arg, *forward(caller, params, kw.value))
+                           if kw.arg else (callee, "**", None, None))
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                own = set(sum(_signature(child)[:2], []))
+                if node is tree:
+                    visit(child, child.name, own)
+                else:       # a nested function's own parameters shadow the caller's
+                    visit(child, caller, params - own)
+            else:
+                visit(child, caller, params)
+
+    visit(tree, None, set())
+    return out
+
+
+def unset_options(sources, readers, exempt):
+    """(module, function, parameter) of each knob that no caller sets: a
+    parameter of a module-level function of ``sources`` (module name ->
+    source; functions (module, name) in ``exempt`` left out) that has a
+    default and that no call in ``sources`` or ``readers`` passes, by
+    position or by keyword; and a parameter of a public one that every
+    call passes only as a knob of the calling function, unchanged (a knob
+    of a private helper counts for the forwarding but is not listed: it
+    goes with its caller's).  Calls are matched to functions by name."""
+    functions = {}
+    for module, src in sources.items():
+        for node in ast.parse(src).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (module, node.name) not in exempt):
+                functions[node.name] = (module, _signature(node))
+    passed = {}                   # (function, parameter) -> [(caller, name)]
+    for src in [*sources.values(), *readers]:
+        for callee, slot, caller, name in _passed_arguments(ast.parse(src)):
+            if callee not in functions:
+                continue
+            pos, kw, _ = functions[callee][1]
+            if slot == "**":
+                params = pos + kw
+            elif isinstance(slot, tuple):
+                params = pos[slot[1]:]
+            elif isinstance(slot, int):
+                params = pos[slot:slot + 1]
+            else:
+                params = [slot]
+            for p in params:
+                passed.setdefault((callee, p), []).append((caller, name))
+    knobs = {(fn, p) for fn, (_, (_, _, defaulted)) in functions.items()
+             for p in defaulted if (fn, p) not in passed}
+    listed = set(knobs)
+    while True:
+        forwarded = {key for key, calls in passed.items() if key not in knobs and all(
+            caller is not None and (caller, name) in knobs for caller, name in calls)}
+        if not forwarded:
+            break
+        knobs |= forwarded
+        listed |= {(fn, p) for fn, p in forwarded if not fn.startswith("_")}
+    return sorted((functions[fn][0], fn, p) for fn, p in listed)
+
+
+def console_scripts(pyproject):
+    """(module, function) of each console script that the ``[project.scripts]``
+    table of pyproject.toml points into the package; the command line sets
+    its parameters."""
+    table = pyproject.partition("[project.scripts]")[2].partition("\n[")[0]
+    return {(f"{module}.py", fn) for module, fn in re.findall(r'"qrdyn\.(\w+):(\w+)"', table)}
+
+
+def test_detects_an_unset_option():
+    # max_modulus_estimate once took a sample count that it handed down to
+    # sphere_directions, iterate a stop_on_h0 flag and _vertical_line_invariant
+    # a tolerance, and no caller outside the tests set any of them; a
+    # lambda's own parameter is not the knob of the same name
+    sources = {"a": "def sphere_directions(samples):\n    return _fib(samples)\n\n"
+                    "def _fib(n):\n    return n\n\n"
+                    "def _unit(dim, samples):\n    return sphere_directions(samples)\n\n"
+                    "def max_modulus_estimate(h, r, samples=2000):\n"
+                    "    return _unit(h.dim, samples), lambda r: _unit(r, samples)\n\n"
+                    "def audit(g, samples=100):\n"
+                    "    return (lambda samples: probe(g, samples))(7)\n\n"
+                    "def probe(g, samples):\n    return g, samples\n\n"
+                    "def iterate(h, x0, k_max, stop_on_h0=False, *, cap=None):\n"
+                    "    return _line(x0), stop_on_h0, cap\n\n"
+                    "def _line(p, tol=1e-9):\n    return p, tol\n\n"
+                    "def build(resolution=None, seed=0, **kw):\n    return kw\n\n"
+                    "def later(record, escape=None):\n    return record\n",
+               "b": "from .a import iterate, max_modulus_estimate\n\n"
+                    "def run(h, args):\n"
+                    "    return iterate(h, (0, 0, 1), 5, cap=2), max_modulus_estimate(h, 3.0)\n"}
+    readers = ["from a import build\n\nbuild(128)\nbuild(**{'seed': 1})\n"]
+    assert unset_options(sources, readers, {("a", "later")}) == [
+        ("a", "_line", "tol"), ("a", "audit", "samples"), ("a", "iterate", "stop_on_h0"),
+        ("a", "max_modulus_estimate", "samples"), ("a", "sphere_directions", "samples")]
+    assert console_scripts('[project.scripts]\nqrdyn = "qrdyn.cli:entrypoint"\n\n[tool.x]\n'
+                           'y = "qrdyn.other:main"\n') == {("cli.py", "entrypoint")}
+
+
+def test_every_option_is_set_by_a_caller():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    scripts = console_scripts((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    assert scripts == {("cli.py", "entrypoint")}
+    assert unset_options(sources, readers, set(UNREACHED_PUBLIC) | scripts) == []
 
 
 def unused_loop_targets(source):

@@ -458,8 +458,10 @@ class TestExpansion:
             assert smin >= 32.0
 
     def test_reflected_beam_also_expands(self, constants):
-        r = expansion_min_ratio(constants.L, pairs=1500, seed=8,
-                                beams=((1, 0), (0, 1), (1, 1)))
+        # beam (0, 1), which the package's sample leaves out as the mirror
+        # of (1, 0), expands too
+        r = expansion_min_ratio_rows(constants.L, pairs=1500, seed=8,
+                                     beams=((1, 0), (0, 1), (1, 1)))
         assert r >= 32.0
 
 
@@ -535,25 +537,21 @@ def test_expansion_ratio_is_the_composed_minimum(monkeypatch, seed):
     assert len(xs) == 600 and got.hex() == want.hex()
 
 
-BEAM_SETS = (((0, 0), (1, 0), (1, 1)), ((1, 0), (0, 1), (1, 1)))
+BEAM_SETS = (zorich._BEAMS, ((1, 0), (0, 1), (1, 1)))
 
 
 @pytest.mark.parametrize("beams", BEAM_SETS, ids=["default", "reflected"])
 @pytest.mark.parametrize("pairs", [50, 500, 2000])
-def test_expansion_ratio_is_the_pair_loop_bitwise(constants, pairs, beams):
+def test_expansion_ratio_is_the_pair_loop_bitwise(monkeypatch, constants, pairs, beams):
+    # on the package's beams, and on a reflected set put in their place
+    monkeypatch.setattr(zorich, "_BEAMS", beams)
     for seed in range(20):
-        got = expansion_min_ratio(constants.L, pairs=pairs, seed=seed, beams=beams)
+        got = expansion_min_ratio(constants.L, pairs=pairs, seed=seed)
         want = expansion_min_ratio_rows(constants.L, pairs=pairs, seed=seed, beams=beams)
         assert got.hex() == want.hex(), seed
 
 
-def test_expansion_ratio_without_crease_pairs_and_without_pairs(constants):
-    for seed in range(20):
-        got = expansion_min_ratio(constants.L, pairs=300, seed=seed,
-                                  include_crease_pairs=False)
-        want = expansion_min_ratio_rows(constants.L, pairs=300, seed=seed,
-                                        include_crease_pairs=False)
-        assert got.hex() == want.hex(), seed
+def test_expansion_ratio_without_pairs(constants):
     assert expansion_min_ratio(constants.L, pairs=0) == math.inf
     assert expansion_min_ratio_rows(constants.L, pairs=0) == math.inf
 
@@ -571,12 +569,15 @@ class _FixedDraws:
         return out.copy()
 
 
-def _beam00_points(r, L):
-    """The points that ``expansion_min_ratio`` makes of the draws r on the
-    beam (0, 0) without crease pairs."""
-    p = np.array([-1.0, -1.0, 0.0]) + r * np.array([2.0, 2.0, 3.0])
-    p[:, 2] += L
-    return p.tolist()
+def _sampled_pairs(monkeypatch, L, pairs, seed):
+    """The pairs (x, y, F(x), F(y)), as lists, that ``expansion_min_ratio``
+    samples for ``pairs`` and ``seed``, recorded from its two ``F_array``
+    calls."""
+    with monkeypatch.context() as mp:
+        calls = _record_F_array(mp)
+        expansion_min_ratio(L, pairs=pairs, seed=seed)
+    xs, ys = calls
+    return xs.tolist(), ys.tolist(), F_array(xs).tolist(), F_array(ys).tolist()
 
 
 @pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
@@ -584,42 +585,44 @@ def test_expansion_ratio_retakes_pairs_at_the_skip_distance(monkeypatch, constan
     # the skip distance put at the distance of the pair of least ratio, or
     # one unit in the last place above it: math.dist alone decides whether
     # that pair counts
-    rng = np.random.default_rng(47)
-    n = 300
-    rx, ry = rng.random((n, 3)), rng.random((n, 3))
-    xs, ys = _beam00_points(rx, constants.L), _beam00_points(ry, constants.L)
+    xs, ys, fxs, fys = _sampled_pairs(monkeypatch, constants.L, 300, 47)
     d = [math.dist(x, y) for x, y in zip(xs, ys)]
-    r = [math.dist(F_scalar(*x), F_scalar(*y)) / dj for x, y, dj in zip(xs, ys, d)]
+    r = [math.dist(a, b) / dj for a, b, dj in zip(fxs, fys, d)]
     j = int(np.argmin(r))
     skip = math.nextafter(d[j], math.inf) if above else d[j]
     want = min(rj for rj, dj in zip(r, d) if dj >= skip)
     monkeypatch.setattr(zorich, "_MIN_PAIR_DIST", skip)
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws([rx, ry]))
-    got = expansion_min_ratio(constants.L, beams=((0, 0),), pairs=n,
-                              include_crease_pairs=False)
+    got = expansion_min_ratio(constants.L, pairs=300, seed=47)
     assert got.hex() == want.hex() and (got == r[j]) != above
 
 
 def test_expansion_ratio_is_exact_under_numpy_norm_error(monkeypatch, constants):
-    # period translates of one pair, whose exact ratios lie a few units in
-    # the last place apart, with numpy's norms of the image differences (its
-    # second row-norm call, after the pairs' distances) made to read 1e-13
-    # (relative) high on the pairs of least exact ratio: numpy's least ratio
-    # is then another pair's, and the math.dist pass still finds the
-    # exact minimum
+    # period translates of one pair in the first beam, whose exact ratios
+    # lie a few units in the last place apart, with numpy's norms of the
+    # image differences (its second row-norm call, after the pairs'
+    # distances) made to read 1e-13 (relative) high on the pairs of least
+    # exact ratio: numpy's least ratio is then another pair's, and the
+    # math.dist pass still finds the exact minimum.  The crease pairs and
+    # the other beams' pairs are drawn at their beam's axis, where both
+    # points of a pair coincide and the skip distance leaves them out
     n = 1000
     shift = np.zeros((n, 3))
     shift[:, 0] = 2.0 * np.arange(n)          # 4 in x1, in units of the span
     rx = np.array([0.65, 0.4, 1.1 / 3.0]) + shift
     ry = np.array([0.775, 0.55, 1.4 / 3.0]) + shift
-    xs, ys = _beam00_points(rx, constants.L), _beam00_points(ry, constants.L)
-    exact = np.array([math.dist(F_scalar(*x), F_scalar(*y)) / math.dist(x, y)
-                      for x, y in zip(xs, ys)])
+    axis = np.full((n, 3), 0.5)
+    rx[:n // 10] = ry[:n // 10] = 0.5
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _FixedDraws([rx, ry] + [axis] * 4))
+    xs, ys, fxs, fys = _sampled_pairs(monkeypatch, constants.L, n, 0)
+    d = [math.dist(x, y) for x, y in zip(xs, ys)]
+    exact = np.array([math.dist(a, b) / dj if dj else math.inf
+                      for a, b, dj in zip(fxs, fys, d)])
+    assert d.count(0.0) == 2 * n + n // 10
     least = exact == exact.min()
-    assert 1 < np.count_nonzero(least) < n
+    assert 1 < np.count_nonzero(least) < n - n // 10
     norm = np.linalg.norm
     bump = itertools.cycle([1.0, np.where(least, 1.0 + 1e-13, 1.0)])
     monkeypatch.setattr(np.linalg, "norm", lambda v, axis: norm(v, axis=axis) * next(bump))
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _FixedDraws([rx, ry]))
-    got = expansion_min_ratio(constants.L, pairs=n, beams=((0, 0),), include_crease_pairs=False)
+    got = expansion_min_ratio(constants.L, pairs=n)
     assert got.hex() == exact.min().hex()
