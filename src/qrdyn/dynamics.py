@@ -313,11 +313,12 @@ def log_plus(v):
 
 
 def escape_rate_series(map_handle: MapHandle, x, k_max: int):
-    """a_k = log+ log |map^k(x)| / k, from direct or surrogate magnitudes;
-    the series stops where the orbit does (at the precision horizon, say)."""
+    """a_k = log+ log |map^k(x)| / k, from direct or surrogate magnitudes
+    (0 at the origin, inf at an infinite surrogate magnitude); the series
+    stops where the orbit does (at the precision horizon, say)."""
     rec = iterate(map_handle, x, k_max)
     ks = list(range(1, len(rec.rho)))
-    aks = [log_plus(r) / k if math.isfinite(r) else math.inf for k, r in zip(ks, rec.rho[1:])]
+    aks = [log_plus(r) / k for k, r in zip(ks, rec.rho[1:])]
     return ks, aks, rec
 
 
@@ -530,10 +531,7 @@ def orbit_csv(record: OrbitRecord, escape: Optional[EscapeClass] = None) -> str:
             coords = [f"{float(c)!r}" for c in record.points[k]]
         else:
             coords = [""] * dim
-        if k >= 1 and math.isfinite(r):
-            a = f"{log_plus(r) / k!r}"
-        else:
-            a = ""
+        a = f"{log_plus(r) / k!r}" if k >= 1 and r < math.inf else ""
         rho_s = f"{r!r}" if math.isfinite(r) else ""
         buf.write(",".join([str(k)] + coords + [rho_s, a, label]) + "\n")
     return buf.getvalue()

@@ -13,9 +13,13 @@ from .dynamics import MapHandle, SurrogateSpec
 
 def fatou_h_eval(p):
     """z + e^{-z} + 1 on real pairs (x1, x2) = (Re z, Im z); where e^{-x1}
-    overflows, each part is its term's signed infinity, or x2 if sin x2 = 0."""
+    overflows, each part is its term's signed infinity, or x2 if sin x2 = 0.
+    A NaN part gives NaN parts."""
     x1, x2 = float(p[0]), float(p[1])
-    e = math.exp(-x1) if -x1 < 709.0 else math.inf
+    try:
+        e = math.exp(-x1)
+    except OverflowError:
+        e = math.inf
     if math.isinf(e):
         s = math.sin(x2)
         return (math.copysign(math.inf, math.cos(x2)),

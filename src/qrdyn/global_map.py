@@ -619,7 +619,9 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     radial extension and ``psi`` need.
     Each chart's boundary map is then validated by its own
     ``RadialMap.validate_boundary_map`` call, on the cells and facet planes
-    computed when it was built.
+    computed when it was built: its seams exactly, as a cell complex whose
+    cells meet edge to edge and give each point one image, so the affine
+    cells agree on every shared edge.
 
     ``phase_s`` holds the wall seconds of the five build phases, named by
     module and function (the boundary-map validation summed over the

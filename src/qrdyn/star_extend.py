@@ -24,24 +24,25 @@ pass).  It both evaluates and inverts the map: forward by one facet test, a
 sector test for the piece and one for the cell (each skipped where there is
 one entry) and one affine product, backward by the codomain facet from
 ``psi``, a cone test among that facet's image cells and one inverse affine
-product.  The same cells make the boundary map's certificate finite:
-``RadialMap.validate_boundary_map`` checks it exactly on the cell vertices.
+product.  The same cells make the boundary map's certificate finite and
+exact: ``RadialMap.validate_boundary_map`` checks its seams on the cell
+complex and its orientation by exact signs on the cell vertices.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from math import atan2, inf
 
 import numpy as np
 
-from .cones import _cross, _starts
+from .cones import _starts
 from .geometry import TAU_GEOM, GeometryError, StarShape, psi, _as_array, _det3_signs
 
-# Seam agreement tolerance for unit-scale charts; scaled by chart diameter;
-# also the relative tolerance of the facet area sums.
+# Relative tolerance of the facet area sums of a boundary map's cells
 TAU_SEAM = 1e-9
 
 
@@ -80,7 +81,7 @@ class Box:
 class ValidationReport:
     passed: bool
     worst_boundary_dev: float
-    worst_seam_dev: float
+    seam_violations: int
     injectivity_violations: int
     detail: str = ""
 
@@ -204,32 +205,32 @@ class RadialMap:
 
     def validate_boundary_map(self) -> ValidationReport:
         """Exact check of the boundary map on the pieces' affine cells, as
-        construction stacked them (``points``, ``targets``, ``fans``).
+        construction stacked them (``point_ids``, ``sizes``, ``targets``,
+        ``fans``).
 
-        For every cell (dom, img) of every piece: each cell vertex is mapped
-        alike by every cell that contains it, so images agree along shared
-        edges (``worst_seam_dev``); the images lie in the plane of a
-        codomain facet the piece serves (``worst_boundary_dev``); the image
-        of each cell, ordered positively in its domain facet, is positive
-        in that codomain facet; and the cells' areas sum to each domain
-        facet's area, their images' to each codomain facet's, so each face
-        fan is positively oriented and tiles its face.  The signs are exact:
-        ``_oriented_areas`` takes them for all triangles of the chart from
-        ``geometry._det3_signs``, whose float filter decides every sign
-        outside Shewchuk's error bound and leaves the rest, zero areas among
-        them, to exact integer arithmetic.  The seam check over the triangles is one batched
-        solve, each triangle against the cell vertices on its domain facet's
-        plane (``_cover_deviation``).  The facet planes, normals and areas
-        are those both shapes computed at construction (``facet_planes``).
-        Such a boundary map has degree one on each facet, so it is injective
-        there; with a positive determinant on every cell of the radial
-        extension the chart is a homeomorphism onto its codomain.
-        ``injectivity_violations`` counts the image triangles that are not
-        positive or that lie in a facet whose tiling fails.
+        The seams are exact (``_seam_faults``): the cells meet edge to edge
+        and give each point one image, so the boundary map is continuous;
+        ``seam_violations`` counts the edges and points that fail, and
+        ``detail`` names the cell of the first.  The images lie in the plane
+        of a codomain facet the piece serves (``worst_boundary_dev``); the
+        image of each cell, ordered positively in its domain facet, is
+        positive in that codomain facet; and the cells' areas sum to each
+        domain facet's area, their images' to each codomain facet's, within
+        a relative ``TAU_SEAM``, so each face fan is positively oriented and
+        tiles its face.  The signs are exact: ``_oriented_areas`` takes them
+        for all triangles of the chart from ``geometry._det3_signs``, whose
+        float filter decides every sign outside Shewchuk's error bound and
+        leaves the rest, zero areas among them, to exact integer arithmetic.
+        The facet planes, normals and areas are those both shapes computed
+        at construction (``facet_planes``).  Such a boundary map has degree
+        one on each facet, so it is injective there; with a positive
+        determinant on every cell of the radial extension the chart is a
+        homeomorphism onto its codomain.  ``injectivity_violations`` counts
+        the image triangles that are not positive or that lie in a facet
+        whose tiling fails.
         """
         scale = self.codomain.diameter
         tol_boundary = max(self.codomain.tol * 1e3, 1e-12 * scale)
-        tol_seam = TAU_SEAM * max(1.0, scale)
         dom_n, dom_d, dom_area = self.domain.facet_planes
         cod_n, cod_d, cod_area = self.codomain.facet_planes
         serving = {id(piece) for piece in self.piece_by_codomain_facet.values()}
@@ -242,6 +243,14 @@ class RadialMap:
                list(self.piece_by_codomain_facet)] = True
         # every cell vertex and its image, cell after cell
         dom, img, start = self.points, self.targets, _starts(self.sizes)
+        seams, others, split = _seam_faults(self.point_ids, self.sizes, img)
+        detail = f"tol_boundary={tol_boundary:.3e}"
+        if seams:
+            k = int(np.flatnonzero((others != 1) | split)[0])
+            p = tuple(dom[k].tolist())
+            detail += (f"; {self.labels[bisect_right(start.tolist(), k) - 1]}: "
+                       + (f"point {p} has several images" if split[k]
+                          else f"its edge from {p} lies in {others[k]} other cells"))
         # the domain facet that holds each cell, and of the codomain facets
         # its piece serves the one nearest to its images (the lowest on ties)
         cell_fd = np.argmin(np.maximum.reduceat(np.abs(dom @ dom_n.T - dom_d), start), axis=1)
@@ -253,9 +262,6 @@ class RadialMap:
         # each cell polygon as its fan of triangles (0, i, i + 1)
         dom, img = dom[self.fans], img[self.fans]
         fd, fc = cell_fd[self.fan_cell], cell_fc[self.fan_cell]
-        worst_seam = _cover_deviation(dom, img, self.domain.tol * 1e3, fd, dom_n, dom_d,
-                                      self.point_ids[self.fans])
-
         signs, areas = _oriented_areas(np.concatenate([dom_n[fd], cod_n[fc]]),
                                        np.concatenate([dom, img]))
         n = len(fd)
@@ -268,13 +274,10 @@ class RadialMap:
             empty += np.count_nonzero(off & (np.bincount(idx, minlength=len(area)) == 0))
         viol = int(bad.sum() + empty)
 
-        passed = (worst_b <= tol_boundary and worst_seam <= tol_seam
-                  and viol == 0)
+        passed = worst_b <= tol_boundary and seams == 0 and viol == 0
         return ValidationReport(passed=passed, worst_boundary_dev=worst_b,
-                                worst_seam_dev=worst_seam,
-                                injectivity_violations=int(viol),
-                                detail=f"tol_boundary={tol_boundary:.3e} "
-                                       f"tol_seam={tol_seam:.3e}")
+                                seam_violations=seams, injectivity_violations=viol,
+                                detail=detail)
 
 
 def radial_maps(specs):
@@ -322,60 +325,26 @@ def _oriented_areas(normals, tris):
     return signs, dets / 2
 
 
-def _cover_deviation(dom, img, tol, facet, normals, offsets, ids):
-    """Largest distance, over the triangles dom[k] with images img[k]
-    (stacks (T, 3, 3)), with ids[k] (T, 3) numbering their vertices' points
-    0, 1, ..., and every triangle vertex within tol of dom[k],
-    between the triangle's affine interpolation at the vertex and the
-    vertex's image in its own triangle.
-
-    A vertex within tol of dom[k] lies within tol of the plane of the
-    domain facet facet[k] (unit normals and offsets ``normals``,
-    ``offsets``), which holds dom[k]; so each triangle is solved only
-    against the vertices within 2 tol of its facet's plane, those on a box
-    edge against the triangles of both facets.  All triangles go in one
-    batched solve, each with its facet's vertices as right-hand sides
-    (padded to the longest such list with point 0, masked out); a
-    stacked solve with several right-hand sides gives each the coordinates
-    that the solve against all vertices gives it
-    (``tests/oracles.cover_deviation_all_pairs``).  Each point is solved
-    once, however many triangles have it as a vertex: the triangle's
-    interpolation at it is then compared with the point's image in each of
-    those triangles."""
-    pts, images, ids = dom.reshape(-1, 3), img.reshape(-1, 3), ids.ravel()
-    # each point's vertices, in turn, by Python's stable sort: numpy's sort
-    # code (a 128 kB first touch) runs nowhere else in a build
-    key = ids.tolist()
-    order = np.array(sorted(range(len(key)), key=key.__getitem__))
-    counts = np.bincount(ids)
-    first = _starts(counts)
-    points = pts[order[first]]
-    near = np.abs(points @ normals.T - offsets) <= 2 * tol       # (points, facets)
-    count = near.sum(axis=0)
-    # each facet's near points in ascending order, padded with point 0
-    by_facet, near_point = np.nonzero(near.T)
-    table = np.zeros((len(count), count.max()), dtype=near_point.dtype)
-    table[by_facet, np.arange(len(near_point)) - _starts(count)[by_facet]] = near_point
-    cand = table[facet]
-    valid = (np.arange(count.max()) < count[:, None])[facet]     # (T, width)
-    e = dom[:, 1:] - dom[:, :1]                    # (T, 2, 3): both edges from p0
-    n = _cross(e[:, 0], e[:, 1])
-    d = points[cand] - dom[:, :1]                  # (T, width, 3)
-    uv = np.linalg.solve(e @ np.swapaxes(e, 1, 2), e @ np.swapaxes(d, 1, 2))
-    u, v = uv[:, 0], uv[:, 1]
-    tri, col = np.nonzero(valid & (np.abs(d @ n[:, :, None])[..., 0]
-                                   <= tol * np.linalg.norm(n, axis=1)[:, None])
-                          & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9))
-    f = img[tri, 1:] - img[tri, :1]
-    want = (img[tri, 0] + u[tri, col][:, None] * f[:, 0]
-            + v[tri, col][:, None] * f[:, 1])
-    # every vertex at each (triangle, point) pair
-    point = cand[tri, col]
-    times = counts[point]
-    pair = np.repeat(np.arange(len(point)), times)
-    vertex = order[first[point][pair] + np.arange(len(pair)) - _starts(times)[pair]]
-    want, images = want[pair], images[vertex]
-    return float(np.linalg.norm(want - images, axis=1).max(initial=0.0))
+def _seam_faults(ids, sizes, targets):
+    """(faults, others, split) of the cell polygons whose vertices, cell
+    after cell (``sizes`` per cell), are the points ``ids`` (numbered by
+    their exact coordinates) with images ``targets``: per vertex, the other
+    cells that hold its undirected edge to the next vertex (``others``) and
+    whether its point has several images (``split``); ``faults`` counts the
+    edges of other than one other cell and the points of several images.
+    Without faults, two affine cells agree on their shared edge, so the
+    boundary map is continuous, exactly."""
+    n = int(ids.max()) + 1
+    start = _starts(sizes)
+    after = np.arange(1, len(ids) + 1)
+    after[start + sizes - 1] = start
+    edges = list(zip(np.minimum(ids, ids[after]).tolist(), np.maximum(ids, ids[after]).tolist()))
+    uses = Counter(edges)
+    image = np.empty((n, 3))
+    image[ids] = targets
+    split = np.bincount(ids, (targets != image[ids]).any(axis=1), n) > 0
+    faults = sum(c != 2 for c in uses.values()) + np.count_nonzero(split)
+    return int(faults), np.array([uses[e] for e in edges]) - 1, split[ids]
 
 
 # ---------------------------------------------------------------------------

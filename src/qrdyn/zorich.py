@@ -46,12 +46,8 @@ HORIZON = 2.0 ** 50
 
 class PrecisionLost(ArithmeticError):
     """An F step from a point whose |x1| or |x2| exceeds HORIZON, raised as
-    ``PrecisionLost(x1, x2, x3)``; the message is built only when read."""
-
-    @property
-    def point(self):
-        """The point (x1, x2, x3) of the F step."""
-        return self.args
+    ``PrecisionLost(x1, x2, x3)``, the point of the step as its ``args``;
+    the message is built only when read."""
 
     def __str__(self):
         x1, x2, x3 = self.args

@@ -18,13 +18,13 @@ tests.
   certified its centre; the reference that the cone signs are held
   against;
 - ``point_in_polygon``: even-odd ray casting in a plane;
-- ``cover_deviation_per_triangle`` and ``oriented_area_fraction``: the
-  seam deviation and the oriented areas of a chart's boundary triangles,
-  one triangle at a time, the latter in Fraction;
-- ``cover_deviation_all_pairs``: the seam deviation with every triangle
-  solved against every triangle vertex in one batched solve, as
-  ``star_extend._cover_deviation`` took it before it kept to the vertices
-  on each triangle's facet plane;
+- ``oriented_area_fraction``: the oriented area of a chart's boundary
+  triangle in Fraction;
+- ``cover_deviation_all_pairs``: the seam deviation of a chart's boundary
+  triangles as a distance, every triangle solved against every triangle
+  vertex in one batched solve: the float reading of the seams that
+  ``RadialMap.validate_boundary_map`` once took under a tolerance and now
+  checks exactly on the cell complex;
 - ``zorich_composed``: Z composed from the scalar fold ``_fold1``, the parity
   of its flags and a scaling per coordinate, which ``zorich.F_scalar`` and
   ``zorich.F_array`` write out;
@@ -151,25 +151,6 @@ def point_in_polygon(v, p):
             if xi > x:
                 inside = not inside
     return inside
-
-
-def cover_deviation_per_triangle(dom, img, tol):
-    """``star_extend._cover_deviation`` one triangle at a time."""
-    pts, images = dom.reshape(-1, 3), img.reshape(-1, 3)
-    worst = 0.0
-    for tri, tri_img in zip(dom, img):
-        e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
-        n = np.cross(e1, e2)
-        d = pts - tri[0]
-        gram = np.array([[e1 @ e1, e1 @ e2], [e1 @ e2, e2 @ e2]])
-        u, v = np.linalg.solve(gram, np.stack([d @ e1, d @ e2]))
-        inside = ((np.abs(d @ n) <= tol * np.linalg.norm(n))
-                  & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9))
-        want = (tri_img[0] + np.outer(u, tri_img[1] - tri_img[0])
-                + np.outer(v, tri_img[2] - tri_img[0]))
-        dev = np.linalg.norm(want[inside] - images[inside], axis=1)
-        worst = max(worst, float(dev.max(initial=0.0)))
-    return worst
 
 
 def cover_deviation_all_pairs(dom, img, tol):

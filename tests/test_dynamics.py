@@ -15,6 +15,7 @@ from qrdyn.dynamics import (LOG_SWITCH, RADIUS_CAP, BigExp, EscapeClass,
                             fast_escape_test, iterate, max_modulus_estimate,
                             orbit_csv, orbit_magnitudes_bigexp, rates_csv,
                             sphere_directions, tower_step)
+from qrdyn.example_maps import radial_square_eval
 from qrdyn.zorich import HORIZON, PrecisionLost, F_scalar
 
 
@@ -455,6 +456,14 @@ class TestCsv:
         assert row[0] == "1"
         assert float(row[3]) == -1.0 - build.L_prime
         assert row[6] == "H0@0"
+
+    def test_rate_is_zero_at_the_origin(self):
+        # |x| x fixes the origin, where log |x| = -inf and log+ log |x| = 0
+        h = MapHandle("sq", radial_square_eval, dim=2)
+        ks, aks, rec = escape_rate_series(h, (0.0, 0.0), 3)
+        assert (ks, aks) == ([1, 2, 3], [0.0, 0.0, 0.0])
+        rows = [line.split(",") for line in orbit_csv(rec).strip().splitlines()[1:]]
+        assert [row[4] for row in rows] == ["", "0.0", "0.0", "0.0"]
 
     def test_rates_csv_shape(self, fhandle):
         ks, aks, rec = escape_rate_series(fhandle, (0, 0, -1.0), 10)

@@ -46,6 +46,14 @@ class TestFatouH:
                 [math.copysign(1.0, c) for c in far], x2
             assert (far[1] == x2) == (math.sin(x2) == 0.0), x2
 
+    def test_overflow_branch_only_where_exp_overflows(self):
+        # e^{709.5} is finite (the largest float is about e^{709.78}), so
+        # the parts are the formula's; a NaN part is no overflow
+        e = math.exp(709.5)
+        assert fatou_h_eval((-709.5, 1.0)) == (-709.5 + e * math.cos(1.0) + 1.0,
+                                                1.0 - e * math.sin(1.0))
+        assert all(math.isnan(c) for c in fatou_h_eval((math.nan, 1.0)))
+
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-3, 30), st.floats(-10, 10))
     def test_conjugation_symmetry(self, x, y):

@@ -646,8 +646,8 @@ class TestBuildWork:
         # linear parts of its charts' cells, one inverse of them and one
         # for their fan frames, and one det of them; one broadcast solve
         # per shape of sector level (3 in the A' map, 5 that the four A''
-        # maps share); one solve per chart in the boundary-map validation;
-        # per phase one det and one inverse for the cone frames of its image
+        # maps share); none in the boundary-map validation, whose seams are
+        # combinatorial; per phase one det and one inverse for the cone frames of its image
         # solids (a box has none);
         # and one det of all cells in each of certify_cell_orientation and
         # cell_dilatations (K_slab).  A stack split into one call per chart,
@@ -663,8 +663,8 @@ class TestBuildWork:
             audit_dilatation(build.g)
             audit_orientation(build.g)
             build_report(build)
-        charts, phases = len(build.g.charts), 2
-        assert counts[0] == phases + 3 + 5 + charts
+        phases = 2
+        assert counts[0] == phases + 3 + 5 == 10
         assert counts[1] == 2 * phases + phases
         assert counts[2] == phases + phases + 2
         assert svd.call_count == 0

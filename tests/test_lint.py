@@ -85,18 +85,25 @@ def private_definitions(source):
     return out
 
 
-def referenced_names(source):
-    """Every name that the source (a module's text or a parsed node) reads,
-    as a name, an attribute or an imported name."""
+def attribute_reads(source):
+    """Every name that the source (a module's text or a parsed node) reads
+    as an attribute or imports."""
     refs = set()
     for node in ast.walk(ast.parse(source) if isinstance(source, str) else source):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             refs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             refs.update(alias.name for alias in node.names)
     return refs
+
+
+def referenced_names(source):
+    """Every name that the source (a module's text or a parsed node) reads,
+    as a name, an attribute or an imported name."""
+    tree = ast.parse(source) if isinstance(source, str) else source
+    return attribute_reads(tree) | {node.id for node in ast.walk(tree)
+                                    if isinstance(node, ast.Name)
+                                    and not isinstance(node.ctx, ast.Store)}
 
 
 def orphaned_helpers(sources):
@@ -141,15 +148,18 @@ def public_definitions(source):
 
 def public_name_violations(sources, readers, allowed):
     """(unreached, stale): (module, line, name) of each public definition
-    of a module of ``sources`` (module name -> source) whose name, a
-    method's without its class, no source of ``sources`` or ``readers``
-    reads and that ``allowed`` ({(module, name): reason}) does not list;
-    and each (module, name) of ``allowed`` that is no such definition,
-    because a caller now reads it or it is gone."""
-    refs = set().union(*map(referenced_names, [*sources.values(), *readers]))
+    of a module of ``sources`` (module name -> source) that no source of
+    ``sources`` or ``readers`` reads, a function or class by its name, a
+    method without its class as an attribute or an imported name only, and
+    that ``allowed`` ({(module, name): reason}) does not list; and each
+    (module, name) of ``allowed`` that is no such definition, because a
+    caller now reads it or it is gone."""
+    texts = [*sources.values(), *readers]
+    names = set().union(*map(referenced_names, texts))
+    attributes = set().union(*map(attribute_reads, texts))
     found = [(module, line, name) for module, src in sources.items()
              for line, name in public_definitions(src)
-             if name.rpartition(".")[2] not in refs]
+             if name.rpartition(".")[2] not in (attributes if "." in name else names)]
     unreached = sorted(f for f in found if (f[0], f[2]) not in allowed)
     stale = sorted(set(allowed) - {(module, name) for module, _, name in found})
     return unreached, stale
@@ -180,6 +190,16 @@ def test_detects_an_unreached_public_name():
     readers = ["from qrdyn.a import bench_only\n\nbench_only()\n"]
     assert public_name_violations(sources, readers, {("a", "later"): "a caller is planned"}) == (
         [("a", 4, "frame_for_polygon"), ("a", 20, "StarShape.polyhedron")], [])
+
+
+def test_detects_a_method_read_only_as_a_name():
+    # OrbitRecord.steps had no reader, and passed while a benchmark
+    # function read its parameter named steps
+    sources = {"a": "class OrbitRecord:\n    def steps(self):\n        pass\n\n"
+                    "    def depth(self):\n        pass\n",
+               "b": "from .a import OrbitRecord\n\nDEPTH = OrbitRecord().depth()\n"}
+    readers = ["def tower_meets_exp_band(tower, steps):\n    return tower[:steps]\n"]
+    assert public_name_violations(sources, readers, {}) == ([("a", 2, "OrbitRecord.steps")], [])
 
 
 def test_every_public_name_is_reached():
@@ -573,9 +593,10 @@ def selection_and_sort_uses(source):
 
 
 def test_detects_a_selection_or_sort_call():
-    # audit_dilatation once took np.median of the cell dilatations,
-    # _cover_deviation ranked a boolean mask with np.argsort, and the facet
-    # offsets were einsum's; Python's own sorts are allowed
+    # audit_dilatation once took np.median of the cell dilatations, the
+    # float seam check of the boundary-map validation ranked a boolean mask
+    # with np.argsort, and the facet offsets were einsum's; Python's own
+    # sorts are allowed
     src = ("import numpy as np\nfrom numpy import quantile, argsort, einsum\n\n"
            "def audit(ks, near, v, n):\n"
            "    v.sort()\n"

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (_radial_2d, cover_deviation_all_pairs, cover_deviation_per_triangle,
-                     cuboid_spec, oriented_area_fraction,
-                     point_in_polygon)
+from oracles import (_radial_2d, cover_deviation_all_pairs, cuboid_spec,
+                     oriented_area_fraction, point_in_polygon)
 from qrdyn import star_extend
 from qrdyn.geometry import GeometryError, StarShape
 from qrdyn.geometry import CertificationFailure
@@ -212,13 +211,17 @@ class TestValidation:
             loop, moved_corner(loop, (0.1, 0.0, 0.0))))
         rep = m.validate_boundary_map()
         assert not rep.passed
-        assert rep.worst_seam_dev > 1e-3
+        assert rep.seam_violations > 0
 
     def test_reversed_image_loop_is_not_positive(self, monkeypatch):
         # the face's image is the facet itself, run the other way round
         rep = refused_then_validated(lambda loop: Radial2DPiece(loop, loop[::-1]), monkeypatch)
         assert not rep.passed
         assert rep.injectivity_violations >= 4
+        # each of the four corners takes a second image, the reversed one
+        assert rep.seam_violations == 4
+        assert ("facet 0 piece 0 cell 0: point (-1.0, 1.0, 1.0) has several images"
+                in rep.detail)
 
     def test_off_plane_image_fails_the_boundary(self):
         m = chart_with_face(lambda loop: Radial2DPiece(
@@ -231,7 +234,7 @@ class TestValidation:
     def test_folded_face_fails_the_sign_test(self, monkeypatch):
         rep = refused_then_validated(FoldPiece, monkeypatch)
         assert rep.injectivity_violations == 1
-        assert rep.worst_seam_dev == rep.worst_boundary_dev == 0.0
+        assert (rep.seam_violations, rep.worst_boundary_dev) == (0, 0.0)
         assert not rep.passed
 
 
@@ -267,6 +270,9 @@ def top_split(*groups):
 # the top facet's corners, its centre and a point on its diagonal
 P0, P1, P2, P3 = face_loops(1.0)[5]
 C, M = (0.0, 0.0, 1.0), (0.5, 0.5, 1.0)
+# the top facet's four quadrants, squares meeting at its centre
+QUADRANTS = [[(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)]
+             for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
 
 
 class TestConstruction:
@@ -318,8 +324,7 @@ class TestConstruction:
             m = top_split([(C, P0, P1), (C, P1, P2)], [(C, P2, P3), (C, P3, P0)])
         else:
             pieces = {f: [IdentityPiece(loop)] for f, loop in face_loops(1.0).items()}
-            pieces[5] = [IdentityPiece([(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)])
-                         for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
+            pieces[5] = [IdentityPiece(square) for square in QUADRANTS]
             m = RadialMap(cube_box(), cube_shape(), pieces,
                           {f: p[0] for f, p in pieces.items()})
         *_, by_sector = m._consts[-1][5]
@@ -335,46 +340,52 @@ CHARTS = ["A'", "A''1", "A''2", "A''3", "A''4"]
 
 
 def report_bits(rep):
-    """A ValidationReport with its floats as IEEE bytes: equal only if
+    """A ValidationReport with its float as IEEE bytes: equal only if
     bitwise equal."""
-    return (rep.passed, struct.pack("<2d", rep.worst_boundary_dev, rep.worst_seam_dev),
+    return (rep.passed, struct.pack("<d", rep.worst_boundary_dev), rep.seam_violations,
             rep.injectivity_violations, rep.detail)
 
 
-def all_pairs_cover(dom, img, tol, *_):
-    return cover_deviation_all_pairs(dom, img, tol)
+def fan_triangles(rmap):
+    """The fan triangles of a chart's cells and their images (T, 3, 3)."""
+    return rmap.points[rmap.fans], rmap.targets[rmap.fans]
+
+
+def cell_complex(rmap):
+    """({edge: cells}, {point: images}) of a chart's cells, one cell at a
+    time in Python: each undirected edge of a cell polygon, as the pair of
+    its points' exact coordinates, with the cells that hold it, and each
+    point with the set of images that its cells give it."""
+    edges, images, at = {}, {}, 0
+    for cell, size in enumerate(rmap.sizes.tolist()):
+        loop = [tuple(p) for p in rmap.points[at:at + size].tolist()]
+        for p, q in zip(loop, loop[1:] + loop[:1]):
+            edges.setdefault(frozenset((p, q)), []).append(cell)
+        for p, w in zip(loop, rmap.targets[at:at + size].tolist()):
+            images.setdefault(p, set()).add(tuple(w))
+        at += size
+    return edges, images
 
 
 class TestBatchedValidation:
-    @staticmethod
-    def triangles_of(rmap, monkeypatch):
-        """The arguments that the validation of rmap passes to
-        ``_cover_deviation`` (the triangles, their images, the tolerance,
-        and each triangle's domain facet with the facets' planes), and its
-        report."""
-        seen = []
-        real = star_extend._cover_deviation
-
-        def spy(*args):
-            seen.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(star_extend, "_cover_deviation", spy)
-        rep = rmap.validate_boundary_map()
-        return seen[0], rep
+    """The exact seam check, ``star_extend._seam_faults``: the cells meet
+    edge to edge and every point has one image."""
 
     @pytest.mark.parametrize("cid", CHARTS)
-    def test_matches_the_per_triangle_checks(self, cid, build, monkeypatch):
+    def test_matches_the_per_triangle_checks(self, cid, build):
+        # the cell complex taken one cell at a time: a sphere (V - E + F = 2)
+        # whose every edge lies in exactly two cells and whose every point
+        # has one image, as the stacked check reports
         rmap = build.g.by_id[cid].map
-        args, rep = self.triangles_of(rmap, monkeypatch)
-        dom, img, tol = args[:3]
-        got = star_extend._cover_deviation(*args)
-        assert got == pytest.approx(cover_deviation_per_triangle(dom, img, tol),
-                                    rel=1e-9, abs=1e-15)
-        assert got == cover_deviation_all_pairs(dom, img, tol)
-        assert got <= rep.worst_seam_dev
+        edges, images = cell_complex(rmap)
+        assert len(images) == rmap.point_ids.max() + 1
+        assert len(images) - len(edges) + len(rmap) == 2
+        assert all(len(cells) == 2 for cells in edges.values())
+        assert all(len(w) == 1 for w in images.values())
+        assert star_extend._seam_faults(rmap.point_ids, rmap.sizes, rmap.targets)[0] == 0
         # the oriented areas of the domain triangles, each along the normal
         # of the box face that holds it, against Fraction
+        dom, _ = fan_triangles(rmap)
         normals = np.zeros_like(dom[:, 0])
         axis = np.argmin(np.ptp(dom, axis=1), axis=1)
         normals[np.arange(len(dom)), axis] = 1.0
@@ -385,15 +396,18 @@ class TestBatchedValidation:
             assert areas[k] == pytest.approx(area, rel=1e-14)
 
     @pytest.mark.parametrize("cid", CHARTS)
-    def test_reports_equal_the_all_pairs_oracle(self, cid, build, monkeypatch):
-        # the seam check against the vertices on each triangle's facet plane
-        # reports bit for bit what solving every triangle against every
-        # vertex reports, the seams along the box edges included
+    def test_reports_equal_the_all_pairs_oracle(self, cid, build):
+        # the chart passes its exact seams, and the float reading of the
+        # same seams, every triangle solved against every cell vertex
+        # within the domain's tolerance, stays within the old seam
+        # tolerance TAU_SEAM * max(1, diameter)
         rmap = build.g.by_id[cid].map
         rep = rmap.validate_boundary_map()
         assert report_bits(rep) == report_bits(build.validations[cid])
-        monkeypatch.setattr(star_extend, "_cover_deviation", all_pairs_cover)
-        assert report_bits(rmap.validate_boundary_map()) == report_bits(rep)
+        assert rep.passed and rep.seam_violations == 0, rep
+        dom, img = fan_triangles(rmap)
+        assert (cover_deviation_all_pairs(dom, img, rmap.domain.tol * 1e3)
+                <= star_extend.TAU_SEAM * max(1.0, rmap.codomain.diameter))
 
     @pytest.mark.parametrize("cid", CHARTS)
     def test_a_tampered_piece_fails_its_chart(self, cid, build, monkeypatch):
@@ -403,8 +417,8 @@ class TestBatchedValidation:
         # map took from its pieces, so the built chart still passes and
         # the chart built again from the tampered piece fails
         built = build.g.by_id[cid].map
-        piece = next(p for pieces in built.pieces_by_facet.values() for p in pieces
-                     if isinstance(p, Radial2DPiece))
+        facet, k, piece = next((f, k, p) for f, pieces in built.pieces_by_facet.items()
+                               for k, p in enumerate(pieces) if isinstance(p, Radial2DPiece))
         (dom, (c, p, q)), *rest = piece.cells
         moved = tuple(a + 0.01 * (b - a) for a, b in zip(c, p))
         monkeypatch.setattr(piece, "cells", [(dom, (moved, p, q))] + rest)
@@ -413,19 +427,40 @@ class TestBatchedValidation:
                          built.piece_by_codomain_facet)
         rep = rmap.validate_boundary_map()
         assert not rep.passed
-        assert rep.worst_seam_dev == pytest.approx(math.dist(moved, c), rel=1e-9)
-        monkeypatch.setattr(star_extend, "_cover_deviation", all_pairs_cover)
-        assert report_bits(rmap.validate_boundary_map()) == report_bits(rep)
+        assert rep.seam_violations == 1
+        assert (f"facet {facet} piece {k} cell 0: point {tuple(dom[0])} has several images"
+                in rep.detail)
+        tris, imgs = fan_triangles(rmap)
+        assert cover_deviation_all_pairs(tris, imgs, rmap.domain.tol * 1e3) == pytest.approx(
+            math.dist(moved, c), rel=1e-9)
 
-    def test_a_moved_image_shows_in_both(self, monkeypatch):
+    def test_a_moved_image_shows_in_both(self):
+        # one corner image of the top face moves: the exact check finds the
+        # corner's second image, and the float reading its distance
         m = chart_with_face(lambda loop: Radial2DPiece(
             loop, moved_corner(loop, (0.1, 0.0, 0.0))))
-        args, _ = self.triangles_of(m, monkeypatch)
-        dom, img, tol = args[:3]
-        got = star_extend._cover_deviation(*args)
-        assert got > 1e-3
-        assert got == pytest.approx(cover_deviation_per_triangle(dom, img, tol), rel=1e-12)
-        assert got == cover_deviation_all_pairs(dom, img, tol)
+        rep = m.validate_boundary_map()
+        assert not rep.passed
+        assert rep.seam_violations == 1
+        assert "facet 1 piece 0 cell 0: point (1.0, 1.0, 1.0) has several images" in rep.detail
+        dom, img = fan_triangles(m)
+        assert cover_deviation_all_pairs(dom, img, m.domain.tol * 1e3) > 1e-3
+
+    def test_a_t_junction_is_refused(self):
+        # the top facet as one identity piece of four square cells is the
+        # identity, continuous across every seam, but its cells do not meet
+        # edge to edge: each side facet's top edge meets two half edges, a
+        # T-junction at its midpoint.  The exact check asks for an
+        # edge-to-edge complex, so it refuses such a chart by design: the
+        # 4 full edges and the 8 half edges each lie in no other cell
+        m = top_split(QUADRANTS)
+        rep = m.validate_boundary_map()
+        assert not rep.passed
+        assert (rep.seam_violations, rep.injectivity_violations) == (12, 0)
+        assert ("facet 0 piece 0 cell 0: its edge from (-1.0, 1.0, 1.0) lies in 0 "
+                "other cells" in rep.detail)
+        dom, img = fan_triangles(m)
+        assert cover_deviation_all_pairs(dom, img, m.domain.tol * 1e3) == 0.0
 
 
 def piece_bits(piece):

@@ -293,7 +293,7 @@ class TestFArray:
         rows = [(0.5, 0.25, 5.0), (1.0, -past, 6.5), (past, 0.0, 7.0), (math.nan, 0.0, 1.0)]
         with pytest.raises(PrecisionLost) as info:
             F_array(np.array(rows))
-        assert info.value.point == rows[1]
+        assert info.value.args == rows[1]
 
     def test_a_nan_x1_is_a_value_error(self):
         rows = [(0.5, 0.25, 5.0), (math.nan, 0.5, 1.0), (2.0 ** 51, 0.0, 7.0)]
@@ -486,8 +486,8 @@ class TestPrecisionLost:
         with pytest.raises(PrecisionLost) as info:
             F_scalar(*point)
         err = info.value
-        assert err.point == point
-        assert all(a is b for a, b in zip(err.point, point))
+        assert err.args == point
+        assert all(a is b for a, b in zip(err.args, point))
         x1, x2, x3 = point
         assert str(err) == (f"F step from ({x1!r}, {x2!r}, {x3!r}) is past the "
                             f"precision horizon |x1|, |x2| <= 2**50")
@@ -594,6 +594,26 @@ def test_expansion_ratio_retakes_pairs_at_the_skip_distance(monkeypatch, constan
     monkeypatch.setattr(zorich, "_MIN_PAIR_DIST", skip)
     got = expansion_min_ratio(constants.L, pairs=300, seed=47)
     assert got.hex() == want.hex() and (got == r[j]) != above
+
+
+def test_expansion_ratio_retakes_a_pair_in_the_unsure_band(monkeypatch):
+    # one pair at the axis of beam (0, 0), at height 0 where x3 is finely
+    # spaced (above the construction's L every drawn distance lies at least
+    # a relative 2e-9 from 1e-12): numpy's distance 9.999999999999998e-13
+    # is below the skip distance 1e-12 and math.dist's 1e-12 is not, so
+    # only the band of unsure distances keeps the pair.  The other beams'
+    # pairs are drawn at their axis, where both points coincide
+    rx = np.array([[0.5, 0.5, 0.0]])
+    ry = np.array([[0.5000000000001351, 0.5, 3.209320929247762e-13]])
+    axis = np.full((1, 3), 0.5)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _FixedDraws([rx, ry] + [axis] * 4))
+    xs, ys, fxs, fys = _sampled_pairs(monkeypatch, 0.0, 1, 0)
+    d = math.dist(xs[0], ys[0])
+    assert np.linalg.norm(np.subtract(xs[:1], ys[:1]), axis=1)[0] < zorich._MIN_PAIR_DIST
+    assert d == zorich._MIN_PAIR_DIST
+    got = expansion_min_ratio(0.0, pairs=1)
+    assert math.isfinite(got) and got.hex() == (math.dist(fxs[0], fys[0]) / d).hex()
 
 
 def test_expansion_ratio_is_exact_under_numpy_norm_error(monkeypatch, constants):
