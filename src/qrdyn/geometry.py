@@ -1,15 +1,17 @@
 """Star-shaped polyhedron geometry.
 
 Shapes are closed, connected triangulated polyhedra in R^3, each with a
-centre; construction orients the surface triangles outward and does not
-test the centre.  The module provides the ray-to-boundary projection psi,
-read off the crossing of the ray from the centre through x
-(``cones._crossing``, a scan of the cone frames of the surface triangles,
-precomputed per polyhedron).  That the ray crosses once is certified per
-chart by the exact cone signs of its cells (``star_extend``), whose
-orientations, like those of the boundary-map validation, come from
-``_det3_signs``: exact, in floats where Shewchuk's orient3d error bound
-decides a sign and in Python integers inside that bound.
+centre that the caller gives (the slab atlas states its image solids'
+centres as dyadic data, ``global_map._CHARTS``); construction orients the
+surface triangles outward and does not test the centre.  The module
+provides the ray-to-boundary projection psi, read off the crossing of the
+ray from the centre through x (``cones._crossing``, a scan of the cone
+frames of the surface triangles, precomputed per polyhedron).  That the
+ray crosses once is certified per chart by the exact cone signs of its
+cells (``star_extend``), whose orientations, like those of the
+boundary-map validation, come from ``_det3_signs``: exact, in floats where
+Shewchuk's orient3d error bound decides a sign and in Python integers
+inside that bound.
 
 ``star_shapes`` builds a batch of shapes with one numpy pass per step (the
 plane coordinates of all their facets, their cone frames and their facet
@@ -32,11 +34,6 @@ from .cones import _cone_frames, _cross, _crossing, _dots, _starts
 
 class GeometryError(ValueError):
     """Malformed shape or precondition violation."""
-
-
-class CertificationFailure(GeometryError):
-    """A polygon has an empty visibility kernel, so no face centre sees its
-    whole boundary (``pieces._kernel_centre``)."""
 
 
 # Relative tolerance for boundary classification, scaled by shape diameter.

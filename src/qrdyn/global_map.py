@@ -8,19 +8,23 @@ between levels 1 and L).  Reflections in {x1 = 2}, {x2 = 2} and period-4
 translations extend the atlas to the whole slab.  f is g followed by a
 downward translation large enough that the whole slab maps below zero.
 
-The atlas is data: ``_CHARTS`` gives each chart's box, image-solid centre,
-boundary faces per box facet and image-solid facets, by the names of the
-vertices of ``VertexTable``, and ``_build_charts`` builds any rows of it.
-Every boundary piece is affine on triangles, so each chart is exactly
-affine on the cones from its domain centre over those triangles: 37 cells
-for A' and 26 for each A'' chart.  Each chart's ``RadialMap`` is those
-cells, and evaluates and inverts the chart; ``GlobalMap`` evaluates the
-slab by the charts' ``eval3``.  Every certificate is a finite check on the
-cells: each chart's cone signs certify its image solid's centre,
+The atlas is data: ``_CHARTS`` gives each chart's box, image-solid centre
+(a dyadic point), boundary faces per box facet and image-solid facets, by
+the names of the vertices of ``VertexTable``, and ``_build_charts`` builds
+any rows of it.  A face fan is about the face's area centroid
+(``pieces.face_centre``), and about its image's, except for the two image
+centres that ``_IMAGE_FACE_CENTRES`` states.  No centre is searched for:
+the cone signs certify every one that the build uses.  Every boundary
+piece is affine on triangles, so each chart is exactly affine on the cones
+from its domain centre over those triangles: 37 cells for A' and 26 for
+each A'' chart.  Each chart's ``RadialMap`` is those cells, and evaluates
+and inverts the chart; ``GlobalMap`` evaluates the slab by the charts'
+``eval3``.  Every certificate is a finite check on the cells: each chart's
+cone signs certify its image solid's centre and its face centres,
 ``build_maps`` requires a positive determinant on every cell and validates
 each chart's boundary map on the cell vertices, L' bounds the image
-heights of the cell vertices, and the audits read the orientation
-and the dilatation off the cells' linear parts and check the seams at the
+heights of the cell vertices, and the audits read the orientation and the
+dilatation off the cells' linear parts and check the seams at the
 vertices of the cells on each face.
 """
 
@@ -36,7 +40,7 @@ import numpy as np
 from . import zorich
 from .cones import _cross
 from .geometry import GeometryError, _det3_signs, star_shapes
-from .pieces import FormulaPiece, IdentityPiece, radial_pieces
+from .pieces import FormulaPiece, IdentityPiece, Radial2DPiece, face_centre
 from .star_extend import Box, RadialMap, ValidationReport, radial_maps
 
 
@@ -124,39 +128,42 @@ class CellChart:
 
 
 # The five slab charts: each box [lo, hi] ("L" is the level L); its image
-# solid's centre, a point or the name of an apex vertex for apex + 0.10
-# (vertex mean - apex); the pieces on each box facet, by their face loops;
-# and the image solid's facets in facet order, each served by the piece that
-# holds that face.  A face at level 0 is the identity, a pair of triangles at
-# level L (" / " between them) is F, affine on each, and any other face is
-# the fan of a ``Radial2DPiece``; charts that list the same face share it.
+# solid's centre, a dyadic point (A': the best of a 0.5 grid by the largest
+# cell dilatation; A'': apex + 0.9 (vertex mean - apex) about the solid's
+# level-L apex vertex, rounded to 1/16); the pieces on each box facet, by
+# their face loops; and the image solid's facets in facet order, each served
+# by the piece that holds that face.  A face at level 0 is the identity, a
+# pair of triangles at level L (" / " between them) is F, affine on each,
+# and any other face is the fan of a ``Radial2DPiece`` about the face's area
+# centroid onto the fan about its image's, or about the image centre that
+# ``_IMAGE_FACE_CENTRES`` states; charts that list the same face share it.
 _CHARTS = {
-    "A'": {"box": ((0, 0, 0), (2, 2, 1)), "centre": (5.0, 1.0, 2.0),
+    "A'": {"box": ((0, 0, 0), (2, 2, 1)), "centre": (4.5, 1.5, 2.0),
            "facets": {0: ["P0 P1 T1 Q1 Q0"], 1: ["S0 S1 V1 R1 R0"], 2: ["P0 P1 W1 S1 S0"],
                       3: ["Q0 Q1 U1 R1 R0"], 4: ["P0 Q0 R0 S0"],
                       5: ["P1 W1 X1 T1", "W1 S1 V1 X1", "T1 X1 U1 Q1", "X1 V1 R1 U1"]},
            "codomain": ["P0 Q0 R0 S0", "P0 P1 T1 Q1 Q0", "S0 S1 V1 R1 R0", "P0 P1 W1 S1 S0",
                         "Q0 Q1 U1 R1 R0", "P1 W1 X1 T1", "T1 X1 U1 Q1", "W1 S1 V1 X1",
                         "X1 V1 R1 U1"]},
-    "A''1": {"box": ((0, 0, 1), (1, 1, "L")), "centre": "PL",
+    "A''1": {"box": ((0, 0, 1), (1, 1, "L")), "centre": (20.0, 19.5625, 21.1875),
              "facets": {0: ["P1 T1 TL PL"], 1: ["W1 X1 WL", "X1 XL WL"], 2: ["P1 W1 WL PL"],
                         3: ["TL X1 XL", "T1 X1 TL"], 4: ["P1 W1 X1 T1"],
                         5: ["PL WL XL / PL XL TL"]},
              "codomain": ["P1 W1 X1 T1", "PL WL XL", "PL XL TL", "P1 T1 TL PL", "P1 W1 WL PL",
                           "W1 X1 WL", "X1 XL WL", "TL X1 XL", "T1 X1 TL"]},
-    "A''2": {"box": ((1, 0, 1), (2, 1, "L")), "centre": "SL",
+    "A''2": {"box": ((1, 0, 1), (2, 1, "L")), "centre": (21.125, 19.5625, -14.625),
              "facets": {0: ["W1 X1 WL", "X1 XL WL"], 1: ["S1 V1 VL SL"], 2: ["W1 S1 SL WL"],
                         3: ["X1 V1 VL", "X1 VL XL"], 4: ["W1 S1 V1 X1"],
                         5: ["WL SL XL / SL VL XL"]},
              "codomain": ["W1 S1 V1 X1", "WL SL XL", "SL VL XL", "S1 V1 VL SL", "W1 S1 SL WL",
                           "W1 X1 WL", "X1 XL WL", "X1 V1 VL", "X1 VL XL"]},
-    "A''3": {"box": ((0, 1, 1), (1, 2, "L")), "centre": "QL",
+    "A''3": {"box": ((0, 1, 1), (1, 2, "L")), "centre": (19.875, 20.6875, -13.6875),
              "facets": {0: ["T1 Q1 QL TL"], 1: ["X1 UL XL", "X1 U1 UL"],
                         2: ["TL X1 XL", "T1 X1 TL"], 3: ["Q1 U1 UL QL"], 4: ["T1 X1 U1 Q1"],
                         5: ["TL XL QL / XL UL QL"]},
              "codomain": ["T1 X1 U1 Q1", "TL XL QL", "XL UL QL", "T1 Q1 QL TL", "Q1 U1 UL QL",
                           "X1 UL XL", "X1 U1 UL", "TL X1 XL", "T1 X1 TL"]},
-    "A''4": {"box": ((1, 1, 1), (2, 2, "L")), "centre": "RL",
+    "A''4": {"box": ((1, 1, 1), (2, 2, "L")), "centre": (20.9375, 20.6875, 20.3125),
              "facets": {0: ["X1 UL XL", "X1 U1 UL"], 1: ["V1 R1 RL VL"],
                         2: ["X1 V1 VL", "X1 VL XL"], 3: ["U1 R1 RL UL"], 4: ["X1 V1 R1 U1"],
                         5: ["XL VL RL / XL RL UL"]},
@@ -164,15 +171,19 @@ _CHARTS = {
                           "X1 UL XL", "X1 U1 UL", "X1 V1 VL", "X1 VL XL"]},
 }
 
+# the image centres of the two radial faces whose image's area centroid
+# does not see the whole image face
+_IMAGE_FACE_CENTRES = {"P0 P1 T1 Q1 Q0": (0.0, 0.875, 3.625),
+                       "S0 S1 V1 R1 R0": (2.0, 2.75, -0.25)}
+
 
 def _build_charts(vt, ids, shared=None):
-    """The charts ``ids`` of ``_CHARTS``: one piece per distinct face (the
-    face fans in one ``radial_pieces`` batch), the image solids in one
-    ``star_shapes`` batch, each box a ``Box`` domain, and the cells in one
-    ``radial_maps`` pass, which certifies every centre by its cone signs; a
-    face of ``shared`` ({face: piece} of an earlier phase) keeps that piece.
-    A map that fails (a centre that fails its cone signs, say) raises
-    ConstructionError naming its chart."""
+    """The charts ``ids`` of ``_CHARTS``: one piece per distinct face, the
+    image solids in one ``star_shapes`` batch, each box a ``Box`` domain,
+    and the cells in one ``radial_maps`` pass, which certifies every centre
+    by its cone signs; a face of ``shared`` ({face: piece} of an earlier
+    phase) keeps that piece.  A map that fails (a centre that fails its
+    cone signs, say) raises ConstructionError naming its chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
                                for on_facet in spec["facets"].values() for face in on_facet))
@@ -180,7 +191,7 @@ def _build_charts(vt, ids, shared=None):
     def points(loop):      # the coordinates and the images of a loop's vertices
         return [vt.coords[n] for n in loop.split()], [vt.images[n] for n in loop.split()]
 
-    made, radial = dict(shared or {}), []
+    made = dict(shared or {})
     for face in faces:
         if face in made:
             continue
@@ -190,8 +201,9 @@ def _build_charts(vt, ids, shared=None):
         elif levels == {"L"}:
             made[face] = FormulaPiece([points(tri) for tri in face.split(" / ")])
         else:
-            radial.append(face)
-    made.update(zip(radial, radial_pieces([points(face) for face in radial])))
+            dom, img = points(face)
+            made[face] = Radial2DPiece(dom, img, face_centre(dom),
+                                       _IMAGE_FACE_CENTRES.get(face) or face_centre(img))
     serving = {part: made[face] for face in faces for part in face.split(" / ")}
     boxes, solids = [], []
     for spec in specs:
@@ -199,12 +211,8 @@ def _build_charts(vt, ids, shared=None):
                       for corner in spec["box"]])
         names = sorted({n for face in spec["codomain"] for n in face.split()})
         verts = np.array([vt.images[n] for n in names])
-        centre = spec["centre"]
-        if isinstance(centre, str):
-            apex = vt.images[centre]
-            centre = apex + 0.10 * (verts.mean(axis=0) - apex)
         loops = [[names.index(n) for n in face.split()] for face in spec["codomain"]]
-        solids.append((verts, centre, loops))
+        solids.append((verts, spec["centre"], loops))
     try:
         maps = radial_maps([
             (Box(lo, hi), solid,
@@ -221,7 +229,7 @@ def _build_charts(vt, ids, shared=None):
 
 def build_aprime_chart(vt: VertexTable) -> CellChart:
     """The chart of [0,2]^2 x [0,1] onto the nine-face image polyhedron
-    about (5, 1, 2): the identity on the bottom face and face fans on the
+    about (4.5, 1.5, 2): the identity on the bottom face and face fans on the
     other eight (``_CHARTS["A'"]``, built by ``_build_charts``)."""
     return _build_charts(vt, ["A'"])[0]
 
@@ -502,21 +510,23 @@ def _per_chart(charts, *stacks):
     return zip(charts, *(np.split(stack, ends) for stack in stacks))
 
 
-def _least_dets(charts):
-    """(chart, k, det) for each chart: its cell k of least determinant (the
-    first NaN counts as least), from one ``np.linalg.det`` of all cells.
-    It takes no singular values, which no orientation claim needs."""
-    with np.errstate(invalid="ignore"):
-        det = np.linalg.det(np.concatenate([c.map.linear for c in charts]))
-    for chart, dets in _per_chart(charts, det):
-        k = int(np.argmin(dets))
-        yield chart, k, dets[k]
+def _cell_dets(charts):
+    """(signs, dets) of the linear parts of all the charts' cells, stacked:
+    the exact signs of ``geometry._det3_signs`` (a non-finite cell taken as
+    zero) and its float determinants, the cofactor expansion (8.0 for 2 I),
+    NaN for a non-finite cell."""
+    linear = np.concatenate([c.map.linear for c in charts])
+    finite = np.isfinite(linear).all(axis=(1, 2))
+    signs, dets = _det3_signs(np.where(finite[:, None, None], linear, 0.0), 0.0)
+    return signs, np.where(finite, dets, math.nan)
 
 
 def audit_orientation(gm: GlobalMap, samples_per_chart=None, seed=None) -> OrientationReport:
-    """The least determinant of the cells' linear parts, per chart.
-    ``samples_per_chart`` and ``seed`` are unused."""
-    per = {c.cell_id: float(det) for c, _, det in _least_dets(gm.charts)}
+    """The least determinant of the cells' linear parts, per chart (NaN if
+    a cell is not finite), from ``_cell_dets``.  ``samples_per_chart`` and
+    ``seed`` are unused."""
+    _, dets = _cell_dets(gm.charts)
+    per = {c.cell_id: float(d.min()) for c, d in _per_chart(gm.charts, dets)}
     min_det = min(per.values())
     return OrientationReport(min_det=min_det, per_chart=per,
                              samples=sum(len(c.map) for c in gm.charts),
@@ -576,24 +586,19 @@ def certify_cell_orientation(charts):
     """(number of affine cells, least determinant of their linear parts).
 
     Each chart is affine on each cell, so a positive determinant on every
-    cell makes every chart orientation preserving.  The signs are exact
-    (``geometry._det3_signs``, a non-finite cell taken as zero), not those
-    of numpy's det; the least determinant is numpy's.  Raises
+    cell makes every chart orientation preserving.  The signs and the
+    least determinant come from one ``_cell_dets``: the signs exact, the
+    determinant the float of ``geometry._det3_signs``.  Raises
     ConstructionError naming the first chart with a cell of determinant
     that is not positive, and the first such cell."""
-    linear = np.concatenate([c.map.linear for c in charts])
-    finite = np.isfinite(linear).all(axis=(1, 2))[:, None, None]
-    signs = _det3_signs(np.where(finite, linear, 0.0), 0.0)[0]
-    least = math.inf
-    for (chart, _, det), (_, chart_signs) in zip(_least_dets(charts),
-                                                 _per_chart(charts, signs)):
+    signs, dets = _cell_dets(charts)
+    for chart, chart_signs in _per_chart(charts, signs):
         bad = np.flatnonzero(chart_signs <= 0)
         if bad.size:
             raise ConstructionError(
                 f"chart {chart.cell_id}, {chart.map.labels[bad[0]]}: linear part "
                 f"{chart.map.linear[bad[0]].tolist()} has a determinant that is not positive")
-        least = min(least, float(det))
-    return len(linear), least
+    return len(dets), float(dets.min())
 
 
 def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
@@ -608,16 +613,17 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
 
     The two chart phases, ``build_aprime_chart`` (A') and
     ``build_asecond_charts`` (the four A'' charts), are each one
-    ``_build_charts`` call on rows of ``_CHARTS``: one batch of face fans,
-    one ``geometry.star_shapes`` batch of the image solids and one
-    ``star_extend.radial_maps`` pass that stacks the cells, each chart's
-    domain a ``star_extend.Box``.  Before any solve, the pass takes the
-    exact cone signs of all its cells' fan triangles: each image cone about
-    its solid's centre must have the orientation of its domain cone.  With
-    the degree-one boundary map that the validation checks, this proves
-    that the ray from each centre crosses its solid's boundary once, as the
-    radial extension and ``psi`` need.
-    Each chart's boundary map is then validated by its own
+    ``_build_charts`` call on rows of ``_CHARTS``: the face fans about the
+    faces' area centroids or stated image centres, one
+    ``geometry.star_shapes`` batch of the image solids about their stated
+    centres and one ``star_extend.radial_maps`` pass that stacks the cells,
+    each chart's domain a ``star_extend.Box``.  Before any solve, the pass
+    takes the exact cone signs of all its cells' fan triangles: each image
+    cone about its solid's centre must have the orientation of its domain
+    cone.  With the degree-one boundary map that the validation checks,
+    this proves that the ray from each centre crosses its solid's boundary
+    once, as the radial extension and ``psi`` need, and that each face fan
+    is star about its centres; no centre is searched for.  Each chart's boundary map is then validated by its own
     ``RadialMap.validate_boundary_map`` call, on the cells and facet planes
     computed when it was built: its seams exactly, as a cell complex whose
     cells meet edge to edge and give each point one image, so the affine

@@ -11,9 +11,13 @@ has the orientation of the domain cone (``_cone_sign_failures``).
 
 The boundary map itself is a list of pieces on each domain facet, and each
 piece of it is given by its affine cells (``pieces``): the fan of a planar
-face about a face centre onto the fan of its image face (the radial
-extension of the face's edge correspondence), the triangles on which a
-closed-form map is affine, or the identity.  The pieces of a facet share a
+face about the centre it is given onto the fan of its image face about the
+image's (the radial extension of the face's edge correspondence), the
+triangles on which a closed-form map is affine, or the identity.  The
+centres are the caller's, and the same cone signs certify the face centres
+too: a fan that is not star about its centres has a fan triangle whose
+image cone is not oriented as its domain cone, or a seam that
+``validate_boundary_map`` refuses.  The pieces of a facet share a
 vertex, as the cells of a piece do, so one sector layout about the shared
 vertices finds the piece of a facet and the cell of a piece alike.
 
@@ -354,7 +358,7 @@ def _sector_layout(name, groups, iu, iv):
     """The sector layout of a level ``name`` of several entries (the cells
     of a piece, or the pieces of a facet), each a list of domain polygons,
     by the angle in the face coordinates (iu, iv) about the centroid c of
-    the vertices all entries share: a Radial2D face centre, the midpoint of
+    the vertices all entries share: a face fan's centre, the midpoint of
     a split square's diagonal, or the corner where a facet's pieces meet.
     Returns (cu, cv, bounds, mids, probes): the sorted angles of the other
     vertices about c, the midpoint angle of each sector between them (the

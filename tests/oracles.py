@@ -45,13 +45,12 @@ tests.
   ``sector_entry`` (the sector picks of a piece's cells or of a facet's
   pieces, one solve per sector probe and triangle),
   ``cell_vertex_images`` (one product per cell),
-  ``image_cell_frames`` (one inverse per cell), ``frame_rows`` (a face's
-  frame, crosses and norms per candidate vertex), ``polygon_kernel_rows``,
-  ``polygon_centroid_rows`` and ``pick_star_centre_2d_rows``,
+  ``image_cell_frames`` (one inverse per cell),
   ``polygon_normal_rows``, ``facet_is_planar_rows`` and
   ``triangulate_planar_rows`` (one ``@`` per facet vertex);
-- ``frame_to2d``: plane coordinates in a ``pieces.Frame``, which the
-  package takes only in the stacked ``pieces._frames``;
+- ``frame_rows``, ``frame_to2d`` and ``frame_to3d``: a planar face's frame
+  (origin, e1, e2) and its plane coordinates, in which ``eval_piece`` and
+  ``invert_piece`` take a face fan's radial formula;
 - ``h_pyramid``: the upper faces of the unit square pyramid, whose height
   ``zorich.F_scalar`` scales;
 - ``ball_growth_check``: the expansion ratio of the image of a small
@@ -72,7 +71,7 @@ import numpy as np
 
 from qrdyn.dynamics import _fibonacci_sphere
 from qrdyn.example_maps import radial_square_eval
-from qrdyn.geometry import (TAU_GEOM, BoundaryHit, CertificationFailure, GeometryError,
+from qrdyn.geometry import (TAU_GEOM, BoundaryHit, GeometryError,
                             _as_array, _det3_signs, _point_in_tri2)
 from qrdyn.zorich import _EXP_ARG_MAX, HORIZON, F_scalar, _fold1, _off_horizon
 
@@ -222,16 +221,30 @@ def _radial_2d(src, dst, a, b, u, v):
 
 
 def frame_to2d(frame, p):
-    """Plane coordinates of p = (x, y, z) in a ``pieces.Frame``."""
-    dx, dy, dz = p[0] - frame._ox, p[1] - frame._oy, p[2] - frame._oz
-    return (dx * frame._e1x + dy * frame._e1y + dz * frame._e1z,
-            dx * frame._e2x + dy * frame._e2y + dz * frame._e2z)
+    """Plane coordinates of p = (x, y, z) in a frame (origin, e1, e2) of
+    ``frame_rows``."""
+    origin, e1, e2 = frame
+    d = np.asarray(p, dtype=float) - origin
+    return float(d @ e1), float(d @ e2)
 
 
-def _faces_2d(piece):
-    """A Radial2D piece's domain and image faces in their frames."""
-    return ([frame_to2d(piece.dom_frame, dom[1]) for dom, _ in piece.cells],
-            [frame_to2d(piece.img_frame, img[1]) for _, img in piece.cells])
+def frame_to3d(frame, u, v):
+    """The point of plane coordinates (u, v) in a frame of ``frame_rows``."""
+    origin, e1, e2 = frame
+    return tuple(map(float, origin + u * e1 + v * e2))
+
+
+def _radial_2d_3d(piece, side, p):
+    """The 2D radial extension of a Radial2D piece's fan from ``side`` (0,
+    the domain face, or 1, the image face) onto the other side's fan, at a
+    point p of the face: each face and its centre (the apex of its fan) in
+    the frame that ``frame_rows`` gives its loop."""
+    (src, a), (dst, b) = (([cell[j][1] for cell in piece.cells], piece.cells[0][j][0])
+                          for j in (side, 1 - side))
+    fs, fd = frame_rows(src), frame_rows(dst)
+    w = _radial_2d([frame_to2d(fs, q) for q in src], [frame_to2d(fd, q) for q in dst],
+                   frame_to2d(fs, a), frame_to2d(fd, b), *frame_to2d(fs, p))
+    return frame_to3d(fd, *w)
 
 
 def eval_piece(piece, h):
@@ -239,9 +252,7 @@ def eval_piece(piece, h):
     if piece.kind == "identity":
         return h
     if piece.kind == "radial2d":
-        dom, img = _faces_2d(piece)
-        w = _radial_2d(dom, img, piece.dom_centre, piece.img_centre, *frame_to2d(piece.dom_frame, h))
-        return piece.img_frame.to3d(*w)
+        return _radial_2d_3d(piece, 0, h)
     if piece.kind == "formula":
         return F_scalar(*h)
     raise TypeError(f"no formula for a {piece.kind} piece")
@@ -265,9 +276,7 @@ def invert_piece(piece, q):
     if piece.kind == "identity":
         return q
     if piece.kind == "radial2d":
-        dom, img = _faces_2d(piece)
-        u = _radial_2d(img, dom, piece.img_centre, piece.dom_centre, *frame_to2d(piece.img_frame, q))
-        return piece.dom_frame.to3d(*u)
+        return _radial_2d_3d(piece, 1, q)
     if piece.kind == "formula":
         # the affine inverse on the image triangle that q misses least
         return max((_transport(img, dom, q) for dom, img in piece.cells),
@@ -589,78 +598,6 @@ def frame_rows(vertices3):
     e1 = e1 / np.linalg.norm(e1)
     e2 = e2 - np.dot(e2, e1) * e1
     return p0, e1, e2 / np.linalg.norm(e2)
-
-
-def _clip_halfplane_rows(poly, p0, normal):
-    nx, ny = normal
-    out = []
-    m = len(poly)
-    for i in range(m):
-        cur, nxt = poly[i], poly[(i + 1) % m]
-        c_in = (cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny >= 0
-        n_in = (nxt[0] - p0[0]) * nx + (nxt[1] - p0[1]) * ny >= 0
-        if c_in:
-            out.append(cur)
-        if c_in != n_in:
-            d = nxt - cur
-            den = d[0] * nx + d[1] * ny
-            t = -((cur[0] - p0[0]) * nx + (cur[1] - p0[1]) * ny) / den
-            out.append(cur + t * d)
-    return out
-
-
-def polygon_kernel_rows(vertices):
-    """The visibility kernel of a simple polygon on numpy rows: a bounding
-    box clipped with every edge half-plane."""
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
-    area2 = sum(v[i, 0] * v[(i + 1) % n, 1] - v[(i + 1) % n, 0] * v[i, 1]
-                for i in range(n))
-    sign = 1.0 if area2 > 0 else -1.0
-    lo = v.min(axis=0) - 1.0
-    hi = v.max(axis=0) + 1.0
-    poly = [np.array([lo[0], lo[1]]), np.array([hi[0], lo[1]]),
-            np.array([hi[0], hi[1]]), np.array([lo[0], hi[1]])]
-    for i in range(n):
-        p0 = v[i]
-        d = v[(i + 1) % n] - p0
-        poly = _clip_halfplane_rows(poly, p0, (-sign * d[1], sign * d[0]))
-        if not poly:
-            return []
-    return poly
-
-
-def polygon_centroid_rows(vertices):
-    v = np.asarray(vertices, dtype=float)
-    n = len(v)
-    a = 0.0
-    cx = cy = 0.0
-    for i in range(n):
-        x0, y0 = v[i]
-        x1, y1 = v[(i + 1) % n]
-        w = x0 * y1 - x1 * y0
-        a += w
-        cx += (x0 + x1) * w
-        cy += (y0 + y1) * w
-    if abs(a) < 1e-300:
-        return v.mean(axis=0)
-    return np.array([cx, cy]) / (3 * a)
-
-
-def pick_star_centre_2d_rows(vertices):
-    """The area centroid if it lies in the visibility kernel, else the
-    kernel centroid, on numpy rows."""
-    kern = polygon_kernel_rows(vertices)
-    if not kern:
-        raise CertificationFailure("polygon has an empty visibility kernel")
-    c = polygon_centroid_rows(vertices)
-    kv = np.asarray(kern)
-    m = len(kv)
-    for i in range(m):
-        d = kv[(i + 1) % m] - kv[i]
-        if (c[0] - kv[i][0]) * d[1] - (c[1] - kv[i][1]) * d[0] > 1e-12:
-            return polygon_centroid_rows(kv)
-    return c
 
 
 def polygon_normal_rows(pts):

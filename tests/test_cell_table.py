@@ -11,14 +11,12 @@ import numpy as np
 import pytest
 
 from oracles import (_cell_index, cell_linear_part, cell_vertex_images, facet_is_planar_rows,
-                     frame_rows, frame_to2d, image_cell_frames, pick_star_centre_2d_rows,
-                     polygon_kernel_rows, radial_eval, radial_inverse, sector_entry,
+                     image_cell_frames, radial_eval, radial_inverse, sector_entry,
                      triangulate_planar_rows)
 from qrdyn.geometry import (GeometryError, StarShape, _det3_signs, _facet_coordinates,
                             _triangulate_planar)
-from qrdyn.global_map import (ConstructionError, _cell_spectra,
+from qrdyn.global_map import (ConstructionError, _cell_spectra, audit_orientation,
                               cell_dilatations, certify_cell_orientation, chart_lipschitz)
-from qrdyn.pieces import _frames, _star_centres, polygon_kernel
 from qrdyn.star_extend import RadialMap
 
 
@@ -69,8 +67,15 @@ class TestCells:
         assert build.cells == 141
 
     def test_min_cell_det(self, build):
-        dets = np.concatenate([np.linalg.det(c.map.linear) for c in build.g.charts])
-        assert build.min_cell_det == float(dets.min()) > 0.0
+        # the float determinant that geometry._det3_signs takes with the
+        # exact signs, at the cell of least exact determinant, within a few
+        # ulps of it
+        linear = np.concatenate([c.map.linear for c in build.g.charts])
+        dets = _det3_signs(linear, 0.0)[1]
+        exact = [_fraction_det(m) for m in linear]
+        k = exact.index(min(exact))
+        assert build.min_cell_det == float(dets.min()) == dets[k] > 0.0
+        assert build.min_cell_det == pytest.approx(float(exact[k]), rel=4 * 2.0 ** -52)
 
     def test_dilatation_and_det_against_svd(self, build):
         # two references per cell, neither of which the package calls:
@@ -388,6 +393,26 @@ class TestCellOrientation:
         assert certify_cell_orientation([self._chart(build, [2.0, 0.5]),
                                          self._chart(build, [1.0])]) == (3, 0.5)
 
+    def test_the_least_det_of_2i_is_8(self, build):
+        # numpy's det is sign * exp(sum log |u_ii|) of the LU factors, 8 - 2
+        # ulp for 2 I; the build and the audit report the cofactor
+        # expansion that the exact signs take, 8 exactly
+        chart = self._chart(build, [1.0])
+        chart.map.linear = 2.0 * np.eye(3)[None]
+        assert np.linalg.det(chart.map.linear)[0] != 8.0
+        assert certify_cell_orientation([chart]) == (1, 8.0)
+        rep = audit_orientation(types.SimpleNamespace(charts=[chart]))
+        assert (rep.min_det, rep.per_chart, rep.passed) == (8.0, {"A''9": 8.0}, True)
+
+    def test_a_nan_cell_reads_nan_in_the_audit(self, build):
+        # the audit takes the least determinant of each chart, a non-finite
+        # cell counting as least
+        chart, other = self._chart(build, [1.0, math.nan, 0.5]), self._chart(build, [2.0])
+        other.cell_id = "A''8"
+        rep = audit_orientation(types.SimpleNamespace(charts=[chart, other]))
+        assert math.isnan(rep.per_chart["A''9"]) and rep.per_chart["A''8"] == 2.0
+        assert math.isnan(rep.min_det) and not rep.passed
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [-0.25, 0.0, math.nan])
     def test_non_positive_det_names_chart_and_cell(self, build, bad):
@@ -514,12 +539,12 @@ class TestBuildMatchesOracles:
             assert pts.tobytes() == np.concatenate(polygons).tobytes()
             assert images.tobytes() == np.concatenate(want).tobytes()
             assert float(images[:, 2].max()) <= build.L_prime - 1.0 + 1e-9
-            dets += [float(np.linalg.det(m)) for m in rmap.linear]
+            dets += [_fraction_det(m) for m in rmap.linear]
             ks += [float(cell_dilatations([types.SimpleNamespace(
                 map=types.SimpleNamespace(linear=m[None]))])[0]) for m in rmap.linear]
         heights = [float(chart.map.codomain.vertices[:, 2].max()) for chart in build.g.charts]
         assert build.L_prime == max(heights) + 1.0
-        assert build.min_cell_det == min(dets)
+        assert build.min_cell_det == pytest.approx(float(min(dets)), rel=4 * 2.0 ** -52)
         assert build.K_slab == max(ks)
 
     def test_every_piece_owns_a_sector(self, build):
@@ -544,25 +569,17 @@ class TestBuildMatchesOracles:
             bottom, = build.g.by_id[f"A''{k + 1}"].map.pieces_by_facet[4]
             assert bottom is top
         for piece in faces:
-            for j, (frame, centre) in enumerate(((piece.dom_frame, piece.dom_centre),
-                                                 (piece.img_frame, piece.img_centre))):
-                loop = [cell[j][1] for cell in piece.cells]
+            for j in (0, 1):
                 # every fan triangle has the face centre as its first vertex
-                assert {cell[j][0] for cell in piece.cells} == {frame.to3d(*centre)}
-                assert _bits(frame_rows(loop)) == _bits([
-                    (frame._ox, frame._oy, frame._oz), (frame._e1x, frame._e1y, frame._e1z),
-                    (frame._e2x, frame._e2y, frame._e2z)])
-                fresh = _frames([loop])[0][0]
-                assert all(getattr(fresh, k) == getattr(frame, k) for k in frame.__slots__)
-                flat = [frame_to2d(frame, p) for p in loop]
-                assert _bits(polygon_kernel(flat)) == _bits(polygon_kernel_rows(flat))
-                assert _bits(_star_centres([flat])[0]) == _bits(pick_star_centre_2d_rows(flat))
-                assert _bits(centre) == _bits(pick_star_centre_2d_rows(flat))
+                # and runs over one edge of the face loop, in order
+                loop = [cell[j][1] for cell in piece.cells]
+                assert len({cell[j][0] for cell in piece.cells}) == 1
+                assert [cell[j][2] for cell in piece.cells] == loop[1:] + loop[:1]
 
     def test_random_planar_polygons(self):
         # seeded planar polygons in general position: numpy's dot and norm
         # round differently from a Python sum on about a third of them, so
-        # the frames, normals and plane coordinates stay on numpy's
+        # the normals and plane coordinates stay on numpy's
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(3, 7))
@@ -571,13 +588,6 @@ class TestBuildMatchesOracles:
             flat = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.5, 2.0, (n, 1))
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             loop = (np.column_stack([flat, np.zeros(n)]) @ q.T + rng.normal(size=3)).tolist()
-            frame = _frames([loop])[0][0]
-            assert _bits(frame_rows(loop)) == _bits([
-                (frame._ox, frame._oy, frame._oz), (frame._e1x, frame._e1y, frame._e1z),
-                (frame._e2x, frame._e2y, frame._e2z)])
-            flat2 = [frame_to2d(frame, p) for p in loop]
-            assert _bits(polygon_kernel(flat2)) == _bits(polygon_kernel_rows(flat2))
-            assert _bits(_star_centres([flat2])[0]) == _bits(pick_star_centre_2d_rows(flat2))
             v = np.array(loop)
             plane = _facet_coordinates(v, [list(range(n))], 1e-11)
             tris, pts2 = triangulate_planar_rows(v, list(range(n)))

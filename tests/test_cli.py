@@ -31,7 +31,7 @@ def test_build_json_report(capsys, build):
                                      ("A'", "A''1", "A''2", "A''3", "A''4")}
     assert report["cells"] == build.cells == 141
     assert report["min_cell_det"] == build.min_cell_det > 0.0
-    assert report["K_slab"] == build.K_slab == pytest.approx(1.72e6, rel=1e-2)
+    assert report["K_slab"] == build.K_slab == pytest.approx(1.733e4, rel=1e-3)
 
 
 def test_build_text_report(capsys, monkeypatch, build):

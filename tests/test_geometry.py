@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import cuboid_spec, psi_ray_oracle, star_test as star_tests
 from qrdyn import geometry
 from qrdyn.geometry import GeometryError, StarShape, _det3_signs, psi, star_shapes
-from qrdyn.pieces import _star_centres, polygon_kernel
 from qrdyn.star_extend import Box, radial_maps
 
 
@@ -173,20 +172,6 @@ class TestCertification:
             assert hit.facet == want.facet
             assert np.allclose(hit.point, want.point, atol=1e-9)
 
-    def test_nonconvex_pentagon_needs_kernel_centre(self):
-        # the area centroid of this pentagon does not see the whole boundary;
-        # the kernel fallback gives a centre about which the prism over the
-        # pentagon passes the star test
-        kern = polygon_kernel(PENTAGON)
-        assert kern, "kernel should be nonempty"
-        centre = _star_centres([PENTAGON])[0]
-        shape = pentagon(centre)
-        assert star_test(shape, shape.centre) is None
-        hidden = pentagon((1.0, 2.0))
-        assert star_test(hidden, hidden.centre) is not None
-        # kernel of this pentagon sits high: x3 >= 3 + 0.25*(x2 - 2)
-        assert centre[1] >= 3.0
-
 
 # ---------------------------------------------------------------------------
 # brute-force oracles for the star test
@@ -286,8 +271,8 @@ class TestStackedCertification:
         # the build's 5 image solids and the test shapes in one batch,
         # against one StarShape per spec and against the shapes as built
         shapes = [chart.map.codomain for chart in build.g.charts]
-        shapes += [cube((0.3, -0.2, 0.1)), pentagon(),
-                   pentagon(_star_centres([PENTAGON])[0]), l_prism(L_CENTRE), prism(PENTAGON, (1.0, 3.5, 0.5))]
+        shapes += [cube((0.3, -0.2, 0.1)), pentagon(), l_prism(L_CENTRE),
+                   prism(PENTAGON, (1.0, 3.5, 0.5))]
         specs = [spec_of(shape) for shape in shapes]
         batch = star_shapes(specs)
         for got, shape, spec in zip(batch, shapes, specs):

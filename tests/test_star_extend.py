@@ -11,9 +11,7 @@ from oracles import (_radial_2d, cover_deviation_all_pairs, cuboid_spec,
                      oriented_area_fraction, point_in_polygon)
 from qrdyn import star_extend
 from qrdyn.geometry import GeometryError, StarShape
-from qrdyn.geometry import CertificationFailure
-from qrdyn.pieces import (FacetPiece, FormulaPiece, IdentityPiece, Radial2DPiece,
-                          _star_centres, radial_pieces)
+from qrdyn.pieces import FacetPiece, FormulaPiece, IdentityPiece, Radial2DPiece, face_centre
 from qrdyn.star_extend import Box, RadialMap, radial_maps
 
 
@@ -169,6 +167,11 @@ class TestInverse:
         assert worst <= 1e-8
 
 
+def centroid_fan(dom, img):
+    """The face fan of dom onto img about their area centroids."""
+    return Radial2DPiece(dom, img, face_centre(dom), face_centre(img))
+
+
 def chart_with_face(piece_for_top):
     """The identity chart of the cube with the piece of its top face
     (facet 5) replaced."""
@@ -207,7 +210,7 @@ class TestValidation:
     def test_broken_vertex_image_fails_seams(self):
         # perturb one vertex image of a 2D radial piece on one face only:
         # the shared edges with neighbouring faces must betray the seam
-        m = chart_with_face(lambda loop: Radial2DPiece(
+        m = chart_with_face(lambda loop: centroid_fan(
             loop, moved_corner(loop, (0.1, 0.0, 0.0))))
         rep = m.validate_boundary_map()
         assert not rep.passed
@@ -215,7 +218,7 @@ class TestValidation:
 
     def test_reversed_image_loop_is_not_positive(self, monkeypatch):
         # the face's image is the facet itself, run the other way round
-        rep = refused_then_validated(lambda loop: Radial2DPiece(loop, loop[::-1]), monkeypatch)
+        rep = refused_then_validated(lambda loop: centroid_fan(loop, loop[::-1]), monkeypatch)
         assert not rep.passed
         assert rep.injectivity_violations >= 4
         # each of the four corners takes a second image, the reversed one
@@ -224,7 +227,7 @@ class TestValidation:
                 in rep.detail)
 
     def test_off_plane_image_fails_the_boundary(self):
-        m = chart_with_face(lambda loop: Radial2DPiece(
+        m = chart_with_face(lambda loop: centroid_fan(
             loop, moved_corner(loop, (0.0, 0.0, 0.1))))
         rep = m.validate_boundary_map()
         assert not rep.passed
@@ -437,7 +440,7 @@ class TestBatchedValidation:
     def test_a_moved_image_shows_in_both(self):
         # one corner image of the top face moves: the exact check finds the
         # corner's second image, and the float reading its distance
-        m = chart_with_face(lambda loop: Radial2DPiece(
+        m = chart_with_face(lambda loop: centroid_fan(
             loop, moved_corner(loop, (0.1, 0.0, 0.0))))
         rep = m.validate_boundary_map()
         assert not rep.passed
@@ -463,19 +466,13 @@ class TestBatchedValidation:
         assert cover_deviation_all_pairs(dom, img, m.domain.tol * 1e3) == 0.0
 
 
-def piece_bits(piece):
-    """A face fan's frames, centres and cells, its floats as IEEE bytes."""
-    frames = [getattr(f, k) for f in (piece.dom_frame, piece.img_frame) for k in f.__slots__]
-    return struct.pack(f"<{len(frames)}d", *frames), repr((piece.dom_centre, piece.img_centre,
-                                                            piece.cells))
-
-
-# a U whose prongs hide each other: its visibility kernel is empty
-U_LOOP = [(0.0, 0.0, 0.0), (3.0, 0.0, 0.0), (3.0, 3.0, 0.0), (2.0, 3.0, 0.0),
-          (2.0, 1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 3.0, 0.0), (0.0, 3.0, 0.0)]
-BAD_FACES = {"counts": (U_LOOP[:4], U_LOOP[:3]),
-             "degenerate": ([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)],) * 2,
-             "kernel": (U_LOOP, U_LOOP)}
+# a U in the top face's plane, whose notch hides its sides from its area
+# centroid: the fans over the notch's three edges turn the other way
+U_LOOP = [(-1.0, -1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 1.0), (1 / 3, 1.0, 1.0),
+          (1 / 3, -1 / 3, 1.0), (-1 / 3, -1 / 3, 1.0), (-1 / 3, 1.0, 1.0), (-1.0, 1.0, 1.0)]
+# the top face with a vertex for each of the U's, on its boundary in order
+TOP_LOOP = [(-1.0, -1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 1.0),
+            (0.25, 1.0, 1.0), (-0.25, 1.0, 1.0), (-0.5, 1.0, 1.0), (-1.0, 1.0, 1.0)]
 
 
 def collapsed_chart_spec():
@@ -491,44 +488,22 @@ def chart_spec_without(facet):
 
 
 class TestBatches:
-    """``radial_pieces`` and ``radial_maps`` against one object at a time."""
+    """Bad face fans, and ``radial_maps`` against one map at a time."""
 
-    def test_radial_pieces_are_the_pieces_built_one_by_one(self, build):
-        # the build's face fans, and seeded quadrilaterals off their plane
-        faces = {}
-        for chart in build.g.charts:
-            for piece in chart.map.pieces:
-                if piece.kind == "radial2d":
-                    faces[id(piece)] = tuple([cell[j][1] for cell in piece.cells] for j in (0, 1))
-        loops = list(faces.values())
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            quad = np.array([(1, 0, 0), (0.2, 1, 0), (-1, 0.1, 0), (0.1, -1, 0)]) * rng.uniform(0.5, 2)
-            loops.append(((quad @ q.T).tolist(), (quad @ q.T * 2 + 1).tolist()))
-        batch = radial_pieces(loops)
-        for piece, (dom, img) in zip(batch, loops):
-            assert piece_bits(piece) == piece_bits(Radial2DPiece(dom, img))
-        for chart in build.g.charts:
-            for piece in chart.map.pieces:
-                if piece.kind == "radial2d":
-                    assert piece_bits(piece) == piece_bits(Radial2DPiece(*faces[id(piece)]))
-
-    def test_a_piece_batch_raises_what_its_first_failing_piece_raises(self):
-        good = (face_loops(1.0)[5], face_loops(2.0)[5])
-        alone = {}
-        for name, (dom, img) in BAD_FACES.items():
-            with pytest.raises(GeometryError) as err:
-                Radial2DPiece(dom, img)
-            alone[name] = err.value
-        assert isinstance(alone["kernel"], CertificationFailure)
-        names = list(BAD_FACES)
-        for k in range(len(names)):
-            order = names[k:] + names[:k]
-            with pytest.raises(GeometryError) as err:
-                radial_pieces([good] + [BAD_FACES[name] for name in order])
-            assert type(err.value) is type(alone[order[0]])
-            assert str(err.value) == str(alone[order[0]])
+    def test_a_bad_face_is_refused(self):
+        # loops of different lengths raise at the piece; a face fan about a
+        # centre that does not see the whole image face builds, and its
+        # chart is refused by the exact cone signs at the first fan over
+        # an edge of the U's notch
+        with pytest.raises(GeometryError, match="vertex correspondence requires equal counts"):
+            centroid_fan(TOP_LOOP, U_LOOP[:7])
+        piece = centroid_fan(TOP_LOOP, U_LOOP)
+        assert [cell[1][0] for cell in piece.cells] == [face_centre(U_LOOP)] * 8
+        with pytest.raises(GeometryError) as err:
+            chart_with_face(lambda loop: piece)
+        assert str(err.value) == ("facet 5 piece 0 cell 3: the image cone of fan triangle 0 "
+                                  "about the codomain centre [0.0, 0.0, 0.0] is not oriented "
+                                  "as its domain cone")
 
     def test_radial_maps_are_the_maps_built_one_by_one(self, build):
         # the A'' maps again, one batch against one map at a time
@@ -587,7 +562,9 @@ class TestRadial2D:
     def test_round_trip_on_nonconvex_image(self):
         sq = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.875), (0.5, 0.0)]
         img = [(0.0, 0.0), (0.0, 4.0), (4.0, 4.0), (2.0, 3.5), (2.0, 0.0)]
-        a, b = _star_centres([sq, img])
+        # img is the A' image face "P0 P1 T1 Q1 Q0" in (x2, x3), about its
+        # stated centre, and sq a quarter of it
+        a, b = (0.21875, 0.90625), (0.875, 3.625)
         rng = np.random.default_rng(5)
         worst = 0.0
         n = 0
