@@ -119,12 +119,14 @@ class SurrogateSpec:
     """Closed-form log-domain continuation for the tail of an orbit, the
     radial square: |x_{k+1}| = |x_k|^2 + c with 0 <= c <= translate
     (direction-independent bound); exact for orbits on the invariant axis.
+    ``regime`` holds on the invariant regions where the bound does: x1 >= 0
+    in the plane (there |h(w) - w| <= 2) and x3 < 0 in space.
     """
 
     translate: float = 0.0
 
     def regime(self, point) -> bool:
-        return len(point) == 2 or point[2] < 0
+        return point[0] >= 0.0 if len(point) == 2 else point[2] < 0
 
 
 @dataclass

@@ -2,30 +2,32 @@
 
 g is the identity below {x3 = 0}, equals the exponential-type expanding map
 F above {x3 = L}, and interpolates in the slab through an atlas of five
-radial-extension charts over one period cell [0,2]^2 (a cuboid onto a nine
-face polyhedron below level 1, and four cuboids onto star-shaped solids
-between levels 1 and L).  Reflections in {x1 = 2}, {x2 = 2} and period-4
-translations extend the atlas to the whole slab.  f is g followed by a
-downward translation large enough that the whole slab maps below zero.
+radial-extension charts over the base block [0,2]^2 x [0,L] (a cuboid onto
+a nine face polyhedron below level 1, and four cuboids onto star-shaped
+solids between levels 1 and L).  Reflections in {x1 = 2}, {x2 = 2} and
+period-4 translations extend the atlas to the whole slab.  f is g followed
+by a downward translation large enough that the whole slab maps below zero.
 
 The atlas is data: ``_CHARTS`` gives each chart's box, image-solid centre
 (a dyadic point), boundary faces per box facet and image-solid facets, by
-the names of the vertices of ``VertexTable``, and ``_build_charts`` builds
-any rows of it.  A face fan is about the face's area centroid
-(``pieces.face_centre``), and about its image's, except for the two image
-centres that ``_IMAGE_FACE_CENTRES`` states.  No centre is searched for:
-the cone signs certify every one that the build uses.  Every boundary
-piece is affine on triangles, so each chart is exactly affine on the cones
-from its domain centre over those triangles: 37 cells for A' and 26 for
-each A'' chart.  Each chart's ``RadialMap`` is those cells, and evaluates
-and inverts the chart; ``GlobalMap`` evaluates the slab by the charts'
-``eval3``.  Every certificate is a finite check on the cells: each chart's
-cone signs certify its image solid's centre and its face centres,
-``build_maps`` requires a positive determinant on every cell and validates
-each chart's boundary map on the cell vertices, L' bounds the image
-heights of the cell vertices, and the audits read the orientation and the
-dilatation off the cells' linear parts and check the seams at the
-vertices of the cells on each face.
+the names of the vertices of ``VertexTable``.  Every boundary piece is
+affine on triangles, so each chart is exactly affine on the cones from its
+domain centre over them: 37 cells for A' and 26 for each A'' chart, which
+its ``RadialMap`` evaluates and inverts.  A build stacks the 141 cells once,
+as the ``CellTable`` that g and f share and every certificate reads.
+
+g is K-quasiregular, K = max(K_slab, K_F).  When ``audit_seams`` finds no
+fault in the block's cell complex, charts that share a polygon map it by the
+same affine data, the slab meets the identity at x3 = 0 and F at x3 = L (F
+is affine on each level-L triangle, which lies in one crease region of its
+pyramid), and the reflected and translated copies of the block glue along
+the side planes: g is continuous.  ``certify_cell_orientation`` gives
+det > 0 on each cell, where g is affine with dilatation at most K_slab, and
+above L, F is smooth with distortion at most K_F.  So g lies in
+W^{1,3}_loc with |Dg|^3 <= K det Dg almost everywhere: g, and so f, is
+K-quasiregular (Rickman, *Quasiregular Mappings*, Springer 1993, ch. I).
+The cells' float linear parts agree with the exact targets up to the
+residual that ``audit_seams`` reports.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from typing import Dict
 import numpy as np
 
 from . import zorich
-from .cones import _cross
+from .cones import _cross, _starts
 from .geometry import GeometryError, _det3_signs, star_shapes
 from .pieces import FormulaPiece, IdentityPiece, Radial2DPiece, face_centre
-from .star_extend import Box, RadialMap, ValidationReport, radial_maps
+from .star_extend import Box, RadialMap, ValidationReport, _mapped_points, radial_maps
 
 
 # --- fixed interpolation data: point names, coordinates and images ---------
@@ -254,15 +256,11 @@ class GlobalMap:
     (x1, x2) mod 4 into [0,4)^2, reflect into the base block [0,2]^2 while
     recording the isometry, pick the owning cell chart (A' up to level 1,
     above it the A'' chart of the quadrant, ties going to the lower index),
-    evaluate its affine cells, then undo the isometry.  The chart's
-    ``RadialMap.eval3`` finds the exit facet of the ray from the chart's
-    domain centre, the boundary piece by its angle about the vertices the
-    facet's pieces share, the cell by its angle about the vertices the
-    piece's cells share, and applies that cell's affine map, as its ``eval``
-    does after refusing points outside the box.  The charts' ``eval3``
-    methods are bound once, at construction, and called from
-    ``_slab_evals``, so that the slab, like F (``zorich.F_scalar``), takes
-    one Python frame besides ``eval3``'s own.
+    evaluate its affine cells (``RadialMap.eval3``), then undo the isometry.
+    The charts' ``eval3`` methods are bound once, at construction, and
+    called from ``_slab_evals``, so that the slab, like F
+    (``zorich.F_scalar``), takes one Python frame besides ``eval3``'s own.
+    ``table`` is the ``CellTable`` of the charts, which the audits read.
 
     Each regime subtracts the shift from the third coordinate of its own
     result: L' in mode "f", 0.0 in mode "g" (x - 0.0 is x bitwise, -0.0
@@ -275,20 +273,19 @@ class GlobalMap:
     point through unchecked.
     """
 
-    def __init__(self, charts, L, L_prime=None, mode="g"):
+    def __init__(self, table, L, L_prime=None, mode="g"):
         if mode not in ("g", "f"):
             raise ValueError("mode must be 'g' or 'f'")
         if mode == "f" and L_prime is None:
             raise ValueError("mode 'f' requires the translation constant")
-        self.charts = list(charts)
+        self.table = table
+        self.charts = table.charts
         self.by_id = {c.cell_id: c for c in self.charts}
         self.L = float(L)
         self.L_prime = float(L_prime) if L_prime is not None else None
         self.mode = mode
         self._shift = self.L_prime if mode == "f" else 0.0
-        self._aprime = self.by_id["A'"]
-        self._cells = [self.by_id[f"A''{i}"] for i in (1, 2, 3, 4)]
-        self._slab_charts = [self._aprime] + self._cells
+        self._slab_charts = [self.by_id[cid] for cid in ("A'", "A''1", "A''2", "A''3", "A''4")]
         self._slab_evals = [c.map.eval3 for c in self._slab_charts]
         allv = np.vstack([c.map.codomain.vertices for c in self.charts])
         self.image_diameter = float(np.linalg.norm(allv.max(axis=0) - allv.min(axis=0)))
@@ -332,42 +329,93 @@ class GlobalMap:
         return self.eval(p)
 
 
+# ---------------------------------------------------------------------------
+# the base block's cells, stacked once per build
+
+class CellTable:
+    """The affine cells of the slab charts ``charts`` (the base block's 141
+    in a build), stacked once in chart order for every certificate.
+
+    Per cell: ``chart`` (its index into ``charts``), ``labels`` (its label
+    in its chart), ``a`` and ``b`` (its chart's centres), ``linear`` (A: the
+    cell maps p to b + A (p - a)), ``sizes`` and ``starts`` (its polygon's
+    vertex count and first row), ``signs`` and ``dets`` (the exact sign and
+    the float cofactor expansion of det A from ``geometry._det3_signs``; a
+    non-finite A counts as zero and has NaN), and ``s_max``, ``s_min`` and
+    ``k`` = max(s_max^3 / det, det / s_min^3), inf where det <= 0 (from
+    ``_cell_spectra``).  Per polygon vertex, cell after cell: ``points``,
+    ``targets`` (its image under the boundary piece), ``point_ids`` (its
+    point, numbered over the block by exact coordinates) and ``images``
+    (b + A (p - a) under its own cell's A)."""
+
+    def __init__(self, charts):
+        self.charts = list(charts)
+        maps = [c.map for c in self.charts]
+        counts = [len(m.linear) for m in maps]
+        self.chart = np.repeat(np.arange(len(maps)), counts)
+        self.labels = [label for m in maps for label in m.labels]
+        self.a, self.b = (np.repeat([getattr(m, end) for m in maps], counts, axis=0)
+                          for end in ("_a", "_b"))
+        self.linear, self.sizes, self.points, self.targets = (
+            np.concatenate([getattr(m, name) for m in maps])
+            for name in ("linear", "sizes", "points", "targets"))
+        self.starts = _starts(self.sizes)
+        number = {}
+        self.point_ids = np.array([number.setdefault(p, len(number))
+                                   for p in map(tuple, self.points.tolist())])
+        self.images = np.repeat(self.b, self.sizes, axis=0) + _mapped_points(
+            self.points - np.repeat(self.a, self.sizes, axis=0), self.sizes, self.linear)
+        finite = np.isfinite(self.linear).all(axis=(1, 2))
+        self.signs, dets = _det3_signs(np.where(finite[:, None, None], self.linear, 0.0), 0.0)
+        self.dets = np.where(finite, dets, math.nan)
+        det, self.s_max, self.s_min = _cell_spectra(self.linear)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.maximum(self.s_max ** 3 / det, det / self.s_min ** 3)
+        self.k = np.where(det > 0.0, k, math.inf)
+
+    def per_chart(self, column):
+        """{chart id: its cells' slice of the per-cell ``column``}."""
+        return {c.cell_id: column[self.chart == i] for i, c in enumerate(self.charts)}
+
+
 # how far a cell's affine map may lift a cell vertex above the image vertices
 _HEIGHT_TOL = 1e-9
 
 
 def derive_translation_constant(g: GlobalMap) -> float:
     """L' = 1 + (largest third coordinate over all chart image vertices).
-
     The slab map is affine on every cell, and the reflections and period-4
     translations keep the third coordinate, so the slab's image height is
-    largest at a cell vertex.  Raises ConstructionError if a cell's affine
-    map lifts one of its vertices above that bound."""
+    largest at a cell vertex.  Raises ConstructionError naming the first
+    chart whose cells lift a vertex (``images`` of g's table) above it."""
     if g.mode != "g":
         raise ValueError("derive the translation constant from the unshifted map")
     vmax = g.max_image_height
-    for chart in g.charts:
-        _, images = chart.map.vertex_images()
-        worst = float(images[:, 2].max())
-        if worst > vmax + _HEIGHT_TOL:
+    t = g.table
+    for cid, heights in t.per_chart(np.maximum.reduceat(t.images[:, 2], t.starts)).items():
+        if heights.max() > vmax + _HEIGHT_TOL:
             raise ConstructionError(
-                f"chart {chart.cell_id}: cell vertex image height {worst} "
+                f"chart {cid}: cell vertex image height {float(heights.max())} "
                 f"exceeds the vertex bound {vmax}")
     return vmax + 1.0
 
 
 # ---------------------------------------------------------------------------
-# audits: finite checks on the charts' cells
+# audits: finite checks on the cell table
 
-# the largest seam disagreement that audit_seams passes, over max(1, image diameter)
+# the largest residual of the cells' linear parts that audit_seams passes,
+# over max(1, image diameter)
 _SEAM_TOL_SCALED = 1e-6
 
 
 @dataclass
 class SeamReport:
-    worst_raw: float
-    worst_scaled: float
-    per_interface: Dict[str, float]
+    """``audit_seams``: its faults in all and per seam, and the residual of
+    the cells' linear parts at their vertices."""
+
+    faults: int
+    residual: float
+    per_interface: Dict[str, int]
     passed: bool
 
 
@@ -386,63 +434,67 @@ class DilatationReport:
     samples: int              # the number of cells
 
 
-def _face_dev(images, chart, facet, target, box=None):
-    """Largest distance between the image of a vertex of a cell on the box
-    facet ``facet`` of the chart, under that cell's affine map, and
-    target(vertex, image), over the vertices in ``box`` (lo, hi) if given;
-    ``images`` holds each chart's ``vertex_images`` of all its cells."""
-    pts, imgs = images[id(chart)]
-    keep = chart.map.point_facet == facet
-    if box is not None:
-        keep &= np.all((box[0] <= pts) & (pts <= box[1]), axis=1)
-    return max(math.dist(w, target(p, w))
-               for p, w in zip(pts[keep].tolist(), imgs[keep].tolist()))
-
-
-def _shared_face_dev(images, one, facet_one, two, facet_two):
-    """Largest disagreement of two charts at the cell vertices on a face
-    they share, each vertex evaluated by the other chart's ``eval3``."""
-    return max(_face_dev(images, one, facet_one, lambda p, w: two.map.eval3(*p),
-                         (two.lo, two.hi)),
-               _face_dev(images, two, facet_two, lambda p, w: one.map.eval3(*p),
-                         (one.lo, one.hi)))
-
-
 def audit_seams(gm: GlobalMap, samples=None, seed=None) -> SeamReport:
-    """Continuity of g across every seam, at the cell vertices on it.
+    """Continuity of g across every seam, decided exactly on the cell
+    complex of g's table, as the module docstring argues.
 
-    Each chart is affine on each cell, and the two sides of a shared face
-    share its pieces, so agreement at the cell vertices is agreement on the
-    face.  Seams: the identity at x3 = 0, F at x3 = L (affine on the same
-    triangles of the top faces), A' against A'' at x3 = 1, the A'' charts
-    at x1 = 1 and x2 = 1, and the faces at x1, x2 in {0, 2}, whose images
-    lie in the same planes, which makes g continuous across the reflections
-    and the period-4 translations.  Each chart's vertex images are one
-    stacked product per chart (``vertex_images``), taken once per call from
-    its map as it is then.  ``samples`` and ``seed`` are unused."""
-    aprime, cells = gm._aprime, gm._cells
-    charts = {id(c): c for c in (aprime, *cells, *gm.charts)}
-    images = {key: c.map.vertex_images() for key, c in charts.items()}
-    per = {
-        "identity/slab x3=0": _face_dev(images, aprime, 4, lambda p, w: p),
-        "slab/F x3=L": max(_face_dev(images, c, 5, lambda p, w: zorich.F_scalar(*p))
-                           for c in cells),
-        "A'/A'' x3=1": max(_shared_face_dev(images, aprime, 5, c, 4) for c in cells),
-        "cells x1=1": max(_shared_face_dev(images, cells[i], 1, cells[i + 1], 0)
-                          for i in (0, 2)),
-        "cells x2=1": max(_shared_face_dev(images, cells[i], 3, cells[i + 2], 2)
-                          for i in (0, 1)),
-    }
-    for axis, name in ((0, "x1"), (1, "x2")):
-        for value, seam in ((2.0, "reflection"), (0.0, "translation")):
-            per[f"{seam} {name}={value:g}"] = max(
-                _face_dev(images, c, 2 * axis + (value == 2.0),
-                          lambda p, w: w[:axis] + [value] + w[axis + 1:])
-                for c in gm.charts if (c.lo[axis], c.hi[axis])[value == 2.0] == value)
-    worst = max(per.values())
-    scale = max(1.0, gm.image_diameter)
-    return SeamReport(worst_raw=worst, worst_scaled=worst / scale, per_interface=per,
-                      passed=worst / scale <= _SEAM_TOL_SCALED)
+    Each polygon lies in the plane of one seam.  A seam's faults are each
+    polygon on it held by other than two charts (an interior face) or one
+    (the block's boundary), each point on it with several targets, and each
+    point of a target other than its point at x3 = 0, other than
+    ``zorich.F_scalar`` of it at x3 = L (or where F does not commute with
+    x_k -> 4 - x_k and x_k -> x_k + 4, k = 1, 2), or off the plane
+    x_k = 0 or 2 that holds it.  ``passed`` needs no fault and a
+    ``residual`` of at most ``_SEAM_TOL_SCALED`` x max(1, image diameter).
+    ``samples`` and ``seed`` are unused."""
+    t, L, F = gm.table, gm.L, zorich.F_scalar
+    pts, targets, ids = t.points, t.targets, t.point_ids
+    n = int(ids.max()) + 1
+    where, image = np.empty((n, 3)), np.empty((n, 3))
+    where[ids], image[ids] = pts, targets
+    # each seam by its plane (axis, level); the interior faces are at level 1
+    planes = {(2, 0.0): "identity/slab x3=0", (2, L): "slab/F x3=L", (2, 1.0): "A'/A'' x3=1",
+              (0, 1.0): "cells x1=1", (1, 1.0): "cells x2=1",
+              (0, 2.0): "reflection x1=2", (1, 2.0): "reflection x2=2",
+              (0, 0.0): "translation x1=0", (1, 0.0): "translation x2=0"}
+    per = dict.fromkeys(planes.values(), 0)
+    # each cell's plane, the axis on which its polygon's points agree
+    lo, hi = (reduce.reduceat(pts, t.starts) for reduce in (np.minimum, np.maximum))
+    axis = np.argmax(lo == hi, axis=1)
+    holders, on = {}, [set() for _ in range(n)]
+    cells = zip(zip(axis.tolist(), lo[np.arange(len(lo)), axis].tolist()), t.chart.tolist(),
+                map(np.ndarray.tolist, np.split(ids, t.starts[1:])))
+    for plane, c, poly in cells:
+        holders.setdefault((plane, tuple(sorted(poly))), []).append(c)
+        for p in poly:
+            on[p].add(planes[plane])
+    for (plane, _), charts in holders.items():
+        want = 2 if plane[1] == 1.0 else 1
+        per[planes[plane]] += len(charts) != want or len(set(charts)) != want
+    for p in np.flatnonzero(np.bincount(ids, (targets != image[ids]).any(axis=1), n)).tolist():
+        for seam in on[p]:
+            per[seam] += 1
+    # F at the level-L points, and whether it commutes there with the
+    # reflections and translations of x1 and x2
+    level = np.full((n, 3), math.nan)
+    for p in np.flatnonzero(where[:, 2] == L).tolist():
+        x1, x2, x3 = where[p].tolist()
+        level[p] = f1, f2, f3 = F(x1, x2, x3)
+        per[planes[(2, L)]] += not (
+            F(4.0 - x1, x2, x3) == (4.0 - f1, f2, f3) and F(x1, 4.0 - x2, x3) == (f1, 4.0 - f2, f3)
+            and F(x1 + 4.0, x2, x3) == (f1 + 4.0, f2, f3)
+            and F(x1, x2 + 4.0, x3) == (f1, f2 + 4.0, f3))
+    faulty = {planes[(2, 0.0)]: (pts[:, 2] == 0.0) & (targets != pts).any(axis=1),
+              planes[(2, L)]: (pts[:, 2] == L) & (targets != level[ids]).any(axis=1)}
+    for k in (0, 1):
+        for v in (0.0, 2.0):
+            faulty[planes[(k, v)]] = (pts[:, k] == v) & (targets[:, k] != v)
+    for seam, rows in faulty.items():
+        per[seam] += int(np.count_nonzero(np.bincount(ids, rows, n)))
+    faults = sum(per.values())
+    residual = float(np.linalg.norm(t.images - targets, axis=1).max())
+    return SeamReport(faults=faults, residual=residual, per_interface=per, passed=faults == 0
+                      and residual <= _SEAM_TOL_SCALED * max(1.0, gm.image_diameter))
 
 
 def _cell_spectra(m):
@@ -503,45 +555,14 @@ def _cell_spectra(m):
         return det, s_max, np.where(s_cof == 0.0, 0.0, np.abs(det) / s_cof)
 
 
-def _per_chart(charts, *stacks):
-    """Each chart of ``charts`` with its own slice of each stack, a stack
-    holding one value per cell of all the charts' cells in order."""
-    ends = np.cumsum([len(c.map.linear) for c in charts])[:-1]
-    return zip(charts, *(np.split(stack, ends) for stack in stacks))
-
-
-def _cell_dets(charts):
-    """(signs, dets) of the linear parts of all the charts' cells, stacked:
-    the exact signs of ``geometry._det3_signs`` (a non-finite cell taken as
-    zero) and its float determinants, the cofactor expansion (8.0 for 2 I),
-    NaN for a non-finite cell."""
-    linear = np.concatenate([c.map.linear for c in charts])
-    finite = np.isfinite(linear).all(axis=(1, 2))
-    signs, dets = _det3_signs(np.where(finite[:, None, None], linear, 0.0), 0.0)
-    return signs, np.where(finite, dets, math.nan)
-
-
 def audit_orientation(gm: GlobalMap, samples_per_chart=None, seed=None) -> OrientationReport:
     """The least determinant of the cells' linear parts, per chart (NaN if
-    a cell is not finite), from ``_cell_dets``.  ``samples_per_chart`` and
-    ``seed`` are unused."""
-    _, dets = _cell_dets(gm.charts)
-    per = {c.cell_id: float(d.min()) for c, d in _per_chart(gm.charts, dets)}
+    a cell is not finite), from the ``dets`` of g's table.
+    ``samples_per_chart`` and ``seed`` are unused."""
+    per = {cid: float(d.min()) for cid, d in gm.table.per_chart(gm.table.dets).items()}
     min_det = min(per.values())
-    return OrientationReport(min_det=min_det, per_chart=per,
-                             samples=sum(len(c.map) for c in gm.charts),
+    return OrientationReport(min_det=min_det, per_chart=per, samples=len(gm.table.dets),
                              passed=min_det > 0.0)
-
-
-def cell_dilatations(charts):
-    """K = max(sigma_max^3 / det, det / sigma_min^3) of the linear part of
-    every cell of the charts (inf where det <= 0, so also for a singular or
-    non-finite linear part, which a build rejects first, in
-    ``certify_cell_orientation``), from ``_cell_spectra``."""
-    det, s_max, s_min = _cell_spectra(np.concatenate([c.map.linear for c in charts]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.maximum(s_max ** 3 / det, det / s_min ** 3)
-    return np.where(det > 0.0, k, math.inf)
 
 
 def _median(values):
@@ -560,8 +581,9 @@ def _median(values):
 
 def audit_dilatation(gm: GlobalMap, samples=None, seed=None) -> DilatationReport:
     """Sup and median of the dilatation over the cells of the slab atlas,
-    on each of which g is affine.  ``samples`` and ``seed`` are unused."""
-    ks = cell_dilatations(gm.charts)
+    on each of which g is affine (the ``k`` of g's table).  ``samples`` and
+    ``seed`` are unused."""
+    ks = gm.table.k
     return DilatationReport(k_sup=float(ks.max()), k_median=_median(ks), samples=len(ks))
 
 
@@ -582,23 +604,19 @@ class BuildResult:
     phase_s: Dict[str, float] = field(default_factory=dict)
 
 
-def certify_cell_orientation(charts):
-    """(number of affine cells, least determinant of their linear parts).
-
-    Each chart is affine on each cell, so a positive determinant on every
-    cell makes every chart orientation preserving.  The signs and the
-    least determinant come from one ``_cell_dets``: the signs exact, the
-    determinant the float of ``geometry._det3_signs``.  Raises
-    ConstructionError naming the first chart with a cell of determinant
-    that is not positive, and the first such cell."""
-    signs, dets = _cell_dets(charts)
-    for chart, chart_signs in _per_chart(charts, signs):
-        bad = np.flatnonzero(chart_signs <= 0)
-        if bad.size:
-            raise ConstructionError(
-                f"chart {chart.cell_id}, {chart.map.labels[bad[0]]}: linear part "
-                f"{chart.map.linear[bad[0]].tolist()} has a determinant that is not positive")
-    return len(dets), float(dets.min())
+def certify_cell_orientation(table: CellTable):
+    """(number of affine cells, least determinant of their linear parts),
+    from the table's exact ``signs`` and float ``dets``.  Each chart is
+    affine on each cell, so a positive determinant on every cell makes it
+    orientation preserving.  Raises ConstructionError naming the first cell
+    of determinant that is not positive, and its chart."""
+    bad = np.flatnonzero(table.signs <= 0)
+    if bad.size:
+        k = bad[0]
+        raise ConstructionError(
+            f"chart {table.charts[table.chart[k]].cell_id}, {table.labels[k]}: linear part "
+            f"{table.linear[k].tolist()} has a determinant that is not positive")
+    return len(table.dets), float(table.dets.min())
 
 
 def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
@@ -613,21 +631,13 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
 
     The two chart phases, ``build_aprime_chart`` (A') and
     ``build_asecond_charts`` (the four A'' charts), are each one
-    ``_build_charts`` call on rows of ``_CHARTS``: the face fans about the
-    faces' area centroids or stated image centres, one
-    ``geometry.star_shapes`` batch of the image solids about their stated
-    centres and one ``star_extend.radial_maps`` pass that stacks the cells,
-    each chart's domain a ``star_extend.Box``.  Before any solve, the pass
-    takes the exact cone signs of all its cells' fan triangles: each image
-    cone about its solid's centre must have the orientation of its domain
-    cone.  With the degree-one boundary map that the validation checks,
-    this proves that the ray from each centre crosses its solid's boundary
-    once, as the radial extension and ``psi`` need, and that each face fan
-    is star about its centres; no centre is searched for.  Each chart's boundary map is then validated by its own
-    ``RadialMap.validate_boundary_map`` call, on the cells and facet planes
-    computed when it was built: its seams exactly, as a cell complex whose
-    cells meet edge to edge and give each point one image, so the affine
-    cells agree on every shared edge.
+    ``_build_charts`` call, whose ``star_extend.radial_maps`` pass takes
+    the exact cone signs of all its cells before any solve: with the
+    degree-one boundary map that the validation checks, they prove that the
+    ray from each centre crosses its solid's boundary once and that each
+    face fan is star about its centres.  The cells are then stacked once
+    (``CellTable``) for g, f and every certificate, and each chart's
+    boundary map is validated exactly by ``RadialMap.validate_boundary_map``.
 
     ``phase_s`` holds the wall seconds of the five build phases, named by
     module and function (the boundary-map validation summed over the
@@ -647,11 +657,12 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     aprime = timed("global_map.build_aprime_chart", build_aprime_chart, vt)
     cells = timed("global_map.build_asecond_charts", build_asecond_charts, vt, aprime)
     charts = [aprime] + cells
-    n_cells, min_cell_det = certify_cell_orientation(charts)
-    g = GlobalMap(charts, L)
+    table = CellTable(charts)
+    n_cells, min_cell_det = certify_cell_orientation(table)
+    g = GlobalMap(table, L)
     L_prime = timed("global_map.derive_translation_constant",
                     derive_translation_constant, g)
-    f = GlobalMap(charts, L, L_prime, mode="f")
+    f = GlobalMap(table, L, L_prime, mode="f")
     g.L_prime = L_prime
     validations = {}
     if validate:
@@ -664,22 +675,21 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     return BuildResult(constants=constants, vertex_table=vt, g=g, f=f,
                        L_prime=L_prime, cells=n_cells,
                        min_cell_det=min_cell_det,
-                       K_slab=float(cell_dilatations(charts).max()),
+                       K_slab=float(table.k.max()),
                        validations=validations, phase_s=phase_s)
 
 
-def chart_lipschitz(charts):
-    """{chart id: its Lipschitz constants} for the charts, from the linear
-    parts A of each chart's cells: ``box``, max sigma_max(A), the Lipschitz
-    constant of the chart on its box (convex, and the chart is continuous
-    and affine on each cell), and ``inverse``, max 1 / sigma_min(A), the
-    local Lipschitz constant of its inverse; ``method`` names how they were
-    taken.  One ``_cell_spectra`` of all the charts' cells, split per chart,
-    gives each chart the values that a pass over its own cells gives."""
-    _, s_max, s_min = _cell_spectra(np.concatenate([c.map.linear for c in charts]))
-    return {chart.cell_id: {"method": "cells-closed-form", "box": float(top.max()),
-                            "inverse": float((1.0 / least).max())}
-            for chart, top, least in _per_chart(charts, s_max, s_min)}
+def chart_lipschitz(table: CellTable):
+    """{chart id: its Lipschitz constants} for the charts of the table, from
+    the singular values of each chart's cells: ``box``, max sigma_max(A),
+    the Lipschitz constant of the chart on its box (convex, and the chart is
+    continuous and affine on each cell), and ``inverse``, max
+    1 / sigma_min(A), the local Lipschitz constant of its inverse; ``method``
+    names how they were taken."""
+    s_max, s_min = table.per_chart(table.s_max), table.per_chart(table.s_min)
+    return {cid: {"method": "cells-closed-form", "box": float(top.max()),
+                  "inverse": float((1.0 / s_min[cid]).max())}
+            for cid, top in s_max.items()}
 
 
 def build_report(build: BuildResult) -> dict:
@@ -687,9 +697,7 @@ def build_report(build: BuildResult) -> dict:
     cell determinant, the largest cell dilatation, each chart's validation
     verdict, the wall seconds of each build phase (``phase_s``) and each
     chart's Lipschitz constants (``lipschitz``, from ``chart_lipschitz``).
-    Every chart passed its cone signs when it was built, so the ray from
-    its image solid's centre crosses the solid's boundary once and ``psi``
-    is defined on it.  ``qrdyn build --json`` prints it."""
+    ``qrdyn build --json`` prints it."""
     c = build.constants
     return {
         "c0": c.c0,
@@ -704,7 +712,7 @@ def build_report(build: BuildResult) -> dict:
         "K_slab": build.K_slab,
         "validations": {cid: rep.passed for cid, rep in build.validations.items()},
         "phase_s": dict(build.phase_s),
-        "lipschitz": chart_lipschitz(build.g.charts),
+        "lipschitz": chart_lipschitz(build.g.table),
     }
 
 

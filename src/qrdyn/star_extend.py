@@ -122,22 +122,18 @@ class RadialMap:
     Construction (``_build_maps``, over one or several maps) stacks the
     cells once, in cell order (facet by facet, piece by piece): ``points``
     and ``targets`` hold every cell polygon's vertices and their images
-    under the boundary piece, cell after cell (``sizes`` per cell;
-    ``point_facet`` the box facet of each vertex and ``point_ids`` its
-    point, the distinct points numbered 0, 1, ...), ``owner`` the index
-    into ``pieces`` (the distinct pieces, in cell order) of each cell's
-    piece, and ``fans`` the rows of the fan triangles (0, i, i + 1) of every
-    polygon, with ``fan_cell`` the cell of each.  The linear parts
+    under the boundary piece, cell after cell (``sizes`` per cell,
+    ``point_ids`` the point of each vertex, numbered 0, 1, ...), ``owner``
+    the index into ``pieces`` (the distinct pieces, in cell order) of each
+    cell's piece, and ``fans`` the rows of the fan triangles (0, i, i + 1)
+    of every polygon, with ``fan_cell`` the cell of each.  The linear parts
     (``linear``), the sector entries, the fan frames of the image cells,
-    ``vertex_images`` and the boundary-map validation all read these arrays.
+    the boundary-map validation and ``global_map.CellTable`` read them.
     """
 
     def __init__(self, domain: Box, codomain: StarShape,
                  pieces_by_facet, piece_by_codomain_facet):
         _build_maps([self], [(domain, codomain, pieces_by_facet, piece_by_codomain_facet)])
-
-    def __len__(self):
-        return len(self.labels)
 
     def eval(self, p):
         x, y, z = float(p[0]), float(p[1]), float(p[2])
@@ -199,13 +195,6 @@ class RadialMap:
                 az + m[6] * dx + m[7] * dy + m[8] * dz)
 
     # -- diagnostics -------------------------------------------------------
-
-    def vertex_images(self):
-        """(points, images): the polygon vertices of every cell, each with
-        its image under that cell's own affine map, from the linear parts as
-        they are at the call."""
-        return self.points, np.asarray(self._b) + _mapped_points(
-            self.points - self._a, self.sizes, self.linear)
 
     def validate_boundary_map(self) -> ValidationReport:
         """Exact check of the boundary map on the pieces' affine cells, as
@@ -581,7 +570,7 @@ def _build_maps(maps, specs):
         p1, t1 = int(starts[c1 - 1] + sizes[c1 - 1]), at[c1]
         rmap.sizes, rmap.owner = sizes[c0:c1], np.array(owner[c0:c1])
         rmap.points, rmap.targets = points[p0:p1], targets[p0:p1]
-        rmap.point_facet, rmap.linear = point_facet[p0:p1], linear[c0:c1]
+        rmap.linear = linear[c0:c1]
         rmap.fan_cell, rmap.fans = fan_cell[t0:t1] - c0, fans[t0:t1] - p0
         number = {}       # each distinct point of the map, numbered
         rmap.point_ids = np.array([number.setdefault(q, len(number))

@@ -62,6 +62,7 @@ tests.
   closed form.
 """
 
+import functools
 import math
 from bisect import bisect_right
 from collections import namedtuple
@@ -234,17 +235,26 @@ def frame_to3d(frame, u, v):
     return tuple(map(float, origin + u * e1 + v * e2))
 
 
-def _radial_2d_3d(piece, side, p):
-    """The 2D radial extension of a Radial2D piece's fan from ``side`` (0,
-    the domain face, or 1, the image face) onto the other side's fan, at a
-    point p of the face: each face and its centre (the apex of its fan) in
-    the frame that ``frame_rows`` gives its loop."""
+@functools.lru_cache(maxsize=None)
+def _face_frames(piece, side):
+    """(source frame, target frame, source loop, target loop, source centre,
+    target centre) of a Radial2D piece's fan from ``side`` (0, the domain
+    face, or 1, the image face) onto the other side's: each face and its
+    centre (the apex of its fan) in the frame that ``frame_rows`` gives its
+    loop, taken once per piece and side."""
     (src, a), (dst, b) = (([cell[j][1] for cell in piece.cells], piece.cells[0][j][0])
                           for j in (side, 1 - side))
     fs, fd = frame_rows(src), frame_rows(dst)
-    w = _radial_2d([frame_to2d(fs, q) for q in src], [frame_to2d(fd, q) for q in dst],
-                   frame_to2d(fs, a), frame_to2d(fd, b), *frame_to2d(fs, p))
-    return frame_to3d(fd, *w)
+    return (fs, fd, [frame_to2d(fs, q) for q in src], [frame_to2d(fd, q) for q in dst],
+            frame_to2d(fs, a), frame_to2d(fd, b))
+
+
+def _radial_2d_3d(piece, side, p):
+    """The 2D radial extension of a Radial2D piece's fan from ``side`` onto
+    the other side's fan, at a point p of the face, in the frames of
+    ``_face_frames``."""
+    fs, fd, src, dst, a, b = _face_frames(piece, side)
+    return frame_to3d(fd, *_radial_2d(src, dst, a, b, *frame_to2d(fs, p)))
 
 
 def eval_piece(piece, h):

@@ -15,8 +15,8 @@ from oracles import (_cell_index, cell_linear_part, cell_vertex_images, facet_is
                      triangulate_planar_rows)
 from qrdyn.geometry import (GeometryError, StarShape, _det3_signs, _facet_coordinates,
                             _triangulate_planar)
-from qrdyn.global_map import (ConstructionError, _cell_spectra, audit_orientation,
-                              cell_dilatations, certify_cell_orientation, chart_lipschitz)
+from qrdyn.global_map import (CellTable, ConstructionError, _cell_spectra, audit_orientation,
+                              certify_cell_orientation, chart_lipschitz)
 from qrdyn.star_extend import RadialMap
 
 
@@ -62,7 +62,7 @@ def _box_points(chart, rng, interior=2000, face=200, diagonal=41, edge=8):
 
 class TestCells:
     def test_cell_counts(self, build):
-        counts = {c.cell_id: len(c.map) for c in build.g.charts}
+        counts = {c.cell_id: len(c.map.labels) for c in build.g.charts}
         assert counts == {"A'": 37, "A''1": 26, "A''2": 26, "A''3": 26, "A''4": 26}
         assert build.cells == 141
 
@@ -89,10 +89,10 @@ class TestCells:
             mp_sv = np.array([sorted(map(float, sv), reverse=True) for sv, _ in exact])
             mp_det = np.array([float(det) for _, det in exact])
         det, s_max, s_min = _cell_spectra(m)
-        got = cell_dilatations(charts)
+        got = build.g.table.k
         assert len(got) == 141
         assert build.K_slab == float(got.max())
-        lips = chart_lipschitz(charts).values()
+        lips = chart_lipschitz(build.g.table).values()
         ends = np.cumsum([len(c.map.linear) for c in charts])[:-1]
         rel = dict(rtol=1e-12, atol=0.0)
         for sv, want_det in ((np.linalg.svd(m, compute_uv=False), np.linalg.det(m)),
@@ -107,10 +107,12 @@ class TestCells:
                 assert lip["inverse"] == pytest.approx((1.0 / part[:, -1]).max(), rel=1e-12)
 
     def test_vertex_images_are_the_radial_images(self, build):
-        for chart in build.g.charts:
-            pts, images = chart.map.vertex_images()
-            want = np.array([radial_eval(chart.map, p) for p in pts.tolist()])
-            assert np.allclose(images, want, rtol=0,
+        table = build.g.table
+        chart_of = np.repeat(table.chart, table.sizes)
+        for i, chart in enumerate(table.charts):
+            rows = chart_of == i
+            want = np.array([radial_eval(chart.map, p) for p in table.points[rows].tolist()])
+            assert np.allclose(table.images[rows], want, rtol=0,
                                atol=1e-12 * chart.map.codomain.diameter)
 
     def test_table_matches_radial_map(self, build):
@@ -180,7 +182,7 @@ class TestCells:
 
 
 class TestCellSpectra:
-    """The closed-form kernel of ``cell_dilatations`` and ``chart_lipschitz``
+    """The closed-form kernel of the table's dilatations and ``chart_lipschitz``
     (``global_map._cell_spectra``): its exact, singular and non-finite
     cases, and the error bound of its docstring against LAPACK."""
 
@@ -192,13 +194,12 @@ class TestCellSpectra:
     def test_repeated_singular_values_are_exact(self, m, want):
         assert tuple(float(x[0]) for x in _cell_spectra(m[None])) == want
 
-    def test_singular_matrix(self):
+    def test_singular_matrix(self, build):
         m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
         det, s_max, s_min = _cell_spectra(m[None])
         assert (det[0], s_min[0]) == (0.0, 0.0)
         assert s_max[0] == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-14)
-        assert cell_dilatations([types.SimpleNamespace(
-            map=types.SimpleNamespace(linear=m[None]))])[0] == math.inf
+        assert CellTable([_chart(build, m[None])]).k[0] == math.inf
 
     def test_random_matrices_within_the_documented_bound(self):
         m = np.random.default_rng(11).standard_normal((2000, 3, 3))
@@ -227,21 +228,19 @@ class TestCellSpectra:
             part = _cell_spectra(m[start:start + n])
             assert [x.tobytes() for x in part] == [x[start:start + n].tobytes()
                                                    for x in whole]
-        charts = build.g.charts
-        lips = chart_lipschitz(charts)
-        for chart in charts:
+        lips = chart_lipschitz(build.g.table)
+        for chart in build.g.charts:
             _, s_max, s_min = _cell_spectra(chart.map.linear)
             assert lips[chart.cell_id] == {"method": "cells-closed-form",
                                            "box": float(s_max.max()),
                                            "inverse": float((1.0 / s_min).max())}
 
-    def test_nan_cell_has_infinite_dilatation(self):
+    def test_nan_cell_has_infinite_dilatation(self, build):
         bad = np.eye(3)
         bad[1, 2] = math.nan
-        charts = [types.SimpleNamespace(map=types.SimpleNamespace(
-            linear=np.array([3.0 * np.eye(3), bad])))]
-        assert cell_dilatations(charts).tolist() == [1.0, math.inf]
-        assert all(math.isnan(x[1]) for x in _cell_spectra(charts[0].map.linear))
+        linear = np.array([3.0 * np.eye(3), bad])
+        assert CellTable([_chart(build, linear)]).k.tolist() == [1.0, math.inf]
+        assert all(math.isnan(x[1]) for x in _cell_spectra(linear))
 
 
 def _near_centre(chart, rng, count=50):
@@ -380,18 +379,26 @@ class TestSlabDispatch:
         assert worst <= tol
 
 
+def _chart(build, linear):
+    """A chart "A''9" of the first len(linear) cells of the A' map, with
+    the linear parts ``linear`` and labels on facet 0."""
+    rmap = copy.copy(build.g.by_id["A'"].map)
+    n = len(linear)
+    rows = int(rmap.sizes[:n].sum())
+    rmap.linear = np.array(linear, dtype=float)
+    rmap.sizes, rmap.points, rmap.targets = rmap.sizes[:n], rmap.points[:rows], rmap.targets[:rows]
+    rmap.labels = [f"facet 0 piece 0 cell {j}" for j in range(n)]
+    return types.SimpleNamespace(cell_id="A''9", map=rmap)
+
+
 class TestCellOrientation:
     def _chart(self, build, dets):
-        # a copy of the A' map whose cells have the linear parts
-        # diag(det, 1, 1)
-        rmap = copy.copy(build.g.by_id["A'"].map)
-        rmap.linear = np.array([np.diag([d, 1.0, 1.0]) for d in dets])
-        rmap.labels = [f"facet 0 piece 0 cell {j}" for j in range(len(dets))]
-        return types.SimpleNamespace(cell_id="A''9", map=rmap)
+        # the first cells of the A' map with the linear parts diag(det, 1, 1)
+        return _chart(build, [np.diag([d, 1.0, 1.0]) for d in dets])
 
     def test_counts_and_least_det(self, build):
-        assert certify_cell_orientation([self._chart(build, [2.0, 0.5]),
-                                         self._chart(build, [1.0])]) == (3, 0.5)
+        assert certify_cell_orientation(CellTable([self._chart(build, [2.0, 0.5]),
+                                                   self._chart(build, [1.0])])) == (3, 0.5)
 
     def test_the_least_det_of_2i_is_8(self, build):
         # numpy's det is sign * exp(sum log |u_ii|) of the LU factors, 8 - 2
@@ -400,8 +407,8 @@ class TestCellOrientation:
         chart = self._chart(build, [1.0])
         chart.map.linear = 2.0 * np.eye(3)[None]
         assert np.linalg.det(chart.map.linear)[0] != 8.0
-        assert certify_cell_orientation([chart]) == (1, 8.0)
-        rep = audit_orientation(types.SimpleNamespace(charts=[chart]))
+        assert certify_cell_orientation(CellTable([chart])) == (1, 8.0)
+        rep = audit_orientation(types.SimpleNamespace(table=CellTable([chart])))
         assert (rep.min_det, rep.per_chart, rep.passed) == (8.0, {"A''9": 8.0}, True)
 
     def test_a_nan_cell_reads_nan_in_the_audit(self, build):
@@ -409,7 +416,7 @@ class TestCellOrientation:
         # cell counting as least
         chart, other = self._chart(build, [1.0, math.nan, 0.5]), self._chart(build, [2.0])
         other.cell_id = "A''8"
-        rep = audit_orientation(types.SimpleNamespace(charts=[chart, other]))
+        rep = audit_orientation(types.SimpleNamespace(table=CellTable([chart, other])))
         assert math.isnan(rep.per_chart["A''9"]) and rep.per_chart["A''8"] == 2.0
         assert math.isnan(rep.min_det) and not rep.passed
 
@@ -417,7 +424,7 @@ class TestCellOrientation:
     @pytest.mark.parametrize("bad", [-0.25, 0.0, math.nan])
     def test_non_positive_det_names_chart_and_cell(self, build, bad):
         with pytest.raises(ConstructionError, match=r"A''9, facet 0 piece 0 cell 1"):
-            certify_cell_orientation([self._chart(build, [1.0, bad, 3.0])])
+            certify_cell_orientation(CellTable([self._chart(build, [1.0, bad, 3.0])]))
 
     def test_signs_are_exact(self, build):
         # the sign of every cell's determinant, as the build certifies it,
@@ -427,7 +434,7 @@ class TestCellOrientation:
         signs = _det3_signs(linear, 0.0)[0].tolist()
         exact = [_fraction_det(m) for m in linear]
         assert signs == [(d > 0) - (d < 0) for d in exact] == [1] * 141
-        assert certify_cell_orientation(build.g.charts) == (141, build.min_cell_det)
+        assert certify_cell_orientation(build.g.table) == (141, build.min_cell_det)
 
     def test_rank_deficient_cell_names_its_chart(self, build):
         # row 3 is row 1 + row 2, but numpy's det of it is +1.3e-15: the
@@ -436,7 +443,7 @@ class TestCellOrientation:
         chart.map.linear[1] = [[-1.0, -2.0, 0.0], [6.0, 6.0, 2.0], [5.0, 4.0, 2.0]]
         assert _fraction_det(chart.map.linear[1]) == 0
         with pytest.raises(ConstructionError, match=r"A''9, facet 0 piece 0 cell 1"):
-            certify_cell_orientation([chart])
+            certify_cell_orientation(CellTable([chart]))
 
 
 def _fraction_det(m):
@@ -510,7 +517,7 @@ class TestBuildMatchesOracles:
                 want = sector_entry([[dom for dom, _ in p.cells] for p in pieces], entries, iu, iv)
                 want = ((False,) + entries[0]) if len(pieces) == 1 else (True,) + want
                 assert _bits(rmap._consts[-1][facet]) == _bits((iu, iv) + want)
-            assert k == len(rmap)
+            assert k == len(rmap.labels)
 
     def test_tables_of_a_batch_are_built_alone(self, build):
         # the four A'' maps come from one stacked pass (radial_maps); each
@@ -519,29 +526,29 @@ class TestBuildMatchesOracles:
             rmap = chart.map
             alone = RadialMap(rmap.domain, rmap.codomain, rmap.pieces_by_facet,
                               rmap.piece_by_codomain_facet)
-            for name in ("linear", "points", "targets", "sizes", "owner", "point_facet",
-                         "point_ids", "fans", "fan_cell"):
+            for name in ("linear", "points", "targets", "sizes", "owner", "point_ids", "fans",
+                         "fan_cell"):
                 assert getattr(rmap, name).tobytes() == getattr(alone, name).tobytes(), name
             assert _bits((rmap._consts, rmap._all_image_cells, rmap.labels)) \
                 == _bits((alone._consts, alone._all_image_cells, alone.labels))
             assert _bits(rmap._image_cells) == _bits(alone._image_cells)
 
     def test_build_constants(self, build):
-        # each cell's vertex images, L', the least cell determinant and the
-        # largest dilatation against their one-cell-at-a-time references
-        dets, ks = [], []
+        # each cell's vertex images in the stacked table, L', the least cell
+        # determinant and the largest dilatation against their
+        # one-cell-at-a-time references
+        table = build.g.table
+        dets, ks, polygons, want = [], [], [], []
         for chart in build.g.charts:
             rmap = chart.map
-            pts, images = rmap.vertex_images()
-            polygons = _polygons(rmap)
-            want = [cell_vertex_images(rmap._a, rmap._b, dom, m)
-                    for dom, m in zip(polygons, rmap.linear)]
-            assert pts.tobytes() == np.concatenate(polygons).tobytes()
-            assert images.tobytes() == np.concatenate(want).tobytes()
-            assert float(images[:, 2].max()) <= build.L_prime - 1.0 + 1e-9
+            polygons += _polygons(rmap)
+            want += [cell_vertex_images(rmap._a, rmap._b, dom, m)
+                     for dom, m in zip(_polygons(rmap), rmap.linear)]
             dets += [_fraction_det(m) for m in rmap.linear]
-            ks += [float(cell_dilatations([types.SimpleNamespace(
-                map=types.SimpleNamespace(linear=m[None]))])[0]) for m in rmap.linear]
+            ks += [float(CellTable([_chart(build, m[None])]).k[0]) for m in rmap.linear]
+        assert table.points.tobytes() == np.concatenate(polygons).tobytes()
+        assert table.images.tobytes() == np.concatenate(want).tobytes()
+        assert float(table.images[:, 2].max()) <= build.L_prime - 1.0 + 1e-9
         heights = [float(chart.map.codomain.vertices[:, 2].max()) for chart in build.g.charts]
         assert build.L_prime == max(heights) + 1.0
         assert build.min_cell_det == pytest.approx(float(min(dets)), rel=4 * 2.0 ** -52)

@@ -187,6 +187,14 @@ class TestComposedExamples:
         assert abs(aks[19] - LOG2) <= 0.05
         assert all(a <= LOG2 + 0.05 for k, a in zip(ks, aks) if 10 <= k <= 30)
 
+    def test_example_one_squares_only_on_the_right_half_plane(self):
+        # the orbit leaves the invariant half-plane x1 >= 0 at k = 1, at
+        # about (-0.53, 1.0e151), and its next step overflows; the squaring
+        # law taken from there reported rho = 695.4 and 1390.8 instead
+        rec = iterate(example_one(), (-3.159e-76, 3.165e75), 3)
+        assert rec.points[1][0] < 0.0
+        assert (rec.surrogate_from, rec.reason, len(rec.rho)) == (None, "nonfinite", 2)
+
     def test_example_two_rate_reaches_log2(self, fmap):
         h = example_two(fmap)
         x0 = x0_for_example_two(fmap)

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import functools
@@ -14,7 +15,7 @@ import pytest
 
 from oracles import _cell_index, star_test
 from qrdyn import geometry, global_map, star_extend, zorich
-from qrdyn.global_map import (ConstructionError, GlobalMap, _CHARTS,
+from qrdyn.global_map import (CellTable, ConstructionError, GlobalMap, _CHARTS,
                               audit_dilatation, audit_orientation, audit_seams,
                               build_aprime_chart, build_asecond_charts, build_maps,
                               build_report, build_vertex_table, chart_lipschitz,
@@ -176,7 +177,7 @@ class TestCentreGrid:
                 assert re.match(f"chart {cid}: facet .* not oriented as its domain cone$",
                                 str(err)), err
                 continue
-            global_map.certify_cell_orientation(charts)
+            global_map.certify_cell_orientation(global_map.CellTable(charts))
             built += 1
         assert built == cone_sign_passes(rmap, centres).sum() > 0
 
@@ -499,7 +500,7 @@ class TestShiftedMap:
 
     def test_g_is_not_shifted_by_a_later_L_prime(self, build, gmap):
         # build_maps assigns g.L_prime after assembling g
-        g = GlobalMap(gmap.charts, gmap.L)
+        g = GlobalMap(gmap.table, gmap.L)
         pts = self._dispatch_points(gmap.L)
         before = [g.eval3(*p) for p in pts]
         g.L_prime = build.L_prime
@@ -519,17 +520,18 @@ class TestShiftedMap:
         chart = copy.copy(gmap.by_id["A'"])
         rmap = copy.copy(chart.map)
         rmap.linear = rmap.linear.copy()
-        k = int(np.argmax(rmap.vertex_images()[1][:, 2]))
+        k = int(np.argmax(CellTable([chart]).images[:, 2]))
         cell = int(np.searchsorted(np.cumsum(rmap.sizes), k, side="right"))
         rmap.linear[cell] *= 1.5
         chart.map = rmap
         top = float(chart.map.codomain.vertices[:, 2].max())
-        raised = types.SimpleNamespace(mode="g", charts=[chart], max_image_height=top)
-        assert derive_translation_constant(
-            types.SimpleNamespace(mode="g", charts=[gmap.by_id["A'"]],
-                                  max_image_height=top)) == top + 1.0
+
+        def unshifted(c):
+            return types.SimpleNamespace(mode="g", table=CellTable([c]), max_image_height=top)
+
+        assert derive_translation_constant(unshifted(gmap.by_id["A'"])) == top + 1.0
         with pytest.raises(ConstructionError, match="A'"):
-            derive_translation_constant(raised)
+            derive_translation_constant(unshifted(chart))
 
 
 class TestInverse:
@@ -564,10 +566,23 @@ SEAM_KEYS = {"identity/slab x3=0", "slab/F x3=L", "A'/A'' x3=1", "cells x1=1",
 
 class TestAudits:
     def test_seams(self, gmap):
+        # no fault on any seam; the cells' linear parts miss the targets by
+        # rounding only (2.0e-14)
         rep = audit_seams(gmap)
         assert rep.passed, rep.per_interface
-        assert set(rep.per_interface) == SEAM_KEYS
-        assert rep.worst_scaled <= 1e-12
+        assert rep.per_interface == dict.fromkeys(SEAM_KEYS, 0) and rep.faults == 0
+        assert 0.0 < rep.residual <= 1e-12 * gmap.image_diameter
+
+    def test_the_block_complex(self, gmap):
+        # 46 points and 101 polygons: the 40 on the interior faces x3 = 1,
+        # x1 = 1 and x2 = 1 lie in two charts each, the 61 on the block's
+        # boundary in one
+        table = gmap.table
+        holders = collections.defaultdict(set)
+        for c, poly in zip(table.chart.tolist(), np.split(table.point_ids, table.starts[1:])):
+            holders[frozenset(poly.tolist())].add(c)
+        assert int(table.point_ids.max()) + 1 == 46
+        assert collections.Counter(map(len, holders.values())) == {1: 61, 2: 40}
 
     def test_orientation(self, gmap):
         rep = audit_orientation(gmap)
@@ -589,7 +604,7 @@ class TestAudits:
         # the median of the 141 cell dilatations, bitwise as np.median takes
         # it and as the audit reported it when it called np.median
         rep = audit_dilatation(gmap)
-        ks = global_map.cell_dilatations(gmap.charts)
+        ks = gmap.table.k
         assert rep.k_median.hex() == float(np.median(ks)).hex()
         assert rep.k_median.hex() == "0x1.ad7fd358dbccbp+5"
 
@@ -602,21 +617,61 @@ class TestAudits:
         assert audit_dilatation(gmap, samples=100, seed=5) == audit_dilatation(gmap)
 
     def test_perturbed_cell_breaks_a_seam(self, gmap):
-        # lift the vertex images of one A''1 cell on the face x1 = 1
-        charts = {c.cell_id: c for c in gmap.charts}
-        chart = copy.copy(charts["A''1"])
+        # lift the vertex images of one A''1 cell on the face x1 = 1: its
+        # targets are the same, so the complex has no fault, but the map
+        # built from the perturbed charts misses them by its residual
+        charts = list(gmap.charts)
+        chart = copy.copy(gmap.by_id["A''1"])
         rmap = copy.copy(chart.map)
         cell = next(j for j, label in enumerate(rmap.labels) if label.startswith("facet 1 "))
         rmap.linear = rmap.linear.copy()
         rmap.linear[cell] = rmap.linear[cell] * 1.01
         chart.map = rmap
-        charts["A''1"] = chart
-        broken = copy.copy(gmap)
-        broken.charts = list(charts.values())
-        broken._cells = [charts[f"A''{i}"] for i in (1, 2, 3, 4)]
-        rep = audit_seams(broken)
+        charts[charts.index(gmap.by_id["A''1"])] = chart
+        rep = audit_seams(GlobalMap(CellTable(charts), gmap.L))
         assert not rep.passed
-        assert rep.per_interface["cells x1=1"] > 1e-3
+        assert rep.faults == 0 and rep.residual > 1e-3
+
+    @pytest.mark.parametrize("on, axis, every, seam", [
+        # a point of the shared face x3 = 1 only, one row's target
+        (lambda x, L: x[2] == 1.0 and x[0] % 1 and x[1] % 1, 0, False, "A'/A'' x3=1"),
+        # a point of the face x1 = 1 between two A'' charts only
+        (lambda x, L: x[0] == 1.0 and x[1] % 1 and 1.0 < x[2] < L, 2, False, "cells x1=1"),
+        # a point of the side plane x1 = 2, off it in every row
+        (lambda x, L: x[0] == 2.0 and x[1] % 1 and x[2] % 1, 0, True, "reflection x1=2"),
+        # a level-L point, every row's target off F
+        (lambda x, L: x[2] == L, 2, True, "slab/F x3=L"),
+    ], ids=["shared_face", "between_A''_charts", "side_plane", "level_L"])
+    def test_a_target_one_ulp_off_breaks_its_seam(self, gmap, on, axis, every, seam):
+        table = copy.copy(gmap.table)
+        table.targets = table.targets.copy()
+        point = next(x for x in table.points.tolist() if on(x, gmap.L))
+        rows = np.flatnonzero((table.points == point).all(axis=1))
+        assert len(rows) > 1
+        for r in rows if every else rows[:1]:
+            table.targets[r, axis] = np.nextafter(table.targets[r, axis], math.inf)
+        rep = audit_seams(GlobalMap(table, gmap.L))
+        assert not rep.passed
+        assert {k: v for k, v in rep.per_interface.items() if v} == {seam: 1} == {
+            seam: rep.faults}
+        assert rep.residual <= 1e-12 * gmap.image_diameter
+
+    def test_a_shared_polygon_in_one_chart_breaks_its_seam(self, gmap):
+        # drop one cell of the bottom facet of A''1: its polygon on x3 = 1
+        # is then held by A' alone
+        charts = list(gmap.charts)
+        chart = copy.copy(gmap.by_id["A''1"])
+        rmap = copy.copy(chart.map)
+        j = next(j for j, label in enumerate(rmap.labels) if label.startswith("facet 4 "))
+        rows = slice(int(rmap.sizes[:j].sum()), int(rmap.sizes[:j + 1].sum()))
+        rmap.linear, rmap.sizes = np.delete(rmap.linear, j, 0), np.delete(rmap.sizes, j)
+        rmap.points, rmap.targets = (np.delete(a, rows, 0) for a in (rmap.points, rmap.targets))
+        rmap.labels = rmap.labels[:j] + rmap.labels[j + 1:]
+        chart.map = rmap
+        charts[charts.index(gmap.by_id["A''1"])] = chart
+        rep = audit_seams(GlobalMap(CellTable(charts), gmap.L))
+        assert not rep.passed
+        assert {k: v for k, v in rep.per_interface.items() if v} == {"A'/A'' x3=1": 1}
 
     def test_boundary_map_validations(self, build):
         for cid, rep in build.validations.items():
@@ -676,7 +731,7 @@ class TestChartLipschitz:
         # cell of largest sigma_max is a thin cone: 7.95 of 10.05
         chart = build.g.by_id[cid]
         rmap = chart.map
-        lip = chart_lipschitz(build.g.charts)[cid]["box"]
+        lip = chart_lipschitz(build.g.table)[cid]["box"]
         k = int(np.argmax(global_map._cell_spectra(rmap.linear)[1]))
         start = int(rmap.sizes[:k].sum())
         poly = rmap.points[start:start + rmap.sizes[k]]
@@ -757,8 +812,10 @@ class TestBuildWork:
         # 6); none in the boundary-map validation, whose seams are
         # combinatorial; per phase one det and one inverse for the cone
         # frames of its image solids (a box has none); and one det of all
-        # cells in cell_dilatations (K_slab), while certify_cell_orientation
-        # and audit_orientation take theirs from geometry._det3_signs.  A
+        # cells in the CellTable's _cell_spectra, whose columns give K_slab,
+        # the dilatation audit and the Lipschitz constants, while its exact
+        # signs and the orientation audit's dets come from
+        # geometry._det3_signs.  The audits and the report add no call.  A
         # stack split into one call per chart, cell or sector shows here.
         # No SVD: the cell spectra are taken in closed form, and the first
         # LAPACK SVD of a process pages in about a megabyte of code
@@ -767,15 +824,31 @@ class TestBuildWork:
                 mock.patch("numpy.linalg.det", wraps=np.linalg.det) as det, \
                 mock.patch("numpy.linalg.svd", wraps=np.linalg.svd) as svd:
             build = build_maps()
-            counts = (solve.call_count, inv.call_count, det.call_count)
             audit_dilatation(build.g)
             audit_orientation(build.g)
             build_report(build)
+            counts = (solve.call_count, inv.call_count, det.call_count)
         phases = 2
         assert counts[0] == phases + 3 + 4 == 9
         assert counts[1] == 2 * phases + phases
         assert counts[2] == phases + phases + 1 == 5
         assert svd.call_count == 0
+
+    def test_audits_and_report_read_the_table(self, build):
+        # the orientation and dilatation audits and the build report read
+        # the columns of the build's one CellTable: no determinant, solve,
+        # inverse, exact sign or cell spectrum is taken again
+        with contextlib.ExitStack() as stack:
+            calls = [stack.enter_context(mock.patch(name, wraps=fn)) for name, fn in (
+                ("numpy.linalg.det", np.linalg.det), ("numpy.linalg.solve", np.linalg.solve),
+                ("numpy.linalg.inv", np.linalg.inv),
+                ("qrdyn.global_map._det3_signs", global_map._det3_signs),
+                ("qrdyn.global_map._cell_spectra", global_map._cell_spectra))]
+            audit_orientation(build.g)
+            audit_dilatation(build.g)
+            build_report(build)
+        assert [c.call_count for c in calls] == [0] * 5
+        assert build.f.table is build.g.table
 
     def test_no_selection_or_sort_kernel(self):
         # the first call of a numpy kernel pages its native code into the

@@ -382,7 +382,7 @@ class TestBatchedValidation:
         rmap = build.g.by_id[cid].map
         edges, images = cell_complex(rmap)
         assert len(images) == rmap.point_ids.max() + 1
-        assert len(images) - len(edges) + len(rmap) == 2
+        assert len(images) - len(edges) + len(rmap.labels) == 2
         assert all(len(cells) == 2 for cells in edges.values())
         assert all(len(w) == 1 for w in images.values())
         assert star_extend._seam_faults(rmap.point_ids, rmap.sizes, rmap.targets)[0] == 0
