@@ -58,6 +58,8 @@ class BigExp:
     def __init__(self, depth, head):
         depth = int(depth)
         head = float(head)
+        if not math.isfinite(head):
+            raise ValueError("BigExp needs a finite head")
         if head < 0:
             raise ValueError("BigExp represents non-negative magnitudes")
         exact = head if depth == 0 else None
@@ -80,8 +82,6 @@ class BigExp:
 
     @classmethod
     def from_float(cls, v):
-        if not math.isfinite(v):
-            raise ValueError("cannot build BigExp from a non-finite float")
         return cls(0, v)
 
     def exp(self):

@@ -26,11 +26,10 @@ class FacetPiece:
     polygon, image polygon) pairs of 3D points in corresponding order.  The
     piece is affine on each domain polygon (a triangle, or the whole patch
     of a piece that is affine on it), and together they cover its patch.
-    ``sectors`` maps face axes (iu, iv) to the sector entry of the cells,
-    set by the first radial map built on the piece (and never mutated)."""
+    A piece holds no state beyond its cells: each radial map built on it
+    takes its sector entries from the cells' vertices."""
 
     kind = "abstract"
-    sectors = {}
 
 
 def _loop(points):

@@ -18,8 +18,10 @@ centres are the caller's, and the same cone signs certify the face centres
 too: a fan that is not star about its centres has a fan triangle whose
 image cone is not oriented as its domain cone, or a seam that
 ``validate_boundary_map`` refuses.  The pieces of a facet share a
-vertex, as the cells of a piece do, so one sector layout about the shared
-vertices finds the piece of a facet and the cell of a piece alike.
+vertex, as the cells of a piece do, so one sector table about the shared
+vertices finds the piece of a facet and the cell of a piece alike.  The
+table is combinatorial: each sector between the angles of two vertices
+goes to the entry with a polygon that has both (``_sector_entry``).
 
 So the radial extension of a box is affine on the cone from the domain
 centre over each cell, and a ``RadialMap`` is those cells, stacked from its
@@ -127,8 +129,9 @@ class RadialMap:
     the index into ``pieces`` (the distinct pieces, in cell order) of each
     cell's piece, and ``fans`` the rows of the fan triangles (0, i, i + 1)
     of every polygon, with ``fan_cell`` the cell of each.  The linear parts
-    (``linear``), the sector entries, the fan frames of the image cells,
-    the boundary-map validation and ``global_map.CellTable`` read them.
+    (``linear``), the fan frames of the image cells, the boundary-map
+    validation and ``global_map.CellTable`` read them; the sector entries
+    take the pieces' cells and the rows of ``linear``.
     """
 
     def __init__(self, domain: Box, codomain: StarShape,
@@ -277,10 +280,10 @@ def radial_maps(specs):
     """The maps ``RadialMap(*spec)`` of ``specs``, built in one stacked pass
     (``_build_maps``).  A batch raises what building its maps one by one,
     in order, raises, with that map's position in ``specs`` as the attribute
-    ``map_index``.  The stacked pass walks every map before its cone signs,
-    sector tables (a LinAlgError among their errors) and linear parts, so a
-    later map may fail first there: when it fails, the maps are rebuilt one
-    at a time."""
+    ``map_index``.  The stacked pass walks every map before its cone signs
+    and linear parts (a LinAlgError among their errors) and before each
+    map's sector tables, so a later map may fail first there: when it
+    fails, the maps are rebuilt one at a time."""
     maps = [RadialMap.__new__(RadialMap) for _ in specs]
     try:
         _build_maps(maps, specs)
@@ -343,81 +346,49 @@ def _seam_faults(ids, sizes, targets):
 # ---------------------------------------------------------------------------
 # the exact piecewise-affine form of a radial map on a box
 
-def _sector_layout(name, groups, iu, iv):
-    """The sector layout of a level ``name`` of several entries (the cells
-    of a piece, or the pieces of a facet), each a list of domain polygons,
-    by the angle in the face coordinates (iu, iv) about the centroid c of
-    the vertices all entries share: a face fan's centre, the midpoint of
-    a split square's diagonal, or the corner where a facet's pieces meet.
-    Returns (cu, cv, bounds, mids, probes): the sorted angles of the other
-    vertices about c, the midpoint angle of each sector between them (the
-    last one wraps through pi), and a probe (u, v, 1) just off c at each.
-    Raises GeometryError if the entries share no vertex."""
-    sets = [{p for dom in group for p in dom} for group in groups]
-    shared = set.intersection(*sets)
+def _sector_entry(name, groups, values, iu, iv):
+    """The sector entry (cu, cv, bounds, sectors) of a level ``name`` (the
+    cells of a piece, or the pieces of a facet) whose entries, each a list
+    of domain polygons in ``groups``, take ``values``: a point h of the
+    level's patch lies in the entry valued
+    sectors[bisect_right(bounds, atan2(h_v - cv, h_u - cu))].  (cu, cv) is
+    the centroid, in the face coordinates (iu, iv), of the vertices that
+    all entries share: a face fan's centre, the midpoint of a split
+    square's diagonal, or the corner where a facet's pieces meet.  The
+    bounds are the sorted angles of the other vertices about it, and the
+    first and the last sector are the one that wraps through the angle pi;
+    a level of one entry has no bounds.
+
+    A sector goes to the entry with a polygon that has a vertex at each of
+    its two bounding angles.  That is the entry that holds it: each entry's
+    patch is convex and contains the centre, so such a polygon holds the
+    triangle from the centre to those two vertices, which covers the
+    sector's wedge near the centre.  Raises GeometryError if the entries
+    share no vertex, or if none or several entries qualify for a sector."""
+    if len(groups) == 1:
+        return 0.0, 0.0, [], [values[0]]
+    shared = set.intersection(*({p for dom in group for p in dom} for group in groups))
     if not shared:
         raise GeometryError(f"the {name} share no vertex")
     cu = sum(p[iu] for p in shared) / len(shared)
     cv = sum(p[iv] for p in shared) / len(shared)
-    rim = {p for p in set().union(*sets) if (p[iu], p[iv]) != (cu, cv)}
-    bounds = sorted({math.atan2(p[iv] - cv, p[iu] - cu) for p in rim})
-    reach = 1e-6 * min(math.hypot(p[iu] - cu, p[iv] - cv) for p in rim)
-    mids = [0.5 * (lo + hi) for lo, hi in zip(bounds, bounds[1:])]
-    mids.append(0.5 * (bounds[-1] + bounds[0]) + math.pi)
-    probes = [(cu + reach * math.cos(th), cv + reach * math.sin(th), 1.0) for th in mids]
-    return cu, cv, bounds, mids, probes
-
-
-def _sector_entries(levels, mats):
-    """The sector entry (cu, cv, bounds, picks) of each level of ``levels``
-    ((name, iu, iv, groups, tris, firsts) per level: its entries' domain
-    polygons as ``_sector_layout`` takes them, the slice of ``mats`` that
-    holds the matrices with columns (p_u, p_v, 1) of their fan triangles,
-    and the first triangle of each entry in that slice): a point h of the
-    level's patch lies in the entry with the index
-    picks[bisect_right(bounds, atan2(h_v - cv, h_u - cu))], the first and
-    the last sector being the one that wraps through the angle pi; a level
-    of one entry has no bounds.  A sector takes the entry with the triangle
-    that holds its probe deepest (the first on ties), and GeometryError
-    names the first level with a sector that no triangle holds.
-
-    The levels of one shape (as many probes and triangles, the same first
-    triangles of their entries) share one broadcast solve, each level's
-    probes against its own triangles, each triangle stored once."""
-    layouts = [_sector_layout(name, groups, iu, iv) if len(groups) > 1 else None
-               for name, iu, iv, groups, *_ in levels]
-    alike = {}          # (probes, triangles, firsts) -> the levels of that shape
-    for k, ((*_, tris, firsts), lay) in enumerate(zip(levels, layouts)):
-        if lay is not None:
-            alike.setdefault((len(lay[4]), tris.stop - tris.start, tuple(firsts)), []).append(k)
-    picked = {}         # level -> (the pick of each sector, its depth)
-    for (_, _, firsts), ks in alike.items():
-        a = np.stack([mats[levels[k][4]] for k in ks])[:, None]
-        b = np.array([layouts[k][4] for k in ks])[:, :, None, :, None]
-        depth = np.maximum.reduceat(np.linalg.solve(a, b).min(axis=(3, 4)), firsts, axis=2)
-        picked.update(zip(ks, zip(depth.argmax(axis=2).tolist(), depth.max(axis=2).tolist())))
-    entries = []
-    for k, ((name, *_), lay) in enumerate(zip(levels, layouts)):
-        if lay is None:
-            entries.append((0.0, 0.0, [], [0]))
-            continue
-        cu, cv, bounds, mids, _ = lay
-        picks, best = picked[k]
-        for th, depth in zip(mids, best):
-            if depth <= 0.0:
-                raise GeometryError(f"none of the {name} covers the sector at angle {th}")
-        entries.append((cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]]))
-    return entries
-
-
-def _pick(entry, values):
-    """A sector entry with its picks replaced by the values they index."""
-    cu, cv, bounds, picks = entry
-    return cu, cv, bounds, [values[k] for k in picks]
+    angles = [[{atan2(p[iv] - cv, p[iu] - cu) for p in dom if (p[iu], p[iv]) != (cu, cv)}
+               for dom in group] for group in groups]
+    bounds = sorted(set().union(*(a for group in angles for a in group)))
+    sectors = []
+    # the wrapping sector first, then those between consecutive bounds
+    for lo, hi in zip(bounds[-1:] + bounds[:-1], bounds):
+        owners = [k for k, group in enumerate(angles) if any({lo, hi} <= a for a in group)]
+        if not owners:
+            raise GeometryError(f"none of the {name} covers the sector from angle {lo} to {hi}")
+        if len(owners) > 1:
+            raise GeometryError(f"several of the {name} cover the sector from angle {lo} to {hi}")
+        sectors.append(values[owners[0]])
+    return cu, cv, bounds, sectors + sectors[:1]
 
 
 # the face coordinates (iu, iv) of the box facets x_k = lo[k], x_k = hi[k]
-_FACE_AXES = np.array([(1, 2), (0, 2), (0, 1)]).repeat(2, axis=0)
+_FACE_AXES = [(1, 2), (1, 2), (0, 2), (0, 2), (0, 1), (0, 1)]
 
 
 def _build_maps(maps, specs):
@@ -426,25 +397,21 @@ def _build_maps(maps, specs):
     over the cells of all of them.
 
     Each map's cells are walked in cell order onto the stacks: each cell's
-    domain polygon, its image points, the index of its piece in ``pieces``
-    and its facet; and its sector levels, per facet its pieces and then per
-    piece its cells, with the stacked index of the first cell of each entry
-    and a key naming the pieces and the face axes (a level held by another
-    map of the pass, or a piece's cells solved in an earlier pass and kept
-    in ``FacetPiece.sectors``, is solved once).  Before any solve, the cone
-    signs of all fan triangles (``_cone_sign_failures``) certify the
-    codomain centres; the first that fails raises GeometryError naming its
-    cell.  Then one solve gives the linear parts on every cell's first three
-    vertex correspondences, the sector
-    probes take one broadcast solve per shape of sector level
-    (``_sector_entries``), one determinant and one inverse go over the
-    linear parts, and one inverse gives the fan frames.  Each map keeps its
-    slice of the stacked arrays; a stacked solve or inverse equals the
-    per-matrix call bitwise, so every map is the one that its own
-    construction builds.  Raises the first error met; a facet without
-    pieces, and a piece that serves a codomain facet but holds no domain
-    facet (no cells to invert there), are met before any stacking."""
-    doms, imgs, owner, facets, levels, walks, cells_of = [], [], [], [], [], [], []
+    domain polygon, its image points and the index of its piece in
+    ``pieces``.  Before any solve, the cone signs of all fan triangles
+    (``_cone_sign_failures``) certify the codomain centres; the first that
+    fails raises GeometryError naming its cell.  Then one solve gives the
+    linear parts on every cell's first three vertex correspondences.  Each
+    facet's entry is then the sector entry (``_sector_entry``) of its
+    pieces over those of their cells, the rows taken in cell order; one
+    determinant and one inverse go over the linear parts, and one inverse
+    gives the fan frames.  Each map keeps its slice of the stacked arrays; a
+    stacked solve or inverse equals the per-matrix call bitwise, so every
+    map is the one that its own construction builds.  Raises the first
+    error met; a facet without pieces, and a piece that serves a codomain
+    facet but holds no domain facet (no cells to invert there), are met
+    before any stacking."""
+    doms, imgs, owner, cells_of = [], [], [], []
     for rmap, (domain, codomain, pieces_by_facet, by_codomain) in zip(maps, specs):
         if not isinstance(domain, Box):
             raise GeometryError("a radial map needs a box domain")
@@ -460,24 +427,11 @@ def _build_maps(maps, specs):
         rmap.pieces = []          # the distinct pieces, in cell order
         cells = {}                # id(piece) -> its cells' indices
         slot = {}                 # id(piece) -> its index in pieces
-        base = len(doms)
-        walk = []                 # per facet (iu, iv, the stacked first cell of each piece)
         for facet in range(6):
             pieces = rmap.pieces_by_facet.get(facet)
             if not pieces:
                 raise GeometryError(f"no boundary piece for facet {facet}")
-            iu, iv = _FACE_AXES[facet].tolist()
-            firsts = []
-            levels.append((f"pieces of facet {facet}", iu, iv,
-                           [[dom for dom, _ in piece.cells] for piece in pieces], firsts,
-                           (tuple(map(id, pieces)), iu, iv), None))
             for k, piece in enumerate(pieces):
-                first = base + len(rmap.labels)
-                firsts.append(first)
-                levels.append((f"cells of facet {facet} piece {k}", iu, iv,
-                               [[dom] for dom, _ in piece.cells],
-                               list(range(first, first + len(piece.cells))), (id(piece), iu, iv),
-                               piece))
                 if id(piece) not in slot:
                     slot[id(piece)] = len(rmap.pieces)
                     rmap.pieces.append(piece)
@@ -486,15 +440,12 @@ def _build_maps(maps, specs):
                     range(len(rmap.labels), len(rmap.labels) + n))
                 rmap.labels.extend(f"facet {facet} piece {k} cell {j}" for j in range(n))
                 owner.extend([slot[id(piece)]] * n)
-                facets.extend([facet] * n)
                 doms.extend(dom for dom, _ in piece.cells)
                 imgs.extend(q for _, img in piece.cells for q in img)
-            walk.append((iu, iv, firsts))
         for f, piece in rmap.piece_by_codomain_facet.items():
             if id(piece) not in cells:
                 raise GeometryError(f"the {piece.kind} piece serving codomain facet {f} "
                                     "holds no domain facet")
-        walks.append(walk)
         cells_of.append(cells)
     sizes = np.array([len(dom) for dom in doms])
     starts = _starts(sizes)
@@ -503,7 +454,6 @@ def _build_maps(maps, specs):
                for c in ([rmap._a for rmap in maps], [rmap._b for rmap in maps])]
     points = np.array([p for dom in doms for p in dom], dtype=float)
     targets = np.array(imgs, dtype=float)
-    point_facet = np.repeat(facets, sizes)
     # the fan triangles (0, i, i + 1) of every polygon, cell after cell
     fan_cell = np.repeat(np.arange(len(doms)), sizes - 2)
     i = np.arange(len(fan_cell)) - _starts(sizes - 2)[fan_cell]
@@ -519,39 +469,24 @@ def _build_maps(maps, specs):
     linear = np.ascontiguousarray(np.swapaxes(np.linalg.solve(
         points[first3] - centres[0][:, None], targets[first3] - centres[1][:, None]), 1, 2))
     rows = [tuple(m) for m in linear.reshape(-1, 9).tolist()]
-    # each fan triangle as the matrix with columns (p_u, p_v, 1) in its
-    # facet's coordinates, and each level's slice of them
-    uv = points[np.arange(len(points))[:, None], _FACE_AXES[point_facet]]
-    mats = np.ones((len(fan_cell), 3, 3))
-    mats[:, :2] = np.swapaxes(uv[fans], 1, 2)
-    at = np.append(_starts(sizes - 2), len(fan_cell)).tolist()
-    # a level of the same pieces on the same axes, in another map, is taken
-    # once, and that of a piece's cells which an earlier pass solved is kept
-    seen = {}
-    unique = [k for k, (*_, key, _) in enumerate(levels) if seen.setdefault(key, k) == k]
-    found = {k: levels[k][6].sectors[levels[k][1:3]] for k in unique
-             if levels[k][6] is not None and levels[k][1:3] in levels[k][6].sectors}
-    todo = [k for k in unique if k not in found]
-    found.update(zip(todo, _sector_entries([
-        (name, iu, iv, groups, slice(at[first[0]], at[first[-1] + len(groups[-1])]),
-         [at[c] - at[first[0]] for c in first]) if len(groups) > 1
-        else (name, iu, iv, groups, None, None)
-        for name, iu, iv, groups, first, *_ in map(levels.__getitem__, todo)], mats)))
-    for k in todo:
-        if (piece := levels[k][6]) is not None:
-            piece.sectors = {**piece.sectors, levels[k][1:3]: found[k]}
-    entries = iter([found[seen[key]] for *_, key, _ in levels])
     dets = np.linalg.det(linear)
     c0 = 0
-    for rmap, walk, n in zip(maps, walks, counts.tolist()):
+    for rmap, n in zip(maps, counts.tolist()):
         # per facet (iu, iv, False) + its one piece's (cu, cv, bounds, rows),
         # or (iu, iv, True, cu, cv, bounds, pieces) of such piece entries
         table = []
-        for iu, iv, firsts in walk:
-            by_sector = next(entries)
-            pieces = [_pick(next(entries), rows[first:]) for first in firsts]
-            table.append((iu, iv, False) + pieces[0] if len(pieces) == 1
-                         else (iu, iv, True) + _pick(by_sector, pieces))
+        rest = iter(rows[c0:c0 + n])
+        for facet, (iu, iv) in enumerate(_FACE_AXES):
+            pieces = rmap.pieces_by_facet[facet]
+            entries = [_sector_entry(f"cells of facet {facet} piece {k}",
+                                     [[dom] for dom, _ in piece.cells],
+                                     [next(rest) for _ in piece.cells], iu, iv)
+                       for k, piece in enumerate(pieces)]
+            table.append((iu, iv, False) + entries[0] if len(entries) == 1
+                         else (iu, iv, True) + _sector_entry(
+                             f"pieces of facet {facet}",
+                             [[dom for dom, _ in piece.cells] for piece in pieces],
+                             entries, iu, iv))
         tol = rmap.domain.tol
         rmap._consts = (rmap._a + rmap._b + tuple(map(float, rmap.domain.lo))
                         + tuple(map(float, rmap.domain.hi)) + (tol * tol, table))
@@ -559,6 +494,7 @@ def _build_maps(maps, specs):
         if singular.size:
             raise GeometryError(f"{rmap.labels[singular[0]]}: singular linear part")
         c0 += n
+    at = np.append(_starts(sizes - 2), len(fan_cell)).tolist()
     inverse = list(map(tuple, np.linalg.inv(linear).reshape(-1, 9).tolist()))
     mapped = _mapped_points(points - np.repeat(centres[0], sizes, axis=0), sizes, linear)
     frames = list(map(tuple, np.linalg.inv(np.swapaxes(mapped[fans], 1, 2))

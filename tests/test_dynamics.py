@@ -64,6 +64,16 @@ class TestBigExp:
         with pytest.raises(ValueError):
             BigExp.from_float(-1.0)
 
+    @pytest.mark.parametrize("head", [math.inf, math.nan])
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_a_head_that_is_not_finite_is_rejected(self, depth, head):
+        # an infinite head once sent the canonicalising loop round forever
+        # (log(inf) is inf), and a NaN head built a NaN magnitude
+        with pytest.raises(ValueError, match="finite"):
+            BigExp(depth, head)
+        with pytest.raises(ValueError, match="finite"):
+            BigExp.from_float(head)
+
 
 class TestIterate:
     def test_translation_orbit_is_exact(self, fhandle, build):

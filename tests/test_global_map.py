@@ -804,19 +804,17 @@ class TestBuildWork:
     def test_small_systems_are_solved_in_stacks(self):
         # the call-count guard of a build: per chart phase one solve for the
         # linear parts of its charts' cells, one inverse of them and one
-        # for their fan frames, and one det of them; one broadcast solve
-        # per shape of sector level (3 in the A' map, 4 that the four A''
-        # maps share: in each level of two triangle pieces the centroid of
-        # a triangle lies on the median from its third vertex through the
-        # middle of the shared diagonal, so the level has 5 sectors, not
-        # 6); none in the boundary-map validation, whose seams are
-        # combinatorial; per phase one det and one inverse for the cone
-        # frames of its image solids (a box has none); and one det of all
+        # for their fan frames, and one det of them; none for the sector
+        # tables, which come from the cells' vertex angles, and none in the
+        # boundary-map validation, whose seams are combinatorial, so a
+        # build makes 2 solves, one per chart phase; per phase one det and
+        # one inverse for the cone frames of its image solids (a box has
+        # none); and one det of all
         # cells in the CellTable's _cell_spectra, whose columns give K_slab,
         # the dilatation audit and the Lipschitz constants, while its exact
         # signs and the orientation audit's dets come from
         # geometry._det3_signs.  The audits and the report add no call.  A
-        # stack split into one call per chart, cell or sector shows here.
+        # stack split into one call per chart or cell shows here.
         # No SVD: the cell spectra are taken in closed form, and the first
         # LAPACK SVD of a process pages in about a megabyte of code
         with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as solve, \
@@ -829,7 +827,7 @@ class TestBuildWork:
             build_report(build)
             counts = (solve.call_count, inv.call_count, det.call_count)
         phases = 2
-        assert counts[0] == phases + 3 + 4 == 9
+        assert counts[0] == phases == 2
         assert counts[1] == 2 * phases + phases
         assert counts[2] == phases + phases + 1 == 5
         assert svd.call_count == 0

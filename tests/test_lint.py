@@ -11,7 +11,8 @@ benchmark, every
 for-loop target is read by the loop's body, every attribute that the
 package assigns is read by the package or the benchmark, every module
 stays below the token count at which CPython's parser doubles its token
-array, and no module calls numpy's selection or sort functions."""
+array, no module calls numpy's selection or sort functions, and no class
+body assigns a dict, list or set display."""
 
 import ast
 import io
@@ -611,3 +612,45 @@ def test_detects_a_selection_or_sort_call():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_selection_or_sort_call(path):
     assert selection_and_sort_uses(path.read_text()) == []
+
+
+# a dict, list or set that a class body assigns is one object shared by
+# every instance and every build: a cache that one build fills and later
+# builds read (FacetPiece.sectors once kept each piece's sector entries so)
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def mutable_class_attributes(source):
+    """(line, class, name) of each name that a class body assigns a dict,
+    list or set display (a literal or a comprehension)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if (isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    and isinstance(stmt.value, MUTABLE_DISPLAYS)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                out += [(stmt.lineno, node.name, n.id) for t in targets
+                        for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return sorted(out)
+
+
+def test_detects_a_mutable_class_attribute():
+    src = ("class FacetPiece:\n"
+           "    kind = 'abstract'\n"
+           "    sectors = {}\n"
+           "    __slots__ = ('cells',)\n"
+           "    axes: list = [1, 2]\n"
+           "    class Inner:\n"
+           "        seen = {k for k in 'ab'}\n"
+           "    def build(self):\n"
+           "        found = []\n"
+           "        return found\n")
+    assert mutable_class_attributes(src) == [(3, "FacetPiece", "sectors"),
+                                             (5, "FacetPiece", "axes"), (7, "Inner", "seen")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_mutable_class_attribute(path):
+    assert mutable_class_attributes(path.read_text()) == []

@@ -310,6 +310,13 @@ class TestConstruction:
                            match="none of the pieces of facet 5 covers the sector"):
             top_split([(C, P0, P1)], [(C, P2, P3)])
 
+    def test_a_sector_that_several_cells_cover_is_refused(self):
+        # one fan cell listed twice: both copies have a vertex at each of
+        # the sector's bounding angles
+        with pytest.raises(GeometryError,
+                           match="several of the cells of facet 5 piece 0 cover the sector"):
+            top_split([(C, P0, P1), (C, P0, P1), (C, P1, P2), (C, P2, P3), (C, P3, P0)])
+
     def test_a_piece_that_serves_no_codomain_facet_is_refused(self):
         pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
         by_codomain = {**pieces, 5: pieces[0]}
