@@ -42,7 +42,7 @@ import numpy as np
 from . import zorich
 from .cones import _cross, _starts
 from .geometry import GeometryError, _det3_signs, star_shapes
-from .pieces import FormulaPiece, IdentityPiece, Radial2DPiece, face_centre
+from .pieces import face_centre, fan_cells
 from .star_extend import Box, RadialMap, ValidationReport, _mapped_points, radial_maps
 
 
@@ -84,8 +84,8 @@ class ConstructionError(RuntimeError):
 class VertexTable:
     """Coordinates (``coords``) and images (``images``) of the named
     interpolation vertices: a letter of ``_BASE_XY`` and a level, 0, 1 or L
-    (``P0``, ``X1``, ``TL``).  The level-0 vertices have coordinates only
-    (the identity piece maps them to themselves)."""
+    (``P0``, ``X1``, ``TL``).  The images of the level-0 vertices are their
+    coordinates (``_IMAGES``), those of level L are F's."""
 
     L: float
     coords: Dict[str, np.ndarray]
@@ -134,11 +134,12 @@ class CellChart:
 # cell dilatation; A'': apex + 0.9 (vertex mean - apex) about the solid's
 # level-L apex vertex, rounded to 1/16); the pieces on each box facet, by
 # their face loops; and the image solid's facets in facet order, each served
-# by the piece that holds that face.  A face at level 0 is the identity, a
-# pair of triangles at level L (" / " between them) is F, affine on each,
-# and any other face is the fan of a ``Radial2DPiece`` about the face's area
-# centroid onto the fan about its image's, or about the image centre that
-# ``_IMAGE_FACE_CENTRES`` states; charts that list the same face share it.
+# by the piece that holds that face.  A face at level 0 (the identity) or at
+# level L (F, a triangle of one crease region) is one affine cell onto its
+# vertices' images, and any other face is the fan (``fan_cells``) about the
+# face's area centroid onto the fan about its image's, or about the image
+# centre that ``_IMAGE_FACE_CENTRES`` states; charts that list the same face
+# share its piece.
 _CHARTS = {
     "A'": {"box": ((0, 0, 0), (2, 2, 1)), "centre": (4.5, 1.5, 2.0),
            "facets": {0: ["P0 P1 T1 Q1 Q0"], 1: ["S0 S1 V1 R1 R0"], 2: ["P0 P1 W1 S1 S0"],
@@ -150,25 +151,25 @@ _CHARTS = {
     "A''1": {"box": ((0, 0, 1), (1, 1, "L")), "centre": (20.0, 19.5625, 21.1875),
              "facets": {0: ["P1 T1 TL PL"], 1: ["W1 X1 WL", "X1 XL WL"], 2: ["P1 W1 WL PL"],
                         3: ["TL X1 XL", "T1 X1 TL"], 4: ["P1 W1 X1 T1"],
-                        5: ["PL WL XL / PL XL TL"]},
+                        5: ["PL WL XL", "PL XL TL"]},
              "codomain": ["P1 W1 X1 T1", "PL WL XL", "PL XL TL", "P1 T1 TL PL", "P1 W1 WL PL",
                           "W1 X1 WL", "X1 XL WL", "TL X1 XL", "T1 X1 TL"]},
     "A''2": {"box": ((1, 0, 1), (2, 1, "L")), "centre": (21.125, 19.5625, -14.625),
              "facets": {0: ["W1 X1 WL", "X1 XL WL"], 1: ["S1 V1 VL SL"], 2: ["W1 S1 SL WL"],
                         3: ["X1 V1 VL", "X1 VL XL"], 4: ["W1 S1 V1 X1"],
-                        5: ["WL SL XL / SL VL XL"]},
+                        5: ["WL SL XL", "SL VL XL"]},
              "codomain": ["W1 S1 V1 X1", "WL SL XL", "SL VL XL", "S1 V1 VL SL", "W1 S1 SL WL",
                           "W1 X1 WL", "X1 XL WL", "X1 V1 VL", "X1 VL XL"]},
     "A''3": {"box": ((0, 1, 1), (1, 2, "L")), "centre": (19.875, 20.6875, -13.6875),
              "facets": {0: ["T1 Q1 QL TL"], 1: ["X1 UL XL", "X1 U1 UL"],
                         2: ["TL X1 XL", "T1 X1 TL"], 3: ["Q1 U1 UL QL"], 4: ["T1 X1 U1 Q1"],
-                        5: ["TL XL QL / XL UL QL"]},
+                        5: ["TL XL QL", "XL UL QL"]},
              "codomain": ["T1 X1 U1 Q1", "TL XL QL", "XL UL QL", "T1 Q1 QL TL", "Q1 U1 UL QL",
                           "X1 UL XL", "X1 U1 UL", "TL X1 XL", "T1 X1 TL"]},
     "A''4": {"box": ((1, 1, 1), (2, 2, "L")), "centre": (20.9375, 20.6875, 20.3125),
              "facets": {0: ["X1 UL XL", "X1 U1 UL"], 1: ["V1 R1 RL VL"],
                         2: ["X1 V1 VL", "X1 VL XL"], 3: ["U1 R1 RL UL"], 4: ["X1 V1 R1 U1"],
-                        5: ["XL VL RL / XL RL UL"]},
+                        5: ["XL VL RL", "XL RL UL"]},
              "codomain": ["X1 V1 R1 U1", "XL VL RL", "XL RL UL", "V1 R1 RL VL", "U1 R1 RL UL",
                           "X1 UL XL", "X1 U1 UL", "X1 V1 VL", "X1 VL XL"]},
 }
@@ -184,29 +185,25 @@ def _build_charts(vt, ids, shared=None):
     image solids in one ``star_shapes`` batch, each box a ``Box`` domain,
     and the cells in one ``radial_maps`` pass, which certifies every centre
     by its cone signs; a face of ``shared`` ({face: piece} of an earlier
-    phase) keeps that piece.  A map that fails (a centre that fails its
-    cone signs, say) raises ConstructionError naming its chart."""
+    phase) keeps that piece, and each codomain facet is served by the piece
+    of its face.  A map that fails (a centre that fails its cone signs,
+    say) raises ConstructionError naming its chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
                                for on_facet in spec["facets"].values() for face in on_facet))
-
-    def points(loop):      # the coordinates and the images of a loop's vertices
-        return [vt.coords[n] for n in loop.split()], [vt.images[n] for n in loop.split()]
 
     made = dict(shared or {})
     for face in faces:
         if face in made:
             continue
-        levels = {n[1:] for n in face.replace(" / ", " ").split()}
-        if levels == {"0"}:
-            made[face] = IdentityPiece(points(face)[0])
-        elif levels == {"L"}:
-            made[face] = FormulaPiece([points(tri) for tri in face.split(" / ")])
+        # the coordinates and the images of the face's vertices
+        dom, img = ([tuple(table[n].tolist()) for n in face.split()]
+                    for table in (vt.coords, vt.images))
+        if {n[1:] for n in face.split()} in ({"0"}, {"L"}):
+            made[face] = [(dom, img)]
         else:
-            dom, img = points(face)
-            made[face] = Radial2DPiece(dom, img, face_centre(dom),
-                                       _IMAGE_FACE_CENTRES.get(face) or face_centre(img))
-    serving = {part: made[face] for face in faces for part in face.split(" / ")}
+            made[face] = fan_cells(dom, img, face_centre(dom),
+                                   _IMAGE_FACE_CENTRES.get(face) or face_centre(img))
     boxes, solids = [], []
     for spec in specs:
         boxes.append([np.array([vt.L if c == "L" else float(c) for c in corner])
@@ -220,7 +217,7 @@ def _build_charts(vt, ids, shared=None):
             (Box(lo, hi), solid,
              {facet: [made[face] for face in on_facet]
               for facet, on_facet in spec["facets"].items()},
-             {k: serving[face] for k, face in enumerate(spec["codomain"])})
+             {k: made[face] for k, face in enumerate(spec["codomain"])})
             for spec, solid, (lo, hi) in zip(specs, star_shapes(solids), boxes)])
     except (GeometryError, np.linalg.LinAlgError) as err:
         if not hasattr(err, "map_index"):
@@ -250,7 +247,7 @@ def build_asecond_charts(vt: VertexTable, aprime: CellChart):
 # the assembled global map
 
 class GlobalMap:
-    """g (mode "g") or f = g - (0, 0, L') (mode "f") on all of R^3.
+    """g (without ``L_prime``) or f = g - (0, 0, L') on all of R^3.
 
     Dispatch: identity below {x3 = 0}; F above {x3 = L}; in the slab, reduce
     (x1, x2) mod 4 into [0,4)^2, reflect into the base block [0,2]^2 while
@@ -263,9 +260,7 @@ class GlobalMap:
     ``table`` is the ``CellTable`` of the charts, which the audits read.
 
     Each regime subtracts the shift from the third coordinate of its own
-    result: L' in mode "f", 0.0 in mode "g" (x - 0.0 is x bitwise, -0.0
-    included).  The shift is fixed at construction; assigning ``L_prime``
-    later, as ``build_maps`` does on g, does not shift the map.
+    result: L' for f, 0.0 for g (x - 0.0 is x bitwise, -0.0 included).
 
     A point with a NaN coordinate, or with an infinite x1 or x2 in the slab,
     raises ValueError naming it; above {x3 = L} an infinite x1 or x2 raises
@@ -273,18 +268,13 @@ class GlobalMap:
     point through unchecked.
     """
 
-    def __init__(self, table, L, L_prime=None, mode="g"):
-        if mode not in ("g", "f"):
-            raise ValueError("mode must be 'g' or 'f'")
-        if mode == "f" and L_prime is None:
-            raise ValueError("mode 'f' requires the translation constant")
+    def __init__(self, table, L, L_prime=None):
         self.table = table
         self.charts = table.charts
         self.by_id = {c.cell_id: c for c in self.charts}
         self.L = float(L)
         self.L_prime = float(L_prime) if L_prime is not None else None
-        self.mode = mode
-        self._shift = self.L_prime if mode == "f" else 0.0
+        self._shift = 0.0 if L_prime is None else self.L_prime
         self._slab_charts = [self.by_id[cid] for cid in ("A'", "A''1", "A''2", "A''3", "A''4")]
         self._slab_evals = [c.map.eval3 for c in self._slab_charts]
         allv = np.vstack([c.map.codomain.vertices for c in self.charts])
@@ -387,8 +377,9 @@ def derive_translation_constant(g: GlobalMap) -> float:
     The slab map is affine on every cell, and the reflections and period-4
     translations keep the third coordinate, so the slab's image height is
     largest at a cell vertex.  Raises ConstructionError naming the first
-    chart whose cells lift a vertex (``images`` of g's table) above it."""
-    if g.mode != "g":
+    chart whose cells lift a vertex (``images`` of g's table) above it, and
+    ValueError for a map that has an L'."""
+    if g.L_prime is not None:
         raise ValueError("derive the translation constant from the unshifted map")
     vmax = g.max_image_height
     t = g.table
@@ -639,7 +630,7 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     (``CellTable``) for g, f and every certificate, and each chart's
     boundary map is validated exactly by ``RadialMap.validate_boundary_map``.
 
-    ``phase_s`` holds the wall seconds of the five build phases, named by
+    ``phase_s`` holds the wall seconds of the six build phases, named by
     module and function (the boundary-map validation summed over the
     charts).  Each phase is called through its module or class attribute
     when the build runs, so a wrapper set on that attribute sees it."""
@@ -657,13 +648,12 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     aprime = timed("global_map.build_aprime_chart", build_aprime_chart, vt)
     cells = timed("global_map.build_asecond_charts", build_asecond_charts, vt, aprime)
     charts = [aprime] + cells
-    table = CellTable(charts)
+    table = timed("global_map.CellTable", CellTable, charts)
     n_cells, min_cell_det = certify_cell_orientation(table)
     g = GlobalMap(table, L)
     L_prime = timed("global_map.derive_translation_constant",
                     derive_translation_constant, g)
-    f = GlobalMap(table, L, L_prime, mode="f")
-    g.L_prime = L_prime
+    f = GlobalMap(table, L, L_prime)
     validations = {}
     if validate:
         for c in charts:

@@ -9,11 +9,13 @@ the polyhedron (``geometry.StarShape``) needs psi.  Its centre is certified
 by one exact sign per fan triangle of every cell: the image cone about it
 has the orientation of the domain cone (``_cone_sign_failures``).
 
-The boundary map itself is a list of pieces on each domain facet, and each
-piece of it is given by its affine cells (``pieces``): the fan of a planar
-face about the centre it is given onto the fan of its image face about the
-image's (the radial extension of the face's edge correspondence), the
-triangles on which a closed-form map is affine, or the identity.  The
+The boundary map itself is a list of pieces on each domain facet, each
+piece the list of its affine cells (``pieces``), and each piece serves one
+codomain facet: its cells' images tile that facet.  A cell is the fan
+triangle of a planar face about the centre it is given onto the fan
+triangle of its image face about the image's (the radial extension of the
+face's edge correspondence, ``pieces.fan_cells``), or a whole face on
+which the boundary map is affine, the identity or a triangle of F.  The
 centres are the caller's, and the same cone signs certify the face centres
 too: a fan that is not star about its centres has a fan triangle whose
 image cone is not oriented as its domain cone, or a seam that
@@ -45,7 +47,7 @@ from math import atan2, inf
 
 import numpy as np
 
-from .cones import _starts
+from .cones import _dots, _starts
 from .geometry import TAU_GEOM, GeometryError, StarShape, psi, _as_array, _det3_signs
 
 # Relative tolerance of the facet area sums of a boundary map's cells
@@ -95,11 +97,12 @@ class ValidationReport:
 class RadialMap:
     """Radial extension of a boundary map from a ``Box`` onto a
     ``StarShape``, given by the pieces on each box facet ({facet:
-    [pieces]}) and the piece serving each codomain facet, as its exact
-    affine cells; any other domain raises GeometryError.
+    [pieces]}, each piece a list of cells) and the piece serving each
+    codomain facet, as its exact affine cells; any other domain raises
+    GeometryError.
 
     Each cell is the cone from the domain centre a over one polygon on which
-    the boundary piece is affine (``FacetPiece.cells``: a triangle, or a
+    the boundary piece is affine (a cell of the piece: a triangle, or a
     whole face); on it the map is p -> b + A (p - a), fixed by a -> b and
     the images of three of the polygon's vertices.  ``eval3`` takes the
     exit facet of the ray from a (ties within a relative 1e-12 to the
@@ -114,20 +117,20 @@ class RadialMap:
 
     The image cells are the cones from b over the image polygons, and they
     tile the codomain.  ``inverse`` takes the codomain facet hit by the ray
-    from b (``psi``), the image cell of the piece serving that facet whose
-    cone contains q - b (barycentric frames of the polygon's fan triangles),
-    and returns a + A^-1 (q - b).  Inside the centre ball of radius
-    ``codomain.tol``, where the ray from b has no reliable facet, the cell
-    is the one among all image cells whose cone contains q - b (the cones
-    tile space); b itself maps to a.  Exterior points raise GeometryError.
+    from b (``psi``), the image cell among that facet's whose cone contains
+    q - b (barycentric frames of the polygon's fan triangles), and returns
+    a + A^-1 (q - b).  Inside the centre ball of radius ``codomain.tol``,
+    where the ray from b has no reliable facet, the cell is the one among
+    all image cells whose cone contains q - b (the cones tile space); b
+    itself maps to a.  Exterior points raise GeometryError.
 
     Construction (``_build_maps``, over one or several maps) stacks the
     cells once, in cell order (facet by facet, piece by piece): ``points``
     and ``targets`` hold every cell polygon's vertices and their images
     under the boundary piece, cell after cell (``sizes`` per cell,
-    ``point_ids`` the point of each vertex, numbered 0, 1, ...), ``owner``
-    the index into ``pieces`` (the distinct pieces, in cell order) of each
-    cell's piece, and ``fans`` the rows of the fan triangles (0, i, i + 1)
+    ``point_ids`` the point of each vertex, numbered 0, 1, ...),
+    ``cell_facets`` each cell's domain facet and the codomain facet its
+    piece serves, and ``fans`` the rows of the fan triangles (0, i, i + 1)
     of every polygon, with ``fan_cell`` the cell of each.  The linear parts
     (``linear``), the fan frames of the image cells, the boundary-map
     validation and ``global_map.CellTable`` read them; the sector entries
@@ -202,41 +205,33 @@ class RadialMap:
     def validate_boundary_map(self) -> ValidationReport:
         """Exact check of the boundary map on the pieces' affine cells, as
         construction stacked them (``point_ids``, ``sizes``, ``targets``,
-        ``fans``).
+        ``cell_facets``, ``fans``).
 
         The seams are exact (``_seam_faults``): the cells meet edge to edge
         and give each point one image, so the boundary map is continuous;
         ``seam_violations`` counts the edges and points that fail, and
-        ``detail`` names the cell of the first.  The images lie in the plane
-        of a codomain facet the piece serves (``worst_boundary_dev``); the
-        image of each cell, ordered positively in its domain facet, is
-        positive in that codomain facet; and the cells' areas sum to each
-        domain facet's area, their images' to each codomain facet's, within
-        a relative ``TAU_SEAM``, so each face fan is positively oriented and
-        tiles its face.  The signs are exact: ``_oriented_areas`` takes them
-        for all triangles of the chart from ``geometry._det3_signs``, whose
-        float filter decides every sign outside Shewchuk's error bound and
-        leaves the rest, zero areas among them, to exact integer arithmetic.
-        The facet planes, normals and areas are those both shapes computed
-        at construction (``facet_planes``).  Such a boundary map has degree
-        one on each facet, so it is injective there; with a positive
-        determinant on every cell of the radial extension the chart is a
-        homeomorphism onto its codomain.  ``injectivity_violations`` counts
-        the image triangles that are not positive or that lie in a facet
-        whose tiling fails.
+        ``detail`` names the cell of the first.  The images of each cell lie
+        in the plane of the codomain facet its piece serves
+        (``worst_boundary_dev``); the image of each cell, ordered positively
+        in its domain facet, is positive in that codomain facet; and the
+        cells' areas sum to each domain facet's area, their images' to each
+        codomain facet's, within a relative ``TAU_SEAM``, so each face fan
+        is positively oriented and tiles its face.  The signs are exact:
+        ``_oriented_areas`` takes them for all triangles of the chart from
+        ``geometry._det3_signs``, whose float filter decides every sign
+        outside Shewchuk's error bound and leaves the rest, zero areas among
+        them, to exact integer arithmetic.  The facet planes, normals and
+        areas are those both shapes computed at construction
+        (``facet_planes``).  Such a boundary map has degree one on each
+        facet, so it is injective there; with a positive determinant on
+        every cell of the radial extension the chart is a homeomorphism onto
+        its codomain.  ``injectivity_violations`` counts the image triangles
+        that are not positive or that lie in a facet whose tiling fails.
         """
         scale = self.codomain.diameter
         tol_boundary = max(self.codomain.tol * 1e3, 1e-12 * scale)
-        dom_n, dom_d, dom_area = self.domain.facet_planes
+        dom_n, _, dom_area = self.domain.facet_planes
         cod_n, cod_d, cod_area = self.codomain.facet_planes
-        serving = {id(piece) for piece in self.piece_by_codomain_facet.values()}
-        for piece in self.pieces:
-            if id(piece) not in serving:
-                raise GeometryError(f"piece {piece.kind} serves no codomain facet")
-        slot = {id(piece): k for k, piece in enumerate(self.pieces)}
-        served = np.zeros((len(self.pieces), len(cod_d)), dtype=bool)
-        served[[slot[id(piece)] for piece in self.piece_by_codomain_facet.values()],
-               list(self.piece_by_codomain_facet)] = True
         # every cell vertex and its image, cell after cell
         dom, img, start = self.points, self.targets, _starts(self.sizes)
         seams, others, split = _seam_faults(self.point_ids, self.sizes, img)
@@ -247,14 +242,9 @@ class RadialMap:
             detail += (f"; {self.labels[bisect_right(start.tolist(), k) - 1]}: "
                        + (f"point {p} has several images" if split[k]
                           else f"its edge from {p} lies in {others[k]} other cells"))
-        # the domain facet that holds each cell, and of the codomain facets
-        # its piece serves the one nearest to its images (the lowest on ties)
-        cell_fd = np.argmin(np.maximum.reduceat(np.abs(dom @ dom_n.T - dom_d), start), axis=1)
-        off_plane = np.abs(np.matmul(img[:, None, None, :], cod_n[None, :, :, None])[..., 0, 0]
-                           - cod_d)
-        devs = np.maximum.reduceat(off_plane, start)
-        cell_fc = np.argmin(np.where(served[self.owner], devs, np.inf), axis=1)
-        worst_b = float(devs[np.arange(len(start)), cell_fc].max())
+        cell_fd, cell_fc = self.cell_facets.T
+        at = np.repeat(cell_fc, self.sizes)
+        worst_b = float(np.abs(_dots(img, cod_n[at]) - cod_d[at]).max())
         # each cell polygon as its fan of triangles (0, i, i + 1)
         dom, img = dom[self.fans], img[self.fans]
         fd, fc = cell_fd[self.fan_cell], cell_fc[self.fan_cell]
@@ -397,21 +387,22 @@ def _build_maps(maps, specs):
     over the cells of all of them.
 
     Each map's cells are walked in cell order onto the stacks: each cell's
-    domain polygon, its image points and the index of its piece in
-    ``pieces``.  Before any solve, the cone signs of all fan triangles
-    (``_cone_sign_failures``) certify the codomain centres; the first that
-    fails raises GeometryError naming its cell.  Then one solve gives the
-    linear parts on every cell's first three vertex correspondences.  Each
-    facet's entry is then the sector entry (``_sector_entry``) of its
-    pieces over those of their cells, the rows taken in cell order; one
-    determinant and one inverse go over the linear parts, and one inverse
-    gives the fan frames.  Each map keeps its slice of the stacked arrays; a
-    stacked solve or inverse equals the per-matrix call bitwise, so every
-    map is the one that its own construction builds.  Raises the first
-    error met; a facet without pieces, and a piece that serves a codomain
-    facet but holds no domain facet (no cells to invert there), are met
-    before any stacking."""
-    doms, imgs, owner, cells_of = [], [], [], []
+    domain polygon, its image points, and its domain facet with the one
+    codomain facet that its piece serves (``cell_facets``).  Before any
+    solve, the cone signs of all fan triangles (``_cone_sign_failures``)
+    certify the codomain centres; the first that fails raises GeometryError
+    naming its cell.  Then one solve gives the linear parts on every cell's
+    first three vertex correspondences.  Each facet's entry is then the
+    sector entry (``_sector_entry``) of its pieces over those of their
+    cells, the rows taken in cell order; one determinant and one inverse go
+    over the linear parts, and one inverse gives the fan frames.  Each map
+    keeps its slice of the stacked arrays; a stacked solve or inverse equals
+    the per-matrix call bitwise, so every map is the one that its own
+    construction builds.  Raises the first error met; a facet without
+    pieces, a piece that serves no codomain facet or several, and a piece
+    that serves a codomain facet but holds no domain facet (no cells to
+    invert there) are met before any stacking."""
+    doms, imgs, facets = [], [], []
     for rmap, (domain, codomain, pieces_by_facet, by_codomain) in zip(maps, specs):
         if not isinstance(domain, Box):
             raise GeometryError("a radial map needs a box domain")
@@ -424,29 +415,24 @@ def _build_maps(maps, specs):
                           for v, s in zip((domain.lo, domain.hi), (-1, 1)))
         rmap._ctol2_image = codomain.tol ** 2
         rmap.labels = []
-        rmap.pieces = []          # the distinct pieces, in cell order
-        cells = {}                # id(piece) -> its cells' indices
-        slot = {}                 # id(piece) -> its index in pieces
+        served = set()
         for facet in range(6):
             pieces = rmap.pieces_by_facet.get(facet)
             if not pieces:
                 raise GeometryError(f"no boundary piece for facet {facet}")
             for k, piece in enumerate(pieces):
-                if id(piece) not in slot:
-                    slot[id(piece)] = len(rmap.pieces)
-                    rmap.pieces.append(piece)
-                n = len(piece.cells)
-                cells.setdefault(id(piece), []).extend(
-                    range(len(rmap.labels), len(rmap.labels) + n))
-                rmap.labels.extend(f"facet {facet} piece {k} cell {j}" for j in range(n))
-                owner.extend([slot[id(piece)]] * n)
-                doms.extend(dom for dom, _ in piece.cells)
-                imgs.extend(q for _, img in piece.cells for q in img)
-        for f, piece in rmap.piece_by_codomain_facet.items():
-            if id(piece) not in cells:
-                raise GeometryError(f"the {piece.kind} piece serving codomain facet {f} "
-                                    "holds no domain facet")
-        cells_of.append(cells)
+                serves = [f for f, p in rmap.piece_by_codomain_facet.items() if p is piece]
+                if len(serves) != 1:
+                    raise GeometryError(f"facet {facet} piece {k} serves " + (
+                        f"several codomain facets, {serves}" if serves else "no codomain facet"))
+                served.update(serves)
+                rmap.labels.extend(f"facet {facet} piece {k} cell {j}" for j in range(len(piece)))
+                facets.extend([(facet, serves[0])] * len(piece))
+                doms.extend(dom for dom, _ in piece)
+                imgs.extend(q for _, img in piece for q in img)
+        for f in rmap.piece_by_codomain_facet:
+            if f not in served:
+                raise GeometryError(f"the piece serving codomain facet {f} holds no domain facet")
     sizes = np.array([len(dom) for dom in doms])
     starts = _starts(sizes)
     counts = np.array([len(rmap.labels) for rmap in maps])
@@ -479,13 +465,13 @@ def _build_maps(maps, specs):
         for facet, (iu, iv) in enumerate(_FACE_AXES):
             pieces = rmap.pieces_by_facet[facet]
             entries = [_sector_entry(f"cells of facet {facet} piece {k}",
-                                     [[dom] for dom, _ in piece.cells],
-                                     [next(rest) for _ in piece.cells], iu, iv)
+                                     [[dom] for dom, _ in piece],
+                                     [next(rest) for _ in piece], iu, iv)
                        for k, piece in enumerate(pieces)]
             table.append((iu, iv, False) + entries[0] if len(entries) == 1
                          else (iu, iv, True) + _sector_entry(
                              f"pieces of facet {facet}",
-                             [[dom for dom, _ in piece.cells] for piece in pieces],
+                             [[dom for dom, _ in piece] for piece in pieces],
                              entries, iu, iv))
         tol = rmap.domain.tol
         rmap._consts = (rmap._a + rmap._b + tuple(map(float, rmap.domain.lo))
@@ -501,10 +487,10 @@ def _build_maps(maps, specs):
                       .reshape(-1, 9).tolist()))
     image_cells = list(zip([frames[s:e] for s, e in zip(at, at[1:])], inverse))
     c0, p0, t0 = 0, 0, 0
-    for rmap, cells, n in zip(maps, cells_of, counts.tolist()):
+    for rmap, n in zip(maps, counts.tolist()):
         c1 = c0 + n
         p1, t1 = int(starts[c1 - 1] + sizes[c1 - 1]), at[c1]
-        rmap.sizes, rmap.owner = sizes[c0:c1], np.array(owner[c0:c1])
+        rmap.sizes, rmap.cell_facets = sizes[c0:c1], np.array(facets[c0:c1])
         rmap.points, rmap.targets = points[p0:p1], targets[p0:p1]
         rmap.linear = linear[c0:c1]
         rmap.fan_cell, rmap.fans = fan_cell[t0:t1] - c0, fans[t0:t1] - p0
@@ -512,8 +498,8 @@ def _build_maps(maps, specs):
         rmap.point_ids = np.array([number.setdefault(q, len(number))
                                    for dom in doms[c0:c1] for q in dom])
         rmap._all_image_cells = image_cells[c0:c1]
-        rmap._image_cells = {f: [rmap._all_image_cells[i] for i in cells[id(piece)]]
-                             for f, piece in rmap.piece_by_codomain_facet.items()}
+        rmap._image_cells = {f: [cell for cell, (_, g) in zip(image_cells[c0:c1], facets[c0:c1])
+                                 if g == f] for f in rmap.piece_by_codomain_facet}
         c0, p0, t0 = c1, p1, t1
 
 

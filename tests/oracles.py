@@ -4,9 +4,10 @@ tests.
 
 - ``radial_eval`` and ``radial_inverse``: a chart's radial extension and its
   inverse by the radial formula, through the boundary pieces, which
-  ``eval_piece`` and ``invert_piece`` evaluate by their formulas: the
-  identity, the 2D radial extension ``_radial_2d`` of a face in its frame
-  (its ray crossing by ``_psi_polygon_scalar``), and ``zorich.F_scalar``;
+  ``eval_piece`` and ``invert_piece`` evaluate by their formulas
+  (``piece_formula``): the identity, the 2D radial extension
+  ``_radial_2d`` of a face fan in its frame (its ray crossing by
+  ``_psi_polygon_scalar``), and ``zorich.F_scalar``;
   ``radial_eval`` takes the piece of a facet of several pieces whose cells
   hold the exit point deepest (``_transport``), where ``RadialMap.eval3``
   takes it by a sector test;
@@ -59,7 +60,10 @@ tests.
   closed form, checked against finite differences;
 - ``cuboid_spec``: the ``StarShape`` arguments of an axis-aligned cuboid
   built as a polyhedron, whose facet planes a ``star_extend.Box`` gives in
-  closed form.
+  closed form;
+- ``cell_facets_by_planes``: each cell's domain and codomain facet by the
+  nearest planes, as ``RadialMap.validate_boundary_map`` once searched for
+  them before construction recorded them (``cell_facets``).
 """
 
 import functools
@@ -238,11 +242,11 @@ def frame_to3d(frame, u, v):
 @functools.lru_cache(maxsize=None)
 def _face_frames(piece, side):
     """(source frame, target frame, source loop, target loop, source centre,
-    target centre) of a Radial2D piece's fan from ``side`` (0, the domain
-    face, or 1, the image face) onto the other side's: each face and its
-    centre (the apex of its fan) in the frame that ``frame_rows`` gives its
-    loop, taken once per piece and side."""
-    (src, a), (dst, b) = (([cell[j][1] for cell in piece.cells], piece.cells[0][j][0])
+    target centre) of a face fan (``piece``, its cells as a tuple) from
+    ``side`` (0, the domain face, or 1, the image face) onto the other
+    side's: each face and its centre (the apex of its fan) in the frame
+    that ``frame_rows`` gives its loop, taken once per piece and side."""
+    (src, a), (dst, b) = (([cell[j][1] for cell in piece], piece[0][j][0])
                           for j in (side, 1 - side))
     fs, fd = frame_rows(src), frame_rows(dst)
     return (fs, fd, [frame_to2d(fs, q) for q in src], [frame_to2d(fd, q) for q in dst],
@@ -250,22 +254,36 @@ def _face_frames(piece, side):
 
 
 def _radial_2d_3d(piece, side, p):
-    """The 2D radial extension of a Radial2D piece's fan from ``side`` onto
-    the other side's fan, at a point p of the face, in the frames of
+    """The 2D radial extension of a face fan from ``side`` onto the other
+    side's fan, at a point p of the face, in the frames of
     ``_face_frames``."""
-    fs, fd, src, dst, a, b = _face_frames(piece, side)
+    fs, fd, src, dst, a, b = _face_frames(tuple(piece), side)
     return frame_to3d(fd, *_radial_2d(src, dst, a, b, *frame_to2d(fs, p)))
+
+
+def piece_formula(piece):
+    """The formula of a boundary piece (a list of cells) of the atlas:
+    "fan" for a face fan (several cells), "identity" for one cell onto its
+    own vertices, and "F" for one cell onto F's images of its vertices."""
+    if len(piece) > 1:
+        return "fan"
+    (dom, img), = piece
+    dom, img = [tuple(p) for p in dom], [tuple(w) for w in img]
+    if dom == img:
+        return "identity"
+    if [F_scalar(*p) for p in dom] == img:
+        return "F"
+    raise TypeError(f"no formula for the cell {dom} onto {img}")
 
 
 def eval_piece(piece, h):
     """A boundary piece at a point h of its patch, by its formula."""
-    if piece.kind == "identity":
+    formula = piece_formula(piece)
+    if formula == "identity":
         return h
-    if piece.kind == "radial2d":
+    if formula == "fan":
         return _radial_2d_3d(piece, 0, h)
-    if piece.kind == "formula":
-        return F_scalar(*h)
-    raise TypeError(f"no formula for a {piece.kind} piece")
+    return F_scalar(*h)
 
 
 def _transport(src, dst, p):
@@ -283,15 +301,14 @@ def _transport(src, dst, p):
 
 def invert_piece(piece, q):
     """The inverse of a boundary piece at a point q of its image."""
-    if piece.kind == "identity":
+    formula = piece_formula(piece)
+    if formula == "identity":
         return q
-    if piece.kind == "radial2d":
+    if formula == "fan":
         return _radial_2d_3d(piece, 1, q)
-    if piece.kind == "formula":
-        # the affine inverse on the image triangle that q misses least
-        return max((_transport(img, dom, q) for dom, img in piece.cells),
-                   key=lambda hit: min(hit[1], 0.0))[0]
-    raise TypeError(f"no inverse for a {piece.kind} piece")
+    # F is affine on the piece's one triangle
+    (dom, img), = piece
+    return _transport(img, dom, q)[0]
 
 
 def _ray_box_scalar(ax, ay, az, lo, hi, x, y, z):
@@ -349,11 +366,11 @@ def facet_tables(rmap):
     for facet in range(6):
         iu, iv = [i for i in range(3) if i != facet // 2]
         pieces = rmap.pieces_by_facet[facet]
-        entries = [sector_entry([[dom] for dom, _ in piece.cells],
+        entries = [sector_entry([[dom] for dom, _ in piece],
                                 [tuple(cell_linear_part(rmap._a, rmap._b, dom, img)
-                                       .ravel().tolist()) for dom, img in piece.cells], iu, iv)
+                                       .ravel().tolist()) for dom, img in piece], iu, iv)
                    for piece in pieces]
-        tables.append((iu, iv) + sector_entry([[dom for dom, _ in p.cells] for p in pieces],
+        tables.append((iu, iv) + sector_entry([[dom for dom, _ in p] for p in pieces],
                                               entries, iu, iv))
     return tables
 
@@ -398,7 +415,7 @@ def layered_eval3(gm, tables, x, y, z):
     ``chart_eval3`` on the chart's table of ``tables`` (the
     ``facet_tables`` of gm's slab charts, in their order) and the isometry
     undone; each regime subtracts the shift (L' for f, 0.0 for g)."""
-    shift = gm.L_prime if gm.mode == "f" else 0.0
+    shift = 0.0 if gm.L_prime is None else gm.L_prime
     if z < 0.0:
         return (x, y, z - shift)
     if z > gm.L:
@@ -443,7 +460,7 @@ def radial_eval(rmap, p):
     pieces = rmap.pieces_by_facet[facet]
     # the first piece with the cell that holds h deepest
     piece = pieces[0] if len(pieces) == 1 else max(
-        pieces, key=lambda p: max(_transport(dom, dom, h)[1] for dom, _ in p.cells))
+        pieces, key=lambda p: max(_transport(dom, dom, h)[1] for dom, _ in p))
     wx, wy, wz = eval_piece(piece, h)
     frac = 1.0 / t
     return (bx + frac * (wx - bx), by + frac * (wy - by), bz + frac * (wz - bz))
@@ -731,3 +748,25 @@ def cuboid_spec(lo, hi, centre=None):
     verts = np.array([[x, y, z] for x in xs for y in ys for z in zs])
     faces = [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1], [2, 3, 7, 6], [0, 2, 6, 4], [1, 5, 7, 3]]
     return verts, 0.5 * (lo + hi) if centre is None else centre, faces
+
+
+def cell_facets_by_planes(rmap):
+    """Each cell's (domain facet, codomain facet) of a chart, found from the
+    planes as the boundary-map validation once found them: the box facet
+    whose plane holds every vertex of the cell's polygon, and of the
+    codomain facets that the cell's piece serves the one whose plane is
+    nearest to the cell's images (the least largest distance, the lowest on
+    ties)."""
+    lo, hi = rmap.domain.lo.tolist(), rmap.domain.hi.tolist()
+    normals, offsets, _ = rmap.codomain.facet_planes
+    owners = [piece for facet in range(6) for piece in rmap.pieces_by_facet[facet]
+              for _ in piece]
+    out, at = [], 0
+    for size, piece in zip(rmap.sizes.tolist(), owners):
+        poly, images = rmap.points[at:at + size].tolist(), rmap.targets[at:at + size]
+        at += size
+        fd, = [k for k in range(6) if all(p[k // 2] == (lo, hi)[k % 2][k // 2] for p in poly)]
+        served = [f for f, p in rmap.piece_by_codomain_facet.items() if p is piece]
+        devs = [float(np.abs(images @ normals[f] - offsets[f]).max()) for f in served]
+        out.append((fd, served[devs.index(min(devs))]))
+    return out

@@ -49,7 +49,7 @@ def _box_points(chart, rng, interior=2000, face=200, diagonal=41, edge=8):
     a = np.asarray(chart.map.domain.centre, dtype=float)
     for pieces in chart.map.pieces_by_facet.values():
         for piece in pieces:
-            for dom, _ in piece.cells:
+            for dom, _ in piece:
                 tri = np.asarray(dom, dtype=float)
                 for i in range(3):
                     s = rng.random((edge, 1))
@@ -468,14 +468,15 @@ def _polygons(rmap):
 
 
 def _radial_faces(build):
-    """The build's distinct Radial2D pieces: 24 pieces on 24 faces, since
-    each A'' chart takes the piece of A' on its quadrant of the top facet
-    of A'."""
+    """The build's distinct face fans, the pieces of more than one cell: 24
+    pieces on 24 faces, since each A'' chart takes the piece of A' on its
+    quadrant of the top facet of A'."""
     faces = {}
     for chart in build.g.charts:
-        for piece in chart.map.pieces:
-            if piece.kind == "radial2d":
-                faces[id(piece)] = piece
+        for pieces in chart.map.pieces_by_facet.values():
+            for piece in pieces:
+                if len(piece) > 1:
+                    faces[id(piece)] = piece
     return list(faces.values())
 
 
@@ -506,15 +507,15 @@ class TestBuildMatchesOracles:
                 entries = []
                 for piece in pieces:
                     rows = []
-                    for dom, img in piece.cells:
+                    for dom, img in piece:
                         m = np.ascontiguousarray(cell_linear_part(rmap._a, rmap._b, dom, img))
                         assert rmap.linear[k].tobytes() == m.tobytes(), (chart.cell_id, k)
                         frames, _ = rmap._all_image_cells[k]
                         assert _bits(frames) == _bits(image_cell_frames(rmap._a, polygons[k], m))
                         rows.append(tuple(m.ravel().tolist()))
                         k += 1
-                    entries.append(sector_entry([[dom] for dom, _ in piece.cells], rows, iu, iv))
-                want = sector_entry([[dom for dom, _ in p.cells] for p in pieces], entries, iu, iv)
+                    entries.append(sector_entry([[dom] for dom, _ in piece], rows, iu, iv))
+                want = sector_entry([[dom for dom, _ in p] for p in pieces], entries, iu, iv)
                 want = ((False,) + entries[0]) if len(pieces) == 1 else (True,) + want
                 assert _bits(rmap._consts[-1][facet]) == _bits((iu, iv) + want)
             assert k == len(rmap.labels)
@@ -526,8 +527,8 @@ class TestBuildMatchesOracles:
             rmap = chart.map
             alone = RadialMap(rmap.domain, rmap.codomain, rmap.pieces_by_facet,
                               rmap.piece_by_codomain_facet)
-            for name in ("linear", "points", "targets", "sizes", "owner", "point_ids", "fans",
-                         "fan_cell"):
+            for name in ("linear", "points", "targets", "sizes", "cell_facets", "point_ids",
+                         "fans", "fan_cell"):
                 assert getattr(rmap, name).tobytes() == getattr(alone, name).tobytes(), name
             assert _bits((rmap._consts, rmap._all_image_cells, rmap.labels)) \
                 == _bits((alone._consts, alone._all_image_cells, alone.labels))
@@ -555,8 +556,9 @@ class TestBuildMatchesOracles:
         assert build.K_slab == max(ks)
 
     def test_every_piece_owns_a_sector(self, build):
-        # the A' top facet's four quadrant pieces about X1 and the two
-        # triangles of each interior A'' face about its diagonal's midpoint
+        # the A' top facet's four quadrant pieces about X1, and the two
+        # triangles of each interior A'' face and of each A'' top face about
+        # its diagonal's midpoint
         split = {}
         for chart in build.g.charts:
             for facet, pieces in chart.map.pieces_by_facet.items():
@@ -564,13 +566,14 @@ class TestBuildMatchesOracles:
                     *_, by_sector = chart.map._consts[-1][facet]
                     assert len({id(entry) for entry in by_sector}) == len(pieces)
                     split[chart.cell_id, facet] = len(pieces)
-        assert split == {("A'", 5): 4, ("A''1", 1): 2, ("A''1", 3): 2, ("A''2", 0): 2,
-                         ("A''2", 3): 2, ("A''3", 1): 2, ("A''3", 2): 2, ("A''4", 0): 2,
-                         ("A''4", 2): 2}
+        assert split == {("A'", 5): 4, ("A''1", 1): 2, ("A''1", 3): 2, ("A''1", 5): 2,
+                         ("A''2", 0): 2, ("A''2", 3): 2, ("A''2", 5): 2, ("A''3", 1): 2,
+                         ("A''3", 2): 2, ("A''3", 5): 2, ("A''4", 0): 2, ("A''4", 2): 2,
+                         ("A''4", 5): 2}
 
     def test_radial_faces(self, build):
         faces = _radial_faces(build)
-        assert len({tuple(cell[0][1] for cell in piece.cells) for piece in faces}) == 24
+        assert len({tuple(cell[0][1] for cell in piece) for piece in faces}) == 24
         aprime_top = build.g.by_id["A'"].map.pieces_by_facet[5]      # P, W, T, X
         for k, top in enumerate(aprime_top):
             bottom, = build.g.by_id[f"A''{k + 1}"].map.pieces_by_facet[4]
@@ -579,9 +582,9 @@ class TestBuildMatchesOracles:
             for j in (0, 1):
                 # every fan triangle has the face centre as its first vertex
                 # and runs over one edge of the face loop, in order
-                loop = [cell[j][1] for cell in piece.cells]
-                assert len({cell[j][0] for cell in piece.cells}) == 1
-                assert [cell[j][2] for cell in piece.cells] == loop[1:] + loop[:1]
+                loop = [cell[j][1] for cell in piece]
+                assert len({cell[j][0] for cell in piece}) == 1
+                assert [cell[j][2] for cell in piece] == loop[1:] + loop[:1]
 
     def test_random_planar_polygons(self):
         # seeded planar polygons in general position: numpy's dot and norm

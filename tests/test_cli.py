@@ -88,7 +88,8 @@ def test_version_is_single_sourced(capsys):
         "attr": "qrdyn.__version__"}
 
 
-# the build phases, named as the spans of the benchmark's traced run
+# the build phases, named as the spans of the benchmark's traced run, and
+# the stacking of the cell table, which that run does not time
 PHASES = {"zorich.derive_beam_constants", "global_map.build_aprime_chart",
           "global_map.build_asecond_charts", "global_map.derive_translation_constant",
           "star_extend.validate_boundary_map"}
@@ -96,7 +97,7 @@ PHASES = {"zorich.derive_beam_constants", "global_map.build_aprime_chart",
 
 def test_build_report_times_each_phase(build):
     phase_s = build_report(build)["phase_s"]
-    assert set(phase_s) == PHASES
+    assert set(phase_s) == PHASES | {"global_map.CellTable"}
     per_layer = {m["name"] for m in
                  json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert {f"{name}_s" for name in PHASES} <= per_layer

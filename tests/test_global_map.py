@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import _cell_index, star_test
+from oracles import _cell_index, cell_facets_by_planes, star_test
 from qrdyn import geometry, global_map, star_extend, zorich
 from qrdyn.global_map import (CellTable, ConstructionError, GlobalMap, _CHARTS,
                               audit_dilatation, audit_orientation, audit_seams,
@@ -191,15 +191,34 @@ class TestChartTable:
                 level = spec["box"][facet % 2][facet // 2]
                 level = vt.L if level == "L" else level
                 for face in faces:
-                    for name in face.replace(" / ", " ").split():
+                    for name in face.split():
                         assert vt.coords[name][facet // 2] == level, (cid, facet, face)
 
-    def test_codomain_facets_are_faces_of_the_charts_pieces(self):
+    def test_every_face_names_one_polygon(self, build):
+        # a face string is the loop of one polygon: at least three distinct
+        # vertex names of the table, and nothing else
+        names = set(build.vertex_table.coords)
         for cid, spec in _CHARTS.items():
-            parts = {part for faces in spec["facets"].values() for face in faces
-                     for part in face.split(" / ")}
-            assert set(spec["codomain"]) <= parts, cid
-            assert len(set(spec["codomain"])) == len(spec["codomain"]), cid
+            for face in [f for faces in spec["facets"].values() for f in faces] + spec["codomain"]:
+                loop = face.split()
+                assert " ".join(loop) == face and len(set(loop)) == len(loop) >= 3, (cid, face)
+                assert set(loop) <= names, (cid, face)
+
+    def test_codomain_facets_are_faces_of_the_charts_pieces(self):
+        # every codomain facet is served by one face that the chart lists on
+        # exactly one of its box facets, and every listed face serves one
+        for cid, spec in _CHARTS.items():
+            faces = [face for facet in range(6) for face in spec["facets"][facet]]
+            assert sorted(spec["facets"]) == list(range(6)), cid
+            assert sorted(faces) == sorted(spec["codomain"]), cid
+            assert len(set(faces)) == len(faces), cid
+
+    def test_cell_facets_are_the_nearest_planes(self, build):
+        # the facets that construction records for each cell are those that
+        # the boundary-map validation once searched for by planes
+        for chart in build.g.charts:
+            rmap = chart.map
+            assert rmap.cell_facets.tolist() == [list(f) for f in cell_facets_by_planes(rmap)]
 
     def test_charts_are_the_table(self, build):
         # each chart's pieces are those its table names, in facet order, and
@@ -209,9 +228,8 @@ class TestChartTable:
             assert sorted(rmap.pieces_by_facet) == list(range(6))
             for facet, faces in spec["facets"].items():
                 assert len(rmap.pieces_by_facet[facet]) == len(faces), (cid, facet)
-            holder = {part: piece for facet, faces in spec["facets"].items()
-                      for face, piece in zip(faces, rmap.pieces_by_facet[facet])
-                      for part in face.split(" / ")}
+            holder = {face: piece for facet, faces in spec["facets"].items()
+                      for face, piece in zip(faces, rmap.pieces_by_facet[facet])}
             assert rmap.piece_by_codomain_facet == {k: holder[face] for k, face
                                                     in enumerate(spec["codomain"])}
 
@@ -231,9 +249,10 @@ def _fraction_face_centre(loop):
 
 
 def _face_fans(build):
-    """The build's distinct face fans (``Radial2DPiece``s)."""
-    return list({id(piece): piece for chart in build.g.charts for piece in chart.map.pieces
-                 if piece.kind == "radial2d"}.values())
+    """The build's distinct face fans: the pieces of more than one cell."""
+    return list({id(piece): piece for chart in build.g.charts
+                 for pieces in chart.map.pieces_by_facet.values() for piece in pieces
+                 if len(piece) > 1}.values())
 
 
 class TestStatedCentres:
@@ -280,8 +299,8 @@ class TestStatedCentres:
             for facet, pieces in rmap.pieces_by_facet.items():
                 level = (rmap.domain.lo, rmap.domain.hi)[facet % 2][facet // 2]
                 for piece in pieces:
-                    if piece.kind == "radial2d":
-                        assert {cell[0][0][facet // 2] for cell in piece.cells} == {level}
+                    if len(piece) > 1:
+                        assert {cell[0][0][facet // 2] for cell in piece} == {level}
                         fans += 1
         # the fans of the A' sides and top, and of each A'' chart's sides
         # and its bottom, the A' piece on its quadrant
@@ -297,8 +316,8 @@ class TestStatedCentres:
         centroids = 0
         for piece in fans:
             for j in (0, 1):
-                loop = [cell[j][1] for cell in piece.cells]
-                centre = piece.cells[0][j][0]
+                loop = [cell[j][1] for cell in piece]
+                centre = piece[0][j][0]
                 if centre in stated:
                     continue
                 assert centre == face_centre(loop)
@@ -475,6 +494,9 @@ class TestShiftedMap:
         for p in self._dispatch_points(gmap.L):
             g0, g1, g2 = gmap.eval3(*p)
             assert _bits(fmap.eval3(*p)) == _bits((g0, g1, g2 - lp)), p
+        # g subtracts 0.0, which keeps every point, -0.0 included, bitwise
+        ident = (-0.0, 0.5, -1.0)
+        assert _bits(gmap.eval3(*ident)) == _bits(ident)
         past = math.nextafter(HORIZON, math.inf)
         for p in ((past, 0.5, gmap.L + 1.0), (0.5, -past, gmap.L + 1.0)):
             for m in (fmap, gmap):
@@ -498,21 +520,12 @@ class TestShiftedMap:
         f1, f2, f3 = plain(*p)
         assert _bits(out) == _bits((f1, f2, f3 - fmap.L_prime))
 
-    def test_g_is_not_shifted_by_a_later_L_prime(self, build, gmap):
-        # build_maps assigns g.L_prime after assembling g
-        g = GlobalMap(gmap.table, gmap.L)
-        pts = self._dispatch_points(gmap.L)
-        before = [g.eval3(*p) for p in pts]
-        g.L_prime = build.L_prime
-        for p, want in zip(pts, before):
-            assert _bits(g.eval3(*p)) == _bits(want), p
-            assert _bits(gmap.eval3(*p)) == _bits(want), p
-        ident = (-0.0, 0.5, -1.0)
-        assert _bits(g.eval3(*ident)) == _bits(ident)
-
-    def test_rederive_translation_constant(self, gmap, build):
+    def test_rederive_translation_constant(self, gmap, fmap, build):
         lp = derive_translation_constant(gmap)
         assert lp == build.L_prime
+        # f already has its L'
+        with pytest.raises(ValueError, match="from the unshifted map"):
+            derive_translation_constant(fmap)
 
     def test_raised_vertex_image_rejected(self, gmap):
         # scale one cell of A' so that one of its vertex images rises above
@@ -527,7 +540,8 @@ class TestShiftedMap:
         top = float(chart.map.codomain.vertices[:, 2].max())
 
         def unshifted(c):
-            return types.SimpleNamespace(mode="g", table=CellTable([c]), max_image_height=top)
+            return types.SimpleNamespace(L_prime=None, table=CellTable([c]),
+                                         max_image_height=top)
 
         assert derive_translation_constant(unshifted(gmap.by_id["A'"])) == top + 1.0
         with pytest.raises(ConstructionError, match="A'"):

@@ -11,10 +11,12 @@ benchmark, every
 for-loop target is read by the loop's body, every attribute that the
 package assigns is read by the package or the benchmark, every module
 stays below the token count at which CPython's parser doubles its token
-array, no module calls numpy's selection or sort functions, and no class
-body assigns a dict, list or set display."""
+array, no module calls numpy's selection or sort functions, no class
+body assigns a dict, list or set display, and every name that a module
+writes in double backquotes is one that the package defines."""
 
 import ast
+import builtins
 import io
 import re
 import tokenize
@@ -654,3 +656,67 @@ def test_detects_a_mutable_class_attribute():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_mutable_class_attribute(path):
     assert mutable_class_attributes(path.read_text()) == []
+
+
+# a double-backquoted identifier, dotted or not
+BACKQUOTED = re.compile(r"``([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)``")
+# backquoted words that name no definition: report keys and vertex names
+BACKQUOTED_WORDS = {"lipschitz", "box", "method", "P0", "TL", "X1", "precision_lost"}
+
+
+def defined_names(sources):
+    """Every name that the modules of ``sources`` (module file name ->
+    source) define: the modules, their classes, functions and parameters,
+    the names and attributes that they assign, and their imports."""
+    names = {Path(module).stem for module in sources}
+    for src in sources.values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                names.add(getattr(node, "id", None) or node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+    return names
+
+
+def undefined_backquoted_names(sources, allowed):
+    """(module, line, name) of each double-backquoted identifier in a module
+    of ``sources`` with a part that is neither a name the modules define
+    (``defined_names``), a builtin nor a word of ``allowed``; names of
+    ``np``, ``numpy`` and ``math`` are left out."""
+    defined = defined_names(sources) | set(dir(builtins)) | allowed
+    out = []
+    for module, src in sources.items():
+        for line, text in enumerate(src.splitlines(), 1):
+            for name in BACKQUOTED.findall(text):
+                parts = name.split(".")
+                if parts[0] not in ("np", "numpy", "math") and not set(parts) <= defined:
+                    out.append((module, line, name))
+    return out
+
+
+def test_detects_an_undefined_backquoted_name():
+    # the docstrings named FacetPiece.cells after the piece classes were
+    # gone; a parameter, an attribute, an import, a builtin and numpy's
+    # names are definitions
+    sources = {"pieces.py": "def fan_cells(domain_loop):\n    return domain_loop\n",
+               "star_extend.py": ('"""Each piece (``FacetPiece.cells``) is a list,\n'
+                                  "``pieces.fan_cells`` of ``domain_loop``; ``np.linalg.solve``,\n"
+                                  '``len`` and ``Box.facet_planes``, ``psi``, ``owner``."""\n'
+                                  "from .geometry import psi\n\n"
+                                  "class Box:\n    def __init__(self):\n"
+                                  "        self.facet_planes = 1\n")}
+    assert undefined_backquoted_names(sources, set()) == [
+        ("star_extend.py", 1, "FacetPiece.cells"), ("star_extend.py", 3, "owner")]
+    assert undefined_backquoted_names(sources, {"owner", "FacetPiece", "cells"}) == []
+
+
+def test_backquoted_names_are_defined():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert undefined_backquoted_names(sources, BACKQUOTED_WORDS) == []
+    # each allowed word is still written in backquotes and still names nothing
+    assert {name for _, _, name in undefined_backquoted_names(sources, set())} \
+        == BACKQUOTED_WORDS

@@ -85,7 +85,7 @@ class TestLayeredOracle:
         for gm in (gmap, fmap):
             ev = gm.eval3
             for p in pts:
-                assert _bits(ev(*p)) == _bits(layered_eval3(gm, tables, *p)), (gm.mode, p)
+                assert _bits(ev(*p)) == _bits(layered_eval3(gm, tables, *p)), (gm.L_prime, p)
 
     def test_special_points_match_the_layered_path(self, gmap, fmap, tables):
         L = fmap.L
@@ -99,7 +99,7 @@ class TestLayeredOracle:
                     for x3 in heights:
                         p = (x1, x2, x3)
                         assert _outcome(gm.eval3, p) == _outcome(
-                            lambda *q: layered_eval3(gm, tables, *q), p), (gm.mode, p)
+                            lambda *q: layered_eval3(gm, tables, *q), p), (gm.L_prime, p)
 
     def test_error_cases(self, fmap):
         L = fmap.L

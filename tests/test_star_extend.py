@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import struct
 import tracemalloc
 
@@ -11,35 +12,32 @@ from oracles import (_radial_2d, cover_deviation_all_pairs, cuboid_spec,
                      oriented_area_fraction, point_in_polygon)
 from qrdyn import star_extend
 from qrdyn.geometry import GeometryError, StarShape
-from qrdyn.pieces import FacetPiece, FormulaPiece, IdentityPiece, Radial2DPiece, face_centre
+from qrdyn.pieces import face_centre, fan_cells
 from qrdyn.star_extend import Box, RadialMap, radial_maps
 
 
-class ScalePiece(FacetPiece):
+def identity_piece(loop):
+    """The identity of a face, as one cell."""
+    return [(loop, loop)]
+
+
+def scale_piece(k, loop):
     """Pure dilation x -> k x of a facet, for dilation-chart tests."""
-
-    def __init__(self, k, loop3):
-        loop = [tuple(map(float, p)) for p in loop3]
-        self.cells = [(loop, [(k * x, k * y, k * z) for x, y, z in loop])]
+    return [(loop, [(k * x, k * y, k * z) for x, y, z in loop])]
 
 
-class CollapsePiece(FacetPiece):
+def collapse_piece(loop):
     """Sends the whole facet to one point: a boundary map that is far from
     injective."""
-
-    def __init__(self, loop3):
-        self.cells = [(loop3, [(0.0, 0.0, 1.0)] * len(loop3))]
+    return [(loop, [(0.0, 0.0, 1.0)] * len(loop))]
 
 
-class FoldPiece(FacetPiece):
+def fold_piece(loop):
     """Fans a face about its centre onto the fan about a point of its plane
     outside the face: one image triangle folds over, though the signed
     areas still add up to the face."""
-
-    def __init__(self, loop):
-        c = (0.0, 0.0, 1.0)
-        self.cells = [((c, p, q), ((1.5, 0.0, 1.0), p, q))
-                      for p, q in zip(loop, loop[1:] + loop[:1])]
+    c = (0.0, 0.0, 1.0)
+    return [((c, p, q), ((1.5, 0.0, 1.0), p, q)) for p, q in zip(loop, loop[1:] + loop[:1])]
 
 
 def cube_box(side=1.0):
@@ -71,13 +69,13 @@ def one_piece_chart(dom, cod, pieces):
 
 @functools.lru_cache(maxsize=None)
 def identity_chart():
-    pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
+    pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
     return one_piece_chart(cube_box(), cube_shape(), pieces)
 
 
 @functools.lru_cache(maxsize=None)
 def scaling_chart(k=2.0):
-    pieces = {f: ScalePiece(k, loop) for f, loop in face_loops(1.0).items()}
+    pieces = {f: scale_piece(k, loop) for f, loop in face_loops(1.0).items()}
     return one_piece_chart(cube_box(1.0), cube_shape(k), pieces)
 
 
@@ -169,14 +167,14 @@ class TestInverse:
 
 def centroid_fan(dom, img):
     """The face fan of dom onto img about their area centroids."""
-    return Radial2DPiece(dom, img, face_centre(dom), face_centre(img))
+    return fan_cells(dom, img, face_centre(dom), face_centre(img))
 
 
 def chart_with_face(piece_for_top):
     """The identity chart of the cube with the piece of its top face
     (facet 5) replaced."""
     loops = face_loops(1.0)
-    pieces = {f: IdentityPiece(loop) for f, loop in loops.items()}
+    pieces = {f: identity_piece(loop) for f, loop in loops.items()}
     pieces[5] = piece_for_top(loops[5])
     return one_piece_chart(cube_box(), cube_shape(), pieces)
 
@@ -235,7 +233,7 @@ class TestValidation:
 
 
     def test_folded_face_fails_the_sign_test(self, monkeypatch):
-        rep = refused_then_validated(FoldPiece, monkeypatch)
+        rep = refused_then_validated(fold_piece, monkeypatch)
         assert rep.injectivity_violations == 1
         assert (rep.seam_violations, rep.worst_boundary_dev) == (0, 0.0)
         assert not rep.passed
@@ -247,7 +245,7 @@ class TestInjectivityCount:
         # point: the image cone over its first fan triangle is flat
         with pytest.raises(GeometryError, match="facet 5 piece 0 cell 0: the image cone of "
                                                 "fan triangle 0 .* not oriented"):
-            chart_with_face(CollapsePiece)
+            chart_with_face(collapse_piece)
 
     def test_peak_memory_of_the_build_validation(self, build):
         chart = build.g.by_id["A'"].map
@@ -262,18 +260,46 @@ class TestInjectivityCount:
         assert peak <= 1.5 * 600 * 600 * 3 * 8
 
 
-def top_split(*groups):
+def top_split_shape(patches):
+    """The cube [-1, 1]^3 as a polyhedron about the origin with its top face
+    split into the polygons ``patches`` (facets 5, 6, ...); each other face
+    takes the patches' vertices on its edges, so that the faces meet edge to
+    edge."""
+    verts, centre, faces = cuboid_spec([-1.0] * 3, [1.0] * 3)
+    points = [tuple(p) for p in verts.tolist()]
+    points += dict.fromkeys(p for patch in patches for p in patch if p not in points)
+    sides = []
+    for face in faces[:5]:
+        loop = []
+        for i, j in zip(face, face[1:] + face[:1]):
+            a, b = points[i], points[j]
+            loop.append(i)
+            loop += sorted((k for k, p in enumerate(points[8:], 8)
+                            if math.isclose(math.dist(a, p) + math.dist(p, b), math.dist(a, b))),
+                           key=lambda k: math.dist(a, points[k]))
+        sides.append(loop)
+    return StarShape(points, centre, sides + [[points.index(p) for p in patch] for patch in patches])
+
+
+def top_split(*groups, patches=None):
     """The identity chart of the cube with its top facet (5) carried by one
-    identity ``FormulaPiece`` per group of triangles."""
-    pieces = {f: [IdentityPiece(loop)] for f, loop in face_loops(1.0).items()}
-    pieces[5] = [FormulaPiece([(t, t) for t in tris]) for tris in groups]
-    return RadialMap(cube_box(), cube_shape(), pieces, {f: p[0] for f, p in pieces.items()})
+    piece per group of polygons, the identity on each, the k-th piece
+    serving codomain facet 5 + k: the cube's top face, or for several
+    pieces the patches of ``top_split_shape(patches)``."""
+    pieces = {f: [identity_piece(loop)] for f, loop in face_loops(1.0).items()}
+    pieces[5] = [[(t, t) for t in tris] for tris in groups]
+    by_codomain = {f: p[0] for f, p in pieces.items()}
+    by_codomain.update(enumerate(pieces[5][1:], 6))
+    shape = top_split_shape(patches) if len(groups) > 1 else cube_shape()
+    return RadialMap(cube_box(), shape, pieces, by_codomain)
 
 
 # the top facet's corners, its centre and a point on its diagonal
 P0, P1, P2, P3 = face_loops(1.0)[5]
 C, M = (0.0, 0.0, 1.0), (0.5, 0.5, 1.0)
-# the top facet's four quadrants, squares meeting at its centre
+# the top facet's two halves about a diagonal, and its four quadrants,
+# squares meeting at its centre
+HALVES = [[P0, P1, P2], [P2, P3, P0]]
 QUADRANTS = [[(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)]
              for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
 
@@ -283,7 +309,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("top", [None, []], ids=["missing", "empty"])
     def test_a_facet_without_pieces_is_refused(self, top):
-        pieces = {f: [IdentityPiece(loop)] for f, loop in face_loops(1.0).items()}
+        pieces = {f: [identity_piece(loop)] for f, loop in face_loops(1.0).items()}
         by_codomain = {f: p[0] for f, p in pieces.items()}
         if top is None:
             del pieces[5]
@@ -298,7 +324,7 @@ class TestConstruction:
 
     def test_pieces_that_share_no_vertex_are_refused(self):
         with pytest.raises(GeometryError, match="the pieces of facet 5 share no vertex"):
-            top_split([(P0, P1, C)], [(P2, P3, M)])
+            top_split([(P0, P1, C)], [(P2, P3, M)], patches=HALVES)
 
     def test_a_sector_that_no_cell_covers_is_refused(self):
         with pytest.raises(GeometryError,
@@ -308,7 +334,7 @@ class TestConstruction:
     def test_a_sector_that_no_piece_covers_is_refused(self):
         with pytest.raises(GeometryError,
                            match="none of the pieces of facet 5 covers the sector"):
-            top_split([(C, P0, P1)], [(C, P2, P3)])
+            top_split([(C, P0, P1)], [(C, P2, P3)], patches=HALVES)
 
     def test_a_sector_that_several_cells_cover_is_refused(self):
         # one fan cell listed twice: both copies have a vertex at each of
@@ -318,12 +344,21 @@ class TestConstruction:
             top_split([(C, P0, P1), (C, P0, P1), (C, P1, P2), (C, P2, P3), (C, P3, P0)])
 
     def test_a_piece_that_serves_no_codomain_facet_is_refused(self):
-        pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
-        by_codomain = {**pieces, 5: pieces[0]}
-        m = RadialMap(cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()},
-                      by_codomain)
-        with pytest.raises(GeometryError, match="piece identity serves no codomain facet"):
-            m.validate_boundary_map()
+        # codomain facet 5 is served by a piece on no domain facet, so the
+        # top facet's piece serves none
+        pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
+        spare = identity_piece(face_loops(1.0)[5])
+        with pytest.raises(GeometryError, match="facet 5 piece 0 serves no codomain facet"):
+            RadialMap(cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()},
+                      {**pieces, 5: spare})
+
+    def test_a_piece_that_serves_several_codomain_facets_is_refused(self):
+        pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
+        with pytest.raises(GeometryError,
+                           match=re.escape("facet 0 piece 0 serves several codomain facets, "
+                                           "[0, 5]")):
+            RadialMap(cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()},
+                      {**pieces, 5: pieces[0]})
 
     @pytest.mark.parametrize("split", ["halves", "quadrants"])
     def test_a_facet_of_several_pieces(self, split):
@@ -331,12 +366,10 @@ class TestConstruction:
         # squares meeting at it: every piece owns a sector, and the chart
         # is the identity
         if split == "halves":
-            m = top_split([(C, P0, P1), (C, P1, P2)], [(C, P2, P3), (C, P3, P0)])
+            m = top_split([(C, P0, P1), (C, P1, P2)], [(C, P2, P3), (C, P3, P0)],
+                          patches=HALVES)
         else:
-            pieces = {f: [IdentityPiece(loop)] for f, loop in face_loops(1.0).items()}
-            pieces[5] = [IdentityPiece(square) for square in QUADRANTS]
-            m = RadialMap(cube_box(), cube_shape(), pieces,
-                          {f: p[0] for f, p in pieces.items()})
+            m = top_split(*([square] for square in QUADRANTS), patches=QUADRANTS)
         *_, by_sector = m._consts[-1][5]
         assert len({id(entry) for entry in by_sector}) == len(m.pieces_by_facet[5])
         rng = np.random.default_rng(6)
@@ -420,7 +453,7 @@ class TestBatchedValidation:
                 <= star_extend.TAU_SEAM * max(1.0, rmap.codomain.diameter))
 
     @pytest.mark.parametrize("cid", CHARTS)
-    def test_a_tampered_piece_fails_its_chart(self, cid, build, monkeypatch):
+    def test_a_tampered_piece_fails_its_chart(self, cid, build):
         # the first cell of a face fan sends the face centre a hundredth of
         # the way along its image edge, away from the image that the other
         # cells give it.  The validation checks the cells that the chart's
@@ -428,13 +461,17 @@ class TestBatchedValidation:
         # the chart built again from the tampered piece fails
         built = build.g.by_id[cid].map
         facet, k, piece = next((f, k, p) for f, pieces in built.pieces_by_facet.items()
-                               for k, p in enumerate(pieces) if isinstance(p, Radial2DPiece))
-        (dom, (c, p, q)), *rest = piece.cells
+                               for k, p in enumerate(pieces) if len(p) > 1)
+        (dom, (c, p, q)), *rest = piece
         moved = tuple(a + 0.01 * (b - a) for a, b in zip(c, p))
-        monkeypatch.setattr(piece, "cells", [(dom, (moved, p, q))] + rest)
-        assert report_bits(built.validate_boundary_map()) == report_bits(build.validations[cid])
-        rmap = RadialMap(built.domain, built.codomain, built.pieces_by_facet,
-                         built.piece_by_codomain_facet)
+        piece[0] = (dom, (moved, p, q))
+        try:
+            assert report_bits(built.validate_boundary_map()) == report_bits(
+                build.validations[cid])
+            rmap = RadialMap(built.domain, built.codomain, built.pieces_by_facet,
+                             built.piece_by_codomain_facet)
+        finally:
+            piece[0] = (dom, (c, p, q))
         rep = rmap.validate_boundary_map()
         assert not rep.passed
         assert rep.seam_violations == 1
@@ -483,13 +520,13 @@ TOP_LOOP = [(-1.0, -1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 1.0
 
 
 def collapsed_chart_spec():
-    pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
-    pieces[5] = CollapsePiece(face_loops(1.0)[5])
+    pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
+    pieces[5] = collapse_piece(face_loops(1.0)[5])
     return cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces
 
 
 def chart_spec_without(facet):
-    pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
+    pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
     by_facet = {f: [p] for f, p in pieces.items() if f != facet}
     return cube_box(), cube_shape(), by_facet, pieces
 
@@ -505,7 +542,7 @@ class TestBatches:
         with pytest.raises(GeometryError, match="vertex correspondence requires equal counts"):
             centroid_fan(TOP_LOOP, U_LOOP[:7])
         piece = centroid_fan(TOP_LOOP, U_LOOP)
-        assert [cell[1][0] for cell in piece.cells] == [face_centre(U_LOOP)] * 8
+        assert [cell[1][0] for cell in piece] == [face_centre(U_LOOP)] * 8
         with pytest.raises(GeometryError) as err:
             chart_with_face(lambda loop: piece)
         assert str(err.value) == ("facet 5 piece 0 cell 3: the image cone of fan triangle 0 "
@@ -523,14 +560,14 @@ class TestBatches:
                 == repr((alone._consts, alone._all_image_cells, alone._box))
 
     def test_a_serving_piece_without_a_domain_facet_is_named(self):
-        # codomain facet 5 is served by a piece that holds no domain facet:
-        # both entry points name it before stacking any cell
-        pieces = {f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()}
-        spare = IdentityPiece(face_loops(1.0)[5])
-        spec = (cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()},
-                {**pieces, 5: spare})
+        # the cube's top face as two triangles, codomain facets 5 and 6, the
+        # second served by a piece that holds no domain facet: both entry
+        # points name it before stacking any cell
+        pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
+        spec = (cube_box(), top_split_shape(HALVES), {f: [p] for f, p in pieces.items()},
+                {**pieces, 6: identity_piece(HALVES[1])})
         good = (cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces)
-        want = "the identity piece serving codomain facet 5 holds no domain facet"
+        want = "the piece serving codomain facet 6 holds no domain facet"
         with pytest.raises(GeometryError, match=want):
             RadialMap(*spec)
         with pytest.raises(GeometryError, match=want):
@@ -541,7 +578,7 @@ class TestBatches:
         # before it: the batch raises the error of the first map that
         # fails, whatever its stage, with that map's position
         good = one_piece_chart(cube_box(), cube_shape(), {
-            f: IdentityPiece(loop) for f, loop in face_loops(1.0).items()})
+            f: identity_piece(loop) for f, loop in face_loops(1.0).items()})
         good = (good.domain, good.codomain, good.pieces_by_facet, good.piece_by_codomain_facet)
         for specs, want, index in (([good, collapsed_chart_spec(), chart_spec_without(2)],
                                     "not oriented as its domain cone", 1),
