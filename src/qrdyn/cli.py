@@ -17,10 +17,12 @@ positive), the largest dilatation of a cell (``K_slab``) and each chart's
 verdict from the exact boundary-map validation, and each chart's
 Lipschitz constants (``lipschitz``): on its box, max sigma_max over its
 cells, and of its inverse, max 1 / sigma_min, with the method that took
-them.  Every chart passed its exact cone signs when it was built: the ray
-from its image solid's centre crosses the solid's boundary once, which the
-ray projection psi relies on.  The JSON object also gives ``phase_s``: the wall seconds of
-each build phase, keyed by module and function.
+them.  Every chart passed its exact cone signs when it was built: with its
+boundary-map validation, they make the ray from its image solid's centre
+cross the solid's boundary once, in the image cell whose cone holds it,
+which is how the chart's inverse finds its cell.  The JSON object also
+gives ``phase_s``: the wall seconds of each build phase, keyed by module
+and function.
 """
 
 from __future__ import annotations

@@ -1,23 +1,23 @@
-"""Star-shaped polyhedron geometry.
+"""Polyhedron geometry: the image solids of the slab charts, and the exact
+determinant signs that certify the charts.
 
-Shapes are closed, connected triangulated polyhedra in R^3, each with a
-centre that the caller gives (the slab atlas states its image solids'
-centres as dyadic data, ``global_map._CHARTS``); construction orients the
-surface triangles outward and does not test the centre.  The module
-provides the ray-to-boundary projection psi, read off the crossing of the
-ray from the centre through x (``cones._crossing``, a scan of the cone
-frames of the surface triangles, precomputed per polyhedron).  That the
-ray crosses once is certified per chart by the exact cone signs of its
-cells (``star_extend``), whose orientations, like those of the
-boundary-map validation, come from ``_det3_signs``: exact, in floats where
-Shewchuk's orient3d error bound decides a sign and in Python integers
-inside that bound.
+A ``StarShape`` is a polyhedron about a centre that the caller gives (the
+slab atlas states its image solids' centres as dyadic data,
+``global_map._CHARTS``), kept as what the boundary-map validation reads:
+its vertices, its facet loops and each facet's plane and area, from the
+facet's vector area about its first vertex (``_fan_crosses``, which
+``pieces.face_centre`` shares).  Construction does not triangulate the
+surface or test the centre.  A chart with this codomain certifies both
+from its own cells: its exact cone signs make every image cell's cone from
+the centre positive, and ``star_extend.RadialMap.validate_boundary_map``
+makes the image cells tile each facet once, so the cones from the centre
+tile space and each ray from it crosses the boundary once, through the
+cell whose cone holds it (``star_extend.psi``).  The axis-aligned boxes of
+the radial maps are not built here (``star_extend.Box``).
 
-``star_shapes`` builds a batch of shapes with one numpy pass per step (the
-plane coordinates of all their facets, their cone frames and their facet
-planes); one shape is a batch of one.  The axis-aligned boxes of the radial
-maps are not built here: each is convex about its midpoint and needs no
-psi (``star_extend.Box``).
+The orientations of the cone signs and of the boundary-map validation come
+from ``_det3_signs``: exact, in floats where Shewchuk's orient3d error bound
+decides a sign and in Python integers inside that bound.
 
 All shapes are immutable after construction; every operation is pure.
 """
@@ -25,11 +25,8 @@ All shapes are immutable after construction; every operation is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .cones import _cone_frames, _cross, _crossing, _dots, _starts
 
 
 class GeometryError(ValueError):
@@ -38,13 +35,6 @@ class GeometryError(ValueError):
 
 # Relative tolerance for boundary classification, scaled by shape diameter.
 TAU_GEOM = 1e-12
-
-
-@dataclass(frozen=True)
-class BoundaryHit:
-    point: np.ndarray
-    facet: int
-    t: float
 
 
 def _as_array(x):
@@ -56,278 +46,90 @@ def _as_array(x):
     return a
 
 
+def _starts(counts):
+    """The first row of each of consecutive segments of ``counts`` rows."""
+    counts = np.asarray(counts, dtype=int)
+    return np.cumsum(counts) - counts
+
+
+def _dots(x, y):
+    """Row-wise dot products of two stacks of 3-vectors, each as numpy's dot
+    of one pair of vectors computes it."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _cross(x, y):
+    """Row-wise cross products of two stacks of 3-vectors, with the
+    products and differences of ``np.cross``."""
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    y0, y1, y2 = y[:, 0], y[:, 1], y[:, 2]
+    return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=1)
+
+
+def _fan_crosses(loop):
+    """(p0, fans, n) of a vertex loop of 3D points, in Python floats: its
+    first vertex p0; per fan triangle (p0, p_i, p_i+1), the edges
+    a = p_i - p0 and b = p_i+1 - p0 with their cross product a x b; and n,
+    the sum of those cross products, twice the vector area of a planar
+    loop, along its normal.  Taken relative to p0, a coordinate that every
+    vertex shares drops out exactly."""
+    (x0, y0, z0), *rest = loop
+    rel = [(x - x0, y - y0, z - z0) for x, y, z in rest]
+    fans = [(a, b, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                    a[0] * b[1] - a[1] * b[0])) for a, b in zip(rel, rel[1:])]
+    return (x0, y0, z0), fans, [sum(c[k] for *_, c in fans) for k in range(3)]
+
+
 class StarShape:
-    """A triangulated polyhedron about a centre.
+    """A polyhedron about a centre: the codomain of a slab chart.
 
-    ``vertices`` is a vertex pool, ``facet_polys`` lists each planar facet as
-    an ordered index loop, and ``triangles`` triangulates the surface with
-    ``tri_facet`` recording which facet each triangle came from;
-    ``facet_planes`` holds each facet's outward unit normal, plane offset
-    and area, and ``_cones`` the cone frames of the surface triangles about
-    the centre (``_cone_frames``), which ``psi`` scans.
+    ``vertices`` is a vertex pool and ``facet_polys`` lists each planar
+    facet as an ordered index loop, run either way round.
+    ``facet_planes`` holds, per facet, its unit normal signed away from
+    ``centre``, its plane offset n . p0 and its area, from the vector area
+    n of its loop (``_fan_crosses``), in Python floats.  ``diameter`` is that
+    of the bounding box and ``tol`` its ``TAU_GEOM`` multiple.
 
-    ``StarShape(vertices, centre, facet_polys)`` is ``star_shapes`` on one
-    shape.  Construction checks the arguments and the surface, not the
-    centre: any finite centre builds.  The shape is star about it where a
-    chart with this codomain passes its cone signs (``star_extend``).
+    Construction checks the arguments and the facets: it raises
+    GeometryError for a facet of zero vector area, or for one of more than
+    three vertices that leaves its plane by more than
+    max(10 tol, 1e-9 max |x|) over its vertices x.  It does not check the
+    surface or the centre: any finite centre builds.  A chart with this
+    codomain certifies both (``star_extend``): a facet that no image cell
+    tiles fails its boundary-map validation, and so does an open surface,
+    whose dropped face leaves a piece that serves no facet.
     """
 
     def __init__(self, vertices, centre, facet_polys):
-        _build_shapes([self], [(vertices, centre, facet_polys)])
-
-
-def star_shapes(specs):
-    """The shapes ``StarShape(*spec)`` of ``specs``, built in one stacked
-    pass: each numpy step of the construction (the facet coordinates, the
-    cone frames, the facet planes) runs once over the facets or triangles
-    of all shapes, their vertex and facet indices offset shape by shape.
-    The shapes are bitwise those that one ``StarShape`` call per spec
-    builds.  A batch raises the first error that its pass meets: the
-    arguments of every shape, then the facets of all, numbered through the
-    batch (``_facet_coordinates``), then each shape's surface
-    (``_triangulate_planar``, ``_orient_outward``); for one shape that is
-    the error of its construction."""
-    shapes = [StarShape.__new__(StarShape) for _ in specs]
-    _build_shapes(shapes, specs)
-    return shapes
-
-
-def _build_shapes(shapes, specs):
-    """Fill in the blank ``shapes`` from their ``specs`` (vertices, centre,
-    facet_polys), as ``star_shapes`` describes."""
-    for shape, (vertices, centre, facet_polys) in zip(shapes, specs):
-        shape.vertices = np.asarray(vertices, dtype=float)
-        if not np.all(np.isfinite(shape.vertices)):
+        self.vertices = np.asarray(vertices, dtype=float)
+        if not np.all(np.isfinite(self.vertices)):
             raise GeometryError("non-finite vertex coordinates")
-        shape.centre = _as_array(centre)
-        mins = shape.vertices.min(axis=0)
-        maxs = shape.vertices.max(axis=0)
-        shape.diameter = float(np.linalg.norm(maxs - mins))
-        if shape.diameter <= 0.0:
+        self.centre = _as_array(centre)
+        self.diameter = float(np.linalg.norm(self.vertices.max(axis=0)
+                                             - self.vertices.min(axis=0)))
+        if self.diameter <= 0.0:
             raise GeometryError("degenerate shape (zero diameter)")
-        shape.tol = TAU_GEOM * shape.diameter
-        shape.facet_polys = [list(map(int, p)) for p in facet_polys]
-        shape.facet_count = len(shape.facet_polys)
-        if any(len(poly) < 3 for poly in shape.facet_polys):
+        self.tol = TAU_GEOM * self.diameter
+        self.facet_polys = [list(map(int, p)) for p in facet_polys]
+        if any(len(poly) < 3 for poly in self.facet_polys):
             raise GeometryError("facet with fewer than 3 vertices")
-    if shapes:
-        _polyhedron_facets(shapes)
-
-
-def _polyhedron_facets(shapes):
-    """Each shape's surface triangles (ear clipped and oriented outward,
-    with the facet of each), cone frames and facet planes, each numpy step
-    in one pass over all shapes."""
-    nf = [shape.facet_count for shape in shapes]
-    voff = _starts([len(shape.vertices) for shape in shapes]).tolist()
-    foff = _starts(nf).tolist()
-    vertices = np.concatenate([shape.vertices for shape in shapes])
-    polys = [[i + off for i in poly] for shape, off in zip(shapes, voff)
-             for poly in shape.facet_polys]
-    plane = _facet_coordinates(vertices, polys,
-                               np.repeat([shape.tol * 10 for shape in shapes], nf))
-    for shape, f0 in zip(shapes, foff):
-        tris = []
-        tri_facet = []
-        for fi, (poly, pts2) in enumerate(zip(shape.facet_polys,
-                                              plane[f0:f0 + shape.facet_count])):
-            for tri in _triangulate_planar(poly, pts2):
-                tris.append(tri)
-                tri_facet.append(fi)
-        shape.triangles = _orient_outward(shape.vertices, tris)
-        shape.tri_facet = np.asarray(tri_facet, dtype=int)
-    nt = [len(shape.triangles) for shape in shapes]
-    points = vertices[np.concatenate([shape.triangles + off
-                                      for shape, off in zip(shapes, voff)])]
-    centres = np.repeat([shape.centre for shape in shapes], nt, axis=0)
-    cones = _cone_frames(points - centres[:, None, :],
-                         np.concatenate([shape.tri_facet for shape in shapes]), nt)
-    planes = _facet_planes(vertices, polys, points, np.concatenate(
-        [shape.tri_facet + off for shape, off in zip(shapes, foff)]))
-    for shape, cone, f0 in zip(shapes, cones, foff):
-        shape._cones = cone
-        shape.facet_planes = tuple(x[f0:f0 + shape.facet_count] for x in planes)
-
-
-def _facet_planes(vertices, polys, points, tri_facet):
-    """(normals, offsets, areas) of the facets ``polys`` (vertex index loops
-    into ``vertices``): each facet's outward unit normal, plane offset and
-    area, from the outward-oriented surface triangles ``points`` (T, 3, 3)
-    with the facet ``tri_facet`` of each."""
-    n = np.zeros((len(polys), 3))
-    np.add.at(n, tri_facet, _cross(points[:, 1] - points[:, 0],
-                                     points[:, 2] - points[:, 0]))
-    twice_area = np.linalg.norm(n, axis=1)
-    n /= twice_area[:, None]
-    first = vertices[[poly[0] for poly in polys]]
-    return n, _dots(n, first), twice_area / 2
-
-
-# ---------------------------------------------------------------------------
-# basic polygon helpers
-
-def _facet_coordinates(vertices, polys, tol):
-    """The plane coordinates of the facets ``polys`` (vertex index loops)
-    of a polyhedron, all facets in one stacked pass: each facet's vertices'
-    coordinates in the frame (e1, n x e1) at its first vertex, n its unit
-    Newell normal and e1 along its first edge, as lists of float pairs.
-    Every dot product and norm is numpy's (``_dots``).  Raises GeometryError
-    if a facet has a zero normal, or if one with more than three vertices
-    leaves its plane by more than max(tol, 1e-9 max |x|) over its vertices
-    x."""
-    newell = []
-    rows = vertices.tolist()
-    for poly in polys:
-        n0 = n1 = n2 = 0.0
-        for p, q in _loop_edges([rows[i] for i in poly]):
-            n0 += (p[1] - q[1]) * (p[2] + q[2])
-            n1 += (p[2] - q[2]) * (p[0] + q[0])
-            n2 += (p[0] - q[0]) * (p[1] + q[1])
-        newell.append((n0, n1, n2))
-    newell = np.array(newell)
-    norm = np.sqrt(_dots(newell, newell))
-    if not norm.all():
-        raise GeometryError("degenerate facet (zero normal)")
-    normals = newell / norm[:, None]
-    sizes = np.array([len(poly) for poly in polys])
-    starts = np.cumsum(sizes) - sizes
-    at = np.repeat(np.arange(len(polys)), sizes)
-    pts = vertices[np.concatenate(polys)]
-    origin = vertices[[poly[0] for poly in polys]]
-    e1 = vertices[[poly[1] for poly in polys]] - origin
-    e1 = e1 / np.sqrt(_dots(e1, e1))[:, None]
-    rel = pts - origin[at]
-    u, v, off = (_dots(rel, e[at]) for e in (e1, _cross(normals, e1), normals))
-    scale = np.maximum.reduceat(np.abs(pts).max(axis=1), starts)
-    flat = np.maximum.reduceat(np.abs(off), starts) <= np.maximum(tol, 1e-9 * scale)
-    warped = np.flatnonzero(~flat & (sizes > 3))
-    if warped.size:
-        raise GeometryError(f"facet {warped[0]} is not planar")
-    uv = np.column_stack([u, v]).tolist()
-    return [uv[k:k + n] for k, n in zip(starts.tolist(), sizes.tolist())]
-
-
-def _triangulate_planar(poly, pts2):
-    """Ear-clip a planar facet given as a vertex-index loop and its
-    vertices' coordinates pts2 in the facet plane."""
-    idx = list(range(len(poly)))
-    ccw = sum(p[0] * q[1] - q[0] * p[1] for p, q in _loop_edges(pts2)) > 0
-    tris = []
-    while len(idx) > 3:
-        for k in range(len(idx)):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % len(idx)]
-            a, b, c = pts2[i0], pts2[i1], pts2[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-            if (cross > 0) != ccw or abs(cross) < 1e-14:
-                continue
-            if any(_point_in_tri2(pts2[j], a, b, c) for j in idx
-                   if j not in (i0, i1, i2)):
-                continue
-            tris.append((poly[i0], poly[i1], poly[i2]))
-            idx.pop(k)
-            break
-        else:
-            raise GeometryError("ear clipping failed (non-simple facet?)")
-    tris.append((poly[idx[0]], poly[idx[1]], poly[idx[2]]))
-    return tris
-
-
-def _point_in_tri2(p, a, b, c):
-    d1 = (p[0] - a[0]) * (b[1] - a[1]) - (b[0] - a[0]) * (p[1] - a[1])
-    d2 = (p[0] - b[0]) * (c[1] - b[1]) - (c[0] - b[0]) * (p[1] - b[1])
-    d3 = (p[0] - c[0]) * (a[1] - c[1]) - (a[0] - c[0]) * (p[1] - c[1])
-    has_neg = (d1 < 0) or (d2 < 0) or (d3 < 0)
-    has_pos = (d1 > 0) or (d2 > 0) or (d3 > 0)
-    return not (has_neg and has_pos)
-
-
-def _loop_edges(loop):
-    """The (start, end) vertex pairs of the edges of a vertex loop."""
-    return zip(loop, loop[1:] + loop[:1])
-
-
-def _edges(t):
-    return ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-
-
-def _check_watertight(triangles):
-    """Each directed edge occurs once and its reverse once: the surface is
-    closed and consistently oriented."""
-    for t in triangles:
-        if len(set(t)) < 3:
-            raise GeometryError(f"degenerate triangle {t}")
-    directed = [e for t in triangles for e in _edges(t)]
-    if len(set(directed)) < len(directed) or \
-            set(directed) != {(v, u) for u, v in directed}:
-        raise GeometryError("surface is not closed or not orientable")
-
-
-def _orient_outward(vertices, tris):
-    """The triangles turned to one orientation with outward normals (a
-    positive enclosed volume), flipping by swapping the last two vertices;
-    raises if the surface is not connected (the one crossing of each ray
-    from the centre needs one component), not closed or not orientable."""
-    tris = [list(map(int, t)) for t in tris]
-    by_edge = {}        # each undirected edge, as (low, high), -> its triangles
-    for k, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            by_edge.setdefault((u, v) if u < v else (v, u), []).append(k)
-    todo = set(range(1, len(tris)))
-    stack = [0]
-    while stack:
-        a, b, c = tris[stack.pop()]
-        for u, v in ((a, b), (b, c), (c, a)):
-            for k in by_edge[(u, v) if u < v else (v, u)]:
-                if k in todo:
-                    todo.discard(k)
-                    t = tris[k]
-                    if (t[0], t[1]) == (u, v) or (t[1], t[2]) == (u, v) \
-                            or (t[2], t[0]) == (u, v):    # must run v -> u
-                        t[1], t[2] = t[2], t[1]
-                    stack.append(k)
-    if todo:
-        raise GeometryError("surface is not connected")
-    _check_watertight(tris)
-    p = vertices[tris]
-    if _dots(p[:, 0], _cross(p[:, 1], p[:, 2])).sum() < 0.0:
-        tris = [[a, c, b] for a, b, c in tris]
-    return np.asarray(tris, dtype=int)
-
-
-# ---------------------------------------------------------------------------
-# the ray projection psi
-
-def psi(shape: StarShape, x) -> BoundaryHit:
-    """Boundary point hit by the ray from the star centre through x.
-
-    Defined on closure(shape) minus the centre: the crossing at or beyond
-    x, so boundary points map to themselves with t = 1.  Ties on shared
-    facet boundaries go to the lowest facet id.  The centre (x within tol
-    of it) and exterior points (no crossing at or beyond x) raise
-    GeometryError.  The crossing comes from ``_crossing``, in Python
-    floats.  ``RadialMap.inverse`` takes the codomain facet of a slab chart
-    from psi.  It needs every ray from the centre to cross the boundary
-    once: for a chart's codomain, the chart's exact cone signs and its
-    degree-one boundary map (``RadialMap.validate_boundary_map``) make the
-    chart a homeomorphism of its convex box onto the solid.
-    """
-    x = _as_array(x)
-    c, r, d = _centre_ray(shape, x)
-    if d <= shape.tol:
-        raise GeometryError("psi is undefined at the star centre")
-    hit = _crossing(shape, r, d)
-    if hit is None:
-        raise GeometryError("psi called on an exterior point")
-    t, facet = hit
-    return BoundaryHit(point=np.array([u + t * v for u, v in zip(c, r)]),
-                       facet=facet, t=t)
-
-
-def _centre_ray(shape, x):
-    """(c, r, |r|) in Python floats: the centre c and r = x - c."""
-    c = shape.centre.tolist()
-    r = [u - v for u, v in zip(x.tolist(), c)]
-    return c, r, math.hypot(*r)
+        rows, (cx, cy, cz) = self.vertices.tolist(), self.centre.tolist()
+        planes = []
+        for k, poly in enumerate(self.facet_polys):
+            loop = [rows[i] for i in poly]
+            (x0, y0, z0), fans, (n0, n1, n2) = _fan_crosses(loop)
+            twice_area = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+            if not twice_area:
+                raise GeometryError("degenerate facet (zero normal)")
+            norm = twice_area if n0 * (x0 - cx) + n1 * (y0 - cy) + n2 * (z0 - cz) >= 0.0 \
+                else -twice_area
+            n0, n1, n2 = n0 / norm, n1 / norm, n2 / norm
+            if len(poly) > 3 and max(abs(n0 * u + n1 * v + n2 * w) for a, b, _ in fans
+                                     for u, v, w in (a, b)) \
+                    > max(10 * self.tol, 1e-9 * max(abs(x) for p in loop for x in p)):
+                raise GeometryError(f"facet {k} is not planar")
+            planes.append(((n0, n1, n2), n0 * x0 + n1 * y0 + n2 * z0, twice_area / 2))
+        self.facet_planes = tuple(np.array(x) for x in zip(*planes))
 
 
 # ---------------------------------------------------------------------------

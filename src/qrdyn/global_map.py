@@ -40,8 +40,7 @@ from typing import Dict
 import numpy as np
 
 from . import zorich
-from .cones import _cross, _starts
-from .geometry import GeometryError, _det3_signs, star_shapes
+from .geometry import GeometryError, StarShape, _cross, _det3_signs, _starts
 from .pieces import face_centre, fan_cells
 from .star_extend import Box, RadialMap, ValidationReport, _mapped_points, radial_maps
 
@@ -181,13 +180,14 @@ _IMAGE_FACE_CENTRES = {"P0 P1 T1 Q1 Q0": (0.0, 0.875, 3.625),
 
 
 def _build_charts(vt, ids, shared=None):
-    """The charts ``ids`` of ``_CHARTS``: one piece per distinct face, the
-    image solids in one ``star_shapes`` batch, each box a ``Box`` domain,
-    and the cells in one ``radial_maps`` pass, which certifies every centre
-    by its cone signs; a face of ``shared`` ({face: piece} of an earlier
-    phase) keeps that piece, and each codomain facet is served by the piece
-    of its face.  A map that fails (a centre that fails its cone signs,
-    say) raises ConstructionError naming its chart."""
+    """The charts ``ids`` of ``_CHARTS``: one piece per distinct face, one
+    ``StarShape`` per image solid (its facet planes, which the boundary-map
+    validation reads), each box a ``Box`` domain, and the cells in one
+    ``radial_maps`` pass, which certifies every centre by its cone signs;
+    a face of ``shared`` ({face: piece} of an earlier phase) keeps that
+    piece, and each codomain facet is served by the piece of its face.  A
+    map that fails (a centre that fails its cone signs, say) raises
+    ConstructionError naming its chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
                                for on_facet in spec["facets"].values() for face in on_facet))
@@ -211,14 +211,14 @@ def _build_charts(vt, ids, shared=None):
         names = sorted({n for face in spec["codomain"] for n in face.split()})
         verts = np.array([vt.images[n] for n in names])
         loops = [[names.index(n) for n in face.split()] for face in spec["codomain"]]
-        solids.append((verts, spec["centre"], loops))
+        solids.append(StarShape(verts, spec["centre"], loops))
     try:
         maps = radial_maps([
             (Box(lo, hi), solid,
              {facet: [made[face] for face in on_facet]
               for facet, on_facet in spec["facets"].items()},
              {k: made[face] for k, face in enumerate(spec["codomain"])})
-            for spec, solid, (lo, hi) in zip(specs, star_shapes(solids), boxes)])
+            for spec, solid, (lo, hi) in zip(specs, solids, boxes)])
     except (GeometryError, np.linalg.LinAlgError) as err:
         if not hasattr(err, "map_index"):
             raise

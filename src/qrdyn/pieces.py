@@ -15,7 +15,7 @@ about which it is not star.
 
 from __future__ import annotations
 
-from .geometry import GeometryError
+from .geometry import GeometryError, _fan_crosses
 
 
 def _loop(points):
@@ -25,18 +25,14 @@ def _loop(points):
 def face_centre(loop3):
     """The area centroid of a planar face given by its vertex loop, in
     Python floats: the centroids of the fan triangles (p0, p_i, p_i+1)
-    weighted by their signed areas along the Newell normal n (the sum of
-    the fan's cross products), taken relative to p0, so that a coordinate
+    weighted by their signed areas along the face's vector area n
+    (``geometry._fan_crosses``), taken relative to p0, so that a coordinate
     that every vertex shares is the centroid's exactly."""
-    (x0, y0, z0), *rest = _loop(loop3)
-    rel = [(x - x0, y - y0, z - z0) for x, y, z in rest]
-    fans = [(a, b, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                    a[0] * b[1] - a[1] * b[0])) for a, b in zip(rel, rel[1:])]
-    n = [sum(c[k] for *_, c in fans) for k in range(3)]
+    origin, fans, n = _fan_crosses(_loop(loop3))
     weights = [n[0] * c[0] + n[1] * c[1] + n[2] * c[2] for *_, c in fans]
     total = 3.0 * sum(weights)
     return tuple(o + sum(w * (a[k] + b[k]) for w, (a, b, _) in zip(weights, fans)) / total
-                 for k, o in enumerate((x0, y0, z0)))
+                 for k, o in enumerate(origin))
 
 
 def fan_cells(domain_loop, image_loop, dom_centre, img_centre):

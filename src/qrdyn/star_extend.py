@@ -4,10 +4,10 @@ A boundary homeomorphism from an axis-aligned box onto a star-shaped
 polyhedron extends to the closed regions by transporting radial fractions:
 a point at fraction s of the way from the box's midpoint to its boundary
 maps to the point at fraction s from the polyhedron's centre to the image
-boundary point.  The box (``Box``) is convex about its midpoint, so only
-the polyhedron (``geometry.StarShape``) needs psi.  Its centre is certified
-by one exact sign per fan triangle of every cell: the image cone about it
-has the orientation of the domain cone (``_cone_sign_failures``).
+boundary point.  The box (``Box``) is convex about its midpoint; the
+polyhedron's (``geometry.StarShape``) centre is certified by one exact
+sign per fan triangle of every cell: the image cone about it has the
+orientation of the domain cone (``_cone_sign_failures``).
 
 The boundary map itself is a list of pieces on each domain facet, each
 piece the list of its affine cells (``pieces``), and each piece serves one
@@ -30,11 +30,15 @@ centre over each cell, and a ``RadialMap`` is those cells, stacked from its
 pieces at construction (``radial_maps`` builds several maps in one stacked
 pass).  It both evaluates and inverts the map: forward by one facet test, a
 sector test for the piece and one for the cell (each skipped where there is
-one entry) and one affine product, backward by the codomain facet from
-``psi``, a cone test among that facet's image cells and one inverse affine
-product.  The same cells make the boundary map's certificate finite and
-exact: ``RadialMap.validate_boundary_map`` checks its seams on the cell
-complex and its orientation by exact signs on the cell vertices.
+one entry) and one affine product, backward by the image cell whose cone
+from the codomain centre holds the point (``psi``, a scan of the image
+cells' fan frames) and one inverse affine product.  The same cells make the
+boundary map's certificate finite and exact:
+``RadialMap.validate_boundary_map`` checks its seams on the cell complex
+and its orientation by exact signs on the cell vertices.  With the cone
+signs, that makes the image cones from the codomain centre tile space, so
+the image cells are the only triangulation of the codomain's surface that
+the map needs.
 """
 
 from __future__ import annotations
@@ -47,8 +51,7 @@ from math import atan2, inf
 
 import numpy as np
 
-from .cones import _dots, _starts
-from .geometry import TAU_GEOM, GeometryError, StarShape, psi, _as_array, _det3_signs
+from .geometry import TAU_GEOM, GeometryError, StarShape, _as_array, _det3_signs, _dots, _starts
 
 # Relative tolerance of the facet area sums of a boundary map's cells
 TAU_SEAM = 1e-9
@@ -59,13 +62,12 @@ TAU_SEAM = 1e-9
 
 class Box:
     """The axis-aligned cuboid [lo, hi], the domain of a ``RadialMap``: it
-    is convex about its midpoint ``centre``, so it needs no psi.  Its
-    ``diameter``, ``tol`` and ``facet_planes`` (normals, offsets, areas) are
-    those of a ``StarShape``, in closed form: facet 2k is the face
-    x_k = lo[k] (normal -e_k, offset -lo[k]) and facet 2k + 1 the face
-    x_k = hi[k] (normal e_k, offset hi[k]), each with the product of its
-    two sides as area.  Raises GeometryError unless lo and hi are finite
-    3-vectors with lo < hi on every axis."""
+    is convex about its midpoint ``centre``.  Its ``diameter`` and ``tol``
+    are those of a ``StarShape``, and its ``facet_planes`` the normals and
+    areas of one, in closed form: facet 2k is the face x_k = lo[k] (normal
+    -e_k) and facet 2k + 1 the face x_k = hi[k] (normal e_k), each with the
+    product of its two sides as area.  Raises GeometryError unless lo and
+    hi are finite 3-vectors with lo < hi on every axis."""
 
     # -e_k and e_k; + 0.0 turns the -0.0 of the products into 0.0
     _NORMALS = np.kron(np.eye(3), [[-1.0], [1.0]]) + 0.0
@@ -79,7 +81,7 @@ class Box:
         self.diameter = float(np.linalg.norm(side))
         self.tol = TAU_GEOM * self.diameter
         area = np.repeat([side[1] * side[2], side[0] * side[2], side[0] * side[1]], 2)
-        self.facet_planes = (self._NORMALS, np.column_stack([-self.lo, self.hi]).ravel(), area)
+        self.facet_planes = (self._NORMALS, area)
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +118,12 @@ class RadialMap:
     the domain box by more than ``domain.tol``; ``eval3`` checks nothing.
 
     The image cells are the cones from b over the image polygons, and they
-    tile the codomain.  ``inverse`` takes the codomain facet hit by the ray
-    from b (``psi``), the image cell among that facet's whose cone contains
-    q - b (barycentric frames of the polygon's fan triangles), and returns
-    a + A^-1 (q - b).  Inside the centre ball of radius ``codomain.tol``,
-    where the ray from b has no reliable facet, the cell is the one among
-    all image cells whose cone contains q - b (the cones tile space); b
-    itself maps to a.  Exterior points raise GeometryError.
+    tile space.  ``inverse`` maps b to a, and any other q to
+    a + A^-1 (q - b), A the linear part of the image cell whose cone holds
+    q - b (``psi``, through the module's name, which scans ``_frames``, the
+    barycentric frames of the fan triangles of every image polygon, in cell
+    order; ``_inverses`` holds each cell's A^-1).  Exterior and non-finite
+    points raise GeometryError.
 
     Construction (``_build_maps``, over one or several maps) stacks the
     cells once, in cell order (facet by facet, piece by piece): ``points``
@@ -188,14 +189,9 @@ class RadialMap:
         dx = x - bx
         dy = y - by
         dz = z - bz
-        r2 = dx * dx + dy * dy + dz * dz
-        if r2 == 0.0:
+        if not (dx or dy or dz):
             return (ax, ay, az)
-        if r2 <= self._ctol2_image:
-            cells = self._all_image_cells
-        else:
-            cells = self._image_cells[psi(self.codomain, (x, y, z)).facet]
-        m = _cone_cell(cells, dx, dy, dz)
+        m = self._inverses[psi(self, dx, dy, dz)[1]]
         return (ax + m[0] * dx + m[1] * dy + m[2] * dz,
                 ay + m[3] * dx + m[4] * dy + m[5] * dz,
                 az + m[6] * dx + m[7] * dy + m[8] * dz)
@@ -230,7 +226,7 @@ class RadialMap:
         """
         scale = self.codomain.diameter
         tol_boundary = max(self.codomain.tol * 1e3, 1e-12 * scale)
-        dom_n, _, dom_area = self.domain.facet_planes
+        dom_n, dom_area = self.domain.facet_planes
         cod_n, cod_d, cod_area = self.codomain.facet_planes
         # every cell vertex and its image, cell after cell
         dom, img, start = self.points, self.targets, _starts(self.sizes)
@@ -395,10 +391,11 @@ def _build_maps(maps, specs):
     first three vertex correspondences.  Each facet's entry is then the
     sector entry (``_sector_entry``) of its pieces over those of their
     cells, the rows taken in cell order; one determinant and one inverse go
-    over the linear parts, and one inverse gives the fan frames.  Each map
-    keeps its slice of the stacked arrays; a stacked solve or inverse equals
-    the per-matrix call bitwise, so every map is the one that its own
-    construction builds.  Raises the first error met; a facet without
+    over the linear parts, and one inverse gives the fan frames of the
+    image cells, which ``psi`` scans (``_frames``, each with its cell).
+    Each map keeps its slice of the stacked arrays; a stacked solve or
+    inverse equals the per-matrix call bitwise, so every map is the one
+    that its own construction builds.  Raises the first error met; a facet without
     pieces, a piece that serves no codomain facet or several, and a piece
     that serves a codomain facet but holds no domain facet (no cells to
     invert there) are met before any stacking."""
@@ -413,7 +410,6 @@ def _build_maps(maps, specs):
         rmap._b = tuple(map(float, codomain.centre))
         rmap._box = tuple([float(c) + s * domain.tol for c in v]
                           for v, s in zip((domain.lo, domain.hi), (-1, 1)))
-        rmap._ctol2_image = codomain.tol ** 2
         rmap.labels = []
         served = set()
         for facet in range(6):
@@ -481,11 +477,10 @@ def _build_maps(maps, specs):
             raise GeometryError(f"{rmap.labels[singular[0]]}: singular linear part")
         c0 += n
     at = np.append(_starts(sizes - 2), len(fan_cell)).tolist()
-    inverse = list(map(tuple, np.linalg.inv(linear).reshape(-1, 9).tolist()))
+    inverses = list(map(tuple, np.linalg.inv(linear).reshape(-1, 9).tolist()))
     mapped = _mapped_points(points - np.repeat(centres[0], sizes, axis=0), sizes, linear)
     frames = list(map(tuple, np.linalg.inv(np.swapaxes(mapped[fans], 1, 2))
                       .reshape(-1, 9).tolist()))
-    image_cells = list(zip([frames[s:e] for s, e in zip(at, at[1:])], inverse))
     c0, p0, t0 = 0, 0, 0
     for rmap, n in zip(maps, counts.tolist()):
         c1 = c0 + n
@@ -497,9 +492,8 @@ def _build_maps(maps, specs):
         number = {}       # each distinct point of the map, numbered
         rmap.point_ids = np.array([number.setdefault(q, len(number))
                                    for dom in doms[c0:c1] for q in dom])
-        rmap._all_image_cells = image_cells[c0:c1]
-        rmap._image_cells = {f: [cell for cell, (_, g) in zip(image_cells[c0:c1], facets[c0:c1])
-                                 if g == f] for f in rmap.piece_by_codomain_facet}
+        rmap._frames = list(zip(frames[t0:t1], rmap.fan_cell.tolist()))
+        rmap._inverses = inverses[c0:c1]
         c0, p0, t0 = c1, p1, t1
 
 
@@ -517,22 +511,40 @@ def _mapped_points(d, sizes, linear):
     return out
 
 
-def _cone_cell(cells, dx, dy, dz):
-    """The inverse linear part of the first of the (frames, inverse) image
-    cells whose cone contains d, with barycentric slack 1e-9 in one of its
-    fan triangles; failing that, of the cell that d misses least."""
-    best, depth = None, -math.inf
-    for frames, inv in cells:
-        for f0, f1, f2, f3, f4, f5, f6, f7, f8 in frames:
-            l0 = f0 * dx + f1 * dy + f2 * dz
-            l1 = f3 * dx + f4 * dy + f5 * dz
-            l2 = f6 * dx + f7 * dy + f8 * dz
-            s = l0 + l1 + l2
-            if s <= 0.0:
-                continue
-            low = min(l0, l1, l2) / s
-            if low >= -1e-9:
-                return inv
-            if low > depth:
-                best, depth = inv, low
-    return best
+def psi(rmap, dx, dy, dz):
+    """(t, k) of the ray from the codomain centre b of the chart ``rmap``
+    along d = (dx, dy, dz) = q - b: the image cell k whose cone from b
+    holds d, and the ray's crossing b + t d with the codomain's boundary.
+
+    It scans the fan frames of the chart's image cells (``_frames``, the
+    barycentric frames of the fan triangles of each image polygon about b),
+    in cell order: k is the first cell with a fan triangle in which d has
+    barycentrics l >= -1e-9 sum(l), and failing that, the cell that d
+    misses least; t = 1 / sum(l).  The image cones tile space (the chart's
+    cone signs and its boundary-map validation certify it), so the ray
+    crosses the boundary once, in cell k, and t >= 1 unless q is exterior.
+    Raises GeometryError where that crossing lies nearer than q by more
+    than 4 ``codomain.tol``, and where d is zero or not finite."""
+    dist = math.hypot(dx, dy, dz)
+    if not 0.0 < dist < inf:
+        raise GeometryError("psi is undefined at the star centre" if dist == 0.0
+                            else "non-finite coordinates are not admitted"
+                            if not all(map(math.isfinite, (dx, dy, dz)))
+                            else "psi called on an exterior point")
+    best, depth, s_best = -1, -inf, 0.0
+    for (f0, f1, f2, f3, f4, f5, f6, f7, f8), k in rmap._frames:
+        l0 = f0 * dx + f1 * dy + f2 * dz
+        l1 = f3 * dx + f4 * dy + f5 * dz
+        l2 = f6 * dx + f7 * dy + f8 * dz
+        s = l0 + l1 + l2
+        if s <= 0.0:
+            continue
+        low = min(l0, l1, l2) / s
+        if low >= -1e-9:
+            best, s_best = k, s
+            break
+        if low > depth:
+            best, depth, s_best = k, low, s
+    if best < 0 or dist - dist / s_best > 4 * rmap.codomain.tol:
+        raise GeometryError("psi called on an exterior point")
+    return 1.0 / s_best, best

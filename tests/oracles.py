@@ -1,6 +1,5 @@
 """Reference implementations that the package replaced by the affine cells
-of its ``RadialMap``s and by cone frames, kept here as the oracles of the
-tests.
+of its ``RadialMap``s, kept here as the oracles of the tests.
 
 - ``radial_eval`` and ``radial_inverse``: a chart's radial extension and its
   inverse by the radial formula, through the boundary pieces, which
@@ -11,6 +10,9 @@ tests.
   ``radial_eval`` takes the piece of a facet of several pieces whose cells
   hold the exit point deepest (``_transport``), where ``RadialMap.eval3``
   takes it by a sector test;
+- ``surface_triangles``: a polyhedron's facets ear clipped and oriented
+  outward, the surface triangulation that the package built of every image
+  solid before ``star_extend.psi`` read the chart's own image cells;
 - ``psi_ray_oracle``: psi on a polyhedron by Moller-Trumbore over all surface
   triangles (``_ray_tris``), exterior where no crossing lies at or beyond x;
 - ``star_test``: the exact star test of a polyhedron about a centre, one
@@ -47,8 +49,10 @@ tests.
   pieces, one solve per sector probe and triangle),
   ``cell_vertex_images`` (one product per cell),
   ``image_cell_frames`` (one inverse per cell),
-  ``polygon_normal_rows``, ``facet_is_planar_rows`` and
-  ``triangulate_planar_rows`` (one ``@`` per facet vertex);
+  ``polygon_normal_rows`` (a facet's Newell normal),
+  ``facet_is_planar_rows`` and ``triangulate_planar_rows`` (ear clipping
+  in the facet plane, one ``@`` per facet vertex, which
+  ``surface_triangles`` runs on every facet);
 - ``frame_rows``, ``frame_to2d`` and ``frame_to3d``: a planar face's frame
   (origin, e1, e2) and its plane coordinates, in which ``eval_piece`` and
   ``invert_piece`` take a face fan's radial formula;
@@ -59,8 +63,8 @@ tests.
 - ``radial_power_dilatation_oracle``: the dilatations of |x| x from their
   closed form, checked against finite differences;
 - ``cuboid_spec``: the ``StarShape`` arguments of an axis-aligned cuboid
-  built as a polyhedron, whose facet planes a ``star_extend.Box`` gives in
-  closed form;
+  built as a polyhedron, whose facet normals and areas a
+  ``star_extend.Box`` gives in closed form;
 - ``cell_facets_by_planes``: each cell's domain and codomain facet by the
   nearest planes, as ``RadialMap.validate_boundary_map`` once searched for
   them before construction recorded them (``cell_facets``).
@@ -76,16 +80,55 @@ import numpy as np
 
 from qrdyn.dynamics import _fibonacci_sphere
 from qrdyn.example_maps import radial_square_eval
-from qrdyn.geometry import (TAU_GEOM, BoundaryHit, GeometryError,
-                            _as_array, _det3_signs, _point_in_tri2)
+from qrdyn.geometry import TAU_GEOM, GeometryError, _as_array, _det3_signs
 from qrdyn.zorich import _EXP_ARG_MAX, HORIZON, F_scalar, _fold1, _off_horizon
+
+
+BoundaryHit = namedtuple("BoundaryHit", "point facet t")
+
+
+@functools.lru_cache(maxsize=None)
+def surface_triangles(shape):
+    """(triangles, tri_facet) of a polyhedron ``shape``: each facet ear
+    clipped in its plane (``triangulate_planar_rows``), with the facet of
+    each triangle, all turned to one orientation across their shared edges
+    and then outward (a positive enclosed volume).  Raises GeometryError
+    if the surface is not connected, or not closed and orientable."""
+    tris, tri_facet = [], []
+    for k, poly in enumerate(shape.facet_polys):
+        for tri in triangulate_planar_rows(shape.vertices, poly)[0]:
+            tris.append(list(tri))
+            tri_facet.append(k)
+    by_edge = {}
+    for k, tri in enumerate(tris):
+        for edge in zip(tri, tri[1:] + tri[:1]):
+            by_edge.setdefault(frozenset(edge), []).append(k)
+    todo, stack = set(range(1, len(tris))), [0]
+    while stack:
+        tri = tris[stack.pop()]
+        for u, v in zip(tri, tri[1:] + tri[:1]):
+            for k in set(by_edge[frozenset((u, v))]) & todo:
+                todo.discard(k)
+                t = tris[k]
+                if (u, v) in zip(t, t[1:] + t[:1]):     # it must run v -> u
+                    t[1], t[2] = t[2], t[1]
+                stack.append(k)
+    if todo:
+        raise GeometryError("surface is not connected")
+    directed = [e for t in tris for e in zip(t, t[1:] + t[:1])]
+    if len(set(directed)) < len(directed) or set(directed) != {(v, u) for u, v in directed}:
+        raise GeometryError("surface is not closed or not orientable")
+    tris = np.array(tris)
+    if np.linalg.det(shape.vertices[tris]).sum() < 0.0:
+        tris = tris[:, [0, 2, 1]]
+    return tris, np.array(tri_facet)
 
 
 def _ray_tris(shape, origin, direction):
     """Moller-Trumbore over all surface triangles of a 3D shape, for one
     direction (3,) or a stack of directions (N, 3) from a common origin.
     Returns (t, u, v, valid), each of shape (T,) or (N, T)."""
-    p0, p1, p2 = np.moveaxis(shape.vertices[shape.triangles], 1, 0)
+    p0, p1, p2 = np.moveaxis(shape.vertices[surface_triangles(shape)[0]], 1, 0)
     e1, e2 = p1 - p0, p2 - p0
     direction = direction[..., None, :]
     p = np.cross(direction, e2)
@@ -121,8 +164,9 @@ def psi_ray_oracle(shape, x):
     ts = np.where(ok, t, np.inf)
     tmin = float(ts.min())
     cand = np.nonzero(ts <= tmin * (1 + 1e-12) + shape.tol)[0]
-    ti = int(cand[np.argmin(shape.tri_facet[cand])])
-    return BoundaryHit(point=a + t[ti] * d, facet=int(shape.tri_facet[ti]),
+    tri_facet = surface_triangles(shape)[1]
+    ti = int(cand[np.argmin(tri_facet[cand])])
+    return BoundaryHit(point=a + t[ti] * d, facet=int(tri_facet[ti]),
                        t=float(t[ti] / dist))
 
 
@@ -135,7 +179,7 @@ def star_test(shape, centres):
     about c, so that every ray from c crosses it once; an exterior centre
     (winding zero) or one on the boundary (a zero volume) fails."""
     centres = np.asarray(centres, dtype=float).reshape(-1, 3)
-    tris = shape.vertices[shape.triangles]
+    tris = shape.vertices[surface_triangles(shape)[0]]
     signs = _det3_signs(np.tile(tris, (len(centres), 1, 1)),
                         np.repeat(centres, len(tris), axis=0)[:, None])[0]
     return [int(np.argmax(row <= 0)) if (row <= 0).any() else None
@@ -647,6 +691,15 @@ def facet_is_planar_rows(pts, tol):
         return True
     d = (pts - pts[0]) @ polygon_normal_rows(pts)
     return float(np.max(np.abs(d))) <= max(tol, 1e-9 * np.abs(pts).max())
+
+
+def _point_in_tri2(p, a, b, c):
+    d1 = (p[0] - a[0]) * (b[1] - a[1]) - (b[0] - a[0]) * (p[1] - a[1])
+    d2 = (p[0] - b[0]) * (c[1] - b[1]) - (c[0] - b[0]) * (p[1] - b[1])
+    d3 = (p[0] - c[0]) * (a[1] - c[1]) - (a[0] - c[0]) * (p[1] - c[1])
+    has_neg = (d1 < 0) or (d2 < 0) or (d3 < 0)
+    has_pos = (d1 > 0) or (d2 > 0) or (d3 > 0)
+    return not (has_neg and has_pos)
 
 
 def triangulate_planar_rows(vertices, poly):

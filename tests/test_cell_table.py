@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from oracles import (_cell_index, cell_linear_part, cell_vertex_images, facet_is_planar_rows,
-                     image_cell_frames, radial_eval, radial_inverse, sector_entry,
-                     triangulate_planar_rows)
-from qrdyn.geometry import (GeometryError, StarShape, _det3_signs, _facet_coordinates,
-                            _triangulate_planar)
+                     image_cell_frames, polygon_normal_rows, radial_eval, radial_inverse,
+                     sector_entry, surface_triangles)
+from qrdyn.geometry import GeometryError, StarShape, _det3_signs, _fan_crosses
 from qrdyn.global_map import (CellTable, ConstructionError, _cell_spectra, audit_orientation,
                               certify_cell_orientation, chart_lipschitz)
 from qrdyn.star_extend import RadialMap
@@ -329,6 +328,11 @@ class TestInverse:
             far = b + 2.0 * (cod.vertices[0] - b)
             with pytest.raises(GeometryError, match="exterior"):
                 chart.map.inverse(far.tolist())
+            for q in ((math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)):
+                with pytest.raises(GeometryError, match="non-finite"):
+                    chart.map.inverse(q)
+            with pytest.raises(GeometryError, match="exterior"):
+                chart.map.inverse((1e308, 1e308, 0.0))
 
 
 def _radial_slab(gm, x, y, z):
@@ -510,7 +514,7 @@ class TestBuildMatchesOracles:
                     for dom, img in piece:
                         m = np.ascontiguousarray(cell_linear_part(rmap._a, rmap._b, dom, img))
                         assert rmap.linear[k].tobytes() == m.tobytes(), (chart.cell_id, k)
-                        frames, _ = rmap._all_image_cells[k]
+                        frames = [f for f, cell in rmap._frames if cell == k]
                         assert _bits(frames) == _bits(image_cell_frames(rmap._a, polygons[k], m))
                         rows.append(tuple(m.ravel().tolist()))
                         k += 1
@@ -530,9 +534,8 @@ class TestBuildMatchesOracles:
             for name in ("linear", "points", "targets", "sizes", "cell_facets", "point_ids",
                          "fans", "fan_cell"):
                 assert getattr(rmap, name).tobytes() == getattr(alone, name).tobytes(), name
-            assert _bits((rmap._consts, rmap._all_image_cells, rmap.labels)) \
-                == _bits((alone._consts, alone._all_image_cells, alone.labels))
-            assert _bits(rmap._image_cells) == _bits(alone._image_cells)
+            assert _bits((rmap._consts, rmap._frames, rmap._inverses, rmap.labels)) \
+                == _bits((alone._consts, alone._frames, alone._inverses, alone.labels))
 
     def test_build_constants(self, build):
         # each cell's vertex images in the stacked table, L', the least cell
@@ -587,9 +590,10 @@ class TestBuildMatchesOracles:
                 assert [cell[j][2] for cell in piece] == loop[1:] + loop[:1]
 
     def test_random_planar_polygons(self):
-        # seeded planar polygons in general position: numpy's dot and norm
-        # round differently from a Python sum on about a third of them, so
-        # the normals and plane coordinates stay on numpy's
+        # seeded planar polygons in general position, star about their
+        # centroid: the vector area that the facet planes and face_centre
+        # share (geometry._fan_crosses) lies along the Newell normal, and
+        # its length is twice the shoelace area of the polygon in its plane
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(3, 7))
@@ -598,22 +602,27 @@ class TestBuildMatchesOracles:
             flat = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.5, 2.0, (n, 1))
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             loop = (np.column_stack([flat, np.zeros(n)]) @ q.T + rng.normal(size=3)).tolist()
-            v = np.array(loop)
-            plane = _facet_coordinates(v, [list(range(n))], 1e-11)
-            tris, pts2 = triangulate_planar_rows(v, list(range(n)))
-            assert _bits(plane[0]) == _bits(pts2)
-            assert _triangulate_planar(list(range(n)), plane[0]) == tris
+            area = np.asarray(_fan_crosses(loop)[2])
+            shoelace = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                           in zip(flat.tolist(), np.roll(flat, -1, axis=0).tolist()))
+            assert np.linalg.norm(area) == pytest.approx(abs(shoelace), rel=1e-13)
+            assert np.allclose(area / np.linalg.norm(area), polygon_normal_rows(np.array(loop)),
+                               rtol=0, atol=1e-14)
 
     def test_polyhedra(self, build):
+        # each facet's normal is the Newell normal up to its sign, and its
+        # area the sum of the areas of the oracle's surface triangles on it
         shapes = _polyhedra(build)
         assert len(shapes) == 5
         for shape in shapes:
             v = shape.vertices
-            plane = _facet_coordinates(v, shape.facet_polys, shape.tol * 10)
-            for poly, pts2 in zip(shape.facet_polys, plane):
-                tris, want2 = triangulate_planar_rows(v, poly)
-                assert _bits(pts2) == _bits(want2)
-                assert _triangulate_planar(poly, pts2) == tris
+            normals, _, areas = shape.facet_planes
+            tris, tri_facet = surface_triangles(shape)
+            p = v[tris]
+            tri_areas = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1) / 2
+            assert np.allclose(np.bincount(tri_facet, tri_areas), areas, rtol=1e-13, atol=0)
+            for poly, n in zip(shape.facet_polys, normals):
+                assert abs(abs(n @ polygon_normal_rows(v[poly])) - 1.0) <= 1e-15
                 assert facet_is_planar_rows(v[poly], shape.tol * 10)
 
     def test_warped_facet_is_named(self):

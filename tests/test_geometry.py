@@ -1,16 +1,16 @@
 import itertools
 import math
-import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cuboid_spec, psi_ray_oracle, star_test as star_tests
+from oracles import (cuboid_spec, point_in_polygon, psi_ray_oracle, star_test as star_tests,
+                     surface_triangles)
 from qrdyn import geometry
-from qrdyn.geometry import GeometryError, StarShape, _det3_signs, psi, star_shapes
-from qrdyn.star_extend import Box, radial_maps
+from qrdyn.geometry import GeometryError, StarShape, _det3_signs, _fan_crosses
+from qrdyn.star_extend import Box, RadialMap, psi, radial_maps
 
 
 def star_test(shape, a):
@@ -19,8 +19,21 @@ def star_test(shape, a):
     return star_tests(shape, [a])[0]
 
 
-def cube(a=(0.0, 0.0, 0.0)):
-    return StarShape(*cuboid_spec([-1, -1, -1], [1, 1, 1], a))
+def cube(a=(0.0, 0.0, 0.0), side=1.0):
+    """The cube [-side, side]^3 as a polyhedron about ``a``."""
+    return StarShape(*cuboid_spec([-side] * 3, [side] * 3, a))
+
+
+def cube_chart(centre=(0.0, 0.0, 0.0), side=1.0, codomain=None):
+    """The identity of the cube [-side, side]^3 as a chart from the box
+    onto the polyhedral cube about ``centre`` (or onto ``codomain``): one
+    identity piece per box facet, serving the codomain facet of the same
+    number."""
+    verts, _, faces = cuboid_spec([-side] * 3, [side] * 3)
+    loops = [[tuple(verts[i].tolist()) for i in face] for face in faces]
+    pieces = {f: [(loop, loop)] for f, loop in enumerate(loops)}
+    return RadialMap(Box([-side] * 3, [side] * 3), codomain or cube(centre, side),
+                     {f: [piece] for f, piece in pieces.items()}, pieces)
 
 
 # image pentagon of the side face {x1 = 0}, in (x2, x3) coordinates; its
@@ -54,98 +67,168 @@ RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
 
 
 def _outward_volumes(shape):
-    t = shape.vertices[shape.triangles] - shape.centre
+    t = shape.vertices[surface_triangles(shape)[0]] - shape.centre
     return np.linalg.det(t)
 
 
+def nested_cubes(centre):
+    """The polyhedral cube [-2, 2]^3 (facets 0 to 5) with the cube [-1, 1]^3
+    inside it (facets 6 to 11), about ``centre``."""
+    outer, inner = cube(side=2.0), cube()
+    return StarShape(np.vstack([outer.vertices, inner.vertices]), centre,
+                     outer.facet_polys + [[i + 8 for i in p] for p in inner.facet_polys])
+
+
 class TestOrientation:
+    """Each facet's normal is signed away from the centre, whichever way its
+    loop runs; a surface that is open, or has facets that its chart's cells
+    do not tile, is refused at the chart."""
+
     def test_mixed_facet_loops_are_oriented_outward(self):
-        # the cube with every other facet loop reversed
-        lo_hi = StarShape(*cuboid_spec([-1, -1, -1], [1, 1, 1]))
+        # the cube with every other facet loop reversed: the facet planes of
+        # the cube (a zero may differ in sign), and the oracle's surface
+        # triangles face outward
+        lo_hi = cube((0.2, -0.1, 0.3))
         polys = [p[::-1] if i % 2 else p for i, p in enumerate(lo_hi.facet_polys)]
         shape = StarShape(lo_hi.vertices, (0.2, -0.1, 0.3), polys)
+        assert all(map(np.array_equal, shape.facet_planes, lo_hi.facet_planes))
+        assert np.array_equal(shape.facet_planes[0], Box([-1.0] * 3, [1.0] * 3).facet_planes[0])
         assert np.all(_outward_volumes(shape) > 0)
-        edges = [e for t in shape.triangles.tolist() for e in zip(t, t[1:] + t[:1])]
+        tris = surface_triangles(shape)[0].tolist()
+        edges = [e for t in tris for e in zip(t, t[1:] + t[:1])]
         assert sorted(edges) == sorted((b, a) for a, b in edges)
 
     def test_chart_codomains_face_their_centres(self, build):
+        # the atlas writes its facet loops either way round (the raw vector
+        # area of so many of each chart's nine facets points inwards); every
+        # facet's vertices lie on its plane, on the far side from the centre
+        flipped = {}
         for chart in build.g.charts:
-            assert np.all(_outward_volumes(chart.map.codomain) > 0), chart.cell_id
+            shape = chart.map.codomain
+            rows = shape.vertices.tolist()
+            normals, offsets, areas = shape.facet_planes
+            flipped[chart.cell_id] = 0
+            for poly, n, d, area in zip(shape.facet_polys, normals, offsets, areas):
+                v = shape.vertices[poly]
+                assert np.all((v - shape.centre) @ n > 0), chart.cell_id
+                assert np.abs(v @ n - d).max() <= 10 * shape.tol
+                vector_area = np.asarray(_fan_crosses([rows[i] for i in poly])[2])
+                assert np.linalg.norm(vector_area) == pytest.approx(2 * area, rel=1e-15)
+                flipped[chart.cell_id] += int(vector_area @ n < 0)
+            assert np.all(_outward_volumes(shape) > 0), chart.cell_id
+        assert flipped == {"A'": 2, "A''1": 4, "A''2": 5, "A''3": 3, "A''4": 4}
 
     @pytest.mark.parametrize("centre", [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0)])
     def test_disconnected_surface_rejected(self, centre):
-        # two nested cubes: each closed and orientable, together two
-        # components, about a point inside both or between them
-        outer = StarShape(*cuboid_spec([-2, -2, -2], [2, 2, 2]))
-        inner = StarShape(*cuboid_spec([-1, -1, -1], [1, 1, 1]))
-        verts = np.vstack([outer.vertices, inner.vertices])
-        polys = outer.facet_polys + [[i + 8 for i in p] for p in inner.facet_polys]
-        with pytest.raises(GeometryError, match="surface is not connected"):
-            StarShape(verts, centre, polys)
+        # two nested cubes about a point inside both or between them, the
+        # codomain of the identity chart of the outer one: its cells tile
+        # the outer cube, and the boundary-map validation counts each of
+        # the inner cube's six facets as one that no cell covers
+        rep = cube_chart(side=2.0, codomain=nested_cubes(centre)).validate_boundary_map()
+        assert not rep.passed
+        assert (rep.seam_violations, rep.injectivity_violations) == (0, 6)
+
+    def test_a_detached_extra_facet_is_uncovered(self):
+        # the cube with one more facet, a triangle off its surface: no cell
+        # tiles it, and the validation counts it
+        shape = cube()
+        extra = StarShape(np.vstack([shape.vertices, [(3.0, 0.0, 0.0), (3.0, 1.0, 0.0),
+                                                      (3.0, 0.0, 1.0)]]),
+                          shape.centre, shape.facet_polys + [[8, 9, 10]])
+        rep = cube_chart(codomain=extra).validate_boundary_map()
+        assert not rep.passed
+        assert (rep.seam_violations, rep.injectivity_violations) == (0, 1)
+        assert cube_chart().validate_boundary_map().passed
 
     def test_open_or_non_orientable_surface_rejected(self):
-        cube_ = StarShape(*cuboid_spec([-1, -1, -1], [1, 1, 1]))
-        with pytest.raises(GeometryError, match="not closed or not orientable"):
-            StarShape(cube_.vertices, (0, 0, 0), cube_.facet_polys[:-1])
+        # the cube without its top facet: the piece of the box's top facet
+        # serves no codomain facet, and the chart is refused; a surface
+        # that cannot be oriented, the oracle refuses to triangulate
+        shape = cube()
+        open_cube = StarShape(shape.vertices, shape.centre, shape.facet_polys[:-1])
+        verts, _, faces = cuboid_spec([-1.0] * 3, [1.0] * 3)
+        pieces = {f: [([tuple(verts[i].tolist()) for i in face],) * 2] for f, face in enumerate(faces)}
+        with pytest.raises(GeometryError, match="facet 5 piece 0 serves no codomain facet"):
+            RadialMap(Box([-1.0] * 3, [1.0] * 3), open_cube,
+                      {f: [p] for f, p in pieces.items()},
+                      {f: p for f, p in pieces.items() if f < 5})
         rng = np.random.default_rng(0)
         with pytest.raises(GeometryError, match="not closed or not orientable"):
-            geometry._orient_outward(rng.random((6, 3)), RP2)
+            surface_triangles(StarShape(rng.random((6, 3)), (0.5, 0.5, 0.5), RP2))
+
+
+# the A' codomain facet that is the pentagon, in the plane x1 = 0
+APRIME_PENTAGON = 1
 
 
 class TestPsi:
+    """``star_extend.psi`` on the identity chart of the cube, and on the A'
+    chart toward its image face P0 P1 T1 Q1 Q0, the pentagon."""
+
     def test_cube_axis_ray(self):
-        hit = psi(cube(), (0.5, 0, 0))
-        assert np.allclose(hit.point, (1, 0, 0), atol=1e-12)
-        assert hit.t == pytest.approx(2.0, abs=1e-12)
+        m = cube_chart()
+        t, k = psi(m, 0.5, 0.0, 0.0)
+        assert t == pytest.approx(2.0, abs=1e-12)
+        assert m.cell_facets[k].tolist() == [1, 1]
 
-    def test_pentagon_matches_brute_force_oracle(self):
-        # the ray from the centre through x leaves by the side over edge 1
-        shape = pentagon()
-        x = (1.0, 3.75, 2.0)
+    def test_pentagon_matches_brute_force_oracle(self, build):
+        # the ray from the A' centre through the middle of the pentagon's
+        # notch edge, from (0, 4, 4) to (0, 2, 3.5)
+        m = build.g.by_id["A'"].map
+        shape = m.codomain
+        assert np.array_equal(shape.vertices[shape.facet_polys[APRIME_PENTAGON]][:, 1:],
+                              PENTAGON)
+        w = np.array([0.0, 3.0, 3.75])
+        x = shape.centre + 0.5 * (w - shape.centre)
         want = psi_ray_oracle(shape, x)
-        hit = psi(shape, x)
-        assert hit.facet == want.facet == 3
-        assert np.allclose(hit.point, want.point, atol=1e-12)
-        assert np.allclose(hit.point, (1.0, 4.0, 2.0), atol=1e-12)
-        assert hit.t == pytest.approx(want.t, rel=1e-12)
+        t, k = psi(m, *(x - shape.centre))
+        assert want.facet == m.cell_facets[k][1] == APRIME_PENTAGON
+        assert np.allclose(shape.centre + t * (x - shape.centre), want.point, atol=1e-12)
+        assert np.allclose(want.point, w, atol=1e-12)
+        assert t == pytest.approx(want.t, rel=1e-12)
 
-    def test_pentagon_random_rays_match_oracle(self):
-        shape = pentagon()
-        a = shape.centre
+    def test_pentagon_random_rays_match_oracle(self, build):
+        # seeded points of the pentagon and of the rays from the A' centre
+        # to them
+        m = build.g.by_id["A'"].map
+        shape = m.codomain
+        b = shape.centre
         rng = np.random.default_rng(3)
         checked = 0
         while checked < 200:
-            x = rng.random(3) * 4.0
-            if np.linalg.norm(x - a) < 1e-3:
+            u, v = rng.random(2) * 4.0
+            if not point_in_polygon(PENTAGON, (u, v)):
                 continue
-            try:
-                want = psi_ray_oracle(shape, x)
-            except GeometryError:     # exterior
-                continue
-            hit = psi(shape, x)
-            assert np.allclose(hit.point, want.point, atol=1e-9)
+            w = np.array([0.0, u, v])
+            x = b + rng.uniform(0.1, 1.0) * (w - b)
+            want = psi_ray_oracle(shape, x)
+            t, k = psi(m, *(x - b))
+            assert want.facet == m.cell_facets[k][1] == APRIME_PENTAGON
+            assert np.allclose(b + t * (x - b), want.point, atol=1e-12 * shape.diameter)
+            assert np.allclose(want.point, w, atol=1e-12 * shape.diameter)
             checked += 1
 
     def test_centre_and_exterior_raise(self):
-        with pytest.raises(GeometryError):
-            psi(cube(), (0, 0, 0))
-        with pytest.raises(GeometryError):
-            psi(cube(), (3, 0, 0))
+        with pytest.raises(GeometryError, match="centre"):
+            psi(cube_chart(), 0.0, 0.0, 0.0)
+        with pytest.raises(GeometryError, match="exterior"):
+            psi(cube_chart(), 3.0, 0.0, 0.0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
     def test_idempotence_and_collinearity(self, x, y, z):
-        c = cube()
+        # the crossing b + t d (b the origin) lies on the cube's surface, no
+        # nearer than x, and maps to itself with t = 1
+        m = cube_chart()
         p = np.array([x, y, z])
         if np.linalg.norm(p) < 1e-6:
             return
-        hit = psi(c, p)
-        again = psi(c, hit.point)
-        assert np.allclose(again.point, hit.point, atol=1e-12)
-        # collinear with the centre, and no closer than p
-        cr = np.cross(p, hit.point)
-        assert np.linalg.norm(cr) <= 1e-12 * max(1.0, np.linalg.norm(hit.point))
-        assert np.linalg.norm(hit.point) >= np.linalg.norm(p) - 1e-12
+        t, k = psi(m, x, y, z)
+        hit = t * p
+        assert abs(np.abs(hit).max() - 1.0) <= 1e-12
+        assert t >= 1.0
+        again, _ = psi(m, *hit.tolist())
+        assert again == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCertification:
@@ -163,14 +246,17 @@ class TestCertification:
 
     def test_centre_near_a_face_passes(self):
         # the star test asks for no angle margin: a centre 1e-6 from a face
-        # passes, and psi about it agrees with the ray oracle
+        # passes it, the identity chart onto the cube about it passes its
+        # cone signs, and psi about it agrees with the ray oracle
         shape = cube((1.0 - 1e-6, 0.3, -0.2))
         assert star_test(shape, shape.centre) is None
+        m = cube_chart(codomain=shape)
         rng = np.random.default_rng(4)
         for x in rng.uniform(-0.9, 0.9, (50, 3)):
-            hit, want = psi(shape, x), psi_ray_oracle(shape, x)
-            assert hit.facet == want.facet
-            assert np.allclose(hit.point, want.point, atol=1e-9)
+            t, k = psi(m, *(x - shape.centre))
+            want = psi_ray_oracle(shape, x)
+            assert m.cell_facets[k][1] == want.facet
+            assert np.allclose(shape.centre + t * (x - shape.centre), want.point, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +267,7 @@ def _boundary_grid(shape, k):
     every surface triangle."""
     v = shape.vertices
     ij = np.array([(i, j) for i in range(k + 1) for j in range(k + 1 - i)]) / k
-    tri = v[shape.triangles]
+    tri = v[surface_triangles(shape)[0]]
     return np.concatenate([t[0] + ij[:, :1] * (t[1] - t[0]) + ij[:, 1:] * (t[2] - t[0])
                            for t in tri])
 
@@ -193,7 +279,7 @@ def _visible_oracle(shape, a, w):
     if dist <= shape.tol:
         return True
     d = r / dist
-    p0, p1, p2 = np.moveaxis(shape.vertices[shape.triangles], 1, 0)
+    p0, p1, p2 = np.moveaxis(shape.vertices[surface_triangles(shape)[0]], 1, 0)
     for a0, e1, e2 in zip(p0, p1 - p0, p2 - p0):
         p = np.cross(d, e2)
         det = e1 @ p
@@ -227,6 +313,9 @@ def l_prism(centre):
 
 
 class TestBatchedCertification:
+    """The oracle star test, which ``test_global_map`` holds the cone signs
+    against, against the brute-force visibility of the boundary."""
+
     @pytest.mark.parametrize("make, hidden", [
         (pentagon, (1.0, 2.0, 2.0)),
         (lambda: l_prism(L_CENTRE), L_HIDDEN)], ids=["pentagon", "l_prism"])
@@ -246,52 +335,28 @@ class TestBatchedCertification:
         # builds about it all the same
         make, centre, hidden = {"l_prism": (l_prism, L_CENTRE, L_HIDDEN)}[which]
         star = make(centre)
-        k = _first_backward_simplex(star.vertices, hidden, star.triangles)
+        k = _first_backward_simplex(star.vertices, hidden, surface_triangles(star)[0])
         shape = make(hidden)
-        assert shape.triangles.tobytes() == star.triangles.tobytes()
+        assert surface_triangles(shape)[0].tobytes() == surface_triangles(star)[0].tobytes()
         assert star_test(shape, hidden) == k
 
 
-def spec_of(shape):
-    """The ``StarShape`` arguments that build the shape."""
-    return shape.vertices, shape.centre, shape.facet_polys
-
-
-def shape_bits(shape):
-    """Everything a built shape keeps, its floats as IEEE bytes."""
-    return (shape.vertices.tobytes(), shape.centre.tobytes(), shape.facet_polys,
-            shape.triangles.tobytes(), shape.tri_facet.tobytes(),
-            [x.tobytes() for x in shape.facet_planes],
-            [(np.array(frame).tobytes(), facet) for frame, facet in shape._cones],
-            struct.pack("<2d", shape.diameter, shape.tol))
-
-
 class TestStackedCertification:
-    def test_a_batch_is_the_shapes_built_one_by_one(self, build):
-        # the build's 5 image solids and the test shapes in one batch,
-        # against one StarShape per spec and against the shapes as built
-        shapes = [chart.map.codomain for chart in build.g.charts]
-        shapes += [cube((0.3, -0.2, 0.1)), pentagon(), l_prism(L_CENTRE),
-                   prism(PENTAGON, (1.0, 3.5, 0.5))]
-        specs = [spec_of(shape) for shape in shapes]
-        batch = star_shapes(specs)
-        for got, shape, spec in zip(batch, shapes, specs):
-            assert shape_bits(got) == shape_bits(StarShape(*spec)) == shape_bits(shape)
-
     @pytest.mark.parametrize("which", ["aprime", "asecond4", "cube", "l_prism"])
     def test_candidate_centres_of_one_shape(self, which, build):
         shape = {"aprime": lambda: build.g.by_id["A'"].map.codomain,
                  "asecond4": lambda: build.g.by_id["A''4"].map.codomain,
                  "cube": cube, "l_prism": lambda: l_prism(L_CENTRE)}[which]()
-        # the star test of a batch of centres gives each what it gives
-        # alone: a pass where every simplex it spans with a surface
-        # triangle is positive in floats (no det of these lies near zero)
+        # the star test of a batch of centres, as the centre grids of
+        # test_global_map take it, gives each what it gives alone: a pass
+        # where every simplex it spans with a surface triangle is positive
+        # in floats (no det of these lies near zero)
         rng = np.random.default_rng(3)
         centres = shape.centre + 0.05 * shape.diameter * rng.uniform(-1, 1, (40, 3))
         verdicts = star_tests(shape, centres)
         for a, first in zip(centres, verdicts):
             assert first == star_test(shape, a)
-            dets = np.linalg.det(shape.vertices[shape.triangles] - a)
+            dets = np.linalg.det(shape.vertices[surface_triangles(shape)[0]] - a)
             assert (first is None) == (dets.min() > 0)
         assert verdicts.count(None) >= 10
 
@@ -332,18 +397,17 @@ _BOX_SIDES = st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3)
 class TestBox:
     """A ``Box`` against the same cuboid built as a polyhedron
     (``oracles.cuboid_spec``): its centre, diameter, tolerance, facet
-    normals and areas bitwise, and its facet offsets equal (a zero may
-    differ in sign); corners that span no box, or are not finite, raise."""
+    normals and areas bitwise; corners that span no box, or are not finite,
+    raise."""
 
     @staticmethod
     def assert_matches_polyhedron(lo, hi):
         box = Box(lo, hi)
         cuboid = StarShape(*cuboid_spec(lo, hi))
-        assert (box.centre.tobytes(), struct.pack("<2d", box.diameter, box.tol)) \
-            == (cuboid.centre.tobytes(), struct.pack("<2d", cuboid.diameter, cuboid.tol))
-        (n, d, area), (want_n, want_d, want_area) = box.facet_planes, cuboid.facet_planes
+        assert (box.centre.tobytes(), box.diameter.hex(), box.tol.hex()) \
+            == (cuboid.centre.tobytes(), cuboid.diameter.hex(), cuboid.tol.hex())
+        (n, area), (want_n, _, want_area) = box.facet_planes, cuboid.facet_planes
         assert (n.tobytes(), area.tobytes()) == (want_n.tobytes(), want_area.tobytes())
-        assert np.array_equal(d, want_d)
 
     def test_chart_boxes(self, build):
         for chart in build.g.charts:
@@ -397,12 +461,12 @@ def _seeded_polyhedra(count, seed):
         shift = rng.uniform(-100.0, 100.0, 3)
         specs.append((verts @ turn.T + shift, np.array([0.0, 0.0, h / 2]) @ turn.T + shift,
                       facets))
-    return star_shapes(specs)
+    return [StarShape(*spec) for spec in specs]
 
 
 def test_facet_offsets_are_the_dots_within_the_bound_of_einsum():
     # each facet's plane offset is its normal's dot with its first vertex,
-    # by numpy's row dot (``cones._dots``); einsum sums the same three
+    # summed left to right in Python floats; einsum sums the same three
     # products in its own order.  Either lies within gamma_3 = 3u / (1 - 3u)
     # (u = eps / 2) of the exact dot times sum |n_i v_i|, whatever the order
     # of its sums, so the two differ by less than 2 gamma_3 < 4 eps of it
@@ -521,12 +585,7 @@ class TestDet3Signs:
 
 
 # ---------------------------------------------------------------------------
-# psi on polyhedra: the cone frames against the ray-triangle oracle
-
-def poly_cube(centre=(0.1, -0.2, 0.15)):
-    """The cube [-1, 1]^3 about a centre off its midpoint."""
-    return cube(centre)
-
+# psi over a chart's image cells against the ray-triangle oracle
 
 def _facets_at(shape):
     """{frozenset of vertex ids of a facet edge or a vertex: incident facets}."""
@@ -538,75 +597,128 @@ def _facets_at(shape):
     return at
 
 
-def named_shape(which, request):
-    """A chart codomain of the build, the polyhedral cube, the L-prism or the
-    pentagon prism, each about a star centre."""
+def named_chart(which, request):
+    """A chart of the build, or the identity chart of the cube onto the
+    polyhedral cube about a centre off its midpoint."""
     if which == "cube":
-        return poly_cube()
-    if which == "l_prism":
-        return l_prism(L_CENTRE)
-    if which == "pentagon":
-        return pentagon()
+        return cube_chart((0.1, -0.2, 0.15))
     cell = "A'" if which == "aprime" else f"A''{which[-1]}"
-    return request.getfixturevalue("build").g.by_id[cell].map.codomain
+    return request.getfixturevalue("build").g.by_id[cell].map
 
 
-POLYHEDRA = ["aprime", "asecond1", "asecond2", "asecond3", "asecond4", "cube",
-             "l_prism"]
+def _cell_boundary_points(rmap, rng, per_edge=3):
+    """Seeded points on the edges of every image cell polygon of a chart,
+    which lie on its codomain's facets, their edges among them."""
+    pts, at = [], 0
+    for size in rmap.sizes.tolist():
+        loop = rmap.targets[at:at + size]
+        at += size
+        s = rng.random((per_edge, 1, 1))
+        pts.append((loop + s * (np.roll(loop, -1, axis=0) - loop)).reshape(-1, 3))
+    return np.concatenate(pts)
+
+
+POLYHEDRA = ["aprime", "asecond1", "asecond2", "asecond3", "asecond4", "cube"]
 
 
 class TestPsiCones:
+    """``star_extend.psi`` scans the fan frames of a chart's own image
+    cells; the ray oracle crosses the codomain's surface triangles."""
+
     @pytest.mark.parametrize("which", POLYHEDRA)
     def test_matches_the_ray_oracle(self, which, request):
-        shape = named_shape(which, request)
+        # seeded points of the codomain's bounding box, and the points of
+        # the image cells' edges with points on the rays to them: psi's
+        # crossing is the oracle's, and its cell serves the oracle's facet
+        # (the lowest of those that hold the crossing) or, on a facet edge,
+        # another that holds it
+        rmap = named_chart(which, request)
+        shape = rmap.codomain
+        b = shape.centre
+        normals, offsets, _ = shape.facet_planes
         rng = np.random.default_rng(31)
         lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
+        edges = _cell_boundary_points(rmap, rng)
         tol = 1e-12 * shape.diameter
         checked = 0
-        for x in (lo + rng.random((400, 3)) * (hi - lo)).tolist():
+        for x in np.vstack([lo + rng.random((400, 3)) * (hi - lo), edges,
+                            b + rng.uniform(0.05, 1.0, (len(edges), 1)) * (edges - b)]):
+            d = (x - b).tolist()
             try:
                 want = psi_ray_oracle(shape, x)
             except GeometryError:
-                with pytest.raises(GeometryError):
-                    psi(shape, x)
+                with pytest.raises(GeometryError, match="exterior"):
+                    psi(rmap, *d)
                 continue
-            got = psi(shape, x)
-            assert got.facet == want.facet
-            assert np.linalg.norm(got.point - want.point) <= tol
-            assert got.t == pytest.approx(max(want.t, 1.0), rel=1e-12)
-            # the hit is a boundary point: it maps to itself with t = 1
-            again = psi(shape, got.point)
-            assert again.t == 1.0 and again.facet == got.facet
-            assert np.linalg.norm(again.point - got.point) <= tol
+            t, k = psi(rmap, *d)
+            got = b + t * (x - b)
+            assert np.linalg.norm(got - want.point) <= tol
+            facet = rmap.cell_facets[k][1]
+            assert facet == want.facet or abs(normals[facet] @ got - offsets[facet]) <= tol
             checked += 1
-        assert checked >= 50
+        assert checked >= 50 + len(edges)
 
     @pytest.mark.parametrize("which", POLYHEDRA)
     def test_edge_and_vertex_ties_go_to_the_lowest_facet(self, which, request):
-        shape = named_shape(which, request)
+        # at the midpoint w of each facet edge and at each vertex, and on
+        # the ray to it: the oracle's tie goes to the lowest incident facet,
+        # and psi's to the first cell in cell order whose cone holds the
+        # ray, a cell of one of the incident facets; both cross at w
+        rmap = named_chart(which, request)
+        shape = rmap.codomain
         c, v = shape.centre, shape.vertices
         for ids, facets in _facets_at(shape).items():
-            ends = v[sorted(ids)]
-            w = ends.mean(axis=0)
+            w = v[sorted(ids)].mean(axis=0)
             for f in (0.4, 1.0):
                 x = c + f * (w - c)
-                got, want = psi(shape, x), psi_ray_oracle(shape, x)
-                assert got.facet == want.facet == min(facets), (ids, f)
-                assert np.linalg.norm(got.point - w) <= 1e-12 * shape.diameter
+                want = psi_ray_oracle(shape, x)
+                t, k = psi(rmap, *(x - c).tolist())
+                assert want.facet == min(facets), (ids, f)
+                assert rmap.cell_facets[k][1] in facets, (ids, f)
+                assert k == min(j for j in range(len(rmap.sizes))
+                                if _cone_holds(rmap, j, x - c)), (ids, f)
+                assert np.linalg.norm(c + t * (x - c) - w) <= 1e-12 * shape.diameter
 
     @pytest.mark.parametrize("which", POLYHEDRA)
     def test_centre_and_exterior_rejected(self, which, request):
-        shape = named_shape(which, request)
+        # psi has no ray at the centre itself, and none to an exterior
+        # point; a point within the codomain's tolerance of the centre has
+        # its cell (the cones from the centre tile space)
+        rmap = named_chart(which, request)
+        shape = rmap.codomain
         c = shape.centre
         with pytest.raises(GeometryError, match="centre"):
-            psi(shape, c)
-        with pytest.raises(GeometryError, match="centre"):
-            psi(shape, c + 0.5 * shape.tol)
+            psi(rmap, 0.0, 0.0, 0.0)
+        t, k = psi(rmap, 0.5 * shape.tol, 0.0, 0.0)
+        assert t > 1.0 and 0 <= k < len(rmap.sizes)
         for w in shape.vertices:
             x = c + 1.5 * (w - c)
             with pytest.raises(GeometryError, match="exterior"):
                 psi_ray_oracle(shape, x)
             with pytest.raises(GeometryError, match="exterior"):
-                psi(shape, x)
+                psi(rmap, *(x - c).tolist())
         with pytest.raises(GeometryError, match="non-finite"):
-            psi(shape, (math.nan, 0.0, 0.0))
+            psi(rmap, math.nan, 0.0, 0.0)
+
+
+def _cone_holds(rmap, cell, d):
+    """Whether d lies in the cone from the codomain centre over the image
+    polygon of the chart's cell, by the fan triangles' barycentrics in
+    Fraction, with psi's slack: each at least -1e-9 times their sum."""
+    at = int(rmap.sizes[:cell].sum())
+    loop = [[Fraction(x) - Fraction(y) for x, y in zip(p, rmap.codomain.centre.tolist())]
+            for p in rmap.targets[at:at + rmap.sizes[cell]].tolist()]
+    d = [Fraction(x) for x in d.tolist()]
+    for i in range(1, len(loop) - 1):
+        m = [loop[0], loop[i], loop[i + 1]]
+        det = _fraction_det3(m)
+        lam = [_fraction_det3([d if j == r else m[j] for j in range(3)]) / det
+               for r in range(3)]
+        if sum(lam) > 0 and min(lam) >= -Fraction(1, 10 ** 9) * sum(lam):
+            return True
+    return False
+
+
+def _fraction_det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

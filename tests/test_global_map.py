@@ -79,16 +79,17 @@ class TestVertexTable:
         # a centre on one image solid's boundary (one of its vertices)
         # fails the cone signs of that chart, the k-th map of the chart
         # phase's one radial_maps pass (A' alone, or the four A'' charts)
-        real = global_map.star_shapes
+        real = global_map.StarShape
         k = 0 if cid == "A'" else int(cid[-1]) - 1
         phase = build_aprime_chart if cid == "A'" else (
             lambda vt: build_asecond_charts(vt, build.g.by_id["A'"]))
+        made = []
 
-        def broken(specs):
-            verts, _, facets = specs[k]
-            return real(specs[:k] + [(verts, verts[0], facets)] + specs[k + 1:])
+        def broken(verts, centre, facets):
+            made.append(verts)
+            return real(verts, verts[0] if len(made) == k + 1 else centre, facets)
 
-        monkeypatch.setattr(global_map, "star_shapes", broken)
+        monkeypatch.setattr(global_map, "StarShape", broken)
         with pytest.raises(ConstructionError,
                            match=f"^chart {cid}: facet .* not oriented as its domain cone$"):
             phase(build.vertex_table)
@@ -821,9 +822,9 @@ class TestBuildWork:
         # for their fan frames, and one det of them; none for the sector
         # tables, which come from the cells' vertex angles, and none in the
         # boundary-map validation, whose seams are combinatorial, so a
-        # build makes 2 solves, one per chart phase; per phase one det and
-        # one inverse for the cone frames of its image solids (a box has
-        # none); and one det of all
+        # build makes 2 solves, one per chart phase; none for the image
+        # solids, whose facet planes are taken in Python floats and whose
+        # psi reads the charts' own image cells; and one det of all
         # cells in the CellTable's _cell_spectra, whose columns give K_slab,
         # the dilatation audit and the Lipschitz constants, while its exact
         # signs and the orientation audit's dets come from
@@ -842,8 +843,8 @@ class TestBuildWork:
             counts = (solve.call_count, inv.call_count, det.call_count)
         phases = 2
         assert counts[0] == phases == 2
-        assert counts[1] == 2 * phases + phases
-        assert counts[2] == phases + phases + 1 == 5
+        assert counts[1] == 2 * phases
+        assert counts[2] == phases + 1 == 3
         assert svd.call_count == 0
 
     def test_audits_and_report_read_the_table(self, build):

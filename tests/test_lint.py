@@ -577,7 +577,7 @@ def test_module_stays_below_the_token_step(path):
 # percentile and quantile (about 0.5 MB), the sort code behind sort,
 # argsort and unique (0.06 MB for a boolean mask, 0.13 MB for integer keys),
 # and einsum (about 0.1 MB), whose sums of products the row dot
-# ``cones._dots`` gives in the order that every other step uses
+# ``geometry._dots`` gives in the order that every other step uses
 SELECTION_AND_SORT = {"median", "nanmedian", "partition", "argpartition", "percentile",
                       "quantile", "sort", "argsort", "unique", "einsum"}
 

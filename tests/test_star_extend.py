@@ -118,18 +118,19 @@ class TestRadialEval:
     @settings(max_examples=120, deadline=None)
     @given(st.floats(-0.95, 0.95), st.floats(-0.95, 0.95), st.floats(-0.95, 0.95))
     def test_radial_fraction_identity(self, x, y, z):
-        # |m(x) - b| / |bmap(psi(x)) - b| == |x - a| / |psi(x) - a|
+        # |m(x) - b| / |bmap(psi(x)) - b| == |x - a| / |psi(x) - a|, psi(x)
+        # the crossing with the cube of the ray from its centre through x
         m = scaling_chart(2.0)
         p = np.array([x, y, z])
         r = np.linalg.norm(p)
         if r < 1e-6:
             return
-        from qrdyn.geometry import psi
-        hit = psi(cube_shape(), p)
-        img_b = 2.0 * hit.point          # the boundary map of the chart
+        t, _ = star_extend.psi(identity_chart(), x, y, z)
+        hit = t * p
+        img_b = 2.0 * hit                # the boundary map of the chart
         out = np.asarray(m.eval(tuple(p)))
         lhs = np.linalg.norm(out) / np.linalg.norm(img_b)
-        rhs = r / np.linalg.norm(hit.point)
+        rhs = r / np.linalg.norm(hit)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_boundary_points_fixed_by_radial_formula(self):
@@ -556,8 +557,8 @@ class TestBatches:
         for rmap, spec in zip(radial_maps(specs), specs):
             alone = RadialMap(*spec)
             assert rmap.linear.tobytes() == alone.linear.tobytes()
-            assert repr((rmap._consts, rmap._all_image_cells, rmap._box)) \
-                == repr((alone._consts, alone._all_image_cells, alone._box))
+            assert repr((rmap._consts, rmap._frames, rmap._inverses, rmap._box)) \
+                == repr((alone._consts, alone._frames, alone._inverses, alone._box))
 
     def test_a_serving_piece_without_a_domain_facet_is_named(self):
         # the cube's top face as two triangles, codomain facets 5 and 6, the
