@@ -75,9 +75,6 @@ class PatchMap:
         out = self.b + frac * (exit_pt - self.b)
         return tuple(out.tolist())
 
-    def __call__(self, p):
-        return self.eval(p)
-
 
 def build_patch(f) -> PatchMap:
     """Ball and recentre choice: C has radius L' centred one-tenth above the

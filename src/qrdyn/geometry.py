@@ -95,9 +95,9 @@ class StarShape:
     three vertices that leaves its plane by more than
     max(10 tol, 1e-9 max |x|) over its vertices x.  It does not check the
     surface or the centre: any finite centre builds.  A chart with this
-    codomain certifies both (``star_extend``): a facet that no image cell
-    tiles fails its boundary-map validation, and so does an open surface,
-    whose dropped face leaves a piece that serves no facet.
+    codomain certifies both (``star_extend``): its pieces must match the
+    facets in number, and a facet that its image cells do not tile fails
+    its boundary-map validation.
     """
 
     def __init__(self, vertices, centre, facet_polys):

@@ -9,12 +9,13 @@ period-4 translations extend the atlas to the whole slab.  f is g followed
 by a downward translation large enough that the whole slab maps below zero.
 
 The atlas is data: ``_CHARTS`` gives each chart's box, image-solid centre
-(a dyadic point), boundary faces per box facet and image-solid facets, by
-the names of the vertices of ``VertexTable``.  Every boundary piece is
-affine on triangles, so each chart is exactly affine on the cones from its
-domain centre over them: 37 cells for A' and 26 for each A'' chart, which
-its ``RadialMap`` evaluates and inverts.  A build stacks the 141 cells once,
-as the ``CellTable`` that g and f share and every certificate reads.
+(a dyadic point) and boundary faces per box facet, by the names of the
+vertices of ``VertexTable``; the image solid's facets are those faces'
+images.  Every boundary piece is affine on triangles, so each chart is
+exactly affine on the cones from its domain centre over them: 37 cells for
+A' and 26 for each A'' chart, which its ``RadialMap`` evaluates and
+inverts.  A build stacks the 141 cells once, as the ``CellTable`` that g
+and f share and every certificate reads.
 
 g is K-quasiregular, K = max(K_slab, K_F).  When ``audit_seams`` finds no
 fault in the block's cell complex, charts that share a polygon map it by the
@@ -131,10 +132,11 @@ class CellChart:
 # The five slab charts: each box [lo, hi] ("L" is the level L); its image
 # solid's centre, a dyadic point (A': the best of a 0.5 grid by the largest
 # cell dilatation; A'': apex + 0.9 (vertex mean - apex) about the solid's
-# level-L apex vertex, rounded to 1/16); the pieces on each box facet, by
-# their face loops; and the image solid's facets in facet order, each served
-# by the piece that holds that face.  A face at level 0 (the identity) or at
-# level L (F, a triangle of one crease region) is one affine cell onto its
+# level-L apex vertex, rounded to 1/16); and the pieces on each box facet, by
+# their face loops.  The image solid is the image of those faces: its facet
+# j is the image of face j, counted facet by facet (0 to 5) and in order
+# within a facet, which piece j serves.  A face at level 0 (the identity) or
+# at level L (F, a triangle of one crease region) is one affine cell onto its
 # vertices' images, and any other face is the fan (``fan_cells``) about the
 # face's area centroid onto the fan about its image's, or about the image
 # centre that ``_IMAGE_FACE_CENTRES`` states; charts that list the same face
@@ -143,34 +145,23 @@ _CHARTS = {
     "A'": {"box": ((0, 0, 0), (2, 2, 1)), "centre": (4.5, 1.5, 2.0),
            "facets": {0: ["P0 P1 T1 Q1 Q0"], 1: ["S0 S1 V1 R1 R0"], 2: ["P0 P1 W1 S1 S0"],
                       3: ["Q0 Q1 U1 R1 R0"], 4: ["P0 Q0 R0 S0"],
-                      5: ["P1 W1 X1 T1", "W1 S1 V1 X1", "T1 X1 U1 Q1", "X1 V1 R1 U1"]},
-           "codomain": ["P0 Q0 R0 S0", "P0 P1 T1 Q1 Q0", "S0 S1 V1 R1 R0", "P0 P1 W1 S1 S0",
-                        "Q0 Q1 U1 R1 R0", "P1 W1 X1 T1", "T1 X1 U1 Q1", "W1 S1 V1 X1",
-                        "X1 V1 R1 U1"]},
+                      5: ["P1 W1 X1 T1", "W1 S1 V1 X1", "T1 X1 U1 Q1", "X1 V1 R1 U1"]}},
     "A''1": {"box": ((0, 0, 1), (1, 1, "L")), "centre": (20.0, 19.5625, 21.1875),
              "facets": {0: ["P1 T1 TL PL"], 1: ["W1 X1 WL", "X1 XL WL"], 2: ["P1 W1 WL PL"],
                         3: ["TL X1 XL", "T1 X1 TL"], 4: ["P1 W1 X1 T1"],
-                        5: ["PL WL XL", "PL XL TL"]},
-             "codomain": ["P1 W1 X1 T1", "PL WL XL", "PL XL TL", "P1 T1 TL PL", "P1 W1 WL PL",
-                          "W1 X1 WL", "X1 XL WL", "TL X1 XL", "T1 X1 TL"]},
+                        5: ["PL WL XL", "PL XL TL"]}},
     "A''2": {"box": ((1, 0, 1), (2, 1, "L")), "centre": (21.125, 19.5625, -14.625),
              "facets": {0: ["W1 X1 WL", "X1 XL WL"], 1: ["S1 V1 VL SL"], 2: ["W1 S1 SL WL"],
                         3: ["X1 V1 VL", "X1 VL XL"], 4: ["W1 S1 V1 X1"],
-                        5: ["WL SL XL", "SL VL XL"]},
-             "codomain": ["W1 S1 V1 X1", "WL SL XL", "SL VL XL", "S1 V1 VL SL", "W1 S1 SL WL",
-                          "W1 X1 WL", "X1 XL WL", "X1 V1 VL", "X1 VL XL"]},
+                        5: ["WL SL XL", "SL VL XL"]}},
     "A''3": {"box": ((0, 1, 1), (1, 2, "L")), "centre": (19.875, 20.6875, -13.6875),
              "facets": {0: ["T1 Q1 QL TL"], 1: ["X1 UL XL", "X1 U1 UL"],
                         2: ["TL X1 XL", "T1 X1 TL"], 3: ["Q1 U1 UL QL"], 4: ["T1 X1 U1 Q1"],
-                        5: ["TL XL QL", "XL UL QL"]},
-             "codomain": ["T1 X1 U1 Q1", "TL XL QL", "XL UL QL", "T1 Q1 QL TL", "Q1 U1 UL QL",
-                          "X1 UL XL", "X1 U1 UL", "TL X1 XL", "T1 X1 TL"]},
+                        5: ["TL XL QL", "XL UL QL"]}},
     "A''4": {"box": ((1, 1, 1), (2, 2, "L")), "centre": (20.9375, 20.6875, 20.3125),
              "facets": {0: ["X1 UL XL", "X1 U1 UL"], 1: ["V1 R1 RL VL"],
                         2: ["X1 V1 VL", "X1 VL XL"], 3: ["U1 R1 RL UL"], 4: ["X1 V1 R1 U1"],
-                        5: ["XL VL RL", "XL RL UL"]},
-             "codomain": ["X1 V1 R1 U1", "XL VL RL", "XL RL UL", "V1 R1 RL VL", "U1 R1 RL UL",
-                          "X1 UL XL", "X1 U1 UL", "X1 V1 VL", "X1 VL XL"]},
+                        5: ["XL VL RL", "XL RL UL"]}},
 }
 
 # the image centres of the two radial faces whose image's area centroid
@@ -185,8 +176,9 @@ def _build_charts(vt, ids, shared=None):
     validation reads), each box a ``Box`` domain, and the cells in one
     ``radial_maps`` pass, which certifies every centre by its cone signs;
     a face of ``shared`` ({face: piece} of an earlier phase) keeps that
-    piece, and each codomain facet is served by the piece of its face.  A
-    map that fails (a centre that fails its cone signs, say) raises
+    piece.  An image solid's facets are the images of its chart's faces,
+    listed facet by facet (0 to 5), so that piece j serves facet j.  A map
+    that fails (a centre that fails its cone signs, say) raises
     ConstructionError naming its chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
@@ -208,16 +200,16 @@ def _build_charts(vt, ids, shared=None):
     for spec in specs:
         boxes.append([np.array([vt.L if c == "L" else float(c) for c in corner])
                       for corner in spec["box"]])
-        names = sorted({n for face in spec["codomain"] for n in face.split()})
+        own = [face for facet in range(6) for face in spec["facets"][facet]]
+        names = sorted({n for face in own for n in face.split()})
         verts = np.array([vt.images[n] for n in names])
-        loops = [[names.index(n) for n in face.split()] for face in spec["codomain"]]
+        loops = [[names.index(n) for n in face.split()] for face in own]
         solids.append(StarShape(verts, spec["centre"], loops))
     try:
         maps = radial_maps([
             (Box(lo, hi), solid,
              {facet: [made[face] for face in on_facet]
-              for facet, on_facet in spec["facets"].items()},
-             {k: made[face] for k, face in enumerate(spec["codomain"])})
+              for facet, on_facet in spec["facets"].items()})
             for spec, solid, (lo, hi) in zip(specs, solids, boxes)])
     except (GeometryError, np.linalg.LinAlgError) as err:
         if not hasattr(err, "map_index"):
@@ -314,9 +306,6 @@ class GlobalMap:
 
     def eval(self, p):
         return np.asarray(self.eval3(float(p[0]), float(p[1]), float(p[2])))
-
-    def __call__(self, p):
-        return self.eval(p)
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +605,10 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
 
     c0, L, K_F and the beam margins are bounds that
     ``zorich.derive_beam_constants`` certifies in rational arithmetic.
-    ``resolution``, ``chart_resolution``, ``lprime_samples`` and ``seed`` do
-    nothing: they set the sampled checks that exact certificates replaced,
-    and are kept so that existing callers keep working.
+    ``resolution``, ``chart_resolution``, ``lprime_samples``, ``seed`` and
+    ``validate`` do nothing: they set the sampled checks that exact
+    certificates replaced, and whether to validate the boundary maps, which
+    every build does; they are kept so that existing callers keep working.
 
     The two chart phases, ``build_aprime_chart`` (A') and
     ``build_asecond_charts`` (the four A'' charts), are each one
@@ -655,13 +645,11 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
                     derive_translation_constant, g)
     f = GlobalMap(table, L, L_prime)
     validations = {}
-    if validate:
-        for c in charts:
-            rep = timed("star_extend.validate_boundary_map", c.map.validate_boundary_map)
-            validations[c.cell_id] = rep
-            if not rep.passed:
-                raise ConstructionError(
-                    f"boundary map validation failed for {c.cell_id}: {rep}")
+    for c in charts:
+        rep = timed("star_extend.validate_boundary_map", c.map.validate_boundary_map)
+        validations[c.cell_id] = rep
+        if not rep.passed:
+            raise ConstructionError(f"boundary map validation failed for {c.cell_id}: {rep}")
     return BuildResult(constants=constants, vertex_table=vt, g=g, f=f,
                        L_prime=L_prime, cells=n_cells,
                        min_cell_det=min_cell_det,

@@ -10,12 +10,13 @@ sign per fan triangle of every cell: the image cone about it has the
 orientation of the domain cone (``_cone_sign_failures``).
 
 The boundary map itself is a list of pieces on each domain facet, each
-piece the list of its affine cells (``pieces``), and each piece serves one
-codomain facet: its cells' images tile that facet.  A cell is the fan
-triangle of a planar face about the centre it is given onto the fan
-triangle of its image face about the image's (the radial extension of the
-face's edge correspondence, ``pieces.fan_cells``), or a whole face on
-which the boundary map is affine, the identity or a triangle of F.  The
+piece the list of its affine cells (``pieces``).  The codomain's surface is
+the image of the box's: counted facet by facet (0 to 5) and in order within
+a facet, piece j serves codomain facet j, which its cells' images tile.  A
+cell is the fan triangle of a planar face about the centre it is given onto
+the fan triangle of its image face about the image's (the radial extension
+of the face's edge correspondence, ``pieces.fan_cells``), or a whole face
+on which the boundary map is affine, the identity or a triangle of F.  The
 centres are the caller's, and the same cone signs certify the face centres
 too: a fan that is not star about its centres has a fan triangle whose
 image cone is not oriented as its domain cone, or a seam that
@@ -99,9 +100,11 @@ class ValidationReport:
 class RadialMap:
     """Radial extension of a boundary map from a ``Box`` onto a
     ``StarShape``, given by the pieces on each box facet ({facet:
-    [pieces]}, each piece a list of cells) and the piece serving each
-    codomain facet, as its exact affine cells; any other domain raises
-    GeometryError.
+    [pieces]}, each piece a list of cells), as its exact affine cells.
+    Piece j, counted facet by facet (0 to 5) and in order within a facet,
+    serves codomain facet j: its cells' images tile that facet.  Another
+    domain than a box, or a count of pieces other than the codomain's
+    count of facets, raises GeometryError.
 
     Each cell is the cone from the domain centre a over one polygon on which
     the boundary piece is affine (a cell of the piece: a triangle, or a
@@ -138,9 +141,8 @@ class RadialMap:
     take the pieces' cells and the rows of ``linear``.
     """
 
-    def __init__(self, domain: Box, codomain: StarShape,
-                 pieces_by_facet, piece_by_codomain_facet):
-        _build_maps([self], [(domain, codomain, pieces_by_facet, piece_by_codomain_facet)])
+    def __init__(self, domain: Box, codomain: StarShape, pieces_by_facet):
+        _build_maps([self], [(domain, codomain, pieces_by_facet)])
 
     def eval(self, p):
         x, y, z = float(p[0]), float(p[1]), float(p[2])
@@ -379,56 +381,52 @@ _FACE_AXES = [(1, 2), (1, 2), (0, 2), (0, 2), (0, 1), (0, 1)]
 
 def _build_maps(maps, specs):
     """Fill in the blank ``maps`` from their ``specs`` (domain, codomain,
-    pieces by domain facet, piece by codomain facet), each numpy step once
-    over the cells of all of them.
+    pieces by domain facet), each numpy step once over the cells of all of
+    them.
 
     Each map's cells are walked in cell order onto the stacks: each cell's
-    domain polygon, its image points, and its domain facet with the one
-    codomain facet that its piece serves (``cell_facets``).  Before any
-    solve, the cone signs of all fan triangles (``_cone_sign_failures``)
-    certify the codomain centres; the first that fails raises GeometryError
-    naming its cell.  Then one solve gives the linear parts on every cell's
-    first three vertex correspondences.  Each facet's entry is then the
+    domain polygon, its image points, and its domain facet with the
+    codomain facet that its piece serves, the piece's running index
+    (``cell_facets``).  Before any solve, the cone signs of all fan
+    triangles (``_cone_sign_failures``) certify the codomain centres; the
+    first that fails raises GeometryError naming its cell.  Then one solve
+    gives the linear parts on every cell's first three vertex
+    correspondences.  Each facet's entry is then the
     sector entry (``_sector_entry``) of its pieces over those of their
     cells, the rows taken in cell order; one determinant and one inverse go
     over the linear parts, and one inverse gives the fan frames of the
     image cells, which ``psi`` scans (``_frames``, each with its cell).
     Each map keeps its slice of the stacked arrays; a stacked solve or
     inverse equals the per-matrix call bitwise, so every map is the one
-    that its own construction builds.  Raises the first error met; a facet without
-    pieces, a piece that serves no codomain facet or several, and a piece
-    that serves a codomain facet but holds no domain facet (no cells to
-    invert there) are met before any stacking."""
+    that its own construction builds.  Raises the first error met; a facet
+    without pieces, and a count of pieces other than the codomain's count
+    of facets (an open surface, say, or a detached extra facet), are met
+    before any stacking."""
     doms, imgs, facets = [], [], []
-    for rmap, (domain, codomain, pieces_by_facet, by_codomain) in zip(maps, specs):
+    for rmap, (domain, codomain, pieces_by_facet) in zip(maps, specs):
         if not isinstance(domain, Box):
             raise GeometryError("a radial map needs a box domain")
         rmap.domain, rmap.codomain = domain, codomain
         rmap.pieces_by_facet = {f: list(pieces) for f, pieces in pieces_by_facet.items()}
-        rmap.piece_by_codomain_facet = dict(by_codomain)
         rmap._a = tuple(map(float, domain.centre))
         rmap._b = tuple(map(float, codomain.centre))
         rmap._box = tuple([float(c) + s * domain.tol for c in v]
                           for v, s in zip((domain.lo, domain.hi), (-1, 1)))
         rmap.labels = []
-        served = set()
+        served = 0        # the running piece index, the codomain facet it serves
         for facet in range(6):
             pieces = rmap.pieces_by_facet.get(facet)
             if not pieces:
                 raise GeometryError(f"no boundary piece for facet {facet}")
             for k, piece in enumerate(pieces):
-                serves = [f for f, p in rmap.piece_by_codomain_facet.items() if p is piece]
-                if len(serves) != 1:
-                    raise GeometryError(f"facet {facet} piece {k} serves " + (
-                        f"several codomain facets, {serves}" if serves else "no codomain facet"))
-                served.update(serves)
                 rmap.labels.extend(f"facet {facet} piece {k} cell {j}" for j in range(len(piece)))
-                facets.extend([(facet, serves[0])] * len(piece))
+                facets.extend([(facet, served)] * len(piece))
                 doms.extend(dom for dom, _ in piece)
                 imgs.extend(q for _, img in piece for q in img)
-        for f in rmap.piece_by_codomain_facet:
-            if f not in served:
-                raise GeometryError(f"the piece serving codomain facet {f} holds no domain facet")
+                served += 1
+        if served != len(codomain.facet_polys):
+            raise GeometryError(f"{served} boundary pieces for {len(codomain.facet_polys)} "
+                                "codomain facets")
     sizes = np.array([len(dom) for dom in doms])
     starts = _starts(sizes)
     counts = np.array([len(rmap.labels) for rmap in maps])

@@ -6,8 +6,7 @@ from qrdyn.global_map import build_maps
 @pytest.fixture(scope="session")
 def build():
     """One full construction shared by the whole suite."""
-    return build_maps(resolution=128, chart_resolution=48,
-                      lprime_samples=20000, seed=0, validate=True)
+    return build_maps()
 
 
 @pytest.fixture(scope="session")

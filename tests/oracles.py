@@ -65,9 +65,10 @@ of its ``RadialMap``s, kept here as the oracles of the tests.
 - ``cuboid_spec``: the ``StarShape`` arguments of an axis-aligned cuboid
   built as a polyhedron, whose facet normals and areas a
   ``star_extend.Box`` gives in closed form;
-- ``cell_facets_by_planes``: each cell's domain and codomain facet by the
-  nearest planes, as ``RadialMap.validate_boundary_map`` once searched for
-  them before construction recorded them (``cell_facets``).
+- ``cell_facets_by_planes``: each cell's domain facet by the planes, as
+  ``RadialMap.validate_boundary_map`` once searched for it before
+  construction recorded it, and its codomain facet by its piece's place in
+  the facet-major list of pieces (``cell_facets``).
 """
 
 import functools
@@ -512,7 +513,8 @@ def radial_eval(rmap, p):
 
 def radial_inverse(rmap, q):
     """A chart's inverse by the same formula: the codomain's ray projection,
-    the inverse of the piece serving the hit facet, and the radial
+    the inverse of the piece serving the hit facet (codomain facet k is
+    served by the k-th piece, counted facet by facet), and the radial
     fraction."""
     ax, ay, az = map(float, rmap.domain.centre)
     bx, by, bz = map(float, rmap.codomain.centre)
@@ -521,7 +523,7 @@ def radial_inverse(rmap, q):
     if dx * dx + dy * dy + dz * dz <= rmap.codomain.tol ** 2:
         return (ax, ay, az)
     hit = psi_ray_oracle(rmap.codomain, (x, y, z))
-    piece = rmap.piece_by_codomain_facet[hit.facet]
+    piece = [p for facet in range(6) for p in rmap.pieces_by_facet[facet]][hit.facet]
     ux, uy, uz = invert_piece(piece, tuple(map(float, hit.point)))
     frac = 1.0 / hit.t
     return (ax + frac * (ux - ax), ay + frac * (uy - ay), az + frac * (uz - az))
@@ -804,22 +806,17 @@ def cuboid_spec(lo, hi, centre=None):
 
 
 def cell_facets_by_planes(rmap):
-    """Each cell's (domain facet, codomain facet) of a chart, found from the
-    planes as the boundary-map validation once found them: the box facet
-    whose plane holds every vertex of the cell's polygon, and of the
-    codomain facets that the cell's piece serves the one whose plane is
-    nearest to the cell's images (the least largest distance, the lowest on
-    ties)."""
+    """Each cell's (domain facet, codomain facet) of a chart: the box facet
+    whose plane holds every vertex of the cell's polygon, found from the
+    planes as the boundary-map validation once found it, and the codomain
+    facet that the cell's piece serves, the piece's place in the list of
+    the chart's pieces counted facet by facet."""
     lo, hi = rmap.domain.lo.tolist(), rmap.domain.hi.tolist()
-    normals, offsets, _ = rmap.codomain.facet_planes
-    owners = [piece for facet in range(6) for piece in rmap.pieces_by_facet[facet]
-              for _ in piece]
+    pieces = [piece for facet in range(6) for piece in rmap.pieces_by_facet[facet]]
     out, at = [], 0
-    for size, piece in zip(rmap.sizes.tolist(), owners):
-        poly, images = rmap.points[at:at + size].tolist(), rmap.targets[at:at + size]
+    for size, k in zip(rmap.sizes.tolist(), [k for k, piece in enumerate(pieces) for _ in piece]):
+        poly = rmap.points[at:at + size].tolist()
         at += size
-        fd, = [k for k in range(6) if all(p[k // 2] == (lo, hi)[k % 2][k // 2] for p in poly)]
-        served = [f for f, p in rmap.piece_by_codomain_facet.items() if p is piece]
-        devs = [float(np.abs(images @ normals[f] - offsets[f]).max()) for f in served]
-        out.append((fd, served[devs.index(min(devs))]))
+        fd, = [f for f in range(6) if all(p[f // 2] == (lo, hi)[f % 2][f // 2] for p in poly)]
+        out.append((fd, k))
     return out

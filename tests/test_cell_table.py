@@ -135,8 +135,7 @@ class TestCells:
         # a RadialMap is the cells of a box, so a polyhedral domain is refused
         rmap = build.g.charts[0].map
         with pytest.raises(GeometryError, match="needs a box domain"):
-            RadialMap(rmap.codomain, rmap.codomain, rmap.pieces_by_facet,
-                      rmap.piece_by_codomain_facet)
+            RadialMap(rmap.codomain, rmap.codomain, rmap.pieces_by_facet)
 
     @pytest.mark.parametrize("p", [(5.0, 5.0, 5.0), (1.0, 1.0, 3.0), (-1.0, 1.0, 0.5),
                                    (1.0, 1.0, -2.0), (math.nan, 1.0, 0.5)])
@@ -529,8 +528,7 @@ class TestBuildMatchesOracles:
         # chart's map built alone has its cells bit for bit
         for chart in build.g.charts[1:]:
             rmap = chart.map
-            alone = RadialMap(rmap.domain, rmap.codomain, rmap.pieces_by_facet,
-                              rmap.piece_by_codomain_facet)
+            alone = RadialMap(rmap.domain, rmap.codomain, rmap.pieces_by_facet)
             for name in ("linear", "points", "targets", "sizes", "cell_facets", "point_ids",
                          "fans", "fan_cell"):
                 assert getattr(rmap, name).tobytes() == getattr(alone, name).tobytes(), name

@@ -33,7 +33,7 @@ def cube_chart(centre=(0.0, 0.0, 0.0), side=1.0, codomain=None):
     loops = [[tuple(verts[i].tolist()) for i in face] for face in faces]
     pieces = {f: [(loop, loop)] for f, loop in enumerate(loops)}
     return RadialMap(Box([-side] * 3, [side] * 3), codomain or cube(centre, side),
-                     {f: [piece] for f, piece in pieces.items()}, pieces)
+                     {f: [piece] for f, piece in pieces.items()})
 
 
 # image pentagon of the side face {x1 = 0}, in (x2, x3) coordinates; its
@@ -81,8 +81,8 @@ def nested_cubes(centre):
 
 class TestOrientation:
     """Each facet's normal is signed away from the centre, whichever way its
-    loop runs; a surface that is open, or has facets that its chart's cells
-    do not tile, is refused at the chart."""
+    loop runs; a surface that is not the image of its chart's box faces is
+    refused at the chart."""
 
     def test_mixed_facet_loops_are_oriented_outward(self):
         # the cube with every other facet loop reversed: the facet planes of
@@ -118,47 +118,37 @@ class TestOrientation:
             assert np.all(_outward_volumes(shape) > 0), chart.cell_id
         assert flipped == {"A'": 2, "A''1": 4, "A''2": 5, "A''3": 3, "A''4": 4}
 
-    @pytest.mark.parametrize("centre", [(0.0, 0.0, 0.0), (1.5, 0.0, 0.0)])
-    def test_disconnected_surface_rejected(self, centre):
-        # two nested cubes about a point inside both or between them, the
-        # codomain of the identity chart of the outer one: its cells tile
-        # the outer cube, and the boundary-map validation counts each of
-        # the inner cube's six facets as one that no cell covers
-        rep = cube_chart(side=2.0, codomain=nested_cubes(centre)).validate_boundary_map()
-        assert not rep.passed
-        assert (rep.seam_violations, rep.injectivity_violations) == (0, 6)
-
-    def test_a_detached_extra_facet_is_uncovered(self):
-        # the cube with one more facet, a triangle off its surface: no cell
-        # tiles it, and the validation counts it
+    def test_a_surface_that_is_not_the_image_of_the_box_is_refused(self):
+        # the identity chart's six pieces serve six codomain facets, so a
+        # codomain of another count is refused at construction, naming both
+        # counts: the cube without its top facet, the cube with a detached
+        # extra triangle, and the cube [-2, 2]^3 with the cube [-1, 1]^3
+        # inside it
         shape = cube()
+        open_cube = StarShape(shape.vertices, shape.centre, shape.facet_polys[:-1])
         extra = StarShape(np.vstack([shape.vertices, [(3.0, 0.0, 0.0), (3.0, 1.0, 0.0),
                                                       (3.0, 0.0, 1.0)]]),
                           shape.centre, shape.facet_polys + [[8, 9, 10]])
-        rep = cube_chart(codomain=extra).validate_boundary_map()
-        assert not rep.passed
-        assert (rep.seam_violations, rep.injectivity_violations) == (0, 1)
+        for side, codomain, facets in ((1.0, open_cube, 5), (1.0, extra, 7),
+                                       (2.0, nested_cubes((0.0, 0.0, 0.0)), 12)):
+            with pytest.raises(GeometryError,
+                               match=f"^6 boundary pieces for {facets} codomain facets$"):
+                cube_chart(side=side, codomain=codomain)
         assert cube_chart().validate_boundary_map().passed
 
     def test_open_or_non_orientable_surface_rejected(self):
-        # the cube without its top facet: the piece of the box's top facet
-        # serves no codomain facet, and the chart is refused; a surface
-        # that cannot be oriented, the oracle refuses to triangulate
+        # the oracle refuses to triangulate the cube without its top facet,
+        # and a surface that cannot be oriented
         shape = cube()
         open_cube = StarShape(shape.vertices, shape.centre, shape.facet_polys[:-1])
-        verts, _, faces = cuboid_spec([-1.0] * 3, [1.0] * 3)
-        pieces = {f: [([tuple(verts[i].tolist()) for i in face],) * 2] for f, face in enumerate(faces)}
-        with pytest.raises(GeometryError, match="facet 5 piece 0 serves no codomain facet"):
-            RadialMap(Box([-1.0] * 3, [1.0] * 3), open_cube,
-                      {f: [p] for f, p in pieces.items()},
-                      {f: p for f, p in pieces.items() if f < 5})
         rng = np.random.default_rng(0)
-        with pytest.raises(GeometryError, match="not closed or not orientable"):
-            surface_triangles(StarShape(rng.random((6, 3)), (0.5, 0.5, 0.5), RP2))
+        for surface in (open_cube, StarShape(rng.random((6, 3)), (0.5, 0.5, 0.5), RP2)):
+            with pytest.raises(GeometryError, match="not closed or not orientable"):
+                surface_triangles(surface)
 
 
 # the A' codomain facet that is the pentagon, in the plane x1 = 0
-APRIME_PENTAGON = 1
+APRIME_PENTAGON = 0
 
 
 class TestPsi:
@@ -370,7 +360,7 @@ class TestStackedCertification:
         centres = [(5.0, 1.0, 2.0), (4.5, 1.5, 2.0), (3.0, -2.0, 1.5), (2.0, -2.0, 0.0),
                    (9.0, 0.0, 0.0)]
         specs = [(chart.domain, StarShape(solid.vertices, c, solid.facet_polys),
-                  chart.pieces_by_facet, chart.piece_by_codomain_facet) for c in centres]
+                  chart.pieces_by_facet) for c in centres]
         alone = []
         for spec in specs:
             try:

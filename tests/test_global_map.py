@@ -200,39 +200,50 @@ class TestChartTable:
         # vertex names of the table, and nothing else
         names = set(build.vertex_table.coords)
         for cid, spec in _CHARTS.items():
-            for face in [f for faces in spec["facets"].values() for f in faces] + spec["codomain"]:
+            for face in [f for faces in spec["facets"].values() for f in faces]:
                 loop = face.split()
                 assert " ".join(loop) == face and len(set(loop)) == len(loop) >= 3, (cid, face)
                 assert set(loop) <= names, (cid, face)
 
-    def test_codomain_facets_are_faces_of_the_charts_pieces(self):
-        # every codomain facet is served by one face that the chart lists on
-        # exactly one of its box facets, and every listed face serves one
+    def test_codomain_facets_are_faces_of_the_charts_pieces(self, build):
+        # each chart lists every face once, on one of its six box facets,
+        # and its codomain facet k is the image of its k-th face counted
+        # facet by facet: the images of that face's vertices, in its order
+        images = build.vertex_table.images
         for cid, spec in _CHARTS.items():
             faces = [face for facet in range(6) for face in spec["facets"][facet]]
             assert sorted(spec["facets"]) == list(range(6)), cid
-            assert sorted(faces) == sorted(spec["codomain"]), cid
             assert len(set(faces)) == len(faces), cid
+            cod = build.g.by_id[cid].map.codomain
+            assert len(cod.facet_polys) == len(faces), cid
+            for face, poly in zip(faces, cod.facet_polys):
+                assert cod.vertices[poly].tolist() == [images[n].tolist()
+                                                       for n in face.split()], (cid, face)
 
     def test_cell_facets_are_the_nearest_planes(self, build):
-        # the facets that construction records for each cell are those that
-        # the boundary-map validation once searched for by planes
+        # the facets that construction records for each cell are its box
+        # facet, which the boundary-map validation once searched for by
+        # planes, and the place of its piece counted facet by facet; the
+        # cell's images lie in the plane of that codomain facet
         for chart in build.g.charts:
             rmap = chart.map
             assert rmap.cell_facets.tolist() == [list(f) for f in cell_facets_by_planes(rmap)]
+            normals, offsets, _ = rmap.codomain.facet_planes
+            at = np.repeat(rmap.cell_facets[:, 1], rmap.sizes)
+            dev = np.abs((rmap.targets * normals[at]).sum(axis=1) - offsets[at])
+            assert dev.max() <= 10 * rmap.codomain.tol, chart.cell_id
 
     def test_charts_are_the_table(self, build):
         # each chart's pieces are those its table names, in facet order, and
-        # each codomain facet is served by the piece that holds its face
+        # charts that list the same face share its piece
+        holder = {}
         for cid, spec in _CHARTS.items():
             rmap = build.g.by_id[cid].map
             assert sorted(rmap.pieces_by_facet) == list(range(6))
             for facet, faces in spec["facets"].items():
                 assert len(rmap.pieces_by_facet[facet]) == len(faces), (cid, facet)
-            holder = {face: piece for facet, faces in spec["facets"].items()
-                      for face, piece in zip(faces, rmap.pieces_by_facet[facet])}
-            assert rmap.piece_by_codomain_facet == {k: holder[face] for k, face
-                                                    in enumerate(spec["codomain"])}
+                for face, piece in zip(faces, rmap.pieces_by_facet[facet]):
+                    assert holder.setdefault(face, piece) is piece, (cid, face)
 
 
 def _fraction_face_centre(loop):
@@ -330,27 +341,26 @@ class TestStatedCentres:
 
 
 class TestImageSolids:
-    # the two triangles of each interior face, in the order of its pieces,
-    # are facets 5-8 of an A'' image solid
-    INTERIOR = {"A''1": ["W1 X1 WL", "X1 XL WL", "TL X1 XL", "T1 X1 TL"],
-                "A''2": ["W1 X1 WL", "X1 XL WL", "X1 V1 VL", "X1 VL XL"],
-                "A''3": ["X1 UL XL", "X1 U1 UL", "TL X1 XL", "T1 X1 TL"],
-                "A''4": ["X1 UL XL", "X1 U1 UL", "X1 V1 VL", "X1 VL XL"]}
+    # the two triangles of each interior face, by their facet numbers in an
+    # A'' image solid: the places of their pieces, counted facet by facet
+    INTERIOR = {"A''1": {1: "W1 X1 WL", 2: "X1 XL WL", 4: "TL X1 XL", 5: "T1 X1 TL"},
+                "A''2": {0: "W1 X1 WL", 1: "X1 XL WL", 4: "X1 V1 VL", 5: "X1 VL XL"},
+                "A''3": {1: "X1 UL XL", 2: "X1 U1 UL", 3: "TL X1 XL", 4: "T1 X1 TL"},
+                "A''4": {0: "X1 UL XL", 1: "X1 U1 UL", 3: "X1 V1 VL", 4: "X1 VL XL"}}
 
     def test_interior_faces_keep_their_facet_numbers(self, build):
         vt = build.vertex_table
         name_of = {tuple(img.tolist()): n for n, img in vt.images.items()}
         for cid, tris in self.INTERIOR.items():
-            chart = build.g.by_id[cid]
-            cod = chart.map.codomain
-            got = [{name_of[tuple(cod.vertices[i].tolist())] for i in poly}
-                   for poly in cod.facet_polys[5:]]
-            assert got == [set(t.split()) for t in tris], cid
-            for facet in (0, 1, 2, 3):
-                pieces = chart.map.pieces_by_facet[facet]
-                if len(pieces) == 2:
-                    served = [chart.map.piece_by_codomain_facet[f] for f in range(5, 9)]
-                    assert pieces in (served[:2], served[2:])
+            rmap = build.g.by_id[cid].map
+            cod = rmap.codomain
+            for k, tri in tris.items():
+                names = [name_of[tuple(cod.vertices[i].tolist())] for i in cod.facet_polys[k]]
+                assert names == tri.split(), (cid, k)
+                # the cells of facet k are the cells of the piece of its face
+                fd = [f for f, faces in _CHARTS[cid]["facets"].items() if tri in faces]
+                assert set(rmap.cell_facets[rmap.cell_facets[:, 1] == k, 0].tolist()) \
+                    == set(fd), (cid, k)
 
 
 class TestChartValues:

@@ -289,6 +289,7 @@ IGNORED_PARAMETERS = {
     ("global_map.py", "build_maps", "chart_resolution"),
     ("global_map.py", "build_maps", "lprime_samples"),
     ("global_map.py", "build_maps", "seed"),
+    ("global_map.py", "build_maps", "validate"),
 }
 
 

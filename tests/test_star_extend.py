@@ -1,6 +1,5 @@
 import functools
 import math
-import re
 import struct
 import tracemalloc
 
@@ -62,9 +61,9 @@ def face_loops(side):
 
 
 def one_piece_chart(dom, cod, pieces):
-    """The chart with the piece pieces[f] on domain facet f, serving
+    """The chart with the piece pieces[f] on domain facet f, which serves
     codomain facet f."""
-    return RadialMap(dom, cod, {f: [p] for f, p in pieces.items()}, pieces)
+    return RadialMap(dom, cod, {f: [p] for f, p in pieces.items()})
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,10 +288,8 @@ def top_split(*groups, patches=None):
     pieces the patches of ``top_split_shape(patches)``."""
     pieces = {f: [identity_piece(loop)] for f, loop in face_loops(1.0).items()}
     pieces[5] = [[(t, t) for t in tris] for tris in groups]
-    by_codomain = {f: p[0] for f, p in pieces.items()}
-    by_codomain.update(enumerate(pieces[5][1:], 6))
     shape = top_split_shape(patches) if len(groups) > 1 else cube_shape()
-    return RadialMap(cube_box(), shape, pieces, by_codomain)
+    return RadialMap(cube_box(), shape, pieces)
 
 
 # the top facet's corners, its centre and a point on its diagonal
@@ -311,13 +308,12 @@ class TestConstruction:
     @pytest.mark.parametrize("top", [None, []], ids=["missing", "empty"])
     def test_a_facet_without_pieces_is_refused(self, top):
         pieces = {f: [identity_piece(loop)] for f, loop in face_loops(1.0).items()}
-        by_codomain = {f: p[0] for f, p in pieces.items()}
         if top is None:
             del pieces[5]
         else:
             pieces[5] = top
         with pytest.raises(GeometryError, match="no boundary piece for facet 5"):
-            RadialMap(cube_box(), cube_shape(), pieces, by_codomain)
+            RadialMap(cube_box(), cube_shape(), pieces)
 
     def test_cells_that_share_no_vertex_are_refused(self):
         with pytest.raises(GeometryError, match="the cells of facet 5 piece 0 share no vertex"):
@@ -343,23 +339,6 @@ class TestConstruction:
         with pytest.raises(GeometryError,
                            match="several of the cells of facet 5 piece 0 cover the sector"):
             top_split([(C, P0, P1), (C, P0, P1), (C, P1, P2), (C, P2, P3), (C, P3, P0)])
-
-    def test_a_piece_that_serves_no_codomain_facet_is_refused(self):
-        # codomain facet 5 is served by a piece on no domain facet, so the
-        # top facet's piece serves none
-        pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
-        spare = identity_piece(face_loops(1.0)[5])
-        with pytest.raises(GeometryError, match="facet 5 piece 0 serves no codomain facet"):
-            RadialMap(cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()},
-                      {**pieces, 5: spare})
-
-    def test_a_piece_that_serves_several_codomain_facets_is_refused(self):
-        pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
-        with pytest.raises(GeometryError,
-                           match=re.escape("facet 0 piece 0 serves several codomain facets, "
-                                           "[0, 5]")):
-            RadialMap(cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()},
-                      {**pieces, 5: pieces[0]})
 
     @pytest.mark.parametrize("split", ["halves", "quadrants"])
     def test_a_facet_of_several_pieces(self, split):
@@ -469,8 +448,7 @@ class TestBatchedValidation:
         try:
             assert report_bits(built.validate_boundary_map()) == report_bits(
                 build.validations[cid])
-            rmap = RadialMap(built.domain, built.codomain, built.pieces_by_facet,
-                             built.piece_by_codomain_facet)
+            rmap = RadialMap(built.domain, built.codomain, built.pieces_by_facet)
         finally:
             piece[0] = (dom, (c, p, q))
         rep = rmap.validate_boundary_map()
@@ -523,13 +501,12 @@ TOP_LOOP = [(-1.0, -1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 1.0
 def collapsed_chart_spec():
     pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
     pieces[5] = collapse_piece(face_loops(1.0)[5])
-    return cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces
+    return cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()}
 
 
 def chart_spec_without(facet):
     pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
-    by_facet = {f: [p] for f, p in pieces.items() if f != facet}
-    return cube_box(), cube_shape(), by_facet, pieces
+    return cube_box(), cube_shape(), {f: [p] for f, p in pieces.items() if f != facet}
 
 
 class TestBatches:
@@ -552,27 +529,12 @@ class TestBatches:
 
     def test_radial_maps_are_the_maps_built_one_by_one(self, build):
         # the A'' maps again, one batch against one map at a time
-        specs = [(c.map.domain, c.map.codomain, c.map.pieces_by_facet,
-                  c.map.piece_by_codomain_facet) for c in build.g.charts]
+        specs = [(c.map.domain, c.map.codomain, c.map.pieces_by_facet) for c in build.g.charts]
         for rmap, spec in zip(radial_maps(specs), specs):
             alone = RadialMap(*spec)
             assert rmap.linear.tobytes() == alone.linear.tobytes()
             assert repr((rmap._consts, rmap._frames, rmap._inverses, rmap._box)) \
                 == repr((alone._consts, alone._frames, alone._inverses, alone._box))
-
-    def test_a_serving_piece_without_a_domain_facet_is_named(self):
-        # the cube's top face as two triangles, codomain facets 5 and 6, the
-        # second served by a piece that holds no domain facet: both entry
-        # points name it before stacking any cell
-        pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
-        spec = (cube_box(), top_split_shape(HALVES), {f: [p] for f, p in pieces.items()},
-                {**pieces, 6: identity_piece(HALVES[1])})
-        good = (cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()}, pieces)
-        want = "the piece serving codomain facet 6 holds no domain facet"
-        with pytest.raises(GeometryError, match=want):
-            RadialMap(*spec)
-        with pytest.raises(GeometryError, match=want):
-            radial_maps([good, spec])
 
     def test_a_map_batch_raises_what_its_first_failing_map_raises(self):
         # a flat image cone fails in the stacked part, a missing facet
@@ -580,7 +542,7 @@ class TestBatches:
         # fails, whatever its stage, with that map's position
         good = one_piece_chart(cube_box(), cube_shape(), {
             f: identity_piece(loop) for f, loop in face_loops(1.0).items()})
-        good = (good.domain, good.codomain, good.pieces_by_facet, good.piece_by_codomain_facet)
+        good = (good.domain, good.codomain, good.pieces_by_facet)
         for specs, want, index in (([good, collapsed_chart_spec(), chart_spec_without(2)],
                                     "not oriented as its domain cone", 1),
                                    ([good, chart_spec_without(2), collapsed_chart_spec()],
