@@ -1,25 +1,16 @@
-"""Polyhedron geometry: the image solids of the slab charts, and the exact
-determinant signs that certify the charts.
+"""Shared geometry of the slab charts: the exact determinant signs that
+certify them, row-wise vector products, and a face loop's vector area.
 
-A ``StarShape`` is a polyhedron about a centre that the caller gives (the
-slab atlas states its image solids' centres as dyadic data,
-``global_map._CHARTS``), kept as what the boundary-map validation reads:
-its vertices, its facet loops and each facet's plane and area, from the
-facet's vector area about its first vertex (``_fan_crosses``, which
-``pieces.face_centre`` shares).  Construction does not triangulate the
-surface or test the centre.  A chart with this codomain certifies both
-from its own cells: its exact cone signs make every image cell's cone from
-the centre positive, and ``star_extend.RadialMap.validate_boundary_map``
-makes the image cells tile each facet once, so the cones from the centre
-tile space and each ray from it crosses the boundary once, through the
-cell whose cone holds it (``star_extend.psi``).  The axis-aligned boxes of
-the radial maps are not built here (``star_extend.Box``).
+A chart's image solid is not built here: it is the image of its box's
+faces, and ``star_extend.RadialMap`` takes what it needs of it (its facet
+planes, diameter and tolerance) from its pieces' image cells.  The
+axis-aligned boxes of the radial maps are ``star_extend.Box``.
 
 The orientations of the cone signs and of the boundary-map validation come
 from ``_det3_signs``: exact, in floats where Shewchuk's orient3d error bound
 decides a sign and in Python integers inside that bound.
 
-All shapes are immutable after construction; every operation is pure.
+Every operation is pure.
 """
 
 from __future__ import annotations
@@ -71,65 +62,14 @@ def _fan_crosses(loop):
     first vertex p0; per fan triangle (p0, p_i, p_i+1), the edges
     a = p_i - p0 and b = p_i+1 - p0 with their cross product a x b; and n,
     the sum of those cross products, twice the vector area of a planar
-    loop, along its normal.  Taken relative to p0, a coordinate that every
-    vertex shares drops out exactly."""
+    loop, along its normal (``pieces.face_centre`` weighs by it).  Taken
+    relative to p0, a coordinate that every vertex shares drops out
+    exactly."""
     (x0, y0, z0), *rest = loop
     rel = [(x - x0, y - y0, z - z0) for x, y, z in rest]
     fans = [(a, b, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
                     a[0] * b[1] - a[1] * b[0])) for a, b in zip(rel, rel[1:])]
     return (x0, y0, z0), fans, [sum(c[k] for *_, c in fans) for k in range(3)]
-
-
-class StarShape:
-    """A polyhedron about a centre: the codomain of a slab chart.
-
-    ``vertices`` is a vertex pool and ``facet_polys`` lists each planar
-    facet as an ordered index loop, run either way round.
-    ``facet_planes`` holds, per facet, its unit normal signed away from
-    ``centre``, its plane offset n . p0 and its area, from the vector area
-    n of its loop (``_fan_crosses``), in Python floats.  ``diameter`` is that
-    of the bounding box and ``tol`` its ``TAU_GEOM`` multiple.
-
-    Construction checks the arguments and the facets: it raises
-    GeometryError for a facet of zero vector area, or for one of more than
-    three vertices that leaves its plane by more than
-    max(10 tol, 1e-9 max |x|) over its vertices x.  It does not check the
-    surface or the centre: any finite centre builds.  A chart with this
-    codomain certifies both (``star_extend``): its pieces must match the
-    facets in number, and a facet that its image cells do not tile fails
-    its boundary-map validation.
-    """
-
-    def __init__(self, vertices, centre, facet_polys):
-        self.vertices = np.asarray(vertices, dtype=float)
-        if not np.all(np.isfinite(self.vertices)):
-            raise GeometryError("non-finite vertex coordinates")
-        self.centre = _as_array(centre)
-        self.diameter = float(np.linalg.norm(self.vertices.max(axis=0)
-                                             - self.vertices.min(axis=0)))
-        if self.diameter <= 0.0:
-            raise GeometryError("degenerate shape (zero diameter)")
-        self.tol = TAU_GEOM * self.diameter
-        self.facet_polys = [list(map(int, p)) for p in facet_polys]
-        if any(len(poly) < 3 for poly in self.facet_polys):
-            raise GeometryError("facet with fewer than 3 vertices")
-        rows, (cx, cy, cz) = self.vertices.tolist(), self.centre.tolist()
-        planes = []
-        for k, poly in enumerate(self.facet_polys):
-            loop = [rows[i] for i in poly]
-            (x0, y0, z0), fans, (n0, n1, n2) = _fan_crosses(loop)
-            twice_area = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
-            if not twice_area:
-                raise GeometryError("degenerate facet (zero normal)")
-            norm = twice_area if n0 * (x0 - cx) + n1 * (y0 - cy) + n2 * (z0 - cz) >= 0.0 \
-                else -twice_area
-            n0, n1, n2 = n0 / norm, n1 / norm, n2 / norm
-            if len(poly) > 3 and max(abs(n0 * u + n1 * v + n2 * w) for a, b, _ in fans
-                                     for u, v, w in (a, b)) \
-                    > max(10 * self.tol, 1e-9 * max(abs(x) for p in loop for x in p)):
-                raise GeometryError(f"facet {k} is not planar")
-            planes.append(((n0, n1, n2), n0 * x0 + n1 * y0 + n2 * z0, twice_area / 2))
-        self.facet_planes = tuple(np.array(x) for x in zip(*planes))
 
 
 # ---------------------------------------------------------------------------

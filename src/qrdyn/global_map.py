@@ -41,7 +41,7 @@ from typing import Dict
 import numpy as np
 
 from . import zorich
-from .geometry import GeometryError, StarShape, _cross, _det3_signs, _starts
+from .geometry import GeometryError, _cross, _det3_signs, _starts
 from .pieces import face_centre, fan_cells
 from .star_extend import Box, RadialMap, ValidationReport, _mapped_points, radial_maps
 
@@ -171,15 +171,15 @@ _IMAGE_FACE_CENTRES = {"P0 P1 T1 Q1 Q0": (0.0, 0.875, 3.625),
 
 
 def _build_charts(vt, ids, shared=None):
-    """The charts ``ids`` of ``_CHARTS``: one piece per distinct face, one
-    ``StarShape`` per image solid (its facet planes, which the boundary-map
-    validation reads), each box a ``Box`` domain, and the cells in one
-    ``radial_maps`` pass, which certifies every centre by its cone signs;
-    a face of ``shared`` ({face: piece} of an earlier phase) keeps that
-    piece.  An image solid's facets are the images of its chart's faces,
-    listed facet by facet (0 to 5), so that piece j serves facet j.  A map
-    that fails (a centre that fails its cone signs, say) raises
-    ConstructionError naming its chart."""
+    """The charts ``ids`` of ``_CHARTS``: one piece per distinct face, each
+    box a ``Box`` domain, and the cells in one ``radial_maps`` pass about
+    the stated centres, which certifies every centre by its cone signs; a
+    face of ``shared`` ({face: piece} of an earlier phase) keeps that
+    piece.  An image solid is the image of its chart's faces: listed facet
+    by facet (0 to 5), face j's piece maps onto the solid's facet j, whose
+    plane the pass takes from the piece's image cells.  A map that fails (a
+    centre that fails its cone signs, say) raises ConstructionError naming
+    its chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
                                for on_facet in spec["facets"].values() for face in on_facet))
@@ -196,21 +196,14 @@ def _build_charts(vt, ids, shared=None):
         else:
             made[face] = fan_cells(dom, img, face_centre(dom),
                                    _IMAGE_FACE_CENTRES.get(face) or face_centre(img))
-    boxes, solids = [], []
-    for spec in specs:
-        boxes.append([np.array([vt.L if c == "L" else float(c) for c in corner])
-                      for corner in spec["box"]])
-        own = [face for facet in range(6) for face in spec["facets"][facet]]
-        names = sorted({n for face in own for n in face.split()})
-        verts = np.array([vt.images[n] for n in names])
-        loops = [[names.index(n) for n in face.split()] for face in own]
-        solids.append(StarShape(verts, spec["centre"], loops))
+    boxes = [[np.array([vt.L if c == "L" else float(c) for c in corner])
+              for corner in spec["box"]] for spec in specs]
     try:
         maps = radial_maps([
-            (Box(lo, hi), solid,
+            (Box(lo, hi), spec["centre"],
              {facet: [made[face] for face in on_facet]
               for facet, on_facet in spec["facets"].items()})
-            for spec, solid, (lo, hi) in zip(specs, solids, boxes)])
+            for spec, (lo, hi) in zip(specs, boxes)])
     except (GeometryError, np.linalg.LinAlgError) as err:
         if not hasattr(err, "map_index"):
             raise
@@ -269,9 +262,9 @@ class GlobalMap:
         self._shift = 0.0 if L_prime is None else self.L_prime
         self._slab_charts = [self.by_id[cid] for cid in ("A'", "A''1", "A''2", "A''3", "A''4")]
         self._slab_evals = [c.map.eval3 for c in self._slab_charts]
-        allv = np.vstack([c.map.codomain.vertices for c in self.charts])
-        self.image_diameter = float(np.linalg.norm(allv.max(axis=0) - allv.min(axis=0)))
-        self.max_image_height = float(allv[:, 2].max())
+        targets = table.targets
+        self.image_diameter = float(np.linalg.norm(targets.max(axis=0) - targets.min(axis=0)))
+        self.max_image_height = float(targets[:, 2].max())
 
     # -- evaluation ----------------------------------------------------------
 
@@ -613,10 +606,11 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     The two chart phases, ``build_aprime_chart`` (A') and
     ``build_asecond_charts`` (the four A'' charts), are each one
     ``_build_charts`` call, whose ``star_extend.radial_maps`` pass takes
-    the exact cone signs of all its cells before any solve: with the
-    degree-one boundary map that the validation checks, they prove that the
-    ray from each centre crosses its solid's boundary once and that each
-    face fan is star about its centres.  The cells are then stacked once
+    the exact cone signs of all its cells before any solve: with the closed
+    seams that the validation checks, they prove that each ray from a
+    centre crosses its solid's boundary, once where the boundary winds once
+    about the centre (``star_extend.psi``), and that each face fan is star
+    about its centres.  The cells are then stacked once
     (``CellTable``) for g, f and every certificate, and each chart's
     boundary map is validated exactly by ``RadialMap.validate_boundary_map``.
 

@@ -4,27 +4,29 @@ A boundary homeomorphism from an axis-aligned box onto a star-shaped
 polyhedron extends to the closed regions by transporting radial fractions:
 a point at fraction s of the way from the box's midpoint to its boundary
 maps to the point at fraction s from the polyhedron's centre to the image
-boundary point.  The box (``Box``) is convex about its midpoint; the
-polyhedron's (``geometry.StarShape``) centre is certified by one exact
-sign per fan triangle of every cell: the image cone about it has the
-orientation of the domain cone (``_cone_sign_failures``).
+boundary point.  The box (``Box``) is convex about its midpoint.  The
+polyhedron is not given apart from the map: it is the image of the box's
+faces, about the centre b that the caller states, and b is certified by
+one exact sign per fan triangle of every cell: the image cone about it has
+the orientation of the domain cone (``_cone_signs``).
 
 The boundary map itself is a list of pieces on each domain facet, each
-piece the list of its affine cells (``pieces``).  The codomain's surface is
-the image of the box's: counted facet by facet (0 to 5) and in order within
-a facet, piece j serves codomain facet j, which its cells' images tile.  A
-cell is the fan triangle of a planar face about the centre it is given onto
-the fan triangle of its image face about the image's (the radial extension
-of the face's edge correspondence, ``pieces.fan_cells``), or a whole face
-on which the boundary map is affine, the identity or a triangle of F.  The
-centres are the caller's, and the same cone signs certify the face centres
-too: a fan that is not star about its centres has a fan triangle whose
-image cone is not oriented as its domain cone, or a seam that
-``validate_boundary_map`` refuses.  The pieces of a facet share a
-vertex, as the cells of a piece do, so one sector table about the shared
-vertices finds the piece of a facet and the cell of a piece alike.  The
-table is combinatorial: each sector between the angles of two vertices
-goes to the entry with a polygon that has both (``_sector_entry``).
+piece the list of its affine cells (``pieces``).  Counted facet by facet
+(0 to 5) and in order within a facet, piece j's image is the polyhedron's
+facet j, whose plane comes from the vector area of the piece's image cells
+(``facet_planes``).  A cell is the fan triangle of a planar face about the
+centre it is given onto the fan triangle of its image face about the
+image's (the radial extension of the face's edge correspondence,
+``pieces.fan_cells``), or a whole face on which the boundary map is
+affine, the identity or a triangle of F.  The centres are the caller's,
+and the same cone signs certify the face centres too: a fan that is not
+star about its centres has a fan triangle whose image cone is not oriented
+as its domain cone, or a seam that ``validate_boundary_map`` refuses.  The
+pieces of a facet share a vertex, as the cells of a piece do, so one
+sector table about the shared vertices finds the piece of a facet and the
+cell of a piece alike.  The table is combinatorial: each sector between
+the angles of two vertices goes to the entry with a polygon that has both
+(``_sector_entry``).
 
 So the radial extension of a box is affine on the cone from the domain
 centre over each cell, and a ``RadialMap`` is those cells, stacked from its
@@ -32,14 +34,12 @@ pieces at construction (``radial_maps`` builds several maps in one stacked
 pass).  It both evaluates and inverts the map: forward by one facet test, a
 sector test for the piece and one for the cell (each skipped where there is
 one entry) and one affine product, backward by the image cell whose cone
-from the codomain centre holds the point (``psi``, a scan of the image
-cells' fan frames) and one inverse affine product.  The same cells make the
-boundary map's certificate finite and exact:
-``RadialMap.validate_boundary_map`` checks its seams on the cell complex
-and its orientation by exact signs on the cell vertices.  With the cone
-signs, that makes the image cones from the codomain centre tile space, so
-the image cells are the only triangulation of the codomain's surface that
-the map needs.
+from b holds the point (``psi``, a scan of the image cells' fan frames)
+and one inverse affine product.  The same cells make the boundary map's
+certificate finite and exact: ``RadialMap.validate_boundary_map`` checks
+its seams on the cell complex and its orientation by exact signs on the
+cell vertices, so the image cells are the only triangulation of the
+polyhedron's surface that the map needs.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from math import atan2, inf
 
 import numpy as np
 
-from .geometry import TAU_GEOM, GeometryError, StarShape, _as_array, _det3_signs, _dots, _starts
+from .geometry import (TAU_GEOM, GeometryError, _as_array, _cross, _det3_signs, _dots,
+                       _starts)
 
 # Relative tolerance of the facet area sums of a boundary map's cells
 TAU_SEAM = 1e-9
@@ -63,12 +64,13 @@ TAU_SEAM = 1e-9
 
 class Box:
     """The axis-aligned cuboid [lo, hi], the domain of a ``RadialMap``: it
-    is convex about its midpoint ``centre``.  Its ``diameter`` and ``tol``
-    are those of a ``StarShape``, and its ``facet_planes`` the normals and
-    areas of one, in closed form: facet 2k is the face x_k = lo[k] (normal
-    -e_k) and facet 2k + 1 the face x_k = hi[k] (normal e_k), each with the
-    product of its two sides as area.  Raises GeometryError unless lo and
-    hi are finite 3-vectors with lo < hi on every axis."""
+    is convex about its midpoint ``centre``.  Its ``diameter`` is its
+    diagonal, ``tol`` the ``TAU_GEOM`` multiple of that, and its
+    ``facet_planes`` its facets' unit normals and areas, in closed form:
+    facet 2k is the face x_k = lo[k] (normal -e_k) and facet 2k + 1 the
+    face x_k = hi[k] (normal e_k), each with the product of its two sides
+    as area.  Raises GeometryError unless lo and hi are finite 3-vectors
+    with lo < hi on every axis."""
 
     # -e_k and e_k; + 0.0 turns the -0.0 of the products into 0.0
     _NORMALS = np.kron(np.eye(3), [[-1.0], [1.0]]) + 0.0
@@ -98,13 +100,15 @@ class ValidationReport:
 
 
 class RadialMap:
-    """Radial extension of a boundary map from a ``Box`` onto a
-    ``StarShape``, given by the pieces on each box facet ({facet:
-    [pieces]}, each piece a list of cells), as its exact affine cells.
-    Piece j, counted facet by facet (0 to 5) and in order within a facet,
-    serves codomain facet j: its cells' images tile that facet.  Another
-    domain than a box, or a count of pieces other than the codomain's
-    count of facets, raises GeometryError.
+    """Radial extension of a boundary map from a ``Box`` onto the solid
+    that the map's image faces bound about ``centre`` (b), given by the
+    pieces on each box facet ({facet: [pieces]}, each piece a list of
+    cells), as its exact affine cells.  Piece j, counted facet by facet (0
+    to 5) and in order within a facet, maps onto the solid's facet j.
+    Another domain than a box, a centre other than a finite 3-vector, a
+    facet without pieces, a piece without cells, or a cell whose polygons
+    differ in length, have fewer than 3 vertices or a non-finite coordinate
+    raises GeometryError.
 
     Each cell is the cone from the domain centre a over one polygon on which
     the boundary piece is affine (a cell of the piece: a triangle, or a
@@ -120,8 +124,8 @@ class RadialMap:
     ``eval`` does the same after it raises GeometryError for a point outside
     the domain box by more than ``domain.tol``; ``eval3`` checks nothing.
 
-    The image cells are the cones from b over the image polygons, and they
-    tile space.  ``inverse`` maps b to a, and any other q to
+    The image cells are the cones from b over the image polygons, which
+    cover space (``psi``).  ``inverse`` maps b to a, and any other q to
     a + A^-1 (q - b), A the linear part of the image cell whose cone holds
     q - b (``psi``, through the module's name, which scans ``_frames``, the
     barycentric frames of the fan triangles of every image polygon, in cell
@@ -133,16 +137,22 @@ class RadialMap:
     and ``targets`` hold every cell polygon's vertices and their images
     under the boundary piece, cell after cell (``sizes`` per cell,
     ``point_ids`` the point of each vertex, numbered 0, 1, ...),
-    ``cell_facets`` each cell's domain facet and the codomain facet its
-    piece serves, and ``fans`` the rows of the fan triangles (0, i, i + 1)
+    ``cell_facets`` each cell's domain facet and its piece's running index,
+    the image facet, and ``fans`` the rows of the fan triangles (0, i, i + 1)
     of every polygon, with ``fan_cell`` the cell of each.  The linear parts
     (``linear``), the fan frames of the image cells, the boundary-map
     validation and ``global_map.CellTable`` read them; the sector entries
-    take the pieces' cells and the rows of ``linear``.
+    take the pieces' cells and the rows of ``linear``.  ``facet_planes``
+    holds, per image facet, its unit normal signed away from b, its offset
+    n . p0 at the piece's first image point p0, and its area, from the
+    piece's vector area, the sum of (w1 - w0) x (w2 - w0) over the image
+    fan triangles (w0, w1, w2), each times its domain cone's orientation
+    sign; ``diameter`` is that of the bounding box of the image points and
+    ``tol`` its ``TAU_GEOM`` multiple.
     """
 
-    def __init__(self, domain: Box, codomain: StarShape, pieces_by_facet):
-        _build_maps([self], [(domain, codomain, pieces_by_facet)])
+    def __init__(self, domain: Box, centre, pieces_by_facet):
+        _build_maps([self], [(domain, centre, pieces_by_facet)])
 
     def eval(self, p):
         x, y, z = float(p[0]), float(p[1]), float(p[2])
@@ -208,28 +218,27 @@ class RadialMap:
         The seams are exact (``_seam_faults``): the cells meet edge to edge
         and give each point one image, so the boundary map is continuous;
         ``seam_violations`` counts the edges and points that fail, and
-        ``detail`` names the cell of the first.  The images of each cell lie
-        in the plane of the codomain facet its piece serves
-        (``worst_boundary_dev``); the image of each cell, ordered positively
-        in its domain facet, is positive in that codomain facet; and the
-        cells' areas sum to each domain facet's area, their images' to each
-        codomain facet's, within a relative ``TAU_SEAM``, so each face fan
-        is positively oriented and tiles its face.  The signs are exact:
-        ``_oriented_areas`` takes them for all triangles of the chart from
-        ``geometry._det3_signs``, whose float filter decides every sign
+        ``detail`` names the cell of the first.  The images of each piece's
+        cells lie in the plane of its image facet (``facet_planes``) within
+        max(1e3 tol, 1e-12 diameter) (``worst_boundary_dev``), the only
+        test that an image facet is planar.  The image of each cell, ordered
+        positively in its domain facet, is positive in its image facet, and
+        the signed areas of each facet's triangles sum, within a relative
+        ``TAU_SEAM``, to the box facet's area on the domain side and to the
+        facet's ``facet_planes`` area, the length of their vector sum, on
+        the image side.  So the triangles of an image facet have one
+        orientation; that does not show that they cover the facet once (an
+        image fan that winds twice about its centre passes).  The signs are
+        exact: ``_oriented_areas`` takes them for all triangles of the chart
+        from ``geometry._det3_signs``, whose float filter decides every sign
         outside Shewchuk's error bound and leaves the rest, zero areas among
-        them, to exact integer arithmetic.  The facet planes, normals and
-        areas are those both shapes computed at construction
-        (``facet_planes``).  Such a boundary map has degree one on each
-        facet, so it is injective there; with a positive determinant on
-        every cell of the radial extension the chart is a homeomorphism onto
-        its codomain.  ``injectivity_violations`` counts the image triangles
-        that are not positive or that lie in a facet whose tiling fails.
+        them, to exact integer arithmetic.  ``injectivity_violations``
+        counts the triangles that are not positive on both sides or that
+        lie in a facet whose area sum fails.
         """
-        scale = self.codomain.diameter
-        tol_boundary = max(self.codomain.tol * 1e3, 1e-12 * scale)
+        tol_boundary = max(self.tol * 1e3, 1e-12 * self.diameter)
         dom_n, dom_area = self.domain.facet_planes
-        cod_n, cod_d, cod_area = self.codomain.facet_planes
+        cod_n, cod_d, cod_area = self.facet_planes
         # every cell vertex and its image, cell after cell
         dom, img, start = self.points, self.targets, _starts(self.sizes)
         seams, others, split = _seam_faults(self.point_ids, self.sizes, img)
@@ -251,12 +260,10 @@ class RadialMap:
         n = len(fd)
         sd, si, ad, ai = signs[:n], signs[n:], areas[:n], areas[n:]
         bad = sd * si <= 0
-        empty = 0         # facets that no triangle covers
+        # every facet holds a triangle: construction refuses empty ones
         for idx, area, signed in ((fd, dom_area, sd * ad), (fc, cod_area, sd * ai)):
-            off = np.abs(np.bincount(idx, signed, len(area)) - area) > TAU_SEAM * area
-            bad |= off[idx]
-            empty += np.count_nonzero(off & (np.bincount(idx, minlength=len(area)) == 0))
-        viol = int(bad.sum() + empty)
+            bad |= (np.abs(np.bincount(idx, signed, len(area)) - area) > TAU_SEAM * area)[idx]
+        viol = int(bad.sum())
 
         passed = worst_b <= tol_boundary and seams == 0 and viol == 0
         return ValidationReport(passed=passed, worst_boundary_dev=worst_b,
@@ -286,16 +293,17 @@ def radial_maps(specs):
     return maps
 
 
-def _cone_sign_failures(points, targets, fans, a, b):
-    """The rows of ``fans`` (fan triangles, as rows of ``points`` and of
-    ``targets``) that fail the chart certificate, in order: those whose
-    image cone, the triangle targets[fan] about b[k], has not the exact
-    orientation of the domain cone, points[fan] about a[k], or whose domain
-    cone is flat.  Every sign comes from one ``geometry._det3_signs`` call."""
+def _cone_signs(points, targets, fans, a, b):
+    """(signs, failures) of the fan triangles ``fans`` (rows of ``points``
+    and of ``targets``): the exact orientation of each domain cone, the
+    triangle points[fan] about a[k], and the rows that fail the chart
+    certificate, in order: those whose image cone, targets[fan] about b[k],
+    has not that orientation, or whose domain cone is flat.  Every sign
+    comes from one ``geometry._det3_signs`` call."""
     n = len(fans)
     signs = _det3_signs(np.concatenate([points[fans], targets[fans]]),
                         np.concatenate([a, b])[:, None, :])[0]
-    return np.flatnonzero((signs[n:] != signs[:n]) | (signs[:n] == 0))
+    return signs[:n], np.flatnonzero((signs[n:] != signs[:n]) | (signs[:n] == 0))
 
 
 def _oriented_areas(normals, tris):
@@ -380,53 +388,66 @@ _FACE_AXES = [(1, 2), (1, 2), (0, 2), (0, 2), (0, 1), (0, 1)]
 
 
 def _build_maps(maps, specs):
-    """Fill in the blank ``maps`` from their ``specs`` (domain, codomain,
+    """Fill in the blank ``maps`` from their ``specs`` (domain, centre,
     pieces by domain facet), each numpy step once over the cells of all of
     them.
 
     Each map's cells are walked in cell order onto the stacks: each cell's
-    domain polygon, its image points, and its domain facet with the
-    codomain facet that its piece serves, the piece's running index
-    (``cell_facets``).  Before any solve, the cone signs of all fan
-    triangles (``_cone_sign_failures``) certify the codomain centres; the
-    first that fails raises GeometryError naming its cell.  Then one solve
-    gives the linear parts on every cell's first three vertex
-    correspondences.  Each facet's entry is then the
-    sector entry (``_sector_entry``) of its pieces over those of their
+    domain polygon, its image points, and its domain facet with its piece's
+    running index, the image facet (``cell_facets``).  The walk refuses a
+    facet without pieces, a piece without cells, and a cell whose two
+    polygons differ in length or have fewer than 3 vertices; then the
+    stacks refuse a non-finite coordinate.  Before any solve, the cone
+    signs of all fan triangles (``_cone_signs``) certify the centres b;
+    the first that fails raises GeometryError naming its cell.  One sum
+    over each piece's image fan triangles, from its first fan row in cell
+    order, each turned by its domain cone's sign (so that the cells of a
+    piece may run either way round), gives its vector area and so the
+    image facets' ``facet_planes``; a piece of zero vector area is
+    refused.  Then one solve gives the linear parts on every cell's first
+    three vertex correspondences.  Each facet's entry is then the sector
+    entry (``_sector_entry``) of its pieces over those of their
     cells, the rows taken in cell order; one determinant and one inverse go
     over the linear parts, and one inverse gives the fan frames of the
     image cells, which ``psi`` scans (``_frames``, each with its cell).
     Each map keeps its slice of the stacked arrays; a stacked solve or
     inverse equals the per-matrix call bitwise, so every map is the one
-    that its own construction builds.  Raises the first error met; a facet
-    without pieces, and a count of pieces other than the codomain's count
-    of facets (an open surface, say, or a detached extra facet), are met
-    before any stacking."""
-    doms, imgs, facets = [], [], []
-    for rmap, (domain, codomain, pieces_by_facet) in zip(maps, specs):
+    that its own construction builds.  Raises the first error met, naming
+    its cell ("facet f piece k cell j") or its piece."""
+    doms, imgs, facets, labels, piece_names, piece_cells, n_pieces = [], [], [], [], [], [], []
+    for rmap, (domain, centre, pieces_by_facet) in zip(maps, specs):
         if not isinstance(domain, Box):
             raise GeometryError("a radial map needs a box domain")
-        rmap.domain, rmap.codomain = domain, codomain
+        rmap.domain = domain
         rmap.pieces_by_facet = {f: list(pieces) for f, pieces in pieces_by_facet.items()}
         rmap._a = tuple(map(float, domain.centre))
-        rmap._b = tuple(map(float, codomain.centre))
+        rmap._b = tuple(_as_array(centre).tolist())
         rmap._box = tuple([float(c) + s * domain.tol for c in v]
                           for v, s in zip((domain.lo, domain.hi), (-1, 1)))
-        rmap.labels = []
-        served = 0        # the running piece index, the codomain facet it serves
+        first = len(labels)
+        served = 0        # the running piece index, the image facet it maps onto
         for facet in range(6):
             pieces = rmap.pieces_by_facet.get(facet)
             if not pieces:
                 raise GeometryError(f"no boundary piece for facet {facet}")
             for k, piece in enumerate(pieces):
-                rmap.labels.extend(f"facet {facet} piece {k} cell {j}" for j in range(len(piece)))
+                name = f"facet {facet} piece {k}"
+                if not piece:
+                    raise GeometryError(f"{name} has no cells")
+                for j, (dom, img) in enumerate(piece):
+                    labels.append(f"{name} cell {j}")
+                    if not 3 <= len(dom) == len(img):
+                        raise GeometryError(f"{labels[-1]}: a polygon of {len(dom)} vertices "
+                                            f"onto one of {len(img)}; a cell needs 3 or more"
+                                            " vertices and one image each")
+                    doms.append(dom)
+                    imgs.extend(img)
                 facets.extend([(facet, served)] * len(piece))
-                doms.extend(dom for dom, _ in piece)
-                imgs.extend(q for _, img in piece for q in img)
+                piece_names.append(name)
+                piece_cells.append(len(piece))
                 served += 1
-        if served != len(codomain.facet_polys):
-            raise GeometryError(f"{served} boundary pieces for {len(codomain.facet_polys)} "
-                                "codomain facets")
+        rmap.labels = labels[first:]
+        n_pieces.append(served)
     sizes = np.array([len(dom) for dom in doms])
     starts = _starts(sizes)
     counts = np.array([len(rmap.labels) for rmap in maps])
@@ -434,16 +455,42 @@ def _build_maps(maps, specs):
                for c in ([rmap._a for rmap in maps], [rmap._b for rmap in maps])]
     points = np.array([p for dom in doms for p in dom], dtype=float)
     targets = np.array(imgs, dtype=float)
+    # flatnonzero here and a float sign column below, not a full .all() or
+    # an int-by-float broadcast: either of those pages 64 KB of numpy's
+    # native code that no other build step uses
+    nonfinite = np.flatnonzero(~(np.isfinite(points).all(axis=1)
+                                 & np.isfinite(targets).all(axis=1)))
+    if nonfinite.size:
+        cell = bisect_right(starts.tolist(), int(nonfinite[0])) - 1
+        raise GeometryError(f"{labels[cell]}: non-finite coordinates are not admitted")
     # the fan triangles (0, i, i + 1) of every polygon, cell after cell
+    fan_starts = _starts(sizes - 2)
     fan_cell = np.repeat(np.arange(len(doms)), sizes - 2)
-    i = np.arange(len(fan_cell)) - _starts(sizes - 2)[fan_cell]
+    i = np.arange(len(fan_cell)) - fan_starts[fan_cell]
     fans = starts[fan_cell][:, None] + np.stack([0 * i, i + 1, i + 2], axis=1)
-    bad = _cone_sign_failures(points, targets, fans, *(c[fan_cell] for c in centres))
+    signs, bad = _cone_signs(points, targets, fans, *(c[fan_cell] for c in centres))
     if bad.size:
         cell, t = fan_cell[bad[0]], i[bad[0]]
-        raise GeometryError(f"{[n for rmap in maps for n in rmap.labels][cell]}: the image cone"
-                            f" of fan triangle {t} about the codomain centre "
-                            f"{centres[1][cell].tolist()} is not oriented as its domain cone")
+        raise GeometryError(f"{labels[cell]}: the image cone of fan triangle {t} about the "
+                            f"codomain centre {centres[1][cell].tolist()} is not oriented as "
+                            "its domain cone")
+    # each piece's vector area, over its image fan triangles from its first
+    # fan row on, each as its domain cone turns, then signed away from b;
+    # the offset at its first image point
+    piece_cell = _starts(piece_cells)
+    w = targets[fans]
+    turned = _cross(w[:, 1] - w[:, 0], w[:, 2] - w[:, 0]) * signs[:, None].astype(float)
+    piece_of_fan = np.repeat(np.arange(len(piece_cells)), piece_cells)[fan_cell]
+    vector = np.stack([np.bincount(piece_of_fan, c, len(piece_cells)) for c in turned.T], axis=1)
+    piece_fan = fan_starts[piece_cell]
+    twice = np.sqrt((vector * vector).sum(axis=1))
+    zero = np.flatnonzero(twice == 0.0)
+    if zero.size:
+        raise GeometryError(f"{piece_names[zero[0]]}: its image has zero vector area")
+    w0 = w[piece_fan, 0]
+    outward = _dots(vector, w0 - centres[1][piece_cell]) >= 0.0
+    normals = vector / np.where(outward, twice, -twice)[:, None]
+    planes = (normals, _dots(normals, w0), twice / 2)
     # rows: A d_i = w_i over the first three vertices of each cell
     first3 = starts[:, None] + np.arange(3)
     linear = np.ascontiguousarray(np.swapaxes(np.linalg.solve(
@@ -474,17 +521,21 @@ def _build_maps(maps, specs):
         if singular.size:
             raise GeometryError(f"{rmap.labels[singular[0]]}: singular linear part")
         c0 += n
-    at = np.append(_starts(sizes - 2), len(fan_cell)).tolist()
+    at = np.append(fan_starts, len(fan_cell)).tolist()
     inverses = list(map(tuple, np.linalg.inv(linear).reshape(-1, 9).tolist()))
     mapped = _mapped_points(points - np.repeat(centres[0], sizes, axis=0), sizes, linear)
     frames = list(map(tuple, np.linalg.inv(np.swapaxes(mapped[fans], 1, 2))
                       .reshape(-1, 9).tolist()))
-    c0, p0, t0 = 0, 0, 0
-    for rmap, n in zip(maps, counts.tolist()):
-        c1 = c0 + n
+    c0, p0, t0, k0 = 0, 0, 0, 0
+    for rmap, n, k in zip(maps, counts.tolist(), n_pieces):
+        c1, k1 = c0 + n, k0 + k
         p1, t1 = int(starts[c1 - 1] + sizes[c1 - 1]), at[c1]
         rmap.sizes, rmap.cell_facets = sizes[c0:c1], np.array(facets[c0:c1])
         rmap.points, rmap.targets = points[p0:p1], targets[p0:p1]
+        rmap.facet_planes = tuple(x[k0:k1] for x in planes)
+        rmap.diameter = float(np.linalg.norm(rmap.targets.max(axis=0)
+                                             - rmap.targets.min(axis=0)))
+        rmap.tol = TAU_GEOM * rmap.diameter
         rmap.linear = linear[c0:c1]
         rmap.fan_cell, rmap.fans = fan_cell[t0:t1] - c0, fans[t0:t1] - p0
         number = {}       # each distinct point of the map, numbered
@@ -492,7 +543,7 @@ def _build_maps(maps, specs):
                                    for dom in doms[c0:c1] for q in dom])
         rmap._frames = list(zip(frames[t0:t1], rmap.fan_cell.tolist()))
         rmap._inverses = inverses[c0:c1]
-        c0, p0, t0 = c1, p1, t1
+        c0, p0, t0, k0 = c1, p1, t1, k1
 
 
 def _mapped_points(d, sizes, linear):
@@ -518,11 +569,13 @@ def psi(rmap, dx, dy, dz):
     barycentric frames of the fan triangles of each image polygon about b),
     in cell order: k is the first cell with a fan triangle in which d has
     barycentrics l >= -1e-9 sum(l), and failing that, the cell that d
-    misses least; t = 1 / sum(l).  The image cones tile space (the chart's
-    cone signs and its boundary-map validation certify it), so the ray
+    misses least; t = 1 / sum(l).  The image cones cover space (the chart's
+    cone signs and its closed seams make the image surface wind about b a
+    positive number of times), and they tile it where it winds once, which
+    no exact check shows yet (see ``validate_boundary_map``); then the ray
     crosses the boundary once, in cell k, and t >= 1 unless q is exterior.
     Raises GeometryError where that crossing lies nearer than q by more
-    than 4 ``codomain.tol``, and where d is zero or not finite."""
+    than 4 ``rmap.tol``, and where d is zero or not finite."""
     dist = math.hypot(dx, dy, dz)
     if not 0.0 < dist < inf:
         raise GeometryError("psi is undefined at the star centre" if dist == 0.0
@@ -543,6 +596,6 @@ def psi(rmap, dx, dy, dz):
             break
         if low > depth:
             best, depth, s_best = k, low, s
-    if best < 0 or dist - dist / s_best > 4 * rmap.codomain.tol:
+    if best < 0 or dist - dist / s_best > 4 * rmap.tol:
         raise GeometryError("psi called on an exterior point")
     return 1.0 / s_best, best

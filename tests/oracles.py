@@ -10,6 +10,10 @@ of its ``RadialMap``s, kept here as the oracles of the tests.
   ``radial_eval`` takes the piece of a facet of several pieces whose cells
   hold the exit point deepest (``_transport``), where ``RadialMap.eval3``
   takes it by a sector test;
+- ``Polyhedron``: a polyhedron as a vertex pool, a centre and facet loops,
+  with its bounding-box diameter and tolerance, the record that the
+  package kept of every image solid before a chart's image cells stated
+  it; ``image_solid`` reads one off a chart's pieces' image loops;
 - ``surface_triangles``: a polyhedron's facets ear clipped and oriented
   outward, the surface triangulation that the package built of every image
   solid before ``star_extend.psi`` read the chart's own image cells;
@@ -17,7 +21,7 @@ of its ``RadialMap``s, kept here as the oracles of the tests.
   triangles (``_ray_tris``), exterior where no crossing lies at or beyond x;
 - ``star_test``: the exact star test of a polyhedron about a centre, one
   sign per surface triangle, which construction ran on every image solid
-  before a chart's cone signs (``star_extend._cone_sign_failures``)
+  before a chart's cone signs (``star_extend._cone_signs``)
   certified its centre; the reference that the cone signs are held
   against;
 - ``point_in_polygon``: even-odd ray casting in a plane;
@@ -62,9 +66,9 @@ of its ``RadialMap``s, kept here as the oracles of the tests.
   sphere above L, which the beam regime bounds below by 32;
 - ``radial_power_dilatation_oracle``: the dilatations of |x| x from their
   closed form, checked against finite differences;
-- ``cuboid_spec``: the ``StarShape`` arguments of an axis-aligned cuboid
-  built as a polyhedron, whose facet normals and areas a
-  ``star_extend.Box`` gives in closed form;
+- ``cuboid_spec``: the ``Polyhedron`` arguments of an axis-aligned cuboid,
+  whose facet normals and areas a ``star_extend.Box`` gives in closed
+  form;
 - ``cell_facets_by_planes``: each cell's domain facet by the planes, as
   ``RadialMap.validate_boundary_map`` once searched for it before
   construction recorded it, and its codomain facet by its piece's place in
@@ -86,6 +90,39 @@ from qrdyn.zorich import _EXP_ARG_MAX, HORIZON, F_scalar, _fold1, _off_horizon
 
 
 BoundaryHit = namedtuple("BoundaryHit", "point facet t")
+
+
+class Polyhedron:
+    """A polyhedron about ``centre``: a vertex pool ``vertices`` and its
+    facets as index loops ``facet_polys``, run either way round, with the
+    ``diameter`` of its bounding box and ``tol``, its ``TAU_GEOM`` multiple.
+    It hashes by identity, as ``surface_triangles``' cache needs."""
+
+    def __init__(self, vertices, centre, facet_polys):
+        self.vertices = np.asarray(vertices, dtype=float)
+        self.centre = np.asarray(centre, dtype=float)
+        self.facet_polys = [list(map(int, poly)) for poly in facet_polys]
+        self.diameter = float(np.linalg.norm(self.vertices.max(axis=0)
+                                             - self.vertices.min(axis=0)))
+        self.tol = TAU_GEOM * self.diameter
+
+
+@functools.lru_cache(maxsize=None)
+def image_solid(rmap):
+    """The image solid of the chart ``rmap`` as a ``Polyhedron`` about its
+    centre b: facet j is the image loop of piece j, counted facet by facet,
+    the edges of its image cells that no other of its cells holds, chained
+    in their cells' direction (the cells of a piece run one way round)."""
+    pool, loops = {}, []
+    pieces = [piece for facet in range(6) for piece in rmap.pieces_by_facet[facet]]
+    for piece in pieces:
+        edges = [edge for _, img in piece for edge in zip(img, img[1:] + img[:1])]
+        after = dict(edge for edge in edges if edge[::-1] not in edges)
+        loop = [next(iter(after))]
+        while after[loop[-1]] != loop[0]:
+            loop.append(after[loop[-1]])
+        loops.append([pool.setdefault(p, len(pool)) for p in loop])
+    return Polyhedron(list(pool), rmap._b, loops)
 
 
 @functools.lru_cache(maxsize=None)
@@ -494,7 +531,7 @@ def radial_eval(rmap, p):
     """A chart's radial extension at p: b + (w - b) / t, with w the boundary
     map at the exit point a + t (p - a) of the ray from a through p."""
     ax, ay, az = map(float, rmap.domain.centre)
-    bx, by, bz = map(float, rmap.codomain.centre)
+    bx, by, bz = rmap._b
     x, y, z = float(p[0]), float(p[1]), float(p[2])
     dx, dy, dz = x - ax, y - ay, z - az
     if dx * dx + dy * dy + dz * dz <= rmap.domain.tol ** 2:
@@ -512,17 +549,18 @@ def radial_eval(rmap, p):
 
 
 def radial_inverse(rmap, q):
-    """A chart's inverse by the same formula: the codomain's ray projection,
-    the inverse of the piece serving the hit facet (codomain facet k is
-    served by the k-th piece, counted facet by facet), and the radial
-    fraction."""
+    """A chart's inverse by the same formula: the ray projection onto its
+    image solid (``image_solid``), the inverse of the piece of the hit
+    facet (facet k is the image of the k-th piece, counted facet by
+    facet), and the radial fraction."""
     ax, ay, az = map(float, rmap.domain.centre)
-    bx, by, bz = map(float, rmap.codomain.centre)
+    bx, by, bz = rmap._b
     x, y, z = float(q[0]), float(q[1]), float(q[2])
     dx, dy, dz = x - bx, y - by, z - bz
-    if dx * dx + dy * dy + dz * dz <= rmap.codomain.tol ** 2:
+    shape = image_solid(rmap)
+    if dx * dx + dy * dy + dz * dz <= shape.tol ** 2:
         return (ax, ay, az)
-    hit = psi_ray_oracle(rmap.codomain, (x, y, z))
+    hit = psi_ray_oracle(shape, (x, y, z))
     piece = [p for facet in range(6) for p in rmap.pieces_by_facet[facet]][hit.facet]
     ux, uy, uz = invert_piece(piece, tuple(map(float, hit.point)))
     frac = 1.0 / hit.t
@@ -792,7 +830,7 @@ def radial_power_dilatation_oracle(dim, samples=1000, seed=0):
 
 
 def cuboid_spec(lo, hi, centre=None):
-    """The ``StarShape`` arguments (vertices, centre, facet loops) of the
+    """The ``Polyhedron`` arguments (vertices, centre, facet loops) of the
     axis-aligned cuboid [lo, hi] as a polyhedron about ``centre`` (its
     midpoint if None).  Vertex index bit 2 is x (0 at lo), bit 1 y and bit
     0 z; facet 2k is the face x_k = lo[k] and facet 2k + 1 the face

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from oracles import (_cell_index, cell_linear_part, cell_vertex_images, facet_is_planar_rows,
-                     image_cell_frames, polygon_normal_rows, radial_eval, radial_inverse,
-                     sector_entry, surface_triangles)
-from qrdyn.geometry import GeometryError, StarShape, _det3_signs, _fan_crosses
+                     image_cell_frames, image_solid, polygon_normal_rows, radial_eval,
+                     radial_inverse, sector_entry, surface_triangles)
+from qrdyn import global_map
+from qrdyn.geometry import GeometryError, _det3_signs, _fan_crosses
 from qrdyn.global_map import (CellTable, ConstructionError, _cell_spectra, audit_orientation,
+                              build_aprime_chart, build_maps, build_vertex_table,
                               certify_cell_orientation, chart_lipschitz)
 from qrdyn.star_extend import RadialMap
 
@@ -112,12 +114,12 @@ class TestCells:
             rows = chart_of == i
             want = np.array([radial_eval(chart.map, p) for p in table.points[rows].tolist()])
             assert np.allclose(table.images[rows], want, rtol=0,
-                               atol=1e-12 * chart.map.codomain.diameter)
+                               atol=1e-12 * chart.map.diameter)
 
     def test_table_matches_radial_map(self, build):
         rng = np.random.default_rng(20)
         for chart in build.g.charts:
-            tol = 1e-12 * chart.map.codomain.diameter
+            tol = 1e-12 * chart.map.diameter
             worst = 0.0
             for p in _box_points(chart, rng).tolist():
                 got = chart.map.eval3(*p)
@@ -129,13 +131,13 @@ class TestCells:
         for chart in build.g.charts:
             a = chart.map.domain.centre
             got = chart.map.eval3(float(a[0]), float(a[1]), float(a[2]))
-            assert got == tuple(map(float, chart.map.codomain.centre))
+            assert got == chart.map._b
 
     def test_table_needs_a_box_domain(self, build):
         # a RadialMap is the cells of a box, so a polyhedral domain is refused
         rmap = build.g.charts[0].map
         with pytest.raises(GeometryError, match="needs a box domain"):
-            RadialMap(rmap.codomain, rmap.codomain, rmap.pieces_by_facet)
+            RadialMap(image_solid(rmap), rmap._b, rmap.pieces_by_facet)
 
     @pytest.mark.parametrize("p", [(5.0, 5.0, 5.0), (1.0, 1.0, 3.0), (-1.0, 1.0, 0.5),
                                    (1.0, 1.0, -2.0), (math.nan, 1.0, 0.5)])
@@ -257,12 +259,12 @@ class TestInverse:
     points near the centre ball, within 1e-12 x the domain diameter."""
 
     def test_matches_the_radial_inverse(self, build):
-        # the radial formula has no ray inside the codomain's centre ball
-        # (radius codomain.tol) and sends it to the domain centre; the round
-        # trip below covers the chart's inverse there
+        # the radial formula has no ray inside the image solid's centre ball
+        # (radius tol) and sends it to the domain centre; the round trip
+        # below covers the chart's inverse there
         rng = np.random.default_rng(22)
         for chart in build.g.charts:
-            b, ctol = chart.map.codomain.centre, chart.map.codomain.tol
+            b, ctol = chart.map._b, image_solid(chart.map).tol
             tol = 1e-12 * chart.map.domain.diameter
             pts = np.vstack([_box_points(chart, rng, 300, 20, 9, 1),
                              _near_centre(chart, rng)])
@@ -276,7 +278,7 @@ class TestInverse:
             assert worst <= tol, (chart.cell_id, worst)
 
     def test_round_trip(self, build):
-        # exact up to rounding everywhere, the codomain's centre ball
+        # exact up to rounding everywhere, the image solid's centre ball
         # included; no test point but the exact centre lies in the domain's
         # centre ball, which maps to b
         rng = np.random.default_rng(23)
@@ -289,14 +291,14 @@ class TestInverse:
             assert worst <= tol, (chart.cell_id, worst)
 
     def test_centre_ball_inverts_by_its_cells(self, build):
-        # the codomain's centre ball (radius codomain.tol) has a preimage
-        # reaching far beyond domain.tol from a along the cells that shrink
-        # most: its points invert by their cells, not to a
+        # the image solid's centre ball (radius tol) has a preimage reaching
+        # far beyond domain.tol from a along the cells that shrink most: its
+        # points invert by their cells, not to a
         rng = np.random.default_rng(24)
         inside = 0
         for chart in build.g.charts:
-            dom, cod = chart.map.domain, chart.map.codomain
-            a, b = dom.centre, cod.centre
+            dom, cod = chart.map.domain, chart.map
+            a, b = dom.centre, np.array(cod._b)
             d = rng.normal(size=(400, 3))
             d /= np.linalg.norm(d, axis=1)[:, None]
             for u, s in zip(d.tolist(), rng.uniform(0.05, 1.0, 400).tolist()):
@@ -319,12 +321,12 @@ class TestInverse:
 
     def test_centre_ball_and_exterior(self, build):
         for chart in build.g.charts:
-            cod = chart.map.codomain
-            b = cod.centre
+            cod = chart.map
+            b = np.array(cod._b)
             a = tuple(map(float, chart.map.domain.centre))
             assert chart.map.inverse(b.tolist()) == a
             assert chart.map.inverse((b + 0.5 * cod.tol).tolist()) != a
-            far = b + 2.0 * (cod.vertices[0] - b)
+            far = b + 2.0 * (cod.targets[0] - b)
             with pytest.raises(GeometryError, match="exterior"):
                 chart.map.inverse(far.tolist())
             for q in ((math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)):
@@ -483,10 +485,6 @@ def _radial_faces(build):
     return list(faces.values())
 
 
-def _polyhedra(build):
-    return [c.map.codomain for c in build.g.charts]
-
-
 class TestBuildMatchesOracles:
     """The build's small geometry, stacked per chart or shape or taken in
     Python floats, against the one-object-at-a-time oracles, bitwise."""
@@ -528,7 +526,7 @@ class TestBuildMatchesOracles:
         # chart's map built alone has its cells bit for bit
         for chart in build.g.charts[1:]:
             rmap = chart.map
-            alone = RadialMap(rmap.domain, rmap.codomain, rmap.pieces_by_facet)
+            alone = RadialMap(rmap.domain, rmap._b, rmap.pieces_by_facet)
             for name in ("linear", "points", "targets", "sizes", "cell_facets", "point_ids",
                          "fans", "fan_cell"):
                 assert getattr(rmap, name).tobytes() == getattr(alone, name).tobytes(), name
@@ -551,7 +549,8 @@ class TestBuildMatchesOracles:
         assert table.points.tobytes() == np.concatenate(polygons).tobytes()
         assert table.images.tobytes() == np.concatenate(want).tobytes()
         assert float(table.images[:, 2].max()) <= build.L_prime - 1.0 + 1e-9
-        heights = [float(chart.map.codomain.vertices[:, 2].max()) for chart in build.g.charts]
+        heights = [float(image_solid(chart.map).vertices[:, 2].max())
+                   for chart in build.g.charts]
         assert build.L_prime == max(heights) + 1.0
         assert build.min_cell_det == pytest.approx(float(min(dets)), rel=4 * 2.0 ** -52)
         assert build.K_slab == max(ks)
@@ -589,8 +588,8 @@ class TestBuildMatchesOracles:
 
     def test_random_planar_polygons(self):
         # seeded planar polygons in general position, star about their
-        # centroid: the vector area that the facet planes and face_centre
-        # share (geometry._fan_crosses) lies along the Newell normal, and
+        # centroid: the vector area that face_centre weighs by
+        # (geometry._fan_crosses) lies along the Newell normal, and
         # its length is twice the shoelace area of the polygon in its plane
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -608,29 +607,34 @@ class TestBuildMatchesOracles:
                                rtol=0, atol=1e-14)
 
     def test_polyhedra(self, build):
-        # each facet's normal is the Newell normal up to its sign, and its
-        # area the sum of the areas of the oracle's surface triangles on it
-        shapes = _polyhedra(build)
-        assert len(shapes) == 5
-        for shape in shapes:
+        # each image facet's plane, from its piece's image cells: its normal
+        # is the Newell normal of the oracle's facet loop up to sign, signed
+        # away from b, its offset the normal's dot with any loop vertex, and
+        # its area the sum of the areas of the oracle's surface triangles
+        for chart in build.g.charts:
+            rmap = chart.map
+            shape = image_solid(rmap)
             v = shape.vertices
-            normals, _, areas = shape.facet_planes
+            normals, offsets, areas = rmap.facet_planes
+            assert len(normals) == len(shape.facet_polys)
             tris, tri_facet = surface_triangles(shape)
             p = v[tris]
             tri_areas = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1) / 2
             assert np.allclose(np.bincount(tri_facet, tri_areas), areas, rtol=1e-13, atol=0)
-            for poly, n in zip(shape.facet_polys, normals):
+            for poly, n, d in zip(shape.facet_polys, normals, offsets):
                 assert abs(abs(n @ polygon_normal_rows(v[poly])) - 1.0) <= 1e-15
-                assert facet_is_planar_rows(v[poly], shape.tol * 10)
+                assert np.all((v[poly] - shape.centre) @ n > 0), chart.cell_id
+                assert np.abs(v[poly] @ n - d).max() <= 10 * rmap.tol
+                assert facet_is_planar_rows(v[poly], rmap.tol * 10)
 
-    def test_warped_facet_is_named(self):
-        # the first facet that leaves its plane, as the per-facet test finds it
-        verts = np.array([[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)])
-        verts[7] += (0.0, 0.0, 1e-3)
-        faces = [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1], [2, 3, 7, 6], [0, 2, 6, 4],
-                 [1, 5, 7, 3]]
-        tol = 10 * 1e-12 * float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
-        first = next(i for i, poly in enumerate(faces)
-                     if not facet_is_planar_rows(verts[poly], tol))
-        with pytest.raises(GeometryError, match=f"facet {first} is not planar"):
-            StarShape(verts, (0.5, 0.5, 0.5), faces)
+    def test_warped_facet_fails_validation(self, build, monkeypatch):
+        # Q0's image lifted by 1e-3 warps the A' faces through it: the chart
+        # builds, its seams and signs pass, and its image cells leave their
+        # facet planes by more than the tolerance, so build_maps refuses it
+        monkeypatch.setitem(global_map._IMAGES, "Q0", (0.0, 2.0, 1e-3))
+        rmap = build_aprime_chart(build_vertex_table(build.constants.L)).map
+        rep = rmap.validate_boundary_map()
+        assert (rep.passed, rep.seam_violations, rep.injectivity_violations) == (False, 0, 0)
+        assert 1e3 * rmap.tol < rep.worst_boundary_dev < 1e-3
+        with pytest.raises(ConstructionError, match="^boundary map validation failed for A'"):
+            build_maps()

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (cuboid_spec, point_in_polygon, psi_ray_oracle, star_test as star_tests,
-                     surface_triangles)
+from oracles import (Polyhedron, cuboid_spec, image_solid, point_in_polygon, psi_ray_oracle,
+                     star_test as star_tests, surface_triangles)
 from qrdyn import geometry
-from qrdyn.geometry import GeometryError, StarShape, _det3_signs, _fan_crosses
+from qrdyn.geometry import GeometryError, _det3_signs, _fan_crosses
 from qrdyn.star_extend import Box, RadialMap, psi, radial_maps
 
 
@@ -21,19 +21,19 @@ def star_test(shape, a):
 
 def cube(a=(0.0, 0.0, 0.0), side=1.0):
     """The cube [-side, side]^3 as a polyhedron about ``a``."""
-    return StarShape(*cuboid_spec([-side] * 3, [side] * 3, a))
+    return Polyhedron(*cuboid_spec([-side] * 3, [side] * 3, a))
 
 
-def cube_chart(centre=(0.0, 0.0, 0.0), side=1.0, codomain=None):
+def cube_chart(centre=(0.0, 0.0, 0.0), side=1.0, flip=()):
     """The identity of the cube [-side, side]^3 as a chart from the box
-    onto the polyhedral cube about ``centre`` (or onto ``codomain``): one
-    identity piece per box facet, serving the codomain facet of the same
-    number."""
+    onto the polyhedral cube about ``centre``: one identity piece per box
+    facet, whose image is the image solid's facet of the same number, its
+    loop reversed on the facets ``flip``."""
     verts, _, faces = cuboid_spec([-side] * 3, [side] * 3)
-    loops = [[tuple(verts[i].tolist()) for i in face] for face in faces]
-    pieces = {f: [(loop, loop)] for f, loop in enumerate(loops)}
-    return RadialMap(Box([-side] * 3, [side] * 3), codomain or cube(centre, side),
-                     {f: [piece] for f, piece in pieces.items()})
+    loops = [[tuple(verts[i].tolist()) for i in face[::-1 if f in flip else 1]]
+             for f, face in enumerate(faces)]
+    return RadialMap(Box([-side] * 3, [side] * 3), centre,
+                     {f: [[(loop, loop)]] for f, loop in enumerate(loops)})
 
 
 # image pentagon of the side face {x1 = 0}, in (x2, x3) coordinates; its
@@ -51,7 +51,7 @@ def prism(base, centre, height=1.0):
     m = len(base)
     facets = [list(range(m - 1, -1, -1)), list(range(m, 2 * m))]
     facets += [[i, (i + 1) % m, (i + 1) % m + m, i + m] for i in range(m)]
-    return StarShape(verts, centre, facets)
+    return Polyhedron(verts, centre, facets)
 
 
 def pentagon(centre2=PENTAGON_CENTRE):
@@ -71,83 +71,58 @@ def _outward_volumes(shape):
     return np.linalg.det(t)
 
 
-def nested_cubes(centre):
-    """The polyhedral cube [-2, 2]^3 (facets 0 to 5) with the cube [-1, 1]^3
-    inside it (facets 6 to 11), about ``centre``."""
-    outer, inner = cube(side=2.0), cube()
-    return StarShape(np.vstack([outer.vertices, inner.vertices]), centre,
-                     outer.facet_polys + [[i + 8 for i in p] for p in inner.facet_polys])
-
-
 class TestOrientation:
-    """Each facet's normal is signed away from the centre, whichever way its
-    loop runs; a surface that is not the image of its chart's box faces is
-    refused at the chart."""
+    """Each image facet's normal is signed away from the centre, whichever
+    way its piece's cells run; the oracle refuses a surface that is not
+    closed and orientable."""
 
     def test_mixed_facet_loops_are_oriented_outward(self):
-        # the cube with every other facet loop reversed: the facet planes of
-        # the cube (a zero may differ in sign), and the oracle's surface
-        # triangles face outward
-        lo_hi = cube((0.2, -0.1, 0.3))
-        polys = [p[::-1] if i % 2 else p for i, p in enumerate(lo_hi.facet_polys)]
-        shape = StarShape(lo_hi.vertices, (0.2, -0.1, 0.3), polys)
+        # the identity chart of the cube with every other face loop
+        # reversed: the facet planes of the cube chart (a zero may differ in
+        # sign), and the oracle's surface triangles face outward
+        centre = (0.2, -0.1, 0.3)
+        shape, lo_hi = cube_chart(centre, flip=(1, 3, 5)), cube_chart(centre)
         assert all(map(np.array_equal, shape.facet_planes, lo_hi.facet_planes))
         assert np.array_equal(shape.facet_planes[0], Box([-1.0] * 3, [1.0] * 3).facet_planes[0])
-        assert np.all(_outward_volumes(shape) > 0)
-        tris = surface_triangles(shape)[0].tolist()
+        assert shape.validate_boundary_map().passed
+        solid = image_solid(shape)
+        assert np.all(_outward_volumes(solid) > 0)
+        tris = surface_triangles(solid)[0].tolist()
         edges = [e for t in tris for e in zip(t, t[1:] + t[:1])]
         assert sorted(edges) == sorted((b, a) for a, b in edges)
 
     def test_chart_codomains_face_their_centres(self, build):
-        # the atlas writes its facet loops either way round (the raw vector
+        # the atlas writes its face loops either way round (the raw vector
         # area of so many of each chart's nine facets points inwards); every
         # facet's vertices lie on its plane, on the far side from the centre
         flipped = {}
         for chart in build.g.charts:
-            shape = chart.map.codomain
+            shape = image_solid(chart.map)
             rows = shape.vertices.tolist()
-            normals, offsets, areas = shape.facet_planes
+            normals, offsets, areas = chart.map.facet_planes
             flipped[chart.cell_id] = 0
             for poly, n, d, area in zip(shape.facet_polys, normals, offsets, areas):
                 v = shape.vertices[poly]
                 assert np.all((v - shape.centre) @ n > 0), chart.cell_id
-                assert np.abs(v @ n - d).max() <= 10 * shape.tol
+                assert np.abs(v @ n - d).max() <= 10 * chart.map.tol
                 vector_area = np.asarray(_fan_crosses([rows[i] for i in poly])[2])
                 assert np.linalg.norm(vector_area) == pytest.approx(2 * area, rel=1e-15)
                 flipped[chart.cell_id] += int(vector_area @ n < 0)
             assert np.all(_outward_volumes(shape) > 0), chart.cell_id
         assert flipped == {"A'": 2, "A''1": 4, "A''2": 5, "A''3": 3, "A''4": 4}
 
-    def test_a_surface_that_is_not_the_image_of_the_box_is_refused(self):
-        # the identity chart's six pieces serve six codomain facets, so a
-        # codomain of another count is refused at construction, naming both
-        # counts: the cube without its top facet, the cube with a detached
-        # extra triangle, and the cube [-2, 2]^3 with the cube [-1, 1]^3
-        # inside it
-        shape = cube()
-        open_cube = StarShape(shape.vertices, shape.centre, shape.facet_polys[:-1])
-        extra = StarShape(np.vstack([shape.vertices, [(3.0, 0.0, 0.0), (3.0, 1.0, 0.0),
-                                                      (3.0, 0.0, 1.0)]]),
-                          shape.centre, shape.facet_polys + [[8, 9, 10]])
-        for side, codomain, facets in ((1.0, open_cube, 5), (1.0, extra, 7),
-                                       (2.0, nested_cubes((0.0, 0.0, 0.0)), 12)):
-            with pytest.raises(GeometryError,
-                               match=f"^6 boundary pieces for {facets} codomain facets$"):
-                cube_chart(side=side, codomain=codomain)
-        assert cube_chart().validate_boundary_map().passed
-
     def test_open_or_non_orientable_surface_rejected(self):
         # the oracle refuses to triangulate the cube without its top facet,
         # and a surface that cannot be oriented
         shape = cube()
-        open_cube = StarShape(shape.vertices, shape.centre, shape.facet_polys[:-1])
+        open_cube = Polyhedron(shape.vertices, shape.centre, shape.facet_polys[:-1])
         rng = np.random.default_rng(0)
-        for surface in (open_cube, StarShape(rng.random((6, 3)), (0.5, 0.5, 0.5), RP2)):
+        for surface in (open_cube, Polyhedron(rng.random((6, 3)), (0.5, 0.5, 0.5), RP2)):
             with pytest.raises(GeometryError, match="not closed or not orientable"):
                 surface_triangles(surface)
 
 
-# the A' codomain facet that is the pentagon, in the plane x1 = 0
+# the A' image facet that is the pentagon, in the plane x1 = 0
 APRIME_PENTAGON = 0
 
 
@@ -165,7 +140,7 @@ class TestPsi:
         # the ray from the A' centre through the middle of the pentagon's
         # notch edge, from (0, 4, 4) to (0, 2, 3.5)
         m = build.g.by_id["A'"].map
-        shape = m.codomain
+        shape = image_solid(m)
         assert np.array_equal(shape.vertices[shape.facet_polys[APRIME_PENTAGON]][:, 1:],
                               PENTAGON)
         w = np.array([0.0, 3.0, 3.75])
@@ -181,7 +156,7 @@ class TestPsi:
         # seeded points of the pentagon and of the rays from the A' centre
         # to them
         m = build.g.by_id["A'"].map
-        shape = m.codomain
+        shape = image_solid(m)
         b = shape.centre
         rng = np.random.default_rng(3)
         checked = 0
@@ -240,7 +215,7 @@ class TestCertification:
         # cone signs, and psi about it agrees with the ray oracle
         shape = cube((1.0 - 1e-6, 0.3, -0.2))
         assert star_test(shape, shape.centre) is None
-        m = cube_chart(codomain=shape)
+        m = cube_chart(shape.centre)
         rng = np.random.default_rng(4)
         for x in rng.uniform(-0.9, 0.9, (50, 3)):
             t, k = psi(m, *(x - shape.centre))
@@ -334,8 +309,8 @@ class TestBatchedCertification:
 class TestStackedCertification:
     @pytest.mark.parametrize("which", ["aprime", "asecond4", "cube", "l_prism"])
     def test_candidate_centres_of_one_shape(self, which, build):
-        shape = {"aprime": lambda: build.g.by_id["A'"].map.codomain,
-                 "asecond4": lambda: build.g.by_id["A''4"].map.codomain,
+        shape = {"aprime": lambda: image_solid(build.g.by_id["A'"].map),
+                 "asecond4": lambda: image_solid(build.g.by_id["A''4"].map),
                  "cube": cube, "l_prism": lambda: l_prism(L_CENTRE)}[which]()
         # the star test of a batch of centres, as the centre grids of
         # test_global_map take it, gives each what it gives alone: a pass
@@ -351,16 +326,14 @@ class TestStackedCertification:
         assert verdicts.count(None) >= 10
 
     def test_the_first_failing_centre_raises_what_it_raises_alone(self, build):
-        # the A' chart about codomain centres that pass its cone signs, or
-        # fail them at different cells, in every rotation of one batch:
-        # the batch raises the error of the first map that fails alone,
-        # with that map's position
+        # the A' chart about centres that pass its cone signs, or fail them
+        # at different cells, in every rotation of one batch: the batch
+        # raises the error of the first map that fails alone, with that
+        # map's position
         chart = build.g.by_id["A'"].map
-        solid = chart.codomain
         centres = [(5.0, 1.0, 2.0), (4.5, 1.5, 2.0), (3.0, -2.0, 1.5), (2.0, -2.0, 0.0),
                    (9.0, 0.0, 0.0)]
-        specs = [(chart.domain, StarShape(solid.vertices, c, solid.facet_polys),
-                  chart.pieces_by_facet) for c in centres]
+        specs = [(chart.domain, c, chart.pieces_by_facet) for c in centres]
         alone = []
         for spec in specs:
             try:
@@ -385,19 +358,22 @@ _BOX_SIDES = st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3)
 
 
 class TestBox:
-    """A ``Box`` against the same cuboid built as a polyhedron
-    (``oracles.cuboid_spec``): its centre, diameter, tolerance, facet
-    normals and areas bitwise; corners that span no box, or are not finite,
-    raise."""
+    """A ``Box`` against the identity chart of the same cuboid, whose image
+    solid is the cuboid as a polyhedron (``oracles.cuboid_spec``): its
+    centre, diameter and tolerance bitwise, its facet normals equal (a zero
+    may differ in sign) and its areas bitwise; corners that span no box, or
+    are not finite, raise."""
 
     @staticmethod
     def assert_matches_polyhedron(lo, hi):
         box = Box(lo, hi)
-        cuboid = StarShape(*cuboid_spec(lo, hi))
+        verts, centre, faces = cuboid_spec(lo, hi)
+        loops = [[tuple(verts[i].tolist()) for i in face] for face in faces]
+        cuboid = RadialMap(box, centre, {f: [[(loop, loop)]] for f, loop in enumerate(loops)})
         assert (box.centre.tobytes(), box.diameter.hex(), box.tol.hex()) \
-            == (cuboid.centre.tobytes(), cuboid.diameter.hex(), cuboid.tol.hex())
+            == (np.array(cuboid._b).tobytes(), cuboid.diameter.hex(), cuboid.tol.hex())
         (n, area), (want_n, _, want_area) = box.facet_planes, cuboid.facet_planes
-        assert (n.tobytes(), area.tobytes()) == (want_n.tobytes(), want_area.tobytes())
+        assert np.array_equal(n, want_n) and area.tobytes() == want_area.tobytes()
 
     def test_chart_boxes(self, build):
         for chart in build.g.charts:
@@ -430,46 +406,6 @@ class TestBox:
         corners[end][1] = bad
         with pytest.raises(GeometryError, match="non-finite"):
             Box(**corners)
-
-
-def _seeded_polyhedra(count, seed):
-    """``count`` prisms over star polygons of 3 to 8 vertices, each turned
-    by a random rotation, scaled and moved up to 100 away from the origin,
-    about the image of its own star centre."""
-    rng = np.random.default_rng(seed)
-    specs = []
-    for _ in range(count):
-        k = int(rng.integers(3, 9))
-        th = (np.arange(k) + rng.uniform(-0.2, 0.2, k)) * 2 * math.pi / k
-        r = rng.uniform(0.5, 2.0, k)
-        h = rng.uniform(0.5, 3.0)
-        base = np.column_stack([r * np.cos(th), r * np.sin(th)])
-        verts = np.array([(x, y, z) for z in (0.0, h) for x, y in base.tolist()])
-        facets = [list(range(k - 1, -1, -1)), list(range(k, 2 * k))]
-        facets += [[i, (i + 1) % k, (i + 1) % k + k, i + k] for i in range(k)]
-        turn = np.linalg.qr(rng.standard_normal((3, 3)))[0] * rng.uniform(0.1, 10.0)
-        shift = rng.uniform(-100.0, 100.0, 3)
-        specs.append((verts @ turn.T + shift, np.array([0.0, 0.0, h / 2]) @ turn.T + shift,
-                      facets))
-    return [StarShape(*spec) for spec in specs]
-
-
-def test_facet_offsets_are_the_dots_within_the_bound_of_einsum():
-    # each facet's plane offset is its normal's dot with its first vertex,
-    # summed left to right in Python floats; einsum sums the same three
-    # products in its own order.  Either lies within gamma_3 = 3u / (1 - 3u)
-    # (u = eps / 2) of the exact dot times sum |n_i v_i|, whatever the order
-    # of its sums, so the two differ by less than 2 gamma_3 < 4 eps of it
-    shapes = _seeded_polyhedra(200, seed=61)
-    normals = np.concatenate([shape.facet_planes[0] for shape in shapes])
-    offsets = np.concatenate([shape.facet_planes[1] for shape in shapes])
-    first = np.concatenate([shape.vertices[[poly[0] for poly in shape.facet_polys]]
-                            for shape in shapes])
-    einsum = np.einsum("ij,ij->i", normals, first)
-    bound = 4 * np.finfo(float).eps * np.abs(normals * first).sum(axis=1)
-    assert len(offsets) > 1000
-    assert np.all(np.abs(offsets - einsum) <= bound)
-    assert np.any(offsets != einsum)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +534,7 @@ def named_chart(which, request):
 
 def _cell_boundary_points(rmap, rng, per_edge=3):
     """Seeded points on the edges of every image cell polygon of a chart,
-    which lie on its codomain's facets, their edges among them."""
+    which lie on its image solid's facets, their edges among them."""
     pts, at = [], 0
     for size in rmap.sizes.tolist():
         loop = rmap.targets[at:at + size]
@@ -613,19 +549,19 @@ POLYHEDRA = ["aprime", "asecond1", "asecond2", "asecond3", "asecond4", "cube"]
 
 class TestPsiCones:
     """``star_extend.psi`` scans the fan frames of a chart's own image
-    cells; the ray oracle crosses the codomain's surface triangles."""
+    cells; the ray oracle crosses the image solid's surface triangles."""
 
     @pytest.mark.parametrize("which", POLYHEDRA)
     def test_matches_the_ray_oracle(self, which, request):
-        # seeded points of the codomain's bounding box, and the points of
+        # seeded points of the image solid's bounding box, and the points of
         # the image cells' edges with points on the rays to them: psi's
         # crossing is the oracle's, and its cell serves the oracle's facet
         # (the lowest of those that hold the crossing) or, on a facet edge,
         # another that holds it
         rmap = named_chart(which, request)
-        shape = rmap.codomain
+        shape = image_solid(rmap)
         b = shape.centre
-        normals, offsets, _ = shape.facet_planes
+        normals, offsets, _ = rmap.facet_planes
         rng = np.random.default_rng(31)
         lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
         edges = _cell_boundary_points(rmap, rng)
@@ -655,7 +591,7 @@ class TestPsiCones:
         # and psi's to the first cell in cell order whose cone holds the
         # ray, a cell of one of the incident facets; both cross at w
         rmap = named_chart(which, request)
-        shape = rmap.codomain
+        shape = image_solid(rmap)
         c, v = shape.centre, shape.vertices
         for ids, facets in _facets_at(shape).items():
             w = v[sorted(ids)].mean(axis=0)
@@ -672,10 +608,10 @@ class TestPsiCones:
     @pytest.mark.parametrize("which", POLYHEDRA)
     def test_centre_and_exterior_rejected(self, which, request):
         # psi has no ray at the centre itself, and none to an exterior
-        # point; a point within the codomain's tolerance of the centre has
-        # its cell (the cones from the centre tile space)
+        # point; a point within the chart's tolerance of the centre has its
+        # cell (the cones from the centre cover space)
         rmap = named_chart(which, request)
-        shape = rmap.codomain
+        shape = image_solid(rmap)
         c = shape.centre
         with pytest.raises(GeometryError, match="centre"):
             psi(rmap, 0.0, 0.0, 0.0)
@@ -692,11 +628,11 @@ class TestPsiCones:
 
 
 def _cone_holds(rmap, cell, d):
-    """Whether d lies in the cone from the codomain centre over the image
-    polygon of the chart's cell, by the fan triangles' barycentrics in
-    Fraction, with psi's slack: each at least -1e-9 times their sum."""
+    """Whether d lies in the cone from the centre b over the image polygon
+    of the chart's cell, by the fan triangles' barycentrics in Fraction,
+    with psi's slack: each at least -1e-9 times their sum."""
     at = int(rmap.sizes[:cell].sum())
-    loop = [[Fraction(x) - Fraction(y) for x, y in zip(p, rmap.codomain.centre.tolist())]
+    loop = [[Fraction(x) - Fraction(y) for x, y in zip(p, rmap._b)]
             for p in rmap.targets[at:at + rmap.sizes[cell]].tolist()]
     d = [Fraction(x) for x in d.tolist()]
     for i in range(1, len(loop) - 1):

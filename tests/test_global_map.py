@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import _cell_index, cell_facets_by_planes, star_test
+from oracles import _cell_index, cell_facets_by_planes, image_solid, star_test
 from qrdyn import geometry, global_map, star_extend, zorich
 from qrdyn.global_map import (CellTable, ConstructionError, GlobalMap, _CHARTS,
                               audit_dilatation, audit_orientation, audit_seams,
@@ -76,20 +76,15 @@ class TestVertexTable:
 
     @pytest.mark.parametrize("cid", ["A'", "A''1", "A''2", "A''3", "A''4"])
     def test_uncertifiable_codomain_centre_names_the_chart(self, build, monkeypatch, cid):
-        # a centre on one image solid's boundary (one of its vertices)
-        # fails the cone signs of that chart, the k-th map of the chart
-        # phase's one radial_maps pass (A' alone, or the four A'' charts)
-        real = global_map.StarShape
-        k = 0 if cid == "A'" else int(cid[-1]) - 1
+        # a centre on one image solid's boundary (the image of its first
+        # face's first vertex) fails the cone signs of that chart, one map
+        # of the chart phase's one radial_maps pass (A' alone, or the four
+        # A'' charts)
         phase = build_aprime_chart if cid == "A'" else (
             lambda vt: build_asecond_charts(vt, build.g.by_id["A'"]))
-        made = []
-
-        def broken(verts, centre, facets):
-            made.append(verts)
-            return real(verts, verts[0] if len(made) == k + 1 else centre, facets)
-
-        monkeypatch.setattr(global_map, "StarShape", broken)
+        vertex = _CHARTS[cid]["facets"][0][0].split()[0]
+        monkeypatch.setitem(_CHARTS, cid, dict(
+            _CHARTS[cid], centre=tuple(build.vertex_table.images[vertex].tolist())))
         with pytest.raises(ConstructionError,
                            match=f"^chart {cid}: facet .* not oriented as its domain cone$"):
             phase(build.vertex_table)
@@ -113,9 +108,9 @@ def cone_sign_passes(rmap, centres):
     """Where the built chart ``rmap``, with its codomain centre moved to each
     of ``centres``, passes its cone signs, in one stacked pass."""
     fans = np.tile(rmap.fans, (len(centres), 1))
-    bad = star_extend._cone_sign_failures(rmap.points, rmap.targets, fans,
-                                          np.tile(rmap._a, (len(fans), 1)),
-                                          np.repeat(centres, len(rmap.fans), axis=0))
+    bad = star_extend._cone_signs(rmap.points, rmap.targets, fans,
+                                  np.tile(rmap._a, (len(fans), 1)),
+                                  np.repeat(centres, len(rmap.fans), axis=0))[1]
     passes = np.ones(len(centres), dtype=bool)
     passes[bad // len(rmap.fans)] = False
     return passes
@@ -148,7 +143,7 @@ class TestCentreGrid:
     @pytest.mark.parametrize("cid", list(GRIDS))
     def test_cone_signs_pass_where_the_star_test_passes(self, cid, build, grid_passes):
         grid, passing = GRIDS[cid]
-        star = star_test(build.g.by_id[cid].map.codomain, grid())
+        star = star_test(image_solid(build.g.by_id[cid].map), grid())
         assert np.array_equal(grid_passes[cid], [first is None for first in star])
         assert grid_passes[cid].sum() == passing
 
@@ -207,14 +202,15 @@ class TestChartTable:
 
     def test_codomain_facets_are_faces_of_the_charts_pieces(self, build):
         # each chart lists every face once, on one of its six box facets,
-        # and its codomain facet k is the image of its k-th face counted
-        # facet by facet: the images of that face's vertices, in its order
+        # and its image solid's facet k is the image of its k-th face
+        # counted facet by facet: the images of that face's vertices, in its
+        # order, as the oracle chains the loop of the k-th piece's image
         images = build.vertex_table.images
         for cid, spec in _CHARTS.items():
             faces = [face for facet in range(6) for face in spec["facets"][facet]]
             assert sorted(spec["facets"]) == list(range(6)), cid
             assert len(set(faces)) == len(faces), cid
-            cod = build.g.by_id[cid].map.codomain
+            cod = image_solid(build.g.by_id[cid].map)
             assert len(cod.facet_polys) == len(faces), cid
             for face, poly in zip(faces, cod.facet_polys):
                 assert cod.vertices[poly].tolist() == [images[n].tolist()
@@ -228,10 +224,10 @@ class TestChartTable:
         for chart in build.g.charts:
             rmap = chart.map
             assert rmap.cell_facets.tolist() == [list(f) for f in cell_facets_by_planes(rmap)]
-            normals, offsets, _ = rmap.codomain.facet_planes
+            normals, offsets, _ = rmap.facet_planes
             at = np.repeat(rmap.cell_facets[:, 1], rmap.sizes)
             dev = np.abs((rmap.targets * normals[at]).sum(axis=1) - offsets[at])
-            assert dev.max() <= 10 * rmap.codomain.tol, chart.cell_id
+            assert dev.max() <= 10 * rmap.tol, chart.cell_id
 
     def test_charts_are_the_table(self, build):
         # each chart's pieces are those its table names, in facet order, and
@@ -353,7 +349,7 @@ class TestImageSolids:
         name_of = {tuple(img.tolist()): n for n, img in vt.images.items()}
         for cid, tris in self.INTERIOR.items():
             rmap = build.g.by_id[cid].map
-            cod = rmap.codomain
+            cod = image_solid(rmap)
             for k, tri in tris.items():
                 names = [name_of[tuple(cod.vertices[i].tolist())] for i in cod.facet_polys[k]]
                 assert names == tri.split(), (cid, k)
@@ -548,7 +544,7 @@ class TestShiftedMap:
         cell = int(np.searchsorted(np.cumsum(rmap.sizes), k, side="right"))
         rmap.linear[cell] *= 1.5
         chart.map = rmap
-        top = float(chart.map.codomain.vertices[:, 2].max())
+        top = float(chart.map.targets[:, 2].max())
 
         def unshifted(c):
             return types.SimpleNamespace(L_prime=None, table=CellTable([c]),
@@ -878,8 +874,12 @@ class TestBuildWork:
         # process: the selection code behind median, partition, percentile
         # and quantile about 0.5 MB, the sort code of a boolean mask
         # 0.06 MB and that of integer keys 0.13 MB, and einsum's about
-        # 0.1 MB; the build, the four audits and the report call none of them
-        names = ("median", "partition", "percentile", "quantile", "sort", "argsort", "einsum")
+        # 0.1 MB; unique sorts through ndarray methods, which the patch of
+        # numpy.sort does not see (one call in a build's validation raised
+        # the peak RSS of a fresh process by 1.5 MB); the build, the four
+        # audits and the report call none of them
+        names = ("median", "partition", "percentile", "quantile", "sort", "argsort", "einsum",
+                 "unique")
         with contextlib.ExitStack() as stack:
             kernels = [stack.enter_context(mock.patch(f"numpy.{name}",
                                                       wraps=getattr(np, name)))
@@ -899,8 +899,8 @@ class TestBuildWork:
         # in geometry itself, and the signs that star_extend takes are the
         # two cone passes and one per boundary-map validation
         signs = geometry._det3_signs
-        with mock.patch("qrdyn.star_extend._cone_sign_failures",
-                        wraps=star_extend._cone_sign_failures) as cones, \
+        with mock.patch("qrdyn.star_extend._cone_signs",
+                        wraps=star_extend._cone_signs) as cones, \
                 mock.patch("qrdyn.geometry._det3_signs", wraps=signs) as geo, \
                 mock.patch("qrdyn.star_extend._det3_signs", wraps=signs) as ext:
             build = build_maps()
@@ -915,6 +915,5 @@ class TestBuildWork:
             for rows, chart in zip(np.split(np.arange(len(fans)), np.cumsum(counts)[:-1]),
                                    charts):
                 assert np.array_equal(a[rows], np.tile(chart.map.domain.centre, (len(rows), 1)))
-                assert np.array_equal(b[rows], np.tile(chart.map.codomain.centre,
-                                                       (len(rows), 1)))
+                assert np.array_equal(b[rows], np.tile(chart.map._b, (len(rows), 1)))
         assert sum(len(chart.map.fans) for chart in build.g.charts) == 142

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import struct
 import tracemalloc
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (_radial_2d, cover_deviation_all_pairs, cuboid_spec,
-                     oriented_area_fraction, point_in_polygon)
+from oracles import (_radial_2d, cover_deviation_all_pairs, oriented_area_fraction,
+                     point_in_polygon, polygon_normal_rows)
 from qrdyn import star_extend
-from qrdyn.geometry import GeometryError, StarShape
+from qrdyn.geometry import GeometryError
 from qrdyn.pieces import face_centre, fan_cells
 from qrdyn.star_extend import Box, RadialMap, radial_maps
 
@@ -43,9 +44,8 @@ def cube_box(side=1.0):
     return Box([-side] * 3, [side] * 3)
 
 
-def cube_shape(side=1.0):
-    """The cube [-side, side]^3 as a polyhedron, star about the origin."""
-    return StarShape(*cuboid_spec([-side] * 3, [side] * 3))
+# the centre of every cube chart's image solid
+ORIGIN = (0.0, 0.0, 0.0)
 
 
 def face_loops(side):
@@ -60,22 +60,22 @@ def face_loops(side):
     }
 
 
-def one_piece_chart(dom, cod, pieces):
-    """The chart with the piece pieces[f] on domain facet f, which serves
-    codomain facet f."""
-    return RadialMap(dom, cod, {f: [p] for f, p in pieces.items()})
+def one_piece_chart(dom, pieces):
+    """The chart about the origin with the piece pieces[f] on domain facet
+    f, whose image is the image solid's facet f."""
+    return RadialMap(dom, ORIGIN, {f: [p] for f, p in pieces.items()})
 
 
 @functools.lru_cache(maxsize=None)
 def identity_chart():
     pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
-    return one_piece_chart(cube_box(), cube_shape(), pieces)
+    return one_piece_chart(cube_box(), pieces)
 
 
 @functools.lru_cache(maxsize=None)
 def scaling_chart(k=2.0):
     pieces = {f: scale_piece(k, loop) for f, loop in face_loops(1.0).items()}
-    return one_piece_chart(cube_box(1.0), cube_shape(k), pieces)
+    return one_piece_chart(cube_box(1.0), pieces)
 
 
 def bilipschitz_ratios(m, pairs, seed):
@@ -176,17 +176,18 @@ def chart_with_face(piece_for_top):
     loops = face_loops(1.0)
     pieces = {f: identity_piece(loop) for f, loop in loops.items()}
     pieces[5] = piece_for_top(loops[5])
-    return one_piece_chart(cube_box(), cube_shape(), pieces)
+    return one_piece_chart(cube_box(), pieces)
 
 
 def refused_then_validated(piece_for_top, monkeypatch):
     """The chart ``chart_with_face(piece_for_top)``, which its cone signs
-    refuse, built with them switched off, so that the boundary-map
+    refuse, built with their failures dropped, so that the boundary-map
     validation, an independent check, can be read on it."""
     with pytest.raises(GeometryError, match="not oriented as its domain cone"):
         chart_with_face(piece_for_top)
-    monkeypatch.setattr(star_extend, "_cone_sign_failures",
-                        lambda *args: np.array([], dtype=int))
+    signs = star_extend._cone_signs
+    monkeypatch.setattr(star_extend, "_cone_signs",
+                        lambda *args: (signs(*args)[0], np.array([], dtype=int)))
     return chart_with_face(piece_for_top).validate_boundary_map()
 
 
@@ -225,11 +226,18 @@ class TestValidation:
                 in rep.detail)
 
     def test_off_plane_image_fails_the_boundary(self):
+        # the top face's image, one corner lifted by 0.1, is its own facet:
+        # its plane is the one of the image loop's Newell normal through the
+        # fan's first image point, the image centroid, and the lifted loop
+        # leaves that plane
         m = chart_with_face(lambda loop: centroid_fan(
             loop, moved_corner(loop, (0.0, 0.0, 0.1))))
         rep = m.validate_boundary_map()
         assert not rep.passed
-        assert rep.worst_boundary_dev == pytest.approx(0.1, rel=1e-9)
+        img = np.array(moved_corner(face_loops(1.0)[5], (0.0, 0.0, 0.1)))
+        dev = np.abs((img - face_centre(img)) @ polygon_normal_rows(img)).max()
+        assert rep.worst_boundary_dev == pytest.approx(dev, rel=1e-9)
+        assert dev > 1e3 * m.tol
 
 
     def test_folded_face_fails_the_sign_test(self, monkeypatch):
@@ -260,46 +268,44 @@ class TestInjectivityCount:
         assert peak <= 1.5 * 600 * 600 * 3 * 8
 
 
-def top_split_shape(patches):
-    """The cube [-1, 1]^3 as a polyhedron about the origin with its top face
-    split into the polygons ``patches`` (facets 5, 6, ...); each other face
-    takes the patches' vertices on its edges, so that the faces meet edge to
-    edge."""
-    verts, centre, faces = cuboid_spec([-1.0] * 3, [1.0] * 3)
-    points = [tuple(p) for p in verts.tolist()]
-    points += dict.fromkeys(p for patch in patches for p in patch if p not in points)
-    sides = []
-    for face in faces[:5]:
-        loop = []
-        for i, j in zip(face, face[1:] + face[:1]):
-            a, b = points[i], points[j]
-            loop.append(i)
-            loop += sorted((k for k, p in enumerate(points[8:], 8)
-                            if math.isclose(math.dist(a, p) + math.dist(p, b), math.dist(a, b))),
-                           key=lambda k: math.dist(a, points[k]))
-        sides.append(loop)
-    return StarShape(points, centre, sides + [[points.index(p) for p in patch] for patch in patches])
-
-
-def top_split(*groups, patches=None):
+def top_split(*groups):
     """The identity chart of the cube with its top facet (5) carried by one
-    piece per group of polygons, the identity on each, the k-th piece
-    serving codomain facet 5 + k: the cube's top face, or for several
-    pieces the patches of ``top_split_shape(patches)``."""
+    piece per group of polygons, the identity on each, the k-th piece's
+    image the image solid's facet 5 + k."""
     pieces = {f: [identity_piece(loop)] for f, loop in face_loops(1.0).items()}
     pieces[5] = [[(t, t) for t in tris] for tris in groups]
-    shape = top_split_shape(patches) if len(groups) > 1 else cube_shape()
-    return RadialMap(cube_box(), shape, pieces)
+    return RadialMap(cube_box(), ORIGIN, pieces)
 
 
 # the top facet's corners, its centre and a point on its diagonal
 P0, P1, P2, P3 = face_loops(1.0)[5]
 C, M = (0.0, 0.0, 1.0), (0.5, 0.5, 1.0)
-# the top facet's two halves about a diagonal, and its four quadrants,
-# squares meeting at its centre
-HALVES = [[P0, P1, P2], [P2, P3, P0]]
+# the top facet's four quadrants, squares meeting at its centre
 QUADRANTS = [[(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)]
              for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
+
+# the top facet's pieces that construction refuses, each with the start of
+# its message: a piece without cells, a cell whose polygons differ in length
+# or have fewer than 3 vertices, a cell with a non-finite coordinate (the
+# last of three fan cells), and two cells whose images, the top face's two
+# halves with the second turned by pi about the x1 axis, pass their cone
+# signs but have opposite vector areas
+MALFORMED_TOPS = {
+    "empty piece": ([[([P0, P1, P2, P3], [P0, P1, P2, P3])], []],
+                    "facet 5 piece 1 has no cells"),
+    "unequal polygons": ([[([P0, P1, P2, P3], [P0, P1, P2])]],
+                         "facet 5 piece 0 cell 0: a polygon of 4 vertices onto one of 3"),
+    "two vertices": ([[([P0, P1], [P0, P1])]],
+                     "facet 5 piece 0 cell 0: a polygon of 2 vertices onto one of 2"),
+    "nan target": ([[([P0, P1, P2, P3], [P0, (math.nan, -1.0, 1.0), P2, P3])]],
+                   "facet 5 piece 0 cell 0: non-finite coordinates are not admitted"),
+    "infinite point": ([[((C, P0, P1), (C, P0, P1)), ((C, P1, P2), (C, P1, P2)),
+                         ((C, (1.0, math.inf, 1.0), P3), (C, P2, P3))]],
+                       "facet 5 piece 0 cell 2: non-finite coordinates are not admitted"),
+    "zero vector area": ([[((P0, P1, P2), (P0, P1, P2)),
+                           ((P2, P3, P0), tuple((x, -y, -z) for x, y, z in (P2, P3, P0)))]],
+                         "facet 5 piece 0: its image has zero vector area"),
+}
 
 
 class TestConstruction:
@@ -313,7 +319,15 @@ class TestConstruction:
         else:
             pieces[5] = top
         with pytest.raises(GeometryError, match="no boundary piece for facet 5"):
-            RadialMap(cube_box(), cube_shape(), pieces)
+            RadialMap(cube_box(), ORIGIN, pieces)
+
+    @pytest.mark.parametrize("top, want", list(MALFORMED_TOPS.values()),
+                             ids=list(MALFORMED_TOPS))
+    def test_a_malformed_piece_or_cell_is_refused_by_name(self, top, want):
+        pieces = {f: [identity_piece(loop)] for f, loop in face_loops(1.0).items()}
+        pieces[5] = top
+        with pytest.raises(GeometryError, match=f"^{re.escape(want)}"):
+            RadialMap(cube_box(), ORIGIN, pieces)
 
     def test_cells_that_share_no_vertex_are_refused(self):
         with pytest.raises(GeometryError, match="the cells of facet 5 piece 0 share no vertex"):
@@ -321,7 +335,7 @@ class TestConstruction:
 
     def test_pieces_that_share_no_vertex_are_refused(self):
         with pytest.raises(GeometryError, match="the pieces of facet 5 share no vertex"):
-            top_split([(P0, P1, C)], [(P2, P3, M)], patches=HALVES)
+            top_split([(P0, P1, C)], [(P2, P3, M)])
 
     def test_a_sector_that_no_cell_covers_is_refused(self):
         with pytest.raises(GeometryError,
@@ -331,7 +345,7 @@ class TestConstruction:
     def test_a_sector_that_no_piece_covers_is_refused(self):
         with pytest.raises(GeometryError,
                            match="none of the pieces of facet 5 covers the sector"):
-            top_split([(C, P0, P1)], [(C, P2, P3)], patches=HALVES)
+            top_split([(C, P0, P1)], [(C, P2, P3)])
 
     def test_a_sector_that_several_cells_cover_is_refused(self):
         # one fan cell listed twice: both copies have a vertex at each of
@@ -346,10 +360,9 @@ class TestConstruction:
         # squares meeting at it: every piece owns a sector, and the chart
         # is the identity
         if split == "halves":
-            m = top_split([(C, P0, P1), (C, P1, P2)], [(C, P2, P3), (C, P3, P0)],
-                          patches=HALVES)
+            m = top_split([(C, P0, P1), (C, P1, P2)], [(C, P2, P3), (C, P3, P0)])
         else:
-            m = top_split(*([square] for square in QUADRANTS), patches=QUADRANTS)
+            m = top_split(*([square] for square in QUADRANTS))
         *_, by_sector = m._consts[-1][5]
         assert len({id(entry) for entry in by_sector}) == len(m.pieces_by_facet[5])
         rng = np.random.default_rng(6)
@@ -430,7 +443,7 @@ class TestBatchedValidation:
         assert rep.passed and rep.seam_violations == 0, rep
         dom, img = fan_triangles(rmap)
         assert (cover_deviation_all_pairs(dom, img, rmap.domain.tol * 1e3)
-                <= star_extend.TAU_SEAM * max(1.0, rmap.codomain.diameter))
+                <= star_extend.TAU_SEAM * max(1.0, rmap.diameter))
 
     @pytest.mark.parametrize("cid", CHARTS)
     def test_a_tampered_piece_fails_its_chart(self, cid, build):
@@ -448,7 +461,7 @@ class TestBatchedValidation:
         try:
             assert report_bits(built.validate_boundary_map()) == report_bits(
                 build.validations[cid])
-            rmap = RadialMap(built.domain, built.codomain, built.pieces_by_facet)
+            rmap = RadialMap(built.domain, built._b, built.pieces_by_facet)
         finally:
             piece[0] = (dom, (c, p, q))
         rep = rmap.validate_boundary_map()
@@ -501,12 +514,12 @@ TOP_LOOP = [(-1.0, -1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 1.0), (0.5, 1.0, 1.0
 def collapsed_chart_spec():
     pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
     pieces[5] = collapse_piece(face_loops(1.0)[5])
-    return cube_box(), cube_shape(), {f: [p] for f, p in pieces.items()}
+    return cube_box(), ORIGIN, {f: [p] for f, p in pieces.items()}
 
 
 def chart_spec_without(facet):
     pieces = {f: identity_piece(loop) for f, loop in face_loops(1.0).items()}
-    return cube_box(), cube_shape(), {f: [p] for f, p in pieces.items() if f != facet}
+    return cube_box(), ORIGIN, {f: [p] for f, p in pieces.items() if f != facet}
 
 
 class TestBatches:
@@ -529,7 +542,7 @@ class TestBatches:
 
     def test_radial_maps_are_the_maps_built_one_by_one(self, build):
         # the A'' maps again, one batch against one map at a time
-        specs = [(c.map.domain, c.map.codomain, c.map.pieces_by_facet) for c in build.g.charts]
+        specs = [(c.map.domain, c.map._b, c.map.pieces_by_facet) for c in build.g.charts]
         for rmap, spec in zip(radial_maps(specs), specs):
             alone = RadialMap(*spec)
             assert rmap.linear.tobytes() == alone.linear.tobytes()
@@ -540,9 +553,8 @@ class TestBatches:
         # a flat image cone fails in the stacked part, a missing facet
         # before it: the batch raises the error of the first map that
         # fails, whatever its stage, with that map's position
-        good = one_piece_chart(cube_box(), cube_shape(), {
-            f: identity_piece(loop) for f, loop in face_loops(1.0).items()})
-        good = (good.domain, good.codomain, good.pieces_by_facet)
+        good = (cube_box(), ORIGIN, {f: [identity_piece(loop)]
+                                     for f, loop in face_loops(1.0).items()})
         for specs, want, index in (([good, collapsed_chart_spec(), chart_spec_without(2)],
                                     "not oriented as its domain cone", 1),
                                    ([good, chart_spec_without(2), collapsed_chart_spec()],
