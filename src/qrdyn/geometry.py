@@ -1,5 +1,5 @@
 """Shared geometry of the slab charts: the exact determinant signs that
-certify them, row-wise vector products, and a face loop's vector area.
+certify them, and row-wise vector products.
 
 A chart's image solid is not built here: it is the image of its box's
 faces, and ``star_extend.RadialMap`` takes what it needs of it (its facet
@@ -55,21 +55,6 @@ def _cross(x, y):
     x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
     y0, y1, y2 = y[:, 0], y[:, 1], y[:, 2]
     return np.stack([x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0], axis=1)
-
-
-def _fan_crosses(loop):
-    """(p0, fans, n) of a vertex loop of 3D points, in Python floats: its
-    first vertex p0; per fan triangle (p0, p_i, p_i+1), the edges
-    a = p_i - p0 and b = p_i+1 - p0 with their cross product a x b; and n,
-    the sum of those cross products, twice the vector area of a planar
-    loop, along its normal (``pieces.face_centre`` weighs by it).  Taken
-    relative to p0, a coordinate that every vertex shares drops out
-    exactly."""
-    (x0, y0, z0), *rest = loop
-    rel = [(x - x0, y - y0, z - z0) for x, y, z in rest]
-    fans = [(a, b, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-                    a[0] * b[1] - a[1] * b[0])) for a, b in zip(rel, rel[1:])]
-    return (x0, y0, z0), fans, [sum(c[k] for *_, c in fans) for k in range(3)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ import numpy as np
 
 from . import zorich
 from .geometry import GeometryError, _cross, _det3_signs, _starts
-from .pieces import face_centre, fan_cells
-from .star_extend import Box, RadialMap, ValidationReport, _mapped_points, radial_maps
+from .pieces import face_centres, fan_cells
+from .star_extend import Box, RadialMap, ValidationReport, radial_maps
 
 
 # --- fixed interpolation data: point names, coordinates and images ---------
@@ -175,16 +175,18 @@ def _build_charts(vt, ids, shared=None):
     box a ``Box`` domain, and the cells in one ``radial_maps`` pass about
     the stated centres, which certifies every centre by its cone signs; a
     face of ``shared`` ({face: piece} of an earlier phase) keeps that
-    piece.  An image solid is the image of its chart's faces: listed facet
-    by facet (0 to 5), face j's piece maps onto the solid's facet j, whose
-    plane the pass takes from the piece's image cells.  A map that fails (a
-    centre that fails its cone signs, say) raises ConstructionError naming
-    its chart."""
+    piece.  The area centroids of the new fans' faces and image faces come
+    from one ``face_centres`` call.  An image solid is the image of its
+    chart's faces: listed facet by facet (0 to 5), face j's piece maps onto
+    the solid's facet j, whose plane the pass takes from the piece's image
+    cells.  A map that fails (a centre that fails its cone signs, say)
+    raises ConstructionError naming its chart."""
     specs = [_CHARTS[cid] for cid in ids]
     faces = list(dict.fromkeys(face for spec in specs
                                for on_facet in spec["facets"].values() for face in on_facet))
 
     made = dict(shared or {})
+    fans = []         # the faces that are fans, with their loops
     for face in faces:
         if face in made:
             continue
@@ -194,8 +196,10 @@ def _build_charts(vt, ids, shared=None):
         if {n[1:] for n in face.split()} in ({"0"}, {"L"}):
             made[face] = [(dom, img)]
         else:
-            made[face] = fan_cells(dom, img, face_centre(dom),
-                                   _IMAGE_FACE_CENTRES.get(face) or face_centre(img))
+            fans.append((face, dom, img))
+    centres = face_centres([loop for _, dom, img in fans for loop in (dom, img)]).tolist()
+    for (face, dom, img), c_dom, c_img in zip(fans, centres[::2], centres[1::2]):
+        made[face] = fan_cells(dom, img, c_dom, _IMAGE_FACE_CENTRES.get(face) or c_img)
     boxes = [[np.array([vt.L if c == "L" else float(c) for c in corner])
               for corner in spec["box"]] for spec in specs]
     try:
@@ -318,7 +322,7 @@ class CellTable:
     ``_cell_spectra``).  Per polygon vertex, cell after cell: ``points``,
     ``targets`` (its image under the boundary piece), ``point_ids`` (its
     point, numbered over the block by exact coordinates) and ``images``
-    (b + A (p - a) under its own cell's A)."""
+    (b + A (p - a) under its own cell's A, the charts' ``images``)."""
 
     def __init__(self, charts):
         self.charts = list(charts)
@@ -328,15 +332,13 @@ class CellTable:
         self.labels = [label for m in maps for label in m.labels]
         self.a, self.b = (np.repeat([getattr(m, end) for m in maps], counts, axis=0)
                           for end in ("_a", "_b"))
-        self.linear, self.sizes, self.points, self.targets = (
+        self.linear, self.sizes, self.points, self.targets, self.images = (
             np.concatenate([getattr(m, name) for m in maps])
-            for name in ("linear", "sizes", "points", "targets"))
+            for name in ("linear", "sizes", "points", "targets", "images"))
         self.starts = _starts(self.sizes)
         number = {}
         self.point_ids = np.array([number.setdefault(p, len(number))
                                    for p in map(tuple, self.points.tolist())])
-        self.images = np.repeat(self.b, self.sizes, axis=0) + _mapped_points(
-            self.points - np.repeat(self.a, self.sizes, axis=0), self.sizes, self.linear)
         finite = np.isfinite(self.linear).all(axis=(1, 2))
         self.signs, dets = _det3_signs(np.where(finite[:, None, None], self.linear, 0.0), 0.0)
         self.dets = np.where(finite, dets, math.nan)

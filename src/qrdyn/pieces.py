@@ -7,32 +7,51 @@ onto the images of a face's vertices where the map is affine on the whole
 face (the identity, or F on a triangle), or the fan of a planar face about
 a face centre onto the fan of its image face about its own centre
 (``fan_cells``, the radial extension of the face's edge correspondence).
-The pieces take their centres as given: the atlas states them or takes a
-face's area centroid (``face_centre``), and the cone signs and the
-boundary-map validation of the chart that holds a fan refuse a centre
-about which it is not star.
+The pieces take their centres as given: the atlas states them or takes
+faces' area centroids (``face_centres``, all faces of a build phase in one
+stacked pass), and the cone signs and the boundary-map validation of the
+chart that holds a fan refuse a centre about which it is not star.
 """
 
 from __future__ import annotations
 
-from .geometry import GeometryError, _fan_crosses
+import numpy as np
+
+from .geometry import GeometryError, _cross
 
 
 def _loop(points):
     return [tuple(map(float, p)) for p in points]
 
 
-def face_centre(loop3):
-    """The area centroid of a planar face given by its vertex loop, in
-    Python floats: the centroids of the fan triangles (p0, p_i, p_i+1)
-    weighted by their signed areas along the face's vector area n
-    (``geometry._fan_crosses``), taken relative to p0, so that a coordinate
-    that every vertex shares is the centroid's exactly."""
-    origin, fans, n = _fan_crosses(_loop(loop3))
-    weights = [n[0] * c[0] + n[1] * c[1] + n[2] * c[2] for *_, c in fans]
-    total = 3.0 * sum(weights)
-    return tuple(o + sum(w * (a[k] + b[k]) for w, (a, b, _) in zip(weights, fans)) / total
-                 for k, o in enumerate(origin))
+def face_centres(loops):
+    """The area centroids of planar faces given by their vertex loops, as
+    the rows of an (n, 3) array, one stacked pass per loop length.  Each is
+    the sum of the centroids of the fan triangles (p0, p_i, p_i+1) weighted
+    by their signed areas along the face's vector area n (the sum of their
+    cross products (p_i - p0) x (p_i+1 - p0)), taken relative to p0, so
+    that a coordinate that every vertex shares is the centroid's exactly.
+    Every sum runs over the fan triangles in order, from 0, so each row is
+    the one that the same sums in Python floats give, bitwise."""
+    sizes = [len(loop) for loop in loops]
+    out = np.empty((len(loops), 3))
+    for size in sorted(set(sizes)):
+        idx = [k for k, s in enumerate(sizes) if s == size]
+        v = np.array([loops[k] for k in idx], dtype=float)
+        p0 = v[:, 0]
+        rel = v[:, 1:] - p0[:, None]
+        a, b = rel[:, :-1], rel[:, 1:]
+        c = _cross(a.reshape(-1, 3), b.reshape(-1, 3)).reshape(a.shape)
+        n = 0.0
+        for j in range(size - 2):
+            n = n + c[:, j]
+        w = n[:, None, 0] * c[..., 0] + n[:, None, 1] * c[..., 1] + n[:, None, 2] * c[..., 2]
+        total, moment = 0.0, 0.0
+        for j in range(size - 2):
+            total = total + w[:, j]
+            moment = moment + w[:, j, None] * (a[:, j] + b[:, j])
+        out[idx] = p0 + moment / (3.0 * total)[:, None]
+    return out
 
 
 def fan_cells(domain_loop, image_loop, dom_centre, img_centre):

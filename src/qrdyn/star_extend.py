@@ -24,9 +24,12 @@ star about its centres has a fan triangle whose image cone is not oriented
 as its domain cone, or a seam that ``validate_boundary_map`` refuses.  The
 pieces of a facet share a vertex, as the cells of a piece do, so one
 sector table about the shared vertices finds the piece of a facet and the
-cell of a piece alike.  The table is combinatorial: each sector between
-the angles of two vertices goes to the entry with a polygon that has both
-(``_sector_entry``).
+cell of a piece alike.  The table is combinatorial: with each distinct
+vertex's angle about the shared vertices taken once and sorted, sector i,
+from angle i - 1 to angle i, goes to the entry with a polygon that holds
+both, which the polygons' indices into the sorted angles find
+(``_sector_entry``); a piece, or a facet's pieces, that several maps of one
+pass list share that layout.
 
 So the radial extension of a box is affine on the cone from the domain
 centre over each cell, and a ``RadialMap`` is those cells, stacked from its
@@ -106,9 +109,10 @@ class RadialMap:
     cells), as its exact affine cells.  Piece j, counted facet by facet (0
     to 5) and in order within a facet, maps onto the solid's facet j.
     Another domain than a box, a centre other than a finite 3-vector, a
-    facet without pieces, a piece without cells, or a cell whose polygons
-    differ in length, have fewer than 3 vertices or a non-finite coordinate
-    raises GeometryError.
+    facet without pieces, a piece without cells, a cell whose polygons
+    differ in length, have fewer than 3 vertices or a non-finite coordinate,
+    a domain vertex off its box facet, or a piece under a key other than
+    the facets 0 to 5 raises GeometryError naming its cell.
 
     Each cell is the cone from the domain centre a over one polygon on which
     the boundary piece is affine (a cell of the piece: a triangle, or a
@@ -142,7 +146,9 @@ class RadialMap:
     of every polygon, with ``fan_cell`` the cell of each.  The linear parts
     (``linear``), the fan frames of the image cells, the boundary-map
     validation and ``global_map.CellTable`` read them; the sector entries
-    take the pieces' cells and the rows of ``linear``.  ``facet_planes``
+    take the pieces' cells and the rows of ``linear``.  ``images`` holds
+    each vertex's image b + A (p - a) under its own cell's A, from which
+    the fan frames and ``global_map.CellTable`` take it.  ``facet_planes``
     holds, per image facet, its unit normal signed away from b, its offset
     n . p0 at the piece's first image point p0, and its area, from the
     piece's vector area, the sum of (w1 - w0) x (w2 - w0) over the image
@@ -342,45 +348,60 @@ def _seam_faults(ids, sizes, targets):
 # ---------------------------------------------------------------------------
 # the exact piecewise-affine form of a radial map on a box
 
-def _sector_entry(name, groups, values, iu, iv):
-    """The sector entry (cu, cv, bounds, sectors) of a level ``name`` (the
-    cells of a piece, or the pieces of a facet) whose entries, each a list
-    of domain polygons in ``groups``, take ``values``: a point h of the
-    level's patch lies in the entry valued
-    sectors[bisect_right(bounds, atan2(h_v - cv, h_u - cu))].  (cu, cv) is
-    the centroid, in the face coordinates (iu, iv), of the vertices that
+def _sector_entry(name, groups, iu, iv):
+    """The sector layout (cu, cv, bounds, owners) of a level ``name`` (the
+    cells of a piece, or the pieces of a facet) whose entries are the lists
+    of domain polygons ``groups``: a point h of the level's patch lies in
+    entry owners[bisect_right(bounds, atan2(h_v - cv, h_u - cu))].  (cu, cv)
+    is the centroid, in the face coordinates (iu, iv), of the vertices that
     all entries share: a face fan's centre, the midpoint of a split
     square's diagonal, or the corner where a facet's pieces meet.  The
-    bounds are the sorted angles of the other vertices about it, and the
-    first and the last sector are the one that wraps through the angle pi;
-    a level of one entry has no bounds.
+    bounds are the sorted angles of the other vertices about it, each
+    distinct vertex's taken once, and the first and the last sector are the
+    one that wraps through the angle pi; a level of one entry has no bounds
+    and the one owner 0.
 
-    A sector goes to the entry with a polygon that has a vertex at each of
-    its two bounding angles.  That is the entry that holds it: each entry's
-    patch is convex and contains the centre, so such a polygon holds the
-    triangle from the centre to those two vertices, which covers the
-    sector's wedge near the centre.  Raises GeometryError if the entries
-    share no vertex, or if none or several entries qualify for a sector."""
+    Sector i, from bounds[i - 1] to bounds[i] (i = 0 wrapping from the
+    last bound), goes to the entry with a polygon that has a vertex at each
+    of those two angles: each polygon, as the set of its vertices' indices
+    into the bounds, claims every i that it holds with i - 1.  That is the
+    entry that holds the sector: each entry's patch is convex and contains
+    the centre, so such a polygon holds the triangle from the centre to
+    those two vertices, which covers the sector's wedge near the centre.
+    Raises GeometryError if the entries share no vertex, or at the first
+    sector that none or several entries claim."""
     if len(groups) == 1:
-        return 0.0, 0.0, [], [values[0]]
+        return 0.0, 0.0, [], [0]
     shared = set.intersection(*({p for dom in group for p in dom} for group in groups))
     if not shared:
         raise GeometryError(f"the {name} share no vertex")
     cu = sum(p[iu] for p in shared) / len(shared)
     cv = sum(p[iv] for p in shared) / len(shared)
-    angles = [[{atan2(p[iv] - cv, p[iu] - cu) for p in dom if (p[iu], p[iv]) != (cu, cv)}
-               for dom in group] for group in groups]
-    bounds = sorted(set().union(*(a for group in angles for a in group)))
-    sectors = []
-    # the wrapping sector first, then those between consecutive bounds
-    for lo, hi in zip(bounds[-1:] + bounds[:-1], bounds):
-        owners = [k for k, group in enumerate(angles) if any({lo, hi} <= a for a in group)]
-        if not owners:
-            raise GeometryError(f"none of the {name} covers the sector from angle {lo} to {hi}")
-        if len(owners) > 1:
+    angle = {}        # each distinct vertex's angle about (cu, cv), None at it
+    for group in groups:
+        for dom in group:
+            for p in dom:
+                if p not in angle:
+                    u, v = p[iu], p[iv]
+                    angle[p] = None if u == cu and v == cv else atan2(v - cv, u - cu)
+    bounds = sorted({a for a in angle.values() if a is not None})
+    index = {a: i for i, a in enumerate(bounds)}
+    n = len(bounds)
+    claims = [set() for _ in bounds]
+    for k, group in enumerate(groups):
+        for dom in group:
+            held = {index[a] for a in map(angle.__getitem__, dom) if a is not None}
+            for i in held:
+                if (i - 1) % n in held:
+                    claims[i].add(k)
+    for i, owners in enumerate(claims):
+        if len(owners) != 1:
+            lo, hi = bounds[i - 1], bounds[i]
+            if not owners:
+                raise GeometryError(f"none of the {name} covers the sector from angle {lo} to {hi}")
             raise GeometryError(f"several of the {name} cover the sector from angle {lo} to {hi}")
-        sectors.append(values[owners[0]])
-    return cu, cv, bounds, sectors + sectors[:1]
+    owners = [k for (k,) in claims]
+    return cu, cv, bounds, owners + owners[:1]
 
 
 # the face coordinates (iu, iv) of the box facets x_k = lo[k], x_k = hi[k]
@@ -394,10 +415,13 @@ def _build_maps(maps, specs):
 
     Each map's cells are walked in cell order onto the stacks: each cell's
     domain polygon, its image points, and its domain facet with its piece's
-    running index, the image facet (``cell_facets``).  The walk refuses a
-    facet without pieces, a piece without cells, and a cell whose two
+    running index, the image facet (``cell_facets``); a key of
+    ``pieces_by_facet`` other than 0 to 5 is walked last.  The walk refuses
+    a facet without pieces, a piece without cells, and a cell whose two
     polygons differ in length or have fewer than 3 vertices; then the
-    stacks refuse a non-finite coordinate.  Before any solve, the cone
+    stacks refuse a non-finite coordinate, and a domain vertex whose
+    coordinate on its facet's axis is not exactly the facet's level (every
+    vertex of a key other than 0 to 5).  Before any solve, the cone
     signs of all fan triangles (``_cone_signs``) certify the centres b;
     the first that fails raises GeometryError naming its cell.  One sum
     over each piece's image fan triangles, from its first fan row in cell
@@ -406,15 +430,19 @@ def _build_maps(maps, specs):
     image facets' ``facet_planes``; a piece of zero vector area is
     refused.  Then one solve gives the linear parts on every cell's first
     three vertex correspondences.  Each facet's entry is then the sector
-    entry (``_sector_entry``) of its pieces over those of their
-    cells, the rows taken in cell order; one determinant and one inverse go
-    over the linear parts, and one inverse gives the fan frames of the
-    image cells, which ``psi`` scans (``_frames``, each with its cell).
-    Each map keeps its slice of the stacked arrays; a stacked solve or
-    inverse equals the per-matrix call bitwise, so every map is the one
-    that its own construction builds.  Raises the first error met, naming
-    its cell ("facet f piece k cell j") or its piece."""
+    entry of its pieces over those of their cells, the rows taken in cell
+    order, each from its level's sector layout (``_sector_entry``), which is
+    taken once per piece and once per facet's pieces however many maps list
+    them; one determinant and one inverse go over the linear parts, one
+    stacked product gives every vertex's image (``images``), and one
+    inverse gives the fan frames of the image cells, which ``psi`` scans
+    (``_frames``, each with its cell).  Each map keeps its slice of the
+    stacked arrays; a stacked solve, product or inverse equals the
+    per-matrix call bitwise, so every map is the one that its own
+    construction builds.  Raises the first error met, naming its cell
+    ("facet f piece k cell j") or its piece."""
     doms, imgs, facets, labels, piece_names, piece_cells, n_pieces = [], [], [], [], [], [], []
+    sides = []        # per cell: its facet's axis and level (NaN off the six)
     for rmap, (domain, centre, pieces_by_facet) in zip(maps, specs):
         if not isinstance(domain, Box):
             raise GeometryError("a radial map needs a box domain")
@@ -426,10 +454,13 @@ def _build_maps(maps, specs):
                           for v, s in zip((domain.lo, domain.hi), (-1, 1)))
         first = len(labels)
         served = 0        # the running piece index, the image facet it maps onto
-        for facet in range(6):
+        # a key other than 0 to 5 is walked last, for its cells to be refused
+        for facet in [*range(6), *(f for f in rmap.pieces_by_facet if f not in range(6))]:
             pieces = rmap.pieces_by_facet.get(facet)
             if not pieces:
                 raise GeometryError(f"no boundary piece for facet {facet}")
+            side = ((facet // 2, float((domain.lo, domain.hi)[facet % 2][facet // 2]))
+                    if facet in range(6) else (0, math.nan))
             for k, piece in enumerate(pieces):
                 name = f"facet {facet} piece {k}"
                 if not piece:
@@ -443,6 +474,7 @@ def _build_maps(maps, specs):
                     doms.append(dom)
                     imgs.extend(img)
                 facets.extend([(facet, served)] * len(piece))
+                sides.extend([side] * len(piece))
                 piece_names.append(name)
                 piece_cells.append(len(piece))
                 served += 1
@@ -463,6 +495,15 @@ def _build_maps(maps, specs):
     if nonfinite.size:
         cell = bisect_right(starts.tolist(), int(nonfinite[0])) - 1
         raise GeometryError(f"{labels[cell]}: non-finite coordinates are not admitted")
+    # every domain vertex on its cell's box facet, exactly
+    axis, level = (np.repeat(c, sizes) for c in zip(*sides))
+    off = np.flatnonzero(points[np.arange(len(points)), axis] != level)
+    if off.size:
+        cell = bisect_right(starts.tolist(), int(off[0])) - 1
+        facet = facets[cell][0]
+        raise GeometryError(f"{labels[cell]}: " + (
+            f"domain vertex {tuple(points[off[0]].tolist())} is off box facet {facet}"
+            if facet in range(6) else f"a box has no facet {facet}; its facets are 0 to 5"))
     # the fan triangles (0, i, i + 1) of every polygon, cell after cell
     fan_starts = _starts(sizes - 2)
     fan_cell = np.repeat(np.arange(len(doms)), sizes - 2)
@@ -497,23 +538,30 @@ def _build_maps(maps, specs):
         points[first3] - centres[0][:, None], targets[first3] - centres[1][:, None]), 1, 2))
     rows = [tuple(m) for m in linear.reshape(-1, 9).tolist()]
     dets = np.linalg.det(linear)
+    layouts = {}      # the sector layouts, by facet axis and the levels' pieces
+
+    def entry(key, name, groups, values, iu, iv):
+        if key not in layouts:
+            layouts[key] = _sector_entry(name, groups, iu, iv)
+        cu, cv, bounds, owners = layouts[key]
+        return cu, cv, bounds, [values[k] for k in owners]
+
     c0 = 0
     for rmap, n in zip(maps, counts.tolist()):
         # per facet (iu, iv, False) + its one piece's (cu, cv, bounds, rows),
-        # or (iu, iv, True, cu, cv, bounds, pieces) of such piece entries
+        # or (iu, iv, True, cu, cv, bounds, pieces) of such piece entries;
+        # a piece or a facet's pieces that several maps list share a layout
         table = []
         rest = iter(rows[c0:c0 + n])
         for facet, (iu, iv) in enumerate(_FACE_AXES):
             pieces = rmap.pieces_by_facet[facet]
-            entries = [_sector_entry(f"cells of facet {facet} piece {k}",
-                                     [[dom] for dom, _ in piece],
-                                     [next(rest) for _ in piece], iu, iv)
+            entries = [entry((facet // 2, id(piece)), f"cells of facet {facet} piece {k}",
+                             [[dom] for dom, _ in piece], [next(rest) for _ in piece], iu, iv)
                        for k, piece in enumerate(pieces)]
             table.append((iu, iv, False) + entries[0] if len(entries) == 1
-                         else (iu, iv, True) + _sector_entry(
-                             f"pieces of facet {facet}",
-                             [[dom for dom, _ in piece] for piece in pieces],
-                             entries, iu, iv))
+                         else (iu, iv, True) + entry(
+                             (facet // 2, *map(id, pieces)), f"pieces of facet {facet}",
+                             [[dom for dom, _ in piece] for piece in pieces], entries, iu, iv))
         tol = rmap.domain.tol
         rmap._consts = (rmap._a + rmap._b + tuple(map(float, rmap.domain.lo))
                         + tuple(map(float, rmap.domain.hi)) + (tol * tol, table))
@@ -524,6 +572,7 @@ def _build_maps(maps, specs):
     at = np.append(fan_starts, len(fan_cell)).tolist()
     inverses = list(map(tuple, np.linalg.inv(linear).reshape(-1, 9).tolist()))
     mapped = _mapped_points(points - np.repeat(centres[0], sizes, axis=0), sizes, linear)
+    images = np.repeat(centres[1], sizes, axis=0) + mapped
     frames = list(map(tuple, np.linalg.inv(np.swapaxes(mapped[fans], 1, 2))
                       .reshape(-1, 9).tolist()))
     c0, p0, t0, k0 = 0, 0, 0, 0
@@ -531,7 +580,7 @@ def _build_maps(maps, specs):
         c1, k1 = c0 + n, k0 + k
         p1, t1 = int(starts[c1 - 1] + sizes[c1 - 1]), at[c1]
         rmap.sizes, rmap.cell_facets = sizes[c0:c1], np.array(facets[c0:c1])
-        rmap.points, rmap.targets = points[p0:p1], targets[p0:p1]
+        rmap.points, rmap.targets, rmap.images = points[p0:p1], targets[p0:p1], images[p0:p1]
         rmap.facet_planes = tuple(x[k0:k1] for x in planes)
         rmap.diameter = float(np.linalg.norm(rmap.targets.max(axis=0)
                                              - rmap.targets.min(axis=0)))

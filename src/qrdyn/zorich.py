@@ -242,11 +242,20 @@ def certifies_sigma_floor(c):
 
 def exp_lower(x):
     """A rational lower bound of e^x for a rational x >= 0: the Taylor
-    partial sum of 30 terms, all of them non-negative."""
+    partial sum of 30 terms, all of them non-negative, as one integer sum
+    over their common denominator q^29 29! (x = p / q).  Term k's numerator
+    p^k q^(29 - k) 29! / k! is the one before it times p / (k q), a
+    quotient without remainder."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("exp_lower needs x >= 0")
-    return sum(x ** k / math.factorial(k) for k in range(30))
+    p, q = x.numerator, x.denominator
+    den = math.factorial(29) * q ** 29
+    term = total = den
+    for k in range(1, 30):
+        term = term * p // (k * q)
+        total += term
+    return Fraction(total, den)
 
 
 def _rounded(q, side):

@@ -43,6 +43,8 @@ of its ``RadialMap``s, kept here as the oracles of the tests.
   ``RadialMap.eval3`` and ``zorich.F_scalar`` now do all of it inline;
 - ``fold1_rounded``: the scalar fold by x - 4 round(x / 4), which the
   package replaced by the IEEE remainder;
+- ``exp_lower_terms``: the Taylor partial sum of e^x added term by term
+  in Fraction, which ``zorich.exp_lower`` sums over one denominator;
 - ``expansion_min_ratio_rows``: the sampled expansion ratio pair by pair
   with ``F_scalar`` and ``math.dist``, which ``zorich.expansion_min_ratio``
   computes in one stacked pass;
@@ -51,7 +53,12 @@ of its ``RadialMap``s, kept here as the oracles of the tests.
   to Python floats: ``cell_linear_part`` (one solve per cell),
   ``sector_entry`` (the sector picks of a piece's cells or of a facet's
   pieces, one solve per sector probe and triangle),
-  ``cell_vertex_images`` (one product per cell),
+  ``sector_entry_scan`` (the same picks by a scan of every entry's
+  polygons per sector, with the package's errors),
+  ``face_centre`` with ``fan_crosses`` (a face's area centroid in Python
+  floats, one face at a time),
+  ``cell_vertex_images`` (one product per cell; ``vertex_images`` over a
+  map's cells),
   ``image_cell_frames`` (one inverse per cell),
   ``polygon_normal_rows`` (a facet's Newell normal),
   ``facet_is_planar_rows`` and ``triangulate_planar_rows`` (ear clipping
@@ -678,10 +685,89 @@ def sector_entry(groups, values, iu, iv):
     return (cu, cv, bounds, [picks[-1]] + picks[:-1] + [picks[-1]])
 
 
+def sector_entry_scan(name, groups, values, iu, iv):
+    """``star_extend._sector_entry`` as the package took it before it
+    indexed the bounds: the sector entry (cu, cv, bounds, sectors) of a
+    level, each sector's owner found by a scan of every entry's polygons,
+    one set test per polygon, with an angle per vertex of each polygon.  It
+    raises the package's errors, at the same first sector."""
+    if len(groups) == 1:
+        return 0.0, 0.0, [], [values[0]]
+    shared = set.intersection(*({p for dom in group for p in dom} for group in groups))
+    if not shared:
+        raise GeometryError(f"the {name} share no vertex")
+    cu = sum(p[iu] for p in shared) / len(shared)
+    cv = sum(p[iv] for p in shared) / len(shared)
+    angles = [[{math.atan2(p[iv] - cv, p[iu] - cu) for p in dom if (p[iu], p[iv]) != (cu, cv)}
+               for dom in group] for group in groups]
+    bounds = sorted(set().union(*(a for group in angles for a in group)))
+    sectors = []
+    # the wrapping sector first, then those between consecutive bounds
+    for lo, hi in zip(bounds[-1:] + bounds[:-1], bounds):
+        owners = [k for k, group in enumerate(angles) if any({lo, hi} <= a for a in group)]
+        if not owners:
+            raise GeometryError(f"none of the {name} covers the sector from angle {lo} to {hi}")
+        if len(owners) > 1:
+            raise GeometryError(f"several of the {name} cover the sector from angle {lo} to {hi}")
+        sectors.append(values[owners[0]])
+    return cu, cv, bounds, sectors + sectors[:1]
+
+
+def _sequential_sum(values):
+    """The sum of the floats ``values`` added one after another from 0, as
+    ``sum`` adds them before Python 3.12 (which compensates)."""
+    return functools.reduce(lambda s, x: s + x, values, 0.0)
+
+
+def fan_crosses(loop):
+    """(p0, fans, n) of a vertex loop of 3D points, in Python floats: its
+    first vertex p0; per fan triangle (p0, p_i, p_i+1), the edges
+    a = p_i - p0 and b = p_i+1 - p0 with their cross product a x b; and n,
+    the sum of those cross products, twice the vector area of a planar
+    loop, along its normal (``face_centre`` weighs by it).  Taken relative
+    to p0, a coordinate that every vertex shares drops out exactly."""
+    (x0, y0, z0), *rest = loop
+    rel = [(x - x0, y - y0, z - z0) for x, y, z in rest]
+    fans = [(a, b, (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                    a[0] * b[1] - a[1] * b[0])) for a, b in zip(rel, rel[1:])]
+    return (x0, y0, z0), fans, [_sequential_sum(c[k] for *_, c in fans) for k in range(3)]
+
+
+def face_centre(loop3):
+    """The area centroid of a planar face given by its vertex loop, one
+    face at a time in Python floats, as the package took it before
+    ``pieces.face_centres`` stacked it: the centroids of the fan triangles
+    (p0, p_i, p_i+1) weighted by their signed areas along the face's vector
+    area n (``fan_crosses``), taken relative to p0, so that a coordinate
+    that every vertex shares is the centroid's exactly."""
+    origin, fans, n = fan_crosses([tuple(map(float, p)) for p in loop3])
+    weights = [n[0] * c[0] + n[1] * c[1] + n[2] * c[2] for *_, c in fans]
+    total = 3.0 * _sequential_sum(weights)
+    return tuple(o + _sequential_sum(w * (a[k] + b[k]) for w, (a, b, _) in zip(weights, fans))
+                 / total for k, o in enumerate(origin))
+
+
+def exp_lower_terms(x):
+    """``zorich.exp_lower`` as the package took it before it summed over
+    one common denominator: the Taylor partial sum of e^x of 30 terms,
+    added term by term in Fraction."""
+    x = Fraction(x)
+    return sum(x ** k / math.factorial(k) for k in range(30))
+
+
 def cell_vertex_images(a, b, dom, m):
     """The images b + (dom - a) A^T of one cell polygon's vertices under the
     cell's affine map, one product per cell."""
     return np.asarray(b) + (np.asarray(dom, dtype=float) - np.asarray(a)) @ m.T
+
+
+def vertex_images(rmap):
+    """A map's ``images`` from its ``points``, ``sizes`` and ``linear``, by
+    ``cell_vertex_images`` cell after cell: what a test that edits a map's
+    linear parts gives its ``images``."""
+    polygons = np.split(rmap.points, np.cumsum(rmap.sizes)[:-1])
+    return np.concatenate([cell_vertex_images(rmap._a, rmap._b, dom, m)
+                           for dom, m in zip(polygons, rmap.linear)])
 
 
 def image_cell_frames(a, dom, m):

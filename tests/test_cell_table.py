@@ -10,14 +10,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import (_cell_index, cell_linear_part, cell_vertex_images, facet_is_planar_rows,
-                     image_cell_frames, image_solid, polygon_normal_rows, radial_eval,
-                     radial_inverse, sector_entry, surface_triangles)
-from qrdyn import global_map
-from qrdyn.geometry import GeometryError, _det3_signs, _fan_crosses
+from oracles import (_cell_index, cell_linear_part, cell_vertex_images, exp_lower_terms,
+                     face_centre, facet_is_planar_rows, fan_crosses, image_cell_frames,
+                     image_solid, polygon_normal_rows, radial_eval, radial_inverse, sector_entry,
+                     sector_entry_scan, surface_triangles, vertex_images)
+from qrdyn import global_map, star_extend, zorich
+from qrdyn.geometry import GeometryError, _det3_signs
 from qrdyn.global_map import (CellTable, ConstructionError, _cell_spectra, audit_orientation,
                               build_aprime_chart, build_maps, build_vertex_table,
                               certify_cell_orientation, chart_lipschitz)
+from qrdyn.pieces import face_centres
 from qrdyn.star_extend import RadialMap
 
 
@@ -392,6 +394,7 @@ def _chart(build, linear):
     rows = int(rmap.sizes[:n].sum())
     rmap.linear = np.array(linear, dtype=float)
     rmap.sizes, rmap.points, rmap.targets = rmap.sizes[:n], rmap.points[:rows], rmap.targets[:rows]
+    rmap.images = vertex_images(rmap)
     rmap.labels = [f"facet 0 piece 0 cell {j}" for j in range(n)]
     return types.SimpleNamespace(cell_id="A''9", map=rmap)
 
@@ -527,8 +530,8 @@ class TestBuildMatchesOracles:
         for chart in build.g.charts[1:]:
             rmap = chart.map
             alone = RadialMap(rmap.domain, rmap._b, rmap.pieces_by_facet)
-            for name in ("linear", "points", "targets", "sizes", "cell_facets", "point_ids",
-                         "fans", "fan_cell"):
+            for name in ("linear", "points", "targets", "images", "sizes", "cell_facets",
+                         "point_ids", "fans", "fan_cell"):
                 assert getattr(rmap, name).tobytes() == getattr(alone, name).tobytes(), name
             assert _bits((rmap._consts, rmap._frames, rmap._inverses, rmap.labels)) \
                 == _bits((alone._consts, alone._frames, alone._inverses, alone.labels))
@@ -586,10 +589,79 @@ class TestBuildMatchesOracles:
                 assert len({cell[j][0] for cell in piece}) == 1
                 assert [cell[j][2] for cell in piece] == loop[1:] + loop[:1]
 
+    def test_sector_layouts_are_the_scans(self, build):
+        # every level of the atlas, the cells of each piece and the pieces
+        # of each facet: the layout by index is the scan's entry and the
+        # probes' entry over the entries' own indices, bitwise
+        levels = 0
+        for chart in build.g.charts:
+            for facet, pieces in chart.map.pieces_by_facet.items():
+                iu, iv = [i for i in range(3) if i != facet // 2]
+                for groups in [[[dom] for dom, _ in piece] for piece in pieces] + [
+                        [[dom for dom, _ in piece] for piece in pieces]]:
+                    got = star_extend._sector_entry("entries", groups, iu, iv)
+                    assert _bits(got) == _bits(sector_entry_scan(
+                        "entries", groups, range(len(groups)), iu, iv))
+                    assert _bits(got) == _bits(sector_entry(groups, range(len(groups)), iu, iv))
+                    levels += len(groups) > 1
+        assert levels == 49
+
+    def test_face_centres_are_the_oracles(self, build):
+        # seeded planar loops of 3 to 6 vertices, and the atlas's face loops
+        # and their images, in one call: each row is the face's centroid by
+        # the sums of Python floats, bitwise
+        rng = np.random.default_rng(12)
+        loops = []
+        for _ in range(300):
+            n = int(rng.integers(3, 7))
+            th = (np.arange(n) + rng.uniform(0.0, 0.9, n)) * (2 * math.pi / n)
+            flat = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.5, 2.0, (n, 1))
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            loops.append([tuple(p) for p in (np.column_stack([flat, np.zeros(n)]) @ q.T
+                                             + 10 * rng.normal(size=3)).tolist()])
+        assert {len(loop) for loop in loops} == {3, 4, 5, 6}
+        atlas = [[cell[j][1] for cell in piece] for piece in _radial_faces(build) for j in (0, 1)]
+        assert len(atlas) == 48
+        got = face_centres(loops + atlas)
+        assert _bits(got) == _bits([face_centre(loop) for loop in loops + atlas])
+
+    def test_build_is_the_parent_algorithm(self, build, monkeypatch):
+        # a build whose sector layouts are the scan's, whose face centres
+        # are taken one face at a time in Python floats and whose exp_lower
+        # adds term by term, as the package took them before, with the
+        # vertex images taken over the stacked cell table: every chart's
+        # tables, cells and frames, the table's columns and the constants
+        # are bitwise those of the build
+        def scan(name, groups, iu, iv):
+            cu, cv, bounds, owners = sector_entry_scan(name, groups, range(len(groups)), iu, iv)
+            return cu, cv, bounds, list(owners)
+
+        monkeypatch.setattr(star_extend, "_sector_entry", scan)
+        monkeypatch.setattr(global_map, "face_centres",
+                            lambda loops: np.array([face_centre(loop) for loop in loops]))
+        monkeypatch.setattr(zorich, "exp_lower", exp_lower_terms)
+        old = global_map.build_maps()
+        for new_chart, old_chart in zip(build.g.charts, old.g.charts):
+            new, was = new_chart.map, old_chart.map
+            assert new.linear.tobytes() == was.linear.tobytes()
+            assert _bits((new._consts, new._frames, new._inverses)) == _bits(
+                (was._consts, was._frames, was._inverses))
+        table, was = build.g.table, old.g.table
+        for name in ("chart", "a", "b", "linear", "sizes", "starts", "points", "targets",
+                     "point_ids", "signs", "dets", "s_max", "s_min", "k"):
+            assert getattr(table, name).tobytes() == getattr(was, name).tobytes(), name
+        assert table.labels == was.labels
+        assert table.images.tobytes() == (np.repeat(table.b, table.sizes, axis=0) + (
+            star_extend._mapped_points(table.points - np.repeat(table.a, table.sizes, axis=0),
+                                       table.sizes, table.linear))).tobytes()
+        assert _bits((build.L_prime, build.K_slab, build.min_cell_det)) == _bits(
+            (old.L_prime, old.K_slab, old.min_cell_det))
+        assert build.constants == old.constants
+
     def test_random_planar_polygons(self):
         # seeded planar polygons in general position, star about their
         # centroid: the vector area that face_centre weighs by
-        # (geometry._fan_crosses) lies along the Newell normal, and
+        # (oracles.fan_crosses) lies along the Newell normal, and
         # its length is twice the shoelace area of the polygon in its plane
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -599,7 +671,7 @@ class TestBuildMatchesOracles:
             flat = np.column_stack([np.cos(th), np.sin(th)]) * rng.uniform(0.5, 2.0, (n, 1))
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
             loop = (np.column_stack([flat, np.zeros(n)]) @ q.T + rng.normal(size=3)).tolist()
-            area = np.asarray(_fan_crosses(loop)[2])
+            area = np.asarray(fan_crosses(loop)[2])
             shoelace = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
                            in zip(flat.tolist(), np.roll(flat, -1, axis=0).tolist()))
             assert np.linalg.norm(area) == pytest.approx(abs(shoelace), rel=1e-13)

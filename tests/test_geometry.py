@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (Polyhedron, cuboid_spec, image_solid, point_in_polygon, psi_ray_oracle,
-                     star_test as star_tests, surface_triangles)
+from oracles import (Polyhedron, cuboid_spec, fan_crosses, image_solid, point_in_polygon,
+                     psi_ray_oracle, star_test as star_tests, surface_triangles)
 from qrdyn import geometry
-from qrdyn.geometry import GeometryError, _det3_signs, _fan_crosses
+from qrdyn.geometry import GeometryError, _det3_signs
 from qrdyn.star_extend import Box, RadialMap, psi, radial_maps
 
 
@@ -105,7 +105,7 @@ class TestOrientation:
                 v = shape.vertices[poly]
                 assert np.all((v - shape.centre) @ n > 0), chart.cell_id
                 assert np.abs(v @ n - d).max() <= 10 * chart.map.tol
-                vector_area = np.asarray(_fan_crosses([rows[i] for i in poly])[2])
+                vector_area = np.asarray(fan_crosses([rows[i] for i in poly])[2])
                 assert np.linalg.norm(vector_area) == pytest.approx(2 * area, rel=1e-15)
                 flipped[chart.cell_id] += int(vector_area @ n < 0)
             assert np.all(_outward_volumes(shape) > 0), chart.cell_id

@@ -13,7 +13,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import _cell_index, cell_facets_by_planes, image_solid, star_test
+from oracles import (_cell_index, cell_facets_by_planes, face_centre, image_solid, star_test,
+                     vertex_images)
 from qrdyn import geometry, global_map, star_extend, zorich
 from qrdyn.global_map import (CellTable, ConstructionError, GlobalMap, _CHARTS,
                               audit_dilatation, audit_orientation, audit_seams,
@@ -22,7 +23,6 @@ from qrdyn.global_map import (CellTable, ConstructionError, GlobalMap, _CHARTS,
                               constants_report_text,
                               derive_translation_constant, _IMAGE_FACE_CENTRES, _IMAGES,
                               _TOP_QUAD_PLANES)
-from qrdyn.pieces import face_centre
 from qrdyn.zorich import HORIZON, PrecisionLost
 
 TABLE = {
@@ -243,7 +243,7 @@ class TestChartTable:
 
 
 def _fraction_face_centre(loop):
-    """``pieces.face_centre`` of a face loop in exact arithmetic: the fan
+    """``oracles.face_centre`` of a face loop in exact arithmetic: the fan
     from the first vertex weighted by the signed areas along the Newell
     normal, the area centroid of a planar face, in Fraction."""
     p0 = [Fraction(x) for x in loop[0]]
@@ -543,6 +543,7 @@ class TestShiftedMap:
         k = int(np.argmax(CellTable([chart]).images[:, 2]))
         cell = int(np.searchsorted(np.cumsum(rmap.sizes), k, side="right"))
         rmap.linear[cell] *= 1.5
+        rmap.images = vertex_images(rmap)
         chart.map = rmap
         top = float(chart.map.targets[:, 2].max())
 
@@ -647,6 +648,7 @@ class TestAudits:
         cell = next(j for j, label in enumerate(rmap.labels) if label.startswith("facet 1 "))
         rmap.linear = rmap.linear.copy()
         rmap.linear[cell] = rmap.linear[cell] * 1.01
+        rmap.images = vertex_images(rmap)
         chart.map = rmap
         charts[charts.index(gmap.by_id["A''1"])] = chart
         rep = audit_seams(GlobalMap(CellTable(charts), gmap.L))
@@ -686,7 +688,8 @@ class TestAudits:
         j = next(j for j, label in enumerate(rmap.labels) if label.startswith("facet 4 "))
         rows = slice(int(rmap.sizes[:j].sum()), int(rmap.sizes[:j + 1].sum()))
         rmap.linear, rmap.sizes = np.delete(rmap.linear, j, 0), np.delete(rmap.sizes, j)
-        rmap.points, rmap.targets = (np.delete(a, rows, 0) for a in (rmap.points, rmap.targets))
+        rmap.points, rmap.targets, rmap.images = (
+            np.delete(a, rows, 0) for a in (rmap.points, rmap.targets, rmap.images))
         rmap.labels = rmap.labels[:j] + rmap.labels[j + 1:]
         chart.map = rmap
         charts[charts.index(gmap.by_id["A''1"])] = chart

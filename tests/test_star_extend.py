@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (_radial_2d, cover_deviation_all_pairs, oriented_area_fraction,
-                     point_in_polygon, polygon_normal_rows)
+from oracles import (_radial_2d, cover_deviation_all_pairs, face_centre, oriented_area_fraction,
+                     point_in_polygon, polygon_normal_rows, sector_entry_scan)
 from qrdyn import star_extend
 from qrdyn.geometry import GeometryError
-from qrdyn.pieces import face_centre, fan_cells
+from qrdyn.pieces import fan_cells
 from qrdyn.star_extend import Box, RadialMap, radial_maps
 
 
@@ -284,27 +284,36 @@ C, M = (0.0, 0.0, 1.0), (0.5, 0.5, 1.0)
 QUADRANTS = [[(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)]
              for x in (-1.0, 1.0) for y in (-1.0, 1.0)]
 
-# the top facet's pieces that construction refuses, each with the start of
-# its message: a piece without cells, a cell whose polygons differ in length
-# or have fewer than 3 vertices, a cell with a non-finite coordinate (the
-# last of three fan cells), and two cells whose images, the top face's two
-# halves with the second turned by pi about the x1 axis, pass their cone
-# signs but have opposite vector areas
-MALFORMED_TOPS = {
-    "empty piece": ([[([P0, P1, P2, P3], [P0, P1, P2, P3])], []],
+# the pieces that construction refuses, each as the facets that it sets in
+# the cube's identity chart, with the start of its message: on the top
+# facet, a piece without cells, a cell whose polygons differ in length or
+# have fewer than 3 vertices, a cell with a non-finite coordinate (the last
+# of three fan cells), two cells whose images, the top face's two halves
+# with the second turned by pi about the x1 axis, pass their cone signs but
+# have opposite vector areas, and a domain vertex below the top facet; and a
+# piece on a facet key that no box has
+MALFORMED = {
+    "empty piece": ({5: [[([P0, P1, P2, P3], [P0, P1, P2, P3])], []]},
                     "facet 5 piece 1 has no cells"),
-    "unequal polygons": ([[([P0, P1, P2, P3], [P0, P1, P2])]],
+    "unequal polygons": ({5: [[([P0, P1, P2, P3], [P0, P1, P2])]]},
                          "facet 5 piece 0 cell 0: a polygon of 4 vertices onto one of 3"),
-    "two vertices": ([[([P0, P1], [P0, P1])]],
+    "two vertices": ({5: [[([P0, P1], [P0, P1])]]},
                      "facet 5 piece 0 cell 0: a polygon of 2 vertices onto one of 2"),
-    "nan target": ([[([P0, P1, P2, P3], [P0, (math.nan, -1.0, 1.0), P2, P3])]],
+    "nan target": ({5: [[([P0, P1, P2, P3], [P0, (math.nan, -1.0, 1.0), P2, P3])]]},
                    "facet 5 piece 0 cell 0: non-finite coordinates are not admitted"),
-    "infinite point": ([[((C, P0, P1), (C, P0, P1)), ((C, P1, P2), (C, P1, P2)),
-                         ((C, (1.0, math.inf, 1.0), P3), (C, P2, P3))]],
+    "infinite point": ({5: [[((C, P0, P1), (C, P0, P1)), ((C, P1, P2), (C, P1, P2)),
+                             ((C, (1.0, math.inf, 1.0), P3), (C, P2, P3))]]},
                        "facet 5 piece 0 cell 2: non-finite coordinates are not admitted"),
-    "zero vector area": ([[((P0, P1, P2), (P0, P1, P2)),
-                           ((P2, P3, P0), tuple((x, -y, -z) for x, y, z in (P2, P3, P0)))]],
+    "zero vector area": ({5: [[((P0, P1, P2), (P0, P1, P2)),
+                               ((P2, P3, P0), tuple((x, -y, -z) for x, y, z in (P2, P3, P0)))]]},
                          "facet 5 piece 0: its image has zero vector area"),
+    "vertex off its facet": ({5: [[((C, P0, P1), (C, P0, P1)),
+                                   ((C, P1, (1.0, 1.0, 0.5)), (C, P1, P2)),
+                                   ((C, P2, P3), (C, P2, P3)), ((C, P3, P0), (C, P3, P0))]]},
+                             "facet 5 piece 0 cell 1: domain vertex (1.0, 1.0, 0.5) is off "
+                             "box facet 5"),
+    "facet 6": ({6: [identity_piece(face_loops(1.0)[5])]},
+                "facet 6 piece 0 cell 0: a box has no facet 6; its facets are 0 to 5"),
 }
 
 
@@ -321,11 +330,10 @@ class TestConstruction:
         with pytest.raises(GeometryError, match="no boundary piece for facet 5"):
             RadialMap(cube_box(), ORIGIN, pieces)
 
-    @pytest.mark.parametrize("top, want", list(MALFORMED_TOPS.values()),
-                             ids=list(MALFORMED_TOPS))
-    def test_a_malformed_piece_or_cell_is_refused_by_name(self, top, want):
+    @pytest.mark.parametrize("facets, want", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_a_malformed_piece_or_cell_is_refused_by_name(self, facets, want):
         pieces = {f: [identity_piece(loop)] for f, loop in face_loops(1.0).items()}
-        pieces[5] = top
+        pieces.update(facets)
         with pytest.raises(GeometryError, match=f"^{re.escape(want)}"):
             RadialMap(cube_box(), ORIGIN, pieces)
 
@@ -353,6 +361,22 @@ class TestConstruction:
         with pytest.raises(GeometryError,
                            match="several of the cells of facet 5 piece 0 cover the sector"):
             top_split([(C, P0, P1), (C, P0, P1), (C, P1, P2), (C, P2, P3), (C, P3, P0)])
+
+    @pytest.mark.parametrize("groups", [
+        [[(C, P0, P1)], [(C, P2, P3)]],
+        [[(C, P0, P1)], [(C, P0, P1)], [(C, P1, P2)], [(C, P2, P3)], [(C, P3, P0)]],
+        [[(C, P0, P1), (C, P1, P2)], [(C, P1, P2), (C, P2, P3), (C, P3, P0)]],
+        [[(C, P2, P3)], [(C, P0, P1)], [(C, P0, P1)]],
+        [[(P0, P1, C)], [(P2, P3, M)]],
+    ], ids=["uncovered", "doubly_covered", "pieces_overlap", "both_faults", "no_shared_vertex"])
+    def test_a_sector_fault_is_the_scans(self, groups):
+        # the sector layout by index raises the error of the scan of every
+        # entry's polygons per sector, word for word, at the same sector
+        with pytest.raises(GeometryError) as scan:
+            sector_entry_scan("cells of facet 5 piece 0", groups, range(len(groups)), 0, 1)
+        with pytest.raises(GeometryError) as indexed:
+            star_extend._sector_entry("cells of facet 5 piece 0", groups, 0, 1)
+        assert str(indexed.value) == str(scan.value)
 
     @pytest.mark.parametrize("split", ["halves", "quadrants"])
     def test_a_facet_of_several_pieces(self, split):

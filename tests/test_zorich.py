@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (composed_F, expansion_min_ratio_rows, fold1_rounded, h_pyramid,
-                     zorich_composed)
+from oracles import (composed_F, exp_lower_terms, expansion_min_ratio_rows, fold1_rounded,
+                     h_pyramid, zorich_composed)
 from qrdyn import zorich
 from qrdyn.zorich import (C0_LOWER, HORIZON, ConstantsReport, F_array, F_jacobian,
                           F_scalar, PrecisionLost, _fold1, certifies_sigma_floor,
@@ -351,6 +351,15 @@ class TestConstants:
         e_lower = exp_lower(Fraction(constants.L))
         assert e_lower * C0_LOWER > 33
         assert Fraction(constants.exp_margin) <= e_lower * C0_LOWER - 33
+
+    @pytest.mark.parametrize("x", ["L", 0, Fraction(1, 3), Fraction(22, 7), Fraction(7, 64),
+                                   Fraction(100001, 10000)])
+    def test_exp_lower_is_the_term_by_term_sum(self, constants, x):
+        # the one integer sum over the common denominator is the Taylor
+        # partial sum added term by term, the same Fraction
+        x = Fraction(constants.L) if x == "L" else Fraction(x)
+        got, want = exp_lower(x), exp_lower_terms(x)
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
     def test_c0_bounded_by_spot_values(self, constants):
         # independent spot checks: c0 cannot exceed the smallest singular
