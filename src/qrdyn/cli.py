@@ -17,11 +17,11 @@ positive), the largest dilatation of a cell (``K_slab``) and each chart's
 verdict from the exact boundary-map validation, and each chart's
 Lipschitz constants (``lipschitz``): on its box, max sigma_max over its
 cells, and of its inverse, max 1 / sigma_min, with the method that took
-them.  Every chart passed its exact cone signs when it was built: with its
-boundary-map validation, they make each ray from its image solid's centre
-cross the solid's boundary, in an image cell whose cone holds it (once
-where the boundary winds once about the centre), which is how the chart's
-inverse finds its cell.  The JSON object also gives ``phase_s``: the wall
+them.  Every chart passed its exact cone signs when it was built, and its
+boundary-map validation certifies degree 1 about its image solid's
+centre: each ray from the centre crosses the solid's boundary once, in the
+image cell whose cone holds it, which is how the chart's inverse finds its
+cell.  The JSON object also gives ``phase_s``: the wall
 seconds of each build phase, keyed by module and function.
 """
 

@@ -15,7 +15,10 @@ images.  Every boundary piece is affine on triangles, so each chart is
 exactly affine on the cones from its domain centre over them: 37 cells for
 A' and 26 for each A'' chart, which its ``RadialMap`` evaluates and
 inverts.  A build stacks the 141 cells once, as the ``CellTable`` that g
-and f share and every certificate reads.
+and f share and every certificate reads, and validates each chart's
+boundary map exactly (``RadialMap.validate_boundary_map``): closed seams,
+cones oriented as their domain cones, and degree 1 about both centres, so
+that each chart maps its box homeomorphically onto its image solid.
 
 g is K-quasiregular, K = max(K_slab, K_F).  When ``audit_seams`` finds no
 fault in the block's cell complex, charts that share a polygon map it by the
@@ -34,6 +37,7 @@ residual that ``audit_seams`` reports.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Dict
@@ -66,16 +70,6 @@ _IMAGES = {
     "X1": (6.0, 4.0, 2.0),
 }
 
-# the four image quadrilaterals of the level-1 squares are planar; each lies
-# in the stated plane  coeff . x = rhs
-_TOP_QUAD_PLANES = [
-    (("P1", "W1", "X1", "T1"), (1.0, 0.0, 3.0), 12.0),
-    (("T1", "X1", "U1", "Q1"), (4.0, -3.0, 12.0), 36.0),
-    (("W1", "S1", "V1", "X1"), (3.0, 0.0, -5.0), 8.0),
-    (("X1", "V1", "R1", "U1"), (-12.0, 9.0, 20.0), 4.0),
-]
-
-
 class ConstructionError(RuntimeError):
     """The interpolation data failed a build-time consistency check."""
 
@@ -93,9 +87,11 @@ class VertexTable:
 
 
 def build_vertex_table(L: float) -> VertexTable:
-    """Populate the vertex table and verify its internal consistency:
-    the image quadrilaterals of the level-1 squares must be planar in their
-    stated planes, and level-L images come from the closed form of F."""
+    """The vertex table of level L: the stated coordinates and images
+    (``_BASE_XY``, ``_IMAGES``), and the level-L images from the closed
+    form of F.  That the four image quadrilaterals of the level-1 squares
+    are planar is checked where they serve, as the images of the top
+    pieces of chart A', by that chart's ``validate_boundary_map``."""
     coords = {}
     images = {}
     for letter, (x1, x2) in _BASE_XY.items():
@@ -107,14 +103,6 @@ def build_vertex_table(L: float) -> VertexTable:
         coords[letter + "0"] = np.array([x1, x2, 0.0])
     for name, img in _IMAGES.items():
         images[name] = np.array(img)
-
-    for names, coeff, rhs in _TOP_QUAD_PLANES:
-        c = np.asarray(coeff)
-        for n in names:
-            dev = abs(float(c @ images[n]) - rhs)
-            if dev > 1e-12 * max(1.0, abs(rhs)):
-                raise ConstructionError(
-                    f"image of {n} misses plane {coeff}.x={rhs} by {dev:.3e}")
     return VertexTable(L=L, coords=coords, images=images)
 
 
@@ -301,9 +289,6 @@ class GlobalMap:
             gy = 4.0 - gy
         return (gx + o1, gy + o2, gz - self._shift)
 
-    def eval(self, p):
-        return np.asarray(self.eval3(float(p[0]), float(p[1]), float(p[2])))
-
 
 # ---------------------------------------------------------------------------
 # the base block's cells, stacked once per build
@@ -313,8 +298,8 @@ class CellTable:
     in a build), stacked once in chart order for every certificate.
 
     Per cell: ``chart`` (its index into ``charts``), ``labels`` (its label
-    in its chart), ``a`` and ``b`` (its chart's centres), ``linear`` (A: the
-    cell maps p to b + A (p - a)), ``sizes`` and ``starts`` (its polygon's
+    in its chart), ``linear`` (A: the cell maps p to b + A (p - a), a and
+    b its chart's centres), ``sizes`` and ``starts`` (its polygon's
     vertex count and first row), ``signs`` and ``dets`` (the exact sign and
     the float cofactor expansion of det A from ``geometry._det3_signs``; a
     non-finite A counts as zero and has NaN), and ``s_max``, ``s_min`` and
@@ -330,8 +315,6 @@ class CellTable:
         counts = [len(m.linear) for m in maps]
         self.chart = np.repeat(np.arange(len(maps)), counts)
         self.labels = [label for m in maps for label in m.labels]
-        self.a, self.b = (np.repeat([getattr(m, end) for m in maps], counts, axis=0)
-                          for end in ("_a", "_b"))
         self.linear, self.sizes, self.points, self.targets, self.images = (
             np.concatenate([getattr(m, name) for m in maps])
             for name in ("linear", "sizes", "points", "targets", "images"))
@@ -540,26 +523,15 @@ def audit_orientation(gm: GlobalMap, samples_per_chart=None, seed=None) -> Orien
                              passed=min_det > 0.0)
 
 
-def _median(values):
-    """``np.median`` of a 1-D float array, bitwise (but for the sign of a
-    zero median), without numpy's selection kernel, whose first call pages
-    in about 0.5 MB of code that nothing else in a run uses: the middle
-    value of the sorted values, or the mean (a + b) / 2 of the two middle
-    ones, which is how ``np.median`` averages them; NaN if any value is."""
-    v = values.tolist()
-    if any(map(math.isnan, v)):
-        return math.nan
-    v.sort()
-    mid = len(v) // 2
-    return v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2
-
-
 def audit_dilatation(gm: GlobalMap, samples=None, seed=None) -> DilatationReport:
     """Sup and median of the dilatation over the cells of the slab atlas,
-    on each of which g is affine (the ``k`` of g's table).  ``samples`` and
-    ``seed`` are unused."""
+    on each of which g is affine (the ``k`` of g's table, never NaN).  The
+    median is the statistics module's, not numpy's, whose selection kernel
+    pages in about 0.5 MB of code that nothing else in a run uses.
+    ``samples`` and ``seed`` are unused."""
     ks = gm.table.k
-    return DilatationReport(k_sup=float(ks.max()), k_median=_median(ks), samples=len(ks))
+    return DilatationReport(k_sup=float(ks.max()), k_median=statistics.median(ks.tolist()),
+                            samples=len(ks))
 
 
 # ---------------------------------------------------------------------------
@@ -608,13 +580,14 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
     The two chart phases, ``build_aprime_chart`` (A') and
     ``build_asecond_charts`` (the four A'' charts), are each one
     ``_build_charts`` call, whose ``star_extend.radial_maps`` pass takes
-    the exact cone signs of all its cells before any solve: with the closed
-    seams that the validation checks, they prove that each ray from a
-    centre crosses its solid's boundary, once where the boundary winds once
-    about the centre (``star_extend.psi``), and that each face fan is star
-    about its centres.  The cells are then stacked once
-    (``CellTable``) for g, f and every certificate, and each chart's
-    boundary map is validated exactly by ``RadialMap.validate_boundary_map``.
+    the exact cone signs of all its cells before any solve.  The cells are
+    then stacked once (``CellTable``) for g, f and every certificate, and
+    each chart's boundary map is validated exactly by
+    ``RadialMap.validate_boundary_map``: closed seams, cones oriented as
+    their domain cones, and degree 1 about each centre.  So each ray from
+    a centre crosses its solid's boundary once (``star_extend.psi``), each
+    face fan is star about its centres, and each chart maps its box
+    homeomorphically onto its image solid.
 
     ``phase_s`` holds the wall seconds of the six build phases, named by
     module and function (the boundary-map validation summed over the

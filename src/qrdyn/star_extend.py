@@ -3,46 +3,38 @@
 A boundary homeomorphism from an axis-aligned box onto a star-shaped
 polyhedron extends to the closed regions by transporting radial fractions:
 a point at fraction s of the way from the box's midpoint to its boundary
-maps to the point at fraction s from the polyhedron's centre to the image
-boundary point.  The box (``Box``) is convex about its midpoint.  The
-polyhedron is not given apart from the map: it is the image of the box's
-faces, about the centre b that the caller states, and b is certified by
-one exact sign per fan triangle of every cell: the image cone about it has
-the orientation of the domain cone (``_cone_signs``).
+maps to the point at fraction s from the polyhedron's centre b to the
+image boundary point.  The box (``Box``) is convex about its midpoint.  The
+polyhedron is the image of the box's faces about the caller's centre b.
 
-The boundary map itself is a list of pieces on each domain facet, each
-piece the list of its affine cells (``pieces``).  Counted facet by facet
-(0 to 5) and in order within a facet, piece j's image is the polyhedron's
-facet j, whose plane comes from the vector area of the piece's image cells
+The boundary map is a list of pieces on each domain facet, each piece the
+list of its affine cells (``pieces``).  Counted facet by facet (0 to 5)
+and in order within a facet, piece j's image is the polyhedron's facet j,
+whose plane comes from the vector area of the piece's image cells
 (``facet_planes``).  A cell is the fan triangle of a planar face about the
 centre it is given onto the fan triangle of its image face about the
-image's (the radial extension of the face's edge correspondence,
-``pieces.fan_cells``), or a whole face on which the boundary map is
-affine, the identity or a triangle of F.  The centres are the caller's,
-and the same cone signs certify the face centres too: a fan that is not
-star about its centres has a fan triangle whose image cone is not oriented
-as its domain cone, or a seam that ``validate_boundary_map`` refuses.  The
-pieces of a facet share a vertex, as the cells of a piece do, so one
-sector table about the shared vertices finds the piece of a facet and the
-cell of a piece alike.  The table is combinatorial: with each distinct
-vertex's angle about the shared vertices taken once and sorted, sector i,
-from angle i - 1 to angle i, goes to the entry with a polygon that holds
-both, which the polygons' indices into the sorted angles find
-(``_sector_entry``); a piece, or a facet's pieces, that several maps of one
-pass list share that layout.
+image's (``pieces.fan_cells``), or a whole face on which the boundary map
+is affine, the identity or a triangle of F.  The pieces of a facet share a
+vertex, as the cells of a piece do, so one combinatorial sector table
+about the shared vertices finds the piece of a facet and the cell of a
+piece alike (``_sector_entry``).
 
 So the radial extension of a box is affine on the cone from the domain
-centre over each cell, and a ``RadialMap`` is those cells, stacked from its
-pieces at construction (``radial_maps`` builds several maps in one stacked
-pass).  It both evaluates and inverts the map: forward by one facet test, a
-sector test for the piece and one for the cell (each skipped where there is
-one entry) and one affine product, backward by the image cell whose cone
-from b holds the point (``psi``, a scan of the image cells' fan frames)
-and one inverse affine product.  The same cells make the boundary map's
-certificate finite and exact: ``RadialMap.validate_boundary_map`` checks
-its seams on the cell complex and its orientation by exact signs on the
-cell vertices, so the image cells are the only triangulation of the
-polyhedron's surface that the map needs.
+centre a over each cell, and a ``RadialMap`` is those cells, stacked from
+its pieces at construction (``radial_maps`` builds several maps in one
+stacked pass).  It evaluates the map by one facet test, a sector test for
+the piece and one for the cell (each skipped where there is one entry) and
+one affine product, and inverts it by the image cell whose cone from b
+holds the point (``psi``) and one inverse affine product.  The same cells
+make the chart's certificate finite and exact.  Construction refuses a
+fan triangle whose image cone about b is not oriented as its domain cone
+about a (``_cone_signs``), and ``RadialMap.validate_boundary_map`` checks
+that the fan triangles form a closed surface of one orientation, with one
+image per point, and counts by exact signs the cones that hold one
+direction: the degree of the surface about each centre, which must be 1
+on both sides.  So the chart maps its box homeomorphically onto its image
+solid, every face fan is star about its centres, and the image cells are
+the only triangulation of the solid's surface that the map needs.
 """
 
 from __future__ import annotations
@@ -58,8 +50,11 @@ import numpy as np
 from .geometry import (TAU_GEOM, GeometryError, _as_array, _cross, _det3_signs, _dots,
                        _starts)
 
-# Relative tolerance of the facet area sums of a boundary map's cells
-TAU_SEAM = 1e-9
+# the directions from a chart's centres along which validate_boundary_map
+# counts the cones that hold them: the first that lies in the plane of no
+# cone face is taken
+_DIRECTIONS = ((0.5377, 0.1833, 0.8226), (-0.4336, 0.3426, 0.8339),
+               (0.7269, -0.3035, -0.6163))
 
 
 # ---------------------------------------------------------------------------
@@ -68,26 +63,18 @@ TAU_SEAM = 1e-9
 class Box:
     """The axis-aligned cuboid [lo, hi], the domain of a ``RadialMap``: it
     is convex about its midpoint ``centre``.  Its ``diameter`` is its
-    diagonal, ``tol`` the ``TAU_GEOM`` multiple of that, and its
-    ``facet_planes`` its facets' unit normals and areas, in closed form:
-    facet 2k is the face x_k = lo[k] (normal -e_k) and facet 2k + 1 the
-    face x_k = hi[k] (normal e_k), each with the product of its two sides
-    as area.  Raises GeometryError unless lo and hi are finite 3-vectors
-    with lo < hi on every axis."""
-
-    # -e_k and e_k; + 0.0 turns the -0.0 of the products into 0.0
-    _NORMALS = np.kron(np.eye(3), [[-1.0], [1.0]]) + 0.0
+    diagonal and ``tol`` the ``TAU_GEOM`` multiple of that; facet 2k is
+    the face x_k = lo[k] and facet 2k + 1 the face x_k = hi[k].  Raises
+    GeometryError unless lo and hi are finite 3-vectors with lo < hi on
+    every axis."""
 
     def __init__(self, lo, hi):
         self.lo, self.hi = _as_array(lo), _as_array(hi)
         if not np.all(self.lo < self.hi):
             raise GeometryError(f"a box needs lo < hi per axis, got {self.lo} and {self.hi}")
-        side = self.hi - self.lo
         self.centre = 0.5 * (self.lo + self.hi)
-        self.diameter = float(np.linalg.norm(side))
+        self.diameter = float(np.linalg.norm(self.hi - self.lo))
         self.tol = TAU_GEOM * self.diameter
-        area = np.repeat([side[1] * side[2], side[0] * side[2], side[0] * side[1]], 2)
-        self.facet_planes = (self._NORMALS, area)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +97,11 @@ class RadialMap:
     to 5) and in order within a facet, maps onto the solid's facet j.
     Another domain than a box, a centre other than a finite 3-vector, a
     facet without pieces, a piece without cells, a cell whose polygons
-    differ in length, have fewer than 3 vertices or a non-finite coordinate,
-    a domain vertex off its box facet, or a piece under a key other than
-    the facets 0 to 5 raises GeometryError naming its cell.
+    differ in length, have fewer than 3 vertices, a vertex that is not
+    three numbers or a non-finite coordinate, a domain vertex off its box
+    facet, or a piece under a key other than the facets 0 to 5 raises
+    GeometryError naming its cell.  A vertex may be any sequence of three
+    numbers: construction takes each as a tuple of floats.
 
     Each cell is the cone from the domain centre a over one polygon on which
     the boundary piece is affine (a cell of the piece: a triangle, or a
@@ -129,7 +118,8 @@ class RadialMap:
     the domain box by more than ``domain.tol``; ``eval3`` checks nothing.
 
     The image cells are the cones from b over the image polygons, which
-    cover space (``psi``).  ``inverse`` maps b to a, and any other q to
+    tile space once the chart passes ``validate_boundary_map`` (``psi``).
+    ``inverse`` maps b to a, and any other q to
     a + A^-1 (q - b), A the linear part of the image cell whose cone holds
     q - b (``psi``, through the module's name, which scans ``_frames``, the
     barycentric frames of the fan triangles of every image polygon, in cell
@@ -143,18 +133,13 @@ class RadialMap:
     ``point_ids`` the point of each vertex, numbered 0, 1, ...),
     ``cell_facets`` each cell's domain facet and its piece's running index,
     the image facet, and ``fans`` the rows of the fan triangles (0, i, i + 1)
-    of every polygon, with ``fan_cell`` the cell of each.  The linear parts
-    (``linear``), the fan frames of the image cells, the boundary-map
-    validation and ``global_map.CellTable`` read them; the sector entries
-    take the pieces' cells and the rows of ``linear``.  ``images`` holds
-    each vertex's image b + A (p - a) under its own cell's A, from which
-    the fan frames and ``global_map.CellTable`` take it.  ``facet_planes``
-    holds, per image facet, its unit normal signed away from b, its offset
-    n . p0 at the piece's first image point p0, and its area, from the
-    piece's vector area, the sum of (w1 - w0) x (w2 - w0) over the image
-    fan triangles (w0, w1, w2), each times its domain cone's orientation
-    sign; ``diameter`` is that of the bounding box of the image points and
-    ``tol`` its ``TAU_GEOM`` multiple.
+    of every polygon, with ``fan_cell`` the cell of each.  ``linear`` holds
+    the cells' linear parts and ``images`` each vertex's image b + A (p - a)
+    under its own cell's A.  ``facet_planes`` holds, per image facet, its
+    unit normal signed away from b, along the piece's vector area, and its
+    offset n . p0 at the piece's first image point p0; ``diameter`` is that
+    of the bounding box of the image points and ``tol`` its ``TAU_GEOM``
+    multiple.
     """
 
     def __init__(self, domain: Box, centre, pieces_by_facet):
@@ -217,64 +202,56 @@ class RadialMap:
     # -- diagnostics -------------------------------------------------------
 
     def validate_boundary_map(self) -> ValidationReport:
-        """Exact check of the boundary map on the pieces' affine cells, as
-        construction stacked them (``point_ids``, ``sizes``, ``targets``,
-        ``cell_facets``, ``fans``).
+        """Exact check that the chart maps its box homeomorphically onto
+        its image solid, on its cells' fan triangles (``fans``), each turned
+        by the sign of its domain cone about a.
 
-        The seams are exact (``_seam_faults``): the cells meet edge to edge
-        and give each point one image, so the boundary map is continuous;
-        ``seam_violations`` counts the edges and points that fail, and
-        ``detail`` names the cell of the first.  The images of each piece's
+        Seams (``_seam_faults``): each point has one image, and the turned
+        triangles form a closed surface of one orientation, each directed
+        edge run once and its reverse once, so a T-junction is refused;
+        ``seam_violations`` counts the points and edges that fail, and
+        ``detail`` names the cell of the first.  Cones (``_turned_cones``):
+        each image cone about b has its domain cone's orientation, and on
+        each side exactly one turned cone holds a fixed direction.  On a
+        surface that passes the seams, with every turned cone positive, the
+        radial projection from the centre onto the sphere of directions is
+        a branched covering, and that count is its degree, which ``detail``
+        states per side.  Degree 1 makes the projection a homeomorphism:
+        the domain triangles cover the box's boundary once, each ray from b
+        crosses the image surface once, and the radial extension is
+        injective.  ``injectivity_violations`` counts the cones of the
+        wrong orientation and the sides of another degree.  Every sign is
+        exact (``geometry._det3_signs``).  Last, the images of each piece's
         cells lie in the plane of its image facet (``facet_planes``) within
         max(1e3 tol, 1e-12 diameter) (``worst_boundary_dev``), the only
-        test that an image facet is planar.  The image of each cell, ordered
-        positively in its domain facet, is positive in its image facet, and
-        the signed areas of each facet's triangles sum, within a relative
-        ``TAU_SEAM``, to the box facet's area on the domain side and to the
-        facet's ``facet_planes`` area, the length of their vector sum, on
-        the image side.  So the triangles of an image facet have one
-        orientation; that does not show that they cover the facet once (an
-        image fan that winds twice about its centre passes).  The signs are
-        exact: ``_oriented_areas`` takes them for all triangles of the chart
-        from ``geometry._det3_signs``, whose float filter decides every sign
-        outside Shewchuk's error bound and leaves the rest, zero areas among
-        them, to exact integer arithmetic.  ``injectivity_violations``
-        counts the triangles that are not positive on both sides or that
-        lie in a facet whose area sum fails.
-        """
+        test that an image facet is planar."""
         tol_boundary = max(self.tol * 1e3, 1e-12 * self.diameter)
-        dom_n, dom_area = self.domain.facet_planes
-        cod_n, cod_d, cod_area = self.facet_planes
-        # every cell vertex and its image, cell after cell
-        dom, img, start = self.points, self.targets, _starts(self.sizes)
-        seams, others, split = _seam_faults(self.point_ids, self.sizes, img)
-        detail = f"tol_boundary={tol_boundary:.3e}"
-        if seams:
-            k = int(np.flatnonzero((others != 1) | split)[0])
-            p = tuple(dom[k].tolist())
-            detail += (f"; {self.labels[bisect_right(start.tolist(), k) - 1]}: "
-                       + (f"point {p} has several images" if split[k]
-                          else f"its edge from {p} lies in {others[k]} other cells"))
-        cell_fd, cell_fc = self.cell_facets.T
-        at = np.repeat(cell_fc, self.sizes)
+        cod_n, cod_d = self.facet_planes
+        dom, img, fans = self.points, self.targets, self.fans
+        at = np.repeat(self.cell_facets[:, 1], self.sizes)
         worst_b = float(np.abs(_dots(img, cod_n[at]) - cod_d[at]).max())
-        # each cell polygon as its fan of triangles (0, i, i + 1)
-        dom, img = dom[self.fans], img[self.fans]
-        fd, fc = cell_fd[self.fan_cell], cell_fc[self.fan_cell]
-        signs, areas = _oriented_areas(np.concatenate([dom_n[fd], cod_n[fc]]),
-                                       np.concatenate([dom, img]))
-        n = len(fd)
-        sd, si, ad, ai = signs[:n], signs[n:], areas[:n], areas[n:]
-        bad = sd * si <= 0
-        # every facet holds a triangle: construction refuses empty ones
-        for idx, area, signed in ((fd, dom_area, sd * ad), (fc, cod_area, sd * ai)):
-            bad |= (np.abs(np.bincount(idx, signed, len(area)) - area) > TAU_SEAM * area)[idx]
-        viol = int(bad.sum())
-
+        signs, held = _turned_cones(np.stack([dom[fans], img[fans]]),
+                                    np.array([self._a, self._b]))
+        turn = signs[0]
+        degrees = [0, 0] if held is None else np.count_nonzero(held, axis=1).tolist()
+        viol = (int(np.count_nonzero((signs[1] != turn) | (turn == 0)))
+                + sum(k != 1 for k in degrees))
+        detail = ("; every direction of the degree count lies in the plane of a cone face"
+                  if held is None else "; domain degree {}, image degree {}".format(*degrees))
+        seams, first, split = _seam_faults(self.point_ids, fans, turn, img)
+        if split.any():
+            k = int(np.flatnonzero(split)[0])
+            cell = bisect_right(_starts(self.sizes).tolist(), k) - 1
+            detail += f"; {self.labels[cell]}: point {tuple(dom[k].tolist())} has several images"
+        elif first:
+            t, (u, v), runs = first
+            p, q = (tuple(dom[np.flatnonzero(self.point_ids == i)[0]].tolist()) for i in (u, v))
+            detail += (f"; {self.labels[self.fan_cell[t]]}: its edge from {p} to {q} is run "
+                       "{} times and its reverse {} times".format(*runs))
         passed = worst_b <= tol_boundary and seams == 0 and viol == 0
         return ValidationReport(passed=passed, worst_boundary_dev=worst_b,
                                 seam_violations=seams, injectivity_violations=viol,
-                                detail=detail)
+                                detail=f"tol_boundary={tol_boundary:.3e}" + detail)
 
 
 def radial_maps(specs):
@@ -312,37 +289,58 @@ def _cone_signs(points, targets, fans, a, b):
     return signs[:n], np.flatnonzero((signs[n:] != signs[:n]) | (signs[:n] == 0))
 
 
-def _oriented_areas(normals, tris):
-    """(signs, signed areas) of a stack of 3D triangles (N, 3, 3), each seen
-    along its unit normal normals[k]: half of normal . ((p1 - p0) x
-    (p2 - p0)), the determinant with rows normal, p1 - p0 and p2 - p0,
-    whose sign ``_det3_signs`` decides exactly."""
-    signs, dets = _det3_signs(
-        np.stack([normals, tris[:, 1], tris[:, 2]], axis=1),
-        np.stack([np.zeros_like(normals), tris[:, 0], tris[:, 0]], axis=1))
-    return signs, dets / 2
+def _turned_cones(tris, centres):
+    """(signs, held) of the cones of a chart's fan triangles, ``tris``
+    (2, T, 3, 3) on the domain and the image side, about ``centres`` (2, 3),
+    a and b: each cone's exact orientation (``signs``, (2, T)), and whether
+    the cone turned by its domain cone's sign holds d, the first of
+    ``_DIRECTIONS`` in the plane of no cone face: whether the turned signs
+    of det(w_i - c, w_j - c, d) over its faces (i, j) are all positive
+    (``held``, (2, T); None if no direction qualifies).  The 8T signs of a
+    direction come from one ``geometry._det3_signs`` call."""
+    n = tris.shape[1]
+    # per side, the cone's rows and each face's two rows and d, less the
+    # centre from each vertex row
+    p = np.empty((2, 4, n, 3, 3))
+    p[:, 0] = tris
+    p[:, 1:, :, :2] = tris[:, :, [[0, 1], [1, 2], [2, 0]]].transpose(0, 2, 1, 3, 4)
+    q = np.zeros((2, 4, n, 3, 3))
+    q[:, :, :, :2] = centres[:, None, None, None]
+    q[:, 0, :, 2] = centres[:, None]
+    for d in _DIRECTIONS:
+        p[:, 1:, :, 2] = d
+        signs = _det3_signs(p.reshape(-1, 3, 3), q.reshape(-1, 3, 3))[0].reshape(2, 4, n)
+        if signs[:, 1:].all():
+            return signs[:, 0], (signs[:, 1:] * signs[0, 0] > 0).all(axis=1)
+    return signs[:, 0], None
 
 
-def _seam_faults(ids, sizes, targets):
-    """(faults, others, split) of the cell polygons whose vertices, cell
-    after cell (``sizes`` per cell), are the points ``ids`` (numbered by
-    their exact coordinates) with images ``targets``: per vertex, the other
-    cells that hold its undirected edge to the next vertex (``others``) and
-    whether its point has several images (``split``); ``faults`` counts the
-    edges of other than one other cell and the points of several images.
-    Without faults, two affine cells agree on their shared edge, so the
-    boundary map is continuous, exactly."""
-    n = int(ids.max()) + 1
-    start = _starts(sizes)
-    after = np.arange(1, len(ids) + 1)
-    after[start + sizes - 1] = start
-    edges = list(zip(np.minimum(ids, ids[after]).tolist(), np.maximum(ids, ids[after]).tolist()))
+def _seam_faults(ids, fans, turn, targets):
+    """(faults, first, split) of a chart's fan triangles ``fans`` (rows of
+    the points, numbered ``ids`` by their exact coordinates, and of their
+    images ``targets``), each turned by the sign ``turn``: the number of
+    edges not run once each way and of points of several images; None or
+    (triangle, (u, v), runs of it and of its reverse) of the first directed
+    edge that fails; and per vertex whether its point has several images.
+    Without faults the turned triangles form a closed surface of one
+    orientation on which the boundary map is continuous, exactly."""
+    edges = []
+    for (a, b, c), s in zip(ids[fans].tolist(), turn.tolist()):
+        if s < 0:
+            b, c = c, b
+        edges += ((a, b), (b, c), (c, a))
     uses = Counter(edges)
+    broken = [e for e, (u, v) in enumerate(edges) if uses[u, v] != 1 or uses[v, u] != 1]
+    first = None
+    if broken:
+        u, v = edges[broken[0]]
+        first = (broken[0] // 3, (u, v), (uses[u, v], uses[v, u]))
+    n = int(ids.max()) + 1
     image = np.empty((n, 3))
     image[ids] = targets
     split = np.bincount(ids, (targets != image[ids]).any(axis=1), n) > 0
-    faults = sum(c != 2 for c in uses.values()) + np.count_nonzero(split)
-    return int(faults), np.array([uses[e] for e in edges]) - 1, split[ids]
+    faults = len({(min(edges[e]), max(edges[e])) for e in broken}) + int(np.count_nonzero(split))
+    return faults, first, split[ids]
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +417,14 @@ def _build_maps(maps, specs):
     ``pieces_by_facet`` other than 0 to 5 is walked last.  The walk refuses
     a facet without pieces, a piece without cells, and a cell whose two
     polygons differ in length or have fewer than 3 vertices; then the
-    stacks refuse a non-finite coordinate, and a domain vertex whose
-    coordinate on its facet's axis is not exactly the facet's level (every
-    vertex of a key other than 0 to 5).  Before any solve, the cone
-    signs of all fan triangles (``_cone_signs``) certify the centres b;
-    the first that fails raises GeometryError naming its cell.  One sum
+    stacks refuse a vertex that is not three numbers (``_vertex_rows``), a
+    non-finite coordinate, and a domain vertex whose coordinate on its
+    facet's axis is not exactly the facet's level (every vertex of a key
+    other than 0 to 5).  The point numbering and the sector layouts take
+    the domain vertices as the stack's rows, tuples of floats, whatever
+    sequences the pieces gave.  Before any solve, the cone signs of all fan
+    triangles (``_cone_signs``) certify the centres b; the first that
+    fails raises GeometryError naming its cell.  One sum
     over each piece's image fan triangles, from its first fan row in cell
     order, each turned by its domain cone's sign (so that the cells of a
     piece may run either way round), gives its vector area and so the
@@ -441,7 +442,7 @@ def _build_maps(maps, specs):
     per-matrix call bitwise, so every map is the one that its own
     construction builds.  Raises the first error met, naming its cell
     ("facet f piece k cell j") or its piece."""
-    doms, imgs, facets, labels, piece_names, piece_cells, n_pieces = [], [], [], [], [], [], []
+    sizes, doms, imgs, facets, labels, piece_names, piece_cells, n_pieces = ([] for _ in range(8))
     sides = []        # per cell: its facet's axis and level (NaN off the six)
     for rmap, (domain, centre, pieces_by_facet) in zip(maps, specs):
         if not isinstance(domain, Box):
@@ -471,7 +472,8 @@ def _build_maps(maps, specs):
                         raise GeometryError(f"{labels[-1]}: a polygon of {len(dom)} vertices "
                                             f"onto one of {len(img)}; a cell needs 3 or more"
                                             " vertices and one image each")
-                    doms.append(dom)
+                    sizes.append(len(dom))
+                    doms.extend(dom)
                     imgs.extend(img)
                 facets.extend([(facet, served)] * len(piece))
                 sides.extend([side] * len(piece))
@@ -480,13 +482,16 @@ def _build_maps(maps, specs):
                 served += 1
         rmap.labels = labels[first:]
         n_pieces.append(served)
-    sizes = np.array([len(dom) for dom in doms])
+    sizes = np.array(sizes)
     starts = _starts(sizes)
     counts = np.array([len(rmap.labels) for rmap in maps])
     centres = [np.array(c).repeat(counts, axis=0)
                for c in ([rmap._a for rmap in maps], [rmap._b for rmap in maps])]
-    points = np.array([p for dom in doms for p in dom], dtype=float)
-    targets = np.array(imgs, dtype=float)
+    points, targets = _vertex_rows(doms, starts, labels), _vertex_rows(imgs, starts, labels)
+    # each domain vertex as a tuple of floats, which the point numbering
+    # and the sector layouts key on; and each cell's polygon of them
+    doms = list(map(tuple, points.tolist()))
+    polygons = [doms[k:k + size] for k, size in zip(starts.tolist(), sizes.tolist())]
     # flatnonzero here and a float sign column below, not a full .all() or
     # an int-by-float broadcast: either of those pages 64 KB of numpy's
     # native code that no other build step uses
@@ -506,7 +511,7 @@ def _build_maps(maps, specs):
             if facet in range(6) else f"a box has no facet {facet}; its facets are 0 to 5"))
     # the fan triangles (0, i, i + 1) of every polygon, cell after cell
     fan_starts = _starts(sizes - 2)
-    fan_cell = np.repeat(np.arange(len(doms)), sizes - 2)
+    fan_cell = np.repeat(np.arange(len(sizes)), sizes - 2)
     i = np.arange(len(fan_cell)) - fan_starts[fan_cell]
     fans = starts[fan_cell][:, None] + np.stack([0 * i, i + 1, i + 2], axis=1)
     signs, bad = _cone_signs(points, targets, fans, *(c[fan_cell] for c in centres))
@@ -531,7 +536,7 @@ def _build_maps(maps, specs):
     w0 = w[piece_fan, 0]
     outward = _dots(vector, w0 - centres[1][piece_cell]) >= 0.0
     normals = vector / np.where(outward, twice, -twice)[:, None]
-    planes = (normals, _dots(normals, w0), twice / 2)
+    planes = (normals, _dots(normals, w0))
     # rows: A d_i = w_i over the first three vertices of each cell
     first3 = starts[:, None] + np.arange(3)
     linear = np.ascontiguousarray(np.swapaxes(np.linalg.solve(
@@ -552,16 +557,17 @@ def _build_maps(maps, specs):
         # or (iu, iv, True, cu, cv, bounds, pieces) of such piece entries;
         # a piece or a facet's pieces that several maps list share a layout
         table = []
-        rest = iter(rows[c0:c0 + n])
+        rest = iter(zip(polygons[c0:c0 + n], rows[c0:c0 + n]))
         for facet, (iu, iv) in enumerate(_FACE_AXES):
             pieces = rmap.pieces_by_facet[facet]
+            cells = [[next(rest) for _ in piece] for piece in pieces]
             entries = [entry((facet // 2, id(piece)), f"cells of facet {facet} piece {k}",
-                             [[dom] for dom, _ in piece], [next(rest) for _ in piece], iu, iv)
-                       for k, piece in enumerate(pieces)]
+                             [[dom] for dom, _ in own], [m for _, m in own], iu, iv)
+                       for k, (piece, own) in enumerate(zip(pieces, cells))]
             table.append((iu, iv, False) + entries[0] if len(entries) == 1
                          else (iu, iv, True) + entry(
                              (facet // 2, *map(id, pieces)), f"pieces of facet {facet}",
-                             [[dom for dom, _ in piece] for piece in pieces], entries, iu, iv))
+                             [[dom for dom, _ in own] for own in cells], entries, iu, iv))
         tol = rmap.domain.tol
         rmap._consts = (rmap._a + rmap._b + tuple(map(float, rmap.domain.lo))
                         + tuple(map(float, rmap.domain.hi)) + (tol * tol, table))
@@ -588,11 +594,30 @@ def _build_maps(maps, specs):
         rmap.linear = linear[c0:c1]
         rmap.fan_cell, rmap.fans = fan_cell[t0:t1] - c0, fans[t0:t1] - p0
         number = {}       # each distinct point of the map, numbered
-        rmap.point_ids = np.array([number.setdefault(q, len(number))
-                                   for dom in doms[c0:c1] for q in dom])
+        rmap.point_ids = np.array([number.setdefault(q, len(number)) for q in doms[p0:p1]])
         rmap._frames = list(zip(frames[t0:t1], rmap.fan_cell.tolist()))
         rmap._inverses = inverses[c0:c1]
         c0, p0, t0, k0 = c1, p1, t1, k1
+
+
+def _vertex_rows(vertices, starts, labels):
+    """The (N, 3) float array of the cell vertices ``vertices``, cell after
+    cell from the rows ``starts``.  Raises GeometryError naming the cell
+    (``labels``) of the first vertex that is not three numbers."""
+    try:
+        rows = np.array(vertices, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is not None and rows.shape == (len(vertices), 3):
+        return rows
+    for k, v in enumerate(vertices):
+        try:
+            row = np.array(v, dtype=float)
+        except (TypeError, ValueError):
+            row = None
+        if row is None or row.shape != (3,):
+            raise GeometryError(f"{labels[bisect_right(starts.tolist(), k) - 1]}: "
+                                f"vertex {v!r} is not three numbers")
 
 
 def _mapped_points(d, sizes, linear):
@@ -618,11 +643,11 @@ def psi(rmap, dx, dy, dz):
     barycentric frames of the fan triangles of each image polygon about b),
     in cell order: k is the first cell with a fan triangle in which d has
     barycentrics l >= -1e-9 sum(l), and failing that, the cell that d
-    misses least; t = 1 / sum(l).  The image cones cover space (the chart's
-    cone signs and its closed seams make the image surface wind about b a
-    positive number of times), and they tile it where it winds once, which
-    no exact check shows yet (see ``validate_boundary_map``); then the ray
-    crosses the boundary once, in cell k, and t >= 1 unless q is exterior.
+    misses least; t = 1 / sum(l).  The image cones tile space: the chart's
+    cone signs and its closed seams make the image surface a branched
+    covering of the sphere of directions about b, of degree 1 by
+    ``validate_boundary_map``.  So the ray crosses the boundary once, in
+    cell k, and t >= 1 unless q is exterior.
     Raises GeometryError where that crossing lies nearer than q by more
     than 4 ``rmap.tol``, and where d is zero or not finite."""
     dist = math.hypot(dx, dy, dz)

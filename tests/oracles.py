@@ -25,8 +25,9 @@ of its ``RadialMap``s, kept here as the oracles of the tests.
   certified its centre; the reference that the cone signs are held
   against;
 - ``point_in_polygon``: even-odd ray casting in a plane;
-- ``oriented_area_fraction``: the oriented area of a chart's boundary
-  triangle in Fraction;
+- ``cones_holding_fraction``: the orientations of a chart's cones and
+  whether each holds a direction, in Fraction, against which the degree
+  count of ``RadialMap.validate_boundary_map`` is held;
 - ``cover_deviation_all_pairs``: the seam deviation of a chart's boundary
   triangles as a distance, every triangle solved against every triangle
   vertex in one batched solve: the float reading of the seams that
@@ -72,10 +73,9 @@ of its ``RadialMap``s, kept here as the oracles of the tests.
 - ``ball_growth_check``: the expansion ratio of the image of a small
   sphere above L, which the beam regime bounds below by 32;
 - ``radial_power_dilatation_oracle``: the dilatations of |x| x from their
-  closed form, checked against finite differences;
+  closed form, checked against finite differences of a map;
 - ``cuboid_spec``: the ``Polyhedron`` arguments of an axis-aligned cuboid,
-  whose facet normals and areas a ``star_extend.Box`` gives in closed
-  form;
+  its facets numbered as a ``star_extend.Box`` numbers them;
 - ``cell_facets_by_planes``: each cell's domain facet by the planes, as
   ``RadialMap.validate_boundary_map`` once searched for it before
   construction recorded it, and its codomain facet by its piece's place in
@@ -91,7 +91,6 @@ from fractions import Fraction
 import numpy as np
 
 from qrdyn.dynamics import _fibonacci_sphere
-from qrdyn.example_maps import radial_square_eval
 from qrdyn.geometry import TAU_GEOM, GeometryError, _as_array, _det3_signs
 from qrdyn.zorich import _EXP_ARG_MAX, HORIZON, F_scalar, _fold1, _off_horizon
 
@@ -266,15 +265,25 @@ def cover_deviation_all_pairs(dom, img, tol):
     return float(np.linalg.norm(want - images[at], axis=1).max(initial=0.0))
 
 
-def oriented_area_fraction(normal, tri):
-    """(sign, signed area) of a 3D triangle seen along a unit normal, from
-    normal . ((p1 - p0) x (p2 - p0)) in Fraction."""
-    n, p0, p1, p2 = [[Fraction(c) for c in p] for p in [list(normal)] + tri.tolist()]
-    e1 = [b - a for a, b in zip(p0, p1)]
-    e2 = [b - a for a, b in zip(p0, p2)]
-    s = (n[0] * (e1[1] * e2[2] - e1[2] * e2[1]) - n[1] * (e1[0] * e2[2] - e1[2] * e2[0])
-         + n[2] * (e1[0] * e2[1] - e1[1] * e2[0]))
-    return (s > 0) - (s < 0), float(s) / 2
+def cones_holding_fraction(tris, centre, d):
+    """(signs, inside) of the cones from ``centre`` over the triangles
+    ``tris`` (T, 3, 3), in Fraction: each cone's orientation, the sign of
+    det(w0 - c, w1 - c, w2 - c), and whether the direction d lies inside it,
+    its coordinates along w0 - c, w1 - c and w2 - c (Cramer's rule) all
+    positive."""
+    def det(u, v, w):
+        return (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+                + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+    c, d = [Fraction(x) for x in centre], [Fraction(x) for x in d]
+    signs, inside = [], []
+    for tri in tris.tolist():
+        e = [[Fraction(x) - y for x, y in zip(w, c)] for w in tri]
+        whole = det(*e)
+        signs.append((whole > 0) - (whole < 0))
+        inside.append(whole != 0 and all(det(*(d if j == i else e[j] for j in range(3))) / whole
+                                         > 0 for i in range(3)))
+    return signs, inside
 
 
 def _psi_polygon_scalar(verts, ax, ay, rx, ry):
@@ -886,10 +895,10 @@ def ball_growth_check(gm, xi, delta, samples=500):
 DilatationOracle = namedtuple("DilatationOracle", "k_i k_o max_deviation")
 
 
-def radial_power_dilatation_oracle(dim, samples=1000, seed=0):
+def radial_power_dilatation_oracle(fn, dim, samples=1000, seed=0):
     """Pointwise dilatations of |x| x from its analytic singular values
     (radial 2|x|, tangential |x|), cross-checked against finite-difference
-    Jacobians at sample points."""
+    Jacobians of ``fn``, a map meant to be |x| x, at sample points."""
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     k_i = 2.0                      # J / l^d = 2 |x|^d / |x|^d
@@ -906,8 +915,7 @@ def radial_power_dilatation_oracle(dim, samples=1000, seed=0):
         for k in range(dim):
             dp = np.zeros(dim)
             dp[k] = h
-            j[:, k] = (np.asarray(radial_square_eval(x + dp))
-                       - np.asarray(radial_square_eval(x - dp))) / (2 * h)
+            j[:, k] = (np.asarray(fn(x + dp)) - np.asarray(fn(x - dp))) / (2 * h)
         sv = np.linalg.svd(j, compute_uv=False)
         det = abs(np.linalg.det(j))
         worst = max(worst, abs(det / sv[-1] ** dim - k_i),

@@ -647,13 +647,15 @@ class TestBuildMatchesOracles:
             assert _bits((new._consts, new._frames, new._inverses)) == _bits(
                 (was._consts, was._frames, was._inverses))
         table, was = build.g.table, old.g.table
-        for name in ("chart", "a", "b", "linear", "sizes", "starts", "points", "targets",
+        for name in ("chart", "linear", "sizes", "starts", "points", "targets",
                      "point_ids", "signs", "dets", "s_max", "s_min", "k"):
             assert getattr(table, name).tobytes() == getattr(was, name).tobytes(), name
         assert table.labels == was.labels
-        assert table.images.tobytes() == (np.repeat(table.b, table.sizes, axis=0) + (
-            star_extend._mapped_points(table.points - np.repeat(table.a, table.sizes, axis=0),
-                                       table.sizes, table.linear))).tobytes()
+        # each vertex's chart centres a and b
+        at = np.repeat(table.chart, table.sizes)
+        a, b = (np.array([getattr(c.map, end) for c in table.charts])[at] for end in ("_a", "_b"))
+        assert table.images.tobytes() == (b + star_extend._mapped_points(
+            table.points - a, table.sizes, table.linear)).tobytes()
         assert _bits((build.L_prime, build.K_slab, build.min_cell_det)) == _bits(
             (old.L_prime, old.K_slab, old.min_cell_det))
         assert build.constants == old.constants
@@ -661,8 +663,9 @@ class TestBuildMatchesOracles:
     def test_random_planar_polygons(self):
         # seeded planar polygons in general position, star about their
         # centroid: the vector area that face_centre weighs by
-        # (oracles.fan_crosses) lies along the Newell normal, and
-        # its length is twice the shoelace area of the polygon in its plane
+        # (oracles.fan_crosses) lies along the Newell normal, and its
+        # length is twice the shoelace area of the polygon in its plane;
+        # the package's centroid is face_centre's, bitwise
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(3, 7))
@@ -677,22 +680,18 @@ class TestBuildMatchesOracles:
             assert np.linalg.norm(area) == pytest.approx(abs(shoelace), rel=1e-13)
             assert np.allclose(area / np.linalg.norm(area), polygon_normal_rows(np.array(loop)),
                                rtol=0, atol=1e-14)
+            assert face_centres([loop])[0].tolist() == list(face_centre(loop))
 
     def test_polyhedra(self, build):
         # each image facet's plane, from its piece's image cells: its normal
         # is the Newell normal of the oracle's facet loop up to sign, signed
-        # away from b, its offset the normal's dot with any loop vertex, and
-        # its area the sum of the areas of the oracle's surface triangles
+        # away from b, and its offset the normal's dot with any loop vertex
         for chart in build.g.charts:
             rmap = chart.map
             shape = image_solid(rmap)
             v = shape.vertices
-            normals, offsets, areas = rmap.facet_planes
+            normals, offsets = rmap.facet_planes
             assert len(normals) == len(shape.facet_polys)
-            tris, tri_facet = surface_triangles(shape)
-            p = v[tris]
-            tri_areas = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1) / 2
-            assert np.allclose(np.bincount(tri_facet, tri_areas), areas, rtol=1e-13, atol=0)
             for poly, n, d in zip(shape.facet_polys, normals, offsets):
                 assert abs(abs(n @ polygon_normal_rows(v[poly])) - 1.0) <= 1e-15
                 assert np.all((v[poly] - shape.centre) @ n > 0), chart.cell_id

@@ -102,19 +102,22 @@ class TestRadialSquare:
 
 
 class TestDilatationOracle:
+    """The dilatations of ``radial_square_eval``, |x| x, by finite
+    differences against their closed form."""
+
     def test_inner_dilatation_is_two_in_both_dimensions(self):
         for dim in (2, 3):
-            oracle = radial_power_dilatation_oracle(dim, samples=300)
+            oracle = radial_power_dilatation_oracle(radial_square_eval, dim, samples=300)
             assert oracle.k_i == 2.0
             assert oracle.max_deviation <= 1e-3
 
     def test_outer_dilatation_dim3_is_four(self):
-        oracle = radial_power_dilatation_oracle(3, samples=300)
+        oracle = radial_power_dilatation_oracle(radial_square_eval, 3, samples=300)
         assert oracle.k_o == 4.0
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
-            radial_power_dilatation_oracle(4)
+            radial_power_dilatation_oracle(radial_square_eval, 4)
 
 
 class TestPatch:

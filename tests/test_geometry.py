@@ -60,6 +60,9 @@ def pentagon(centre2=PENTAGON_CENTRE):
     return prism(PENTAGON, (*centre2, 2.0), height=4.0)
 
 
+# the outward unit normals -e_k and e_k of a box's facets 2k and 2k + 1
+BOX_NORMALS = np.kron(np.eye(3), [[-1.0], [1.0]])
+
 # the 6-vertex triangulation of the real projective plane: closed, each edge
 # in two triangles, and not orientable
 RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
@@ -83,7 +86,7 @@ class TestOrientation:
         centre = (0.2, -0.1, 0.3)
         shape, lo_hi = cube_chart(centre, flip=(1, 3, 5)), cube_chart(centre)
         assert all(map(np.array_equal, shape.facet_planes, lo_hi.facet_planes))
-        assert np.array_equal(shape.facet_planes[0], Box([-1.0] * 3, [1.0] * 3).facet_planes[0])
+        assert np.array_equal(shape.facet_planes[0], BOX_NORMALS)
         assert shape.validate_boundary_map().passed
         solid = image_solid(shape)
         assert np.all(_outward_volumes(solid) > 0)
@@ -99,14 +102,15 @@ class TestOrientation:
         for chart in build.g.charts:
             shape = image_solid(chart.map)
             rows = shape.vertices.tolist()
-            normals, offsets, areas = chart.map.facet_planes
+            normals, offsets = chart.map.facet_planes
             flipped[chart.cell_id] = 0
-            for poly, n, d, area in zip(shape.facet_polys, normals, offsets, areas):
+            for poly, n, d in zip(shape.facet_polys, normals, offsets):
                 v = shape.vertices[poly]
                 assert np.all((v - shape.centre) @ n > 0), chart.cell_id
                 assert np.abs(v @ n - d).max() <= 10 * chart.map.tol
                 vector_area = np.asarray(fan_crosses([rows[i] for i in poly])[2])
-                assert np.linalg.norm(vector_area) == pytest.approx(2 * area, rel=1e-15)
+                assert abs(vector_area @ n) == pytest.approx(np.linalg.norm(vector_area),
+                                                             rel=1e-15)
                 flipped[chart.cell_id] += int(vector_area @ n < 0)
             assert np.all(_outward_volumes(shape) > 0), chart.cell_id
         assert flipped == {"A'": 2, "A''1": 4, "A''2": 5, "A''3": 3, "A''4": 4}
@@ -197,15 +201,20 @@ class TestPsi:
 
 
 class TestCertification:
-    """The oracle star test, which construction no longer runs: a shape
-    builds about any finite centre."""
+    """The oracle star test, which construction no longer runs, and the
+    cone signs that replaced it: a centre that fails the one fails the
+    other."""
 
     def test_exterior_centre_rejected(self):
         assert star_test(cube(), (3, 0, 0)) is not None
+        with pytest.raises(GeometryError, match="not oriented as its domain cone"):
+            cube_chart((3.0, 0.0, 0.0))
 
     def test_boundary_centre_rejected(self):
         # (a, the face triangle through a) has volume zero
         assert star_test(cube(), (1, 0.2, 0.3)) is not None
+        with pytest.raises(GeometryError, match="not oriented as its domain cone"):
+            cube_chart((1.0, 0.2, 0.3))
         shape = pentagon((0.0, 1.0))
         assert star_test(shape, shape.centre) is not None
 
@@ -279,7 +288,9 @@ def l_prism(centre):
 
 class TestBatchedCertification:
     """The oracle star test, which ``test_global_map`` holds the cone signs
-    against, against the brute-force visibility of the boundary."""
+    against, and the exact signs of ``geometry._det3_signs`` over the
+    outward surface triangles, against the brute-force visibility of the
+    boundary."""
 
     @pytest.mark.parametrize("make, hidden", [
         (pentagon, (1.0, 2.0, 2.0)),
@@ -288,10 +299,12 @@ class TestBatchedCertification:
         # the star test passes exactly where the point sees every grid point
         # of the boundary
         shape = make()
+        tris = shape.vertices[surface_triangles(shape)[0]]
         for a in (shape.centre, np.asarray(hidden)):
             probes = _boundary_grid(shape, 8)
             seen = all(_visible_oracle(shape, a, w) for w in probes)
-            assert (star_test(shape, a) is None) == seen == (a is shape.centre)
+            signs = _det3_signs(tris, a)[0]
+            assert (star_test(shape, a) is None) == seen == (a is shape.centre) == all(signs > 0)
 
     @pytest.mark.parametrize("which", ["l_prism"])
     def test_hidden_centre_fails_visibility_audit(self, which):
@@ -302,8 +315,10 @@ class TestBatchedCertification:
         star = make(centre)
         k = _first_backward_simplex(star.vertices, hidden, surface_triangles(star)[0])
         shape = make(hidden)
-        assert surface_triangles(shape)[0].tobytes() == surface_triangles(star)[0].tobytes()
+        tris = surface_triangles(shape)[0]
+        assert tris.tobytes() == surface_triangles(star)[0].tobytes()
         assert star_test(shape, hidden) == k
+        assert np.flatnonzero(_det3_signs(shape.vertices[tris], np.asarray(hidden))[0] <= 0)[0] == k
 
 
 class TestStackedCertification:
@@ -360,9 +375,10 @@ _BOX_SIDES = st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3)
 class TestBox:
     """A ``Box`` against the identity chart of the same cuboid, whose image
     solid is the cuboid as a polyhedron (``oracles.cuboid_spec``): its
-    centre, diameter and tolerance bitwise, its facet normals equal (a zero
-    may differ in sign) and its areas bitwise; corners that span no box, or
-    are not finite, raise."""
+    centre, diameter and tolerance bitwise, and the cuboid's facet 2k on
+    x_k = lo[k] and 2k + 1 on x_k = hi[k] (its normals -e_k and e_k, a
+    zero may differ in sign); corners that span no box, or are not finite,
+    raise."""
 
     @staticmethod
     def assert_matches_polyhedron(lo, hi):
@@ -372,8 +388,7 @@ class TestBox:
         cuboid = RadialMap(box, centre, {f: [[(loop, loop)]] for f, loop in enumerate(loops)})
         assert (box.centre.tobytes(), box.diameter.hex(), box.tol.hex()) \
             == (np.array(cuboid._b).tobytes(), cuboid.diameter.hex(), cuboid.tol.hex())
-        (n, area), (want_n, _, want_area) = box.facet_planes, cuboid.facet_planes
-        assert np.array_equal(n, want_n) and area.tobytes() == want_area.tobytes()
+        assert np.array_equal(cuboid.facet_planes[0], BOX_NORMALS)
 
     def test_chart_boxes(self, build):
         for chart in build.g.charts:
@@ -561,7 +576,7 @@ class TestPsiCones:
         rmap = named_chart(which, request)
         shape = image_solid(rmap)
         b = shape.centre
-        normals, offsets, _ = rmap.facet_planes
+        normals, offsets = rmap.facet_planes
         rng = np.random.default_rng(31)
         lo, hi = shape.vertices.min(axis=0), shape.vertices.max(axis=0)
         edges = _cell_boundary_points(rmap, rng)

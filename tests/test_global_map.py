@@ -21,8 +21,7 @@ from qrdyn.global_map import (CellTable, ConstructionError, GlobalMap, _CHARTS,
                               build_aprime_chart, build_asecond_charts, build_maps,
                               build_report, build_vertex_table, chart_lipschitz,
                               constants_report_text,
-                              derive_translation_constant, _IMAGE_FACE_CENTRES, _IMAGES,
-                              _TOP_QUAD_PLANES)
+                              derive_translation_constant, _IMAGE_FACE_CENTRES, _IMAGES)
 from qrdyn.zorich import HORIZON, PrecisionLost
 
 TABLE = {
@@ -40,6 +39,11 @@ TABLE = {
     "W1": ((1, 0, 1), (6, 0, 2)),
     "X1": ((1, 1, 1), (6, 4, 2)),
 }
+
+
+def eval_at(m, p):
+    """The map m at the point p, as an array."""
+    return np.asarray(m.eval3(*map(float, p)))
 
 
 class TestVertexTable:
@@ -62,17 +66,26 @@ class TestVertexTable:
             assert np.allclose(vt.images[name], img, rtol=0, atol=1e-12)
 
     def test_image_quads_planar_in_stated_planes(self, build):
-        vt = build.vertex_table
-        for names, coeff, rhs in _TOP_QUAD_PLANES:
-            for n in names:
-                assert abs(float(np.dot(coeff, vt.images[n])) - rhs) <= 1e-12
+        # the images of the four level-1 squares are the top pieces of A',
+        # serving its image facets 5 to 8, whose planes hold them within
+        # the validation's tolerance
+        vt, rmap = build.vertex_table, build.g.by_id["A'"].map
+        normals, offsets = rmap.facet_planes
+        tol = max(rmap.tol * 1e3, 1e-12 * rmap.diameter)
+        assert build.validations["A'"].worst_boundary_dev <= tol
+        for j, face in enumerate(_CHARTS["A'"]["facets"][5], start=5):
+            for n in face.split():
+                assert abs(float(normals[j] @ vt.images[n]) - offsets[j]) <= tol, (face, n)
 
     def test_tampered_image_rejected(self, monkeypatch):
+        # X1's image lifted by 0.01 bends the four image quads of the top
+        # pieces of A' out of their planes, which its validation refuses
         bad = dict(_IMAGES)
         bad["X1"] = (6.0, 4.0, 2.01)
         monkeypatch.setattr("qrdyn.global_map._IMAGES", bad)
-        with pytest.raises(ConstructionError):
-            build_vertex_table(4.4)
+        with pytest.raises(ConstructionError, match="validation failed for A': ") as err:
+            build_maps()
+        assert "worst_boundary_dev=0.00316" in str(err.value)
 
     @pytest.mark.parametrize("cid", ["A'", "A''1", "A''2", "A''3", "A''4"])
     def test_uncertifiable_codomain_centre_names_the_chart(self, build, monkeypatch, cid):
@@ -224,7 +237,7 @@ class TestChartTable:
         for chart in build.g.charts:
             rmap = chart.map
             assert rmap.cell_facets.tolist() == [list(f) for f in cell_facets_by_planes(rmap)]
-            normals, offsets, _ = rmap.facet_planes
+            normals, offsets = rmap.facet_planes
             at = np.repeat(rmap.cell_facets[:, 1], rmap.sizes)
             dev = np.abs((rmap.targets * normals[at]).sum(axis=1) - offsets[at])
             assert dev.max() <= 10 * rmap.tol, chart.cell_id
@@ -362,17 +375,17 @@ class TestImageSolids:
 class TestChartValues:
     def test_table_vertices_are_interpolated(self, gmap):
         for name, (coord, image) in TABLE.items():
-            got = gmap.eval(coord)
+            got = eval_at(gmap, coord)
             assert np.allclose(got, image, atol=1e-11), name
 
     def test_identity_on_bottom_square(self, gmap):
         rng = np.random.default_rng(0)
         for _ in range(300):
             p = (rng.random() * 2, rng.random() * 2, 0.0)
-            assert np.allclose(gmap.eval(p), p, atol=1e-12)
+            assert np.allclose(eval_at(gmap, p), p, atol=1e-12)
 
     def test_affine_edge_midpoint(self, gmap):
-        assert np.allclose(gmap.eval((0, 0.5, 1.0)), (0, 2, 4), atol=1e-12)
+        assert np.allclose(eval_at(gmap, (0, 0.5, 1.0)), (0, 2, 4), atol=1e-12)
 
     def test_level_L_face_is_the_formula(self, gmap):
         from qrdyn.zorich import F_scalar
@@ -380,7 +393,7 @@ class TestChartValues:
         L = gmap.L
         for _ in range(300):
             p = np.array([rng.random() * 4, rng.random() * 4, L])
-            assert np.allclose(gmap.eval(p), F_scalar(*p), atol=1e-9)
+            assert np.allclose(eval_at(gmap, p), F_scalar(*p), atol=1e-9)
 
     def test_affine_image_of_top_interior_edge(self, gmap):
         # on the segment {x2 = 1, x3 = L, 0 <= x1 <= 1} the closed form is
@@ -388,7 +401,7 @@ class TestChartValues:
         L = gmap.L
         e = math.exp(L)
         for t in (0.0, 0.25, 0.5, 0.8, 1.0):
-            got = gmap.eval((t, 1.0, L))
+            got = eval_at(gmap, (t, 1.0, L))
             want = (1 - t) * np.array([0, 1 + e, L]) + t * np.array([1 + e, 1 + e, L])
             assert np.allclose(got, want, rtol=1e-12, atol=1e-9)
 
@@ -399,10 +412,10 @@ class TestChartValues:
         L = gmap.L
         for _ in range(500):
             y, z = rng.random() * 2, rng.random() * L
-            assert abs(gmap.eval((0.0, y, z))[0]) <= 1e-10
-            assert abs(gmap.eval((2.0, y, z))[0] - 2.0) <= 1e-10
-            assert abs(gmap.eval((y, 0.0, z))[1]) <= 1e-10
-            assert abs(gmap.eval((y, 2.0, z))[1] - 2.0) <= 1e-10
+            assert abs(eval_at(gmap, (0.0, y, z))[0]) <= 1e-10
+            assert abs(eval_at(gmap, (2.0, y, z))[0] - 2.0) <= 1e-10
+            assert abs(eval_at(gmap, (y, 0.0, z))[1]) <= 1e-10
+            assert abs(eval_at(gmap, (y, 2.0, z))[1] - 2.0) <= 1e-10
 
 
 class TestRegions:
@@ -411,7 +424,7 @@ class TestRegions:
         for _ in range(200):
             p = rng.standard_normal(3) * 5
             p[2] = -abs(p[2]) - 1e-9
-            assert np.array_equal(gmap.eval(p), p)
+            assert np.array_equal(eval_at(gmap, p), p)
 
     def test_F_above_level(self, gmap):
         from qrdyn.zorich import F_scalar
@@ -419,16 +432,16 @@ class TestRegions:
         for _ in range(200):
             p = rng.standard_normal(3) * 3
             p[2] = gmap.L + abs(p[2]) + 1e-9
-            assert np.allclose(gmap.eval(p), F_scalar(*p), atol=0, rtol=1e-15)
+            assert np.allclose(eval_at(gmap, p), F_scalar(*p), atol=0, rtol=1e-15)
 
     def test_periodicity_on_slab(self, gmap):
         rng = np.random.default_rng(5)
         worst = 0.0
         for _ in range(1000):
             x = rng.random(3) * np.array([8, 8, gmap.L]) - np.array([4, 4, 0])
-            gx = gmap.eval(x)
+            gx = eval_at(gmap, x)
             for c in ((4.0, 0, 0), (0, 4.0, 0)):
-                d = gmap.eval(x + np.array(c)) - gx - np.array(c)
+                d = eval_at(gmap, x + np.array(c)) - gx - np.array(c)
                 worst = max(worst, float(np.max(np.abs(d))))
         assert worst <= 1e-10
 
@@ -437,11 +450,11 @@ class TestRegions:
         worst = 0.0
         for _ in range(1000):
             x = rng.random(3) * np.array([8, 8, gmap.L]) - np.array([4, 4, 0])
-            gx = gmap.eval(x)
+            gx = eval_at(gmap, x)
             r1 = np.array([4 - x[0], x[1], x[2]])
-            d1 = gmap.eval(r1) - np.array([4 - gx[0], gx[1], gx[2]])
+            d1 = eval_at(gmap, r1) - np.array([4 - gx[0], gx[1], gx[2]])
             r2 = np.array([x[0], 4 - x[1], x[2]])
-            d2 = gmap.eval(r2) - np.array([gx[0], 4 - gx[1], gx[2]])
+            d2 = eval_at(gmap, r2) - np.array([gx[0], 4 - gx[1], gx[2]])
             worst = max(worst, float(np.max(np.abs(d1))), float(np.max(np.abs(d2))))
         assert worst <= 1e-10
 
@@ -450,7 +463,7 @@ class TestRegions:
         cap = build.constants.L + math.exp(build.constants.L)
         for _ in range(2000):
             x = rng.random(3) * np.array([8, 8, build.constants.L])
-            assert build.g.eval(x)[2] <= cap + 1e-9
+            assert eval_at(build.g, x)[2] <= cap + 1e-9
 
 
 def _bits(v):
@@ -474,15 +487,15 @@ class TestShiftedMap:
         rng = np.random.default_rng(8)
         for _ in range(200):
             x = rng.random(3) * np.array([6, 6, gmap.L + 2]) - np.array([3, 3, 1])
-            assert np.allclose(fmap.eval(x),
-                               gmap.eval(x) - np.array([0, 0, build.L_prime]),
+            assert np.allclose(eval_at(fmap, x),
+                               eval_at(gmap, x) - np.array([0, 0, build.L_prime]),
                                atol=1e-12)
 
     def test_slab_maps_below_zero(self, fmap):
         rng = np.random.default_rng(9)
         for _ in range(500):
             x = rng.random(3) * np.array([8, 8, fmap.L]) - np.array([4, 4, 0])
-            assert fmap.eval(x)[2] <= -1.0 + 1e-9
+            assert eval_at(fmap, x)[2] <= -1.0 + 1e-9
 
     def _dispatch_points(self, L):
         rng = np.random.default_rng(23)
@@ -719,29 +732,45 @@ def _numpy_median(x):
         return float(np.median(x)).hex()
 
 
+def audit_median(k):
+    """The median that ``audit_dilatation`` takes of a table whose cell
+    dilatations are ``k``, as a hex string."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = types.SimpleNamespace(k=np.asarray(k, dtype=float))
+        return audit_dilatation(types.SimpleNamespace(table=table)).k_median.hex()
+
+
 class TestMedian:
+    """The audit's median, the statistics module's, against np.median's,
+    bitwise: the cell dilatations are never NaN (a cell of a non-finite or
+    non-positive determinant has k = inf)."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 141, 142])
     def test_bitwise_numpys_median(self, n):
         rng = np.random.default_rng(n)
         for _ in range(50):
             x = rng.normal(size=n) * rng.choice([1.0, 1e300])
-            assert global_map._median(x).hex() == _numpy_median(x)
+            assert audit_median(x) == _numpy_median(x)
             # repeated values, and two middle values whose sum overflows
             x = rng.choice([0.0, 1.0, 1.7e308], size=n)
-            assert global_map._median(x).hex() == _numpy_median(x)
+            assert audit_median(x) == _numpy_median(x)
 
     @pytest.mark.parametrize("x", [[math.inf, 1.0, 2.0], [1.0, math.inf, -math.inf],
                                    [math.inf, -math.inf], [math.inf, 2.0, math.inf, 1.0],
                                    [-math.inf, 5.0]])
     def test_infinities(self, x):
-        x = np.array(x)
-        assert global_map._median(x).hex() == _numpy_median(x)
+        assert audit_median(x) == _numpy_median(np.array(x))
 
-    @pytest.mark.parametrize("n", [1, 4, 141])
-    def test_a_nan_gives_nan(self, n):
-        x = np.arange(n, dtype=float)
-        x[n // 2] = math.nan
-        assert global_map._median(x).hex() == _numpy_median(x) == "nan"
+    def test_a_non_finite_cell_has_k_inf(self, gmap):
+        # a NaN linear part: its det, and so its k, is never NaN
+        charts = list(gmap.charts)
+        chart = copy.copy(charts[0])
+        chart.map = copy.copy(chart.map)
+        chart.map.linear = chart.map.linear.copy()
+        chart.map.linear[2, 1, 1] = math.nan
+        table = CellTable([chart] + charts[1:])
+        assert table.k[2] == math.inf and not np.isnan(table.k).any()
+        assert audit_dilatation(GlobalMap(table, gmap.L)).k_median.hex() == _numpy_median(table.k)
 
 
 class TestChartLipschitz:

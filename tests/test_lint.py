@@ -3,7 +3,7 @@ every private module-level helper and private method is read by some module
 of the package, every public function, class and method of a public class
 is read by some module of the package or of the benchmark (but a short
 allow-list, each entry with its reason), every function of the test oracles
-is reached from a test module,
+is reached from a test that also calls package code,
 every parameter of a module-level function or of a method of a
 module-level class (but self and cls) is read by its body, every option
 of a module-level function is set by some caller in the package or the
@@ -217,13 +217,68 @@ def test_every_public_name_is_reached():
         [], [("global_map.py", "build_maps"), ("zorich.py", "F_eval")])
 
 
-def unreached_oracles(oracles, tests):
+def module_scope(tree):
+    """({name: node}, package) of a parsed test module: its module-level
+    functions, classes and constants and the methods and constants of its
+    classes, by name, and the names that it imports from ``qrdyn``."""
+    defs, package = {}, set()
+    for node in tree.body:
+        for n in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]:
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[n.name] = n
+            elif isinstance(n, ast.Assign):
+                defs.update((t.id, n) for t in n.targets if isinstance(t, ast.Name))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) or node.names[0].name).split(".")[0] == "qrdyn":
+            package.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return defs, package
+
+
+def collected_tests(tree):
+    """The test functions of a parsed test module: its functions named
+    test_..., and those methods of its classes."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return [n for node in tree.body
+            for n in [node, *(node.body if isinstance(node, ast.ClassDef) else [])]
+            if isinstance(n, functions) and n.name.startswith("test_")]
+
+
+def names_reached(test, defs):
+    """Every name that a test reads, directly or through the helpers, the
+    constants and the fixtures (its parameters, and theirs) of ``defs``."""
+    reached, todo = set(), [test]
+    while todo:
+        node = todo.pop()
+        names = referenced_names(node)
+        if node is test or "fixture" in {n for d in getattr(node, "decorator_list", [])
+                                         for n in referenced_names(d)}:
+            names |= {a.arg for a in node.args.args}
+        new = names - reached
+        reached |= new
+        todo += [defs[n] for n in new if n in defs and defs[n] is not node]
+    return reached
+
+
+def unreached_oracles(oracles, tests, conftest=""):
     """(line, name) of each top-level function of the ``oracles`` source
-    that no source of ``tests`` reads, neither directly nor through the
-    oracles that a test reads."""
+    that no test of the ``tests`` sources reaches, directly, through the
+    helpers and fixtures of its module or of ``conftest``, or through the
+    oracles that it reaches, counting only the tests that also call
+    package code: that reach a name which their module or ``conftest``
+    imports from ``qrdyn``."""
     functions = {node.name: node for node in ast.parse(oracles).body
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    todo = list(set().union(*map(referenced_names, tests)) & functions.keys())
+    shared, shared_package = module_scope(ast.parse(conftest))
+    todo = set()
+    for source in tests:
+        tree = ast.parse(source)
+        defs, package = module_scope(tree)
+        defs, package = {**shared, **defs}, package | shared_package
+        for test in collected_tests(tree):
+            names = names_reached(test, defs)
+            if names & package:
+                todo |= names & functions.keys()
+    todo = list(todo)
     reached = set(todo)
     while todo:
         new = referenced_names(functions[todo.pop()]) & functions.keys() - reached
@@ -235,20 +290,33 @@ def unreached_oracles(oracles, tests):
 
 def test_detects_an_unreached_oracle():
     # facet_vertex_cones_probe outlived the vertex term that it checked,
-    # and took unit along with it
+    # and took unit along with it; a test of the oracle _radial_2d alone,
+    # which calls no package code, reaches nothing
     oracles = ("def unit(v):\n    return v\n\n"
                "def facet_vertex_cones_probe(shape):\n    return unit(shape)\n\n"
                "def _ray_tris(shape):\n    return shape\n\n"
-               "def psi_ray_oracle(shape):\n    return _ray_tris(shape)\n")
-    tests = ["from oracles import psi_ray_oracle\n\ndef test_psi():\n"
-             "    assert psi_ray_oracle(1)\n"]
-    assert unreached_oracles(oracles, tests) == [(1, "unit"),
-                                                 (4, "facet_vertex_cones_probe")]
+               "def psi_ray_oracle(shape):\n    return _ray_tris(shape)\n\n"
+               "def _radial_2d(p):\n    return p\n\n"
+               "def eval_piece(p):\n    return _radial_2d(p)\n")
+    tests = ["from oracles import psi_ray_oracle\nfrom qrdyn.geometry import psi\n\n"
+             "def test_psi():\n    assert psi_ray_oracle(1) == psi(1)\n",
+             "from oracles import _radial_2d, eval_piece\n\n"
+             "def test_radial():\n    assert _radial_2d(1) == 1\n\n"
+             "class TestPiece:\n    def test_piece(self, built):\n"
+             "        assert eval_piece(built) == built\n"]
+    assert unreached_oracles(oracles, tests) == [(1, "unit"), (4, "facet_vertex_cones_probe"),
+                                                 (13, "_radial_2d"), (16, "eval_piece")]
+    # a fixture of the conftest that builds the maps is package code
+    conftest = ("import pytest\nfrom qrdyn.global_map import build_maps\n\n"
+                "@pytest.fixture\ndef built():\n    return build_maps()\n")
+    assert unreached_oracles(oracles, tests, conftest) == [
+        (1, "unit"), (4, "facet_vertex_cones_probe")]
 
 
 def test_every_oracle_is_reached():
     tests = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
-    assert unreached_oracles((TESTS / "oracles.py").read_text(), tests) == []
+    assert unreached_oracles((TESTS / "oracles.py").read_text(), tests,
+                             (TESTS / "conftest.py").read_text()) == []
 
 
 def unused_parameters(source):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (_radial_2d, cover_deviation_all_pairs, face_centre, oriented_area_fraction,
+from oracles import (_radial_2d, cones_holding_fraction, cover_deviation_all_pairs, face_centre,
                      point_in_polygon, polygon_normal_rows, sector_entry_scan)
 from qrdyn import star_extend
 from qrdyn.geometry import GeometryError
@@ -290,8 +290,9 @@ QUADRANTS = [[(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)]
 # have fewer than 3 vertices, a cell with a non-finite coordinate (the last
 # of three fan cells), two cells whose images, the top face's two halves
 # with the second turned by pi about the x1 axis, pass their cone signs but
-# have opposite vector areas, and a domain vertex below the top facet; and a
-# piece on a facet key that no box has
+# have opposite vector areas, a domain vertex below the top facet, and a
+# vertex that is not three numbers; and a piece on a facet key that no box
+# has
 MALFORMED = {
     "empty piece": ({5: [[([P0, P1, P2, P3], [P0, P1, P2, P3])], []]},
                     "facet 5 piece 1 has no cells"),
@@ -312,6 +313,11 @@ MALFORMED = {
                                    ((C, P2, P3), (C, P2, P3)), ((C, P3, P0), (C, P3, P0))]]},
                              "facet 5 piece 0 cell 1: domain vertex (1.0, 1.0, 0.5) is off "
                              "box facet 5"),
+    "short vertex": ({5: [[([P0, P1, P2, P3], [P0, P1, P2, (-1.0, 1.0)])]]},
+                     "facet 5 piece 0 cell 0: vertex (-1.0, 1.0) is not three numbers"),
+    "vertex of no numbers": ({5: [[([P0, P1, P2, ("x", 1.0, 1.0)], [P0, P1, P2, P3])]]},
+                             "facet 5 piece 0 cell 0: vertex ('x', 1.0, 1.0) is not three "
+                             "numbers"),
     "facet 6": ({6: [identity_piece(face_loops(1.0)[5])]},
                 "facet 6 piece 0 cell 0: a box has no facet 6; its facets are 0 to 5"),
 }
@@ -428,8 +434,11 @@ def cell_complex(rmap):
 
 
 class TestBatchedValidation:
-    """The exact seam check, ``star_extend._seam_faults``: the cells meet
-    edge to edge and every point has one image."""
+    """The exact checks of ``validate_boundary_map``: the turned fan
+    triangles form a closed surface of one orientation and every point has
+    one image (``star_extend._seam_faults``), and the cones are oriented as
+    their domain cones, one on each side holding the count's direction
+    (``star_extend._turned_cones``)."""
 
     @pytest.mark.parametrize("cid", CHARTS)
     def test_matches_the_per_triangle_checks(self, cid, build):
@@ -442,32 +451,32 @@ class TestBatchedValidation:
         assert len(images) - len(edges) + len(rmap.labels) == 2
         assert all(len(cells) == 2 for cells in edges.values())
         assert all(len(w) == 1 for w in images.values())
-        assert star_extend._seam_faults(rmap.point_ids, rmap.sizes, rmap.targets)[0] == 0
-        # the oriented areas of the domain triangles, each along the normal
-        # of the box face that holds it, against Fraction
-        dom, _ = fan_triangles(rmap)
-        normals = np.zeros_like(dom[:, 0])
-        axis = np.argmin(np.ptp(dom, axis=1), axis=1)
-        normals[np.arange(len(dom)), axis] = 1.0
-        signs, areas = star_extend._oriented_areas(normals, dom)
-        for k in range(len(dom)):
-            sign, area = oriented_area_fraction(normals[k], dom[k])
-            assert signs[k] == sign
-            assert areas[k] == pytest.approx(area, rel=1e-14)
+        dom, img = fan_triangles(rmap)
+        signs, held = star_extend._turned_cones(np.stack([dom, img]),
+                                                np.array([rmap._a, rmap._b]))
+        assert star_extend._seam_faults(rmap.point_ids, rmap.fans, signs[0],
+                                        rmap.targets)[0] == 0
+        # the cones' orientations, and the one cone per side that holds the
+        # first direction of the count, against Fraction
+        for side, (tris, centre) in enumerate(((dom, rmap._a), (img, rmap._b))):
+            want, inside = cones_holding_fraction(tris, centre, star_extend._DIRECTIONS[0])
+            assert signs[side].tolist() == want == signs[0].tolist()
+            assert held[side].tolist() == inside and sum(inside) == 1
 
     @pytest.mark.parametrize("cid", CHARTS)
     def test_reports_equal_the_all_pairs_oracle(self, cid, build):
-        # the chart passes its exact seams, and the float reading of the
-        # same seams, every triangle solved against every cell vertex
-        # within the domain's tolerance, stays within the old seam
-        # tolerance TAU_SEAM * max(1, diameter)
+        # the chart passes its exact checks with degree 1 on both sides,
+        # and the float reading of its seams, every triangle solved against
+        # every cell vertex within the domain's tolerance, stays within the
+        # relative 1e-9 that the facet area sums once allowed
         rmap = build.g.by_id[cid].map
         rep = rmap.validate_boundary_map()
         assert report_bits(rep) == report_bits(build.validations[cid])
-        assert rep.passed and rep.seam_violations == 0, rep
+        assert rep.passed and (rep.seam_violations, rep.injectivity_violations) == (0, 0), rep
+        assert rep.detail.endswith("; domain degree 1, image degree 1")
         dom, img = fan_triangles(rmap)
         assert (cover_deviation_all_pairs(dom, img, rmap.domain.tol * 1e3)
-                <= star_extend.TAU_SEAM * max(1.0, rmap.diameter))
+                <= 1e-9 * max(1.0, rmap.diameter))
 
     @pytest.mark.parametrize("cid", CHARTS)
     def test_a_tampered_piece_fails_its_chart(self, cid, build):
@@ -515,13 +524,13 @@ class TestBatchedValidation:
         # edge to edge: each side facet's top edge meets two half edges, a
         # T-junction at its midpoint.  The exact check asks for an
         # edge-to-edge complex, so it refuses such a chart by design: the
-        # 4 full edges and the 8 half edges each lie in no other cell
+        # 4 full edges and the 8 half edges are each run one way only
         m = top_split(QUADRANTS)
         rep = m.validate_boundary_map()
         assert not rep.passed
         assert (rep.seam_violations, rep.injectivity_violations) == (12, 0)
-        assert ("facet 0 piece 0 cell 0: its edge from (-1.0, 1.0, 1.0) lies in 0 "
-                "other cells" in rep.detail)
+        assert ("facet 0 piece 0 cell 0: its edge from (-1.0, -1.0, 1.0) to (-1.0, 1.0, 1.0) "
+                "is run 1 times and its reverse 0 times" in rep.detail)
         dom, img = fan_triangles(m)
         assert cover_deviation_all_pairs(dom, img, m.domain.tol * 1e3) == 0.0
 
@@ -590,24 +599,203 @@ class TestBatches:
             assert err.value.map_index == index
 
 
+def doubling(p):
+    """(r, theta, z) -> (r, 2 theta, z) about the x3 axis."""
+    x, y, z = p
+    r, t = math.hypot(x, y), math.atan2(y, x)
+    return (r * math.cos(2 * t), r * math.sin(2 * t), z)
+
+
+def doubled_cube():
+    """The cube chart of angle doubling about the x3 axis: each facet fanned
+    about its centre over its corners and edge midpoints, each fan triangle
+    a piece onto the triangle of its vertices' images.  Its image surface
+    winds twice about the centre."""
+    pieces = {}
+    for f, loop in face_loops(1.0).items():
+        ring = [q for p, r in zip(loop, loop[1:] + loop[:1])
+                for q in (p, tuple((a + b) / 2 for a, b in zip(p, r)))]
+        c = tuple(sum(p[i] for p in loop) / 4 for i in range(3))
+        pieces[f] = [[((c, p, q), tuple(map(doubling, (c, p, q))))]
+                     for p, q in zip(ring, ring[1:] + ring[:1])]
+    return RadialMap(cube_box(), ORIGIN, pieces)
+
+
+class TestDegree:
+    """The degree count of ``validate_boundary_map``: the cones that hold
+    one direction, on each side."""
+
+    def test_an_image_that_winds_twice_is_refused(self):
+        # the doubled cube passes its cone signs and its seams, and its
+        # image cones cover space twice, so half of the round trips miss
+        m = doubled_cube()
+        rep = m.validate_boundary_map()
+        assert not rep.passed
+        assert (rep.seam_violations, rep.injectivity_violations) == (0, 1)
+        assert rep.detail.endswith("; domain degree 1, image degree 2")
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (1000, 3)).tolist()
+        assert sum(math.dist(m.inverse(m.eval(p)), p) > 1e-9 for p in pts) == 486
+
+    def test_a_direction_in_a_cone_face_plane_is_passed_over(self, monkeypatch):
+        # e1 lies in the plane of the cube's fan diagonals from (1, -1, -1)
+        # to (1, 1, 1): the count takes the next direction, and fails
+        # where no direction is left
+        want = identity_chart().validate_boundary_map()
+        monkeypatch.setattr(star_extend, "_DIRECTIONS",
+                            ((1.0, 0.0, 0.0), star_extend._DIRECTIONS[0]))
+        assert identity_chart().validate_boundary_map() == want
+        monkeypatch.setattr(star_extend, "_DIRECTIONS", ((1.0, 0.0, 0.0),))
+        rep = identity_chart().validate_boundary_map()
+        assert (rep.passed, rep.injectivity_violations) == (False, 2)
+        assert rep.detail.endswith("every direction of the degree count lies in the plane of "
+                                   "a cone face")
+
+    def test_the_edge_check_is_directed(self):
+        # a tetrahedron's four faces, each run outward, form a closed
+        # surface of one orientation; a face turned the other way runs its
+        # three edges in the direction of their other faces
+        ids = np.arange(4)
+        fans = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+        targets = np.eye(4, 3)
+        turn = np.ones(4, dtype=int)
+        assert star_extend._seam_faults(ids, fans, turn, targets)[:2] == (0, None)
+        turn[3] = -1
+        faults, first, split = star_extend._seam_faults(ids, fans, turn, targets)
+        assert (faults, first, split.any()) == (3, (0, (2, 1), (2, 0)), False)
+
+
+# the cube's identity chart with its vertices as tuples, lists and numpy rows
+VERTEX_FORMS = {"tuples": lambda loop: loop, "lists": lambda loop: [list(p) for p in loop],
+                "rows": np.array}
+
+
+class TestVertexForms:
+    @pytest.mark.parametrize("form", ["lists", "rows"])
+    def test_any_sequence_of_three_numbers_is_a_vertex(self, form):
+        # construction takes every vertex as a tuple of floats, so the chart
+        # is bitwise the one of tuple vertices
+        def chart(as_form):
+            return one_piece_chart(cube_box(), {f: identity_piece(as_form(loop))
+                                                for f, loop in face_loops(1.0).items()})
+
+        want, got = chart(VERTEX_FORMS["tuples"]), chart(VERTEX_FORMS[form])
+        assert repr((got._consts, got._frames, got._inverses, got.validate_boundary_map())) \
+            == repr((want._consts, want._frames, want._inverses, want.validate_boundary_map()))
+        for name in ("points", "targets", "images", "point_ids", "linear", "fans"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def edit(data, seqs):
+    """The lists ``seqs``, of one length, each with the same drawn edit: an
+    entry dropped, duplicated or cut off with all after it, or the entries
+    permuted."""
+    n = len(seqs[0])
+    op = data.draw(st.sampled_from(["drop", "duplicate", "truncate", "permute"]))
+    if op == "permute":
+        order = data.draw(st.permutations(range(n)))
+    else:
+        k = data.draw(st.integers(0, max(n - 1, 0)))
+        order = {"drop": [*range(k), *range(k + 1, n)], "duplicate": [*range(k + 1), *range(k, n)],
+                 "truncate": [*range(k)]}[op]
+    return [[seq[i] for i in order] for seq in seqs]
+
+
+def nudge(data, vertices):
+    """The ``vertices`` (sequences of numbers), each with the same drawn
+    coordinate moved by an ulp or set to NaN, or each with its last
+    coordinate cut off."""
+    op = data.draw(st.sampled_from(["up", "down", "nan", "truncate"]))
+    k = data.draw(st.integers(0, 2))
+    out = []
+    for v in map(list, vertices):
+        if op == "truncate":
+            v.pop()
+        else:
+            v[k] = math.nan if op == "nan" else math.nextafter(
+                float(v[k]), math.inf if op == "up" else -math.inf)
+        out.append(v)
+    return out
+
+
+def mutated_spec(data, domain, centre, pieces_by_facet):
+    """(lo, hi, centre, pieces by facet) of a chart spec with one drawn
+    mutation: a box corner or the centre nudged, a facet's pieces or a
+    piece's cells edited, a cell's domain polygon, image polygon or both
+    edited alike, or one vertex of either or both nudged alike."""
+    ends = [domain.lo.tolist(), domain.hi.tolist(), list(centre)]
+    tree = {f: [[[list(dom), list(img)] for dom, img in piece] for piece in pieces]
+            for f, pieces in pieces_by_facet.items()}
+    level = data.draw(st.sampled_from(["ends", "pieces", "cells", "polygon", "vertex"]))
+    f = data.draw(st.sampled_from(sorted(tree)))
+    piece = data.draw(st.sampled_from(tree[f]))
+    cell = data.draw(st.sampled_from(piece))
+    sides = data.draw(st.sampled_from([[0], [1], [0, 1]]))
+    if level == "ends":
+        k = data.draw(st.integers(0, 2))
+        ends[k] = nudge(data, [ends[k]])[0]
+    elif level == "pieces":
+        tree[f] = edit(data, [tree[f]])[0]
+    elif level == "cells":
+        piece[:] = edit(data, [piece])[0]
+    elif level == "polygon":
+        for side, polygon in zip(sides, edit(data, [cell[side] for side in sides])):
+            cell[side] = polygon
+    else:
+        k = data.draw(st.integers(0, len(cell[0]) - 1))
+        for side, vertex in zip(sides, nudge(data, [cell[side][k] for side in sides])):
+            cell[side][k] = vertex
+    return (*ends, tree)
+
+
+def cube_spec():
+    return cube_box(), ORIGIN, {f: [identity_piece(loop)] for f, loop in face_loops(1.0).items()}
+
+
+class TestMutatedSpecs:
+    """Every mutant of the cube's identity chart or of an atlas chart
+    either builds, and then its validation passes or fails, or is refused
+    by GeometryError; derandomized, so that every run draws the same
+    mutants."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.data())
+    def test_a_mutated_chart_builds_or_is_refused(self, build, data):
+        specs = [cube_spec()] + [(c.map.domain, c.map._b, c.map.pieces_by_facet)
+                                 for c in build.g.charts]
+        lo, hi, centre, pieces_by_facet = mutated_spec(data, *data.draw(st.sampled_from(specs)))
+        try:
+            rmap = RadialMap(Box(lo, hi), centre, pieces_by_facet)
+        except GeometryError:
+            return
+        assert isinstance(rmap.validate_boundary_map().passed, bool)
+
+
 class TestRadial2D:
-    """The 2D radial formula of the oracles, which the tests hold each face
-    fan's cells against."""
+    """The 2D radial formula of the oracles, against which the tests hold
+    each face fan's cells, and the charts on their face fans."""
 
     def test_square_to_square_identity(self):
+        # the top face fanned onto itself about its centre: the formula and
+        # the chart on the face are both the identity
         sq = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
+        m = chart_with_face(lambda loop: centroid_fan(loop, loop))
         rng = np.random.default_rng(4)
         for _ in range(200):
             u, v = rng.random(2) * 2 - 1
             w = _radial_2d(sq, sq, (0.0, 0.0), (0.0, 0.0), u, v)
             assert np.allclose(w, (u, v), atol=1e-12)
+            assert np.allclose(m.eval((u, v, 1.0)), (u, v, 1.0), atol=1e-12)
 
-    def test_round_trip_on_nonconvex_image(self):
+    def test_round_trip_on_nonconvex_image(self, build):
+        # img is the A' image face "P0 P1 T1 Q1 Q0" in (x2, x3), about its
+        # stated centre, and sq a quarter of it; the A' chart on that face
+        # (x1 = 0), the fan about its area centroid onto img, is the formula
         sq = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.875), (0.5, 0.0)]
         img = [(0.0, 0.0), (0.0, 4.0), (4.0, 4.0), (2.0, 3.5), (2.0, 0.0)]
-        # img is the A' image face "P0 P1 T1 Q1 Q0" in (x2, x3), about its
-        # stated centre, and sq a quarter of it
+        face = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (2.0, 0.0)]
         a, b = (0.21875, 0.90625), (0.875, 3.625)
+        centre = face_centre([(0.0, u, v) for u, v in face])[1:]
+        chart = build.g.by_id["A'"].map
         rng = np.random.default_rng(5)
         worst = 0.0
         n = 0
@@ -618,5 +806,9 @@ class TestRadial2D:
             w = _radial_2d(sq, img, a, b, u, v)
             u2, v2 = _radial_2d(img, sq, b, a, *w)
             worst = max(worst, math.hypot(u2 - u, v2 - v))
+            q = chart.eval((0.0, 2 * u, v))
+            assert np.allclose(q, (0.0, *_radial_2d(face, img, centre, b, 2 * u, v)),
+                               atol=1e-12)
+            assert math.dist(chart.inverse(q), (0.0, 2 * u, v)) <= 1e-12
             n += 1
         assert worst <= 1e-9

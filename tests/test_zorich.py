@@ -35,18 +35,27 @@ def _canonical(a, b):
 
 
 class TestPyramid:
+    """The pyramid h of the oracles, and F at x3 = 0 on the unit square,
+    which is (x1, x2, 0) + h(x1, x2), and folds outside it."""
+
     def test_apex(self):
         assert h_pyramid(0, 0) == (0, 0, 1)
+        assert F_scalar(0.0, 0.0, 0.0) == (0.0, 0.0, 1.0)
 
     def test_base_corner(self):
         assert h_pyramid(1, 1) == (1, 1, 0)
+        assert F_scalar(1.0, 1.0, 0.0) == (2.0, 2.0, 0.0)
 
     def test_half_height(self):
         assert h_pyramid(0.5, 0) == (0.5, 0, 0.5)
+        assert F_scalar(0.5, 0.0, 0.0) == (1.0, 0.0, 0.5)
 
     def test_outside_raises(self):
+        # outside the square h is undefined, and F takes h of the fold of
+        # (x1, x2), signed by its reflections: (1.5, 0) folds to (0.5, 0)
         with pytest.raises(ValueError):
             h_pyramid(1.5, 0)
+        assert F_scalar(1.5, 0.0, 0.0) == (2.0, 0.0, -0.5)
 
 
 class TestFold:
@@ -91,21 +100,27 @@ class TestZorichEval:
         assert np.allclose(F_scalar(2, 0, 0), (2, 0, -1))
 
     def test_seam_continuity_two_sided(self):
+        # Z = F - Id across the fold seams and a crease
         d = 1e-12
+
+        def z(x1, x2, x3):
+            return np.subtract(F_scalar(x1, x2, x3), (x1, x2, x3))
+
         for x3 in (0.0, 1.0, 3.0):
             for seam in (1.0, 2.0, 3.0, -1.0):
-                a = np.array(zorich_composed(seam - d, 0.3, x3))
-                b = np.array(zorich_composed(seam + d, 0.3, x3))
+                a = z(seam - d, 0.3, x3)
+                b = z(seam + d, 0.3, x3)
                 assert np.linalg.norm(a - b) <= 1e-9 * max(1.0, math.exp(x3))
         # crease |x1| = |x2|
-        a = np.array(zorich_composed(0.5 - d, 0.5, 1.0))
-        b = np.array(zorich_composed(0.5 + d, 0.5, 1.0))
+        a = z(0.5 - d, 0.5, 1.0)
+        b = z(0.5 + d, 0.5, 1.0)
         assert np.linalg.norm(a - b) <= 1e-9 * math.e
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-20, 20), st.floats(-20, 20), st.floats(-5, 5))
     def test_magnitude_envelope_and_nonvanishing(self, x, y, z):
-        v = np.array(zorich_composed(x, y, z))
+        # Z = F - Id, within a few ulps of F
+        v = np.subtract(F_scalar(x, y, z), (x, y, z))
         m = np.linalg.norm(v)
         e = math.exp(z)
         assert e / math.sqrt(2) - 1e-12 <= m <= math.sqrt(2) * e + 1e-12
