@@ -6,8 +6,9 @@ faces, and ``star_extend.RadialMap`` takes what it needs of it (its facet
 planes, diameter and tolerance) from its pieces' image cells.  The
 axis-aligned boxes of the radial maps are ``star_extend.Box``.
 
-The orientations of the cone signs and of the boundary-map validation come
-from ``_det3_signs``: exact, in floats where Shewchuk's orient3d error bound
+The cone signs and the degree count that certify each chart in the pass
+that builds it, and the cell determinants' signs, come from
+``_det3_signs``: exact, in floats where Shewchuk's orient3d error bound
 decides a sign and in Python integers inside that bound.
 
 Every operation is pure.
@@ -86,18 +87,29 @@ def _det3_signs(p, q):
     float determinants, within the bound of the exact ones where the filter
     decides."""
     p, q = np.broadcast_arrays(p, q)
+    # the nine differences as contiguous rows of N, which the products below
+    # run over at about twice the speed of strided columns; one subtraction
+    # per row, as a transposing one buffers twice the rows it writes
+    pk, qk = p.reshape(-1, 9), q.reshape(-1, 9)
+    d = np.empty((9, len(pk)))
     with np.errstate(over="ignore", invalid="ignore"):   # such rows are unsafe
-        d = p - q
-        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = d.transpose(1, 2, 0)
-        bxcy, cxby = bx * cy, cx * by
-        cxay, axcy = cx * ay, ax * cy
-        axby, bxay = ax * by, bx * ay
-        det = az * (bxcy - cxby) + bz * (cxay - axcy) + cz * (axby - bxay)
-        permanent = ((abs(bxcy) + abs(cxby)) * abs(az) + (abs(cxay) + abs(axcy)) * abs(bz)
-                     + (abs(axby) + abs(bxay)) * abs(cz))
-    size = abs(d).reshape(-1, 9)
+        for k in range(9):
+            np.subtract(pk[:, k], qk[:, k], out=d[k])
+        ax, ay, az, bx, by, bz, cx, cy, cz = d
+        # det = az (bx cy - cx by) + bz (cx ay - ax cy) + cz (ax by - bx ay)
+        # and its permanent, summed term by term in that order, so that
+        # two products at a time are held
+        s, t = bx * cy, cx * by
+        det, permanent = az * (s - t), (abs(s) + abs(t)) * abs(az)
+        s, t = cx * ay, ax * cy
+        det += bz * (s - t)
+        permanent += (abs(s) + abs(t)) * abs(bz)
+        s, t = ax * by, bx * ay
+        det += cz * (s - t)
+        permanent += (abs(s) + abs(t)) * abs(cz)
+    size = np.abs(d, out=d)
     lo, hi = _SAFE_RANGE
-    safe = (np.where(size == 0.0, lo, size).min(axis=1) >= lo) & (size.max(axis=1) <= hi)
+    safe = ~((size < lo) & (size > 0.0)).any(axis=0) & (size.max(axis=0) <= hi)
     sure = safe & (np.abs(det) > _ORIENT3D_BOUND * permanent)
     signs = np.where(sure, np.sign(det), 0.0).astype(int)
     for k in np.flatnonzero(~sure).tolist():

@@ -14,11 +14,13 @@ vertices of ``VertexTable``; the image solid's facets are those faces'
 images.  Every boundary piece is affine on triangles, so each chart is
 exactly affine on the cones from its domain centre over them: 37 cells for
 A' and 26 for each A'' chart, which its ``RadialMap`` evaluates and
-inverts.  A build stacks the 141 cells once, as the ``CellTable`` that g
-and f share and every certificate reads, and validates each chart's
-boundary map exactly (``RadialMap.validate_boundary_map``): closed seams,
+inverts.  A build certifies each chart's boundary map exactly in the pass
+that builds its chart phase (``star_extend.radial_maps``): closed seams,
 cones oriented as their domain cones, and degree 1 about both centres, so
-that each chart maps its box homeomorphically onto its image solid.
+that each chart maps its box homeomorphically onto its image solid; each
+chart's ``RadialMap.validate_boundary_map`` reports what the pass found.
+The build then stacks the 141 cells once, as the ``CellTable`` that g and
+f share and every certificate reads.
 
 g is K-quasiregular, K = max(K_slab, K_F).  When ``audit_seams`` finds no
 fault in the block's cell complex, charts that share a polygon map it by the
@@ -161,27 +163,36 @@ _IMAGE_FACE_CENTRES = {"P0 P1 T1 Q1 Q0": (0.0, 0.875, 3.625),
 def _build_charts(vt, ids, shared=None):
     """The charts ``ids`` of ``_CHARTS``: one piece per distinct face, each
     box a ``Box`` domain, and the cells in one ``radial_maps`` pass about
-    the stated centres, which certifies every centre by its cone signs; a
-    face of ``shared`` ({face: piece} of an earlier phase) keeps that
-    piece.  The area centroids of the new fans' faces and image faces come
-    from one ``face_centres`` call.  An image solid is the image of its
+    the stated centres, which certifies every centre by its cone signs and
+    takes each chart's whole exact certificate; a face of ``shared``
+    ({face: piece} of an earlier phase) keeps that piece.  The area
+    centroids of the new fans' faces and image faces come from one
+    ``face_centres`` call.  An image solid is the image of its
     chart's faces: listed facet by facet (0 to 5), face j's piece maps onto
     the solid's facet j, whose plane the pass takes from the piece's image
-    cells.  A map that fails (a centre that fails its cone signs, say)
-    raises ConstructionError naming its chart."""
+    cells.  A face of fewer than three vertices, and a map that fails (a
+    centre that fails its cone signs, say), raise ConstructionError naming
+    the chart (the first that lists the face)."""
     specs = [_CHARTS[cid] for cid in ids]
-    faces = list(dict.fromkeys(face for spec in specs
-                               for on_facet in spec["facets"].values() for face in on_facet))
+    faces = {}        # each face, with the first chart that lists it
+    for cid, spec in zip(ids, specs):
+        for on_facet in spec["facets"].values():
+            for face in on_facet:
+                faces.setdefault(face, cid)
 
     made = dict(shared or {})
     fans = []         # the faces that are fans, with their loops
-    for face in faces:
+    for face, cid in faces.items():
         if face in made:
             continue
+        names = face.split()
+        if len(names) < 3:
+            raise ConstructionError(f"chart {cid}: face {face!r} has {len(names)} vertices; "
+                                    "a face needs 3 or more")
         # the coordinates and the images of the face's vertices
-        dom, img = ([tuple(table[n].tolist()) for n in face.split()]
+        dom, img = ([tuple(table[n].tolist()) for n in names]
                     for table in (vt.coords, vt.images))
-        if {n[1:] for n in face.split()} in ({"0"}, {"L"}):
+        if {n[1:] for n in names} in ({"0"}, {"L"}):
             made[face] = [(dom, img)]
         else:
             fans.append((face, dom, img))
@@ -579,20 +590,27 @@ def build_maps(resolution=None, chart_resolution=48, lprime_samples=20000,
 
     The two chart phases, ``build_aprime_chart`` (A') and
     ``build_asecond_charts`` (the four A'' charts), are each one
-    ``_build_charts`` call, whose ``star_extend.radial_maps`` pass takes
-    the exact cone signs of all its cells before any solve.  The cells are
-    then stacked once (``CellTable``) for g, f and every certificate, and
-    each chart's boundary map is validated exactly by
-    ``RadialMap.validate_boundary_map``: closed seams, cones oriented as
-    their domain cones, and degree 1 about each centre.  So each ray from
-    a centre crosses its solid's boundary once (``star_extend.psi``), each
-    face fan is star about its centres, and each chart maps its box
-    homeomorphically onto its image solid.
+    ``_build_charts`` call, whose ``star_extend.radial_maps`` pass
+    certifies its charts exactly before any solve: one exact sign call
+    takes the cone signs of all its cells and the signs of the degree
+    count, and one count of integer edge codes checks the seams.  The
+    cells are then stacked once (``CellTable``) for g, f and every
+    certificate, and each chart's ``RadialMap.validate_boundary_map``
+    reports what its pass found (closed seams, cones oriented as their
+    domain cones, and degree 1 about each centre) with the distance of its
+    image points from their facet planes; a chart that fails raises
+    ConstructionError.  So each ray from a centre crosses its solid's
+    boundary once (``star_extend.psi``), each face fan is star about its
+    centres, and each chart maps its box homeomorphically onto its image
+    solid.
 
     ``phase_s`` holds the wall seconds of the six build phases, named by
-    module and function (the boundary-map validation summed over the
-    charts).  Each phase is called through its module or class attribute
-    when the build runs, so a wrapper set on that attribute sees it."""
+    module and function: the sign work and the seam count of the boundary
+    maps' validation are timed inside the chart phases, and
+    ``star_extend.validate_boundary_map``, summed over the charts, times
+    the reports' assembly.  Each phase is called through its module or
+    class attribute when the build runs, so a wrapper set on that
+    attribute sees it."""
     phase_s = {}
 
     def timed(name, fn, *args):

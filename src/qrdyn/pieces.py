@@ -9,8 +9,9 @@ a face centre onto the fan of its image face about its own centre
 (``fan_cells``, the radial extension of the face's edge correspondence).
 The pieces take their centres as given: the atlas states them or takes
 faces' area centroids (``face_centres``, all faces of a build phase in one
-stacked pass), and the cone signs and the boundary-map validation of the
-chart that holds a fan refuse a centre about which it is not star.
+stacked pass), and the exact certificate that the construction of the
+chart that holds a fan takes (its cone signs and its degree count) refuses
+a centre about which it is not star.
 """
 
 from __future__ import annotations
@@ -32,8 +33,11 @@ def face_centres(loops):
     cross products (p_i - p0) x (p_i+1 - p0)), taken relative to p0, so
     that a coordinate that every vertex shares is the centroid's exactly.
     Every sum runs over the fan triangles in order, from 0, so each row is
-    the one that the same sums in Python floats give, bitwise."""
+    the one that the same sums in Python floats give, bitwise.  Raises
+    GeometryError for a loop of fewer than three vertices."""
     sizes = [len(loop) for loop in loops]
+    if min(sizes, default=3) < 3:
+        raise GeometryError(f"a face needs 3 or more vertices, not {min(sizes)}")
     out = np.empty((len(loops), 3))
     for size in sorted(set(sizes)):
         idx = [k for k, s in enumerate(sizes) if s == size]
@@ -61,9 +65,9 @@ def fan_cells(domain_loop, image_loop, dom_centre, img_centre):
     edge of the face, onto the fan from ``img_centre`` over the image
     edges, in Python floats.  Raises GeometryError if the loops have
     different lengths.  That the fans tile both faces with a positive
-    orientation is not checked here: the cone signs and
-    ``validate_boundary_map`` of the chart that holds the piece check it
-    exactly."""
+    orientation is not checked here: the construction of the chart that
+    holds the piece checks it exactly, by the cone signs that it refuses
+    and the degree count that ``validate_boundary_map`` reports."""
     dom, img = _loop(domain_loop), _loop(image_loop)
     if len(dom) != len(img):
         raise GeometryError("vertex correspondence requires equal counts")

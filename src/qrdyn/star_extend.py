@@ -26,22 +26,25 @@ stacked pass).  It evaluates the map by one facet test, a sector test for
 the piece and one for the cell (each skipped where there is one entry) and
 one affine product, and inverts it by the image cell whose cone from b
 holds the point (``psi``) and one inverse affine product.  The same cells
-make the chart's certificate finite and exact.  Construction refuses a
-fan triangle whose image cone about b is not oriented as its domain cone
-about a (``_cone_signs``), and ``RadialMap.validate_boundary_map`` checks
-that the fan triangles form a closed surface of one orientation, with one
-image per point, and counts by exact signs the cones that hold one
-direction: the degree of the surface about each centre, which must be 1
-on both sides.  So the chart maps its box homeomorphically onto its image
-solid, every face fan is star about its centres, and the image cells are
-the only triangulation of the solid's surface that the map needs.
+make the chart's certificate finite and exact, and construction takes all
+of it in the pass that builds the charts (``_build_maps``): one exact sign
+call (``_cone_signs``) gives each fan triangle's cone orientations and the
+signs that count, per side, the cones that hold one direction, the
+degree of the surface about each centre; one count of integer edge codes
+(``_seam_faults``) checks that the fan triangles form a closed surface of
+one orientation, with one image per point.  Construction refuses a fan
+triangle whose image cone about b is not oriented as its domain cone
+about a; ``RadialMap.validate_boundary_map`` reports the rest, which
+passes when both degrees are 1.  So the chart maps its box
+homeomorphically onto its image solid, every face fan is star about its
+centres, and the image cells are the only triangulation of the solid's
+surface that the map needs.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from math import atan2, inf
 
@@ -50,9 +53,9 @@ import numpy as np
 from .geometry import (TAU_GEOM, GeometryError, _as_array, _cross, _det3_signs, _dots,
                        _starts)
 
-# the directions from a chart's centres along which validate_boundary_map
-# counts the cones that hold them: the first that lies in the plane of no
-# cone face is taken
+# the directions from a chart's centres along which construction counts
+# the cones that hold them: per chart, the first that lies in the plane of
+# none of its cone faces is taken
 _DIRECTIONS = ((0.5377, 0.1833, 0.8226), (-0.4336, 0.3426, 0.8339),
                (0.7269, -0.3035, -0.6163))
 
@@ -132,14 +135,15 @@ class RadialMap:
     under the boundary piece, cell after cell (``sizes`` per cell,
     ``point_ids`` the point of each vertex, numbered 0, 1, ...),
     ``cell_facets`` each cell's domain facet and its piece's running index,
-    the image facet, and ``fans`` the rows of the fan triangles (0, i, i + 1)
-    of every polygon, with ``fan_cell`` the cell of each.  ``linear`` holds
-    the cells' linear parts and ``images`` each vertex's image b + A (p - a)
-    under its own cell's A.  ``facet_planes`` holds, per image facet, its
-    unit normal signed away from b, along the piece's vector area, and its
+    the image facet, and ``fan_cell`` the cell of each fan triangle
+    (0, i, i + 1) of every polygon, in order.  ``linear`` holds the cells'
+    linear parts and ``images`` each vertex's image b + A (p - a) under
+    its own cell's A.  ``facet_planes`` holds, per image facet, its unit
+    normal signed away from b, along the piece's vector area, and its
     offset n . p0 at the piece's first image point p0; ``diameter`` is that
     of the bounding box of the image points and ``tol`` its ``TAU_GEOM``
-    multiple.
+    multiple.  ``_checks`` holds what the same pass found of the chart's
+    certificate, which ``validate_boundary_map`` reports.
     """
 
     def __init__(self, domain: Box, centre, pieces_by_facet):
@@ -202,15 +206,19 @@ class RadialMap:
     # -- diagnostics -------------------------------------------------------
 
     def validate_boundary_map(self) -> ValidationReport:
-        """Exact check that the chart maps its box homeomorphically onto
-        its image solid, on its cells' fan triangles (``fans``), each turned
-        by the sign of its domain cone about a.
+        """The exact check that the chart maps its box homeomorphically onto
+        its image solid, assembled from what its construction found
+        (``_checks``): ``_build_maps`` takes every sign and count in the
+        stacked pass that builds the chart, and this call takes none; it
+        takes only the float distances of the boundary test below.  The
+        checks run on the fan triangles (0, i, i + 1) of the chart's cell
+        polygons, each turned by the sign of its domain cone about a.
 
         Seams (``_seam_faults``): each point has one image, and the turned
         triangles form a closed surface of one orientation, each directed
         edge run once and its reverse once, so a T-junction is refused;
         ``seam_violations`` counts the points and edges that fail, and
-        ``detail`` names the cell of the first.  Cones (``_turned_cones``):
+        ``detail`` names the cell of the first.  Cones (``_cone_signs``):
         each image cone about b has its domain cone's orientation, and on
         each side exactly one turned cone holds a fixed direction.  On a
         surface that passes the seams, with every turned cone positive, the
@@ -225,27 +233,22 @@ class RadialMap:
         cells lie in the plane of its image facet (``facet_planes``) within
         max(1e3 tol, 1e-12 diameter) (``worst_boundary_dev``), the only
         test that an image facet is planar."""
+        seams, first, split, viol, degrees = self._checks
         tol_boundary = max(self.tol * 1e3, 1e-12 * self.diameter)
         cod_n, cod_d = self.facet_planes
-        dom, img, fans = self.points, self.targets, self.fans
         at = np.repeat(self.cell_facets[:, 1], self.sizes)
-        worst_b = float(np.abs(_dots(img, cod_n[at]) - cod_d[at]).max())
-        signs, held = _turned_cones(np.stack([dom[fans], img[fans]]),
-                                    np.array([self._a, self._b]))
-        turn = signs[0]
-        degrees = [0, 0] if held is None else np.count_nonzero(held, axis=1).tolist()
-        viol = (int(np.count_nonzero((signs[1] != turn) | (turn == 0)))
-                + sum(k != 1 for k in degrees))
+        worst_b = float(np.abs(_dots(self.targets, cod_n[at]) - cod_d[at]).max())
         detail = ("; every direction of the degree count lies in the plane of a cone face"
-                  if held is None else "; domain degree {}, image degree {}".format(*degrees))
-        seams, first, split = _seam_faults(self.point_ids, fans, turn, img)
+                  if degrees is None else "; domain degree {}, image degree {}".format(*degrees))
         if split.any():
             k = int(np.flatnonzero(split)[0])
             cell = bisect_right(_starts(self.sizes).tolist(), k) - 1
-            detail += f"; {self.labels[cell]}: point {tuple(dom[k].tolist())} has several images"
+            detail += (f"; {self.labels[cell]}: point {tuple(self.points[k].tolist())} "
+                       "has several images")
         elif first:
             t, (u, v), runs = first
-            p, q = (tuple(dom[np.flatnonzero(self.point_ids == i)[0]].tolist()) for i in (u, v))
+            p, q = (tuple(self.points[np.flatnonzero(self.point_ids == i)[0]].tolist())
+                    for i in (u, v))
             detail += (f"; {self.labels[self.fan_cell[t]]}: its edge from {p} to {q} is run "
                        "{} times and its reverse {} times".format(*runs))
         passed = worst_b <= tol_boundary and seams == 0 and viol == 0
@@ -261,7 +264,8 @@ def radial_maps(specs):
     ``map_index``.  The stacked pass walks every map before its cone signs
     and linear parts (a LinAlgError among their errors) and before each
     map's sector tables, so a later map may fail first there: when it
-    fails, the maps are rebuilt one at a time."""
+    fails, the maps are rebuilt one at a time.  The pass takes each map's
+    whole certificate too, which ``validate_boundary_map`` reports."""
     maps = [RadialMap.__new__(RadialMap) for _ in specs]
     try:
         _build_maps(maps, specs)
@@ -276,70 +280,84 @@ def radial_maps(specs):
     return maps
 
 
-def _cone_signs(points, targets, fans, a, b):
-    """(signs, failures) of the fan triangles ``fans`` (rows of ``points``
-    and of ``targets``): the exact orientation of each domain cone, the
-    triangle points[fan] about a[k], and the rows that fail the chart
-    certificate, in order: those whose image cone, targets[fan] about b[k],
-    has not that orientation, or whose domain cone is flat.  Every sign
-    comes from one ``geometry._det3_signs`` call."""
+def _cone_signs(points, targets, fans, a, b, d):
+    """(signs, failures) of the T fan triangles ``fans`` (rows of
+    ``points`` and of ``targets``), each with its row of the centres ``a``
+    and ``b`` and of the count directions ``d``.  ``signs`` (2, 4, T)
+    holds, on the domain side (0: w = points[fan] about c = a[k]) and on the
+    image side (1: w = targets[fan] about c = b[k]), the exact orientation
+    of each cone, det(w - c) (signs[:, 0]), and the signs of
+    det(w_i - c, w_j - c, d[k]) over its faces (i, j) = (0, 1), (1, 2),
+    (2, 0) (signs[:, 1:]): the cone turned by its domain cone's sign holds
+    d where they are all positive.  The failures are the rows that fail
+    the chart certificate, in order: those whose image cone has not its
+    domain cone's orientation, or whose domain cone is flat.  The 8T signs
+    come from one ``geometry._det3_signs`` call."""
     n = len(fans)
-    signs = _det3_signs(np.concatenate([points[fans], targets[fans]]),
-                        np.concatenate([a, b])[:, None, :])[0]
-    return signs[:n], np.flatnonzero((signs[n:] != signs[:n]) | (signs[:n] == 0))
-
-
-def _turned_cones(tris, centres):
-    """(signs, held) of the cones of a chart's fan triangles, ``tris``
-    (2, T, 3, 3) on the domain and the image side, about ``centres`` (2, 3),
-    a and b: each cone's exact orientation (``signs``, (2, T)), and whether
-    the cone turned by its domain cone's sign holds d, the first of
-    ``_DIRECTIONS`` in the plane of no cone face: whether the turned signs
-    of det(w_i - c, w_j - c, d) over its faces (i, j) are all positive
-    (``held``, (2, T); None if no direction qualifies).  The 8T signs of a
-    direction come from one ``geometry._det3_signs`` call."""
-    n = tris.shape[1]
     # per side, the cone's rows and each face's two rows and d, less the
     # centre from each vertex row
     p = np.empty((2, 4, n, 3, 3))
-    p[:, 0] = tris
-    p[:, 1:, :, :2] = tris[:, :, [[0, 1], [1, 2], [2, 0]]].transpose(0, 2, 1, 3, 4)
+    w = p[:, 0]
+    w[0], w[1] = points[fans], targets[fans]
+    p[:, 1:, :, 0] = w.transpose(0, 2, 1, 3)
+    p[:, 1:3, :, 1] = w[:, :, 1:].transpose(0, 2, 1, 3)
+    p[:, 3, :, 1] = w[:, :, 0]
+    p[:, 1:, :, 2] = d
+    centres = np.stack([a, b])
     q = np.zeros((2, 4, n, 3, 3))
-    q[:, :, :, :2] = centres[:, None, None, None]
-    q[:, 0, :, 2] = centres[:, None]
-    for d in _DIRECTIONS:
-        p[:, 1:, :, 2] = d
-        signs = _det3_signs(p.reshape(-1, 3, 3), q.reshape(-1, 3, 3))[0].reshape(2, 4, n)
-        if signs[:, 1:].all():
-            return signs[:, 0], (signs[:, 1:] * signs[0, 0] > 0).all(axis=1)
-    return signs[:, 0], None
+    q[:, :, :, :2] = centres[:, None, :, None]
+    q[:, 0, :, 2] = centres
+    signs = _det3_signs(p.reshape(-1, 3, 3), q.reshape(-1, 3, 3))[0].reshape(2, 4, n)
+    cones = signs[:, 0]
+    return signs, np.flatnonzero((cones[1] != cones[0]) | (cones[0] == 0))
 
 
-def _seam_faults(ids, fans, turn, targets):
-    """(faults, first, split) of a chart's fan triangles ``fans`` (rows of
-    the points, numbered ``ids`` by their exact coordinates, and of their
-    images ``targets``), each turned by the sign ``turn``: the number of
-    edges not run once each way and of points of several images; None or
-    (triangle, (u, v), runs of it and of its reverse) of the first directed
-    edge that fails; and per vertex whether its point has several images.
-    Without faults the turned triangles form a closed surface of one
-    orientation on which the boundary map is continuous, exactly."""
-    edges = []
-    for (a, b, c), s in zip(ids[fans].tolist(), turn.tolist()):
-        if s < 0:
-            b, c = c, b
-        edges += ((a, b), (b, c), (c, a))
-    uses = Counter(edges)
-    broken = [e for e, (u, v) in enumerate(edges) if uses[u, v] != 1 or uses[v, u] != 1]
-    first = None
-    if broken:
-        u, v = edges[broken[0]]
-        first = (broken[0] // 3, (u, v), (uses[u, v], uses[v, u]))
-    n = int(ids.max()) + 1
-    image = np.empty((n, 3))
+def _seam_faults(ids, n_points, fans, turn, targets):
+    """(faults, first, split) of the fan triangles ``fans`` of one or
+    several maps, each turned by its sign ``turn``: rows of the points,
+    numbered ``ids`` by their exact coordinates, map k's ``n_points[k]``
+    points after those of the maps before it, and of their images
+    ``targets``.  Per map: the number of its edges not run once each way
+    and of its points of several images, and None or (fan row, (u, v),
+    runs of it and of its reverse) of its first directed edge that fails,
+    its rows and point numbers counted from its first; and per vertex
+    whether its point has several images.  Map k's directed
+    edge (u, v) is the integer base_k + u n_k + v, base_k the sum of n_j^2
+    over the maps before it, so one ``np.bincount`` counts the runs of
+    every edge.  A map without faults has turned triangles that form a
+    closed surface of one orientation, on which its boundary map is
+    continuous, exactly."""
+    size = np.array(n_points)
+    point_map = np.repeat(np.arange(len(size)), size)
+    first_point = _starts(size)
+    tri = ids[fans]
+    swap = turn < 0
+    tri[swap] = tri[swap][:, [0, 2, 1]]
+    k = point_map[tri[:, 0]]
+    n = size[k, None]
+    # base_k + u n_k + v in map k's own numbers, from the pass's numbers
+    shift = (_starts(size * size) - first_point * (size + 1))[k, None]
+    u, v = tri, tri[:, [1, 2, 0]]
+    code, back = shift + u * n + v, shift + v * n + u
+    uses = np.bincount(code.ravel(), minlength=int((size * size).sum()))
+    runs, backs = uses[code].ravel(), uses[back].ravel()
+    image = np.empty((len(point_map), 3))
     image[ids] = targets
-    split = np.bincount(ids, (targets != image[ids]).any(axis=1), n) > 0
-    faults = len({(min(edges[e]), max(edges[e])) for e in broken}) + int(np.count_nonzero(split))
+    split = np.bincount(ids, (targets != image[ids]).any(axis=1), len(point_map)) > 0
+    faults = [int(x) for x in np.bincount(point_map, split, len(size)).tolist()]
+    first = [None] * len(size)
+    broken = np.flatnonzero((runs != 1) | (backs != 1)).tolist()
+    if broken:
+        fan_rows = _starts(np.bincount(k, minlength=len(size))).tolist()
+        pairs = set()         # each map's undirected edges that fail
+        for e in broken:
+            m = int(k[e // 3])
+            p, q = (int(x) - int(first_point[m]) for x in (u.flat[e], v.flat[e]))
+            if first[m] is None:
+                first[m] = (e // 3 - fan_rows[m], (p, q), (int(runs[e]), int(backs[e])))
+            if (m, min(p, q), max(p, q)) not in pairs:
+                pairs.add((m, min(p, q), max(p, q)))
+                faults[m] += 1
     return faults, first, split[ids]
 
 
@@ -415,16 +433,27 @@ def _build_maps(maps, specs):
     domain polygon, its image points, and its domain facet with its piece's
     running index, the image facet (``cell_facets``); a key of
     ``pieces_by_facet`` other than 0 to 5 is walked last.  The walk refuses
-    a facet without pieces, a piece without cells, and a cell whose two
-    polygons differ in length or have fewer than 3 vertices; then the
+    a facet without pieces, a piece without cells, a cell that is not a
+    pair of sequences (two polygons), and a cell whose two polygons differ
+    in length or have fewer than 3 vertices; then the
     stacks refuse a vertex that is not three numbers (``_vertex_rows``), a
     non-finite coordinate, and a domain vertex whose coordinate on its
     facet's axis is not exactly the facet's level (every vertex of a key
     other than 0 to 5).  The point numbering and the sector layouts take
     the domain vertices as the stack's rows, tuples of floats, whatever
-    sequences the pieces gave.  Before any solve, the cone signs of all fan
-    triangles (``_cone_signs``) certify the centres b; the first that
-    fails raises GeometryError naming its cell.  One sum
+    sequences the pieces gave.
+
+    Before any solve, one ``_cone_signs`` call over the fan triangles of
+    all the maps takes their cones' orientations, which certify the
+    centres b (the first that fails raises GeometryError naming its cell),
+    and the signs of their faces along the first of ``_DIRECTIONS``: the
+    signs of a map with a zero among them are taken again along the next
+    direction, in one more call for all such maps, until none is left.
+    Per map and side, the cones turned by their domain cone's sign that
+    hold the direction are counted: the degree that
+    ``validate_boundary_map`` reports.  The maps' points are numbered by
+    their exact coordinates, map after map, and one ``_seam_faults`` call
+    counts every map's directed edges and points of several images.  One sum
     over each piece's image fan triangles, from its first fan row in cell
     order, each turned by its domain cone's sign (so that the cells of a
     piece may run either way round), gives its vector area and so the
@@ -438,10 +467,11 @@ def _build_maps(maps, specs):
     stacked product gives every vertex's image (``images``), and one
     inverse gives the fan frames of the image cells, which ``psi`` scans
     (``_frames``, each with its cell).  Each map keeps its slice of the
-    stacked arrays; a stacked solve, product or inverse equals the
-    per-matrix call bitwise, so every map is the one that its own
-    construction builds.  Raises the first error met, naming its cell
-    ("facet f piece k cell j") or its piece."""
+    stacked arrays and its checks (``_checks``); a stacked solve, product
+    or inverse equals the per-matrix call bitwise, every sign is exact and
+    every count is the map's own, so every map, its report included, is
+    the one that its own construction builds.  Raises the first error met,
+    naming its cell ("facet f piece k cell j") or its piece."""
     sizes, doms, imgs, facets, labels, piece_names, piece_cells, n_pieces = ([] for _ in range(8))
     sides = []        # per cell: its facet's axis and level (NaN off the six)
     for rmap, (domain, centre, pieces_by_facet) in zip(maps, specs):
@@ -466,8 +496,14 @@ def _build_maps(maps, specs):
                 name = f"facet {facet} piece {k}"
                 if not piece:
                     raise GeometryError(f"{name} has no cells")
-                for j, (dom, img) in enumerate(piece):
+                for j, cell in enumerate(piece):
                     labels.append(f"{name} cell {j}")
+                    try:
+                        dom, img = cell
+                        len(dom), len(img)
+                    except (TypeError, ValueError):
+                        raise GeometryError(f"{labels[-1]}: a cell is a pair of polygons, each "
+                                            f"a sequence of vertices, not {cell!r}") from None
                     if not 3 <= len(dom) == len(img):
                         raise GeometryError(f"{labels[-1]}: a polygon of {len(dom)} vertices "
                                             f"onto one of {len(img)}; a cell needs 3 or more"
@@ -514,18 +550,47 @@ def _build_maps(maps, specs):
     fan_cell = np.repeat(np.arange(len(sizes)), sizes - 2)
     i = np.arange(len(fan_cell)) - fan_starts[fan_cell]
     fans = starts[fan_cell][:, None] + np.stack([0 * i, i + 1, i + 2], axis=1)
-    signs, bad = _cone_signs(points, targets, fans, *(c[fan_cell] for c in centres))
+    a, b = (c[fan_cell] for c in centres)
+    signs, bad = _cone_signs(points, targets, fans, a, b,
+                             np.full((len(fans), 3), _DIRECTIONS[0]))
     if bad.size:
         cell, t = fan_cell[bad[0]], i[bad[0]]
         raise GeometryError(f"{labels[cell]}: the image cone of fan triangle {t} about the "
                             f"codomain centre {centres[1][cell].tolist()} is not oriented as "
                             "its domain cone")
+    # each map counts its degrees along the first of _DIRECTIONS that lies
+    # in the plane of none of its cone faces: a map with a zero face sign
+    # takes its signs again along the next, and has no count past the last
+    fan_map = np.repeat(np.arange(len(maps)), counts)[fan_cell]
+    for direction in (*_DIRECTIONS[1:], None):
+        flat = np.bincount(fan_map[(signs[:, 1:] == 0).any(axis=(0, 1))], minlength=len(maps))
+        if direction is None or not flat.any():
+            break
+        again = np.flatnonzero(flat[fan_map])
+        signs[:, :, again] = _cone_signs(points, targets, fans[again], a[again], b[again],
+                                         np.full((len(again), 3), direction))[0]
+    turn = signs[0, 0]
+    # per map, its cones of the wrong orientation and, per side, its turned
+    # cones that hold its direction
+    wrong, *held = (np.bincount(fan_map[x], minlength=len(maps)).tolist()
+                    for x in ((signs[1, 0] != turn) | (turn == 0),
+                              *(signs[:, 1:] * turn > 0).all(axis=1)))
+    # each vertex's point, numbered by its exact coordinates, each map's
+    # points after those of the maps before it
+    ids, n_points = [], []
+    map_rows = np.append(starts[_starts(counts)], len(doms)).tolist()
+    for p0, p1 in zip(map_rows, map_rows[1:]):
+        number, base = {}, sum(n_points)
+        ids += [number.setdefault(q, base + len(number)) for q in doms[p0:p1]]
+        n_points.append(len(number))
+    ids = np.array(ids)
+    seams = _seam_faults(ids, n_points, fans, turn, targets)
     # each piece's vector area, over its image fan triangles from its first
     # fan row on, each as its domain cone turns, then signed away from b;
     # the offset at its first image point
     piece_cell = _starts(piece_cells)
     w = targets[fans]
-    turned = _cross(w[:, 1] - w[:, 0], w[:, 2] - w[:, 0]) * signs[:, None].astype(float)
+    turned = _cross(w[:, 1] - w[:, 0], w[:, 2] - w[:, 0]) * turn[:, None].astype(float)
     piece_of_fan = np.repeat(np.arange(len(piece_cells)), piece_cells)[fan_cell]
     vector = np.stack([np.bincount(piece_of_fan, c, len(piece_cells)) for c in turned.T], axis=1)
     piece_fan = fan_starts[piece_cell]
@@ -581,10 +646,11 @@ def _build_maps(maps, specs):
     images = np.repeat(centres[1], sizes, axis=0) + mapped
     frames = list(map(tuple, np.linalg.inv(np.swapaxes(mapped[fans], 1, 2))
                       .reshape(-1, 9).tolist()))
-    c0, p0, t0, k0 = 0, 0, 0, 0
-    for rmap, n, k in zip(maps, counts.tolist(), n_pieces):
+    c0, t0, k0 = 0, 0, 0
+    for m, (rmap, n, k, (p0, p1)) in enumerate(zip(maps, counts.tolist(), n_pieces,
+                                                   zip(map_rows, map_rows[1:]))):
         c1, k1 = c0 + n, k0 + k
-        p1, t1 = int(starts[c1 - 1] + sizes[c1 - 1]), at[c1]
+        t1 = at[c1]
         rmap.sizes, rmap.cell_facets = sizes[c0:c1], np.array(facets[c0:c1])
         rmap.points, rmap.targets, rmap.images = points[p0:p1], targets[p0:p1], images[p0:p1]
         rmap.facet_planes = tuple(x[k0:k1] for x in planes)
@@ -592,12 +658,14 @@ def _build_maps(maps, specs):
                                              - rmap.targets.min(axis=0)))
         rmap.tol = TAU_GEOM * rmap.diameter
         rmap.linear = linear[c0:c1]
-        rmap.fan_cell, rmap.fans = fan_cell[t0:t1] - c0, fans[t0:t1] - p0
-        number = {}       # each distinct point of the map, numbered
-        rmap.point_ids = np.array([number.setdefault(q, len(number)) for q in doms[p0:p1]])
+        rmap.fan_cell = fan_cell[t0:t1] - c0
+        rmap.point_ids = ids[p0:p1] - sum(n_points[:m])
         rmap._frames = list(zip(frames[t0:t1], rmap.fan_cell.tolist()))
         rmap._inverses = inverses[c0:c1]
-        c0, p0, t0, k0 = c1, p1, t1, k1
+        degrees = None if flat[m] else [held[0][m], held[1][m]]
+        rmap._checks = (seams[0][m], seams[1][m], seams[2][p0:p1],
+                        wrong[m] + sum(deg != 1 for deg in degrees or (0, 0)), degrees)
+        c0, t0, k0 = c1, t1, k1
 
 
 def _vertex_rows(vertices, starts, labels):

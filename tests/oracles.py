@@ -79,19 +79,25 @@ of its ``RadialMap``s, kept here as the oracles of the tests.
 - ``cell_facets_by_planes``: each cell's domain facet by the planes, as
   ``RadialMap.validate_boundary_map`` once searched for it before
   construction recorded it, and its codomain facet by its piece's place in
-  the facet-major list of pieces (``cell_facets``).
+  the facet-major list of pieces (``cell_facets``);
+- ``boundary_report``: a chart's ``ValidationReport`` one chart at a time,
+  as ``RadialMap.validate_boundary_map`` computed it before construction
+  took the checks in its stacked pass: the degree count's signs per chart
+  (``_turned_cones``, one sign call per direction tried) and the seams by
+  a ``Counter`` of directed edges in Python tuples (``_seam_faults``).
 """
 
 import functools
 import math
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 import numpy as np
 
+from qrdyn import star_extend
 from qrdyn.dynamics import _fibonacci_sphere
-from qrdyn.geometry import TAU_GEOM, GeometryError, _as_array, _det3_signs
+from qrdyn.geometry import TAU_GEOM, GeometryError, _as_array, _det3_signs, _dots
 from qrdyn.zorich import _EXP_ARG_MAX, HORIZON, F_scalar, _fold1, _off_horizon
 
 
@@ -952,3 +958,98 @@ def cell_facets_by_planes(rmap):
         fd, = [f for f in range(6) if all(p[f // 2] == (lo, hi)[f % 2][f // 2] for p in poly)]
         out.append((fd, k))
     return out
+
+
+def fan_rows(rmap):
+    """The rows (into ``rmap.points``) of a chart's fan triangles
+    (0, i, i + 1) of every cell polygon, cell after cell: the triangles on
+    which construction takes the chart's signs and seams."""
+    rows, at = [], 0
+    for size in rmap.sizes.tolist():
+        rows += [(at, at + i, at + i + 1) for i in range(1, size - 1)]
+        at += size
+    return np.array(rows)
+
+
+def _turned_cones(tris, centres):
+    """(signs, held) of the cones of a chart's fan triangles, ``tris``
+    (2, T, 3, 3) on the domain and the image side, about ``centres`` (2, 3),
+    a and b: each cone's exact orientation (``signs``, (2, T)), and whether
+    the cone turned by its domain cone's sign holds d, the first of
+    ``star_extend._DIRECTIONS`` in the plane of no cone face: whether the
+    turned signs of det(w_i - c, w_j - c, d) over its faces (i, j) are all
+    positive (``held``, (2, T); None if no direction qualifies).  The 8T
+    signs of a direction come from one ``_det3_signs`` call per chart."""
+    n = tris.shape[1]
+    p = np.empty((2, 4, n, 3, 3))
+    p[:, 0] = tris
+    p[:, 1:, :, :2] = tris[:, :, [[0, 1], [1, 2], [2, 0]]].transpose(0, 2, 1, 3, 4)
+    q = np.zeros((2, 4, n, 3, 3))
+    q[:, :, :, :2] = centres[:, None, None, None]
+    q[:, 0, :, 2] = centres[:, None]
+    for d in star_extend._DIRECTIONS:
+        p[:, 1:, :, 2] = d
+        signs = _det3_signs(p.reshape(-1, 3, 3), q.reshape(-1, 3, 3))[0].reshape(2, 4, n)
+        if signs[:, 1:].all():
+            return signs[:, 0], (signs[:, 1:] * signs[0, 0] > 0).all(axis=1)
+    return signs[:, 0], None
+
+
+def _seam_faults(ids, fans, turn, targets):
+    """(faults, first, split) of a chart's fan triangles ``fans`` (rows of
+    the points, numbered ``ids`` by their exact coordinates, and of their
+    images ``targets``), each turned by the sign ``turn``, in Python tuples
+    and a ``Counter`` of directed edges: the number of edges not run once
+    each way and of points of several images; None or (triangle, (u, v),
+    runs of it and of its reverse) of the first directed edge that fails;
+    and per vertex whether its point has several images."""
+    edges = []
+    for (a, b, c), s in zip(ids[fans].tolist(), turn.tolist()):
+        if s < 0:
+            b, c = c, b
+        edges += ((a, b), (b, c), (c, a))
+    uses = Counter(edges)
+    broken = [e for e, (u, v) in enumerate(edges) if uses[u, v] != 1 or uses[v, u] != 1]
+    first = None
+    if broken:
+        u, v = edges[broken[0]]
+        first = (broken[0] // 3, (u, v), (uses[u, v], uses[v, u]))
+    n = int(ids.max()) + 1
+    image = np.empty((n, 3))
+    image[ids] = targets
+    split = np.bincount(ids, (targets != image[ids]).any(axis=1), n) > 0
+    faults = len({(min(edges[e]), max(edges[e])) for e in broken}) + int(np.count_nonzero(split))
+    return faults, first, split[ids]
+
+
+def boundary_report(rmap):
+    """The ``ValidationReport`` of a built chart by the per-chart algorithm
+    that ``RadialMap.validate_boundary_map`` ran before construction took
+    its checks in the stacked pass: its own ``_turned_cones`` and Counter
+    ``_seam_faults``, and its boundary deviation from its facet planes."""
+    tol_boundary = max(rmap.tol * 1e3, 1e-12 * rmap.diameter)
+    cod_n, cod_d = rmap.facet_planes
+    dom, img, fans = rmap.points, rmap.targets, fan_rows(rmap)
+    at = np.repeat(rmap.cell_facets[:, 1], rmap.sizes)
+    worst_b = float(np.abs(_dots(img, cod_n[at]) - cod_d[at]).max())
+    signs, held = _turned_cones(np.stack([dom[fans], img[fans]]), np.array([rmap._a, rmap._b]))
+    turn = signs[0]
+    degrees = [0, 0] if held is None else np.count_nonzero(held, axis=1).tolist()
+    viol = (int(np.count_nonzero((signs[1] != turn) | (turn == 0)))
+            + sum(k != 1 for k in degrees))
+    detail = ("; every direction of the degree count lies in the plane of a cone face"
+              if held is None else "; domain degree {}, image degree {}".format(*degrees))
+    seams, first, split = _seam_faults(rmap.point_ids, fans, turn, img)
+    if split.any():
+        k = int(np.flatnonzero(split)[0])
+        cell = bisect_right((np.cumsum(rmap.sizes) - rmap.sizes).tolist(), k) - 1
+        detail += f"; {rmap.labels[cell]}: point {tuple(dom[k].tolist())} has several images"
+    elif first:
+        t, (u, v), runs = first
+        p, q = (tuple(dom[np.flatnonzero(rmap.point_ids == i)[0]].tolist()) for i in (u, v))
+        detail += (f"; {rmap.labels[rmap.fan_cell[t]]}: its edge from {p} to {q} is run "
+                   "{} times and its reverse {} times".format(*runs))
+    passed = worst_b <= tol_boundary and seams == 0 and viol == 0
+    return star_extend.ValidationReport(passed=passed, worst_boundary_dev=worst_b,
+                                        seam_violations=seams, injectivity_violations=viol,
+                                        detail=f"tol_boundary={tol_boundary:.3e}" + detail)

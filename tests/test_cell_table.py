@@ -531,10 +531,12 @@ class TestBuildMatchesOracles:
             rmap = chart.map
             alone = RadialMap(rmap.domain, rmap._b, rmap.pieces_by_facet)
             for name in ("linear", "points", "targets", "images", "sizes", "cell_facets",
-                         "point_ids", "fans", "fan_cell"):
+                         "point_ids", "fan_cell"):
                 assert getattr(rmap, name).tobytes() == getattr(alone, name).tobytes(), name
-            assert _bits((rmap._consts, rmap._frames, rmap._inverses, rmap.labels)) \
-                == _bits((alone._consts, alone._frames, alone._inverses, alone.labels))
+            assert _bits((rmap._consts, rmap._frames, rmap._inverses, rmap.labels,
+                          rmap._checks)) \
+                == _bits((alone._consts, alone._frames, alone._inverses, alone.labels,
+                          alone._checks))
 
     def test_build_constants(self, build):
         # each cell's vertex images in the stacked table, L', the least cell

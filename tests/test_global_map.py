@@ -13,8 +13,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import (_cell_index, cell_facets_by_planes, face_centre, image_solid, star_test,
-                     vertex_images)
+from oracles import (_cell_index, cell_facets_by_planes, face_centre, fan_rows, image_solid,
+                     star_test, vertex_images)
 from qrdyn import geometry, global_map, star_extend, zorich
 from qrdyn.global_map import (CellTable, ConstructionError, GlobalMap, _CHARTS,
                               audit_dilatation, audit_orientation, audit_seams,
@@ -22,6 +22,8 @@ from qrdyn.global_map import (CellTable, ConstructionError, GlobalMap, _CHARTS,
                               build_report, build_vertex_table, chart_lipschitz,
                               constants_report_text,
                               derive_translation_constant, _IMAGE_FACE_CENTRES, _IMAGES)
+from qrdyn.geometry import GeometryError
+from qrdyn.pieces import face_centres
 from qrdyn.zorich import HORIZON, PrecisionLost
 
 TABLE = {
@@ -87,6 +89,20 @@ class TestVertexTable:
             build_maps()
         assert "worst_boundary_dev=0.00316" in str(err.value)
 
+    @pytest.mark.parametrize("face", ["P0 P1", "P0"])
+    def test_a_face_of_fewer_than_three_vertices_names_the_chart(self, build, monkeypatch,
+                                                                  face):
+        # a fan face of two names, or one, on A''s facet 0: refused by name
+        # before its area centroid is taken, which no such loop has
+        facets = {**_CHARTS["A'"]["facets"], 0: [face]}
+        monkeypatch.setitem(_CHARTS, "A'", dict(_CHARTS["A'"], facets=facets))
+        with pytest.raises(ConstructionError,
+                           match=f"^chart A': face '{face}' has {len(face.split())} vertices; "
+                                 "a face needs 3 or more$"):
+            build_aprime_chart(build.vertex_table)
+        with pytest.raises(GeometryError, match="a face needs 3 or more vertices, not 2"):
+            face_centres([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]])
+
     @pytest.mark.parametrize("cid", ["A'", "A''1", "A''2", "A''3", "A''4"])
     def test_uncertifiable_codomain_centre_names_the_chart(self, build, monkeypatch, cid):
         # a centre on one image solid's boundary (the image of its first
@@ -117,15 +133,21 @@ def asecond_centres(count=300):
     return np.vstack([rng.uniform([-1, -1, 0], [12, 12, 100], (count, 3)), [(5.0, 1.0, 2.0)]])
 
 
-def cone_sign_passes(rmap, centres):
+def cone_sign_passes(rmap, centres, chunk=256):
     """Where the built chart ``rmap``, with its codomain centre moved to each
-    of ``centres``, passes its cone signs, in one stacked pass."""
-    fans = np.tile(rmap.fans, (len(centres), 1))
-    bad = star_extend._cone_signs(rmap.points, rmap.targets, fans,
-                                  np.tile(rmap._a, (len(fans), 1)),
-                                  np.repeat(centres, len(rmap.fans), axis=0))[1]
+    of ``centres``, passes its cone signs, in stacked passes of ``chunk``
+    centres (each sign row of a pass takes the degree count's first
+    direction too)."""
+    fans = fan_rows(rmap)
+    n = len(fans)
     passes = np.ones(len(centres), dtype=bool)
-    passes[bad // len(rmap.fans)] = False
+    for k in range(0, len(centres), chunk):
+        part = centres[k:k + chunk]
+        rows = n * len(part)
+        bad = star_extend._cone_signs(rmap.points, rmap.targets, np.tile(fans, (len(part), 1)),
+                                      np.tile(rmap._a, (rows, 1)), np.repeat(part, n, axis=0),
+                                      np.tile(star_extend._DIRECTIONS[0], (rows, 1)))[1]
+        passes[k + bad // n] = False
     return passes
 
 
@@ -925,27 +947,41 @@ class TestBuildWork:
         assert dict(zip(names, (k.call_count for k in kernels))) == dict.fromkeys(names, 0)
 
     def test_one_certification_pass_per_chart_phase(self):
-        # one stacked cone-sign pass per chart phase takes the fan triangles
-        # of all its charts' cells, each about its chart's two centres; a
-        # call per chart would be 5.  No star test: no exact sign is taken
-        # in geometry itself, and the signs that star_extend takes are the
-        # two cone passes and one per boundary-map validation
+        # one stacked sign pass per chart phase takes the fan triangles of
+        # all its charts' cells, each about its chart's two centres, with
+        # the degree count's first direction: the cone signs and the whole
+        # boundary-map validation in 2 exact sign calls a build, where a
+        # call per chart and a validation call per chart were 7.  No star
+        # test: no exact sign is taken in geometry itself, and none in
+        # validate_boundary_map, which assembles its report from the pass
         signs = geometry._det3_signs
+        validate = star_extend.RadialMap.validate_boundary_map
+        in_validation = []
+
+        def counted(rmap):
+            before = ext.call_count
+            rep = validate(rmap)
+            in_validation.append(ext.call_count - before)
+            return rep
+
         with mock.patch("qrdyn.star_extend._cone_signs",
                         wraps=star_extend._cone_signs) as cones, \
                 mock.patch("qrdyn.geometry._det3_signs", wraps=signs) as geo, \
-                mock.patch("qrdyn.star_extend._det3_signs", wraps=signs) as ext:
+                mock.patch("qrdyn.star_extend._det3_signs", wraps=signs) as ext, \
+                mock.patch.object(star_extend.RadialMap, "validate_boundary_map", counted):
             build = build_maps()
-        assert (geo.call_count, ext.call_count) == (0, 2 + len(build.g.charts))
+        assert (geo.call_count, ext.call_count) == (0, 2)
+        assert in_validation == [0] * len(build.g.charts)
         phases = [build.g.charts[:1], build.g.charts[1:]]
         assert cones.call_count == len(phases)
         for call, charts in zip(cones.call_args_list, phases):
-            points, targets, fans, a, b = call.args
-            assert len(fans) == sum(len(chart.map.fans) for chart in charts)
+            points, targets, fans, a, b, d = call.args
+            assert np.array_equal(d, np.tile(star_extend._DIRECTIONS[0], (len(fans), 1)))
+            assert len(fans) == sum(len(chart.map.fan_cell) for chart in charts)
             assert len(points) == len(targets) == sum(len(chart.map.points) for chart in charts)
-            counts = [len(chart.map.fans) for chart in charts]
+            counts = [len(chart.map.fan_cell) for chart in charts]
             for rows, chart in zip(np.split(np.arange(len(fans)), np.cumsum(counts)[:-1]),
                                    charts):
                 assert np.array_equal(a[rows], np.tile(chart.map.domain.centre, (len(rows), 1)))
                 assert np.array_equal(b[rows], np.tile(chart.map._b, (len(rows), 1)))
-        assert sum(len(chart.map.fans) for chart in build.g.charts) == 142
+        assert sum(len(chart.map.fan_cell) for chart in build.g.charts) == 142

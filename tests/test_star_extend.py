@@ -3,13 +3,16 @@ import math
 import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (_radial_2d, cones_holding_fraction, cover_deviation_all_pairs, face_centre,
-                     point_in_polygon, polygon_normal_rows, sector_entry_scan)
+import oracles
+from oracles import (_radial_2d, boundary_report, cones_holding_fraction,
+                     cover_deviation_all_pairs, face_centre, fan_rows, point_in_polygon,
+                     polygon_normal_rows, sector_entry_scan)
 from qrdyn import star_extend
 from qrdyn.geometry import GeometryError
 from qrdyn.pieces import fan_cells
@@ -180,15 +183,21 @@ def chart_with_face(piece_for_top):
 
 
 def refused_then_validated(piece_for_top, monkeypatch):
-    """The chart ``chart_with_face(piece_for_top)``, which its cone signs
-    refuse, built with their failures dropped, so that the boundary-map
-    validation, an independent check, can be read on it."""
+    """The validation of the chart ``chart_with_face(piece_for_top)``,
+    which its cone signs refuse: built with the refused rows dropped from
+    what ``_cone_signs`` returns, and all of its signs kept, so that the
+    pass that refuses the chart goes on to take the rest of its
+    certificate, the seams and the degree count from those same signs.
+    The report is the per-chart oracle's."""
     with pytest.raises(GeometryError, match="not oriented as its domain cone"):
         chart_with_face(piece_for_top)
     signs = star_extend._cone_signs
     monkeypatch.setattr(star_extend, "_cone_signs",
                         lambda *args: (signs(*args)[0], np.array([], dtype=int)))
-    return chart_with_face(piece_for_top).validate_boundary_map()
+    chart = chart_with_face(piece_for_top)
+    rep = chart.validate_boundary_map()
+    assert report_bits(rep) == report_bits(boundary_report(chart))
+    return rep
 
 
 def moved_corner(loop, offset):
@@ -256,10 +265,12 @@ class TestInjectivityCount:
             chart_with_face(collapse_piece)
 
     def test_peak_memory_of_the_build_validation(self, build):
-        chart = build.g.by_id["A'"].map
+        # the validation runs in the pass that builds the charts: the four
+        # A'' charts' pass, the larger of the two, with its 832 sign rows
+        specs = [(c.map.domain, c.map._b, c.map.pieces_by_facet) for c in build.g.charts[1:]]
         tracemalloc.start()
         try:
-            chart.validate_boundary_map()
+            radial_maps(specs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,7 +297,8 @@ QUADRANTS = [[(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)]
 
 # the pieces that construction refuses, each as the facets that it sets in
 # the cube's identity chart, with the start of its message: on the top
-# facet, a piece without cells, a cell whose polygons differ in length or
+# facet, a piece without cells, a cell that is not a pair of polygons or
+# whose polygon is not a sequence, a cell whose polygons differ in length or
 # have fewer than 3 vertices, a cell with a non-finite coordinate (the last
 # of three fan cells), two cells whose images, the top face's two halves
 # with the second turned by pi about the x1 axis, pass their cone signs but
@@ -296,6 +308,12 @@ QUADRANTS = [[(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)]
 MALFORMED = {
     "empty piece": ({5: [[([P0, P1, P2, P3], [P0, P1, P2, P3])], []]},
                     "facet 5 piece 1 has no cells"),
+    "three polygons": ({5: [[(P0, P1, P2)]]},
+                       "facet 5 piece 0 cell 0: a cell is a pair of polygons, each a sequence "
+                       "of vertices, not ("),
+    "polygon of a number": ({5: [[(5, 5)]]},
+                            "facet 5 piece 0 cell 0: a cell is a pair of polygons, each a "
+                            "sequence of vertices, not (5, 5)"),
     "unequal polygons": ({5: [[([P0, P1, P2, P3], [P0, P1, P2])]]},
                          "facet 5 piece 0 cell 0: a polygon of 4 vertices onto one of 3"),
     "two vertices": ({5: [[([P0, P1], [P0, P1])]]},
@@ -414,7 +432,8 @@ def report_bits(rep):
 
 def fan_triangles(rmap):
     """The fan triangles of a chart's cells and their images (T, 3, 3)."""
-    return rmap.points[rmap.fans], rmap.targets[rmap.fans]
+    fans = fan_rows(rmap)
+    return rmap.points[fans], rmap.targets[fans]
 
 
 def cell_complex(rmap):
@@ -434,11 +453,13 @@ def cell_complex(rmap):
 
 
 class TestBatchedValidation:
-    """The exact checks of ``validate_boundary_map``: the turned fan
-    triangles form a closed surface of one orientation and every point has
-    one image (``star_extend._seam_faults``), and the cones are oriented as
-    their domain cones, one on each side holding the count's direction
-    (``star_extend._turned_cones``)."""
+    """The exact checks of ``validate_boundary_map``, which construction
+    takes in its stacked pass: the turned fan triangles form a closed
+    surface of one orientation and every point has one image
+    (``star_extend._seam_faults``, held against the per-chart Counter of
+    ``oracles._seam_faults``), and the cones are oriented as their domain
+    cones, one on each side holding the count's direction
+    (``star_extend._cone_signs``, held against ``oracles._turned_cones``)."""
 
     @pytest.mark.parametrize("cid", CHARTS)
     def test_matches_the_per_triangle_checks(self, cid, build):
@@ -452,10 +473,20 @@ class TestBatchedValidation:
         assert all(len(cells) == 2 for cells in edges.values())
         assert all(len(w) == 1 for w in images.values())
         dom, img = fan_triangles(rmap)
-        signs, held = star_extend._turned_cones(np.stack([dom, img]),
-                                                np.array([rmap._a, rmap._b]))
-        assert star_extend._seam_faults(rmap.point_ids, rmap.fans, signs[0],
-                                        rmap.targets)[0] == 0
+        signs, held = oracles._turned_cones(np.stack([dom, img]), np.array([rmap._a, rmap._b]))
+        assert oracles._seam_faults(rmap.point_ids, fan_rows(rmap), signs[0], rmap.targets)[0] == 0
+        faults, first, split = star_extend._seam_faults(rmap.point_ids, [len(images)],
+                                                        fan_rows(rmap), signs[0], rmap.targets)
+        assert (faults, first, split.any()) == ([0], [None], False)
+        # the stacked pass's signs of the chart alone, along the first
+        # direction: its cones' orientations and the turned cones that hold
+        # the direction are the oracle's
+        rows = len(rmap.fan_cell)
+        got = star_extend._cone_signs(rmap.points, rmap.targets, fan_rows(rmap),
+                                      *(np.tile(c, (rows, 1)) for c in
+                                        (rmap._a, rmap._b, star_extend._DIRECTIONS[0])))[0]
+        assert np.array_equal(got[:, 0], signs)
+        assert np.array_equal((got[:, 1:] * got[0, 0] > 0).all(axis=1), held)
         # the cones' orientations, and the one cone per side that holds the
         # first direction of the count, against Fraction
         for side, (tris, centre) in enumerate(((dom, rmap._a), (img, rmap._b))):
@@ -582,6 +613,34 @@ class TestBatches:
             assert repr((rmap._consts, rmap._frames, rmap._inverses, rmap._box)) \
                 == repr((alone._consts, alone._frames, alone._inverses, alone._box))
 
+    @pytest.mark.parametrize("first", [None, (1.0, 0.3, 1.0)],
+                             ids=["directions", "a cube face first"])
+    def test_a_report_does_not_depend_on_its_batch(self, build, first, monkeypatch):
+        # the five atlas charts and the test charts (identity, scaling, a
+        # T-junction, the doubled cube, a moved corner) in one stacked
+        # pass: each chart's report equals, bitwise, the report of the
+        # chart built alone and the per-chart oracle's.  (1, 0.3, 1) lies
+        # in the plane of the cube's edge from (1, -1, 1) to (1, 1, 1) about
+        # the origin: put first among the directions, it makes the pass
+        # take the signs of the cube charts' rows again along the next, and
+        # only theirs
+        if first is not None:
+            monkeypatch.setattr(star_extend, "_DIRECTIONS", (first, *star_extend._DIRECTIONS))
+        charts = [c.map for c in build.g.charts] + [
+            identity_chart(), scaling_chart(), top_split(QUADRANTS), doubled_cube(),
+            chart_with_face(lambda loop: centroid_fan(loop, moved_corner(loop, (0.1, 0.0, 0.0))))]
+        specs = [(m.domain, m._b, m.pieces_by_facet) for m in charts]
+        with mock.patch.object(star_extend, "_cone_signs", wraps=star_extend._cone_signs) as cones:
+            reports = [rmap.validate_boundary_map() for rmap in radial_maps(specs)]
+        rows = [len(call.args[2]) for call in cones.call_args_list]
+        cube = sum(len(m.fan_cell) for m in charts[5:])
+        assert rows == [cube + 142] + ([cube] if first else [])
+        for rep, spec in zip(reports, specs):
+            alone = RadialMap(*spec)
+            assert report_bits(rep) == report_bits(alone.validate_boundary_map()) \
+                == report_bits(boundary_report(alone))
+        assert [rep.passed for rep in reports] == [True] * 7 + [False] * 3
+
     def test_a_map_batch_raises_what_its_first_failing_map_raises(self):
         # a flat image cone fails in the stacked part, a missing facet
         # before it: the batch raises the error of the first map that
@@ -639,13 +698,18 @@ class TestDegree:
     def test_a_direction_in_a_cone_face_plane_is_passed_over(self, monkeypatch):
         # e1 lies in the plane of the cube's fan diagonals from (1, -1, -1)
         # to (1, 1, 1): the count takes the next direction, and fails
-        # where no direction is left
-        want = identity_chart().validate_boundary_map()
+        # where no direction is left.  The count runs in construction, so
+        # each reading is of the chart built again under the directions
+        def built():
+            m = identity_chart()
+            return RadialMap(m.domain, m._b, m.pieces_by_facet).validate_boundary_map()
+
+        want = built()
         monkeypatch.setattr(star_extend, "_DIRECTIONS",
                             ((1.0, 0.0, 0.0), star_extend._DIRECTIONS[0]))
-        assert identity_chart().validate_boundary_map() == want
+        assert built() == want
         monkeypatch.setattr(star_extend, "_DIRECTIONS", ((1.0, 0.0, 0.0),))
-        rep = identity_chart().validate_boundary_map()
+        rep = built()
         assert (rep.passed, rep.injectivity_violations) == (False, 2)
         assert rep.detail.endswith("every direction of the degree count lies in the plane of "
                                    "a cone face")
@@ -658,9 +722,12 @@ class TestDegree:
         fans = np.array([[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
         targets = np.eye(4, 3)
         turn = np.ones(4, dtype=int)
-        assert star_extend._seam_faults(ids, fans, turn, targets)[:2] == (0, None)
+        assert star_extend._seam_faults(ids, [4], fans, turn, targets)[:2] == ([0], [None])
+        assert oracles._seam_faults(ids, fans, turn, targets)[:2] == (0, None)
         turn[3] = -1
-        faults, first, split = star_extend._seam_faults(ids, fans, turn, targets)
+        faults, first, split = star_extend._seam_faults(ids, [4], fans, turn, targets)
+        assert (faults, first, split.any()) == ([3], [(0, (2, 1), (2, 0))], False)
+        faults, first, split = oracles._seam_faults(ids, fans, turn, targets)
         assert (faults, first, split.any()) == (3, (0, (2, 1), (2, 0)), False)
 
 
@@ -681,7 +748,7 @@ class TestVertexForms:
         want, got = chart(VERTEX_FORMS["tuples"]), chart(VERTEX_FORMS[form])
         assert repr((got._consts, got._frames, got._inverses, got.validate_boundary_map())) \
             == repr((want._consts, want._frames, want._inverses, want.validate_boundary_map()))
-        for name in ("points", "targets", "images", "point_ids", "linear", "fans"):
+        for name in ("points", "targets", "images", "point_ids", "linear", "fan_cell"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
@@ -753,9 +820,10 @@ def cube_spec():
 
 class TestMutatedSpecs:
     """Every mutant of the cube's identity chart or of an atlas chart
-    either builds, and then its validation passes or fails, or is refused
-    by GeometryError; derandomized, so that every run draws the same
-    mutants."""
+    either builds, and then its validation passes or fails as the per-chart
+    oracle's report (``oracles.boundary_report``) does, bitwise, or is
+    refused by GeometryError; derandomized, so that every run draws the
+    same mutants."""
 
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(st.data())
@@ -767,7 +835,9 @@ class TestMutatedSpecs:
             rmap = RadialMap(Box(lo, hi), centre, pieces_by_facet)
         except GeometryError:
             return
-        assert isinstance(rmap.validate_boundary_map().passed, bool)
+        rep = rmap.validate_boundary_map()
+        assert isinstance(rep.passed, bool)
+        assert report_bits(rep) == report_bits(boundary_report(rmap))
 
 
 class TestRadial2D:
