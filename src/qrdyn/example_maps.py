@@ -29,8 +29,9 @@ def fatou_h_eval(p):
 
 def radial_square_eval(p):
     """|x| x in any dimension, as Python floats; fixes the origin."""
-    v = np.asarray(p, dtype=float)
-    return tuple((float(np.linalg.norm(v)) * v).tolist())
+    v = tuple(map(float, p))
+    m = math.hypot(*v)
+    return tuple(m * c for c in v)
 
 
 # ---------------------------------------------------------------------------

@@ -247,8 +247,11 @@ class GlobalMap:
     (``zorich.F_scalar``), takes one Python frame besides ``eval3``'s own.
     ``table`` is the ``CellTable`` of the charts, which the audits read.
 
-    Each regime subtracts the shift from the third coordinate of its own
-    result: L' for f, 0.0 for g (x - 0.0 is x bitwise, -0.0 included).
+    The shift is L' for f and 0.0 for g (x - 0.0 is x bitwise, -0.0
+    included).  The identity and the slab subtract it from the third
+    coordinate of their own result; above {x3 = L} it is passed to
+    ``zorich.F_scalar``, which subtracts it in its own frame, so that the
+    F regime's result is ``F_scalar``'s tuple itself.
 
     A point with a NaN coordinate, or with an infinite x1 or x2 in the slab,
     raises ValueError naming it; above {x3 = L} an infinite x1 or x2 raises
@@ -275,8 +278,7 @@ class GlobalMap:
         if z < 0.0:
             return (x, y, z - self._shift)
         if z > self.L:
-            x, y, z = zorich.F_scalar(x, y, z)
-            return (x, y, z - self._shift)
+            return zorich.F_scalar(x, y, z, self._shift)
         if z != z:
             raise ValueError(f"non-finite point {(x, y, z)}")
         try:

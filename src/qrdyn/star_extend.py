@@ -433,9 +433,10 @@ def _build_maps(maps, specs):
     domain polygon, its image points, and its domain facet with its piece's
     running index, the image facet (``cell_facets``); a key of
     ``pieces_by_facet`` other than 0 to 5 is walked last.  The walk refuses
-    a facet without pieces, a piece without cells, a cell that is not a
-    pair of sequences (two polygons), and a cell whose two polygons differ
-    in length or have fewer than 3 vertices; then the
+    a facet's pieces that are not a sequence of pieces, a facet without
+    pieces, a piece that is not a sequence of cells or has none, a cell
+    that is not a pair of sequences (two polygons), and a cell whose two
+    polygons differ in length or have fewer than 3 vertices; then the
     stacks refuse a vertex that is not three numbers (``_vertex_rows``), a
     non-finite coordinate, and a domain vertex whose coordinate on its
     facet's axis is not exactly the facet's level (every vertex of a key
@@ -478,7 +479,13 @@ def _build_maps(maps, specs):
         if not isinstance(domain, Box):
             raise GeometryError("a radial map needs a box domain")
         rmap.domain = domain
-        rmap.pieces_by_facet = {f: list(pieces) for f, pieces in pieces_by_facet.items()}
+        rmap.pieces_by_facet = {}
+        for f, pieces in pieces_by_facet.items():
+            try:
+                rmap.pieces_by_facet[f] = list(pieces)
+            except TypeError:
+                raise GeometryError(f"facet {f}: its pieces are a list of pieces, "
+                                    f"not {pieces!r}") from None
         rmap._a = tuple(map(float, domain.centre))
         rmap._b = tuple(_as_array(centre).tolist())
         rmap._box = tuple([float(c) + s * domain.tol for c in v]
@@ -496,7 +503,12 @@ def _build_maps(maps, specs):
                 name = f"facet {facet} piece {k}"
                 if not piece:
                     raise GeometryError(f"{name} has no cells")
-                for j, cell in enumerate(piece):
+                try:
+                    cells = iter(piece)
+                except TypeError:
+                    raise GeometryError(f"{name}: a piece is a list of cells, "
+                                        f"not {piece!r}") from None
+                for j, cell in enumerate(cells):
                     labels.append(f"{name} cell {j}")
                     try:
                         dom, img = cell
@@ -732,7 +744,10 @@ def psi(rmap, dx, dy, dz):
         s = l0 + l1 + l2
         if s <= 0.0:
             continue
-        low = min(l0, l1, l2) / s
+        low = l1 if l1 < l0 else l0       # min(l0, l1, l2), in min's order
+        if l2 < low:
+            low = l2
+        low /= s
         if low >= -1e-9:
             best, s_best = k, s
             break

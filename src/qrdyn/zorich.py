@@ -18,7 +18,8 @@ The two agree bit for bit except at the negative multiples of 4, where
 the remainder is -0.0 and the rounded form +0.0.  Every scalar fold here
 (``_fold1``, and the fold that ``F_scalar`` writes out) is the remainder,
 which builds no Python int as ``round`` does.  Z is written out in
-``F_scalar``, in one frame, and in ``F_array``, F on the rows of an (N, 3)
+``F_scalar``, in one frame, which also subtracts f's shift L' from the third
+coordinate when given it, and in ``F_array``, F on the rows of an (N, 3)
 array, bitwise equal to ``F_scalar`` row by row.
 
 An F step from a point with |x1| or |x2| beyond HORIZON raises
@@ -102,14 +103,17 @@ def _off_horizon(x1, x2, x3):
     return PrecisionLost(x1, x2, x3)
 
 
-def F_scalar(x1, x2, x3):
-    """F = Id + Z at (x1, x2, x3); raises PrecisionLost where |x1| or |x2|
-    exceeds HORIZON (inf included), and ValueError where x1 or x2 is NaN.
+def F_scalar(x1, x2, x3, shift=0.0):
+    """F - (0, 0, shift) = Id + Z - (0, 0, shift) at (x1, x2, x3); raises
+    PrecisionLost where |x1| or |x2| exceeds HORIZON (inf included), and
+    ValueError where x1 or x2 is NaN.
     Z is the remainder folds u of x1, x2 and the pyramid height 1 - |u|_inf
     signed by their parity (``fold_square``), scaled by e^{x3}.  F is
     bitwise what the rounded fold x - 4 round(x / 4) gives: the remainder
     fold differs from it only in the sign of a zero u at x < 0, where
-    x + (+-0.0) is x."""
+    x + (+-0.0) is x.  The third coordinate is (x3 + scale zh) - shift,
+    bitwise F's minus shift: f's F step passes its L', every other caller
+    takes the default 0.0, which keeps F's value, -0.0 included."""
     if not (abs(x1) <= HORIZON and abs(x2) <= HORIZON):
         raise _off_horizon(x1, x2, x3)
     u1 = remainder(x1, 4.0)
@@ -134,8 +138,9 @@ def F_scalar(x1, x2, x3):
         zh = -zh
     if x3 <= _EXP_ARG_MAX:
         scale = exp(x3)
-        return (x1 + scale * u1, x2 + scale * u2, x3 + scale * zh)
-    return (x1 + _times_inf(u1), x2 + _times_inf(u2), x3 + _times_inf(zh))
+        return (x1 + scale * u1, x2 + scale * u2, x3 + scale * zh - shift)
+    return (x1 + _times_inf(u1), x2 + _times_inf(u2),
+            x3 + _times_inf(zh) - shift)
 
 
 def F_array(X):

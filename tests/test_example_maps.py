@@ -71,11 +71,17 @@ class TestRadialSquare:
         assert radial_square_eval((0.0, 0.0)) == (0.0, 0.0)
 
     def test_python_floats_of_the_numpy_product(self):
+        # |x| is math.hypot's, at most one unit in the last place from
+        # np.linalg.norm's, so each coordinate is within two of the numpy
+        # product's: one from the norm, and one from rounding both products
         rng = np.random.default_rng(4)
-        for v in rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-3, 4, (50, 1)):
-            out = radial_square_eval(v)
-            assert all(type(c) is float for c in out)
-            assert np.array_equal(out, float(np.linalg.norm(v)) * v)
+        for dim in (2, 3, 4):
+            pts = rng.standard_normal((200, dim)) * 10.0 ** rng.integers(-3, 4, (200, 1))
+            for v in [np.zeros(dim), *pts]:
+                out = radial_square_eval(v)
+                assert all(type(c) is float for c in out)
+                want = float(np.linalg.norm(v)) * v
+                assert np.all(np.abs(np.subtract(out, want)) <= 2 * np.spacing(np.abs(want))), v
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-40, 40), st.floats(-40, 40), st.floats(-40, 40))

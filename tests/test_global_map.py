@@ -547,7 +547,8 @@ class TestShiftedMap:
 
     def test_an_F_step_calls_F_scalar_once(self, fmap, monkeypatch):
         # the traced benchmark run counts and times F steps by patching
-        # zorich.F_scalar, so eval3 above L calls it through the module
+        # zorich.F_scalar, so eval3 above L calls it through the module,
+        # with f's shift L' for F_scalar to subtract
         calls = []
         plain = zorich.F_scalar
 
@@ -558,7 +559,7 @@ class TestShiftedMap:
         monkeypatch.setattr(zorich, "F_scalar", counting)
         p = (0.5, -0.25, fmap.L + 1.0)
         out = fmap.eval3(*p)
-        assert calls == [p]
+        assert calls == [p + (fmap.L_prime,)]
         f1, f2, f3 = plain(*p)
         assert _bits(out) == _bits((f1, f2, f3 - fmap.L_prime))
 

@@ -306,6 +306,8 @@ QUADRANTS = [[(x, y, 1.0), (x, 0.0, 1.0), C, (0.0, y, 1.0)]
 # vertex that is not three numbers; and a piece on a facet key that no box
 # has
 MALFORMED = {
+    "pieces of a number": ({5: 5}, "facet 5: its pieces are a list of pieces, not 5"),
+    "piece of a number": ({5: [5]}, "facet 5 piece 0: a piece is a list of cells, not 5"),
     "empty piece": ({5: [[([P0, P1, P2, P3], [P0, P1, P2, P3])], []]},
                     "facet 5 piece 1 has no cells"),
     "three polygons": ({5: [[(P0, P1, P2)]]},

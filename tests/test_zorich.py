@@ -262,12 +262,20 @@ class TestFlatZStep:
                                    for x2 in (-math.inf, math.nan, 0.5)]:
             assert outcome(F_scalar, p) == outcome(composed_F, p), p
 
-    def test_F_is_the_composed_step_bitwise(self):
-        for p in self._points():
+    def test_F_is_the_composed_step_bitwise(self, build):
+        # and F minus a shift s, g's 0.0 or f's L', is F with s taken from
+        # its third coordinate: the F step of f, above L too
+        rng = np.random.default_rng(48)
+        L = build.f.L
+        above = np.column_stack([rng.uniform(-9.0, 9.0, 3000), rng.uniform(-9.0, 9.0, 3000),
+                                 rng.uniform(L, L + 300.0, 3000)]).tolist()
+        for p in self._points() + above:
             if max(abs(p[0]), abs(p[1])) > HORIZON:
                 continue
             want = tuple(x + z for x, z in zip(p, zorich_composed(*p)))
             assert _hex(F_scalar(*p)) == _hex(want), p
+            for shift in (0.0, build.L_prime):
+                assert _hex(F_scalar(*p, shift)) == _hex((*want[:2], want[2] - shift)), (p, shift)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_folds_raise_alike(self, bad):
@@ -507,22 +515,25 @@ class TestPrecisionLost:
                                        (-0.0, -math.nextafter(HORIZON, math.inf), 1e3),
                                        (math.inf, 0.1, math.nan)])
     def test_carries_the_point_and_the_message(self, point):
-        with pytest.raises(PrecisionLost) as info:
-            F_scalar(*point)
-        err = info.value
-        assert err.args == point
-        assert all(a is b for a, b in zip(err.args, point))
-        x1, x2, x3 = point
-        assert str(err) == (f"F step from ({x1!r}, {x2!r}, {x3!r}) is past the "
-                            f"precision horizon |x1|, |x2| <= 2**50")
+        # with or without a shift: the point is the step's, unshifted
+        for shift in ((), (0.0,), (87.5,)):
+            with pytest.raises(PrecisionLost) as info:
+                F_scalar(*point, *shift)
+            err = info.value
+            assert err.args == point
+            assert all(a is b for a, b in zip(err.args, point))
+            x1, x2, x3 = point
+            assert str(err) == (f"F step from ({x1!r}, {x2!r}, {x3!r}) is past the "
+                                f"precision horizon |x1|, |x2| <= 2**50")
 
     @pytest.mark.parametrize("point", [(math.nan, 0.5, 1.0), (0.5, math.nan, 1.0),
                                        (math.inf, math.nan, 1.0)])
     def test_a_nan_step_is_a_value_error(self, point):
         # NaN fails every comparison with HORIZON, so the horizon branch
         # tells it from an infinite coordinate, which stays PrecisionLost
-        with pytest.raises(ValueError, match=r"non-finite point \("):
-            F_scalar(*point)
+        for shift in ((), (0.0,), (87.5,)):
+            with pytest.raises(ValueError, match=r"non-finite point \("):
+                F_scalar(*point, *shift)
 
 
 def _record_F_array(monkeypatch):
